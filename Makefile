@@ -5,6 +5,15 @@
 #   make test          plain test run
 #   make docs-check    README/ARCHITECTURE exist, examples vet, every
 #                      exported lsample symbol documented
+#   make bench         the end-to-end ledger (bench/README.md): five
+#                      workloads untraced then traced against real lsserve
+#                      children, result.json + per-layer table under
+#                      .bench_out (the cold/direct/extension and sharded
+#                      scatter rows live in serve_mix and shard_scatter)
+#   make bench-ledger-smoke
+#                      a few seconds of every ledger workload plus the
+#                      harness's own unit tests — the CI gate that the
+#                      ledger still builds and runs
 #   make bench-smoke   1-iteration pass over the figure benchmark and the
 #                      perf micro-benchmarks, emitted as BENCH_smoke.json
 #   make bench-groupby shared-sample GROUP BY vs naive per-group loop,
@@ -17,12 +26,6 @@
 #                      (evals/op and wall time), emitted as BENCH_PR5.json
 #   make bench-wal     durable-vs-memory ingest overhead and WAL recovery
 #                      time, emitted as BENCH_PR6.json
-#   make bench-catalog cross-query reuse catalog: cold vs direct-reuse vs
-#                      budget-extension estimation cost (evals/op),
-#                      emitted as BENCH_PR7.json
-#   make bench-shard   sharded scatter/gather at 1/2/4/8 shards (evals/op
-#                      and wall) plus a one-shard-killed degraded run,
-#                      emitted as BENCH_PR8.json
 #   make bench-obs     observability overhead: labeling ns/eval and full
 #                      Execute ns/op with the tracer disabled, unsampled,
 #                      and sampling every run, emitted as BENCH_PR10.json
@@ -40,7 +43,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check build vet test race api-check docs-check obs-check bench-smoke bench-full serve-smoke bench-groupby bench-predicate bench-ingest bench-wal bench-catalog bench-shard bench-vector bench-obs fuzz-smoke
+.PHONY: check build vet test race api-check docs-check obs-check bench-smoke bench-full serve-smoke bench-groupby bench-predicate bench-ingest bench-wal bench bench-ledger-smoke bench-vector bench-obs fuzz-smoke
 
 check: build vet api-check docs-check obs-check race
 
@@ -120,13 +123,14 @@ bench-wal:
 		| $(GO) run ./tools/benchjson > BENCH_PR6.json
 	@cat BENCH_PR6.json
 
-# Reuse-catalog benchmarks: predicate evaluations and wall time for a
-# from-scratch estimate (base and double budget) vs a direct-reuse rerun
-# vs a budget extension over materialized artifacts.
-bench-catalog:
-	$(GO) test -run '^$$' -bench '^BenchmarkCatalog(Cold|Cold2x|Direct|Extension)$$' -benchtime 3x ./lsample/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR7.json
-	@cat BENCH_PR7.json
+# The end-to-end ledger: BENCHMARK.json's five workloads and per-layer
+# table, written under .bench_out (gitignored).
+bench:
+	$(GO) run ./bench -out .bench_out
+
+bench-ledger-smoke:
+	$(GO) run ./bench -smoke
+	$(GO) test ./bench
 
 # Vectorized-labeling benchmarks: ns/eval and allocs/op for the scalar
 # closure path vs the vectorized kernels on the fused (exists) and
@@ -149,15 +153,6 @@ bench-obs:
 	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 3x ./lsample/ \
 		| $(GO) run ./tools/benchjson > BENCH_PR10.json
 	@cat BENCH_PR10.json
-
-# Sharded scatter/gather benchmarks: evals/op and wall time for the lss
-# drive at 1/2/4/8 shards (per-worker labeling service time modeled, so
-# the scatter overlap is visible on a single-core runner), plus the
-# degraded chaos run with one shard killed mid-query under a deadline.
-bench-shard:
-	$(GO) test -run '^$$' -bench '^BenchmarkShardDrive(1|2|4|8|Degraded)$$' -benchtime 3x ./internal/shard/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR8.json
-	@cat BENCH_PR8.json
 
 # Brief run of each native fuzzer: the parser/renderer round-trip property,
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a

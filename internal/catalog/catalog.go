@@ -1,8 +1,8 @@
-// Package catalog materializes learn-phase artifacts — hash-selected learn
-// samples (implicitly, via per-key labels), trained classifiers, score
-// vectors, and stratum designs — and reuses them across queries. Entries
-// are keyed by (dataset snapshot, shard, Q1 shape, feature-column set,
-// estimation plan); lookups classify into direct reuse (the plan matches:
+// Package catalog materializes learn-phase artifacts — hash-selected
+// samples (implicitly, via per-key labels) and the classifier's per-key
+// scores, which are the stratification design — and reuses them across
+// queries. Entries are keyed by (dataset snapshot, shard, Q1 shape,
+// feature-column set, estimation plan); lookups classify into direct reuse (the plan matches:
 // skip sampling and learning, relabel only if the predicate differs),
 // extension (the plan partially covers the request: top up the hash
 // bottom-k sample — a strict prefix extension, hence deterministic — and
@@ -21,8 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/learn"
 )
 
 // Reuse classifications recorded per execution. Release maps them onto the
@@ -100,20 +98,15 @@ type Entry struct {
 	// Budget is the labeling budget the artifacts were materialized at
 	// (0 = empty entry awaiting materialization).
 	Budget int
-	// KLearn is the learn-sample size at that budget.
+	// KLearn is the learn-sample size the lss design was trained at.
 	KLearn int
-	// TrainFP is the full predicate fingerprint whose labels trained the
-	// classifier (direct reuse under a different fingerprint is legitimate:
-	// scores are only a stratification function, so estimates stay
-	// unbiased; TrainFP records the provenance).
-	TrainFP string
-	// Forest is the trained classifier (nil for feature-free plans).
-	Forest learn.Classifier
-	// Scores maps object key → classifier score, covering every object of
-	// the materialized plan's enumeration.
+	// Scores is the lss stratification design: object key → classifier
+	// score, covering every object of the materialized plan's enumeration
+	// (nil for feature-free plans). Scores are only a stratification
+	// function, so reusing them under a different predicate fingerprint is
+	// legitimate: estimates stay unbiased. Stratum cuts are recomputed from
+	// them on every run.
 	Scores map[int64]float64
-	// Cuts are the equal-count stratum boundaries over Scores.
-	Cuts []float64
 
 	// spaces holds per-predicate-fingerprint label memos: labels are pure
 	// functions of (snapshot, key, predicate), so a memo hit is
@@ -174,16 +167,8 @@ func (e *Entry) Labels(fp string, clock int64) map[int64]bool {
 func (e *Entry) sizeLocked() int64 {
 	b := int64(256)
 	b += int64(len(e.Scores)) * 24
-	b += int64(len(e.Cuts)) * 8
 	for _, sp := range e.spaces {
 		b += 64 + int64(len(sp.labels))*17
-	}
-	if e.Forest != nil {
-		if s, ok := e.Forest.(interface{ MemoryFootprint() int64 }); ok {
-			b += s.MemoryFootprint()
-		} else {
-			b += 1 << 14 // flat estimate for classifiers without a sizer
-		}
 	}
 	return b
 }

@@ -566,3 +566,66 @@ func TestWorkerTraceparentRoundTrip(t *testing.T) {
 		t.Fatal("absent traceparent still recorded a trace")
 	}
 }
+
+// findSpan returns the first span of the tree with the given name.
+func findSpan(d *obs.SpanData, name string) *obs.SpanData {
+	var hit *obs.SpanData
+	forEachSpan(d, func(s *obs.SpanData) {
+		if hit == nil && s.Name == name {
+			hit = s
+		}
+	})
+	return hit
+}
+
+// TestExplainHashPlanSpanTree: catalog-served (reuse-class) requests open
+// the fixed-cost phases as children of the "catalog" span — enumerate and
+// features directly, predicate.build lazily where the label store first
+// misses — so the catalog span's self time no longer absorbs them; a
+// request answered entirely from memoized labels builds no predicate.
+func TestExplainHashPlanSpanTree(t *testing.T) {
+	svc := newTestService(t, 80, Options{})
+	count := func(budget float64) *obs.SpanData {
+		t.Helper()
+		res, err := svc.Count(&CountRequest{
+			SQL:     skybandQuery,
+			Params:  map[string]any{"k": float64(10)},
+			Method:  "lss",
+			Budget:  budget,
+			Seed:    3,
+			Explain: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := findSpan(res.Trace, "catalog")
+		if cat == nil {
+			t.Fatalf("budget %v: trace has no catalog span", budget)
+		}
+		return cat
+	}
+
+	count(0.25)       // materialize
+	ext := count(0.5) // reuse class: budget extension, fresh labels needed
+	children := map[string]int{}
+	for _, c := range ext.Children {
+		children[c.Name]++
+	}
+	for _, want := range []string{"enumerate", "features", "shard.census", "shard.attempt"} {
+		if children[want] != 1 {
+			t.Errorf("catalog span children = %v, want one %q", children, want)
+		}
+	}
+	attempt := findSpan(ext, "shard.attempt")
+	if attempt == nil || findSpan(attempt, "predicate.build") == nil {
+		t.Errorf("extension built its predicate outside the labeling round; catalog children %v", children)
+	}
+
+	direct := count(0.5 + 1e-9) // distinct cache key, same evaluation budget: every label memoized
+	if findSpan(direct, "predicate.build") != nil {
+		t.Error("a request answered from memoized labels still built the predicate")
+	}
+	if findSpan(direct, "enumerate") == nil {
+		t.Error("direct reuse did not report its enumerate phase")
+	}
+}

@@ -17,10 +17,13 @@ type Cand struct {
 
 // BottomK deterministically samples k of the given keys: the k smallest
 // by (Mix64(seed, tag, key), key). When k covers the whole population the
-// selection is every key, sorted ascending. This is the canonical
-// hash-plan sampling primitive; lsample's catalog and refresh paths
-// delegate to it, so sharded and unsharded executions share one
-// implementation by construction.
+// selection is every key, sorted ascending. Under appends the selection
+// changes only near the threshold — expected O(k·delta/N) membership churn
+// — which is what keeps a live refresh's label bill proportional to the
+// delta, and a larger k is a strict prefix extension, which is what lets a
+// budget extension reuse every earlier label. This is the one hash-plan
+// sampling primitive: Drive, per-shard candidates (MergeBottomK recovers
+// exactly this selection), and LiveQuery.Refresh all draw through it.
 func BottomK(keys []int64, k int, seed, tag uint64) []int64 {
 	if k >= len(keys) {
 		out := append([]int64(nil), keys...)

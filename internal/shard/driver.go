@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -15,16 +14,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Plan describes one sharded estimation: the method and every knob that
-// feeds the deterministic hash-plan recipe. Drive executes the same
-// procedure the single-process catalog path runs — hash bottom-k
-// sampling, seeded training, equal-count cuts, proportional allocation —
-// so the merged answer is byte-identical to the unsharded one.
+// Plan describes one hash-plan estimation: the method and every knob that
+// feeds the deterministic recipe — hash bottom-k sampling, seeded
+// training, equal-count cuts, proportional allocation (recipe.go). Every
+// decision is a pure function of (plan, population), so the answer is
+// byte-identical at any worker count, one included.
 type Plan struct {
-	Method   string           // "srs", "lss", or "oracle"
-	Grouped  bool             // grouped (GROUP BY) estimation
-	BudgetOf func(n int) int  // evaluation budget as a function of population size
-	Strata   int              // lss stratum count H (< 2 selects 4)
+	Method   string          // "srs", "lss", or "oracle"
+	Grouped  bool            // grouped (GROUP BY) estimation
+	BudgetOf func(n int) int // evaluation budget as a function of population size
+	Strata   int             // lss stratum count H (< 2 selects 4)
 	Seed     uint64
 	Alpha    float64
 	Wilson   bool // Wilson interval for srs (plain and per-group)
@@ -36,6 +35,21 @@ type Plan struct {
 	// to the full population with a widened interval. When false a lost
 	// shard fails the query.
 	AllowDegraded bool
+
+	// Design, when it matches the plan (same learn-sample size, a score for
+	// every object), replaces the lss learn phase: its scores stratify the
+	// population and no learn sample is labeled. A reuse catalog hands back
+	// the design an earlier Result reported.
+	Design *Design
+}
+
+// Design is a materialized lss stratification: the classifier score of
+// every object key and the learn-sample size the classifier was trained
+// at. Cuts are recomputed from the scores, so a design is all a later run
+// needs to stratify exactly as the run that trained it.
+type Design struct {
+	KLearn int
+	Scores map[int64]float64
 }
 
 // Group is one group's merged estimate.
@@ -70,16 +84,19 @@ type Result struct {
 	Groups       []Group
 	TrueCount    int
 	HasTrue      bool
+	Design       *Design // lss: the stratification used (Plan.Design itself when it was reused)
 }
 
 // DefaultMinGroup is the per-group sample floor for grouped estimates.
 const DefaultMinGroup = 10
 
 // Drive runs the plan across the given shard workers and merges their
-// partial results. Workers are indexed by shard: workers[i] serves shard
-// i of len(workers). Every sampling decision is a pure function of
-// (plan, population), so the result is byte-identical at any shard count
-// and any scatter interleaving.
+// partial results. Workers are indexed by shard and hash-aligned:
+// workers[i] holds exactly the keys OwnerOf places on shard i of
+// len(workers), which is how label and feature requests find their owner.
+// Every sampling decision is a pure function of (plan, population), so the
+// result is byte-identical at any shard count and any scatter
+// interleaving.
 //
 // A worker that fails with a LostShardError is dropped and — when
 // plan.AllowDegraded is set — the protocol restarts over the survivors;
@@ -100,7 +117,7 @@ func Drive(ctx context.Context, plan Plan, workers []Worker) (*Result, error) {
 		return nil, fmt.Errorf("shard: no workers")
 	}
 
-	r := &run{plan: plan, memo: make(map[int64]bool), owner: make(map[int64]int)}
+	r := &run{plan: plan, memo: make(map[int64]bool), shards: len(workers)}
 	for i, w := range workers {
 		r.workers = append(r.workers, w)
 		r.ids = append(r.ids, i)
@@ -159,17 +176,16 @@ func Drive(ctx context.Context, plan Plan, workers []Worker) (*Result, error) {
 }
 
 // run is one Drive invocation's mutable state: the surviving workers (and
-// their original shard ids), the census, the key-ownership map learned
-// from op results, and the driver-side label memo. The memo survives a
-// degraded restart — labels are pure in (snapshot, key, predicate), so
-// survivor keys never need relabeling.
+// their original shard ids), the census, and the driver-side label memo.
+// The memo survives a degraded restart — labels are pure in (snapshot, key,
+// predicate), so survivor keys never need relabeling.
 type run struct {
 	plan    Plan
 	workers []Worker
 	ids     []int
 	metas   []Meta
 
-	owner  map[int64]int // key -> slot in workers
+	shards int // original shard count: key k lives on shard OwnerOf(k, shards)
 	memo   map[int64]bool
 	fresh  int
 	reused int
@@ -178,8 +194,8 @@ type run struct {
 	lostN int
 }
 
-// drop removes the lost shard (by original id) from the survivor set and
-// from the ownership map, recording its population as lost mass.
+// drop removes the lost shard (by original id) from the survivor set,
+// recording its population as lost mass.
 func (r *run) drop(id int) bool {
 	slot := -1
 	for i, wid := range r.ids {
@@ -196,14 +212,6 @@ func (r *run) drop(id int) bool {
 	r.workers = append(r.workers[:slot], r.workers[slot+1:]...)
 	r.ids = append(r.ids[:slot], r.ids[slot+1:]...)
 	r.metas = append(r.metas[:slot], r.metas[slot+1:]...)
-	for k, s := range r.owner {
-		switch {
-		case s == slot:
-			delete(r.owner, k)
-		case s > slot:
-			r.owner[k] = s - 1
-		}
-	}
 	return true
 }
 
@@ -250,18 +258,35 @@ func (r *run) mergeCensus() []census {
 // scatter runs fn once per surviving worker concurrently and joins. A
 // LostShardError is reported in preference to other errors so the caller
 // can degrade; the error is annotated with the worker's original shard id
-// when the implementation did not set one.
+// when the implementation did not set one. A panic inside fn — compiled
+// predicates still panic on data-dependent division by zero, and these
+// goroutines sit outside any request-level recover — becomes that shard's
+// error instead of taking the process down.
 func (r *run) scatter(ctx context.Context, fn func(slot int, w Worker) error) error {
 	errs := make([]error, len(r.workers))
-	var wg sync.WaitGroup
-	for i, w := range r.workers {
-		wg.Add(1)
-		go func(slot int, w Worker) {
-			defer wg.Done()
-			errs[slot] = fn(slot, w)
-		}(i, w)
+	call := func(slot int, w Worker) {
+		defer func() {
+			if p := recover(); p != nil {
+				errs[slot] = fmt.Errorf("shard %d: worker panicked: %v", r.ids[slot], p)
+			}
+		}()
+		errs[slot] = fn(slot, w)
 	}
-	wg.Wait()
+	if len(r.workers) == 1 {
+		// Nothing to overlap: a lone worker (every unsharded catalog-served
+		// count) skips six goroutine handoffs per estimate.
+		call(0, r.workers[0])
+	} else {
+		var wg sync.WaitGroup
+		for i, w := range r.workers {
+			wg.Add(1)
+			go func(slot int, w Worker) {
+				defer wg.Done()
+				call(slot, w)
+			}(i, w)
+		}
+		wg.Wait()
+	}
 	var first error
 	for slot, err := range errs {
 		if err == nil {
@@ -281,8 +306,18 @@ func (r *run) scatter(ctx context.Context, fn func(slot int, w Worker) error) er
 	return first
 }
 
-// claim records key ownership learned from an op result.
-func (r *run) claim(slot int, key int64) { r.owner[key] = slot }
+// slotOf routes a key to the surviving worker that owns it. Workers are
+// hash-aligned — workers[i] holds exactly the keys OwnerOf places on shard
+// i — so ownership is computed, never learned from op results.
+func (r *run) slotOf(key int64) (int, error) {
+	id := OwnerOf(key, r.shards)
+	for slot, wid := range r.ids {
+		if wid == id {
+			return slot, nil
+		}
+	}
+	return 0, fmt.Errorf("shard: key %d belongs to lost shard %d", key, id)
+}
 
 // label answers labels for the given distinct keys, routing memo misses
 // to their owning shards in one batched round.
@@ -293,9 +328,9 @@ func (r *run) label(ctx context.Context, sel []int64) ([]bool, error) {
 		if _, ok := r.memo[k]; ok {
 			continue
 		}
-		slot, ok := r.owner[k]
-		if !ok {
-			return nil, fmt.Errorf("shard: key %d has no known owner", k)
+		slot, err := r.slotOf(k)
+		if err != nil {
+			return nil, err
 		}
 		perOwner[slot] = append(perOwner[slot], k)
 		queued++
@@ -349,9 +384,9 @@ func (r *run) label(ctx context.Context, sel []int64) ([]bool, error) {
 func (r *run) features(ctx context.Context, sel []int64) ([][]float64, error) {
 	perOwner := make(map[int][]int64)
 	for _, k := range sel {
-		slot, ok := r.owner[k]
-		if !ok {
-			return nil, fmt.Errorf("shard: key %d has no known owner", k)
+		slot, err := r.slotOf(k)
+		if err != nil {
+			return nil, err
 		}
 		perOwner[slot] = append(perOwner[slot], k)
 	}
@@ -386,8 +421,7 @@ func (r *run) features(ctx context.Context, sel []int64) ([][]float64, error) {
 	return out, nil
 }
 
-// cands gathers per-shard bottom-k candidates under the tag and records
-// their ownership.
+// cands gathers per-shard bottom-k candidates under the tag.
 func (r *run) cands(ctx context.Context, k int, tag uint64) ([][]Cand, error) {
 	parts := make([][]Cand, len(r.workers))
 	err := r.scatter(ctx, func(slot int, w Worker) error {
@@ -400,11 +434,6 @@ func (r *run) cands(ctx context.Context, k int, tag uint64) ([][]Cand, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	for slot, cs := range parts {
-		for _, c := range cs {
-			r.claim(slot, c.Key)
-		}
 	}
 	return parts, nil
 }
@@ -445,9 +474,9 @@ func (r *run) attempt(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// attemptPlain runs srs/lss/oracle without grouping — the exact recipe of
-// the single-process catalog path.
+// attemptPlain runs srs/lss/oracle without grouping.
 func (r *run) attemptPlain(ctx context.Context, res *Result, n int, alpha float64) error {
+	var er estimate.Result
 	switch r.plan.Method {
 	case "oracle":
 		merged, _, err := r.countAll(ctx, nil)
@@ -463,48 +492,31 @@ func (r *run) attemptPlain(ctx context.Context, res *Result, n int, alpha float6
 		return nil
 
 	case "srs":
-		budget := r.plan.BudgetOf(n)
-		res.Budget = budget
-		parts, err := r.cands(ctx, budget, TagSample)
+		parts, err := r.cands(ctx, res.Budget, TagSample)
 		if err != nil {
 			return err
 		}
-		sel := MergeBottomK(parts, budget, n)
+		sel := MergeBottomK(parts, res.Budget, n)
 		labels, err := r.label(ctx, sel)
 		if err != nil {
 			return err
 		}
-		pos := 0
-		for _, b := range labels {
-			if b {
-				pos++
-			}
-		}
-		var er estimate.Result
-		if r.plan.Wilson {
-			er = estimate.ProportionWilson(pos, len(sel), n, alpha)
-		} else {
-			er = estimate.Proportion(pos, len(sel), n, alpha)
-		}
-		res.Count, res.CILo, res.CIHi, res.HasCI = er.Count, er.CI.Lo, er.CI.Hi, true
+		er = Proportion(Positives(labels), len(sel), n, alpha, r.plan.Wilson)
 
 	case "lss":
-		budget := r.plan.BudgetOf(n)
-		res.Budget = budget
-		scores, _, err := r.learnAndScore(ctx, n, budget)
+		all, hOf, kLearn, err := r.stratify(ctx, res, n)
 		if err != nil {
 			return err
 		}
-		strata, err := r.sampleStrata(ctx, scores, n, budget)
+		strata, err := r.sampleStrata(ctx, all, hOf, res.Budget-kLearn, nil)
 		if err != nil {
 			return err
 		}
-		er, serr := estimate.Stratified(strata, alpha)
-		if serr != nil {
-			return fmt.Errorf("shard: %v", serr)
+		if er, err = estimate.Stratified(strata, alpha); err != nil {
+			return fmt.Errorf("shard: %v", err)
 		}
-		res.Count, res.CILo, res.CIHi, res.HasCI = er.Count, er.CI.Lo, er.CI.Hi, true
 	}
+	res.Count, res.CILo, res.CIHi, res.HasCI = er.Count, er.CI.Lo, er.CI.Hi, true
 
 	if r.plan.Exact {
 		merged, _, err := r.countAll(ctx, nil)
@@ -516,33 +528,63 @@ func (r *run) attemptPlain(ctx context.Context, res *Result, n int, alpha float6
 	return nil
 }
 
-// learnAndScore runs the lss learn phase: merge the hash learn sample,
-// label it, broadcast (x, y, seed) so every shard trains the identical
-// classifier, and gather per-key scores. It returns every scored object
-// (claiming ownership as it goes) and the learn-sample size.
-func (r *run) learnAndScore(ctx context.Context, n, budget int) ([]Scored, int, error) {
-	kLearn := int(math.Round(0.25 * float64(budget)))
-	if kLearn < 2 {
-		kLearn = 2
+// stratify runs the lss learn and design phases over the survivors: size
+// the learn sample, score every object, and cut the scores into equal-count
+// strata. It returns the scored population, each object's stratum (aligned
+// with it), and the learn-sample size.
+func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, hOf []int, kLearn int, err error) {
+	if kLearn, err = LearnSize(res.Budget); err != nil {
+		return nil, nil, 0, err
 	}
-	if kLearn > budget-2 {
-		kLearn = budget - 2
+	if all, err = r.scoreAll(ctx, res, n, kLearn); err != nil {
+		return nil, nil, 0, err
 	}
-	if kLearn < 2 {
-		return nil, 0, fmt.Errorf("shard: budget %d too small for an lss estimate", budget)
+	scores := make([]float64, len(all))
+	for i, s := range all {
+		scores[i] = s.Score
+	}
+	cuts := EqualCountCuts(scores, StrataCount(r.plan.Strata))
+	hOf = make([]int, len(all))
+	for i, s := range all {
+		hOf[i] = StratumOf(cuts, s.Score)
+	}
+	return all, hOf, kLearn, nil
+}
+
+// scoreAll yields every survivor object with its classifier score. A plan
+// design trained at the same learn-sample size and covering every object is
+// reused as is — no learn sample is labeled. Otherwise the learn phase
+// runs: merge the hash learn sample, label it, broadcast (x, y, seed) so
+// every shard trains the identical classifier, and gather per-key scores.
+func (r *run) scoreAll(ctx context.Context, res *Result, n, kLearn int) ([]Scored, error) {
+	if d := r.plan.Design; d != nil && d.KLearn == kLearn {
+		all, err := r.listGroupKeys(ctx)
+		if err != nil {
+			return nil, err
+		}
+		covered := true
+		for i := range all {
+			if all[i].Score, covered = d.Scores[all[i].Key]; !covered {
+				break // built over another enumeration: train afresh
+			}
+		}
+		if covered {
+			res.Design = d
+			return all, nil
+		}
 	}
 	parts, err := r.cands(ctx, kLearn, TagLearn)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	learnSel := MergeBottomK(parts, kLearn, n)
 	y, err := r.label(ctx, learnSel)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	x, err := r.features(ctx, learnSel)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	clfSeed := live.Mix64(r.plan.Seed, TagTrain, uint64(len(learnSel)))
 
@@ -556,94 +598,36 @@ func (r *run) learnAndScore(ctx context.Context, n, budget int) ([]Scored, int, 
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	all := make([]Scored, 0, n)
-	for slot, part := range scored {
+	res.Design = &Design{KLearn: kLearn, Scores: make(map[int64]float64, n)}
+	for _, part := range scored {
 		for _, s := range part {
-			r.claim(slot, s.Key)
+			res.Design.Scores[s.Key] = s.Score
 		}
 		all = append(all, part...)
 	}
 	if len(all) != n {
-		return nil, 0, fmt.Errorf("shard: scored %d of %d objects", len(all), n)
+		return nil, fmt.Errorf("shard: scored %d of %d objects", len(all), n)
 	}
-	return all, len(learnSel), nil
+	return all, nil
 }
 
-// cutsOf computes the equal-count stratum boundaries over all scores —
-// the same j*n/H rule as the catalog path, over the identical sorted
-// score multiset.
-func (r *run) cutsOf(all []Scored, n int) []float64 {
-	H := r.plan.Strata
-	if H < 2 {
-		H = 4
-	}
-	sorted := make([]float64, len(all))
+// sampleStrata draws and labels the estimation sample of a stratified
+// population (all[i] lies in stratum hOf[i]) under the global sample tag:
+// a budget extension's sample overlaps the earlier one even where
+// retrained cuts reshuffled the strata.
+func (r *run) sampleStrata(ctx context.Context, all []Scored, hOf []int, budget int,
+	visit func(h int, key int64, positive bool)) ([]estimate.StratumSample, error) {
+
+	members := make([][]int64, StrataCount(r.plan.Strata))
 	for i, s := range all {
-		sorted[i] = s.Score
+		members[hOf[i]] = append(members[hOf[i]], s.Key)
 	}
-	sort.Float64s(sorted)
-	cuts := make([]float64, 0, H-1)
-	for j := 1; j < H; j++ {
-		pos := j * n / H
-		if pos > 0 {
-			pos--
-		}
-		cuts = append(cuts, sorted[pos])
-	}
-	return cuts
-}
-
-// stratumOf places a score into its stratum.
-func stratumOf(cuts []float64, score float64, H int) int {
-	h := sort.SearchFloat64s(cuts, score)
-	if h >= H {
-		h = H - 1
-	}
-	return h
-}
-
-// sampleStrata partitions the scored population by the cuts, allocates
-// the remaining budget proportionally, draws each stratum's hash
-// bottom-k, and labels it in one batched round.
-func (r *run) sampleStrata(ctx context.Context, all []Scored, n, budget int) ([]estimate.StratumSample, error) {
-	H := r.plan.Strata
-	if H < 2 {
-		H = 4
-	}
-	kLearn := int(math.Round(0.25 * float64(budget)))
-	if kLearn < 2 {
-		kLearn = 2
-	}
-	if kLearn > budget-2 {
-		kLearn = budget - 2
-	}
-	cuts := r.cutsOf(all, n)
-	members := make([][]int64, H)
-	sizes := make([]int, H)
-	for _, s := range all {
-		h := stratumOf(cuts, s.Score, H)
-		members[h] = append(members[h], s.Key)
-		sizes[h]++
-	}
-	alloc := estimate.ProportionalAllocation(sizes, budget-kLearn, 2)
-	strata := make([]estimate.StratumSample, H)
-	for h := 0; h < H; h++ {
-		sel := BottomK(members[h], alloc[h], r.plan.Seed, TagSample)
-		labels, err := r.label(ctx, sel)
-		if err != nil {
-			return nil, err
-		}
-		pos := 0
-		for _, b := range labels {
-			if b {
-				pos++
-			}
-		}
-		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(sel), Positives: pos}
-	}
-	return strata, nil
+	return SampleStrata(members, budget, r.plan.Seed,
+		func(int) uint64 { return TagSample },
+		func(sel []int64) ([]bool, error) { return r.label(ctx, sel) }, visit)
 }
 
 // countAll scatters a full labeling pass and merges the shard tallies;
@@ -753,8 +737,6 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 		return nil
 
 	case "srs":
-		budget := r.plan.BudgetOf(n)
-		res.Budget = budget
 		listed, err := r.listGroupKeys(ctx)
 		if err != nil {
 			return err
@@ -766,7 +748,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 			groupOf[s.Key] = s.Group
 			members[s.Group] = append(members[s.Group], s.Key)
 		}
-		sel := BottomK(keys, budget, r.plan.Seed, TagSample)
+		sel := BottomK(keys, res.Budget, r.plan.Seed, TagSample)
 		labels, err := r.label(ctx, sel)
 		if err != nil {
 			return err
@@ -776,53 +758,41 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 		}
 
 	case "lss":
-		budget := r.plan.BudgetOf(n)
-		res.Budget = budget
-		scores, _, err := r.learnAndScore(ctx, n, budget)
+		all, hOf, kLearn, err := r.stratify(ctx, res, n)
 		if err != nil {
 			return err
 		}
-		H = r.plan.Strata
-		if H < 2 {
-			H = 4
-		}
-		cuts := r.cutsOf(scores, n)
+		H = StrataCount(r.plan.Strata)
 		stratumSizes = make(map[string][]int)
-		groupOf := make(map[int64]string, len(scores))
-		stratumMembers := make([][]int64, H)
-		sizes := make([]int, H)
-		keyStratum := make(map[int64]int, len(scores))
-		for _, s := range scores {
-			h := stratumOf(cuts, s.Score, H)
-			stratumMembers[h] = append(stratumMembers[h], s.Key)
-			sizes[h]++
-			keyStratum[s.Key] = h
-			groupOf[s.Key] = s.Group
+		at := make(map[int64]int, len(all)) // key -> index into all
+		for i, s := range all {
+			at[s.Key] = i
 			members[s.Group] = append(members[s.Group], s.Key)
 			gs, ok := stratumSizes[s.Group]
 			if !ok {
 				gs = make([]int, H)
 				stratumSizes[s.Group] = gs
 			}
-			gs[h]++
+			gs[hOf[i]]++
 		}
-		kLearn := int(math.Round(0.25 * float64(budget)))
-		if kLearn < 2 {
-			kLearn = 2
+		_, err = r.sampleStrata(ctx, all, hOf, res.Budget-kLearn, func(h int, k int64, positive bool) {
+			tally(all[at[k]].Group, h, positive)
+		})
+		if err != nil {
+			return err
 		}
-		if kLearn > budget-2 {
-			kLearn = budget - 2
-		}
-		alloc := estimate.ProportionalAllocation(sizes, budget-kLearn, 2)
-		for h := 0; h < H; h++ {
-			sel := BottomK(stratumMembers[h], alloc[h], r.plan.Seed, TagSample)
-			labels, err := r.label(ctx, sel)
-			if err != nil {
-				return err
-			}
-			for j, k := range sel {
-				tally(groupOf[k], keyStratum[k], labels[j])
-			}
+	}
+
+	// srsGroup fills in a group's simple-random-sample estimate; a sample
+	// covering the whole group is exact.
+	srsGroup := func(grp *Group, pos, sampled int) {
+		er := Proportion(pos, sampled, grp.N, alpha, r.plan.Wilson)
+		grp.Sampled = sampled
+		grp.Count, grp.Proportion = er.Count, er.Proportion
+		grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
+		if grp.Exact = sampled == grp.N; grp.Exact {
+			grp.Count = float64(pos)
+			grp.CILo, grp.CIHi = grp.Count, grp.Count
 		}
 	}
 
@@ -842,38 +812,12 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 		grp := Group{Key: c.key, Parts: c.parts, N: c.n}
 		if sampled < want {
 			// Top up under the group's own tag.
-			target := minG
-			if sampled > target {
-				target = sampled
-			}
-			if target > c.n {
-				target = c.n
-			}
-			gsel := BottomK(members[c.key], target, r.plan.Seed, GroupTag(c.key))
+			gsel := BottomK(members[c.key], want, r.plan.Seed, GroupTag(c.key))
 			labels, err := r.label(ctx, gsel)
 			if err != nil {
 				return err
 			}
-			pos := 0
-			for _, b := range labels {
-				if b {
-					pos++
-				}
-			}
-			var er estimate.Result
-			if r.plan.Wilson {
-				er = estimate.ProportionWilson(pos, len(gsel), c.n, alpha)
-			} else {
-				er = estimate.Proportion(pos, len(gsel), c.n, alpha)
-			}
-			grp.Sampled = len(gsel)
-			grp.Count, grp.Proportion = er.Count, er.Proportion
-			grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
-			grp.Exact = len(gsel) == c.n
-			if grp.Exact {
-				grp.Count = float64(pos)
-				grp.CILo, grp.CIHi = grp.Count, grp.Count
-			}
+			srsGroup(&grp, Positives(labels), len(gsel))
 		} else if r.plan.Method == "lss" {
 			gs := stratumSizes[c.key]
 			var cells []estimate.StratumSample
@@ -897,25 +841,11 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 			grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
 			grp.Exact = sampled == c.n
 		} else {
-			cl := perGroup[c.key][0]
 			pos := 0
-			if cl != nil {
+			if cl := perGroup[c.key][0]; cl != nil {
 				pos = cl.pos
 			}
-			var er estimate.Result
-			if r.plan.Wilson {
-				er = estimate.ProportionWilson(pos, sampled, c.n, alpha)
-			} else {
-				er = estimate.Proportion(pos, sampled, c.n, alpha)
-			}
-			grp.Sampled = sampled
-			grp.Count, grp.Proportion = er.Count, er.Proportion
-			grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
-			grp.Exact = sampled == c.n
-			if grp.Exact {
-				grp.Count = float64(pos)
-				grp.CILo, grp.CIHi = grp.Count, grp.Count
-			}
+			srsGroup(&grp, pos, sampled)
 		}
 		total += grp.Count
 		lo += grp.CILo
@@ -943,8 +873,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	return nil
 }
 
-// listGroupKeys gathers every key with its group from the survivors,
-// claiming ownership.
+// listGroupKeys gathers every key with its group from the survivors.
 func (r *run) listGroupKeys(ctx context.Context) ([]Scored, error) {
 	parts := make([][]Scored, len(r.workers))
 	err := r.scatter(ctx, func(slot int, w Worker) error {
@@ -959,10 +888,7 @@ func (r *run) listGroupKeys(ctx context.Context) ([]Scored, error) {
 		return nil, err
 	}
 	var all []Scored
-	for slot, p := range parts {
-		for _, s := range p {
-			r.claim(slot, s.Key)
-		}
+	for _, p := range parts {
 		all = append(all, p...)
 	}
 	return all, nil

@@ -1,0 +1,168 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+func TestLearnSize(t *testing.T) {
+	for _, c := range []struct{ budget, want int }{
+		{40, 10}, {10, 3}, {8, 2}, {5, 2}, {4, 2}, {1000, 250},
+	} {
+		got, err := LearnSize(c.budget)
+		if err != nil || got != c.want {
+			t.Errorf("LearnSize(%d) = %d, %v; want %d", c.budget, got, err, c.want)
+		}
+	}
+	if _, err := LearnSize(3); !errors.Is(err, ErrBudgetTooSmall) {
+		t.Errorf("LearnSize(3) error = %v, want ErrBudgetTooSmall", err)
+	}
+}
+
+func TestEqualCountCutsAndStratumOf(t *testing.T) {
+	scores := []float64{0.9, 0.1, 0.5, 0.3, 0.7, 0.2, 0.8, 0.4}
+	cuts := EqualCountCuts(scores, 4)
+	want := []float64{0.2, 0.4, 0.7}
+	if len(cuts) != len(want) {
+		t.Fatalf("cuts = %v, want %v", cuts, want)
+	}
+	for i := range want {
+		if cuts[i] != want[i] {
+			t.Fatalf("cuts = %v, want %v", cuts, want)
+		}
+	}
+	sizes := make([]int, 4)
+	for _, s := range scores {
+		sizes[StratumOf(cuts, s)]++
+	}
+	for h, n := range sizes {
+		if n != 2 {
+			t.Errorf("stratum %d holds %d of 8 scores, want 2 (sizes %v)", h, n, sizes)
+		}
+	}
+}
+
+// panicky is a Worker whose Label panics — the driver-level model of a
+// compiled predicate dividing by zero on some row.
+type panicky struct{ Worker }
+
+func (panicky) Label(context.Context, []int64) ([]bool, int, error) {
+	panic("qcompile: division by zero")
+}
+
+// counting records that a worker's Label ran to completion.
+type counting struct {
+	Worker
+	done *atomic.Int64
+}
+
+func (c counting) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
+	labels, fresh, err := c.Worker.Label(ctx, keys)
+	c.done.Add(1)
+	return labels, fresh, err
+}
+
+// TestDriveContainsWorkerPanic: a panic on one shard's scatter goroutine
+// is that shard's error — the process survives, the error names the
+// shard, and the other shards' calls of the same round still complete.
+func TestDriveContainsWorkerPanic(t *testing.T) {
+	workers := testWorkers(300, 3, false)
+	var done atomic.Int64
+	for s := range workers {
+		if s == 1 {
+			workers[s] = panicky{workers[s]}
+		} else {
+			workers[s] = counting{workers[s], &done}
+		}
+	}
+	_, err := Drive(context.Background(), testPlan("srs", false), workers)
+	if err == nil {
+		t.Fatal("Drive succeeded although shard 1 panicked")
+	}
+	if !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("error %q does not name the shard and the panic", err)
+	}
+	if done.Load() != 2 {
+		t.Errorf("%d of the 2 healthy shards finished their label round, want 2", done.Load())
+	}
+}
+
+// labelCount wraps every worker so the test can see how many labels a
+// drive asked for.
+func labelCount(workers []Worker, n *atomic.Int64) []Worker {
+	out := make([]Worker, len(workers))
+	for i, w := range workers {
+		out[i] = keyCounting{w, n}
+	}
+	return out
+}
+
+type keyCounting struct {
+	Worker
+	n *atomic.Int64
+}
+
+func (c keyCounting) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
+	c.n.Add(int64(len(keys)))
+	return c.Worker.Label(ctx, keys)
+}
+
+// TestDriveReusesDesign: handing a Result's design back in the plan skips
+// the learn phase (no learn sample is labeled) and reproduces the estimate
+// byte for byte at any worker count; a design trained at another learn
+// size, or one that misses a key, is ignored and retrained.
+func TestDriveReusesDesign(t *testing.T) {
+	const n = 300
+	plan := testPlan("lss", false)
+	var coldLabels atomic.Int64
+	cold, err := Drive(context.Background(), plan, labelCount(testWorkers(n, 1, false), &coldLabels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Design == nil || len(cold.Design.Scores) != n {
+		t.Fatalf("cold run reported design %+v, want scores for all %d objects", cold.Design, n)
+	}
+	kLearn, _ := LearnSize(cold.Budget)
+
+	for _, shards := range []int{1, 3} {
+		warmPlan := plan
+		warmPlan.Design = cold.Design
+		var warmLabels atomic.Int64
+		warm, err := Drive(context.Background(), warmPlan, labelCount(testWorkers(n, shards, false), &warmLabels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Design != cold.Design {
+			t.Errorf("shards=%d: matching design was not reused", shards)
+		}
+		if warm.Count != cold.Count || warm.CILo != cold.CILo || warm.CIHi != cold.CIHi {
+			t.Errorf("shards=%d: reuse moved the estimate: %v [%v,%v], want %v [%v,%v]",
+				shards, warm.Count, warm.CILo, warm.CIHi, cold.Count, cold.CILo, cold.CIHi)
+		}
+		if got, want := warmLabels.Load(), int64(cold.Budget-kLearn); got != want {
+			t.Errorf("shards=%d: reuse labeled %d keys, want only the %d-key estimation sample", shards, got, want)
+		}
+	}
+
+	stale := map[string]*Design{
+		"other learn size": {KLearn: kLearn + 1, Scores: cold.Design.Scores},
+		"missing key":      {KLearn: kLearn, Scores: map[int64]float64{1: 0.5}},
+	}
+	for name, d := range stale {
+		stalePlan := plan
+		stalePlan.Design = d
+		got, err := Drive(context.Background(), stalePlan, testWorkers(n, 1, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Design == d {
+			t.Errorf("%s: stale design was reused", name)
+		}
+		if got.Count != cold.Count || got.CILo != cold.CILo || got.CIHi != cold.CIHi {
+			t.Errorf("%s: retrain diverged from the cold run", name)
+		}
+	}
+}

@@ -1,8 +1,11 @@
-// Package shard implements sharded scale-out estimation: a registered
-// table is partitioned into hash-aligned shards, the deterministic
-// sample/learn/label pipeline runs independently per shard, and the
-// partial results merge through the stratified estimator so the sharded
-// answer is byte-identical to the single-shard run at any shard count.
+// Package shard is the hash-plan executor: the one implementation of the
+// deterministic sample/learn/label/estimate recipe that lsserve serves.
+// Drive runs it over N >= 1 workers — a population partitioned into
+// hash-aligned shards, or a single worker holding all of it (the unsharded
+// reuse-catalog path) — and merges the partial results through the
+// stratified estimator, byte-identically at any worker count. The
+// recipe's arithmetic lives in recipe.go, where lsample's live refresh
+// calls the same steps.
 //
 // The identity argument is the same pure-function-of-(snapshot, seed)
 // trick the live layer uses for sample membership:
@@ -27,8 +30,8 @@
 //
 // The Worker interface abstracts one shard's primitives; Local implements
 // it in-process, and the serving layer implements it over HTTP so the
-// same Drive loop powers both lsample.WithShards and the lsserve
-// coordinator/worker roles.
+// same Drive loop powers lsample's catalog and WithShards paths and the
+// lsserve coordinator/worker roles.
 package shard
 
 import (
@@ -37,10 +40,10 @@ import (
 	"repro/internal/live"
 )
 
-// Hash-plan domain-separation tags. TagLearn, TagSample, and TagTrain
-// mirror lsample's hash-plan constants — the sharded executor must draw
-// the same learn/sample membership and train seed as the unsharded
-// catalog plan, or byte-identity is lost.
+// Hash-plan domain-separation tags: the learn sample, the estimation
+// sample, and classifier seeds draw from independent Mix64 streams. Every
+// executor of the recipe — Drive at any worker count and lsample's live
+// refresh — reads them from here.
 const (
 	// TagLearn selects the learn-phase bottom-k sample ("LEARN").
 	TagLearn = 0x4c4541524e

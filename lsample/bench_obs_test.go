@@ -66,7 +66,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		idxs := predicate.AllIndices(objects.NumRows())
 		cfg := q.cfg
 		cfg.parallelism = 1
-		pred, lab, err := q.buildPredicate(ev, objects, vals, cfg)
+		pred, lab, err := q.buildPredicate(context.Background(), ev, objects, vals, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package lsample
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -78,7 +79,7 @@ func BenchmarkPredicateLabeling(b *testing.B) {
 			cfg := q.cfg
 			cfg.noCompile = mode.noCompile
 			cfg.parallelism = mode.workers
-			pred, lab, err := q.buildPredicate(ev, objects, vals, cfg)
+			pred, lab, err := q.buildPredicate(context.Background(), ev, objects, vals, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package lsample
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -67,7 +68,7 @@ func BenchmarkVectorLabeling(b *testing.B) {
 			cfg := q.cfg
 			cfg.noVector = mode.noVector
 			cfg.parallelism = 1
-			pred, lab, err := q.buildPredicate(ev, objects, vals, cfg)
+			pred, lab, err := q.buildPredicate(context.Background(), ev, objects, vals, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -197,22 +197,38 @@
 // so the delta pricing is always visible. Refresh supports methods srs,
 // lss, and oracle — the oracle variant is a delta-priced exact count.
 //
+// # The hash plan: one executor behind catalog, shards, and refresh
+//
+// Execute has two branches. Without a catalog or shards it runs the
+// paper's RNG-driven methods (internal/core). With WithCatalog or
+// WithShards it runs the hash plan: every sampling decision is a hash of
+// the object key, so results are pure functions of (snapshots, plan) and
+// can be memoized, extended, partitioned, and refreshed byte-identically.
+// The hash plan has one implementation, internal/shard's Drive over N >= 1
+// in-process workers: one worker when only a catalog asked for it, s under
+// WithShards(s). It serves methods srs, lss, and oracle over queries with
+// a unique integer object key. The two branches give different (each
+// deterministic) estimates for the same seed — compare like with like.
+//
 // # Cross-query reuse catalog
 //
 // A Catalog (NewCatalog, attached via WithCatalog or WithCatalogBudget)
-// materializes learn-phase artifacts — per-key labels, the trained
-// classifier, its score strata — and reuses them across executions,
+// stores what the hash plan buys — per-key labels and, for lss, the
+// stratification design (the classifier's per-key scores and the learn
+// size they were trained at) — and hands it back to later executions,
 // sessions, and queries that share table snapshots. Entries are keyed by
 // (snapshots, object-enumeration shape, feature columns, plan); the
-// labeling budget is deliberately not part of the key. On Execute (methods
-// srs, lss, oracle; queries with a unique integer object key — everything
-// else transparently takes the classic path):
+// labeling budget is deliberately not part of the key. On Execute, a
+// method or query shape outside the hash plan's contract transparently
+// takes the classic branch; inside it:
 //
 //   - Direct reuse: the materialized plan covers the request — sampling
 //     and learning are skipped outright, and a rerun of the originating
 //     request spends zero fresh predicate evaluations. A request whose
 //     predicate differs only in Q3-bound parameters shares the entry and
-//     its classifier, relabeling under the new predicate.
+//     its design: the learn sample is not relabeled, the stored scores
+//     stratify, and only the estimation sample is labeled under the new
+//     predicate — a different but still unbiased design.
 //   - Extension: only the budget grew — the hash bottom-k sample is topped
 //     up (bottom-k at a larger k is a strict superset, so only new keys
 //     pay for labels) and the classifier is retrained at the new learn
@@ -226,23 +242,22 @@
 // (snapshots, query, params, method, budget, seed) the estimate is
 // byte-identical no matter what the catalog holds, because reused state is
 // only memoized labels (pure functions of snapshot, key, and predicate)
-// and classifiers the cold path would have trained identically. Estimate
+// and designs the cold path would have trained identically. Estimate
 // reports the path taken in Reuse (ReuseDirect, ReuseExtension, ReuseNone)
 // and the memo's contribution in ReusedLabels.
 //
 // # Sharded execution
 //
-// WithShards(s) partitions the estimation across s hash-aligned shards:
-// each object is owned by exactly one shard (a pure hash of its key), the
-// deterministic sampling/labeling/learning recipe runs independently per
-// shard, and the partials merge through a stratified estimator. The
+// WithShards(s) runs the hash plan over s hash-aligned shards: each object
+// is owned by exactly one shard (a pure hash of its key), every round of
+// the recipe scatters over the shards, and the partials merge exactly. The
 // contract:
 //
 //   - Byte-identity: for a fixed (snapshots, query, params, method,
 //     budget, seed), the estimate is byte-identical at every shard count —
-//     WithShards(1), WithShards(8), and the unsharded run all agree, at
-//     every WithParallelism value. Sharding is a deployment knob, never a
-//     semantics knob.
+//     WithShards(1), WithShards(8), and the unsharded catalog run all
+//     agree, at every WithParallelism value. Sharding is a deployment
+//     knob, never a semantics knob.
 //   - Scope: methods srs, lss, and oracle, over queries with a unique
 //     integer object key, plain and GROUP BY. Anything else is a request
 //     error (the sharded path never silently falls back). WithShards(0)
@@ -250,7 +265,8 @@
 //   - Catalog composition: with a catalog attached, per-shard labels
 //     materialize under entries keyed by the exact shard layout, so
 //     layouts reuse and extend independently and a reshard can never be
-//     served stale artifacts.
+//     served stale artifacts. Per-shard entries hold labels only; the
+//     stratification design is stored by the unsharded entry alone.
 //
 // PrepareShard(ctx, index, count, params) materializes a single shard's
 // executor (ShardExec) for out-of-process deployments: a worker process
@@ -286,11 +302,12 @@
 // Every estimation takes a context.Context and observes cancellation
 // cooperatively at labeling-loop granularity: a canceled context aborts the
 // run before its next predicate evaluation and returns an error wrapping
-// context.Canceled. The checks consume no randomness, so for a fixed seed
+// context.Canceled or context.DeadlineExceeded (on the hash plan and on
+// Refresh: "lsample: labeling canceled: ..."). The checks consume no randomness, so for a fixed seed
 // an uncanceled run is byte-identical at any parallelism — which is what
 // makes result caches lossless and concurrent replicas verifiable.
 //
 // The repository's ARCHITECTURE.md describes how this package sits on the
-// internal layers (parse → decompose → feature-select → learn → estimate)
-// and the determinism contract in detail; README.md has the quick starts.
+// internal layers (parse → decompose → feature-select → hash-plan executor
+// or classic learn → estimate) and the determinism contract in detail; README.md has the quick starts.
 package lsample

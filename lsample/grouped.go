@@ -209,14 +209,10 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		out.FeatureColumns = cols
 	}
 
-	_, psp := obs.StartSpan(ctx, "predicate.build")
-	pred, labeling, err := q.buildPredicate(ev, objects, vals, cfg)
-	psp.End()
+	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg)
 	if err != nil {
 		return nil, err
 	}
-	psp.Set("compiled", labeling.Compiled)
-	psp.Set("vectorized", labeling.Vectorized)
 	out.Labeling = labeling
 	obj, err := core.NewObjectSet(features, pred)
 	if err != nil {

@@ -1,0 +1,160 @@
+package lsample
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+)
+
+// The golden table pins fixed-seed output of the hash-plan recipe ACROSS
+// commits: the determinism matrices prove that layouts agree with each
+// other at one commit, this proves that a refactor of the executor did not
+// move any sampling, labeling, or reuse decision. Rows were captured at
+// the commit before catalog, sharded, and refresh estimation were folded
+// into internal/shard's recipe and must never be regenerated to make a
+// change pass.
+
+// goldenRow renders the fields the contract covers; floats as IEEE-754
+// bits so the comparison is byte-exact.
+func goldenRow(e *Estimate) string {
+	return fmt.Sprintf("count=%016x lo=%016x hi=%016x evals=%d reused=%d reuse=%s",
+		math.Float64bits(e.Count), math.Float64bits(e.CI.Lo), math.Float64bits(e.CI.Hi),
+		e.SamplesUsed, e.ReusedLabels, e.Reuse)
+}
+
+type goldenStep struct {
+	k      int
+	budget float64
+	exact  bool
+}
+
+// goldenScenarios run against a fresh catalog each; the last step's
+// estimate is the recorded row. The WithExact scenario covers the sampled
+// methods only: the oracle is already a full pass, and how often the old
+// catalog path re-read the memoized population for it (twice) was never
+// part of the contract.
+var goldenScenarios = []struct {
+	name  string
+	steps []goldenStep
+}{
+	{"cold", []goldenStep{{k: 8, budget: 0.25}}},
+	{"repeat", []goldenStep{{k: 8, budget: 0.25}, {k: 8, budget: 0.25}}},
+	{"extension", []goldenStep{{k: 8, budget: 0.25}, {k: 8, budget: 0.5}}},
+	{"smaller", []goldenStep{{k: 8, budget: 0.5}, {k: 8, budget: 0.25}}},
+	{"q3-param", []goldenStep{{k: 8, budget: 0.25}, {k: 12, budget: 0.25}}},
+	{"exact-repeat", []goldenStep{{k: 8, budget: 0.25}, {k: 8, budget: 0.25, exact: true}}},
+}
+
+var goldenCatalog = map[string]string{
+	"shards=0/srs/cold":         "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=40 reused=0 reuse=none",
+	"shards=0/srs/repeat":       "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=0 reused=40 reuse=direct",
+	"shards=0/srs/extension":    "count=4038000000000000 lo=402e3d5172fb01e6 hi=404070aba3413f86 evals=40 reused=40 reuse=extension",
+	"shards=0/srs/smaller":      "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=0 reused=40 reuse=direct",
+	"shards=0/srs/q3-param":     "count=4040000000000000 lo=402d8a243480dc8f hi=40489d76f2dfc8dd evals=40 reused=0 reuse=direct",
+	"shards=0/srs/exact-repeat": "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=120 reused=80 reuse=direct",
+	"shards=0/lss/cold":         "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=39 reused=1 reuse=none",
+	"shards=0/lss/repeat":       "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=0 reused=30 reuse=direct",
+	"shards=0/lss/extension":    "count=40352c9b26c9b26c lo=40253c9c270841ac hi=403fbae83a0f4402 evals=31 reused=49 reuse=extension",
+	"shards=0/lss/smaller":      "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=0 reused=40 reuse=extension",
+	"shards=0/lss/q3-param":     "count=40405b6db6db6db7 lo=403012dea407a474 hi=4048ad6c1bb30933 evals=30 reused=0 reuse=direct",
+	"shards=0/lss/exact-repeat": "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=121 reused=69 reuse=direct",
+	"shards=0/oracle/cold":      "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=160 reused=0 reuse=none",
+	"shards=0/oracle/repeat":    "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=0 reused=160 reuse=direct",
+	"shards=0/oracle/extension": "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=0 reused=160 reuse=direct",
+	"shards=0/oracle/smaller":   "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=0 reused=160 reuse=direct",
+	"shards=0/oracle/q3-param":  "count=4042000000000000 lo=4042000000000000 hi=4042000000000000 evals=160 reused=0 reuse=direct",
+	"shards=3/srs/cold":         "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=40 reused=0 reuse=none",
+	"shards=3/srs/repeat":       "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=0 reused=0 reuse=direct",
+	"shards=3/srs/extension":    "count=4038000000000000 lo=402e3d5172fb01e6 hi=404070aba3413f86 evals=40 reused=0 reuse=extension",
+	"shards=3/srs/smaller":      "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=0 reused=0 reuse=direct",
+	"shards=3/srs/q3-param":     "count=4040000000000000 lo=402d8a243480dc8f hi=40489d76f2dfc8dd evals=40 reused=0 reuse=extension",
+	"shards=3/srs/exact-repeat": "count=403c000000000000 lo=402743f5b9e92f84 hi=40462f029185b41f evals=120 reused=0 reuse=extension",
+	"shards=3/lss/cold":         "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=39 reused=1 reuse=none",
+	"shards=3/lss/repeat":       "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=0 reused=1 reuse=direct",
+	"shards=3/lss/extension":    "count=40352c9b26c9b26c lo=40253c9c270841ac hi=403fbae83a0f4402 evals=31 reused=10 reuse=extension",
+	"shards=3/lss/smaller":      "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=0 reused=1 reuse=direct",
+	"shards=3/lss/q3-param":     "count=40405b6db6db6db7 lo=403012dea407a474 hi=4048ad6c1bb30933 evals=39 reused=1 reuse=extension",
+	"shards=3/lss/exact-repeat": "count=403b24924924924a lo=402c4353a42508d0 hi=404413bd601b5016 evals=121 reused=1 reuse=extension",
+	"shards=3/oracle/cold":      "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=160 reused=0 reuse=none",
+	"shards=3/oracle/repeat":    "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=0 reused=0 reuse=direct",
+	"shards=3/oracle/extension": "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=0 reused=0 reuse=direct",
+	"shards=3/oracle/smaller":   "count=4039000000000000 lo=4039000000000000 hi=4039000000000000 evals=0 reused=0 reuse=direct",
+	"shards=3/oracle/q3-param":  "count=4042000000000000 lo=4042000000000000 hi=4042000000000000 evals=160 reused=0 reuse=extension",
+}
+
+func TestHashPlanGoldenCatalogAndShards(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		for _, method := range GroupMethods() { // srs, lss, oracle
+			for _, sc := range goldenScenarios {
+				if method == "oracle" && sc.name == "exact-repeat" {
+					continue
+				}
+				name := fmt.Sprintf("shards=%d/%s/%s", shards, method, sc.name)
+				t.Run(name, func(t *testing.T) {
+					q, _ := catalogSession(t, 160, 7, WithMethod(method), WithSeed(11))
+					var last *Estimate
+					for _, st := range sc.steps {
+						opts := []Option{WithBudget(st.budget), WithExact(st.exact)}
+						if shards > 0 {
+							opts = append(opts, WithShards(shards))
+						}
+						est, err := q.Execute(context.Background(), map[string]any{"k": st.k}, opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						last = est
+					}
+					if got, want := goldenRow(last), goldenCatalog[name]; got != want {
+						t.Errorf("fixed-seed output moved:\n got %s\nwant %s", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+var goldenRefresh = map[string]string{
+	"srs/cold":       "count=407ae00000000000 lo=40751e6797b34d43 hi=408050cc3426595e evals=100 reused=0 reuse= retrained=false",
+	"srs/append":     "count=407ae00000000000 lo=407518eb40fdfd26 hi=4080538a5f81016c evals=1 reused=100 reuse= retrained=false",
+	"srs/retrain":    "count=4082c00000000000 lo=407eded585a9e82c hi=408610953d2b0bea evals=33 reused=98 reuse= retrained=false",
+	"srs/relabel":    "count=4082c00000000000 lo=407eded585a9e82c hi=408610953d2b0bea evals=131 reused=0 reuse= retrained=false",
+	"lss/cold":       "count=4079adb48f757ce9 lo=4072ba91a4c43389 hi=4080506bbd136324 evals=99 reused=1 reuse= retrained=true",
+	"lss/append":     "count=4079b8a38990fc94 lo=4072c6bc028affae hi=40805545884b7cbd evals=1 reused=100 reuse= retrained=false",
+	"lss/retrain":    "count=4080ba621cdb4f90 lo=40798d37177de623 hi=4084ae28adf7ac0e evals=58 reused=73 reuse= retrained=true",
+	"lss/relabel":    "count=4080ba621cdb4f90 lo=40798d37177de623 hi=4084ae28adf7ac0e evals=131 reused=0 reuse= retrained=false",
+	"oracle/cold":    "count=4078d00000000000 lo=4078d00000000000 hi=4078d00000000000 evals=1000 reused=0 reuse= retrained=false",
+	"oracle/append":  "count=4079200000000000 lo=4079200000000000 hi=4079200000000000 evals=10 reused=1000 reuse= retrained=false",
+	"oracle/retrain": "count=4080680000000000 lo=4080680000000000 hi=4080680000000000 evals=300 reused=1010 reuse= retrained=false",
+	"oracle/relabel": "count=4080680000000000 lo=4080680000000000 hi=4080680000000000 evals=1310 reused=0 reuse= retrained=false",
+}
+
+func TestHashPlanGoldenRefresh(t *testing.T) {
+	for _, method := range GroupMethods() {
+		t.Run(method, func(t *testing.T) {
+			w := newLiveWorkload(t, 1000, 37)
+			sess := w.session(t, WithMethod(method), WithBudget(0.1), WithSeed(4), WithParallelism(1))
+			lq, err := sess.PrepareLive(liveQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(step string, opts ...Option) {
+				t.Helper()
+				r, err := lq.Refresh(context.Background(), nil, opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				got := fmt.Sprintf("%s retrained=%t", goldenRow(&r.Estimate), r.Retrained)
+				if want := goldenRefresh[method+"/"+step]; got != want {
+					t.Errorf("%s: fixed-seed output moved:\n got %s\nwant %s", step, got, want)
+				}
+			}
+			check("cold")
+			w.appendItems(t, 10) // 1% append
+			check("append")
+			w.appendItems(t, 300) // 30% append, retrain forced at threshold 0
+			check("retrain", WithChurnThreshold(0))
+			check("relabel", WithRelabel(true))
+		})
+	}
+}

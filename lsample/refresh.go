@@ -3,7 +3,6 @@ package lsample
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -18,17 +17,6 @@ import (
 	"repro/internal/qcompile"
 	"repro/internal/shard"
 	"repro/internal/sql"
-)
-
-// tags feed Mix64 so the learn sample, the estimation sample, and
-// classifier seeds draw from independent hash streams. They are shared
-// with the sharded executor (internal/shard), which replays the identical
-// hash plan per shard and merges — the foundation of its byte-identity
-// guarantee.
-const (
-	hashTagLearn  = shard.TagLearn  // "LEARN"
-	hashTagSample = shard.TagSample // "SAMPL"
-	hashTagTrain  = shard.TagTrain  // "TRAIN"
 )
 
 // PrepareLive analyzes a counting query for incremental re-estimation over
@@ -453,65 +441,46 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	tp := &timedPredicate{p: basePred}
 	out.Labeling = labeling
 
-	memo := &labelMemo{
-		st:       st,
-		keys:     keys,
-		pred:     tp,
-		relabel:  cfg.relabel,
-		posByKey: posByKey,
+	memo := &labelStore{labels: st.labels, keys: keys, posByKey: posByKey, relabel: cfg.relabel, pred: tp}
+	label := func(sel []int64) ([]bool, error) {
+		labels, _, err := memo.label(ctx, sel)
+		return labels, err
 	}
 	budget := cfg.budgetFor(n)
 	out.Budget = budget
 
-	// 7. Estimate by method.
+	// 7. Estimate by method, through the recipe steps shard.Drive runs.
+	var res estimate.Result
 	switch cfg.method {
 	case "oracle":
-		labels, err := memo.label(ctx, allPositions(n))
+		labels, err := label(keys)
 		if err != nil {
 			return nil, err
 		}
-		c := 0
-		for _, b := range labels {
-			if b {
-				c++
-			}
-		}
-		out.Count = float64(c)
-		out.CI = &ConfidenceInterval{Lo: float64(c), Hi: float64(c), Level: 1 - alpha}
-		tc := c
-		out.TrueCount = &tc
+		c := shard.Positives(labels)
+		res.Count, res.CI.Lo, res.CI.Hi = float64(c), float64(c), float64(c)
+		out.TrueCount = &c
 
 	case "srs":
-		sel := bottomK(keys, budget, cfg.seed, hashTagSample)
-		labels, err := memo.label(ctx, positionsOf(sel, posByKey))
+		sel := shard.BottomK(keys, budget, cfg.seed, shard.TagSample)
+		labels, err := label(sel)
 		if err != nil {
 			return nil, err
 		}
-		pos := 0
-		for _, b := range labels {
-			if b {
-				pos++
-			}
-		}
-		var res estimate.Result
-		if cfg.interval == Wilson {
-			res = estimate.ProportionWilson(pos, len(sel), n, alpha)
-		} else {
-			res = estimate.Proportion(pos, len(sel), n, alpha)
-		}
-		out.Count = res.Count
-		out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - alpha}
+		res = shard.Proportion(shard.Positives(labels), len(sel), n, alpha, cfg.interval == Wilson)
 
 	case "lss":
-		if err := q.refreshLSS(ctx, cfg, st, memo, keys, features, budget, alpha, out); err != nil {
+		if res, err = q.refreshLSS(cfg, st, label, keys, posByKey, features, budget, alpha, out); err != nil {
 			return nil, err
 		}
 	}
+	out.Count = res.Count
+	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - alpha}
 
 	out.Proportion = out.Count / float64(n)
 	out.FreshLabels = basePred.Evals()
 	out.SamplesUsed = out.FreshLabels
-	out.ReusedLabels = memo.reused
+	out.ReusedLabels = memo.hits
 	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: tp.dur}
 	st.snaps = snaps
 	span.Set("objects", n)
@@ -532,31 +501,24 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	return out, nil
 }
 
-// refreshLSS runs the learned stratified refresh: a hash-selected learn
-// sample trains (or reuses) the classifier, every object is scored once per
-// classifier epoch, equal-count score strata fixed at training time receive
-// proportional allocations, and each stratum's sample is the hash-bottom
-// n_h of its members — so sample membership, and with it the label bill,
-// moves only where the data moved.
-func (q *LiveQuery) refreshLSS(ctx context.Context, cfg config, st *refreshState, memo *labelMemo,
-	keys []int64, features [][]float64, budget int, alpha float64, out *RefreshEstimate) error {
+// refreshLSS runs the learned stratified refresh with the recipe steps of
+// internal/shard, keeping only refresh's own policy: the classifier is
+// retrained when learn-sample churn crosses the threshold (seeded by the
+// training epoch, not the learn size), objects are scored once per epoch,
+// strata stay fixed between retrains, and each stratum samples under its
+// own tag — so sample membership, and with it the label bill, moves only
+// where the data moved.
+func (q *LiveQuery) refreshLSS(cfg config, st *refreshState, label func([]int64) ([]bool, error),
+	keys []int64, posByKey map[int64]int, features [][]float64, budget int, alpha float64, out *RefreshEstimate) (estimate.Result, error) {
 
-	n := len(keys)
-	kLearn := int(math.Round(0.25 * float64(budget)))
-	if kLearn < 2 {
-		kLearn = 2
-	}
-	if kLearn > budget-2 {
-		kLearn = budget - 2
-	}
-	if kLearn < 2 {
-		return badf("budget %d too small for a live lss refresh", budget)
-	}
-
-	learnSel := bottomK(keys, kLearn, cfg.seed, hashTagLearn)
-	learnLabels, err := memo.label(ctx, positionsOf(learnSel, memo.posByKey))
+	kLearn, err := shard.LearnSize(budget)
 	if err != nil {
-		return err
+		return estimate.Result{}, badf("%v", err)
+	}
+	learnSel := shard.BottomK(keys, kLearn, cfg.seed, shard.TagLearn)
+	learnLabels, err := label(learnSel)
+	if err != nil {
+		return estimate.Result{}, err
 	}
 
 	// Churn-threshold retraining policy: retrain when the learn sample has
@@ -572,16 +534,16 @@ func (q *LiveQuery) refreshLSS(ctx context.Context, cfg config, st *refreshState
 	if retrain {
 		newClf, err := cfg.buildClassifier()
 		if err != nil {
-			return err
+			return estimate.Result{}, err
 		}
 		X := make([][]float64, len(learnSel))
 		for j, k := range learnSel {
-			X[j] = features[memo.posByKey[k]]
+			X[j] = features[posByKey[k]]
 		}
 		st.trainEpoch++
-		clf := newClf(live.Mix64(cfg.seed, hashTagTrain, st.trainEpoch))
+		clf := newClf(live.Mix64(cfg.seed, shard.TagTrain, st.trainEpoch))
 		if err := clf.Fit(X, learnLabels); err != nil {
-			return fmt.Errorf("lsample: training refresh classifier: %w", err)
+			return estimate.Result{}, fmt.Errorf("lsample: training refresh classifier: %w", err)
 		}
 		st.clf = clf
 		st.trainKeys = make(map[int64]bool, len(learnSel))
@@ -589,7 +551,7 @@ func (q *LiveQuery) refreshLSS(ctx context.Context, cfg config, st *refreshState
 			st.trainKeys[k] = true
 		}
 		st.trainDirty = 0
-		st.scores = make(map[int64]float64, n)
+		st.scores = make(map[int64]float64, len(keys))
 		out.Retrained = true
 	}
 
@@ -612,62 +574,29 @@ func (q *LiveQuery) refreshLSS(ctx context.Context, cfg config, st *refreshState
 	}
 	if retrain {
 		// Strata are designed at training time and stay fixed until the
-		// next retrain: equal-count cuts over the sorted score distribution.
-		H := cfg.strata
-		if H < 2 {
-			H = 4
+		// next retrain.
+		scores := make([]float64, len(keys))
+		for i, k := range keys {
+			scores[i] = st.scores[k]
 		}
-		sorted := make([]float64, 0, n)
-		for _, k := range keys {
-			sorted = append(sorted, st.scores[k])
-		}
-		sort.Float64s(sorted)
-		cuts := make([]float64, 0, H-1)
-		for j := 1; j < H; j++ {
-			pos := j * n / H
-			if pos > 0 {
-				pos--
-			}
-			cuts = append(cuts, sorted[pos])
-		}
-		st.cutScores = cuts
+		st.cutScores = shard.EqualCountCuts(scores, shard.StrataCount(cfg.strata))
 	}
 
-	H := len(st.cutScores) + 1
-	members := make([][]int64, H)
-	sizes := make([]int, H)
+	members := make([][]int64, len(st.cutScores)+1)
 	for _, k := range keys {
-		h := sort.SearchFloat64s(st.cutScores, st.scores[k])
-		if h >= H {
-			h = H - 1
-		}
+		h := shard.StratumOf(st.cutScores, st.scores[k])
 		members[h] = append(members[h], k)
-		sizes[h]++
 	}
-	alloc := estimate.ProportionalAllocation(sizes, budget-len(learnSel), 2)
-
-	strata := make([]estimate.StratumSample, H)
-	for h := 0; h < H; h++ {
-		sel := bottomK(members[h], alloc[h], cfg.seed, hashTagSample+uint64(h)+1)
-		labels, err := memo.label(ctx, positionsOf(sel, memo.posByKey))
-		if err != nil {
-			return err
-		}
-		pos := 0
-		for _, b := range labels {
-			if b {
-				pos++
-			}
-		}
-		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(sel), Positives: pos}
+	strata, err := shard.SampleStrata(members, budget-len(learnSel), cfg.seed,
+		func(h int) uint64 { return shard.TagSample + uint64(h) + 1 }, label, nil)
+	if err != nil {
+		return estimate.Result{}, err
 	}
 	res, err := estimate.Stratified(strata, alpha)
 	if err != nil {
-		return badf("%v", err)
+		return estimate.Result{}, badf("%v", err)
 	}
-	out.Count = res.Count
-	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - alpha}
-	return nil
+	return res, nil
 }
 
 // maintainProgram keeps the compiled predicate's hash indexes in sync with
@@ -809,49 +738,6 @@ func snapshotChange(old, new *Table) snapChange {
 	return snapReplaced
 }
 
-// labelMemo answers label queries from the per-key memo, evaluating the
-// expensive predicate only for keys the memo cannot answer (or for all of
-// them under WithRelabel). Labels are pure functions of (snapshot, key), so
-// a memo hit is byte-identical to a fresh evaluation.
-type labelMemo struct {
-	st       *refreshState
-	keys     []int64
-	posByKey map[int64]int
-	pred     predicate.Predicate
-	relabel  bool
-	reused   int
-}
-
-// label returns labels for the objects at the given positions, spending
-// predicate evaluations only on memo misses. Misses are labeled in
-// ascending object order through the predicate's batch path when it has
-// one, so the result is byte-identical at any parallelism.
-func (m *labelMemo) label(ctx context.Context, positions []int) ([]bool, error) {
-	out := make([]bool, len(positions))
-	var missing []int
-	for _, p := range positions {
-		if _, ok := m.st.labels[m.keys[p]]; !ok || m.relabel {
-			missing = append(missing, p)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Ints(missing)
-		missing = dedupSortedInts(missing)
-		fresh, err := labelIndices(ctx, m.pred, missing)
-		if err != nil {
-			return nil, err
-		}
-		for j, p := range missing {
-			m.st.labels[m.keys[p]] = fresh[j]
-		}
-	}
-	for j, p := range positions {
-		out[j] = m.st.labels[m.keys[p]]
-	}
-	m.reused += len(positions) - len(missing)
-	return out, nil
-}
-
 // labelIndices labels a pre-chosen object set, through the predicate's
 // batch path (bounded chunks with a cancellation check between them) when
 // it has one, sequentially with a per-evaluation check otherwise.
@@ -859,7 +745,7 @@ func labelIndices(ctx context.Context, pred predicate.Predicate, idxs []int) ([]
 	ctxErr := func() error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("lsample: refresh canceled: %w", err)
+				return fmt.Errorf("lsample: labeling canceled: %w", err)
 			}
 		}
 		return nil
@@ -881,34 +767,6 @@ func labelIndices(ctx context.Context, pred predicate.Predicate, idxs []int) ([]
 		out[j] = pred.Eval(i)
 	}
 	return out, nil
-}
-
-// bottomK deterministically samples k of the given keys: the k smallest by
-// the (Mix64(seed, tag, key), key) order. Under appends the selection
-// changes only near the threshold — expected O(k·delta/N) membership churn
-// — which is what keeps a refresh's label bill proportional to the delta.
-// The implementation lives in internal/shard so the sharded executor's
-// per-shard candidates merge into exactly this selection.
-func bottomK(keys []int64, k int, seed, tag uint64) []int64 {
-	return shard.BottomK(keys, k, seed, tag)
-}
-
-// positionsOf maps keys back to object positions.
-func positionsOf(keys []int64, posByKey map[int64]int) []int {
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = posByKey[k]
-	}
-	return out
-}
-
-// allPositions returns [0, n).
-func allPositions(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func dedupSortedInts(xs []int) []int {

@@ -291,49 +291,18 @@ func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts
 	return est, nil
 }
 
-// execute is Execute's body behind the root span: path selection (sharded,
-// catalog, classic) and the classic enumerate → features → predicate →
-// estimate pipeline, each phase wrapped in a child span.
+// execute is Execute's body behind the root span. It has two branches: the
+// deterministic hash plan (shardexec.go) when WithShards or a reuse catalog
+// asks for it, and the paper's RNG-driven enumerate → features → predicate
+// → estimate pipeline over internal/core, each phase in a child span. They
+// give different (each deterministic) answers for the same seed.
 func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, error) {
 
-	// Sharded execution: WithShards(s) partitions the population by key
-	// hash and merges per-shard partials byte-identically to the unsharded
-	// run (see shardexec.go). Unlike the catalog fast path this never
-	// falls through — unsupported methods or shapes are request errors.
-	if cfg.shards > 0 {
-		sctx, ssp := obs.StartSpan(ctx, "shard.drive")
-		ssp.Set("shards", cfg.shards)
-		est, err := q.executeSharded(sctx, cfg, vals, strs, alpha)
-		if err != nil {
-			ssp.Set("error", err.Error())
-		}
-		ssp.End()
-		return est, err
-	}
-
-	// Cross-query reuse: a configured catalog serves srs, lss, and oracle
-	// executions from materialized learn-phase artifacts (see
-	// executeCatalog). Shapes and methods outside its contract fall through
-	// to the classic path; errors inside it are real request errors, not
-	// fallback triggers.
-	if cfg.catalog != nil {
-		cctx, csp := obs.StartSpan(ctx, "catalog")
-		est, handled, err := q.executeCatalog(cctx, cfg, vals, strs, alpha)
-		if handled || err != nil {
-			if est != nil {
-				csp.Set("reuse", est.Reuse)
-				csp.Set("reused_labels", est.ReusedLabels)
-				csp.Set("evals", est.SamplesUsed)
-			}
-			if err != nil {
-				csp.Set("error", err.Error())
-			}
-			csp.End()
+	if cfg.shards > 0 || cfg.catalog != nil {
+		if est, handled, err := q.executeHashPlan(ctx, cfg, vals, strs, alpha); handled {
 			return est, err
 		}
-		csp.Set("fallthrough", true)
-		csp.End()
 	}
 
 	ev := engine.NewEvaluator(q.cat)
@@ -378,16 +347,9 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 		out.FeatureColumns = cols
 	}
 
-	_, psp := obs.StartSpan(ctx, "predicate.build")
-	pred, labeling, err := q.buildPredicate(ev, objects, vals, cfg)
-	psp.End()
+	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg)
 	if err != nil {
 		return nil, err
-	}
-	psp.Set("compiled", labeling.Compiled)
-	psp.Set("vectorized", labeling.Vectorized)
-	if labeling.Fallback != "" {
-		psp.Set("fallback", labeling.Fallback)
 	}
 	obj, err := core.NewObjectSet(features, pred)
 	if err != nil {
@@ -429,17 +391,29 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 }
 
 // buildPredicate constructs the expensive per-object predicate for one
-// execution, preferring the compiled path: the prepared program binds the
-// parameter values and object set, a guarded first-object evaluation is
-// cross-checked against the interpreter (which construction just
-// validated), and only then does labeling run through the batch-capable
-// compiled predicate. Any failure along the way — compile-time
+// execution inside a "predicate.build" span, preferring the compiled path:
+// the prepared program binds the parameter values and object set, a guarded
+// first-object evaluation is cross-checked against the interpreter (which
+// construction just validated), and only then does labeling run through
+// the batch-capable compiled predicate. Any failure along the way — compile-time
 // unsupported shape, bind-time type mismatch, cross-check disagreement —
 // degrades to the interpreted engine with the reason recorded, never to an
 // error the interpreter itself would not produce.
-func (q *PreparedQuery) buildPredicate(ev *engine.Evaluator, objects *engine.ResultSet,
+func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator, objects *engine.ResultSet,
 	vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
-	return buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+
+	_, sp := obs.StartSpan(ctx, "predicate.build")
+	defer sp.End()
+	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+	if err != nil {
+		return nil, Labeling{}, err
+	}
+	sp.Set("compiled", lab.Compiled)
+	sp.Set("vectorized", lab.Vectorized)
+	if lab.Fallback != "" {
+		sp.Set("fallback", lab.Fallback)
+	}
+	return pred, lab, nil
 }
 
 // buildEnginePredicate is the shared predicate-construction path behind

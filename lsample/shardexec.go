@@ -2,6 +2,7 @@ package lsample
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,18 +11,19 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/shard"
 	"repro/internal/sql"
 )
 
-// This file is the sharded execution layer: WithShards(s) partitions the
-// enumerated population by a hash of the object key, runs the
-// deterministic hash-plan recipe independently per shard through
-// internal/shard.Drive, and merges the partial tallies. The merged
-// estimate is byte-identical to the unsharded catalog-path run at every
-// shard count, because every sampling decision is a pure function of
-// (key, seed, tag) and every merge is an exact set union or integer sum.
+// This file is the hash-plan execution layer: the enumerated population
+// becomes N >= 1 in-process workers — partitioned by a hash of the object
+// key under WithShards(s), a single worker when only a reuse catalog asked
+// for the hash plan — and internal/shard.Drive runs the one deterministic
+// recipe over them. The estimate is byte-identical at every worker count,
+// because every sampling decision is a pure function of (key, seed, tag)
+// and every merge is an exact set union or integer sum.
 //
 // PrepareShard exposes one shard's primitives (ShardExec) for
 // out-of-process workers: a coordinator scatters the same ops over HTTP
@@ -84,49 +86,50 @@ type ShardTally struct {
 	Groups []ShardGroupCount `json:"groups,omitempty"`
 }
 
-// shardLabeler answers one shard's label queries: a memo (optionally
-// backed by a reuse-catalog entry scoped to this shard's layout) in front
-// of a lazily built predicate. Labels are pure functions of (snapshot,
-// key, predicate), so memo hits are byte-identical to fresh evaluations.
-type shardLabeler struct {
+// labelStore answers one worker's label queries: a per-key memo in front
+// of a lazily built predicate — an execution whose every sampled label is
+// already memoized never constructs the predicate at all. Labels are pure
+// functions of (snapshot, key, predicate), so a memo hit is byte-identical
+// to a fresh evaluation; misses are evaluated in ascending object order
+// through the predicate's batch path, byte-identical at any parallelism.
+// The memo is a catalog entry's label space (unsharded executions, which
+// hold the entry lock throughout), a private map seeded from and written
+// back to a per-shard entry, or a LiveQuery's label memo.
+type labelStore struct {
 	mu       sync.Mutex
 	labels   map[int64]bool
 	keys     []int64 // global keys by object position
 	posByKey map[int64]int
-	getPred  func() (predicate.Predicate, Labeling, error)
-	pred     predicate.Predicate
-	tp       *timedPredicate
+	relabel  bool // refresh's cold baseline: evaluate memoized keys too
+	build    func(ctx context.Context) (predicate.Predicate, Labeling, error)
+	pred     *timedPredicate // nil until the first miss
 	lab      Labeling
-	haveLab  bool
-	fresh    int
+	fresh    int // predicate evaluations spent
+	hits     int // label requests the memo answered
 
-	entry   *catalog.Entry // nil without a catalog
+	entry   *catalog.Entry // per-shard entry fresh labels are written back to; nil otherwise
 	entryFP string
 	cat     *catalog.Catalog
 }
 
-// label returns labels for the given distinct shard-owned keys, spending
-// predicate evaluations only on memo misses (evaluated in ascending
-// object order through the batch path, byte-identical at any
-// parallelism).
-func (l *shardLabeler) label(ctx context.Context, sel []int64) ([]bool, int, error) {
+// label returns labels for the given distinct keys and how many of them
+// cost a fresh predicate evaluation.
+func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var missing []int
 	for _, k := range sel {
-		if _, ok := l.labels[k]; !ok {
+		if _, ok := l.labels[k]; !ok || l.relabel {
 			missing = append(missing, l.posByKey[k])
 		}
 	}
 	if len(missing) > 0 {
 		if l.pred == nil {
-			p, lab, err := l.getPred()
+			p, lab, err := l.build(ctx)
 			if err != nil {
 				return nil, 0, err
 			}
-			l.lab, l.haveLab = lab, true
-			l.tp = &timedPredicate{p: p}
-			l.pred = l.tp
+			l.pred, l.lab = &timedPredicate{p: p}, lab
 		}
 		sort.Ints(missing)
 		missing = dedupSortedInts(missing)
@@ -147,6 +150,7 @@ func (l *shardLabeler) label(ctx context.Context, sel []int64) ([]bool, int, err
 			l.entry.Unlock()
 		}
 	}
+	l.hits += len(sel) - len(missing)
 	out := make([]bool, len(sel))
 	for j, k := range sel {
 		out[j] = l.labels[k]
@@ -154,9 +158,9 @@ func (l *shardLabeler) label(ctx context.Context, sel []int64) ([]bool, int, err
 	return out, len(missing), nil
 }
 
-// shardRun is one sharded execution's materialized state: the enumerated
-// population partitioned into per-shard workers, their labelers, and any
-// acquired catalog entries.
+// shardRun is one hash-plan execution's materialized state: the enumerated
+// population partitioned into per-shard workers, their label stores, and
+// any acquired catalog entries.
 type shardRun struct {
 	fp       string
 	n        int
@@ -164,108 +168,154 @@ type shardRun struct {
 	groupKey [][]engine.Value // grouped: group tuples by group index
 	canon    []string         // grouped: canonical key by group index
 	workers  []shard.Worker
-	labelers []*shardLabeler
+	stores   []*labelStore
+	cat      *catalog.Catalog // nil without a catalog (or over an empty population)
 	entries  []*catalog.Entry
-	prev     []int64 // entry budgets at acquire time
-	cat      *catalog.Catalog
+	prev     []int // entry budgets at acquire time
+
+	// An unsharded run has one worker over the whole population. Its entry
+	// (empty Key.Shard) also stores the lss stratification design and stays
+	// locked from acquire to close, so concurrent identical plans serialize
+	// and the followers reuse the leader's labels.
+	unsharded bool
+	design    *shard.Design // unsharded lss: the entry's materialized design
+	reuse     string        // unsharded: set by settle on success; "" records nothing
 }
 
 // close releases catalog entries with their reuse classification.
 func (r *shardRun) close() {
 	for i, e := range r.entries {
-		if e == nil {
-			continue
-		}
-		reuse := ReuseNone
-		if r.prev[i] > 0 {
-			if r.labelers[i].fresh == 0 {
-				reuse = ReuseDirect
-			} else {
-				reuse = ReuseExtension
-			}
+		reuse := r.reuse
+		if r.unsharded {
+			e.Unlock()
+		} else {
+			reuse = r.shardReuse(i, i+1)
 		}
 		r.cat.Release(e, reuse)
-		r.entries[i] = nil
 	}
+	r.entries = nil
 }
 
-// reuse aggregates the per-shard reuse classifications into the
-// Estimate.Reuse report: direct only when every shard was served from
+// shardReuse classifies per-shard entries [from, to), which hold labels
+// only: direct when every one was materialized before and answered from
 // memoized labels alone.
-func (r *shardRun) reuse() string {
-	if r.cat == nil {
-		return ""
-	}
-	allPrev, allDirect := true, true
-	for i := range r.entries {
+func (r *shardRun) shardReuse(from, to int) string {
+	reuse := ReuseDirect
+	for i := from; i < to; i++ {
 		if r.prev[i] == 0 {
-			allPrev = false
+			return ReuseNone
 		}
-		if r.labelers[i].fresh > 0 {
-			allDirect = false
+		if r.stores[i].fresh > 0 {
+			reuse = ReuseExtension
+		}
+	}
+	return reuse
+}
+
+// settle classifies a finished execution for Estimate.Reuse and, for the
+// unsharded entry, records what the entry now covers. There direct means
+// the materialized budget (srs, oracle) or design (lss) covered the plan —
+// true even when a changed Q3 parameter forced relabeling, the documented
+// exception: the classifier is reused as the stratification function, a
+// different but still unbiased design. A budget extension upgrades the
+// entry; a smaller-budget recompute keeps the better artifacts in place.
+func (r *shardRun) settle(method string, res *shard.Result) string {
+	switch {
+	case r.cat == nil:
+		return ReuseNone
+	case !r.unsharded:
+		return r.shardReuse(0, len(r.entries))
+	}
+	e, prev := r.entries[0], r.prev[0]
+	var direct bool
+	switch method {
+	case "oracle":
+		direct = prev > 0
+		e.Budget = max(e.Budget, res.N)
+	case "srs":
+		direct = prev >= res.Budget
+		e.Budget = max(e.Budget, res.Budget)
+	case "lss":
+		direct = res.Design == r.design
+		if !direct && res.Budget >= e.Budget {
+			e.Budget, e.KLearn, e.Scores = res.Budget, res.Design.KLearn, res.Design.Scores
 		}
 	}
 	switch {
-	case !allPrev:
-		return ReuseNone
-	case allDirect:
-		return ReuseDirect
+	case prev == 0:
+		r.reuse = ReuseNone
+	case direct:
+		r.reuse = ReuseDirect
 	default:
-		return ReuseExtension
+		r.reuse = ReuseExtension
 	}
+	return r.reuse
 }
 
-// labeling reports which predicate path the run took: the first shard
-// that built a predicate speaks for all (every shard builds the same
-// one), with the worker count reflecting the shard fan-out.
+// labeling reports which predicate path the run took: the first worker
+// that built a predicate speaks for all (every worker builds the same one).
 func (r *shardRun) labeling() Labeling {
-	for _, l := range r.labelers {
-		if l.haveLab {
-			lab := l.lab
-			lab.Workers = len(r.workers)
-			return lab
+	for _, l := range r.stores {
+		if l.pred != nil {
+			return l.lab
 		}
 	}
-	return Labeling{Fallback: "shard label memo, no fresh labels", Workers: len(r.workers)}
+	return Labeling{Fallback: "label memo, no fresh labels", Workers: 1}
 }
 
 // predicateTime sums the wall time spent inside the expensive predicate
-// across shards.
+// across workers.
 func (r *shardRun) predicateTime() time.Duration {
 	var d time.Duration
-	for _, l := range r.labelers {
-		if l.tp != nil {
-			d += l.tp.dur
+	for _, l := range r.stores {
+		if l.pred != nil {
+			d += l.pred.dur
 		}
 	}
 	return d
 }
 
-// samplesUsed sums fresh predicate evaluations across shards.
+// samplesUsed sums fresh predicate evaluations across workers.
 func (r *shardRun) samplesUsed() int64 {
 	var n int64
-	for _, l := range r.labelers {
+	for _, l := range r.stores {
 		n += int64(l.fresh)
 	}
 	return n
 }
 
-// buildShardRun enumerates the population, validates the sharded-execution
-// contract (srs/lss/oracle over a unique integer object key), partitions
-// it into count hash-aligned shards, and constructs the per-shard workers.
-// only (when >= 0) restricts construction to that single shard — the
-// out-of-process worker path, which still enumerates the full population
-// (cheap Q2) but materializes just its own slice.
-func (q *PreparedQuery) buildShardRun(cfg config, vals map[string]engine.Value,
+// contractError reports a method or query shape outside the hash-plan
+// contract (srs/lss/oracle over a unique integer object key). Under
+// WithShards it is the request error; with only a catalog attached Execute
+// falls through to the classic path instead.
+type contractError struct{ error }
+
+func (e contractError) Unwrap() error { return e.error }
+
+func outOfContract(format string, args ...any) error {
+	return contractError{badf(format, args...)}
+}
+
+// buildShardRun enumerates the population, validates the hash-plan
+// contract, partitions the population into count hash-aligned shards, and
+// constructs the per-shard workers. count 0 is the unsharded layout (see
+// shardRun.unsharded). only (when >= 0) restricts construction to that
+// single shard — the out-of-process worker path, which still enumerates the
+// full population (cheap Q2) but materializes just its own slice.
+func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[string]engine.Value,
 	strs map[string]string, count, only int) (*shardRun, error) {
 
 	switch cfg.method {
 	case "srs", "lss", "oracle":
 	default:
-		return nil, badf("method %q cannot run sharded (want one of %v)", cfg.method, GroupMethods())
+		return nil, outOfContract("method %q cannot run the hash plan (want one of %v)", cfg.method, GroupMethods())
 	}
-	if count < 1 {
-		return nil, badf("shard count %d < 1", count)
+	if _, err := q.objectKeyColumn(); err != nil {
+		return nil, outOfContract("hash-plan execution needs a unique integer object key: %v", err)
+	}
+	r := &shardRun{fp: sql.Fingerprint(q.inner, strs), unsharded: count == 0}
+	if r.unsharded {
+		count = 1
 	}
 	if only >= count {
 		return nil, badf("shard index %d out of range of %d shards", only, count)
@@ -275,38 +325,47 @@ func (q *PreparedQuery) buildShardRun(cfg config, vals map[string]engine.Value,
 	for name, v := range vals {
 		ev.SetParam(name, v)
 	}
+	_, esp := obs.StartSpan(ctx, "enumerate")
 	objects, err := ev.Run(q.dec.Objects, nil)
+	esp.End()
 	if err != nil {
 		return nil, badf("enumerating objects: %v", err)
 	}
 	n := objects.NumRows()
-	r := &shardRun{fp: sql.Fingerprint(q.inner, strs), n: n}
+	esp.Set("objects", n)
+	r.n = n
 
-	if _, err := q.objectKeyColumn(); err != nil {
-		return nil, badf("sharded execution needs a unique integer object key: %v", err)
-	}
 	keys := make([]int64, n)
 	posByKey := make(map[int64]int, n)
 	for i := 0; i < n; i++ {
 		v := objects.Value(i, q.keyPos())
 		if v.Kind != engine.KInt {
-			return nil, badf("sharded execution needs an integer object key")
+			return nil, outOfContract("hash-plan execution needs an integer object key")
 		}
 		keys[i] = v.I
 		posByKey[v.I] = i
 	}
 	if len(posByKey) != n {
-		return nil, badf("sharded execution needs a unique object key (duplicates found)")
+		// Duplicate keys would alias label memo slots.
+		return nil, outOfContract("hash-plan execution needs a unique object key (duplicates found)")
 	}
 
 	var features [][]float64
+	var trainer *shard.Trainer
 	if needsFeatures(cfg.method) {
+		_, fsp := obs.StartSpan(ctx, "features")
 		fv, cols, ferr := q.featureVectors(objects, strs)
+		fsp.End()
 		if ferr != nil {
 			return nil, ferr
 		}
-		features = fv
-		r.featCols = cols
+		fsp.Set("columns", len(cols))
+		features, r.featCols = fv, cols
+		newClf, cerr := cfg.buildClassifier()
+		if cerr != nil {
+			return nil, cerr
+		}
+		trainer = shard.NewTrainer(newClf)
 	}
 
 	var canonOf []string // per object position; nil for plain queries
@@ -332,6 +391,21 @@ func (q *PreparedQuery) buildShardRun(cfg config, vals map[string]engine.Value,
 	shardKeys := make([][]int64, count)
 	shardFeats := make([][][]float64, count)
 	shardGroups := make([][]string, count)
+	for s := range shardKeys {
+		if only >= 0 && s != only {
+			continue
+		}
+		// Hash placement is near-uniform: one allocation per slice, not a
+		// growth series per execution.
+		room := n/count + n/(8*count) + 8
+		shardKeys[s] = make([]int64, 0, room)
+		if features != nil {
+			shardFeats[s] = make([][]float64, 0, room)
+		}
+		if canonOf != nil {
+			shardGroups[s] = make([]string, 0, room)
+		}
+	}
 	for i, k := range keys {
 		s := shard.OwnerOf(k, count)
 		if only >= 0 && s != only {
@@ -346,61 +420,56 @@ func (q *PreparedQuery) buildShardRun(cfg config, vals map[string]engine.Value,
 		}
 	}
 
-	var trainer *shard.Trainer
-	if needsFeatures(cfg.method) {
-		newClf, cerr := cfg.buildClassifier()
-		if cerr != nil {
-			return nil, cerr
-		}
-		trainer = shard.NewTrainer(newClf)
-	}
-
-	useCatalog := cfg.catalog != nil
-	if useCatalog {
+	if cfg.catalog != nil && n > 0 { // an empty population has nothing to reuse
 		r.cat = cfg.catalog.inner
 	}
 	for s := 0; s < count; s++ {
 		if only >= 0 && s != only {
 			continue
 		}
-		l := &shardLabeler{
+		l := &labelStore{
 			labels:   make(map[int64]bool),
 			keys:     keys,
 			posByKey: posByKey,
-			getPred: func() (predicate.Predicate, Labeling, error) {
-				// Each shard gets its own evaluator: the interpreted engine
+			build: func(ctx context.Context) (predicate.Predicate, Labeling, error) {
+				// Each worker gets its own evaluator: the interpreted engine
 				// carries per-evaluation state and must not be shared across
 				// the driver's concurrent scatter.
 				sev := engine.NewEvaluator(q.cat)
 				for name, v := range vals {
 					sev.SetParam(name, v)
 				}
-				return buildEnginePredicate(sev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+				return q.buildPredicate(ctx, sev, objects, vals, cfg)
 			},
 		}
-		var entry *catalog.Entry
-		var prev int64
-		if useCatalog {
+		if r.cat != nil {
 			key := q.catalogKey(cfg, strs, r.featCols)
-			key.Shard = shard.Spec{Index: s, Count: count}.String()
-			entry = r.cat.Acquire(key)
-			entry.Lock()
-			prev = int64(entry.Budget)
-			if entry.Budget == 0 {
-				entry.Budget = 1 // mark materialized; shard entries hold only labels
+			if !r.unsharded {
+				key.Shard = shard.Spec{Index: s, Count: count}.String()
 			}
-			m := entry.Labels(r.fp, r.cat.Clock())
-			for k, v := range m {
-				l.labels[k] = v
+			e := r.cat.Acquire(key)
+			e.Lock()
+			r.entries = append(r.entries, e)
+			r.prev = append(r.prev, e.Budget)
+			m := e.Labels(r.fp, r.cat.Clock())
+			if r.unsharded {
+				l.labels = m // close unlocks
+				if e.Scores != nil {
+					r.design = &shard.Design{KLearn: e.KLearn, Scores: e.Scores}
+				}
+			} else {
+				if e.Budget == 0 {
+					e.Budget = 1 // mark materialized; shard entries hold only labels
+				}
+				for k, v := range m {
+					l.labels[k] = v
+				}
+				e.Unlock()
+				l.entry, l.entryFP, l.cat = e, r.fp, r.cat
 			}
-			entry.Unlock()
-			l.entry, l.entryFP, l.cat = entry, r.fp, r.cat
 		}
-		w := shard.NewLocal(cfg.seed, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, l.label, trainer)
-		r.workers = append(r.workers, w)
-		r.labelers = append(r.labelers, l)
-		r.entries = append(r.entries, entry)
-		r.prev = append(r.prev, prev)
+		r.workers = append(r.workers, shard.NewLocal(cfg.seed, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, l.label, trainer))
+		r.stores = append(r.stores, l)
 	}
 	return r, nil
 }
@@ -419,16 +488,56 @@ func (cfg config) shardPlan(grouped bool, alpha float64) shard.Plan {
 	}
 }
 
-// executeSharded runs a plain counting query across cfg.shards in-process
-// shards. Unlike the catalog fast path it never falls through: shapes or
-// methods outside the sharded contract are request errors.
-func (q *PreparedQuery) executeSharded(ctx context.Context, cfg config,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, error) {
+// drive runs the plan over the run's workers, wrapping failures the way
+// every estimation path reports them.
+func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, error) {
+	plan.Design = r.design
+	res, err := shard.Drive(ctx, plan, r.workers)
+	switch {
+	case err == nil:
+		return res, nil
+	case errors.Is(err, shard.ErrBudgetTooSmall):
+		return nil, badf("%v", err)
+	case errors.Is(err, ErrInvalid) || (ctx != nil && ctx.Err() != nil):
+		return nil, err // a worker's own request or cancellation error
+	}
+	return nil, fmt.Errorf("lsample: estimation failed: %w", err)
+}
+
+// executeHashPlan runs a plain counting query through the one hash-plan
+// executor: cfg.shards in-process workers under shard.Drive, or a single
+// worker over the whole population when only a reuse catalog asked for the
+// hash plan. It reports handled=false (and no error) when that second case
+// meets a method or shape outside the contract, and Execute falls through
+// to the classic path; under WithShards the same condition is a request
+// error, never a silent fallback. Once inside the contract every error is
+// a real request error.
+//
+// The determinism contract: for a fixed (pinned snapshots, query,
+// parameters, method, budget, seed) the estimate is byte-identical at any
+// worker count and regardless of what the catalog already holds. Reused
+// state is only ever memoized labels and a design trained by the exact
+// procedure a cold run would execute; the one documented exception is in
+// settle.
+func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
+	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, bool, error) {
 
 	t0 := time.Now()
-	r, err := q.buildShardRun(cfg, vals, strs, cfg.shards, -1)
+	name := "catalog"
+	if cfg.shards > 0 {
+		name = "shard.drive"
+	}
+	ctx, span := obs.StartSpan(ctx, name)
+	defer span.End()
+	span.Set("shards", cfg.shards)
+	r, err := q.buildShardRun(ctx, cfg, vals, strs, cfg.shards, -1)
+	if oc := (contractError{}); cfg.shards == 0 && errors.As(err, &oc) {
+		span.Set("fallthrough", true)
+		return nil, false, nil
+	}
 	if err != nil {
-		return nil, err
+		span.Set("error", err.Error())
+		return nil, true, err
 	}
 	defer r.close()
 
@@ -446,17 +555,14 @@ func (q *PreparedQuery) executeSharded(ctx context.Context, cfg config,
 			zero := 0
 			out.TrueCount = &zero
 		}
-		return out, nil
+		return out, true, nil
 	}
 
-	res, err := shard.Drive(ctx, cfg.shardPlan(false, alpha), r.workers)
+	res, err := r.drive(ctx, cfg.shardPlan(false, alpha))
 	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("lsample: %w", err)
-		}
-		return nil, fmt.Errorf("lsample: sharded estimation failed: %w", err)
+		span.Set("error", err.Error())
+		return nil, true, err
 	}
-
 	out.Budget = res.Budget
 	out.Count = res.Count
 	out.Proportion = res.Proportion
@@ -468,13 +574,20 @@ func (q *PreparedQuery) executeSharded(ctx context.Context, cfg config,
 		out.TrueCount = &tc
 	}
 	out.SamplesUsed = r.samplesUsed()
+	// The driver counts repeat requests within this execution; hits on the
+	// catalog's label space count only for the unsharded entry — per-shard
+	// entries have never reported theirs.
 	out.ReusedLabels = res.ReusedLabels
-	out.Labeling = r.labeling()
-	if rs := r.reuse(); rs != "" {
-		out.Reuse = rs
+	if r.unsharded {
+		out.ReusedLabels += r.stores[0].hits
 	}
+	out.Labeling = r.labeling()
+	out.Reuse = r.settle(cfg.method, res)
 	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: r.predicateTime()}
-	return out, nil
+	span.Set("reuse", out.Reuse)
+	span.Set("reused_labels", out.ReusedLabels)
+	span.Set("evals", out.SamplesUsed)
+	return out, true, nil
 }
 
 // executeShardedGroups runs a GROUP BY counting query across cfg.shards
@@ -484,7 +597,7 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 	vals map[string]engine.Value, strs map[string]string, alpha float64) (*GroupedEstimate, error) {
 
 	t0 := time.Now()
-	r, err := q.buildShardRun(cfg, vals, strs, cfg.shards, -1)
+	r, err := q.buildShardRun(ctx, cfg, vals, strs, cfg.shards, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -502,12 +615,9 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 		return out, nil
 	}
 
-	res, err := shard.Drive(ctx, cfg.shardPlan(true, alpha), r.workers)
+	res, err := r.drive(ctx, cfg.shardPlan(true, alpha))
 	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("lsample: %w", err)
-		}
-		return nil, fmt.Errorf("lsample: sharded grouped estimation failed: %w", err)
+		return nil, err
 	}
 
 	byCanon := make(map[string]shard.Group, len(res.Groups))
@@ -582,7 +692,10 @@ func (q *PreparedQuery) PrepareShard(ctx context.Context, index, count int,
 	if err != nil {
 		return nil, err
 	}
-	r, err := q.buildShardRun(cfg, vals, strs, count, index)
+	if count < 1 {
+		return nil, badf("shard count %d < 1", count)
+	}
+	r, err := q.buildShardRun(ctx, cfg, vals, strs, count, index)
 	if err != nil {
 		return nil, err
 	}
