@@ -8,8 +8,11 @@
 #   make bench         the end-to-end ledger (bench/README.md): five
 #                      workloads untraced then traced against real lsserve
 #                      children, result.json + per-layer table under
-#                      .bench_out (the cold/direct/extension and sharded
-#                      scatter rows live in serve_mix and shard_scatter)
+#                      .bench_out. Every per-layer quantity lives here:
+#                      interpreted/scalar/vector ns per eval, tracing
+#                      overhead, live apply and WAL cost, the result-cache
+#                      hit, cold/direct/extension (serve_mix), refresh
+#                      (live_refresh) and sharded scatter (shard_scatter)
 #   make bench-ledger-smoke
 #                      a few seconds of every ledger workload plus the
 #                      harness's own unit tests — the CI gate that the
@@ -18,19 +21,9 @@
 #                      perf micro-benchmarks, emitted as BENCH_smoke.json
 #   make bench-groupby shared-sample GROUP BY vs naive per-group loop,
 #                      emitted as BENCH_groupby.json
-#   make bench-predicate
-#                      interpreted vs compiled vs compiled+parallel Q3
-#                      labeling on the skyband and SQL-EXISTS workloads,
-#                      emitted as BENCH_PR4.json
-#   make bench-ingest  refresh-vs-reregister after 1% append deltas
-#                      (evals/op and wall time), emitted as BENCH_PR5.json
-#   make bench-wal     durable-vs-memory ingest overhead and WAL recovery
-#                      time, emitted as BENCH_PR6.json
-#   make bench-obs     observability overhead: labeling ns/eval and full
-#                      Execute ns/op with the tracer disabled, unsampled,
-#                      and sampling every run, emitted as BENCH_PR10.json
-#   make obs-check     observability lint: metrics without help strings,
-#                      spans opened but never ended (tools/obscheck)
+#   make obs-check     observability lint: metrics without help strings
+#                      or registered from two call sites, spans opened
+#                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
 #                      lexer, live delta parser, WAL reader, shard routing)
 #                      — the CI crash gate
@@ -43,7 +36,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check build vet test race api-check docs-check obs-check bench-smoke bench-full serve-smoke bench-groupby bench-predicate bench-ingest bench-wal bench bench-ledger-smoke bench-vector bench-obs fuzz-smoke
+.PHONY: check build vet test race api-check docs-check obs-check bench-smoke bench-full bench-groupby bench bench-ledger-smoke fuzz-smoke
 
 check: build vet api-check docs-check obs-check race
 
@@ -61,8 +54,9 @@ docs-check:
 	$(GO) vet ./examples/...
 	$(GO) run ./tools/doccheck ./lsample
 
-# Observability gate: every registered metric carries a help string and
-# every opened span is ended (tools/obscheck).
+# Observability gate: every registered metric carries a help string and is
+# registered from one call site, and every opened span is ended
+# (tools/obscheck).
 obs-check:
 	$(GO) run ./tools/obscheck .
 
@@ -100,29 +94,6 @@ bench-groupby:
 		| $(GO) run ./tools/benchjson > BENCH_groupby.json
 	@cat BENCH_groupby.json
 
-# Predicate-compilation benchmarks: ns/eval and labeling wall time for
-# interpreted vs compiled vs compiled+parallel Q3 evaluation on the skyband
-# and hash-indexable SQL-EXISTS workloads.
-bench-predicate:
-	$(GO) test -run '^$$' -bench '^BenchmarkPredicateLabeling$$' -benchtime 2x ./lsample/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR4.json
-	@cat BENCH_PR4.json
-
-# Streaming-ingestion benchmarks: predicate evaluations and wall time per
-# 1% append delta, maintained refresh vs naive re-register + re-estimate.
-bench-ingest:
-	$(GO) test -run '^$$' -bench '^Benchmark(Refresh|Reregister)Delta$$' -benchtime 3x ./lsample/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR5.json
-	@cat BENCH_PR5.json
-
-# Write-ahead-log benchmarks: ingest overhead of durable (fsync-batched)
-# vs memory-only apply, and cold-start recovery time replaying a 100k-row
-# log with no checkpoint.
-bench-wal:
-	$(GO) test -run '^$$' -bench '^BenchmarkIngest(Memory|Durable|DurableDisk)$$|^BenchmarkWALRecovery$$' -benchtime 3x ./internal/live/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR6.json
-	@cat BENCH_PR6.json
-
 # The end-to-end ledger: BENCHMARK.json's five workloads and per-layer
 # table, written under .bench_out (gitignored).
 bench:
@@ -131,28 +102,6 @@ bench:
 bench-ledger-smoke:
 	$(GO) run ./bench -smoke
 	$(GO) test ./bench
-
-# Vectorized-labeling benchmarks: ns/eval and allocs/op for the scalar
-# closure path vs the vectorized kernels on the fused (exists) and
-# fallback (skyband) workloads; full-population passes at parallelism 1,
-# so ns/eval compares per-evaluation cost directly. The zero-allocation
-# steady state is enforced separately by TestVecEvalZeroAlloc under
-# `make check` — a vector-path allocation regression fails CI even if
-# this benchmark is not run.
-bench-vector:
-	$(GO) test -run '^$$' -bench '^BenchmarkVectorLabeling$$' -benchtime 3x ./lsample/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR9.json
-
-# Observability-overhead benchmarks: the BENCH_PR9-shaped vectorized
-# labeling pass and the full Execute pipeline on the exists workload,
-# each with the tracer disabled / attached-but-unsampled / sampling every
-# execution. The disabled and unsampled labeling numbers must sit within
-# noise of BENCH_PR9.json (spans wrap phases, never evaluations) and all
-# labeling modes must report 0 allocs/op.
-bench-obs:
-	$(GO) test -run '^$$' -bench '^BenchmarkObsOverhead$$' -benchtime 3x ./lsample/ \
-		| $(GO) run ./tools/benchjson > BENCH_PR10.json
-	@cat BENCH_PR10.json
 
 # Brief run of each native fuzzer: the parser/renderer round-trip property,
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a
@@ -167,10 +116,3 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
-
-# One pass over the counting-service benchmark (cold vs warm cache),
-# emitted as BENCH_serve.json.
-serve-smoke:
-	$(GO) test -run '^$$' -bench '^BenchmarkServeCount$$' -benchtime 1x ./internal/service/ \
-		| $(GO) run ./tools/benchjson > BENCH_serve.json
-	@cat BENCH_serve.json

@@ -117,8 +117,8 @@ func main() {
 		cacheSize = flag.Int("cache-size", 256, "result cache entries (-1 disables)")
 		cacheTTL  = flag.Duration("cache-ttl", 10*time.Minute, "result cache max age (-1ns disables expiry)")
 		para      = flag.Int("p", 1, "classifier parallelism per request (requests already run concurrently)")
-		budget    = flag.Float64("budget", 0.02, "default labeling budget fraction")
-		method    = flag.String("method", "lss", "default estimation method")
+		budget    = flag.Float64("budget", 0.02, "default labeling budget fraction when a request omits one; read by the standalone and worker roles (a coordinator answers with its workers' default)")
+		method    = flag.String("method", "lss", "default estimation method when a request omits one; read by the standalone and worker roles (a coordinator answers with its workers' default)")
 		dataDir   = flag.String("data-dir", "", "directory for durable live datasets: uploads and ingests are write-ahead logged, and restart recovers them (empty = memory-only)")
 		catalogMB = flag.Int64("catalog-mb", 0, "reuse-catalog budget in MiB for cross-query sample/classifier materialization (0 = default 64 MiB, negative disables)")
 		pprofOn   = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")

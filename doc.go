@@ -103,8 +103,8 @@
 // parallel — predicate API. Queries outside the compilable subset keep the
 // interpreted engine (the semantics oracle); Estimate.Labeling reports
 // which path ran. Estimates are byte-identical either way — the win is
-// labeling throughput, recorded in BENCH_PR4.json and the "Predicate
-// compilation" section of EXPERIMENTS.md.
+// labeling throughput, recorded in the "Predicate compilation" section of
+// EXPERIMENTS.md and re-measured per layer by the bench/ ledger.
 //
 // # Counting as a service
 //

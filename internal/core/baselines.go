@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/estimate"
+	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/stratify"
 	"repro/internal/xrand"
@@ -35,7 +36,7 @@ func (s *SRS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	t0 := time.Now()
 	idx := sample.SRS(r, obj.N(), budget)
@@ -55,7 +56,7 @@ func (s *SRS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       res.CI,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Sample: time.Since(t0), Predicate: tp.dur},
+		Timing:   Timing{Sample: time.Since(t0), Predicate: tp.Dur},
 	}, nil
 }
 
@@ -145,7 +146,7 @@ func (s *SSP) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	t0 := time.Now()
 	pools, err := gridStrata(obj, s.AttrIdx, s.Strata)
@@ -182,7 +183,7 @@ func (s *SSP) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       res.CI,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Design: design, Sample: time.Since(t1), Predicate: tp.dur},
+		Timing:   Timing{Design: design, Sample: time.Since(t1), Predicate: tp.Dur},
 	}, nil
 }
 
@@ -227,7 +228,7 @@ func (s *SSN) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	t0 := time.Now()
 	pools, err := gridStrata(obj, s.AttrIdx, s.Strata)
@@ -252,7 +253,7 @@ func (s *SSN) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		nPilot = budget / 2
 	}
 	pilotIdx := sample.SRS(r, obj.N(), nPilot)
-	pilotLabels, err := labelSet(ctx, tp, pilotIdx)
+	pilotLabels, err := predicate.Label(tp, pilotIdx, canceled(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +311,7 @@ func (s *SSN) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       res.CI,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Design: design, Sample: time.Since(t1), Predicate: tp.dur},
+		Timing:   Timing{Design: design, Sample: time.Since(t1), Predicate: tp.Dur},
 	}, nil
 }
 

@@ -115,86 +115,9 @@ func ForestClassifier(parallelism int) NewClassifierFunc {
 // trees, training and scoring on all cores.
 func DefaultForest(seed uint64) learn.Classifier { return ForestClassifier(0)(seed) }
 
-// timedPred wraps a predicate, accumulating the wall time spent inside q so
-// Timing can separate labeling cost from overhead.
-type timedPred struct {
-	p   predicate.Predicate
-	dur time.Duration
-}
-
-func (tp *timedPred) Eval(i int) bool {
-	t0 := time.Now()
-	v := tp.p.Eval(i)
-	tp.dur += time.Since(t0)
-	return v
-}
-
-func (tp *timedPred) Evals() int64 { return tp.p.Evals() }
-func (tp *timedPred) ResetCount()  { tp.p.ResetCount() }
-
-// AsBatch exposes the underlying predicate's batch path, timing each whole
-// batch call (a batch is pure labeling work). The duration accumulates on
-// the wrapper's single owning goroutine; only the batch's internals may be
-// parallel.
-func (tp *timedPred) AsBatch() (predicate.BatchPredicate, bool) {
-	bp, ok := predicate.AsBatch(tp.p)
-	if !ok {
-		return nil, false
-	}
-	return &timedBatch{tp: tp, bp: bp}, true
-}
-
-type timedBatch struct {
-	tp *timedPred
-	bp predicate.BatchPredicate
-}
-
-func (tb *timedBatch) Eval(i int) bool { return tb.tp.Eval(i) }
-func (tb *timedBatch) Evals() int64    { return tb.tp.Evals() }
-func (tb *timedBatch) ResetCount()     { tb.tp.ResetCount() }
-
-func (tb *timedBatch) EvalBatch(idxs []int, out []bool) {
-	t0 := time.Now()
-	tb.bp.EvalBatch(idxs, out)
-	tb.tp.dur += time.Since(t0)
-}
-
-// labelSet labels a pre-chosen sample set through pred and returns the
-// label vector. When the predicate's chain supports native batched
-// evaluation the set is labeled in bounded (possibly parallel) batch
-// chunks, with the cooperative cancellation check between chunks;
-// otherwise it falls back to the sequential loop with the check before
-// every evaluation. Sample sets are chosen before labeling and labels are
-// pure functions of the object index, so both paths produce byte-identical
-// results for a fixed seed — batching (and its internal parallelism) is a
-// pure throughput knob. Cancellation granularity is the one observable
-// difference: the batch path checks ctx per chunk rather than per
-// evaluation.
-func labelSet(ctx context.Context, pred predicate.Predicate, idxs []int) ([]bool, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(idxs))
-	if bp, ok := predicate.AsBatch(pred); ok {
-		if err := predicate.EvalBatchChunked(bp, idxs, out, func() error { return ctxErr(ctx) }); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for j, i := range idxs {
-		if j > 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		out[j] = pred.Eval(i)
-	}
-	return out, nil
-}
-
 // labelCount labels a pre-chosen sample set and returns its positive count.
 func labelCount(ctx context.Context, pred predicate.Predicate, idxs []int) (int, error) {
-	labels, err := labelSet(ctx, pred, idxs)
+	labels, err := predicate.Label(pred, idxs, canceled(ctx))
 	if err != nil {
 		return 0, err
 	}
@@ -217,6 +140,12 @@ func ctxErr(ctx context.Context) error {
 		return fmt.Errorf("core: estimation canceled: %w", err)
 	}
 	return nil
+}
+
+// canceled is ctxErr in the shape predicate.Label polls between
+// evaluations.
+func canceled(ctx context.Context) func() error {
+	return func() error { return ctxErr(ctx) }
 }
 
 // checkBudget validates common preconditions.
@@ -253,7 +182,7 @@ func (Oracle) Name() string { return "oracle" }
 // when the predicate has one.
 func (Oracle) Estimate(ctx context.Context, obj *ObjectSet, _ int, _ *xrand.Rand) (*Result, error) {
 	ctx = orBackground(ctx)
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	t0 := time.Now()
 	count, err := labelCount(ctx, tp, predicate.AllIndices(obj.N()))
@@ -267,6 +196,6 @@ func (Oracle) Estimate(ctx context.Context, obj *ObjectSet, _ int, _ *xrand.Rand
 		CI:       stats.Interval{Lo: c, Hi: c},
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Sample: time.Since(t0), Predicate: tp.dur},
+		Timing:   Timing{Sample: time.Since(t0), Predicate: tp.Dur},
 	}, nil
 }

@@ -151,7 +151,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	if err := checkGroups(obj, groupOf, K); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	mp := predicate.NewMemo(tp, obj.N())
 	start := obj.Pred.Evals()
 	t0 := time.Now()
@@ -160,7 +160,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	// once, tallied into its group.
 	shared := sample.SRS(r, obj.N(), budget)
 	sort.Ints(shared)
-	sharedLabels, err := labelSet(ctx, mp, shared)
+	sharedLabels, err := predicate.Label(mp, shared, canceled(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		Method: m.Name(),
 		Groups: groups,
 		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Sample: time.Since(t0), Predicate: tp.dur},
+		Timing: Timing{Sample: time.Since(t0), Predicate: tp.Dur},
 	}, nil
 }
 
@@ -291,7 +291,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	if newClf == nil {
 		newClf = DefaultForest
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	mp := predicate.NewMemo(tp, obj.N())
 	start := obj.Pred.Evals()
 
@@ -368,7 +368,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		for h, dset := range draws {
 			posHG[h] = make([]int, K)
 			nH[h] = len(dset)
-			labels, err := labelSet(ctx, mp, dset)
+			labels, err := predicate.Label(mp, dset, canceled(ctx))
 			if err != nil {
 				return nil, err
 			}
@@ -465,7 +465,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		Method: m.Name(),
 		Groups: groups,
 		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Learn: learnDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.dur},
+		Timing: Timing{Learn: learnDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
 	}, nil
 }
 
@@ -482,11 +482,11 @@ func (GroupedOracle) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	if err := checkGroups(obj, groupOf, K); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	t0 := time.Now()
 	groups := make([]GroupCount, K)
-	labels, err := labelSet(ctx, tp, predicate.AllIndices(obj.N()))
+	labels, err := predicate.Label(tp, predicate.AllIndices(obj.N()), canceled(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -509,6 +509,6 @@ func (GroupedOracle) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		Method: "oracle",
 		Groups: groups,
 		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Sample: time.Since(t0), Predicate: tp.dur},
+		Timing: Timing{Sample: time.Since(t0), Predicate: tp.Dur},
 	}, nil
 }

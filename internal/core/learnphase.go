@@ -72,7 +72,7 @@ func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate
 	}
 
 	idx := sample.SRS(r, obj.N(), nLearn)
-	labels, err := labelSet(ctx, pred, idx)
+	labels, err := predicate.Label(pred, idx, canceled(ctx))
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/estimate"
+	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/stratify"
@@ -231,7 +232,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	newClf := m.NewClassifier
 	if newClf == nil {
@@ -288,7 +289,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	for j, p := range pilotPos {
 		pilotObjs[j] = restIdx[p]
 	}
-	pilotQ, err := labelSet(ctx, tp, pilotObjs)
+	pilotQ, err := predicate.Label(tp, pilotObjs, canceled(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +364,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       ci,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.dur},
+		Timing:   Timing{Learn: learnDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
 	}, nil
 }
 

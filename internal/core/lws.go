@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/estimate"
+	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/xrand"
@@ -68,7 +69,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	newClf := m.NewClassifier
 	if newClf == nil {
@@ -158,6 +159,6 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       ci,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.dur},
+		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.Dur},
 	}, nil
 }

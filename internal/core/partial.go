@@ -13,9 +13,9 @@ import (
 // integers, the merged estimate is byte-identical to the single-shard
 // computation over the union.
 type Partial struct {
-	N         int // cell population size
-	Sampled   int // labeled members
-	Positives int // positives among the labeled members
+	N         int `json:"n"`         // cell population size
+	Sampled   int `json:"sampled"`   // labeled members
+	Positives int `json:"positives"` // positives among the labeled members
 }
 
 // Add merges another shard's tally of the same cell into p.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/learn"
+	"repro/internal/predicate"
 	"repro/internal/quantify"
 	"repro/internal/stats"
 	"repro/internal/xrand"
@@ -30,7 +31,7 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	newClf := m.NewClassifier
 	if newClf == nil {
@@ -62,7 +63,7 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 		CI:       stats.Interval{},
 		HasCI:    false,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.dur},
+		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.Dur},
 	}, nil
 }
 
@@ -94,7 +95,7 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &timedPred{p: obj.Pred}
+	tp := &predicate.Timed{P: obj.Pred}
 	start := obj.Pred.Evals()
 	newClf := m.NewClassifier
 	if newClf == nil {
@@ -134,6 +135,6 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 		CI:       stats.Interval{},
 		HasCI:    false,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.dur},
+		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.Dur},
 	}, nil
 }

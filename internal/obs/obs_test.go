@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -256,17 +255,14 @@ func TestRegistryExposition(t *testing.T) {
 	c.Add(3)
 	c.Inc()
 	c.Add(-5) // ignored
-	g := reg.NewGauge("lsample_datasets", "Registered datasets.")
-	g.Set(7)
-	reg.GaugeFunc("lsample_uptime_seconds", "Process uptime.", func() float64 { return 1.5 })
+	reg.GaugeFunc("lsample_datasets", "Registered datasets.", func() int { return 7 })
 	reg.CounterFunc("lsample_cache_hits_total", "Cache hits.", func() int64 { return 9 })
-	h := reg.NewHistogram("lsample_batch_rows", "Rows per ingest batch.", []float64{1, 10, 100})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(5000)
-	reg.HistogramFunc("lsample_request_duration_seconds", "Request latency.", func() HistSnapshot {
-		return HistSnapshot{Uppers: []float64{0.001, 0.1}, Cum: []int64{2, 4}, Count: 5, Sum: 1.25}
-	})
+	tm := reg.NewTimer("lsample_estimate_busy_seconds", "Time inside estimation.", "estimate_ms")
+	tm.Add(1500 * time.Millisecond)
+	h := reg.NewHistogram("lsample_request_duration_seconds", "Request latency.", "latency")
+	h.Observe(time.Millisecond)
+	h.Observe(time.Millisecond)
+	h.Observe(64 * time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := reg.Expose(&buf); err != nil {
@@ -278,27 +274,40 @@ func TestRegistryExposition(t *testing.T) {
 		"# TYPE lsample_requests_total counter",
 		"lsample_requests_total 4",
 		"lsample_datasets 7",
-		"lsample_uptime_seconds 1.5",
 		"lsample_cache_hits_total 9",
-		"# TYPE lsample_batch_rows histogram",
-		`lsample_batch_rows_bucket{le="1"} 1`,
-		`lsample_batch_rows_bucket{le="10"} 2`,
-		`lsample_batch_rows_bucket{le="100"} 2`,
-		`lsample_batch_rows_bucket{le="+Inf"} 3`,
-		"lsample_batch_rows_sum 5005.5",
-		"lsample_batch_rows_count 3",
-		`lsample_request_duration_seconds_bucket{le="0.001"} 2`,
-		`lsample_request_duration_seconds_bucket{le="+Inf"} 5`,
-		"lsample_request_duration_seconds_sum 1.25",
-		"lsample_request_duration_seconds_count 5",
+		"# TYPE lsample_estimate_busy_seconds gauge",
+		"lsample_estimate_busy_seconds 1.5",
+		"# TYPE lsample_request_duration_seconds histogram",
+		`lsample_request_duration_seconds_bucket{le="0.001048576"} 2`,
+		`lsample_request_duration_seconds_bucket{le="+Inf"} 3`,
+		"lsample_request_duration_seconds_sum 0.066",
+		"lsample_request_duration_seconds_count 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
 	// Families must come out sorted by name.
-	if strings.Index(out, "lsample_batch_rows") > strings.Index(out, "lsample_requests_total") {
+	if strings.Index(out, "lsample_cache_hits_total") > strings.Index(out, "lsample_requests_total") {
 		t.Fatal("families not sorted")
+	}
+
+	// The JSON view is the same registry under short keys: counters lose
+	// the lsample_ prefix and _total suffix, durations are milliseconds
+	// under the key they named.
+	stats := reg.Stats()
+	if stats["requests"] != int64(4) || stats["cache_hits"] != int64(9) || stats["datasets"] != 7 {
+		t.Fatalf("stats view = %v", stats)
+	}
+	if stats["estimate_ms"] != 1500.0 {
+		t.Fatalf("timer in stats = %v, want 1500 ms", stats["estimate_ms"])
+	}
+	lat, ok := stats["latency"].(HistSummary)
+	if !ok || lat.Count != 3 || lat.MaxMS != 64 || len(lat.Buckets) != 2 || lat.Buckets[1].Count != 3 {
+		t.Fatalf("histogram in stats = %+v", stats["latency"])
+	}
+	if len(stats) != 5 {
+		t.Fatalf("stats has %d keys, want one per family: %v", len(stats), stats)
 	}
 }
 
@@ -323,7 +332,7 @@ func TestConcurrentTracerAndRegistry(t *testing.T) {
 	tr := NewTracer(TracerConfig{Sample: 1, RingSize: 8})
 	reg := NewRegistry()
 	c := reg.NewCounter("ops_total", "ops")
-	h := reg.NewHistogram("lat", "lat", []float64{0.01, math.Inf(1)})
+	h := reg.NewHistogram("lat", "lat", "lat")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -336,7 +345,7 @@ func TestConcurrentTracerAndRegistry(t *testing.T) {
 				child.End()
 				sp.End()
 				c.Inc()
-				h.Observe(float64(j) / 1000)
+				h.Observe(time.Duration(j) * time.Millisecond)
 				tr.Traces(4)
 				var buf bytes.Buffer
 				if err := reg.Expose(&buf); err != nil {

@@ -84,6 +84,15 @@ func (t *Tracer) Sampled() int64 {
 	return t.sampled.Load()
 }
 
+// Register declares the tracer's two counters in r — the one call site
+// every role (service, coordinator) registers them through.
+func (t *Tracer) Register(r *Registry) {
+	r.CounterFunc("lsample_traces_started_total",
+		"Root spans considered by the tracer (sampled or not).", t.Started)
+	r.CounterFunc("lsample_traces_sampled_total",
+		"Root spans recorded by the tracer.", t.Sampled)
+}
+
 // next is a splitmix64 step over the tracer's atomic state: cheap,
 // lock-free, and unrelated to any deterministic estimation stream.
 func (t *Tracer) next() uint64 {

@@ -39,6 +39,12 @@ var activePools atomic.Int32
 // inline on the calling goroutine with zero synchronization overhead; so
 // does any pool requested while another pool is already running (see
 // activePools).
+//
+// A panic in fn never escapes on a worker goroutine, where no caller could
+// recover it and it would take the process down: the pool stops handing out
+// indices, waits for the running items, and re-raises the first panic value
+// on the calling goroutine — exactly where the inline path would have
+// raised it.
 func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -61,10 +67,18 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var once sync.Once
+	var panicked any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { panicked = p })
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -75,6 +89,9 @@ func ForEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // ForEachChunk splits [0, n) into contiguous chunks of at most chunk items

@@ -97,3 +97,37 @@ func TestForEachChunkZeroChunk(t *testing.T) {
 		t.Fatalf("covered %d of 5", total.Load())
 	}
 }
+
+// TestForEachReraisesWorkerPanic: a panic on a worker goroutine surfaces
+// on the caller's goroutine (where it can be recovered), the pool stops
+// handing out work, and the pool guard is released for the next caller.
+func TestForEachReraisesWorkerPanic(t *testing.T) {
+	const n = 100000
+	var ran atomic.Int64
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ForEachChunk(4, n, 10, func(lo, hi int) {
+			if lo == 50 {
+				panic("boom at 50")
+			}
+			ran.Add(int64(hi - lo))
+		})
+	}()
+	if got != "boom at 50" {
+		t.Fatalf("recovered %v, want the worker's panic value", got)
+	}
+	if ran.Load() >= n-10 {
+		t.Fatalf("pool ran %d of %d items after the panic: it did not stop handing out work", ran.Load(), n)
+	}
+	hits := make([]int32, 64)
+	ForEach(4, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("pool after a panic: index %d hit %d times", i, h)
+		}
+	}
+	if activePools.Load() != 0 {
+		t.Fatal("pool guard still held after a panicking pool")
+	}
+}

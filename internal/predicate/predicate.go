@@ -11,13 +11,14 @@
 // shared across goroutines. Predicates that additionally implement
 // BatchPredicate label a pre-chosen sample set in one call — the batch may
 // run on a worker pool internally — and AsBatch discovers that capability
-// through wrapper chains (Memo here, the timing wrapper in internal/core).
+// through wrapper chains (Memo and Timed here).
 package predicate
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/par"
@@ -437,6 +438,84 @@ func EvalBatchChunked(bp BatchPredicate, idxs []int, out []bool, stop func() err
 	return nil
 }
 
+// Label labels a pre-chosen index set through pred and returns the label
+// vector: the one labeling loop behind every estimation path. When the
+// predicate's chain supports native batched evaluation the set is labeled
+// in bounded (possibly parallel) batch chunks; otherwise sequentially.
+// Index sets are chosen before labeling and labels are pure functions of
+// the object index, so both paths produce byte-identical results — batching
+// (and its internal parallelism) is a pure throughput knob. stop (which may
+// be nil) is the caller's cooperative cancellation check, worded in the
+// caller's own error vocabulary: it runs before the first evaluation, then
+// between batch chunks, or before every evaluation on the sequential path —
+// the one observable difference between the two.
+func Label(pred Predicate, idxs []int, stop func() error) ([]bool, error) {
+	if stop == nil {
+		stop = func() error { return nil }
+	}
+	if err := stop(); err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(idxs))
+	if bp, ok := AsBatch(pred); ok {
+		if err := EvalBatchChunked(bp, idxs, out, stop); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	for j, i := range idxs {
+		if err := stop(); err != nil {
+			return nil, err
+		}
+		out[j] = pred.Eval(i)
+	}
+	return out, nil
+}
+
+// Timed wraps a predicate, accumulating in Dur the wall time spent inside
+// q so callers can separate labeling cost from overhead. The duration
+// accumulates on the wrapper's single owning goroutine; only a batch's
+// internals may be parallel.
+type Timed struct {
+	P   Predicate
+	Dur time.Duration
+}
+
+// Eval times one evaluation of the wrapped predicate.
+func (t *Timed) Eval(i int) bool {
+	t0 := time.Now()
+	v := t.P.Eval(i)
+	t.Dur += time.Since(t0)
+	return v
+}
+
+// Evals reports the wrapped predicate's evaluation count.
+func (t *Timed) Evals() int64 { return t.P.Evals() }
+
+// ResetCount resets the wrapped predicate's evaluation count.
+func (t *Timed) ResetCount() { t.P.ResetCount() }
+
+// AsBatch exposes the wrapped predicate's batch path, timing each whole
+// batch call (a batch is pure labeling work).
+func (t *Timed) AsBatch() (BatchPredicate, bool) {
+	bp, ok := AsBatch(t.P)
+	if !ok {
+		return nil, false
+	}
+	return timedBatch{t, bp}, true
+}
+
+type timedBatch struct {
+	*Timed
+	bp BatchPredicate
+}
+
+func (tb timedBatch) EvalBatch(idxs []int, out []bool) {
+	t0 := time.Now()
+	tb.bp.EvalBatch(idxs, out)
+	tb.Dur += time.Since(t0)
+}
+
 // Count evaluates q over every object (the exact, expensive path) and
 // returns the positive count.
 func Count(p Predicate, n int) int {
@@ -449,16 +528,8 @@ func Count(p Predicate, n int) int {
 	return c
 }
 
-// TrueLabels evaluates q over every object and returns the label vector,
-// through the batch path when the predicate has one.
+// TrueLabels evaluates q over every object and returns the label vector.
 func TrueLabels(p Predicate, n int) []bool {
-	out := make([]bool, n)
-	if bp, ok := AsBatch(p); ok {
-		bp.EvalBatch(AllIndices(n), out)
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out[i] = p.Eval(i)
-	}
+	out, _ := Label(p, AllIndices(n), nil) // no stop, no error
 	return out
 }

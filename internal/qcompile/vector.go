@@ -628,7 +628,7 @@ func (b *Bound) NewVecEval() *VecEval {
 			v.empty = true
 		}
 	}
-	if b.vec != nil && b.vec.fused != nil {
+	if b.vec.fused != nil {
 		f := b.vec.fused
 		nf := 0
 		for d := range f {
@@ -661,19 +661,13 @@ func (b *Bound) NewVecEval() *VecEval {
 
 // Vectorized reports whether the join walk fused into the vector kernel
 // (as opposed to batched per-lane scalar evaluation).
-func (b *Bound) Vectorized() bool { return b.vec != nil && b.vec.fused != nil }
+func (b *Bound) Vectorized() bool { return b.vec.fused != nil }
 
 // EvalBatch labels idxs into out (out[i] = label of object idxs[i]),
 // processing VecWidth lanes per selection bitmap. It allocates nothing in
 // steady state.
 func (v *VecEval) EvalBatch(idxs []int, out []bool) {
 	b := v.b
-	if b.vec == nil {
-		for i, idx := range idxs {
-			out[i] = b.eval(idx, v.env)
-		}
-		return
-	}
 	vp := b.vec
 	if vp.buildCost > 0 {
 		v.fast = vp.objReady.Load()

@@ -186,3 +186,22 @@ func (a *admitter) drain(ctx context.Context) error {
 	}
 	return nil
 }
+
+// inflight reports the number of currently admitted estimations.
+func (a *admitter) inflight() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.inFlight
+}
+
+// queuedTotal reports the number of waiters currently queued for
+// admission across all datasets.
+func (a *admitter) queuedTotal() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, q := range a.queued {
+		n += q
+	}
+	return n
+}

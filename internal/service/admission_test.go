@@ -159,13 +159,13 @@ func TestCountDegradedUnderOverload(t *testing.T) {
 	if res.Method != "srs" {
 		t.Fatalf("degraded method = %q, want srs", res.Method)
 	}
-	if got := svc.Metrics.Degraded.Load(); got != 1 {
+	if got := svc.m.degraded.Value(); got != 1 {
 		t.Fatalf("Degraded metric = %d, want 1", got)
 	}
-	if got := svc.Metrics.Rejected.Load(); got != 0 {
+	if got := svc.m.rejected.Value(); got != 0 {
 		t.Fatalf("Rejected metric = %d, want 0 (the request was served)", got)
 	}
-	if n := svc.cache.len(); n != 0 {
+	if n := svc.results.len(); n != 0 {
 		t.Fatalf("degraded answer was cached (%d entries)", n)
 	}
 

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/lsample"
@@ -84,9 +83,9 @@ type Coordinator struct {
 	// traceparent into every worker call, and each worker's completed
 	// subtree comes back on the shard response to be grafted under the
 	// coordinator's attempt span — one query, one stitched tree.
-	tracer *obs.Tracer
-	logger *obs.Logger
-	prom   *obs.Registry
+	tracer  *obs.Tracer
+	logger  *obs.Logger
+	metrics *obs.Registry
 
 	queries      *obs.Counter
 	hedges       *obs.Counter
@@ -124,19 +123,16 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 		SlowQuery: opts.SlowQuery,
 		Logger:    opts.Logger,
 	})
-	c.prom = obs.NewRegistry()
-	c.queries = c.prom.NewCounter("lsample_coordinator_queries_total",
+	c.metrics = obs.NewRegistry()
+	c.queries = c.metrics.NewCounter("lsample_coordinator_queries_total",
 		"Scatter/gather queries served by the coordinator.")
-	c.hedges = c.prom.NewCounter("lsample_coordinator_hedges_total",
+	c.hedges = c.metrics.NewCounter("lsample_coordinator_hedges_total",
 		"Backup shard requests launched on straggling workers.")
-	c.workerErrors = c.prom.NewCounter("lsample_coordinator_worker_errors_total",
+	c.workerErrors = c.metrics.NewCounter("lsample_coordinator_worker_errors_total",
 		"Failed worker shard calls (before any successful retry).")
-	c.degradedN = c.prom.NewCounter("lsample_coordinator_degraded_total",
+	c.degradedN = c.metrics.NewCounter("lsample_coordinator_degraded_total",
 		"Queries answered degraded after losing every candidate for a shard.")
-	c.prom.CounterFunc("lsample_traces_started_total",
-		"Root spans considered by the coordinator tracer.", c.tracer.Started)
-	c.prom.CounterFunc("lsample_traces_sampled_total",
-		"Root spans recorded by the coordinator tracer.", c.tracer.Sampled)
+	c.tracer.Register(c.metrics)
 	for _, w := range workers {
 		if w.Name == "" || w.BaseURL == "" {
 			return nil, fmt.Errorf("%w: worker needs a name and a base URL", ErrBadRequest)
@@ -187,70 +183,49 @@ func (c *Coordinator) Count(ctx context.Context, req *CountRequest) (*CountResul
 }
 
 func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResult, error) {
-	if req.SQL == "" {
-		return nil, badf("missing sql")
-	}
-	method := req.Method
-	if method == "" {
-		method = "lss"
-	}
-	budgetFrac := req.Budget
-	if budgetFrac == 0 {
-		budgetFrac = 0.02
-	}
-	if !(budgetFrac > 0 && budgetFrac <= 1) {
-		return nil, badf("budget %v outside (0, 1]", budgetFrac)
-	}
-	clfName := req.Classifier
-	if clfName == "" {
-		clfName = "rf"
-	}
-	strata := req.Strata
-	if strata <= 0 {
-		strata = 4
-	}
-	iv, err := lsample.ParseInterval(req.Interval)
-	if err != nil {
-		return nil, mapSDKErr(err)
-	}
 	shards := req.Shards
 	if shards <= 0 {
 		shards = c.opts.Shards
 	}
+	// Workers get the request verbatim and resolve it themselves; the
+	// coordinator normalizes nothing.
+	run := &coordRun{c: c, base: ShardRequest{CountRequest: *req}, shards: shards}
 
-	base := ShardRequest{
-		SQL:        req.SQL,
-		Params:     req.Params,
-		Method:     method,
-		Budget:     budgetFrac,
-		Classifier: clfName,
-		Strata:     strata,
-		Interval:   iv.String(),
-		Seed:       req.Seed,
-	}
-	run := &coordRun{c: c, base: base, shards: shards}
-
-	// Pre-flight: learn the query's shape (grouped? fingerprint? feature
-	// columns?) and pin the dataset versions every later op must match.
-	pre, err := run.do(ctx, 0, &ShardRequest{Op: "meta", Shard: ShardRef{Index: 0, Count: shards}})
+	// Pre-flight: learn the resolved plan (method, budget, interval, the
+	// query's fingerprint and shape) and pin the dataset versions every
+	// later op must match.
+	pre, err := run.do(ctx, 0, shard.OpMeta, nil)
 	if err != nil {
 		return nil, err
 	}
+	if pre.Plan == nil {
+		return nil, fmt.Errorf("service: worker meta answer carries no plan")
+	}
 	run.versions = pre.Versions
+	// From here on every worker is sent the resolved request, so a roster
+	// with mixed defaults still scatters one plan.
+	pl, knobs := pre.Plan, pre.Plan.Request
+	run.base.CountRequest = knobs
 
 	workers := make([]shard.Worker, shards)
 	for i := range workers {
-		workers[i] = &remoteWorker{run: run, idx: i}
+		workers[i] = shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+			resp, err := run.do(ctx, i, op, args)
+			if err != nil {
+				return nil, err
+			}
+			return resp.Reply, nil
+		})
 	}
 	const alpha = 0.05
 	plan := shard.Plan{
-		Method:        method,
-		Grouped:       len(pre.GroupCols) > 0,
-		BudgetOf:      func(n int) int { return lsample.EvalBudget(budgetFrac, n) },
-		Strata:        strata,
+		Method:        knobs.Method,
+		Grouped:       len(pl.GroupCols) > 0,
+		BudgetOf:      func(n int) int { return lsample.EvalBudget(knobs.Budget, n) },
+		Strata:        knobs.Strata,
 		Seed:          req.Seed,
 		Alpha:         alpha,
-		Wilson:        iv == lsample.Wilson,
+		Wilson:        knobs.Interval == lsample.Wilson.String(),
 		Exact:         req.Exact,
 		AllowDegraded: c.opts.AllowDegraded,
 	}
@@ -270,16 +245,16 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 	}
 
 	out := &CountResult{
-		Fingerprint: pre.Fingerprint,
-		Method:      method,
-		Interval:    iv.String(),
+		Fingerprint: pl.Fingerprint,
+		Method:      knobs.Method,
+		Interval:    knobs.Interval,
 		Objects:     res.N,
 		Budget:      res.Budget,
 		Estimate:    res.Count,
 		HasCI:       res.HasCI,
 		Evals:       int64(res.SamplesUsed),
-		FeatureCols: pre.FeatureCols,
-		GroupCols:   pre.GroupCols,
+		FeatureCols: pl.FeatureCols,
+		GroupCols:   pl.GroupCols,
 		Seed:        req.Seed,
 		DurationMS:  float64(time.Since(t0)) / 1e6,
 		Reuse:       lsample.ReuseNone,
@@ -351,7 +326,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.prom.Expose(w) //nolint:errcheck // nothing to do about a failed write
+		c.metrics.Expose(w) //nolint:errcheck // nothing to do about a failed write
 	})
 	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
 		limit := 0
@@ -395,8 +370,8 @@ func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: err.Error()}})
 }
 
-// coordRun is one query's scatter state: the knob base every op shares
-// and the dataset versions pinned at the census.
+// coordRun is one query's scatter state: the request every op carries and
+// the dataset versions pinned at the census.
 type coordRun struct {
 	c        *Coordinator
 	base     ShardRequest
@@ -416,17 +391,17 @@ func (e *permanentError) Unwrap() error { return e.err }
 // HedgeAfter of quiet time before a backup launches; the first success
 // wins. When every candidate fails the op resolves to a LostShardError,
 // which Drive absorbs (degraded mode) or surfaces.
-func (r *coordRun) do(ctx context.Context, shardIdx int, req *ShardRequest) (*ShardResponse, error) {
+func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.RawMessage) (*ShardResponse, error) {
 	b := r.base
-	b.Op, b.K, b.Tag, b.Keys, b.X, b.Y, b.ClfSeed = req.Op, req.K, req.Tag, req.Keys, req.X, req.Y, req.ClfSeed
-	b.Shard = ShardRef{Index: shardIdx, Count: r.shards}
+	b.Op, b.Args = op, args
+	b.Shard = shard.Spec{Index: shardIdx, Count: r.shards}
 	b.Versions = r.versions
 	body, err := json.Marshal(&b)
 	if err != nil {
 		return nil, badf("encoding shard request: %v", err)
 	}
 
-	cands := r.c.ring.Owners(fmt.Sprintf("shard/%d/%d", shardIdx, r.shards), len(r.c.workers))
+	cands := r.c.ring.Owners("shard/"+b.Shard.String(), len(r.c.workers))
 	if len(cands) == 0 {
 		return nil, &shard.LostShardError{Shard: shardIdx, Err: ErrNoWorkers}
 	}
@@ -448,7 +423,7 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, req *ShardRequest) (*Sh
 		// worker's own subtree (shipped back on the response when the
 		// injected traceparent was sampled) is grafted underneath.
 		_, asp := obs.StartSpan(ctx, "shard.rpc")
-		asp.Set("op", b.Op)
+		asp.Set("op", op)
 		asp.Set("shard", shardIdx)
 		asp.Set("worker", name)
 		asp.Set("attempt", attempt)
@@ -548,101 +523,4 @@ func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, tra
 		return nil, fmt.Errorf("service: worker answer unreadable: %v", err)
 	}
 	return &out, nil
-}
-
-// remoteWorker adapts one shard's HTTP operations to the driver's Worker
-// interface.
-type remoteWorker struct {
-	run *coordRun
-	idx int
-}
-
-func (w *remoteWorker) Meta(ctx context.Context) (shard.Meta, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "meta"})
-	if err != nil {
-		return shard.Meta{}, err
-	}
-	if resp.Meta == nil {
-		return shard.Meta{}, fmt.Errorf("service: worker meta answer empty")
-	}
-	return shard.Meta{N: resp.Meta.N, Groups: toGroupCounts(resp.Meta.Groups)}, nil
-}
-
-func (w *remoteWorker) Cands(ctx context.Context, k int, tag uint64) ([]shard.Cand, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "cands", K: k, Tag: tag})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]shard.Cand, len(resp.Cands))
-	for i, c := range resp.Cands {
-		out[i] = shard.Cand{Hash: c.Hash, Key: c.Key}
-	}
-	return out, nil
-}
-
-func (w *remoteWorker) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "label", Keys: keys})
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(resp.Labels) != len(keys) {
-		return nil, 0, fmt.Errorf("service: worker labeled %d of %d keys", len(resp.Labels), len(keys))
-	}
-	return resp.Labels, resp.Fresh, nil
-}
-
-func (w *remoteWorker) Features(ctx context.Context, keys []int64) ([][]float64, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "features", Keys: keys})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Features) != len(keys) {
-		return nil, fmt.Errorf("service: worker returned %d of %d feature rows", len(resp.Features), len(keys))
-	}
-	return resp.Features, nil
-}
-
-func (w *remoteWorker) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]shard.Scored, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "score_all", X: x, Y: y, ClfSeed: clfSeed})
-	if err != nil {
-		return nil, err
-	}
-	return toScored(resp.Scored), nil
-}
-
-func (w *remoteWorker) GroupKeys(ctx context.Context) ([]shard.Scored, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "group_keys"})
-	if err != nil {
-		return nil, err
-	}
-	return toScored(resp.Scored), nil
-}
-
-func (w *remoteWorker) CountAll(ctx context.Context) (core.Partial, []shard.GroupCount, int, error) {
-	resp, err := w.run.do(ctx, w.idx, &ShardRequest{Op: "count_all"})
-	if err != nil {
-		return core.Partial{}, nil, 0, err
-	}
-	if resp.Tally == nil {
-		return core.Partial{}, nil, 0, fmt.Errorf("service: worker tally answer empty")
-	}
-	t := resp.Tally
-	return core.Partial{N: t.N, Sampled: t.Sampled, Positives: t.Positives},
-		toGroupCounts(t.Groups), t.Fresh, nil
-}
-
-func toGroupCounts(in []lsample.ShardGroupCount) []shard.GroupCount {
-	out := make([]shard.GroupCount, len(in))
-	for i, g := range in {
-		out[i] = shard.GroupCount{Key: g.Key, Parts: g.Parts, N: g.N, Pos: g.Pos}
-	}
-	return out
-}
-
-func toScored(in []lsample.ShardScored) []shard.Scored {
-	out := make([]shard.Scored, len(in))
-	for i, s := range in {
-		out[i] = shard.Scored{Key: s.Key, Score: s.Score, Group: s.Group}
-	}
-	return out
 }

@@ -130,7 +130,7 @@ func (s *Service) Shutdown(ctx context.Context) ([]string, error) {
 		"datasets_persisted", len(persisted),
 		"persisted", persisted,
 		"inflight_drained", drained,
-		"requests_served", s.Metrics.Requests.Load(),
+		"requests_served", s.m.requests.Value(),
 		"uptime_ms", float64(time.Since(s.started))/1e6)
 	return persisted, firstErr
 }

@@ -94,7 +94,7 @@ func traceCtx(r *http.Request) context.Context {
 // handleMetrics serves the Prometheus text-format exposition.
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.prom.Expose(w) //nolint:errcheck // nothing to do about a failed write
+	s.metrics.Expose(w) //nolint:errcheck // nothing to do about a failed write
 }
 
 // handleTraces pages the completed-trace ring, newest first.
@@ -185,13 +185,16 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// handleStats serves the JSON rendering of the metrics registry (the
+// "metrics" block: every family of GET /metrics under its short key), plus
+// the reuse catalog's accounting and the dataset list.
 func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
-		Metrics     MetricsSnapshot      `json:"metrics"`
-		CachedItems int                  `json:"cached_items"`
-		Catalog     lsample.CatalogStats `json:"catalog"`
-		Datasets    []DatasetInfo        `json:"datasets"`
-	}{s.Metrics.Snapshot(), s.cache.len(), s.CatalogStats(), s.Registry.List()})
+	writeJSON(w, http.StatusOK, map[string]any{
+		"metrics":      s.metrics.Stats(),
+		"cached_items": s.results.len(),
+		"catalog":      s.CatalogStats(),
+		"datasets":     s.Registry.List(),
+	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -247,9 +247,9 @@ func TestHTTPStats(t *testing.T) {
 	}
 	defer r.Body.Close()
 	var stats struct {
-		Metrics     MetricsSnapshot `json:"metrics"`
-		CachedItems int             `json:"cached_items"`
-		Datasets    []DatasetInfo   `json:"datasets"`
+		Metrics     statsMetrics  `json:"metrics"`
+		CachedItems int           `json:"cached_items"`
+		Datasets    []DatasetInfo `json:"datasets"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&stats); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // time instead of lingering until some later request happens to prepare.
 func (s *Service) RegisterTable(t *lsample.Table) uint64 {
 	v := s.Registry.Register(t)
-	s.dropStalePreps()
+	s.dropStale()
 	return v
 }
 
@@ -22,7 +22,7 @@ func (s *Service) RegisterTable(t *lsample.Table) uint64 {
 // current snapshot and accepting /v1/ingest deltas from then on.
 func (s *Service) RegisterLiveTable(lt *lsample.LiveTable) uint64 {
 	v := s.Registry.RegisterLive(lt)
-	s.dropStalePreps()
+	s.dropStale()
 	return v
 }
 
@@ -52,10 +52,10 @@ type IngestResult struct {
 // already committed, re-publishes, and reports the failure; the error
 // message carries how many rows were committed first.
 func (s *Service) Ingest(name, format string, r io.Reader) (*IngestResult, error) {
-	s.Metrics.IngestRequests.Add(1)
+	s.m.ingestRequests.Inc()
 	lt, ok := s.Registry.Live(name)
 	if !ok {
-		s.Metrics.IngestErrors.Add(1)
+		s.m.ingestErrors.Inc()
 		if _, _, exists := s.Registry.Get(name); exists {
 			return nil, badf("dataset %q is not live; re-upload it with ?live=1 to enable ingestion", name)
 		}
@@ -75,19 +75,19 @@ func (s *Service) Ingest(name, format string, r io.Reader) (*IngestResult, error
 		// Something committed: publish it (and drop preparations pinning
 		// superseded snapshots) whether or not the stream later failed.
 		version, repinned = s.Registry.Repin(name, lt)
-		s.dropStalePreps()
+		s.dropStale()
 	}
-	s.Metrics.IngestRows.Add(int64(sum.Rows()))
-	s.Metrics.IngestBatches.Add(int64(sum.Batches))
+	s.m.ingestRows.Add(int64(sum.Rows()))
+	s.m.ingestBatches.Add(int64(sum.Batches))
 	if ierr != nil {
-		s.Metrics.IngestErrors.Add(1)
+		s.m.ingestErrors.Inc()
 		return nil, fmt.Errorf("%w (after committing %d rows in %d batches)", mapSDKErr(ierr), sum.Rows(), sum.Batches)
 	}
 	if !repinned {
 		// The dataset was re-registered while this delta streamed: the rows
 		// went to the superseded table and will never be served. Surface
 		// the conflict instead of reporting success.
-		s.Metrics.IngestErrors.Add(1)
+		s.m.ingestErrors.Inc()
 		return nil, badf("dataset %q was replaced during the ingest; the delta was not published — retry against the new dataset", name)
 	}
 	out := &IngestResult{

@@ -142,12 +142,12 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	m := svc.Metrics.Snapshot()
-	if m.IngestRequests != 3 || m.IngestRows != 52 || m.IngestErrors != 1 {
-		t.Fatalf("ingest counters = %+v", m)
+	m := svc.m
+	if m.ingestRequests.Value() != 3 || m.ingestRows.Value() != 52 || m.ingestErrors.Value() != 1 {
+		t.Fatalf("ingest counters = %v", svc.metrics.Stats())
 	}
-	if m.IngestBatches < 2 {
-		t.Fatalf("ingest batches = %d", m.IngestBatches)
+	if m.ingestBatches.Value() < 2 {
+		t.Fatalf("ingest batches = %d", m.ingestBatches.Value())
 	}
 }
 
@@ -229,7 +229,7 @@ func TestRetainedSnapshotsBoundedUnderReregistration(t *testing.T) {
 		if _, err := svc.Count(&CountRequest{SQL: liveCountSQL, Method: "srs", Budget: 0.3, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if got := svc.retainedPrepSnapshots(); got > 4 {
+		if got := svc.preps.len(); got > 4 {
 			t.Fatalf("round %d: %d prepared snapshot sets retained, want ≤ 4", round, got)
 		}
 	}
@@ -266,7 +266,7 @@ func TestConcurrentIngestAndCount(t *testing.T) {
 					t.Error("repin failed")
 					return
 				}
-				svc.dropStalePreps()
+				svc.dropStale()
 			} else {
 				if _, err := svc.Ingest("items", "csv", strings.NewReader(itemsCSV(200+i*3, 3))); err != nil {
 					t.Error(err)

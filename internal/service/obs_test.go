@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // spanNames flattens a span tree into name -> occurrence count.
@@ -202,7 +203,7 @@ func TestStatsLatencyBuckets(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		Metrics MetricsSnapshot `json:"metrics"`
+		Metrics statsMetrics `json:"metrics"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -508,15 +509,7 @@ func TestCoordinatorStitchedTrace(t *testing.T) {
 func TestWorkerTraceparentRoundTrip(t *testing.T) {
 	const n = 100
 	_, srv := newWorkerServer(t, testTable(n, 7))
-	reqBody := ShardRequest{
-		SQL:    skybandQuery,
-		Params: map[string]any{"k": float64(10)},
-		Method: "srs",
-		Budget: 0.25,
-		Op:     "meta",
-		Shard:  ShardRef{Index: 0, Count: 2},
-	}
-	body, _ := json.Marshal(&reqBody)
+	body, _ := json.Marshal(shardReq(shard.OpMeta, 0, 2))
 
 	post := func(traceparent string) *ShardResponse {
 		t.Helper()

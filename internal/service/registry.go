@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -132,26 +134,53 @@ func (r *Registry) List() []DatasetInfo {
 	return out
 }
 
-// Resolve looks up every named table under one lock acquisition, returning
-// a consistent snapshot and a canonical "name@version,…" string for cache
-// keys.
-func (r *Registry) Resolve(names []string) (map[string]*lsample.Table, string, error) {
+// Pin is one consistent resolution of the tables a query references: the
+// snapshots to execute against, their version vector (what every store
+// tags its entries with), and the vector's canonical "name@version,…" form
+// (what store keys, the admission queues and the shard version fence carry).
+type Pin struct {
+	Tables   map[string]*lsample.Table
+	Vector   map[string]uint64
+	Versions string
+}
+
+// Resolve pins every named table under one lock acquisition.
+func (r *Registry) Resolve(names []string) (Pin, error) {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	snap := make(map[string]*lsample.Table, len(sorted))
-	ver := ""
+	p := Pin{
+		Tables: make(map[string]*lsample.Table, len(sorted)),
+		Vector: make(map[string]uint64, len(sorted)),
+	}
+	var ver strings.Builder
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for i, name := range sorted {
 		e, ok := r.tables[name]
 		if !ok {
-			return nil, "", fmt.Errorf("%w: unknown dataset %q", ErrBadRequest, name)
+			return Pin{}, fmt.Errorf("%w: unknown dataset %q", ErrBadRequest, name)
 		}
 		if i > 0 {
-			ver += ","
+			ver.WriteByte(',')
 		}
-		ver += fmt.Sprintf("%s@%d", name, e.version)
-		snap[name] = e.t
+		ver.WriteString(name)
+		ver.WriteByte('@')
+		ver.WriteString(strconv.FormatUint(e.version, 10))
+		p.Tables[name], p.Vector[name] = e.t, e.version
 	}
-	return snap, ver, nil
+	p.Versions = ver.String()
+	return p, nil
+}
+
+// Serves reports whether every table of a version vector is still the one
+// the registry serves — false once any of them was replaced or re-pinned.
+func (r *Registry) Serves(vector map[string]uint64) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for name, v := range vector {
+		if e, ok := r.tables[name]; !ok || e.version != v {
+			return false
+		}
+	}
+	return true
 }

@@ -1,16 +1,19 @@
 // Package service is the serving layer over the public lsample SDK: a
-// thread-safe dataset registry, a fingerprint-keyed result cache, a
-// prepared-query cache, and admission control for concurrent requests. The
-// HTTP front end lives in http.go and is exposed by cmd/lsserve.
+// thread-safe dataset registry, result / prepared-query / shard-executor
+// caches, and admission control for concurrent requests. The HTTP front
+// end lives in http.go and is exposed by cmd/lsserve.
 //
 // The estimation pipeline itself — parsing, the §2 decomposition, automatic
 // feature selection, and the paper's methods — lives in repro/lsample; the
-// service's job is multi-tenant concerns. Each request resolves a versioned
-// snapshot of the tables it references, reuses (or prepares) a
-// lsample.PreparedQuery bound to that snapshot, and executes it with the
-// request's knobs. Results are deterministic in (dataset versions, query
-// fingerprint, knobs, seed), which makes the cache semantically lossless
-// and lets concurrent clients verify bit-identical answers.
+// service's job is multi-tenant concerns, and it states each of them once:
+// one resolver turns a request into a plan (plan.go: normalized knobs,
+// query shape, pinned snapshots, the key every cache uses), one versioned
+// store type holds everything cached (store.go), one metrics registry is
+// rendered as both /metrics and /v1/stats (meters.go), and the shard-op
+// protocol lives whole in internal/shard. Results are deterministic in
+// (dataset versions, query fingerprint, knobs, seed), which makes the
+// result cache semantically lossless and lets concurrent clients verify
+// bit-identical answers.
 //
 // Concurrency model: registered tables are immutable, each request executes
 // against an immutable prepared snapshot, and per-dataset admission queues
@@ -27,15 +30,13 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -136,36 +137,39 @@ func (o Options) withDefaults() Options {
 // the SDK's estimation pipeline.
 type Service struct {
 	Registry *Registry
-	Metrics  *Metrics
 	opts     Options
-	cache    *resultCache
 	admit    *admitter
 	scans    *scanCoalescer
 	degSem   chan struct{} // dedicated slot(s) for budget-degraded answers
 
+	// The three caches, one store type (store.go), all keyed by plan.key:
+	// counted results (LRU + TTL); prepared queries, which hold the parsed
+	// AST, the §2 decomposition and — after their first feature-using
+	// execution — the O(N) key index and feature matrix; and the worker
+	// role's per-(plan, shard) executors, closed on eviction.
+	results *store[*CountResult]
+	preps   *store[*lsample.PreparedQuery]
+	execs   *store[*lsample.ShardExec]
+	// shardLayout is the last served shard count; a change evicts the old
+	// layout's executors (see shardExec).
+	shardLayout atomic.Int64
+
+	// flights coalesces concurrent identical requests onto one estimation.
 	flightMu sync.Mutex
 	flights  map[string]*flight
-
-	prepMu sync.Mutex
-	preps  map[string]*lsample.PreparedQuery
-
-	// shardExecs caches per-(query, knobs, shard) executors for the
-	// /v1/shard worker endpoint; see shardapi.go.
-	shardMu     sync.Mutex
-	shardExecs  map[string]*shardExecEntry
-	shardSeq    uint64
-	shardLayout int // last served shard count; a change evicts the old layout
 
 	// catalog is the shared cross-query reuse catalog every prepared
 	// session executes through; nil when Options.CatalogBytes < 0.
 	catalog *lsample.Catalog
 
 	// tracer records request traces (see internal/obs); logger emits
-	// structured JSON lines; prom is the /metrics registry over both plus
-	// the Metrics atomics. started anchors the shutdown uptime summary.
+	// structured JSON lines; metrics is the one registry behind /metrics
+	// and /v1/stats, m the handles into it. started anchors the shutdown
+	// uptime summary.
 	tracer  *obs.Tracer
 	logger  *obs.Logger
-	prom    *obs.Registry
+	metrics *obs.Registry
+	m       *meters
 	started time.Time
 
 	// ingestApply overrides how Ingest applies a delta to a live table; nil
@@ -182,28 +186,32 @@ type flight struct {
 	err  error
 }
 
+// Store capacities that are not options: prepared queries are per (data
+// version, query shape); each shard executor pins one population slice plus
+// its feature rows.
+const (
+	maxPrepared   = 64
+	maxShardExecs = 32
+)
+
 // New returns a Service over reg with the given options.
 func New(reg *Registry, opts Options) *Service {
 	o := opts.withDefaults()
-	var cat *lsample.Catalog
-	if o.CatalogBytes >= 0 {
-		cat = lsample.NewCatalog(o.CatalogBytes)
-	}
-	m := &Metrics{}
 	s := &Service{
-		Registry:   reg,
-		Metrics:    m,
-		opts:       o,
-		cache:      newResultCache(o.CacheSize, o.CacheTTL),
-		admit:      newAdmitter(o.MaxInFlight, o.MaxPerDataset, o.MaxQueuePerDataset),
-		scans:      newScanCoalescer(m),
-		degSem:     make(chan struct{}, 1),
-		flights:    make(map[string]*flight),
-		preps:      make(map[string]*lsample.PreparedQuery),
-		shardExecs: make(map[string]*shardExecEntry),
-		catalog:    cat,
-		logger:     o.Logger,
-		started:    time.Now(),
+		Registry: reg,
+		opts:     o,
+		admit:    newAdmitter(o.MaxInFlight, o.MaxPerDataset, o.MaxQueuePerDataset),
+		degSem:   make(chan struct{}, 1),
+		results:  newStore[*CountResult](o.CacheSize, o.CacheTTL, nil),
+		preps:    newStore[*lsample.PreparedQuery](maxPrepared, 0, nil),
+		execs:    newStore(maxShardExecs, 0, (*lsample.ShardExec).Close),
+		flights:  make(map[string]*flight),
+		logger:   o.Logger,
+		metrics:  obs.NewRegistry(),
+		started:  time.Now(),
+	}
+	if o.CatalogBytes >= 0 {
+		s.catalog = lsample.NewCatalog(o.CatalogBytes)
 	}
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:    o.TraceSample,
@@ -211,7 +219,9 @@ func New(reg *Registry, opts Options) *Service {
 		SlowQuery: o.SlowQuery,
 		Logger:    o.Logger,
 	})
-	s.prom = s.newPromRegistry()
+	s.m = newMeters(s.metrics)
+	s.registerGauges(s.metrics)
+	s.scans = newScanCoalescer(s.m)
 	return s
 }
 
@@ -333,9 +343,9 @@ func (s *Service) Count(req *CountRequest) (*CountResult, error) {
 // has already been admitted. A canceled leader's partial work is discarded;
 // coalesced waiters retry on their own admission budget.
 func (s *Service) CountCtx(ctx context.Context, req *CountRequest) (*CountResult, error) {
-	s.Metrics.Requests.Add(1)
+	s.m.requests.Inc()
 	t0 := time.Now()
-	defer func() { s.Metrics.Latency.Record(time.Since(t0)) }()
+	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 	ctx, span := s.tracer.StartRequest(ctx, "count", req.Explain)
 	res, err := func() (r *CountResult, e error) {
 		// A data-dependent evaluation failure deep inside an estimation
@@ -353,9 +363,9 @@ func (s *Service) CountCtx(ctx context.Context, req *CountRequest) (*CountResult
 	}()
 	if err != nil {
 		if errors.Is(err, ErrBusy) {
-			s.Metrics.Rejected.Add(1)
+			s.m.rejected.Inc()
 		} else {
-			s.Metrics.Errors.Add(1)
+			s.m.errors.Inc()
 		}
 		span.Set("error", err.Error())
 	} else if res != nil {
@@ -377,76 +387,27 @@ func (s *Service) CountCtx(ctx context.Context, req *CountRequest) (*CountResult
 }
 
 func (s *Service) count(ctx context.Context, req *CountRequest) (*CountResult, error) {
-	if req.SQL == "" {
-		return nil, badf("missing sql")
-	}
-	method := req.Method
-	if method == "" {
-		method = s.opts.DefaultMethod
-	}
-	budgetFrac := req.Budget
-	if budgetFrac == 0 {
-		budgetFrac = s.opts.DefaultBudget
-	}
-	if !(budgetFrac > 0 && budgetFrac <= 1) { // NaN fails both comparisons
-		return nil, badf("budget %v outside (0, 1]", budgetFrac)
-	}
-	if req.Shards < 0 {
-		return nil, badf("shards %d < 0", req.Shards)
-	}
-
-	// Normalize the knobs that have defaults, so a request spelling them
-	// out shares a cache entry with one that omits them — and reject
-	// unknown names before any per-object work.
-	clfName := req.Classifier
-	if clfName == "" {
-		clfName = "rf"
-	}
-	strata := req.Strata
-	if strata <= 0 {
-		strata = 4
-	}
-	iv, err := lsample.ParseInterval(req.Interval)
-	if err != nil {
-		return nil, mapSDKErr(err)
-	}
-	execOpts, err := s.execOptions(method, clfName, strata, iv, budgetFrac, req)
-	if err != nil {
-		return nil, mapSDKErr(err)
-	}
-
-	// Identify the query and its data for the caches: the canonical
-	// parameter-free fingerprint, a deterministic encoding of the bound
-	// parameters (encoding/json sorts map keys), and the versions of every
-	// table referenced — including subquery-only ones.
-	fp0, tables, err := lsample.QueryShape(req.SQL)
-	if err != nil {
-		return nil, mapSDKErr(err)
-	}
-	paramsJSON, err := json.Marshal(req.Params)
-	if err != nil {
-		return nil, badf("parameters are not encodable: %v", err)
-	}
-	snap, versions, err := s.Registry.Resolve(tables)
+	p, err := s.resolve(req)
 	if err != nil {
 		return nil, err
 	}
-
-	key := fmt.Sprintf("%s|%s|%s|%s|%s|%d|%s|%g|%d|%t|s%d",
-		versions, fp0, paramsJSON, method, clfName, strata, iv, budgetFrac, req.Seed, req.Exact, req.Shards)
+	key := p.key(p.resultScope())
 	// Every admission attempt this request makes — as leader now or after
 	// retrying a failed leader — draws from one QueueTimeout budget, so
 	// coalescing can neither reject a request before its own window ends
 	// nor let retries stack into multiples of it.
 	admitDeadline := time.Now().Add(s.opts.QueueTimeout)
 
+	hit := func(v *CountResult) (*CountResult, error) {
+		s.m.cacheHits.Inc()
+		out := *v // shallow copy; cached fields are read-only
+		out.Cached = true
+		return &out, nil
+	}
 	var fl *flight
-	if !req.NoCache {
-		if v, ok := s.cache.get(key); ok {
-			s.Metrics.CacheHits.Add(1)
-			out := *v // shallow copy; cached fields are read-only
-			out.Cached = true
-			return &out, nil
+	if !p.NoCache {
+		if v, ok := s.results.get(key); ok {
+			return hit(v)
 		}
 		// Coalesce concurrent identical requests onto one estimation: a
 		// cold cache plus many clients must not run the same work
@@ -472,26 +433,20 @@ func (s *Service) count(ctx context.Context, req *CountRequest) (*CountResult, e
 					}
 					return nil, other.err
 				}
-				s.Metrics.CacheHits.Add(1)
-				out := *other.res
-				out.Cached = true
-				return &out, nil
+				return hit(other.res)
 			}
 			// Re-check the cache before becoming leader: a flight that
 			// finished between our miss and here puts its result before
 			// deregistering, so a miss under flightMu is authoritative.
-			if v, ok := s.cache.get(key); ok {
+			if v, ok := s.results.get(key); ok {
 				s.flightMu.Unlock()
-				s.Metrics.CacheHits.Add(1)
-				out := *v
-				out.Cached = true
-				return &out, nil
+				return hit(v)
 			}
 			fl = &flight{done: make(chan struct{})}
 			s.flights[key] = fl
 			s.flightMu.Unlock()
 		}
-		s.Metrics.CacheMisses.Add(1)
+		s.m.cacheMisses.Inc()
 		defer func() {
 			if fl.res == nil && fl.err == nil {
 				// Reached only if the estimation panicked; don't strand
@@ -508,32 +463,16 @@ func (s *Service) count(ctx context.Context, req *CountRequest) (*CountResult, e
 	res, err := func() (*CountResult, error) {
 		// Admission: at most MaxInFlight estimations run concurrently, at
 		// most MaxPerDataset of them against this request's dataset.
-		_, wsp := obs.StartSpan(ctx, "admission.wait")
-		wsp.Set("dataset", versions)
-		aerr := s.admit.acquire(ctx, versions, admitDeadline)
-		if aerr != nil {
-			wsp.Set("error", aerr.Error())
-		}
-		wsp.End()
+		release, aerr := s.admitted(ctx, p.Versions, admitDeadline)
 		if aerr != nil {
 			return nil, aerr
 		}
-		defer s.admit.release(versions)
-
-		t0 := time.Now()
-		res, err := s.estimate(ctx, req, versions, fp0, snap, iv, execOpts)
-		if err != nil {
-			return nil, err
+		defer release()
+		res, err := s.estimate(ctx, p)
+		if err == nil && !p.NoCache {
+			s.results.put(key, p.Vector, res)
 		}
-		res.DurationMS = float64(time.Since(t0)) / 1e6
-		s.Metrics.EstimatesRun.Add(1)
-		s.Metrics.EstimateNanos.Add(int64(time.Since(t0)))
-		s.Metrics.PredicateEvals.Add(res.Evals)
-		s.Metrics.PredicateNanos.Add(int64(res.PredicateMS * 1e6))
-		if !req.NoCache {
-			s.cache.put(key, res)
-		}
-		return res, nil
+		return res, err
 	}()
 	if fl != nil {
 		fl.res, fl.err = res, err
@@ -542,12 +481,28 @@ func (s *Service) count(ctx context.Context, req *CountRequest) (*CountResult, e
 	// ErrBusy (coalesced waiters retry on their own budgets), but this
 	// client asked for a degraded answer over a 503.
 	if err != nil && errors.Is(err, ErrBusy) && req.Degrade {
-		if dres, derr := s.degraded(ctx, req, versions, fp0, snap, iv); derr == nil {
-			s.Metrics.Degraded.Add(1)
+		if dres, derr := s.degraded(ctx, p, req.Budget); derr == nil {
+			s.m.degraded.Inc()
 			return dres, nil
 		}
 	}
 	return res, err
+}
+
+// admitted waits for an admission slot on the dataset queue named by
+// versions — until deadline when it is set, until ctx ends otherwise — and
+// returns the function that gives the slot back.
+func (s *Service) admitted(ctx context.Context, versions string, deadline time.Time) (release func(), err error) {
+	_, wsp := obs.StartSpan(ctx, "admission.wait")
+	wsp.Set("dataset", versions)
+	if err = s.admit.acquire(ctx, versions, deadline); err != nil {
+		wsp.Set("error", err.Error())
+	}
+	wsp.End()
+	if err != nil {
+		return nil, err
+	}
+	return func() { s.admit.release(versions) }, nil
 }
 
 // degradedBudget caps the labeling budget of a budget-degraded answer.
@@ -563,9 +518,7 @@ const degradedWait = 100 * time.Millisecond
 // of a 503) under a dedicated single-slot semaphore that keeps degraded
 // service available while the main admission queues are saturated. The
 // answer skips the exact pass, is marked Degraded, and is never cached.
-func (s *Service) degraded(ctx context.Context, req *CountRequest, versions, fp0 string,
-	snap map[string]*lsample.Table, iv lsample.Interval) (*CountResult, error) {
-
+func (s *Service) degraded(ctx context.Context, p *plan, asked float64) (*CountResult, error) {
 	select {
 	case s.degSem <- struct{}{}:
 		defer func() { <-s.degSem }()
@@ -574,90 +527,58 @@ func (s *Service) degraded(ctx context.Context, req *CountRequest, versions, fp0
 	case <-ctx.Done():
 		return nil, fmt.Errorf("service: %w", ctx.Err())
 	}
-	budget := degradedBudget
-	if req.Budget > 0 && req.Budget < budget {
-		budget = req.Budget
+	// The request's own plan, cut down: same query, data, interval and
+	// seed; a tiny srs sample, one core, no exact pass, no in-process
+	// sharding, and always through the reuse catalog.
+	d := *p
+	d.Method, d.Budget = "srs", degradedBudget
+	if asked > 0 && asked < d.Budget {
+		d.Budget = asked
 	}
-	opts := []lsample.Option{
-		lsample.WithMethod("srs"),
-		lsample.WithBudget(budget),
-		lsample.WithInterval(iv),
-		lsample.WithSeed(req.Seed),
-		lsample.WithParallelism(1),
-	}
-	dreq := *req
-	dreq.Exact = false
-	dreq.Shards = 0
-	t0 := time.Now()
-	res, err := s.estimate(ctx, &dreq, versions, fp0, snap, iv, opts)
+	d.parallelism, d.Exact, d.Shards, d.NoCache = 1, false, 0, false
+	res, err := s.estimate(ctx, &d)
 	if err != nil {
 		return nil, err
 	}
-	res.DurationMS = float64(time.Since(t0)) / 1e6
 	res.Degraded = true
-	s.Metrics.EstimatesRun.Add(1)
-	s.Metrics.EstimateNanos.Add(int64(time.Since(t0)))
-	s.Metrics.PredicateEvals.Add(res.Evals)
-	s.Metrics.PredicateNanos.Add(int64(res.PredicateMS * 1e6))
 	return res, nil
 }
 
-// execOptions translates normalized request knobs into SDK options,
-// validating names eagerly (before admission).
-func (s *Service) execOptions(method, clfName string, strata int, iv lsample.Interval,
-	budgetFrac float64, req *CountRequest) ([]lsample.Option, error) {
-
-	opts := []lsample.Option{
-		lsample.WithMethod(method),
-		lsample.WithClassifier(clfName),
-		lsample.WithStrata(strata),
-		lsample.WithInterval(iv),
-		lsample.WithBudget(budgetFrac),
-		lsample.WithSeed(req.Seed),
-		lsample.WithParallelism(s.opts.Parallelism),
-		lsample.WithExact(req.Exact),
-		// Concurrent exact passes over the same snapshot coalesce into one
-		// shared scan; non-exact requests never consult the coalescer.
-		lsample.WithScanCoalescer(s.scans),
-	}
-	if req.Shards > 0 {
-		opts = append(opts, lsample.WithShards(req.Shards))
-	}
-	// NoCache promises a full recomputation, so it bypasses the reuse
-	// catalog too — concurrent no-cache clients verifying bit-identical
-	// answers must all pay (and report) the same full evaluation bill.
-	if req.NoCache {
-		opts = append(opts, lsample.WithCatalog(nil))
-	}
-	// Applying the options to a throwaway estimator surfaces unknown
-	// method/classifier names now, so bad requests never occupy an
-	// admission slot.
-	if _, err := lsample.NewEstimator(opts...); err != nil {
-		return nil, err
-	}
-	return opts, nil
-}
-
 // estimate runs the uncached path: reuse (or prepare) the query against the
-// resolved snapshot and execute it through the SDK.
-func (s *Service) estimate(ctx context.Context, req *CountRequest, versions, fp0 string,
-	snap map[string]*lsample.Table, iv lsample.Interval, opts []lsample.Option) (*CountResult, error) {
-
-	_, psp := obs.StartSpan(ctx, "prepare")
-	prep, err := s.prepared(versions, fp0, req.SQL, snap)
-	psp.End()
+// plan's snapshot and execute it through the SDK.
+func (s *Service) estimate(ctx context.Context, p *plan) (*CountResult, error) {
+	t0 := time.Now()
+	out, err := s.execute(ctx, p)
 	if err != nil {
 		return nil, mapSDKErr(err)
 	}
+	took := time.Since(t0)
+	out.Interval, out.Shards = p.Interval, p.Shards
+	out.DurationMS = float64(took) / 1e6
+	s.m.estimatesRun.Inc()
+	s.m.estimateBusy.Add(took)
+	s.m.predicateEvals.Add(out.Evals)
+	s.m.predicateBusy.Add(time.Duration(out.PredicateMS * 1e6))
+	return out, nil
+}
+
+// execute shapes the SDK's plain or grouped estimate into a CountResult.
+func (s *Service) execute(ctx context.Context, p *plan) (*CountResult, error) {
+	_, psp := obs.StartSpan(ctx, "prepare")
+	prep, err := s.prepared(p)
+	psp.End()
+	if err != nil {
+		return nil, err
+	}
+	opts := p.options()
 	if prep.IsGrouped() {
-		ge, err := prep.ExecuteGroups(ctx, req.Params, opts...)
+		ge, err := prep.ExecuteGroups(ctx, p.Params, opts...)
 		if err != nil {
-			return nil, mapSDKErr(err)
+			return nil, err
 		}
 		out := &CountResult{
 			Fingerprint: ge.Fingerprint,
 			Method:      ge.Method,
-			Interval:    iv.String(),
 			Objects:     ge.Objects,
 			Budget:      ge.Budget,
 			Estimate:    ge.Total,
@@ -669,7 +590,6 @@ func (s *Service) estimate(ctx context.Context, req *CountRequest, versions, fp0
 			PredicateMS: float64(ge.Timings.Predicate) / 1e6,
 			Compiled:    ge.Labeling.Compiled,
 			Reuse:       lsample.ReuseNone, // grouped plans are outside the catalog's contract
-			Shards:      req.Shards,
 		}
 		trueTotal := 0
 		for i, g := range ge.Groups {
@@ -692,19 +612,18 @@ func (s *Service) estimate(ctx context.Context, req *CountRequest, versions, fp0
 		}
 		// Under exact the top-level true count is the per-group sum, so
 		// grouped and plain responses expose the same field.
-		if req.Exact && len(ge.Groups) > 0 {
+		if p.Exact && len(ge.Groups) > 0 {
 			out.TrueCount = &trueTotal
 		}
 		return out, nil
 	}
-	est, err := prep.Execute(ctx, req.Params, opts...)
+	est, err := prep.Execute(ctx, p.Params, opts...)
 	if err != nil {
-		return nil, mapSDKErr(err)
+		return nil, err
 	}
 	out := &CountResult{
 		Fingerprint: est.Fingerprint,
 		Method:      est.Method,
-		Interval:    iv.String(),
 		Objects:     est.Objects,
 		Budget:      est.Budget,
 		Estimate:    est.Count,
@@ -716,7 +635,6 @@ func (s *Service) estimate(ctx context.Context, req *CountRequest, versions, fp0
 		PredicateMS: float64(est.Timings.Predicate) / 1e6,
 		Compiled:    est.Labeling.Compiled,
 		Reuse:       est.Reuse,
-		Shards:      req.Shards,
 	}
 	if out.Reuse == "" {
 		out.Reuse = lsample.ReuseNone // classic path: no catalog in play
@@ -727,22 +645,17 @@ func (s *Service) estimate(ctx context.Context, req *CountRequest, versions, fp0
 	return out, nil
 }
 
-// prepared returns the cached PreparedQuery for (dataset versions, query
-// fingerprint), preparing it against the resolved snapshot on first use.
-// Prepared queries hold the parsed AST, the §2 decomposition, and — after
-// their first feature-using execution — the O(N) key index and feature
-// matrix, so repeated requests over the same data skip all of that work.
-func (s *Service) prepared(versions, fp0, sqlText string, snap map[string]*lsample.Table) (*lsample.PreparedQuery, error) {
-	prepKey := versions + "|" + fp0
-	s.prepMu.Lock()
-	prep, ok := s.preps[prepKey]
-	s.prepMu.Unlock()
-	if ok {
+// prepared returns the cached PreparedQuery for the plan's (dataset
+// versions, query shape), preparing it against the pinned snapshot on first
+// use, so repeated requests over the same data skip parsing, decomposition
+// and feature building.
+func (s *Service) prepared(p *plan) (*lsample.PreparedQuery, error) {
+	key := p.key("")
+	if prep, ok := s.preps.get(key); ok {
 		return prep, nil
 	}
-
-	tables := make([]*lsample.Table, 0, len(snap))
-	for _, t := range snap {
+	tables := make([]*lsample.Table, 0, len(p.Tables))
+	for _, t := range p.Tables {
 		tables = append(tables, t)
 	}
 	sess, err := lsample.NewSession(lsample.NewMemorySource(tables...),
@@ -750,81 +663,29 @@ func (s *Service) prepared(versions, fp0, sqlText string, snap map[string]*lsamp
 	if err != nil {
 		return nil, err
 	}
-	prep, err = sess.Prepare(sqlText)
+	prep, err := sess.Prepare(p.SQL)
 	if err != nil {
 		return nil, err
 	}
-
-	s.prepMu.Lock()
-	if cur, ok := s.preps[prepKey]; ok {
-		// A concurrent request prepared the same key; share its feature
-		// memoization instead of keeping two.
-		prep = cur
-	} else {
-		// Drop entries pinning table snapshots the registry has since
-		// replaced (their versioned keys can never be requested again), and
-		// bound the map crudely — entries are per (data version, query).
-		s.dropStalePrepsLocked()
-		if len(s.preps) >= 64 {
-			clear(s.preps)
-		}
-		s.preps[prepKey] = prep
-	}
-	s.prepMu.Unlock()
-	return prep, nil
+	// Make room by dropping what can never be requested again before the
+	// LRU has to evict something live. A concurrent request that prepared
+	// the same key first wins; share its feature memoization.
+	s.preps.dropStale(s.Registry.Serves)
+	return s.preps.put(key, p.Vector, prep), nil
 }
 
-// dropStalePreps evicts prepared queries whose keys reference dataset
-// versions the registry no longer serves. It runs on every registration and
-// ingest (not just lazily inside prepared), so superseded snapshots are
-// released as soon as they are superseded — the registry's memory footprint
-// stays proportional to the live version set, not the update history. The
-// same hook evicts reuse-catalog entries keyed to superseded snapshots, so
-// a live Repin or re-registration can never leave a stale catalog entry
-// serving an old data version.
-func (s *Service) dropStalePreps() {
-	s.prepMu.Lock()
-	s.dropStalePrepsLocked()
-	s.prepMu.Unlock()
-	s.dropStaleShardExecs()
+// dropStale evicts, from every store and the reuse catalog, what was built
+// against dataset versions the registry no longer serves. It runs on every
+// registration and ingest (not just lazily inside prepared), so superseded
+// snapshots are released as soon as they are superseded — the service's
+// memory footprint stays proportional to the live version set, not the
+// update history — and a live Repin or re-registration can never leave a
+// stale catalog entry serving an old data version.
+func (s *Service) dropStale() {
+	s.results.dropStale(s.Registry.Serves)
+	s.preps.dropStale(s.Registry.Serves)
+	s.execs.dropStale(s.Registry.Serves)
 	if s.catalog != nil {
 		s.catalog.EvictStale(s.Registry.Current())
 	}
-}
-
-func (s *Service) dropStalePrepsLocked() {
-	for k := range s.preps {
-		if s.stalePrep(k) {
-			delete(s.preps, k)
-		}
-	}
-}
-
-// retainedPrepSnapshots reports how many prepared-query entries (each
-// pinning one consistent set of table snapshots) the service currently
-// retains; tests bound it under repeated re-registration.
-func (s *Service) retainedPrepSnapshots() int {
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	return len(s.preps)
-}
-
-// stalePrep reports whether a prepared-query key references any table
-// version the registry no longer serves.
-func (s *Service) stalePrep(key string) bool {
-	versions, _, ok := strings.Cut(key, "|")
-	if !ok {
-		return true
-	}
-	for _, part := range strings.Split(versions, ",") {
-		name, ver, ok := strings.Cut(part, "@")
-		if !ok {
-			return true
-		}
-		_, cur, found := s.Registry.Get(name)
-		if !found || strconv.FormatUint(cur, 10) != ver {
-			return true
-		}
-	}
-	return false
 }

@@ -1,13 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/xrand"
 	"repro/lsample"
 )
@@ -170,10 +175,10 @@ func TestCountDeterministicUnderConcurrency(t *testing.T) {
 				i+1, r.Estimate, r.CILo, r.CIHi, r.Evals, ref.Estimate, ref.CILo, ref.CIHi, ref.Evals)
 		}
 	}
-	if hits := svc.Metrics.CacheHits.Load(); hits != 0 {
+	if hits := svc.m.cacheHits.Value(); hits != 0 {
 		t.Errorf("no_cache requests recorded %d cache hits", hits)
 	}
-	if misses := svc.Metrics.CacheMisses.Load(); misses != 0 {
+	if misses := svc.m.cacheMisses.Value(); misses != 0 {
 		t.Errorf("no_cache requests recorded %d cache misses without consulting the cache", misses)
 	}
 }
@@ -211,7 +216,7 @@ func TestCountCacheHitAndInvalidation(t *testing.T) {
 	if second.Estimate != first.Estimate {
 		t.Errorf("cached estimate %v != original %v", second.Estimate, first.Estimate)
 	}
-	if hits := svc.Metrics.CacheHits.Load(); hits != 1 {
+	if hits := svc.m.cacheHits.Value(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
 	}
 
@@ -264,7 +269,7 @@ func TestCountCoalescesConcurrentIdenticalRequests(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	if runs := svc.Metrics.EstimatesRun.Load(); runs != 1 {
+	if runs := svc.m.estimatesRun.Value(); runs != 1 {
 		t.Errorf("estimates_run = %d, want 1 (coalesced)", runs)
 	}
 	for i, r := range results[1:] {
@@ -413,9 +418,7 @@ func TestPreparedQueryReusedAcrossRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.prepMu.Lock()
-	n := len(svc.preps)
-	svc.prepMu.Unlock()
+	n := svc.preps.len()
 	if n != 1 {
 		t.Errorf("prepared queries = %d, want 1 shared across requests on the same data", n)
 	}
@@ -428,9 +431,7 @@ func TestPreparedQueryReusedAcrossRequests(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	svc.prepMu.Lock()
-	n = len(svc.preps)
-	svc.prepMu.Unlock()
+	n = svc.preps.len()
 	if n != 1 {
 		t.Errorf("prepared queries after re-register = %d, want 1 (stale entry evicted)", n)
 	}
@@ -447,7 +448,7 @@ func TestCountAdmissionControl(t *testing.T) {
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("err = %v, want ErrBusy", err)
 	}
-	if rej := svc.Metrics.Rejected.Load(); rej != 1 {
+	if rej := svc.m.rejected.Value(); rej != 1 {
 		t.Errorf("rejected = %d, want 1", rej)
 	}
 	release()
@@ -475,7 +476,7 @@ func TestCountBadRequests(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
 		}
 	}
-	if errs := svc.Metrics.Errors.Load(); errs != int64(len(cases)) {
+	if errs := svc.m.errors.Value(); errs != int64(len(cases)) {
 		t.Errorf("error counter = %d, want %d", errs, len(cases))
 	}
 }
@@ -569,50 +570,25 @@ func TestCountGroupKeyNotUnique(t *testing.T) {
 	}
 }
 
-func TestResultCacheLRUAndTTL(t *testing.T) {
-	c := newResultCache(2, time.Minute)
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	mk := func(v float64) *CountResult { return &CountResult{Estimate: v} }
-
-	c.put("a", mk(1))
-	c.put("b", mk(2))
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	c.put("c", mk(3)) // evicts b (a was just touched)
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted as LRU")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should survive eviction")
-	}
-
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.get("a"); ok {
-		t.Error("a should have expired")
-	}
-	if c.len() > 1 {
-		t.Errorf("expired entry not pruned, len=%d", c.len())
-	}
-}
-
 func TestRegistryResolveVersions(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(testTable(5, 1))
-	_, v1, err := reg.Resolve([]string{"D"})
+	p1, err := reg.Resolve([]string{"D"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg.Register(testTable(5, 2))
-	_, v2, err := reg.Resolve([]string{"D"})
+	p2, err := reg.Resolve([]string{"D"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 == v2 {
-		t.Errorf("version string unchanged after re-register: %s", v1)
+	if p1.Versions == p2.Versions {
+		t.Errorf("version string unchanged after re-register: %s", p1.Versions)
 	}
-	if _, _, err := reg.Resolve([]string{"D", "E"}); !errors.Is(err, ErrBadRequest) {
+	if reg.Serves(p1.Vector) || !reg.Serves(p2.Vector) {
+		t.Errorf("Serves(old, new) = %t, %t; want false, true", reg.Serves(p1.Vector), reg.Serves(p2.Vector))
+	}
+	if _, err := reg.Resolve([]string{"D", "E"}); !errors.Is(err, ErrBadRequest) {
 		t.Error("unknown table should be a bad request")
 	}
 }
@@ -639,7 +615,7 @@ func BenchmarkServeCount(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			base := svc.Metrics.PredicateEvals.Load()
+			base := svc.m.predicateEvals.Value()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !cached {
@@ -649,7 +625,56 @@ func BenchmarkServeCount(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(svc.Metrics.PredicateEvals.Load()-base)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(svc.m.predicateEvals.Value()-base)/float64(b.N), "evals/op")
 		})
+	}
+}
+
+// TestCountContainsLabelingPoolPanic: a data-dependent panic inside the
+// compiled predicate at Parallelism > 1 happens on a labeling-pool worker
+// goroutine. The pool re-raises it on the request goroutine, where the
+// request-level recover turns it into a 500 — it used to kill the process.
+func TestCountContainsLabelingPoolPanic(t *testing.T) {
+	tb, err := lsample.NewTable("D", "id:int,x:float,y:float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		y := float64(i%7 + 1)
+		if i == 5 {
+			y = 0 // a non-first row divides by zero
+		}
+		if err := tb.AppendRow(int64(i), float64(i), y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := NewRegistry()
+	reg.Register(tb)
+	var logs bytes.Buffer
+	svc := New(reg, Options{Parallelism: 4, Logger: obs.NewLogger(&logs)})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	req := &CountRequest{
+		// HAVING runs per object group, so construction-time validation of
+		// object 0 never sees row 5's divisor.
+		SQL: `SELECT o1.id FROM D o1, D o2 WHERE o2.x >= o1.x
+			GROUP BY o1.id HAVING COUNT(*) / MIN(o1.y) < k`,
+		Params:  map[string]any{"k": 8},
+		Method:  "oracle",
+		NoCache: true, // the classic path: no hash-plan scatter to recover it first
+	}
+	if _, err := svc.CountCtx(context.Background(), req); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("CountCtx err = %v, want the contained division by zero", err)
+	}
+	resp, payload := postJSON(t, ts.URL+"/v1/count", req)
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(payload, []byte(`"internal"`)) {
+		t.Fatalf("status %d body %s, want 500 internal", resp.StatusCode, payload)
+	}
+	if !strings.Contains(logs.String(), "panic serving count request") {
+		t.Error("the contained panic was not logged")
+	}
+	if svc.m.errors.Value() != 2 || svc.admit.inflight() != 0 {
+		t.Errorf("errors = %d, inflight = %d after two contained panics; want 2, 0", svc.m.errors.Value(), svc.admit.inflight())
 	}
 }

@@ -15,8 +15,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/shard"
 	"repro/lsample"
 )
+
+// shardReq is the skyband test query as one shard op, the way a coordinator
+// would send it.
+func shardReq(op string, idx, count int) *ShardRequest {
+	return &ShardRequest{
+		CountRequest: CountRequest{
+			SQL:    skybandQuery,
+			Params: map[string]any{"k": float64(10)},
+			Method: "srs",
+			Budget: 0.25,
+			Seed:   3,
+		},
+		Op:    op,
+		Shard: shard.Spec{Index: idx, Count: count},
+	}
+}
 
 // newWorkerServer starts one worker process: a Service over its own copy
 // of the given tables, exposed over HTTP.
@@ -53,17 +70,7 @@ func postShard(t *testing.T, srv *httptest.Server, req *ShardRequest) (*http.Res
 func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 	const n = 100
 	_, srv := newWorkerServer(t, testTable(n, 7))
-	base := ShardRequest{
-		SQL:    skybandQuery,
-		Params: map[string]any{"k": float64(10)},
-		Method: "srs",
-		Budget: 0.25,
-		Seed:   3,
-		Shard:  ShardRef{Index: 0, Count: 4},
-	}
-
-	meta := base
-	meta.Op = "meta"
+	meta := *shardReq(shard.OpMeta, 0, 4)
 	resp, payload := postShard(t, srv, &meta)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("meta op: %d %s", resp.StatusCode, payload)
@@ -72,11 +79,28 @@ func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 	if err := json.Unmarshal(payload, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Meta == nil || sr.Meta.N <= 0 || sr.Meta.N >= n {
-		t.Fatalf("shard 0/4 census = %+v, want a proper slice of %d", sr.Meta, n)
+	var reply shard.Reply
+	if err := json.Unmarshal(sr.Reply, &reply); err != nil {
+		t.Fatal(err)
 	}
-	if sr.Versions == "" || sr.Fingerprint == "" {
-		t.Fatalf("meta response missing versions/fingerprint: %+v", sr)
+	if reply.Meta == nil || reply.Meta.N <= 0 || reply.Meta.N >= n {
+		t.Fatalf("shard 0/4 census = %+v, want a proper slice of %d", reply.Meta, n)
+	}
+	if sr.Versions == "" || sr.Plan == nil || sr.Plan.Fingerprint == "" {
+		t.Fatalf("meta response missing versions/plan: %s", payload)
+	}
+	// The plan is the worker's resolution of the request: the knobs the
+	// request set, and the service defaults for those it did not.
+	if p := sr.Plan.Request; p.Method != "srs" || p.Budget != 0.25 || p.Classifier != "rf" || p.Strata != 4 || p.Interval != "wald" || p.Seed != 3 {
+		t.Fatalf("resolved request = %+v", p)
+	}
+	// Only the meta op pays for the plan block; an unknown op is a 400.
+	if resp, payload := postShard(t, srv, shardReq(shard.OpGroupKeys, 0, 4)); resp.StatusCode != http.StatusOK ||
+		bytes.Contains(payload, []byte(`"plan"`)) {
+		t.Fatalf("group_keys op: %d %s", resp.StatusCode, payload)
+	}
+	if resp, payload := postShard(t, srv, shardReq("explode", 0, 4)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown op: %d %s, want 400", resp.StatusCode, payload)
 	}
 
 	// The version fence: a pinned versions string that no longer matches
@@ -106,30 +130,25 @@ func TestShardExecCacheLifecycle(t *testing.T) {
 	const n = 80
 	svc, _ := newWorkerServer(t, testTable(n, 7))
 	ctx := context.Background()
-	req := func(idx, count int) *ShardRequest {
-		return &ShardRequest{
-			Op: "meta", SQL: skybandQuery, Params: map[string]any{"k": float64(10)},
-			Method: "srs", Budget: 0.25, Seed: 3, Shard: ShardRef{Index: idx, Count: count},
-		}
-	}
+	req := func(idx, count int) *ShardRequest { return shardReq(shard.OpMeta, idx, count) }
 	for i := 0; i < 2; i++ {
 		if _, err := svc.ShardOp(ctx, req(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := svc.retainedShardExecs(); got != 2 {
+	if got := svc.execs.len(); got != 2 {
 		t.Fatalf("retained %d execs, want 2", got)
 	}
 	// A layout change (reshard) evicts every executor of the old layout.
 	if _, err := svc.ShardOp(ctx, req(0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.retainedShardExecs(); got != 1 {
+	if got := svc.execs.len(); got != 1 {
 		t.Fatalf("after reshard: retained %d execs, want 1", got)
 	}
 	// A data version bump evicts executors pinning the old snapshot.
 	svc.RegisterTable(testTable(n, 8))
-	if got := svc.retainedShardExecs(); got != 0 {
+	if got := svc.execs.len(); got != 0 {
 		t.Fatalf("after re-registration: retained %d execs, want 0", got)
 	}
 }
@@ -431,7 +450,7 @@ func TestCoordinatorDegradedAnswer(t *testing.T) {
 		Budget: 0.25,
 		Seed:   3,
 	}
-	killShard2 := func(sr *ShardRequest) bool { return sr.Op != "meta" && sr.Shard.Index == 2 }
+	killShard2 := func(sr *ShardRequest) bool { return sr.Op != shard.OpMeta && sr.Shard.Index == 2 }
 	rt := &faultRT{base: http.DefaultTransport, target: hostOf(t, srv.URL), mode: "kill", match: killShard2}
 	opts := CoordinatorOptions{
 		Shards:         4,
@@ -551,4 +570,52 @@ func TestCoordinatorConcurrentIngest(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCoordinatorUsesWorkerDefaults: the coordinator normalizes nothing —
+// it reads the resolved plan from the worker's meta reply — so a scattered
+// count that omits method and budget gets the worker's -method/-budget
+// exactly as a standalone count does (it used to get lss/0.02 regardless).
+// The answer is byte-identical to the same request sent to that worker's
+// own /v1/count with shards set.
+func TestCoordinatorUsesWorkerDefaults(t *testing.T) {
+	const n = 120
+	reg := NewRegistry()
+	reg.Register(testTable(n, 7))
+	svc := New(reg, Options{MaxInFlight: 16, DefaultMethod: "srs", DefaultBudget: 0.1})
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	coord := newCoordinator(t, CoordinatorOptions{Shards: 4}, srv)
+
+	req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Seed: 3}
+	got, err := coord.Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Method != "srs" || got.Budget != lsample.EvalBudget(0.1, n) {
+		t.Fatalf("coordinator answered method %q budget %d, want the worker's srs / %d",
+			got.Method, got.Budget, lsample.EvalBudget(0.1, n))
+	}
+
+	own := req
+	own.Shards = 4
+	var ref CountResult
+	if resp, payload := postJSON(t, srv.URL+"/v1/count", &own); resp.StatusCode != http.StatusOK {
+		t.Fatalf("worker /v1/count: %d %s", resp.StatusCode, payload)
+	} else if err := json.Unmarshal(payload, &ref); err != nil {
+		t.Fatal(err)
+	}
+	// The estimate's bytes: everything but wall-clock and accounting of
+	// who paid for which label.
+	answer := func(r CountResult) string {
+		r.DurationMS, r.PredicateMS, r.Evals, r.Reuse, r.Compiled, r.Cached = 0, 0, 0, "", false, false
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if a, b := answer(*got), answer(ref); a != b {
+		t.Fatalf("scattered answer differs from the worker's own:\n%s\n%s", a, b)
+	}
 }

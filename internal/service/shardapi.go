@@ -9,16 +9,19 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/lsample"
 )
 
 // This file is the worker side of sharded scale-out estimation: POST
-// /v1/shard serves one shard's estimation primitives (the seven ops of
-// internal/shard.Worker) over JSON, so a coordinator process can scatter
-// the deterministic per-trial-stream protocol across machines and merge
-// byte-identically. Every op names the query, the bound parameters, the
-// sampling knobs, and the shard (index/count); the worker materializes a
-// lsample.ShardExec for that tuple once and caches it across ops.
+// /v1/shard runs one op of internal/shard's protocol on one shard of a
+// query, so a coordinator process can scatter the deterministic
+// per-trial-stream protocol across machines and merge byte-identically.
+// Every request names the query and its knobs (a CountRequest, resolved by
+// the same resolver /v1/count uses), the shard, and the op with its opaque
+// argument block; the worker materializes a lsample.ShardExec for that
+// (plan, shard) once, caches it across ops, and passes args and reply
+// through without decoding either.
 //
 // Version fencing: every response reports the worker's resolved dataset
 // versions, and a request carrying an expected "versions" string fails
@@ -26,54 +29,27 @@ import (
 // coordinator that pinned its census against version V can never merge a
 // partial computed against V+1.
 
-// ShardRef names one shard of a layout.
-type ShardRef struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
-
-// ShardRequest is one /v1/shard operation. SQL, Params, and the sampling
-// knobs (method, budget, classifier, strata, interval, seed) follow the
-// CountRequest contract; Op selects the primitive and the remaining
-// fields are its arguments.
+// ShardRequest is one /v1/shard operation: the count request being
+// scattered, exactly as the coordinator received it, plus the shard, the
+// op, and the op's arguments. Of the embedded request only the query and
+// its sampling knobs apply to a shard; the serving flags (shards, exact,
+// no_cache, degrade, explain) are the merging process's business.
 type ShardRequest struct {
-	Op         string         `json:"op"` // meta cands label features score_all group_keys count_all
-	SQL        string         `json:"sql"`
-	Params     map[string]any `json:"params,omitempty"`
-	Method     string         `json:"method,omitempty"`
-	Budget     float64        `json:"budget,omitempty"`
-	Classifier string         `json:"classifier,omitempty"`
-	Strata     int            `json:"strata,omitempty"`
-	Interval   string         `json:"interval,omitempty"`
-	Seed       uint64         `json:"seed,omitempty"`
-	Shard      ShardRef       `json:"shard"`
-	Versions   string         `json:"versions,omitempty"` // expected dataset versions ("" skips the fence)
-
-	K       int         `json:"k,omitempty"`        // cands
-	Tag     uint64      `json:"tag,omitempty"`      // cands
-	Keys    []int64     `json:"keys,omitempty"`     // label, features
-	X       [][]float64 `json:"x,omitempty"`        // score_all: learn-sample features
-	Y       []bool      `json:"y,omitempty"`        // score_all: learn-sample labels
-	ClfSeed uint64      `json:"clf_seed,omitempty"` // score_all
+	CountRequest
+	Op       string          `json:"op"` // an internal/shard op name
+	Shard    shard.Spec      `json:"shard"`
+	Versions string          `json:"versions,omitempty"` // expected dataset versions ("" skips the fence)
+	Args     json.RawMessage `json:"args,omitempty"`     // the op's shard.Args block
 }
 
-// ShardResponse is the result of one /v1/shard operation; exactly the
-// fields of the requested op are set, plus the worker's dataset versions
-// on every response. The meta op additionally reports the query
-// fingerprint and its group/feature columns so a coordinator can shape
-// the final answer without parsing SQL itself.
+// ShardResponse is the result of one /v1/shard operation: the op's reply
+// block plus the worker's dataset versions. The meta op additionally
+// reports the resolved plan, so a coordinator can shape the final answer
+// without parsing SQL or normalizing a knob itself.
 type ShardResponse struct {
-	Versions    string                `json:"versions"`
-	Fingerprint string                `json:"fingerprint,omitempty"`
-	GroupCols   []string              `json:"group_cols,omitempty"`
-	FeatureCols []string              `json:"feature_cols,omitempty"`
-	Meta        *lsample.ShardMeta    `json:"meta,omitempty"`
-	Cands       []lsample.ShardCand   `json:"cands,omitempty"`
-	Labels      []bool                `json:"labels,omitempty"`
-	Fresh       int                   `json:"fresh,omitempty"`
-	Features    [][]float64           `json:"features,omitempty"`
-	Scored      []lsample.ShardScored `json:"scored,omitempty"`
-	Tally       *lsample.ShardTally   `json:"tally,omitempty"`
+	Versions string          `json:"versions"`
+	Plan     *PlanInfo       `json:"plan,omitempty"`
+	Reply    json.RawMessage `json:"reply"` // the op's shard.Reply block
 	// Trace is the worker's completed span tree for this op, present when
 	// the inbound traceparent was sampled — the coordinator grafts it under
 	// its own attempt span so one query yields one stitched trace.
@@ -90,232 +66,81 @@ func (e *versionMismatchError) Error() string {
 	return fmt.Sprintf("service: dataset versions moved from %q to %q", e.want, e.current)
 }
 
-// shardExecEntry is one cached per-(query, knobs, shard) executor.
-type shardExecEntry struct {
-	key   string
-	exec  *lsample.ShardExec
-	count int    // shard layout
-	last  uint64 // LRU tick
-}
-
-// maxShardExecs bounds the worker's executor cache; each entry pins one
-// population slice plus its feature rows.
-const maxShardExecs = 32
-
 // ShardOp executes one shard operation against the registry's current
 // snapshot of the referenced datasets.
 func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
-	if req.SQL == "" {
-		return nil, badf("missing sql")
+	if !req.Shard.Valid() {
+		return nil, badf("shard %s out of range", req.Shard)
 	}
-	if req.Shard.Count < 1 || req.Shard.Index < 0 || req.Shard.Index >= req.Shard.Count {
-		return nil, badf("shard %d/%d out of range", req.Shard.Index, req.Shard.Count)
-	}
-	method := req.Method
-	if method == "" {
-		method = s.opts.DefaultMethod
-	}
-	budgetFrac := req.Budget
-	if budgetFrac == 0 {
-		budgetFrac = s.opts.DefaultBudget
-	}
-	if !(budgetFrac > 0 && budgetFrac <= 1) {
-		return nil, badf("budget %v outside (0, 1]", budgetFrac)
-	}
-	clfName := req.Classifier
-	if clfName == "" {
-		clfName = "rf"
-	}
-	strata := req.Strata
-	if strata <= 0 {
-		strata = 4
-	}
-	iv, err := lsample.ParseInterval(req.Interval)
-	if err != nil {
-		return nil, mapSDKErr(err)
-	}
-
-	fp0, tables, err := lsample.QueryShape(req.SQL)
-	if err != nil {
-		return nil, mapSDKErr(err)
-	}
-	paramsJSON, err := json.Marshal(req.Params)
-	if err != nil {
-		return nil, badf("parameters are not encodable: %v", err)
-	}
-	snap, versions, err := s.Registry.Resolve(tables)
+	q := req.CountRequest
+	q.NoCache = false // shard executors always sit on the reuse catalog
+	p, err := s.resolve(&q)
 	if err != nil {
 		return nil, err
 	}
-	if req.Versions != "" && req.Versions != versions {
-		return nil, &versionMismatchError{want: req.Versions, current: versions}
+	if req.Versions != "" && req.Versions != p.Versions {
+		return nil, &versionMismatchError{want: req.Versions, current: p.Versions}
 	}
-
-	key := fmt.Sprintf("%s|%s|%s|%s|%s|%d|%s|%g|%d|%d/%d",
-		versions, fp0, paramsJSON, method, clfName, strata, iv, budgetFrac, req.Seed,
-		req.Shard.Index, req.Shard.Count)
-	exec, prep, err := s.shardExec(ctx, req, key, versions, fp0, snap,
-		method, clfName, strata, iv, budgetFrac)
+	exec, prep, err := s.shardExec(ctx, p, req.Shard)
 	if err != nil {
 		return nil, mapSDKErr(err)
 	}
-
-	resp := &ShardResponse{Versions: versions}
-	switch req.Op {
-	case "meta":
-		m, merr := exec.Meta(ctx)
-		if merr != nil {
-			return nil, mapSDKErr(merr)
+	if shard.Heavy(req.Op) {
+		// Labeling and training share the MaxInFlight and per-dataset
+		// budgets with whole-query estimations. Shard ops carry no admission
+		// deadline of their own — the coordinator's per-op context deadline
+		// bounds the wait.
+		release, aerr := s.admitted(ctx, p.Versions, time.Time{})
+		if aerr != nil {
+			return nil, aerr
 		}
-		resp.Meta = &m
-		resp.Fingerprint = exec.Fingerprint()
-		resp.GroupCols = prep.GroupColumns()
-		resp.FeatureCols = exec.FeatureColumns()
-	case "cands":
-		resp.Cands, err = exec.Cands(ctx, req.K, req.Tag)
-	case "label":
-		err = s.admitted(ctx, versions, func() error {
-			var lerr error
-			resp.Labels, resp.Fresh, lerr = exec.Label(ctx, req.Keys)
-			return lerr
-		})
-	case "features":
-		resp.Features, err = exec.Features(ctx, req.Keys)
-	case "score_all":
-		err = s.admitted(ctx, versions, func() error {
-			var serr error
-			resp.Scored, serr = exec.ScoreAll(ctx, req.X, req.Y, req.ClfSeed)
-			return serr
-		})
-	case "group_keys":
-		resp.Scored, err = exec.GroupKeys(ctx)
-	case "count_all":
-		err = s.admitted(ctx, versions, func() error {
-			t, terr := exec.CountAll(ctx)
-			resp.Tally = &t
-			return terr
-		})
-	default:
-		return nil, badf("unknown shard op %q", req.Op)
+		defer release()
 	}
-	if err != nil {
+	resp := &ShardResponse{Versions: p.Versions}
+	if resp.Reply, err = exec.Op(ctx, req.Op, req.Args); err != nil {
 		return nil, mapSDKErr(err)
+	}
+	if req.Op == shard.OpMeta {
+		resp.Plan = &PlanInfo{
+			Request:     p.CountRequest,
+			Fingerprint: exec.Fingerprint(),
+			GroupCols:   prep.GroupColumns(),
+			FeatureCols: exec.FeatureColumns(),
+		}
 	}
 	return resp, nil
 }
 
-// admitted runs fn under the service's admission queues: the expensive
-// shard ops (labeling and training) share the MaxInFlight and per-dataset
-// budgets with whole-query estimations. Shard ops carry no admission
-// deadline of their own — the coordinator's per-op context deadline bounds
-// the wait.
-func (s *Service) admitted(ctx context.Context, key string, fn func() error) error {
-	_, wsp := obs.StartSpan(ctx, "admission.wait")
-	wsp.Set("dataset", key)
-	err := s.admit.acquire(ctx, key, time.Time{})
-	if err != nil {
-		wsp.Set("error", err.Error())
-	}
-	wsp.End()
-	if err != nil {
-		return err
-	}
-	defer s.admit.release(key)
-	return fn()
-}
-
-// shardExec returns the cached executor for the request tuple, preparing
-// it on first use. A layout change (a different shard count) evicts every
+// shardExec returns the cached executor for (plan, shard), preparing it on
+// first use. A layout change (a different shard count) evicts every
 // executor and reuse-catalog entry of the old layout: after a reshard the
 // old per-shard label memos could never be merged soundly, so they are
-// reclaimed instead of lingering until LFU pressure finds them.
-func (s *Service) shardExec(ctx context.Context, req *ShardRequest, key, versions, fp0 string,
-	snap map[string]*lsample.Table, method, clfName string, strata int,
-	iv lsample.Interval, budgetFrac float64) (*lsample.ShardExec, *lsample.PreparedQuery, error) {
-
-	prep, err := s.prepared(versions, fp0, req.SQL, snap)
+// reclaimed instead of lingering until LRU pressure finds them.
+func (s *Service) shardExec(ctx context.Context, p *plan, ref shard.Spec) (*lsample.ShardExec, *lsample.PreparedQuery, error) {
+	prep, err := s.prepared(p)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	s.shardMu.Lock()
-	if s.shardLayout != 0 && s.shardLayout != req.Shard.Count {
-		for k, e := range s.shardExecs {
-			if e.count != req.Shard.Count {
-				e.exec.Close()
-				delete(s.shardExecs, k)
-			}
-		}
+	if old := s.shardLayout.Swap(int64(ref.Count)); old != 0 && old != int64(ref.Count) {
+		s.execs.dropIf(func(x *lsample.ShardExec) bool {
+			_, count := x.Shard()
+			return count != ref.Count
+		})
 		if s.catalog != nil {
-			s.catalog.EvictShardLayout(req.Shard.Count)
+			s.catalog.EvictShardLayout(ref.Count)
 		}
 	}
-	s.shardLayout = req.Shard.Count
-	if e, ok := s.shardExecs[key]; ok {
-		s.shardSeq++
-		e.last = s.shardSeq
-		s.shardMu.Unlock()
-		return e.exec, prep, nil
+	key := p.key(ref.String())
+	if exec, ok := s.execs.get(key); ok {
+		return exec, prep, nil
 	}
-	s.shardMu.Unlock()
-
-	exec, err := prep.PrepareShard(ctx, req.Shard.Index, req.Shard.Count, req.Params,
-		lsample.WithMethod(method),
-		lsample.WithClassifier(clfName),
-		lsample.WithStrata(strata),
-		lsample.WithInterval(iv),
-		lsample.WithBudget(budgetFrac),
-		lsample.WithSeed(req.Seed),
-		lsample.WithParallelism(s.opts.Parallelism),
-	)
+	exec, err := prep.PrepareShard(ctx, ref.Index, ref.Count, p.Params, p.options()...)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if cur, ok := s.shardExecs[key]; ok {
-		// A concurrent op prepared the same tuple; keep its executor (and
-		// its label memo) instead of two.
-		exec.Close()
-		s.shardSeq++
-		cur.last = s.shardSeq
-		return cur.exec, prep, nil
-	}
-	for len(s.shardExecs) >= maxShardExecs {
-		var oldest *shardExecEntry
-		for _, e := range s.shardExecs {
-			if oldest == nil || e.last < oldest.last {
-				oldest = e
-			}
-		}
-		oldest.exec.Close()
-		delete(s.shardExecs, oldest.key)
-	}
-	s.shardSeq++
-	s.shardExecs[key] = &shardExecEntry{key: key, exec: exec, count: req.Shard.Count, last: s.shardSeq}
-	return exec, prep, nil
-}
-
-// dropStaleShardExecs evicts executors pinning dataset versions the
-// registry no longer serves; it rides the same hooks as dropStalePreps.
-func (s *Service) dropStaleShardExecs() {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	for k, e := range s.shardExecs {
-		if s.stalePrep(k) {
-			e.exec.Close()
-			delete(s.shardExecs, k)
-		}
-	}
-}
-
-// retainedShardExecs reports the executor-cache population (tests bound
-// it).
-func (s *Service) retainedShardExecs() int {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	return len(s.shardExecs)
+	// A concurrent op that prepared the same tuple first wins: keep its
+	// executor (and its label memo); the store closes ours.
+	return s.execs.put(key, p.Vector, exec), prep, nil
 }
 
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {

@@ -30,8 +30,8 @@ const defaultScanWindow = 2 * time.Millisecond
 // still pays its own predicate evaluations, which is what keeps every
 // answer byte-identical to a standalone run.
 type scanCoalescer struct {
-	metrics *Metrics
-	window  time.Duration
+	m      *meters
+	window time.Duration
 
 	mu     sync.Mutex
 	groups map[string]*scanGroup
@@ -53,8 +53,8 @@ type scanMember struct {
 	done chan struct{}
 }
 
-func newScanCoalescer(m *Metrics) *scanCoalescer {
-	return &scanCoalescer{metrics: m, window: defaultScanWindow, groups: make(map[string]*scanGroup)}
+func newScanCoalescer(m *meters) *scanCoalescer {
+	return &scanCoalescer{m: m, window: defaultScanWindow, groups: make(map[string]*scanGroup)}
 }
 
 // LabelAll implements lsample.ScanCoalescer: it joins (or opens) the scan
@@ -102,8 +102,8 @@ func (c *scanCoalescer) run(gk string, n int) {
 	delete(c.groups, gk)
 	c.mu.Unlock()
 
-	c.metrics.SharedScans.Add(1)
-	c.metrics.SharedScanRequests.Add(int64(len(g.members)))
+	c.m.sharedScans.Inc()
+	c.m.sharedScanRequests.Add(int64(len(g.members)))
 
 	idxs := make([]int, scanChunk)
 	for base := 0; base < n; base += scanChunk {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestScanCoalescerMergesConcurrentMembers pins the acceptance property
@@ -13,7 +15,7 @@ import (
 // shared pass (≤ 0.5× the four passes serial execution would have run),
 // and every member's evaluator sees each object exactly once, ascending.
 func TestScanCoalescerMergesConcurrentMembers(t *testing.T) {
-	m := &Metrics{}
+	m := newMeters(obs.NewRegistry())
 	c := newScanCoalescer(m)
 	c.window = 100 * time.Millisecond // generous join window: determinism over latency
 
@@ -57,10 +59,10 @@ func TestScanCoalescerMergesConcurrentMembers(t *testing.T) {
 			}
 		}
 	}
-	if scans := m.SharedScans.Load(); scans != 1 {
+	if scans := m.sharedScans.Value(); scans != 1 {
 		t.Fatalf("SharedScans = %d, want 1 (4 concurrent requests must share one pass)", scans)
 	}
-	if reqs := m.SharedScanRequests.Load(); reqs != members {
+	if reqs := m.sharedScanRequests.Value(); reqs != members {
 		t.Fatalf("SharedScanRequests = %d, want %d", reqs, members)
 	}
 }
@@ -68,7 +70,7 @@ func TestScanCoalescerMergesConcurrentMembers(t *testing.T) {
 // TestScanCoalescerSeparatesKeys pins that different scan keys (different
 // snapshots or enumerations) never share a pass.
 func TestScanCoalescerSeparatesKeys(t *testing.T) {
-	m := &Metrics{}
+	m := newMeters(obs.NewRegistry())
 	c := newScanCoalescer(m)
 	c.window = 50 * time.Millisecond
 	var wg sync.WaitGroup
@@ -83,7 +85,7 @@ func TestScanCoalescerSeparatesKeys(t *testing.T) {
 		}(key)
 	}
 	wg.Wait()
-	if scans := m.SharedScans.Load(); scans != 2 {
+	if scans := m.sharedScans.Value(); scans != 2 {
 		t.Fatalf("SharedScans = %d, want 2 (distinct keys must not merge)", scans)
 	}
 }
@@ -92,7 +94,7 @@ func TestScanCoalescerSeparatesKeys(t *testing.T) {
 // cancellation costs only that member (it gets an error and the SDK falls
 // back standalone) while the rest of the group completes normally.
 func TestScanCoalescerMemberFailureIsolated(t *testing.T) {
-	m := &Metrics{}
+	m := newMeters(obs.NewRegistry())
 	c := newScanCoalescer(m)
 	c.window = 50 * time.Millisecond
 
@@ -180,12 +182,12 @@ func TestCountSharedScanEndToEnd(t *testing.T) {
 			t.Fatalf("k=%d: exact count %d, want %d", k, *res[i].TrueCount, want)
 		}
 	}
-	if reqs := svc.Metrics.SharedScanRequests.Load(); reqs != int64(len(ks)) {
+	if reqs := svc.m.sharedScanRequests.Value(); reqs != int64(len(ks)) {
 		t.Fatalf("SharedScanRequests = %d, want %d", reqs, len(ks))
 	}
 	// The acceptance bound: 4 concurrent queries cost at most half the
 	// scans of 4 serial runs.
-	if scans := svc.Metrics.SharedScans.Load(); scans > int64(len(ks))/2 {
+	if scans := svc.m.sharedScans.Value(); scans > int64(len(ks))/2 {
 		t.Fatalf("SharedScans = %d for %d concurrent exact queries, want ≤ %d",
 			scans, len(ks), len(ks)/2)
 	}

@@ -11,8 +11,8 @@ import (
 // re-sorting on (Hash, Key) — the same order BottomK uses — so the merged
 // prefix is exactly the unsharded selection.
 type Cand struct {
-	Hash uint64
-	Key  int64
+	Hash uint64 `json:"hash"`
+	Key  int64  `json:"key"`
 }
 
 // BottomK deterministically samples k of the given keys: the k smallest

@@ -633,33 +633,27 @@ func (r *run) sampleStrata(ctx context.Context, all []Scored, hOf []int, budget 
 // countAll scatters a full labeling pass and merges the shard tallies;
 // groupTally (when non-nil) receives the merged per-group tallies.
 func (r *run) countAll(ctx context.Context, groupTally map[string]*GroupCount) (core.Partial, map[string]*GroupCount, error) {
-	parts := make([]core.Partial, len(r.workers))
-	groups := make([][]GroupCount, len(r.workers))
-	freshes := make([]int, len(r.workers))
-	err := r.scatter(ctx, func(slot int, w Worker) error {
-		p, gs, fresh, cerr := w.CountAll(ctx)
-		if cerr != nil {
-			return cerr
-		}
-		parts[slot], groups[slot], freshes[slot] = p, gs, fresh
-		return nil
+	tallies := make([]Tally, len(r.workers))
+	err := r.scatter(ctx, func(slot int, w Worker) (cerr error) {
+		tallies[slot], cerr = w.CountAll(ctx)
+		return cerr
 	})
 	if err != nil {
 		return core.Partial{}, nil, err
 	}
 	var merged core.Partial
-	for slot := range parts {
-		if verr := parts[slot].Validate(); verr != nil {
+	for _, t := range tallies {
+		if verr := t.Validate(); verr != nil {
 			return core.Partial{}, nil, verr
 		}
-		merged.Add(parts[slot])
-		r.fresh += freshes[slot]
+		merged.Add(t.Partial)
+		r.fresh += t.Fresh
 	}
 	if groupTally == nil {
 		groupTally = make(map[string]*GroupCount)
 	}
-	for _, gs := range groups {
-		for _, g := range gs {
+	for _, t := range tallies {
+		for _, g := range t.Groups {
 			t, ok := groupTally[g.Key]
 			if !ok {
 				t = &GroupCount{Key: g.Key, Parts: g.Parts}

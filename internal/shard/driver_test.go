@@ -171,9 +171,9 @@ func (l *lossy) GroupKeys(ctx context.Context) ([]Scored, error) {
 	return l.Worker.GroupKeys(ctx)
 }
 
-func (l *lossy) CountAll(ctx context.Context) (core.Partial, []GroupCount, int, error) {
+func (l *lossy) CountAll(ctx context.Context) (Tally, error) {
 	if l.failOps {
-		return core.Partial{}, nil, 0, l.err()
+		return Tally{}, l.err()
 	}
 	return l.Worker.CountAll(ctx)
 }

@@ -166,15 +166,19 @@ func (w *Local) GroupKeys(ctx context.Context) ([]Scored, error) {
 }
 
 // CountAll labels every local object and returns the merged tallies.
-func (w *Local) CountAll(ctx context.Context) (core.Partial, []GroupCount, int, error) {
+func (w *Local) CountAll(ctx context.Context) (Tally, error) {
 	labels, fresh, err := w.labelFn(ctx, w.keys)
 	if err != nil {
-		return core.Partial{}, nil, 0, err
+		return Tally{}, err
 	}
-	p := core.Partial{N: len(w.keys), Sampled: len(w.keys)}
-	var byGroup map[string]*GroupCount
+	t := Tally{Partial: core.Partial{N: len(w.keys), Sampled: len(w.keys)}, Fresh: fresh}
+	for _, b := range labels {
+		if b {
+			t.Positives++
+		}
+	}
 	if w.groups != nil {
-		byGroup = make(map[string]*GroupCount)
+		byGroup := make(map[string]*GroupCount)
 		for i, g := range w.groups {
 			gc, ok := byGroup[g]
 			if !ok {
@@ -186,19 +190,11 @@ func (w *Local) CountAll(ctx context.Context) (core.Partial, []GroupCount, int, 
 				gc.Pos++
 			}
 		}
-	}
-	for _, b := range labels {
-		if b {
-			p.Positives++
-		}
-	}
-	var groups []GroupCount
-	if byGroup != nil {
-		groups = make([]GroupCount, 0, len(byGroup))
+		t.Groups = make([]GroupCount, 0, len(byGroup))
 		for _, gc := range byGroup {
-			groups = append(groups, *gc)
+			t.Groups = append(t.Groups, *gc)
 		}
-		sort.Slice(groups, func(a, b int) bool { return groups[a].Key < groups[b].Key })
+		sort.Slice(t.Groups, func(a, b int) bool { return t.Groups[a].Key < t.Groups[b].Key })
 	}
-	return p, groups, fresh, nil
+	return t, nil
 }

@@ -1,0 +1,185 @@
+package shard
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+)
+
+// This file is the whole shard-op protocol: the seven op names, their
+// argument and reply blocks, the dispatch of a named op onto a Worker
+// (Serve, the worker end of a wire), and the Worker that performs each op
+// by calling a transport (NewRemote, the coordinator end). A serving layer
+// only moves the opaque args and reply bytes between the two — it declares
+// no op, converts no type, and encodes nothing twice.
+
+// The seven shard ops, one per Worker method.
+const (
+	OpMeta      = "meta"
+	OpCands     = "cands"
+	OpLabel     = "label"
+	OpFeatures  = "features"
+	OpScoreAll  = "score_all"
+	OpGroupKeys = "group_keys"
+	OpCountAll  = "count_all"
+)
+
+// ErrBadOp marks an op name outside the protocol or an unreadable argument
+// block — a request error, not a worker failure.
+var ErrBadOp = errors.New("shard: bad op")
+
+// Heavy reports whether op evaluates the expensive predicate or trains the
+// classifier. A serving worker runs those under its admission control; the
+// rest are lookups over already-materialized state.
+func Heavy(op string) bool {
+	return op == OpLabel || op == OpScoreAll || op == OpCountAll
+}
+
+// Args is the argument block of one op; each op reads only its own fields.
+type Args struct {
+	K       int         `json:"k,omitempty"`        // cands
+	Tag     uint64      `json:"tag,omitempty"`      // cands
+	Keys    []int64     `json:"keys,omitempty"`     // label, features
+	X       [][]float64 `json:"x,omitempty"`        // score_all: learn-sample features
+	Y       []bool      `json:"y,omitempty"`        // score_all: learn-sample labels
+	ClfSeed uint64      `json:"clf_seed,omitempty"` // score_all
+}
+
+// Reply is the reply block of one op; exactly the requested op's fields
+// are set.
+type Reply struct {
+	Meta     *Meta       `json:"meta,omitempty"`
+	Cands    []Cand      `json:"cands,omitempty"`
+	Labels   []bool      `json:"labels,omitempty"` // label
+	Fresh    int         `json:"fresh,omitempty"`  // label
+	Features [][]float64 `json:"features,omitempty"`
+	Scored   []Scored    `json:"scored,omitempty"` // score_all, group_keys
+	Tally    *Tally      `json:"tally,omitempty"`  // count_all
+}
+
+// dispatch runs the named op on w.
+func dispatch(ctx context.Context, w Worker, op string, a *Args) (r Reply, err error) {
+	switch op {
+	case OpMeta:
+		var m Meta
+		m, err = w.Meta(ctx)
+		r.Meta = &m
+	case OpCands:
+		r.Cands, err = w.Cands(ctx, a.K, a.Tag)
+	case OpLabel:
+		r.Labels, r.Fresh, err = w.Label(ctx, a.Keys)
+	case OpFeatures:
+		r.Features, err = w.Features(ctx, a.Keys)
+	case OpScoreAll:
+		r.Scored, err = w.ScoreAll(ctx, a.X, a.Y, a.ClfSeed)
+	case OpGroupKeys:
+		r.Scored, err = w.GroupKeys(ctx)
+	case OpCountAll:
+		var t Tally
+		t, err = w.CountAll(ctx)
+		r.Tally = &t
+	default:
+		err = fmt.Errorf("%w: unknown shard op %q", ErrBadOp, op)
+	}
+	return r, err
+}
+
+// Serve is the worker end of a wire: it decodes the op's argument block
+// (empty for ops without arguments), runs the op on w, and encodes the
+// reply block.
+func Serve(ctx context.Context, w Worker, op string, args json.RawMessage) (json.RawMessage, error) {
+	var a Args
+	if len(args) > 0 {
+		if err := json.Unmarshal(args, &a); err != nil {
+			return nil, fmt.Errorf("%w: %s arguments unreadable: %v", ErrBadOp, op, err)
+		}
+	}
+	r, err := dispatch(ctx, w, op, &a)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(&r)
+}
+
+// Transport carries one op's encoded arguments to wherever the shard lives
+// and returns the encoded reply — one HTTP POST with routing, deadlines
+// and hedging in the coordinator, a direct Serve call in tests.
+type Transport func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error)
+
+// NewRemote returns the Worker that performs every op through t: the
+// coordinator end of a wire. Replies whose shape cannot belong to the
+// request (a missing block, a label vector of the wrong length) are errors
+// here, so Drive never merges a malformed partial.
+func NewRemote(t Transport) Worker { return remote(t) }
+
+type remote Transport
+
+func (t remote) call(ctx context.Context, op string, a Args) (Reply, error) {
+	args, err := json.Marshal(&a)
+	if err != nil {
+		return Reply{}, fmt.Errorf("shard: encoding %s arguments: %w", op, err)
+	}
+	raw, err := t(ctx, op, args)
+	if err != nil {
+		return Reply{}, err
+	}
+	var r Reply
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return Reply{}, fmt.Errorf("shard: %s reply unreadable: %v", op, err)
+	}
+	return r, nil
+}
+
+func (t remote) Meta(ctx context.Context) (Meta, error) {
+	r, err := t.call(ctx, OpMeta, Args{})
+	if err != nil {
+		return Meta{}, err
+	}
+	if r.Meta == nil {
+		return Meta{}, fmt.Errorf("shard: %s reply empty", OpMeta)
+	}
+	return *r.Meta, nil
+}
+
+func (t remote) Cands(ctx context.Context, k int, tag uint64) ([]Cand, error) {
+	r, err := t.call(ctx, OpCands, Args{K: k, Tag: tag})
+	return r.Cands, err
+}
+
+func (t remote) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
+	r, err := t.call(ctx, OpLabel, Args{Keys: keys})
+	if err == nil && len(r.Labels) != len(keys) {
+		err = fmt.Errorf("shard: worker labeled %d of %d keys", len(r.Labels), len(keys))
+	}
+	return r.Labels, r.Fresh, err
+}
+
+func (t remote) Features(ctx context.Context, keys []int64) ([][]float64, error) {
+	r, err := t.call(ctx, OpFeatures, Args{Keys: keys})
+	if err == nil && len(r.Features) != len(keys) {
+		err = fmt.Errorf("shard: worker returned %d of %d feature rows", len(r.Features), len(keys))
+	}
+	return r.Features, err
+}
+
+func (t remote) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
+	r, err := t.call(ctx, OpScoreAll, Args{X: x, Y: y, ClfSeed: clfSeed})
+	return r.Scored, err
+}
+
+func (t remote) GroupKeys(ctx context.Context) ([]Scored, error) {
+	r, err := t.call(ctx, OpGroupKeys, Args{})
+	return r.Scored, err
+}
+
+func (t remote) CountAll(ctx context.Context) (Tally, error) {
+	r, err := t.call(ctx, OpCountAll, Args{})
+	if err != nil {
+		return Tally{}, err
+	}
+	if r.Tally == nil {
+		return Tally{}, fmt.Errorf("shard: %s reply empty", OpCountAll)
+	}
+	return *r.Tally, nil
+}

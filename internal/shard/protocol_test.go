@@ -1,0 +1,167 @@
+package shard
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"reflect"
+	"testing"
+)
+
+// wired returns the protocol's two ends joined without a network: the
+// remote Worker whose transport is a direct Serve call on w. ops records
+// every op name that crossed the wire.
+func wired(w Worker, ops map[string]int) Worker {
+	return NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+		if ops != nil {
+			ops[op]++
+		}
+		return Serve(ctx, w, op, args)
+	})
+}
+
+// TestProtocolRoundTripEveryOp: each of the seven ops, sent through the
+// remote adapter → JSON → Serve → a Local, returns exactly what calling
+// the Local directly returns.
+func TestProtocolRoundTripEveryOp(t *testing.T) {
+	ctx := context.Background()
+	for _, grouped := range []bool{false, true} {
+		local := testWorkers(200, 2, grouped)[1]
+		ops := map[string]int{}
+		remote := wired(local, ops)
+
+		same := func(op string, got, want any, gerr, werr error) {
+			t.Helper()
+			if gerr != nil || werr != nil {
+				t.Fatalf("grouped=%t %s: errors %v / %v", grouped, op, gerr, werr)
+			}
+			// JSON drops the difference between nil and empty slices; so
+			// does every consumer.
+			gb, _ := json.Marshal(got)
+			wb, _ := json.Marshal(want)
+			if string(gb) != string(wb) {
+				t.Errorf("grouped=%t %s over the wire:\n got %s\nwant %s", grouped, op, gb, wb)
+			}
+		}
+		wm, werr := local.Meta(ctx)
+		gm, gerr := remote.Meta(ctx)
+		same(OpMeta, gm, wm, gerr, werr)
+		if !reflect.DeepEqual(gm, wm) {
+			t.Errorf("meta not deeply equal: %+v vs %+v", gm, wm)
+		}
+
+		wc, werr := local.Cands(ctx, 25, TagLearn)
+		gc, gerr := remote.Cands(ctx, 25, TagLearn)
+		same(OpCands, gc, wc, gerr, werr)
+		keys := make([]int64, len(wc))
+		for i, c := range wc {
+			keys[i] = c.Key
+		}
+
+		wl, wfresh, werr := local.Label(ctx, keys)
+		gl, gfresh, gerr := remote.Label(ctx, keys)
+		same(OpLabel, gl, wl, gerr, werr)
+		if gfresh != wfresh {
+			t.Errorf("label fresh %d over the wire, %d direct", gfresh, wfresh)
+		}
+
+		wf, werr := local.Features(ctx, keys)
+		gf, gerr := remote.Features(ctx, keys)
+		same(OpFeatures, gf, wf, gerr, werr)
+
+		ws, werr := local.ScoreAll(ctx, wf, wl, 99)
+		gs, gerr := remote.ScoreAll(ctx, wf, wl, 99)
+		same(OpScoreAll, gs, ws, gerr, werr)
+		for i := range ws {
+			if gs[i].Score != ws[i].Score { // float64 bits survive the JSON hop
+				t.Fatalf("score %d: %v over the wire, %v direct", i, gs[i].Score, ws[i].Score)
+			}
+		}
+
+		wg, werr := local.GroupKeys(ctx)
+		gg, gerr := remote.GroupKeys(ctx)
+		same(OpGroupKeys, gg, wg, gerr, werr)
+
+		wt, werr := local.CountAll(ctx)
+		gt, gerr := remote.CountAll(ctx)
+		same(OpCountAll, gt, wt, gerr, werr)
+		if gt.Partial != wt.Partial || gt.Fresh != wt.Fresh {
+			t.Errorf("tally %+v over the wire, %+v direct", gt, wt)
+		}
+
+		if len(ops) != 7 {
+			t.Errorf("%d distinct ops crossed the wire, want all 7: %v", len(ops), ops)
+		}
+		for op := range ops {
+			if want := op == OpLabel || op == OpScoreAll || op == OpCountAll; Heavy(op) != want {
+				t.Errorf("Heavy(%q) = %t", op, Heavy(op))
+			}
+		}
+	}
+}
+
+// TestProtocolRejectsMalformed: unknown ops and unreadable arguments are
+// ErrBadOp at the worker end; replies that cannot belong to the request are
+// errors at the coordinator end; worker errors pass through.
+func TestProtocolRejectsMalformed(t *testing.T) {
+	ctx := context.Background()
+	local := testWorkers(50, 1, false)[0]
+	if _, err := Serve(ctx, local, "explode", nil); !errors.Is(err, ErrBadOp) {
+		t.Errorf("unknown op: %v", err)
+	}
+	if _, err := Serve(ctx, local, OpCands, json.RawMessage(`{"k": "many"}`)); !errors.Is(err, ErrBadOp) {
+		t.Errorf("unreadable args: %v", err)
+	}
+	if _, _, err := wired(local, nil).Label(ctx, []int64{-7}); err == nil || errors.Is(err, ErrBadOp) {
+		t.Errorf("foreign key: err = %v, want the worker's own error", err)
+	}
+	empty := NewRemote(func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
+		return json.RawMessage(`{}`), nil
+	})
+	if _, err := empty.Meta(ctx); err == nil {
+		t.Error("empty meta reply accepted")
+	}
+	if _, err := empty.CountAll(ctx); err == nil {
+		t.Error("empty tally reply accepted")
+	}
+	if _, _, err := empty.Label(ctx, []int64{1, 4}); err == nil {
+		t.Error("short label reply accepted")
+	}
+	if _, err := empty.Features(ctx, []int64{1}); err == nil {
+		t.Error("short features reply accepted")
+	}
+}
+
+// TestDriveOverWireByteIdentical: Drive over the remote adapters equals
+// Drive over the locals they front, field for field — the property that
+// makes a coordinator's answer the in-process sharded answer.
+func TestDriveOverWireByteIdentical(t *testing.T) {
+	const n, shards = 300, 3
+	for _, method := range []string{"srs", "lss", "oracle"} {
+		for _, grouped := range []bool{false, true} {
+			plan := testPlan(method, grouped)
+			plan.Exact = true
+			want, err := Drive(context.Background(), plan, testWorkers(n, shards, grouped))
+			if err != nil {
+				t.Fatal(err)
+			}
+			remotes := testWorkers(n, shards, grouped)
+			for i, w := range remotes {
+				remotes[i] = wired(w, nil)
+			}
+			got, err := Drive(context.Background(), plan, remotes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Design, want.Design = nil, nil // scores compared through the estimate they produce
+			gb, gerr := json.Marshal(got)
+			wb, werr := json.Marshal(want)
+			if gerr != nil || werr != nil || len(gb) == 0 {
+				t.Fatalf("results do not render: %v / %v", gerr, werr)
+			}
+			if string(gb) != string(wb) {
+				t.Errorf("%s grouped=%t over the wire:\n got %s\nwant %s", method, grouped, gb, wb)
+			}
+		}
+	}
+}

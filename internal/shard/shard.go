@@ -61,8 +61,8 @@ const (
 
 // Spec identifies one shard of a layout: shard Index of Count total.
 type Spec struct {
-	Index int
-	Count int
+	Index int `json:"index"`
+	Count int `json:"count"`
 }
 
 // String renders the spec in the catalog's Shard key form, "index/count".

@@ -27,29 +27,42 @@ func (e *LostShardError) Error() string { return fmt.Sprintf("shard %d lost: %v"
 // Unwrap exposes ErrShardLost (and the cause) to errors.Is/As.
 func (e *LostShardError) Unwrap() error { return ErrShardLost }
 
+// The types below are both the Worker interface's values and, through their
+// JSON tags, the wire form of the shard-op protocol (protocol.go) — there
+// is no second declaration to convert to or from.
+
 // Meta is a shard's population summary: its object count and, for grouped
 // queries, its per-group census.
 type Meta struct {
-	N      int
-	Groups []GroupCount
+	N      int          `json:"n"`
+	Groups []GroupCount `json:"groups,omitempty"`
 }
 
 // GroupCount is one group's tally on one shard: canonical key, rendered
 // key parts, member count, and (for exact passes) positives.
 type GroupCount struct {
-	Key   string   // canonical identity: parts joined with \x1f
-	Parts []string // rendered column values, aligned with GroupColumns
-	N     int
-	Pos   int
+	Key   string   `json:"key"`             // canonical identity: parts joined with \x1f
+	Parts []string `json:"parts,omitempty"` // rendered column values, aligned with GroupColumns
+	N     int      `json:"n"`
+	Pos   int      `json:"pos,omitempty"`
 }
 
 // Scored is one object's shard-local record: its key, classifier score
 // (zero when the op does not score), and canonical group key (empty for
 // plain queries).
 type Scored struct {
-	Key   int64
-	Score float64
-	Group string
+	Key   int64   `json:"key"`
+	Score float64 `json:"score"`
+	Group string  `json:"group,omitempty"`
+}
+
+// Tally is a shard's full labeling pass: the population/labeled/positive
+// counts, the per-group tallies (grouped plans), and the fresh predicate
+// evaluations the pass spent.
+type Tally struct {
+	core.Partial
+	Fresh  int          `json:"fresh"`
+	Groups []GroupCount `json:"groups,omitempty"`
 }
 
 // Worker is one shard's estimation primitives. Every method is a pure
@@ -87,7 +100,6 @@ type Worker interface {
 	// zero) — the feature-free grouped plans' population listing.
 	GroupKeys(ctx context.Context) ([]Scored, error)
 
-	// CountAll labels every local object, returning the shard tally, the
-	// per-group tallies (grouped plans), and the fresh evaluation count.
-	CountAll(ctx context.Context) (core.Partial, []GroupCount, int, error)
+	// CountAll labels every local object and returns the shard's tally.
+	CountAll(ctx context.Context) (Tally, error)
 }

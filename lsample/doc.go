@@ -268,12 +268,18 @@
 //     served stale artifacts. Per-shard entries hold labels only; the
 //     stratification design is stored by the unsharded entry alone.
 //
-// PrepareShard(ctx, index, count, params) materializes a single shard's
-// executor (ShardExec) for out-of-process deployments: a worker process
-// serves one shard's primitives and a coordinator — cmd/lsserve
-// -role=coordinator, or internal/service.NewCoordinator in Go — scatters
-// them over a roster and merges with the identical driver, preserving the
-// same byte-identity.
+// PrepareShard(ctx, index, count, params) materializes a single shard
+// (ShardExec) for out-of-process deployments. A ShardExec is the shard's
+// identity (Shard, Fingerprint, FeatureColumns), Close, and one entry
+// point: Op(ctx, op, args) runs one named operation of the shard-op
+// protocol, taking the operation's JSON argument block and returning its
+// JSON reply block. Both blocks are opaque to the SDK's caller — the
+// protocol (op names, block layouts, the coordinator-side adapter) is
+// defined once, beside the driver that speaks it — so a worker process
+// passes them through untouched, and a coordinator (cmd/lsserve
+// -role=coordinator, or internal/service.NewCoordinator in Go) scatters
+// the ops over a roster and merges with the identical driver, preserving
+// the same byte-identity.
 //
 // # Durability
 //

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/predicate"
 	"repro/internal/sql"
 	"repro/internal/xrand"
 )
@@ -238,7 +239,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		// path labels the whole population in one (possibly parallel) call.
 		trueCounts = make([]int, len(keys))
 		xctx, xsp := obs.StartSpan(ctx, "exact.scan")
-		labels, err := exactLabels(xctx, pred, obj.N())
+		labels, err := predicate.Label(pred, predicate.AllIndices(obj.N()), canceled(xctx, "exact count"))
 		xsp.End()
 		if err != nil {
 			return nil, err

@@ -438,7 +438,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 			st.validated = true
 		}
 	}
-	tp := &timedPredicate{p: basePred}
+	tp := &predicate.Timed{P: basePred}
 	out.Labeling = labeling
 
 	memo := &labelStore{labels: st.labels, keys: keys, posByKey: posByKey, relabel: cfg.relabel, pred: tp}
@@ -481,7 +481,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	out.FreshLabels = basePred.Evals()
 	out.SamplesUsed = out.FreshLabels
 	out.ReusedLabels = memo.hits
-	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: tp.dur}
+	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: tp.Dur}
 	st.snaps = snaps
 	span.Set("objects", n)
 	span.Set("delta_rows", out.DeltaRows)
@@ -738,37 +738,6 @@ func snapshotChange(old, new *Table) snapChange {
 	return snapReplaced
 }
 
-// labelIndices labels a pre-chosen object set, through the predicate's
-// batch path (bounded chunks with a cancellation check between them) when
-// it has one, sequentially with a per-evaluation check otherwise.
-func labelIndices(ctx context.Context, pred predicate.Predicate, idxs []int) ([]bool, error) {
-	ctxErr := func() error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("lsample: labeling canceled: %w", err)
-			}
-		}
-		return nil
-	}
-	if err := ctxErr(); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(idxs))
-	if bp, ok := predicate.AsBatch(pred); ok {
-		if err := predicate.EvalBatchChunked(bp, idxs, out, ctxErr); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for j, i := range idxs {
-		if err := ctxErr(); err != nil {
-			return nil, err
-		}
-		out[j] = pred.Eval(i)
-	}
-	return out, nil
-}
-
 func dedupSortedInts(xs []int) []int {
 	out := xs[:0]
 	for i, x := range xs {
@@ -925,45 +894,4 @@ func analyzeCorrelation(dec *engine.Decomposed, cat engine.Catalog) map[string][
 		}
 	}
 	return out
-}
-
-// timedPredicate accumulates wall time spent inside the expensive
-// predicate, preserving the batch path of the wrapped predicate.
-type timedPredicate struct {
-	p   predicate.Predicate
-	dur time.Duration
-}
-
-func (tp *timedPredicate) Eval(i int) bool {
-	t0 := time.Now()
-	v := tp.p.Eval(i)
-	tp.dur += time.Since(t0)
-	return v
-}
-
-func (tp *timedPredicate) Evals() int64 { return tp.p.Evals() }
-func (tp *timedPredicate) ResetCount()  { tp.p.ResetCount() }
-
-// AsBatch exposes the wrapped predicate's batch path, timing whole batches.
-func (tp *timedPredicate) AsBatch() (predicate.BatchPredicate, bool) {
-	bp, ok := predicate.AsBatch(tp.p)
-	if !ok {
-		return nil, false
-	}
-	return &timedBatchPredicate{tp: tp, bp: bp}, true
-}
-
-type timedBatchPredicate struct {
-	tp *timedPredicate
-	bp predicate.BatchPredicate
-}
-
-func (tb *timedBatchPredicate) Eval(i int) bool { return tb.tp.Eval(i) }
-func (tb *timedBatchPredicate) Evals() int64    { return tb.tp.Evals() }
-func (tb *timedBatchPredicate) ResetCount()     { tb.tp.ResetCount() }
-
-func (tb *timedBatchPredicate) EvalBatch(idxs []int, out []bool) {
-	t0 := time.Now()
-	tb.bp.EvalBatch(idxs, out)
-	tb.tp.dur += time.Since(t0)
 }

@@ -89,22 +89,14 @@ func (q *PreparedQuery) exactCountShared(ctx context.Context, cfg config,
 func (q *PreparedQuery) exactLabelsShared(ctx context.Context, cfg config,
 	pred predicate.Predicate, strs map[string]string, n int) ([]bool, error) {
 
-	if cfg.scanner == nil || n == 0 {
-		return exactLabels(ctx, pred, n)
-	}
-	bp, ok := predicate.AsBatch(pred)
-	if !ok {
-		return exactLabels(ctx, pred, n)
-	}
-	labels, err := cfg.scanner.LabelAll(ctx, q.scanKey(strs), n, bp.EvalBatch)
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("lsample: exact count canceled: %w", ctx.Err())
+	if bp, ok := predicate.AsBatch(pred); ok && cfg.scanner != nil && n > 0 {
+		labels, err := cfg.scanner.LabelAll(ctx, q.scanKey(strs), n, bp.EvalBatch)
+		if err == nil && len(labels) == n {
+			return labels, nil
 		}
-		return exactLabels(ctx, pred, n)
+		if err != nil && ctx != nil && ctx.Err() != nil {
+			return nil, canceled(ctx, "exact count")()
+		}
 	}
-	if len(labels) != n {
-		return exactLabels(ctx, pred, n)
-	}
-	return labels, nil
+	return predicate.Label(pred, predicate.AllIndices(n), canceled(ctx, "exact count"))
 }

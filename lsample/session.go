@@ -478,7 +478,7 @@ func compiledAgrees(fn func(int) bool, ep *predicate.EngineExists, n int) (ok bo
 // WithExact requests; it is by far the longest loop a request can hold
 // resources for — and returns the positive count.
 func exactCount(ctx context.Context, pred predicate.Predicate, n int) (int, error) {
-	labels, err := exactLabels(ctx, pred, n)
+	labels, err := predicate.Label(pred, predicate.AllIndices(n), canceled(ctx, "exact count"))
 	if err != nil {
 		return 0, err
 	}
@@ -491,37 +491,18 @@ func exactCount(ctx context.Context, pred predicate.Predicate, n int) (int, erro
 	return count, nil
 }
 
-// exactLabels evaluates the predicate on every object and returns the label
-// vector (the grouped exact pass attributes each label to its group). A
-// batch-capable predicate labels the population in bounded, possibly
-// parallel batch chunks with the cancellation check between chunks; the
-// sequential fallback keeps the cancel-before-next-evaluation contract.
-func exactLabels(ctx context.Context, pred predicate.Predicate, n int) ([]bool, error) {
-	ctxErr := func() error {
+// canceled returns the cooperative cancellation check predicate.Label polls
+// between evaluations, wording the error for the loop it stops ("labeling",
+// "exact count"). A nil ctx never cancels.
+func canceled(ctx context.Context, what string) func() error {
+	return func() error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("lsample: exact count canceled: %w", err)
+				return fmt.Errorf("lsample: %s canceled: %w", what, err)
 			}
 		}
 		return nil
 	}
-	if err := ctxErr(); err != nil {
-		return nil, err
-	}
-	out := make([]bool, n)
-	if bp, ok := predicate.AsBatch(pred); ok {
-		if err := predicate.EvalBatchChunked(bp, predicate.AllIndices(n), out, ctxErr); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for i := 0; i < n; i++ {
-		if err := ctxErr(); err != nil {
-			return nil, err
-		}
-		out[i] = pred.Eval(i)
-	}
-	return out, nil
 }
 
 // featureState returns the memoized feature artifacts for the given

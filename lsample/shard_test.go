@@ -2,10 +2,13 @@ package lsample
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 // shardMatrix is the determinism battery's grid: every tested shard count
@@ -214,12 +217,18 @@ func TestPrepareShardOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer x.Close()
-		m, err := x.Meta(ctx)
+		// The protocol's coordinator end over the executor's one entry
+		// point: what a serving layer wires up, minus the HTTP hop.
+		w := shard.NewRemote(x.Op)
+		if _, err := x.Op(ctx, "no_such_op", nil); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("unknown op: err = %v, want ErrInvalid", err)
+		}
+		m, err := w.Meta(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += m.N
-		cands, err := x.Cands(ctx, m.N, 0x4c4541524e)
+		cands, err := w.Cands(ctx, m.N, shard.TagLearn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,19 +244,19 @@ func TestPrepareShardOps(t *testing.T) {
 		// Label a couple of owned keys; fresh count must match on first use.
 		if m.N >= 2 {
 			keys := []int64{cands[0].Key, cands[1].Key}
-			labels, fresh, err := x.Label(ctx, keys)
+			labels, fresh, err := w.Label(ctx, keys)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(labels) != 2 || fresh != 2 {
 				t.Fatalf("shard %d: labels=%d fresh=%d, want 2/2", i, len(labels), fresh)
 			}
-			if _, fresh2, _ := x.Label(ctx, keys); fresh2 != 0 {
+			if _, fresh2, _ := w.Label(ctx, keys); fresh2 != 0 {
 				t.Fatalf("shard %d: relabel spent %d fresh evaluations", i, fresh2)
 			}
 		}
 		// A foreign key must be rejected (test keys are 0..99).
-		if _, _, err := x.Label(ctx, []int64{-1}); err == nil {
+		if _, _, err := w.Label(ctx, []int64{-1}); err == nil {
 			t.Fatalf("shard %d: labeling a foreign key should fail", i)
 		}
 	}
@@ -339,9 +348,9 @@ func TestEvalBudget(t *testing.T) {
 		n, want int
 	}{
 		{0.02, 1000, 20},
-		{0.02, 100, 10},  // floor
-		{0.5, 8, 8},      // cap at n
-		{0, 1000, 20},    // default fraction
+		{0.02, 100, 10}, // floor
+		{0.5, 8, 8},     // cap at n
+		{0, 1000, 20},   // default fraction
 		{1, 3, 3},
 		{0.25, 160, 40},
 	}

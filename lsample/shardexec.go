@@ -2,6 +2,7 @@ package lsample
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,66 +26,9 @@ import (
 // because every sampling decision is a pure function of (key, seed, tag)
 // and every merge is an exact set union or integer sum.
 //
-// PrepareShard exposes one shard's primitives (ShardExec) for
-// out-of-process workers: a coordinator scatters the same ops over HTTP
-// and merges with the identical driver.
-
-// ShardCand is one bottom-k sampling candidate: the object key and its
-// selection hash. Per-shard candidate sets merge by re-sorting on
-// (hash, key), recovering exactly the unsharded selection.
-type ShardCand struct {
-	// Hash is the selection hash Mix64(seed, tag, key).
-	Hash uint64 `json:"hash"`
-	// Key is the object key.
-	Key int64 `json:"key"`
-}
-
-// ShardGroupCount is one group's tally on one shard.
-type ShardGroupCount struct {
-	// Key is the group's canonical identity (parts joined with \x1f).
-	Key string `json:"key"`
-	// Parts are the rendered group-key components.
-	Parts []string `json:"parts,omitempty"`
-	// N is the group's population on this shard.
-	N int `json:"n"`
-	// Pos is the group's positive count (full labeling passes only).
-	Pos int `json:"pos,omitempty"`
-}
-
-// ShardMeta is a shard's population census.
-type ShardMeta struct {
-	// N is the number of objects the shard owns.
-	N int `json:"n"`
-	// Groups is the shard's per-group census (grouped queries only).
-	Groups []ShardGroupCount `json:"groups,omitempty"`
-}
-
-// ShardScored is one object's shard-local record: key, classifier score
-// (zero for ops that do not score), and canonical group (empty for plain
-// queries).
-type ShardScored struct {
-	// Key is the object key.
-	Key int64 `json:"key"`
-	// Score is the classifier score (zero for ops that do not score).
-	Score float64 `json:"score"`
-	// Group is the canonical group key (empty for plain queries).
-	Group string `json:"group,omitempty"`
-}
-
-// ShardTally is a shard's full labeling pass: population, labeled count,
-// positives, per-group tallies, and fresh predicate evaluations spent.
-type ShardTally struct {
-	// N is the shard's population.
-	N int `json:"n"`
-	// Sampled is the number of labeled objects (N for a full pass).
-	Sampled int `json:"sampled"`
-	// Positives is the number of objects satisfying the predicate.
-	Positives int `json:"positives"`
-	// Fresh is the fresh predicate evaluations this pass spent.
-	Fresh int `json:"fresh"`
-	// Groups carries the per-group tallies (grouped queries only).
-	Groups []ShardGroupCount `json:"groups,omitempty"`
-}
+// PrepareShard exposes one shard's worker (ShardExec) to an out-of-process
+// serving layer: a coordinator scatters internal/shard's op protocol over
+// HTTP and merges with the identical driver.
 
 // labelStore answers one worker's label queries: a per-key memo in front
 // of a lazily built predicate — an execution whose every sampled label is
@@ -102,7 +46,7 @@ type labelStore struct {
 	posByKey map[int64]int
 	relabel  bool // refresh's cold baseline: evaluate memoized keys too
 	build    func(ctx context.Context) (predicate.Predicate, Labeling, error)
-	pred     *timedPredicate // nil until the first miss
+	pred     *predicate.Timed // nil until the first miss
 	lab      Labeling
 	fresh    int // predicate evaluations spent
 	hits     int // label requests the memo answered
@@ -129,11 +73,11 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 			if err != nil {
 				return nil, 0, err
 			}
-			l.pred, l.lab = &timedPredicate{p: p}, lab
+			l.pred, l.lab = &predicate.Timed{P: p}, lab
 		}
 		sort.Ints(missing)
 		missing = dedupSortedInts(missing)
-		fresh, err := labelIndices(ctx, l.pred, missing)
+		fresh, err := predicate.Label(l.pred, missing, canceled(ctx, "labeling"))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -269,7 +213,7 @@ func (r *shardRun) predicateTime() time.Duration {
 	var d time.Duration
 	for _, l := range r.stores {
 		if l.pred != nil {
-			d += l.pred.dur
+			d += l.pred.Dur
 		}
 	}
 	return d
@@ -660,11 +604,12 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 	return out, nil
 }
 
-// ShardExec serves one shard's estimation primitives for an
-// out-of-process coordinator: the same seven operations internal workers
-// answer, expressed over wire-friendly types. Obtain one with
-// PrepareShard; a worker process typically caches it across requests and
-// Close-s it on eviction. All methods are safe for concurrent use.
+// ShardExec is one shard of a query, materialized for an out-of-process
+// coordinator: the shard's identity, and Op — the one entry point through
+// which the coordinator's shard-op protocol reaches the shard's worker.
+// Obtain one with PrepareShard; a worker process typically caches it across
+// requests and Close-s it on eviction. All methods are safe for concurrent
+// use.
 type ShardExec struct {
 	run    *shardRun
 	index  int
@@ -713,88 +658,22 @@ func (x *ShardExec) Fingerprint() string { return x.run.fp }
 // for methods that need no features).
 func (x *ShardExec) FeatureColumns() []string { return x.run.featCols }
 
-// Close releases the executor's catalog entries. Estimation ops must not
-// be called after Close.
+// Close releases the executor's catalog entries. Op must not be called
+// after Close.
 func (x *ShardExec) Close() { x.closeO.Do(x.run.close) }
 
-func (x *ShardExec) worker() shard.Worker { return x.run.workers[0] }
-
-// Meta returns the shard's population census.
-func (x *ShardExec) Meta(ctx context.Context) (ShardMeta, error) {
-	m, err := x.worker().Meta(ctx)
-	if err != nil {
-		return ShardMeta{}, err
+// Op runs one operation of the shard-op protocol on this shard: op names
+// it, args is its JSON argument block (empty for ops that take none), and
+// the result is its JSON reply block. The blocks are opaque here — the
+// protocol's coordinator end produces the one and consumes the other — so a
+// serving layer passes both through without decoding either. An unknown op
+// or an unreadable argument block is ErrInvalid.
+func (x *ShardExec) Op(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+	reply, err := shard.Serve(ctx, x.run.workers[0], op, args)
+	if errors.Is(err, shard.ErrBadOp) {
+		return nil, badf("%v", err)
 	}
-	out := ShardMeta{N: m.N}
-	for _, g := range m.Groups {
-		out.Groups = append(out.Groups, ShardGroupCount{Key: g.Key, Parts: g.Parts, N: g.N, Pos: g.Pos})
-	}
-	return out, nil
-}
-
-// Cands returns the shard's bottom-k sampling candidates under the given
-// tag.
-func (x *ShardExec) Cands(ctx context.Context, k int, tag uint64) ([]ShardCand, error) {
-	cs, err := x.worker().Cands(ctx, k, tag)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ShardCand, len(cs))
-	for i, c := range cs {
-		out[i] = ShardCand{Hash: c.Hash, Key: c.Key}
-	}
-	return out, nil
-}
-
-// Label evaluates the expensive predicate for the given shard-owned keys,
-// returning labels aligned with keys and the fresh evaluation count.
-func (x *ShardExec) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
-	return x.worker().Label(ctx, keys)
-}
-
-// Features returns the feature vectors of the given shard-owned keys.
-func (x *ShardExec) Features(ctx context.Context, keys []int64) ([][]float64, error) {
-	return x.worker().Features(ctx, keys)
-}
-
-// ScoreAll trains the plan classifier on the broadcast learn sample and
-// scores every object the shard owns.
-func (x *ShardExec) ScoreAll(ctx context.Context, xs [][]float64, y []bool, clfSeed uint64) ([]ShardScored, error) {
-	ss, err := x.worker().ScoreAll(ctx, xs, y, clfSeed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ShardScored, len(ss))
-	for i, s := range ss {
-		out[i] = ShardScored{Key: s.Key, Score: s.Score, Group: s.Group}
-	}
-	return out, nil
-}
-
-// GroupKeys lists every shard-owned key with its canonical group.
-func (x *ShardExec) GroupKeys(ctx context.Context) ([]ShardScored, error) {
-	ss, err := x.worker().GroupKeys(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ShardScored, len(ss))
-	for i, s := range ss {
-		out[i] = ShardScored{Key: s.Key, Score: s.Score, Group: s.Group}
-	}
-	return out, nil
-}
-
-// CountAll labels every shard-owned object and returns the tallies.
-func (x *ShardExec) CountAll(ctx context.Context) (ShardTally, error) {
-	p, gs, fresh, err := x.worker().CountAll(ctx)
-	if err != nil {
-		return ShardTally{}, err
-	}
-	out := ShardTally{N: p.N, Sampled: p.Sampled, Positives: p.Positives, Fresh: fresh}
-	for _, g := range gs {
-		out.Groups = append(out.Groups, ShardGroupCount{Key: g.Key, Parts: g.Parts, N: g.N, Pos: g.Pos})
-	}
-	return out, nil
+	return reply, err
 }
 
 // EvictShardLayout drops every sharded entry whose layout disagrees with

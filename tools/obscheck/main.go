@@ -3,9 +3,15 @@
 // fails the build when it finds:
 //
 //   - a metric registered without a help string: any call to NewCounter,
-//     NewGauge, NewHistogram, CounterFunc, GaugeFunc, or HistogramFunc
-//     whose help argument is the empty string literal "" (the registry
-//     panics on this at runtime; the lint catches it at CI time);
+//     CounterFunc, GaugeFunc, NewTimer, or NewHistogram whose help argument
+//     is the empty string literal "" (the registry panics on this at
+//     runtime; the lint catches it at CI time);
+//
+//   - a metric family name registered from two call sites: a family is
+//     declared once, in one registry constructor, and every rendering
+//     (/metrics, /v1/stats) derives from that declaration. Two roles that
+//     expose the same family share the registering function (see
+//     obs.Tracer.Register) instead of each spelling the name and help;
 //
 //   - a span opened but never ended: an assignment from StartSpan,
 //     StartRequest, EnsureSpan, or ChildSpan whose span result either is
@@ -30,18 +36,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 )
 
-// metricFuncs are registration calls whose second argument is the
-// mandatory help string.
+// metricFuncs are registration calls whose first argument is the family
+// name and whose second is the mandatory help string.
 var metricFuncs = map[string]bool{
-	"NewCounter":    true,
-	"NewGauge":      true,
-	"NewHistogram":  true,
-	"CounterFunc":   true,
-	"GaugeFunc":     true,
-	"HistogramFunc": true,
+	"NewCounter":   true,
+	"CounterFunc":  true,
+	"GaugeFunc":    true,
+	"NewTimer":     true,
+	"NewHistogram": true,
 }
 
 // spanFuncs open a span as the second result: (ctx, span) or
@@ -59,6 +66,7 @@ func main() {
 	}
 	fset := token.NewFileSet()
 	var problems []string
+	families := map[string][]token.Position{} // family name -> registering call sites
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -82,7 +90,7 @@ func main() {
 			if err != nil {
 				return fmt.Errorf("parse %s: %w", path, err)
 			}
-			problems = append(problems, lintFile(fset, file)...)
+			problems = append(problems, lintFile(fset, file, families)...)
 			return nil
 		})
 		if err != nil {
@@ -90,6 +98,13 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	for name, sites := range families {
+		for _, site := range sites[1:] {
+			problems = append(problems,
+				fmt.Sprintf("%s: metric family %s is already registered at %s", site, name, sites[0]))
+		}
+	}
+	sort.Strings(problems)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -99,12 +114,15 @@ func main() {
 	}
 }
 
-func lintFile(fset *token.FileSet, file *ast.File) []string {
+func lintFile(fset *token.FileSet, file *ast.File, families map[string][]token.Position) []string {
 	var problems []string
 
-	// Rule 1: metric registrations must carry a help string. The lint is
-	// conservative: it only flags a literal "", since non-literal help
-	// arguments are checked by the registry's runtime panic.
+	// Rule 1: metric registrations must carry a help string, and each
+	// family name is registered from one call site (recorded in families;
+	// main reports the duplicates once every file is in). The lint is
+	// conservative: it only sees string literals — a non-literal help is
+	// checked by the registry's runtime panic, as is a name registered
+	// twice in one registry.
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -117,6 +135,11 @@ func lintFile(fset *token.FileSet, file *ast.File) []string {
 		if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING && lit.Value == `""` {
 			problems = append(problems,
 				fmt.Sprintf("%s: %s registered with an empty help string", fset.Position(call.Pos()), name))
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if family, err := strconv.Unquote(lit.Value); err == nil {
+				families[family] = append(families[family], fset.Position(call.Pos()))
+			}
 		}
 		return true
 	})
