@@ -25,8 +25,9 @@
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
-#                      lexer, live delta parser, WAL reader, shard routing)
-#                      — the CI crash gate
+#                      lexer, live delta parser, WAL reader, shard routing,
+#                      design sweep vs its per-bound reference) — the CI
+#                      crash gate
 #   make bench-full    3-second benchmark pass (slow; for recorded numbers)
 
 GO ?= go
@@ -72,9 +73,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The figure benchmark plus the parallel-engine micro-benchmarks
-# (forest fit, batched scoring, scoreRest, RunDist).
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par))$$
+# The figure benchmark, the parallel-engine micro-benchmarks (forest fit,
+# batched scoring, scoreRest, RunDist), the three stratification designers
+# (DynPgm at a wide shape and at the ledger's udf_learn shape) and one lss
+# estimate end to end.
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate)$$
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x ./... \
@@ -105,9 +108,11 @@ bench-ledger-smoke:
 
 # Brief run of each native fuzzer: the parser/renderer round-trip property,
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a
-# real keyed table, the WAL reader against arbitrary segment bytes, and the
+# real keyed table, the WAL reader against arbitrary segment bytes, the
 # consistent-hash shard routing invariants (no key lost or double-assigned,
-# minimal movement on join/leave).
+# minimal movement on join/leave), and the designers' one-sweep dynamic
+# program against the per-bound, per-level reference it replaced (cuts and
+# objective bit for bit, feasibility, V = objective of the cuts).
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -116,3 +121,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/

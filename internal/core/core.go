@@ -70,6 +70,14 @@ func (t Timing) Overhead() time.Duration {
 	return ov
 }
 
+// DesignInfo reports how LSS laid out its strata (zero for other methods).
+type DesignInfo struct {
+	Algo       string // designer or layout that produced the cuts: "dynpgm", "dirsol", "fixed-height", …
+	Candidates int    // |B|, candidate boundaries considered (dynamic-programming designers)
+	Bounds     int    // |T|, auxiliary-sum bounds swept (DynPgm)
+	Fallback   string // the requested designer and its error when equal-count replaced it; else empty
+}
+
 // Result is the outcome of one estimation run.
 type Result struct {
 	Method   string
@@ -78,6 +86,7 @@ type Result struct {
 	HasCI    bool
 	Evals    int64 // predicate evaluations spent
 	Timing   Timing
+	Design   DesignInfo
 }
 
 // Method estimates C(O, q) within a labeling budget.

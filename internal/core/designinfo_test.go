@@ -1,0 +1,84 @@
+package core
+
+import (
+	"context"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/learn"
+	"repro/internal/stratify"
+	"repro/internal/xrand"
+)
+
+// scoreOnly hides a classifier's batch path, so learn.ScoreAll falls back
+// to one Score call per object — the path QLCC and QLAC used to count by.
+type scoreOnly struct{ learn.Classifier }
+
+// TestQLCountsOnceThroughBatchPath: counting predictions from the batch
+// scores gives byte-identical QLCC and QLAC estimates to scoring object by
+// object (the forest sums its trees in the same order on both paths).
+func TestQLCountsOnceThroughBatchPath(t *testing.T) {
+	obj, _ := syntheticInstance(3000, 1.0, 41)
+	single := func(seed uint64) learn.Classifier { return scoreOnly{smallForest(seed)} }
+	if _, ok := single(1).(learn.BatchScorer); ok {
+		t.Fatal("scoreOnly must not expose a batch path")
+	}
+	for _, seed := range []uint64{1, 2, 3, 4, 5} {
+		for _, pair := range [][2]Method{
+			{&QLCC{NewClassifier: smallForest}, &QLCC{NewClassifier: single}},
+			{&QLAC{NewClassifier: smallForest}, &QLAC{NewClassifier: single}},
+		} {
+			batch, err := pair[0].Estimate(context.Background(), obj, 150, xrand.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := pair[1].Estimate(context.Background(), obj, 150, xrand.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(batch.Estimate) != math.Float64bits(one.Estimate) || batch.Evals != one.Evals {
+				t.Fatalf("%s seed %d: batch path %v (%d evals), per-object path %v (%d evals)",
+					batch.Method, seed, batch.Estimate, batch.Evals, one.Estimate, one.Evals)
+			}
+		}
+	}
+}
+
+// TestLSSReportsDesign: the result names the designer that produced the
+// cuts, its candidate-set size and bound count, and — when the designer
+// found nothing feasible — the equal-count fallback and why.
+func TestLSSReportsDesign(t *testing.T) {
+	obj, _ := syntheticInstance(4000, 1.0, 43)
+	run := func(m *LSS) DesignInfo {
+		t.Helper()
+		m.NewClassifier = smallForest
+		res, err := m.Estimate(context.Background(), obj, 400, xrand.New(44))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Design
+	}
+	if d := run(&LSS{}); d.Algo != "dynpgm" || d.Candidates < 4 || d.Bounds < 2 || d.Fallback != "" {
+		t.Fatalf("default LSS design = %+v, want dynpgm with |B| and |T|", d)
+	}
+	if d := run(&LSS{Strata: 3}); d.Algo != "dirsol" || d.Candidates != 0 || d.Bounds != 0 || d.Fallback != "" {
+		t.Fatalf("H=3 design = %+v, want dirsol", d)
+	}
+	if d := run(&LSS{Strata: 8}); d.Algo != "dynpgmp" || d.Candidates < 8 || d.Bounds != 0 {
+		t.Fatalf("H=8 design = %+v, want dynpgmp (single unbounded pass)", d)
+	}
+	if d := run(&LSS{Layout: LayoutFixedWidth}); d.Algo != "fixed-width" || d.Fallback != "" {
+		t.Fatalf("fixed-width design = %+v", d)
+	}
+	// No stratum can hold 3 000 of ~3 900 objects four times over.
+	tight := &stratify.Constraints{MinStratumSize: 3000, MinPilotPerStratum: 2}
+	d := run(&LSS{Constraints: tight})
+	if d.Algo != "fixed-height" || !strings.HasPrefix(d.Fallback, "dynpgm: ") || d.Candidates != 0 {
+		t.Fatalf("infeasible design = %+v, want the fixed-height fallback naming dynpgm", d)
+	}
+	// The same layout chosen outright: no designer ran, so nothing fell back.
+	if d := run(&LSS{Layout: LayoutEqualCount}); d != (DesignInfo{Algo: "fixed-height"}) {
+		t.Fatalf("fixed-height layout design = %+v", d)
+	}
+}

@@ -87,13 +87,10 @@ func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate
 	return clf, idx, labels, nil
 }
 
-// scoreRest scores every object outside the labeled set and returns the
-// remaining object indices with their scores. Membership uses a []bool
-// bitmap (indices are dense in [0, N)), and scoring goes through the
-// classifier's batch path when it has one — for the default random forest
-// that means one cache-friendly, parallel pass instead of N interface
-// calls.
-func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64) {
+// restOf returns the indices of the objects outside the labeled set, in
+// index order, and their feature rows. Membership uses a []bool bitmap
+// (indices are dense in [0, N)).
+func restOf(obj *ObjectSet, labeled []int) (restIdx []int, restX [][]float64) {
 	inSL := make([]bool, obj.N())
 	for _, i := range labeled {
 		inSL[i] = true
@@ -104,10 +101,20 @@ func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []i
 			restIdx = append(restIdx, i)
 		}
 	}
-	restX := make([][]float64, len(restIdx))
+	restX = make([][]float64, len(restIdx))
 	for j, i := range restIdx {
 		restX[j] = obj.Features[i]
 	}
+	return restIdx, restX
+}
+
+// scoreRest scores every object outside the labeled set and returns the
+// remaining object indices with their scores. Scoring goes through the
+// classifier's batch path when it has one — for the default random forest
+// that means one cache-friendly, parallel pass instead of N interface
+// calls.
+func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64) {
+	restIdx, restX := restOf(obj, labeled)
 	return restIdx, learn.ScoreAll(clf, restX)
 }
 

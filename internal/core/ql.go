@@ -51,11 +51,7 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 	learnDur := time.Since(t0)
 
 	t1 := time.Now()
-	restIdx, _ := scoreRest(obj, clf, SL)
-	testX := make([][]float64, len(restIdx))
-	for j, i := range restIdx {
-		testX[j] = obj.Features[i]
-	}
+	_, testX := restOf(obj, SL)
 	res := quantify.ClassifyAndCount(clf, countPositives(labels), testX)
 	return &Result{
 		Method:   m.Name(),
@@ -115,11 +111,7 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 	learnDur := time.Since(t0)
 
 	t1 := time.Now()
-	restIdx, _ := scoreRest(obj, clf, SL)
-	testX := make([][]float64, len(restIdx))
-	for j, i := range restIdx {
-		testX[j] = obj.Features[i]
-	}
+	_, testX := restOf(obj, SL)
 	trainX := make([][]float64, len(SL))
 	for j, i := range SL {
 		trainX[j] = obj.Features[i]

@@ -22,11 +22,14 @@ type Result struct {
 }
 
 // ClassifyAndCount is QLCC: count the classifier's positive predictions over
-// the test objects and add the known training positives.
+// the test objects and add the known training positives. The objects are
+// scored once, through the classifier's batch path when it has one (a
+// BatchScorer returns exactly Score(x) per row, so the count is the one
+// learn.Predict would give object by object).
 func ClassifyAndCount(clf learn.Classifier, trainPos int, testX [][]float64) Result {
 	obs := 0
-	for _, x := range testX {
-		if learn.Predict(clf, x) {
+	for _, s := range learn.ScoreAll(clf, testX) {
+		if s >= 0.5 {
 			obs++
 		}
 	}

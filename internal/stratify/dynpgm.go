@@ -3,13 +3,14 @@ package stratify
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // maxCandidates caps the candidate boundary set size. The paper's B has
-// O(m log N) members; for very large pilots we thin the non-rank candidates
-// to keep the O(H·|B|²) dynamic programs affordable. Rank positions
-// (the ı_k themselves) are always retained.
+// O(m log N) members; the dynamic programs evaluate one stratum per
+// candidate pair (|B|²/2 of them, each followed by |T|·H table updates), so
+// for very large pilots we thin the non-rank candidates to keep them
+// affordable. Rank positions (the ı_k themselves) are always retained.
 const maxCandidates = 1500
 
 // candidateBoundaries builds the ordered boundary set B of §4.2.1's DynPgm
@@ -25,14 +26,6 @@ func candidateBoundariesEps(p *Pilot, eps float64) []int {
 	if eps <= 0 || eps > 1 {
 		eps = 1
 	}
-	N := p.N
-	m := p.M()
-	set := make(map[int]bool)
-	add := func(b int) {
-		if b >= 1 && b <= N {
-			set[b] = true
-		}
-	}
 	grow := func(step int) int {
 		next := int(math.Ceil(float64(step) * (1 + eps)))
 		if next <= step {
@@ -40,30 +33,26 @@ func candidateBoundariesEps(p *Pilot, eps float64) []int {
 		}
 		return next
 	}
-	for k := 1; k <= m; k++ {
-		cur := p.Pos[k-1] + 1 // 1-based rank
-		next := N + 1
-		if k < m {
-			next = p.Pos[k] + 1
+	out := []int{p.N}
+	for k, pos := range p.Pos {
+		cur := pos + 1 // 1-based rank
+		prev, next := 0, p.N+1
+		if k > 0 {
+			prev = p.Pos[k-1] + 1
 		}
-		prev := 0
-		if k > 1 {
-			prev = p.Pos[k-2] + 1
+		if k+1 < len(p.Pos) {
+			next = p.Pos[k+1] + 1
 		}
-		add(cur)
+		out = append(out, cur)
 		for step := 1; cur+step < next; step = grow(step) {
-			add(cur + step)
+			out = append(out, cur+step)
 		}
 		for step := 1; cur-step > prev; step = grow(step) {
-			add(cur - step)
+			out = append(out, cur-step)
 		}
 	}
-	add(N)
-	out := make([]int, 0, len(set))
-	for b := range set {
-		out = append(out, b)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
+	out = slices.Compact(out)
 	if len(out) > maxCandidates {
 		out = thinCandidates(out, p)
 	}
@@ -98,15 +87,21 @@ func thinCandidates(b []int, p *Pilot) []int {
 			out = append(out, extras[i])
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
 // DynPgm is the scalable Neyman-allocation designer of §4.2.1 and Appendix
 // C. The objective (5) is not separable because of the auxiliary sum
-// Σ_{h'<h} N_h' s_h'; the algorithm runs one dynamic program per guessed
+// Σ_{h'<h} N_h' s_h'; the algorithm solves one dynamic program per guessed
 // bound t ∈ T = {2^t ≤ mHN} under the constraint N_h s_h ≤ t, and returns
 // the best design found across all t.
+//
+// All |T| programs run in one sweep over the candidate pairs: a stratum's
+// size, variance and N_h s_h depend on the pair alone, so they are evaluated
+// once per pair (|B|²/2 evaluations) and every bound that admits the pair
+// and every level h then takes one multiply-add-compare from flat tables —
+// |T|·H cheap updates per pair instead of |T|·H stratum evaluations.
 //
 // Theorem 3: assuming N_⊔ ≥ 4n, the result is within 14/3·(10H−9) of the
 // optimum, in O(N log m + H m² log³ N) time.
@@ -126,24 +121,14 @@ func DynPgmEps(p *Pilot, H, n int, c Constraints, eps float64) (*Design, error) 
 	if eps <= 0 || eps > 1 {
 		eps = 1
 	}
-	B := candidateBoundariesEps(p, eps)
-	if len(B) == 0 || B[len(B)-1] != p.N {
-		return nil, fmt.Errorf("stratify: candidate set does not reach N")
-	}
-	pre := precompute(p, B)
-
-	// T: powers of (1+ε). The paper bounds T by mHN, but N_h·s_h never
-	// exceeds N/2 (binary variance caps s at ~0.5), so every t ≥ N/2 yields
-	// the same unconstrained pass — we stop at the first such t.
-	limit := float64(p.N) / 2
+	B, T := candidateBoundariesEps(p, eps), sumBounds(p.N, eps)
 	var best *Design
-	for t := 1.0; ; t *= 1 + eps {
-		d := dynNeymanPass(p, pre, H, n, c, t)
-		if d != nil && (best == nil || d.V < best.V) {
-			best = d
+	for _, cuts := range sweep(p, B, H, c, eq5(n), T) {
+		if cuts == nil {
+			continue
 		}
-		if t >= limit {
-			break
+		if v := NeymanObjective(p, cuts, n); best == nil || v < best.V {
+			best = &Design{Cuts: cuts, V: v, Candidates: len(B), Bounds: len(T)}
 		}
 	}
 	if best == nil {
@@ -152,126 +137,23 @@ func DynPgmEps(p *Pilot, H, n int, c Constraints, eps float64) (*Design, error) 
 	return best, nil
 }
 
-// pretables holds per-candidate prefix data shared by the DP passes.
-type pretables struct {
-	B []int // candidate cut positions (1-based), ascending, last = N
-	L []int // L[i] = number of pilot samples at positions ≤ B[i]
-}
-
-func precompute(p *Pilot, B []int) *pretables {
-	L := make([]int, len(B))
-	for i, b := range B {
-		L[i] = p.CountUpTo(b) // samples with 0-based pos < b ⇔ 1-based ≤ b
-	}
-	return &pretables{B: B, L: L}
-}
-
-// stratumS2 returns pilot count and variance for the stratum (B[j], B[i]];
-// j = -1 denotes the sentinel boundary 0.
-func (pt *pretables) stratumS2(p *Pilot, j, i int) (int, float64) {
-	lo := 0
-	if j >= 0 {
-		lo = pt.L[j]
-	}
-	return p.SampleStats(lo, pt.L[i])
-}
-
-func dynNeymanPass(p *Pilot, pt *pretables, H, n int, c Constraints, t float64) *Design {
-	nb := len(pt.B)
-	nf := float64(n)
-	const inf = math.MaxFloat64
-
-	// A[h][i]: best Σ-term value for h strata over the first B[i] objects
-	// under the auxiliary-sum constraint; X[h][i]: its auxiliary sum.
-	A := make([][]float64, H+1)
-	X := make([][]float64, H+1)
-	parent := make([][]int, H+1)
-	for h := 0; h <= H; h++ {
-		A[h] = make([]float64, nb)
-		X[h] = make([]float64, nb)
-		parent[h] = make([]int, nb)
-		for i := range A[h] {
-			A[h][i] = inf
-			parent[h][i] = -2
+// sumBounds is T, the guessed bounds on N_h·s_h: ascending powers of (1+ε).
+// The paper bounds T by mHN, but N_h·s_h never exceeds N/2 (binary variance
+// caps s at ~0.5), so every t ≥ N/2 yields the same unconstrained program —
+// T stops at the first such t.
+func sumBounds(N int, eps float64) []float64 {
+	var T []float64
+	for t, limit := 1.0, float64(N)/2; ; t *= 1 + eps {
+		T = append(T, t)
+		if t >= limit {
+			return T
 		}
 	}
-
-	bPos := func(j int) int {
-		if j < 0 {
-			return 0
-		}
-		return pt.B[j]
-	}
-	lOf := func(j int) int {
-		if j < 0 {
-			return 0
-		}
-		return pt.L[j]
-	}
-
-	for h := 1; h <= H; h++ {
-		for i := 0; i < nb; i++ {
-			// The first stratum must start at the sentinel boundary 0; later
-			// strata start at a previously chosen boundary.
-			lo, hiJ := 0, i
-			if h == 1 {
-				lo, hiJ = -1, 0
-			}
-			for j := lo; j < hiJ; j++ {
-				if h > 1 && A[h-1][j] == inf {
-					continue
-				}
-				size := pt.B[i] - bPos(j)
-				if size < c.MinStratumSize {
-					continue
-				}
-				mh := pt.L[i] - lOf(j)
-				if mh < c.MinPilotPerStratum {
-					continue
-				}
-				_, s2 := p.SampleStats(lOf(j), pt.L[i])
-				Ns := float64(size) * math.Sqrt(s2)
-				if Ns > t {
-					continue
-				}
-				var prevA, prevX float64
-				if h > 1 {
-					prevA, prevX = A[h-1][j], X[h-1][j]
-				}
-				cand := prevA + Ns*Ns/nf - float64(size)*s2 + 2/nf*Ns*prevX
-				if cand < A[h][i] {
-					A[h][i] = cand
-					X[h][i] = prevX + Ns
-					parent[h][i] = j
-				}
-			}
-		}
-	}
-
-	last := nb - 1
-	if A[H][last] == inf {
-		return nil
-	}
-	// Recover cuts.
-	cuts := make([]int, H+1)
-	cuts[H] = p.N
-	i := last
-	for h := H; h >= 1; h-- {
-		j := parent[h][i]
-		if j == -2 {
-			return nil
-		}
-		cuts[h-1] = bPos(j)
-		i = j
-	}
-	d := &Design{Cuts: cuts}
-	d.V = NeymanObjective(p, cuts, n)
-	return d
 }
 
 // DynPgmP is the proportional-allocation designer of §4.2.2 and Appendix D.
-// Objective (6) is separable, so a single dynamic program over the
-// candidate boundary set suffices.
+// Objective (6) is separable, so a single unbounded pass of the sweep
+// suffices.
 //
 // Theorem 4: the result is within a factor 2 of the optimal proportional-
 // allocation stratification, in O(N log m + H m² log² N) time.
@@ -288,78 +170,180 @@ func DynPgmPEps(p *Pilot, H, n int, c Constraints, eps float64) (*Design, error)
 		return nil, err
 	}
 	B := candidateBoundariesEps(p, eps)
-	pt := precompute(p, B)
-	nb := len(B)
-	const inf = math.MaxFloat64
-	scale := float64(p.N-n) / float64(n)
-
-	A := make([][]float64, H+1)
-	parent := make([][]int, H+1)
-	for h := 0; h <= H; h++ {
-		A[h] = make([]float64, nb)
-		parent[h] = make([]int, nb)
-		for i := range A[h] {
-			A[h][i] = inf
-			parent[h][i] = -2
-		}
-	}
-	bPos := func(j int) int {
-		if j < 0 {
-			return 0
-		}
-		return pt.B[j]
-	}
-	lOf := func(j int) int {
-		if j < 0 {
-			return 0
-		}
-		return pt.L[j]
-	}
-	for h := 1; h <= H; h++ {
-		for i := 0; i < nb; i++ {
-			lo, hiJ := 0, i
-			if h == 1 {
-				lo, hiJ = -1, 0
-			}
-			for j := lo; j < hiJ; j++ {
-				if h > 1 && A[h-1][j] == inf {
-					continue
-				}
-				size := pt.B[i] - bPos(j)
-				if size < c.MinStratumSize {
-					continue
-				}
-				mh := pt.L[i] - lOf(j)
-				if mh < c.MinPilotPerStratum {
-					continue
-				}
-				_, s2 := p.SampleStats(lOf(j), pt.L[i])
-				var prevA float64
-				if h > 1 {
-					prevA = A[h-1][j]
-				}
-				cand := prevA + scale*float64(size)*s2
-				if cand < A[h][i] {
-					A[h][i] = cand
-					parent[h][i] = j
-				}
-			}
-		}
-	}
-	last := nb - 1
-	if A[H][last] == inf {
+	cuts := sweep(p, B, H, c, eq6(p.N, n), []float64{0})[0]
+	if cuts == nil {
 		return nil, fmt.Errorf("stratify: DynPgmP found no feasible %d-stratification", H)
 	}
-	cuts := make([]int, H+1)
-	cuts[H] = p.N
-	i := last
-	for h := H; h >= 1; h-- {
-		j := parent[h][i]
-		if j == -2 {
-			return nil, fmt.Errorf("stratify: DynPgmP parent chain broken")
-		}
-		cuts[h-1] = bPos(j)
-		i = j
+	return &Design{Cuts: cuts, V: PropObjective(p, cuts, n), Candidates: len(B)}, nil
+}
+
+// objective prices one stratum for the sweep: eq. (5), whose auxiliary sum
+// couples the strata, or the separable eq. (6).
+type objective struct {
+	n, scale  float64 // eq. (5): n and 2/n; eq. (6): scale = (N−n)/n
+	separable bool
+}
+
+func eq5(n int) objective { return objective{n: float64(n), scale: 2 / float64(n)} }
+
+func eq6(N, n int) objective {
+	return objective{separable: true, scale: float64(N-n) / float64(n)}
+}
+
+// terms returns a stratum's load N_h·s_h on the auxiliary sum and the
+// coefficients of the relaxation prevA + add − sub + cross·prevX. The
+// products are rounded explicitly so that a fusing compiler cannot make the
+// hoisted terms differ from the inline expression they replaced.
+func (o objective) terms(size, s2, s float64) (load, add, sub, cross float64) {
+	if o.separable {
+		return 0, float64(o.scale * size * s2), 0, 0
 	}
-	return &Design{Cuts: cuts, V: PropObjective(p, cuts, n)}, nil
+	load = float64(size * s)
+	return load, float64(load * load / o.n), float64(size * s2), float64(o.scale * load)
+}
+
+// cell is one dynamic-program state: the best Σ-term value a for h strata
+// ending at a boundary under one bound, and x, that design's auxiliary sum.
+type cell struct{ a, x float64 }
+
+// leaders tracks which of the sweep's passes hold a table column of their
+// own. Cell (row, pass) lives at row·|T| + pass, so the passes a pair is
+// admitted to are one contiguous run. Passes that have admitted the same
+// pairs so far are identical; only the first of each such run — its leader —
+// is kept up to date, and a pass gets a column of its own (a copy of its
+// leader's) when the first pair arrives that it admits and its leader does
+// not.
+type leaders struct {
+	lead []int // leader passes, ascending; lead[0] = 0
+	slot []int // slot[k] = index of pass k in lead, −1 while k follows a leader
+}
+
+// split makes pass k a leader and returns its index in lead.
+func (s *leaders) split(k int, tab []cell, par []int32) int {
+	li := 1
+	for li < len(s.lead) && s.lead[li] < k {
+		li++
+	}
+	from, nT := s.lead[li-1], len(s.slot)
+	s.lead = slices.Insert(s.lead, li, k)
+	for x, q := range s.lead[li:] {
+		s.slot[q] = li + x
+	}
+	for c := 0; c < len(tab); c += nT {
+		tab[c+k], par[c+k] = tab[c+from], par[c+from]
+	}
+	return li
+}
+
+// sweep solves, for every bound T[k] (ascending) at once, the dynamic
+// program min Σ_h cost(stratum h) over H-stratifications with cuts in B,
+// subject to c and to load ≤ T[k] for every stratum, and returns the cuts of
+// each (nil where no feasible design exists). Every candidate pair is
+// evaluated once; ties resolve to the smallest parent boundary, exactly as a
+// per-bound, per-level pass over ascending parents would.
+//
+// Scratch is (H−1)·(|B|+1)+2 rows of |T| cells (20 bytes each): 0.6 MB at
+// |B| = 760, |T| = 14, H = 4, and 1.8 MB at the maxCandidates cap with
+// |T| = 20 (3 MB at H = 6, the most strata LSS hands DynPgm).
+func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) [][]int {
+	nb, nT := len(B), len(T)
+	// Row 0 is the sentinel boundary 0; row r ≥ 1 is candidate B[r-1].
+	rows := nb + 1
+	pos, cnt := make([]int, rows), make([]int, rows)
+	for r, b := range B {
+		pos[r+1], cnt[r+1] = b, p.CountUpTo(b)
+	}
+	// Level 0 is the single sentinel row (a = x = 0), levels 1..H−1 hold
+	// every row, and level H only the last one: no other level-H cell, and
+	// no lower cell of the last row, lies on a path to the answer.
+	level := func(h int) int { return 1 + (h-1)*rows }
+	tab, par := make([]cell, (level(H)+1)*nT), make([]int32, (level(H)+1)*nT)
+	for i := nT; i < len(tab); i++ {
+		// +Inf, not MaxFloat64: relaxing from an unreachable cell then
+		// yields +Inf and loses every comparison without a test.
+		tab[i].a = math.Inf(1)
+	}
+	s := &leaders{lead: make([]int, 1, nT), slot: make([]int, nT)}
+	for k := 1; k < nT; k++ {
+		s.slot[k] = -1
+	}
+
+	lead, jhi, k := s.lead, -1, 0
+	for i := 1; i <= nb; i++ {
+		// Both constraints are monotone in the parent row, so the feasible
+		// parents of row i are 0..jhi, and jhi only grows with i.
+		for jhi+1 < i && pos[i]-pos[jhi+1] >= c.MinStratumSize && cnt[i]-cnt[jhi+1] >= c.MinPilotPerStratum {
+			jhi++
+		}
+		lo, s2, sd := -1, 0.0, 0.0
+		for j := 0; j <= jhi; j++ {
+			// The levels stratum (j, i] can close: the first when it starts
+			// at the sentinel, the last when it ends at N, 2..H−1 otherwise.
+			src, dst, n := level(1)+j, level(2)+i, H-2
+			switch {
+			case i == nb && j == 0:
+				continue
+			case i == nb:
+				src, dst, n = level(H-1)+j, level(H), 1
+			case j == 0:
+				src, dst, n = 0, level(1)+i, 1
+			}
+			if cnt[j] != lo { // the variance changes only with the pilot count
+				lo = cnt[j]
+				_, s2 = p.SampleStats(lo, cnt[i])
+				sd = math.Sqrt(s2)
+			}
+			load, add, sub, cross := obj.terms(float64(pos[i]-pos[j]), s2, sd)
+			// k is the first bound that admits the pair (all later ones do
+			// too); loads change little between neighbours, so the search
+			// starts where the previous pair's ended.
+			for k > 0 && load <= T[k-1] {
+				k--
+			}
+			for k < nT && load > T[k] {
+				k++
+			}
+			if k == nT {
+				k--
+				continue
+			}
+			li := s.slot[k]
+			if li < 0 {
+				li = s.split(k, tab, par)
+				lead = s.lead
+			}
+			for _, q := range lead[li:] {
+				at, to := src*nT+q, dst*nT+q
+				for l := 0; l < n; l, at, to = l+1, at+rows*nT, to+rows*nT {
+					f := tab[at]
+					if cand := f.a + add - sub + float64(cross*f.x); cand < tab[to].a {
+						tab[to], par[to] = cell{cand, f.x + load}, int32(j)
+					}
+				}
+			}
+		}
+	}
+
+	out := make([][]int, nT)
+	for pass, li := 0, 0; pass < nT; pass++ {
+		if li+1 < len(lead) && lead[li+1] == pass {
+			li++
+		}
+		q, at := lead[li], level(H)
+		if q < pass { // never split from its leader: the same design
+			out[pass] = out[q]
+			continue
+		}
+		if math.IsInf(tab[at*nT+q].a, 1) {
+			continue
+		}
+		cuts := make([]int, H+1)
+		cuts[H] = p.N
+		for h := H; h >= 1; h-- {
+			r := int(par[at*nT+q])
+			cuts[h-1], at = pos[r], level(h-1)+r
+		}
+		out[pass] = cuts
+	}
+	return out
 }

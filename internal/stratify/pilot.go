@@ -105,10 +105,14 @@ func SmoothedStdDev(m, pos int) float64 {
 // Design is a stratification: H+1 cut positions 0 = Cuts[0] < Cuts[1] < …
 // < Cuts[H] = N, where stratum h covers object positions
 // [Cuts[h-1], Cuts[h]). V is the design objective achieved (eq. 5 for
-// Neyman-allocation designers, eq. 6 for proportional).
+// Neyman-allocation designers, eq. 6 for proportional). The dynamic-
+// programming designers also report the work behind it: Candidates is |B|,
+// Bounds the number of auxiliary-sum bounds |T| swept (DynPgm only).
 type Design struct {
-	Cuts []int
-	V    float64
+	Cuts       []int
+	V          float64
+	Candidates int
+	Bounds     int
 }
 
 // H returns the number of strata.

@@ -472,24 +472,37 @@ func BenchmarkDirSol(b *testing.B) {
 	}
 }
 
+// BenchmarkDynPgm has two shapes: a wide one (N = 50 000, 200 pilot labels)
+// and the one the benchmark ledger's udf_learn workload hands the designer
+// on every lss count (N = 10 000, 45 pilot labels, H = 4).
 func BenchmarkDynPgm(b *testing.B) {
-	r := xrand.New(21)
-	N := 50000
-	labels := boundaryLabels(N, 0.5, 0.05, r)
-	perm := r.Perm(N)[:200]
-	sort.Ints(perm)
-	q := make([]bool, len(perm))
-	for i, p := range perm {
-		q[i] = labels[p]
-	}
-	pilot, err := NewPilot(N, perm, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := Constraints{MinStratumSize: 2500, MinPilotPerStratum: 5}
+	b.Run("wide", func(b *testing.B) {
+		r := xrand.New(21)
+		N := 50000
+		labels := boundaryLabels(N, 0.5, 0.05, r)
+		perm := r.Perm(N)[:200]
+		sort.Ints(perm)
+		q := make([]bool, len(perm))
+		for i, p := range perm {
+			q[i] = labels[p]
+		}
+		pilot, err := NewPilot(N, perm, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDynPgm(b, pilot, 4, 500, Constraints{MinStratumSize: 2500, MinPilotPerStratum: 5})
+	})
+	b.Run("ledger", func(b *testing.B) {
+		pilot, H, n, c := ledgerShape(b)
+		benchDynPgm(b, pilot, H, n, c)
+	})
+}
+
+func benchDynPgm(b *testing.B, pilot *Pilot, H, n int, c Constraints) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DynPgm(pilot, 4, 500, c); err != nil {
+		if _, err := DynPgm(pilot, H, n, c); err != nil {
 			b.Fatal(err)
 		}
 	}

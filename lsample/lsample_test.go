@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -384,5 +385,66 @@ func TestExactPassCtxCanceled(t *testing.T) {
 	}
 	if n := evals.Load(); n > 20 {
 		t.Errorf("exact pass evaluated %d objects after cancellation at 20", n-20)
+	}
+}
+
+// TestDesignSpanExplainsItself: the lss design span names the designer that
+// produced the strata with its |B| and |T|, and says so when equal-count
+// strata silently replaced an infeasible optimal design. Tracing does not
+// change the estimate.
+func TestDesignSpanExplainsItself(t *testing.T) {
+	features, pred := ellipse(2000, 7)
+	designSpan := func(budget float64) (map[string]any, float64) {
+		t.Helper()
+		tracer := NewTracer(TracerOptions{SampleRate: 1})
+		est, err := NewEstimator(WithMethod("lss"), WithBudget(budget), WithSeed(42), WithTracer(tracer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := est.Estimate(context.Background(), features, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces := tracer.Traces(1)
+		if len(traces) != 1 {
+			t.Fatalf("recorded %d traces", len(traces))
+		}
+		for _, c := range traces[0].Children {
+			if c.Name != "estimate" {
+				continue
+			}
+			for _, p := range c.Children {
+				if p.Name == "design" {
+					return p.Attrs, e.Count
+				}
+			}
+		}
+		t.Fatal("no estimate/design span")
+		return nil, 0
+	}
+
+	attrs, traced := designSpan(0.1)
+	if attrs["algo"] != "dynpgm" || attrs["fallback"] != nil {
+		t.Fatalf("design attrs = %v, want algo dynpgm and no fallback", attrs)
+	}
+	if b, _ := attrs["candidates"].(int); b < 4 {
+		t.Fatalf("design attrs = %v, want candidates |B|", attrs)
+	}
+	if b, _ := attrs["bounds"].(int); b < 2 {
+		t.Fatalf("design attrs = %v, want bounds |T|", attrs)
+	}
+	plain, err := NewEstimator(WithMethod("lss"), WithBudget(0.1), WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := plain.Estimate(context.Background(), features, pred); err != nil || e.Count != traced {
+		t.Fatalf("untraced estimate %v (err %v), traced %v", e, err, traced)
+	}
+
+	// 12 labels leave a 3-object pilot: no 4-stratification has 2 per stratum.
+	attrs, _ = designSpan(12.0 / 2000)
+	fb, _ := attrs["fallback"].(string)
+	if attrs["algo"] != "fixed-height" || !strings.HasPrefix(fb, "dynpgm: ") || attrs["candidates"] != nil {
+		t.Fatalf("design attrs = %v, want the fixed-height fallback naming dynpgm", attrs)
 	}
 }

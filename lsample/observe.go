@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -190,8 +191,10 @@ func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration)
 // synthesizes completed learn/design/sample children from the result's
 // phase timings — the core estimator is not tracer-aware, so the phase
 // breakdown it already measures is replayed into the trace after the
-// fact.
-func estimateSpan(ctx context.Context, est *Estimate) {
+// fact. The design span says what the phase did: the designer or layout
+// that produced the strata, its candidate-set size |B| and bound count |T|
+// where it has them, and why equal-count strata replaced it if they did.
+func estimateSpan(ctx context.Context, est *Estimate, design core.DesignInfo) {
 	sp := obs.FromContext(ctx)
 	if sp == nil || est == nil {
 		return
@@ -201,7 +204,20 @@ func estimateSpan(ctx context.Context, est *Estimate) {
 	t := est.Timings
 	start := time.Now().Add(-t.Total())
 	sp.ChildSpan("learn", start, t.Learn)
-	sp.ChildSpan("design", start.Add(t.Learn), t.Design)
+	var attrs []any
+	if design.Algo != "" {
+		attrs = append(attrs, "algo", design.Algo)
+	}
+	if design.Candidates > 0 {
+		attrs = append(attrs, "candidates", design.Candidates)
+	}
+	if design.Bounds > 0 {
+		attrs = append(attrs, "bounds", design.Bounds)
+	}
+	if design.Fallback != "" {
+		attrs = append(attrs, "fallback", design.Fallback)
+	}
+	sp.ChildSpan("design", start.Add(t.Learn), t.Design, attrs...)
 	sp.ChildSpan("sample", start.Add(t.Learn+t.Design), t.Sample)
 	sp.Set("predicate_ms", float64(t.Predicate)/float64(time.Millisecond))
 }
