@@ -26,7 +26,8 @@
 #                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
 #                      lexer, live delta parser, WAL reader, shard routing,
-#                      design sweep vs its per-bound reference) — the CI
+#                      design sweep vs its per-bound reference, presorted
+#                      forest fit vs its per-node-sort reference) — the CI
 #                      crash gate
 #   make bench-full    3-second benchmark pass (slow; for recorded numbers)
 
@@ -73,11 +74,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The figure benchmark, the parallel-engine micro-benchmarks (forest fit,
-# batched scoring, scoreRest, RunDist), the three stratification designers
-# (DynPgm at a wide shape and at the ledger's udf_learn shape) and one lss
-# estimate end to end.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate)$$
+# The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
+# 400 × 3 and at the ledger's 50 × 2 and 200 × 2, batched scoring,
+# scoreRest, RunDist), the three stratification designers (DynPgm at a wide
+# shape and at the ledger's udf_learn shape) and one lss estimate end to end.
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate)$$
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x ./... \
@@ -110,9 +111,11 @@ bench-ledger-smoke:
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a
 # real keyed table, the WAL reader against arbitrary segment bytes, the
 # consistent-hash shard routing invariants (no key lost or double-assigned,
-# minimal movement on join/leave), and the designers' one-sweep dynamic
+# minimal movement on join/leave), the designers' one-sweep dynamic
 # program against the per-bound, per-level reference it replaced (cuts and
-# objective bit for bit, feasibility, V = objective of the cuts).
+# objective bit for bit, feasibility, V = objective of the cuts), and the
+# presorted, bootstrap-weighted forest fit against the row-copying,
+# per-node-sort reference it replaced (every compiled node bit for bit).
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -122,3 +125,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/
+	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/

@@ -139,10 +139,10 @@ func TestOrderByScoreDeterministicTies(t *testing.T) {
 func TestLearnPhaseErrors(t *testing.T) {
 	obj, _ := syntheticInstance(100, 1.0, 48)
 	r := xrand.New(49)
-	if _, _, _, err := runLearnPhase(context.Background(), obj, obj.Pred, 10, learnOptions{}, r); err == nil {
+	if _, _, _, _, err := runLearnPhase(context.Background(), obj, obj.Pred, 10, learnOptions{}, r); err == nil {
 		t.Fatal("nil classifier constructor should error")
 	}
-	if _, _, _, err := runLearnPhase(context.Background(), obj, obj.Pred, 1, learnOptions{newClf: knnSpec}, r); err == nil {
+	if _, _, _, _, err := runLearnPhase(context.Background(), obj, obj.Pred, 1, learnOptions{newClf: knnSpec}, r); err == nil {
 		t.Fatal("tiny learn budget should error")
 	}
 }

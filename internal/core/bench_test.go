@@ -47,14 +47,14 @@ func BenchmarkScoreRest(b *testing.B) {
 	obj, clf, SL := benchObjects(b, 20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = scoreRest(obj, clf, SL)
+		_, _, _ = scoreRest(obj, clf, SL)
 	}
 }
 
 // BenchmarkOrderByScore measures the score-order sort on a scored rest set.
 func BenchmarkOrderByScore(b *testing.B) {
 	obj, clf, SL := benchObjects(b, 20000)
-	restIdx, scores := scoreRest(obj, clf, SL)
+	restIdx, scores, _ := scoreRest(obj, clf, SL)
 	idxCopy := make([]int, len(restIdx))
 	scoreCopy := make([]float64, len(scores))
 	b.ResetTimer()

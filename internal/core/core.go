@@ -53,6 +53,8 @@ func (o *ObjectSet) N() int { return len(o.Features) }
 // Overhead is everything that is not predicate evaluation.
 type Timing struct {
 	Learn     time.Duration // P1 learning: sampling, labeling, training, scoring
+	Fit       time.Duration // within Learn: inside Classifier.Fit, every round — the phase's fixed cost
+	Score     time.Duration // within Learn: scoring the unlabeled objects — its per-object cost
 	Design    time.Duration // P1 sample design: variance estimates + strata layout
 	Sample    time.Duration // P2: sampling, iteration, estimation
 	Predicate time.Duration // total time inside q (across all phases)
@@ -78,6 +80,14 @@ type DesignInfo struct {
 	Fallback   string // the requested designer and its error when equal-count replaced it; else empty
 }
 
+// LearnInfo sizes the learn phase (zero for methods that do not learn).
+type LearnInfo struct {
+	TrainRows int // labeled rows the classifier was fit on
+	Scored    int // unlabeled objects the phase scored (0 when scoring belongs to the count itself: QLCC, QLAC)
+	Trees     int // fitted ensemble size, when the classifier reports one
+	Nodes     int
+}
+
 // Result is the outcome of one estimation run.
 type Result struct {
 	Method   string
@@ -86,6 +96,7 @@ type Result struct {
 	HasCI    bool
 	Evals    int64 // predicate evaluations spent
 	Timing   Timing
+	Learn    LearnInfo
 	Design   DesignInfo
 }
 

@@ -82,3 +82,43 @@ func TestLSSReportsDesign(t *testing.T) {
 		t.Fatalf("fixed-height layout design = %+v", d)
 	}
 }
+
+// TestLearnPhaseReportsItsSplit: every learned method reports what its
+// learn phase trained on, how long the fits took (every active-learning
+// round included) and — where the phase scores — how many objects it
+// scored and for how long, with both parts inside Timing.Learn. The forest
+// size proves the method got the classifier itself back, not the timing
+// wrapper its fits ran behind.
+func TestLearnPhaseReportsItsSplit(t *testing.T) {
+	obj, _ := syntheticInstance(3000, 1.0, 51)
+	for _, tc := range []struct {
+		m      Method
+		scores bool
+		trees  int // smallForest's 20; 0 for a classifier with no ensemble to size
+	}{
+		{&LSS{NewClassifier: smallForest}, true, 20},
+		{&LSS{NewClassifier: smallForest, Augment: true, Rounds: 2}, true, 20},
+		{&LWS{NewClassifier: smallForest}, true, 20},
+		{&QLCC{NewClassifier: smallForest}, false, 20},
+		{&QLAC{NewClassifier: smallForest}, false, 20},
+		{&LWS{NewClassifier: knnSpec}, true, 0},
+	} {
+		res, err := tc.m.Estimate(context.Background(), obj, 300, xrand.New(52))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, tm := res.Learn, res.Timing
+		if l.TrainRows < 2 || l.TrainRows > 300 || tm.Fit <= 0 || tm.Fit+tm.Score > tm.Learn {
+			t.Fatalf("%s: learn %+v, timing %+v", res.Method, l, tm)
+		}
+		if tc.scores != (l.Scored == obj.N()-l.TrainRows && tm.Score > 0) || !tc.scores && (l.Scored != 0 || tm.Score != 0) {
+			t.Fatalf("%s: scored %d in %v, train rows %d of %d objects", res.Method, l.Scored, tm.Score, l.TrainRows, obj.N())
+		}
+		if l.Trees != tc.trees || l.Nodes < l.Trees {
+			t.Fatalf("%s: %d trees, %d nodes, want %d trees", res.Method, l.Trees, l.Nodes, tc.trees)
+		}
+	}
+	if res, err := (&SRS{}).Estimate(context.Background(), obj, 300, xrand.New(52)); err != nil || res.Learn != (LearnInfo{}) {
+		t.Fatalf("srs learn info %+v (err %v), want zero", res.Learn, err)
+	}
+}

@@ -307,7 +307,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	if nLearn < 2 {
 		return nil, fmt.Errorf("core: budget %d too small for grouped LSS", budget)
 	}
-	clf, SL, labels, err := runLearnPhase(ctx, obj, mp, nLearn, learnOptions{newClf: newClf}, r)
+	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, mp, nLearn, learnOptions{newClf: newClf}, r)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +319,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 			slPos[groupOf[i]]++
 		}
 	}
-	restIdx, scores := scoreRest(obj, clf, SL)
+	restIdx, scores, scoreDur := scoreRest(obj, clf, SL)
 	orderByScore(restIdx, scores)
 	M := len(restIdx)
 	learnDur := time.Since(t0)
@@ -465,7 +465,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		Method: m.Name(),
 		Groups: groups,
 		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Learn: learnDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
+		Timing: Timing{Learn: learnDur, Fit: fitDur, Score: scoreDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
 	}, nil
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"time"
 
 	"repro/internal/active"
 	"repro/internal/learn"
@@ -34,20 +36,37 @@ func (o learnOptions) normalized() learnOptions {
 	return o
 }
 
+// fitTimed adds the time spent inside Fit to *dur — the classifier's
+// counterpart of predicate.Timed, for a phase whose fits (one, or one per
+// active-learning round) happen behind a factory.
+type fitTimed struct {
+	learn.Classifier
+	dur *time.Duration
+}
+
+func (c fitTimed) Fit(X [][]float64, y []bool) error {
+	t0 := time.Now()
+	err := c.Classifier.Fit(X, y)
+	*c.dur += time.Since(t0)
+	return err
+}
+
 // runLearnPhase labels nLearn objects and trains a classifier on them.
-// It returns the classifier, the labeled indices SL, and their labels.
-// Cancellation of ctx is checked before every label.
+// It returns the classifier, the labeled indices SL, their labels, and the
+// time spent inside Classifier.Fit. Cancellation of ctx is checked before
+// every label.
 func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate, nLearn int,
-	opt learnOptions, r *xrand.Rand) (learn.Classifier, []int, []bool, error) {
+	opt learnOptions, r *xrand.Rand) (learn.Classifier, []int, []bool, time.Duration, error) {
 
 	if opt.newClf == nil {
-		return nil, nil, nil, fmt.Errorf("core: nil classifier constructor")
+		return nil, nil, nil, 0, fmt.Errorf("core: nil classifier constructor")
 	}
 	if nLearn < 2 {
-		return nil, nil, nil, fmt.Errorf("core: learn budget %d too small", nLearn)
+		return nil, nil, nil, 0, fmt.Errorf("core: learn budget %d too small", nLearn)
 	}
 	opt = opt.normalized()
-	factory := func() learn.Classifier { return opt.newClf(r.Uint64()) }
+	var fit time.Duration
+	factory := func() learn.Classifier { return fitTimed{opt.newClf(r.Uint64()), &fit} }
 
 	if opt.augment {
 		nAug := int(math.Round(opt.augmentFrac * float64(nLearn)))
@@ -66,15 +85,15 @@ func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate
 			PoolCap: opt.poolCap,
 		}, obj.Features, pred, initIdx, perRound, r)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, 0, err
 		}
-		return clf, idx, labels, nil
+		return clf.(fitTimed).Classifier, idx, labels, fit, nil
 	}
 
 	idx := sample.SRS(r, obj.N(), nLearn)
 	labels, err := predicate.Label(pred, idx, canceled(ctx))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
 	X := make([][]float64, len(idx))
 	for j, i := range idx {
@@ -82,9 +101,15 @@ func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate
 	}
 	clf := factory()
 	if err := clf.Fit(X, labels); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, 0, err
 	}
-	return clf, idx, labels, nil
+	return clf.(fitTimed).Classifier, idx, labels, fit, nil
+}
+
+// learnInfo sizes a finished learn phase for Result.Learn.
+func learnInfo(clf learn.Classifier, trainRows, scored int) LearnInfo {
+	trees, nodes := learn.ForestSize(clf)
+	return LearnInfo{TrainRows: trainRows, Scored: scored, Trees: trees, Nodes: nodes}
 }
 
 // restOf returns the indices of the objects outside the labeled set, in
@@ -112,39 +137,40 @@ func restOf(obj *ObjectSet, labeled []int) (restIdx []int, restX [][]float64) {
 // remaining object indices with their scores. Scoring goes through the
 // classifier's batch path when it has one — for the default random forest
 // that means one cache-friendly, parallel pass instead of N interface
-// calls.
-func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64) {
+// calls. dur is the time the pass took: the learn phase's per-object cost
+// (Timing.Score).
+func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64, dur time.Duration) {
+	t0 := time.Now()
 	restIdx, restX := restOf(obj, labeled)
-	return restIdx, learn.ScoreAll(clf, restX)
-}
-
-// byScoreThenIndex sorts restIdx and scores together, ascending by score
-// with index tie-breaking. The (score, index) key is a strict total order,
-// so the unstable sort.Sort is fully deterministic.
-type byScoreThenIndex struct {
-	idx    []int
-	scores []float64
-}
-
-func (s byScoreThenIndex) Len() int { return len(s.idx) }
-
-func (s byScoreThenIndex) Less(a, b int) bool {
-	if s.scores[a] != s.scores[b] {
-		return s.scores[a] < s.scores[b]
-	}
-	return s.idx[a] < s.idx[b]
-}
-
-func (s byScoreThenIndex) Swap(a, b int) {
-	s.idx[a], s.idx[b] = s.idx[b], s.idx[a]
-	s.scores[a], s.scores[b] = s.scores[b], s.scores[a]
+	scores = learn.ScoreAll(clf, restX)
+	return restIdx, scores, time.Since(t0)
 }
 
 // orderByScore sorts rest indices (and scores) ascending by score, with
-// index tie-breaking for determinism. Sorting the two slices in place
-// through a concrete sort.Interface avoids the permutation buffer, the two
-// scratch slices, and the per-comparison closure dispatch of the previous
-// sort.SliceStable implementation.
+// index tie-breaking: (score, index) is a strict total order, so the
+// unstable sort is fully deterministic. The two slices are packed into one
+// for the sort — one comparison reads one cache line and one swap moves one
+// element, where sorting the pair in place through sort.Interface paid two
+// of each plus an interface call.
 func orderByScore(restIdx []int, scores []float64) {
-	sort.Sort(byScoreThenIndex{idx: restIdx, scores: scores})
+	type scored struct {
+		score float64
+		idx   int
+	}
+	packed := make([]scored, len(restIdx))
+	for i, idx := range restIdx {
+		packed[i] = scored{scores[i], idx}
+	}
+	slices.SortFunc(packed, func(a, b scored) int {
+		switch {
+		case a.score < b.score:
+			return -1
+		case a.score > b.score:
+			return 1
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	for i, p := range packed {
+		restIdx[i], scores[i] = p.idx, p.score
+	}
 }

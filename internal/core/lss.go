@@ -259,7 +259,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if nLearn < 2 {
 		return nil, fmt.Errorf("core: budget %d too small for LSS", budget)
 	}
-	clf, SL, labels, err := runLearnPhase(ctx, obj, tp, nLearn, learnOptions{
+	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, nLearn, learnOptions{
 		newClf:      newClf,
 		augment:     m.Augment,
 		augmentFrac: m.AugmentFrac,
@@ -270,7 +270,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		return nil, err
 	}
 	cs := countPositives(labels)
-	restIdx, scores := scoreRest(obj, clf, SL)
+	restIdx, scores, scoreDur := scoreRest(obj, clf, SL)
 	orderByScore(restIdx, scores)
 	M := len(restIdx)
 	learnDur := time.Since(t0)
@@ -372,7 +372,8 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       ci,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
+		Timing:   Timing{Learn: learnDur, Fit: fitDur, Score: scoreDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
+		Learn:    learnInfo(clf, len(SL), M),
 		Design:   info,
 	}, nil
 }

@@ -85,7 +85,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if nLearn > budget-1 {
 		nLearn = budget - 1
 	}
-	clf, SL, labels, err := runLearnPhase(ctx, obj, tp, nLearn, learnOptions{
+	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, nLearn, learnOptions{
 		newClf:      newClf,
 		augment:     m.Augment,
 		augmentFrac: m.AugmentFrac,
@@ -96,7 +96,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		return nil, err
 	}
 	cs := countPositives(labels)
-	restIdx, scores := scoreRest(obj, clf, SL)
+	restIdx, scores, scoreDur := scoreRest(obj, clf, SL)
 	learnDur := time.Since(t0)
 
 	// Phase 2: PPS sampling. Default: without replacement + Des Raj.
@@ -159,6 +159,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		CI:       ci,
 		HasCI:    true,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.Dur},
+		Timing:   Timing{Learn: learnDur, Fit: fitDur, Score: scoreDur, Sample: time.Since(t1), Predicate: tp.Dur},
+		Learn:    learnInfo(clf, len(SL), len(restIdx)),
 	}, nil
 }

@@ -38,7 +38,7 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 		newClf = DefaultForest
 	}
 	t0 := time.Now()
-	clf, SL, labels, err := runLearnPhase(ctx, obj, tp, budget, learnOptions{
+	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, budget, learnOptions{
 		newClf:      newClf,
 		augment:     m.Augment,
 		augmentFrac: m.AugmentFrac,
@@ -59,7 +59,8 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 		CI:       stats.Interval{},
 		HasCI:    false,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.Dur},
+		Timing:   Timing{Learn: learnDur, Fit: fitDur, Sample: time.Since(t1), Predicate: tp.Dur},
+		Learn:    learnInfo(clf, len(SL), 0),
 	}, nil
 }
 
@@ -98,7 +99,7 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 		newClf = DefaultForest
 	}
 	t0 := time.Now()
-	clf, SL, labels, err := runLearnPhase(ctx, obj, tp, budget, learnOptions{
+	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, budget, learnOptions{
 		newClf:      newClf,
 		augment:     m.Augment,
 		augmentFrac: m.AugmentFrac,
@@ -127,6 +128,7 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 		CI:       stats.Interval{},
 		HasCI:    false,
 		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Sample: time.Since(t1), Predicate: tp.Dur},
+		Timing:   Timing{Learn: learnDur, Fit: fitDur, Sample: time.Since(t1), Predicate: tp.Dur},
+		Learn:    learnInfo(clf, len(SL), 0),
 	}, nil
 }

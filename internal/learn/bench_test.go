@@ -1,7 +1,10 @@
 package learn
 
 import (
+	"fmt"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // benchProblem sizes roughly match one LSS learn phase at paper scale:
@@ -13,8 +16,8 @@ func benchProblem(b *testing.B) (trainX [][]float64, trainY []bool, scoreX [][]f
 	return
 }
 
-func benchForestFit(b *testing.B, parallelism int) {
-	trainX, trainY, _ := benchProblem(b)
+func benchForestFit(b *testing.B, trainX [][]float64, trainY []bool, parallelism int) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewRandomForest(100, 7)
@@ -26,10 +29,43 @@ func benchForestFit(b *testing.B, parallelism int) {
 }
 
 // BenchmarkForestFitSeq grows 100 trees on one worker.
-func BenchmarkForestFitSeq(b *testing.B) { benchForestFit(b, 1) }
+func BenchmarkForestFitSeq(b *testing.B) {
+	trainX, trainY, _ := benchProblem(b)
+	benchForestFit(b, trainX, trainY, 1)
+}
 
 // BenchmarkForestFitPar grows 100 trees on all cores.
-func BenchmarkForestFitPar(b *testing.B) { benchForestFit(b, 0) }
+func BenchmarkForestFitPar(b *testing.B) {
+	trainX, trainY, _ := benchProblem(b)
+	benchForestFit(b, trainX, trainY, 0)
+}
+
+// ledgerRows mirrors the training sets of the ledger's udf_learn workload
+// (bench/gen.go): two uniform features, positive inside an ellipse blurred
+// by per-object noise, so the trees grow past the clean boundary.
+func ledgerRows(n int) ([][]float64, []bool) {
+	r := xrand.New(7)
+	X := make([][]float64, n)
+	y := make([]bool, n)
+	for i := range X {
+		a, b := 2*r.Float64()-1, 2*r.Float64()-1
+		X[i] = []float64{a, b}
+		y[i] = a*a/0.49+b*b/0.16+0.15*r.NormFloat64() < 1
+	}
+	return X, y
+}
+
+// BenchmarkForestFitLedger grows 100 trees on one worker at the sizes the
+// ledger's udf_learn counts fit on: 50 labels (an lws or lss learn sample
+// at the 2 % budget) and 200 (a qlcc count trains on its whole budget).
+func BenchmarkForestFitLedger(b *testing.B) {
+	for _, n := range []int{50, 200} {
+		b.Run(fmt.Sprintf("n%d_d2", n), func(b *testing.B) {
+			trainX, trainY := ledgerRows(n)
+			benchForestFit(b, trainX, trainY, 1)
+		})
+	}
+}
 
 // BenchmarkForestScorePerObject is the pre-batching path: one Score call
 // per object, results collected into a fresh slice as scoreRest used to.

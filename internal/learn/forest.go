@@ -23,8 +23,7 @@ type RandomForest struct {
 	Seed        uint64 // stream seed for bootstraps and feature subsets
 	Parallelism int    // worker bound for Fit/ScoreBatch; 0 means GOMAXPROCS
 
-	// flat is the fitted ensemble compiled for scoring; the per-tree
-	// builders are released to the GC once compiled.
+	// flat is the fitted ensemble compiled for scoring.
 	flat flatForest
 }
 
@@ -43,15 +42,20 @@ func (f *RandomForest) trees() int {
 	return f.Trees
 }
 
-// Fit trains the ensemble. Trees grow concurrently; see the type comment
-// for the determinism guarantee.
+// Fit trains the ensemble. The training set is laid out and sorted once
+// (newTrainSet); trees then grow concurrently in contiguous blocks, one
+// grower — and one set of scratch — per block. See the type comment for
+// the determinism guarantee.
 func (f *RandomForest) Fit(X [][]float64, y []bool) error {
 	if err := validateFit(X, y); err != nil {
 		return err
 	}
-	n := len(X)
-	d := len(X[0])
-	mtry := int(math.Ceil(math.Sqrt(float64(d))))
+	ts := newTrainSet(X, y)
+	cfg := DecisionTree{
+		MaxDepth: f.MaxDepth,
+		MinLeaf:  f.MinLeaf,
+		MTry:     int(math.Ceil(math.Sqrt(float64(ts.d)))),
+	}
 	T := f.trees()
 
 	// Pre-commit randomness: one sub-stream per tree, split in tree order
@@ -64,33 +68,29 @@ func (f *RandomForest) Fit(X [][]float64, y []bool) error {
 		rngs[b] = r.Split()
 	}
 
-	trees := make([]*DecisionTree, T)
-	errs := make([]error, T)
-	par.ForEach(par.Workers(f.Parallelism), T, func(b int) {
-		tr := rngs[b]
-		bx := make([][]float64, n)
-		by := make([]bool, n)
-		for i := 0; i < n; i++ {
-			j := tr.IntN(n)
-			bx[i] = X[j]
-			by[i] = y[j]
+	workers := min(par.Workers(f.Parallelism), T)
+	block := (T + workers - 1) / workers
+	parts := make([]flatForest, (T+block-1)/block)
+	par.ForEachChunk(workers, T, block, func(lo, hi int) {
+		g := newGrower(ts, &cfg)
+		part := &parts[lo/block]
+		for b := lo; b < hi; b++ {
+			g.bootstrap(rngs[b])
+			g.grow()
+			part.appendTree(&g.nodes)
 		}
-		t := &DecisionTree{
-			MaxDepth: f.MaxDepth,
-			MinLeaf:  f.MinLeaf,
-			MTry:     mtry,
-			Rand:     tr,
-		}
-		errs[b] = t.Fit(bx, by)
-		trees[b] = t
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	f.flat = compileForest(trees)
+	f.flat = concatForests(parts)
 	return nil
+}
+
+// ForestSize returns the tree and node counts of a fitted forest — what a
+// score costs per object — and zeros for any other classifier.
+func ForestSize(c Classifier) (trees, nodes int) {
+	if f, ok := c.(*RandomForest); ok {
+		return len(f.flat.roots), len(f.flat.nodes)
+	}
+	return 0, 0
 }
 
 // Score averages the tree probabilities.
@@ -131,8 +131,8 @@ func (f *RandomForest) ScoreBatch(X [][]float64) []float64 {
 // flatNode is one compiled tree node, packed to 16 bytes so four nodes
 // share a cache line. value holds the split threshold for internal nodes
 // and the leaf probability for leaves; the left child is implicit (always
-// the next node — grow appends the left subtree immediately after its
-// parent), so only the right child index is stored.
+// the next node — the grower appends the left subtree immediately after
+// its parent), so only the right child index is stored.
 type flatNode struct {
 	value   float64
 	feature int32 // -1 for leaf
@@ -155,37 +155,57 @@ type flatForest struct {
 	roots []int32 // root node of each tree, in tree order
 }
 
-// compileForest concatenates the fitted trees' node arrays.
-func compileForest(trees []*DecisionTree) flatForest {
-	total := 0
-	for _, t := range trees {
-		total += t.numNodes()
+// appendTree compiles one fitted tree onto the end of the block.
+func (ff *flatForest) appendTree(t *treeNodes) {
+	base := int32(len(ff.nodes))
+	ff.roots = append(ff.roots, base)
+	for ni, feat := range t.feature {
+		n := flatNode{feature: feat}
+		if feat < 0 {
+			n.value = t.prob[ni]
+		} else {
+			// The packed layout keeps the left child implicit; fail
+			// loudly if a future change to the grower breaks the adjacency
+			// invariant rather than silently walking wrong children.
+			if t.left[ni] != int32(ni)+1 {
+				panic("learn: flatForest: left child not adjacent to parent")
+			}
+			n.value = t.threshold[ni]
+			n.right = base + t.right[ni]
+		}
+		ff.nodes = append(ff.nodes, n)
+	}
+	ff.prob = append(ff.prob, t.prob...)
+}
+
+// concatForests joins blocks compiled apart, in order, rebasing each
+// block's node indices onto the joined array.
+func concatForests(parts []flatForest) flatForest {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	total, trees := 0, 0
+	for i := range parts {
+		total += len(parts[i].nodes)
+		trees += len(parts[i].roots)
 	}
 	ff := flatForest{
 		nodes: make([]flatNode, 0, total),
 		prob:  make([]float64, 0, total),
-		roots: make([]int32, 0, len(trees)),
+		roots: make([]int32, 0, trees),
 	}
-	for _, t := range trees {
+	for i := range parts {
 		base := int32(len(ff.nodes))
-		ff.roots = append(ff.roots, base)
-		for ni := range t.feature {
-			n := flatNode{feature: t.feature[ni]}
-			if n.feature < 0 {
-				n.value = t.prob[ni]
-			} else {
-				// The packed layout keeps the left child implicit; fail
-				// loudly if a future change to grow breaks the adjacency
-				// invariant rather than silently walking wrong children.
-				if t.left[ni] != int32(ni)+1 {
-					panic("learn: compileForest: left child not adjacent to parent")
-				}
-				n.value = t.threshold[ni]
-				n.right = base + t.right[ni]
+		for _, n := range parts[i].nodes {
+			if n.feature >= 0 {
+				n.right += base
 			}
 			ff.nodes = append(ff.nodes, n)
 		}
-		ff.prob = append(ff.prob, t.prob...)
+		for _, root := range parts[i].roots {
+			ff.roots = append(ff.roots, base+root)
+		}
+		ff.prob = append(ff.prob, parts[i].prob...)
 	}
 	return ff
 }

@@ -1,11 +1,6 @@
 package learn
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/xrand"
-)
+import "repro/internal/xrand"
 
 // DecisionTree is a CART-style binary classification tree with Gini
 // impurity splits. It is both a standalone classifier and the weak learner
@@ -23,12 +18,7 @@ type DecisionTree struct {
 	MTry int
 	Rand *xrand.Rand
 
-	// Struct-of-arrays node storage (see type comment).
-	feature   []int32 // split feature, or -1 for a leaf
-	threshold []float64
-	left      []int32
-	right     []int32
-	prob      []float64 // positive fraction at the node
+	treeNodes // struct-of-arrays node storage (see type comment)
 }
 
 // NewDecisionTree returns a tree with the given depth cap.
@@ -53,140 +43,16 @@ func (t *DecisionTree) minLeaf() int {
 	return t.MinLeaf
 }
 
-// numNodes returns the fitted node count (0 before Fit).
-func (t *DecisionTree) numNodes() int { return len(t.feature) }
-
 // Fit grows the tree on (X, y).
 func (t *DecisionTree) Fit(X [][]float64, y []bool) error {
 	if err := validateFit(X, y); err != nil {
 		return err
 	}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.feature = t.feature[:0]
-	t.threshold = t.threshold[:0]
-	t.left = t.left[:0]
-	t.right = t.right[:0]
-	t.prob = t.prob[:0]
-	t.grow(X, y, idx, 0)
+	g := newGrower(newTrainSet(X, y), t)
+	g.everyRow()
+	g.grow()
+	t.treeNodes = g.nodes
 	return nil
-}
-
-// appendLeaf adds a node with no split yet and returns its id.
-func (t *DecisionTree) appendLeaf(prob float64) int {
-	t.feature = append(t.feature, -1)
-	t.threshold = append(t.threshold, 0)
-	t.left = append(t.left, 0)
-	t.right = append(t.right, 0)
-	t.prob = append(t.prob, prob)
-	return len(t.feature) - 1
-}
-
-// grow builds the subtree over idx and returns its node index.
-func (t *DecisionTree) grow(X [][]float64, y []bool, idx []int, depth int) int {
-	pos := 0
-	for _, i := range idx {
-		if y[i] {
-			pos++
-		}
-	}
-	prob := float64(pos) / float64(len(idx))
-	ni := t.appendLeaf(prob)
-	if depth >= t.maxDepth() || pos == 0 || pos == len(idx) || len(idx) < 2*t.minLeaf() {
-		return ni
-	}
-	feat, thresh, ok := t.bestSplit(X, y, idx)
-	if !ok {
-		return ni
-	}
-	var left, right []int
-	for _, i := range idx {
-		if X[i][feat] <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < t.minLeaf() || len(right) < t.minLeaf() {
-		return ni
-	}
-	// The left subtree is appended immediately after its parent, so the
-	// left child id is always ni+1 — compileForest's packed layout relies
-	// on this to keep child links implicit.
-	l := t.grow(X, y, left, depth+1)
-	r := t.grow(X, y, right, depth+1)
-	t.feature[ni] = int32(feat)
-	t.threshold[ni] = thresh
-	t.left[ni] = int32(l)
-	t.right[ni] = int32(r)
-	return ni
-}
-
-// bestSplit finds the Gini-optimal (feature, threshold) over the candidate
-// feature set.
-func (t *DecisionTree) bestSplit(X [][]float64, y []bool, idx []int) (int, float64, bool) {
-	d := len(X[0])
-	features := make([]int, d)
-	for j := range features {
-		features[j] = j
-	}
-	if t.MTry > 0 && t.MTry < d && t.Rand != nil {
-		t.Rand.Shuffle(d, func(a, b int) { features[a], features[b] = features[b], features[a] })
-		features = features[:t.MTry]
-	}
-	n := len(idx)
-	totalPos := 0
-	for _, i := range idx {
-		if y[i] {
-			totalPos++
-		}
-	}
-	bestGain := 1e-12
-	bestFeat, bestThresh := -1, 0.0
-	parentImp := giniImpurity(totalPos, n)
-	order := make([]int, n)
-	for _, f := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-		leftPos, leftN := 0, 0
-		for k := 0; k < n-1; k++ {
-			i := order[k]
-			leftN++
-			if y[i] {
-				leftPos++
-			}
-			// Can only split between distinct values.
-			if X[order[k]][f] == X[order[k+1]][f] {
-				continue
-			}
-			if leftN < t.minLeaf() || n-leftN < t.minLeaf() {
-				continue
-			}
-			rightPos := totalPos - leftPos
-			rightN := n - leftN
-			imp := (float64(leftN)*giniImpurity(leftPos, leftN) +
-				float64(rightN)*giniImpurity(rightPos, rightN)) / float64(n)
-			if gain := parentImp - imp; gain > bestGain {
-				bestGain = gain
-				bestFeat = f
-				bestThresh = (X[order[k]][f] + X[order[k+1]][f]) / 2
-			}
-		}
-	}
-	if bestFeat < 0 {
-		return 0, 0, false
-	}
-	return bestFeat, bestThresh, true
-}
-
-func giniImpurity(pos, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	p := float64(pos) / float64(n)
-	return 2 * p * (1 - p)
 }
 
 // Score walks the tree and returns the leaf's positive fraction.
@@ -218,8 +84,7 @@ func (t *DecisionTree) Depth() int {
 		if t.feature[ni] < 0 {
 			return 0
 		}
-		l, r := depth(t.left[ni]), depth(t.right[ni])
-		return 1 + int(math.Max(float64(l), float64(r)))
+		return 1 + max(depth(t.left[ni]), depth(t.right[ni]))
 	}
 	return depth(0)
 }

@@ -83,7 +83,7 @@ func (e *Estimator) Estimate(ctx context.Context, features [][]float64, pred Pre
 		return nil, fmt.Errorf("lsample: estimation failed: %w", err)
 	}
 	est := fromCore(res, obj.N(), budget, cfg.seed, cfg.alpha)
-	estimateSpan(mctx, est, res.Design)
+	estimateSpan(mctx, est, res)
 	msp.End()
 	// Callback predicates stay on the interpreter-style sequential path:
 	// the SDK makes no thread-safety demands on user functions, and there

@@ -396,6 +396,40 @@ func TestRefreshChurnThresholdRetrains(t *testing.T) {
 	}
 }
 
+// TestRefreshSpanReportsLearnStep: the refresh span says what the learn
+// step cost when it ran one — rows, fit time and forest size on a retrain,
+// objects scored and score time whenever objects were scored — and nothing
+// about a fit on a refresh that reused the classifier.
+func TestRefreshSpanReportsLearnStep(t *testing.T) {
+	w := newLiveWorkload(t, 1000, 41)
+	tracer := NewTracer(TracerOptions{SampleRate: 1})
+	sess := w.session(t, WithMethod("lss"), WithBudget(0.1), WithSeed(4), WithParallelism(1), WithTracer(tracer))
+	lq, err := sess.PrepareLive(liveQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refreshAttrs := func() map[string]any {
+		t.Helper()
+		if _, err := lq.Refresh(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		root := tracer.Traces(1)[0]
+		if root.Name != "refresh" {
+			t.Fatalf("newest trace is %q, want refresh", root.Name)
+		}
+		return root.Attrs
+	}
+	a := refreshAttrs()
+	if a["train_rows"] != 25 || a["trees"] != 100 || a["scored"] != 1000 || a["fit_ms"] == nil || a["score_ms"] == nil {
+		t.Fatalf("cold refresh attrs = %v, want 25 train rows, 100 trees, 1000 scored, fit and score times", a)
+	}
+	w.appendItems(t, 10)
+	a = refreshAttrs()
+	if a["retrained"] != false || a["train_rows"] != nil || a["fit_ms"] != nil || a["scored"] != 10 {
+		t.Fatalf("1%% append refresh attrs = %v, want no fit and the 10 new objects scored", a)
+	}
+}
+
 // TestSessionRefreshOneShot: the Session.Refresh convenience maintains one
 // LiveQuery per query text across calls.
 func TestSessionRefreshOneShot(t *testing.T) {

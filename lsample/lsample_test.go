@@ -388,6 +388,59 @@ func TestExactPassCtxCanceled(t *testing.T) {
 	}
 }
 
+// TestLearnSpanSplitsFitAndScore: the learn span of an explained count
+// carries the phase's fixed cost (rows trained on, time inside Fit, forest
+// size) apart from its per-object cost (objects scored, time scoring), so
+// the split reads off explain output. A method that does not learn leaves
+// the span bare; one that scores as part of the count itself (qlcc) reports
+// no scoring in its learn phase.
+func TestLearnSpanSplitsFitAndScore(t *testing.T) {
+	features, pred := ellipse(2000, 7)
+	learnSpan := func(method string) *TraceSpan {
+		t.Helper()
+		tracer := NewTracer(TracerOptions{SampleRate: 1})
+		est, err := NewEstimator(WithMethod(method), WithBudget(0.1), WithSeed(42), WithTracer(tracer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := est.Estimate(context.Background(), features, pred); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tracer.Traces(1)[0].Children {
+			if c.Name != "estimate" {
+				continue
+			}
+			for _, p := range c.Children {
+				if p.Name == "learn" {
+					return p
+				}
+			}
+		}
+		t.Fatal("no estimate/learn span")
+		return nil
+	}
+
+	sp := learnSpan("lss")
+	a := sp.Attrs
+	fit, _ := a["fit_ms"].(float64)
+	score, _ := a["score_ms"].(float64)
+	if a["train_rows"] != 50 || a["scored"] != 1950 || a["trees"] != 100 || fit <= 0 || score <= 0 {
+		t.Fatalf("lss learn attrs = %v, want 50 train rows, 1950 scored, 100 trees, fit and score times", a)
+	}
+	if nodes, _ := a["nodes"].(int); nodes < 100 {
+		t.Fatalf("lss learn attrs = %v, want the forest's node count", a)
+	}
+	if total := durMS(sp.Duration); fit+score > total*1.001 {
+		t.Fatalf("fit %v + score %v ms exceed the learn span's %v ms", fit, score, total)
+	}
+	if a := learnSpan("qlcc").Attrs; a["train_rows"] != 200 || a["fit_ms"] == nil || a["scored"] != nil || a["score_ms"] != nil {
+		t.Fatalf("qlcc learn attrs = %v, want 200 train rows, a fit time and no scoring", a)
+	}
+	if a := learnSpan("srs").Attrs; len(a) != 0 {
+		t.Fatalf("srs learn attrs = %v, want none", a)
+	}
+}
+
 // TestDesignSpanExplainsItself: the lss design span names the designer that
 // produced the strata with its |B| and |T|, and says so when equal-count
 // strata silently replaced an infeasible optimal design. Tracing does not

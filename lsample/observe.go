@@ -179,7 +179,7 @@ func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration)
 		"count", est.Count,
 		"evals", est.SamplesUsed,
 		"labeling", est.Labeling.String(),
-		"duration_ms", float64(wall) / float64(time.Millisecond),
+		"duration_ms", durMS(wall),
 	}
 	if est.Reuse != "" {
 		kv = append(kv, "reuse", est.Reuse, "reused_labels", est.ReusedLabels)
@@ -191,10 +191,13 @@ func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration)
 // synthesizes completed learn/design/sample children from the result's
 // phase timings — the core estimator is not tracer-aware, so the phase
 // breakdown it already measures is replayed into the trace after the
-// fact. The design span says what the phase did: the designer or layout
-// that produced the strata, its candidate-set size |B| and bound count |T|
-// where it has them, and why equal-count strata replaced it if they did.
-func estimateSpan(ctx context.Context, est *Estimate, design core.DesignInfo) {
+// fact. The learn span splits the phase into its fixed and per-object
+// cost: the rows trained on and the time inside Fit, the objects scored
+// and the time scoring them, and the size of the fitted forest. The design
+// span says what the phase did: the designer or layout that produced the
+// strata, its candidate-set size |B| and bound count |T| where it has
+// them, and why equal-count strata replaced it if they did.
+func estimateSpan(ctx context.Context, est *Estimate, res *core.Result) {
 	sp := obs.FromContext(ctx)
 	if sp == nil || est == nil {
 		return
@@ -203,8 +206,19 @@ func estimateSpan(ctx context.Context, est *Estimate, design core.DesignInfo) {
 	sp.Set("budget", est.Budget)
 	t := est.Timings
 	start := time.Now().Add(-t.Total())
-	sp.ChildSpan("learn", start, t.Learn)
 	var attrs []any
+	if l := res.Learn; l.TrainRows > 0 {
+		attrs = append(attrs, "train_rows", l.TrainRows, "fit_ms", durMS(res.Timing.Fit))
+		if l.Scored > 0 {
+			attrs = append(attrs, "scored", l.Scored, "score_ms", durMS(res.Timing.Score))
+		}
+		if l.Trees > 0 {
+			attrs = append(attrs, "trees", l.Trees, "nodes", l.Nodes)
+		}
+	}
+	sp.ChildSpan("learn", start, t.Learn, attrs...)
+	design := res.Design
+	attrs = nil
 	if design.Algo != "" {
 		attrs = append(attrs, "algo", design.Algo)
 	}
@@ -219,5 +233,7 @@ func estimateSpan(ctx context.Context, est *Estimate, design core.DesignInfo) {
 	}
 	sp.ChildSpan("design", start.Add(t.Learn), t.Design, attrs...)
 	sp.ChildSpan("sample", start.Add(t.Learn+t.Design), t.Sample)
-	sp.Set("predicate_ms", float64(t.Predicate)/float64(time.Millisecond))
+	sp.Set("predicate_ms", durMS(t.Predicate))
 }
+
+func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

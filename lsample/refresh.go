@@ -470,7 +470,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		res = shard.Proportion(shard.Positives(labels), len(sel), n, alpha, cfg.interval == Wilson)
 
 	case "lss":
-		if res, err = q.refreshLSS(cfg, st, label, keys, posByKey, features, budget, alpha, out); err != nil {
+		if res, err = q.refreshLSS(cfg, span, st, label, keys, posByKey, features, budget, alpha, out); err != nil {
 			return nil, err
 		}
 	}
@@ -507,8 +507,10 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 // training epoch, not the learn size), objects are scored once per epoch,
 // strata stay fixed between retrains, and each stratum samples under its
 // own tag — so sample membership, and with it the label bill, moves only
-// where the data moved.
-func (q *LiveQuery) refreshLSS(cfg config, st *refreshState, label func([]int64) ([]bool, error),
+// where the data moved. A retrain puts the fit's cost (train_rows, fit_ms,
+// trees, nodes) on the refresh span, and any scoring its own (scored,
+// score_ms).
+func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, label func([]int64) ([]bool, error),
 	keys []int64, posByKey map[int64]int, features [][]float64, budget int, alpha float64, out *RefreshEstimate) (estimate.Result, error) {
 
 	kLearn, err := shard.LearnSize(budget)
@@ -542,8 +544,15 @@ func (q *LiveQuery) refreshLSS(cfg config, st *refreshState, label func([]int64)
 		}
 		st.trainEpoch++
 		clf := newClf(live.Mix64(cfg.seed, shard.TagTrain, st.trainEpoch))
+		tFit := time.Now()
 		if err := clf.Fit(X, learnLabels); err != nil {
 			return estimate.Result{}, fmt.Errorf("lsample: training refresh classifier: %w", err)
+		}
+		span.Set("train_rows", len(X))
+		span.Set("fit_ms", durMS(time.Since(tFit)))
+		if trees, nodes := learn.ForestSize(clf); trees > 0 {
+			span.Set("trees", trees)
+			span.Set("nodes", nodes)
 		}
 		st.clf = clf
 		st.trainKeys = make(map[int64]bool, len(learnSel))
@@ -567,7 +576,10 @@ func (q *LiveQuery) refreshLSS(cfg config, st *refreshState, label func([]int64)
 		}
 	}
 	if len(missKeys) > 0 {
+		tScore := time.Now()
 		scored := learn.ScoreAll(st.clf, missX)
+		span.Set("scored", len(missKeys))
+		span.Set("score_ms", durMS(time.Since(tScore)))
 		for j, k := range missKeys {
 			st.scores[k] = scored[j]
 		}

@@ -372,7 +372,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	est.Fingerprint = out.Fingerprint
 	est.FeatureColumns = out.FeatureColumns
 	est.Labeling = labeling
-	estimateSpan(mctx, est, res.Design)
+	estimateSpan(mctx, est, res)
 	msp.End()
 	if cfg.exact {
 		xctx, xsp := obs.StartSpan(ctx, "exact.scan")
