@@ -17,28 +17,22 @@
 #                      a few seconds of every ledger workload plus the
 #                      harness's own unit tests — the CI gate that the
 #                      ledger still builds and runs
-#   make bench-smoke   1-iteration pass over the figure benchmark and the
-#                      perf micro-benchmarks, emitted as BENCH_smoke.json
-#   make bench-groupby shared-sample GROUP BY vs naive per-group loop,
-#                      emitted as BENCH_groupby.json
+#   make bench-micro   one pass (BENCHTIME=1x) over the Go micro-benchmarks
+#                      the ledger does not replace — paper figure, forest
+#                      fit and scoring, designers, GROUP BY shared vs naive
+#                      — printed as `go test -bench` prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
 #                      lexer, live delta parser, WAL reader, shard routing,
 #                      design sweep vs its per-bound reference, presorted
-#                      forest fit vs its per-node-sort reference) — the CI
-#                      crash gate
-#   make bench-full    3-second benchmark pass (slow; for recorded numbers)
+#                      forest fit vs its per-node-sort reference, rank-grid
+#                      forest scoring vs the walk) — the CI crash gate
 
 GO ?= go
 
-# Benchmarks are piped into benchjson; without pipefail a failed bench run
-# would exit 0 and silently overwrite the snapshot with a partial one.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -c
-
-.PHONY: check build vet test race api-check docs-check obs-check bench-smoke bench-full bench-groupby bench bench-ledger-smoke fuzz-smoke
+.PHONY: check build vet test race api-check docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke
 
 check: build vet api-check docs-check obs-check race
 
@@ -75,28 +69,17 @@ race:
 	$(GO) test -race ./...
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
-# 400 × 3 and at the ledger's 50 × 2 and 200 × 2, batched scoring,
-# scoreRest, RunDist), the three stratification designers (DynPgm at a wide
-# shape and at the ledger's udf_learn shape) and one lss estimate end to end.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate)$$
+# 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at
+# 20 000 × 3 and, as BenchmarkForestScoreLedger, at the ledger's forests ×
+# 300 and 10 000 rows; scoreRest, RunDist), the three stratification
+# designers (DynPgm at a wide shape and at the ledger's udf_learn shape),
+# one lss estimate end to end, and shared-sample GROUP BY against the naive
+# per-group loop. BENCHTIME=2s gives numbers worth recording.
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive))$$
+BENCHTIME ?= 1x
 
-bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x ./... \
-		| $(GO) run ./tools/benchjson > BENCH_smoke.json
-	@cat BENCH_smoke.json
-
-bench-full:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 2s ./... \
-		| $(GO) run ./tools/benchjson > BENCH_full.json
-	@cat BENCH_full.json
-
-# One pass over the GROUP BY benchmarks: shared-sample grouped estimation
-# vs the naive per-group estimate loop, emitted as BENCH_groupby.json.
-# (BENCH_PR3.json records a 2-iteration run of the same benchmarks.)
-bench-groupby:
-	$(GO) test -run '^$$' -bench '^BenchmarkGroupBy(Shared|Naive)$$' -benchtime 1x ./lsample/ \
-		| $(GO) run ./tools/benchjson > BENCH_groupby.json
-	@cat BENCH_groupby.json
+bench-micro:
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCHTIME) -benchmem ./...
 
 # The end-to-end ledger: BENCHMARK.json's five workloads and per-layer
 # table, written under .bench_out (gitignored).
@@ -113,9 +96,11 @@ bench-ledger-smoke:
 # consistent-hash shard routing invariants (no key lost or double-assigned,
 # minimal movement on join/leave), the designers' one-sweep dynamic
 # program against the per-bound, per-level reference it replaced (cuts and
-# objective bit for bit, feasibility, V = objective of the cuts), and the
+# objective bit for bit, feasibility, V = objective of the cuts), the
 # presorted, bootstrap-weighted forest fit against the row-copying,
-# per-node-sort reference it replaced (every compiled node bit for bit).
+# per-node-sort reference it replaced (every compiled node bit for bit),
+# and the forest's rank-grid scoring against the walk (every score bit for
+# bit, with and without the tuple table).
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -126,3 +111,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/
+	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/

@@ -126,10 +126,10 @@
 // The benchmarks in bench_test.go regenerate each table and figure at
 // reduced scale and report predicate evaluations per op; `make check`
 // builds, vets, checks the public API surface and documentation gates, and
-// runs the race-enabled test suite; `make bench-smoke` snapshots the
-// benchmark set to BENCH_smoke.json and `make bench-groupby` the GROUP BY
-// shared-vs-naive comparison. CI (.github/workflows/ci.yml) runs the same
-// gates.
+// runs the race-enabled test suite; `make bench-micro` runs the Go
+// micro-benchmarks (this file's figures, forest fit and scoring, the
+// designers, GROUP BY shared vs naive) and `make bench` the end-to-end
+// ledger under bench/. CI (.github/workflows/ci.yml) runs the same gates.
 //
 // README.md is the front door (quick starts, package map, benchmark
 // highlights) and ARCHITECTURE.md describes the layer boundaries and the

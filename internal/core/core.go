@@ -86,6 +86,7 @@ type LearnInfo struct {
 	Scored    int // unlabeled objects the phase scored (0 when scoring belongs to the count itself: QLCC, QLAC)
 	Trees     int // fitted ensemble size, when the classifier reports one
 	Nodes     int
+	Score     learn.ScorePath // how the ensemble scored (zero for other classifiers): grid or walk, and the grid's size
 }
 
 // Result is the outcome of one estimation run.

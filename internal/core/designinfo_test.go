@@ -88,7 +88,8 @@ func TestLSSReportsDesign(t *testing.T) {
 // round included) and — where the phase scores — how many objects it
 // scored and for how long, with both parts inside Timing.Learn. The forest
 // size proves the method got the classifier itself back, not the timing
-// wrapper its fits ran behind.
+// wrapper its fits ran behind; the score path says which of the forest's
+// two evaluations the objects went through.
 func TestLearnPhaseReportsItsSplit(t *testing.T) {
 	obj, _ := syntheticInstance(3000, 1.0, 51)
 	for _, tc := range []struct {
@@ -116,6 +117,12 @@ func TestLearnPhaseReportsItsSplit(t *testing.T) {
 		}
 		if l.Trees != tc.trees || l.Nodes < l.Trees {
 			t.Fatalf("%s: %d trees, %d nodes, want %d trees", res.Method, l.Trees, l.Nodes, tc.trees)
+		}
+		// ~2 900 rows × 20 trees is past the size rule, so a forest scored
+		// through its grid — QLCC and QLAC too, whose count is the scoring.
+		if p := l.Score; tc.trees == 0 && p != (learn.ScorePath{}) ||
+			tc.trees > 0 && (p.Path != "grid" || p.Thresholds == 0 || p.Cells < tc.trees || p.Tuples < 1 || p.Tuples > obj.N()) {
+			t.Fatalf("%s: score path %+v", res.Method, p)
 		}
 	}
 	if res, err := (&SRS{}).Estimate(context.Background(), obj, 300, xrand.New(52)); err != nil || res.Learn != (LearnInfo{}) {

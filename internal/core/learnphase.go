@@ -106,16 +106,23 @@ func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate
 	return clf.(fitTimed).Classifier, idx, labels, fit, nil
 }
 
-// learnInfo sizes a finished learn phase for Result.Learn.
+// learnInfo sizes a finished learn phase for Result.Learn. Call it after
+// the classifier has scored: the scoring path is that of its latest batch.
 func learnInfo(clf learn.Classifier, trainRows, scored int) LearnInfo {
 	trees, nodes := learn.ForestSize(clf)
-	return LearnInfo{TrainRows: trainRows, Scored: scored, Trees: trees, Nodes: nodes}
+	return LearnInfo{TrainRows: trainRows, Scored: scored, Trees: trees, Nodes: nodes, Score: learn.ForestScorePath(clf)}
 }
 
-// restOf returns the indices of the objects outside the labeled set, in
-// index order, and their feature rows. Membership uses a []bool bitmap
-// (indices are dense in [0, N)).
-func restOf(obj *ObjectSet, labeled []int) (restIdx []int, restX [][]float64) {
+// scoreRest scores the objects and returns those outside the labeled set,
+// in index order, with their scores. Scoring goes through the
+// classifier's batch path when it has one — for the default random forest
+// one pass over obj.Features as they are, so every object is scored and
+// the labeled ones' scores dropped: compacting in place (restIdx[j] >= j)
+// costs nothing, where gathering the unlabeled rows first copied a slice
+// header per object. dur is the time the pass took: the learn phase's
+// per-object cost (Timing.Score).
+func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64, dur time.Duration) {
+	t0 := time.Now()
 	inSL := make([]bool, obj.N())
 	for _, i := range labeled {
 		inSL[i] = true
@@ -126,24 +133,11 @@ func restOf(obj *ObjectSet, labeled []int) (restIdx []int, restX [][]float64) {
 			restIdx = append(restIdx, i)
 		}
 	}
-	restX = make([][]float64, len(restIdx))
+	scores = learn.ScoreAll(clf, obj.Features)
 	for j, i := range restIdx {
-		restX[j] = obj.Features[i]
+		scores[j] = scores[i]
 	}
-	return restIdx, restX
-}
-
-// scoreRest scores every object outside the labeled set and returns the
-// remaining object indices with their scores. Scoring goes through the
-// classifier's batch path when it has one — for the default random forest
-// that means one cache-friendly, parallel pass instead of N interface
-// calls. dur is the time the pass took: the learn phase's per-object cost
-// (Timing.Score).
-func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64, dur time.Duration) {
-	t0 := time.Now()
-	restIdx, restX := restOf(obj, labeled)
-	scores = learn.ScoreAll(clf, restX)
-	return restIdx, scores, time.Since(t0)
+	return restIdx, scores[:len(restIdx)], time.Since(t0)
 }
 
 // orderByScore sorts rest indices (and scores) ascending by score, with

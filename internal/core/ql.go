@@ -51,8 +51,8 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 	learnDur := time.Since(t0)
 
 	t1 := time.Now()
-	_, testX := restOf(obj, SL)
-	res := quantify.ClassifyAndCount(clf, countPositives(labels), testX)
+	_, scores, _ := scoreRest(obj, clf, SL)
+	res := quantify.ClassifyAndCount(countPositives(labels), scores)
 	return &Result{
 		Method:   m.Name(),
 		Estimate: res.Count,
@@ -112,13 +112,13 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 	learnDur := time.Since(t0)
 
 	t1 := time.Now()
-	_, testX := restOf(obj, SL)
+	_, scores, _ := scoreRest(obj, clf, SL)
 	trainX := make([][]float64, len(SL))
 	for j, i := range SL {
 		trainX[j] = obj.Features[i]
 	}
 	factory := func() learn.Classifier { return newClf(r.Uint64()) }
-	res, err := quantify.AdjustedCount(clf, factory, trainX, labels, testX, m.folds(), r)
+	res, err := quantify.AdjustedCount(factory, trainX, labels, scores, m.folds(), r)
 	if err != nil {
 		return nil, err
 	}

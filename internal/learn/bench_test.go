@@ -99,10 +99,48 @@ func benchForestScoreBatch(b *testing.B, parallelism int) {
 	}
 }
 
-// BenchmarkForestScoreBatchSeq is the compiled object-major walk, one
-// worker (no chunk dispatch).
+// BenchmarkForestScoreBatchSeq is the batch path on one worker: 20 000
+// rows against a 400 × 3 fit, scored through the rank grid the first
+// iteration builds.
 func BenchmarkForestScoreBatchSeq(b *testing.B) { benchForestScoreBatch(b, 1) }
 
-// BenchmarkForestScoreBatchPar is the compiled object-major walk, object
-// chunks fanned across all cores.
+// BenchmarkForestScoreBatchPar is the same batch split into one range per
+// core.
 func BenchmarkForestScoreBatchPar(b *testing.B) { benchForestScoreBatch(b, 0) }
+
+// BenchmarkForestScoreLedger scores one batch per op at the ledger's
+// udf_learn shapes: forests fitted on 50 and 200 labels, 300 rows (the
+// service-sized counts; at n200 just past the size rule, which starts at
+// 289 rows there and at 151 at n50) and 10 000 (a udf_learn count; the
+// tuple table runs at n50 only). An op includes building the grid, as
+// every ScoreBatch on that path does; build is that step alone.
+func BenchmarkForestScoreLedger(b *testing.B) {
+	r := xrand.New(11)
+	scoreX := make([][]float64, 10000)
+	for i := range scoreX {
+		scoreX[i] = []float64{2*r.Float64() - 1, 2*r.Float64() - 1}
+	}
+	for _, n := range []int{50, 200} {
+		trainX, trainY := ledgerRows(n)
+		f := NewRandomForest(100, 7)
+		f.Parallelism = 1
+		if err := f.Fit(trainX, trainY); err != nil {
+			b.Fatal(err)
+		}
+		for _, rows := range []int{300, 10000} {
+			b.Run(fmt.Sprintf("n%d_d2/N%d", n, rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = f.ScoreBatch(scoreX[:rows])
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("n%d_d2/build", n), func(b *testing.B) {
+			b.ReportAllocs()
+			g := new(forestGrid)
+			for i := 0; i < b.N; i++ {
+				g.build(&f.flat)
+			}
+		})
+	}
+}

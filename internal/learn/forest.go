@@ -2,6 +2,7 @@ package learn
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/xrand"
@@ -14,8 +15,9 @@ import (
 // Training and batch scoring run on a bounded worker pool (Parallelism).
 // Each tree's bootstrap and split randomness comes from its own sub-stream,
 // pre-split from the forest seed before any tree is dispatched, so the
-// fitted ensemble — and every score it produces — is bit-identical for any
-// Parallelism value, including the sequential Parallelism == 1.
+// fitted ensemble — and every score it produces, by Score or by either
+// path of ScoreBatch — is bit-identical for any Parallelism value,
+// including the sequential Parallelism == 1.
 type RandomForest struct {
 	Trees       int // 0 means the default 100
 	MaxDepth    int // per-tree depth cap; 0 means the default 12
@@ -25,6 +27,8 @@ type RandomForest struct {
 
 	// flat is the fitted ensemble compiled for scoring.
 	flat flatForest
+	// path is how the latest ScoreBatch scored (ForestScorePath).
+	path atomic.Pointer[ScorePath]
 }
 
 // NewRandomForest returns a forest with the given number of trees.
@@ -81,6 +85,7 @@ func (f *RandomForest) Fit(X [][]float64, y []bool) error {
 		}
 	})
 	f.flat = concatForests(parts)
+	f.path.Store(nil)
 	return nil
 }
 
@@ -101,15 +106,16 @@ func (f *RandomForest) Score(x []float64) float64 {
 	return f.flat.score(x)
 }
 
-// scoreBatchChunk is the object-chunk size for parallel batch scoring:
-// large enough to amortize dispatch, small enough to load-balance across
-// workers.
+// scoreBatchChunk is the object-chunk size for walking a batch in
+// parallel: large enough to amortize dispatch, small enough to
+// load-balance across workers, since the cost of a walk follows the row.
 const scoreBatchChunk = 256
 
-// ScoreBatch implements BatchScorer: it scores every row of X against the
-// compiled forest, returning exactly Score(row) for each. Object chunks
-// run concurrently under the Parallelism bound; a single worker skips
-// chunk dispatch and sweeps the whole range.
+// ScoreBatch implements BatchScorer: it scores every row of X, returning
+// exactly Score(row) for each, under the Parallelism bound. The compiled
+// forest has two evaluations that agree bit for bit: the walk
+// (flatForest.score) and, for a batch large enough to pay for building it,
+// the rank grid (forestGrid).
 func (f *RandomForest) ScoreBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if len(f.flat.roots) == 0 {
@@ -118,14 +124,61 @@ func (f *RandomForest) ScoreBatch(X [][]float64) []float64 {
 		}
 		return out
 	}
-	if workers := par.Workers(f.Parallelism); workers > 1 {
-		par.ForEachChunk(workers, len(X), scoreBatchChunk, func(lo, hi int) {
-			f.flat.scoreRange(X, out, lo, hi)
-		})
-	} else {
-		f.flat.scoreRange(X, out, 0, len(X))
+	workers, chunk := par.Workers(f.Parallelism), scoreBatchChunk
+	path := ScorePath{Path: "walk"}
+	var g *forestGrid
+	if len(X)*len(f.flat.roots) >= gridMinWork*len(f.flat.nodes) {
+		g = gridPool.Get().(*forestGrid)
+		defer g.release()
+		if g.build(&f.flat) {
+			// One range per worker: a grid row costs the same whatever its
+			// values, and the tuple table of scoreRange wants long ranges.
+			chunk = (len(X) + workers - 1) / workers
+			g.ranges = sized(g.ranges, (len(X)+chunk-1)/chunk)
+			path.Path, path.Cells = "grid", len(g.cells)
+		}
+		for _, thr := range g.thr {
+			path.Thresholds += len(thr)
+		}
 	}
+	var tuples atomic.Int64
+	par.ForEachChunk(workers, len(X), chunk, func(lo, hi int) {
+		if path.Cells > 0 {
+			tuples.Add(int64(g.scoreRange(X, out, lo, hi, &g.ranges[lo/chunk])))
+		} else {
+			f.flat.scoreRange(X, out, lo, hi)
+		}
+	})
+	path.Tuples = int(tuples.Load())
+	f.path.Store(&path)
 	return out
+}
+
+// gridMinWork is the batch size, in tree evaluations per forest node, from
+// which ScoreBatch builds the grid. Building costs what walking 7–10 tree
+// evaluations per node does and a grid row a quarter of a walked one or
+// less (EXPERIMENTS.md, "Rank-grid forest scoring"); the rule starts at
+// one and a half times the worst break-even read, where the grid is
+// already ~1.3× ahead.
+const gridMinWork = 15
+
+// ScorePath says how a fitted forest scored its latest batch.
+type ScorePath struct {
+	Path       string // "grid" or "walk"
+	Thresholds int    // distinct split thresholds, all features; 0 when the batch was too small to consider the grid
+	Cells      int    // leaf-table cells, all trees; 0 with Thresholds > 0 means the tables would pass the cap
+	Tuples     int    // forest evaluations the grid made: one per row, or per distinct rank tuple of a range where the tuple table ran
+}
+
+// ForestScorePath reports how a fitted forest scored its latest batch, and
+// the zero value for any other classifier or before the first batch.
+func ForestScorePath(c Classifier) ScorePath {
+	if f, ok := c.(*RandomForest); ok {
+		if p := f.path.Load(); p != nil {
+			return *p
+		}
+	}
+	return ScorePath{}
 }
 
 // flatNode is one compiled tree node, packed to 16 bytes so four nodes
@@ -211,8 +264,8 @@ func concatForests(parts []flatForest) flatForest {
 }
 
 // score walks every tree for one object, summing leaf probabilities in
-// tree order (the same order — hence the same float rounding — as the
-// batch path and the original per-tree loop).
+// tree order — the order, hence the float rounding, that the grid and the
+// original per-tree loop sum in.
 func (ff *flatForest) score(x []float64) float64 {
 	s := 0.0
 	for _, root := range ff.roots {
@@ -221,12 +274,12 @@ func (ff *flatForest) score(x []float64) float64 {
 	return s / float64(len(ff.roots))
 }
 
-// scoreRange computes mean tree probabilities for objects [lo, hi),
-// object-major: the row and its running sum stay in registers across all
-// trees, and the packed node block (16 bytes/node) is small enough to stay
-// cache-resident across objects. (The tree-major order was measured first
-// and lost >2×: it re-streams each row and the accumulator slice once per
-// tree.)
+// scoreRange walks objects [lo, hi), object-major: the row and its
+// running sum stay in registers across all trees, and the packed node
+// block (16 bytes/node) is small enough to stay cache-resident across
+// objects. This is the batch path of small batches and of forests without
+// a grid; a large batch trades the data-dependent descents for table
+// lookups (forestGrid.scoreRange).
 func (ff *flatForest) scoreRange(X [][]float64, out []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		out[i] = ff.score(X[i])

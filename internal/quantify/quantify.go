@@ -22,13 +22,14 @@ type Result struct {
 }
 
 // ClassifyAndCount is QLCC: count the classifier's positive predictions over
-// the test objects and add the known training positives. The objects are
-// scored once, through the classifier's batch path when it has one (a
-// BatchScorer returns exactly Score(x) per row, so the count is the one
-// learn.Predict would give object by object).
-func ClassifyAndCount(clf learn.Classifier, trainPos int, testX [][]float64) Result {
+// the test objects and add the known training positives. scores holds the
+// classifier's score of each test object — the caller scores them once,
+// through the batch path where there is one (a BatchScorer returns exactly
+// Score(x) per row, so the count is the one learn.Predict would give object
+// by object).
+func ClassifyAndCount(trainPos int, scores []float64) Result {
 	obs := 0
-	for _, s := range learn.ScoreAll(clf, testX) {
+	for _, s := range scores {
 		if s >= 0.5 {
 			obs++
 		}
@@ -50,9 +51,9 @@ func ClassifyAndCount(clf learn.Classifier, trainPos int, testX [][]float64) Res
 // When the rate gap |t̂pr − f̂pr| is numerically negligible the adjustment
 // is undefined; we fall back to the observed count (classify-and-count),
 // which matches the recommended practice. The adjusted count is clamped to
-// [0, |test|] — the estimate is a count of test objects.
-func AdjustedCount(clf learn.Classifier, factory learn.Factory,
-	trainX [][]float64, trainY []bool, testX [][]float64,
+// [0, |test|] — the estimate is a count of test objects. scores holds the
+// trained classifier's score of each test object, as for ClassifyAndCount.
+func AdjustedCount(factory learn.Factory, trainX [][]float64, trainY []bool, scores []float64,
 	folds int, r *xrand.Rand) (Result, error) {
 
 	if len(trainX) != len(trainY) {
@@ -64,7 +65,7 @@ func AdjustedCount(clf learn.Classifier, factory learn.Factory,
 			trainPos++
 		}
 	}
-	res := ClassifyAndCount(clf, trainPos, testX)
+	res := ClassifyAndCount(trainPos, scores)
 
 	tpr, fpr, err := learn.KFoldRates(factory, trainX, trainY, folds, r)
 	if err != nil {
@@ -76,12 +77,12 @@ func AdjustedCount(clf learn.Classifier, factory learn.Factory,
 	gap := tpr - fpr
 	adj := float64(res.Observed)
 	if gap > minGap || gap < -minGap {
-		adj = (float64(res.Observed) - fpr*float64(len(testX))) / gap
+		adj = (float64(res.Observed) - fpr*float64(len(scores))) / gap
 	}
 	if adj < 0 {
 		adj = 0
 	}
-	if max := float64(len(testX)); adj > max {
+	if max := float64(len(scores)); adj > max {
 		adj = max
 	}
 	res.Adjusted = adj

@@ -36,7 +36,7 @@ func TestClassifyAndCountPerfect(t *testing.T) {
 		}
 		return 0
 	}}
-	res := ClassifyAndCount(clf, 7, testX)
+	res := ClassifyAndCount(7, learn.ScoreAll(clf, testX))
 	want := 0
 	for _, b := range testY {
 		if b {
@@ -60,7 +60,7 @@ func TestClassifyAndCountBiased(t *testing.T) {
 	r := xrand.New(2)
 	testX, _ := thresholdData(r, 500)
 	clf := &fixedClassifier{f: func([]float64) float64 { return 0.9 }}
-	res := ClassifyAndCount(clf, 0, testX)
+	res := ClassifyAndCount(0, learn.ScoreAll(clf, testX))
 	if res.Observed != 500 {
 		t.Fatalf("Observed = %d", res.Observed)
 	}
@@ -95,7 +95,7 @@ func TestAdjustedCountRecovers(t *testing.T) {
 	if err := clf.Fit(trainX, trainY); err != nil {
 		t.Fatal(err)
 	}
-	res, err := AdjustedCount(clf, factory, trainX, trainY, testX, 5, r)
+	res, err := AdjustedCount(factory, trainX, trainY, learn.ScoreAll(clf, testX), 5, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAdjustedCountClamped(t *testing.T) {
 	testX, _ := thresholdData(r, 100)
 	clf := &fixedClassifier{f: func([]float64) float64 { return 0.9 }}
 	factory := func() learn.Classifier { return &fixedClassifier{f: func([]float64) float64 { return 0.9 }} }
-	res, err := AdjustedCount(clf, factory, trainX, trainY, testX, 4, r)
+	res, err := AdjustedCount(factory, trainX, trainY, learn.ScoreAll(clf, testX), 4, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestAdjustedCountErrors(t *testing.T) {
 	r := xrand.New(5)
 	clf := &fixedClassifier{f: func([]float64) float64 { return 0.5 }}
 	factory := func() learn.Classifier { return clf }
-	if _, err := AdjustedCount(clf, factory, [][]float64{{1}}, []bool{true, false}, nil, 3, r); err == nil {
+	if _, err := AdjustedCount(factory, [][]float64{{1}}, []bool{true, false}, nil, 3, r); err == nil {
 		t.Fatal("length mismatch should error")
 	}
-	if _, err := AdjustedCount(clf, factory, [][]float64{{1}}, []bool{true}, nil, 3, r); err == nil {
+	if _, err := AdjustedCount(factory, [][]float64{{1}}, []bool{true}, nil, 3, r); err == nil {
 		t.Fatal("tiny training set should error")
 	}
 }

@@ -420,13 +420,13 @@ func TestRefreshSpanReportsLearnStep(t *testing.T) {
 		return root.Attrs
 	}
 	a := refreshAttrs()
-	if a["train_rows"] != 25 || a["trees"] != 100 || a["scored"] != 1000 || a["fit_ms"] == nil || a["score_ms"] == nil {
-		t.Fatalf("cold refresh attrs = %v, want 25 train rows, 100 trees, 1000 scored, fit and score times", a)
+	if a["train_rows"] != 25 || a["trees"] != 100 || a["scored"] != 1000 || a["fit_ms"] == nil || a["score_ms"] == nil || a["score_path"] != "grid" {
+		t.Fatalf("cold refresh attrs = %v, want 25 train rows, 100 trees, 1000 scored on the grid, fit and score times", a)
 	}
 	w.appendItems(t, 10)
 	a = refreshAttrs()
-	if a["retrained"] != false || a["train_rows"] != nil || a["fit_ms"] != nil || a["scored"] != 10 {
-		t.Fatalf("1%% append refresh attrs = %v, want no fit and the 10 new objects scored", a)
+	if a["retrained"] != false || a["train_rows"] != nil || a["fit_ms"] != nil || a["scored"] != 10 || a["score_path"] != "walk" || a["cells"] != nil {
+		t.Fatalf("1%% append refresh attrs = %v, want no fit and the 10 new objects walked, too few to build a grid for", a)
 	}
 }
 

@@ -433,8 +433,16 @@ func TestLearnSpanSplitsFitAndScore(t *testing.T) {
 	if total := durMS(sp.Duration); fit+score > total*1.001 {
 		t.Fatalf("fit %v + score %v ms exceed the learn span's %v ms", fit, score, total)
 	}
-	if a := learnSpan("qlcc").Attrs; a["train_rows"] != 200 || a["fit_ms"] == nil || a["scored"] != nil || a["score_ms"] != nil {
-		t.Fatalf("qlcc learn attrs = %v, want 200 train rows, a fit time and no scoring", a)
+	// 2 000 rows × 100 trees is far past the size rule: the grid scored,
+	// and no tuple was evaluated more often than there are rows.
+	thresholds, _ := a["thresholds"].(int)
+	cells, _ := a["cells"].(int)
+	tuples, _ := a["tuples"].(int)
+	if a["score_path"] != "grid" || thresholds < 2 || cells < 100 || tuples < 1 || tuples > 2000 {
+		t.Fatalf("lss learn attrs = %v, want the grid path with its thresholds, cells and tuples", a)
+	}
+	if a := learnSpan("qlcc").Attrs; a["train_rows"] != 200 || a["fit_ms"] == nil || a["scored"] != nil || a["score_ms"] != nil || a["score_path"] != "grid" {
+		t.Fatalf("qlcc learn attrs = %v, want 200 train rows, a fit time, no scoring of the phase's own and the count's path", a)
 	}
 	if a := learnSpan("srs").Attrs; len(a) != 0 {
 		t.Fatalf("srs learn attrs = %v, want none", a)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/learn"
 	"repro/internal/obs"
 )
 
@@ -193,7 +194,8 @@ func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration)
 // breakdown it already measures is replayed into the trace after the
 // fact. The learn span splits the phase into its fixed and per-object
 // cost: the rows trained on and the time inside Fit, the objects scored
-// and the time scoring them, and the size of the fitted forest. The design
+// and the time scoring them, the size of the fitted forest, and which of
+// its two evaluations scored (scorePathAttrs). The design
 // span says what the phase did: the designer or layout that produced the
 // strata, its candidate-set size |B| and bound count |T| where it has
 // them, and why equal-count strata replaced it if they did.
@@ -215,6 +217,7 @@ func estimateSpan(ctx context.Context, est *Estimate, res *core.Result) {
 		if l.Trees > 0 {
 			attrs = append(attrs, "trees", l.Trees, "nodes", l.Nodes)
 		}
+		scorePathAttrs(l.Score, func(k string, v any) { attrs = append(attrs, k, v) })
 	}
 	sp.ChildSpan("learn", start, t.Learn, attrs...)
 	design := res.Design
@@ -234,6 +237,24 @@ func estimateSpan(ctx context.Context, est *Estimate, res *core.Result) {
 	sp.ChildSpan("design", start.Add(t.Learn), t.Design, attrs...)
 	sp.ChildSpan("sample", start.Add(t.Learn+t.Design), t.Sample)
 	sp.Set("predicate_ms", durMS(t.Predicate))
+}
+
+// scorePathAttrs hands set how a forest scored its batch: score_path is
+// grid or walk; thresholds and cells size the grid (neither: the batch was
+// too small to build one for; thresholds without cells: the tables would
+// pass the cap, so the forest walked); tuples is the number of forest
+// evaluations the grid made, under the rows scored where rows shared a
+// rank tuple. Nothing for a classifier that is not a forest.
+func scorePathAttrs(p learn.ScorePath, set func(key string, val any)) {
+	if p.Path == "" {
+		return
+	}
+	set("score_path", p.Path)
+	if p.Thresholds > 0 {
+		set("thresholds", p.Thresholds)
+		set("cells", p.Cells)
+		set("tuples", p.Tuples)
+	}
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

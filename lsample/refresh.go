@@ -509,7 +509,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 // own tag — so sample membership, and with it the label bill, moves only
 // where the data moved. A retrain puts the fit's cost (train_rows, fit_ms,
 // trees, nodes) on the refresh span, and any scoring its own (scored,
-// score_ms).
+// score_ms, and the forest's scoring path as scorePathAttrs names it).
 func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, label func([]int64) ([]bool, error),
 	keys []int64, posByKey map[int64]int, features [][]float64, budget int, alpha float64, out *RefreshEstimate) (estimate.Result, error) {
 
@@ -580,6 +580,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 		scored := learn.ScoreAll(st.clf, missX)
 		span.Set("scored", len(missKeys))
 		span.Set("score_ms", durMS(time.Since(tScore)))
+		scorePathAttrs(learn.ForestScorePath(st.clf), span.Set)
 		for j, k := range missKeys {
 			st.scores[k] = scored[j]
 		}
