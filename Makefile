@@ -9,7 +9,7 @@
 #                      workloads untraced then traced against real lsserve
 #                      children, result.json + per-layer table under
 #                      .bench_out. Every per-layer quantity lives here:
-#                      interpreted/scalar/vector ns per eval, tracing
+#                      interpreted and compiled ns per eval, tracing
 #                      overhead, live apply and WAL cost, the result-cache
 #                      hit, cold/direct/extension (serve_mix), refresh
 #                      (live_refresh) and sharded scatter (shard_scatter)
@@ -28,7 +28,8 @@
 #                      lexer, live delta parser, WAL reader, shard routing,
 #                      design sweep vs its per-bound reference, presorted
 #                      forest fit vs its per-node-sort reference, rank-grid
-#                      forest scoring vs the walk) — the CI crash gate
+#                      forest scoring vs the walk, compiled predicate
+#                      closures vs the interpreter) — the CI crash gate
 
 GO ?= go
 
@@ -99,8 +100,10 @@ bench-ledger-smoke:
 # objective bit for bit, feasibility, V = objective of the cuts), the
 # presorted, bootstrap-weighted forest fit against the row-copying,
 # per-node-sort reference it replaced (every compiled node bit for bit),
-# and the forest's rank-grid scoring against the walk (every score bit for
-# bit, with and without the tuple table).
+# the forest's rank-grid scoring against the walk (every score bit for bit,
+# with and without the tuple table), and qcompile's closures against the
+# interpreter over generated tables × Q1 shapes × parameters (every object's
+# label; an interpreter error is a typed fault; a refusal is a fallback).
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -112,3 +115,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledAgrees$$' -fuzztime $(FUZZTIME) ./internal/qcompile/

@@ -20,8 +20,8 @@
 //	                   data are never served
 //	GET  /v1/stats     metrics: cache hits, admissions, predicate evals,
 //	                   a request-latency histogram (p50/p90/p99/p999/max
-//	                   plus cumulative bucket counts), shared-scan and
-//	                   degraded-answer counters, ingest counters (requests,
+//	                   plus cumulative bucket counts), the degraded-answer
+//	                   counter, ingest counters (requests,
 //	                   rows, batches, errors), and the reuse-catalog block
 //	                   (entries, bytes, hits, extensions, misses, evictions)
 //	GET  /metrics      Prometheus text-format exposition of the same
@@ -66,10 +66,10 @@
 //
 // Admission control queues per dataset: -max-inflight bounds global
 // concurrency, one hot dataset cannot starve the rest, and hopelessly
-// deep per-dataset queues shed immediately. Concurrent exact requests on
-// the same snapshot coalesce their labeling into one shared scan. The
-// -pprof flag serves Go profiling endpoints under /debug/pprof/ (off by
-// default).
+// deep per-dataset queues shed immediately. A query whose predicate fails
+// on the data (a division by zero on some object) answers 400 bad_request
+// naming the fault. The -pprof flag serves Go profiling endpoints under
+// /debug/pprof/ (off by default).
 //
 // The server keeps a cross-query reuse catalog (see lsample.Catalog) that
 // materializes learn samples, labels, and trained classifiers so repeated

@@ -123,13 +123,14 @@
 // (the HTTP counting service). Runnable walkthroughs live under examples/;
 // examples/embed is the minimal SDK embedding.
 //
-// The benchmarks in bench_test.go regenerate each table and figure at
-// reduced scale and report predicate evaluations per op; `make check`
-// builds, vets, checks the public API surface and documentation gates, and
-// runs the race-enabled test suite; `make bench-micro` runs the Go
-// micro-benchmarks (this file's figures, forest fit and scoring, the
-// designers, GROUP BY shared vs naive) and `make bench` the end-to-end
-// ledger under bench/. CI (.github/workflows/ci.yml) runs the same gates.
+// The benchmarks in internal/experiment/figures_bench_test.go regenerate
+// each table and figure at reduced scale and report predicate evaluations
+// per op; `make check` builds, vets, checks the public API surface and
+// documentation gates, and runs the race-enabled test suite; `make
+// bench-micro` runs the Go micro-benchmarks (the paper figure, forest fit
+// and scoring, the designers, GROUP BY shared vs naive) and `make bench`
+// the end-to-end ledger under bench/. CI (.github/workflows/ci.yml) runs
+// the same gates.
 //
 // README.md is the front door (quick starts, package map, benchmark
 // highlights) and ARCHITECTURE.md describes the layer boundaries and the

@@ -1,20 +1,18 @@
-package repro
+package experiment
 
-// Benchmark harness: one benchmark per paper table/figure, regenerating the
-// experiment at reduced scale (full scale: cmd/lsbench -full). Each
-// benchmark reports ns/op for a complete experiment pass; the rendered
-// tables land in EXPERIMENTS.md via cmd/lsbench.
+// One benchmark per paper table/figure, regenerating the experiment at
+// reduced scale (full scale: cmd/lsbench -full). Each benchmark reports
+// ns/op for a complete experiment pass; the rendered tables land in
+// EXPERIMENTS.md via cmd/lsbench.
 
 import (
 	"io"
 	"testing"
-
-	"repro/internal/experiment"
 )
 
 // benchOpts keeps a full experiment pass affordable inside `go test -bench`.
-func benchOpts() experiment.Options {
-	return experiment.Options{
+func benchOpts() Options {
+	return Options{
 		Rows:        3000,
 		Trials:      5,
 		Seed:        1,
@@ -23,11 +21,11 @@ func benchOpts() experiment.Options {
 	}
 }
 
-func runExperiment(b *testing.B, id string, o experiment.Options) {
+func runExperiment(b *testing.B, id string, o Options) {
 	b.Helper()
 	var evals int64
 	for i := 0; i < b.N; i++ {
-		rep, err := experiment.Run(id, o)
+		rep, err := Run(id, o)
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}

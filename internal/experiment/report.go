@@ -1,7 +1,7 @@
 // Package experiment regenerates the paper's evaluation (§5): Table 1 and
 // Figures 1–8. Each driver returns a Report — a titled table of rows — that
-// cmd/lsbench renders as text or CSV and that bench_test.go exercises at
-// reduced scale.
+// cmd/lsbench renders as text or CSV and that figures_bench_test.go
+// exercises at reduced scale.
 package experiment
 
 import (

@@ -268,10 +268,11 @@ func (b *memoBatch) EvalBatch(idxs []int, out []bool) {
 // EngineExists evaluates a decomposed SQL predicate (Q3) through the query
 // engine. Construction validates the predicate on the first object so that
 // later evaluations cannot fail for structural reasons; a failure after
-// that indicates a programming error and panics. The interpreted evaluator
-// shares mutable state (work counters, cursors), so EngineExists is the one
-// expensive predicate that must stay on a single goroutine — the compiled
-// path (Compiled) is the parallel alternative.
+// that is data-dependent (a later object's zero divisor) and is raised as
+// an engine.Fault, which the SDK returns as the request's error. The
+// interpreted evaluator shares mutable state (work counters, cursors), so
+// EngineExists is the one expensive predicate that must stay on a single
+// goroutine — the compiled path (Compiled) is the parallel alternative.
 type EngineExists struct {
 	counter
 	eval    func(i int) (bool, error)
@@ -305,7 +306,7 @@ func (p *EngineExists) Eval(i int) bool {
 	p.n.Add(1)
 	ok, err := p.eval(i)
 	if err != nil {
-		panic(fmt.Sprintf("predicate: engine predicate failed on object %d: %v", i, err))
+		panic(&engine.Fault{Msg: fmt.Sprintf("predicate: engine predicate failed on object %d: %v", i, err)})
 	}
 	return ok
 }
@@ -313,25 +314,15 @@ func (p *EngineExists) Eval(i int) bool {
 // Compiled is the batch-capable predicate over a compiled Q3 evaluator
 // (internal/qcompile). The factory hands out evaluation closures with
 // private scratch, so EvalBatch can fan a batch out over a worker pool:
-// each worker owns one closure, each batch element writes only its own
-// output slot, and labels are pure functions of the object index — the
-// result is byte-identical to a sequential loop at any parallelism.
+// each chunk borrows one closure from the pool for as long as it runs, each
+// batch element writes only its own output slot, and labels are pure
+// functions of the object index — the result is byte-identical to a
+// sequential loop at any parallelism.
 type Compiled struct {
 	counter
 	f       func(int) bool
-	newFn   func() func(int) bool
-	vec     BatchEvaler        // cached vector evaluator for sequential batches
-	newVec  func() BatchEvaler // nil when the program has no vector path
-	pool    sync.Pool          // vector evaluators for parallel chunk workers
+	pool    sync.Pool // evaluation closures for parallel chunk workers
 	workers int
-}
-
-// BatchEvaler is the vectorized evaluation contract the compiler's batch
-// arena satisfies (qcompile.VecEval): label idxs into out with preallocated
-// scratch, zero allocations in steady state. A BatchEvaler is not safe for
-// concurrent use with itself; Compiled keeps one per worker.
-type BatchEvaler interface {
-	EvalBatch(idxs []int, out []bool)
 }
 
 // batchChunk is the per-dispatch work unit for parallel batches: large
@@ -342,28 +333,13 @@ const batchChunk = 64
 // NewCompiled wraps an evaluation-closure factory as a Compiled predicate.
 // workers bounds batch parallelism: 0 means all cores, 1 sequential.
 func NewCompiled(newFn func() func(int) bool, workers int) *Compiled {
-	return &Compiled{f: newFn(), newFn: newFn, workers: workers}
-}
-
-// NewCompiledVec is NewCompiled plus a vectorized batch path: batches go
-// through arenas from newVec (one cached for sequential use, a pool for
-// parallel workers) while single Eval calls keep the scalar closure. Labels
-// and evaluation counts are identical on both paths — the vector path is
-// purely a throughput knob.
-func NewCompiledVec(newFn func() func(int) bool, newVec func() BatchEvaler, workers int) *Compiled {
-	p := &Compiled{f: newFn(), newFn: newFn, newVec: newVec, workers: workers}
-	if newVec != nil {
-		p.vec = newVec()
-		p.pool.New = func() any { return newVec() }
-	}
+	p := &Compiled{f: newFn(), workers: workers}
+	p.pool.New = func() any { return newFn() }
 	return p
 }
 
 // Workers reports the resolved batch parallelism.
 func (p *Compiled) Workers() int { return par.Workers(p.workers) }
-
-// Vectorized reports whether batches run through the vector arena path.
-func (p *Compiled) Vectorized() bool { return p.vec != nil }
 
 // Eval evaluates q on object i.
 func (p *Compiled) Eval(i int) bool {
@@ -373,32 +349,23 @@ func (p *Compiled) Eval(i int) bool {
 
 // EvalBatch labels a pre-chosen sample set, in parallel when the predicate
 // was built with more than one worker. Every batch element counts as one
-// evaluation on either path, so Evals stays comparable whether a batch ran
-// through scalar closures or the vector arena.
+// evaluation. A closure whose evaluation panics (an engine.Fault) is not
+// returned to the pool.
 func (p *Compiled) EvalBatch(idxs []int, out []bool) {
 	p.n.Add(int64(len(idxs)))
 	w := par.Workers(p.workers)
 	if w <= 1 || len(idxs) <= batchChunk {
-		if p.vec != nil {
-			p.vec.EvalBatch(idxs, out)
-			return
-		}
 		for j, i := range idxs {
 			out[j] = p.f(i)
 		}
 		return
 	}
 	par.ForEachChunk(w, len(idxs), batchChunk, func(lo, hi int) {
-		if p.newVec != nil {
-			ve := p.pool.Get().(BatchEvaler)
-			ve.EvalBatch(idxs[lo:hi], out[lo:hi])
-			p.pool.Put(ve)
-			return
-		}
-		f := p.newFn()
+		f := p.pool.Get().(func(int) bool)
 		for j := lo; j < hi; j++ {
 			out[j] = f(idxs[j])
 		}
+		p.pool.Put(f)
 	})
 }
 

@@ -1,7 +1,10 @@
 package predicate
 
 import (
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -266,11 +269,19 @@ func TestConcurrentEvalCounting(t *testing.T) {
 }
 
 // TestCompiledEvalBatch checks the parallel batch path against sequential
-// Eval for every worker count, including the eval counter.
+// Eval for every worker count, including the eval counter, and bounds what
+// a parallel batch allocates: chunks borrow their evaluation closure from
+// the pool, so a batch costs O(workers) closures, not one per chunk.
 func TestCompiledEvalBatch(t *testing.T) {
-	n := 500
+	n := 4096 // 64 chunks
+	var made atomic.Int64
 	newFn := func() func(int) bool {
-		return func(i int) bool { return i%3 == 0 || i%7 == 0 }
+		made.Add(1)
+		scratch := make([]int, 4) // closures own scratch, as qcompile's do
+		return func(i int) bool {
+			scratch[i%4] = i
+			return i%3 == 0 || i%7 == 0
+		}
 	}
 	idxs := make([]int, n)
 	for i := range idxs {
@@ -280,7 +291,7 @@ func TestCompiledEvalBatch(t *testing.T) {
 	for j, i := range idxs {
 		want[j] = newFn()(i)
 	}
-	for _, workers := range []int{1, 2, 4, 0} {
+	for _, workers := range []int{1, 2, 4, runtime.NumCPU(), 0} {
 		p := NewCompiled(newFn, workers)
 		out := make([]bool, n)
 		p.EvalBatch(idxs, out)
@@ -293,6 +304,33 @@ func TestCompiledEvalBatch(t *testing.T) {
 			t.Fatalf("workers=%d: Evals=%d, want %d", workers, p.Evals(), n)
 		}
 	}
+
+	if raceEnabled() {
+		return // under -race sync.Pool drops a quarter of all Puts by design
+	}
+	const workers = 4
+	chunks := n / batchChunk
+	p := NewCompiled(newFn, workers)
+	out := make([]bool, n)
+	made.Store(0)
+	allocs := testing.AllocsPerRun(10, func() { p.EvalBatch(idxs, out) })
+	// Per batch: the pool's own bookkeeping (a handful per worker goroutine)
+	// plus whatever closures the pool could not hand back.
+	if perBatch := float64(made.Load()) / 11; perBatch > workers || allocs > 8*workers {
+		t.Errorf("a %d-chunk batch at %d workers built %.1f closures and made %.0f allocations; want O(workers), not O(chunks)",
+			chunks, workers, perBatch, allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestMemoBatch checks that the memo's batch view evaluates each unknown

@@ -44,6 +44,16 @@
 // of the object index, which is what makes batched and parallel labeling a
 // pure throughput knob for the estimators built on top.
 //
+// The closures lower.go builds are the one compiled evaluator; the
+// interpreter is their fallback and their reference. FuzzCompiledAgrees
+// holds the two together: over generated tables, query shapes and
+// parameters, every object gets the interpreter's label, and where the
+// interpreter returns a data-dependent error (a zero divisor, SQRT of a
+// negative) the closures raise the one typed panic value for it,
+// engine.Fault, which the SDK's entry points turn into the request's error.
+// The fuzzer's header says where the two agree on faults (aggregate
+// arguments, HAVING) and why WHERE is excluded.
+//
 // Compile performs the per-query work (analysis and index building) once —
 // lsample.Session.Prepare calls it per prepared query — while Bind performs
 // the cheap per-execution specialization: binding parameter values,

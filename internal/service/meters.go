@@ -15,7 +15,6 @@ type meters struct {
 	requests, cacheHits, cacheMisses, rejected, degraded, errors *obs.Counter
 	estimatesRun, predicateEvals                                 *obs.Counter
 	ingestRequests, ingestRows, ingestBatches, ingestErrors      *obs.Counter
-	sharedScans, sharedScanRequests                              *obs.Counter
 	estimateBusy, predicateBusy                                  *obs.Timer
 	// latency is the /v1/count request-latency histogram (admission wait
 	// included — tail latency is what admission control is for).
@@ -52,10 +51,6 @@ func newMeters(r *obs.Registry) *meters {
 			"Delta batches committed."),
 		ingestErrors: r.NewCounter("lsample_ingest_errors_total",
 			"Ingest requests that failed, possibly mid-stream."),
-		sharedScans: r.NewCounter("lsample_shared_scans_total",
-			"Coalesced exact-labeling passes executed."),
-		sharedScanRequests: r.NewCounter("lsample_shared_scan_requests_total",
-			"Requests served by coalesced exact-labeling passes."),
 		latency: r.NewHistogram("lsample_request_duration_seconds",
 			"End-to-end /v1/count latency (admission wait included).", "latency"),
 	}

@@ -181,8 +181,8 @@ func TestStatsFieldNamesGolden(t *testing.T) {
 		"metrics": "admission_queued cache_hits cache_misses catalog_bytes catalog_entries catalog_evictions " +
 			"catalog_extensions catalog_hits catalog_misses datasets degraded errors estimate_ms estimates_run " +
 			"inflight_estimations ingest_batches ingest_errors ingest_requests ingest_rows latency predicate_evals " +
-			"predicate_ms prepared_queries rejected requests result_cache_entries shard_execs shared_scan_requests " +
-			"shared_scans traces_sampled traces_started",
+			"predicate_ms prepared_queries rejected requests result_cache_entries shard_execs " +
+			"traces_sampled traces_started",
 		"catalog": "bytes entries evictions extensions hits misses",
 	}
 	top, _ := json.Marshal(stats)

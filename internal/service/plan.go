@@ -19,7 +19,6 @@ type plan struct {
 
 	interval    lsample.Interval // Interval, parsed
 	parallelism int
-	scans       lsample.ScanCoalescer
 
 	shape      string // canonical parameter-free query fingerprint
 	paramsJSON []byte // deterministic encoding of the bound parameters
@@ -35,7 +34,7 @@ func (s *Service) resolve(req *CountRequest) (*plan, error) {
 	if req.SQL == "" {
 		return nil, badf("missing sql")
 	}
-	p := &plan{CountRequest: *req, parallelism: s.opts.Parallelism, scans: s.scans}
+	p := &plan{CountRequest: *req, parallelism: s.opts.Parallelism}
 	if p.Method == "" {
 		p.Method = s.opts.DefaultMethod
 	}
@@ -108,9 +107,6 @@ func (p *plan) options() []lsample.Option {
 		lsample.WithSeed(p.Seed),
 		lsample.WithParallelism(p.parallelism),
 		lsample.WithExact(p.Exact),
-		// Concurrent exact passes over the same snapshot coalesce into one
-		// shared scan; non-exact requests never consult the coalescer.
-		lsample.WithScanCoalescer(p.scans),
 	}
 	if p.Shards > 0 {
 		opts = append(opts, lsample.WithShards(p.Shards))

@@ -22,10 +22,8 @@
 // ErrBusy instead of piling up, a dataset whose queue is already hopeless
 // sheds new arrivals immediately, and a request that opts in (Degrade) gets
 // a budget-degraded answer with a wider interval at the deadline instead of
-// a 503. Concurrent exact passes over the same snapshot coalesce into one
-// shared scan (see sharedscan.go). A request whose context is canceled
-// mid-estimation aborts at the next predicate evaluation and returns the
-// wrapped cancellation error.
+// a 503. A request whose context is canceled mid-estimation aborts at the
+// next predicate evaluation and returns the wrapped cancellation error.
 package service
 
 import (
@@ -139,7 +137,6 @@ type Service struct {
 	Registry *Registry
 	opts     Options
 	admit    *admitter
-	scans    *scanCoalescer
 	degSem   chan struct{} // dedicated slot(s) for budget-degraded answers
 
 	// The three caches, one store type (store.go), all keyed by plan.key:
@@ -221,7 +218,6 @@ func New(reg *Registry, opts Options) *Service {
 	})
 	s.m = newMeters(s.metrics)
 	s.registerGauges(s.metrics)
-	s.scans = newScanCoalescer(s.m)
 	return s
 }
 
@@ -348,10 +344,10 @@ func (s *Service) CountCtx(ctx context.Context, req *CountRequest) (*CountResult
 	defer func() { s.m.latency.Observe(time.Since(t0)) }()
 	ctx, span := s.tracer.StartRequest(ctx, "count", req.Explain)
 	res, err := func() (r *CountResult, e error) {
-		// A data-dependent evaluation failure deep inside an estimation
-		// (e.g. EngineExists panics on an object the construction-time
-		// validation did not reach) must become a 500, not kill the
-		// request goroutine.
+		// A predicate fault (a later object's division by zero) comes back
+		// from the SDK as an ErrInvalid error and is a 400. Any other panic
+		// deep inside an estimation is a bug: it becomes a logged 500
+		// instead of killing the request goroutine.
 		defer func() {
 			if p := recover(); p != nil {
 				s.logger.Error(ctx, "panic serving count request",

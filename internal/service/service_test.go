@@ -630,10 +630,13 @@ func BenchmarkServeCount(b *testing.B) {
 	}
 }
 
-// TestCountContainsLabelingPoolPanic: a data-dependent panic inside the
-// compiled predicate at Parallelism > 1 happens on a labeling-pool worker
-// goroutine. The pool re-raises it on the request goroutine, where the
-// request-level recover turns it into a 500 — it used to kill the process.
+// TestCountContainsLabelingPoolPanic: a predicate fault — a division by
+// zero on an object the first-object checks never see — raised on a
+// labeling-pool worker goroutine at Parallelism > 1 (classic path) or on a
+// driver scatter goroutine (hash plan) is the request's error: 400
+// bad_request on either path, no logged stack, nothing left in flight. It
+// used to be a panic the request-level recover turned into a 500, and
+// before that it killed the process.
 func TestCountContainsLabelingPoolPanic(t *testing.T) {
 	tb, err := lsample.NewTable("D", "id:int,x:float,y:float")
 	if err != nil {
@@ -660,21 +663,44 @@ func TestCountContainsLabelingPoolPanic(t *testing.T) {
 		// object 0 never sees row 5's divisor.
 		SQL: `SELECT o1.id FROM D o1, D o2 WHERE o2.x >= o1.x
 			GROUP BY o1.id HAVING COUNT(*) / MIN(o1.y) < k`,
-		Params:  map[string]any{"k": 8},
-		Method:  "oracle",
-		NoCache: true, // the classic path: no hash-plan scatter to recover it first
+		Params: map[string]any{"k": 8},
+		Method: "oracle",
 	}
-	if _, err := svc.CountCtx(context.Background(), req); err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("CountCtx err = %v, want the contained division by zero", err)
+	for _, noCache := range []bool{true, false} { // the classic path, then the hash plan
+		req.NoCache = noCache
+		_, err := svc.CountCtx(context.Background(), req)
+		if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("no_cache %v: CountCtx err = %v, want the division by zero as a bad request", noCache, err)
+		}
+		resp, payload := postJSON(t, ts.URL+"/v1/count", req)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(payload, []byte(`"bad_request"`)) {
+			t.Fatalf("no_cache %v: status %d body %s, want 400 bad_request", noCache, resp.StatusCode, payload)
+		}
 	}
+	if strings.Contains(logs.String(), "panic serving count request") {
+		t.Errorf("a predicate fault was logged as a panic:\n%s", logs.String())
+	}
+	if svc.m.errors.Value() != 4 || svc.admit.inflight() != 0 {
+		t.Errorf("errors = %d, inflight = %d after four faulting requests; want 4, 0", svc.m.errors.Value(), svc.admit.inflight())
+	}
+
+	// A coordinator's workers meet the fault inside a shard op; the worker
+	// answers 400, which the coordinator passes on as permanent instead of
+	// failing over from one faulting worker to the next.
+	_, worker := newWorkerServer(t, tb)
+	coord := newCoordinator(t, CoordinatorOptions{Shards: 2}, worker)
+	if _, err := coord.Count(context.Background(), req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("coordinator: err = %v, want the division by zero as a bad request", err)
+	}
+
+	// Anything else that panics under a request is a bug, and the
+	// request-level recover still contains it: a logged 500, slot released.
+	svc.preps = nil // the estimation dereferences it after admission
 	resp, payload := postJSON(t, ts.URL+"/v1/count", req)
 	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(payload, []byte(`"internal"`)) {
 		t.Fatalf("status %d body %s, want 500 internal", resp.StatusCode, payload)
 	}
-	if !strings.Contains(logs.String(), "panic serving count request") {
-		t.Error("the contained panic was not logged")
-	}
-	if svc.m.errors.Value() != 2 || svc.admit.inflight() != 0 {
-		t.Errorf("errors = %d, inflight = %d after two contained panics; want 2, 0", svc.m.errors.Value(), svc.admit.inflight())
+	if !strings.Contains(logs.String(), "panic serving count request") || svc.admit.inflight() != 0 {
+		t.Errorf("the contained bug was not logged, or left %d in flight", svc.admit.inflight())
 	}
 }

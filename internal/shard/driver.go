@@ -258,15 +258,20 @@ func (r *run) mergeCensus() []census {
 // scatter runs fn once per surviving worker concurrently and joins. A
 // LostShardError is reported in preference to other errors so the caller
 // can degrade; the error is annotated with the worker's original shard id
-// when the implementation did not set one. A panic inside fn — compiled
-// predicates still panic on data-dependent division by zero, and these
+// when the implementation did not set one. A panic inside fn — predicates
+// raise data-dependent faults (a division by zero) as panics, and these
 // goroutines sit outside any request-level recover — becomes that shard's
-// error instead of taking the process down.
+// error instead of taking the process down; a panic value that is an error
+// is wrapped, so the caller can still tell a predicate fault from a bug.
 func (r *run) scatter(ctx context.Context, fn func(slot int, w Worker) error) error {
 	errs := make([]error, len(r.workers))
 	call := func(slot int, w Worker) {
 		defer func() {
-			if p := recover(); p != nil {
+			switch p := recover().(type) {
+			case nil:
+			case error:
+				errs[slot] = fmt.Errorf("shard %d: worker panicked: %w", r.ids[slot], p)
+			default:
 				errs[slot] = fmt.Errorf("shard %d: worker panicked: %v", r.ids[slot], p)
 			}
 		}()

@@ -109,7 +109,7 @@ func TestLessGroupKey(t *testing.T) {
 		a, b []string
 		want bool
 	}{
-		{[]string{"2"}, []string{"10"}, true},   // numeric, not lexical
+		{[]string{"2"}, []string{"10"}, true}, // numeric, not lexical
 		{[]string{"10"}, []string{"2"}, false},
 		{[]string{"east"}, []string{"west"}, true},
 		{[]string{"east", "1"}, []string{"east", "2"}, true},

@@ -50,6 +50,17 @@ const equiJoinSQL = `SELECT d.id FROM D d, R r
 	WHERE d.id = r.key AND r.v > t
 	GROUP BY d.id HAVING COUNT(*) >= m`
 
+// interpreted keeps the interpreter as the labeling path: the reference the
+// differential tests below compare the compiled closures against. It is
+// defined here, in a test file — the SDK has no knob that selects an
+// evaluator.
+func interpreted() Option {
+	return func(c *config) error {
+		c.noCompile = true
+		return nil
+	}
+}
+
 // stripTimings zeroes the wall-clock fields so estimates compare on their
 // deterministic content.
 func stripTimings(e *Estimate) *Estimate {
@@ -87,7 +98,7 @@ func TestCompiledParallelMatchesInterpretedSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, err := q.Execute(context.Background(), tc.params,
-				WithCompilation(false), WithParallelism(1))
+				interpreted(), WithParallelism(1))
 			if err != nil {
 				t.Fatalf("%s/%s interpreted: %v", tc.name, method, err)
 			}
@@ -142,7 +153,7 @@ func TestCompiledGroupedMatchesInterpreted(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, err := q.ExecuteGroups(context.Background(), map[string]any{"k": 15},
-			WithCompilation(false), WithParallelism(1))
+			interpreted(), WithParallelism(1))
 		if err != nil {
 			t.Fatalf("%s interpreted: %v", method, err)
 		}
@@ -195,7 +206,7 @@ func TestFallbackStillWorks(t *testing.T) {
 		t.Fatal("exact count missing")
 	}
 	// Cross-check against the explicitly interpreted run.
-	ref, err := q.Execute(context.Background(), map[string]any{"k": 10}, WithCompilation(false))
+	ref, err := q.Execute(context.Background(), map[string]any{"k": 10}, interpreted())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +216,8 @@ func TestFallbackStillWorks(t *testing.T) {
 }
 
 // TestCompiledPreparedOnce checks that compilation happens at Prepare (the
-// program is shared by executions) and that WithCompilation(false) on a
-// single Execute does not poison the prepared program.
+// program is shared by executions) and that one interpreted Execute does
+// not poison the prepared program.
 func TestCompiledPreparedOnce(t *testing.T) {
 	tb := compileTestTable(t, 60, 13)
 	sess, err := NewSession(NewMemorySource(tb), WithMethod("srs"), WithBudget(0.5))
@@ -220,12 +231,12 @@ func TestCompiledPreparedOnce(t *testing.T) {
 	if q.prog == nil {
 		t.Fatalf("skyband query should compile at Prepare (reason: %s)", q.progErr)
 	}
-	off, err := q.Execute(context.Background(), map[string]any{"k": 9}, WithCompilation(false))
+	off, err := q.Execute(context.Background(), map[string]any{"k": 9}, interpreted())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Labeling.Compiled {
-		t.Fatal("WithCompilation(false) ignored")
+		t.Fatal("interpreted() still reports compiled labeling")
 	}
 	on, err := q.Execute(context.Background(), map[string]any{"k": 9})
 	if err != nil {

@@ -86,15 +86,10 @@
 //	                      applies to srs, grouped per-group SRS estimates,
 //	                      and the grouped rare-group fallback
 //	WithExact(true)       also compute the exact count (slow; for tests)
-//	WithCompilation(b)    predicate compilation for SQL queries (default
-//	                      enabled; disable to force the interpreter)
-//	WithVectorization(b)  vectorized batch kernels for compiled predicates
-//	                      (default enabled; disable to force the scalar
-//	                      closures — byte-identical either way, see
-//	                      Estimate.Labeling.Vectorized)
-//	WithScanCoalescer(sc) share full-population labeling scans across
-//	                      concurrent exact counts (serving layers; nil
-//	                      detaches)
+//	WithShards(n)         run SQL executions as n hash-aligned in-process
+//	                      shards (srs, lss, oracle; 0, the default,
+//	                      disables); byte-identical at any n — see
+//	                      "Sharded execution" below
 //	WithChurnThreshold(f) live refresh only: retrain the classifier/strata
 //	                      when the learn sample drifted past f (default 0.1)
 //	WithRelabel(true)     live refresh only: bypass the label memo — the
@@ -127,16 +122,15 @@
 // path taken (and the fallback reason, if any) is reported in
 // Estimate.Labeling / GroupedEstimate.Labeling. Estimates are
 // byte-identical on either path — compilation (with batched, optionally
-// parallel labeling) changes only wall-clock cost.
+// parallel labeling) changes only wall-clock cost. There is no knob that
+// selects an evaluator: the closures are the one compiled path and the
+// interpreter is their fallback and their test reference.
 //
-// Compiled predicates additionally lower to vectorized batch kernels:
-// labeling walks 64-lane selection bitmaps through the same probe
-// structures with all scratch in a reusable per-worker arena (zero
-// steady-state allocations). The vector path is used whenever the lowering
-// supports the query (Estimate.Labeling.Vectorized reports it), counts
-// predicate evaluations identically to the scalar path, and is pinned
-// byte-identical to it — WithVectorization(false) forces the scalar
-// closures.
+// A predicate can also fail on the data: a division whose divisor is zero,
+// or SQRT of a negative, on an object past the first (the one object both
+// evaluators check up front). Execute, ExecuteGroups, Refresh and
+// ShardExec.Op return such a fault as an error wrapping ErrInvalid, naming
+// the fault — on every path, at any parallelism or shard count.
 //
 // # DataSource contract
 //

@@ -161,8 +161,9 @@ func (q *PreparedQuery) ExecuteGroups(ctx context.Context, params map[string]any
 // executeGroups is ExecuteGroups's body behind the root span (see execute
 // for the single-count analogue).
 func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.GroupedMethod,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (*GroupedEstimate, error) {
+	vals map[string]engine.Value, strs map[string]string, alpha float64) (_ *GroupedEstimate, err error) {
 
+	defer recoverFault(&err)
 	// Sharded grouped execution: the shared-sample plan runs per shard
 	// and merges (see shardexec.go); never a silent fallback.
 	if cfg.shards > 0 {

@@ -2,10 +2,14 @@ package lsample
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/shard"
 )
 
 // TestLabelingCanceledOnEveryPath: catalog, sharded, and refresh labeling
@@ -40,11 +44,12 @@ func TestLabelingCanceledOnEveryPath(t *testing.T) {
 	}
 }
 
-// TestHashPlanContainsPredicatePanic: compiled predicates still panic on a
-// data-dependent division by zero, the first-object cross-check only ever
-// sees object 0, and catalog-served labeling runs on a driver scatter
-// goroutine outside any request-level recover. The panic must come back
-// as the request's error.
+// TestHashPlanContainsPredicatePanic: predicates raise a data-dependent
+// division by zero as a panic (an engine.Fault), the first-object
+// cross-check only ever sees object 0, and labeling runs on driver scatter
+// goroutines and labeling-pool workers as well as on the caller's. On every
+// path the fault must come back as the request's error, wrapping
+// ErrInvalid — never as a panic the caller has to contain.
 func TestHashPlanContainsPredicatePanic(t *testing.T) {
 	sess, err := NewSession(NewMemorySource(divZeroTable(t, 300)), WithCatalogBudget(0), WithParallelism(1))
 	if err != nil {
@@ -54,28 +59,102 @@ func TestHashPlanContainsPredicatePanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range [][]Option{nil, {WithShards(3)}, {WithShards(3), WithParallelism(4)}} {
-		est, err := q.Execute(context.Background(), map[string]any{"k": 8}, append(opts, WithMethod("oracle"))...)
-		if err == nil {
-			t.Fatalf("opts %d: Execute = %+v, want the division by zero as an error", len(opts), est)
+	params := map[string]any{"k": 8}
+	isFault := func(arm string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "division by zero") || !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want the division by zero as an ErrInvalid error", arm, err)
 		}
-		if !strings.Contains(err.Error(), "division by zero") || !strings.Contains(err.Error(), "shard ") {
-			t.Errorf("opts %d: err = %v, want the panic and its shard named", len(opts), err)
+	}
+	for _, arm := range []struct {
+		name  string
+		opts  []Option
+		shard bool // the hash plan also names the shard that met the fault
+	}{
+		{"catalog", nil, true},
+		{"shards 3", []Option{WithShards(3)}, true},
+		{"shards 3, parallelism 4", []Option{WithShards(3), WithParallelism(4)}, true},
+		{"classic, parallelism 1", []Option{WithCatalog(nil)}, false},
+		// The labeling pool's worker goroutines meet the fault here; the
+		// pool re-raises it on the calling goroutine, where Execute turns
+		// it into the error.
+		{"classic, parallelism 4", []Option{WithCatalog(nil), WithParallelism(4)}, false},
+		{"classic, interpreted", []Option{WithCatalog(nil), interpreted()}, false},
+	} {
+		est, err := q.Execute(context.Background(), params, append(arm.opts, WithMethod("oracle"))...)
+		if err == nil {
+			t.Fatalf("%s: Execute = %+v, want the division by zero as an error", arm.name, est)
+		}
+		isFault(arm.name, err)
+		if arm.shard && !strings.Contains(err.Error(), "shard ") {
+			t.Errorf("%s: err = %v, want the shard named", arm.name, err)
 		}
 	}
 
-	// The classic path has no recover of its own, so the panic is the
-	// caller's to contain — which it can only do if it arrives on the
-	// caller's goroutine. At WithParallelism(4) the labeling pool's worker
-	// goroutines used to take the whole process down instead.
-	var caught any
-	func() {
-		defer func() { caught = recover() }()
-		q.Execute(context.Background(), map[string]any{"k": 8},
-			WithCatalog(nil), WithMethod("oracle"), WithParallelism(4)) //nolint:errcheck // panics
-	}()
-	if caught == nil || !strings.Contains(fmt.Sprint(caught), "division by zero") {
-		t.Fatalf("classic path at parallelism 4: recovered %v, want the division by zero on the calling goroutine", caught)
+	// An out-of-process worker's op entry point.
+	x, err := q.PrepareShard(context.Background(), 0, 1, params, WithMethod("oracle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	_, err = x.Op(context.Background(), shard.OpLabel, json.RawMessage(`{"keys":[4,5,6]}`))
+	isFault("shard op", err)
+
+	gq, err := sess.Prepare(`SELECT g, COUNT(*) FROM (SELECT o1.g, o1.id FROM D o1, D o2 WHERE o2.x >= o1.x
+		GROUP BY o1.g, o1.id HAVING COUNT(*) / MIN(o1.y) < k) GROUP BY g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{{WithParallelism(1)}, {WithParallelism(4)}, {WithShards(2)}} {
+		_, err = gq.ExecuteGroups(context.Background(), params, append(opts, WithMethod("oracle"))...)
+		isFault(fmt.Sprintf("grouped, %d option(s)", len(opts)), err)
+	}
+
+	live, err := NewLiveTable("D", divZeroSchema, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range divZeroRows(300) {
+		if err := live.Append(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := NewLiveSource()
+	src.AddLive(live)
+	lsess, err := NewSession(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq, err := lsess.PrepareLive(divZeroQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		_, err = lq.Refresh(context.Background(), params, WithMethod("oracle"), WithParallelism(p))
+		isFault(fmt.Sprintf("refresh, parallelism %d", p), err)
+	}
+}
+
+// TestOnlyPredicateFaultsBecomeErrors: the SDK boundary recovers the typed
+// fault and nothing else — any other panic below it is a bug and must
+// still reach the caller as a panic.
+func TestOnlyPredicateFaultsBecomeErrors(t *testing.T) {
+	boundary := func(p any) (err error) {
+		defer recoverFault(&err)
+		panic(p)
+	}
+	if err := boundary(&engine.Fault{Msg: "division by zero"}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("fault: err = %v, want ErrInvalid", err)
+	}
+	for _, bug := range []any{"index out of range", errors.New("not a fault"), 7} {
+		var caught any
+		func() {
+			defer func() { caught = recover() }()
+			boundary(bug) //nolint:errcheck // panics
+		}()
+		if caught != bug {
+			t.Errorf("panic(%v): recovered %v at the caller, want the same value propagated", bug, caught)
+		}
 	}
 }
 
@@ -87,18 +166,28 @@ const divZeroQuery = `SELECT o1.id FROM D o1, D o2 WHERE o2.x >= o1.x
 
 func divZeroTable(t *testing.T, n int) *Table {
 	t.Helper()
-	tb, err := NewTable("D", "id:int,x:float,y:float")
+	tb, err := NewTable("D", divZeroSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		y := float64(i%7 + 1)
-		if i == 5 {
-			y = 0 // a non-first row divides by zero
-		}
-		if err := tb.AppendRow(int64(i), float64(i), y); err != nil {
+	for _, row := range divZeroRows(n) {
+		if err := tb.AppendRow(row...); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return tb
+}
+
+const divZeroSchema = "id:int,x:float,y:float,g:int"
+
+func divZeroRows(n int) [][]any {
+	rows := make([][]any, n)
+	for i := range rows {
+		y := float64(i%7 + 1)
+		if i == 5 {
+			y = 0 // a non-first row divides by zero
+		}
+		rows[i] = []any{int64(i), float64(i), y, int64(i % 3)}
+	}
+	return rows
 }

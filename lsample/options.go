@@ -7,8 +7,9 @@ import (
 )
 
 // ErrInvalid marks caller errors: unknown method or classifier names,
-// malformed SQL, unknown datasets or parameters, out-of-range knobs. The
-// HTTP layer maps errors wrapping it to 400.
+// malformed SQL, unknown datasets or parameters, out-of-range knobs, and a
+// query whose predicate fails on the data (a division by zero or SQRT of a
+// negative on some object). The HTTP layer maps errors wrapping it to 400.
 var ErrInvalid = errors.New("lsample: invalid request")
 
 // Interval selects the confidence-interval construction for proportion
@@ -59,15 +60,13 @@ type config struct {
 	seed        uint64
 	interval    Interval
 	exact       bool
-	noCompile   bool          // disable predicate compilation (keep the interpreter)
-	noVector    bool          // disable vectorized batch labeling (keep scalar closures)
-	churn       float64       // refresh retrain threshold; <0 means the default 0.1
-	relabel     bool          // refresh only: bypass the label memo (cold baseline)
-	catalog     *Catalog      // cross-query reuse catalog; nil disables reuse
-	shards      int           // sharded execution; 0 disables (the default)
-	scanner     ScanCoalescer // shared-scan hook for full-population passes; nil disables
-	tracer      *obs.Tracer   // span tracer; nil disables (see WithTracer)
-	logger      *obs.Logger   // structured query log; nil disables (see WithLogger)
+	noCompile   bool        // keep the interpreter; only the in-package differential tests set it
+	churn       float64     // refresh retrain threshold; <0 means the default 0.1
+	relabel     bool        // refresh only: bypass the label memo (cold baseline)
+	catalog     *Catalog    // cross-query reuse catalog; nil disables reuse
+	shards      int         // sharded execution; 0 disables (the default)
+	tracer      *obs.Tracer // span tracer; nil disables (see WithTracer)
+	logger      *obs.Logger // structured query log; nil disables (see WithLogger)
 }
 
 // churnThreshold resolves the refresh retraining threshold.
@@ -162,49 +161,6 @@ func WithAlpha(alpha float64) Option {
 			return badf("alpha %v outside (0, 1)", alpha)
 		}
 		c.alpha = alpha
-		return nil
-	}
-}
-
-// WithCompilation enables or disables predicate compilation for SQL
-// queries. It is enabled by default: the decomposed per-object predicate is
-// lowered to typed closures with hash-indexed equality probes where the
-// query shape allows, and falls back to the interpreted engine otherwise —
-// see Estimate.Labeling for which path ran. Estimates are byte-identical
-// either way; disable only to measure the interpreter or to sidestep a
-// suspected compiler issue.
-func WithCompilation(enabled bool) Option {
-	return func(c *config) error {
-		c.noCompile = !enabled
-		return nil
-	}
-}
-
-// WithVectorization enables or disables the vectorized batch-labeling path
-// for compiled SQL predicates. It is enabled by default: batches evaluate
-// through preallocated vector arenas (selection-bitmap kernels, and a fused
-// join loop for probe-indexed shapes) with zero steady-state allocations,
-// instead of one closure call per object. Estimates are byte-identical
-// either way — see Estimate.Labeling.Vectorized for which path ran;
-// disable only to measure the scalar path or to sidestep a suspected
-// vector-kernel issue.
-func WithVectorization(enabled bool) Option {
-	return func(c *config) error {
-		c.noVector = !enabled
-		return nil
-	}
-}
-
-// WithScanCoalescer attaches a shared-scan coalescer: full-population
-// labeling passes (the WithExact pass over batch-capable compiled
-// predicates) are routed through it, so concurrent executions over the same
-// snapshot and object enumeration can share one scan of the data. The
-// serving layer installs its coalescer here; nil (the default) keeps every
-// pass standalone. Estimates are byte-identical with or without a
-// coalescer.
-func WithScanCoalescer(sc ScanCoalescer) Option {
-	return func(c *config) error {
-		c.scanner = sc
 		return nil
 	}
 }

@@ -243,7 +243,8 @@ type RefreshEstimate struct {
 // epoch): a WithRelabel(true) call on the same state returns the
 // byte-identical estimate while paying full labeling price, which is the
 // cold baseline refresh is measured against.
-func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...Option) (*RefreshEstimate, error) {
+func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...Option) (_ *RefreshEstimate, err error) {
+	defer recoverFault(&err)
 	cfg, err := newConfig(q.cfg, opts)
 	if err != nil {
 		return nil, err
@@ -412,31 +413,15 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	// cross-check (one full interpreted join scan) runs once per compiled
 	// program; subsequent refreshes of an already-validated program bind
 	// the compiled path directly.
-	var (
-		basePred predicate.Predicate
-		labeling Labeling
-	)
-	if st.validated && st.prog != nil && !cfg.noCompile && n > 0 {
-		if bound, berr := st.prog.Bind(vals, objects); berr == nil {
-			var newVec func() predicate.BatchEvaler
-			if !cfg.noVector {
-				newVec = func() predicate.BatchEvaler { return bound.NewVecEval() }
-			}
-			cp := predicate.NewCompiledVec(bound.NewEvalFn, newVec, cfg.parallelism)
-			basePred, labeling = cp, Labeling{Compiled: true, Vectorized: cp.Vectorized(), Workers: cp.Workers()}
-		}
+	basePred, labeling, err := buildEnginePredicate(ev, q.dec, objects, st.prog, st.progErr, vals, cfg, st.validated)
+	if err != nil {
+		return nil, err
 	}
-	if basePred == nil {
-		basePred, labeling, err = buildEnginePredicate(ev, q.dec, objects, st.prog, st.progErr, vals, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if labeling.Compiled {
-			// Only set, never clear: a per-call fallback (say,
-			// WithCompilation(false)) must not make the next compiled
-			// refresh re-pay an already-passed cross-check.
-			st.validated = true
-		}
+	if labeling.Compiled {
+		// Only set, never clear: a refresh that fell back for a reason of
+		// its own (a parameter that does not bind) must not make the next
+		// compiled refresh re-pay an already-passed cross-check.
+		st.validated = true
 	}
 	tp := &predicate.Timed{P: basePred}
 	out.Labeling = labeling

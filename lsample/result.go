@@ -46,11 +46,6 @@ func (t PhaseTimings) Overhead() time.Duration {
 type Labeling struct {
 	// Compiled reports that the predicate ran through the compiled engine.
 	Compiled bool
-	// Vectorized reports that batched labeling ran through the vector arena
-	// path (selection-bitmap kernels with zero steady-state allocations)
-	// rather than per-object scalar closures. Always false when Compiled is
-	// false; see WithVectorization.
-	Vectorized bool
 	// Fallback is the human-readable reason the interpreted engine was used
 	// instead; empty when Compiled is true.
 	Fallback string
@@ -62,14 +57,10 @@ type Labeling struct {
 // String renders the labeling path for logs and CLI output.
 func (l Labeling) String() string {
 	if l.Compiled {
-		name := "compiled"
-		if l.Vectorized {
-			name = "compiled+vectorized"
-		}
 		if l.Workers == 1 {
-			return name
+			return "compiled"
 		}
-		return fmt.Sprintf("%s, %d workers", name, l.Workers)
+		return fmt.Sprintf("compiled, %d workers", l.Workers)
 	}
 	if l.Fallback == "" {
 		return "interpreted"

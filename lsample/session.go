@@ -254,7 +254,10 @@ func (q *PreparedQuery) Fingerprint(params map[string]any) (string, error) {
 // Execute runs one estimation with the given bound parameters. Options
 // override the prepare-time defaults for this call only. Cancellation of
 // ctx aborts the run at the next predicate evaluation, returning an error
-// wrapping context.Canceled (or DeadlineExceeded).
+// wrapping context.Canceled (or DeadlineExceeded). A predicate that fails
+// on some object's data — a zero divisor, SQRT of a negative — fails the
+// run with an error wrapping ErrInvalid that names the fault, on every
+// path and at any parallelism.
 func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts ...Option) (*Estimate, error) {
 	if q.grouped != nil {
 		return nil, badf("query has GROUP BY groups; use ExecuteGroups")
@@ -297,8 +300,9 @@ func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts
 // → estimate pipeline over internal/core, each phase in a child span. They
 // give different (each deterministic) answers for the same seed.
 func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, error) {
+	vals map[string]engine.Value, strs map[string]string, alpha float64) (_ *Estimate, err error) {
 
+	defer recoverFault(&err)
 	if cfg.shards > 0 || cfg.catalog != nil {
 		if est, handled, err := q.executeHashPlan(ctx, cfg, vals, strs, alpha); handled {
 			return est, err
@@ -376,8 +380,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	msp.End()
 	if cfg.exact {
 		xctx, xsp := obs.StartSpan(ctx, "exact.scan")
-		xsp.Set("shared_scanner", cfg.scanner != nil)
-		tc, err := q.exactCountShared(xctx, cfg, pred, strs, obj.N())
+		tc, err := exactCount(xctx, pred, obj.N())
 		xsp.End()
 		if err != nil {
 			return nil, err
@@ -390,66 +393,88 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	return est, nil
 }
 
-// buildPredicate constructs the expensive per-object predicate for one
-// execution inside a "predicate.build" span, preferring the compiled path:
-// the prepared program binds the parameter values and object set, a guarded
-// first-object evaluation is cross-checked against the interpreter (which
-// construction just validated), and only then does labeling run through
-// the batch-capable compiled predicate. Any failure along the way — compile-time
-// unsupported shape, bind-time type mismatch, cross-check disagreement —
-// degrades to the interpreted engine with the reason recorded, never to an
-// error the interpreter itself would not produce.
+// buildPredicate is buildEnginePredicate for one execution of the prepared
+// program, inside a "predicate.build" span. Nothing remembers a passed
+// cross-check across executions yet, so every call pays it.
 func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator, objects *engine.ResultSet,
 	vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
 
 	_, sp := obs.StartSpan(ctx, "predicate.build")
 	defer sp.End()
-	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg)
+	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, false)
 	if err != nil {
 		return nil, Labeling{}, err
 	}
 	sp.Set("compiled", lab.Compiled)
-	sp.Set("vectorized", lab.Vectorized)
 	if lab.Fallback != "" {
 		sp.Set("fallback", lab.Fallback)
 	}
 	return pred, lab, nil
 }
 
-// buildEnginePredicate is the shared predicate-construction path behind
-// PreparedQuery.Execute and LiveQuery.Refresh (see buildPredicate for the
-// contract).
+// buildEnginePredicate is the one place a program becomes the expensive
+// per-object predicate: Execute, ExecuteGroups and the hash plan's label
+// store reach it through buildPredicate, LiveQuery.Refresh calls it with
+// the program it maintains. The compiled path is preferred: the program
+// binds the parameter values and object set, a guarded first-object
+// evaluation is cross-checked against the interpreter (whose construction
+// just validated that object), and only then does labeling run through the
+// batch-capable compiled predicate. Any failure along the way —
+// compile-time unsupported shape, bind-time type mismatch, cross-check
+// disagreement — degrades to the interpreted engine with the reason
+// recorded, never to an error the interpreter itself would not produce.
+//
+// validated says prog already passed that cross-check, so a bind that
+// succeeds is used as it is and the interpreter's evaluation of object 0 —
+// one full join scan — is not paid again. Only Refresh remembers it today
+// (refreshState.validated).
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
-	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
+	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
+	validated bool) (predicate.Predicate, Labeling, error) {
 
-	ep, err := predicate.NewEngineExists(ev, dec, objects)
-	if err != nil {
-		return nil, Labeling{}, badf("%v", err)
-	}
 	lab := Labeling{Workers: 1}
-	if cfg.noCompile {
+	var bound *qcompile.Bound
+	switch {
+	case cfg.noCompile:
 		lab.Fallback = "compilation disabled"
-		return ep, lab, nil
-	}
-	if prog == nil {
+	case prog == nil:
 		lab.Fallback = progErr
-		return ep, lab, nil
+	default:
+		var err error
+		if bound, err = prog.Bind(vals, objects); err != nil {
+			lab.Fallback = err.Error()
+		}
 	}
-	bound, err := prog.Bind(vals, objects)
-	if err != nil {
-		lab.Fallback = err.Error()
-		return ep, lab, nil
+	if bound == nil || !validated {
+		ep, err := predicate.NewEngineExists(ev, dec, objects)
+		if err != nil {
+			return nil, Labeling{}, badf("%v", err)
+		}
+		if bound != nil && !compiledAgrees(bound.NewEvalFn(), ep, objects.NumRows()) {
+			bound, lab.Fallback = nil, "first-object cross-check failed"
+		}
+		if bound == nil {
+			return ep, lab, nil
+		}
 	}
-	if !compiledAgrees(bound.NewEvalFn(), ep, objects.NumRows()) {
-		lab.Fallback = "first-object cross-check failed"
-		return ep, lab, nil
+	cp := predicate.NewCompiled(bound.NewEvalFn, cfg.parallelism)
+	return cp, Labeling{Compiled: true, Workers: cp.Workers()}, nil
+}
+
+// recoverFault is deferred by the SDK entry points that label objects. A
+// predicate fault (engine.Fault: a division by zero or SQRT of a negative
+// that only an object past the first meets) raised below them — on the
+// calling goroutine, or re-raised there by the labeling pool — becomes the
+// call's error, wrapping ErrInvalid. Any other panic value is a bug and
+// keeps propagating.
+func recoverFault(err *error) {
+	switch p := recover().(type) {
+	case nil:
+	case *engine.Fault:
+		*err = fmt.Errorf("%w: %w", ErrInvalid, p)
+	default:
+		panic(p)
 	}
-	var newVec func() predicate.BatchEvaler
-	if !cfg.noVector {
-		newVec = func() predicate.BatchEvaler { return bound.NewVecEval() }
-	}
-	cp := predicate.NewCompiledVec(bound.NewEvalFn, newVec, cfg.parallelism)
-	return cp, Labeling{Compiled: true, Vectorized: cp.Vectorized(), Workers: cp.Workers()}, nil
 }
 
 // compiledAgrees is the runtime safety net behind the fallback contract: a

@@ -437,6 +437,7 @@ func (cfg config) shardPlan(grouped bool, alpha float64) shard.Plan {
 func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, error) {
 	plan.Design = r.design
 	res, err := shard.Drive(ctx, plan, r.workers)
+	var fault *engine.Fault
 	switch {
 	case err == nil:
 		return res, nil
@@ -444,6 +445,10 @@ func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, e
 		return nil, badf("%v", err)
 	case errors.Is(err, ErrInvalid) || (ctx != nil && ctx.Err() != nil):
 		return nil, err // a worker's own request or cancellation error
+	case errors.As(err, &fault):
+		// A predicate fault the driver's scatter recovered and named the
+		// shard of: the request error recoverFault makes of it elsewhere.
+		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	return nil, fmt.Errorf("lsample: estimation failed: %w", err)
 }
@@ -667,8 +672,10 @@ func (x *ShardExec) Close() { x.closeO.Do(x.run.close) }
 // the result is its JSON reply block. The blocks are opaque here — the
 // protocol's coordinator end produces the one and consumes the other — so a
 // serving layer passes both through without decoding either. An unknown op
-// or an unreadable argument block is ErrInvalid.
-func (x *ShardExec) Op(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+// or an unreadable argument block is ErrInvalid, and so is a predicate
+// fault met while labeling (see Execute).
+func (x *ShardExec) Op(ctx context.Context, op string, args json.RawMessage) (_ json.RawMessage, err error) {
+	defer recoverFault(&err)
 	reply, err := shard.Serve(ctx, x.run.workers[0], op, args)
 	if errors.Is(err, shard.ErrBadOp) {
 		return nil, badf("%v", err)

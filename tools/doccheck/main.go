@@ -9,6 +9,12 @@
 // var/const specs inherit the group comment; a field list with one comment
 // per line passes via line comments.
 //
+// A package of functional options documents them in one place, the knob
+// table of its package comment (tab-indented rows that open "WithName("). The
+// table must list exactly the exported With* constructors: an option
+// without a row cannot land undocumented, and a row whose option is gone
+// cannot linger.
+//
 // Usage: go run ./tools/doccheck [package dirs...]  (default: lsample)
 package main
 
@@ -19,6 +25,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -40,10 +48,10 @@ func main() {
 		bad += len(missing)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported symbol(s) without doc comments\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d documentation gap(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: every exported symbol is documented")
+	fmt.Println("doccheck: every exported symbol is documented and the knob table lists every option")
 }
 
 func checkDir(dir string) ([]string, error) {
@@ -53,6 +61,7 @@ func checkDir(dir string) ([]string, error) {
 		return nil, err
 	}
 	var missing []string
+	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -64,8 +73,47 @@ func checkDir(dir string) ([]string, error) {
 			return nil, err
 		}
 		missing = append(missing, checkFile(fset, f)...)
+		files = append(files, f)
 	}
-	return missing, nil
+	return append(missing, checkKnobTable(dir, files)...), nil
+}
+
+// knobRow matches one row of a package comment's knob table: a
+// tab-indented (preformatted) line that opens with an option constructor's
+// call form.
+var knobRow = regexp.MustCompile(`(?m)^\t(With[A-Za-z0-9]+)\(`)
+
+// checkKnobTable compares the exported With* constructors of a package with
+// the rows of its package comment's knob table, in both directions. A
+// package without such constructors has nothing to check.
+func checkKnobTable(dir string, files []*ast.File) []string {
+	options := map[string]bool{}
+	rows := map[string]bool{}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() && strings.HasPrefix(d.Name.Name, "With") {
+				options[d.Name.Name] = true
+			}
+		}
+		if f.Doc != nil {
+			for _, m := range knobRow.FindAllStringSubmatch(f.Doc.Text(), -1) {
+				rows[m[1]] = true
+			}
+		}
+	}
+	var out []string
+	for name := range options {
+		if !rows[name] {
+			out = append(out, fmt.Sprintf("%s: option %s has no row in the package comment's knob table", dir, name))
+		}
+	}
+	for name := range rows {
+		if !options[name] {
+			out = append(out, fmt.Sprintf("%s: knob table row %s names no exported option", dir, name))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func checkFile(fset *token.FileSet, f *ast.File) []string {
