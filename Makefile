@@ -19,8 +19,9 @@
 #                      ledger still builds and runs
 #   make bench-micro   one pass (BENCHTIME=1x) over the Go micro-benchmarks
 #                      the ledger does not replace — paper figure, forest
-#                      fit and scoring, designers, GROUP BY shared vs naive
-#                      — printed as `go test -bench` prints them
+#                      fit and scoring, designers, GROUP BY shared vs naive,
+#                      catalog bytes per plan — printed as `go test -bench`
+#                      prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
@@ -74,9 +75,11 @@ race:
 # 20 000 × 3 and, as BenchmarkForestScoreLedger, at the ledger's forests ×
 # 300 and 10 000 rows; scoreRest, RunDist), the three stratification
 # designers (DynPgm at a wide shape and at the ledger's udf_learn shape),
-# one lss estimate end to end, and shared-sample GROUP BY against the naive
-# per-group loop. BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive))$$
+# one lss estimate end to end, shared-sample GROUP BY against the naive
+# per-group loop, and what one cold plan leaves in the reuse catalog
+# (BenchmarkCatalogPlan: live-B/plan beside accounted-B/plan, 100 cold
+# counts per iteration). BENCHTIME=2s gives numbers worth recording.
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogPlan)$$
 BENCHTIME ?= 1x
 
 bench-micro:

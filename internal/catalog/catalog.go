@@ -1,7 +1,7 @@
-// Package catalog materializes learn-phase artifacts — hash-selected
-// samples (implicitly, via per-key labels) and the classifier's per-key
-// scores, which are the stratification design — and reuses them across
-// queries. Entries are keyed by (dataset snapshot, shard, Q1 shape,
+// Package catalog materializes what labeling bought — hash-selected
+// samples (implicitly, via per-key labels) and, as the lss stratification
+// design, the learn sample's keys and training labels — and reuses it
+// across queries. Entries are keyed by (dataset snapshot, shard, Q1 shape,
 // feature-column set, estimation plan); lookups classify into direct reuse (the plan matches:
 // skip sampling and learning, relabel only if the predicate differs),
 // extension (the plan partially covers the request: top up the hash
@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Reuse classifications recorded per execution. Release maps them onto the
@@ -98,15 +99,17 @@ type Entry struct {
 	// Budget is the labeling budget the artifacts were materialized at
 	// (0 = empty entry awaiting materialization).
 	Budget int
-	// KLearn is the learn-sample size the lss design was trained at.
-	KLearn int
-	// Scores is the lss stratification design: object key → classifier
-	// score, covering every object of the materialized plan's enumeration
-	// (nil for feature-free plans). Scores are only a stratification
-	// function, so reusing them under a different predicate fingerprint is
-	// legitimate: estimates stay unbiased. Stratum cuts are recomputed from
-	// them on every run.
-	Scores map[int64]float64
+	// KLearn, LearnKeys and LearnLabels are the lss stratification design
+	// (nil for feature-free plans): the learn sample's size, its keys in
+	// selection order and the labels the classifier was trained on —
+	// O(budget), never a score per object and never a classifier. A reuse
+	// refits the forest from them, which reproduces every score of the run
+	// that bought the labels. The classifier is only a stratification
+	// function, so training it on these labels under a different predicate
+	// fingerprint is legitimate: estimates stay unbiased.
+	KLearn      int
+	LearnKeys   []int64
+	LearnLabels []bool
 
 	// spaces holds per-predicate-fingerprint label memos: labels are pure
 	// functions of (snapshot, key, predicate), so a memo hit is
@@ -161,22 +164,54 @@ func (e *Entry) Labels(fp string, clock int64) map[int64]bool {
 	return sp.labels
 }
 
-// sizeLocked estimates the entry's resident bytes; callers must hold the
-// entry mutex. Map overheads are approximated per element — the point is
-// proportionality for the eviction policy, not byte-exact accounting.
+// sizeLocked is the entry's resident bytes — what a heap profile would
+// charge it, to within allocator rounding (TestCatalogAccountsResidentBytes
+// in repro/lsample holds it to ± 25 % of the measured heap): the struct,
+// its key strings and the catalog's map slot with its copy of them, the lss
+// design, and per predicate fingerprint the label memo at what a Go map
+// costs. Callers must hold the entry mutex.
 func (e *Entry) sizeLocked() int64 {
-	b := int64(256)
-	b += int64(len(e.Scores)) * 24
-	for _, sp := range e.spaces {
-		b += 64 + int64(len(sp.labels))*17
+	k := e.Key
+	key := int64(len(k.Snapshot) + len(k.Shard) + len(k.Query) + len(k.Features) + len(k.Plan))
+	b := int64(unsafe.Sizeof(*e)) + key
+	b += key + 4 + 2*(16+8) // Catalog.entries: the joined key string and a slot at a typical half load
+	b += 8*int64(cap(e.LearnKeys)) + int64(cap(e.LearnLabels))
+	if e.spaces != nil {
+		b += mapBytes(len(e.spaces), 16+8)
+		for fp, sp := range e.spaces {
+			b += int64(len(fp)) + int64(unsafe.Sizeof(*sp)) + mapBytes(len(sp.labels), 8+8)
+		}
 	}
 	return b
+}
+
+// mapBytes is the heap behind a Go map of n entries whose key and value
+// pad to slot bytes, as the runtime's swiss tables lay it out: a 48-byte
+// header, then groups of eight slots with a control byte each, the slot
+// count doubling whenever an insert would pass 7/8 full — so the cost per
+// entry swings between about 1.15 and 2.6 slots, and a flat per-entry
+// figure is wrong by up to half. (Measured at go1.24: a map[int64]bool of
+// 26 / 105 / 300 labels holds 664 / 2 392 / 9 560 B; this gives 664 /
+// 2 392 / 9 304.)
+func mapBytes(n int, slot int64) int64 {
+	const header = 48
+	if n == 0 {
+		return header // groups are allocated on the first insert
+	}
+	slots, table := 8, int64(0) // up to eight entries live in one bare group
+	if n > slots {
+		table = 40 // the table and its directory
+		for slots*7/8 < n {
+			slots *= 2
+		}
+	}
+	return header + table + int64(slots)*(slot+1)
 }
 
 // Stats is a point-in-time accounting snapshot.
 type Stats struct {
 	Entries    int   // materialized plans currently resident
-	Bytes      int64 // estimated resident bytes across all entries
+	Bytes      int64 // resident bytes across all entries (Entry.sizeLocked)
 	Hits       int64 // direct-reuse executions
 	Extensions int64 // extension executions (sample top-up / retrain)
 	Misses     int64 // materializing executions

@@ -17,12 +17,12 @@ func testKey(i int) Key {
 
 // fill materializes the entry with sized artifacts so eviction has bytes
 // to account.
-func fill(e *Entry, scores int) {
+func fill(e *Entry, labels int) {
 	e.Lock()
 	e.Budget = 100
-	e.Scores = make(map[int64]float64, scores)
-	for i := 0; i < scores; i++ {
-		e.Scores[int64(i)] = float64(i)
+	m := e.Labels("fp", 1)
+	for i := 0; i < labels; i++ {
+		m[int64(i)] = i%2 == 0
 	}
 	e.Unlock()
 }
@@ -168,7 +168,7 @@ func TestConcurrentAcquireReleaseInvalidate(t *testing.T) {
 				e.Lock()
 				if e.Budget == 0 {
 					e.Budget = 10
-					e.Scores = map[int64]float64{int64(i): 1}
+					e.KLearn, e.LearnKeys, e.LearnLabels = 1, []int64{int64(i)}, []bool{true}
 				}
 				e.Labels(fmt.Sprintf("fp-%d", g), c.Clock())[int64(i)] = true
 				e.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,20 +37,28 @@ type Plan struct {
 	// shard fails the query.
 	AllowDegraded bool
 
-	// Design, when it matches the plan (same learn-sample size, a score for
-	// every object), replaces the lss learn phase: its scores stratify the
-	// population and no learn sample is labeled. A reuse catalog hands back
-	// the design an earlier Result reported.
+	// Design, when it matches the plan (same learn-sample size, the same
+	// learn-sample keys), supplies the labels the lss classifier trains on:
+	// no learn sample is labeled. A reuse catalog hands back the design an
+	// earlier Result reported.
 	Design *Design
 }
 
-// Design is a materialized lss stratification: the classifier score of
-// every object key and the learn-sample size the classifier was trained
-// at. Cuts are recomputed from the scores, so a design is all a later run
-// needs to stratify exactly as the run that trained it.
+// Design is a materialized lss stratification, O(budget) whatever the
+// population: the learn sample's keys in merged selection order and the
+// labels the classifier was trained on. The forest is a pure function of
+// (features, labels, seed), so a later run refits it from these labels and
+// scores, cuts and stratifies exactly as the run that bought them.
 type Design struct {
 	KLearn int
-	Scores map[int64]float64
+	Keys   []int64
+	Labels []bool // aligned with Keys
+}
+
+// trainedOn reports whether the design (nil: none) holds the training
+// labels of exactly this learn sample.
+func (d *Design) trainedOn(kLearn int, learnSel []int64) bool {
+	return d != nil && d.KLearn == kLearn && slices.Equal(d.Keys, learnSel) && len(d.Labels) == len(learnSel)
 }
 
 // Group is one group's merged estimate.
@@ -556,42 +565,38 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 	return all, hOf, kLearn, nil
 }
 
-// scoreAll yields every survivor object with its classifier score. A plan
-// design trained at the same learn-sample size and covering every object is
-// reused as is — no learn sample is labeled. Otherwise the learn phase
-// runs: merge the hash learn sample, label it, broadcast (x, y, seed) so
-// every shard trains the identical classifier, and gather per-key scores.
+// scoreAll yields every survivor object with its classifier score: merge
+// the hash learn sample, take its labels, broadcast (x, y, seed) so every
+// shard trains the identical classifier, and gather per-key scores. The
+// labels are the plan design's when it was trained on this very learn
+// sample — nothing is labeled, and the refit reproduces the scores of the
+// run that reported the design — and fresh ones otherwise.
 func (r *run) scoreAll(ctx context.Context, res *Result, n, kLearn int) ([]Scored, error) {
-	if d := r.plan.Design; d != nil && d.KLearn == kLearn {
-		all, err := r.listGroupKeys(ctx)
-		if err != nil {
-			return nil, err
-		}
-		covered := true
-		for i := range all {
-			if all[i].Score, covered = d.Scores[all[i].Key]; !covered {
-				break // built over another enumeration: train afresh
-			}
-		}
-		if covered {
-			res.Design = d
-			return all, nil
-		}
-	}
+	ctx, sp := obs.StartSpan(ctx, "learn")
+	defer sp.End()
 	parts, err := r.cands(ctx, kLearn, TagLearn)
 	if err != nil {
 		return nil, err
 	}
 	learnSel := MergeBottomK(parts, kLearn, n)
-	y, err := r.label(ctx, learnSel)
-	if err != nil {
-		return nil, err
+	var y []bool
+	if d := r.plan.Design; d.trainedOn(kLearn, learnSel) {
+		y, res.Design = d.Labels, d
+		sp.Set("labels", "design")
+	} else {
+		if y, err = r.label(ctx, learnSel); err != nil {
+			return nil, err
+		}
+		res.Design = &Design{KLearn: kLearn, Keys: learnSel, Labels: y}
+		sp.Set("labels", "fresh")
 	}
 	x, err := r.features(ctx, learnSel)
 	if err != nil {
 		return nil, err
 	}
 	clfSeed := live.Mix64(r.plan.Seed, TagTrain, uint64(len(learnSel)))
+	sp.Set("train_rows", len(learnSel))
+	sp.Set("scored", n)
 
 	scored := make([][]Scored, len(r.workers))
 	err = r.scatter(ctx, func(slot int, w Worker) error {
@@ -606,11 +611,7 @@ func (r *run) scoreAll(ctx context.Context, res *Result, n, kLearn int) ([]Score
 		return nil, err
 	}
 	all := make([]Scored, 0, n)
-	res.Design = &Design{KLearn: kLearn, Scores: make(map[int64]float64, n)}
 	for _, part := range scored {
-		for _, s := range part {
-			res.Design.Scores[s.Key] = s.Score
-		}
 		all = append(all, part...)
 	}
 	if len(all) != n {

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/learn"
+	"repro/internal/obs"
 )
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // LabelFunc evaluates the expensive predicate for the given object keys,
 // returning labels aligned with keys and how many evaluations were fresh
@@ -36,21 +40,23 @@ func NewTrainer(newClf func(seed uint64) learn.Classifier) *Trainer {
 }
 
 // Train returns the classifier fitted to (x, y) under clfSeed, fitting at
-// most once per seed. Forest fitting is deterministic in (x order, y,
+// most once per seed, and the time the fit took (zero when another shard
+// had already paid it). Forest fitting is deterministic in (x order, y,
 // seed), so the shared instance scores byte-identically to a per-shard
 // retrain.
-func (t *Trainer) Train(x [][]float64, y []bool, clfSeed uint64) (learn.Classifier, error) {
+func (t *Trainer) Train(x [][]float64, y []bool, clfSeed uint64) (learn.Classifier, time.Duration, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if clf, ok := t.clfs[clfSeed]; ok {
-		return clf, nil
+		return clf, 0, nil
 	}
 	clf := t.newClf(clfSeed)
+	t0 := time.Now()
 	if err := clf.Fit(x, y); err != nil {
-		return nil, fmt.Errorf("shard: training classifier: %w", err)
+		return nil, 0, fmt.Errorf("shard: training classifier: %w", err)
 	}
 	t.clfs[clfSeed] = clf
-	return clf, nil
+	return clf, time.Since(t0), nil
 }
 
 // Local is the in-process Worker over one shard's slice of the
@@ -131,16 +137,29 @@ func (w *Local) Features(ctx context.Context, keys []int64) ([][]float64, error)
 }
 
 // ScoreAll trains (or reuses) the plan classifier and scores every local
-// object.
+// object. The enclosing span — the driver's learn span in process, the
+// op's own root on a remote worker — learns what that cost: the fit where
+// this shard paid it, and this shard's scoring (in-process shards score
+// side by side, so the span keeps the last one to finish).
 func (w *Local) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
 	if w.feats == nil {
 		return nil, fmt.Errorf("shard: plan carries no features")
 	}
-	clf, err := w.trainer.Train(x, y, clfSeed)
+	clf, fit, err := w.trainer.Train(x, y, clfSeed)
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
 	scores := learn.ScoreAll(clf, w.feats)
+	if sp := obs.FromContext(ctx); sp != nil {
+		if fit > 0 {
+			sp.Set("fit_ms", ms(fit))
+		}
+		sp.Set("score_ms", ms(time.Since(t0)))
+		if p := learn.ForestScorePath(clf).Path; p != "" {
+			sp.Set("score_path", p)
+		}
+	}
 	out := make([]Scored, len(w.keys))
 	for i, k := range w.keys {
 		s := Scored{Key: k, Score: scores[i]}

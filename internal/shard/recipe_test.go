@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -110,59 +112,139 @@ func (c keyCounting) Label(ctx context.Context, keys []int64) ([]bool, int, erro
 	return c.Worker.Label(ctx, keys)
 }
 
-// TestDriveReusesDesign: handing a Result's design back in the plan skips
-// the learn phase (no learn sample is labeled) and reproduces the estimate
-// byte for byte at any worker count; a design trained at another learn
-// size, or one that misses a key, is ignored and retrained.
-func TestDriveReusesDesign(t *testing.T) {
-	const n = 300
-	plan := testPlan("lss", false)
-	var coldLabels atomic.Int64
-	cold, err := Drive(context.Background(), plan, labelCount(testWorkers(n, 1, false), &coldLabels))
+// scoreTap records every score a drive's workers reply with, by key.
+type scoreTap struct {
+	Worker
+	mu     *sync.Mutex
+	scores map[int64]float64
+}
+
+func (s scoreTap) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
+	out, err := s.Worker.ScoreAll(ctx, x, y, clfSeed)
+	s.mu.Lock()
+	for _, sc := range out {
+		s.scores[sc.Key] = sc.Score
+	}
+	s.mu.Unlock()
+	return out, err
+}
+
+// driveTapped runs the plan over n objects on the given shard count and
+// returns the result, how many labels the drive asked its workers for, and
+// every object's classifier score.
+func driveTapped(t *testing.T, plan Plan, n, shards int) (*Result, int64, map[int64]float64) {
+	t.Helper()
+	var labels atomic.Int64
+	scores := make(map[int64]float64, n)
+	var mu sync.Mutex
+	workers := labelCount(testWorkers(n, shards, false), &labels)
+	for i, w := range workers {
+		workers[i] = scoreTap{w, &mu, scores}
+	}
+	res, err := Drive(context.Background(), plan, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Design == nil || len(cold.Design.Scores) != n {
-		t.Fatalf("cold run reported design %+v, want scores for all %d objects", cold.Design, n)
+	if len(scores) != n {
+		t.Fatalf("drive scored %d of %d objects", len(scores), n)
 	}
-	kLearn, _ := LearnSize(cold.Budget)
+	return res, labels.Load(), scores
+}
 
-	for _, shards := range []int{1, 3} {
-		warmPlan := plan
-		warmPlan.Design = cold.Design
-		var warmLabels atomic.Int64
-		warm, err := Drive(context.Background(), warmPlan, labelCount(testWorkers(n, shards, false), &warmLabels))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Design != cold.Design {
-			t.Errorf("shards=%d: matching design was not reused", shards)
-		}
-		if warm.Count != cold.Count || warm.CILo != cold.CILo || warm.CIHi != cold.CIHi {
-			t.Errorf("shards=%d: reuse moved the estimate: %v [%v,%v], want %v [%v,%v]",
-				shards, warm.Count, warm.CILo, warm.CIHi, cold.Count, cold.CILo, cold.CIHi)
-		}
-		if got, want := warmLabels.Load(), int64(cold.Budget-kLearn); got != want {
-			t.Errorf("shards=%d: reuse labeled %d keys, want only the %d-key estimation sample", shards, got, want)
-		}
+// strataOf places every scored object the way run.stratify does.
+func strataOf(scores map[int64]float64, H int) map[int64]int {
+	flat := make([]float64, 0, len(scores))
+	for _, s := range scores {
+		flat = append(flat, s)
 	}
+	cuts := EqualCountCuts(flat, H)
+	out := make(map[int64]int, len(scores))
+	for k, s := range scores {
+		out[k] = StratumOf(cuts, s)
+	}
+	return out
+}
 
-	stale := map[string]*Design{
-		"other learn size": {KLearn: kLearn + 1, Scores: cold.Design.Scores},
-		"missing key":      {KLearn: kLearn, Scores: map[int64]float64{1: 0.5}},
-	}
-	for name, d := range stale {
-		stalePlan := plan
-		stalePlan.Design = d
-		got, err := Drive(context.Background(), stalePlan, testWorkers(n, 1, false))
-		if err != nil {
-			t.Fatal(err)
+// TestDriveReusesDesign: a design is the learn sample's keys and the labels
+// the classifier was trained on — O(budget), no score in it. Handing a
+// Result's design back in the plan labels only the estimation sample, refits
+// the forest from the stored labels, and so reproduces every object's score
+// and the estimate bit for bit at any worker count; a design that does not
+// describe this plan's learn sample is ignored and retrained; and the
+// stored labels are really what trains — flip one and the strata move.
+func TestDriveReusesDesign(t *testing.T) {
+	plan := testPlan("lss", false)
+	for _, n := range []int{300, 10000} {
+		cold, coldLabels, coldScores := driveTapped(t, plan, n, 1)
+		kLearn, _ := LearnSize(cold.Budget)
+		d := cold.Design
+		if d == nil || d.KLearn != kLearn || len(d.Keys) != kLearn || len(d.Labels) != kLearn {
+			t.Fatalf("n=%d: cold run reported design %+v, want the %d learn keys and their labels", n, d, kLearn)
 		}
-		if got.Design == d {
-			t.Errorf("%s: stale design was reused", name)
+
+		for _, shards := range []int{1, 3} {
+			warmPlan := plan
+			warmPlan.Design = d
+			warm, warmLabels, warmScores := driveTapped(t, warmPlan, n, shards)
+			if warm.Design != d {
+				t.Errorf("n=%d shards=%d: matching design was not reused", n, shards)
+			}
+			if math.Float64bits(warm.Count) != math.Float64bits(cold.Count) ||
+				math.Float64bits(warm.CILo) != math.Float64bits(cold.CILo) ||
+				math.Float64bits(warm.CIHi) != math.Float64bits(cold.CIHi) {
+				t.Errorf("n=%d shards=%d: reuse moved the estimate: %v [%v,%v], want %v [%v,%v]",
+					n, shards, warm.Count, warm.CILo, warm.CIHi, cold.Count, cold.CILo, cold.CIHi)
+			}
+			if want := int64(cold.Budget - kLearn); warmLabels != want {
+				t.Errorf("n=%d shards=%d: reuse labeled %d keys, want only the %d-key estimation sample", n, shards, warmLabels, want)
+			}
+			for k, want := range coldScores {
+				if got := warmScores[k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d shards=%d: refit scored key %d at %v, the cold run at %v", n, shards, k, got, want)
+				}
+			}
 		}
-		if got.Count != cold.Count || got.CILo != cold.CILo || got.CIHi != cold.CIHi {
-			t.Errorf("%s: retrain diverged from the cold run", name)
+
+		otherKeys := append([]int64(nil), d.Keys...)
+		otherKeys[0], otherKeys[1] = otherKeys[1], otherKeys[0] // same set, not the bottom-k order
+		stale := map[string]*Design{
+			"other learn size":   {KLearn: kLearn + 1, Keys: d.Keys, Labels: d.Labels},
+			"other learn keys":   {KLearn: kLearn, Keys: otherKeys, Labels: d.Labels},
+			"wrong label length": {KLearn: kLearn, Keys: d.Keys, Labels: d.Labels[:kLearn-1]},
+		}
+		for name, sd := range stale {
+			stalePlan := plan
+			stalePlan.Design = sd
+			got, gotLabels, _ := driveTapped(t, stalePlan, n, 1)
+			if got.Design == sd {
+				t.Errorf("n=%d %s: stale design was reused", n, name)
+			}
+			if gotLabels != coldLabels {
+				t.Errorf("n=%d %s: retrain labeled %d keys, the cold run %d", n, name, gotLabels, coldLabels)
+			}
+			if got.Count != cold.Count || got.CILo != cold.CILo || got.CIHi != cold.CIHi {
+				t.Errorf("n=%d %s: retrain diverged from the cold run", n, name)
+			}
+		}
+
+		flipped := &Design{KLearn: kLearn, Keys: d.Keys, Labels: append([]bool(nil), d.Labels...)}
+		flipped.Labels[0] = !flipped.Labels[0]
+		flipPlan := plan
+		flipPlan.Design = flipped
+		got, _, flipScores := driveTapped(t, flipPlan, n, 1)
+		if got.Design != flipped {
+			t.Fatalf("n=%d: a design over the plan's own learn keys was not used", n)
+		}
+		H := StrataCount(plan.Strata)
+		was, now := strataOf(coldScores, H), strataOf(flipScores, H)
+		moved := 0
+		for k, h := range was {
+			if now[k] != h {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Errorf("n=%d: one flipped training label moved no object's stratum — the stored labels are not what trains", n)
 		}
 	}
 }

@@ -26,8 +26,9 @@ const (
 )
 
 // Catalog is the cross-query reuse catalog: a bounded, thread-safe store
-// of learn-phase artifacts — hash-selected samples (as per-key labels),
-// trained classifiers, score strata — keyed by (table snapshots, Q1
+// of what labeling bought — hash-selected samples (as per-key labels) and,
+// for lss, the learn sample's keys and training labels, never scores or a
+// classifier — keyed by (table snapshots, Q1
 // shape, feature-column set, estimation plan). Attach one with
 // WithCatalog (or WithCatalogBudget) and SQL executions of the srs, lss,
 // and oracle methods reuse each other's work: direct reuse when a plan is
@@ -40,8 +41,10 @@ type Catalog struct {
 	inner *catalog.Catalog
 }
 
-// NewCatalog returns an empty reuse catalog bounded to maxBytes of
-// estimated resident artifact size (<= 0 selects the default 64 MiB).
+// NewCatalog returns an empty reuse catalog bounded to maxBytes of live
+// entry bytes (<= 0 selects the default 64 MiB). The bound is on the heap
+// the entries hold; a process's resident size runs about twice that under
+// Go's default GOGC.
 func NewCatalog(maxBytes int64) *Catalog {
 	return &Catalog{inner: catalog.New(maxBytes)}
 }
@@ -55,7 +58,8 @@ func (c *Catalog) SetMaxBytes(maxBytes int64) { c.inner.SetMaxBytes(maxBytes) }
 type CatalogStats struct {
 	// Entries is the number of materialized plans currently resident.
 	Entries int `json:"entries"`
-	// Bytes is the estimated resident size of all artifacts.
+	// Bytes is the live heap the resident entries hold (within 25 % of a
+	// heap profile's figure).
 	Bytes int64 `json:"bytes"`
 	// Hits counts direct-reuse executions.
 	Hits int64 `json:"hits"`

@@ -272,3 +272,156 @@ func TestCatalogConcurrentLookupMaterializeEvict(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// entryDesign reads the lss design of the catalog's only entry.
+func entryDesign(t *testing.T, cat *Catalog) (budget, kLearn int, keys []int64, labels []bool) {
+	t.Helper()
+	ks := cat.inner.Keys()
+	if len(ks) != 1 {
+		t.Fatalf("%d entries resident, want 1", len(ks))
+	}
+	e := cat.inner.Acquire(ks[0])
+	e.Lock()
+	budget, kLearn, keys, labels = e.Budget, e.KLearn, e.LearnKeys, e.LearnLabels
+	e.Unlock()
+	cat.inner.Release(e, "")
+	return
+}
+
+// TestCatalogEntryHoldsLabelsNotScores walks one entry through a cold run,
+// a repeat, a budget extension, a smaller-budget recompute and a changed Q3
+// parameter. After each the entry's design is the learn sample's keys and
+// training labels at the best budget seen — O(budget), never a score per
+// object — and the answer is the golden row recorded before designs were
+// stored this way: a reuse refits the classifier from the stored labels,
+// which reproduces the scores the labels were bought for.
+func TestCatalogEntryHoldsLabelsNotScores(t *testing.T) {
+	q, cat := catalogSession(t, 160, 7, WithMethod("lss"), WithSeed(11))
+	var trained []bool // the k=8 labels of the 20-key learn sample
+	for _, st := range []struct {
+		golden string // row of goldenCatalog this step must reproduce
+		k      int
+		budget float64
+		kLearn int // the entry's learn-sample size afterwards
+	}{
+		{"cold", 8, 0.25, 10},
+		{"repeat", 8, 0.25, 10},
+		{"extension", 8, 0.5, 20},
+		{"smaller", 8, 0.25, 20},  // recomputed at 10, the better design stays
+		{"q3-param", 12, 0.5, 20}, // trained on k=8 labels, relabeled under k=12
+	} {
+		est, err := q.Execute(context.Background(), map[string]any{"k": st.k}, WithBudget(st.budget))
+		if err != nil {
+			t.Fatalf("%s: %v", st.golden, err)
+		}
+		if want, ok := goldenCatalog["shards=0/lss/"+st.golden]; ok && st.golden != "q3-param" && goldenRow(est) != want {
+			t.Errorf("%s:\n got  %s\n want %s", st.golden, goldenRow(est), want)
+		}
+		budget, kLearn, keys, labels := entryDesign(t, cat)
+		if kLearn != st.kLearn || len(keys) != kLearn || len(labels) != kLearn || budget != 4*kLearn {
+			t.Fatalf("%s: entry holds budget %d, learn size %d, %d keys, %d labels; want learn size %d with as many keys and labels",
+				st.golden, budget, kLearn, len(keys), len(labels), st.kLearn)
+		}
+		switch st.golden {
+		case "extension":
+			trained = append([]bool(nil), labels...)
+		case "q3-param":
+			if est.Reuse != ReuseDirect || est.SamplesUsed != int64(est.Budget-kLearn) {
+				t.Errorf("q3-param: reuse=%q evals=%d, want direct with only the %d-key estimation sample relabeled",
+					est.Reuse, est.SamplesUsed, est.Budget-kLearn)
+			}
+			for i := range labels {
+				if labels[i] != trained[i] {
+					t.Fatalf("q3-param: training label %d changed under another predicate fingerprint", i)
+				}
+			}
+		}
+	}
+}
+
+// TestCatalogConcurrentColdPlansShareOneDesign: two identical cold plans
+// racing for an empty catalog serialize on the entry — one materializes,
+// the other reuses its labels and refits — and leave one entry holding one
+// design. Run under -race.
+func TestCatalogConcurrentColdPlansShareOneDesign(t *testing.T) {
+	q, cat := catalogSession(t, 160, 7, WithMethod("lss"), WithBudget(0.25), WithSeed(11))
+	params := map[string]any{"k": 8}
+	var wg sync.WaitGroup
+	ests := make([]*Estimate, 2)
+	errs := make([]error, 2)
+	for g := range ests {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ests[g], errs[g] = q.Execute(context.Background(), params)
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameEstimate(ests[0], ests[1]) {
+		t.Errorf("racing identical plans diverged: %v vs %v", ests[0].Count, ests[1].Count)
+	}
+	if goldenRow(ests[0]) != goldenCatalog["shards=0/lss/cold"] && goldenRow(ests[1]) != goldenCatalog["shards=0/lss/cold"] {
+		t.Errorf("neither racer reproduced the cold golden row: %s / %s", goldenRow(ests[0]), goldenRow(ests[1]))
+	}
+	if a, b := ests[0].Reuse, ests[1].Reuse; !(a == ReuseNone && b == ReuseDirect) && !(a == ReuseDirect && b == ReuseNone) {
+		t.Errorf("reuse = %q and %q, want one materialization and one direct reuse", a, b)
+	}
+	if ests[0].SamplesUsed+ests[1].SamplesUsed != 39 {
+		t.Errorf("the racers spent %d + %d evaluations, want the cold plan's 39 once", ests[0].SamplesUsed, ests[1].SamplesUsed)
+	}
+	if s := cat.Stats(); s.Entries != 1 || s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 entry, 1 miss, 1 hit", s)
+	}
+	if _, kLearn, keys, labels := entryDesign(t, cat); kLearn != 10 || len(keys) != 10 || len(labels) != 10 {
+		t.Errorf("entry design: learn size %d, %d keys, %d labels; want 10 of each", kLearn, len(keys), len(labels))
+	}
+}
+
+// TestHashPlanLearnSpan: the hash plan's learn step explains itself the way
+// the classic path's does — rows trained on, where their labels came from
+// (bought now, or the entry's stored design), the fit and the scoring apart,
+// objects scored and the forest's scoring path — so the refit a reuse pays
+// reads off explain output instead of hiding in the driver's self time.
+func TestHashPlanLearnSpan(t *testing.T) {
+	tracer := NewTracer(TracerOptions{SampleRate: 1})
+	q, _ := catalogSession(t, 160, 7, WithMethod("lss"), WithBudget(0.25), WithSeed(11), WithTracer(tracer))
+	params := map[string]any{"k": 8}
+	learn := func(under string, opts ...Option) map[string]any {
+		t.Helper()
+		if _, err := q.Execute(context.Background(), params, opts...); err != nil {
+			t.Fatal(err)
+		}
+		parents := spansNamed(tracer.Traces(1)[0], under)
+		if len(parents) != 1 {
+			t.Fatalf("%d %q spans, want 1", len(parents), under)
+		}
+		spans := spansNamed(parents[0], "learn")
+		if len(spans) != 1 {
+			t.Fatalf("%d learn spans under %q, want 1", len(spans), under)
+		}
+		a := spans[0].Attrs
+		fit, _ := a["fit_ms"].(float64)
+		score, _ := a["score_ms"].(float64)
+		if a["train_rows"] != 10 || a["scored"] != 160 || fit <= 0 || score <= 0 || a["score_path"] == nil {
+			t.Fatalf("learn attrs under %q = %v, want 10 train rows, 160 scored, fit and score times and a score path", under, a)
+		}
+		if total := durMS(spans[0].Duration); fit+score > total*1.001 {
+			t.Fatalf("fit %v + score %v ms exceed the learn span's %v ms", fit, score, total)
+		}
+		return a
+	}
+	if a := learn("catalog"); a["labels"] != "fresh" {
+		t.Errorf("cold run: labels = %v, want fresh", a["labels"])
+	}
+	if a := learn("catalog"); a["labels"] != "design" {
+		t.Errorf("repeat: labels = %v, want design (the refit trains on the entry's stored labels)", a["labels"])
+	}
+	if a := learn("shard.drive", WithShards(3)); a["labels"] != "fresh" {
+		t.Errorf("sharded run: labels = %v, want fresh (per-shard entries hold labels only)", a["labels"])
+	}
+}

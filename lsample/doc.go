@@ -207,21 +207,29 @@
 // # Cross-query reuse catalog
 //
 // A Catalog (NewCatalog, attached via WithCatalog or WithCatalogBudget)
-// stores what the hash plan buys — per-key labels and, for lss, the
-// stratification design (the classifier's per-key scores and the learn
-// size they were trained at) — and hands it back to later executions,
-// sessions, and queries that share table snapshots. Entries are keyed by
+// stores what the hash plan buys — labels, per predicate fingerprint, and
+// for lss the stratification design: the learn sample's keys and the
+// labels the classifier was trained on — and hands it back to later
+// executions, sessions, and queries that share table snapshots. An entry
+// never holds scores or a classifier: those are arithmetic over the stored
+// labels, so a reuse refits the forest (a fraction of a millisecond) and
+// an entry is the size of its budget whatever the population — about 3 KB
+// per plan at the budgets lsserve's defaults produce. The catalog's byte
+// budget bounds live bytes (Stats().Bytes is within 25 % of the heap the
+// entries hold); under Go's default GOGC the process's resident share is
+// about twice that. Entries are keyed by
 // (snapshots, object-enumeration shape, feature columns, plan); the
 // labeling budget is deliberately not part of the key. On Execute, a
 // method or query shape outside the hash plan's contract transparently
 // takes the classic branch; inside it:
 //
-//   - Direct reuse: the materialized plan covers the request — sampling
-//     and learning are skipped outright, and a rerun of the originating
-//     request spends zero fresh predicate evaluations. A request whose
-//     predicate differs only in Q3-bound parameters shares the entry and
-//     its design: the learn sample is not relabeled, the stored scores
-//     stratify, and only the estimation sample is labeled under the new
+//   - Direct reuse: the materialized plan covers the request — no learn
+//     sample is labeled (the classifier is refitted from the stored
+//     training labels), and a rerun of the originating request spends zero
+//     fresh predicate evaluations. A request whose predicate differs only
+//     in Q3-bound parameters shares the entry and its design: the learn
+//     sample is not relabeled, the classifier trained on the stored labels
+//     stratifies, and only the estimation sample is labeled under the new
 //     predicate — a different but still unbiased design.
 //   - Extension: only the budget grew — the hash bottom-k sample is topped
 //     up (bottom-k at a larger k is a strict superset, so only new keys
@@ -235,8 +243,10 @@
 // The determinism contract extends to the catalog: for a fixed
 // (snapshots, query, params, method, budget, seed) the estimate is
 // byte-identical no matter what the catalog holds, because reused state is
-// only memoized labels (pure functions of snapshot, key, and predicate)
-// and designs the cold path would have trained identically. Estimate
+// only labels (pure functions of snapshot, key, and predicate) — the
+// memoized ones and the design's training labels, from which a reuse fits
+// the very forest the cold path trains: same learn sample, same features,
+// same seed, and fitting is a pure function of those. Estimate
 // reports the path taken in Reuse (ReuseDirect, ReuseExtension, ReuseNone)
 // and the memo's contribution in ReusedLabels.
 //

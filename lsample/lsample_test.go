@@ -22,7 +22,7 @@ const skybandQuery = `SELECT o1.id FROM D o1, D o2
 	GROUP BY o1.id HAVING COUNT(*) < k`
 
 // testTable builds D(id, x, y) with n uniform points.
-func testTable(t *testing.T, n int, seed uint64) *Table {
+func testTable(t testing.TB, n int, seed uint64) *Table {
 	t.Helper()
 	r := xrand.New(seed)
 	tb, err := NewTable("D", "id:int,x:float,y:float")

@@ -227,9 +227,10 @@ func WithRelabel(relabel bool) Option {
 }
 
 // WithCatalog attaches a cross-query reuse catalog: SQL executions of the
-// srs, lss, and oracle methods materialize their learn-phase artifacts
-// (hash-selected samples as per-key labels, the trained classifier, score
-// strata) into it and later executions over the same (snapshot, Q1 shape,
+// srs, lss, and oracle methods materialize what their labeling bought
+// (hash-selected samples as per-key labels; for lss the learn sample's
+// keys and training labels, from which a reuse refits the classifier)
+// into it and later executions over the same (snapshot, Q1 shape,
 // feature set, plan) reuse them — directly when the plan matches, by
 // deterministic sample extension when only the budget grew. Estimates stay
 // byte-identical to from-scratch runs of the same plan; see the package

@@ -351,7 +351,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 		out.FeatureColumns = cols
 	}
 
-	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg)
+	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -395,13 +395,18 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 
 // buildPredicate is buildEnginePredicate for one execution of the prepared
 // program, inside a "predicate.build" span. Nothing remembers a passed
-// cross-check across executions yet, so every call pays it.
+// cross-check across executions yet, so every execution pays it — once:
+// validated is true only for the later shards of one hash-plan run whose
+// first shard just passed it (shardRun.checked).
 func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator, objects *engine.ResultSet,
-	vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
+	vals map[string]engine.Value, cfg config, validated bool) (predicate.Predicate, Labeling, error) {
 
 	_, sp := obs.StartSpan(ctx, "predicate.build")
 	defer sp.End()
-	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, false)
+	if validated {
+		sp.Set("validated_by", "run")
+	}
+	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, validated)
 	if err != nil {
 		return nil, Labeling{}, err
 	}
@@ -426,8 +431,9 @@ func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator
 //
 // validated says prog already passed that cross-check, so a bind that
 // succeeds is used as it is and the interpreter's evaluation of object 0 —
-// one full join scan — is not paid again. Only Refresh remembers it today
-// (refreshState.validated).
+// one full join scan — is not paid again. Refresh remembers it across
+// refreshes of one program (refreshState.validated), a hash-plan run across
+// its own shards (shardRun.checked); nothing else does.
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
 	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
 	validated bool) (predicate.Predicate, Labeling, error) {

@@ -395,3 +395,84 @@ func TestShardSeedSensitivity(t *testing.T) {
 		t.Fatal("seed change did not move the sharded srs estimate (suspicious)")
 	}
 }
+
+// spansNamed collects the tree's spans of the given name, depth first.
+func spansNamed(t *TraceSpan, name string) []*TraceSpan {
+	if t == nil {
+		return nil
+	}
+	var out []*TraceSpan
+	if t.Name == name {
+		out = append(out, t)
+	}
+	for _, c := range t.Children {
+		out = append(out, spansNamed(c, name)...)
+	}
+	return out
+}
+
+// TestShardsValidateProgramOncePerRun: the interpreter's cross-check of the
+// compiled program — one full join scan for object 0 — depends on nothing a
+// shard owns, so a WithShards run pays it once: the first label store to
+// miss checks, the others build with its verdict (validated_by=run on their
+// predicate.build span). A first build that fell back to the interpreter
+// validates nothing, and every shard reaches the same fallback by itself.
+func TestShardsValidateProgramOncePerRun(t *testing.T) {
+	params := map[string]any{"k": 8}
+	run := func(opts ...Option) (*Estimate, []*TraceSpan) {
+		t.Helper()
+		tracer := NewTracer(TracerOptions{SampleRate: 1})
+		all := append([]Option{WithMethod("lss"), WithBudget(0.25), WithSeed(11), WithShards(4), WithTracer(tracer)}, opts...)
+		sess, err := NewSession(NewMemorySource(testTable(t, 160, 7)), all...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := sess.Prepare(skybandQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := q.Execute(context.Background(), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds := spansNamed(tracer.Traces(1)[0], "predicate.build")
+		if len(builds) < 2 {
+			t.Fatalf("%d predicate.build spans, want one per labeling shard of 4", len(builds))
+		}
+		return est, builds
+	}
+
+	est, builds := run()
+	checked := 0
+	for _, b := range builds {
+		if b.Attrs["compiled"] != true {
+			t.Errorf("predicate.build attrs %v, want a compiled predicate on every shard", b.Attrs)
+		}
+		switch b.Attrs["validated_by"] {
+		case nil:
+			checked++
+		case "run":
+		default:
+			t.Errorf("predicate.build validated_by = %v", b.Attrs["validated_by"])
+		}
+	}
+	if checked != 1 {
+		t.Errorf("%d of %d shard builds ran the interpreter's first-object check, want exactly 1", checked, len(builds))
+	}
+	if !est.Labeling.Compiled || est.Labeling.Fallback != "" {
+		t.Errorf("labeling = %+v, want compiled", est.Labeling)
+	}
+
+	slow, builds := run(interpreted())
+	for _, b := range builds {
+		if b.Attrs["validated_by"] != nil || b.Attrs["compiled"] != false || b.Attrs["fallback"] != "compilation disabled" {
+			t.Errorf("predicate.build attrs %v after a first build that fell back, want the same unvalidated fallback on every shard", b.Attrs)
+		}
+	}
+	if slow.Labeling.Compiled || slow.Labeling.Fallback != "compilation disabled" {
+		t.Errorf("labeling = %+v, want the interpreter fallback", slow.Labeling)
+	}
+	if !sameEstimate(est, slow) {
+		t.Errorf("fallback run diverged: %v vs %v", slow.Count, est.Count)
+	}
+}

@@ -118,12 +118,23 @@ type shardRun struct {
 	prev     []int // entry budgets at acquire time
 
 	// An unsharded run has one worker over the whole population. Its entry
-	// (empty Key.Shard) also stores the lss stratification design and stays
-	// locked from acquire to close, so concurrent identical plans serialize
-	// and the followers reuse the leader's labels.
+	// (empty Key.Shard) also stores the lss stratification design (the learn
+	// sample's keys and training labels) and stays locked from acquire to
+	// close, so concurrent identical plans serialize and the followers reuse
+	// the leader's labels.
 	unsharded bool
 	design    *shard.Design // unsharded lss: the entry's materialized design
 	reuse     string        // unsharded: set by settle on success; "" records nothing
+
+	// The compiled program's cross-check against the interpreter — one full
+	// join scan for object 0 — is a pure function of (snapshot, parameters,
+	// program), which every shard of the run shares: the first label store
+	// to miss pays it, the others wait on checked and build with its verdict
+	// (it compiled and agreed) as buildEnginePredicate's validated argument —
+	// so a first build that fell back to the interpreter sends the others
+	// through the same check to the same fallback. Nothing outlives the run.
+	checked   sync.Once
+	validated bool
 }
 
 // close releases catalog entries with their reuse classification.
@@ -160,9 +171,10 @@ func (r *shardRun) shardReuse(from, to int) string {
 // unsharded entry, records what the entry now covers. There direct means
 // the materialized budget (srs, oracle) or design (lss) covered the plan —
 // true even when a changed Q3 parameter forced relabeling, the documented
-// exception: the classifier is reused as the stratification function, a
-// different but still unbiased design. A budget extension upgrades the
-// entry; a smaller-budget recompute keeps the better artifacts in place.
+// exception: the classifier is refitted from the design's stored labels,
+// bought under the predicate that materialized it — a different but still
+// unbiased design. A budget extension upgrades the entry; a smaller-budget
+// recompute keeps the better artifacts in place.
 func (r *shardRun) settle(method string, res *shard.Result) string {
 	switch {
 	case r.cat == nil:
@@ -182,7 +194,7 @@ func (r *shardRun) settle(method string, res *shard.Result) string {
 	case "lss":
 		direct = res.Design == r.design
 		if !direct && res.Budget >= e.Budget {
-			e.Budget, e.KLearn, e.Scores = res.Budget, res.Design.KLearn, res.Design.Scores
+			e.Budget, e.KLearn, e.LearnKeys, e.LearnLabels = res.Budget, res.Design.KLearn, res.Design.Keys, res.Design.Labels
 		}
 	}
 	switch {
@@ -375,7 +387,7 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 			labels:   make(map[int64]bool),
 			keys:     keys,
 			posByKey: posByKey,
-			build: func(ctx context.Context) (predicate.Predicate, Labeling, error) {
+			build: func(ctx context.Context) (p predicate.Predicate, lab Labeling, err error) {
 				// Each worker gets its own evaluator: the interpreted engine
 				// carries per-evaluation state and must not be shared across
 				// the driver's concurrent scatter.
@@ -383,7 +395,16 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 				for name, v := range vals {
 					sev.SetParam(name, v)
 				}
-				return q.buildPredicate(ctx, sev, objects, vals, cfg)
+				first := false
+				r.checked.Do(func() {
+					first = true
+					p, lab, err = q.buildPredicate(ctx, sev, objects, vals, cfg, false)
+					r.validated = err == nil && lab.Compiled
+				})
+				if !first {
+					p, lab, err = q.buildPredicate(ctx, sev, objects, vals, cfg, r.validated)
+				}
+				return p, lab, err
 			},
 		}
 		if r.cat != nil {
@@ -398,8 +419,8 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 			m := e.Labels(r.fp, r.cat.Clock())
 			if r.unsharded {
 				l.labels = m // close unlocks
-				if e.Scores != nil {
-					r.design = &shard.Design{KLearn: e.KLearn, Scores: e.Scores}
+				if e.LearnKeys != nil {
+					r.design = &shard.Design{KLearn: e.KLearn, Keys: e.LearnKeys, Labels: e.LearnLabels}
 				}
 			} else {
 				if e.Budget == 0 {
@@ -465,8 +486,9 @@ func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, e
 // The determinism contract: for a fixed (pinned snapshots, query,
 // parameters, method, budget, seed) the estimate is byte-identical at any
 // worker count and regardless of what the catalog already holds. Reused
-// state is only ever memoized labels and a design trained by the exact
-// procedure a cold run would execute; the one documented exception is in
+// state is only ever labels — the memoized ones and the design's training
+// labels, from which the driver refits the classifier by the exact
+// procedure a cold run executes; the one documented exception is in
 // settle.
 func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, bool, error) {
