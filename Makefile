@@ -26,7 +26,8 @@
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
-#                      lexer, live delta parser, WAL reader, shard routing,
+#                      lexer, live delta parser, WAL reader, shard routing and
+#                      load-bounded shard placement,
 #                      design sweep vs its per-bound reference, presorted
 #                      forest fit vs its per-node-sort reference, rank-grid
 #                      forest scoring vs the walk, compiled predicate
@@ -67,8 +68,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# Everything under the detector once, then the tests that put several
+# seeds on one shard executor at the same time ten times over: a race only
+# shows in an interleaving the run happens to execute.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent' ./lsample/ ./internal/service/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at
@@ -98,7 +103,9 @@ bench-ledger-smoke:
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a
 # real keyed table, the WAL reader against arbitrary segment bytes, the
 # consistent-hash shard routing invariants (no key lost or double-assigned,
-# minimal movement on join/leave), the designers' one-sweep dynamic
+# minimal movement on join/leave) and the coordinator's load-bounded shard
+# placement over it (balance, ring failover order kept, a function of the
+# live worker set under any join/leave history), the designers' one-sweep dynamic
 # program against the per-bound, per-level reference it replaced (cuts and
 # objective bit for bit, feasibility, V = objective of the cuts), the
 # presorted, bootstrap-weighted forest fit against the row-copying,
@@ -115,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run '^$$' -fuzz '^FuzzShardPlacement$$' -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/

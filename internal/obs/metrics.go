@@ -159,6 +159,50 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 		func() any { return fn() })
 }
 
+// CounterVec is a counter family split by one label. The label's values
+// are declared at registration — a closed set, so the family's cardinality
+// is fixed where it is declared, and a value outside it is a bug that
+// panics rather than minting a series.
+type CounterVec struct {
+	name   string
+	values []string // sorted
+	by     map[string]*Counter
+}
+
+// With returns the counter for one declared label value.
+func (v *CounterVec) With(value string) *Counter {
+	c, ok := v.by[value]
+	if !ok {
+		panic(fmt.Sprintf("obs: metric %q has no label value %q", v.name, value))
+	}
+	return c
+}
+
+// NewCounterVec registers and returns a counter family with one series per
+// given value of label: Prometheus reads name{label="value"} samples, Stats
+// an object keyed by value.
+func (r *Registry) NewCounterVec(name, help, label string, values ...string) *CounterVec {
+	v := &CounterVec{name: name, values: append([]string(nil), values...), by: make(map[string]*Counter, len(values))}
+	sort.Strings(v.values)
+	for _, val := range v.values {
+		v.by[val] = &Counter{}
+	}
+	r.register(name, help, "counter", "",
+		func(w *bufio.Writer, name string) {
+			for _, val := range v.values {
+				fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, val, v.by[val].Value())
+			}
+		},
+		func() any {
+			out := make(map[string]int64, len(v.values))
+			for _, val := range v.values {
+				out[val] = v.by[val].Value()
+			}
+			return out
+		})
+	return v
+}
+
 // GaugeFunc registers a gauge — a population or a size — whose value is
 // read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int) {

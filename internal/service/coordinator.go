@@ -68,11 +68,13 @@ type CoordinatorOptions struct {
 }
 
 // Coordinator scatters counting queries over worker processes: each query
-// is split into hash-aligned shards, shard operations are routed over a
-// consistent-hash ring (with per-op deadlines and hedged retries on
-// stragglers), and the per-shard partials merge through the same driver
-// the in-process sharded path uses — so the answer is byte-identical to a
-// single-process run over the same data, at any worker count.
+// is split into hash-aligned shards, each shard gets a primary worker from
+// a consistent-hash ring under a load bound (shard.Ring.Place: S shards
+// over W workers put at most ceil(S/W) primaries on any one), its
+// operations go there with per-op deadlines and hedged retries down the
+// ring on stragglers, and the per-shard partials merge through the same
+// driver the in-process sharded path uses — so the answer is byte-identical
+// to a single-process run over the same data, at any worker count.
 type Coordinator struct {
 	workers map[string]WorkerInfo
 	ring    *shard.Ring // built once; read-only afterwards, safe for concurrent use
@@ -91,6 +93,7 @@ type Coordinator struct {
 	hedges       *obs.Counter
 	workerErrors *obs.Counter
 	degradedN    *obs.Counter
+	shardOps     *obs.CounterVec // shard calls launched, by worker
 }
 
 // NewCoordinator builds a coordinator over the given workers.
@@ -143,6 +146,9 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 		c.workers[w.Name] = w
 		c.ring.Add(w.Name)
 	}
+	c.shardOps = c.metrics.NewCounterVec("lsample_coordinator_shard_ops_total",
+		"Shard calls launched (primaries, hedges and failovers), by worker: a placement imbalance reads off this family.",
+		"worker", c.ring.Nodes()...)
 	return c, nil
 }
 
@@ -190,6 +196,11 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 	// Workers get the request verbatim and resolve it themselves; the
 	// coordinator normalizes nothing.
 	run := &coordRun{c: c, base: ShardRequest{CountRequest: *req}, shards: shards}
+	keys := make([]string, shards)
+	for i := range keys {
+		keys[i] = "shard/" + shard.Spec{Index: i, Count: shards}.String()
+	}
+	run.cands = c.ring.Place(keys)
 
 	// Pre-flight: learn the resolved plan (method, budget, interval, the
 	// query's fingerprint and shape) and pin the dataset versions every
@@ -370,12 +381,14 @@ func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: err.Error()}})
 }
 
-// coordRun is one query's scatter state: the request every op carries and
-// the dataset versions pinned at the census.
+// coordRun is one query's scatter state: the request every op carries, each
+// shard's workers in the order to try them (its primary, then its ring
+// order), and the dataset versions pinned at the census.
 type coordRun struct {
 	c        *Coordinator
 	base     ShardRequest
 	shards   int
+	cands    [][]string
 	versions string
 }
 
@@ -387,7 +400,7 @@ func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
 // do executes one shard op with routing, deadlines, and hedged retries:
-// candidates come from the ring in failover order; the primary gets
+// candidates are the shard's placement, primary first; the primary gets
 // HedgeAfter of quiet time before a backup launches; the first success
 // wins. When every candidate fails the op resolves to a LostShardError,
 // which Drive absorbs (degraded mode) or surfaces.
@@ -401,7 +414,7 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.Ra
 		return nil, badf("encoding shard request: %v", err)
 	}
 
-	cands := r.c.ring.Owners("shard/"+b.Shard.String(), len(r.c.workers))
+	cands := r.cands[shardIdx]
 	if len(cands) == 0 {
 		return nil, &shard.LostShardError{Shard: shardIdx, Err: ErrNoWorkers}
 	}
@@ -418,6 +431,7 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.Ra
 		name := cands[launched]
 		attempt := launched
 		launched++
+		r.c.shardOps.With(name).Inc()
 		// One span per attempt: a hedged or failed-over call shows up as a
 		// sibling of the primary, each carrying the worker it targeted. The
 		// worker's own subtree (shipped back on the response when the

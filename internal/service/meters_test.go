@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -124,10 +125,19 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		case "counter":
 			counters++
 			var got float64
-			if err := json.Unmarshal(stats.Metrics[key], &got); err != nil {
+			var byLabel map[string]float64 // a CounterVec: one sample per label value
+			if err := json.Unmarshal(stats.Metrics[key], &got); err == nil {
+				if got != samples[name] {
+					t.Errorf("counter %s = %v in /metrics, metrics.%s = %v in /v1/stats", name, samples[name], key, got)
+				}
+			} else if err := json.Unmarshal(stats.Metrics[key], &byLabel); err != nil || len(byLabel) == 0 {
 				t.Errorf("counter %s: /v1/stats metrics.%s = %s", name, key, stats.Metrics[key])
-			} else if got != samples[name] {
-				t.Errorf("counter %s = %v in /metrics, metrics.%s = %v in /v1/stats", name, samples[name], key, got)
+			}
+			for value, n := range byLabel {
+				if sample, ok := samples[fmt.Sprintf("%s{result=%q}", name, value)]; !ok || sample != n {
+					t.Errorf("counter %s{result=%q} = %v in /metrics (present %t), metrics.%s.%s = %v in /v1/stats",
+						name, value, sample, ok, key, value, n)
+				}
 			}
 		case "histogram":
 			var lat obs.HistSummary
@@ -181,7 +191,7 @@ func TestStatsFieldNamesGolden(t *testing.T) {
 		"metrics": "admission_queued cache_hits cache_misses catalog_bytes catalog_entries catalog_evictions " +
 			"catalog_extensions catalog_hits catalog_misses datasets degraded errors estimate_ms estimates_run " +
 			"inflight_estimations ingest_batches ingest_errors ingest_requests ingest_rows latency predicate_evals " +
-			"predicate_ms prepared_queries rejected requests result_cache_entries shard_execs " +
+			"predicate_ms prepared_queries rejected requests result_cache_entries shard_exec shard_execs " +
 			"traces_sampled traces_started",
 		"catalog": "bytes entries evictions extensions hits misses",
 	}

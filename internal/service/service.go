@@ -143,7 +143,8 @@ type Service struct {
 	// counted results (LRU + TTL); prepared queries, which hold the parsed
 	// AST, the §2 decomposition and — after their first feature-using
 	// execution — the O(N) key index and feature matrix; and the worker
-	// role's per-(plan, shard) executors, closed on eviction.
+	// role's shard executors, one per (query, parameters, shard) whatever
+	// the seed or budget (plan.execKey).
 	results *store[*CountResult]
 	preps   *store[*lsample.PreparedQuery]
 	execs   *store[*lsample.ShardExec]
@@ -199,9 +200,9 @@ func New(reg *Registry, opts Options) *Service {
 		opts:     o,
 		admit:    newAdmitter(o.MaxInFlight, o.MaxPerDataset, o.MaxQueuePerDataset),
 		degSem:   make(chan struct{}, 1),
-		results:  newStore[*CountResult](o.CacheSize, o.CacheTTL, nil),
-		preps:    newStore[*lsample.PreparedQuery](maxPrepared, 0, nil),
-		execs:    newStore(maxShardExecs, 0, (*lsample.ShardExec).Close),
+		results:  newStore[*CountResult](o.CacheSize, o.CacheTTL),
+		preps:    newStore[*lsample.PreparedQuery](maxPrepared, 0),
+		execs:    newStore[*lsample.ShardExec](maxShardExecs, 0),
 		flights:  make(map[string]*flight),
 		logger:   o.Logger,
 		metrics:  obs.NewRegistry(),

@@ -20,8 +20,13 @@ import (
 // Every request names the query and its knobs (a CountRequest, resolved by
 // the same resolver /v1/count uses), the shard, and the op with its opaque
 // argument block; the worker materializes a lsample.ShardExec for that
-// (plan, shard) once, caches it across ops, and passes args and reply
-// through without decoding either.
+// (query, parameters, shard) once — the shard's slice of the population,
+// its features and its cross-checked predicate, none of which a seed or a
+// budget can change — keeps it across ops and across counts
+// (plan.execKey), hands each op its request's seed, and passes args and
+// reply through without decoding either. Labels land in the reuse catalog
+// under a per-shard key just as seed-free, so a worker retains O(population)
+// labels per (query, shard) however many counts it has served.
 //
 // Version fencing: every response reports the worker's resolved dataset
 // versions, and a request carrying an expected "versions" string fails
@@ -97,7 +102,7 @@ func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardRespons
 		defer release()
 	}
 	resp := &ShardResponse{Versions: p.Versions}
-	if resp.Reply, err = exec.Op(ctx, req.Op, req.Args); err != nil {
+	if resp.Reply, err = exec.Op(ctx, p.Seed, req.Op, req.Args); err != nil {
 		return nil, mapSDKErr(err)
 	}
 	if req.Op == shard.OpMeta {
@@ -111,7 +116,8 @@ func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardRespons
 	return resp, nil
 }
 
-// shardExec returns the cached executor for (plan, shard), preparing it on
+// shardExec returns the resident executor for the plan's (query,
+// parameters, shard) — plan.execKey: no seed, no budget — preparing it on
 // first use. A layout change (a different shard count) evicts every
 // executor and reuse-catalog entry of the old layout: after a reshard the
 // old per-shard label memos could never be merged soundly, so they are
@@ -130,16 +136,18 @@ func (s *Service) shardExec(ctx context.Context, p *plan, ref shard.Spec) (*lsam
 			s.catalog.EvictShardLayout(ref.Count)
 		}
 	}
-	key := p.key(ref.String())
+	key := p.execKey(ref)
 	if exec, ok := s.execs.get(key); ok {
+		s.m.shardExec.With("hit").Inc()
 		return exec, prep, nil
 	}
-	exec, err := prep.PrepareShard(ctx, ref.Index, ref.Count, p.Params, p.options()...)
+	s.m.shardExec.With("miss").Inc()
+	exec, err := prep.PrepareShard(ctx, ref.Index, ref.Count, p.Params, p.execOptions()...)
 	if err != nil {
 		return nil, nil, err
 	}
 	// A concurrent op that prepared the same tuple first wins: keep its
-	// executor (and its label memo); the store closes ours.
+	// executor (and its cross-check verdict) and drop ours.
 	return s.execs.put(key, p.Vector, exec), prep, nil
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -21,41 +22,48 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // owning shard holds.
 type LabelFunc func(ctx context.Context, keys []int64) ([]bool, int, error)
 
-// Trainer trains the plan classifier once per training seed and shares
-// the fitted instance across every shard of one execution context — the
-// in-process analogue of each remote worker training its own identical
-// copy. A Trainer must be scoped to one (snapshot, parameters, plan)
-// context: the memo key is the training seed alone, which is only sound
-// while (x, y) are pinned by that context.
+// Trainer fits the plan classifier and keeps the current fit: the S shards
+// of one in-process execution broadcast the identical learn sample, so the
+// first to ask pays the fit and the others share it — the in-process
+// analogue of each remote worker training its own identical copy. A fit is
+// a pure function of (x, y, clfSeed) and the memo is keyed by all three, so
+// a Trainer may outlive the execution (a worker-side shard executor serves
+// every seed and budget of its query): a different learn sample replaces
+// the fit, and at most one is ever held. (A NaN feature never compares
+// equal, which costs a refit, never a wrong classifier.)
 type Trainer struct {
 	newClf func(seed uint64) learn.Classifier
 
 	mu   sync.Mutex
-	clfs map[uint64]learn.Classifier
+	x    [][]float64
+	y    []bool
+	seed uint64
+	clf  learn.Classifier // nil until the first fit
 }
 
 // NewTrainer returns a Trainer over the given classifier factory.
 func NewTrainer(newClf func(seed uint64) learn.Classifier) *Trainer {
-	return &Trainer{newClf: newClf, clfs: make(map[uint64]learn.Classifier)}
+	return &Trainer{newClf: newClf}
 }
 
-// Train returns the classifier fitted to (x, y) under clfSeed, fitting at
-// most once per seed, and the time the fit took (zero when another shard
-// had already paid it). Forest fitting is deterministic in (x order, y,
-// seed), so the shared instance scores byte-identically to a per-shard
-// retrain.
+// Train returns the classifier fitted to (x, y) under clfSeed and the time
+// the fit took (zero when the current fit already is that one). Forest
+// fitting is deterministic in (x order, y, seed), so the shared instance
+// scores byte-identically to a per-shard retrain. The lock is held across
+// the fit on purpose: concurrent shards of one execution wait for the one
+// fit instead of each paying it.
 func (t *Trainer) Train(x [][]float64, y []bool, clfSeed uint64) (learn.Classifier, time.Duration, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if clf, ok := t.clfs[clfSeed]; ok {
-		return clf, 0, nil
+	if t.clf != nil && t.seed == clfSeed && slices.Equal(y, t.y) && slices.EqualFunc(x, t.x, slices.Equal[[]float64]) {
+		return t.clf, 0, nil
 	}
 	clf := t.newClf(clfSeed)
 	t0 := time.Now()
 	if err := clf.Fit(x, y); err != nil {
 		return nil, 0, fmt.Errorf("shard: training classifier: %w", err)
 	}
-	t.clfs[clfSeed] = clf
+	t.x, t.y, t.seed, t.clf = x, y, clfSeed, clf
 	return clf, time.Since(t0), nil
 }
 
@@ -86,6 +94,16 @@ func NewLocal(seed uint64, keys []int64, feats [][]float64, groups []string,
 		seed: seed, keys: keys, feats: feats, groups: groups, parts: parts,
 		labelFn: labelFn, trainer: trainer, idx: idx,
 	}
+}
+
+// WithSeed returns the worker over the same shard under another plan seed
+// and label function — one execution's view of a shard that outlives it.
+// The seed only steers Cands; everything else a Local holds is a fact about
+// the shard, shared with the receiver.
+func (w *Local) WithSeed(seed uint64, labelFn LabelFunc) *Local {
+	c := *w
+	c.seed, c.labelFn = seed, labelFn
+	return &c
 }
 
 // Meta returns the shard's object count and local group census.

@@ -120,6 +120,39 @@ func (r *Ring) Owners(key string, n int) []string {
 	return out
 }
 
+// Place returns, for each key, every node in the order a caller should try
+// them: first a primary, chosen over the ring under a load bound of
+// ceil(len(keys)/nodes) primaries per node — keys are taken in the order
+// given and each goes to the first node of its ring order still under the
+// bound — then the rest of the key's ring order, untouched, which is its
+// hedging and failover order. Ring ownership alone balances only in
+// expectation: over a handful of keys (one query's shards) and as few
+// nodes, one node routinely owns them all while the others idle. The result
+// is deterministic in (node set, keys), so every coordinator configured
+// alike routes alike; with no nodes every list is nil.
+func (r *Ring) Place(keys []string) [][]string {
+	out := make([][]string, len(keys))
+	n := len(r.nodes)
+	if n == 0 {
+		return out
+	}
+	bound := (len(keys) + n - 1) / n
+	load := make(map[string]int, n)
+	for i, key := range keys {
+		order := r.Owners(key, n)
+		p := 0
+		for load[order[p]] >= bound { // n*bound >= len(keys): some node has room
+			p++
+		}
+		primary := order[p]
+		load[primary]++
+		copy(order[1:p+1], order[:p])
+		order[0] = primary
+		out[i] = order
+	}
+	return out
+}
+
 func (r *Ring) sortPoints() {
 	sort.Slice(r.points, func(a, b int) bool {
 		pa, pb := r.points[a], r.points[b]

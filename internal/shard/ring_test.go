@@ -188,3 +188,120 @@ func FuzzShardRouting(f *testing.F) {
 		}
 	})
 }
+
+// shardKeys are the placement keys a coordinator uses for a layout of s
+// shards.
+func shardKeys(s int) []string {
+	keys := make([]string, s)
+	for i := range keys {
+		keys[i] = "shard/" + Spec{Index: i, Count: s}.String()
+	}
+	return keys
+}
+
+// checkPlacement holds one Place result to its contract: every list is the
+// whole live node set once each, no node is primary for more than
+// ceil(keys/nodes) keys, and behind the primary the ring's own order is
+// untouched.
+func checkPlacement(t *testing.T, r *Ring, keys []string, placed [][]string) {
+	t.Helper()
+	if len(placed) != len(keys) {
+		t.Fatalf("Place returned %d lists for %d keys", len(placed), len(keys))
+	}
+	n := r.Len()
+	if n == 0 {
+		for i, list := range placed {
+			if list != nil {
+				t.Fatalf("empty ring placed key %d on %v", i, list)
+			}
+		}
+		return
+	}
+	bound := (len(keys) + n - 1) / n
+	load := map[string]int{}
+	for i, list := range placed {
+		ring := r.Owners(keys[i], n)
+		if len(list) != n {
+			t.Fatalf("key %q: %d candidates of %d nodes", keys[i], len(list), n)
+		}
+		load[list[0]]++
+		var rest []string
+		for _, node := range ring {
+			if node != list[0] {
+				rest = append(rest, node)
+			}
+		}
+		if len(rest) != n-1 || fmt.Sprint(list[1:]) != fmt.Sprint(rest) {
+			t.Fatalf("key %q: candidates %v do not keep the ring order %v behind the primary", keys[i], list, ring)
+		}
+	}
+	for node, l := range load {
+		if l > bound {
+			t.Fatalf("%s is primary for %d of %d keys, bound %d (loads %v)", node, l, len(keys), bound, load)
+		}
+	}
+}
+
+// TestRingPlaceBalancesPrimaries: S = kW shards over W workers give every
+// worker exactly k primaries — where ring ownership alone gave w1 both
+// shards of a two-worker, two-shard fleet and left w2 serving hedges — and
+// the placement does not depend on the order workers were added in.
+func TestRingPlaceBalancesPrimaries(t *testing.T) {
+	for w := 2; w <= 4; w++ {
+		for k := 1; k <= 3; k++ {
+			r, rev := NewRing(0), NewRing(0)
+			for i := 1; i <= w; i++ {
+				r.Add(fmt.Sprintf("w%d", i))
+				rev.Add(fmt.Sprintf("w%d", w+1-i))
+			}
+			keys := shardKeys(k * w)
+			placed := r.Place(keys)
+			checkPlacement(t, r, keys, placed)
+			load := map[string]int{}
+			for _, list := range placed {
+				load[list[0]]++
+			}
+			for _, node := range r.Nodes() {
+				if load[node] != k {
+					t.Errorf("W=%d S=%d: %s is primary for %d shards, want %d (%v)", w, k*w, node, load[node], k, load)
+				}
+			}
+			if fmt.Sprint(rev.Place(keys)) != fmt.Sprint(placed) {
+				t.Errorf("W=%d S=%d: placement depends on insertion order", w, k*w)
+			}
+		}
+	}
+}
+
+// FuzzShardPlacement fuzzes the load-bounded placement over arbitrary
+// membership histories and layouts: after every join or leave the
+// placement keeps its contract (checkPlacement), and it is a function of
+// the live node set alone — a ring rebuilt from scratch over the same
+// nodes places identically.
+func FuzzShardPlacement(f *testing.F) {
+	f.Add([]byte{1, 2}, uint8(2))
+	f.Add([]byte{1, 2, 3, 0x82, 4}, uint8(8))
+	f.Add([]byte{7, 0x87}, uint8(3))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1))
+	f.Fuzz(func(t *testing.T, ops []byte, shards uint8) {
+		keys := shardKeys(int(shards%33) + 1)
+		r := NewRing(8)
+		for _, op := range ops {
+			node := fmt.Sprintf("w%d", op&0x0f)
+			if op&0x80 != 0 {
+				r.Remove(node)
+			} else {
+				r.Add(node)
+			}
+			placed := r.Place(keys)
+			checkPlacement(t, r, keys, placed)
+			fresh := NewRing(8)
+			for _, n := range r.Nodes() {
+				fresh.Add(n)
+			}
+			if again := fresh.Place(keys); fmt.Sprint(again) != fmt.Sprint(placed) {
+				t.Fatalf("placement over %v depends on membership history:\n%v\n%v", r.Nodes(), placed, again)
+			}
+		}
+	})
+}

@@ -111,15 +111,16 @@ func (c *Catalog) EvictStale(current map[string]*Table) int {
 	})
 }
 
-// catalogKey builds the entry identity for one execution of this prepared
-// query: pinned snapshot ids, the Q2 fingerprint under only the
-// parameters Q2 reads (so Q3-only parameter changes share the entry), the
-// feature-column set, and the estimation plan (method, classifier,
-// strata, seed — everything that changes learned artifacts except the
-// budget, which the extension path absorbs). The Shard component is left
-// empty: per-shard executors fill it so partitioned artifacts compose
-// without colliding.
-func (q *PreparedQuery) catalogKey(cfg config, strs map[string]string, featCols []string) catalog.Key {
+// catalogKey builds the seed-free components of the entry identity for one
+// execution of this prepared query: pinned snapshot ids, the Q2 fingerprint
+// under only the parameters Q2 reads (so Q3-only parameter changes share
+// the entry), and the feature-column set. The unsharded entry adds the
+// estimation plan (config.planKey) — it stores an lss design, which the
+// plan decides. A per-shard entry adds its Shard identity instead and stops
+// there: it holds only labels, and a label is a pure function of
+// (snapshot, key, predicate), so every seed and budget of every plan over
+// that feature set shares the one entry.
+func (q *PreparedQuery) catalogKey(strs map[string]string, featCols []string) catalog.Key {
 	parts := make([]string, 0, len(q.snaps))
 	for name, t := range q.snaps {
 		parts = append(parts, fmt.Sprintf("%s@%d", name, t.snapshotID()))
@@ -135,6 +136,17 @@ func (q *PreparedQuery) catalogKey(cfg config, strs map[string]string, featCols 
 	if len(featCols) > 0 {
 		feats = strings.Join(featCols, ",")
 	}
+	return catalog.Key{
+		Snapshot: strings.Join(parts, ","),
+		Query:    sql.Fingerprint(q.dec.Objects, q2strs),
+		Features: feats,
+	}
+}
+
+// planKey is the unsharded entry's Plan component: method, classifier,
+// strata, seed — everything that changes learned artifacts except the
+// budget, which the extension path absorbs.
+func (cfg config) planKey() string {
 	clf, strata := "-", "-"
 	if needsFeatures(cfg.method) {
 		clf = cfg.classifier
@@ -143,10 +155,5 @@ func (q *PreparedQuery) catalogKey(cfg config, strs map[string]string, featCols 
 		}
 		strata = strconv.Itoa(shard.StrataCount(cfg.strata))
 	}
-	return catalog.Key{
-		Snapshot: strings.Join(parts, ","),
-		Query:    sql.Fingerprint(q.dec.Objects, q2strs),
-		Features: feats,
-		Plan:     cfg.method + "|" + clf + "|" + strata + "|" + strconv.FormatUint(cfg.seed, 10),
-	}
+	return cfg.method + "|" + clf + "|" + strata + "|" + strconv.FormatUint(cfg.seed, 10)
 }

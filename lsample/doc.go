@@ -269,15 +269,34 @@
 //   - Catalog composition: with a catalog attached, per-shard labels
 //     materialize under entries keyed by the exact shard layout, so
 //     layouts reuse and extend independently and a reshard can never be
-//     served stale artifacts. Per-shard entries hold labels only; the
-//     stratification design is stored by the unsharded entry alone.
+//     served stale artifacts. Per-shard entries hold labels only, and a
+//     label is a pure function of (snapshot, key, predicate) — so their key
+//     carries no seed, method, classifier or strata: every seed and budget
+//     served over a shard shares the labels any of them bought. A sharded
+//     run of a seed the catalog has never seen can therefore report
+//     Reuse == ReuseExtension and spend fewer evaluations than its budget
+//     (its estimate is unchanged: byte-identical to a catalog-free run).
+//     The stratification design is stored by the unsharded entry alone,
+//     whose key does carry the whole plan.
 //
 // PrepareShard(ctx, index, count, params) materializes a single shard
-// (ShardExec) for out-of-process deployments. A ShardExec is the shard's
-// identity (Shard, Fingerprint, FeatureColumns), Close, and one entry
-// point: Op(ctx, op, args) runs one named operation of the shard-op
-// protocol, taking the operation's JSON argument block and returning its
-// JSON reply block. Both blocks are opaque to the SDK's caller — the
+// (ShardExec) for out-of-process deployments. A ShardExec is the shard,
+// not one seed's run of it: the shard's slice of the enumerated
+// population, its feature rows, and the predicate together with the
+// verdict of its one cross-check against the interpreter — everything that
+// is a function of (snapshot, query, parameters, shard, method,
+// classifier) and of nothing else. It therefore takes no seed (an option
+// that sets one is rejected) and no budget matters to it; a worker process
+// keeps one executor per such tuple for as long as it serves that tuple.
+// Besides its identity (Shard, Fingerprint, FeatureColumns) it has one
+// entry point: Op(ctx, seed, op, args) runs one named operation of the
+// shard-op protocol under the given plan seed, taking the operation's JSON
+// argument block and returning its JSON reply block. Ops of any number of
+// seeds may run at once; a label any of them buys is kept — in the
+// catalog's per-shard entry when one is attached, in the executor
+// otherwise — and is never bought again, while the executor holds no
+// catalog entry between ops, so the catalog's byte budget keeps governing
+// what a worker retains. Both blocks are opaque to the SDK's caller — the
 // protocol (op names, block layouts, the coordinator-side adapter) is
 // defined once, beside the driver that speaks it — so a worker process
 // passes them through untouched, and a coordinator (cmd/lsserve

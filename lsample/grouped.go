@@ -211,7 +211,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		out.FeatureColumns = cols
 	}
 
-	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, false)
+	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, unvalidated)
 	if err != nil {
 		return nil, err
 	}

@@ -96,8 +96,7 @@ func TestHashPlanContainsPredicatePanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer x.Close()
-	_, err = x.Op(context.Background(), shard.OpLabel, json.RawMessage(`{"keys":[4,5,6]}`))
+	_, err = x.Op(context.Background(), 0, shard.OpLabel, json.RawMessage(`{"keys":[4,5,6]}`))
 	isFault("shard op", err)
 
 	gq, err := sess.Prepare(`SELECT g, COUNT(*) FROM (SELECT o1.g, o1.id FROM D o1, D o2 WHERE o2.x >= o1.x

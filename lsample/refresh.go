@@ -423,10 +423,11 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		// compiled refresh re-pay an already-passed cross-check.
 		st.validated = true
 	}
-	tp := &predicate.Timed{P: basePred}
 	out.Labeling = labeling
 
-	memo := &labelStore{labels: st.labels, keys: keys, posByKey: posByKey, relabel: cfg.relabel, pred: tp}
+	// A refresh labels from one goroutine, so its one predicate is always free.
+	memo := &labelStore{lock: new(sync.Mutex), labels: st.labels, keys: keys, posByKey: posByKey, relabel: cfg.relabel,
+		preds: &predPool{free: []predicate.Predicate{basePred}}}
 	label := func(sel []int64) ([]bool, error) {
 		labels, _, err := memo.label(ctx, sel)
 		return labels, err
@@ -466,7 +467,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	out.FreshLabels = basePred.Evals()
 	out.SamplesUsed = out.FreshLabels
 	out.ReusedLabels = memo.hits
-	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: tp.Dur}
+	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: memo.dur}
 	st.snaps = snaps
 	span.Set("objects", n)
 	span.Set("delta_rows", out.DeltaRows)

@@ -351,7 +351,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 		out.FeatureColumns = cols
 	}
 
-	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, false)
+	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, unvalidated)
 	if err != nil {
 		return nil, err
 	}
@@ -393,18 +393,33 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	return est, nil
 }
 
-// buildPredicate is buildEnginePredicate for one execution of the prepared
-// program, inside a "predicate.build" span. Nothing remembers a passed
-// cross-check across executions yet, so every execution pays it — once:
-// validated is true only for the later shards of one hash-plan run whose
-// first shard just passed it (shardRun.checked).
+// validator names who remembers that a program already passed the
+// interpreter's cross-check: nobody, the hash-plan Execute whose first shard
+// just passed it, or the ShardExec whose first build did (shardData.checked).
+type validator uint8
+
+const (
+	unvalidated validator = iota
+	byRun
+	byExecutor
+)
+
+// String is the validated_by attribute of a "predicate.build" span.
+func (v validator) String() string { return [...]string{"", "run", "executor"}[v] }
+
+// buildPredicate is buildEnginePredicate for the prepared program, inside a
+// "predicate.build" span. by is unvalidated for a build that must pay the
+// cross-check: Execute and ExecuteGroups on the classic path, where nothing
+// remembers a passed check across executions yet, and the first build of
+// every hash-plan execution or executor.
 func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator, objects *engine.ResultSet,
-	vals map[string]engine.Value, cfg config, validated bool) (predicate.Predicate, Labeling, error) {
+	vals map[string]engine.Value, cfg config, by validator) (predicate.Predicate, Labeling, error) {
 
 	_, sp := obs.StartSpan(ctx, "predicate.build")
 	defer sp.End()
+	validated := by != unvalidated
 	if validated {
-		sp.Set("validated_by", "run")
+		sp.Set("validated_by", by.String())
 	}
 	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, validated)
 	if err != nil {
@@ -432,8 +447,9 @@ func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator
 // validated says prog already passed that cross-check, so a bind that
 // succeeds is used as it is and the interpreter's evaluation of object 0 —
 // one full join scan — is not paid again. Refresh remembers it across
-// refreshes of one program (refreshState.validated), a hash-plan run across
-// its own shards (shardRun.checked); nothing else does.
+// refreshes of one program (refreshState.validated), a hash-plan execution's
+// seed-independent half for as long as it lives (shardData.checked: one
+// Execute's shards, or every count a ShardExec serves); nothing else does.
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
 	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
 	validated bool) (predicate.Predicate, Labeling, error) {

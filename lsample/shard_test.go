@@ -2,12 +2,15 @@ package lsample
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -216,11 +219,12 @@ func TestPrepareShardOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer x.Close()
 		// The protocol's coordinator end over the executor's one entry
 		// point: what a serving layer wires up, minus the HTTP hop.
-		w := shard.NewRemote(x.Op)
-		if _, err := x.Op(ctx, "no_such_op", nil); !errors.Is(err, ErrInvalid) {
+		w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+			return x.Op(ctx, 17, op, args)
+		})
+		if _, err := x.Op(ctx, 17, "no_such_op", nil); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("unknown op: err = %v, want ErrInvalid", err)
 		}
 		m, err := w.Meta(ctx)
@@ -474,5 +478,207 @@ func TestShardsValidateProgramOncePerRun(t *testing.T) {
 	}
 	if !sameEstimate(est, slow) {
 		t.Errorf("fallback run diverged: %v vs %v", slow.Count, est.Count)
+	}
+}
+
+// driveSeed runs one count of the given seed through a shard executor the
+// way a coordinator does — the op protocol's remote end over Op, under
+// shard.Drive — and returns the merged result with the predicate.build
+// spans the count opened.
+func driveSeed(t *testing.T, q *PreparedQuery, x *ShardExec, seed uint64, opts ...Option) (*shard.Result, []*TraceSpan) {
+	t.Helper()
+	cfg, err := newConfig(q.cfg, append(opts, WithSeed(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, span := obs.NewTracer(obs.TracerConfig{Sample: 1}).StartRequest(context.Background(), "count", true)
+	w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+		return x.Op(ctx, seed, op, args)
+	})
+	res, err := shard.Drive(ctx, cfg.shardPlan(false, 0.05), []shard.Worker{w})
+	span.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, spansNamed(spanFromObs(span.Data()), "predicate.build")
+}
+
+// TestShardExecChecksProgramOnce: a ShardExec is the shard, not one seed's
+// run of it. Every seed driven through it answers exactly as a fresh
+// in-process WithShards(1) run of that seed does; the interpreter's
+// cross-check of the compiled program runs once for the executor, and a
+// predicate built later — by an op that finds the first one borrowed —
+// carries validated_by=executor. A planted disagreement — a program that
+// labels object 0 the other way — validates nothing:
+// every build of every seed pays the check, fails it, and labels through
+// the interpreter with the reason recorded, and the answers do not move.
+func TestShardExecChecksProgramOnce(t *testing.T) {
+	params := map[string]any{"k": 8}
+	plan := []Option{WithMethod("lss"), WithBudget(0.15)}
+	sess, err := NewSession(NewMemorySource(testTable(t, 160, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sess.Prepare(skybandQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := q.PrepareShard(ctx, 0, 1, params, WithMethod("lss"), WithSeed(9)); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("PrepareShard with a seed: err = %v, want ErrInvalid (the seed rides in with each Op)", err)
+	}
+	fresh := func(seed uint64) *Estimate {
+		t.Helper()
+		est, err := q.Execute(ctx, params, append(plan, WithSeed(seed), WithShards(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	same := func(what string, seed uint64, res *shard.Result) {
+		t.Helper()
+		ref := fresh(seed)
+		if res.Count != ref.Count || res.CILo != ref.CI.Lo || res.CIHi != ref.CI.Hi || res.Budget != ref.Budget {
+			t.Errorf("%s, seed %d: %v [%v,%v], a fresh run %v [%v,%v]", what, seed, res.Count, res.CILo, res.CIHi, ref.Count, ref.CI.Lo, ref.CI.Hi)
+		}
+		if int64(res.SamplesUsed) > ref.SamplesUsed {
+			t.Errorf("%s, seed %d: %d evaluations, a fresh run %d", what, seed, res.SamplesUsed, ref.SamplesUsed)
+		}
+	}
+
+	x, err := q.PrepareShard(ctx, 0, 1, params, WithMethod("lss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		res, builds := driveSeed(t, q, x, seed, plan...)
+		same("one executor", seed, res)
+		for _, b := range builds {
+			if b.Attrs["validated_by"] == nil {
+				checked++
+			}
+			if b.Attrs["compiled"] != true {
+				t.Errorf("seed %d: predicate.build attrs %v, want compiled", seed, b.Attrs)
+			}
+		}
+	}
+	if checked != 1 {
+		t.Errorf("4 seeds on one executor ran the interpreter's first-object check %d times, want exactly 1", checked)
+	}
+	// Another op holds the executor's predicate: this one builds its own on
+	// the executor's verdict.
+	held, err := x.data.shards[0].preds.get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, builds := driveSeed(t, q, x, 5, plan...)
+	x.data.shards[0].preds.put(held)
+	same("second predicate", 5, res)
+	if len(builds) != 1 || builds[0].Attrs["validated_by"] != "executor" || builds[0].Attrs["compiled"] != true {
+		t.Errorf("a build beside a borrowed predicate: %d spans, attrs %v, want one compiled build with validated_by=executor", len(builds), builds)
+	}
+
+	// The planted disagreement: the same query carrying the program compiled
+	// from its negation, so the closures and the interpreter differ on every
+	// object that has a dominator — object 0 among them.
+	planted, err := sess.Prepare(skybandQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negated, err := sess.Prepare(strings.Replace(skybandQuery, "COUNT(*) < k", "COUNT(*) >= k", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if negated.prog == nil || negated.prog == planted.prog {
+		t.Fatal("the negated query did not compile to a program of its own")
+	}
+	planted.prog = negated.prog
+	bad, err := planted.PrepareShard(ctx, 0, 1, params, WithMethod("lss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fellBack := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		bad.data.shards[0].preds.free = nil // every seed builds its own predicate
+		res, builds := driveSeed(t, q, bad, seed, plan...)
+		same("planted disagreement", seed, res)
+		for _, b := range builds {
+			fellBack++
+			if b.Attrs["validated_by"] != nil || b.Attrs["compiled"] != false || b.Attrs["fallback"] != "first-object cross-check failed" {
+				t.Errorf("seed %d: predicate.build attrs %v after a failed cross-check, want the unvalidated interpreter fallback with its reason", seed, b.Attrs)
+			}
+		}
+	}
+	if fellBack < 2 {
+		t.Errorf("%d builds over 4 seeds on the disagreeing executor, want one per seed that missed a label", fellBack)
+	}
+}
+
+// TestShardExecConcurrentOps: counts of different seeds share one executor
+// at the same time (run under -race) — over the worker's own label memo and
+// over a per-shard catalog entry, the two places its labels can live — and
+// each still answers as a fresh run of its seed does. Afterwards the
+// catalog holds the one seed-free entry.
+func TestShardExecConcurrentOps(t *testing.T) {
+	params := map[string]any{"k": 8}
+	plan := []Option{WithMethod("lss"), WithBudget(0.2)}
+	for _, withCatalog := range []bool{false, true} {
+		var cat *Catalog
+		if withCatalog {
+			cat = NewCatalog(0)
+		}
+		sess, err := NewSession(NewMemorySource(testTable(t, 200, 7)), WithCatalog(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := sess.Prepare(skybandQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		const seeds = 8
+		refs := make([]*Estimate, seeds)
+		for i := range refs {
+			opts := append(plan, WithSeed(uint64(i+1)), WithShards(1), WithCatalog(nil))
+			if refs[i], err = q.Execute(ctx, params, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x, err := q.PrepareShard(ctx, 0, 1, params, WithMethod("lss"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i, ref := range refs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				seed := uint64(i + 1)
+				cfg, err := newConfig(q.cfg, append(plan, WithSeed(seed)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+					return x.Op(ctx, seed, op, args)
+				})
+				res, err := shard.Drive(ctx, cfg.shardPlan(false, 0.05), []shard.Worker{w})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Count != ref.Count || res.CILo != ref.CI.Lo || res.CIHi != ref.CI.Hi || int64(res.SamplesUsed) > ref.SamplesUsed {
+					t.Errorf("catalog %t, seed %d: %v [%v,%v] evals %d, a fresh run %v [%v,%v] evals %d", withCatalog, seed,
+						res.Count, res.CILo, res.CIHi, res.SamplesUsed, ref.Count, ref.CI.Lo, ref.CI.Hi, ref.SamplesUsed)
+				}
+			}()
+		}
+		wg.Wait()
+		if withCatalog {
+			if st := cat.Stats(); st.Entries != 1 || st.Bytes == 0 {
+				t.Errorf("%d seeds left %d catalog entries (%d B), want the shard's one", seeds, st.Entries, st.Bytes)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lsample
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,74 +27,110 @@ import (
 // because every sampling decision is a pure function of (key, seed, tag)
 // and every merge is an exact set union or integer sum.
 //
-// PrepareShard exposes one shard's worker (ShardExec) to an out-of-process
-// serving layer: a coordinator scatters internal/shard's op protocol over
-// HTTP and merges with the identical driver.
+// An execution is two halves. shardData is everything no seed can change:
+// the enumerated objects, their keys, features, group labels and hash
+// partition, and the predicate with the verdict of its cross-check against
+// the interpreter. shardRun is one execution over it: the seed, a label
+// store per worker, and the catalog entries it holds. Execute builds both
+// and drops both; PrepareShard builds the first half of one shard
+// (ShardExec) for an out-of-process serving layer, whose coordinator
+// scatters internal/shard's op protocol over HTTP and merges with the
+// identical driver — every op of every seed is a shardRun over the one
+// executor.
 
-// labelStore answers one worker's label queries: a per-key memo in front
-// of a lazily built predicate — an execution whose every sampled label is
-// already memoized never constructs the predicate at all. Labels are pure
-// functions of (snapshot, key, predicate), so a memo hit is byte-identical
-// to a fresh evaluation; misses are evaluated in ascending object order
-// through the predicate's batch path, byte-identical at any parallelism.
-// The memo is a catalog entry's label space (unsharded executions, which
-// hold the entry lock throughout), a private map seeded from and written
-// back to a per-shard entry, or a LiveQuery's label memo.
+// predPool lends out one worker's predicates. A predicate is a pure
+// function of (snapshot, parameters, program) but not safe for concurrent
+// use — the interpreter carries per-evaluation state, a compiled
+// predicate's sequential path one closure's scratch — so a labeling call
+// borrows one for as long as it evaluates, and a call that finds none free
+// (another seed labeling on the same executor) builds its own. Nothing is
+// built until a label is actually missing.
+type predPool struct {
+	build func(ctx context.Context) (predicate.Predicate, error)
+	mu    sync.Mutex
+	free  []predicate.Predicate
+}
+
+func (p *predPool) get(ctx context.Context) (predicate.Predicate, error) {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		pred := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return pred, nil
+	}
+	p.mu.Unlock()
+	return p.build(ctx)
+}
+
+func (p *predPool) put(pred predicate.Predicate) {
+	p.mu.Lock()
+	p.free = append(p.free, pred)
+	p.mu.Unlock()
+}
+
+// labelStore answers one execution's label queries on one worker: a
+// per-key memo in front of the worker's predicates — an execution whose
+// every sampled label is already memoized never constructs a predicate at
+// all. Labels are pure functions of (snapshot, key, predicate), so a memo
+// hit is byte-identical to a fresh evaluation; misses are evaluated in
+// ascending object order through the predicate's batch path, byte-identical
+// at any parallelism. The memo is a catalog entry's label space — the
+// unsharded entry's, which the execution holds locked throughout, or a
+// per-shard entry's, which every execution on that shard shares and the
+// store locks only to read and to write back — a LiveQuery's label memo, or
+// without a catalog the worker's own memo (shardWorker.memo).
 type labelStore struct {
-	mu       sync.Mutex
+	lock     sync.Locker // guards labels and the counters: the per-shard catalog entry or the worker's memo the labels live in
 	labels   map[int64]bool
 	keys     []int64 // global keys by object position
 	posByKey map[int64]int
 	relabel  bool // refresh's cold baseline: evaluate memoized keys too
-	build    func(ctx context.Context) (predicate.Predicate, Labeling, error)
-	pred     *predicate.Timed // nil until the first miss
-	lab      Labeling
-	fresh    int // predicate evaluations spent
-	hits     int // label requests the memo answered
-
-	entry   *catalog.Entry // per-shard entry fresh labels are written back to; nil otherwise
-	entryFP string
-	cat     *catalog.Catalog
+	preds    *predPool
+	fresh    int           // predicate evaluations spent
+	hits     int           // label requests the memo answered
+	dur      time.Duration // wall time spent labeling through the predicate
 }
 
 // label returns labels for the given distinct keys and how many of them
-// cost a fresh predicate evaluation.
+// cost a fresh predicate evaluation. The lock is not held while the
+// predicate runs: two executions missing the same key both evaluate it,
+// which is harmless — labels are pure — and far cheaper than serializing
+// every seed on a shard behind one evaluation.
 func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var missing []int
+	l.lock.Lock()
 	for _, k := range sel {
 		if _, ok := l.labels[k]; !ok || l.relabel {
 			missing = append(missing, l.posByKey[k])
 		}
 	}
+	l.lock.Unlock()
+	var fresh []bool
 	if len(missing) > 0 {
-		if l.pred == nil {
-			p, lab, err := l.build(ctx)
-			if err != nil {
-				return nil, 0, err
-			}
-			l.pred, l.lab = &predicate.Timed{P: p}, lab
-		}
-		sort.Ints(missing)
-		missing = dedupSortedInts(missing)
-		fresh, err := predicate.Label(l.pred, missing, canceled(ctx, "labeling"))
+		pred, err := l.preds.get(ctx)
 		if err != nil {
 			return nil, 0, err
 		}
-		for j, p := range missing {
-			l.labels[l.keys[p]] = fresh[j]
+		sort.Ints(missing)
+		missing = dedupSortedInts(missing)
+		t0 := time.Now()
+		// A predicate whose evaluation panics (an engine.Fault) is not
+		// returned to the pool.
+		fresh, err = predicate.Label(pred, missing, canceled(ctx, "labeling"))
+		dur := time.Since(t0)
+		l.preds.put(pred)
+		if err != nil {
+			return nil, 0, err
 		}
-		l.fresh += len(missing)
-		if l.entry != nil {
-			l.entry.Lock()
-			m := l.entry.Labels(l.entryFP, l.cat.Clock())
-			for j, p := range missing {
-				m[l.keys[p]] = fresh[j]
-			}
-			l.entry.Unlock()
-		}
+		l.dur += dur
 	}
+	l.lock.Lock()
+	defer l.lock.Unlock()
+	for j, p := range missing {
+		l.labels[l.keys[p]] = fresh[j]
+	}
+	l.fresh += len(missing)
 	l.hits += len(sel) - len(missing)
 	out := make([]bool, len(sel))
 	for j, k := range sel {
@@ -102,49 +139,106 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 	return out, len(missing), nil
 }
 
-// shardRun is one hash-plan execution's materialized state: the enumerated
-// population partitioned into per-shard workers, their label stores, and
-// any acquired catalog entries.
-type shardRun struct {
+// shardData is the seed-independent half of a hash-plan execution: the
+// enumerated population, partitioned into per-shard workers, and the
+// predicate's cross-check verdict. Everything here is a pure function of
+// (snapshot, query, parameters, shard layout, method, classifier), so it
+// may serve any number of executions, of any seed and budget, at once.
+type shardData struct {
 	fp       string
 	n        int
 	featCols []string
 	groupKey [][]engine.Value // grouped: group tuples by group index
 	canon    []string         // grouped: canonical key by group index
-	workers  []shard.Worker
-	stores   []*labelStore
-	cat      *catalog.Catalog // nil without a catalog (or over an empty population)
-	entries  []*catalog.Entry
-	prev     []int // entry budgets at acquire time
+	keys     []int64          // global keys by object position
+	posByKey map[int64]int
 
-	// An unsharded run has one worker over the whole population. Its entry
-	// (empty Key.Shard) also stores the lss stratification design (the learn
-	// sample's keys and training labels) and stays locked from acquire to
-	// close, so concurrent identical plans serialize and the followers reuse
-	// the leader's labels.
+	// An unsharded layout has one worker over the whole population. Its
+	// catalog entry also stores the lss stratification design, is keyed by
+	// the whole estimation plan, seed included, and stays locked for the
+	// length of an execution; per-shard entries hold only labels, which no
+	// plan knob can change, and are keyed without one (shardWorker.key).
 	unsharded bool
-	design    *shard.Design // unsharded lss: the entry's materialized design
-	reuse     string        // unsharded: set by settle on success; "" records nothing
+	shards    []*shardWorker // the shards this process holds, in index order
 
 	// The compiled program's cross-check against the interpreter — one full
 	// join scan for object 0 — is a pure function of (snapshot, parameters,
-	// program), which every shard of the run shares: the first label store
-	// to miss pays it, the others wait on checked and build with its verdict
-	// (it compiled and agreed) as buildEnginePredicate's validated argument —
-	// so a first build that fell back to the interpreter sends the others
-	// through the same check to the same fallback. Nothing outlives the run.
+	// program), which is exactly what this half is a function of: the first
+	// labeling call to miss pays it, the others wait on checked and build
+	// with its verdict (it compiled and agreed) as buildEnginePredicate's
+	// validated argument — so a first build that fell back to the
+	// interpreter sends every later build through the same check to the same
+	// fallback. The verdict lives as long as this half does: one Execute in
+	// process (byRun), every count a worker-side ShardExec serves
+	// (byExecutor).
+	build     func(ctx context.Context, by validator) (predicate.Predicate, Labeling, error)
+	owner     validator // byRun or byExecutor: what validated_by reads on later builds
 	checked   sync.Once
 	validated bool
+	lab       Labeling // what the checked build reported
 }
 
-// close releases catalog entries with their reuse classification.
+// shardWorker is one shard of a shardData: its slice of the population as
+// a seedless shard.Local, the predicates it lends to labeling calls, the
+// seed-free identity of its catalog entry, and the label memo its
+// executions share when no catalog holds their labels.
+type shardWorker struct {
+	local *shard.Local
+	preds predPool
+	key   catalog.Key
+	memo  struct {
+		sync.Mutex
+		labels map[int64]bool
+	}
+}
+
+// buildPredicate builds one more predicate for a worker of this half,
+// paying the interpreter's cross-check only if no build has yet.
+func (d *shardData) buildPredicate(ctx context.Context) (p predicate.Predicate, err error) {
+	first := false
+	d.checked.Do(func() {
+		first = true
+		p, d.lab, err = d.build(ctx, unvalidated)
+		d.validated = err == nil && d.lab.Compiled
+	})
+	if !first {
+		by := unvalidated
+		if d.validated {
+			by = d.owner
+		}
+		p, _, err = d.build(ctx, by)
+	}
+	return p, err
+}
+
+// shardRun is one hash-plan execution over a shardData: the seed (inside
+// its workers), a label store per worker, and the catalog entries it holds.
+type shardRun struct {
+	*shardData
+	workers []shard.Worker
+	stores  []*labelStore
+	cat     *catalog.Catalog // nil without a catalog (or over an empty population)
+	entries []*catalog.Entry
+	prev    []int // entry budgets at acquire time
+
+	// Unsharded: the entry stays locked from newRun to close, so concurrent
+	// identical plans serialize and the followers reuse the leader's labels.
+	design *shard.Design // unsharded lss: the entry's materialized design
+	reuse  string        // unsharded: set by settle on success; "" records nothing
+}
+
+// close releases catalog entries with their reuse classification. A
+// per-shard entry counts as materialized once an execution asked it for a
+// label.
 func (r *shardRun) close() {
 	for i, e := range r.entries {
 		reuse := r.reuse
 		if r.unsharded {
 			e.Unlock()
-		} else {
-			reuse = r.shardReuse(i, i+1)
+		} else if reuse = r.shardReuse(i, i+1); reuse != "" {
+			e.Lock()
+			e.Budget = max(e.Budget, 1)
+			e.Unlock()
 		}
 		r.cat.Release(e, reuse)
 	}
@@ -152,16 +246,20 @@ func (r *shardRun) close() {
 }
 
 // shardReuse classifies per-shard entries [from, to), which hold labels
-// only: direct when every one was materialized before and answered from
-// memoized labels alone.
+// only: direct when every one that was asked for a label was materialized
+// before and answered from memoized labels alone, "" when none was asked
+// (a worker op that labels nothing reuses nothing).
 func (r *shardRun) shardReuse(from, to int) string {
-	reuse := ReuseDirect
+	reuse := ""
 	for i := from; i < to; i++ {
-		if r.prev[i] == 0 {
+		switch l := r.stores[i]; {
+		case l.fresh+l.hits == 0:
+		case r.prev[i] == 0:
 			return ReuseNone
-		}
-		if r.stores[i].fresh > 0 {
+		case l.fresh > 0:
 			reuse = ReuseExtension
+		case reuse == "":
+			reuse = ReuseDirect
 		}
 	}
 	return reuse
@@ -180,7 +278,7 @@ func (r *shardRun) settle(method string, res *shard.Result) string {
 	case r.cat == nil:
 		return ReuseNone
 	case !r.unsharded:
-		return r.shardReuse(0, len(r.entries))
+		return cmp.Or(r.shardReuse(0, len(r.entries)), ReuseNone)
 	}
 	e, prev := r.entries[0], r.prev[0]
 	var direct bool
@@ -208,13 +306,11 @@ func (r *shardRun) settle(method string, res *shard.Result) string {
 	return r.reuse
 }
 
-// labeling reports which predicate path the run took: the first worker
-// that built a predicate speaks for all (every worker builds the same one).
+// labeling reports which predicate path the run took: every worker builds
+// the same predicate, so the checked build speaks for all.
 func (r *shardRun) labeling() Labeling {
-	for _, l := range r.stores {
-		if l.pred != nil {
-			return l.lab
-		}
+	if r.samplesUsed() > 0 {
+		return r.lab
 	}
 	return Labeling{Fallback: "label memo, no fresh labels", Workers: 1}
 }
@@ -224,9 +320,7 @@ func (r *shardRun) labeling() Labeling {
 func (r *shardRun) predicateTime() time.Duration {
 	var d time.Duration
 	for _, l := range r.stores {
-		if l.pred != nil {
-			d += l.pred.Dur
-		}
+		d += l.dur
 	}
 	return d
 }
@@ -252,14 +346,16 @@ func outOfContract(format string, args ...any) error {
 	return contractError{badf(format, args...)}
 }
 
-// buildShardRun enumerates the population, validates the hash-plan
+// buildShardData enumerates the population, validates the hash-plan
 // contract, partitions the population into count hash-aligned shards, and
 // constructs the per-shard workers. count 0 is the unsharded layout (see
-// shardRun.unsharded). only (when >= 0) restricts construction to that
+// shardData.unsharded). only (when >= 0) restricts construction to that
 // single shard — the out-of-process worker path, which still enumerates the
-// full population (cheap Q2) but materializes just its own slice.
-func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[string]engine.Value,
-	strs map[string]string, count, only int) (*shardRun, error) {
+// full population (cheap Q2) but materializes just its own slice. Of cfg it
+// reads the method, the classifier and the labeling knobs — never the seed,
+// the budget or the catalog.
+func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map[string]engine.Value,
+	strs map[string]string, count, only int) (*shardData, error) {
 
 	switch cfg.method {
 	case "srs", "lss", "oracle":
@@ -269,12 +365,15 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 	if _, err := q.objectKeyColumn(); err != nil {
 		return nil, outOfContract("hash-plan execution needs a unique integer object key: %v", err)
 	}
-	r := &shardRun{fp: sql.Fingerprint(q.inner, strs), unsharded: count == 0}
-	if r.unsharded {
+	d := &shardData{fp: sql.Fingerprint(q.inner, strs), unsharded: count == 0, owner: byRun}
+	if d.unsharded {
 		count = 1
 	}
 	if only >= count {
 		return nil, badf("shard index %d out of range of %d shards", only, count)
+	}
+	if only >= 0 {
+		d.owner = byExecutor // a single shard is a ShardExec's
 	}
 
 	ev := engine.NewEvaluator(q.cat)
@@ -289,7 +388,7 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 	}
 	n := objects.NumRows()
 	esp.Set("objects", n)
-	r.n = n
+	d.n = n
 
 	keys := make([]int64, n)
 	posByKey := make(map[int64]int, n)
@@ -305,6 +404,7 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 		// Duplicate keys would alias label memo slots.
 		return nil, outOfContract("hash-plan execution needs a unique object key (duplicates found)")
 	}
+	d.keys, d.posByKey = keys, posByKey
 
 	var features [][]float64
 	var trainer *shard.Trainer
@@ -316,7 +416,7 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 			return nil, ferr
 		}
 		fsp.Set("columns", len(cols))
-		features, r.featCols = fv, cols
+		features, d.featCols = fv, cols
 		newClf, cerr := cfg.buildClassifier()
 		if cerr != nil {
 			return nil, cerr
@@ -328,17 +428,17 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 	partsOf := map[string][]string{}
 	if q.grouped != nil {
 		groupOf, gkeys := q.grouped.GroupLabels(objects)
-		r.groupKey = gkeys
-		r.canon = make([]string, len(gkeys))
+		d.groupKey = gkeys
+		d.canon = make([]string, len(gkeys))
 		for g, kv := range gkeys {
 			parts := renderKey(kv)
 			c := strings.Join(parts, "\x1f")
-			r.canon[g] = c
+			d.canon[g] = c
 			partsOf[c] = parts
 		}
 		canonOf = make([]string, n)
 		for i, g := range groupOf {
-			canonOf[i] = r.canon[g]
+			canonOf[i] = d.canon[g]
 		}
 	}
 
@@ -376,67 +476,86 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 		}
 	}
 
-	if cfg.catalog != nil && n > 0 { // an empty population has nothing to reuse
-		r.cat = cfg.catalog.inner
+	d.build = func(ctx context.Context, by validator) (predicate.Predicate, Labeling, error) {
+		// Each predicate gets its own evaluator: the interpreted engine
+		// carries per-evaluation state and must not be shared across the
+		// driver's concurrent scatter.
+		sev := engine.NewEvaluator(q.cat)
+		for name, v := range vals {
+			sev.SetParam(name, v)
+		}
+		return q.buildPredicate(ctx, sev, objects, vals, cfg, by)
 	}
+	key := q.catalogKey(strs, d.featCols)
 	for s := 0; s < count; s++ {
 		if only >= 0 && s != only {
 			continue
 		}
+		w := &shardWorker{
+			local: shard.NewLocal(0, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, nil, trainer),
+			preds: predPool{build: d.buildPredicate},
+			key:   key,
+		}
+		if !d.unsharded {
+			w.key.Shard = shard.Spec{Index: s, Count: count}.String()
+		}
+		w.memo.labels = make(map[int64]bool)
+		d.shards = append(d.shards, w)
+	}
+	return d, nil
+}
+
+// newRun starts one execution over d under cfg's seed and catalog: a label
+// store and a seeded worker per materialized shard, and the catalog entries
+// their labels live in.
+func (d *shardData) newRun(cfg config) *shardRun {
+	r := &shardRun{shardData: d}
+	if cfg.catalog != nil && d.n > 0 { // an empty population has nothing to reuse
+		r.cat = cfg.catalog.inner
+	}
+	for _, w := range d.shards {
 		l := &labelStore{
-			labels:   make(map[int64]bool),
-			keys:     keys,
-			posByKey: posByKey,
-			build: func(ctx context.Context) (p predicate.Predicate, lab Labeling, err error) {
-				// Each worker gets its own evaluator: the interpreted engine
-				// carries per-evaluation state and must not be shared across
-				// the driver's concurrent scatter.
-				sev := engine.NewEvaluator(q.cat)
-				for name, v := range vals {
-					sev.SetParam(name, v)
-				}
-				first := false
-				r.checked.Do(func() {
-					first = true
-					p, lab, err = q.buildPredicate(ctx, sev, objects, vals, cfg, false)
-					r.validated = err == nil && lab.Compiled
-				})
-				if !first {
-					p, lab, err = q.buildPredicate(ctx, sev, objects, vals, cfg, r.validated)
-				}
-				return p, lab, err
-			},
+			lock:     &w.memo,
+			labels:   w.memo.labels,
+			keys:     d.keys,
+			posByKey: d.posByKey,
+			preds:    &w.preds,
 		}
 		if r.cat != nil {
-			key := q.catalogKey(cfg, strs, r.featCols)
-			if !r.unsharded {
-				key.Shard = shard.Spec{Index: s, Count: count}.String()
+			key := w.key
+			if d.unsharded {
+				key.Plan = cfg.planKey()
 			}
 			e := r.cat.Acquire(key)
 			e.Lock()
 			r.entries = append(r.entries, e)
 			r.prev = append(r.prev, e.Budget)
-			m := e.Labels(r.fp, r.cat.Clock())
-			if r.unsharded {
-				l.labels = m // close unlocks
-				if e.LearnKeys != nil {
+			l.labels = e.Labels(d.fp, r.cat.Clock())
+			if d.unsharded {
+				if e.LearnKeys != nil { // close unlocks
 					r.design = &shard.Design{KLearn: e.KLearn, Keys: e.LearnKeys, Labels: e.LearnLabels}
 				}
 			} else {
-				if e.Budget == 0 {
-					e.Budget = 1 // mark materialized; shard entries hold only labels
-				}
-				for k, v := range m {
-					l.labels[k] = v
-				}
 				e.Unlock()
-				l.entry, l.entryFP, l.cat = e, r.fp, r.cat
+				l.lock = e
 			}
 		}
-		r.workers = append(r.workers, shard.NewLocal(cfg.seed, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, l.label, trainer))
+		r.workers = append(r.workers, w.local.WithSeed(cfg.seed, l.label))
 		r.stores = append(r.stores, l)
 	}
-	return r, nil
+	return r
+}
+
+// buildShardRun builds both halves of an in-process execution: cfg.shards
+// workers, or the unsharded layout when no WithShards asked.
+func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[string]engine.Value,
+	strs map[string]string) (*shardRun, error) {
+
+	d, err := q.buildShardData(ctx, cfg, vals, strs, cfg.shards, -1)
+	if err != nil {
+		return nil, err
+	}
+	return d.newRun(cfg), nil
 }
 
 // shardPlan maps the resolved config onto the driver's plan.
@@ -501,7 +620,7 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	ctx, span := obs.StartSpan(ctx, name)
 	defer span.End()
 	span.Set("shards", cfg.shards)
-	r, err := q.buildShardRun(ctx, cfg, vals, strs, cfg.shards, -1)
+	r, err := q.buildShardRun(ctx, cfg, vals, strs)
 	if oc := (contractError{}); cfg.shards == 0 && errors.As(err, &oc) {
 		span.Set("fallthrough", true)
 		return nil, false, nil
@@ -568,7 +687,7 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 	vals map[string]engine.Value, strs map[string]string, alpha float64) (*GroupedEstimate, error) {
 
 	t0 := time.Now()
-	r, err := q.buildShardRun(ctx, cfg, vals, strs, cfg.shards, -1)
+	r, err := q.buildShardRun(ctx, cfg, vals, strs)
 	if err != nil {
 		return nil, err
 	}
@@ -633,29 +752,40 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 
 // ShardExec is one shard of a query, materialized for an out-of-process
 // coordinator: the shard's identity, and Op — the one entry point through
-// which the coordinator's shard-op protocol reaches the shard's worker.
-// Obtain one with PrepareShard; a worker process typically caches it across
-// requests and Close-s it on eviction. All methods are safe for concurrent
-// use.
+// which the coordinator's shard-op protocol reaches the shard's worker. It
+// is the seed-independent half of an execution and nothing else — the
+// shard's slice of the population, its features, and the predicate with its
+// cross-check verdict — so one executor serves every seed and budget of its
+// (snapshot, query, parameters, shard, method, classifier), and a worker
+// process keeps it for as long as that tuple is served. It holds no catalog
+// entry between ops and needs no closing. All methods are safe for
+// concurrent use.
 type ShardExec struct {
-	run    *shardRun
-	index  int
-	count  int
-	closeO sync.Once
+	data  *shardData
+	cfg   config // the prepared options; each Op supplies the seed
+	index int
+	count int
 }
 
 // PrepareShard materializes shard index of count for this query with the
 // given bound parameters: the population slice owned by the shard, its
-// feature rows, and a label memo (catalog-backed when the options carry
-// one, under a key scoped to this exact shard layout). The options follow
-// the Execute contract; the method must be srs, lss, or oracle and the
-// query must have a unique integer object key.
+// feature rows, and its predicate, which the first Op to miss a label
+// cross-checks against the interpreter once for the executor's lifetime.
+// The options follow the Execute contract; the method must be srs, lss, or
+// oracle and the query must have a unique integer object key. With a
+// catalog attached, labels are memoized in an entry scoped to this exact
+// shard layout and keyed by nothing a label does not depend on. An executor
+// has no seed — every Op brings its own — so an option that sets one is
+// rejected rather than ignored.
 func (q *PreparedQuery) PrepareShard(ctx context.Context, index, count int,
 	params map[string]any, opts ...Option) (*ShardExec, error) {
 
 	cfg, err := newConfig(q.cfg, opts)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.seed != q.cfg.seed {
+		return nil, badf("PrepareShard takes no seed (got %d): pass it to each Op", cfg.seed)
 	}
 	if index < 0 || index >= count {
 		return nil, badf("shard index %d out of range of %d shards", index, count)
@@ -664,14 +794,11 @@ func (q *PreparedQuery) PrepareShard(ctx context.Context, index, count int,
 	if err != nil {
 		return nil, err
 	}
-	if count < 1 {
-		return nil, badf("shard count %d < 1", count)
-	}
-	r, err := q.buildShardRun(ctx, cfg, vals, strs, count, index)
+	d, err := q.buildShardData(ctx, cfg, vals, strs, count, index)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardExec{run: r, index: index, count: count}, nil
+	return &ShardExec{data: d, cfg: cfg, index: index, count: count}, nil
 }
 
 // Shard returns the shard identity this executor serves.
@@ -679,26 +806,29 @@ func (x *ShardExec) Shard() (index, count int) { return x.index, x.count }
 
 // Fingerprint returns the parameter-bound query fingerprint the executor
 // was prepared for.
-func (x *ShardExec) Fingerprint() string { return x.run.fp }
+func (x *ShardExec) Fingerprint() string { return x.data.fp }
 
 // FeatureColumns returns the automatically selected feature columns (nil
 // for methods that need no features).
-func (x *ShardExec) FeatureColumns() []string { return x.run.featCols }
+func (x *ShardExec) FeatureColumns() []string { return x.data.featCols }
 
-// Close releases the executor's catalog entries. Op must not be called
-// after Close.
-func (x *ShardExec) Close() { x.closeO.Do(x.run.close) }
-
-// Op runs one operation of the shard-op protocol on this shard: op names
-// it, args is its JSON argument block (empty for ops that take none), and
-// the result is its JSON reply block. The blocks are opaque here — the
-// protocol's coordinator end produces the one and consumes the other — so a
-// serving layer passes both through without decoding either. An unknown op
-// or an unreadable argument block is ErrInvalid, and so is a predicate
-// fault met while labeling (see Execute).
-func (x *ShardExec) Op(ctx context.Context, op string, args json.RawMessage) (_ json.RawMessage, err error) {
+// Op runs one operation of the shard-op protocol on this shard under the
+// given plan seed: op names it, args is its JSON argument block (empty for
+// ops that take none), and the result is its JSON reply block. The blocks
+// are opaque here — the protocol's coordinator end produces the one and
+// consumes the other — so a serving layer passes both through without
+// decoding either. The seed only decides which keys the cands op selects;
+// labels, features and scores are facts about the shard, so ops of
+// different seeds share every label any of them bought. An unknown op or an
+// unreadable argument block is ErrInvalid, and so is a predicate fault met
+// while labeling (see Execute).
+func (x *ShardExec) Op(ctx context.Context, seed uint64, op string, args json.RawMessage) (_ json.RawMessage, err error) {
 	defer recoverFault(&err)
-	reply, err := shard.Serve(ctx, x.run.workers[0], op, args)
+	cfg := x.cfg
+	cfg.seed = seed
+	r := x.data.newRun(cfg)
+	defer r.close()
+	reply, err := shard.Serve(ctx, r.workers[0], op, args)
 	if errors.Is(err, shard.ErrBadOp) {
 		return nil, badf("%v", err)
 	}

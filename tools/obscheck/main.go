@@ -3,7 +3,7 @@
 // fails the build when it finds:
 //
 //   - a metric registered without a help string: any call to NewCounter,
-//     CounterFunc, GaugeFunc, NewTimer, or NewHistogram whose help argument
+//     NewCounterVec, CounterFunc, GaugeFunc, NewTimer, or NewHistogram whose help argument
 //     is the empty string literal "" (the registry panics on this at
 //     runtime; the lint catches it at CI time);
 //
@@ -44,11 +44,12 @@ import (
 // metricFuncs are registration calls whose first argument is the family
 // name and whose second is the mandatory help string.
 var metricFuncs = map[string]bool{
-	"NewCounter":   true,
-	"CounterFunc":  true,
-	"GaugeFunc":    true,
-	"NewTimer":     true,
-	"NewHistogram": true,
+	"NewCounter":    true,
+	"NewCounterVec": true,
+	"CounterFunc":   true,
+	"GaugeFunc":     true,
+	"NewTimer":      true,
+	"NewHistogram":  true,
 }
 
 // spanFuncs open a span as the second result: (ctx, span) or
