@@ -20,7 +20,7 @@
 #   make bench-micro   one pass (BENCHTIME=1x) over the Go micro-benchmarks
 #                      the ledger does not replace — paper figure, forest
 #                      fit and scoring, designers, GROUP BY shared vs naive,
-#                      catalog bytes per plan — printed as `go test -bench`
+#                      catalog bytes per entry — printed as `go test -bench`
 #                      prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
@@ -69,11 +69,12 @@ test:
 	$(GO) test ./...
 
 # Everything under the detector once, then the tests that put several
-# seeds on one shard executor at the same time ten times over: a race only
-# shows in an interleaving the run happens to execute.
+# seeds on one shard executor or one catalog entry at the same time ten
+# times over: a race only shows in an interleaving the run happens to
+# execute.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent' ./lsample/ ./internal/service/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestCatalogConcurrentSeedsShareOneEntry' ./lsample/ ./internal/service/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at
@@ -81,10 +82,11 @@ race:
 # 300 and 10 000 rows; scoreRest, RunDist), the three stratification
 # designers (DynPgm at a wide shape and at the ledger's udf_learn shape),
 # one lss estimate end to end, shared-sample GROUP BY against the naive
-# per-group loop, and what one cold plan leaves in the reuse catalog
-# (BenchmarkCatalogPlan: live-B/plan beside accounted-B/plan, 100 cold
-# counts per iteration). BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogPlan)$$
+# per-group loop, and what a reuse-catalog entry costs after two seeds
+# counted through it (BenchmarkCatalogEntry: labels/entry, live-B/entry
+# beside accounted-B/entry, 100 cold counts over 50 tables per iteration).
+# BENCHTIME=2s gives numbers worth recording.
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry)$$
 BENCHTIME ?= 1x
 
 bench-micro:

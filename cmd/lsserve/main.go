@@ -72,14 +72,16 @@
 // /debug/pprof/ (off by default).
 //
 // The server keeps a cross-query reuse catalog (see lsample.Catalog) that
-// materializes the labels a count bought — per predicate, and for lss the
-// learn sample's training labels, never scores or a classifier — so repeated
-// or budget-extended queries skip most predicate evaluations; /v1/count
-// responses report the path taken in "reuse" (direct, extension, or none).
-// Size it with -catalog-mb (0 = 64 MiB default, negative disables): the
-// budget bounds the live bytes of the entries — about 3 KB per plan — and
-// the process's resident size grows by about twice that under the default
-// GOGC.
+// memoizes the labels a count bought — per predicate, nothing else — so a
+// count of any seed, budget or method finds the labels earlier counts over
+// the same dataset version and query shape paid for; /v1/count responses
+// report what the memo answered in "reuse" (direct: everything, extension:
+// some, none: it had never been asked). Size it with -catalog-mb (0 = 64
+// MiB default, negative disables): the budget bounds the live bytes of the
+// entries — one per (dataset version, query shape, feature columns), at
+// most a label per object and predicate variant, about 10 KB for 300 fully
+// labeled objects — and the process's resident size grows by about twice
+// that under the default GOGC.
 // Ingests and re-registrations evict the affected entries automatically.
 //
 // With -data-dir set, live datasets are durable: uploads and ingests are
@@ -124,7 +126,7 @@ func main() {
 		budget    = flag.Float64("budget", 0.02, "default labeling budget fraction when a request omits one; read by the standalone and worker roles (a coordinator answers with its workers' default)")
 		method    = flag.String("method", "lss", "default estimation method when a request omits one; read by the standalone and worker roles (a coordinator answers with its workers' default)")
 		dataDir   = flag.String("data-dir", "", "directory for durable live datasets: uploads and ingests are write-ahead logged, and restart recovers them (empty = memory-only)")
-		catalogMB = flag.Int64("catalog-mb", 0, "reuse-catalog budget in MiB for cross-query label and learn-sample materialization: bounds the entries' live bytes, RSS grows about twice that under the default GOGC (0 = default 64 MiB, negative disables)")
+		catalogMB = flag.Int64("catalog-mb", 0, "reuse-catalog budget in MiB for cross-query label memoization: bounds the entries' live bytes, RSS grows about twice that under the default GOGC (0 = default 64 MiB, negative disables)")
 		pprofOn   = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
 
 		metricsOn   = flag.Bool("metrics", true, "serve Prometheus text-format metrics at GET /metrics")

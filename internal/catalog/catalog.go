@@ -1,19 +1,20 @@
-// Package catalog materializes what labeling bought — hash-selected
-// samples (implicitly, via per-key labels) and, as the lss stratification
-// design, the learn sample's keys and training labels — and reuses it
-// across queries. Entries are keyed by (dataset snapshot, shard, Q1 shape,
-// feature-column set, estimation plan); lookups classify into direct reuse (the plan matches:
-// skip sampling and learning, relabel only if the predicate differs),
-// extension (the plan partially covers the request: top up the hash
-// bottom-k sample — a strict prefix extension, hence deterministic — and
-// retrain), or materialization on a miss. Eviction is size-weighted LFU
-// with pin protection; snapshot invalidation hooks let the serving layer
-// drop entries the moment their data version is superseded.
+// Package catalog keeps what labeling bought — per-key labels, per predicate
+// fingerprint — for every later execution over the same data. An entry is a
+// label memo and nothing else, keyed by what a label depends on besides its
+// predicate: (dataset snapshot, shard, Q1 shape, feature-column set). No
+// seed, budget, method, classifier or stratum count is in the key and no
+// sample, score or classifier in the entry: hash bottom-k samples are pure
+// functions of (key, seed, tag), so an execution recomputes its sample and
+// finds in the memo whichever labels an earlier one paid for, classifying
+// itself by what the memo answered — direct (every label), extension
+// (some), none (the entry had never been asked). Eviction is size-weighted
+// LFU with pin protection; snapshot invalidation hooks let the serving
+// layer drop entries the moment their data version is superseded.
 //
 // The package owns storage, accounting, and eviction only. The estimation
-// algorithms that fill and read entries live in repro/lsample, which is
-// also where the determinism contract (reused estimates byte-identical to
-// their from-scratch equivalents) is enforced and tested.
+// that fills and reads entries lives in repro/lsample, which also enforces
+// and tests the determinism contract: an estimate is byte-identical to its
+// catalog-free equivalent, whatever the catalog holds.
 package catalog
 
 import (
@@ -27,23 +28,21 @@ import (
 // Reuse classifications recorded per execution. Release maps them onto the
 // hit/extension/miss counters.
 const (
-	ReuseNone      = "none"      // entry was empty: this execution materialized it
-	ReuseDirect    = "direct"    // plan fully covered: sampling+learning skipped
-	ReuseExtension = "extension" // plan partially covered: sample topped up / retrained
+	ReuseNone      = "none"      // the entry had never been asked for a label
+	ReuseDirect    = "direct"    // every label came from the memo
+	ReuseExtension = "extension" // some labels came from the memo, some were fresh
 )
 
-// Key identifies one materialized plan. All components are canonical
-// strings so keys are comparable and printable; String joins them with an
-// unambiguous separator.
+// Key identifies one entry. All components are canonical strings so keys
+// are comparable and printable; String joins them with an unambiguous
+// separator.
 type Key struct {
 	// Snapshot is the sorted "name@snapID,…" identity of every table
 	// snapshot the query reads. Any data change produces a different
 	// snapshot identity, so stale entries can never serve new data.
 	Snapshot string
-	// Shard scopes the entry to one data partition ("" = unsharded). A
-	// sharded executor sets it to the shard's identity so per-shard
-	// artifacts compose without colliding — the key scheme is designed for
-	// the planned scale-out partitioning.
+	// Shard scopes the entry to one hash partition of the population ("" =
+	// the whole of it, one worker).
 	Shard string
 	// Query is the Q1 shape: the canonical object-enumeration query (Q2)
 	// fingerprinted with only the parameters Q2 itself reads. Predicate-only
@@ -51,18 +50,14 @@ type Key struct {
 	// the same shape share an entry.
 	Query string
 	// Features is the sorted feature-column set ("-" for feature-free
-	// plans).
+	// plans). No label depends on it; it keeps an oracle or srs pass from
+	// pre-labeling the entry an lss plan over the same data is priced on.
 	Features string
-	// Plan is the estimator identity: method, classifier, strata, seed —
-	// everything that changes the learned artifacts. The labeling budget is
-	// deliberately NOT part of the plan: budget changes are what the
-	// extension path absorbs.
-	Plan string
 }
 
 // String renders the canonical map key.
 func (k Key) String() string {
-	return k.Snapshot + "\x1f" + k.Shard + "\x1f" + k.Query + "\x1f" + k.Features + "\x1f" + k.Plan
+	return k.Snapshot + "\x1f" + k.Shard + "\x1f" + k.Query + "\x1f" + k.Features
 }
 
 // SnapshotTables parses the Snapshot component into (table name, snapshot
@@ -84,32 +79,20 @@ func (k Key) SnapshotTables() (pairs map[string]uint64, ok bool) {
 	return pairs, true
 }
 
-// Entry is one materialized plan. The artifact fields are guarded by the
-// entry mutex (Lock/Unlock), which executions hold for the whole
-// estimation — concurrent identical plans therefore serialize on the entry
-// and the followers reuse the leader's labels, which is exactly the
-// coalescing a shared catalog wants. Accounting fields are guarded by the
-// owning catalog's mutex.
+// Entry is one label memo. Its fields are guarded by the entry mutex
+// (Lock/Unlock), which an execution takes only to read labels and to write
+// fresh ones back — never while a predicate runs, so executions of any seed
+// and budget share an entry concurrently. Accounting fields are guarded by
+// the owning catalog's mutex.
 type Entry struct {
 	// Key is the identity the entry was acquired under.
 	Key Key
 
 	mu sync.Mutex
 
-	// Budget is the labeling budget the artifacts were materialized at
-	// (0 = empty entry awaiting materialization).
-	Budget int
-	// KLearn, LearnKeys and LearnLabels are the lss stratification design
-	// (nil for feature-free plans): the learn sample's size, its keys in
-	// selection order and the labels the classifier was trained on —
-	// O(budget), never a score per object and never a classifier. A reuse
-	// refits the forest from them, which reproduces every score of the run
-	// that bought the labels. The classifier is only a stratification
-	// function, so training it on these labels under a different predicate
-	// fingerprint is legitimate: estimates stay unbiased.
-	KLearn      int
-	LearnKeys   []int64
-	LearnLabels []bool
+	// Materialized reports that some execution has asked the entry for a
+	// label: the ones after it reuse, the one that set it did not.
+	Materialized bool
 
 	// spaces holds per-predicate-fingerprint label memos: labels are pure
 	// functions of (snapshot, key, predicate), so a memo hit is
@@ -133,10 +116,10 @@ type labelSpace struct {
 // used space is dropped when a new fingerprint would exceed it.
 const maxLabelSpaces = 16
 
-// Lock acquires the entry's artifact mutex for one execution.
+// Lock acquires the entry's mutex.
 func (e *Entry) Lock() { e.mu.Lock() }
 
-// Unlock releases the artifact mutex.
+// Unlock releases the entry's mutex.
 func (e *Entry) Unlock() { e.mu.Unlock() }
 
 // Labels returns the label memo for the given predicate fingerprint,
@@ -167,15 +150,14 @@ func (e *Entry) Labels(fp string, clock int64) map[int64]bool {
 // sizeLocked is the entry's resident bytes — what a heap profile would
 // charge it, to within allocator rounding (TestCatalogAccountsResidentBytes
 // in repro/lsample holds it to ± 25 % of the measured heap): the struct,
-// its key strings and the catalog's map slot with its copy of them, the lss
-// design, and per predicate fingerprint the label memo at what a Go map
-// costs. Callers must hold the entry mutex.
+// its key strings and the catalog's map slot with its copy of them, and per
+// predicate fingerprint the label memo at what a Go map costs. Callers must
+// hold the entry mutex.
 func (e *Entry) sizeLocked() int64 {
 	k := e.Key
-	key := int64(len(k.Snapshot) + len(k.Shard) + len(k.Query) + len(k.Features) + len(k.Plan))
+	key := int64(len(k.Snapshot) + len(k.Shard) + len(k.Query) + len(k.Features))
 	b := int64(unsafe.Sizeof(*e)) + key
 	b += key + 4 + 2*(16+8) // Catalog.entries: the joined key string and a slot at a typical half load
-	b += 8*int64(cap(e.LearnKeys)) + int64(cap(e.LearnLabels))
 	if e.spaces != nil {
 		b += mapBytes(len(e.spaces), 16+8)
 		for fp, sp := range e.spaces {
@@ -210,15 +192,15 @@ func mapBytes(n int, slot int64) int64 {
 
 // Stats is a point-in-time accounting snapshot.
 type Stats struct {
-	Entries    int   // materialized plans currently resident
+	Entries    int   // label memos currently resident
 	Bytes      int64 // resident bytes across all entries (Entry.sizeLocked)
-	Hits       int64 // direct-reuse executions
-	Extensions int64 // extension executions (sample top-up / retrain)
-	Misses     int64 // materializing executions
+	Hits       int64 // executions every label of which the memo answered
+	Extensions int64 // executions that bought some labels and reused others
+	Misses     int64 // executions on an entry never asked before
 	Evictions  int64 // entries removed by the byte budget or invalidation
 }
 
-// Catalog is a thread-safe store of materialized plans with a byte budget.
+// Catalog is a thread-safe store of label memos with a byte budget.
 type Catalog struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -255,7 +237,7 @@ func (c *Catalog) SetMaxBytes(maxBytes int64) {
 
 // Acquire returns the entry for k, creating an empty one on a miss. The
 // entry is pinned (exempt from eviction) until the matching Release. The
-// caller then takes the entry lock, inspects/updates the artifacts, and
+// caller takes the entry lock around each read and write of its labels and
 // finally calls Release with the reuse classification.
 func (c *Catalog) Acquire(k Key) *Entry {
 	ks := k.String()
@@ -283,13 +265,13 @@ func (c *Catalog) Clock() int64 {
 }
 
 // Release unpins the entry, re-accounts its size, records the execution's
-// reuse classification (one of the Reuse constants; "" records nothing,
-// e.g. after an error), and enforces the byte budget. An entry that was
-// invalidated while pinned is simply dropped from accounting.
+// reuse classification (one of the Reuse constants; "" records nothing: the
+// execution asked the entry for no label), and enforces the byte budget. An
+// entry that was invalidated while pinned is simply dropped from accounting.
 //
-// The size is measured before taking the catalog mutex: executions hold
-// the entry lock across the whole estimation and call Clock() under it, so
-// the lock order is entry.mu → catalog.mu, never the reverse. A concurrent
+// The size is measured before taking the catalog mutex: executions call
+// Clock() under the entry lock, so the lock order is entry.mu → catalog.mu,
+// never the reverse. A concurrent
 // mutation between measuring and accounting only makes the size estimate
 // momentarily stale; that execution's own Release re-measures.
 func (c *Catalog) Release(e *Entry, reuse string) {

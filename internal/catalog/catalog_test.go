@@ -11,15 +11,14 @@ func testKey(i int) Key {
 		Snapshot: fmt.Sprintf("D@%d", i),
 		Query:    "q",
 		Features: "x,y",
-		Plan:     "lss|rf|4|1",
 	}
 }
 
-// fill materializes the entry with sized artifacts so eviction has bytes
-// to account.
+// fill materializes the entry with labels so eviction has bytes to
+// account.
 func fill(e *Entry, labels int) {
 	e.Lock()
-	e.Budget = 100
+	e.Materialized = true
 	m := e.Labels("fp", 1)
 	for i := 0; i < labels; i++ {
 		m[int64(i)] = i%2 == 0
@@ -115,7 +114,7 @@ func TestInvalidateDetachesPinnedEntries(t *testing.T) {
 	}
 	// A later Acquire under the same key starts from an empty entry.
 	e2 := c.Acquire(testKey(1))
-	if e2 == e || e2.Budget != 0 {
+	if e2 == e || e2.Materialized {
 		t.Error("Acquire after invalidation did not return a fresh empty entry")
 	}
 	c.Release(e2, "")
@@ -166,10 +165,7 @@ func TestConcurrentAcquireReleaseInvalidate(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				e := c.Acquire(testKey(i % 5))
 				e.Lock()
-				if e.Budget == 0 {
-					e.Budget = 10
-					e.KLearn, e.LearnKeys, e.LearnLabels = 1, []int64{int64(i)}, []bool{true}
-				}
+				e.Materialized = true
 				e.Labels(fmt.Sprintf("fp-%d", g), c.Clock())[int64(i)] = true
 				e.Unlock()
 				c.Release(e, ReuseDirect)

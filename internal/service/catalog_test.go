@@ -163,3 +163,34 @@ func TestHTTPCatalogBlock(t *testing.T) {
 		t.Errorf("stats catalog block = %+v, want 1 entry, 1 miss, 1 hit, positive bytes", c)
 	}
 }
+
+// TestCountReplyIgnoresWhichParameterCameFirst: a reuse-class request — a
+// plan the catalog has seen under another Q3 parameter — gets the reply an
+// empty catalog gives it: same estimate, interval and evaluations,
+// whichever k touched the plan's entry first.
+func TestCountReplyIgnoresWhichParameterCameFirst(t *testing.T) {
+	req := func(k int, seed uint64) *CountRequest {
+		return &CountRequest{SQL: skybandQuery, Params: map[string]any{"k": k}, Method: "lss", Budget: 0.25, Seed: seed}
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		alone, err := newTestService(t, 160, Options{CacheSize: -1}).Count(req(12, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := newTestService(t, 160, Options{CacheSize: -1})
+		if _, err := svc.Count(req(8, seed)); err != nil {
+			t.Fatal(err)
+		}
+		after, err := svc.Count(req(12, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Estimate != alone.Estimate || after.CILo != alone.CILo || after.CIHi != alone.CIHi || after.Evals != alone.Evals {
+			t.Errorf("seed %d: k=12 after k=8 answered %v [%v, %v] at %d evals, on an empty catalog %v [%v, %v] at %d",
+				seed, after.Estimate, after.CILo, after.CIHi, after.Evals, alone.Estimate, alone.CILo, alone.CIHi, alone.Evals)
+		}
+		if after.Reuse != lsample.ReuseExtension || svc.CatalogStats().Entries != 1 {
+			t.Errorf("seed %d: reuse %q over %d entries, want an extension of the one entry", seed, after.Reuse, svc.CatalogStats().Entries)
+		}
+	}
+}

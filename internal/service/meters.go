@@ -80,15 +80,15 @@ func (s *Service) registerGauges(r *obs.Registry) {
 	r.GaugeFunc("lsample_admission_queued", "Requests currently queued for admission.",
 		s.admit.queuedTotal)
 
-	r.GaugeFunc("lsample_catalog_entries", "Materialized plans resident in the reuse catalog.",
+	r.GaugeFunc("lsample_catalog_entries", "Label memos resident in the reuse catalog.",
 		func() int { return s.CatalogStats().Entries })
 	r.GaugeFunc("lsample_catalog_bytes", "Estimated resident size of the reuse catalog.",
 		func() int { return int(s.CatalogStats().Bytes) })
-	r.CounterFunc("lsample_catalog_hits_total", "Direct catalog-reuse executions.",
+	r.CounterFunc("lsample_catalog_hits_total", "Executions the catalog's label memo answered in full.",
 		func() int64 { return s.CatalogStats().Hits })
-	r.CounterFunc("lsample_catalog_extensions_total", "Catalog extension executions (sample top-up or retrain).",
+	r.CounterFunc("lsample_catalog_extensions_total", "Executions that reused some memoized labels and bought the rest.",
 		func() int64 { return s.CatalogStats().Extensions })
-	r.CounterFunc("lsample_catalog_misses_total", "Executions that materialized a fresh catalog entry.",
+	r.CounterFunc("lsample_catalog_misses_total", "Executions on a catalog entry never asked for a label before.",
 		func() int64 { return s.CatalogStats().Misses })
 	r.CounterFunc("lsample_catalog_evictions_total", "Catalog entries evicted by budget pressure or invalidation.",
 		func() int64 { return s.CatalogStats().Evictions })

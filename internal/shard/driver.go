@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -36,29 +35,6 @@ type Plan struct {
 	// to the full population with a widened interval. When false a lost
 	// shard fails the query.
 	AllowDegraded bool
-
-	// Design, when it matches the plan (same learn-sample size, the same
-	// learn-sample keys), supplies the labels the lss classifier trains on:
-	// no learn sample is labeled. A reuse catalog hands back the design an
-	// earlier Result reported.
-	Design *Design
-}
-
-// Design is a materialized lss stratification, O(budget) whatever the
-// population: the learn sample's keys in merged selection order and the
-// labels the classifier was trained on. The forest is a pure function of
-// (features, labels, seed), so a later run refits it from these labels and
-// scores, cuts and stratifies exactly as the run that bought them.
-type Design struct {
-	KLearn int
-	Keys   []int64
-	Labels []bool // aligned with Keys
-}
-
-// trainedOn reports whether the design (nil: none) holds the training
-// labels of exactly this learn sample.
-func (d *Design) trainedOn(kLearn int, learnSel []int64) bool {
-	return d != nil && d.KLearn == kLearn && slices.Equal(d.Keys, learnSel) && len(d.Labels) == len(learnSel)
 }
 
 // Group is one group's merged estimate.
@@ -93,7 +69,6 @@ type Result struct {
 	Groups       []Group
 	TrueCount    int
 	HasTrue      bool
-	Design       *Design // lss: the stratification used (Plan.Design itself when it was reused)
 }
 
 // DefaultMinGroup is the per-group sample floor for grouped estimates.
@@ -550,7 +525,7 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 	if kLearn, err = LearnSize(res.Budget); err != nil {
 		return nil, nil, 0, err
 	}
-	if all, err = r.scoreAll(ctx, res, n, kLearn); err != nil {
+	if all, err = r.scoreAll(ctx, n, kLearn); err != nil {
 		return nil, nil, 0, err
 	}
 	scores := make([]float64, len(all))
@@ -567,11 +542,8 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 
 // scoreAll yields every survivor object with its classifier score: merge
 // the hash learn sample, take its labels, broadcast (x, y, seed) so every
-// shard trains the identical classifier, and gather per-key scores. The
-// labels are the plan design's when it was trained on this very learn
-// sample — nothing is labeled, and the refit reproduces the scores of the
-// run that reported the design — and fresh ones otherwise.
-func (r *run) scoreAll(ctx context.Context, res *Result, n, kLearn int) ([]Scored, error) {
+// shard trains the identical classifier, and gather per-key scores.
+func (r *run) scoreAll(ctx context.Context, n, kLearn int) ([]Scored, error) {
 	ctx, sp := obs.StartSpan(ctx, "learn")
 	defer sp.End()
 	parts, err := r.cands(ctx, kLearn, TagLearn)
@@ -579,16 +551,9 @@ func (r *run) scoreAll(ctx context.Context, res *Result, n, kLearn int) ([]Score
 		return nil, err
 	}
 	learnSel := MergeBottomK(parts, kLearn, n)
-	var y []bool
-	if d := r.plan.Design; d.trainedOn(kLearn, learnSel) {
-		y, res.Design = d.Labels, d
-		sp.Set("labels", "design")
-	} else {
-		if y, err = r.label(ctx, learnSel); err != nil {
-			return nil, err
-		}
-		res.Design = &Design{KLearn: kLearn, Keys: learnSel, Labels: y}
-		sp.Set("labels", "fresh")
+	y, err := r.label(ctx, learnSel)
+	if err != nil {
+		return nil, err
 	}
 	x, err := r.features(ctx, learnSel)
 	if err != nil {

@@ -3,40 +3,39 @@ package lsample
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/shard"
 	"repro/internal/sql"
 )
 
 // Reuse classifications reported in Estimate.Reuse by catalog-served
 // executions.
 const (
-	// ReuseDirect reports that materialized artifacts fully covered the
-	// plan: sampling and learning were skipped.
+	// ReuseDirect reports that the catalog's label memo answered every
+	// label: zero predicate evaluations, and no predicate was even built.
 	ReuseDirect = catalog.ReuseDirect
-	// ReuseExtension reports partial coverage: the hash bottom-k sample was
-	// topped up (a strict prefix extension) and the classifier retrained at
-	// the new learn-sample size, reusing every memoized label.
+	// ReuseExtension reports that the memo answered some labels and the
+	// rest were bought: a larger budget over the same seed (the hash
+	// bottom-k sample is a strict prefix extension), or a seed, method or
+	// Q3 parameter nobody ran before over an entry earlier counts used.
 	ReuseExtension = catalog.ReuseExtension
-	// ReuseNone reports that this execution materialized a fresh entry.
+	// ReuseNone reports that no earlier execution had asked the entry (or
+	// one of a sharded run's entries) for a label.
 	ReuseNone = catalog.ReuseNone
 )
 
 // Catalog is the cross-query reuse catalog: a bounded, thread-safe store
-// of what labeling bought — hash-selected samples (as per-key labels) and,
-// for lss, the learn sample's keys and training labels, never scores or a
-// classifier — keyed by (table snapshots, Q1
-// shape, feature-column set, estimation plan). Attach one with
-// WithCatalog (or WithCatalogBudget) and SQL executions of the srs, lss,
-// and oracle methods reuse each other's work: direct reuse when a plan is
-// already materialized, deterministic sample extension when only the
-// budget grew, materialization on a miss with size-weighted LFU eviction.
-// A Catalog may be shared by any number of sessions and queries serving
-// the same snapshots; see the package documentation ("Cross-query reuse
-// catalog") for the determinism contract.
+// of what labeling bought — per-key labels per predicate, and nothing else:
+// no sample, score, classifier or design — keyed by what a label depends
+// on: (table snapshots, shard, Q1 shape, feature-column set). Attach one
+// with WithCatalog (or WithCatalogBudget) and SQL executions of the srs,
+// lss, and oracle methods stop paying twice for a label: every seed,
+// budget and method that counts over the same snapshot finds the labels
+// any earlier count bought, under size-weighted LFU eviction. A Catalog
+// may be shared by any number of sessions and queries serving the same
+// snapshots; see the package documentation ("Cross-query reuse catalog")
+// for the determinism contract.
 type Catalog struct {
 	inner *catalog.Catalog
 }
@@ -56,16 +55,18 @@ func (c *Catalog) SetMaxBytes(maxBytes int64) { c.inner.SetMaxBytes(maxBytes) }
 // CatalogStats is a point-in-time snapshot of a reuse catalog's
 // accounting, in the shape the service's /v1/stats endpoint serves.
 type CatalogStats struct {
-	// Entries is the number of materialized plans currently resident.
+	// Entries is the number of label memos currently resident: one per
+	// (snapshots, shard, Q1 shape, feature-column set) counted over.
 	Entries int `json:"entries"`
 	// Bytes is the live heap the resident entries hold (within 25 % of a
 	// heap profile's figure).
 	Bytes int64 `json:"bytes"`
-	// Hits counts direct-reuse executions.
+	// Hits counts direct-reuse executions (per entry asked for a label).
 	Hits int64 `json:"hits"`
-	// Extensions counts extension executions (sample top-up / retrain).
+	// Extensions counts executions that reused some labels and bought
+	// others.
 	Extensions int64 `json:"extensions"`
-	// Misses counts executions that materialized a fresh entry.
+	// Misses counts executions on an entry never asked for a label before.
 	Misses int64 `json:"misses"`
 	// Evictions counts entries removed by the byte budget or invalidation.
 	Evictions int64 `json:"evictions"`
@@ -111,15 +112,13 @@ func (c *Catalog) EvictStale(current map[string]*Table) int {
 	})
 }
 
-// catalogKey builds the seed-free components of the entry identity for one
-// execution of this prepared query: pinned snapshot ids, the Q2 fingerprint
-// under only the parameters Q2 reads (so Q3-only parameter changes share
-// the entry), and the feature-column set. The unsharded entry adds the
-// estimation plan (config.planKey) — it stores an lss design, which the
-// plan decides. A per-shard entry adds its Shard identity instead and stops
-// there: it holds only labels, and a label is a pure function of
-// (snapshot, key, predicate), so every seed and budget of every plan over
-// that feature set shares the one entry.
+// catalogKey builds the entry identity for one execution of this prepared
+// query, less the Shard component its worker adds: pinned snapshot ids, the
+// Q2 fingerprint under only the parameters Q2 reads (so Q3-only parameter
+// changes share the entry, a label space each), and the feature-column set.
+// An entry holds only labels, and a label is a pure function of (snapshot,
+// key, predicate), so every seed and budget of every plan over that feature
+// set shares the one entry.
 func (q *PreparedQuery) catalogKey(strs map[string]string, featCols []string) catalog.Key {
 	parts := make([]string, 0, len(q.snaps))
 	for name, t := range q.snaps {
@@ -141,19 +140,4 @@ func (q *PreparedQuery) catalogKey(strs map[string]string, featCols []string) ca
 		Query:    sql.Fingerprint(q.dec.Objects, q2strs),
 		Features: feats,
 	}
-}
-
-// planKey is the unsharded entry's Plan component: method, classifier,
-// strata, seed — everything that changes learned artifacts except the
-// budget, which the extension path absorbs.
-func (cfg config) planKey() string {
-	clf, strata := "-", "-"
-	if needsFeatures(cfg.method) {
-		clf = cfg.classifier
-		if clf == "" {
-			clf = "rf"
-		}
-		strata = strconv.Itoa(shard.StrataCount(cfg.strata))
-	}
-	return cfg.method + "|" + clf + "|" + strata + "|" + strconv.FormatUint(cfg.seed, 10)
 }

@@ -8,39 +8,44 @@ import (
 )
 
 // The ledger's SQL workloads count over 300 objects at a budget of 0.35 —
-// 105 evaluations, 26 of them the lss learn sample. What one cold plan
-// leaves behind in the reuse catalog at that shape is what lsserve's
-// resident memory is made of under a mixed load.
+// 105 evaluations a count. What those counts leave behind in the reuse
+// catalog at that shape is what lsserve's resident memory is made of under
+// a mixed load.
 const (
 	ledgerObjects = 300
 	ledgerBudget  = 0.35
 )
 
-// planFootprint materializes plans cold plans of the method (one per seed)
-// through a fresh catalog and returns, per plan, the live heap they left
-// behind and the bytes the catalog accounts for them. A first plan warms
-// everything the prepared query builds once and is kept out of both.
-func planFootprint(tb testing.TB, method string, plans int) (live, accounted float64) {
+// entryFootprint fills a fresh catalog with entries: one per table
+// snapshot, each bought by seeds counts of the method over its own 300-row
+// table (a seed apiece). It returns, per entry, the labels bought, the live
+// heap left behind — tables, sessions and queries are garbage by then — and
+// the bytes the catalog accounts. A first entry warms what the process
+// builds once and is kept out of all three.
+func entryFootprint(tb testing.TB, method string, entries, seeds int) (labels, live, accounted float64) {
 	tb.Helper()
 	cat := NewCatalog(0)
-	sess, err := NewSession(NewMemorySource(testTable(tb, ledgerObjects, 7)),
-		WithCatalog(cat), WithMethod(method), WithBudget(ledgerBudget), WithParallelism(1))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	q, err := sess.Prepare(skybandQuery)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	params := map[string]any{"k": 8}
-	cold := func(seed uint64) {
-		est, err := q.Execute(context.Background(), params, WithSeed(seed))
+	fill := func(tseed uint64) (bought int64) {
+		sess, err := NewSession(NewMemorySource(testTable(tb, ledgerObjects, tseed)),
+			WithCatalog(cat), WithMethod(method), WithBudget(ledgerBudget), WithParallelism(1))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if est.Reuse != ReuseNone {
-			tb.Fatalf("seed %d: reuse = %q, want a cold plan", seed, est.Reuse)
+		q, err := sess.Prepare(skybandQuery)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		for seed := 1; seed <= seeds; seed++ {
+			est, err := q.Execute(context.Background(), map[string]any{"k": 8}, WithSeed(uint64(seed)))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if first := seed == 1; first != (est.Reuse == ReuseNone) {
+				tb.Fatalf("table %d seed %d: reuse = %q, want none on the entry's first count only", tseed, seed, est.Reuse)
+			}
+			bought += est.SamplesUsed
+		}
+		return bought
 	}
 	heap := func() uint64 {
 		runtime.GC()
@@ -50,17 +55,19 @@ func planFootprint(tb testing.TB, method string, plans int) (live, accounted flo
 		return m.HeapAlloc
 	}
 
-	cold(1)
+	fill(1)
 	h0, b0 := heap(), cat.Stats().Bytes
-	for i := 0; i < plans; i++ {
-		cold(uint64(2 + i))
+	var bought int64
+	for i := 0; i < entries; i++ {
+		bought += fill(uint64(2 + i))
 	}
 	h1, s1 := heap(), cat.Stats()
-	if s1.Entries != plans+1 {
-		tb.Fatalf("%d entries resident after %d cold plans", s1.Entries, plans+1)
+	if s1.Entries != entries+1 {
+		tb.Fatalf("%d entries resident after counting over %d tables", s1.Entries, entries+1)
 	}
 	runtime.KeepAlive(cat)
-	return float64(h1-h0) / float64(plans), float64(s1.Bytes-b0) / float64(plans)
+	n := float64(entries)
+	return float64(bought) / n, float64(h1-h0) / n, float64(s1.Bytes-b0) / n
 }
 
 // raceEnabled reports whether the test binary was built with -race.
@@ -75,29 +82,31 @@ func raceEnabled() bool {
 }
 
 // TestCatalogAccountsResidentBytes: the number -catalog-mb bounds is the
-// number that is resident. 300 cold lss plans and 300 cold srs plans at the
-// ledger shape must leave a live heap within 25 % of Stats().Bytes, and an
-// lss plan — the learn sample's keys and labels plus the label memo, no
-// score map — must stay under 3.5 KB.
+// number that is resident. There is one entry per (snapshot, query, feature
+// set), whatever the seeds, budgets and methods that counted through it,
+// and it costs what its labels cost: 150 lss and 150 srs entries, each
+// bought by two seeds at the ledger shape, must leave a live heap within
+// 25 % of Stats().Bytes and under a Go map's worst case per label bought.
 func TestCatalogAccountsResidentBytes(t *testing.T) {
-	plans := 300
+	entries := 150
 	if raceEnabled() || testing.Short() {
-		plans = 12
+		entries = 6
 	}
 	for _, method := range []string{"lss", "srs"} {
-		live, accounted := planFootprint(t, method, plans)
-		t.Logf("%s: %.0f B live, %.0f B accounted per plan over %d plans", method, live, accounted, plans)
+		labels, live, accounted := entryFootprint(t, method, entries, 2)
+		t.Logf("%s: %.0f labels, %.0f B live, %.0f B accounted per entry over %d entries", method, labels, live, accounted, entries)
 		if accounted <= 0 {
-			t.Errorf("%s: catalog accounts %.0f B per plan", method, accounted)
+			t.Errorf("%s: catalog accounts %.0f B per entry", method, accounted)
 		}
-		if plans < 300 {
+		if entries < 150 {
 			continue
 		}
 		if ratio := accounted / live; ratio < 0.75 || ratio > 1.25 {
-			t.Errorf("%s: catalog accounts %.0f B per plan, %.0f B are live (ratio %.2f, want within 25 %%)", method, accounted, live, ratio)
+			t.Errorf("%s: catalog accounts %.0f B per entry, %.0f B are live (ratio %.2f, want within 25 %%)", method, accounted, live, ratio)
 		}
-		if method == "lss" && live > 3500 {
-			t.Errorf("lss plan holds %.0f B live, want O(budget): at most 3 500 B at the ledger shape", live)
+		// 17 B a slot at between 1.15 and 2.6 slots a label, plus the entry.
+		if bound := 800 + 45*labels; live > bound {
+			t.Errorf("%s: an entry of %.0f labels holds %.0f B live, want O(labels bought): at most %.0f B", method, labels, live, bound)
 		}
 	}
 	if raceEnabled() {
@@ -105,9 +114,9 @@ func TestCatalogAccountsResidentBytes(t *testing.T) {
 	}
 }
 
-// TestCatalogEntryIsBudgetSized: at 10 000 objects and a 2 % budget an lss
-// entry is still the size of its budget — under 8 KB accounted, where a
-// score per object was over 300 KB.
+// TestCatalogEntryIsBudgetSized: at 10 000 objects and a 2 % budget an
+// entry is the size of the 200 labels bought — under 8 KB accounted, where
+// a score per object was over 300 KB — and a repeat adds nothing to it.
 func TestCatalogEntryIsBudgetSized(t *testing.T) {
 	const n = 10000
 	// Joining a one-row table keeps the interpreter's first-object check —
@@ -133,6 +142,7 @@ func TestCatalogEntryIsBudgetSized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	afterCold := cat.Stats().Bytes
 	warm, err := q.Execute(context.Background(), map[string]any{"k": 90})
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +151,27 @@ func TestCatalogEntryIsBudgetSized(t *testing.T) {
 		t.Errorf("repeat over %d objects: reuse=%q evals=%d %v vs %v, want direct at 0 evals and the same bytes",
 			n, warm.Reuse, warm.SamplesUsed, warm.Count, cold.Count)
 	}
-	if s := cat.Stats(); s.Entries != 1 || s.Bytes >= 8<<10 {
-		t.Errorf("lss entry over %d objects at a budget of %d: %d B accounted, want under 8 KB (stats %+v)", n, cold.Budget, s.Bytes, s)
+	if s := cat.Stats(); s.Entries != 1 || s.Bytes >= 8<<10 || s.Bytes != afterCold {
+		t.Errorf("entry over %d objects at a budget of %d: %d B accounted (%d after the cold count), want the same and under 8 KB (stats %+v)",
+			n, cold.Budget, s.Bytes, afterCold, s)
 	}
 }
 
-// BenchmarkCatalogPlan reports what one cold plan costs the catalog at the
-// ledger shape: live-B/plan is the heap it leaves behind, accounted-B/plan
-// what Stats().Bytes charges for it (the two agree to ± 25 %, see
-// TestCatalogAccountsResidentBytes). ns/op is 100 cold counts.
-func BenchmarkCatalogPlan(b *testing.B) {
+// BenchmarkCatalogEntry reports what an entry costs the catalog at the
+// ledger shape after two seeds counted through it: live-B/entry is the heap
+// it leaves behind, accounted-B/entry what Stats().Bytes charges for it (the
+// two agree to ± 25 %, see TestCatalogAccountsResidentBytes), labels/entry
+// what was bought. ns/op is 100 cold counts over 50 tables.
+func BenchmarkCatalogEntry(b *testing.B) {
 	for _, method := range []string{"lss", "srs"} {
 		b.Run(method, func(b *testing.B) {
-			var live, accounted float64
+			var labels, live, accounted float64
 			for i := 0; i < b.N; i++ {
-				live, accounted = planFootprint(b, method, 100)
+				labels, live, accounted = entryFootprint(b, method, 50, 2)
 			}
-			b.ReportMetric(live, "live-B/plan")
-			b.ReportMetric(accounted, "accounted-B/plan")
+			b.ReportMetric(labels, "labels/entry")
+			b.ReportMetric(live, "live-B/entry")
+			b.ReportMetric(accounted, "accounted-B/entry")
 		})
 	}
 }

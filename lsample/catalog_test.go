@@ -158,35 +158,6 @@ func TestCatalogSRSAndOracleDirectReuse(t *testing.T) {
 	}
 }
 
-func TestCatalogQ3ParamChangeSharesEntry(t *testing.T) {
-	// k appears only in the HAVING predicate (Q3), so k=8 and k=12 share
-	// one catalog entry: the second run reuses the trained classifier as
-	// its stratification (direct reuse) but must relabel under the new
-	// predicate — fresh evaluations, correct new estimate.
-	q, cat := catalogSession(t, 200, 7, WithMethod("lss"), WithBudget(0.25), WithSeed(11))
-	first, err := q.Execute(context.Background(), map[string]any{"k": 8}, WithExact(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := q.Execute(context.Background(), map[string]any{"k": 12}, WithExact(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := cat.Stats(); s.Entries != 1 {
-		t.Errorf("entries = %d, want 1 (predicate variants share the plan)", s.Entries)
-	}
-	if second.Reuse != ReuseDirect {
-		t.Errorf("reuse = %q, want %q (classifier reused across predicates)", second.Reuse, ReuseDirect)
-	}
-	if second.SamplesUsed == 0 {
-		t.Error("predicate change must relabel: want fresh evaluations")
-	}
-	if *first.TrueCount >= *second.TrueCount {
-		t.Errorf("true counts not increasing with k: k=8 → %d, k=12 → %d",
-			*first.TrueCount, *second.TrueCount)
-	}
-}
-
 func TestCatalogEvictStaleOnSnapshotChange(t *testing.T) {
 	q, cat := catalogSession(t, 120, 7, WithMethod("lss"), WithBudget(0.3), WithSeed(3))
 	params := map[string]any{"k": 8}
@@ -273,125 +244,15 @@ func TestCatalogConcurrentLookupMaterializeEvict(t *testing.T) {
 	}
 }
 
-// entryDesign reads the lss design of the catalog's only entry.
-func entryDesign(t *testing.T, cat *Catalog) (budget, kLearn int, keys []int64, labels []bool) {
-	t.Helper()
-	ks := cat.inner.Keys()
-	if len(ks) != 1 {
-		t.Fatalf("%d entries resident, want 1", len(ks))
-	}
-	e := cat.inner.Acquire(ks[0])
-	e.Lock()
-	budget, kLearn, keys, labels = e.Budget, e.KLearn, e.LearnKeys, e.LearnLabels
-	e.Unlock()
-	cat.inner.Release(e, "")
-	return
-}
-
-// TestCatalogEntryHoldsLabelsNotScores walks one entry through a cold run,
-// a repeat, a budget extension, a smaller-budget recompute and a changed Q3
-// parameter. After each the entry's design is the learn sample's keys and
-// training labels at the best budget seen — O(budget), never a score per
-// object — and the answer is the golden row recorded before designs were
-// stored this way: a reuse refits the classifier from the stored labels,
-// which reproduces the scores the labels were bought for.
-func TestCatalogEntryHoldsLabelsNotScores(t *testing.T) {
-	q, cat := catalogSession(t, 160, 7, WithMethod("lss"), WithSeed(11))
-	var trained []bool // the k=8 labels of the 20-key learn sample
-	for _, st := range []struct {
-		golden string // row of goldenCatalog this step must reproduce
-		k      int
-		budget float64
-		kLearn int // the entry's learn-sample size afterwards
-	}{
-		{"cold", 8, 0.25, 10},
-		{"repeat", 8, 0.25, 10},
-		{"extension", 8, 0.5, 20},
-		{"smaller", 8, 0.25, 20},  // recomputed at 10, the better design stays
-		{"q3-param", 12, 0.5, 20}, // trained on k=8 labels, relabeled under k=12
-	} {
-		est, err := q.Execute(context.Background(), map[string]any{"k": st.k}, WithBudget(st.budget))
-		if err != nil {
-			t.Fatalf("%s: %v", st.golden, err)
-		}
-		if want, ok := goldenCatalog["shards=0/lss/"+st.golden]; ok && st.golden != "q3-param" && goldenRow(est) != want {
-			t.Errorf("%s:\n got  %s\n want %s", st.golden, goldenRow(est), want)
-		}
-		budget, kLearn, keys, labels := entryDesign(t, cat)
-		if kLearn != st.kLearn || len(keys) != kLearn || len(labels) != kLearn || budget != 4*kLearn {
-			t.Fatalf("%s: entry holds budget %d, learn size %d, %d keys, %d labels; want learn size %d with as many keys and labels",
-				st.golden, budget, kLearn, len(keys), len(labels), st.kLearn)
-		}
-		switch st.golden {
-		case "extension":
-			trained = append([]bool(nil), labels...)
-		case "q3-param":
-			if est.Reuse != ReuseDirect || est.SamplesUsed != int64(est.Budget-kLearn) {
-				t.Errorf("q3-param: reuse=%q evals=%d, want direct with only the %d-key estimation sample relabeled",
-					est.Reuse, est.SamplesUsed, est.Budget-kLearn)
-			}
-			for i := range labels {
-				if labels[i] != trained[i] {
-					t.Fatalf("q3-param: training label %d changed under another predicate fingerprint", i)
-				}
-			}
-		}
-	}
-}
-
-// TestCatalogConcurrentColdPlansShareOneDesign: two identical cold plans
-// racing for an empty catalog serialize on the entry — one materializes,
-// the other reuses its labels and refits — and leave one entry holding one
-// design. Run under -race.
-func TestCatalogConcurrentColdPlansShareOneDesign(t *testing.T) {
-	q, cat := catalogSession(t, 160, 7, WithMethod("lss"), WithBudget(0.25), WithSeed(11))
-	params := map[string]any{"k": 8}
-	var wg sync.WaitGroup
-	ests := make([]*Estimate, 2)
-	errs := make([]error, 2)
-	for g := range ests {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ests[g], errs[g] = q.Execute(context.Background(), params)
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sameEstimate(ests[0], ests[1]) {
-		t.Errorf("racing identical plans diverged: %v vs %v", ests[0].Count, ests[1].Count)
-	}
-	if goldenRow(ests[0]) != goldenCatalog["shards=0/lss/cold"] && goldenRow(ests[1]) != goldenCatalog["shards=0/lss/cold"] {
-		t.Errorf("neither racer reproduced the cold golden row: %s / %s", goldenRow(ests[0]), goldenRow(ests[1]))
-	}
-	if a, b := ests[0].Reuse, ests[1].Reuse; !(a == ReuseNone && b == ReuseDirect) && !(a == ReuseDirect && b == ReuseNone) {
-		t.Errorf("reuse = %q and %q, want one materialization and one direct reuse", a, b)
-	}
-	if ests[0].SamplesUsed+ests[1].SamplesUsed != 39 {
-		t.Errorf("the racers spent %d + %d evaluations, want the cold plan's 39 once", ests[0].SamplesUsed, ests[1].SamplesUsed)
-	}
-	if s := cat.Stats(); s.Entries != 1 || s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want 1 entry, 1 miss, 1 hit", s)
-	}
-	if _, kLearn, keys, labels := entryDesign(t, cat); kLearn != 10 || len(keys) != 10 || len(labels) != 10 {
-		t.Errorf("entry design: learn size %d, %d keys, %d labels; want 10 of each", kLearn, len(keys), len(labels))
-	}
-}
-
 // TestHashPlanLearnSpan: the hash plan's learn step explains itself the way
-// the classic path's does — rows trained on, where their labels came from
-// (bought now, or the entry's stored design), the fit and the scoring apart,
+// the classic path's does — rows trained on, the fit and the scoring apart,
 // objects scored and the forest's scoring path — so the refit a reuse pays
 // reads off explain output instead of hiding in the driver's self time.
 func TestHashPlanLearnSpan(t *testing.T) {
 	tracer := NewTracer(TracerOptions{SampleRate: 1})
 	q, _ := catalogSession(t, 160, 7, WithMethod("lss"), WithBudget(0.25), WithSeed(11), WithTracer(tracer))
 	params := map[string]any{"k": 8}
-	learn := func(under string, opts ...Option) map[string]any {
+	learn := func(under string, opts ...Option) {
 		t.Helper()
 		if _, err := q.Execute(context.Background(), params, opts...); err != nil {
 			t.Fatal(err)
@@ -413,15 +274,231 @@ func TestHashPlanLearnSpan(t *testing.T) {
 		if total := durMS(spans[0].Duration); fit+score > total*1.001 {
 			t.Fatalf("fit %v + score %v ms exceed the learn span's %v ms", fit, score, total)
 		}
-		return a
 	}
-	if a := learn("catalog"); a["labels"] != "fresh" {
-		t.Errorf("cold run: labels = %v, want fresh", a["labels"])
+	learn("catalog")
+	learn("catalog") // a repeat refits from memoized labels
+	learn("shard.drive", WithShards(3))
+}
+
+// TestCatalogFreshSeedsShareOneEntry: a label is a fact about (snapshot,
+// key, predicate), so forty seeds nobody has run before count through one
+// entry. Each answers exactly as a catalog-free run of its seed does, all
+// of them together buy at most one evaluation per object, and once the
+// population is labeled the entry stops growing. Grouped counts run the
+// hash plan under WithShards, where the same holds per shard.
+func TestCatalogFreshSeedsShareOneEntry(t *testing.T) {
+	const n, seeds = 160, 40
+	ctx := context.Background()
+	params := map[string]any{"k": 8}
+
+	q, cat := catalogSession(t, n, 7, WithMethod("lss"), WithBudget(0.25))
+	var bought, bytesLabeled int64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		est, err := q.Execute(ctx, params, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := q.Execute(ctx, params, WithSeed(seed), WithCatalog(nil), WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(est, ref) || est.Budget != ref.Budget {
+			t.Fatalf("seed %d: %v %v through the catalog, %v %v without one", seed, est.Count, est.CI, ref.Count, ref.CI)
+		}
+		want := ReuseExtension
+		switch {
+		case seed == 1:
+			want = ReuseNone
+		case est.SamplesUsed == 0:
+			want = ReuseDirect
+		}
+		if est.Reuse != want || (want == ReuseDirect) != (est.Labeling.String() == "label memo (no predicate built)") {
+			t.Errorf("seed %d bought %d labels: reuse = %q, labeling %q, want %q", seed, est.SamplesUsed, est.Reuse, est.Labeling, want)
+		}
+		if bought += est.SamplesUsed; bought == n && bytesLabeled == 0 {
+			bytesLabeled = cat.Stats().Bytes
+		}
 	}
-	if a := learn("catalog"); a["labels"] != "design" {
-		t.Errorf("repeat: labels = %v, want design (the refit trains on the entry's stored labels)", a["labels"])
+	if bought != n {
+		t.Fatalf("%d seeds bought %d labels over %d objects, want each object labeled exactly once", seeds, bought, n)
 	}
-	if a := learn("shard.drive", WithShards(3)); a["labels"] != "fresh" {
-		t.Errorf("sharded run: labels = %v, want fresh (per-shard entries hold labels only)", a["labels"])
+	if s := cat.Stats(); s.Entries != 1 || s.Bytes != bytesLabeled {
+		t.Errorf("after %d seeds: %d entries, %d B (%d B when the population was labeled), want one entry that stopped growing",
+			seeds, s.Entries, s.Bytes, bytesLabeled)
+	}
+
+	gcat := NewCatalog(0)
+	sess := groupedSession(t, 150, WithCatalog(gcat), WithMethod("lss"), WithBudget(0.3), WithStrata(3), WithShards(2))
+	gq, err := sess.Prepare(groupedSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bought = 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		est, err := gq.ExecuteGroups(ctx, params, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := gq.ExecuteGroups(ctx, params, WithSeed(seed), WithCatalog(nil), WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := formatGroups(est.Groups), formatGroups(ref.Groups); got != want || est.Total != ref.Total {
+			t.Fatalf("grouped seed %d through the catalog:\n%swithout one:\n%s", seed, got, want)
+		}
+		bought += est.SamplesUsed
+	}
+	if s := gcat.Stats(); bought > 150 || s.Entries != 2 {
+		t.Errorf("grouped: %d seeds bought %d labels over 150 objects in %d entries, want at most one each in one entry per shard", seeds, bought, s.Entries)
+	}
+}
+
+// TestCatalogAnswerIgnoresCatalogContents: whatever an entry already holds
+// — the same count under another Q3 parameter, at a larger budget or at a
+// smaller one — a count answers exactly as it does on an empty catalog, and
+// predicate variants still share the one entry. (At seed 12 the lss learn
+// sample's labels differ between k=8 and k=12, so a classifier kept from
+// the other predicate would show.)
+func TestCatalogAnswerIgnoresCatalogContents(t *testing.T) {
+	ctx := context.Background()
+	for _, method := range GroupMethods() {
+		cold, _ := catalogSession(t, 160, 7, WithMethod(method), WithSeed(12))
+		want, err := cold.Execute(ctx, map[string]any{"k": 12}, WithBudget(0.25), WithExact(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, before := range []goldenStep{{k: 8, budget: 0.25}, {k: 8, budget: 0.5}, {k: 12, budget: 0.5}, {k: 12, budget: 0.1}} {
+			q, cat := catalogSession(t, 160, 7, WithMethod(method), WithSeed(12))
+			first, err := q.Execute(ctx, map[string]any{"k": before.k}, WithBudget(before.budget), WithExact(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := q.Execute(ctx, map[string]any{"k": 12}, WithBudget(0.25), WithExact(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameEstimate(got, want) || *got.TrueCount != *want.TrueCount || got.Budget != want.Budget {
+				t.Errorf("%s, k=12 after k=%d at %.2f: %v %v, on an empty catalog %v %v",
+					method, before.k, before.budget, got.Count, got.CI, want.Count, want.CI)
+			}
+			if before.k != 12 && (got.SamplesUsed != want.SamplesUsed || *first.TrueCount >= *got.TrueCount) {
+				t.Errorf("%s, k=12 after k=%d: %d evaluations and true count %d after %d, want the cold run's %d under its own predicate",
+					method, before.k, got.SamplesUsed, *got.TrueCount, *first.TrueCount, want.SamplesUsed)
+			}
+			if s := cat.Stats(); s.Entries != 1 {
+				t.Errorf("%s: %d entries, want 1 (predicate variants share the entry, a label space each)", method, s.Entries)
+			}
+		}
+	}
+}
+
+// TestCatalogMemoAnswerBuildsNoPredicate: a count whose every label is
+// memoized opens no predicate.build span and says so; one that misses a
+// label builds, pays the interpreter's cross-check, and — the program
+// planted here labels object 0 the other way — labels every fresh key
+// through the interpreter with the reason recorded, so its answer is still
+// the catalog-free one.
+func TestCatalogMemoAnswerBuildsNoPredicate(t *testing.T) {
+	tracer := NewTracer(TracerOptions{SampleRate: 1})
+	cat := NewCatalog(0)
+	sess, err := NewSession(NewMemorySource(testTable(t, 160, 7)),
+		WithCatalog(cat), WithMethod("lss"), WithBudget(0.25), WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := sess.Prepare(skybandQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := plantDisagreement(t, sess)
+
+	ctx := context.Background()
+	params := map[string]any{"k": 8}
+	count := func(seed uint64) (*Estimate, []*TraceSpan) {
+		t.Helper()
+		est, err := planted.Execute(ctx, params, WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := honest.Execute(ctx, params, WithSeed(seed), WithCatalog(nil), WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(est, ref) {
+			t.Errorf("seed %d: %v %v, a catalog-free run of the honest program %v %v", seed, est.Count, est.CI, ref.Count, ref.CI)
+		}
+		return est, spansNamed(tracer.Traces(2)[1], "predicate.build") // newest first: the reference run, then est's
+	}
+	fresh := func(seed uint64) {
+		t.Helper()
+		est, builds := count(seed)
+		if est.SamplesUsed == 0 || len(builds) != 1 {
+			t.Fatalf("seed %d: %d evaluations, %d predicate.build spans, want fresh labels from one build", seed, est.SamplesUsed, len(builds))
+		}
+		const reason = "first-object cross-check failed"
+		if a := builds[0].Attrs; a["compiled"] != false || a["fallback"] != reason || a["validated_by"] != nil {
+			t.Errorf("seed %d: predicate.build attrs %v, want the unvalidated interpreter fallback with its reason", seed, a)
+		}
+		if est.Labeling.Compiled || est.Labeling.Fallback != reason {
+			t.Errorf("seed %d: labeling = %+v, want the interpreter with %q", seed, est.Labeling, reason)
+		}
+	}
+	fresh(1)
+	est, builds := count(1)
+	if est.SamplesUsed != 0 || est.Reuse != ReuseDirect || len(builds) != 0 {
+		t.Errorf("repeat: %d evaluations, reuse %q, %d predicate.build spans, want a direct reuse that builds nothing", est.SamplesUsed, est.Reuse, len(builds))
+	}
+	if got := est.Labeling.String(); got != "label memo (no predicate built)" {
+		t.Errorf("repeat: labeling reads %q", got)
+	}
+	fresh(2)
+}
+
+// TestCatalogConcurrentSeedsShareOneEntry: counts of different seeds run
+// through one entry at the same time (run under -race). The entry is locked
+// only to read and to write back, so two of them may evaluate the same key;
+// none may read a wrong label or lose one it wrote: every count answers as
+// a catalog-free run of its seed, and afterwards the memo answers all of
+// them again without one evaluation.
+func TestCatalogConcurrentSeedsShareOneEntry(t *testing.T) {
+	const seeds = 8
+	q, cat := catalogSession(t, 200, 7, WithMethod("lss"), WithBudget(0.2))
+	ctx := context.Background()
+	params := map[string]any{"k": 8}
+	refs := make([]*Estimate, seeds)
+	for i := range refs {
+		var err error
+		if refs[i], err = q.Execute(ctx, params, WithSeed(uint64(i+1)), WithCatalog(nil), WithShards(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, ref := range refs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			est, err := q.Execute(ctx, params, WithSeed(uint64(i+1)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !sameEstimate(est, ref) || est.SamplesUsed > ref.SamplesUsed {
+				t.Errorf("seed %d: %v %v at %d evaluations, a catalog-free run %v %v at %d",
+					i+1, est.Count, est.CI, est.SamplesUsed, ref.Count, ref.CI, ref.SamplesUsed)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, ref := range refs {
+		est, err := q.Execute(ctx, params, WithSeed(uint64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(est, ref) || est.SamplesUsed != 0 || est.Reuse != ReuseDirect {
+			t.Errorf("seed %d again: %v at %d evaluations, reuse %q; want %v from the memo alone", i+1, est.Count, est.SamplesUsed, est.Reuse, ref.Count)
+		}
+	}
+	if s := cat.Stats(); s.Entries != 1 {
+		t.Errorf("%d seeds left %d entries, want 1", seeds, s.Entries)
 	}
 }

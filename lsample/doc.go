@@ -207,48 +207,50 @@
 // # Cross-query reuse catalog
 //
 // A Catalog (NewCatalog, attached via WithCatalog or WithCatalogBudget)
-// stores what the hash plan buys — labels, per predicate fingerprint, and
-// for lss the stratification design: the learn sample's keys and the
-// labels the classifier was trained on — and hands it back to later
-// executions, sessions, and queries that share table snapshots. An entry
-// never holds scores or a classifier: those are arithmetic over the stored
-// labels, so a reuse refits the forest (a fraction of a millisecond) and
-// an entry is the size of its budget whatever the population — about 3 KB
-// per plan at the budgets lsserve's defaults produce. The catalog's byte
-// budget bounds live bytes (Stats().Bytes is within 25 % of the heap the
-// entries hold); under Go's default GOGC the process's resident share is
-// about twice that. Entries are keyed by
-// (snapshots, object-enumeration shape, feature columns, plan); the
-// labeling budget is deliberately not part of the key. On Execute, a
-// method or query shape outside the hash plan's contract transparently
-// takes the classic branch; inside it:
+// stores what the hash plan buys — labels, per predicate fingerprint — and
+// hands them to later executions, sessions, and queries that share table
+// snapshots. An entry is a label memo and nothing else: it never holds a
+// sample, scores, a classifier or a stratification design, because all of
+// those are arithmetic over (keys, seed, labels) that an execution redoes
+// in a fraction of a millisecond. Entries are keyed by what a label depends
+// on besides its predicate — (snapshots, shard, object-enumeration shape,
+// feature columns) — so no seed, budget, method, classifier or stratum
+// count splits them: every count over one snapshot of one query shape
+// shares one entry (one per shard under WithShards), which grows with the
+// labels bought and stops at one per object and predicate — about 10 KB for
+// a fully labeled 300-object population, at most 16 predicate variants
+// kept. The catalog's byte budget bounds live bytes (Stats().Bytes is
+// within 25 % of the heap the entries hold); under Go's default GOGC the
+// process's resident share is about twice that. On Execute, a method or
+// query shape outside the hash plan's contract transparently takes the
+// classic branch; inside it there is one execution path, and Estimate.Reuse
+// names what the memo did for it:
 //
-//   - Direct reuse: the materialized plan covers the request — no learn
-//     sample is labeled (the classifier is refitted from the stored
-//     training labels), and a rerun of the originating request spends zero
-//     fresh predicate evaluations. A request whose predicate differs only
-//     in Q3-bound parameters shares the entry and its design: the learn
-//     sample is not relabeled, the classifier trained on the stored labels
-//     stratifies, and only the estimation sample is labeled under the new
-//     predicate — a different but still unbiased design.
-//   - Extension: only the budget grew — the hash bottom-k sample is topped
-//     up (bottom-k at a larger k is a strict superset, so only new keys
-//     pay for labels) and the classifier is retrained at the new learn
-//     size.
-//   - Materialization on a miss, with size-weighted LFU eviction under the
-//     catalog's byte budget and automatic invalidation when a snapshot is
-//     superseded (EvictStale; the HTTP service wires this to ingest and
-//     re-registration).
+//   - ReuseDirect: the memo answered every label — a rerun of a request,
+//     an srs request at a smaller budget (a prefix of the sample), or any
+//     request once the population is labeled. Zero predicate evaluations;
+//     no predicate is even built, so the interpreter's first-object
+//     cross-check is not paid either.
+//   - ReuseExtension: the memo answered some labels and the rest were
+//     bought — a larger budget under the same seed (bottom-k at a larger k
+//     is a strict superset, so only new keys pay), a seed or method nobody
+//     ran before, or a predicate that differs in Q3-bound parameters
+//     (which shares the entry but has a label space of its own, so it
+//     buys all of its labels).
+//   - ReuseNone: nobody had asked the entry for a label before.
+//
+// Eviction is size-weighted LFU over whole entries under the catalog's
+// byte budget, with automatic invalidation when a snapshot is superseded
+// (EvictStale; the HTTP service wires this to ingest and re-registration).
 //
 // The determinism contract extends to the catalog: for a fixed
 // (snapshots, query, params, method, budget, seed) the estimate is
-// byte-identical no matter what the catalog holds, because reused state is
-// only labels (pure functions of snapshot, key, and predicate) — the
-// memoized ones and the design's training labels, from which a reuse fits
-// the very forest the cold path trains: same learn sample, same features,
-// same seed, and fitting is a pure function of those. Estimate
-// reports the path taken in Reuse (ReuseDirect, ReuseExtension, ReuseNone)
-// and the memo's contribution in ReusedLabels.
+// byte-identical to a catalog-free run (WithShards(1)) no matter what the
+// catalog holds, because reused state is only labels — pure functions of
+// snapshot, key, and predicate. The execution selects its samples, fits
+// its classifier and cuts its strata exactly as the cold run does; only
+// what it pays for labels differs, which Estimate reports in SamplesUsed
+// and ReusedLabels.
 //
 // # Sharded execution
 //
@@ -259,25 +261,22 @@
 //
 //   - Byte-identity: for a fixed (snapshots, query, params, method,
 //     budget, seed), the estimate is byte-identical at every shard count —
-//     WithShards(1), WithShards(8), and the unsharded catalog run all
+//     WithShards(1), WithShards(8), and a one-worker catalog run all
 //     agree, at every WithParallelism value. Sharding is a deployment
 //     knob, never a semantics knob.
 //   - Scope: methods srs, lss, and oracle, over queries with a unique
 //     integer object key, plain and GROUP BY. Anything else is a request
 //     error (the sharded path never silently falls back). WithShards(0)
 //     disables sharding (the default).
-//   - Catalog composition: with a catalog attached, per-shard labels
-//     materialize under entries keyed by the exact shard layout, so
-//     layouts reuse and extend independently and a reshard can never be
-//     served stale artifacts. Per-shard entries hold labels only, and a
-//     label is a pure function of (snapshot, key, predicate) — so their key
-//     carries no seed, method, classifier or strata: every seed and budget
-//     served over a shard shares the labels any of them bought. A sharded
-//     run of a seed the catalog has never seen can therefore report
-//     Reuse == ReuseExtension and spend fewer evaluations than its budget
-//     (its estimate is unchanged: byte-identical to a catalog-free run).
-//     The stratification design is stored by the unsharded entry alone,
-//     whose key does carry the whole plan.
+//   - Catalog composition: with a catalog attached, each shard's labels
+//     live in an entry of the one kind, its key's shard component naming
+//     the exact layout (empty for a one-worker run), so layouts fill
+//     independently and a reshard can never be served another layout's
+//     labels. On every layout a run of a seed the catalog has never seen
+//     can report Reuse == ReuseExtension or ReuseDirect and spend fewer
+//     evaluations than its budget (its estimate is unchanged:
+//     byte-identical to a catalog-free run). A sharded run reports
+//     ReuseNone if any entry it asked had never been asked before.
 //
 // PrepareShard(ctx, index, count, params) materializes a single shard
 // (ShardExec) for out-of-process deployments. A ShardExec is the shard,

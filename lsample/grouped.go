@@ -144,17 +144,15 @@ func (q *PreparedQuery) ExecuteGroups(ctx context.Context, params map[string]any
 	span.Set("objects", out.Objects)
 	span.Set("groups", len(out.Groups))
 	span.Set("evals", out.SamplesUsed)
-	if cfg.logger != nil {
-		cfg.logger.Info(ctx, "query",
-			"fingerprint", out.Fingerprint,
-			"method", out.Method,
-			"objects", out.Objects,
-			"budget", out.Budget,
-			"groups", len(out.Groups),
-			"evals", out.SamplesUsed,
-			"labeling", out.Labeling.String(),
-			"duration_ms", float64(time.Since(wall))/float64(time.Millisecond))
-	}
+	cfg.queryLog(ctx, &Estimate{
+		Method:      out.Method,
+		Fingerprint: out.Fingerprint,
+		Objects:     out.Objects,
+		Budget:      out.Budget,
+		Count:       out.Total,
+		SamplesUsed: out.SamplesUsed,
+		Labeling:    out.Labeling,
+	}, time.Since(wall), "groups", len(out.Groups))
 	return out, nil
 }
 

@@ -152,9 +152,12 @@ func WithTracer(t *Tracer) Option {
 }
 
 // WithLogger attaches a structured query logger: every Execute,
-// ExecuteGroups, and Refresh writes one JSON line summarizing the run
-// (fingerprint, method, objects, evaluations spent, reuse path, wall
-// time). WithLogger(nil) detaches it. Logging never changes estimates.
+// ExecuteGroups, Estimator.Estimate and Refresh writes one JSON line with
+// msg "query" summarizing the run — fingerprint, method, objects, budget,
+// count (a grouped run's total), evals, labeling and duration_ms, then
+// reuse and reused_labels where a reuse catalog or WithShards ran the hash
+// plan, and groups for a grouped run. WithLogger(nil) detaches it. Logging
+// never changes estimates.
 func WithLogger(l *Logger) Option {
 	return func(c *config) error {
 		if l == nil {
@@ -167,8 +170,8 @@ func WithLogger(l *Logger) Option {
 }
 
 // queryLog writes the per-execution structured log line when a logger is
-// attached.
-func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration) {
+// attached; extra key/value pairs follow the common fields.
+func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration, extra ...any) {
 	if c.logger == nil || est == nil {
 		return
 	}
@@ -185,7 +188,7 @@ func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration)
 	if est.Reuse != "" {
 		kv = append(kv, "reuse", est.Reuse, "reused_labels", est.ReusedLabels)
 	}
-	c.logger.Info(ctx, "query", kv...)
+	c.logger.Info(ctx, "query", append(kv, extra...)...)
 }
 
 // estimateSpan wraps the core estimation call in an "estimate" span and

@@ -227,13 +227,12 @@ func WithRelabel(relabel bool) Option {
 }
 
 // WithCatalog attaches a cross-query reuse catalog: SQL executions of the
-// srs, lss, and oracle methods materialize what their labeling bought
-// (hash-selected samples as per-key labels; for lss the learn sample's
-// keys and training labels, from which a reuse refits the classifier)
-// into it and later executions over the same (snapshot, Q1 shape,
-// feature set, plan) reuse them — directly when the plan matches, by
-// deterministic sample extension when only the budget grew. Estimates stay
-// byte-identical to from-scratch runs of the same plan; see the package
+// srs, lss, and oracle methods run the deterministic hash plan and memoize
+// every label they buy, and later executions over the same (snapshot, Q1
+// shape, feature set) — of any seed, budget or method — find those labels
+// instead of evaluating the predicate again. Only the cost moves: an
+// estimate is byte-identical to the catalog-free run of the same request
+// (WithShards(1)), whatever the catalog holds; see the package
 // documentation ("Cross-query reuse catalog") for the exact contract.
 // A catalog is safe for concurrent use and may be shared across sessions
 // serving the same snapshots. WithCatalog(nil) detaches it.

@@ -39,10 +39,10 @@ func (t PhaseTimings) Overhead() time.Duration {
 
 // Labeling describes how the expensive predicate was evaluated during one
 // run: through the compiled engine (typed closures over columnar data, with
-// hash-indexed equality probes and batched — possibly parallel — labeling)
-// or through the interpreted engine fallback. Both paths produce
-// byte-identical estimates for a fixed seed; the difference is purely
-// labeling throughput.
+// hash-indexed equality probes and batched — possibly parallel — labeling),
+// through the interpreted engine fallback, or not at all: a label memo
+// answered every label and no predicate was built (the zero value). All
+// produce byte-identical estimates for a fixed seed; only the cost differs.
 type Labeling struct {
 	// Compiled reports that the predicate ran through the compiled engine.
 	Compiled bool
@@ -50,12 +50,16 @@ type Labeling struct {
 	// instead; empty when Compiled is true.
 	Fallback string
 	// Workers is the labeling parallelism the run was configured for
-	// (always 1 on the interpreted path, which is inherently sequential).
+	// (always 1 on the interpreted path, which is inherently sequential; 0
+	// when no predicate was built).
 	Workers int
 }
 
 // String renders the labeling path for logs and CLI output.
 func (l Labeling) String() string {
+	if l.Workers == 0 {
+		return "label memo (no predicate built)"
+	}
 	if l.Compiled {
 		if l.Workers == 1 {
 			return "compiled"
@@ -104,15 +108,16 @@ type Estimate struct {
 	// Labeling reports which predicate-evaluation path the run took
 	// (compiled vs interpreted fallback) and its labeling parallelism.
 	Labeling Labeling
-	// Reuse reports how a reuse catalog served this execution: "direct"
-	// (materialized artifacts fully covered the plan), "extension" (the
-	// sample was topped up / the classifier retrained at a new budget), or
-	// "none" (the execution materialized a fresh entry). Empty when no
-	// catalog was attached (see WithCatalog) or the path ran without one.
+	// Reuse reports what a reuse catalog's label memo did for this
+	// execution: "direct" (it answered every label), "extension" (it
+	// answered some, the rest were bought), or "none" (nobody had asked it
+	// before; also what WithShards without a catalog reports). Empty off
+	// the hash plan (see WithCatalog). The estimate is the same on all.
 	Reuse string
-	// ReusedLabels is the number of sampled objects whose label was
-	// answered from a memo — the catalog's label store or, on the Refresh
-	// path, the live label memo — instead of a predicate evaluation.
+	// ReusedLabels is the number of label requests answered from a memo
+	// instead of a predicate evaluation: repeats within the execution plus
+	// hits on the catalog's label memo, at any shard count — or, on the
+	// Refresh path, hits on the live label memo.
 	ReusedLabels int
 }
 

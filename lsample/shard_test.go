@@ -579,22 +579,7 @@ func TestShardExecChecksProgramOnce(t *testing.T) {
 		t.Errorf("a build beside a borrowed predicate: %d spans, attrs %v, want one compiled build with validated_by=executor", len(builds), builds)
 	}
 
-	// The planted disagreement: the same query carrying the program compiled
-	// from its negation, so the closures and the interpreter differ on every
-	// object that has a dominator — object 0 among them.
-	planted, err := sess.Prepare(skybandQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	negated, err := sess.Prepare(strings.Replace(skybandQuery, "COUNT(*) < k", "COUNT(*) >= k", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if negated.prog == nil || negated.prog == planted.prog {
-		t.Fatal("the negated query did not compile to a program of its own")
-	}
-	planted.prog = negated.prog
-	bad, err := planted.PrepareShard(ctx, 0, 1, params, WithMethod("lss"))
+	bad, err := plantDisagreement(t, sess).PrepareShard(ctx, 0, 1, params, WithMethod("lss"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,6 +598,27 @@ func TestShardExecChecksProgramOnce(t *testing.T) {
 	if fellBack < 2 {
 		t.Errorf("%d builds over 4 seeds on the disagreeing executor, want one per seed that missed a label", fellBack)
 	}
+}
+
+// plantDisagreement prepares the skyband query carrying the program compiled
+// from its negation, so the closures and the interpreter differ on every
+// object that has a dominator — object 0 among them — and the first-object
+// cross-check must fail.
+func plantDisagreement(t *testing.T, sess *Session) *PreparedQuery {
+	t.Helper()
+	planted, err := sess.Prepare(skybandQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negated, err := sess.Prepare(strings.Replace(skybandQuery, "COUNT(*) < k", "COUNT(*) >= k", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if negated.prog == nil || negated.prog == planted.prog {
+		t.Fatal("the negated query did not compile to a program of its own")
+	}
+	planted.prog = negated.prog
+	return planted
 }
 
 // TestShardExecConcurrentOps: counts of different seeds share one executor

@@ -75,13 +75,12 @@ func (p *predPool) put(pred predicate.Predicate) {
 // all. Labels are pure functions of (snapshot, key, predicate), so a memo
 // hit is byte-identical to a fresh evaluation; misses are evaluated in
 // ascending object order through the predicate's batch path, byte-identical
-// at any parallelism. The memo is a catalog entry's label space — the
-// unsharded entry's, which the execution holds locked throughout, or a
-// per-shard entry's, which every execution on that shard shares and the
-// store locks only to read and to write back — a LiveQuery's label memo, or
-// without a catalog the worker's own memo (shardWorker.memo).
+// at any parallelism. The memo is a catalog entry's label space, which
+// every execution on that worker shares and the store locks only to read
+// and to write back, a LiveQuery's label memo, or without a catalog the
+// worker's own memo (shardWorker.memo).
 type labelStore struct {
-	lock     sync.Locker // guards labels and the counters: the per-shard catalog entry or the worker's memo the labels live in
+	lock     sync.Locker // guards labels and the counters: the catalog entry or the worker's memo the labels live in
 	labels   map[int64]bool
 	keys     []int64 // global keys by object position
 	posByKey map[int64]int
@@ -153,13 +152,7 @@ type shardData struct {
 	keys     []int64          // global keys by object position
 	posByKey map[int64]int
 
-	// An unsharded layout has one worker over the whole population. Its
-	// catalog entry also stores the lss stratification design, is keyed by
-	// the whole estimation plan, seed included, and stays locked for the
-	// length of an execution; per-shard entries hold only labels, which no
-	// plan knob can change, and are keyed without one (shardWorker.key).
-	unsharded bool
-	shards    []*shardWorker // the shards this process holds, in index order
+	shards []*shardWorker // the shards this process holds, in index order
 
 	// The compiled program's cross-check against the interpreter — one full
 	// join scan for object 0 — is a pure function of (snapshot, parameters,
@@ -219,25 +212,17 @@ type shardRun struct {
 	stores  []*labelStore
 	cat     *catalog.Catalog // nil without a catalog (or over an empty population)
 	entries []*catalog.Entry
-	prev    []int // entry budgets at acquire time
-
-	// Unsharded: the entry stays locked from newRun to close, so concurrent
-	// identical plans serialize and the followers reuse the leader's labels.
-	design *shard.Design // unsharded lss: the entry's materialized design
-	reuse  string        // unsharded: set by settle on success; "" records nothing
+	prev    []bool // whether each entry was materialized at acquire time
 }
 
-// close releases catalog entries with their reuse classification. A
-// per-shard entry counts as materialized once an execution asked it for a
-// label.
+// close releases catalog entries with their reuse classification. An entry
+// counts as materialized once an execution asked it for a label.
 func (r *shardRun) close() {
 	for i, e := range r.entries {
-		reuse := r.reuse
-		if r.unsharded {
-			e.Unlock()
-		} else if reuse = r.shardReuse(i, i+1); reuse != "" {
+		reuse := r.shardReuse(i, i+1)
+		if reuse != "" {
 			e.Lock()
-			e.Budget = max(e.Budget, 1)
+			e.Materialized = true
 			e.Unlock()
 		}
 		r.cat.Release(e, reuse)
@@ -245,16 +230,17 @@ func (r *shardRun) close() {
 	r.entries = nil
 }
 
-// shardReuse classifies per-shard entries [from, to), which hold labels
-// only: direct when every one that was asked for a label was materialized
-// before and answered from memoized labels alone, "" when none was asked
-// (a worker op that labels nothing reuses nothing).
+// shardReuse classifies what entries [from, to) did for this execution: none
+// when one that was asked for a label had never been asked before,
+// extension when some label was fresh, direct when the memo answered every
+// one, "" when none was asked (a worker op that labels nothing reuses
+// nothing).
 func (r *shardRun) shardReuse(from, to int) string {
 	reuse := ""
 	for i := from; i < to; i++ {
 		switch l := r.stores[i]; {
 		case l.fresh+l.hits == 0:
-		case r.prev[i] == 0:
+		case !r.prev[i]:
 			return ReuseNone
 		case l.fresh > 0:
 			reuse = ReuseExtension
@@ -265,54 +251,14 @@ func (r *shardRun) shardReuse(from, to int) string {
 	return reuse
 }
 
-// settle classifies a finished execution for Estimate.Reuse and, for the
-// unsharded entry, records what the entry now covers. There direct means
-// the materialized budget (srs, oracle) or design (lss) covered the plan —
-// true even when a changed Q3 parameter forced relabeling, the documented
-// exception: the classifier is refitted from the design's stored labels,
-// bought under the predicate that materialized it — a different but still
-// unbiased design. A budget extension upgrades the entry; a smaller-budget
-// recompute keeps the better artifacts in place.
-func (r *shardRun) settle(method string, res *shard.Result) string {
-	switch {
-	case r.cat == nil:
-		return ReuseNone
-	case !r.unsharded:
-		return cmp.Or(r.shardReuse(0, len(r.entries)), ReuseNone)
-	}
-	e, prev := r.entries[0], r.prev[0]
-	var direct bool
-	switch method {
-	case "oracle":
-		direct = prev > 0
-		e.Budget = max(e.Budget, res.N)
-	case "srs":
-		direct = prev >= res.Budget
-		e.Budget = max(e.Budget, res.Budget)
-	case "lss":
-		direct = res.Design == r.design
-		if !direct && res.Budget >= e.Budget {
-			e.Budget, e.KLearn, e.LearnKeys, e.LearnLabels = res.Budget, res.Design.KLearn, res.Design.Keys, res.Design.Labels
-		}
-	}
-	switch {
-	case prev == 0:
-		r.reuse = ReuseNone
-	case direct:
-		r.reuse = ReuseDirect
-	default:
-		r.reuse = ReuseExtension
-	}
-	return r.reuse
-}
-
 // labeling reports which predicate path the run took: every worker builds
-// the same predicate, so the checked build speaks for all.
+// the same predicate, so the checked build speaks for all. A run the memo
+// answered in full built none.
 func (r *shardRun) labeling() Labeling {
 	if r.samplesUsed() > 0 {
 		return r.lab
 	}
-	return Labeling{Fallback: "label memo, no fresh labels", Workers: 1}
+	return Labeling{}
 }
 
 // predicateTime sums the wall time spent inside the expensive predicate
@@ -348,12 +294,12 @@ func outOfContract(format string, args ...any) error {
 
 // buildShardData enumerates the population, validates the hash-plan
 // contract, partitions the population into count hash-aligned shards, and
-// constructs the per-shard workers. count 0 is the unsharded layout (see
-// shardData.unsharded). only (when >= 0) restricts construction to that
-// single shard — the out-of-process worker path, which still enumerates the
-// full population (cheap Q2) but materializes just its own slice. Of cfg it
-// reads the method, the classifier and the labeling knobs — never the seed,
-// the budget or the catalog.
+// constructs the per-shard workers. count 0 is one worker over the whole
+// population, its catalog key's Shard empty. only (when >= 0) restricts
+// construction to that single shard — the out-of-process worker path, which
+// still enumerates the full population (cheap Q2) but materializes just its
+// own slice. Of cfg it reads the method, the classifier and the labeling
+// knobs — never the seed, the budget or the catalog.
 func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map[string]engine.Value,
 	strs map[string]string, count, only int) (*shardData, error) {
 
@@ -365,8 +311,9 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 	if _, err := q.objectKeyColumn(); err != nil {
 		return nil, outOfContract("hash-plan execution needs a unique integer object key: %v", err)
 	}
-	d := &shardData{fp: sql.Fingerprint(q.inner, strs), unsharded: count == 0, owner: byRun}
-	if d.unsharded {
+	d := &shardData{fp: sql.Fingerprint(q.inner, strs), owner: byRun}
+	unsharded := count == 0
+	if unsharded {
 		count = 1
 	}
 	if only >= count {
@@ -496,7 +443,7 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 			preds: predPool{build: d.buildPredicate},
 			key:   key,
 		}
-		if !d.unsharded {
+		if !unsharded {
 			w.key.Shard = shard.Spec{Index: s, Count: count}.String()
 		}
 		w.memo.labels = make(map[int64]bool)
@@ -522,23 +469,13 @@ func (d *shardData) newRun(cfg config) *shardRun {
 			preds:    &w.preds,
 		}
 		if r.cat != nil {
-			key := w.key
-			if d.unsharded {
-				key.Plan = cfg.planKey()
-			}
-			e := r.cat.Acquire(key)
+			e := r.cat.Acquire(w.key)
 			e.Lock()
 			r.entries = append(r.entries, e)
-			r.prev = append(r.prev, e.Budget)
+			r.prev = append(r.prev, e.Materialized)
 			l.labels = e.Labels(d.fp, r.cat.Clock())
-			if d.unsharded {
-				if e.LearnKeys != nil { // close unlocks
-					r.design = &shard.Design{KLearn: e.KLearn, Keys: e.LearnKeys, Labels: e.LearnLabels}
-				}
-			} else {
-				e.Unlock()
-				l.lock = e
-			}
+			e.Unlock()
+			l.lock = e
 		}
 		r.workers = append(r.workers, w.local.WithSeed(cfg.seed, l.label))
 		r.stores = append(r.stores, l)
@@ -547,7 +484,7 @@ func (d *shardData) newRun(cfg config) *shardRun {
 }
 
 // buildShardRun builds both halves of an in-process execution: cfg.shards
-// workers, or the unsharded layout when no WithShards asked.
+// workers, or one when no WithShards asked.
 func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[string]engine.Value,
 	strs map[string]string) (*shardRun, error) {
 
@@ -575,7 +512,6 @@ func (cfg config) shardPlan(grouped bool, alpha float64) shard.Plan {
 // drive runs the plan over the run's workers, wrapping failures the way
 // every estimation path reports them.
 func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, error) {
-	plan.Design = r.design
 	res, err := shard.Drive(ctx, plan, r.workers)
 	var fault *engine.Fault
 	switch {
@@ -604,11 +540,10 @@ func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, e
 //
 // The determinism contract: for a fixed (pinned snapshots, query,
 // parameters, method, budget, seed) the estimate is byte-identical at any
-// worker count and regardless of what the catalog already holds. Reused
-// state is only ever labels — the memoized ones and the design's training
-// labels, from which the driver refits the classifier by the exact
-// procedure a cold run executes; the one documented exception is in
-// settle.
+// worker count and whatever the catalog already holds. Reused state is
+// only ever labels, which are facts about (snapshot, key, predicate): an
+// execution selects, fits and stratifies exactly as a catalog-free run of
+// the same request does, and only what it pays for its labels differs.
 func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, bool, error) {
 
@@ -664,15 +599,14 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 		out.TrueCount = &tc
 	}
 	out.SamplesUsed = r.samplesUsed()
-	// The driver counts repeat requests within this execution; hits on the
-	// catalog's label space count only for the unsharded entry — per-shard
-	// entries have never reported theirs.
+	// The driver counts repeat requests within this execution, the stores
+	// the requests their memos answered.
 	out.ReusedLabels = res.ReusedLabels
-	if r.unsharded {
-		out.ReusedLabels += r.stores[0].hits
+	for _, l := range r.stores {
+		out.ReusedLabels += l.hits
 	}
 	out.Labeling = r.labeling()
-	out.Reuse = r.settle(cfg.method, res)
+	out.Reuse = cmp.Or(r.shardReuse(0, len(r.entries)), ReuseNone)
 	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: r.predicateTime()}
 	span.Set("reuse", out.Reuse)
 	span.Set("reused_labels", out.ReusedLabels)
@@ -836,9 +770,9 @@ func (x *ShardExec) Op(ctx context.Context, seed uint64, op string, args json.Ra
 }
 
 // EvictShardLayout drops every sharded entry whose layout disagrees with
-// the given shard count, keeping unsharded entries. A reshard changes
-// every entry key anyway (the Shard component embeds the layout), so old
-// entries could never be wrongly reused — this reclaims their bytes
+// the given shard count, keeping entries over a whole population. A reshard
+// changes every entry key anyway (the Shard component embeds the layout),
+// so old entries could never be wrongly reused — this reclaims their bytes
 // promptly instead of waiting for LFU pressure.
 func (c *Catalog) EvictShardLayout(count int) int {
 	suffix := fmt.Sprintf("/%d", count)
