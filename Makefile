@@ -4,7 +4,8 @@
 #                      (tier-1 gate and more)
 #   make test          plain test run
 #   make docs-check    README/ARCHITECTURE exist, examples vet, every
-#                      exported lsample symbol documented
+#                      exported lsample symbol documented, no shard op in
+#                      ARCHITECTURE.md's table that the protocol dropped
 #   make bench         the end-to-end ledger (bench/README.md): five
 #                      workloads untraced then traced against real lsserve
 #                      children, result.json + per-layer table under
@@ -45,13 +46,14 @@ api-check:
 	$(GO) run ./tools/apicheck lsample
 
 # Documentation gate: the user-facing docs must exist, the runnable
-# examples must vet clean, and every exported symbol of the public SDK
-# must carry a doc comment (tools/doccheck).
+# examples must vet clean, every exported symbol of the public SDK must
+# carry a doc comment, and ARCHITECTURE.md's shard-op table must name only
+# ops internal/shard/protocol.go declares (tools/doccheck).
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing"; exit 1; }
 	@test -f ARCHITECTURE.md || { echo "docs-check: ARCHITECTURE.md is missing"; exit 1; }
 	$(GO) vet ./examples/...
-	$(GO) run ./tools/doccheck ./lsample
+	$(GO) run ./tools/doccheck -op-doc ARCHITECTURE.md -op-decl internal/shard/protocol.go ./lsample
 
 # Observability gate: every registered metric carries a help string and is
 # registered from one call site, and every opened span is ended
@@ -69,12 +71,13 @@ test:
 	$(GO) test ./...
 
 # Everything under the detector once, then the tests that put several
-# seeds on one shard executor or one catalog entry at the same time ten
-# times over: a race only shows in an interleaving the run happens to
-# execute.
+# seeds on one shard executor or one catalog entry at the same time, and
+# the round-budget tests whose scatters merge every shard's reply of a
+# fused round, ten times over: a race only shows in an interleaving the run
+# happens to execute.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestCatalogConcurrentSeedsShareOneEntry' ./lsample/ ./internal/service/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestCatalogConcurrentSeedsShareOneEntry|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget' ./lsample/ ./internal/service/ ./internal/shard/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at

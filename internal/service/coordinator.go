@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -55,7 +56,8 @@ type CoordinatorOptions struct {
 	// when every candidate for some shard fails after the census, instead
 	// of failing the query.
 	AllowDegraded bool
-	// Client is the HTTP client for worker calls (default http.DefaultClient).
+	// Client is the HTTP client for worker calls (default: a client of the
+	// coordinator's own that keeps workerIdleConns connections per worker).
 	Client *http.Client
 
 	// TraceSample, TraceRing, SlowQuery, and Logger mirror the service's
@@ -66,6 +68,13 @@ type CoordinatorOptions struct {
 	SlowQuery   time.Duration
 	Logger      *obs.Logger
 }
+
+// workerIdleConns is how many idle connections the coordinator's own client
+// keeps per worker. Every round of every query in flight puts
+// ceil(shards/workers) calls on a worker at once, and a call that finds no
+// idle connection dials: http.DefaultTransport keeps 2, which -shards above
+// twice the worker count or three concurrent queries already exceed.
+const workerIdleConns = 64
 
 // Coordinator scatters counting queries over worker processes: each query
 // is split into hash-aligned shards, each shard gets a primary worker from
@@ -118,7 +127,10 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 		logger:  opts.Logger,
 	}
 	if c.client == nil {
-		c.client = http.DefaultClient
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = workerIdleConns
+		tr.MaxIdleConns = workerIdleConns * len(workers)
+		c.client = &http.Client{Transport: tr}
 	}
 	c.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:    opts.TraceSample,
@@ -203,24 +215,23 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 	run.cands = c.ring.Place(keys)
 
 	// Pre-flight: learn the resolved plan (method, budget, interval, the
-	// query's fingerprint and shape) and pin the dataset versions every
-	// later op must match.
-	pre, err := run.do(ctx, 0, shard.OpMeta, nil)
+	// query's fingerprint and shape) from shard 0's answer and pin the
+	// dataset versions every later op must match.
+	metas, err := run.preflight(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if pre.Plan == nil {
-		return nil, fmt.Errorf("service: worker meta answer carries no plan")
-	}
-	run.versions = pre.Versions
 	// From here on every worker is sent the resolved request, so a roster
 	// with mixed defaults still scatters one plan.
-	pl, knobs := pre.Plan, pre.Plan.Request
+	pl, knobs := metas[0].Plan, metas[0].Plan.Request
 	run.base.CountRequest = knobs
 
 	workers := make([]shard.Worker, shards)
 	for i := range workers {
 		workers[i] = shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+			if op == shard.OpMeta {
+				return metas[i].Reply, nil // the pre-flight was the census
+			}
 			resp, err := run.do(ctx, i, op, args)
 			if err != nil {
 				return nil, err
@@ -390,6 +401,54 @@ type coordRun struct {
 	shards   int
 	cands    [][]string
 	versions string
+}
+
+// preflight scatters the meta op to every shard with the request as it
+// arrived and no version pin. One round does two jobs: shard 0's answer
+// names the resolved plan, and the answers together are the census Drive
+// opens with, which the caller serves from here instead of asking again (a
+// shard's population and group census depend on the snapshot and the query,
+// not on which worker's defaults resolved the sampling knobs). Answers that
+// disagree on the dataset versions are ErrDataChanged; the agreed versions
+// are pinned for every later op. A shard whose every candidate fails here
+// is lost before the census, which no degraded answer can absorb.
+func (r *coordRun) preflight(ctx context.Context) ([]*ShardResponse, error) {
+	ctx, sp := obs.StartSpan(ctx, "shard.census")
+	defer sp.End()
+	metas := make([]*ShardResponse, r.shards)
+	errs := make([]error, r.shards)
+	var wg sync.WaitGroup
+	for i := range metas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			metas[i], errs[i] = r.do(ctx, i, shard.OpMeta, nil)
+		}()
+	}
+	wg.Wait()
+	var lost error
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case !errors.Is(err, shard.ErrShardLost):
+			return nil, err // both are fatal here, and a request error says more than a loss beside it
+		case lost == nil:
+			lost = err
+		}
+	}
+	if lost != nil {
+		return nil, fmt.Errorf("%w: lost before census, population unknown: %w", ErrNoWorkers, lost)
+	}
+	if metas[0].Plan == nil {
+		return nil, fmt.Errorf("service: worker meta answer carries no plan")
+	}
+	r.versions = metas[0].Versions
+	for _, m := range metas[1:] {
+		if m.Versions != r.versions {
+			return nil, fmt.Errorf("%w: expected %q, worker has %q", ErrDataChanged, r.versions, m.Versions)
+		}
+	}
+	return metas, nil
 }
 
 // permanentError marks a worker answer that retrying elsewhere cannot

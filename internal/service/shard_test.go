@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -486,15 +487,26 @@ func TestCoordinatorDegradedAnswer(t *testing.T) {
 	}
 }
 
+// shardOpsSent is how many shard calls the coordinator has launched.
+func shardOpsSent(c *Coordinator) int64 {
+	var n int64
+	for name := range c.workers {
+		n += c.shardOps.With(name).Value()
+	}
+	return n
+}
+
 // TestCoordinatorVersionFence: workers serving different dataset versions
 // can never contribute to one merged answer — the query fails with
-// data_changed instead of mixing snapshots.
+// data_changed instead of mixing snapshots. The pre-flight sees it: it asks
+// every shard at once and pins nothing until the answers agree, so no op
+// past that round is sent and nothing reaches a merge.
 func TestCoordinatorVersionFence(t *testing.T) {
-	const n, k = 100, 10
+	const n, k, shards = 100, 10, 8
 	_, srvA := newWorkerServer(t, testTable(n, 7))
 	svcB, srvB := newWorkerServer(t, testTable(n, 7))
 	svcB.RegisterTable(testTable(n, 7)) // bump B's version past A's
-	coord := newCoordinator(t, CoordinatorOptions{Shards: 8}, srvA, srvB)
+	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute}, srvA, srvB)
 	_, err := coord.Count(context.Background(), &CountRequest{
 		SQL:    skybandQuery,
 		Params: map[string]any{"k": float64(k)},
@@ -504,6 +516,95 @@ func TestCoordinatorVersionFence(t *testing.T) {
 	})
 	if !errors.Is(err, ErrDataChanged) {
 		t.Fatalf("mixed versions: err = %v, want ErrDataChanged", err)
+	}
+	if sent := shardOpsSent(coord); sent != shards {
+		t.Errorf("%d shard ops sent, want the %d pre-flight metas and nothing after them", sent, shards)
+	}
+}
+
+// TestCoordinatorRoundBudget pins what a scattered count costs in RPCs on
+// two shards: one meta per shard that is pre-flight and census at once,
+// then one call per shard per round the plan's data dependencies require —
+// lss cands, label with the learn sample's feature rows, score_all, one
+// label for every stratum (10 in all; it was 19 when the census asked
+// again, features were an op and each stratum a round), srs cands and
+// label (6; it was 7).
+func TestCoordinatorRoundBudget(t *testing.T) {
+	const n, shards = 120, 2
+	_, srvA := newWorkerServer(t, testTable(n, 7))
+	_, srvB := newWorkerServer(t, testTable(n, 7))
+	// No hedging: a slow test machine must not add backup calls.
+	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute}, srvA, srvB)
+	for _, tc := range []struct {
+		method string
+		rpcs   int64
+	}{{"lss", 10}, {"srs", 6}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			before := shardOpsSent(coord)
+			_, err := coord.Count(context.Background(), &CountRequest{
+				SQL: skybandQuery, Params: map[string]any{"k": float64(10)},
+				Method: tc.method, Budget: 0.3, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := shardOpsSent(coord) - before; got > tc.rpcs {
+				t.Errorf("%s seed %d: %d shard ops for one count on %d shards, want at most %d",
+					tc.method, seed, got, shards, tc.rpcs)
+			}
+		}
+	}
+}
+
+// TestCoordinatorKeepsWorkerConnections: a round puts ceil(shards/workers)
+// calls on a worker at once, and the coordinator's own client keeps that
+// many connections idle between rounds — http.DefaultClient kept two per
+// worker and dialed the rest again every round.
+func TestCoordinatorKeepsWorkerConnections(t *testing.T) {
+	const n, shards = 120, 8
+	svc := newTestService(t, n, Options{MaxInFlight: 16})
+	var mu sync.Mutex
+	dialed := 0
+	srv := httptest.NewUnstartedServer(svc.Handler())
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			mu.Lock()
+			dialed++
+			mu.Unlock()
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute}, srv)
+	if coord.client == http.DefaultClient {
+		t.Fatal("coordinator fell back to http.DefaultClient")
+	}
+	count := func(seed uint64) {
+		t.Helper()
+		_, err := coord.Count(context.Background(), &CountRequest{
+			SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	count(1)
+	mu.Lock()
+	warm := dialed
+	mu.Unlock()
+	if warm > shards {
+		t.Errorf("the first count dialed %d connections for %d shards: rounds are re-dialing", warm, shards)
+	}
+	count(2)
+	mu.Lock()
+	defer mu.Unlock()
+	if dialed != warm {
+		t.Errorf("a second count dialed %d more connections, want every call on a kept one", dialed-warm)
+	}
+
+	own := &http.Client{}
+	if c := newCoordinator(t, CoordinatorOptions{Client: own}, srv); c.client != own {
+		t.Error("CoordinatorOptions.Client did not override the coordinator's own client")
 	}
 }
 

@@ -311,103 +311,83 @@ func (r *run) slotOf(key int64) (int, error) {
 // label answers labels for the given distinct keys, routing memo misses
 // to their owning shards in one batched round.
 func (r *run) label(ctx context.Context, sel []int64) ([]bool, error) {
-	perOwner := make(map[int][]int64)
+	labels, _, err := r.labelRound(ctx, sel, false)
+	return labels, err
+}
+
+// labelRound is label, and with withRows it also returns every key's
+// feature vector (in sel order) out of the same round: a key's row lives on
+// the shard that labels it, so the learn sample costs one scatter, not two.
+// A key already in the memo is asked for its row only and counts as reused —
+// the survivors of a degraded restart keep the labels they bought.
+func (r *run) labelRound(ctx context.Context, sel []int64, withRows bool) ([]bool, [][]float64, error) {
+	type ask struct {
+		keys   []int64 // memo misses this shard owns
+		rowsOf []int64 // keys whose rows it returns; rowsOf[j] is sel[at[j]]
+		at     []int
+		labels []bool
+		rows   [][]float64
+		fresh  int
+	}
+	asks := make([]ask, len(r.workers))
 	queued := 0
-	for _, k := range sel {
-		if _, ok := r.memo[k]; ok {
+	for i, k := range sel {
+		_, known := r.memo[k]
+		if known && !withRows {
 			continue
 		}
 		slot, err := r.slotOf(k)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		perOwner[slot] = append(perOwner[slot], k)
-		queued++
+		a := &asks[slot]
+		if !known {
+			a.keys = append(a.keys, k)
+			queued++
+		}
+		if withRows {
+			a.rowsOf, a.at = append(a.rowsOf, k), append(a.at, i)
+		}
 	}
-	if queued > 0 {
-		type got struct {
-			keys   []int64
-			labels []bool
-			fresh  int
-		}
-		results := make([]*got, len(r.workers))
-		err := r.scatter(ctx, func(slot int, w Worker) error {
-			keys := perOwner[slot]
-			if len(keys) == 0 {
+	var rows [][]float64
+	if queued > 0 || withRows {
+		err := r.scatter(ctx, func(slot int, w Worker) (err error) {
+			a := &asks[slot]
+			if len(a.keys) == 0 && len(a.rowsOf) == 0 {
 				return nil
 			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			labels, fresh, lerr := w.Label(ctx, keys)
-			if lerr != nil {
-				return lerr
+			sort.Slice(a.keys, func(i, j int) bool { return a.keys[i] < a.keys[j] })
+			if a.labels, a.rows, a.fresh, err = w.Label(ctx, a.keys, a.rowsOf); err != nil {
+				return err
 			}
-			if len(labels) != len(keys) {
-				return fmt.Errorf("shard: worker returned %d labels for %d keys", len(labels), len(keys))
+			if len(a.labels) != len(a.keys) || len(a.rows) != len(a.rowsOf) {
+				return fmt.Errorf("shard: worker returned %d labels for %d keys and %d rows for %d",
+					len(a.labels), len(a.keys), len(a.rows), len(a.rowsOf))
 			}
-			results[slot] = &got{keys: keys, labels: labels, fresh: fresh}
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for _, g := range results {
-			if g == nil {
-				continue
+		if withRows {
+			rows = make([][]float64, len(sel))
+		}
+		for _, a := range asks {
+			for j, k := range a.keys {
+				r.memo[k] = a.labels[j]
 			}
-			for j, k := range g.keys {
-				r.memo[k] = g.labels[j]
+			for j, i := range a.at {
+				rows[i] = a.rows[j]
 			}
-			r.fresh += g.fresh
+			r.fresh += a.fresh
 		}
 	}
 	r.reused += len(sel) - queued
-	out := make([]bool, len(sel))
+	labels := make([]bool, len(sel))
 	for j, k := range sel {
-		out[j] = r.memo[k]
+		labels[j] = r.memo[k]
 	}
-	return out, nil
-}
-
-// features fetches feature vectors for the given keys from their owners,
-// assembled in sel order.
-func (r *run) features(ctx context.Context, sel []int64) ([][]float64, error) {
-	perOwner := make(map[int][]int64)
-	for _, k := range sel {
-		slot, err := r.slotOf(k)
-		if err != nil {
-			return nil, err
-		}
-		perOwner[slot] = append(perOwner[slot], k)
-	}
-	byKey := make(map[int64][]float64, len(sel))
-	var mu sync.Mutex
-	err := r.scatter(ctx, func(slot int, w Worker) error {
-		keys := perOwner[slot]
-		if len(keys) == 0 {
-			return nil
-		}
-		fv, ferr := w.Features(ctx, keys)
-		if ferr != nil {
-			return ferr
-		}
-		if len(fv) != len(keys) {
-			return fmt.Errorf("shard: worker returned %d vectors for %d keys", len(fv), len(keys))
-		}
-		mu.Lock()
-		for j, k := range keys {
-			byKey[k] = fv[j]
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(sel))
-	for j, k := range sel {
-		out[j] = byKey[k]
-	}
-	return out, nil
+	return labels, rows, nil
 }
 
 // cands gathers per-shard bottom-k candidates under the tag.
@@ -541,8 +521,9 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 }
 
 // scoreAll yields every survivor object with its classifier score: merge
-// the hash learn sample, take its labels, broadcast (x, y, seed) so every
-// shard trains the identical classifier, and gather per-key scores.
+// the hash learn sample, take its labels and features in one round,
+// broadcast (x, y, seed) so every shard trains the identical classifier,
+// and gather per-key scores.
 func (r *run) scoreAll(ctx context.Context, n, kLearn int) ([]Scored, error) {
 	ctx, sp := obs.StartSpan(ctx, "learn")
 	defer sp.End()
@@ -551,11 +532,7 @@ func (r *run) scoreAll(ctx context.Context, n, kLearn int) ([]Scored, error) {
 		return nil, err
 	}
 	learnSel := MergeBottomK(parts, kLearn, n)
-	y, err := r.label(ctx, learnSel)
-	if err != nil {
-		return nil, err
-	}
-	x, err := r.features(ctx, learnSel)
+	y, x, err := r.labelRound(ctx, learnSel, true)
 	if err != nil {
 		return nil, err
 	}
@@ -764,25 +741,33 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	// Per-group estimates with a deterministic top-up for groups the
 	// shared sample underserves: the top-up replaces the shared estimate
 	// so the answer never depends on which path a group took historically.
-	total, lo, hi := 0.0, 0.0, 0.0
-	for _, c := range cens {
-		sampled := 0
+	// Each top-up is drawn under the group's own tag, and groups are
+	// disjoint, so all of them are labeled in one round.
+	sampledOf := make([]int, len(cens))
+	short := func(i int) bool { return sampledOf[i] < min(minG, cens[i].n) }
+	topUp := make([][]int64, len(cens))
+	var topUps []int64
+	for i, c := range cens {
 		for _, cl := range perGroup[c.key] {
-			sampled += cl.sampled
+			sampledOf[i] += cl.sampled
 		}
-		want := minG
-		if want > c.n {
-			want = c.n
+		if short(i) {
+			topUp[i] = BottomK(members[c.key], min(minG, c.n), r.plan.Seed, GroupTag(c.key))
+			topUps = append(topUps, topUp[i]...)
 		}
+	}
+	topLabels, err := r.label(ctx, topUps)
+	if err != nil {
+		return err
+	}
+	total, lo, hi := 0.0, 0.0, 0.0
+	for i, c := range cens {
+		sampled := sampledOf[i]
 		grp := Group{Key: c.key, Parts: c.parts, N: c.n}
-		if sampled < want {
-			// Top up under the group's own tag.
-			gsel := BottomK(members[c.key], want, r.plan.Seed, GroupTag(c.key))
-			labels, err := r.label(ctx, gsel)
-			if err != nil {
-				return err
-			}
-			srsGroup(&grp, Positives(labels), len(gsel))
+		if short(i) {
+			gsel := topUp[i]
+			srsGroup(&grp, Positives(topLabels[:len(gsel)]), len(gsel))
+			topLabels = topLabels[len(gsel):]
 		} else if r.plan.Method == "lss" {
 			gs := stratumSizes[c.key]
 			var cells []estimate.StratumSample

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -117,12 +118,17 @@ func TestDriveByteIdenticalAcrossShardCounts(t *testing.T) {
 }
 
 // lossy wraps a Worker and fails configured ops with a LostShardError —
-// the driver-level model of a crashed or unreachable worker.
+// the driver-level model of a crashed or unreachable worker. dieAtLabel,
+// when positive, lets the worker live until its n-th label call and fails
+// that call and every op after it: the shard dies inside a round. (Drive
+// sends a worker one call per round, so the fields need no lock.)
 type lossy struct {
 	Worker
-	id       int
-	failMeta bool
-	failOps  bool
+	id         int
+	failMeta   bool
+	failOps    bool
+	dieAtLabel int
+	labelCalls int
 }
 
 func (l *lossy) err() error {
@@ -143,18 +149,14 @@ func (l *lossy) Cands(ctx context.Context, k int, tag uint64) ([]Cand, error) {
 	return l.Worker.Cands(ctx, k, tag)
 }
 
-func (l *lossy) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
-	if l.failOps {
-		return nil, 0, l.err()
+func (l *lossy) Label(ctx context.Context, keys, rowsOf []int64) ([]bool, [][]float64, int, error) {
+	if l.labelCalls++; l.labelCalls == l.dieAtLabel {
+		l.failOps = true
 	}
-	return l.Worker.Label(ctx, keys)
-}
-
-func (l *lossy) Features(ctx context.Context, keys []int64) ([][]float64, error) {
 	if l.failOps {
-		return nil, l.err()
+		return nil, nil, 0, l.err()
 	}
-	return l.Worker.Features(ctx, keys)
+	return l.Worker.Label(ctx, keys, rowsOf)
 }
 
 func (l *lossy) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
@@ -300,5 +302,148 @@ func TestDriveRejectsUnknownMethod(t *testing.T) {
 	}
 	if _, err := Drive(context.Background(), Plan{Method: "srs"}, nil); err == nil {
 		t.Fatal("no workers should be rejected")
+	}
+}
+
+// TestDriveLossInFusedRound kills a shard inside the two rounds that each
+// stand for several of the earlier protocol's: the learn sample's label +
+// feature-row round (label call 1) and the round that labels every
+// stratum's sample at once (label call 2). The degraded answer is a
+// function of the survivor set alone, so count/lo/hi equal — by their bits —
+// what the per-stratum protocol answered when the same shard died in its
+// learn round or its first stratum's round, and so do the evaluations
+// bought and the labels the restart found in the driver's memo: a learn key
+// labeled before the loss is asked for its feature row again, never for its
+// label. The numbers were recorded at the commit before the rounds were
+// fused, with shard 2 dead: it owns a key of the first stratum's sample, so
+// there, too, it died before any stratum's labels reached the memo.
+func TestDriveLossInFusedRound(t *testing.T) {
+	const n, shards = 300, 4
+	type acct struct{ used, reused int }
+	for _, tc := range []struct {
+		name          string
+		grouped       bool
+		dead          int
+		count, lo, hi uint64
+		byRound       [2]acct // the shard dies in label call 1, 2
+		groups        [][3]uint64
+	}{
+		{name: "lss", dead: 2,
+			count: 0x405acac48cbd452a, lo: 0x404426136ffa5778, hi: 0x4068ee7b24016a23,
+			byRound: [2]acct{{41, 1}, {45, 12}}},
+		{name: "lss/grouped", grouped: true, dead: 2,
+			count: 0x4053ecef3002c5f0, lo: 0x40211026ed90a5da, hi: 0x40694f4c78d1340b,
+			byRound: [2]acct{{50, 2}, {54, 13}},
+			groups: [][3]uint64{
+				{0x40446d89a0f31a53, 0x40211026ed90a5da, 0x4053b65ca8664ccb},
+				{0x40333cf3cf3cf3cf, 0x0, 0x4050231684357c0c},
+				{0x4034000000000000, 0x0, 0x404d8a4b8a0d3e7e},
+			}},
+	} {
+		for round, want := range tc.byRound {
+			t.Run(fmt.Sprintf("%s/label-call-%d", tc.name, round+1), func(t *testing.T) {
+				workers := testWorkers(n, shards, tc.grouped)
+				workers[tc.dead] = &lossy{Worker: workers[tc.dead], id: tc.dead, dieAtLabel: round + 1}
+				plan := testPlan("lss", tc.grouped)
+				plan.AllowDegraded = true
+				res, err := Drive(context.Background(), plan, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Degraded || len(res.Lost) != 1 || res.Lost[0] != tc.dead {
+					t.Fatalf("degraded/lost = %t/%v, want shard %d lost", res.Degraded, res.Lost, tc.dead)
+				}
+				bits := math.Float64bits
+				if bits(res.Count) != tc.count || bits(res.CILo) != tc.lo || bits(res.CIHi) != tc.hi {
+					t.Errorf("count/lo/hi = %#x/%#x/%#x, want %#x/%#x/%#x",
+						bits(res.Count), bits(res.CILo), bits(res.CIHi), tc.count, tc.lo, tc.hi)
+				}
+				if res.SamplesUsed != want.used || res.ReusedLabels != want.reused {
+					t.Errorf("SamplesUsed/ReusedLabels = %d/%d, want %d/%d",
+						res.SamplesUsed, res.ReusedLabels, want.used, want.reused)
+				}
+				if len(res.Groups) != len(tc.groups) {
+					t.Fatalf("%d groups, want %d", len(res.Groups), len(tc.groups))
+				}
+				for i, g := range res.Groups {
+					if w := tc.groups[i]; bits(g.Count) != w[0] || bits(g.CILo) != w[1] || bits(g.CIHi) != w[2] {
+						t.Errorf("group %q = %#x/%#x/%#x, want %#x/%#x/%#x",
+							g.Key, bits(g.Count), bits(g.CILo), bits(g.CIHi), w[0], w[1], w[2])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDriveRoundBudget pins how many blocking rounds a count costs, by the
+// ops that cross each worker's wire (protocol_test.go's wired). Every
+// scatter sends a worker at most one call, and at this size every shard owns
+// keys of every selection, so the calls one worker received are the rounds
+// Drive ran: the census, then only what depends on the round before — lss
+// cands | label + rows | score_all | label (every stratum at once), srs
+// cands | label, a grouped plan one more label round for all its topped-up
+// groups together however many they are, Exact one count_all. A step that
+// goes back to one call per stratum or per group, or fetches the learn
+// sample's features in a round of their own, fails here.
+func TestDriveRoundBudget(t *testing.T) {
+	const n, shards, census = 300, 2, 1
+	for _, tc := range []struct {
+		name     string
+		method   string
+		grouped  bool
+		minGroup int // 40: the shared sample underserves all three groups
+		exact    bool
+		rounds   int
+		ops      map[string]int
+	}{
+		{name: "lss", method: "lss", rounds: census + 4,
+			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 2, OpScoreAll: 1}},
+		{name: "srs", method: "srs", rounds: census + 2,
+			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 1}},
+		{name: "lss/exact", method: "lss", exact: true, rounds: census + 5,
+			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 2, OpScoreAll: 1, OpCountAll: 1}},
+		{name: "lss/grouped", method: "lss", grouped: true, rounds: census + 4,
+			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 2, OpScoreAll: 1}},
+		{name: "lss/grouped/top-ups", method: "lss", grouped: true, minGroup: 40, rounds: census + 5,
+			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 3, OpScoreAll: 1}},
+		{name: "srs/grouped/top-ups", method: "srs", grouped: true, minGroup: 40, rounds: census + 3,
+			ops: map[string]int{OpMeta: 1, OpGroupKeys: 1, OpLabel: 2}},
+		{name: "oracle", method: "oracle", rounds: census + 1,
+			ops: map[string]int{OpMeta: 1, OpCountAll: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			workers := testWorkers(n, shards, tc.grouped)
+			tallies := make([]map[string]int, shards)
+			for i, w := range workers {
+				tallies[i] = map[string]int{}
+				workers[i] = wired(w, tallies[i])
+			}
+			plan := testPlan(tc.method, tc.grouped)
+			plan.MinGroup, plan.Exact = tc.minGroup, tc.exact
+			res, err := Drive(context.Background(), plan, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.minGroup > 0 {
+				if len(res.Groups) < 3 {
+					t.Fatalf("%d groups, want at least 3 to top up", len(res.Groups))
+				}
+				for _, g := range res.Groups {
+					if g.Sampled != tc.minGroup {
+						t.Fatalf("group %q sampled %d: not topped up to %d", g.Key, g.Sampled, tc.minGroup)
+					}
+				}
+			}
+			for i, ops := range tallies {
+				rounds := 0
+				for _, calls := range ops {
+					rounds += calls
+				}
+				if rounds != tc.rounds || !reflect.DeepEqual(ops, tc.ops) {
+					t.Errorf("shard %d took %d rounds %v, want %d %v", i, rounds, ops, tc.rounds, tc.ops)
+				}
+			}
+		})
 	}
 }

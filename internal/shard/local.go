@@ -128,30 +128,30 @@ func (w *Local) Cands(ctx context.Context, k int, tag uint64) ([]Cand, error) {
 	return LocalCands(w.keys, k, w.seed, tag), nil
 }
 
-// Label evaluates the predicate for the given local keys.
-func (w *Local) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
+// Label evaluates the predicate for the given local keys and returns the
+// feature vectors of rowsOf.
+func (w *Local) Label(ctx context.Context, keys, rowsOf []int64) ([]bool, [][]float64, int, error) {
 	for _, k := range keys {
 		if _, ok := w.idx[k]; !ok {
-			return nil, 0, fmt.Errorf("shard: key %d is not on this shard", k)
+			return nil, nil, 0, fmt.Errorf("shard: key %d is not on this shard", k)
 		}
 	}
-	return w.labelFn(ctx, keys)
-}
-
-// Features returns the feature vectors of the given local keys.
-func (w *Local) Features(ctx context.Context, keys []int64) ([][]float64, error) {
-	if w.feats == nil {
-		return nil, fmt.Errorf("shard: plan carries no features")
-	}
-	out := make([][]float64, len(keys))
-	for i, k := range keys {
-		p, ok := w.idx[k]
-		if !ok {
-			return nil, fmt.Errorf("shard: key %d is not on this shard", k)
+	var rows [][]float64
+	if len(rowsOf) > 0 {
+		if w.feats == nil {
+			return nil, nil, 0, fmt.Errorf("shard: plan carries no features")
 		}
-		out[i] = w.feats[p]
+		rows = make([][]float64, len(rowsOf))
+		for i, k := range rowsOf {
+			p, ok := w.idx[k]
+			if !ok {
+				return nil, nil, 0, fmt.Errorf("shard: key %d is not on this shard", k)
+			}
+			rows[i] = w.feats[p]
+		}
 	}
-	return out, nil
+	labels, fresh, err := w.labelFn(ctx, keys)
+	return labels, rows, fresh, err
 }
 
 // ScoreAll trains (or reuses) the plan classifier and scores every local

@@ -96,7 +96,7 @@ func TestLocalWithSeed(t *testing.T) {
 				t.Fatalf("seed %d: candidates %v, want %v", seed, got, want)
 			}
 		}
-		if _, _, err := w.Label(ctx, keys[:2]); err != nil || labeled != 2 {
+		if _, _, _, err := w.Label(ctx, keys[:2], nil); err != nil || labeled != 2 {
 			t.Fatalf("seed %d: Label err %v, %d keys reached the view's label function", seed, err, labeled)
 		}
 		if m, _ := w.Meta(ctx); m.N != len(keys) {

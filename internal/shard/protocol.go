@@ -7,19 +7,36 @@ import (
 	"fmt"
 )
 
-// This file is the whole shard-op protocol: the seven op names, their
+// This file is the whole shard-op protocol: the six op names, their
 // argument and reply blocks, the dispatch of a named op onto a Worker
 // (Serve, the worker end of a wire), and the Worker that performs each op
 // by calling a transport (NewRemote, the coordinator end). A serving layer
 // only moves the opaque args and reply bytes between the two — it declares
 // no op, converts no type, and encodes nothing twice.
+//
+// Every op a driver sends is one blocking round, so an lss count costs the
+// five rounds its data dependencies require (driver.go):
+//
+//	round  op               depends on                          bytes ∝
+//	1      meta             nothing: the census (and a          groups
+//	                        coordinator's pre-flight)
+//	2      cands            the population (it sizes budgets)   learn sample, per shard
+//	3      label + rows_of  the merged learn selection          learn sample × (1 + features)
+//	4      score_all        the learn sample's labels and rows  shards × learn sample × features
+//	                                                            out, the population back
+//	5      label            the cuts: every stratum's           estimation sample
+//	                        selection at once
+//
+// srs is rounds 1, 2 and 5 (its one selection); a grouped plan adds at most
+// one label round, for all its under-served groups' top-ups together, and
+// lists its population with group_keys where it needs no scores; Exact adds
+// one count_all, which is also all an oracle plan sends after the census.
 
-// The seven shard ops, one per Worker method.
+// The six shard ops, one per Worker method.
 const (
 	OpMeta      = "meta"
 	OpCands     = "cands"
 	OpLabel     = "label"
-	OpFeatures  = "features"
 	OpScoreAll  = "score_all"
 	OpGroupKeys = "group_keys"
 	OpCountAll  = "count_all"
@@ -40,7 +57,8 @@ func Heavy(op string) bool {
 type Args struct {
 	K       int         `json:"k,omitempty"`        // cands
 	Tag     uint64      `json:"tag,omitempty"`      // cands
-	Keys    []int64     `json:"keys,omitempty"`     // label, features
+	Keys    []int64     `json:"keys,omitempty"`     // label
+	RowsOf  []int64     `json:"rows_of,omitempty"`  // label: keys whose feature rows to return
 	X       [][]float64 `json:"x,omitempty"`        // score_all: learn-sample features
 	Y       []bool      `json:"y,omitempty"`        // score_all: learn-sample labels
 	ClfSeed uint64      `json:"clf_seed,omitempty"` // score_all
@@ -51,11 +69,11 @@ type Args struct {
 type Reply struct {
 	Meta     *Meta       `json:"meta,omitempty"`
 	Cands    []Cand      `json:"cands,omitempty"`
-	Labels   []bool      `json:"labels,omitempty"` // label
-	Fresh    int         `json:"fresh,omitempty"`  // label
-	Features [][]float64 `json:"features,omitempty"`
-	Scored   []Scored    `json:"scored,omitempty"` // score_all, group_keys
-	Tally    *Tally      `json:"tally,omitempty"`  // count_all
+	Labels   []bool      `json:"labels,omitempty"`   // label
+	Fresh    int         `json:"fresh,omitempty"`    // label
+	Features [][]float64 `json:"features,omitempty"` // label: the rows of rows_of
+	Scored   []Scored    `json:"scored,omitempty"`   // score_all, group_keys
+	Tally    *Tally      `json:"tally,omitempty"`    // count_all
 }
 
 // dispatch runs the named op on w.
@@ -68,9 +86,7 @@ func dispatch(ctx context.Context, w Worker, op string, a *Args) (r Reply, err e
 	case OpCands:
 		r.Cands, err = w.Cands(ctx, a.K, a.Tag)
 	case OpLabel:
-		r.Labels, r.Fresh, err = w.Label(ctx, a.Keys)
-	case OpFeatures:
-		r.Features, err = w.Features(ctx, a.Keys)
+		r.Labels, r.Features, r.Fresh, err = w.Label(ctx, a.Keys, a.RowsOf)
 	case OpScoreAll:
 		r.Scored, err = w.ScoreAll(ctx, a.X, a.Y, a.ClfSeed)
 	case OpGroupKeys:
@@ -147,20 +163,16 @@ func (t remote) Cands(ctx context.Context, k int, tag uint64) ([]Cand, error) {
 	return r.Cands, err
 }
 
-func (t remote) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
-	r, err := t.call(ctx, OpLabel, Args{Keys: keys})
-	if err == nil && len(r.Labels) != len(keys) {
+func (t remote) Label(ctx context.Context, keys, rowsOf []int64) ([]bool, [][]float64, int, error) {
+	r, err := t.call(ctx, OpLabel, Args{Keys: keys, RowsOf: rowsOf})
+	switch {
+	case err != nil:
+	case len(r.Labels) != len(keys):
 		err = fmt.Errorf("shard: worker labeled %d of %d keys", len(r.Labels), len(keys))
+	case len(r.Features) != len(rowsOf):
+		err = fmt.Errorf("shard: worker returned %d of %d feature rows", len(r.Features), len(rowsOf))
 	}
-	return r.Labels, r.Fresh, err
-}
-
-func (t remote) Features(ctx context.Context, keys []int64) ([][]float64, error) {
-	r, err := t.call(ctx, OpFeatures, Args{Keys: keys})
-	if err == nil && len(r.Features) != len(keys) {
-		err = fmt.Errorf("shard: worker returned %d of %d feature rows", len(r.Features), len(keys))
-	}
-	return r.Features, err
+	return r.Labels, r.Features, r.Fresh, err
 }
 
 func (t remote) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -20,7 +21,9 @@ func wired(w Worker, ops map[string]int) Worker {
 	})
 }
 
-// TestProtocolRoundTripEveryOp: each of the seven ops, sent through the
+// TestProtocolRoundTripEveryOp: each of the six ops — label both bare and
+// with feature rows asked for, of all its keys and of one it is not asked
+// to label — sent through the
 // remote adapter → JSON → Serve → a Local, returns exactly what calling
 // the Local directly returns.
 func TestProtocolRoundTripEveryOp(t *testing.T) {
@@ -58,16 +61,23 @@ func TestProtocolRoundTripEveryOp(t *testing.T) {
 			keys[i] = c.Key
 		}
 
-		wl, wfresh, werr := local.Label(ctx, keys)
-		gl, gfresh, gerr := remote.Label(ctx, keys)
-		same(OpLabel, gl, wl, gerr, werr)
-		if gfresh != wfresh {
-			t.Errorf("label fresh %d over the wire, %d direct", gfresh, wfresh)
+		var wl []bool
+		var wf [][]float64
+		for _, ask := range []struct{ keys, rowsOf []int64 }{
+			{keys, nil}, {keys[1:], keys[:3]}, {nil, keys[:1]}, {keys, keys},
+		} {
+			var wfresh int
+			wl, wf, wfresh, werr = local.Label(ctx, ask.keys, ask.rowsOf)
+			gl, gf, gfresh, gerr := remote.Label(ctx, ask.keys, ask.rowsOf)
+			if gerr != nil || werr != nil {
+				t.Fatalf("grouped=%t label: errors %v / %v", grouped, gerr, werr)
+			}
+			if !slices.Equal(gl, wl) || !slices.EqualFunc(gf, wf, slices.Equal[[]float64]) || gfresh != wfresh ||
+				len(gl) != len(ask.keys) || len(gf) != len(ask.rowsOf) {
+				t.Errorf("grouped=%t label of %d keys, rows of %d, over the wire:\n got %v %v fresh %d\nwant %v %v fresh %d",
+					grouped, len(ask.keys), len(ask.rowsOf), gl, gf, gfresh, wl, wf, wfresh)
+			}
 		}
-
-		wf, werr := local.Features(ctx, keys)
-		gf, gerr := remote.Features(ctx, keys)
-		same(OpFeatures, gf, wf, gerr, werr)
 
 		ws, werr := local.ScoreAll(ctx, wf, wl, 99)
 		gs, gerr := remote.ScoreAll(ctx, wf, wl, 99)
@@ -89,8 +99,8 @@ func TestProtocolRoundTripEveryOp(t *testing.T) {
 			t.Errorf("tally %+v over the wire, %+v direct", gt, wt)
 		}
 
-		if len(ops) != 7 {
-			t.Errorf("%d distinct ops crossed the wire, want all 7: %v", len(ops), ops)
+		if len(ops) != 6 {
+			t.Errorf("%d distinct ops crossed the wire, want all 6: %v", len(ops), ops)
 		}
 		for op := range ops {
 			if want := op == OpLabel || op == OpScoreAll || op == OpCountAll; Heavy(op) != want {
@@ -112,8 +122,14 @@ func TestProtocolRejectsMalformed(t *testing.T) {
 	if _, err := Serve(ctx, local, OpCands, json.RawMessage(`{"k": "many"}`)); !errors.Is(err, ErrBadOp) {
 		t.Errorf("unreadable args: %v", err)
 	}
-	if _, _, err := wired(local, nil).Label(ctx, []int64{-7}); err == nil || errors.Is(err, ErrBadOp) {
+	if _, _, _, err := wired(local, nil).Label(ctx, []int64{-7}, nil); err == nil || errors.Is(err, ErrBadOp) {
 		t.Errorf("foreign key: err = %v, want the worker's own error", err)
+	}
+	if _, _, _, err := wired(local, nil).Label(ctx, nil, []int64{-7}); err == nil || errors.Is(err, ErrBadOp) {
+		t.Errorf("foreign key's feature row: err = %v, want the worker's own error", err)
+	}
+	if _, err := Serve(ctx, local, "features", json.RawMessage(`{"keys": [1]}`)); !errors.Is(err, ErrBadOp) {
+		t.Errorf("the retired features op: %v", err)
 	}
 	empty := NewRemote(func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
 		return json.RawMessage(`{}`), nil
@@ -124,11 +140,21 @@ func TestProtocolRejectsMalformed(t *testing.T) {
 	if _, err := empty.CountAll(ctx); err == nil {
 		t.Error("empty tally reply accepted")
 	}
-	if _, _, err := empty.Label(ctx, []int64{1, 4}); err == nil {
+	if _, _, _, err := empty.Label(ctx, []int64{1, 4}, nil); err == nil {
 		t.Error("short label reply accepted")
 	}
-	if _, err := empty.Features(ctx, []int64{1}); err == nil {
-		t.Error("short features reply accepted")
+	// A feature block of the wrong length: one row short, one too many, and
+	// rows nobody asked for.
+	rows := NewRemote(func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
+		return json.RawMessage(`{"labels": [true, false], "features": [[1, 2]]}`), nil
+	})
+	for _, rowsOf := range [][]int64{{1, 4}, nil} {
+		if _, _, _, err := rows.Label(ctx, []int64{1, 4}, rowsOf); err == nil {
+			t.Errorf("1 feature row accepted for %d asked", len(rowsOf))
+		}
+	}
+	if _, got, _, err := rows.Label(ctx, []int64{1, 4}, []int64{4}); err != nil || len(got) != 1 {
+		t.Errorf("a well-formed label reply with one row: %v, %v", got, err)
 	}
 }
 

@@ -65,10 +65,12 @@ func StratumOf(cuts []float64, score float64) int {
 }
 
 // SampleStrata spends budget across the strata (members[h] lists stratum
-// h's keys): proportional allocation with a floor of 2, each stratum's
-// hash bottom-k under tagOf(h), one label call per stratum, and the
-// resulting tallies. visit, when non-nil, sees every sampled key with its
-// stratum and label (grouped plans attribute them to groups).
+// h's keys, and the strata are disjoint): proportional allocation with a
+// floor of 2, each stratum's hash bottom-k under tagOf(h), one label call
+// for every stratum's selection together — no selection depends on another
+// stratum's labels, and where a call is a scatter it is one round, not H —
+// and the resulting tallies. visit, when non-nil, sees every sampled key
+// with its stratum and label (grouped plans attribute them to groups).
 func SampleStrata(members [][]int64, budget int, seed uint64, tagOf func(h int) uint64,
 	label func(sel []int64) ([]bool, error), visit func(h int, key int64, positive bool)) ([]estimate.StratumSample, error) {
 
@@ -77,13 +79,20 @@ func SampleStrata(members [][]int64, budget int, seed uint64, tagOf func(h int) 
 		sizes[h] = len(m)
 	}
 	alloc := estimate.ProportionalAllocation(sizes, budget, 2)
-	strata := make([]estimate.StratumSample, len(members))
+	sels := make([][]int64, len(members))
+	var all []int64
 	for h, m := range members {
-		sel := BottomK(m, alloc[h], seed, tagOf(h))
-		labels, err := label(sel)
-		if err != nil {
-			return nil, err
-		}
+		sels[h] = BottomK(m, alloc[h], seed, tagOf(h))
+		all = append(all, sels[h]...)
+	}
+	rest, err := label(all)
+	if err != nil {
+		return nil, err
+	}
+	strata := make([]estimate.StratumSample, len(members))
+	for h, sel := range sels {
+		labels := rest[:len(sel)]
+		rest = rest[len(sel):]
 		if visit != nil {
 			for j, k := range sel {
 				visit(h, k, labels[j])

@@ -49,7 +49,7 @@ func TestEqualCountCutsAndStratumOf(t *testing.T) {
 // compiled predicate dividing by zero on some row.
 type panicky struct{ Worker }
 
-func (panicky) Label(context.Context, []int64) ([]bool, int, error) {
+func (panicky) Label(context.Context, []int64, []int64) ([]bool, [][]float64, int, error) {
 	panic("qcompile: division by zero")
 }
 
@@ -59,10 +59,10 @@ type counting struct {
 	done *atomic.Int64
 }
 
-func (c counting) Label(ctx context.Context, keys []int64) ([]bool, int, error) {
-	labels, fresh, err := c.Worker.Label(ctx, keys)
+func (c counting) Label(ctx context.Context, keys, rowsOf []int64) ([]bool, [][]float64, int, error) {
+	labels, rows, fresh, err := c.Worker.Label(ctx, keys, rowsOf)
 	c.done.Add(1)
-	return labels, fresh, err
+	return labels, rows, fresh, err
 }
 
 // TestDriveContainsWorkerPanic: a panic on one shard's scatter goroutine

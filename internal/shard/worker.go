@@ -83,11 +83,13 @@ type Worker interface {
 
 	// Label evaluates the predicate for the given shard-owned keys,
 	// returning labels aligned with keys and the number of fresh
-	// (non-memoized) predicate evaluations spent.
-	Label(ctx context.Context, keys []int64) (labels []bool, fresh int, err error)
-
-	// Features returns the feature vectors of the given shard-owned keys.
-	Features(ctx context.Context, keys []int64) ([][]float64, error)
+	// (non-memoized) predicate evaluations spent. rowsOf, when non-empty,
+	// also asks for the feature vectors of those shard-owned keys, aligned
+	// with it, so the learn sample's labels and features come back in one
+	// call. It is a list of its own because a key whose label the driver
+	// already holds (a degraded restart) is asked for its row only — no
+	// label is ever bought twice.
+	Label(ctx context.Context, keys, rowsOf []int64) (labels []bool, rows [][]float64, fresh int, err error)
 
 	// ScoreAll trains the plan classifier on the broadcast learn sample
 	// (x, y in merged selection order; clfSeed from the plan) and scores

@@ -29,9 +29,25 @@ func parallelisms() []int {
 // TestShardDeterminismMatrix pins the tentpole contract for plain
 // queries: for every method in the sharded contract, the estimate at
 // every (shard count, parallelism) pair is byte-identical to the
-// unsharded catalog-path run of the same plan.
+// unsharded catalog-path run of the same plan. So is who paid for which
+// label: the first run at a shard layout buys the whole population (the
+// exact pass) and finds its sample already labeled when that pass asks
+// again; every later run at the layout finds all of it in the layout's
+// catalog entries. The numbers are the ones recorded when the driver still
+// labeled one stratum per call and fetched features in a call of their own:
+// labeling the strata together, or the learn sample with its rows, must
+// count every request once, as fresh or as reused, exactly as before.
 func TestShardDeterminismMatrix(t *testing.T) {
 	params := map[string]any{"k": 8}
+	type acct struct {
+		used   int64
+		reused int
+	}
+	accounting := map[string][2]acct{ // first run at a layout, later runs
+		"srs":    {{160, 40}, {0, 200}},
+		"lss":    {{160, 40}, {0, 200}},
+		"oracle": {{160, 0}, {0, 160}},
+	}
 	for _, method := range GroupMethods() { // srs, lss, oracle
 		t.Run(method, func(t *testing.T) {
 			q, _ := catalogSession(t, 160, 7,
@@ -43,8 +59,11 @@ func TestShardDeterminismMatrix(t *testing.T) {
 			if ref.Reuse != ReuseNone {
 				t.Fatalf("reference run Reuse = %q, want %q", ref.Reuse, ReuseNone)
 			}
+			if got, want := (acct{ref.SamplesUsed, ref.ReusedLabels}), accounting[method][0]; got != want {
+				t.Errorf("reference run SamplesUsed/ReusedLabels = %v, want %v", got, want)
+			}
 			for _, s := range shardCounts {
-				for _, p := range parallelisms() {
+				for i, p := range parallelisms() {
 					got, err := q.Execute(context.Background(), params,
 						WithShards(s), WithParallelism(p))
 					if err != nil {
@@ -60,6 +79,11 @@ func TestShardDeterminismMatrix(t *testing.T) {
 					}
 					if *got.TrueCount != *ref.TrueCount {
 						t.Errorf("shards=%d p=%d: true count %d, want %d", s, p, *got.TrueCount, *ref.TrueCount)
+					}
+					want, reuse := accounting[method][min(i, 1)], []string{ReuseNone, ReuseDirect}[min(i, 1)]
+					if a := (acct{got.SamplesUsed, got.ReusedLabels}); a != want || got.Reuse != reuse {
+						t.Errorf("shards=%d p=%d: SamplesUsed/ReusedLabels = %v reuse %q, want %v %q",
+							s, p, a, got.Reuse, want, reuse)
 					}
 				}
 			}
@@ -97,6 +121,11 @@ func TestShardDeterminismNoCatalog(t *testing.T) {
 		}
 		if got.Reuse != ReuseNone {
 			t.Errorf("shards=%d: Reuse = %q without a catalog, want %q", s, got.Reuse, ReuseNone)
+		}
+		// Two of the 36 sampled keys sit in the learn sample too: asked once
+		// of a worker, answered the second time by the driver's memo.
+		if got.SamplesUsed != 34 || got.ReusedLabels != 2 {
+			t.Errorf("shards=%d: SamplesUsed/ReusedLabels = %d/%d, want 34/2", s, got.SamplesUsed, got.ReusedLabels)
 		}
 	}
 }
@@ -248,20 +277,24 @@ func TestPrepareShardOps(t *testing.T) {
 		// Label a couple of owned keys; fresh count must match on first use.
 		if m.N >= 2 {
 			keys := []int64{cands[0].Key, cands[1].Key}
-			labels, fresh, err := w.Label(ctx, keys)
+			labels, rows, fresh, err := w.Label(ctx, keys, keys[:1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(labels) != 2 || fresh != 2 {
-				t.Fatalf("shard %d: labels=%d fresh=%d, want 2/2", i, len(labels), fresh)
+			if len(labels) != 2 || fresh != 2 || len(rows) != 1 || len(rows[0]) != len(x.FeatureColumns()) {
+				t.Fatalf("shard %d: labels=%d fresh=%d rows=%v, want 2/2 and one feature row", i, len(labels), fresh, rows)
 			}
-			if _, fresh2, _ := w.Label(ctx, keys); fresh2 != 0 {
+			if _, _, fresh2, _ := w.Label(ctx, keys, nil); fresh2 != 0 {
 				t.Fatalf("shard %d: relabel spent %d fresh evaluations", i, fresh2)
 			}
 		}
-		// A foreign key must be rejected (test keys are 0..99).
-		if _, _, err := w.Label(ctx, []int64{-1}); err == nil {
+		// A foreign key must be rejected (test keys are 0..99), to label or
+		// to look up.
+		if _, _, _, err := w.Label(ctx, []int64{-1}, nil); err == nil {
 			t.Fatalf("shard %d: labeling a foreign key should fail", i)
+		}
+		if _, _, _, err := w.Label(ctx, nil, []int64{-1}); err == nil {
+			t.Fatalf("shard %d: a foreign key's feature row should fail", i)
 		}
 	}
 	if total != 100 {

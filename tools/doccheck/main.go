@@ -15,10 +15,18 @@
 // without a row cannot land undocumented, and a row whose option is gone
 // cannot linger.
 //
-// Usage: go run ./tools/doccheck [package dirs...]  (default: lsample)
+// A document may also name identifiers that no longer exist. The first,
+// narrow check of that kind: with -op-doc and -op-decl, every op named in
+// the document's shard-op table (the markdown table with an "op" column;
+// the first backticked word of that cell) must be the value of an Op*
+// string constant in the protocol's source file, so the table cannot keep a
+// row for an op the protocol dropped.
+//
+// Usage: go run ./tools/doccheck [-op-doc ARCHITECTURE.md -op-decl internal/shard/protocol.go] [package dirs...]  (default: lsample)
 package main
 
 import (
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -27,15 +35,30 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 func main() {
-	dirs := os.Args[1:]
+	opDoc := flag.String("op-doc", "", "markdown `file` whose shard-op table is checked against -op-decl")
+	opDecl := flag.String("op-decl", "", "Go `file` declaring the shard ops as Op* string constants")
+	flag.Parse()
+	dirs := flag.Args()
 	if len(dirs) == 0 {
 		dirs = []string{"lsample"}
 	}
 	bad := 0
+	if *opDoc != "" {
+		stale, err := checkOpTable(*opDoc, *opDecl)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			os.Exit(2)
+		}
+		for _, m := range stale {
+			fmt.Fprintf(os.Stderr, "doccheck: %s\n", m)
+		}
+		bad += len(stale)
+	}
 	for _, dir := range dirs {
 		missing, err := checkDir(dir)
 		if err != nil {
@@ -52,6 +75,72 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("doccheck: every exported symbol is documented and the knob table lists every option")
+}
+
+// opCell matches the first backticked word of a table cell.
+var opCell = regexp.MustCompile("`([a-z_]+)`")
+
+// checkOpTable reports the ops doc's shard-op table names that decl does not
+// declare. A document without such a table is an error: the check must not
+// pass because the table moved or lost its header.
+func checkOpTable(doc, decl string) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), decl, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, n := range vs.Names {
+				if !strings.HasPrefix(n.Name, "Op") || i >= len(vs.Values) {
+					continue
+				}
+				if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					op, _ := strconv.Unquote(lit.Value) // the parser accepted the literal
+					declared[op] = true
+				}
+			}
+		}
+	}
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	col, rows := -1, 0 // the op column of the table being read; -1 outside one
+	for i, line := range strings.Split(string(text), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			col = -1
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		if col < 0 {
+			for c, cell := range cells {
+				if strings.TrimSpace(cell) == "op" {
+					col = c
+				}
+			}
+			continue
+		}
+		if col >= len(cells) {
+			continue
+		}
+		if m := opCell.FindStringSubmatch(cells[col]); m != nil {
+			rows++
+			if !declared[m[1]] {
+				out = append(out, fmt.Sprintf("%s:%d: shard op `%s` is not declared in %s", doc, i+1, m[1], decl))
+			}
+		}
+	}
+	if rows == 0 {
+		return nil, fmt.Errorf("%s has no shard-op table (a markdown table with an \"op\" column)", doc)
+	}
+	return out, nil
 }
 
 func checkDir(dir string) ([]string, error) {
