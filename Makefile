@@ -5,7 +5,10 @@
 #   make test          plain test run
 #   make docs-check    README/ARCHITECTURE exist, examples vet, every
 #                      exported lsample symbol documented, no shard op in
-#                      ARCHITECTURE.md's table that the protocol dropped
+#                      ARCHITECTURE.md's table that the protocol dropped, no
+#                      backticked pkg.Ident / Type.Member in ARCHITECTURE.md,
+#                      README.md or lsample/doc.go that the module no longer
+#                      declares
 #   make bench         the end-to-end ledger (bench/README.md): five
 #                      workloads untraced then traced against real lsserve
 #                      children, result.json + per-layer table under
@@ -47,13 +50,16 @@ api-check:
 
 # Documentation gate: the user-facing docs must exist, the runnable
 # examples must vet clean, every exported symbol of the public SDK must
-# carry a doc comment, and ARCHITECTURE.md's shard-op table must name only
-# ops internal/shard/protocol.go declares (tools/doccheck).
+# carry a doc comment, ARCHITECTURE.md's shard-op table must name only ops
+# internal/shard/protocol.go declares, and the backticked `pkg.Ident` and
+# `Type.Member` names of the three documents must still resolve against the
+# module's source (tools/doccheck).
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing"; exit 1; }
 	@test -f ARCHITECTURE.md || { echo "docs-check: ARCHITECTURE.md is missing"; exit 1; }
 	$(GO) vet ./examples/...
-	$(GO) run ./tools/doccheck -op-doc ARCHITECTURE.md -op-decl internal/shard/protocol.go ./lsample
+	$(GO) run ./tools/doccheck -idents ARCHITECTURE.md,README.md,lsample/doc.go \
+		-op-doc ARCHITECTURE.md -op-decl internal/shard/protocol.go ./lsample
 
 # Observability gate: every registered metric carries a help string and is
 # registered from one call site, and every opened span is ended

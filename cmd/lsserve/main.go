@@ -60,7 +60,11 @@
 // A GROUP BY request — "sql" of the form SELECT g, COUNT(*) FROM (...)
 // GROUP BY g — answers with one groups[] row per group (key, objects,
 // estimate, CI, sampled), estimated from one shared sample and cached like
-// any other request. Request knobs: method, budget, classifier, strata,
+// any other request. Its intervals are its rows': on every role —
+// standalone, "shards": N, coordinator — the reply's top-level estimate is
+// the sum of the rows and carries "has_ci": false (the sum of the per-group
+// bounds is not a 1−α interval for the sum); under exact its true_count is
+// the sum of the rows' true counts. Request knobs: method, budget, classifier, strata,
 // interval (wald|wilson), seed, exact, no_cache, degrade (answer with a
 // small-budget wider-interval estimate instead of 503 under overload).
 //

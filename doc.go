@@ -63,7 +63,7 @@
 //	internal/core        the paper's methods: SRS, SSP, SSN, QLCC, QLAC, LWS, LSS
 //	internal/stratify    stratification designers: DirSol, LogBdr, DynPgm, DynPgmP
 //	internal/estimate    proportion/stratified/Des Raj estimators, allocations
-//	internal/learn       kNN, decision tree, random forest, MLP, logistic, dummy
+//	internal/learn       kNN, decision tree, random forest, MLP, dummy
 //	internal/quantify    Classify-and-Count, Adjusted Count
 //	internal/active      uncertainty-sampling augmentation
 //	internal/sample      SRS, stratified draws, Fenwick-backed PPS w/o replacement

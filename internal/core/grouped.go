@@ -123,24 +123,16 @@ func topUpGroup(ctx context.Context, mp *predicate.Memo, members []int, target i
 // budget objects are drawn uniformly from the whole population and labeled
 // once; each group's members within the shared sample form a simple random
 // sample of that group, so the per-group proportion estimator applies
-// directly. Groups whose shared-sample share falls below MinPerGroup fall
+// directly. Groups whose shared-sample share falls below minPerGroupDefault fall
 // back to a dedicated per-group draw (labels stay memoized, so only the
 // group's uncovered members cost new evaluations).
 type GroupedSRS struct {
-	Alpha       float64 // 0 means 0.05
-	Wilson      bool    // Wilson score intervals instead of Wald
-	MinPerGroup int     // per-group sample floor; 0 means 10
+	Alpha  float64 // 0 means 0.05
+	Wilson bool    // Wilson score intervals instead of Wald
 }
 
 // Name implements GroupedMethod.
 func (m *GroupedSRS) Name() string { return "srs" }
-
-func (m *GroupedSRS) minPerGroup() int {
-	if m.MinPerGroup <= 0 {
-		return minPerGroupDefault
-	}
-	return m.MinPerGroup
-}
 
 // EstimateGroups implements GroupedMethod.
 func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf []int, K int, budget int, r *xrand.Rand) (*GroupedResult, error) {
@@ -181,7 +173,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	groups := make([]GroupCount, K)
 	for g := 0; g < K; g++ {
 		Ng := len(members[g])
-		target := m.minPerGroup()
+		target := minPerGroupDefault
 		if target > Ng {
 			target = Ng
 		}
@@ -230,15 +222,19 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 type GroupedLSS struct {
 	NewClassifier NewClassifierFunc
 	Alpha         float64 // 0 means 0.05
-	TrainFrac     float64 // budget fraction for the learn phase; 0 means 0.25
 	Strata        int     // number of strata H; 0 means 4
-	MinAlloc      int     // per-stratum second-stage minimum; 0 means 2
-	MinPerGroup   int     // per-group labeled floor before fallback; 0 means 10
 	Wilson        bool    // Wilson intervals for the per-group SRS fallback
 	// (the shared stratified estimate keeps its t-interval regardless,
 	// matching LSS; Wilson avoids the degenerate [0, 0] Wald interval when
 	// a rare group's fallback sample has zero or all positives)
 }
+
+// The grouped plan's fixed shape: the learn phase's share of the budget and
+// the per-stratum second-stage minimum.
+const (
+	groupedTrainFrac = 0.25
+	groupedMinAlloc  = 2
+)
 
 // Name implements GroupedMethod.
 func (m *GroupedLSS) Name() string { return "lss" }
@@ -250,32 +246,11 @@ func (m *GroupedLSS) alpha() float64 {
 	return m.Alpha
 }
 
-func (m *GroupedLSS) trainFrac() float64 {
-	if m.TrainFrac <= 0 || m.TrainFrac >= 1 {
-		return 0.25
-	}
-	return m.TrainFrac
-}
-
 func (m *GroupedLSS) strata() int {
 	if m.Strata < 2 {
 		return 4
 	}
 	return m.Strata
-}
-
-func (m *GroupedLSS) minAlloc() int {
-	if m.MinAlloc <= 0 {
-		return 2
-	}
-	return m.MinAlloc
-}
-
-func (m *GroupedLSS) minPerGroup() int {
-	if m.MinPerGroup <= 0 {
-		return minPerGroupDefault
-	}
-	return m.MinPerGroup
 }
 
 // EstimateGroups implements GroupedMethod.
@@ -297,7 +272,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 
 	// Phase 1 (shared): learn and score once for all groups.
 	t0 := time.Now()
-	nLearn := int(math.Round(m.trainFrac() * float64(budget)))
+	nLearn := int(math.Round(groupedTrainFrac * float64(budget)))
 	if nLearn < 2 {
 		nLearn = 2
 	}
@@ -346,7 +321,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		for h := 0; h < H; h++ {
 			sizes[h] = cuts[h+1] - cuts[h]
 		}
-		alloc = estimate.ProportionalAllocation(sizes, nII, m.minAlloc())
+		alloc = estimate.ProportionalAllocation(sizes, nII, groupedMinAlloc)
 	}
 	designDur := time.Since(t1)
 
@@ -441,7 +416,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	// most the group's not-yet-labeled share of the fresh draw.
 	for g := 0; g < K; g++ {
 		Ng := len(members[g])
-		target := m.minPerGroup()
+		target := minPerGroupDefault
 		if target > Ng {
 			target = Ng
 		}

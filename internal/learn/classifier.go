@@ -1,7 +1,6 @@
 // Package learn provides the classification substrate the paper takes from
 // scikit-learn (§5): k-nearest-neighbors, CART decision trees, bagged random
-// forests, a small multi-layer perceptron, logistic regression, and the
-// random "dummy" classifier used as the worst case in §5.4.4 — all
+// forests, a small multi-layer perceptron, and the random "dummy" classifier used as the worst case in §5.4.4 — all
 // implemented from scratch on the standard library.
 //
 // Classifiers implement the scoring function g: O → [0, 1] of §3.2: Score

@@ -21,22 +21,6 @@ func circleData(r *xrand.Rand, n int, radius float64) ([][]float64, []bool) {
 	return X, y
 }
 
-// linearData labels points by a noisy halfplane.
-func linearData(r *xrand.Rand, n int, noise float64) ([][]float64, []bool) {
-	X := make([][]float64, n)
-	y := make([]bool, n)
-	for i := 0; i < n; i++ {
-		x1 := r.Float64()*2 - 1
-		x2 := r.Float64()*2 - 1
-		X[i] = []float64{x1, x2}
-		y[i] = x1+x2 > 0
-		if noise > 0 && r.Bool(noise) {
-			y[i] = !y[i]
-		}
-	}
-	return X, y
-}
-
 func trainEval(t *testing.T, c Classifier, trainN, testN int) Metrics {
 	t.Helper()
 	r := xrand.New(42)
@@ -77,20 +61,6 @@ func TestMLPLearnsCircle(t *testing.T) {
 	// A (5,2) sigmoid net is weak but must clearly beat chance on a circle.
 	if m.Accuracy < 0.75 {
 		t.Fatalf("MLP accuracy = %v, want ≥ 0.75", m.Accuracy)
-	}
-}
-
-func TestLogisticLearnsHalfplane(t *testing.T) {
-	r := xrand.New(1)
-	X, y := linearData(r, 600, 0)
-	c := NewLogistic(3)
-	if err := c.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	Xt, yt := linearData(r, 300, 0)
-	m := Evaluate(c, Xt, yt)
-	if m.Accuracy < 0.95 {
-		t.Fatalf("logistic accuracy = %v, want ≥ 0.95", m.Accuracy)
 	}
 }
 
@@ -143,7 +113,7 @@ func TestClassifierRanking(t *testing.T) {
 func TestScoresInUnitInterval(t *testing.T) {
 	r := xrand.New(3)
 	X, y := circleData(r, 300, 1.2)
-	for _, c := range []Classifier{NewKNN(3), NewDecisionTree(6), NewRandomForest(10, 1), NewMLP(1), NewLogistic(1), NewDummy(1)} {
+	for _, c := range []Classifier{NewKNN(3), NewDecisionTree(6), NewRandomForest(10, 1), NewMLP(1), NewDummy(1)} {
 		if err := c.Fit(X, y); err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
@@ -157,7 +127,7 @@ func TestScoresInUnitInterval(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	for _, c := range []Classifier{NewKNN(3), NewDecisionTree(6), NewRandomForest(5, 1), NewMLP(1), NewLogistic(1), NewDummy(1)} {
+	for _, c := range []Classifier{NewKNN(3), NewDecisionTree(6), NewRandomForest(5, 1), NewMLP(1), NewDummy(1)} {
 		if err := c.Fit(nil, nil); err == nil {
 			t.Fatalf("%s: empty fit should error", c.Name())
 		}
@@ -171,7 +141,7 @@ func TestFitValidation(t *testing.T) {
 }
 
 func TestUnfittedScoreIsToss(t *testing.T) {
-	for _, c := range []Classifier{NewKNN(3), NewDecisionTree(6), NewRandomForest(5, 1), NewMLP(1), NewLogistic(1)} {
+	for _, c := range []Classifier{NewKNN(3), NewDecisionTree(6), NewRandomForest(5, 1), NewMLP(1)} {
 		if s := c.Score([]float64{1, 2}); s != 0.5 {
 			t.Fatalf("%s unfitted score = %v, want 0.5", c.Name(), s)
 		}

@@ -63,9 +63,6 @@ func (l *Logger) SetLevel(min Level) {
 // Info logs at LevelInfo.
 func (l *Logger) Info(ctx context.Context, msg string, kv ...any) { l.log(LevelInfo, ctx, msg, kv...) }
 
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(ctx context.Context, msg string, kv ...any) { l.log(LevelWarn, ctx, msg, kv...) }
-
 // Error logs at LevelError.
 func (l *Logger) Error(ctx context.Context, msg string, kv ...any) {
 	l.log(LevelError, ctx, msg, kv...)

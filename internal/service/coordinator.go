@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -266,60 +265,20 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 		c.degradedN.Inc()
 	}
 
-	out := &CountResult{
+	return countReply(CountResult{
 		Fingerprint: pl.Fingerprint,
 		Method:      knobs.Method,
 		Interval:    knobs.Interval,
-		Objects:     res.N,
-		Budget:      res.Budget,
-		Estimate:    res.Count,
-		HasCI:       res.HasCI,
-		Evals:       int64(res.SamplesUsed),
 		FeatureCols: pl.FeatureCols,
 		GroupCols:   pl.GroupCols,
 		Seed:        req.Seed,
 		DurationMS:  float64(time.Since(t0)) / 1e6,
 		Reuse:       lsample.ReuseNone,
-		Shards:      res.Shards,
-		Degraded:    res.Degraded,
-		LostShards:  res.Lost,
-	}
-	if res.HasCI {
-		out.CILo, out.CIHi = res.CILo, res.CIHi
-	}
-	if res.HasTrue {
-		tc := res.TrueCount
-		out.TrueCount = &tc
-	}
-	for _, g := range res.Groups {
-		row := GroupRow{
-			Key:      g.Parts,
-			Objects:  g.N,
-			Estimate: g.Count,
-			HasCI:    g.HasCI,
-			Sampled:  g.Sampled,
-			Exact:    g.Exact,
-		}
-		if g.HasCI {
-			row.CILo, row.CIHi = g.CILo, g.CIHi
-		}
-		if g.HasTrue {
-			tc := g.TrueCount
-			row.TrueCount = &tc
-		}
-		out.Groups = append(out.Groups, row)
-	}
-	if req.Exact && len(res.Groups) > 0 && !res.Degraded {
-		trueTotal := 0
-		for _, g := range res.Groups {
-			trueTotal += g.TrueCount
-		}
-		out.TrueCount = &trueTotal
-	}
-	return out, nil
+	}, res, req.Exact), nil
 }
 
-// Handler exposes the coordinator over HTTP:
+// Handler exposes the coordinator over HTTP, on the scaffold the service's
+// handler is built from (http.go):
 //
 //	POST /v1/count  JSON CountRequest -> CountResult (scatter/gathered);
 //	                honors an inbound traceparent header
@@ -327,43 +286,15 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 //	GET  /metrics   Prometheus text-format metrics exposition
 //	GET  /healthz   liveness + worker roster
 //
-// Errors use the service envelope; data_changed (409) means an ingest
-// landed on the workers mid-query and the request should be retried.
+// Errors use the service envelope and its status table, which carries the
+// coordinator's two codes: data_changed (409) means an ingest landed on the
+// workers mid-query and the request should be retried, workers_unavailable
+// (503) that every candidate for some shard failed.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/count", func(w http.ResponseWriter, r *http.Request) {
-		var req CountRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			c.writeError(w, clientErr("invalid JSON body", err))
-			return
-		}
-		res, err := c.Count(traceCtx(r), &req)
-		if err != nil {
-			c.writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.metrics.Expose(w) //nolint:errcheck // nothing to do about a failed write
-	})
-	mux.HandleFunc("GET /v1/traces", func(w http.ResponseWriter, r *http.Request) {
-		limit := 0
-		if v := r.URL.Query().Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				c.writeError(w, badf("invalid ?limit=%q", v))
-				return
-			}
-			limit = n
-		}
-		writeJSON(w, http.StatusOK, struct {
-			Traces []*obs.SpanData `json:"traces"`
-		}{c.tracer.Traces(limit)})
-	})
+	mux.HandleFunc("POST /v1/count", handleCount(c.Count, time.Second))
+	mux.HandleFunc("GET /metrics", handleMetrics(c.metrics))
+	mux.HandleFunc("GET /v1/traces", handleTraces(c.tracer))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		roster := make([]WorkerInfo, 0, len(c.workers))
 		for _, wi := range c.workers {
@@ -372,24 +303,6 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "coordinator", "workers": roster})
 	})
 	return mux
-}
-
-func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, "internal"
-	switch {
-	case errors.Is(err, ErrBadRequest):
-		status, code = http.StatusBadRequest, "bad_request"
-	case errors.Is(err, ErrDataChanged):
-		status, code = http.StatusConflict, "data_changed"
-	case errors.Is(err, ErrNoWorkers):
-		status, code = http.StatusServiceUnavailable, "workers_unavailable"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		status, code = statusClientClosedRequest, "canceled"
-	}
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: err.Error()}})
 }
 
 // coordRun is one query's scatter state: the request every op carries, each

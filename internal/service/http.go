@@ -42,22 +42,23 @@ import (
 //
 //	{"error": {"code": "...", "message": "..."}}
 //
-// with codes bad_request (400), payload_too_large (413), canceled (499),
-// overloaded (503, admission control), unavailable_durability (503, the
-// write-ahead log cannot acknowledge writes — nothing was applied, retry
-// after the Retry-After hint), and internal (500). Both 503s carry a
-// Retry-After header with a wait hint in seconds.
+// with codes bad_request (400), payload_too_large (413), version_mismatch
+// (409, /v1/shard only), canceled (499), overloaded (503, admission
+// control), unavailable_durability (503, the write-ahead log cannot
+// acknowledge writes — nothing was applied, retry after the Retry-After
+// hint), and internal (500). Every 503 carries a Retry-After header with a
+// wait hint in seconds. writeError is the one table.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/count", s.handleCount)
+	mux.HandleFunc("POST /v1/count", handleCount(s.CountCtx, s.opts.RetryAfter))
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
 	mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
 	mux.HandleFunc("POST /v1/datasets", s.handleUploadDataset)
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/traces", s.handleTraces)
+	mux.HandleFunc("GET /v1/traces", handleTraces(s.tracer))
 	if !s.opts.DisableMetrics {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
+		mux.HandleFunc("GET /metrics", handleMetrics(s.metrics))
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -65,20 +66,33 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-func (s *Service) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req CountRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// handleCount is POST /v1/count on either role: the body decoded strictly,
+// count run under the request's context and any inbound traceparent.
+func handleCount(count func(context.Context, *CountRequest) (*CountResult, error), retryAfter time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req CountRequest
+		if err := decodeBody(w, r, 1<<20, &req); err != nil {
+			writeError(w, err, retryAfter)
+			return
+		}
+		res, err := count(traceCtx(r), &req)
+		if err != nil {
+			writeError(w, err, retryAfter)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
+	}
+}
+
+// decodeBody reads a JSON request body of at most limit bytes into v,
+// rejecting fields v does not declare.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, clientErr("invalid JSON body", err))
-		return
+	if err := dec.Decode(v); err != nil {
+		return clientErr("invalid JSON body", err)
 	}
-	res, err := s.CountCtx(traceCtx(r), &req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	return nil
 }
 
 // traceCtx returns the request context carrying any inbound traceparent,
@@ -91,27 +105,30 @@ func traceCtx(r *http.Request) context.Context {
 	return ctx
 }
 
-// handleMetrics serves the Prometheus text-format exposition.
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.Expose(w) //nolint:errcheck // nothing to do about a failed write
+// handleMetrics serves a registry's Prometheus text-format exposition.
+func handleMetrics(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.Expose(w) //nolint:errcheck // nothing to do about a failed write
+	}
 }
 
-// handleTraces pages the completed-trace ring, newest first.
-func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			s.writeError(w, badf("invalid ?limit=%q", v))
-			return
+// handleTraces pages a tracer's completed-trace ring, newest first.
+func handleTraces(tracer *obs.Tracer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		limit := 0
+		if v := r.URL.Query().Get("limit"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				writeError(w, badf("invalid ?limit=%q", v), 0)
+				return
+			}
+			limit = n
 		}
-		limit = n
+		writeJSON(w, http.StatusOK, struct {
+			Traces []*obs.SpanData `json:"traces"`
+		}{tracer.Traces(limit)})
 	}
-	traces := s.tracer.Traces(limit)
-	writeJSON(w, http.StatusOK, struct {
-		Traces []*obs.SpanData `json:"traces"`
-	}{traces})
 }
 
 func (s *Service) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
@@ -122,7 +139,7 @@ func (s *Service) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
 	if name == "" {
-		s.writeError(w, badf("missing ?name="))
+		writeError(w, badf("missing ?name="), s.opts.RetryAfter)
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
@@ -133,11 +150,11 @@ func (s *Service) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		// is durable: the seed rows are logged and fsynced as they apply.
 		lt, err := s.openLiveUpload(name, qp.Get("schema"), qp.Get("key"))
 		if err != nil {
-			s.writeError(w, mapSDKErr(err))
+			writeError(w, mapSDKErr(err), s.opts.RetryAfter)
 			return
 		}
 		if _, err := lt.ApplyDelta("csv", body, 0); err != nil {
-			s.writeError(w, mapSDKErr(err))
+			writeError(w, mapSDKErr(err), s.opts.RetryAfter)
 			return
 		}
 		v := s.RegisterLiveTable(lt)
@@ -148,7 +165,7 @@ func (s *Service) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := lsample.ReadCSV(name, qp.Get("schema"), body)
 	if err != nil {
-		s.writeError(w, mapSDKErr(err))
+		writeError(w, mapSDKErr(err), s.opts.RetryAfter)
 		return
 	}
 	v := s.RegisterTable(t)
@@ -165,7 +182,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
 	if name == "" {
-		s.writeError(w, badf("missing ?name="))
+		writeError(w, badf("missing ?name="), s.opts.RetryAfter)
 		return
 	}
 	format := qp.Get("format")
@@ -179,7 +196,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Ingest(name, format, http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err, s.opts.RetryAfter)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -231,12 +248,20 @@ type errorBody struct {
 // is unlikely to be delivered anyway.
 const statusClientClosedRequest = 499
 
-func (s *Service) writeError(w http.ResponseWriter, err error) {
+// writeError is the one error → status table. Two codes are the
+// coordinator's: data_changed (409) when an ingest landed on the workers
+// mid-query, workers_unavailable (503) when every candidate for a shard
+// failed. Every 503 carries a Retry-After hint of retryAfter, at least 1 s.
+func writeError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	var tooBig *http.MaxBytesError
+	var moved *versionMismatchError
 	status, code := http.StatusInternalServerError, "internal"
 	switch {
 	case errors.As(err, &tooBig):
 		status, code = http.StatusRequestEntityTooLarge, "payload_too_large"
+	case errors.As(err, &moved):
+		status, code = http.StatusConflict, "version_mismatch"
+		w.Header().Set("X-Dataset-Versions", moved.current)
 	case errors.Is(err, ErrBadRequest):
 		status, code = http.StatusBadRequest, "bad_request"
 	case errors.Is(err, ErrDurability):
@@ -245,11 +270,17 @@ func (s *Service) writeError(w http.ResponseWriter, err error) {
 		status, code = http.StatusServiceUnavailable, "unavailable_durability"
 	case errors.Is(err, ErrBusy):
 		status, code = http.StatusServiceUnavailable, "overloaded"
+	case errors.Is(err, ErrDataChanged):
+		status, code = http.StatusConflict, "data_changed"
+	case errors.Is(err, ErrNoWorkers):
+		// Ahead of canceled: a shard lost to the per-op deadline wraps
+		// DeadlineExceeded, and it is the workers that timed out, not the client.
+		status, code = http.StatusServiceUnavailable, "workers_unavailable"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		status, code = statusClientClosedRequest, "canceled"
 	}
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int(max(1, s.opts.RetryAfter/time.Second))))
+		w.Header().Set("Retry-After", strconv.Itoa(int(max(1, retryAfter/time.Second))))
 	}
 	writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: err.Error()}})
 }

@@ -27,6 +27,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/lsample"
 )
 
@@ -559,7 +561,8 @@ func (s *Service) estimate(ctx context.Context, p *plan) (*CountResult, error) {
 	return out, nil
 }
 
-// execute shapes the SDK's plain or grouped estimate into a CountResult.
+// execute runs the plan through the SDK and writes the reply from its plain
+// or grouped estimate.
 func (s *Service) execute(ctx context.Context, p *plan) (*CountResult, error) {
 	_, psp := obs.StartSpan(ctx, "prepare")
 	prep, err := s.prepared(p)
@@ -573,73 +576,90 @@ func (s *Service) execute(ctx context.Context, p *plan) (*CountResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &CountResult{
+		res := &shard.Result{N: ge.Objects, Budget: ge.Budget, Count: ge.Total, SamplesUsed: int(ge.SamplesUsed),
+			Groups: make([]shard.Group, len(ge.Groups))}
+		for i, g := range ge.Groups {
+			sg := shard.Group{Parts: g.Key, N: g.Objects, Count: g.Count, Sampled: g.Sampled, Exact: g.Exact}
+			if g.CI != nil {
+				sg.HasCI, sg.CILo, sg.CIHi = true, g.CI.Lo, g.CI.Hi
+			}
+			if g.TrueCount != nil {
+				sg.HasTrue, sg.TrueCount = true, *g.TrueCount
+			}
+			res.Groups[i] = sg
+		}
+		return countReply(CountResult{
 			Fingerprint: ge.Fingerprint,
 			Method:      ge.Method,
-			Objects:     ge.Objects,
-			Budget:      ge.Budget,
-			Estimate:    ge.Total,
-			Evals:       ge.SamplesUsed,
 			FeatureCols: ge.FeatureColumns,
 			GroupCols:   ge.GroupColumns,
-			Groups:      make([]GroupRow, len(ge.Groups)),
 			Seed:        ge.Seed,
 			PredicateMS: float64(ge.Timings.Predicate) / 1e6,
 			Compiled:    ge.Labeling.Compiled,
 			Reuse:       lsample.ReuseNone, // grouped plans are outside the catalog's contract
-		}
-		trueTotal := 0
-		for i, g := range ge.Groups {
-			row := GroupRow{
-				Key:       g.Key,
-				Objects:   g.Objects,
-				Estimate:  g.Count,
-				HasCI:     g.CI != nil,
-				Sampled:   g.Sampled,
-				Exact:     g.Exact,
-				TrueCount: g.TrueCount,
-			}
-			if g.CI != nil {
-				row.CILo, row.CIHi = g.CI.Lo, g.CI.Hi
-			}
-			if g.TrueCount != nil {
-				trueTotal += *g.TrueCount
-			}
-			out.Groups[i] = row
-		}
-		// Under exact the top-level true count is the per-group sum, so
-		// grouped and plain responses expose the same field.
-		if p.Exact && len(ge.Groups) > 0 {
-			out.TrueCount = &trueTotal
-		}
-		return out, nil
+		}, res, p.Exact), nil
 	}
 	est, err := prep.Execute(ctx, p.Params, opts...)
 	if err != nil {
 		return nil, err
 	}
-	out := &CountResult{
+	res := &shard.Result{N: est.Objects, Budget: est.Budget, Count: est.Count, SamplesUsed: int(est.SamplesUsed)}
+	if est.CI != nil {
+		res.HasCI, res.CILo, res.CIHi = true, est.CI.Lo, est.CI.Hi
+	}
+	if est.TrueCount != nil {
+		res.HasTrue, res.TrueCount = true, *est.TrueCount
+	}
+	return countReply(CountResult{
 		Fingerprint: est.Fingerprint,
 		Method:      est.Method,
-		Objects:     est.Objects,
-		Budget:      est.Budget,
-		Estimate:    est.Count,
-		HasCI:       est.CI != nil,
-		Evals:       est.SamplesUsed,
-		TrueCount:   est.TrueCount,
 		FeatureCols: est.FeatureColumns,
 		Seed:        est.Seed,
 		PredicateMS: float64(est.Timings.Predicate) / 1e6,
 		Compiled:    est.Labeling.Compiled,
-		Reuse:       est.Reuse,
+		Reuse:       cmp.Or(est.Reuse, lsample.ReuseNone), // classic path: no catalog in play
+	}, res, p.Exact), nil
+}
+
+// countReply writes the one reply every serving path returns. head carries
+// what only its caller knows (the query's identity, the knobs, how the
+// labels were bought); res is the answer in the merge driver's form, which
+// a coordinator holds already and Service.execute puts the SDK's estimates
+// into. A GROUP BY answer's intervals are its rows': the total carries none
+// (the sum of the per-group bounds is not a 1−α interval for the sum), and
+// under exact its true count is the sum of the rows', so grouped and plain
+// replies expose the same field.
+func countReply(head CountResult, res *shard.Result, exact bool) *CountResult {
+	out := head
+	out.Objects, out.Budget, out.Estimate, out.Evals = res.N, res.Budget, res.Count, int64(res.SamplesUsed)
+	out.Shards, out.Degraded, out.LostShards = res.Shards, res.Degraded, res.Lost
+	if len(head.GroupCols) == 0 {
+		if out.HasCI = res.HasCI; res.HasCI {
+			out.CILo, out.CIHi = res.CILo, res.CIHi
+		}
+		if res.HasTrue {
+			tc := res.TrueCount
+			out.TrueCount = &tc
+		}
+		return &out
 	}
-	if out.Reuse == "" {
-		out.Reuse = lsample.ReuseNone // classic path: no catalog in play
+	trueTotal := 0
+	for _, g := range res.Groups {
+		row := GroupRow{Key: g.Parts, Objects: g.N, Estimate: g.Count, HasCI: g.HasCI, Sampled: g.Sampled, Exact: g.Exact}
+		if g.HasCI {
+			row.CILo, row.CIHi = g.CILo, g.CIHi
+		}
+		if g.HasTrue {
+			tc := g.TrueCount
+			row.TrueCount = &tc
+			trueTotal += tc
+		}
+		out.Groups = append(out.Groups, row)
 	}
-	if est.CI != nil {
-		out.CILo, out.CIHi = est.CI.Lo, est.CI.Hi
+	if exact && len(res.Groups) > 0 && !res.Degraded {
+		out.TrueCount = &trueTotal
 	}
-	return out, nil
+	return &out
 }
 
 // prepared returns the cached PreparedQuery for the plan's (dataset

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -62,7 +61,8 @@ type ShardResponse struct {
 }
 
 // versionMismatchError carries the worker's current versions back to the
-// HTTP layer, which maps it to 409 version_mismatch.
+// HTTP layer, which maps it to 409 version_mismatch with the versions in an
+// X-Dataset-Versions header (writeError).
 type versionMismatchError struct {
 	want, current string
 }
@@ -153,10 +153,8 @@ func (s *Service) shardExec(ctx context.Context, p *plan, ref shard.Spec) (*lsam
 
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, clientErr("invalid JSON body", err))
+	if err := decodeBody(w, r, 16<<20, &req); err != nil {
+		writeError(w, err, s.opts.RetryAfter)
 		return
 	}
 	// Adopt the coordinator's trace: a sampled inbound traceparent makes
@@ -174,15 +172,7 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = span.Data()
 	}
 	if err != nil {
-		var vm *versionMismatchError
-		if errors.As(err, &vm) {
-			w.Header().Set("X-Dataset-Versions", vm.current)
-			writeJSON(w, http.StatusConflict, errorEnvelope{Error: errorBody{
-				Code: "version_mismatch", Message: vm.Error(),
-			}})
-			return
-		}
-		s.writeError(w, err)
+		writeError(w, err, s.opts.RetryAfter)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -19,13 +19,12 @@ import (
 // in-process WithShards run of each seed.
 
 // sameAnswer compares everything of two answers but the evaluation bill. (A
-// grouped answer's intervals are its rows'; only the coordinator also puts
-// one on the total.)
+// grouped answer's intervals are its rows': on every serving path the total
+// carries none.)
 func sameAnswer(t *testing.T, what string, got, ref *CountResult) {
 	t.Helper()
-	plain := len(ref.Groups) == 0
 	if got.Estimate != ref.Estimate || got.Objects != ref.Objects || got.Budget != ref.Budget || got.Fingerprint != ref.Fingerprint ||
-		plain && (got.CILo != ref.CILo || got.CIHi != ref.CIHi || got.HasCI != ref.HasCI) {
+		got.CILo != ref.CILo || got.CIHi != ref.CIHi || got.HasCI != ref.HasCI {
 		t.Fatalf("%s diverged: %v [%v,%v] budget %d vs %v [%v,%v] budget %d", what,
 			got.Estimate, got.CILo, got.CIHi, got.Budget, ref.Estimate, ref.CILo, ref.CIHi, ref.Budget)
 	}
@@ -34,7 +33,7 @@ func sameAnswer(t *testing.T, what string, got, ref *CountResult) {
 	}
 	for i, rg := range ref.Groups {
 		gg := got.Groups[i]
-		if strings.Join(gg.Key, "|") != strings.Join(rg.Key, "|") || gg.Estimate != rg.Estimate ||
+		if strings.Join(gg.Key, "|") != strings.Join(rg.Key, "|") || gg.Estimate != rg.Estimate || gg.HasCI != rg.HasCI ||
 			gg.CILo != rg.CILo || gg.CIHi != rg.CIHi || gg.Objects != rg.Objects || gg.Sampled != rg.Sampled {
 			t.Fatalf("%s: group %d diverged: %+v vs %+v", what, i, gg, rg)
 		}

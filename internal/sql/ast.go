@@ -266,17 +266,11 @@ func Qualifiers(e Expr) map[string]bool {
 	return qs
 }
 
-// WalkExprDeep calls exprFn on e and every sub-expression in pre-order,
-// descending into subquery bodies (every clause of every nested statement),
-// unlike WalkExpr, which stops at subquery boundaries. A nil exprFn or
-// stmtFn is skipped; stmtFn is called on each nested statement before its
-// clauses are walked.
-func WalkExprDeep(e Expr, exprFn func(Expr), stmtFn func(*SelectStmt)) {
-	walkExprDeep(e, exprFn, stmtFn)
-}
-
-// WalkStmtDeep walks every expression and nested statement of s the way
-// WalkExprDeep does, starting from a statement.
+// WalkStmtDeep calls exprFn on every expression of s and every
+// sub-expression in pre-order, descending into subquery bodies (every clause
+// of every nested statement), unlike WalkExpr, which stops at subquery
+// boundaries. A nil exprFn or stmtFn is skipped; stmtFn is called on s and
+// on each nested statement before its clauses are walked.
 func WalkStmtDeep(s *SelectStmt, exprFn func(Expr), stmtFn func(*SelectStmt)) {
 	walkStmtDeep(s, exprFn, stmtFn)
 }

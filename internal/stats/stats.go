@@ -22,15 +22,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Variance returns the unbiased (Bessel-corrected) sample variance.
 // It returns 0 when len(xs) < 2.
 func Variance(xs []float64) float64 {

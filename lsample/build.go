@@ -19,24 +19,6 @@ func Methods() []string {
 // Classifiers lists the classifier names WithClassifier accepts.
 func Classifiers() []string { return []string{"rf", "knn", "nn", "random"} }
 
-func knownMethod(name string) bool {
-	for _, m := range Methods() {
-		if m == name {
-			return true
-		}
-	}
-	return false
-}
-
-func knownClassifier(name string) bool {
-	for _, c := range Classifiers() {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
 // buildClassifier constructs the configured classifier factory.
 func (c config) buildClassifier() (core.NewClassifierFunc, error) {
 	switch c.classifier {
@@ -59,21 +41,17 @@ func (c config) buildMethod() (core.Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	strata := c.strata
-	if strata <= 0 {
-		strata = 4
-	}
 	switch c.method {
 	case "srs":
 		return &core.SRS{Alpha: c.alpha, Wilson: c.interval == Wilson}, nil
 	case "ssp":
-		return &core.SSP{Strata: strata, Alpha: c.alpha}, nil
+		return &core.SSP{Strata: c.strata, Alpha: c.alpha}, nil
 	case "ssn":
-		return &core.SSN{Strata: strata, Alpha: c.alpha}, nil
+		return &core.SSN{Strata: c.strata, Alpha: c.alpha}, nil
 	case "lws":
 		return &core.LWS{NewClassifier: newClf, Alpha: c.alpha}, nil
 	case "lss":
-		return &core.LSS{NewClassifier: newClf, Strata: strata, Alpha: c.alpha}, nil
+		return &core.LSS{NewClassifier: newClf, Strata: c.strata, Alpha: c.alpha}, nil
 	case "qlcc":
 		return &core.QLCC{NewClassifier: newClf}, nil
 	case "qlac":
@@ -101,11 +79,7 @@ func (c config) buildGroupedMethod() (core.GroupedMethod, error) {
 		if err != nil {
 			return nil, err
 		}
-		strata := c.strata
-		if strata <= 0 {
-			strata = 4
-		}
-		return &core.GroupedLSS{NewClassifier: newClf, Strata: strata, Alpha: c.alpha, Wilson: c.interval == Wilson}, nil
+		return &core.GroupedLSS{NewClassifier: newClf, Strata: c.strata, Alpha: c.alpha, Wilson: c.interval == Wilson}, nil
 	case "oracle":
 		return core.GroupedOracle{}, nil
 	}

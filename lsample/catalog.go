@@ -74,15 +74,7 @@ type CatalogStats struct {
 
 // Stats returns the catalog's current accounting snapshot.
 func (c *Catalog) Stats() CatalogStats {
-	s := c.inner.Stats()
-	return CatalogStats{
-		Entries:    s.Entries,
-		Bytes:      s.Bytes,
-		Hits:       s.Hits,
-		Extensions: s.Extensions,
-		Misses:     s.Misses,
-		Evictions:  s.Evictions,
-	}
+	return CatalogStats(c.inner.Stats())
 }
 
 // EvictStale drops every entry that references a table snapshot no longer

@@ -24,8 +24,8 @@
 //		res.Count, res.CI.Lo, res.CI.Hi, res.SamplesUsed)
 //
 // Counting over SQL goes through a Session bound to a DataSource, and a
-// PreparedQuery that parses, decomposes (§2 of the paper), and
-// feature-selects once, then executes many times with bound parameters:
+// PreparedQuery that reads the query once ("How a SQL count runs" below),
+// then executes many times with bound parameters:
 //
 //	src := lsample.NewMemorySource(table)
 //	sess, _ := lsample.NewSession(src, lsample.WithMethod("lss"))
@@ -191,18 +191,29 @@
 // so the delta pricing is always visible. Refresh supports methods srs,
 // lss, and oracle — the oracle variant is a delta-priced exact count.
 //
-// # The hash plan: one executor behind catalog, shards, and refresh
+// # How a SQL count runs
 //
-// Execute has two branches. Without a catalog or shards it runs the
-// paper's RNG-driven methods (internal/core). With WithCatalog or
-// WithShards it runs the hash plan: every sampling decision is a hash of
-// the object key, so results are pure functions of (snapshots, plan) and
-// can be memoized, extended, partitioned, and refreshed byte-identically.
-// The hash plan has one implementation, internal/shard's Drive over N >= 1
-// in-process workers: one worker when only a catalog asked for it, s under
-// WithShards(s). It serves methods srs, lss, and oracle over queries with
-// a unique integer object key. The two branches give different (each
-// deterministic) estimates for the same seed — compare like with like.
+// Every SQL count has one front half, the paper's §2, stated once in this
+// package. The query's text becomes an analysis — Q1 decomposed into the
+// object query Q2 and the per-object predicate Q3, the tables it names,
+// its object key — when Prepare or PrepareLive reads it (QueryShape reads
+// only its shape and tables). Each count then evaluates the analysis into a
+// population: Q2's rows over the pinned tables with the parameters bound,
+// plus, where the method reads them, each object's feature row. Three back
+// halves take a population from there. Execute and ExecuteGroups without a
+// catalog or shards run the paper's RNG-driven methods (internal/core)
+// through one classic body, plain and grouped alike, which the Estimator's
+// callback counts share. With WithCatalog or WithShards they run the hash
+// plan: every sampling decision is a hash of the object key, so results
+// are pure functions of (snapshots, plan) and can be memoized, extended,
+// partitioned, and refreshed byte-identically; it has one implementation,
+// internal/shard's Drive over N >= 1 in-process workers — one worker when
+// only a catalog asked for it, s under WithShards(s) — and serves methods
+// srs, lss, and oracle over queries with a unique integer object key.
+// LiveQuery.Refresh runs the hash plan's recipe steps over the labels,
+// classifier and strata it maintains. The classic body and the hash plan
+// give different (each deterministic) estimates for the same seed —
+// compare like with like.
 //
 // # Cross-query reuse catalog
 //
@@ -279,29 +290,18 @@
 //     ReuseNone if any entry it asked had never been asked before.
 //
 // PrepareShard(ctx, index, count, params) materializes a single shard
-// (ShardExec) for out-of-process deployments. A ShardExec is the shard,
-// not one seed's run of it: the shard's slice of the enumerated
-// population, its feature rows, and the predicate together with the
-// verdict of its one cross-check against the interpreter — everything that
-// is a function of (snapshot, query, parameters, shard, method,
-// classifier) and of nothing else. It therefore takes no seed (an option
-// that sets one is rejected) and no budget matters to it; a worker process
-// keeps one executor per such tuple for as long as it serves that tuple.
-// Besides its identity (Shard, Fingerprint, FeatureColumns) it has one
-// entry point: Op(ctx, seed, op, args) runs one named operation of the
-// shard-op protocol under the given plan seed, taking the operation's JSON
-// argument block and returning its JSON reply block. Ops of any number of
-// seeds may run at once; a label any of them buys is kept — in the
-// catalog's per-shard entry when one is attached, in the executor
-// otherwise — and is never bought again, while the executor holds no
-// catalog entry between ops, so the catalog's byte budget keeps governing
-// what a worker retains. Both blocks are opaque to the SDK's caller — the
-// protocol (op names, block layouts, the coordinator-side adapter) is
-// defined once, beside the driver that speaks it — so a worker process
-// passes them through untouched, and a coordinator (cmd/lsserve
-// -role=coordinator, or internal/service.NewCoordinator in Go) scatters
-// the ops over a roster and merges with the identical driver, preserving
-// the same byte-identity.
+// (ShardExec) for out-of-process deployments. A ShardExec is the shard, not
+// one seed's run of it — its slice of the population, its feature rows and
+// its cross-checked predicate — so it takes no seed and no budget matters to
+// it, and a worker process keeps one per (snapshot, query, parameters,
+// shard, method, classifier) for as long as it serves that tuple. Its one
+// entry point, Op(ctx, seed, op, args), runs one named operation of the
+// shard-op protocol under the given plan seed; the JSON argument and reply
+// blocks are opaque to the SDK's caller, so a worker passes them through
+// untouched and a coordinator (cmd/lsserve -role=coordinator, or
+// internal/service.NewCoordinator in Go) scatters the ops over a roster and
+// merges with the identical driver, preserving the same byte-identity. See
+// ShardExec and ShardExec.Op for what is kept between ops.
 //
 // # Durability
 //
@@ -336,6 +336,6 @@
 // makes result caches lossless and concurrent replicas verifiable.
 //
 // The repository's ARCHITECTURE.md describes how this package sits on the
-// internal layers (parse → decompose → feature-select → hash-plan executor
-// or classic learn → estimate) and the determinism contract in detail; README.md has the quick starts.
+// internal layers and the determinism contract in detail; README.md has the
+// quick starts.
 package lsample

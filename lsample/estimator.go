@@ -2,13 +2,10 @@ package lsample
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/predicate"
-	"repro/internal/xrand"
 )
 
 // Predicate is the expensive filter q: object index → bool. The SDK counts
@@ -63,42 +60,19 @@ func (e *Estimator) Estimate(ctx context.Context, features [][]float64, pred Pre
 		return nil, err
 	}
 	p := predicate.NewFunc(pred)
-	obj, err := core.NewObjectSet(features, p)
-	if err != nil {
-		return nil, badf("%v", err)
-	}
 	wall := time.Now()
 	ctx, span := obs.EnsureSpan(ctx, cfg.tracer, "execute")
 	defer span.End()
 	span.Set("method", cfg.method)
-	span.Set("objects", obj.N())
-	budget := cfg.budgetFor(obj.N())
-	mctx, msp := obs.StartSpan(ctx, "estimate")
-	res, err := m.Estimate(mctx, obj, budget, xrand.New(cfg.seed))
+	span.Set("objects", len(features))
+	est, _, err := cfg.classic(ctx, "estimation", features, p, m.Estimate)
 	if err != nil {
-		msp.End()
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("lsample: %w", err)
-		}
-		return nil, fmt.Errorf("lsample: estimation failed: %w", err)
+		return nil, err
 	}
-	est := fromCore(res, obj.N(), budget, cfg.seed, cfg.alpha)
-	estimateSpan(mctx, est, res)
-	msp.End()
 	// Callback predicates stay on the interpreter-style sequential path:
 	// the SDK makes no thread-safety demands on user functions, and there
 	// is no SQL to compile.
 	est.Labeling = Labeling{Fallback: "callback predicate (nothing to compile)", Workers: 1}
-	if cfg.exact {
-		xctx, xsp := obs.StartSpan(ctx, "exact.scan")
-		tc, err := exactCount(xctx, p, obj.N())
-		xsp.End()
-		if err != nil {
-			return nil, err
-		}
-		est.TrueCount = &tc
-		est.SamplesUsed = p.Evals()
-	}
 	cfg.queryLog(ctx, est, time.Since(wall))
 	return est, nil
 }

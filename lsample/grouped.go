@@ -2,14 +2,13 @@ package lsample
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/predicate"
+	"repro/internal/shard"
 	"repro/internal/sql"
 	"repro/internal/xrand"
 )
@@ -127,16 +126,11 @@ func (q *PreparedQuery) ExecuteGroups(ctx context.Context, params map[string]any
 	if err != nil {
 		return nil, err
 	}
-	alpha := cfg.alpha
-	if alpha <= 0 {
-		alpha = 0.05
-	}
-
 	wall := time.Now()
 	ctx, span := obs.EnsureSpan(ctx, cfg.tracer, "execute.groups")
 	defer span.End()
 	span.Set("method", cfg.method)
-	out, err := q.executeGroups(ctx, cfg, gm, vals, strs, alpha)
+	out, err := q.executeGroups(ctx, cfg, gm, vals, strs)
 	if err != nil {
 		span.Set("error", err.Error())
 		return nil, err
@@ -157,17 +151,17 @@ func (q *PreparedQuery) ExecuteGroups(ctx context.Context, params map[string]any
 }
 
 // executeGroups is ExecuteGroups's body behind the root span (see execute
-// for the single-count analogue).
+// for the single-count analogue): the shared-sample plan per shard under
+// WithShards (shardexec.go; never a silent fallback), the classic body over
+// internal/core's grouped methods otherwise.
 func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.GroupedMethod,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (_ *GroupedEstimate, err error) {
+	vals map[string]engine.Value, strs map[string]string) (_ *GroupedEstimate, err error) {
 
 	defer recoverFault(&err)
-	// Sharded grouped execution: the shared-sample plan runs per shard
-	// and merges (see shardexec.go); never a silent fallback.
 	if cfg.shards > 0 {
 		sctx, ssp := obs.StartSpan(ctx, "shard.drive")
 		ssp.Set("shards", cfg.shards)
-		est, err := q.executeShardedGroups(sctx, cfg, vals, strs, alpha)
+		est, err := q.executeShardedGroups(sctx, cfg, vals, strs)
 		if err != nil {
 			ssp.Set("error", err.Error())
 		}
@@ -175,118 +169,105 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		return est, err
 	}
 
-	ev := engine.NewEvaluator(q.cat)
-	for name, v := range vals {
-		ev.SetParam(name, v)
-	}
-	_, esp := obs.StartSpan(ctx, "enumerate")
-	objects, err := ev.Run(q.dec.Objects, nil)
-	esp.End()
+	p, err := q.populate(ctx, cfg.method, vals, strs)
 	if err != nil {
-		return nil, badf("enumerating objects: %v", err)
+		return nil, err
 	}
-	esp.Set("objects", objects.NumRows())
-	out := &GroupedEstimate{
-		Method:       cfg.method,
-		Fingerprint:  sql.Fingerprint(q.inner, strs),
-		GroupColumns: q.GroupColumns(),
-		Objects:      objects.NumRows(),
-		Seed:         cfg.seed,
-	}
-	if objects.NumRows() == 0 {
+	out := q.groupedHeader(cfg, sql.Fingerprint(q.shape, strs), p)
+	if p.n == 0 {
 		return out, nil
 	}
-
-	groupOf, keys := q.grouped.GroupLabels(objects)
-
-	features := make([][]float64, objects.NumRows())
-	if needsFeatures(cfg.method) {
-		fv, cols, err := q.featureVectors(objects, strs)
-		if err != nil {
-			return nil, err
-		}
-		features = fv
-		out.FeatureColumns = cols
+	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, unvalidated)
+	if err != nil {
+		return nil, err
 	}
-
-	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, unvalidated)
+	// Which core interface is invoked is the whole difference from a plain
+	// count. The per-group answers wait in res for the read-out; a grouped
+	// result carries timings but no learn or design report, so those two
+	// spans of a grouped run have durations and no attributes.
+	var res *core.GroupedResult
+	est, truth, err := cfg.classic(ctx, "grouped estimation", p.rows(), pred,
+		func(ctx context.Context, obj *core.ObjectSet, budget int, r *xrand.Rand) (*core.Result, error) {
+			var err error
+			if res, err = gm.EstimateGroups(ctx, obj, p.groupOf, len(p.groupKey), budget, r); err != nil {
+				return nil, err
+			}
+			return &core.Result{Method: res.Method, Evals: res.Evals, Timing: res.Timing}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	out.Labeling = labeling
-	obj, err := core.NewObjectSet(features, pred)
-	if err != nil {
-		return nil, badf("%v", err)
-	}
-
-	budget := cfg.budgetFor(obj.N())
-	mctx, msp := obs.StartSpan(ctx, "estimate")
-	res, err := gm.EstimateGroups(mctx, obj, groupOf, len(keys), budget, xrand.New(cfg.seed))
-	msp.End()
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("lsample: %w", err)
-		}
-		return nil, fmt.Errorf("lsample: grouped estimation failed: %w", err)
-	}
-	msp.Set("evals", pred.Evals())
-
+	out.Budget, out.SamplesUsed, out.Timings = est.Budget, est.SamplesUsed, est.Timings
+	// The one exact pass, attributed per group.
 	var trueCounts []int
-	if cfg.exact {
-		// One exact pass over all objects, attributed per group; costs |O|
-		// further evaluations, exactly like WithExact on Execute. The batch
-		// path labels the whole population in one (possibly parallel) call.
-		trueCounts = make([]int, len(keys))
-		xctx, xsp := obs.StartSpan(ctx, "exact.scan")
-		labels, err := predicate.Label(pred, predicate.AllIndices(obj.N()), canceled(xctx, "exact count"))
-		xsp.End()
-		if err != nil {
-			return nil, err
-		}
-		for i, pos := range labels {
+	if truth != nil {
+		trueCounts = make([]int, len(p.groupKey))
+		for i, pos := range truth {
 			if pos {
-				trueCounts[groupOf[i]]++
+				trueCounts[p.groupOf[i]]++
 			}
 		}
 	}
-
-	out.Budget = budget
-	out.SamplesUsed = pred.Evals()
-	out.Timings = PhaseTimings{
-		Learn:     res.Timing.Learn,
-		Design:    res.Timing.Design,
-		Sample:    res.Timing.Sample,
-		Predicate: res.Timing.Predicate,
+	groups := make([]shard.Group, len(res.Groups))
+	for g, gc := range res.Groups {
+		sg := shard.Group{N: gc.N, Sampled: gc.Sampled, Count: gc.Estimate,
+			CILo: gc.CI.Lo, CIHi: gc.CI.Hi, HasCI: gc.HasCI, Exact: gc.Exact}
+		if gc.N > 0 {
+			sg.Proportion = gc.Estimate / float64(gc.N)
+		}
+		if trueCounts != nil {
+			sg.TrueCount, sg.HasTrue = trueCounts[g], true
+		}
+		groups[g] = sg
 	}
-	out.Groups = make([]GroupResult, len(keys))
+	out.readOut(p.groupKey, 1-cfg.alpha, groups)
+	return out, nil
+}
+
+// groupedHeader starts a grouped answer; over an empty population it is the
+// whole answer.
+func (q *PreparedQuery) groupedHeader(cfg config, fingerprint string, p *population) *GroupedEstimate {
+	return &GroupedEstimate{
+		Method:         cfg.method,
+		Fingerprint:    fingerprint,
+		GroupColumns:   q.GroupColumns(),
+		Objects:        p.n,
+		Seed:           cfg.seed,
+		FeatureColumns: p.featCols,
+	}
+}
+
+// readOut is the one grouped read-out: groups ordered by typed key, each
+// back half's per-group answer (groups holds them by dense group id) made a
+// GroupResult, and the total summed.
+func (out *GroupedEstimate) readOut(keys [][]engine.Value, level float64, groups []shard.Group) {
 	order := make([]int, len(keys))
 	for g := range order {
 		order[g] = g
 	}
 	sort.Slice(order, func(a, b int) bool { return lessKey(keys[order[a]], keys[order[b]]) })
-	for rank, g := range order {
-		gc := res.Groups[g]
+	out.Groups = make([]GroupResult, 0, len(order))
+	for _, g := range order {
+		sg := groups[g]
 		gr := GroupResult{
-			Key:     renderKey(keys[g]),
-			Objects: gc.N,
-			Count:   gc.Estimate,
-			Sampled: gc.Sampled,
-			Exact:   gc.Exact,
+			Key:        renderKey(keys[g]),
+			Objects:    sg.N,
+			Count:      sg.Count,
+			Proportion: sg.Proportion,
+			Sampled:    sg.Sampled,
+			Exact:      sg.Exact,
 		}
-		if gc.N > 0 {
-			gr.Proportion = gc.Estimate / float64(gc.N)
+		if sg.HasCI {
+			gr.CI = &ConfidenceInterval{Lo: sg.CILo, Hi: sg.CIHi, Level: level}
 		}
-		if gc.HasCI {
-			gr.CI = &ConfidenceInterval{Lo: gc.CI.Lo, Hi: gc.CI.Hi, Level: 1 - alpha}
-		}
-		if trueCounts != nil {
-			tc := trueCounts[g]
+		if sg.HasTrue {
+			tc := sg.TrueCount
 			gr.TrueCount = &tc
 		}
-		out.Total += gc.Estimate
-		out.Groups[rank] = gr
+		out.Total += sg.Count
+		out.Groups = append(out.Groups, gr)
 	}
-	return out, nil
 }
 
 // renderKey renders a group tuple for callers: strings verbatim, numerics

@@ -78,13 +78,18 @@ func (t *LiveTable) Apply(b *DeltaBatch) (DeltaSummary, error) {
 	if err != nil {
 		return DeltaSummary{}, liveErr(err)
 	}
+	return t.summary(sum), nil
+}
+
+// summary reports what sum changed, with the table version after it.
+func (t *LiveTable) summary(sum live.Summary) DeltaSummary {
 	return DeltaSummary{
 		Appended: sum.Appended,
 		Updated:  sum.Updated,
 		Deleted:  sum.Deleted,
 		Batches:  sum.Batches,
 		Version:  t.lt.Version(),
-	}, nil
+	}
 }
 
 // ApplyDelta stream-parses a delta in the named format — "csv" (a header
@@ -113,23 +118,11 @@ func (t *LiveTable) ApplyDeltaStep(format string, r io.Reader, batchRows int, st
 			return err
 		}
 		if step != nil {
-			return step(DeltaSummary{
-				Appended: s.Appended,
-				Updated:  s.Updated,
-				Deleted:  s.Deleted,
-				Batches:  s.Batches,
-				Version:  t.lt.Version(),
-			})
+			return step(t.summary(s))
 		}
 		return nil
 	})
-	out := DeltaSummary{
-		Appended: sum.Appended,
-		Updated:  sum.Updated,
-		Deleted:  sum.Deleted,
-		Batches:  sum.Batches,
-		Version:  t.lt.Version(),
-	}
+	out := t.summary(sum)
 	if perr != nil {
 		// Double-wrap: callers branch on ErrInvalid / ErrUnavailable, but
 		// the underlying error (e.g. an http.MaxBytesError from a capped

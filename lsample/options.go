@@ -2,6 +2,7 @@ package lsample
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -55,26 +56,18 @@ type config struct {
 	classifier  string  // default "rf"
 	strata      int     // default 4
 	budget      float64 // fraction of |O|, default 0.02
-	alpha       float64 // 0 means the methods' default 0.05
+	alpha       float64 // default 0.05
 	parallelism int     // 0 = all cores, 1 = sequential, n = n workers
 	seed        uint64
 	interval    Interval
 	exact       bool
 	noCompile   bool        // keep the interpreter; only the in-package differential tests set it
-	churn       float64     // refresh retrain threshold; <0 means the default 0.1
+	churn       float64     // refresh retrain threshold, default 0.1
 	relabel     bool        // refresh only: bypass the label memo (cold baseline)
 	catalog     *Catalog    // cross-query reuse catalog; nil disables reuse
 	shards      int         // sharded execution; 0 disables (the default)
 	tracer      *obs.Tracer // span tracer; nil disables (see WithTracer)
 	logger      *obs.Logger // structured query log; nil disables (see WithLogger)
-}
-
-// churnThreshold resolves the refresh retraining threshold.
-func (c config) churnThreshold() float64 {
-	if c.churn < 0 {
-		return 0.1
-	}
-	return c.churn
 }
 
 func defaultConfig() config {
@@ -83,7 +76,8 @@ func defaultConfig() config {
 		classifier: "rf",
 		strata:     4,
 		budget:     0.02,
-		churn:      -1,
+		alpha:      0.05,
+		churn:      0.1,
 	}
 }
 
@@ -108,7 +102,7 @@ func newConfig(base config, opts []Option) (config, error) {
 // qlac, or oracle. The default is lss, the paper's headline method.
 func WithMethod(name string) Option {
 	return func(c *config) error {
-		if !knownMethod(name) {
+		if !slices.Contains(Methods(), name) {
 			return badf("unknown method %q (want one of %v)", name, Methods())
 		}
 		c.method = name
@@ -120,7 +114,7 @@ func WithMethod(name string) Option {
 // forest, the paper's default), knn, nn, or random.
 func WithClassifier(name string) Option {
 	return func(c *config) error {
-		if !knownClassifier(name) {
+		if !slices.Contains(Classifiers(), name) {
 			return badf("unknown classifier %q (want one of %v)", name, Classifiers())
 		}
 		c.classifier = name

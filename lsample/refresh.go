@@ -3,7 +3,6 @@ package lsample
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,82 +18,51 @@ import (
 	"repro/internal/sql"
 )
 
-// PrepareLive analyzes a counting query for incremental re-estimation over
-// changing data: like Prepare it parses and decomposes once, but instead of
-// binding a fixed snapshot it returns a LiveQuery whose Refresh pins the
-// newest published snapshots on every call and re-estimates at a price
-// proportional to the delta, not the table. Grouped (GROUP BY counting)
-// queries are not supported live; the object key must be a unique integer
-// column (the same restriction the feature path has always had).
+// PrepareLive reads a counting query as Prepare does, for incremental
+// re-estimation over changing data: instead of binding a fixed snapshot it
+// returns a LiveQuery whose Refresh pins the newest published snapshots on
+// every call and re-estimates at a price proportional to the delta, not the
+// table. Grouped (GROUP BY counting) queries are not supported live; the
+// object key must be a unique integer column (the feature path's
+// restriction, checked here up front).
 func (s *Session) PrepareLive(sqlText string, opts ...Option) (*LiveQuery, error) {
 	cfg, err := newConfig(s.base, opts)
 	if err != nil {
 		return nil, err
 	}
-	if sqlText == "" {
-		return nil, badf("missing sql")
-	}
-	stmt, err := sql.Parse(sqlText)
+	a, err := analyze(sqlText)
 	if err != nil {
-		return nil, badf("parse: %v", err)
+		return nil, err
 	}
-	if gInner, _, gerr := engine.ExtractGroups(stmt); gerr != nil {
-		return nil, badf("%v", gerr)
-	} else if gInner != nil {
+	if a.grouped != nil {
 		return nil, badf("GROUP BY counting queries are not supported by PrepareLive")
 	}
-	inner := engine.ExtractInner(stmt)
-	for _, tr := range inner.From {
-		if tr.Subquery != nil {
-			return nil, badf("FROM subqueries are not supported")
-		}
-	}
-	names := sql.Tables(inner)
-	if len(names) == 0 {
-		return nil, badf("query has no FROM clause")
-	}
-	dec, err := engine.Decompose(inner)
-	if err != nil {
-		return nil, badf("decompose: %v", err)
-	}
-	if len(dec.GroupCols) != 1 {
-		return nil, badf("live queries must GROUP BY a single key column; got %d", len(dec.GroupCols))
+	if len(a.dec.GroupCols) != 1 {
+		return nil, badf("live queries must GROUP BY a single key column; got %d", len(a.dec.GroupCols))
 	}
 	// Pin one catalog now for schema-dependent analysis (schemas are fixed
 	// for a table's lifetime even when its rows are not).
-	cat := make(engine.Catalog, len(names))
-	for _, name := range names {
-		t, err := s.src.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		cat[name] = t.tab
+	cat, _, err := a.pin(s.src)
+	if err != nil {
+		return nil, err
 	}
-	objName := dec.Objects.From[0].Name
-	keyRef, ok := dec.Objects.Select[0].Expr.(*sql.ColumnRef)
-	if !ok {
-		return nil, badf("object key is not a column reference")
+	objName := a.dec.Objects.From[0].Name
+	keyCol, kind, err := a.keyColumn(cat[objName])
+	if err != nil {
+		return nil, err
 	}
-	ltab := cat[objName]
-	ci := ltab.ColIndex(keyRef.Name)
-	if ci < 0 {
-		return nil, badf("table %q has no column %q", objName, keyRef.Name)
-	}
-	if ltab.Schema()[ci].Kind != dataset.Int {
-		return nil, badf("live queries require an integer object key; %q.%q is %s",
-			objName, keyRef.Name, ltab.Schema()[ci].Kind)
+	if kind != dataset.Int {
+		return nil, badf("live queries require an integer object key; %q.%q is %s", objName, keyCol, kind)
 	}
 	return &LiveQuery{
+		analysis:  *a,
 		sess:      s,
 		text:      sqlText,
 		cfg:       cfg,
-		inner:     inner,
-		dec:       dec,
-		names:     names,
 		objName:   objName,
-		keyCol:    keyRef.Name,
-		corrCols:  analyzeCorrelation(dec, cat),
-		aliasTabs: q3AliasTables(dec),
+		keyCol:    keyCol,
+		corrCols:  analyzeCorrelation(a.dec, cat),
+		aliasTabs: q3AliasTables(a.dec),
 	}, nil
 }
 
@@ -143,12 +111,10 @@ func (s *Session) Refresh(ctx context.Context, sqlText string, params map[string
 // See the package documentation ("Live data and refresh") for the exact
 // label-reuse contract.
 type LiveQuery struct {
+	analysis  // what the query's text decided (analysis.go)
 	sess      *Session
 	text      string
 	cfg       config
-	inner     *sql.SelectStmt
-	dec       *engine.Decomposed
-	names     []string
 	objName   string
 	keyCol    string
 	corrCols  map[string][]int // Q3 table → correlated column per alias (nil entry list impossible; absent = uncorrelated)
@@ -170,7 +136,6 @@ type refreshState struct {
 	featCols []string
 	keyIdx   map[int64]int // object-table key → row
 	feats    [][]float64   // per object-table row, aligned with keyIdx
-	ltabRows int
 	ltabSnap *Table
 
 	clf        learn.Classifier
@@ -187,15 +152,20 @@ type refreshState struct {
 	validated bool
 }
 
+func newRefreshState(sig string) *refreshState {
+	return &refreshState{
+		sig:      sig,
+		progRows: make(map[string]int),
+		scores:   make(map[int64]float64),
+		labels:   make(map[int64]bool),
+	}
+}
+
 // SQL returns the query text as prepared.
 func (q *LiveQuery) SQL() string { return q.text }
 
 // Tables returns the names of all tables the query references, sorted.
-func (q *LiveQuery) Tables() []string {
-	out := append([]string(nil), q.names...)
-	sort.Strings(out)
-	return out
-}
+func (q *LiveQuery) Tables() []string { return q.tables() }
 
 // Invalidate drops all maintained state — label memo, classifier, strata,
 // indexes — so the next Refresh runs cold. Mainly useful in tests and
@@ -266,18 +236,14 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 
 	t0 := time.Now()
 	out := &RefreshEstimate{Versions: make(map[string]uint64)}
-	fp := sql.Fingerprint(q.inner, strs)
+	fp := sql.Fingerprint(q.shape, strs)
 
 	// 1. Pin the newest snapshot of every referenced table.
-	snaps := make(map[string]*Table, len(q.names))
-	cat := make(engine.Catalog, len(q.names))
-	for _, name := range q.names {
-		t, err := q.sess.src.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		snaps[name] = t
-		cat[name] = t.tab
+	cat, snaps, err := q.pin(q.sess.src)
+	if err != nil {
+		return nil, err
+	}
+	for name, t := range snaps {
 		if t.live != nil {
 			out.Versions[name] = t.live.version
 		}
@@ -291,12 +257,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	invalidateAll := false
 	var affected []int64
 	if st == nil {
-		st = &refreshState{
-			sig:      fp,
-			progRows: make(map[string]int),
-			scores:   make(map[int64]float64),
-			labels:   make(map[int64]bool),
-		}
+		st = newRefreshState(fp)
 		q.st = st
 	} else {
 		for _, name := range q.names {
@@ -324,20 +285,11 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		}
 	}
 	if invalidateAll {
-		st.labels = make(map[int64]bool)
-		st.scores = make(map[int64]float64)
-		st.clf = nil
-		st.cutScores = nil
-		st.trainKeys = nil
-		st.trainDirty = 0
-		st.prog = nil
-		st.progErr = ""
-		st.progRows = make(map[string]int)
-		st.validated = false
-		st.keyIdx = nil
-		st.feats = nil
-		st.ltabRows = 0
-		st.ltabSnap = nil
+		// Everything learned about the old rows goes; the pins, the feature
+		// choice and the training epoch (it seeds the next fit) stay.
+		fresh := newRefreshState(fp)
+		fresh.snaps, fresh.featCols, fresh.trainEpoch = st.snaps, st.featCols, st.trainEpoch
+		*st = *fresh
 		out.InvalidatedAll = true
 	} else {
 		for _, k := range affected {
@@ -354,56 +306,29 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	// rows, or recompile from scratch when patching is not possible.
 	q.maintainProgram(st, cat, snaps)
 
-	// 4. Enumerate the objects (Q2) over the pinned catalog.
-	ev := engine.NewEvaluator(cat)
-	for name, v := range vals {
-		ev.SetParam(name, v)
-	}
-	objects, err := ev.Run(q.dec.Objects, nil)
+	// 4. The population: Q2 over the pinned catalog, addressed by key.
+	p, err := q.enumerate(cat, vals)
 	if err != nil {
-		return nil, badf("enumerating objects: %v", err)
+		return nil, err
 	}
-	n := objects.NumRows()
-	out.Method = cfg.method
-	out.Fingerprint = fp
-	out.Objects = n
-	out.Seed = cfg.seed
-	alpha := cfg.alpha
-	if alpha <= 0 {
-		alpha = 0.05
-	}
+	n := p.n
+	out.Estimate = *cfg.header(fp, n)
 	if n == 0 {
 		st.snaps = snaps
-		out.CI = &ConfidenceInterval{Level: 1 - alpha}
+		out.answerEmpty(cfg)
 		return out, nil
 	}
-	keys := make([]int64, n)
-	for i := 0; i < n; i++ {
-		v := objects.Value(i, 0)
-		if v.Kind != engine.KInt {
-			return nil, badf("object key is not an integer")
-		}
-		keys[i] = v.I
-	}
-	posByKey := make(map[int64]int, n)
-	for i, k := range keys {
-		posByKey[k] = i
+	if err := p.index(q.keyPos()); err != nil {
+		return nil, err
 	}
 
 	// 5. Feature/key-index maintenance over the object table.
-	useFeatures := needsFeatures(cfg.method)
-	var features [][]float64
-	if useFeatures {
+	if needsFeatures(cfg.method) {
 		if err := q.maintainFeatures(st, snaps[q.objName], strs); err != nil {
 			return nil, err
 		}
-		features = make([][]float64, n)
-		for i, k := range keys {
-			r, ok := st.keyIdx[k]
-			if !ok {
-				return nil, badf("object key %d not found in %q", k, q.objName)
-			}
-			features[i] = st.feats[r]
+		if err := p.attach(st.keyIdx, st.feats, st.featCols, q.objName); err != nil {
+			return nil, err
 		}
 		out.FeatureColumns = st.featCols
 	}
@@ -413,7 +338,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	// cross-check (one full interpreted join scan) runs once per compiled
 	// program; subsequent refreshes of an already-validated program bind
 	// the compiled path directly.
-	basePred, labeling, err := buildEnginePredicate(ev, q.dec, objects, st.prog, st.progErr, vals, cfg, st.validated)
+	basePred, labeling, err := buildEnginePredicate(p.ev, q.dec, p.objects, st.prog, st.progErr, vals, cfg, st.validated)
 	if err != nil {
 		return nil, err
 	}
@@ -426,7 +351,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	out.Labeling = labeling
 
 	// A refresh labels from one goroutine, so its one predicate is always free.
-	memo := &labelStore{lock: new(sync.Mutex), labels: st.labels, keys: keys, posByKey: posByKey, relabel: cfg.relabel,
+	memo := &labelStore{lock: new(sync.Mutex), labels: st.labels, keys: p.keys, posByKey: p.posByKey, relabel: cfg.relabel,
 		preds: &predPool{free: []predicate.Predicate{basePred}}}
 	label := func(sel []int64) ([]bool, error) {
 		labels, _, err := memo.label(ctx, sel)
@@ -439,7 +364,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	var res estimate.Result
 	switch cfg.method {
 	case "oracle":
-		labels, err := label(keys)
+		labels, err := label(p.keys)
 		if err != nil {
 			return nil, err
 		}
@@ -448,20 +373,20 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		out.TrueCount = &c
 
 	case "srs":
-		sel := shard.BottomK(keys, budget, cfg.seed, shard.TagSample)
+		sel := shard.BottomK(p.keys, budget, cfg.seed, shard.TagSample)
 		labels, err := label(sel)
 		if err != nil {
 			return nil, err
 		}
-		res = shard.Proportion(shard.Positives(labels), len(sel), n, alpha, cfg.interval == Wilson)
+		res = shard.Proportion(shard.Positives(labels), len(sel), n, cfg.alpha, cfg.interval == Wilson)
 
 	case "lss":
-		if res, err = q.refreshLSS(cfg, span, st, label, keys, posByKey, features, budget, alpha, out); err != nil {
+		if res, err = q.refreshLSS(cfg, span, st, label, p, budget, out); err != nil {
 			return nil, err
 		}
 	}
 	out.Count = res.Count
-	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - alpha}
+	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - cfg.alpha}
 
 	out.Proportion = out.Count / float64(n)
 	out.FreshLabels = basePred.Evals()
@@ -475,15 +400,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	span.Set("retrained", out.Retrained)
 	span.Set("fresh_labels", out.FreshLabels)
 	span.Set("memoized_labels", out.ReusedLabels)
-	cfg.queryLog(ctx, &Estimate{
-		Method:      out.Method,
-		Fingerprint: out.Fingerprint,
-		Objects:     out.Objects,
-		Budget:      out.Budget,
-		Count:       out.Count,
-		SamplesUsed: out.SamplesUsed,
-		Labeling:    out.Labeling,
-	}, time.Since(t0))
+	cfg.queryLog(ctx, &out.Estimate, time.Since(t0))
 	return out, nil
 }
 
@@ -497,13 +414,13 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 // trees, nodes) on the refresh span, and any scoring its own (scored,
 // score_ms, and the forest's scoring path as scorePathAttrs names it).
 func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, label func([]int64) ([]bool, error),
-	keys []int64, posByKey map[int64]int, features [][]float64, budget int, alpha float64, out *RefreshEstimate) (estimate.Result, error) {
+	p *population, budget int, out *RefreshEstimate) (estimate.Result, error) {
 
 	kLearn, err := shard.LearnSize(budget)
 	if err != nil {
 		return estimate.Result{}, badf("%v", err)
 	}
-	learnSel := shard.BottomK(keys, kLearn, cfg.seed, shard.TagLearn)
+	learnSel := shard.BottomK(p.keys, kLearn, cfg.seed, shard.TagLearn)
 	learnLabels, err := label(learnSel)
 	if err != nil {
 		return estimate.Result{}, err
@@ -518,7 +435,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 			churn++
 		}
 	}
-	retrain := st.clf == nil || float64(churn) > cfg.churnThreshold()*float64(len(learnSel))
+	retrain := st.clf == nil || float64(churn) > cfg.churn*float64(len(learnSel))
 	if retrain {
 		newClf, err := cfg.buildClassifier()
 		if err != nil {
@@ -526,7 +443,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 		}
 		X := make([][]float64, len(learnSel))
 		for j, k := range learnSel {
-			X[j] = features[posByKey[k]]
+			X[j] = p.features[p.posByKey[k]]
 		}
 		st.trainEpoch++
 		clf := newClf(live.Mix64(cfg.seed, shard.TagTrain, st.trainEpoch))
@@ -546,7 +463,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 			st.trainKeys[k] = true
 		}
 		st.trainDirty = 0
-		st.scores = make(map[int64]float64, len(keys))
+		st.scores = make(map[int64]float64, p.n)
 		out.Retrained = true
 	}
 
@@ -555,10 +472,10 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 	// the delta's new objects otherwise).
 	var missKeys []int64
 	var missX [][]float64
-	for i, k := range keys {
+	for i, k := range p.keys {
 		if _, ok := st.scores[k]; !ok {
 			missKeys = append(missKeys, k)
-			missX = append(missX, features[i])
+			missX = append(missX, p.features[i])
 		}
 	}
 	if len(missKeys) > 0 {
@@ -574,15 +491,15 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 	if retrain {
 		// Strata are designed at training time and stay fixed until the
 		// next retrain.
-		scores := make([]float64, len(keys))
-		for i, k := range keys {
+		scores := make([]float64, p.n)
+		for i, k := range p.keys {
 			scores[i] = st.scores[k]
 		}
 		st.cutScores = shard.EqualCountCuts(scores, shard.StrataCount(cfg.strata))
 	}
 
 	members := make([][]int64, len(st.cutScores)+1)
-	for _, k := range keys {
+	for _, k := range p.keys {
 		h := shard.StratumOf(st.cutScores, st.scores[k])
 		members[h] = append(members[h], k)
 	}
@@ -591,7 +508,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 	if err != nil {
 		return estimate.Result{}, err
 	}
-	res, err := estimate.Stratified(strata, alpha)
+	res, err := estimate.Stratified(strata, cfg.alpha)
 	if err != nil {
 		return estimate.Result{}, badf("%v", err)
 	}
@@ -637,12 +554,9 @@ func (q *LiveQuery) maintainProgram(st *refreshState, cat engine.Catalog, snaps 
 		st.prog = nil
 	}
 	st.validated = false
-	prog, err := qcompile.Compile(q.dec, cat)
-	if err != nil {
-		st.prog, st.progErr = nil, err.Error()
+	if st.prog, st.progErr = compileQ3(q.dec, cat); st.prog == nil {
 		return
 	}
-	st.prog = prog
 	st.progRows = make(map[string]int, len(q.names))
 	for _, name := range q.names {
 		st.progRows[name] = cat[name].NumRows()
@@ -652,58 +566,24 @@ func (q *LiveQuery) maintainProgram(st *refreshState, cat engine.Catalog, snaps 
 // maintainFeatures keeps the object table's unique-key index and feature
 // matrix in sync with its newest snapshot, extending both in place for
 // prefix-extended snapshots and rebuilding otherwise.
-func (q *LiveQuery) maintainFeatures(st *refreshState, ltab *Table, strs map[string]string) error {
+func (q *LiveQuery) maintainFeatures(st *refreshState, ltab *Table, strs map[string]string) (err error) {
 	if st.featCols == nil {
-		skip := make(map[string]bool, len(strs))
-		for name := range strs {
-			skip[name] = true
+		if st.featCols, err = q.featureColumns(ltab.tab, strs); err != nil {
+			return err
 		}
-		cols, err := engine.NumericFeatureColumns(ltab.tab, q.dec.FeatureCols, skip)
-		if err != nil {
-			return badf("%v", err)
-		}
-		st.featCols = cols
 	}
-	start := 0
-	if st.keyIdx != nil && st.ltabSnap != nil && snapshotChange(st.ltabSnap, ltab) != snapReplaced {
-		start = st.ltabRows
-		if ltab.tab.NumRows() == start {
-			st.ltabSnap = ltab
-			return nil
-		}
-	} else {
+	if st.keyIdx == nil || st.ltabSnap == nil || snapshotChange(st.ltabSnap, ltab) == snapReplaced {
 		st.keyIdx = make(map[int64]int, ltab.tab.NumRows())
 		st.feats = nil
 	}
-	ci := ltab.tab.ColIndex(q.keyCol)
-	cols := make([]int, len(st.featCols))
-	kinds := make([]dataset.Kind, len(st.featCols))
-	for j, name := range st.featCols {
-		cols[j] = ltab.tab.ColIndex(name)
-		kinds[j] = ltab.tab.Schema()[cols[j]].Kind
+	if st.feats, err = featureRows(ltab.tab, q.keyCol, st.featCols, st.keyIdx, st.feats); err != nil {
+		// Do not leave the index half-extended: a poisoned keyIdx would make
+		// every later refresh re-report rows this pass inserted as the
+		// duplicates. A clean reset rebuilds (and re-errors accurately) next
+		// time.
+		st.keyIdx, st.feats, st.ltabSnap = nil, nil, nil
+		return err
 	}
-	for r := start; r < ltab.tab.NumRows(); r++ {
-		k := ltab.tab.Int(r, ci)
-		if _, dup := st.keyIdx[k]; dup {
-			// Do not leave the index half-extended: a poisoned keyIdx would
-			// make every later refresh re-report rows this pass inserted as
-			// the duplicates. A clean reset rebuilds (and re-errors
-			// accurately) next time.
-			st.keyIdx, st.feats, st.ltabRows, st.ltabSnap = nil, nil, 0, nil
-			return badf("group key %q is not unique in %q (value %d repeats); cannot derive per-object features", q.keyCol, q.objName, k)
-		}
-		st.keyIdx[k] = r
-		v := make([]float64, len(cols))
-		for j, c := range cols {
-			if kinds[j] == dataset.Float {
-				v[j] = ltab.tab.Float(r, c)
-			} else {
-				v[j] = float64(ltab.tab.Int(r, c))
-			}
-		}
-		st.feats = append(st.feats, v)
-	}
-	st.ltabRows = ltab.tab.NumRows()
 	st.ltabSnap = ltab
 	return nil
 }
@@ -735,16 +615,6 @@ func snapshotChange(old, new *Table) snapChange {
 		return snapAppended
 	}
 	return snapReplaced
-}
-
-func dedupSortedInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // q3AliasTables collects the tables bound by Q3 FROM aliases (the tables

@@ -121,19 +121,15 @@ type Estimate struct {
 	ReusedLabels int
 }
 
-// fromCore converts an internal result. alpha 0 means the methods' default
-// 0.05.
-func fromCore(res *core.Result, objects int, budget int, seed uint64, alpha float64) *Estimate {
-	if alpha <= 0 {
-		alpha = 0.05
-	}
+// fromCore converts an internal result.
+func fromCore(res *core.Result, objects int, budget int, cfg config) *Estimate {
 	out := &Estimate{
 		Method:      res.Method,
 		Objects:     objects,
 		Budget:      budget,
 		Count:       res.Estimate,
 		SamplesUsed: res.Evals,
-		Seed:        seed,
+		Seed:        cfg.seed,
 		Timings: PhaseTimings{
 			Learn:     res.Timing.Learn,
 			Design:    res.Timing.Design,
@@ -145,7 +141,7 @@ func fromCore(res *core.Result, objects int, budget int, seed uint64, alpha floa
 		out.Proportion = res.Estimate / float64(objects)
 	}
 	if res.HasCI {
-		out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - alpha}
+		out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - cfg.alpha}
 	}
 	return out
 }

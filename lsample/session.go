@@ -3,7 +3,8 @@ package lsample
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/qcompile"
+	"repro/internal/shard"
 	"repro/internal/sql"
 	"repro/internal/xrand"
 )
@@ -57,13 +59,13 @@ func (s *Session) Count(ctx context.Context, sqlText string, params map[string]a
 	return q.Execute(ctx, params)
 }
 
-// Prepare parses a counting query, rewrites it into the paper's §2
-// object/predicate form, and binds it to a snapshot of the tables it
-// references. The expensive per-query analysis — parsing, decomposition,
-// and (lazily, on the first Execute that needs it) automatic feature
-// selection with the O(N) key index and feature matrix — happens once; the
-// returned PreparedQuery can then Execute many times with different bound
-// parameters, seeds, and options.
+// Prepare reads a counting query (analysis.go: parse, the §2 rewrite into
+// object query and per-object predicate, the object key) and binds it to a
+// snapshot of the tables it references. That analysis, the predicate's
+// compilation and (lazily, on the first Execute that needs it) automatic
+// feature selection with the O(N) key index and feature matrix happen once;
+// the returned PreparedQuery can then Execute many times with different
+// bound parameters, seeds, and options.
 //
 // Queries must follow the paper's Q1 shape: a GROUP BY over a single
 // integer key column of the first FROM table (the object table), with the
@@ -82,91 +84,27 @@ func (s *Session) Prepare(sqlText string, opts ...Option) (*PreparedQuery, error
 	if err != nil {
 		return nil, err
 	}
-	if sqlText == "" {
-		return nil, badf("missing sql")
-	}
-	stmt, err := sql.Parse(sqlText)
+	a, err := analyze(sqlText)
 	if err != nil {
-		return nil, badf("parse: %v", err)
+		return nil, err
 	}
-
-	// Grouped counting (SELECT groups, COUNT(*) FROM (...) GROUP BY groups)
-	// decomposes the inner statement and remembers which Q2 columns carry
-	// the group labels; everything else goes through the plain single-count
-	// decomposition. Either way the fingerprinted statement keeps the outer
-	// shape, so grouped and plain variants of the same inner query cache
-	// separately.
-	var (
-		dec     *engine.Decomposed
-		grouped *engine.GroupedDecomposed
-		inner   *sql.SelectStmt
-		fpStmt  = stmt
-	)
-	if gInner, gNames, gerr := engine.ExtractGroups(stmt); gerr != nil {
-		return nil, badf("%v", gerr)
-	} else if gInner != nil {
-		inner = gInner
-		grouped, err = engine.DecomposeGrouped(gInner, gNames)
-		if err != nil {
-			return nil, badf("decompose: %v", err)
-		}
-		dec = grouped.Decomposed
-	} else {
-		inner = engine.ExtractInner(stmt)
-		fpStmt = inner
+	cat, snaps, err := a.pin(s.src)
+	if err != nil {
+		return nil, err
 	}
-	for _, tr := range inner.From {
-		if tr.Subquery != nil {
-			return nil, badf("FROM subqueries are not supported")
-		}
-	}
-	// Resolve every table the query touches, including ones referenced only
-	// inside predicate subqueries — all must be in the evaluator's catalog.
-	names := sql.Tables(inner)
-	if len(names) == 0 {
-		return nil, badf("query has no FROM clause")
-	}
-	cat := make(engine.Catalog, len(names))
-	snaps := make(map[string]*Table, len(names))
-	for _, name := range names {
-		t, err := s.src.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		cat[name] = t.tab
-		snaps[name] = t
-	}
-	if dec == nil {
-		dec, err = engine.Decompose(inner)
-		if err != nil {
-			return nil, badf("decompose: %v", err)
-		}
-	}
-	// Compile the per-object predicate once per prepared query: the
-	// analysis and hash-index building are the expensive parts, and the
-	// tables are an immutable snapshot. A predicate outside the compilable
-	// subset records its fallback reason and every Execute keeps the
-	// interpreted engine.
-	prog, perr := qcompile.Compile(dec, cat)
-	progErr := ""
-	if perr != nil {
-		prog = nil
-		progErr = perr.Error()
-	}
+	// Once per prepared query: the tables are an immutable snapshot.
+	prog, progErr := compileQ3(a.dec, cat)
 	return &PreparedQuery{
-		sess:    s,
-		text:    sqlText,
-		cfg:     cfg,
-		inner:   fpStmt,
-		dec:     dec,
-		grouped: grouped,
-		cat:     cat,
-		snaps:   snaps,
-		q2IDs:   q2Identifiers(dec.Objects),
-		ltab:    cat[dec.Objects.From[0].Name],
-		feats:   make(map[string]*featureState),
-		prog:    prog,
-		progErr: progErr,
+		analysis: *a,
+		text:     sqlText,
+		cfg:      cfg,
+		cat:      cat,
+		snaps:    snaps,
+		q2IDs:    q2Identifiers(a.dec.Objects),
+		ltab:     cat[a.dec.Objects.From[0].Name],
+		feats:    make(map[string]*featureState),
+		prog:     prog,
+		progErr:  progErr,
 	}, nil
 }
 
@@ -187,23 +125,19 @@ func q2Identifiers(objects *sql.SelectStmt) map[string]bool {
 	return ids
 }
 
-// PreparedQuery is a parsed, decomposed, feature-selected counting query
-// bound to a table snapshot. It is safe for concurrent Execute calls and
-// stays consistent even if the session's DataSource replaces a table —
-// prepare again to pick up new data.
+// PreparedQuery is an analyzed counting query bound to a table snapshot. It
+// is safe for concurrent Execute calls and stays consistent even if the
+// session's DataSource replaces a table — prepare again to pick up new data.
 type PreparedQuery struct {
-	sess    *Session
-	text    string
-	cfg     config
-	inner   *sql.SelectStmt // the fingerprinted statement (outer shape for grouped queries)
-	dec     *engine.Decomposed
-	grouped *engine.GroupedDecomposed // nil for plain counting queries
-	cat     engine.Catalog
-	snaps   map[string]*Table // pinned snapshots by name (catalog identity)
-	q2IDs   map[string]bool   // identifier names Q2 references (catalog key)
-	ltab    *dataset.Table
-	prog    *qcompile.Program // compiled Q3, nil when outside the subset
-	progErr string            // fallback reason when prog is nil
+	analysis // what the query's text decided (analysis.go)
+	text     string
+	cfg      config
+	cat      engine.Catalog
+	snaps    map[string]*Table // pinned snapshots by name (catalog identity)
+	q2IDs    map[string]bool   // identifier names Q2 references (catalog key)
+	ltab     *dataset.Table
+	prog     *qcompile.Program // compiled Q3, nil when outside the subset
+	progErr  string            // fallback reason when prog is nil
 
 	featMu sync.Mutex
 	feats  map[string]*featureState // keyed by sorted parameter names
@@ -223,14 +157,7 @@ type featureState struct {
 func (q *PreparedQuery) SQL() string { return q.text }
 
 // Tables returns the names of all tables the query references, sorted.
-func (q *PreparedQuery) Tables() []string {
-	names := make([]string, 0, len(q.cat))
-	for name := range q.cat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (q *PreparedQuery) Tables() []string { return q.tables() }
 
 // ObjectsSQL returns the object-enumeration query Q2 of the §2
 // decomposition.
@@ -248,7 +175,7 @@ func (q *PreparedQuery) Fingerprint(params map[string]any) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return sql.Fingerprint(q.inner, strs), nil
+	return sql.Fingerprint(q.shape, strs), nil
 }
 
 // Execute runs one estimation with the given bound parameters. Options
@@ -274,16 +201,11 @@ func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts
 	if err != nil {
 		return nil, err
 	}
-	alpha := cfg.alpha
-	if alpha <= 0 {
-		alpha = 0.05
-	}
-
 	wall := time.Now()
 	ctx, span := obs.EnsureSpan(ctx, cfg.tracer, "execute")
 	defer span.End()
 	span.Set("method", cfg.method)
-	est, err := q.execute(ctx, cfg, m, vals, strs, alpha)
+	est, err := q.execute(ctx, cfg, m, vals, strs)
 	if err != nil {
 		span.Set("error", err.Error())
 		return nil, err
@@ -296,101 +218,99 @@ func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts
 
 // execute is Execute's body behind the root span. It has two branches: the
 // deterministic hash plan (shardexec.go) when WithShards or a reuse catalog
-// asks for it, and the paper's RNG-driven enumerate → features → predicate
-// → estimate pipeline over internal/core, each phase in a child span. They
-// give different (each deterministic) answers for the same seed.
+// asks for it, and the paper's RNG-driven pipeline — the population, its
+// predicate, then the classic body over internal/core. They give different
+// (each deterministic) answers for the same seed.
 func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (_ *Estimate, err error) {
+	vals map[string]engine.Value, strs map[string]string) (_ *Estimate, err error) {
 
 	defer recoverFault(&err)
 	if cfg.shards > 0 || cfg.catalog != nil {
-		if est, handled, err := q.executeHashPlan(ctx, cfg, vals, strs, alpha); handled {
+		if est, handled, err := q.executeHashPlan(ctx, cfg, vals, strs); handled {
 			return est, err
 		}
 	}
 
-	ev := engine.NewEvaluator(q.cat)
-	for name, v := range vals {
-		ev.SetParam(name, v)
-	}
-	_, esp := obs.StartSpan(ctx, "enumerate")
-	objects, err := ev.Run(q.dec.Objects, nil)
-	esp.End()
-	if err != nil {
-		return nil, badf("enumerating objects: %v", err)
-	}
-	esp.Set("objects", objects.NumRows())
-	out := &Estimate{
-		Method:      cfg.method,
-		Fingerprint: sql.Fingerprint(q.inner, strs),
-		Objects:     objects.NumRows(),
-		Seed:        cfg.seed,
-	}
-	if objects.NumRows() == 0 {
-		out.CI = &ConfidenceInterval{Level: 1 - alpha}
-		if cfg.exact {
-			zero := 0
-			out.TrueCount = &zero
-		}
-		return out, nil
-	}
-
-	// Feature-free methods (plain random sampling, the exact oracle) skip
-	// feature derivation entirely — and with it the single-unique-integer
-	// group-key restriction it needs.
-	features := make([][]float64, objects.NumRows())
-	if needsFeatures(cfg.method) {
-		_, fsp := obs.StartSpan(ctx, "features")
-		fv, cols, err := q.featureVectors(objects, strs)
-		fsp.End()
-		if err != nil {
-			return nil, err
-		}
-		fsp.Set("columns", len(cols))
-		features = fv
-		out.FeatureColumns = cols
-	}
-
-	pred, labeling, err := q.buildPredicate(ctx, ev, objects, vals, cfg, unvalidated)
+	p, err := q.populate(ctx, cfg.method, vals, strs)
 	if err != nil {
 		return nil, err
 	}
+	fp := sql.Fingerprint(q.shape, strs)
+	if p.n == 0 {
+		return cfg.header(fp, 0).answerEmpty(cfg), nil
+	}
+	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, unvalidated)
+	if err != nil {
+		return nil, err
+	}
+	est, _, err := cfg.classic(ctx, "estimation", p.rows(), pred, m.Estimate)
+	if err != nil {
+		return nil, err
+	}
+	est.Method, est.Fingerprint = cfg.method, fp
+	est.FeatureColumns = p.featCols
+	est.Labeling = labeling
+	return est, nil
+}
+
+// header starts the answer every path of one count fills in.
+func (c config) header(fingerprint string, objects int) *Estimate {
+	return &Estimate{Method: c.method, Fingerprint: fingerprint, Objects: objects, Seed: c.seed}
+}
+
+// answerEmpty completes the answer over an empty population: a count of
+// zero, known exactly.
+func (e *Estimate) answerEmpty(cfg config) *Estimate {
+	e.CI = &ConfidenceInterval{Level: 1 - cfg.alpha}
+	if cfg.exact {
+		zero := 0
+		e.TrueCount = &zero
+	}
+	return e
+}
+
+// classic is the one body of a count answered by internal/core, behind
+// Execute, ExecuteGroups and Estimator.Estimate: budget, the method's run
+// (a core.Method's Estimate, or a grouped method behind the same signature)
+// inside an "estimate" span with its learn / design / sample children, and
+// the WithExact scan, whose labels come back by object position.
+func (cfg config) classic(ctx context.Context, what string, features [][]float64, pred predicate.Predicate,
+	run func(context.Context, *core.ObjectSet, int, *xrand.Rand) (*core.Result, error)) (*Estimate, []bool, error) {
+
 	obj, err := core.NewObjectSet(features, pred)
 	if err != nil {
-		return nil, badf("%v", err)
+		return nil, nil, badf("%v", err)
 	}
-
 	budget := cfg.budgetFor(obj.N())
 	mctx, msp := obs.StartSpan(ctx, "estimate")
-	res, err := m.Estimate(mctx, obj, budget, xrand.New(cfg.seed))
+	res, err := run(mctx, obj, budget, xrand.New(cfg.seed))
 	if err != nil {
 		msp.End()
 		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("lsample: %w", err)
+			return nil, nil, fmt.Errorf("lsample: %w", err)
 		}
-		return nil, fmt.Errorf("lsample: estimation failed: %w", err)
+		return nil, nil, fmt.Errorf("lsample: %s failed: %w", what, err)
 	}
-
-	est := fromCore(res, obj.N(), budget, cfg.seed, cfg.alpha)
-	est.Method = out.Method
-	est.Fingerprint = out.Fingerprint
-	est.FeatureColumns = out.FeatureColumns
-	est.Labeling = labeling
+	est := fromCore(res, obj.N(), budget, cfg)
 	estimateSpan(mctx, est, res)
 	msp.End()
-	if cfg.exact {
-		xctx, xsp := obs.StartSpan(ctx, "exact.scan")
-		tc, err := exactCount(xctx, pred, obj.N())
-		xsp.End()
-		if err != nil {
-			return nil, err
-		}
-		est.TrueCount = &tc
-		// The exact pass spends real predicate evaluations too; report the
-		// predicate's full counter, not just the estimation's share.
-		est.SamplesUsed = pred.Evals()
+	if !cfg.exact {
+		return est, nil, nil
 	}
-	return est, nil
+	// The exact pass evaluates the predicate on every object — the expensive
+	// path WithExact requests; it is by far the longest loop a request can
+	// hold resources for. It spends real predicate evaluations too: report
+	// the predicate's full counter, not just the estimation's share.
+	xctx, xsp := obs.StartSpan(ctx, "exact.scan")
+	truth, err := predicate.Label(pred, predicate.AllIndices(obj.N()), canceled(xctx, "exact count"))
+	xsp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	tc := shard.Positives(truth)
+	est.TrueCount = &tc
+	est.SamplesUsed = pred.Evals()
+	return est, truth, nil
 }
 
 // validator names who remembers that a program already passed the
@@ -446,10 +366,9 @@ func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator
 //
 // validated says prog already passed that cross-check, so a bind that
 // succeeds is used as it is and the interpreter's evaluation of object 0 —
-// one full join scan — is not paid again. Refresh remembers it across
-// refreshes of one program (refreshState.validated), a hash-plan execution's
-// seed-independent half for as long as it lives (shardData.checked: one
-// Execute's shards, or every count a ShardExec serves); nothing else does.
+// one full join scan — is not paid again. Who remembers a passed check:
+// refreshState.validated across refreshes of one program, shardData.checked
+// for a hash-plan execution's seed-independent half; nothing else.
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
 	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
 	validated bool) (predicate.Predicate, Labeling, error) {
@@ -521,23 +440,6 @@ func compiledAgrees(fn func(int) bool, ep *predicate.EngineExists, n int) (ok bo
 	return fn(0) == want
 }
 
-// exactCount evaluates the predicate on every object — the expensive path
-// WithExact requests; it is by far the longest loop a request can hold
-// resources for — and returns the positive count.
-func exactCount(ctx context.Context, pred predicate.Predicate, n int) (int, error) {
-	labels, err := predicate.Label(pred, predicate.AllIndices(n), canceled(ctx, "exact count"))
-	if err != nil {
-		return 0, err
-	}
-	count := 0
-	for _, b := range labels {
-		if b {
-			count++
-		}
-	}
-	return count, nil
-}
-
 // canceled returns the cooperative cancellation check predicate.Label polls
 // between evaluations, wording the error for the loop it stops ("labeling",
 // "exact count"). A nil ctx never cancels.
@@ -558,12 +460,7 @@ func canceled(ctx context.Context, what string) func() error {
 // feature selection; executing with a consistent parameter set — the normal
 // case — builds exactly once.
 func (q *PreparedQuery) featureState(paramStrs map[string]string) (*featureState, error) {
-	names := make([]string, 0, len(paramStrs))
-	for name := range paramStrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	key := strings.Join(names, ",")
+	key := strings.Join(slices.Sorted(maps.Keys(paramStrs)), ",")
 
 	q.featMu.Lock()
 	defer q.featMu.Unlock()
@@ -571,30 +468,18 @@ func (q *PreparedQuery) featureState(paramStrs map[string]string) (*featureState
 		return fs, nil
 	}
 
-	skip := make(map[string]bool, len(paramStrs))
-	for name := range paramStrs {
-		skip[name] = true
-	}
-	cols, err := engine.NumericFeatureColumns(q.ltab, q.dec.FeatureCols, skip)
+	cols, err := q.featureColumns(q.ltab, paramStrs)
 	if err != nil {
-		return nil, badf("%v", err)
+		return nil, err
 	}
 	keyCol, err := q.objectKeyColumn()
 	if err != nil {
 		return nil, err
 	}
-	ci := q.ltab.ColIndex(keyCol)
 	index := make(map[int64]int, q.ltab.NumRows())
-	for r := 0; r < q.ltab.NumRows(); r++ {
-		k := q.ltab.Int(r, ci)
-		if _, dup := index[k]; dup {
-			return nil, badf("group key %q is not unique in %q (value %d repeats); cannot derive per-object features", keyCol, q.ltab.Name, k)
-		}
-		index[k] = r
-	}
-	feats, err := q.ltab.Features(cols...)
+	feats, err := featureRows(q.ltab, keyCol, cols, index, nil)
 	if err != nil {
-		return nil, badf("features: %v", err)
+		return nil, err
 	}
 	fs := &featureState{cols: cols, index: index, feats: feats}
 	q.feats[key] = fs
@@ -602,64 +487,13 @@ func (q *PreparedQuery) featureState(paramStrs map[string]string) (*featureState
 	return fs, nil
 }
 
-// featureVectors materializes the per-object feature matrix in Q2 row
-// order, building (or reusing) the memoized feature state and resolving
-// each object's row through the unique-key index.
-func (q *PreparedQuery) featureVectors(objects *engine.ResultSet, strs map[string]string) ([][]float64, []string, error) {
-	fs, err := q.featureState(strs)
-	if err != nil {
-		return nil, nil, err
-	}
-	keyPos := q.keyPos()
-	features := make([][]float64, objects.NumRows())
-	for i := range features {
-		v := objects.Value(i, keyPos)
-		if v.Kind != engine.KInt {
-			return nil, nil, badf("object key is not an integer")
-		}
-		r, ok := fs.index[v.I]
-		if !ok {
-			return nil, nil, badf("object key %d not found in %q", v.I, q.ltab.Name)
-		}
-		features[i] = fs.feats[r]
-	}
-	return features, fs.cols, nil
-}
-
-// keyPos returns the position of the object-identity key within each Q2
-// output row: column 0 for plain queries, the non-group column for grouped
-// ones.
-func (q *PreparedQuery) keyPos() int {
-	if q.grouped != nil && len(q.grouped.KeyIdx) > 0 {
-		return q.grouped.KeyIdx[0]
-	}
-	return 0
-}
-
-// objectKeyColumn validates the decomposition's group key for feature
-// derivation and returns its base-column name. Queries needing features
-// must group by a single integer column that is unique in the object table
-// (e.g. an id column) — the shape of both of the paper's workloads. Grouped
-// queries additionally carry grouping columns in Q2; the identity key is
-// the single inner GROUP BY column left over after the grouping columns.
+// objectKeyColumn is keyColumn under the rule feature derivation and the
+// hash plan share: the key must be an integer column, unique in the object
+// table (e.g. an id column) — the shape of both of the paper's workloads.
 func (q *PreparedQuery) objectKeyColumn() (string, error) {
-	if q.grouped != nil {
-		if len(q.grouped.KeyIdx) != 1 {
-			return "", badf("grouped queries must keep a single object-identity column for feature-using methods; got %d", len(q.grouped.KeyIdx))
-		}
-	} else if len(q.dec.GroupCols) != 1 {
-		return "", badf("queries must GROUP BY a single key column; got %d", len(q.dec.GroupCols))
+	name, kind, err := q.keyColumn(q.ltab)
+	if err == nil && kind != dataset.Int {
+		err = badf("group key %q must be an integer column", name)
 	}
-	cr, ok := q.dec.Objects.Select[q.keyPos()].Expr.(*sql.ColumnRef)
-	if !ok {
-		return "", badf("group key is not a column reference")
-	}
-	ci := q.ltab.ColIndex(cr.Name)
-	if ci < 0 {
-		return "", badf("table %q has no column %q", q.ltab.Name, cr.Name)
-	}
-	if q.ltab.Schema()[ci].Kind != dataset.Int {
-		return "", badf("group key %q must be an integer column", cr.Name)
-	}
-	return cr.Name, nil
+	return name, err
 }

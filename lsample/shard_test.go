@@ -528,7 +528,7 @@ func driveSeed(t *testing.T, q *PreparedQuery, x *ShardExec, seed uint64, opts .
 	w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
 		return x.Op(ctx, seed, op, args)
 	})
-	res, err := shard.Drive(ctx, cfg.shardPlan(false, 0.05), []shard.Worker{w})
+	res, err := shard.Drive(ctx, cfg.shardPlan(false), []shard.Worker{w})
 	span.End()
 	if err != nil {
 		t.Fatal(err)
@@ -702,7 +702,7 @@ func TestShardExecConcurrentOps(t *testing.T) {
 				w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
 					return x.Op(ctx, seed, op, args)
 				})
-				res, err := shard.Drive(ctx, cfg.shardPlan(false, 0.05), []shard.Worker{w})
+				res, err := shard.Drive(ctx, cfg.shardPlan(false), []shard.Worker{w})
 				if err != nil {
 					t.Error(err)
 					return

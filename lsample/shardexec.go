@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -27,16 +27,11 @@ import (
 // because every sampling decision is a pure function of (key, seed, tag)
 // and every merge is an exact set union or integer sum.
 //
-// An execution is two halves. shardData is everything no seed can change:
-// the enumerated objects, their keys, features, group labels and hash
-// partition, and the predicate with the verdict of its cross-check against
-// the interpreter. shardRun is one execution over it: the seed, a label
-// store per worker, and the catalog entries it holds. Execute builds both
-// and drops both; PrepareShard builds the first half of one shard
-// (ShardExec) for an out-of-process serving layer, whose coordinator
-// scatters internal/shard's op protocol over HTTP and merges with the
-// identical driver — every op of every seed is a shardRun over the one
-// executor.
+// An execution is two halves: shardData, everything no seed can change, and
+// shardRun, one seed's execution over it. Execute builds both and drops
+// both; PrepareShard keeps the first half of one shard (ShardExec) for an
+// out-of-process serving layer, where every op of every seed is a shardRun
+// over the one executor.
 
 // predPool lends out one worker's predicates. A predicate is a pure
 // function of (snapshot, parameters, program) but not safe for concurrent
@@ -111,8 +106,8 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 		if err != nil {
 			return nil, 0, err
 		}
-		sort.Ints(missing)
-		missing = dedupSortedInts(missing)
+		slices.Sort(missing)
+		missing = slices.Compact(missing)
 		t0 := time.Now()
 		// A predicate whose evaluation panics (an engine.Fault) is not
 		// returned to the pool.
@@ -144,25 +139,18 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 // (snapshot, query, parameters, shard layout, method, classifier), so it
 // may serve any number of executions, of any seed and budget, at once.
 type shardData struct {
-	fp       string
-	n        int
-	featCols []string
-	groupKey [][]engine.Value // grouped: group tuples by group index
-	canon    []string         // grouped: canonical key by group index
-	keys     []int64          // global keys by object position
-	posByKey map[int64]int
+	*population // indexed: label stores address objects by global key
+	fp          string
+	canon       []string // grouped: canonical key by group index
 
 	shards []*shardWorker // the shards this process holds, in index order
 
-	// The compiled program's cross-check against the interpreter — one full
-	// join scan for object 0 — is a pure function of (snapshot, parameters,
-	// program), which is exactly what this half is a function of: the first
-	// labeling call to miss pays it, the others wait on checked and build
-	// with its verdict (it compiled and agreed) as buildEnginePredicate's
-	// validated argument — so a first build that fell back to the
-	// interpreter sends every later build through the same check to the same
-	// fallback. The verdict lives as long as this half does: one Execute in
-	// process (byRun), every count a worker-side ShardExec serves
+	// The cross-check verdict (buildEnginePredicate's validated argument) is
+	// a function of exactly what this half is a function of: the first
+	// labeling call to miss pays the check, the others wait on checked and
+	// build on its verdict — a first build that fell back sends every later
+	// one through the same check to the same fallback. It lives as long as
+	// this half does: one Execute (byRun), every count a ShardExec serves
 	// (byExecutor).
 	build     func(ctx context.Context, by validator) (predicate.Predicate, Labeling, error)
 	owner     validator // byRun or byExecutor: what validated_by reads on later builds
@@ -255,29 +243,21 @@ func (r *shardRun) shardReuse(from, to int) string {
 // the same predicate, so the checked build speaks for all. A run the memo
 // answered in full built none.
 func (r *shardRun) labeling() Labeling {
-	if r.samplesUsed() > 0 {
+	if fresh, _, _ := r.spent(); fresh > 0 {
 		return r.lab
 	}
 	return Labeling{}
 }
 
-// predicateTime sums the wall time spent inside the expensive predicate
-// across workers.
-func (r *shardRun) predicateTime() time.Duration {
-	var d time.Duration
+// spent sums the workers' label stores: fresh predicate evaluations, label
+// requests their memos answered, and wall time inside the predicate.
+func (r *shardRun) spent() (fresh int64, hits int, dur time.Duration) {
 	for _, l := range r.stores {
-		d += l.dur
+		fresh += int64(l.fresh)
+		hits += l.hits
+		dur += l.dur
 	}
-	return d
-}
-
-// samplesUsed sums fresh predicate evaluations across workers.
-func (r *shardRun) samplesUsed() int64 {
-	var n int64
-	for _, l := range r.stores {
-		n += int64(l.fresh)
-	}
-	return n
+	return fresh, hits, dur
 }
 
 // contractError reports a method or query shape outside the hash-plan
@@ -292,78 +272,48 @@ func outOfContract(format string, args ...any) error {
 	return contractError{badf(format, args...)}
 }
 
-// buildShardData enumerates the population, validates the hash-plan
-// contract, partitions the population into count hash-aligned shards, and
-// constructs the per-shard workers. count 0 is one worker over the whole
-// population, its catalog key's Shard empty. only (when >= 0) restricts
-// construction to that single shard — the out-of-process worker path, which
-// still enumerates the full population (cheap Q2) but materializes just its
-// own slice. Of cfg it reads the method, the classifier and the labeling
-// knobs — never the seed, the budget or the catalog.
+// buildShardData validates the hash-plan contract, takes the query's
+// population, partitions it into count hash-aligned shards, and constructs
+// the per-shard workers. count 0 is one worker over the whole population,
+// its catalog key's Shard empty. only (when >= 0) restricts construction to
+// that single shard — the out-of-process worker path, which still
+// enumerates the full population (cheap Q2) but materializes just its own
+// slice. Of cfg it reads the method, the classifier and the labeling knobs —
+// never the seed, the budget or the catalog.
 func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map[string]engine.Value,
 	strs map[string]string, count, only int) (*shardData, error) {
 
-	switch cfg.method {
-	case "srs", "lss", "oracle":
-	default:
+	if !slices.Contains(GroupMethods(), cfg.method) {
 		return nil, outOfContract("method %q cannot run the hash plan (want one of %v)", cfg.method, GroupMethods())
 	}
 	if _, err := q.objectKeyColumn(); err != nil {
 		return nil, outOfContract("hash-plan execution needs a unique integer object key: %v", err)
 	}
-	d := &shardData{fp: sql.Fingerprint(q.inner, strs), owner: byRun}
+	d := &shardData{fp: sql.Fingerprint(q.shape, strs), owner: byRun}
 	unsharded := count == 0
 	if unsharded {
 		count = 1
-	}
-	if only >= count {
-		return nil, badf("shard index %d out of range of %d shards", only, count)
 	}
 	if only >= 0 {
 		d.owner = byExecutor // a single shard is a ShardExec's
 	}
 
-	ev := engine.NewEvaluator(q.cat)
-	for name, v := range vals {
-		ev.SetParam(name, v)
-	}
-	_, esp := obs.StartSpan(ctx, "enumerate")
-	objects, err := ev.Run(q.dec.Objects, nil)
-	esp.End()
+	p, err := q.populate(ctx, cfg.method, vals, strs)
 	if err != nil {
-		return nil, badf("enumerating objects: %v", err)
+		return nil, err
 	}
-	n := objects.NumRows()
-	esp.Set("objects", n)
-	d.n = n
-
-	keys := make([]int64, n)
-	posByKey := make(map[int64]int, n)
-	for i := 0; i < n; i++ {
-		v := objects.Value(i, q.keyPos())
-		if v.Kind != engine.KInt {
-			return nil, outOfContract("hash-plan execution needs an integer object key")
-		}
-		keys[i] = v.I
-		posByKey[v.I] = i
+	if p.index(q.keyPos()) != nil {
+		return nil, outOfContract("hash-plan execution needs an integer object key")
 	}
-	if len(posByKey) != n {
+	if len(p.posByKey) != p.n {
 		// Duplicate keys would alias label memo slots.
 		return nil, outOfContract("hash-plan execution needs a unique object key (duplicates found)")
 	}
-	d.keys, d.posByKey = keys, posByKey
+	d.population = p
+	n, keys, features := p.n, p.keys, p.features
 
-	var features [][]float64
 	var trainer *shard.Trainer
 	if needsFeatures(cfg.method) {
-		_, fsp := obs.StartSpan(ctx, "features")
-		fv, cols, ferr := q.featureVectors(objects, strs)
-		fsp.End()
-		if ferr != nil {
-			return nil, ferr
-		}
-		fsp.Set("columns", len(cols))
-		features, d.featCols = fv, cols
 		newClf, cerr := cfg.buildClassifier()
 		if cerr != nil {
 			return nil, cerr
@@ -374,17 +324,15 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 	var canonOf []string // per object position; nil for plain queries
 	partsOf := map[string][]string{}
 	if q.grouped != nil {
-		groupOf, gkeys := q.grouped.GroupLabels(objects)
-		d.groupKey = gkeys
-		d.canon = make([]string, len(gkeys))
-		for g, kv := range gkeys {
+		d.canon = make([]string, len(p.groupKey))
+		for g, kv := range p.groupKey {
 			parts := renderKey(kv)
 			c := strings.Join(parts, "\x1f")
 			d.canon[g] = c
 			partsOf[c] = parts
 		}
 		canonOf = make([]string, n)
-		for i, g := range groupOf {
+		for i, g := range p.groupOf {
 			canonOf[i] = d.canon[g]
 		}
 	}
@@ -422,16 +370,15 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 			shardGroups[s] = append(shardGroups[s], canonOf[i])
 		}
 	}
+	// Partitioned into the workers: an executor that outlives the count
+	// keeps no second, whole-population copy of either.
+	p.features, p.groupOf = nil, nil
 
 	d.build = func(ctx context.Context, by validator) (predicate.Predicate, Labeling, error) {
 		// Each predicate gets its own evaluator: the interpreted engine
 		// carries per-evaluation state and must not be shared across the
 		// driver's concurrent scatter.
-		sev := engine.NewEvaluator(q.cat)
-		for name, v := range vals {
-			sev.SetParam(name, v)
-		}
-		return q.buildPredicate(ctx, sev, objects, vals, cfg, by)
+		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, cfg, by)
 	}
 	key := q.catalogKey(strs, d.featCols)
 	for s := 0; s < count; s++ {
@@ -496,14 +443,14 @@ func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[
 }
 
 // shardPlan maps the resolved config onto the driver's plan.
-func (cfg config) shardPlan(grouped bool, alpha float64) shard.Plan {
+func (cfg config) shardPlan(grouped bool) shard.Plan {
 	return shard.Plan{
 		Method:   cfg.method,
 		Grouped:  grouped,
 		BudgetOf: cfg.budgetFor,
 		Strata:   cfg.strata,
 		Seed:     cfg.seed,
-		Alpha:    alpha,
+		Alpha:    cfg.alpha,
 		Wilson:   cfg.interval == Wilson,
 		Exact:    cfg.exact,
 	}
@@ -535,17 +482,12 @@ func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, e
 // hash plan. It reports handled=false (and no error) when that second case
 // meets a method or shape outside the contract, and Execute falls through
 // to the classic path; under WithShards the same condition is a request
-// error, never a silent fallback. Once inside the contract every error is
-// a real request error.
-//
-// The determinism contract: for a fixed (pinned snapshots, query,
-// parameters, method, budget, seed) the estimate is byte-identical at any
-// worker count and whatever the catalog already holds. Reused state is
-// only ever labels, which are facts about (snapshot, key, predicate): an
-// execution selects, fits and stratifies exactly as a catalog-free run of
-// the same request does, and only what it pays for its labels differs.
+// error, never a silent fallback. For a fixed request the estimate is
+// byte-identical at any worker count and whatever the catalog already holds
+// (the package documentation's "Cross-query reuse catalog" has the
+// contract): reused state is only ever labels.
 func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (*Estimate, bool, error) {
+	vals map[string]engine.Value, strs map[string]string) (*Estimate, bool, error) {
 
 	t0 := time.Now()
 	name := "catalog"
@@ -566,24 +508,13 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	}
 	defer r.close()
 
-	out := &Estimate{
-		Method:         cfg.method,
-		Fingerprint:    r.fp,
-		Objects:        r.n,
-		Seed:           cfg.seed,
-		FeatureColumns: r.featCols,
-		Reuse:          ReuseNone,
-	}
+	out := cfg.header(r.fp, r.n)
+	out.FeatureColumns, out.Reuse = r.featCols, ReuseNone
 	if r.n == 0 {
-		out.CI = &ConfidenceInterval{Level: 1 - alpha}
-		if cfg.exact {
-			zero := 0
-			out.TrueCount = &zero
-		}
-		return out, true, nil
+		return out.answerEmpty(cfg), true, nil
 	}
 
-	res, err := r.drive(ctx, cfg.shardPlan(false, alpha))
+	res, err := r.drive(ctx, cfg.shardPlan(false))
 	if err != nil {
 		span.Set("error", err.Error())
 		return nil, true, err
@@ -592,22 +523,20 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	out.Count = res.Count
 	out.Proportion = res.Proportion
 	if res.HasCI {
-		out.CI = &ConfidenceInterval{Lo: res.CILo, Hi: res.CIHi, Level: 1 - alpha}
+		out.CI = &ConfidenceInterval{Lo: res.CILo, Hi: res.CIHi, Level: 1 - cfg.alpha}
 	}
 	if res.HasTrue {
 		tc := res.TrueCount
 		out.TrueCount = &tc
 	}
-	out.SamplesUsed = r.samplesUsed()
+	fresh, hits, dur := r.spent()
+	out.SamplesUsed = fresh
 	// The driver counts repeat requests within this execution, the stores
 	// the requests their memos answered.
-	out.ReusedLabels = res.ReusedLabels
-	for _, l := range r.stores {
-		out.ReusedLabels += l.hits
-	}
+	out.ReusedLabels = res.ReusedLabels + hits
 	out.Labeling = r.labeling()
 	out.Reuse = cmp.Or(r.shardReuse(0, len(r.entries)), ReuseNone)
-	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: r.predicateTime()}
+	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: dur}
 	span.Set("reuse", out.Reuse)
 	span.Set("reused_labels", out.ReusedLabels)
 	span.Set("evals", out.SamplesUsed)
@@ -618,7 +547,7 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 // in-process shards; the per-group results follow the ExecuteGroups
 // ordering contract (ascending typed key order).
 func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
-	vals map[string]engine.Value, strs map[string]string, alpha float64) (*GroupedEstimate, error) {
+	vals map[string]engine.Value, strs map[string]string) (*GroupedEstimate, error) {
 
 	t0 := time.Now()
 	r, err := q.buildShardRun(ctx, cfg, vals, strs)
@@ -627,60 +556,30 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 	}
 	defer r.close()
 
-	out := &GroupedEstimate{
-		Method:         cfg.method,
-		Fingerprint:    r.fp,
-		GroupColumns:   q.GroupColumns(),
-		Objects:        r.n,
-		Seed:           cfg.seed,
-		FeatureColumns: r.featCols,
-	}
+	out := q.groupedHeader(cfg, r.fp, r.population)
 	if r.n == 0 {
 		return out, nil
 	}
-
-	res, err := r.drive(ctx, cfg.shardPlan(true, alpha))
+	res, err := r.drive(ctx, cfg.shardPlan(true))
 	if err != nil {
 		return nil, err
 	}
-
 	byCanon := make(map[string]shard.Group, len(res.Groups))
 	for _, g := range res.Groups {
 		byCanon[g.Key] = g
 	}
-	order := make([]int, len(r.groupKey))
-	for g := range order {
-		order[g] = g
+	groups := make([]shard.Group, len(r.canon))
+	for g, c := range r.canon {
+		var ok bool
+		if groups[g], ok = byCanon[c]; !ok {
+			return nil, fmt.Errorf("lsample: sharded run lost group %q", c)
+		}
 	}
-	sort.Slice(order, func(a, b int) bool { return lessKey(r.groupKey[order[a]], r.groupKey[order[b]]) })
 	out.Budget = res.Budget
-	out.Groups = make([]GroupResult, 0, len(order))
-	for _, g := range order {
-		sg, ok := byCanon[r.canon[g]]
-		if !ok {
-			return nil, fmt.Errorf("lsample: sharded run lost group %q", r.canon[g])
-		}
-		gr := GroupResult{
-			Key:        sg.Parts,
-			Objects:    sg.N,
-			Count:      sg.Count,
-			Proportion: sg.Proportion,
-			Sampled:    sg.Sampled,
-			Exact:      sg.Exact,
-		}
-		if sg.HasCI {
-			gr.CI = &ConfidenceInterval{Lo: sg.CILo, Hi: sg.CIHi, Level: 1 - alpha}
-		}
-		if sg.HasTrue {
-			tc := sg.TrueCount
-			gr.TrueCount = &tc
-		}
-		out.Total += sg.Count
-		out.Groups = append(out.Groups, gr)
-	}
-	out.SamplesUsed = r.samplesUsed()
+	out.readOut(r.groupKey, 1-cfg.alpha, groups)
+	out.SamplesUsed, _, out.Timings.Predicate = r.spent()
 	out.Labeling = r.labeling()
-	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: r.predicateTime()}
+	out.Timings.Sample = time.Since(t0)
 	return out, nil
 }
 

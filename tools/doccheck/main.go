@@ -15,14 +15,23 @@
 // without a row cannot land undocumented, and a row whose option is gone
 // cannot linger.
 //
-// A document may also name identifiers that no longer exist. The first,
-// narrow check of that kind: with -op-doc and -op-decl, every op named in
-// the document's shard-op table (the markdown table with an "op" column;
-// the first backticked word of that cell) must be the value of an Op*
-// string constant in the protocol's source file, so the table cannot keep a
-// row for an op the protocol dropped.
+// A document may also name identifiers that no longer exist. Two checks of
+// that kind. With -idents, every backticked `pkg.Ident` or `Type.Member` in
+// the listed documents whose pkg or Type this module declares must still
+// resolve against the module's source (go/parser over the tree under the
+// working directory): a top-level name of a package, a method or field of a
+// type — promoted ones through embedded structs included. Names of other
+// modules' packages, all-lower-case or snake_case names after a package
+// (spans and ledger rows are named shard.census, lsample.estimate.learn_ms)
+// and file names (plan.go) are not identifiers of this module and are
+// skipped. With -op-doc and -op-decl, every op named in the document's
+// shard-op table (the markdown table with an "op" column; the first
+// backticked word of that cell) must be the value of an Op* string constant
+// in the protocol's source file, so the table cannot keep a row for an op the
+// protocol dropped.
 //
-// Usage: go run ./tools/doccheck [-op-doc ARCHITECTURE.md -op-decl internal/shard/protocol.go] [package dirs...]  (default: lsample)
+// Usage: go run ./tools/doccheck [-idents ARCHITECTURE.md,README.md,lsample/doc.go]
+// [-op-doc ARCHITECTURE.md -op-decl internal/shard/protocol.go] [package dirs...]  (default: lsample)
 package main
 
 import (
@@ -42,12 +51,24 @@ import (
 func main() {
 	opDoc := flag.String("op-doc", "", "markdown `file` whose shard-op table is checked against -op-decl")
 	opDecl := flag.String("op-decl", "", "Go `file` declaring the shard ops as Op* string constants")
+	idents := flag.String("idents", "", "comma-separated `files` whose backticked pkg.Ident / Type.Member names must resolve")
 	flag.Parse()
 	dirs := flag.Args()
 	if len(dirs) == 0 {
 		dirs = []string{"lsample"}
 	}
 	bad := 0
+	if *idents != "" {
+		stale, err := checkIdents(strings.Split(*idents, ","))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			os.Exit(2)
+		}
+		for _, m := range stale {
+			fmt.Fprintf(os.Stderr, "doccheck: %s\n", m)
+		}
+		bad += len(stale)
+	}
 	if *opDoc != "" {
 		stale, err := checkOpTable(*opDoc, *opDecl)
 		if err != nil {
@@ -74,7 +95,162 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d documentation gap(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: every exported symbol is documented and the knob table lists every option")
+	fmt.Println("doccheck: every exported symbol is documented, the knob table lists every option and the documents name nothing stale")
+}
+
+// index is what a module's source declares, as documents name it:
+// top[pkg][Ident] for package-level names, member[Type][Name] for methods,
+// fields and embedded type names. Packages and types that share a name pool
+// their declarations: a document's `Result.Count` resolves if any Result
+// has a Count.
+type index struct{ top, member map[string]map[string]bool }
+
+func add(m map[string]map[string]bool, key, name string) {
+	if m[key] == nil {
+		m[key] = map[string]bool{}
+	}
+	m[key][name] = true
+}
+
+// indexModule parses every non-test Go file under the working directory,
+// the module root make runs the check from.
+func indexModule() (*index, error) {
+	const root = "."
+	x := &index{top: map[string]map[string]bool{}, member: map[string]map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := e.Name(); e.IsDir() && path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv == nil {
+					add(x.top, pkg, n.Name.Name)
+				} else {
+					add(x.member, typeName(n.Recv.List[0].Type), n.Name.Name)
+				}
+				return false
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					add(x.top, pkg, name.Name)
+				}
+			case *ast.TypeSpec:
+				add(x.top, pkg, n.Name.Name)
+				add(x.member, n.Name.Name, "")
+				var fields *ast.FieldList
+				switch t := n.Type.(type) {
+				case *ast.StructType:
+					fields = t.Fields
+				case *ast.InterfaceType:
+					fields = t.Methods
+				default:
+					return false
+				}
+				for _, field := range fields.List {
+					for _, name := range field.Names {
+						add(x.member, n.Name.Name, name.Name)
+					}
+					if len(field.Names) == 0 {
+						add(x.member, n.Name.Name, typeName(field.Type))
+					}
+				}
+				return false
+			}
+			return true
+		})
+		return nil
+	})
+	return x, err
+}
+
+// typeName returns the base type name of a receiver or embedded field: T,
+// *T, T[P], pkg.T.
+func typeName(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StarExpr:
+		return typeName(t.X)
+	case *ast.IndexExpr:
+		return typeName(t.X)
+	case *ast.IndexListExpr:
+		return typeName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
+}
+
+// hasMember reports whether typ declares name, or gets it promoted through
+// a type it embeds.
+func (x *index) hasMember(typ, name string, depth int) bool {
+	if x.member[typ][name] {
+		return true
+	}
+	for emb := range x.member[typ] {
+		if depth < 4 && x.member[emb] != nil && x.hasMember(emb, name, depth+1) {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	// codeSpan matches a backticked span; qualified a dotted chain of
+	// identifiers inside one.
+	codeSpan  = regexp.MustCompile("`[^`\n]+`")
+	qualified = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+`)
+	fileExt   = map[string]bool{"go": true, "md": true, "json": true, "csv": true, "txt": true, "sh": true, "mod": true}
+)
+
+// goName reports whether a name after a package can only be a Go
+// identifier: exported, or camelCase. The rest — census, score_all,
+// learn_ms — is how spans and ledger rows are named after the same packages.
+func goName(name string) bool {
+	return !strings.Contains(name, "_") && strings.ToLower(name) != name
+}
+
+// checkIdents reports the backticked qualified names in docs that name a
+// package or type of the module but nothing it declares.
+func checkIdents(docs []string) ([]string, error) {
+	x, err := indexModule()
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, chain := range qualified.FindAllString(strings.Join(codeSpan.FindAllString(line, -1), " "), -1) {
+				parts := strings.Split(chain, ".")
+				head, name := parts[0], parts[1]
+				isPkg, isType := x.top[head] != nil, x.member[head] != nil
+				switch {
+				case fileExt[parts[len(parts)-1]], isPkg == isType: // a file name; another module's package, a variable, or a name that is both
+				case isPkg && (!goName(name) || x.top[head][name]):
+				case isType && x.hasMember(head, name, 0):
+				default:
+					out = append(out, fmt.Sprintf("%s:%d: `%s.%s` names nothing the module declares", doc, i+1, head, name))
+				}
+			}
+		}
+	}
+	return out, nil
 }
 
 // opCell matches the first backticked word of a table cell.
@@ -253,7 +429,7 @@ func checkTypeSpec(sp *ast.TypeSpec, report func(token.Pos, string)) {
 	switch t := sp.Type.(type) {
 	case *ast.StructType:
 		for _, field := range t.Fields.List {
-			exported := len(field.Names) == 0 // embedded fields are surface
+			exported := len(field.Names) == 0 && ast.IsExported(typeName(field.Type)) // embedded exported types are surface
 			for _, n := range field.Names {
 				if n.IsExported() {
 					exported = true
