@@ -12,7 +12,7 @@ import (
 
 func TestGridStrataPartition(t *testing.T) {
 	obj, _ := syntheticInstance(1000, 1.0, 40)
-	pools, err := gridStrata(obj, nil, 4)
+	pools, err := gridStrata(obj, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,21 +37,13 @@ func TestGridStrataPartition(t *testing.T) {
 	}
 }
 
-func TestGridStrataOneAttribute(t *testing.T) {
-	obj, _ := syntheticInstance(500, 1.0, 41)
-	pools, err := gridStrata(obj, []int{0}, 5)
+func TestGridStrataBadAttribute(t *testing.T) {
+	obj, err := NewObjectSet([][]float64{{1}, {2}, {3}}, labelsPred([]bool{true, false, true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pools) != 5 {
-		t.Fatalf("1-d pools = %d, want 5", len(pools))
-	}
-}
-
-func TestGridStrataBadAttribute(t *testing.T) {
-	obj, _ := syntheticInstance(100, 1.0, 42)
-	if _, err := gridStrata(obj, []int{7}, 4); err == nil {
-		t.Fatal("out-of-range attribute should error")
+	if _, err := gridStrata(obj, 4); err == nil || err.Error() != "core: surrogate attribute 1 out of range (d=1)" {
+		t.Fatalf("one feature column under a two-attribute grid: error %v", err)
 	}
 }
 
@@ -139,11 +131,13 @@ func TestOrderByScoreDeterministicTies(t *testing.T) {
 func TestLearnPhaseErrors(t *testing.T) {
 	obj, _ := syntheticInstance(100, 1.0, 48)
 	r := xrand.New(49)
-	if _, _, _, _, err := runLearnPhase(context.Background(), obj, obj.Pred, 10, learnOptions{}, r); err == nil {
-		t.Fatal("nil classifier constructor should error")
+	f := open(context.Background(), obj, false)
+	if _, err := f.learn(knnSpec, 1, false, 0, r); err == nil || err.Error() != "core: learn budget 1 too small" {
+		t.Fatalf("tiny learn budget: error %v", err)
 	}
-	if _, _, _, _, err := runLearnPhase(context.Background(), obj, obj.Pred, 1, learnOptions{newClf: knnSpec}, r); err == nil {
-		t.Fatal("tiny learn budget should error")
+	// A nil constructor means the default forest.
+	if l, err := f.learn(nil, 10, false, 0, r); err != nil || l.info.Trees != 100 {
+		t.Fatalf("nil classifier constructor: %+v, error %v", l, err)
 	}
 }
 

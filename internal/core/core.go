@@ -8,15 +8,57 @@
 // the expensive predicate q. Sampling-based methods return estimates with
 // confidence intervals; quantification methods return point estimates only,
 // which is exactly the trade the paper studies.
+//
+// The methods share one skeleton, and each shared step has one definition:
+//
+//   - the run frame (frame, this file): ctx defaulting, q behind a timer,
+//     the evaluation counter, and the Result / GroupedResult epilogue
+//     (Method, Evals, Timing.Predicate). A body keeps its own checkBudget
+//     (the oracles skip it) and its own phases.
+//   - the learn step (frame.learn, learnphase.go) of LWS, LSS, QLCC, QLAC
+//     and GroupedLSS: default classifier, label and fit the learn sample
+//     (optionally augmented by uncertainty sampling), count its positives,
+//     score the rest, and report Timing.Learn / Fit / Score and LearnInfo.
+//     The caller passes its learn-sample size and whether it augments; the
+//     two bodies that stratify the score order call learned.order.
+//   - the stratified second stage (frame.secondStage, this file) of SSP, SSN
+//     and LSS: draw the allocation from the pools, label each stratum's
+//     draw, and form the §3.1 stratified estimate — the one call site of
+//     estimate.Stratified in this package.
+//   - one rule each for the learn-sample size (LearnSize), the default
+//     stratum count (StrataCount) and the default α (AlphaOrDefault),
+//     shared with internal/shard's hash-plan recipe.
+//
+// What no caller varies is a constant here, not an option — each beside the
+// section of the paper whose step it parameterizes:
+//
+//	constant          value   step
+//	defaultAlpha      0.05    §5 set-up: 95 % intervals
+//	defaultTrainFrac  0.25    §5 set-up: a quarter of the budget trains g
+//	defaultStrata     4       §5 set-up: H = 4 unless a figure varies it
+//	pilotFrac         0.3     §3.1 (SSN), §4.2 (LSS): the first stage's share
+//	sspMinAlloc       1       §3.1: proportional allocation samples every stratum
+//	ssnMinAlloc       5       §3.1: Neyman allocation's per-stratum floor
+//	lssMinAlloc       5       §4.2.1: n_⊔, the second-stage per-stratum minimum
+//	groupedMinAlloc   2       the grouped plan's proportional floor
+//	augmentFrac       0.1     §3.2: the learn sample's uncertainty-sampled share
+//	acFolds           5       §3.2: cross-validation folds of the adjusted count
+//	surrogateAttrs    {0, 1}  §3.1: the two attributes SSP / SSN grid over
+//
+// and an augmentation round scores at most active.DefaultPoolCap candidates.
+// (LSS.MinAlloc used to document "0 means 2"; the code always used 5.)
 package core
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
+	"repro/internal/estimate"
 	"repro/internal/learn"
 	"repro/internal/predicate"
+	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -136,37 +178,145 @@ func ForestClassifier(parallelism int) NewClassifierFunc {
 // trees, training and scoring on all cores.
 func DefaultForest(seed uint64) learn.Classifier { return ForestClassifier(0)(seed) }
 
+// The fixed parameters (the package comment's table says where each acts).
+const (
+	defaultAlpha     = 0.05
+	defaultTrainFrac = 0.25
+	defaultStrata    = 4
+	pilotFrac        = 0.3
+	sspMinAlloc      = 1
+	ssnMinAlloc      = 5
+	lssMinAlloc      = 5
+	groupedMinAlloc  = 2
+	augmentFrac      = 0.1
+	acFolds          = 5
+)
+
+// surrogateAttrs are the two feature columns SSP and SSN lay their grid over.
+var surrogateAttrs = [2]int{0, 1}
+
+// AlphaOrDefault resolves a confidence option: α ≤ 0 means 0.05.
+func AlphaOrDefault(alpha float64) float64 {
+	if alpha <= 0 {
+		return defaultAlpha
+	}
+	return alpha
+}
+
+// StrataCount resolves a stratum-count option H: fewer than 2 means 4.
+func StrataCount(h int) int {
+	if h < 2 {
+		return defaultStrata
+	}
+	return h
+}
+
+// LearnSize is the learn-sample size at a budget: frac of it (outside (0, 1)
+// means a quarter), at least 2, and leaving reserve evaluations for the
+// estimation sample. A result under 2 says the budget funds no learn sample.
+func LearnSize(frac float64, budget, reserve int) int {
+	if frac <= 0 || frac >= 1 {
+		frac = defaultTrainFrac
+	}
+	n := int(math.Round(frac * float64(budget)))
+	if n < 2 {
+		n = 2
+	}
+	if n > budget-reserve {
+		n = budget - reserve
+	}
+	return n
+}
+
+// frame is what every Estimate / EstimateGroups body runs in: a non-nil
+// ctx, q behind a timer (and, for the grouped plans, a memo), the
+// evaluation counter's starting value, and the result epilogue.
+type frame struct {
+	ctx   context.Context
+	obj   *ObjectSet
+	pred  predicate.Predicate // what the body labels through
+	timed *predicate.Timed
+	start int64
+}
+
+// open starts a run over obj; memo puts a label memo in front of q, so an
+// object several estimates read is evaluated once.
+func open(ctx context.Context, obj *ObjectSet, memo bool) frame {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	tp := &predicate.Timed{P: obj.Pred}
+	f := frame{ctx: ctx, obj: obj, pred: tp, timed: tp, start: obj.Pred.Evals()}
+	if memo {
+		f.pred = predicate.NewMemo(tp, obj.N())
+	}
+	return f
+}
+
+// label labels a pre-chosen sample set, checking ctx before every
+// evaluation.
+func (f frame) label(idxs []int) ([]bool, error) {
+	return predicate.Label(f.pred, idxs, func() error { return f.canceled() })
+}
+
+// canceled reports a cancellation as a wrapped, method-attributable error.
+// It is the cooperative cancellation point every labeling loop calls before
+// spending the next predicate evaluation.
+func (f frame) canceled() error {
+	if err := f.ctx.Err(); err != nil {
+		return fmt.Errorf("core: estimation canceled: %w", err)
+	}
+	return nil
+}
+
 // labelCount labels a pre-chosen sample set and returns its positive count.
-func labelCount(ctx context.Context, pred predicate.Predicate, idxs []int) (int, error) {
-	labels, err := predicate.Label(pred, idxs, canceled(ctx))
+func (f frame) labelCount(idxs []int) (int, error) {
+	labels, err := f.label(idxs)
 	if err != nil {
 		return 0, err
 	}
 	return countPositives(labels), nil
 }
 
-// orBackground normalizes a nil ctx so methods can check it unconditionally.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
+// spent closes the frame's books: evaluations of q since it opened and the
+// time spent inside them.
+func (f frame) spent() (int64, time.Duration) {
+	return f.obj.Pred.Evals() - f.start, f.timed.Dur
 }
 
-// ctxErr reports a cancellation as a wrapped, method-attributable error. It
-// is the cooperative cancellation point every labeling loop calls before
-// spending the next predicate evaluation.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: estimation canceled: %w", err)
-	}
-	return nil
+// result finishes a run's Result: the body fills in what it estimated and
+// its phase timings, the frame the method name and what the run cost.
+func (f frame) result(method string, res Result) *Result {
+	res.Method = method
+	res.Evals, res.Timing.Predicate = f.spent()
+	return &res
 }
 
-// canceled is ctxErr in the shape predicate.Label polls between
-// evaluations.
-func canceled(ctx context.Context) func() error {
-	return func() error { return ctxErr(ctx) }
+// groupedResult is result for a grouped run.
+func (f frame) groupedResult(method string, res GroupedResult) *GroupedResult {
+	res.Method = method
+	res.Evals, res.Timing.Predicate = f.spent()
+	return &res
+}
+
+// secondStage is the stratified estimate of §3.1, the one place this
+// package forms it: draw alloc[h] objects from pools[h], label each
+// stratum's draw, and estimate over strata of sizes[h] objects (a pool is
+// its stratum minus whatever an earlier stage already labeled).
+func (f frame) secondStage(pools [][]int, sizes, alloc []int, alpha float64, r *xrand.Rand) (estimate.Result, error) {
+	draws, err := sample.Stratified(r, pools, alloc)
+	if err != nil {
+		return estimate.Result{}, err
+	}
+	strata := make([]estimate.StratumSample, len(pools))
+	for h, draw := range draws {
+		pos, err := f.labelCount(draw)
+		if err != nil {
+			return estimate.Result{}, err
+		}
+		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(draw), Positives: pos}
+	}
+	return estimate.Stratified(strata, AlphaOrDefault(alpha))
 }
 
 // checkBudget validates common preconditions.
@@ -202,21 +352,17 @@ func (Oracle) Name() string { return "oracle" }
 // Estimate evaluates the predicate exhaustively, through the batch path
 // when the predicate has one.
 func (Oracle) Estimate(ctx context.Context, obj *ObjectSet, _ int, _ *xrand.Rand) (*Result, error) {
-	ctx = orBackground(ctx)
-	tp := &predicate.Timed{P: obj.Pred}
-	start := obj.Pred.Evals()
+	f := open(ctx, obj, false)
 	t0 := time.Now()
-	count, err := labelCount(ctx, tp, predicate.AllIndices(obj.N()))
+	count, err := f.labelCount(predicate.AllIndices(obj.N()))
 	if err != nil {
 		return nil, err
 	}
 	c := float64(count)
-	return &Result{
-		Method:   "oracle",
+	return f.result("oracle", Result{
 		Estimate: c,
 		CI:       stats.Interval{Lo: c, Hi: c},
 		HasCI:    true,
-		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Sample: time.Since(t0), Predicate: tp.Dur},
-	}, nil
+		Timing:   Timing{Sample: time.Since(t0)},
+	}), nil
 }

@@ -33,6 +33,8 @@ type GroupedResult struct {
 	Groups []GroupCount
 	Evals  int64 // expensive-predicate evaluations spent, shared across groups
 	Timing Timing
+	Learn  LearnInfo  // the shared learn phase (zero for plans that do not learn)
+	Design DesignInfo // the shared layout (zero for plans without strata)
 }
 
 // GroupedMethod estimates C(O_g, q) for every group of a partitioned object
@@ -84,15 +86,7 @@ const minPerGroupDefault = 10
 
 // groupSRSEstimate turns a per-group SRS tally into a GroupCount.
 func groupSRSEstimate(pos, n, N int, alpha float64, wilson bool) GroupCount {
-	if alpha <= 0 {
-		alpha = 0.05
-	}
-	var res estimate.Result
-	if wilson {
-		res = estimate.ProportionWilson(pos, n, N, alpha)
-	} else {
-		res = estimate.Proportion(pos, n, N, alpha)
-	}
+	res := proportion(pos, n, N, alpha, wilson)
 	gc := GroupCount{
 		N:         N,
 		Estimate:  res.Count,
@@ -110,13 +104,13 @@ func groupSRSEstimate(pos, n, N int, alpha float64, wilson bool) GroupCount {
 }
 
 // topUpGroup draws a dedicated SRS of size target from one group's members
-// and labels it through the memoized predicate, so already-labeled members
-// cost nothing. The draw is unconditional over the whole group — a plain
-// SRS of the group — which keeps the fallback estimate design-unbiased.
-func topUpGroup(ctx context.Context, mp *predicate.Memo, members []int, target int, r *xrand.Rand) (pos int, err error) {
+// and labels it through the frame's memo, so already-labeled members cost
+// nothing. The draw is unconditional over the whole group — a plain SRS of
+// the group — which keeps the fallback estimate design-unbiased.
+func (f frame) topUpGroup(members []int, target int, r *xrand.Rand) (pos int, err error) {
 	draw := sample.SRSFrom(r, members, target)
 	sort.Ints(draw)
-	return labelCount(ctx, mp, draw)
+	return f.labelCount(draw)
 }
 
 // GroupedSRS estimates every group from one shared simple random sample:
@@ -136,23 +130,20 @@ func (m *GroupedSRS) Name() string { return "srs" }
 
 // EstimateGroups implements GroupedMethod.
 func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf []int, K int, budget int, r *xrand.Rand) (*GroupedResult, error) {
-	ctx = orBackground(ctx)
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
 	if err := checkGroups(obj, groupOf, K); err != nil {
 		return nil, err
 	}
-	tp := &predicate.Timed{P: obj.Pred}
-	mp := predicate.NewMemo(tp, obj.N())
-	start := obj.Pred.Evals()
+	f := open(ctx, obj, true)
 	t0 := time.Now()
 
 	// Shared phase: one SRS over the whole population, each draw labeled
 	// once, tallied into its group.
 	shared := sample.SRS(r, obj.N(), budget)
 	sort.Ints(shared)
-	sharedLabels, err := predicate.Label(mp, shared, canceled(ctx))
+	sharedLabels, err := f.label(shared)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +179,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 					pool = append(pool, i)
 				}
 			}
-			extraPos, err := topUpGroup(ctx, mp, pool, target-n, r)
+			extraPos, err := f.topUpGroup(pool, target-n, r)
 			if err != nil {
 				return nil, err
 			}
@@ -196,12 +187,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		}
 		groups[g] = groupSRSEstimate(pos, n, Ng, m.Alpha, m.Wilson)
 	}
-	return &GroupedResult{
-		Method: m.Name(),
-		Groups: groups,
-		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Sample: time.Since(t0), Predicate: tp.Dur},
-	}, nil
+	return f.groupedResult(m.Name(), GroupedResult{Groups: groups, Timing: Timing{Sample: time.Since(t0)}}), nil
 }
 
 // GroupedLSS shares one learning plan across all groups: it labels one
@@ -229,75 +215,39 @@ type GroupedLSS struct {
 	// a rare group's fallback sample has zero or all positives)
 }
 
-// The grouped plan's fixed shape: the learn phase's share of the budget and
-// the per-stratum second-stage minimum.
-const (
-	groupedTrainFrac = 0.25
-	groupedMinAlloc  = 2
-)
-
 // Name implements GroupedMethod.
 func (m *GroupedLSS) Name() string { return "lss" }
 
-func (m *GroupedLSS) alpha() float64 {
-	if m.Alpha <= 0 {
-		return 0.05
-	}
-	return m.Alpha
-}
-
-func (m *GroupedLSS) strata() int {
-	if m.Strata < 2 {
-		return 4
-	}
-	return m.Strata
-}
-
 // EstimateGroups implements GroupedMethod.
 func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf []int, K int, budget int, r *xrand.Rand) (*GroupedResult, error) {
-	ctx = orBackground(ctx)
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
 	if err := checkGroups(obj, groupOf, K); err != nil {
 		return nil, err
 	}
-	newClf := m.NewClassifier
-	if newClf == nil {
-		newClf = DefaultForest
-	}
-	tp := &predicate.Timed{P: obj.Pred}
-	mp := predicate.NewMemo(tp, obj.N())
-	start := obj.Pred.Evals()
+	f := open(ctx, obj, true)
 
-	// Phase 1 (shared): learn and score once for all groups.
-	t0 := time.Now()
-	nLearn := int(math.Round(groupedTrainFrac * float64(budget)))
-	if nLearn < 2 {
-		nLearn = 2
-	}
-	if nLearn > budget-2 {
-		nLearn = budget - 2
-	}
+	// Phase 1 (shared): learn and score once for all groups, at the default
+	// learn fraction.
+	nLearn := LearnSize(0, budget, 2)
 	if nLearn < 2 {
 		return nil, fmt.Errorf("core: budget %d too small for grouped LSS", budget)
 	}
-	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, mp, nLearn, learnOptions{newClf: newClf}, r)
+	l, err := f.learn(m.NewClassifier, nLearn, false, 0, r)
 	if err != nil {
 		return nil, err
 	}
+	l.order()
 	slN := make([]int, K)
 	slPos := make([]int, K)
-	for j, i := range SL {
+	for j, i := range l.SL {
 		slN[groupOf[i]]++
-		if labels[j] {
+		if l.labels[j] {
 			slPos[groupOf[i]]++
 		}
 	}
-	restIdx, scores, scoreDur := scoreRest(obj, clf, SL)
-	orderByScore(restIdx, scores)
-	M := len(restIdx)
-	learnDur := time.Since(t0)
+	restIdx, M := l.restIdx, len(l.restIdx)
 
 	// Shared design: equal-count strata over the score order with a
 	// proportional allocation. (The per-group targets are unknown a priori,
@@ -305,11 +255,11 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	// proportional is the layout that is simultaneously reasonable for
 	// every group.)
 	t1 := time.Now()
-	nII := budget - len(SL)
+	nII := budget - len(l.SL)
 	if nII > M {
 		nII = M
 	}
-	H := m.strata()
+	H := StrataCount(m.Strata)
 	if H > M && M > 0 {
 		H = M
 	}
@@ -343,7 +293,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		for h, dset := range draws {
 			posHG[h] = make([]int, K)
 			nH[h] = len(dset)
-			labels, err := predicate.Label(mp, dset, canceled(ctx))
+			labels, err := f.label(dset)
 			if err != nil {
 				return nil, err
 			}
@@ -390,7 +340,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 			Sampled:   sampled,
 			Positives: pos,
 		}
-		gc.CI = stats.TInterval(est, math.Sqrt(varhat), df, m.alpha())
+		gc.CI = stats.TInterval(est, math.Sqrt(varhat), df, AlphaOrDefault(m.Alpha))
 		// The learn-sample positives are certain, and the unlabeled part of
 		// the group bounds what remains; clamping both ends into [lo, hi]
 		// keeps Lo ≤ Hi even when a zero-variance point estimate overshoots
@@ -430,18 +380,20 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		if groups[g].Sampled > target {
 			target = groups[g].Sampled
 		}
-		fpos, err := topUpGroup(ctx, mp, members[g], target, r)
+		fpos, err := f.topUpGroup(members[g], target, r)
 		if err != nil {
 			return nil, err
 		}
-		groups[g] = groupSRSEstimate(fpos, target, Ng, m.alpha(), m.Wilson)
+		groups[g] = groupSRSEstimate(fpos, target, Ng, m.Alpha, m.Wilson)
 	}
-	return &GroupedResult{
-		Method: m.Name(),
+	timing := l.timing
+	timing.Design, timing.Sample = designDur, time.Since(t2)
+	return f.groupedResult(m.Name(), GroupedResult{
 		Groups: groups,
-		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Learn: learnDur, Fit: fitDur, Score: scoreDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
-	}, nil
+		Timing: timing,
+		Learn:  l.info,
+		Design: DesignInfo{Algo: LayoutEqualCount.String()},
+	}), nil
 }
 
 // GroupedOracle evaluates the predicate on every object and reports exact
@@ -453,15 +405,13 @@ func (GroupedOracle) Name() string { return "oracle" }
 
 // EstimateGroups implements GroupedMethod.
 func (GroupedOracle) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf []int, K int, _ int, _ *xrand.Rand) (*GroupedResult, error) {
-	ctx = orBackground(ctx)
 	if err := checkGroups(obj, groupOf, K); err != nil {
 		return nil, err
 	}
-	tp := &predicate.Timed{P: obj.Pred}
-	start := obj.Pred.Evals()
+	f := open(ctx, obj, false)
 	t0 := time.Now()
 	groups := make([]GroupCount, K)
-	labels, err := predicate.Label(tp, predicate.AllIndices(obj.N()), canceled(ctx))
+	labels, err := f.label(predicate.AllIndices(obj.N()))
 	if err != nil {
 		return nil, err
 	}
@@ -480,10 +430,5 @@ func (GroupedOracle) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		groups[g].HasCI = true
 		groups[g].Exact = true
 	}
-	return &GroupedResult{
-		Method: "oracle",
-		Groups: groups,
-		Evals:  obj.Pred.Evals() - start,
-		Timing: Timing{Sample: time.Since(t0), Predicate: tp.Dur},
-	}, nil
+	return f.groupedResult("oracle", GroupedResult{Groups: groups, Timing: Timing{Sample: time.Since(t0)}}), nil
 }

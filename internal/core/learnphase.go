@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -10,31 +9,9 @@ import (
 
 	"repro/internal/active"
 	"repro/internal/learn"
-	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/xrand"
 )
-
-// learnOptions configures the shared first phase of the learned methods
-// (§4): draw and label SL, optionally augment by uncertainty sampling, and
-// train a classifier.
-type learnOptions struct {
-	newClf      NewClassifierFunc
-	augment     bool
-	augmentFrac float64 // fraction of the learn budget spent on augmentation
-	rounds      int     // augmentation rounds (default 1, per §3.2)
-	poolCap     int
-}
-
-func (o learnOptions) normalized() learnOptions {
-	if o.augmentFrac <= 0 || o.augmentFrac >= 1 {
-		o.augmentFrac = 0.1
-	}
-	if o.rounds <= 0 {
-		o.rounds = 1
-	}
-	return o
-}
 
 // fitTimed adds the time spent inside Fit to *dur — the classifier's
 // counterpart of predicate.Timed, for a phase whose fits (one, or one per
@@ -51,66 +28,88 @@ func (c fitTimed) Fit(X [][]float64, y []bool) error {
 	return err
 }
 
-// runLearnPhase labels nLearn objects and trains a classifier on them.
-// It returns the classifier, the labeled indices SL, their labels, and the
-// time spent inside Classifier.Fit. Cancellation of ctx is checked before
-// every label.
-func runLearnPhase(ctx context.Context, obj *ObjectSet, pred predicate.Predicate, nLearn int,
-	opt learnOptions, r *xrand.Rand) (learn.Classifier, []int, []bool, time.Duration, error) {
+// learned is what the learn step hands a method: the fitted classifier g,
+// the learn sample SL with its labels and positive count, the objects
+// outside SL (in index order until order is called) with their scores, and
+// the phase's report.
+type learned struct {
+	newClf  NewClassifierFunc // the constructor g came from, resolved
+	SL      []int
+	labels  []bool
+	pos     int
+	restIdx []int
+	scores  []float64
+	timing  Timing // Learn, Fit, Score
+	info    LearnInfo
+}
 
-	if opt.newClf == nil {
-		return nil, nil, nil, 0, fmt.Errorf("core: nil classifier constructor")
+// learn is the shared first phase of the learned methods (§4, and §3.2's
+// quantifiers): label n objects — all of them drawn at random, or with
+// augment an augmentFrac share chosen by uncertainty sampling over rounds
+// retrainings (§3.2; 0 means 1) — fit a classifier from newClf (nil means
+// DefaultForest) and score every object outside the sample. Cancellation is
+// checked before every label.
+func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, rounds int, r *xrand.Rand) (l learned, err error) {
+	if newClf == nil {
+		newClf = DefaultForest
 	}
-	if nLearn < 2 {
-		return nil, nil, nil, 0, fmt.Errorf("core: learn budget %d too small", nLearn)
+	if n < 2 {
+		return l, fmt.Errorf("core: learn budget %d too small", n)
 	}
-	opt = opt.normalized()
+	t0 := time.Now()
 	var fit time.Duration
-	factory := func() learn.Classifier { return fitTimed{opt.newClf(r.Uint64()), &fit} }
-
-	if opt.augment {
-		nAug := int(math.Round(opt.augmentFrac * float64(nLearn)))
-		if nAug >= nLearn {
-			nAug = nLearn / 2
+	factory := func() learn.Classifier { return fitTimed{newClf(r.Uint64()), &fit} }
+	var clf learn.Classifier
+	if augment {
+		if rounds <= 0 {
+			rounds = 1
 		}
-		perRound := nAug / opt.rounds
-		initial := nLearn - perRound*opt.rounds
+		nAug := int(math.Round(augmentFrac * float64(n)))
+		if nAug >= n {
+			nAug = n / 2
+		}
+		perRound := nAug / rounds
+		initial := n - perRound*rounds
 		if initial < 2 {
 			initial = 2
 		}
-		initIdx := sample.SRS(r, obj.N(), initial)
-		clf, idx, labels, err := active.Train(ctx, active.Config{
-			Factory: factory,
-			Rounds:  opt.rounds,
-			PoolCap: opt.poolCap,
-		}, obj.Features, pred, initIdx, perRound, r)
+		initIdx := sample.SRS(r, f.obj.N(), initial)
+		clf, l.SL, l.labels, err = active.Train(f.ctx, active.Config{Factory: factory, Rounds: rounds},
+			f.obj.Features, f.pred, initIdx, perRound, r)
 		if err != nil {
-			return nil, nil, nil, 0, err
+			return l, err
 		}
-		return clf.(fitTimed).Classifier, idx, labels, fit, nil
+		clf = clf.(fitTimed).Classifier
+	} else {
+		l.SL = sample.SRS(r, f.obj.N(), n)
+		if l.labels, err = f.label(l.SL); err != nil {
+			return l, err
+		}
+		X := make([][]float64, len(l.SL))
+		for j, i := range l.SL {
+			X[j] = f.obj.Features[i]
+		}
+		timed := factory()
+		if err = timed.Fit(X, l.labels); err != nil {
+			return l, err
+		}
+		clf = timed.(fitTimed).Classifier
 	}
-
-	idx := sample.SRS(r, obj.N(), nLearn)
-	labels, err := predicate.Label(pred, idx, canceled(ctx))
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	X := make([][]float64, len(idx))
-	for j, i := range idx {
-		X[j] = obj.Features[i]
-	}
-	clf := factory()
-	if err := clf.Fit(X, labels); err != nil {
-		return nil, nil, nil, 0, err
-	}
-	return clf.(fitTimed).Classifier, idx, labels, fit, nil
+	l.newClf, l.pos = newClf, countPositives(l.labels)
+	l.restIdx, l.scores, l.timing.Score = scoreRest(f.obj, clf, l.SL)
+	l.timing.Learn, l.timing.Fit = time.Since(t0), fit
+	// Sized after scoring: the scoring path is that of the latest batch.
+	trees, nodes := learn.ForestSize(clf)
+	l.info = LearnInfo{TrainRows: len(l.SL), Scored: len(l.restIdx), Trees: trees, Nodes: nodes, Score: learn.ForestScorePath(clf)}
+	return l, nil
 }
 
-// learnInfo sizes a finished learn phase for Result.Learn. Call it after
-// the classifier has scored: the scoring path is that of its latest batch.
-func learnInfo(clf learn.Classifier, trainRows, scored int) LearnInfo {
-	trees, nodes := learn.ForestSize(clf)
-	return LearnInfo{TrainRows: trainRows, Scored: scored, Trees: trees, Nodes: nodes, Score: learn.ForestScorePath(clf)}
+// order sorts the rest ascending by score — LSS's and the grouped plan's
+// strata are runs of that order — and books the sort to the learn phase.
+func (l *learned) order() {
+	t0 := time.Now()
+	orderByScore(l.restIdx, l.scores)
+	l.timing.Learn += time.Since(t0)
 }
 
 // scoreRest scores the objects and returns those outside the labeled set,

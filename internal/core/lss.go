@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/estimate"
-	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/stratify"
@@ -95,24 +94,21 @@ func (d DesignAlgo) String() string {
 }
 
 // LSS is Learned Stratified Sampling (§4.2): order the unlabeled objects by
-// classifier score, draw a pilot SI, jointly design stratification and
-// allocation from the pilot, then draw the second-stage sample SII and form
-// the stratified estimate. LSS uses only the score ordering — not the score
+// classifier score, draw a pilot SI (pilotFrac of the sampling budget),
+// jointly design stratification and allocation from the pilot, then draw the
+// second-stage sample SII (at least lssMinAlloc per stratum) and form the
+// stratified estimate. LSS uses only the score ordering — not the score
 // values — so it degrades gracefully with classifier quality (§5.4.4).
 type LSS struct {
 	NewClassifier NewClassifierFunc
 	Alpha         float64 // 0 means 0.05
 	TrainFrac     float64 // budget fraction for phase 1; 0 means 0.25
-	PilotFrac     float64 // fraction of the sampling budget for SI; 0 means 0.3
 	Strata        int     // number of strata H; 0 means 4
 	Layout        Layout
 	Alloc         Allocation
 	Algo          DesignAlgo
-	MinAlloc      int // per-stratum second-stage minimum; 0 means 2
 	Augment       bool
-	AugmentFrac   float64
 	Rounds        int
-	PoolCap       int
 	// Constraints overrides the designer feasibility constraints; nil means
 	// scale-aware defaults.
 	Constraints *stratify.Constraints
@@ -120,41 +116,6 @@ type LSS struct {
 
 // Name implements Method.
 func (m *LSS) Name() string { return "lss" }
-
-func (m *LSS) alpha() float64 {
-	if m.Alpha <= 0 {
-		return 0.05
-	}
-	return m.Alpha
-}
-
-func (m *LSS) trainFrac() float64 {
-	if m.TrainFrac <= 0 || m.TrainFrac >= 1 {
-		return 0.25
-	}
-	return m.TrainFrac
-}
-
-func (m *LSS) pilotFrac() float64 {
-	if m.PilotFrac <= 0 || m.PilotFrac >= 1 {
-		return 0.3
-	}
-	return m.PilotFrac
-}
-
-func (m *LSS) strata() int {
-	if m.Strata < 2 {
-		return 4
-	}
-	return m.Strata
-}
-
-func (m *LSS) minAlloc() int {
-	if m.MinAlloc <= 0 {
-		return 5
-	}
-	return m.MinAlloc
-}
 
 // constraintsFor builds feasibility constraints scaled to the instance.
 func (m *LSS) constraintsFor(M, mPilot, H int) stratify.Constraints {
@@ -178,7 +139,7 @@ func (m *LSS) constraintsFor(M, mPilot, H int) stratify.Constraints {
 // design computes the stratification cuts for the ordered object set and
 // reports which algorithm produced them.
 func (m *LSS) design(pilot *stratify.Pilot, scores []float64, nII int) ([]int, DesignInfo, error) {
-	H := m.strata()
+	H := StrataCount(m.Strata)
 	switch m.Layout {
 	case LayoutFixedWidth:
 		return stratify.FixedWidth(scores, H), DesignInfo{Algo: m.Layout.String()}, nil
@@ -236,49 +197,27 @@ func (m *LSS) design(pilot *stratify.Pilot, scores []float64, nII int) ([]int, D
 
 // Estimate implements Method.
 func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
-	ctx = orBackground(ctx)
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &predicate.Timed{P: obj.Pred}
-	start := obj.Pred.Evals()
-	newClf := m.NewClassifier
-	if newClf == nil {
-		newClf = DefaultForest
-	}
+	f := open(ctx, obj, false)
 
-	// Phase 1: learn and score.
-	t0 := time.Now()
-	nLearn := int(math.Round(m.trainFrac() * float64(budget)))
-	if nLearn < 2 {
-		nLearn = 2
-	}
-	if nLearn > budget-2 {
-		nLearn = budget - 2
-	}
+	// Phase 1: learn, score and order.
+	nLearn := LearnSize(m.TrainFrac, budget, 2)
 	if nLearn < 2 {
 		return nil, fmt.Errorf("core: budget %d too small for LSS", budget)
 	}
-	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, nLearn, learnOptions{
-		newClf:      newClf,
-		augment:     m.Augment,
-		augmentFrac: m.AugmentFrac,
-		rounds:      m.Rounds,
-		poolCap:     m.PoolCap,
-	}, r)
+	l, err := f.learn(m.NewClassifier, nLearn, m.Augment, m.Rounds, r)
 	if err != nil {
 		return nil, err
 	}
-	cs := countPositives(labels)
-	restIdx, scores, scoreDur := scoreRest(obj, clf, SL)
-	orderByScore(restIdx, scores)
-	M := len(restIdx)
-	learnDur := time.Since(t0)
+	l.order()
+	restIdx, M := l.restIdx, len(l.restIdx)
 
 	// Phase 2, stage 1: pilot + design.
 	t1 := time.Now()
-	sampling := budget - len(SL)
-	nI := int(math.Round(m.pilotFrac() * float64(sampling)))
+	sampling := budget - len(l.SL)
+	nI := int(math.Round(pilotFrac * float64(sampling)))
 	if nI < 2 {
 		nI = 2
 	}
@@ -297,7 +236,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	for j, p := range pilotPos {
 		pilotObjs[j] = restIdx[p]
 	}
-	pilotQ, err := predicate.Label(tp, pilotObjs, canceled(ctx))
+	pilotQ, err := f.label(pilotObjs)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +244,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err != nil {
 		return nil, err
 	}
-	cuts, info, err := m.design(pilot, scores, maxInt(nII, 1))
+	cuts, info, err := m.design(pilot, l.scores, max(nII, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -329,58 +268,36 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		inPilot[p] = true
 	}
 	pools := make([][]int, H)
-	poolSizes := make([]int, H)
 	for h := 0; h < H; h++ {
 		for p := cuts[h]; p < cuts[h+1]; p++ {
 			if !inPilot[p] {
 				pools[h] = append(pools[h], restIdx[p])
 			}
 		}
-		poolSizes[h] = len(pools[h])
 	}
 	var alloc []int
 	if m.Alloc == AllocProportional {
-		alloc = estimate.ProportionalAllocation(poolSizes, nII, m.minAlloc())
+		alloc = estimate.ProportionalAllocation(poolSizes(pools), nII, lssMinAlloc)
 	} else {
-		alloc = estimate.NeymanAllocation(poolSizes, Sh, nII, m.minAlloc())
+		alloc = estimate.NeymanAllocation(poolSizes(pools), Sh, nII, lssMinAlloc)
 	}
 	designDur := time.Since(t1)
 
 	// Phase 2, stage 2: draw SII and estimate.
 	t2 := time.Now()
-	draws, err := sample.Stratified(r, pools, alloc)
+	res, err := f.secondStage(pools, sizes, alloc, m.Alpha, r)
 	if err != nil {
 		return nil, err
 	}
-	strata := make([]estimate.StratumSample, H)
-	for h, dset := range draws {
-		pos, err := labelCount(ctx, tp, dset)
-		if err != nil {
-			return nil, err
-		}
-		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(dset), Positives: pos}
-	}
-	res, err := estimate.Stratified(strata, m.alpha())
-	if err != nil {
-		return nil, err
-	}
-	total := float64(cs) + res.Count
-	ci := stats.Interval{Lo: float64(cs) + res.CI.Lo, Hi: float64(cs) + res.CI.Hi}
-	return &Result{
-		Method:   m.Name(),
-		Estimate: total,
-		CI:       ci,
+	timing := l.timing
+	timing.Design, timing.Sample = designDur, time.Since(t2)
+	cs := float64(l.pos)
+	return f.result(m.Name(), Result{
+		Estimate: cs + res.Count,
+		CI:       stats.Interval{Lo: cs + res.CI.Lo, Hi: cs + res.CI.Hi},
 		HasCI:    true,
-		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Fit: fitDur, Score: scoreDur, Design: designDur, Sample: time.Since(t2), Predicate: tp.Dur},
-		Learn:    learnInfo(clf, len(SL), M),
+		Timing:   timing,
+		Learn:    l.info,
 		Design:   info,
-	}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	}), nil
 }

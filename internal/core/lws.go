@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/estimate"
-	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/xrand"
@@ -34,27 +33,11 @@ type LWS struct {
 	// taken before the rule can fire. Ignored with WithReplacement.
 	StopRelWidth float64
 	Augment      bool // apply uncertainty-sampling augmentation in phase 1
-	AugmentFrac  float64
 	Rounds       int
-	PoolCap      int
 }
 
 // Name implements Method.
 func (m *LWS) Name() string { return "lws" }
-
-func (m *LWS) alpha() float64 {
-	if m.Alpha <= 0 {
-		return 0.05
-	}
-	return m.Alpha
-}
-
-func (m *LWS) trainFrac() float64 {
-	if m.TrainFrac <= 0 || m.TrainFrac >= 1 {
-		return 0.25
-	}
-	return m.TrainFrac
-}
 
 func (m *LWS) epsilon() float64 {
 	if m.Epsilon <= 0 {
@@ -65,48 +48,26 @@ func (m *LWS) epsilon() float64 {
 
 // Estimate implements Method.
 func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
-	ctx = orBackground(ctx)
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &predicate.Timed{P: obj.Pred}
-	start := obj.Pred.Evals()
-	newClf := m.NewClassifier
-	if newClf == nil {
-		newClf = DefaultForest
-	}
+	f := open(ctx, obj, false)
 
 	// Phase 1: learn.
-	t0 := time.Now()
-	nLearn := int(math.Round(m.trainFrac() * float64(budget)))
-	if nLearn < 2 {
-		nLearn = 2
-	}
-	if nLearn > budget-1 {
-		nLearn = budget - 1
-	}
-	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, nLearn, learnOptions{
-		newClf:      newClf,
-		augment:     m.Augment,
-		augmentFrac: m.AugmentFrac,
-		rounds:      m.Rounds,
-		poolCap:     m.PoolCap,
-	}, r)
+	l, err := f.learn(m.NewClassifier, LearnSize(m.TrainFrac, budget, 1), m.Augment, m.Rounds, r)
 	if err != nil {
 		return nil, err
 	}
-	cs := countPositives(labels)
-	restIdx, scores, scoreDur := scoreRest(obj, clf, SL)
-	learnDur := time.Since(t0)
+	restIdx, tp, alpha := l.restIdx, f.timed, AlphaOrDefault(m.Alpha)
 
 	// Phase 2: PPS sampling. Default: without replacement + Des Raj.
 	t1 := time.Now()
 	eps := m.epsilon()
-	weights := make([]float64, len(scores))
-	for i, g := range scores {
+	weights := make([]float64, len(l.scores))
+	for i, g := range l.scores {
 		weights[i] = math.Max(g, eps)
 	}
-	nSample := budget - len(SL)
+	nSample := budget - len(l.SL)
 	if nSample > len(restIdx) {
 		nSample = len(restIdx)
 	}
@@ -118,13 +79,13 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		}
 		hh := estimate.NewHansenHurwitz(len(restIdx))
 		for i := 0; i < nSample; i++ {
-			if err := ctxErr(ctx); err != nil {
+			if err := f.canceled(); err != nil {
 				return nil, err
 			}
 			j := sampler.Draw(r)
 			hh.Add(tp.Eval(restIdx[j]), sampler.Prob(j))
 		}
-		res = hh.Estimate(m.alpha())
+		res = hh.Estimate(alpha)
 	} else {
 		sampler, err := sample.NewWeighted(weights)
 		if err != nil {
@@ -134,7 +95,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		const minDraws = 30
 		stopWidth := m.StopRelWidth * float64(len(restIdx))
 		for i := 0; i < nSample; i++ {
-			if err := ctxErr(ctx); err != nil {
+			if err := f.canceled(); err != nil {
 				return nil, err
 			}
 			j, err := sampler.Draw(r)
@@ -143,23 +104,22 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 			}
 			dr.Add(tp.Eval(restIdx[j]), sampler.InitialProb(j))
 			if stopWidth > 0 && dr.Draws() >= minDraws {
-				if cur := dr.Estimate(m.alpha()); cur.CI.Width() <= stopWidth {
+				if cur := dr.Estimate(alpha); cur.CI.Width() <= stopWidth {
 					break
 				}
 			}
 		}
-		res = dr.Estimate(m.alpha())
+		res = dr.Estimate(alpha)
 	}
 
-	total := float64(cs) + res.Count
-	ci := stats.Interval{Lo: float64(cs) + res.CI.Lo, Hi: float64(cs) + res.CI.Hi}
-	return &Result{
-		Method:   m.Name(),
-		Estimate: total,
-		CI:       ci,
+	timing := l.timing
+	timing.Sample = time.Since(t1)
+	cs := float64(l.pos)
+	return f.result(m.Name(), Result{
+		Estimate: cs + res.Count,
+		CI:       stats.Interval{Lo: cs + res.CI.Lo, Hi: cs + res.CI.Hi},
 		HasCI:    true,
-		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Fit: fitDur, Score: scoreDur, Sample: time.Since(t1), Predicate: tp.Dur},
-		Learn:    learnInfo(clf, len(SL), len(restIdx)),
-	}, nil
+		Timing:   timing,
+		Learn:    l.info,
+	}), nil
 }

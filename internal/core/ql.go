@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/learn"
-	"repro/internal/predicate"
 	"repro/internal/quantify"
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -17,9 +15,7 @@ import (
 type QLCC struct {
 	NewClassifier NewClassifierFunc
 	Augment       bool
-	AugmentFrac   float64
 	Rounds        int
-	PoolCap       int
 }
 
 // Name implements Method.
@@ -27,108 +23,57 @@ func (m *QLCC) Name() string { return "qlcc" }
 
 // Estimate implements Method.
 func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
-	ctx = orBackground(ctx)
-	if err := checkBudget(obj, budget); err != nil {
-		return nil, err
-	}
-	tp := &predicate.Timed{P: obj.Pred}
-	start := obj.Pred.Evals()
-	newClf := m.NewClassifier
-	if newClf == nil {
-		newClf = DefaultForest
-	}
-	t0 := time.Now()
-	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, budget, learnOptions{
-		newClf:      newClf,
-		augment:     m.Augment,
-		augmentFrac: m.AugmentFrac,
-		rounds:      m.Rounds,
-		poolCap:     m.PoolCap,
-	}, r)
-	if err != nil {
-		return nil, err
-	}
-	learnDur := time.Since(t0)
-
-	t1 := time.Now()
-	_, scores, _ := scoreRest(obj, clf, SL)
-	res := quantify.ClassifyAndCount(countPositives(labels), scores)
-	return &Result{
-		Method:   m.Name(),
-		Estimate: res.Count,
-		CI:       stats.Interval{},
-		HasCI:    false,
-		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Fit: fitDur, Sample: time.Since(t1), Predicate: tp.Dur},
-		Learn:    learnInfo(clf, len(SL), 0),
-	}, nil
+	return quantified(ctx, obj, budget, r, m.Name(), m.NewClassifier, m.Augment, m.Rounds,
+		func(l *learned) (quantify.Result, error) { return quantify.ClassifyAndCount(l.pos, l.scores), nil })
 }
 
-// QLAC is the Adjusted Count baseline (§3.2): QLCC corrected by
-// cross-validated true/false positive rates (eq. 2). No confidence
+// QLAC is the Adjusted Count baseline (§3.2): QLCC corrected by true/false
+// positive rates cross-validated over acFolds folds (eq. 2). No confidence
 // interval; occasionally produces extreme estimates when t̂pr ≈ f̂pr.
 type QLAC struct {
 	NewClassifier NewClassifierFunc
-	Folds         int // cross-validation folds; 0 means 5
 	Augment       bool
-	AugmentFrac   float64
 	Rounds        int
-	PoolCap       int
 }
 
 // Name implements Method.
 func (m *QLAC) Name() string { return "qlac" }
 
-func (m *QLAC) folds() int {
-	if m.Folds < 2 {
-		return 5
-	}
-	return m.Folds
-}
-
 // Estimate implements Method.
 func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
-	ctx = orBackground(ctx)
+	return quantified(ctx, obj, budget, r, m.Name(), m.NewClassifier, m.Augment, m.Rounds,
+		func(l *learned) (quantify.Result, error) {
+			trainX := make([][]float64, len(l.SL))
+			for j, i := range l.SL {
+				trainX[j] = obj.Features[i]
+			}
+			factory := func() learn.Classifier { return l.newClf(r.Uint64()) }
+			return quantify.AdjustedCount(factory, trainX, l.labels, l.scores, acFolds, r)
+		})
+}
+
+// quantified is the body of both §3.2 baselines: the whole budget is the
+// learn sample, and count reads the estimate off the scores of the rest.
+// That scoring pass is the count itself, so it is booked to the Sample phase
+// rather than the learn phase, whose report says it scored nothing.
+func quantified(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand, name string,
+	newClf NewClassifierFunc, augment bool, rounds int, count func(*learned) (quantify.Result, error)) (*Result, error) {
+
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
-	tp := &predicate.Timed{P: obj.Pred}
-	start := obj.Pred.Evals()
-	newClf := m.NewClassifier
-	if newClf == nil {
-		newClf = DefaultForest
+	f := open(ctx, obj, false)
+	l, err := f.learn(newClf, budget, augment, rounds, r)
+	if err != nil {
+		return nil, err
 	}
 	t0 := time.Now()
-	clf, SL, labels, fitDur, err := runLearnPhase(ctx, obj, tp, budget, learnOptions{
-		newClf:      newClf,
-		augment:     m.Augment,
-		augmentFrac: m.AugmentFrac,
-		rounds:      m.Rounds,
-		poolCap:     m.PoolCap,
-	}, r)
+	res, err := count(&l)
 	if err != nil {
 		return nil, err
 	}
-	learnDur := time.Since(t0)
-
-	t1 := time.Now()
-	_, scores, _ := scoreRest(obj, clf, SL)
-	trainX := make([][]float64, len(SL))
-	for j, i := range SL {
-		trainX[j] = obj.Features[i]
-	}
-	factory := func() learn.Classifier { return newClf(r.Uint64()) }
-	res, err := quantify.AdjustedCount(factory, trainX, labels, scores, m.folds(), r)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Method:   m.Name(),
-		Estimate: res.Count,
-		CI:       stats.Interval{},
-		HasCI:    false,
-		Evals:    obj.Pred.Evals() - start,
-		Timing:   Timing{Learn: learnDur, Fit: fitDur, Sample: time.Since(t1), Predicate: tp.Dur},
-		Learn:    learnInfo(clf, len(SL), 0),
-	}, nil
+	timing := Timing{Learn: l.timing.Learn - l.timing.Score, Fit: l.timing.Fit, Sample: l.timing.Score + time.Since(t0)}
+	info := l.info
+	info.Scored = 0
+	return f.result(name, Result{Estimate: res.Count, Timing: timing, Learn: info}), nil
 }

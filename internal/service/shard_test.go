@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/shard"
+	"repro/internal/xrand"
 	"repro/lsample"
 )
 
@@ -307,6 +308,82 @@ func TestCoordinatorGroupedByteIdentity(t *testing.T) {
 		t.Fatalf("coordinator put an interval on a grouped total: has_ci=%t [%v, %v]", got.HasCI, got.CILo, got.CIHi)
 	}
 	sameAnswer(t, "coordinator vs in-process sharded", got, ref)
+	t.Run("numeric-looking string keys", groupedRowOrder)
+}
+
+// groupedRowOrder is TestCoordinatorGroupedByteIdentity over a string group
+// column whose values look like numbers: every path that answers orders the
+// rows with the one comparator (shard.LessGroupKey), so "9" precedes "10"
+// whether the count ran standalone (classic or through the catalog), under
+// WithShards, or through a coordinator — whose answer must equal the
+// in-process sharded one byte for byte, row order included.
+func groupedRowOrder(t *testing.T) {
+	const n, k = 120, 12
+	table := func() *lsample.Table {
+		r := xrand.New(7)
+		tb, err := lsample.NewTable("B", "id:int,x:float,y:float,bucket:string")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buckets := []string{"9", "10", "2", "10", "9", "west"}
+		for i := 0; i < n; i++ {
+			if err := tb.AppendRow(int64(i), r.Float64()*100, r.Float64()*100, buckets[i%len(buckets)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	_, srvA := newWorkerServer(t, table())
+	_, srvB := newWorkerServer(t, table())
+	reg := NewRegistry()
+	reg.Register(table())
+	local := New(reg, Options{})
+	coord := newCoordinator(t, CoordinatorOptions{Shards: 2}, srvA, srvB)
+
+	req := CountRequest{
+		SQL: `SELECT bucket, COUNT(*) FROM (
+			SELECT o1.id, o1.bucket FROM B o1, B o2
+			WHERE o2.x >= o1.x AND o2.y >= o1.y AND (o2.x > o1.x OR o2.y > o1.y)
+			GROUP BY o1.id, o1.bucket HAVING COUNT(*) < k
+		) GROUP BY bucket`,
+		Params: map[string]any{"k": float64(k)},
+		Method: "lss",
+		Budget: 0.3,
+		Seed:   5,
+	}
+	order := func(res *CountResult) string {
+		keys := make([]string, len(res.Groups))
+		for i, g := range res.Groups {
+			keys[i] = strings.Join(g.Key, "|")
+		}
+		return strings.Join(keys, ",")
+	}
+	const want = "2,9,10,west"
+	classicReq, shardedReq := req, req
+	classicReq.NoCache = true
+	shardedReq.Shards = 2
+	var sharded *CountResult
+	for _, tc := range []struct {
+		what string
+		req  *CountRequest
+	}{{"standalone", &req}, {"standalone, classic path", &classicReq}, {"WithShards(2)", &shardedReq}} {
+		res, err := local.Count(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := order(res); got != want {
+			t.Errorf("%s: rows ordered %s, want %s", tc.what, got, want)
+		}
+		sharded = res
+	}
+	got, err := coord.Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := order(got); o != want {
+		t.Errorf("coordinator: rows ordered %s, want %s", o, want)
+	}
+	sameAnswer(t, "coordinator vs in-process sharded, string keys", got, sharded)
 }
 
 // faultRT injects transport faults for one worker host: kill (connection

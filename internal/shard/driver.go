@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -411,10 +413,7 @@ func (r *run) cands(ctx context.Context, k int, tag uint64) ([][]Cand, error) {
 func (r *run) attempt(ctx context.Context) (*Result, error) {
 	n := r.aliveN()
 	res := &Result{N: n, Shards: len(r.workers)}
-	alpha := r.plan.Alpha
-	if alpha <= 0 {
-		alpha = 0.05
-	}
+	alpha := core.AlphaOrDefault(r.plan.Alpha)
 	if n == 0 {
 		res.HasCI = true
 		if r.plan.Exact {
@@ -512,7 +511,7 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 	for i, s := range all {
 		scores[i] = s.Score
 	}
-	cuts := EqualCountCuts(scores, StrataCount(r.plan.Strata))
+	cuts := EqualCountCuts(scores, core.StrataCount(r.plan.Strata))
 	hOf = make([]int, len(all))
 	for i, s := range all {
 		hOf[i] = StratumOf(cuts, s.Score)
@@ -569,7 +568,7 @@ func (r *run) scoreAll(ctx context.Context, n, kLearn int) ([]Scored, error) {
 func (r *run) sampleStrata(ctx context.Context, all []Scored, hOf []int, budget int,
 	visit func(h int, key int64, positive bool)) ([]estimate.StratumSample, error) {
 
-	members := make([][]int64, StrataCount(r.plan.Strata))
+	members := make([][]int64, core.StrataCount(r.plan.Strata))
 	for i, s := range all {
 		members[hOf[i]] = append(members[hOf[i]], s.Key)
 	}
@@ -704,7 +703,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 		if err != nil {
 			return err
 		}
-		H = StrataCount(r.plan.Strata)
+		H = core.StrataCount(r.plan.Strata)
 		stratumSizes = make(map[string][]int)
 		at := make(map[int64]int, len(all)) // key -> index into all
 		for i, s := range all {
@@ -911,24 +910,41 @@ func (r *run) degrade(res *Result, fullN int, fullGroups []census) {
 	res.Groups = out
 }
 
-// LessGroupKey orders rendered group keys the way lsample presents them:
-// element-wise, numerically when both parts parse as numbers, lexically
-// otherwise, shorter keys first on a tie.
+// LessGroupKey is the one order of GROUP BY rows, on every path that
+// answers: element-wise over the rendered key parts, numbers before text,
+// two numbers by value (integers exactly, so int64 keys beyond 2^53 keep
+// their order), everything else — and numbers of equal value — lexically,
+// shorter keys first on a tie.
 func LessGroupKey(a, b []string) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] == b[i] {
-			continue
+		if c := compareKeyPart(a[i], b[i]); c != 0 {
+			return c < 0
 		}
-		na, aok := strconv.ParseFloat(a[i], 64)
-		nb, bok := strconv.ParseFloat(b[i], 64)
-		if aok == nil && bok == nil {
-			if na != nb {
-				return na < nb
-			}
-		}
-		return a[i] < b[i]
 	}
 	return len(a) < len(b)
+}
+
+func compareKeyPart(a, b string) int {
+	if a == b {
+		return 0
+	}
+	if ia, err := strconv.ParseInt(a, 10, 64); err == nil {
+		if ib, err := strconv.ParseInt(b, 10, 64); err == nil && ia != ib {
+			return cmp.Compare(ia, ib)
+		}
+	}
+	fa, aerr := strconv.ParseFloat(a, 64)
+	fb, berr := strconv.ParseFloat(b, 64)
+	aNum, bNum := aerr == nil && fa == fa, berr == nil && fb == fb // NaN is text
+	switch {
+	case aNum && bNum && fa != fb:
+		return cmp.Compare(fa, fb)
+	case aNum && !bNum:
+		return -1
+	case bNum && !aNum:
+		return 1
+	}
+	return strings.Compare(a, b)
 }
 
 func safeDiv(num float64, den int) float64 {

@@ -3,9 +3,9 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/estimate"
 )
 
@@ -19,28 +19,15 @@ import (
 // sample and an estimation sample; callers report it as a request error.
 var ErrBudgetTooSmall = errors.New("shard: budget too small")
 
-// LearnSize is the lss learn-sample size at the given budget: a quarter of
-// it, at least 2, leaving at least 2 evaluations for the estimation sample.
+// LearnSize is the lss learn-sample size at the given budget — core's rule
+// at its default fraction: a quarter of the budget, at least 2, leaving at
+// least 2 evaluations for the estimation sample.
 func LearnSize(budget int) (int, error) {
-	k := int(math.Round(0.25 * float64(budget)))
-	if k < 2 {
-		k = 2
-	}
-	if k > budget-2 {
-		k = budget - 2
-	}
+	k := core.LearnSize(0, budget, 2)
 	if k < 2 {
 		return 0, fmt.Errorf("%w: %d evaluations cannot fund an lss estimate", ErrBudgetTooSmall, budget)
 	}
 	return k, nil
-}
-
-// StrataCount resolves a plan's stratum count H (< 2 selects 4).
-func StrataCount(h int) int {
-	if h < 2 {
-		return 4
-	}
-	return h
 }
 
 // EqualCountCuts returns the H-1 boundaries that split the (non-empty)

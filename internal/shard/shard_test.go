@@ -115,6 +115,11 @@ func TestLessGroupKey(t *testing.T) {
 		{[]string{"east", "1"}, []string{"east", "2"}, true},
 		{[]string{"east"}, []string{"east", "2"}, true}, // shorter first
 		{[]string{"1.5"}, []string{"1.25"}, false},
+		{[]string{"9007199254740992"}, []string{"9007199254740993"}, true}, // integers exactly, past 2^53
+		{[]string{"9007199254740993"}, []string{"9007199254740992"}, false},
+		{[]string{"9"}, []string{"1a"}, true}, // numbers before text: "10" < "1a" < "9" would be a cycle
+		{[]string{"1a"}, []string{"10"}, false},
+		{[]string{"NaN"}, []string{"1"}, false}, // NaN is text
 	}
 	for _, c := range cases {
 		if got := LessGroupKey(c.a, c.b); got != c.want {

@@ -60,7 +60,9 @@ type GroupedEstimate struct {
 	// Total is the sum of the per-group count estimates.
 	Total float64
 	// Groups holds one result per group, ordered by key (ascending,
-	// column by column) — deterministic for a fixed seed and dataset.
+	// column by column: numbers by value and before text, text lexically —
+	// so a string column's "9" precedes its "10" — the same order on every
+	// path that answers) — deterministic for a fixed seed and dataset.
 	Groups []GroupResult
 	// SamplesUsed is the number of predicate evaluations actually spent,
 	// including the exact pass when WithExact was set.
@@ -182,9 +184,8 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		return nil, err
 	}
 	// Which core interface is invoked is the whole difference from a plain
-	// count. The per-group answers wait in res for the read-out; a grouped
-	// result carries timings but no learn or design report, so those two
-	// spans of a grouped run have durations and no attributes.
+	// count: the grouped result's timings and learn / design reports feed the
+	// same spans, and the per-group answers wait in res for the read-out.
 	var res *core.GroupedResult
 	est, truth, err := cfg.classic(ctx, "grouped estimation", p.rows(), pred,
 		func(ctx context.Context, obj *core.ObjectSet, budget int, r *xrand.Rand) (*core.Result, error) {
@@ -192,7 +193,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 			if res, err = gm.EstimateGroups(ctx, obj, p.groupOf, len(p.groupKey), budget, r); err != nil {
 				return nil, err
 			}
-			return &core.Result{Method: res.Method, Evals: res.Evals, Timing: res.Timing}, nil
+			return &core.Result{Method: res.Method, Evals: res.Evals, Timing: res.Timing, Learn: res.Learn, Design: res.Design}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -238,20 +239,22 @@ func (q *PreparedQuery) groupedHeader(cfg config, fingerprint string, p *populat
 	}
 }
 
-// readOut is the one grouped read-out: groups ordered by typed key, each
-// back half's per-group answer (groups holds them by dense group id) made a
-// GroupResult, and the total summed.
+// readOut is the one grouped read-out: groups in shard.LessGroupKey order,
+// each back half's per-group answer (groups holds them by dense group id)
+// made a GroupResult, and the total summed.
 func (out *GroupedEstimate) readOut(keys [][]engine.Value, level float64, groups []shard.Group) {
 	order := make([]int, len(keys))
+	rendered := make([][]string, len(keys))
 	for g := range order {
 		order[g] = g
+		rendered[g] = renderKey(keys[g])
 	}
-	sort.Slice(order, func(a, b int) bool { return lessKey(keys[order[a]], keys[order[b]]) })
+	sort.Slice(order, func(a, b int) bool { return shard.LessGroupKey(rendered[order[a]], rendered[order[b]]) })
 	out.Groups = make([]GroupResult, 0, len(order))
 	for _, g := range order {
 		sg := groups[g]
 		gr := GroupResult{
-			Key:        renderKey(keys[g]),
+			Key:        rendered[g],
 			Objects:    sg.N,
 			Count:      sg.Count,
 			Proportion: sg.Proportion,
@@ -282,33 +285,4 @@ func renderKey(vals []engine.Value) []string {
 		}
 	}
 	return out
-}
-
-// lessKey orders group tuples ascending, column by column, with
-// type-aware comparison per column (columns are homogeneously typed).
-func lessKey(a, b []engine.Value) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		av, bv := a[i], b[i]
-		switch {
-		case av.Kind == engine.KInt && bv.Kind == engine.KInt:
-			if av.I != bv.I {
-				return av.I < bv.I
-			}
-		case av.IsNumeric() && bv.IsNumeric():
-			af, _ := av.AsFloat()
-			bf, _ := bv.AsFloat()
-			if af != bf {
-				return af < bf
-			}
-		default:
-			as, bs := av.String(), bv.String()
-			if as != bs {
-				return as < bs
-			}
-		}
-	}
-	return len(a) < len(b)
 }

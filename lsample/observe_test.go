@@ -179,8 +179,15 @@ func TestExplainClassicSpanTree(t *testing.T) {
 					if _, ok := c.Attrs["budget"]; !ok {
 						t.Errorf("estimate span carries no budget: %v", c.Attrs)
 					}
-					if tc.method == "lss" && !q.IsGrouped() && c.Children[0].Attrs["train_rows"] == nil {
-						t.Errorf("plain lss learn span carries no train_rows: %v", c.Children[0].Attrs)
+					if tc.method != "lss" {
+						continue
+					}
+					if learn := c.Children[0].Attrs; learn["train_rows"] == nil || learn["fit_ms"] == nil || learn["scored"] == nil {
+						t.Errorf("lss learn span carries no train_rows / fit_ms / scored: %v", learn)
+					}
+					algo := c.Children[1].Attrs["algo"]
+					if algo == nil || q.IsGrouped() && algo != "fixed-height" {
+						t.Errorf("lss design span algo = %v (grouped plans lay fixed-height strata)", algo)
 					}
 				}
 			}

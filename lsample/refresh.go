@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/estimate"
@@ -495,7 +496,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 		for i, k := range p.keys {
 			scores[i] = st.scores[k]
 		}
-		st.cutScores = shard.EqualCountCuts(scores, shard.StrataCount(cfg.strata))
+		st.cutScores = shard.EqualCountCuts(scores, core.StrataCount(cfg.strata))
 	}
 
 	members := make([][]int64, len(st.cutScores)+1)
