@@ -30,8 +30,8 @@
 #   make bench-micro   one pass (BENCHTIME=1x) over the Go micro-benchmarks
 #                      the ledger does not replace — paper figure, forest
 #                      fit and scoring, designers, GROUP BY shared vs naive,
-#                      catalog bytes per entry — printed as `go test -bench`
-#                      prints them
+#                      catalog bytes per entry, shard-op wire bytes —
+#                      printed as `go test -bench` prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
@@ -100,9 +100,12 @@ race:
 # one lss estimate end to end, shared-sample GROUP BY against the naive
 # per-group loop, and what a reuse-catalog entry costs after two seeds
 # counted through it (BenchmarkCatalogEntry: labels/entry, live-B/entry
-# beside accounted-B/entry, 100 cold counts over 50 tables per iteration).
+# beside accounted-B/entry, 100 cold counts over 50 tables per iteration),
+# and one shard's five lss ops over loopback HTTP through the coordinator's
+# post (BenchmarkShardOpWire: wire-B/op, request plus reply bytes — the
+# guard on the /v1/shard envelope's size).
 # BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry)$$
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire)$$
 BENCHTIME ?= 1x
 
 bench-micro:

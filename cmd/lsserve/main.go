@@ -32,6 +32,9 @@
 //	POST /v1/shard     one shard's estimation primitives (worker side of
 //	                   sharded scale-out; see -role)
 //
+// Every JSON response is one line of compact JSON; pipe it through jq to
+// read it.
+//
 // Observability: -trace-sample records that fraction of requests as span
 // trees readable from /v1/traces (a request with "explain": true is
 // always recorded and gets its trace inline in the response);
@@ -73,7 +76,7 @@
 // deep per-dataset queues shed immediately. A query whose predicate fails
 // on the data (a division by zero on some object) answers 400 bad_request
 // naming the fault. The -pprof flag serves Go profiling endpoints under
-// /debug/pprof/ (off by default).
+// /debug/pprof/ on every role, the coordinator included (off by default).
 //
 // The server keeps a cross-query reuse catalog (see lsample.Catalog) that
 // memoizes the labels a count bought — per predicate, nothing else — so a
@@ -131,7 +134,7 @@ func main() {
 		method    = flag.String("method", "lss", "default estimation method when a request omits one; read by the standalone and worker roles (a coordinator answers with its workers' default)")
 		dataDir   = flag.String("data-dir", "", "directory for durable live datasets: uploads and ingests are write-ahead logged, and restart recovers them (empty = memory-only)")
 		catalogMB = flag.Int64("catalog-mb", 0, "reuse-catalog budget in MiB for cross-query label memoization: bounds the entries' live bytes, RSS grows about twice that under the default GOGC (0 = default 64 MiB, negative disables)")
-		pprofOn   = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
+		pprofOn   = flag.Bool("pprof", false, "serve Go profiling endpoints under /debug/pprof/ on any role, the coordinator included (off by default; enable only on trusted networks)")
 
 		metricsOn   = flag.Bool("metrics", true, "serve Prometheus text-format metrics at GET /metrics")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests to trace [0,1]; explain requests are always traced")
@@ -151,7 +154,7 @@ func main() {
 	logger := obs.NewLogger(os.Stdout)
 
 	if *role == "coordinator" {
-		if err := runCoordinator(*addr, *workerSpec, logger, service.CoordinatorOptions{
+		if err := runCoordinator(*addr, *workerSpec, *pprofOn, logger, service.CoordinatorOptions{
 			Shards:         *shards,
 			WorkerDeadline: *workerDeadline,
 			HedgeAfter:     *hedgeAfter,
@@ -200,25 +203,9 @@ func main() {
 			"name", d.Name, "rows", d.Rows, "version", d.Version)
 	}
 
-	handler := svc.Handler()
-	if *pprofOn {
-		// Explicit routes on our own mux: importing net/http/pprof for its
-		// DefaultServeMux side effect would expose the endpoints even when
-		// the flag is off.
-		root := http.NewServeMux()
-		root.HandleFunc("/debug/pprof/", pprof.Index)
-		root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		root.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		root.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		root.Handle("/", handler)
-		handler = root
-		logger.Info(context.Background(), "profiling enabled", "path", "/debug/pprof/")
-	}
-
 	srv := &http.Server{
 		Addr:    *addr,
-		Handler: handler,
+		Handler: withPprof(svc.Handler(), *pprofOn, logger),
 		// Bound header reads and idle keep-alives so stalled clients
 		// cannot pin connections forever; body reads stay unbounded
 		// because CSV uploads may legitimately be slow (the service
@@ -271,7 +258,7 @@ func roleName(role string) string {
 // split into hash-aligned shards, routed over the worker roster with
 // per-op deadlines and hedged retries, and merged byte-identically to a
 // single-process run.
-func runCoordinator(addr, roster string, logger *obs.Logger, opts service.CoordinatorOptions) error {
+func runCoordinator(addr, roster string, pprofOn bool, logger *obs.Logger, opts service.CoordinatorOptions) error {
 	var workers []service.WorkerInfo
 	for _, part := range strings.Split(roster, ",") {
 		part = strings.TrimSpace(part)
@@ -290,7 +277,7 @@ func runCoordinator(addr, roster string, logger *obs.Logger, opts service.Coordi
 	}
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           coord.Handler(),
+		Handler:           withPprof(coord.Handler(), pprofOn, logger),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -309,6 +296,25 @@ func runCoordinator(addr, roster string, logger *obs.Logger, opts service.Coordi
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return srv.Shutdown(shutCtx)
+}
+
+// withPprof puts Go's profiling endpoints under /debug/pprof/ in front of
+// either role's handler when on. Explicit routes on a mux of our own:
+// importing net/http/pprof for its DefaultServeMux side effect would expose
+// the endpoints even when the flag is off.
+func withPprof(handler http.Handler, on bool, logger *obs.Logger) http.Handler {
+	if !on {
+		return handler
+	}
+	root := http.NewServeMux()
+	root.HandleFunc("/debug/pprof/", pprof.Index)
+	root.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	root.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	root.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	root.Handle("/", handler)
+	logger.Info(context.Background(), "profiling enabled", "path", "/debug/pprof/")
+	return root
 }
 
 // catalogBytes maps the -catalog-mb flag onto Options.CatalogBytes:

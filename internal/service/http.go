@@ -214,12 +214,14 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// writeJSON answers with v as one line of compact JSON. Not indented: a
+// /v1/shard reply embeds a block shard.Serve already marshaled, and
+// indenting the envelope would encode that block again and double the bytes
+// a coordinator scans.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a failed write
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // nothing to do about a failed write
 }
 
 // clientErr marks a body-processing failure as a bad request, except for

@@ -65,17 +65,39 @@ func (s *Service) resolve(req *CountRequest) (*plan, error) {
 		return nil, mapSDKErr(err)
 	}
 
-	var tables []string
-	if p.shape, tables, err = lsample.QueryShape(p.SQL); err != nil {
+	sh, err := s.shapeOf(p.SQL)
+	if err != nil {
 		return nil, mapSDKErr(err)
 	}
+	p.shape = sh.shape
 	if p.paramsJSON, err = json.Marshal(p.Params); err != nil { // encoding/json sorts map keys
 		return nil, badf("parameters are not encodable: %v", err)
 	}
-	if p.Pin, err = s.Registry.Resolve(tables); err != nil {
+	if p.Pin, err = s.Registry.Resolve(sh.tables); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// queryShape is lsample.QueryShape's answer for one SQL text.
+type queryShape struct {
+	shape  string
+	tables []string // shared by every plan of the text: read, never modify
+}
+
+// shapeOf is lsample.QueryShape memoized by SQL text, so a worker parses a
+// query once, not once per shard op. The shape is a pure function of the
+// text, so an entry carries no versions — no ingest can make it stale — and
+// only successes are kept, so a bad text fails with the same error each time.
+func (s *Service) shapeOf(text string) (queryShape, error) {
+	if sh, ok := s.shapes.get(text); ok {
+		return sh, nil
+	}
+	shape, tables, err := lsample.QueryShape(text)
+	if err != nil {
+		return queryShape{}, err
+	}
+	return s.shapes.put(text, nil, queryShape{shape, tables}), nil
 }
 
 // key is the one builder of store keys. Everything the service caches is a

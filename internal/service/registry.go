@@ -144,7 +144,8 @@ type Pin struct {
 	Versions string
 }
 
-// Resolve pins every named table under one lock acquisition.
+// Resolve pins every named table under one lock acquisition. names is only
+// read: it may be the service's memoized table list for a query text.
 func (r *Registry) Resolve(names []string) (Pin, error) {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)

@@ -141,15 +141,19 @@ type Service struct {
 	admit    *admitter
 	degSem   chan struct{} // dedicated slot(s) for budget-degraded answers
 
-	// The three caches, one store type (store.go), all keyed by plan.key:
-	// counted results (LRU + TTL); prepared queries, which hold the parsed
-	// AST, the §2 decomposition and — after their first feature-using
-	// execution — the O(N) key index and feature matrix; and the worker
-	// role's shard executors, one per (query, parameters, shard) whatever
-	// the seed or budget (plan.execKey).
+	// Four stores, one type (store.go). Three are keyed by plan.key and
+	// tagged with the versions they were built against: counted results
+	// (LRU + TTL); prepared queries, which hold the parsed AST, the §2
+	// decomposition and — after their first feature-using execution — the
+	// O(N) key index and feature matrix; and the worker role's shard
+	// executors, one per (query, parameters, shard) whatever the seed or
+	// budget (plan.execKey). The fourth, shapes, is keyed by SQL text and
+	// untagged: a query's shape and tables are a function of its text alone,
+	// so no data version can make an entry stale (Service.shapeOf).
 	results *store[*CountResult]
 	preps   *store[*lsample.PreparedQuery]
 	execs   *store[*lsample.ShardExec]
+	shapes  *store[queryShape]
 	// shardLayout is the last served shard count; a change evicts the old
 	// layout's executors (see shardExec).
 	shardLayout atomic.Int64
@@ -188,10 +192,11 @@ type flight struct {
 
 // Store capacities that are not options: prepared queries are per (data
 // version, query shape); each shard executor pins one population slice plus
-// its feature rows.
+// its feature rows; a parsed shape is a fingerprint and a few table names.
 const (
 	maxPrepared   = 64
 	maxShardExecs = 32
+	maxShapes     = 256
 )
 
 // New returns a Service over reg with the given options.
@@ -205,6 +210,7 @@ func New(reg *Registry, opts Options) *Service {
 		results:  newStore[*CountResult](o.CacheSize, o.CacheTTL),
 		preps:    newStore[*lsample.PreparedQuery](maxPrepared, 0),
 		execs:    newStore[*lsample.ShardExec](maxShardExecs, 0),
+		shapes:   newStore[queryShape](maxShapes, 0),
 		flights:  make(map[string]*flight),
 		logger:   o.Logger,
 		metrics:  obs.NewRegistry(),

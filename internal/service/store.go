@@ -7,10 +7,11 @@ import (
 )
 
 // store is the one container behind every cache the service keeps — counted
-// results, prepared queries, per-shard executors: a bounded LRU over plan
-// keys (plan.key) with an optional TTL, each entry tagged with the version
-// vector it was built against, so "drop what the registry no longer serves"
-// is one walk (dropStale) that parses nothing. No value owns anything that
+// results, prepared queries, per-shard executors, parsed query shapes: a
+// bounded LRU over string keys with an optional TTL, each entry tagged with
+// the version vector it was built against (nil when no data version can
+// stale it), so "drop what the registry no longer serves" is one walk
+// (dropStale) that parses nothing. No value owns anything that
 // needs releasing, so letting go of one is just unlinking it. A store with
 // capacity <= 0 holds nothing: put hands the value straight back.
 type store[V any] struct {

@@ -12,7 +12,8 @@ import (
 // (Serve, the worker end of a wire), and the Worker that performs each op
 // by calling a transport (NewRemote, the coordinator end). A serving layer
 // only moves the opaque args and reply bytes between the two — it declares
-// no op, converts no type, and encodes nothing twice.
+// no op, converts no type, and encodes nothing twice: its envelopes are
+// compact JSON, so a block rides inside one as the bytes this file marshaled.
 //
 // Every op a driver sends is one blocking round, so an lss count costs the
 // five rounds its data dependencies require (driver.go):
