@@ -90,7 +90,7 @@ test:
 # over: a race only shows in an interleaving the run happens to execute.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^repro/bench$$')
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestCatalogConcurrentSeedsShareOneEntry|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget' ./lsample/ ./internal/service/ ./internal/shard/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget' ./lsample/ ./internal/service/ ./internal/shard/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at

@@ -71,9 +71,9 @@
 // interval (wald|wilson), seed, exact, no_cache, degrade (answer with a
 // small-budget wider-interval estimate instead of 503 under overload).
 //
-// Admission control queues per dataset: -max-inflight bounds global
-// concurrency, one hot dataset cannot starve the rest, and hopelessly
-// deep per-dataset queues shed immediately. A query whose predicate fails
+// Admission control runs at most -max-inflight estimations at once, first
+// come first served, and a dataset whose queue is hopelessly deep sheds new
+// arrivals immediately. A query whose predicate fails
 // on the data (a division by zero on some object) answers 400 bad_request
 // naming the fault. The -pprof flag serves Go profiling endpoints under
 // /debug/pprof/ on every role, the coordinator included (off by default).

@@ -3,127 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"math"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/predicate"
 	"repro/internal/stratify"
 	"repro/internal/xrand"
 )
-
-// methodStructs are the nine option-carrying method types (the oracles have
-// no fields).
-var methodStructs = map[string]bool{
-	"SRS": true, "SSP": true, "SSN": true, "LWS": true, "LSS": true,
-	"QLCC": true, "QLAC": true, "GroupedSRS": true, "GroupedLSS": true,
-}
-
-// TestEveryOptionFieldHasASetter keeps unused knobs from growing back: every
-// exported field of a method struct must be a composite-literal key or an
-// assignment target somewhere in the module outside this package's own
-// non-test files — a caller, a test, an example, a figure or a bench probe.
-func TestEveryOptionFieldHasASetter(t *testing.T) {
-	fset := token.NewFileSet()
-	declared := map[string]bool{} // "LSS.Strata"
-	set := map[string]bool{}
-	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); n != ".." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		inCore := filepath.Dir(path) == filepath.Join("../..", "internal", "core")
-		if inCore && !strings.HasSuffix(path, "_test.go") {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || !methodStructs[ts.Name.Name] {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, fld := range st.Fields.List {
-					for _, name := range fld.Names {
-						if name.IsExported() {
-							declared[ts.Name.Name+"."+name.Name] = true
-						}
-					}
-				}
-				return false
-			})
-			return nil
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				typ := ""
-				switch tx := n.Type.(type) {
-				case *ast.Ident:
-					if inCore {
-						typ = tx.Name
-					}
-				case *ast.SelectorExpr:
-					if pkg, ok := tx.X.(*ast.Ident); ok && pkg.Name == "core" {
-						typ = tx.Sel.Name
-					}
-				}
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok && methodStructs[typ] {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							set[typ+"."+key.Name] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				// Untyped: an assignment to x.Field counts for every method
-				// struct that has a field of that name.
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set["*."+sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(declared) == 0 {
-		t.Fatal("found no method struct fields")
-	}
-	var unset []string
-	for f := range declared {
-		if !set[f] && !set["*."+f[strings.IndexByte(f, '.')+1:]] {
-			unset = append(unset, f)
-		}
-	}
-	sort.Strings(unset)
-	if len(unset) > 0 {
-		t.Errorf("%d of %d option fields are set by nothing outside internal/core's non-test files: %v",
-			len(unset), len(declared), unset)
-	}
-}
 
 // goldenInstance is the fixed object set of the golden rows: a learnable
 // circle of positives in two features, partitioned into K size-skewed groups

@@ -7,31 +7,24 @@ import (
 	"time"
 )
 
-// admitter bounds concurrent estimations globally and per dataset. It
-// replaces a single global semaphore so that one hot dataset cannot consume
-// every slot and starve requests for the others:
+// admitter bounds concurrent estimations:
 //
-//   - at most globalCap estimations run at once (the old MaxInFlight bound);
-//   - at most perKeyCap of them run against any one dataset (keyed by the
-//     request's resolved dataset-versions string);
-//   - waiters queue FIFO, but a grant skips over waiters whose dataset is at
-//     its per-key cap, so a saturated dataset never head-of-line blocks the
-//     queue for everyone else;
-//   - a dataset whose queue is already maxQueued deep sheds new arrivals
-//     immediately with ErrBusy instead of making them wait out a timeout
-//     that cannot possibly be met.
+//   - at most globalCap estimations run at once (MaxInFlight);
+//   - waiters are granted in FIFO arrival order;
+//   - a dataset (keyed by the request's resolved dataset-versions string)
+//     whose queue is already maxQueued deep sheds new arrivals immediately
+//     with ErrBusy instead of making them wait out a timeout that cannot
+//     possibly be met.
 //
 // Deadline awareness lives in acquire: a waiter that cannot be granted by
 // its admission deadline gives up with ErrBusy, and the caller may then opt
 // into a budget-degraded answer (see Service.degraded) instead of a 503.
 type admitter struct {
 	globalCap int
-	perKeyCap int
 	maxQueued int
 
 	mu       sync.Mutex
 	inFlight int
-	perKey   map[string]int // in-flight per dataset key
 	queued   map[string]int // queued waiters per dataset key
 	queue    []*admitWaiter // FIFO arrival order
 }
@@ -40,54 +33,30 @@ type admitter struct {
 // admitter mutex; ready is closed exactly once, on grant.
 type admitWaiter struct {
 	key     string
-	bypass  bool // drain waiters ignore the per-key cap
 	ready   chan struct{}
 	granted bool
 	gone    bool
 }
 
-func newAdmitter(globalCap, perKeyCap, maxQueued int) *admitter {
-	return &admitter{
-		globalCap: globalCap,
-		perKeyCap: perKeyCap,
-		maxQueued: maxQueued,
-		perKey:    make(map[string]int),
-		queued:    make(map[string]int),
-	}
+func newAdmitter(globalCap, maxQueued int) *admitter {
+	return &admitter{globalCap: globalCap, maxQueued: maxQueued, queued: make(map[string]int)}
 }
 
-func (a *admitter) admissible(w *admitWaiter) bool {
-	return a.inFlight < a.globalCap && (w.bypass || a.perKey[w.key] < a.perKeyCap)
-}
-
-func (a *admitter) grantLocked(w *admitWaiter) {
-	a.inFlight++
-	if !w.bypass {
-		a.perKey[w.key]++
-	}
-	w.granted = true
-}
-
-// pumpLocked grants queued waiters in FIFO order, skipping (but keeping)
-// waiters whose dataset is at its cap and discarding abandoned ones.
+// pumpLocked grants queued waiters in FIFO order while capacity lasts,
+// discarding abandoned ones.
 func (a *admitter) pumpLocked() {
-	kept := a.queue[:0]
-	for _, w := range a.queue {
-		switch {
-		case w.gone:
-			// dropped: its acquire already returned
-		case a.admissible(w):
-			a.grantLocked(w)
-			a.dequeuedLocked(w.key)
-			close(w.ready)
-		default:
-			kept = append(kept, w)
+	for len(a.queue) > 0 && a.inFlight < a.globalCap {
+		w := a.queue[0]
+		a.queue[0] = nil
+		a.queue = a.queue[1:]
+		if w.gone {
+			continue // its acquire already returned
 		}
+		a.inFlight++
+		w.granted = true
+		a.dequeuedLocked(w.key)
+		close(w.ready)
 	}
-	for i := len(kept); i < len(a.queue); i++ {
-		a.queue[i] = nil
-	}
-	a.queue = kept
 }
 
 func (a *admitter) dequeuedLocked(key string) {
@@ -103,11 +72,6 @@ func (a *admitter) dequeuedLocked(key string) {
 // returns ErrBusy when the deadline passes or the dataset's queue is
 // already hopeless, and the wrapped context error on cancellation.
 func (a *admitter) acquire(ctx context.Context, key string, deadline time.Time) error {
-	w := &admitWaiter{key: key, ready: make(chan struct{})}
-	return a.wait(ctx, w, deadline)
-}
-
-func (a *admitter) wait(ctx context.Context, w *admitWaiter, deadline time.Time) error {
 	var expiry <-chan time.Time
 	if !deadline.IsZero() {
 		wait := time.Until(deadline)
@@ -120,18 +84,19 @@ func (a *admitter) wait(ctx context.Context, w *admitWaiter, deadline time.Time)
 	}
 
 	a.mu.Lock()
-	if a.admissible(w) {
-		a.grantLocked(w)
+	if a.inFlight < a.globalCap {
+		a.inFlight++
 		a.mu.Unlock()
 		return nil
 	}
-	if !w.bypass && a.queued[w.key] >= a.maxQueued {
+	if a.queued[key] >= a.maxQueued {
 		// Shedding: the dataset's queue is deeper than could drain within
 		// any reasonable deadline; fail fast instead of parking.
 		a.mu.Unlock()
 		return ErrBusy
 	}
-	a.queued[w.key]++
+	w := &admitWaiter{key: key, ready: make(chan struct{})}
+	a.queued[key]++
 	a.queue = append(a.queue, w)
 	a.mu.Unlock()
 
@@ -159,28 +124,21 @@ func (a *admitter) abandon(w *admitWaiter, err error) error {
 	return err
 }
 
-// release returns one slot acquired for key and grants what the freed
-// capacity allows.
-func (a *admitter) release(key string) {
+// release returns one slot and grants what the freed capacity allows.
+func (a *admitter) release() {
 	a.mu.Lock()
 	a.inFlight--
-	if n := a.perKey[key]; n <= 1 {
-		delete(a.perKey, key)
-	} else {
-		a.perKey[key] = n - 1
-	}
 	a.pumpLocked()
 	a.mu.Unlock()
 }
 
-// drain acquires every global slot, bypassing per-dataset caps: once it
-// returns nil, no estimation is running and none can start. The slots are
-// never released — drain is shutdown's point of no return. On ctx expiry it
-// stops early with the context error, holding the slots it got.
+// drain acquires every slot: once it returns nil, no estimation is running
+// and none can start. The slots are never released — drain is shutdown's
+// point of no return. On ctx expiry it stops early with the context error,
+// holding the slots it got.
 func (a *admitter) drain(ctx context.Context) error {
 	for i := 0; i < a.globalCap; i++ {
-		w := &admitWaiter{bypass: true, ready: make(chan struct{})}
-		if err := a.wait(ctx, w, time.Time{}); err != nil {
+		if err := a.acquire(ctx, "", time.Time{}); err != nil {
 			return err
 		}
 	}

@@ -14,54 +14,11 @@ func mustAcquire(t *testing.T, a *admitter, key string) {
 	}
 }
 
-// TestAdmitterPerDatasetFairness pins the head-of-line property: a dataset
-// at its per-key cap queues, while a request for another dataset — which
-// arrived later — is admitted through the remaining global capacity.
-func TestAdmitterPerDatasetFairness(t *testing.T) {
-	a := newAdmitter(2, 1, 8)
-	mustAcquire(t, a, "A") // A is now at its per-dataset cap
-
-	queuedA := make(chan error, 1)
-	go func() {
-		queuedA <- a.acquire(context.Background(), "A", time.Now().Add(5*time.Second))
-	}()
-	// Wait until the A request is actually queued.
-	for i := 0; ; i++ {
-		a.mu.Lock()
-		n := a.queued["A"]
-		a.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("second A request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// B skips over the queued A waiter: global capacity remains.
-	mustAcquire(t, a, "B")
-
-	// Releasing B must NOT grant the A waiter (A is still at cap) …
-	a.release("B")
-	select {
-	case err := <-queuedA:
-		t.Fatalf("A waiter granted while A at per-dataset cap (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	// … but releasing A does.
-	a.release("A")
-	if err := <-queuedA; err != nil {
-		t.Fatalf("queued A waiter after release: %v", err)
-	}
-	a.release("A")
-}
-
 // TestAdmitterShedsDeepQueues pins queue-depth shedding: once a dataset's
 // queue is maxQueued deep, further arrivals fail immediately with ErrBusy
 // instead of waiting out a deadline they cannot meet.
 func TestAdmitterShedsDeepQueues(t *testing.T) {
-	a := newAdmitter(1, 1, 2)
+	a := newAdmitter(1, 2)
 	mustAcquire(t, a, "A")
 	for i := 0; i < 2; i++ {
 		go a.acquire(context.Background(), "A", time.Now().Add(10*time.Second)) //nolint:errcheck
@@ -90,7 +47,7 @@ func TestAdmitterShedsDeepQueues(t *testing.T) {
 
 // TestAdmitterDeadline pins deadline-aware rejection and the context path.
 func TestAdmitterDeadline(t *testing.T) {
-	a := newAdmitter(1, 1, 8)
+	a := newAdmitter(1, 8)
 	mustAcquire(t, a, "A")
 
 	if err := a.acquire(context.Background(), "B", time.Now().Add(30*time.Millisecond)); !errors.Is(err, ErrBusy) {
@@ -112,15 +69,15 @@ func TestAdmitterDeadline(t *testing.T) {
 	if leaked != 0 {
 		t.Fatalf("queued accounting leaked %d keys", leaked)
 	}
-	a.release("A")
+	a.release()
 	mustAcquire(t, a, "B") // the slot is reusable after the failures
-	a.release("B")
+	a.release()
 }
 
-// TestAdmitterDrain pins shutdown semantics: drain takes every slot
-// (bypassing per-dataset caps) and new acquires fail afterwards.
+// TestAdmitterDrain pins shutdown semantics: drain takes every slot and new
+// acquires fail afterwards.
 func TestAdmitterDrain(t *testing.T) {
-	a := newAdmitter(3, 1, 8)
+	a := newAdmitter(3, 8)
 	mustAcquire(t, a, "A")
 	done := make(chan error, 1)
 	go func() { done <- a.drain(context.Background()) }()
@@ -129,7 +86,7 @@ func TestAdmitterDrain(t *testing.T) {
 		t.Fatalf("drain finished with a slot still held (err=%v)", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	a.release("A")
+	a.release()
 	if err := <-done; err != nil {
 		t.Fatalf("drain: %v", err)
 	}

@@ -48,9 +48,6 @@ type CoordinatorOptions struct {
 	// functions of (snapshot, arguments), so duplicated execution is
 	// harmless.
 	HedgeAfter time.Duration
-	// Replicas is the consistent-hash ring's virtual-node count per
-	// worker (default shard.DefaultReplicas).
-	Replicas int
 	// AllowDegraded answers with a scaled estimate and a widened interval
 	// when every candidate for some shard fails after the census, instead
 	// of failing the query.
@@ -59,11 +56,10 @@ type CoordinatorOptions struct {
 	// coordinator's own that keeps workerIdleConns connections per worker).
 	Client *http.Client
 
-	// TraceSample, TraceRing, SlowQuery, and Logger mirror the service's
-	// tracing knobs (Options): head-sampling probability, completed-trace
-	// ring capacity, slow-query threshold, and the structured JSON logger.
+	// TraceSample, SlowQuery, and Logger mirror the service's tracing knobs
+	// (Options): head-sampling probability, slow-query threshold, and the
+	// structured JSON logger.
 	TraceSample float64
-	TraceRing   int
 	SlowQuery   time.Duration
 	Logger      *obs.Logger
 }
@@ -120,7 +116,7 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 	}
 	c := &Coordinator{
 		workers: make(map[string]WorkerInfo, len(workers)),
-		ring:    shard.NewRing(opts.Replicas),
+		ring:    shard.NewRing(shard.DefaultReplicas),
 		opts:    opts,
 		client:  opts.Client,
 		logger:  opts.Logger,
@@ -133,7 +129,7 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 	}
 	c.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:    opts.TraceSample,
-		RingSize:  opts.TraceRing,
+		RingSize:  traceRing,
 		SlowQuery: opts.SlowQuery,
 		Logger:    opts.Logger,
 	})

@@ -15,11 +15,7 @@ type meters struct {
 	requests, cacheHits, cacheMisses, rejected, degraded, errors *obs.Counter
 	estimatesRun, predicateEvals                                 *obs.Counter
 	ingestRequests, ingestRows, ingestBatches, ingestErrors      *obs.Counter
-	// shardExec counts /v1/shard ops by whether the shard's executor was
-	// already resident: after the first count of a (query, parameters,
-	// shard) every op of every seed should be a hit.
-	shardExec                   *obs.CounterVec
-	estimateBusy, predicateBusy *obs.Timer
+	estimateBusy, predicateBusy                                  *obs.Timer
 	// latency is the /v1/count request-latency histogram (admission wait
 	// included — tail latency is what admission control is for).
 	latency *obs.Histogram
@@ -43,9 +39,6 @@ func newMeters(r *obs.Registry) *meters {
 			"Estimations actually executed (cache misses and degraded runs)."),
 		predicateEvals: r.NewCounter("lsample_predicate_evals_total",
 			"Expensive-predicate evaluations spent across all estimations."),
-		shardExec: r.NewCounterVec("lsample_shard_exec_total",
-			"Shard ops by whether the shard's executor was resident (hit) or had to be prepared (miss).",
-			"result", "hit", "miss"),
 		estimateBusy: r.NewTimer("lsample_estimate_busy_seconds",
 			"Cumulative wall time spent inside estimation.", "estimate_ms"),
 		predicateBusy: r.NewTimer("lsample_predicate_busy_seconds",
@@ -73,8 +66,6 @@ func (s *Service) registerGauges(r *obs.Registry) {
 		s.results.len)
 	r.GaugeFunc("lsample_prepared_queries", "Prepared queries retained across (dataset version, fingerprint) keys.",
 		s.preps.len)
-	r.GaugeFunc("lsample_shard_execs", "Shard executors resident for the /v1/shard worker role: one per (query, parameters, shard), whatever the seed.",
-		s.execs.len)
 	r.GaugeFunc("lsample_inflight_estimations", "Estimations currently admitted and running.",
 		s.admit.inflight)
 	r.GaugeFunc("lsample_admission_queued", "Requests currently queued for admission.",

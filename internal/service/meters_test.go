@@ -165,7 +165,10 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 // TestStatsFieldNamesGolden pins the /v1/stats field names clients read
 // (bench/ reads metrics.{requests,cache_hits,cache_misses,rejected,degraded}
 // and catalog.{bytes,hits,extensions,misses,evictions}). Adding a family
-// adds a line here; renaming or dropping one must be a decision.
+// adds a line here; renaming or dropping one must be a decision. Decided:
+// shard_exec and shard_execs went with the service's executor store — a
+// worker's executors live on its prepared queries, and the hash-plan span's
+// resident attribute says whether a count rebuilt one.
 func TestStatsFieldNamesGolden(t *testing.T) {
 	svc := newTestService(t, 20, Options{})
 	rec := httptest.NewRecorder()
@@ -191,8 +194,7 @@ func TestStatsFieldNamesGolden(t *testing.T) {
 		"metrics": "admission_queued cache_hits cache_misses catalog_bytes catalog_entries catalog_evictions " +
 			"catalog_extensions catalog_hits catalog_misses datasets degraded errors estimate_ms estimates_run " +
 			"inflight_estimations ingest_batches ingest_errors ingest_requests ingest_rows latency predicate_evals " +
-			"predicate_ms prepared_queries rejected requests result_cache_entries shard_exec shard_execs " +
-			"traces_sampled traces_started",
+			"predicate_ms prepared_queries rejected requests result_cache_entries traces_sampled traces_started",
 		"catalog": "bytes entries evictions extensions hits misses",
 	}
 	top, _ := json.Marshal(stats)

@@ -571,14 +571,17 @@ func findSpan(d *obs.SpanData, name string) *obs.SpanData {
 	return hit
 }
 
-// TestExplainHashPlanSpanTree: catalog-served (reuse-class) requests open
-// the fixed-cost phases as children of the "catalog" span — enumerate and
-// features directly, predicate.build lazily where the label store first
-// misses — so the catalog span's self time no longer absorbs them; a
-// request answered entirely from memoized labels builds no predicate.
+// TestExplainHashPlanSpanTree: catalog-served requests open the fixed-cost
+// phases as children of the "catalog" span, which says whether the query's
+// executor was resident. The first count builds it — enumerate and features
+// directly under the span, predicate.build (paying the cross-check) lazily
+// where the label store first misses; later counts over the same parameters
+// find it resident and open neither, an extension labeling through the
+// executor's pooled predicate or one built on its verdict; a request
+// answered entirely from memoized labels builds no predicate.
 func TestExplainHashPlanSpanTree(t *testing.T) {
 	svc := newTestService(t, 80, Options{})
-	count := func(budget float64) *obs.SpanData {
+	count := func(budget float64) (*obs.SpanData, map[string]int) {
 		t.Helper()
 		res, err := svc.Count(&CountRequest{
 			SQL:     skybandQuery,
@@ -595,30 +598,43 @@ func TestExplainHashPlanSpanTree(t *testing.T) {
 		if cat == nil {
 			t.Fatalf("budget %v: trace has no catalog span", budget)
 		}
-		return cat
+		children := map[string]int{}
+		for _, c := range cat.Children {
+			children[c.Name]++
+		}
+		return cat, children
 	}
-
-	count(0.25)       // materialize
-	ext := count(0.5) // reuse class: budget extension, fresh labels needed
-	children := map[string]int{}
-	for _, c := range ext.Children {
-		children[c.Name]++
-	}
-	for _, want := range []string{"enumerate", "features", "shard.census", "shard.attempt"} {
-		if children[want] != 1 {
-			t.Errorf("catalog span children = %v, want one %q", children, want)
+	wantChildren := func(what string, children map[string]int, want map[string]int) {
+		t.Helper()
+		for name, n := range want {
+			if children[name] != n {
+				t.Errorf("%s: catalog span children = %v, want %d %q", what, children, n, name)
+			}
 		}
 	}
-	attempt := findSpan(ext, "shard.attempt")
-	if attempt == nil || findSpan(attempt, "predicate.build") == nil {
-		t.Errorf("extension built its predicate outside the labeling round; catalog children %v", children)
+
+	cold, children := count(0.25)
+	if cold.Attrs["resident"] != false {
+		t.Errorf("first count: resident = %v, want false", cold.Attrs["resident"])
+	}
+	wantChildren("first count", children, map[string]int{"enumerate": 1, "features": 1, "shard.census": 1, "shard.attempt": 1})
+	if b := findSpan(findSpan(cold, "shard.attempt"), "predicate.build"); b == nil || b.Attrs["validated_by"] != nil {
+		t.Errorf("first count: predicate.build %v, want one under the labeling round paying the cross-check", b)
 	}
 
-	direct := count(0.5 + 1e-9) // distinct cache key, same evaluation budget: every label memoized
-	if findSpan(direct, "predicate.build") != nil {
-		t.Error("a request answered from memoized labels still built the predicate")
+	ext, children := count(0.5) // reuse class: budget extension, fresh labels needed
+	if ext.Attrs["resident"] != true {
+		t.Errorf("extension: resident = %v, want true", ext.Attrs["resident"])
 	}
-	if findSpan(direct, "enumerate") == nil {
-		t.Error("direct reuse did not report its enumerate phase")
+	wantChildren("extension", children, map[string]int{"enumerate": 0, "features": 0, "shard.census": 1, "shard.attempt": 1})
+	forEachSpan(ext, func(b *obs.SpanData) {
+		if b.Name == "predicate.build" && b.Attrs["validated_by"] != "executor" {
+			t.Errorf("extension: predicate.build %v paid the cross-check again", b.Attrs)
+		}
+	})
+
+	direct, _ := count(0.5 + 1e-9) // distinct cache key, same evaluation budget: every label memoized
+	if findSpan(direct, "predicate.build") != nil || findSpan(direct, "enumerate") != nil || direct.Attrs["resident"] != true {
+		t.Error("a request answered from memoized labels on a resident executor built something")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/shard"
 	"repro/lsample"
 )
 
@@ -105,8 +104,7 @@ func (s *Service) shapeOf(text string) (queryShape, error) {
 // prepared query; adding the parameters and sampling knobs names an
 // answer — and scope says which store's view of it this is: "" for the
 // prepared query, the result scope (exactness and in-process shard count)
-// for an answer. A worker-side shard executor sits between the two
-// (execKey).
+// for an answer.
 func (p *plan) key(scope string) string {
 	if scope == "" {
 		return p.Versions + "|" + p.shape
@@ -115,24 +113,16 @@ func (p *plan) key(scope string) string {
 		p.Versions, p.shape, p.paramsJSON, p.Method, p.Classifier, p.Strata, p.Interval, p.Budget, p.Seed, scope)
 }
 
-// execKey names the worker-side executor of one shard: everything its
-// seed-independent state is a function of — the data, the query, the
-// parameters, the shard, and the two knobs a worker op reads (the method
-// decides whether feature rows exist, the classifier is what score_all
-// fits). The seed rides in with each op, the budget arrives as the k of a
-// cands op, and strata and interval never leave the merging process, so
-// none of them may split an executor.
-func (p *plan) execKey(ref shard.Spec) string {
-	return fmt.Sprintf("%s|%s|%s|%s|%s|%s", p.Versions, p.shape, p.paramsJSON, p.Method, p.Classifier, ref)
-}
-
 // resultScope scopes a key to a whole-query answer.
 func (p *plan) resultScope() string {
 	return strconv.FormatBool(p.Exact) + "|s" + strconv.Itoa(p.Shards)
 }
 
-// execOptions is the part of the plan a shard executor is prepared from:
-// execKey's knobs, and the labeling parallelism.
+// execOptions is the part of the plan a shard op reads: the method decides
+// whether feature rows exist, the classifier is what score_all fits, and
+// the parallelism is the labeling's. The seed rides in with each op, the
+// budget arrives as the k of a cands op, and strata and interval never
+// leave the merging process.
 func (p *plan) execOptions() []lsample.Option {
 	return []lsample.Option{
 		lsample.WithMethod(p.Method),

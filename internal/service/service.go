@@ -1,5 +1,5 @@
 // Package service is the serving layer over the public lsample SDK: a
-// thread-safe dataset registry, result / prepared-query / shard-executor
+// thread-safe dataset registry, result / prepared-query / query-shape
 // caches, and admission control for concurrent requests. The HTTP front
 // end lives in http.go and is exposed by cmd/lsserve.
 //
@@ -16,11 +16,11 @@
 // bit-identical answers.
 //
 // Concurrency model: registered tables are immutable, each request executes
-// against an immutable prepared snapshot, and per-dataset admission queues
-// admit at most MaxInFlight estimations globally and MaxPerDataset per
-// dataset — a request that cannot start within QueueTimeout fails fast with
-// ErrBusy instead of piling up, a dataset whose queue is already hopeless
-// sheds new arrivals immediately, and a request that opts in (Degrade) gets
+// against an immutable prepared snapshot, and admission runs at most
+// MaxInFlight estimations at once, first come first served — a request that
+// cannot start within QueueTimeout fails fast with ErrBusy instead of piling
+// up, a dataset whose queue is already hopeless sheds new arrivals
+// immediately, and a request that opts in (Degrade) gets
 // a budget-degraded answer with a wider interval at the deadline instead of
 // a 503. A request whose context is canceled mid-estimation aborts at the
 // next predicate evaluation and returns the wrapped cancellation error.
@@ -35,7 +35,6 @@ import (
 	"os"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -53,26 +52,22 @@ var ErrBusy = errors.New("service: too many estimations in flight")
 
 // Options configures a Service. Zero values select the documented defaults.
 type Options struct {
-	MaxInFlight        int           // concurrent estimations admitted (default 4)
-	MaxPerDataset      int           // concurrent estimations per dataset (default MaxInFlight)
-	MaxQueuePerDataset int           // queued requests per dataset before immediate 503 (default 8× MaxPerDataset)
-	QueueTimeout       time.Duration // max wait for admission (default 2s)
-	CacheSize          int           // result-cache entries; 0 default 256, <0 disables
-	CacheTTL           time.Duration // result max age; 0 default 10m, <0 no expiry
-	DefaultMethod      string        // method when the request omits one (default "lss")
-	DefaultBudget      float64       // budget fraction when omitted (default 0.02)
-	Parallelism        int           // per-request classifier parallelism (0 default 1, <0 all cores)
-	MaxUploadBytes     int64         // CSV upload limit (0 default 64 MiB)
-	DataDir            string        // root for durable live datasets ("" = memory-only)
-	RetryAfter         time.Duration // Retry-After hint on 503 responses (default 1s)
-	CatalogBytes       int64         // reuse-catalog budget; 0 default 64 MiB, <0 disables
+	MaxInFlight    int           // concurrent estimations admitted (default 4); a dataset queues at most 8× that
+	QueueTimeout   time.Duration // max wait for admission (default 2s)
+	CacheSize      int           // result-cache entries; 0 default 256, <0 disables
+	CacheTTL       time.Duration // result max age; 0 default 10m, <0 no expiry
+	DefaultMethod  string        // method when the request omits one (default "lss")
+	DefaultBudget  float64       // budget fraction when omitted (default 0.02)
+	Parallelism    int           // per-request classifier parallelism (0 default 1, <0 all cores)
+	MaxUploadBytes int64         // CSV upload limit (0 default 64 MiB)
+	DataDir        string        // root for durable live datasets ("" = memory-only)
+	RetryAfter     time.Duration // Retry-After hint on 503 responses (default 1s)
+	CatalogBytes   int64         // reuse-catalog budget; 0 default 64 MiB, <0 disables
 
 	// TraceSample is the head-sampling probability for request traces in
 	// [0, 1]; 0 records nothing unless a request forces it (explain, a
 	// sampled inbound traceparent, or a slow-query threshold).
 	TraceSample float64
-	// TraceRing is the completed-trace ring capacity (0 default 256).
-	TraceRing int
 	// SlowQuery, when > 0, logs the full span tree of any request slower
 	// than the threshold (this forces recording on every request, so the
 	// offending trace exists when the threshold trips).
@@ -87,12 +82,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 4
-	}
-	if o.MaxPerDataset <= 0 || o.MaxPerDataset > o.MaxInFlight {
-		o.MaxPerDataset = o.MaxInFlight
-	}
-	if o.MaxQueuePerDataset <= 0 {
-		o.MaxQueuePerDataset = 8 * o.MaxPerDataset
 	}
 	if o.QueueTimeout <= 0 {
 		o.QueueTimeout = 2 * time.Second
@@ -124,9 +113,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
 	}
-	if o.TraceRing <= 0 {
-		o.TraceRing = 256
-	}
 	if o.Logger == nil {
 		o.Logger = obs.NewLogger(os.Stderr)
 	}
@@ -141,22 +127,19 @@ type Service struct {
 	admit    *admitter
 	degSem   chan struct{} // dedicated slot(s) for budget-degraded answers
 
-	// Four stores, one type (store.go). Three are keyed by plan.key and
+	// Three stores, one type (store.go). Two are keyed by plan.key and
 	// tagged with the versions they were built against: counted results
-	// (LRU + TTL); prepared queries, which hold the parsed AST, the §2
-	// decomposition and — after their first feature-using execution — the
-	// O(N) key index and feature matrix; and the worker role's shard
-	// executors, one per (query, parameters, shard) whatever the seed or
-	// budget (plan.execKey). The fourth, shapes, is keyed by SQL text and
-	// untagged: a query's shape and tables are a function of its text alone,
-	// so no data version can make an entry stale (Service.shapeOf).
+	// (LRU + TTL); and prepared queries, which hold the parsed AST and the
+	// §2 decomposition, after their first feature-using execution the O(N)
+	// key index and feature matrix, and the resident hash-plan executors
+	// every standalone count and every /v1/shard op runs over (at most
+	// maxPrepared × 8 of them, each O(population)). The third, shapes, is
+	// keyed by SQL text and untagged: a query's shape and tables are a
+	// function of its text alone, so no data version can make an entry stale
+	// (Service.shapeOf).
 	results *store[*CountResult]
 	preps   *store[*lsample.PreparedQuery]
-	execs   *store[*lsample.ShardExec]
 	shapes  *store[queryShape]
-	// shardLayout is the last served shard count; a change evicts the old
-	// layout's executors (see shardExec).
-	shardLayout atomic.Int64
 
 	// flights coalesces concurrent identical requests onto one estimation.
 	flightMu sync.Mutex
@@ -190,13 +173,13 @@ type flight struct {
 	err  error
 }
 
-// Store capacities that are not options: prepared queries are per (data
-// version, query shape); each shard executor pins one population slice plus
-// its feature rows; a parsed shape is a fingerprint and a few table names.
+// Capacities that are not options: prepared queries are per (data version,
+// query shape); a parsed shape is a fingerprint and a few table names; the
+// completed-trace ring keeps traceRing trees.
 const (
-	maxPrepared   = 64
-	maxShardExecs = 32
-	maxShapes     = 256
+	maxPrepared = 64
+	maxShapes   = 256
+	traceRing   = 256
 )
 
 // New returns a Service over reg with the given options.
@@ -205,11 +188,10 @@ func New(reg *Registry, opts Options) *Service {
 	s := &Service{
 		Registry: reg,
 		opts:     o,
-		admit:    newAdmitter(o.MaxInFlight, o.MaxPerDataset, o.MaxQueuePerDataset),
+		admit:    newAdmitter(o.MaxInFlight, 8*o.MaxInFlight),
 		degSem:   make(chan struct{}, 1),
 		results:  newStore[*CountResult](o.CacheSize, o.CacheTTL),
 		preps:    newStore[*lsample.PreparedQuery](maxPrepared, 0),
-		execs:    newStore[*lsample.ShardExec](maxShardExecs, 0),
 		shapes:   newStore[queryShape](maxShapes, 0),
 		flights:  make(map[string]*flight),
 		logger:   o.Logger,
@@ -221,7 +203,7 @@ func New(reg *Registry, opts Options) *Service {
 	}
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:    o.TraceSample,
-		RingSize:  o.TraceRing,
+		RingSize:  traceRing,
 		SlowQuery: o.SlowQuery,
 		Logger:    o.Logger,
 	})
@@ -466,8 +448,7 @@ func (s *Service) count(ctx context.Context, req *CountRequest) (*CountResult, e
 	}
 
 	res, err := func() (*CountResult, error) {
-		// Admission: at most MaxInFlight estimations run concurrently, at
-		// most MaxPerDataset of them against this request's dataset.
+		// Admission: at most MaxInFlight estimations run concurrently.
 		release, aerr := s.admitted(ctx, p.Versions, admitDeadline)
 		if aerr != nil {
 			return nil, aerr
@@ -507,7 +488,7 @@ func (s *Service) admitted(ctx context.Context, versions string, deadline time.T
 	if err != nil {
 		return nil, err
 	}
-	return func() { s.admit.release(versions) }, nil
+	return s.admit.release, nil
 }
 
 // degradedBudget caps the labeling budget of a budget-degraded answer.
@@ -707,7 +688,6 @@ func (s *Service) prepared(p *plan) (*lsample.PreparedQuery, error) {
 func (s *Service) dropStale() {
 	s.results.dropStale(s.Registry.Serves)
 	s.preps.dropStale(s.Registry.Serves)
-	s.execs.dropStale(s.Registry.Serves)
 	if s.catalog != nil {
 		s.catalog.EvictStale(s.Registry.Current())
 	}

@@ -75,7 +75,7 @@ func occupyAdmission(t *testing.T, svc *Service) func() {
 	if err := svc.admit.acquire(context.Background(), "\x00occupied", time.Now().Add(time.Minute)); err != nil {
 		t.Fatalf("occupying admission: %v", err)
 	}
-	return func() { svc.admit.release("\x00occupied") }
+	return svc.admit.release
 }
 
 func TestCountOracleMatchesBruteForce(t *testing.T) {

@@ -128,30 +128,36 @@ func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 	}
 }
 
+// opBuilds runs one shard op under a recording span and returns how many
+// executors it built (executorBuilds).
+func opBuilds(t *testing.T, svc *Service, req *ShardRequest) int {
+	t.Helper()
+	ctx, span := svc.Tracer().StartRequest(context.Background(), "shard."+req.Op, true)
+	_, err := svc.ShardOp(ctx, req)
+	span.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return executorBuilds(span.Data())
+}
+
+// TestShardExecCacheLifecycle: a shard's executor is built by its first op
+// and found resident by the next; a data version bump drops the prepared
+// query that kept it, so the new snapshot's first op builds its own.
 func TestShardExecCacheLifecycle(t *testing.T) {
 	const n = 80
 	svc, _ := newWorkerServer(t, testTable(n, 7))
-	ctx := context.Background()
-	req := func(idx, count int) *ShardRequest { return shardReq(shard.OpMeta, idx, count) }
-	for i := 0; i < 2; i++ {
-		if _, err := svc.ShardOp(ctx, req(i, 2)); err != nil {
-			t.Fatal(err)
+	for i, want := range []int{1, 1, 0, 0} {
+		if got := opBuilds(t, svc, shardReq(shard.OpMeta, i%2, 2)); got != want {
+			t.Fatalf("op %d on shard %d of 2 built %d executors, want %d", i, i%2, got, want)
 		}
 	}
-	if got := svc.execs.len(); got != 2 {
-		t.Fatalf("retained %d execs, want 2", got)
-	}
-	// A layout change (reshard) evicts every executor of the old layout.
-	if _, err := svc.ShardOp(ctx, req(0, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.execs.len(); got != 1 {
-		t.Fatalf("after reshard: retained %d execs, want 1", got)
-	}
-	// A data version bump evicts executors pinning the old snapshot.
 	svc.RegisterTable(testTable(n, 8))
-	if got := svc.execs.len(); got != 0 {
-		t.Fatalf("after re-registration: retained %d execs, want 0", got)
+	if got := svc.preps.len(); got != 0 {
+		t.Fatalf("after re-registration: retained %d prepared queries, want 0", got)
+	}
+	if got := opBuilds(t, svc, shardReq(shard.OpMeta, 0, 2)); got != 1 {
+		t.Fatalf("the new snapshot's first op built %d executors, want 1", got)
 	}
 }
 

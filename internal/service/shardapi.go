@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/lsample"
 )
 
 // This file is the worker side of sharded scale-out estimation: POST
@@ -18,14 +17,15 @@ import (
 // per-trial-stream protocol across machines and merge byte-identically.
 // Every request names the query and its knobs (a CountRequest, resolved by
 // the same resolver /v1/count uses), the shard, and the op with its opaque
-// argument block; the worker materializes a lsample.ShardExec for that
-// (query, parameters, shard) once — the shard's slice of the population,
-// its features and its cross-checked predicate, none of which a seed or a
-// budget can change — keeps it across ops and across counts
-// (plan.execKey), hands each op its request's seed, and passes args and
-// reply through without decoding either. Labels land in the reuse catalog
-// under a per-shard key just as seed-free, so a worker retains O(population)
-// labels per (query, shard) however many counts it has served.
+// argument block. The worker asks the prepared query for that shard
+// (lsample.PreparedQuery.PrepareShard) on every op — the prepared query
+// keeps the shard's executor, its slice of the population, its features and
+// its cross-checked predicate, none of which a seed or a budget can change,
+// resident across ops and counts — hands the op its request's seed, and
+// passes args and reply through without decoding either. Labels land in
+// the reuse catalog under a per-shard key just as seed-free, so a worker
+// retains O(population) labels per (query, shard) however many counts it
+// has served, and none at all without a catalog.
 //
 // Version fencing: every response reports the worker's resolved dataset
 // versions, and a request carrying an expected "versions" string fails
@@ -86,7 +86,11 @@ func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardRespons
 	if req.Versions != "" && req.Versions != p.Versions {
 		return nil, &versionMismatchError{want: req.Versions, current: p.Versions}
 	}
-	exec, prep, err := s.shardExec(ctx, p, req.Shard)
+	prep, err := s.prepared(p)
+	if err != nil {
+		return nil, mapSDKErr(err)
+	}
+	exec, err := prep.PrepareShard(ctx, req.Shard.Index, req.Shard.Count, p.Params, p.execOptions()...)
 	if err != nil {
 		return nil, mapSDKErr(err)
 	}
@@ -114,41 +118,6 @@ func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardRespons
 		}
 	}
 	return resp, nil
-}
-
-// shardExec returns the resident executor for the plan's (query,
-// parameters, shard) — plan.execKey: no seed, no budget — preparing it on
-// first use. A layout change (a different shard count) evicts every
-// executor and reuse-catalog entry of the old layout: after a reshard the
-// old per-shard label memos could never be merged soundly, so they are
-// reclaimed instead of lingering until LRU pressure finds them.
-func (s *Service) shardExec(ctx context.Context, p *plan, ref shard.Spec) (*lsample.ShardExec, *lsample.PreparedQuery, error) {
-	prep, err := s.prepared(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if old := s.shardLayout.Swap(int64(ref.Count)); old != 0 && old != int64(ref.Count) {
-		s.execs.dropIf(func(x *lsample.ShardExec) bool {
-			_, count := x.Shard()
-			return count != ref.Count
-		})
-		if s.catalog != nil {
-			s.catalog.EvictShardLayout(ref.Count)
-		}
-	}
-	key := p.execKey(ref)
-	if exec, ok := s.execs.get(key); ok {
-		s.m.shardExec.With("hit").Inc()
-		return exec, prep, nil
-	}
-	s.m.shardExec.With("miss").Inc()
-	exec, err := prep.PrepareShard(ctx, ref.Index, ref.Count, p.Params, p.execOptions()...)
-	if err != nil {
-		return nil, nil, err
-	}
-	// A concurrent op that prepared the same tuple first wins: keep its
-	// executor (and its cross-check verdict) and drop ours.
-	return s.execs.put(key, p.Vector, exec), prep, nil
 }
 
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {

@@ -14,9 +14,25 @@ import (
 
 // These tests hold a worker's shard executor to what it is: the shard, not
 // one seed's run of it. One executor per (query, parameters, shard) serves
-// every seed and budget, keeps the population, the checked predicate and
-// every label across counts, and answers byte-identically to a fresh
-// in-process WithShards run of each seed.
+// every seed and budget, keeps the population and the checked predicate
+// resident on the prepared query, keeps every label in the catalog across
+// counts, and answers byte-identically to a fresh in-process WithShards run
+// of each seed.
+
+// executorBuilds counts the shard executors the given traces show being
+// built: an op that finds its executor resident opens no enumerate span,
+// one that builds it opens exactly one.
+func executorBuilds(traces ...*obs.SpanData) int {
+	n := 0
+	for _, tr := range traces {
+		forEachSpan(tr, func(d *obs.SpanData) {
+			if d.Name == "enumerate" {
+				n++
+			}
+		})
+	}
+	return n
+}
 
 // sameAnswer compares everything of two answers but the evaluation bill. (A
 // grouped answer's intervals are its rows': on every serving path the total
@@ -55,11 +71,11 @@ func freshRun(t *testing.T, local *Service, req CountRequest, shards int) *Count
 // TestShardExecServesEverySeed: K fresh seeds of three query classes go
 // through one worker over HTTP. Every answer is byte-identical to a fresh
 // in-process WithShards(1) run of its seed and costs no more evaluations;
-// the worker keeps one executor per (query, method) — not one per count —
-// and after each executor's first op every op is a hit.
+// the worker builds one executor per (query, method) — not one per count —
+// and every later op finds it resident.
 func TestShardExecServesEverySeed(t *testing.T) {
 	const n, seeds = 150, 6
-	worker, srv := newWorkerServer(t, testTable(n, 7), groupedTestTable(n, 7))
+	_, srv := newWorkerServer(t, testTable(n, 7), groupedTestTable(n, 7))
 	reg := NewRegistry()
 	reg.Register(testTable(n, 7))
 	reg.Register(groupedTestTable(n, 7))
@@ -67,11 +83,12 @@ func TestShardExecServesEverySeed(t *testing.T) {
 	coord := newCoordinator(t, CoordinatorOptions{Shards: 1}, srv)
 
 	classes := []CountRequest{
-		{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3},
-		{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "srs", Budget: 0.2},
-		{SQL: groupedSkybandQuery, Params: map[string]any{"k": float64(12)}, Method: "lss", Budget: 0.3},
+		{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3, Explain: true},
+		{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "srs", Budget: 0.2, Explain: true},
+		{SQL: groupedSkybandQuery, Params: map[string]any{"k": float64(12)}, Method: "lss", Budget: 0.3, Explain: true},
 	}
 	var spent, fresh int64
+	built := 0
 	for seed := uint64(1); seed <= seeds; seed++ {
 		for c, req := range classes {
 			req.Seed = seed
@@ -85,28 +102,23 @@ func TestShardExecServesEverySeed(t *testing.T) {
 				t.Errorf("class %d seed %d spent %d evaluations, a fresh run %d", c, seed, got.Evals, ref.Evals)
 			}
 			spent, fresh = spent+got.Evals, fresh+ref.Evals
+			built += executorBuilds(got.Trace)
 		}
 	}
 	if spent >= fresh {
 		t.Errorf("%d seeds spent %d evaluations through one executor, fresh runs %d: no label was shared", seeds, spent, fresh)
 	}
-	if got := worker.execs.len(); got != len(classes) {
-		t.Errorf("worker holds %d executors after %d counts, want %d", got, seeds*len(classes), len(classes))
-	}
-	if miss := worker.m.shardExec.With("miss").Value(); miss != int64(len(classes)) {
-		t.Errorf("%d executor misses, want one per executor (%d)", miss, len(classes))
-	}
-	if hit := worker.m.shardExec.With("hit").Value(); hit < int64(seeds*len(classes)) {
-		t.Errorf("only %d executor hits over %d counts", hit, seeds*len(classes))
+	if built != len(classes) {
+		t.Errorf("worker built %d executors over %d counts, want %d", built, seeds*len(classes), len(classes))
 	}
 }
 
 // TestShardExecConcurrentSeeds: ops of different seeds run on one executor
-// at once (run under -race) and every seed still gets its own byte-
-// identical answer.
+// at once (run under -race), every seed still gets its own byte-identical
+// answer, and a count after them finds both shards' executors resident.
 func TestShardExecConcurrentSeeds(t *testing.T) {
 	const n, seeds = 150, 8
-	worker, srv := newWorkerServer(t, testTable(n, 7))
+	_, srv := newWorkerServer(t, testTable(n, 7))
 	local := newTestService(t, n, Options{})
 	coord := newCoordinator(t, CoordinatorOptions{Shards: 2}, srv)
 
@@ -137,27 +149,36 @@ func TestShardExecConcurrentSeeds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := worker.execs.len(); got != 2 {
-		t.Errorf("worker holds %d executors, want one per shard (2)", got)
+	after := base
+	after.Seed, after.Explain = seeds+1, true
+	res, err := coord.Count(context.Background(), &after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built := executorBuilds(res.Trace); built != 0 {
+		t.Errorf("a count after %d concurrent seeds built %d executors, want both shards' resident", seeds, built)
 	}
 }
 
 // TestShardExecBoundsWorkerState: what a worker retains is O(population)
 // per (query, shard), not O(counts). After a first count that labels the
-// whole population, fresh seeds and budgets change neither the executor
-// population nor the catalog's entry count nor a byte of its accounting;
-// an lss plan that buys its labels count by count stops growing once the
+// whole population, fresh seeds and budgets build no executor and change
+// neither the catalog's entry count nor a byte of its accounting; an lss
+// plan that buys its labels count by count stops growing once the
 // population is labeled.
 func TestShardExecBoundsWorkerState(t *testing.T) {
 	const n = 150
 	worker, srv := newWorkerServer(t, testTable(n, 7))
 	coord := newCoordinator(t, CoordinatorOptions{Shards: 2}, srv)
+	built := 0
 	count := func(method string, budget float64, seed uint64) {
 		t.Helper()
-		req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: method, Budget: budget, Seed: seed}
-		if _, err := coord.Count(context.Background(), &req); err != nil {
+		req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: method, Budget: budget, Seed: seed, Explain: true}
+		res, err := coord.Count(context.Background(), &req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		built += executorBuilds(res.Trace)
 	}
 
 	count("srs", 1, 1)
@@ -172,8 +193,8 @@ func TestShardExecBoundsWorkerState(t *testing.T) {
 		t.Errorf("12 fresh seeds moved the catalog from %d entries / %d B to %d / %d B",
 			first.Entries, first.Bytes, after.Entries, after.Bytes)
 	}
-	if got := worker.execs.len(); got != 2 {
-		t.Errorf("worker holds %d executors after 13 counts, want one per shard (2)", got)
+	if built != 2 {
+		t.Errorf("worker built %d executors over 13 counts, want one per shard (2)", built)
 	}
 
 	for seed := uint64(1); seed <= 30; seed++ {
@@ -187,8 +208,8 @@ func TestShardExecBoundsWorkerState(t *testing.T) {
 		t.Errorf("30 more lss seeds moved the catalog from %d entries / %d B to %d / %d B, want 4 entries and no growth",
 			labeled.Entries, labeled.Bytes, after.Entries, after.Bytes)
 	}
-	if got := worker.execs.len(); got != 4 {
-		t.Errorf("worker holds %d executors, want one per (method, shard) (4)", got)
+	if built != 4 {
+		t.Errorf("worker built %d executors, want one per (method, shard) (4)", built)
 	}
 }
 
@@ -256,13 +277,13 @@ func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 	if other.Evals != first.Evals {
 		t.Errorf("a changed parameter spent %d evaluations, want the full %d: labels of another predicate leaked", other.Evals, first.Evals)
 	}
-	if got := worker.execs.len(); got != 2 {
-		t.Errorf("worker holds %d executors, want one per parameter binding (2)", got)
+	if built := executorBuilds(other.Trace); built != 1 {
+		t.Errorf("a changed parameter built %d executors, want its own 1", built)
 	}
 
 	worker.RegisterTable(testTable(n, 8)) // a new dataset version
-	if got := worker.execs.len(); got != 0 {
-		t.Errorf("%d executors survived their snapshot", got)
+	if got := worker.preps.len(); got != 0 {
+		t.Errorf("%d prepared queries, and the executors they keep, survived their snapshot", got)
 	}
 	moved := count(10, 1)
 	if checked, _ := predicateBuilds(t, moved.Trace); checked != 1 {
@@ -274,7 +295,7 @@ func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 }
 
 // TestCoordinatorPlacesPrimariesEvenly: with S = kW shards every worker is
-// primary for exactly k of them — so it prepares exactly k executors and
+// primary for exactly k of them — so it builds exactly k executors and
 // takes its share of the ops — and the merged answer is byte-identical to
 // the in-process run, as it was when one worker could own every shard.
 func TestCoordinatorPlacesPrimariesEvenly(t *testing.T) {
@@ -290,21 +311,52 @@ func TestCoordinatorPlacesPrimariesEvenly(t *testing.T) {
 				}
 				// No hedging: every op goes to its shard's primary.
 				coord := newCoordinator(t, CoordinatorOptions{Shards: k * w, HedgeAfter: time.Minute}, servers...)
-				req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3, Seed: 5}
+				req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3, Seed: 5, Explain: true}
 				got, err := coord.Count(context.Background(), &req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameAnswer(t, "scatter/gather", got, freshRun(t, local, req, k*w))
 				for i, worker := range workers {
-					if execs := worker.execs.len(); execs != k {
-						t.Errorf("w%d prepared %d executors, want %d", i, execs, k)
+					if built := executorBuilds(worker.Tracer().Traces(0)...); built != k {
+						t.Errorf("w%d built %d executors, want %d", i, built, k)
 					}
 					if ops := coord.shardOps.With(fmt.Sprintf("w%d", i)).Value(); ops == 0 {
 						t.Errorf("w%d was sent no shard op", i)
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestInterleavedLayoutsKeepTheirLabels: clients that send one coordinator
+// different shard counts — or two coordinators with different -shards over
+// the same workers — interleave layouts on every worker. Each layout keeps
+// its own executors and catalog entries, so its second pass over the same
+// request buys no label, whatever the other layout did in between.
+func TestInterleavedLayoutsKeepTheirLabels(t *testing.T) {
+	const n = 120
+	_, srvA := newWorkerServer(t, testTable(n, 7))
+	_, srvB := newWorkerServer(t, testTable(n, 7))
+	local := newTestService(t, n, Options{})
+	coord := newCoordinator(t, CoordinatorOptions{}, srvA, srvB)
+
+	for pass := 1; pass <= 3; pass++ {
+		for _, shards := range []int{2, 3} {
+			req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.25, Seed: 3, Shards: shards}
+			got, err := coord.Count(context.Background(), &req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := freshRun(t, local, req, shards)
+			sameAnswer(t, fmt.Sprintf("pass %d, %d shards", pass, shards), got, ref)
+			switch {
+			case pass == 1 && got.Evals != ref.Evals:
+				t.Errorf("pass 1, %d shards: %d fresh evaluations, a cold run %d", shards, got.Evals, ref.Evals)
+			case pass > 1 && got.Evals != 0:
+				t.Errorf("pass %d, %d shards: %d fresh evaluations, want 0 — the other layout evicted this one's labels", pass, shards, got.Evals)
+			}
 		}
 	}
 }

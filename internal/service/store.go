@@ -7,7 +7,7 @@ import (
 )
 
 // store is the one container behind every cache the service keeps — counted
-// results, prepared queries, per-shard executors, parsed query shapes: a
+// results, prepared queries, parsed query shapes: a
 // bounded LRU over string keys with an optional TTL, each entry tagged with
 // the version vector it was built against (nil when no data version can
 // stale it), so "drop what the registry no longer serves" is one walk
@@ -87,20 +87,11 @@ func (s *store[V]) put(key string, versions map[string]uint64, val V) V {
 // dropStale evicts every entry built against a version vector that serves
 // rejects — the registry's Serves: some table of the vector was replaced.
 func (s *store[V]) dropStale(serves func(versions map[string]uint64) bool) {
-	s.drop(func(e *storeEntry[V]) bool { return !serves(e.versions) })
-}
-
-// dropIf evicts every entry whose value gone reports true for.
-func (s *store[V]) dropIf(gone func(V) bool) {
-	s.drop(func(e *storeEntry[V]) bool { return gone(e.val) })
-}
-
-func (s *store[V]) drop(gone func(*storeEntry[V]) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for el := s.ll.Front(); el != nil; {
 		next := el.Next()
-		if gone(el.Value.(*storeEntry[V])) {
+		if !serves(el.Value.(*storeEntry[V]).versions) {
 			s.unlink(el)
 		}
 		el = next

@@ -46,8 +46,8 @@ func TestResultCacheLRUAndTTL(t *testing.T) {
 }
 
 // TestStoreEvictsExactlyOnce: each way the store lets go of a value — LRU
-// pressure, a lost insert race, either drop walk — removes exactly that
-// value and leaves every other resident.
+// pressure, a lost insert race, the drop walk — removes exactly that value
+// and leaves every other resident.
 func TestStoreEvictsExactlyOnce(t *testing.T) {
 	s := newStore[string](2, 0)
 	v1 := map[string]uint64{"D": 1}
@@ -73,11 +73,10 @@ func TestStoreEvictsExactlyOnce(t *testing.T) {
 	if got := resident(); got != "b1 c1 " {
 		t.Fatalf("after race + LRU eviction: resident %q", got)
 	}
-	s.dropIf(func(v string) bool { return v == "b1" })
-	if got := resident(); got != "c1 " {
-		t.Fatalf("after dropIf: resident %q", got)
+	s.put("d", v1, "d1") // over capacity: b1 goes
+	if got := resident(); got != "c1 d1 " {
+		t.Fatalf("after a second LRU eviction: resident %q", got)
 	}
-	s.put("d", v1, "d1")
 	s.dropStale(func(v map[string]uint64) bool { return v["D"] == 2 }) // the registry moved on from version 1
 	if got := resident(); got != "c1 " || s.len() != 1 {
 		t.Fatalf("after dropStale: resident %q, len %d", got, s.len())
@@ -85,10 +84,10 @@ func TestStoreEvictsExactlyOnce(t *testing.T) {
 }
 
 // TestShardExecClosedOncePerEviction drives the same property through the
-// service with real executors: a concurrent stampede on one (plan, shard)
-// keeps exactly one executor, and a version bump leaves none behind — nor
-// any catalog entry of the superseded snapshot: an executor pins its entry
-// only while an op runs.
+// service with real executors: after a concurrent stampede on one (plan,
+// shard) the next op finds one executor resident, and a version bump leaves
+// none behind — no prepared query to keep one, nor any catalog entry of the
+// superseded snapshot: an executor pins its entry only while an op runs.
 func TestShardExecClosedOncePerEviction(t *testing.T) {
 	svc, _ := newWorkerServer(t, testTable(80, 7))
 	ctx := context.Background()
@@ -103,12 +102,12 @@ func TestShardExecClosedOncePerEviction(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := svc.execs.len(); got != 1 {
-		t.Fatalf("a stampede on one shard retained %d executors, want 1", got)
+	if built := opBuilds(t, svc, shardReq("meta", 1, 2)); built != 0 {
+		t.Fatalf("an op after the stampede built %d executors, want the resident one", built)
 	}
 	svc.RegisterTable(testTable(80, 8))
-	if got := svc.execs.len(); got != 0 {
-		t.Fatalf("after re-registration: retained %d executors, want 0", got)
+	if got := svc.preps.len(); got != 0 {
+		t.Fatalf("after re-registration: retained %d prepared queries, want 0", got)
 	}
 	if pinned := svc.CatalogStats().Entries; pinned != 0 {
 		t.Fatalf("catalog still holds %d entries of the superseded snapshot", pinned)

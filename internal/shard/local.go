@@ -26,11 +26,11 @@ type LabelFunc func(ctx context.Context, keys []int64) ([]bool, int, error)
 // of one in-process execution broadcast the identical learn sample, so the
 // first to ask pays the fit and the others share it — the in-process
 // analogue of each remote worker training its own identical copy. A fit is
-// a pure function of (x, y, clfSeed) and the memo is keyed by all three, so
-// a Trainer may outlive the execution (a worker-side shard executor serves
-// every seed and budget of its query): a different learn sample replaces
-// the fit, and at most one is ever held. (A NaN feature never compares
-// equal, which costs a refit, never a wrong classifier.)
+// a pure function of (x, y, clfSeed) and the memo is keyed by all three: a
+// different learn sample replaces the fit, and at most one is ever held. (A
+// NaN feature never compares equal, which costs a refit, never a wrong
+// classifier.) One execution owns a Trainer; executions sharing a shard
+// each bring their own (WithSeed), so none waits on another's fit.
 type Trainer struct {
 	newClf func(seed uint64) learn.Classifier
 
@@ -96,13 +96,13 @@ func NewLocal(seed uint64, keys []int64, feats [][]float64, groups []string,
 	}
 }
 
-// WithSeed returns the worker over the same shard under another plan seed
-// and label function — one execution's view of a shard that outlives it.
-// The seed only steers Cands; everything else a Local holds is a fact about
-// the shard, shared with the receiver.
-func (w *Local) WithSeed(seed uint64, labelFn LabelFunc) *Local {
+// WithSeed returns the worker over the same shard under another plan seed,
+// label function and trainer — one execution's view of a shard that
+// outlives it. The seed only steers Cands; everything else a Local holds is
+// a fact about the shard, shared with the receiver.
+func (w *Local) WithSeed(seed uint64, labelFn LabelFunc, trainer *Trainer) *Local {
 	c := *w
-	c.seed, c.labelFn = seed, labelFn
+	c.seed, c.labelFn, c.trainer = seed, labelFn, trainer
 	return &c
 }
 

@@ -85,7 +85,7 @@ func TestLocalWithSeed(t *testing.T) {
 		w := base.WithSeed(seed, func(_ context.Context, sel []int64) ([]bool, int, error) {
 			labeled += len(sel)
 			return make([]bool, len(sel)), len(sel), nil
-		})
+		}, nil)
 		got, err := w.Cands(ctx, 3, TagSample)
 		if err != nil {
 			t.Fatal(err)

@@ -293,12 +293,12 @@ func (p *population) rows() [][]float64 {
 }
 
 // populate is the one builder of a prepared query's population: Q2 inside
-// an "enumerate" span and — for a method that reads features, over a
+// an "enumerate" span and — when the method reads features, over a
 // population that has objects — the feature rows inside a "features" span.
 // Feature-free methods (plain random sampling, the exact oracle) skip
 // feature derivation and with it the unique-integer-key restriction it
 // needs.
-func (q *PreparedQuery) populate(ctx context.Context, method string, vals map[string]engine.Value,
+func (q *PreparedQuery) populate(ctx context.Context, features bool, vals map[string]engine.Value,
 	strs map[string]string) (*population, error) {
 
 	_, esp := obs.StartSpan(ctx, "enumerate")
@@ -308,7 +308,7 @@ func (q *PreparedQuery) populate(ctx context.Context, method string, vals map[st
 		return nil, err
 	}
 	esp.Set("objects", p.n)
-	if p.n == 0 || !needsFeatures(method) {
+	if p.n == 0 || !features {
 		return p, nil
 	}
 	_, fsp := obs.StartSpan(ctx, "features")

@@ -210,6 +210,11 @@
 // internal/shard's Drive over N >= 1 in-process workers — one worker when
 // only a catalog asked for it, s under WithShards(s) — and serves methods
 // srs, lss, and oracle over queries with a unique integer object key.
+// Everything of a hash-plan count that no seed or budget can change — the
+// population, its partition, the feature rows and the predicate's one
+// cross-check — stays resident on the PreparedQuery (up to 8 parameter
+// bindings × layouts), so repeating a count re-derives none of it. Labels
+// outlive a count only in a catalog: without one, every count buys its own.
 // LiveQuery.Refresh runs the hash plan's recipe steps over the labels,
 // classifier and strata it maintains. The classic body and the hash plan
 // give different (each deterministic) estimates for the same seed —
@@ -282,20 +287,22 @@
 //   - Catalog composition: with a catalog attached, each shard's labels
 //     live in an entry of the one kind, its key's shard component naming
 //     the exact layout (empty for a one-worker run), so layouts fill
-//     independently and a reshard can never be served another layout's
-//     labels. On every layout a run of a seed the catalog has never seen
+//     independently, a layout is never served another layout's labels, and
+//     running one layout evicts none of another's. On every layout a run of a seed the catalog has never seen
 //     can report Reuse == ReuseExtension or ReuseDirect and spend fewer
 //     evaluations than its budget (its estimate is unchanged:
 //     byte-identical to a catalog-free run). A sharded run reports
 //     ReuseNone if any entry it asked had never been asked before.
 //
-// PrepareShard(ctx, index, count, params) materializes a single shard
-// (ShardExec) for out-of-process deployments. A ShardExec is the shard, not
-// one seed's run of it — its slice of the population, its feature rows and
-// its cross-checked predicate — so it takes no seed and no budget matters to
-// it, and a worker process keeps one per (snapshot, query, parameters,
-// shard, method, classifier) for as long as it serves that tuple. Its one
-// entry point, Op(ctx, seed, op, args), runs one named operation of the
+// PrepareShard(ctx, index, count, params) returns a handle on a single
+// shard (ShardExec) for out-of-process deployments. The shard itself — its
+// slice of the population, its feature rows and its cross-checked predicate
+// — is not one seed's run of it: the prepared query keeps it resident and
+// hands it to every PrepareShard of the same (parameters, shard, method's
+// need for features, labeling knobs), so a worker process asks once per op
+// and pays enumeration and the cross-check once per shard. The handle is
+// per call: it carries that call's options, the catalog among them, takes
+// no seed, and no budget matters to it. Its one entry point, Op(ctx, seed, op, args), runs one named operation of the
 // shard-op protocol under the given plan seed; the JSON argument and reply
 // blocks are opaque to the SDK's caller, so a worker passes them through
 // untouched and a coordinator (cmd/lsserve -role=coordinator, or

@@ -171,7 +171,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		return est, err
 	}
 
-	p, err := q.populate(ctx, cfg.method, vals, strs)
+	p, err := q.populate(ctx, needsFeatures(cfg.method), vals, strs)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 	if p.n == 0 {
 		return out, nil
 	}
-	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, unvalidated)
+	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -142,7 +142,15 @@ type PreparedQuery struct {
 	featMu sync.Mutex
 	feats  map[string]*featureState // keyed by sorted parameter names
 	builds int                      // feature-state constructions (tests assert == 1)
+
+	resMu     sync.Mutex
+	residents []*shardData // hash-plan executors (shardexec.go), most recently used first
 }
+
+// maxResident bounds the hash-plan executors a prepared query keeps
+// resident, each O(population): parameter bindings × shard layouts ×
+// labeling knobs in recent use.
+const maxResident = 8
 
 // featureState is the per-query-shape artifact every feature-using Execute
 // shares: the auto-selected feature columns, the O(N) unique-key index, and
@@ -231,7 +239,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 		}
 	}
 
-	p, err := q.populate(ctx, cfg.method, vals, strs)
+	p, err := q.populate(ctx, needsFeatures(cfg.method), vals, strs)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +247,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	if p.n == 0 {
 		return cfg.header(fp, 0).answerEmpty(cfg), nil
 	}
-	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, unvalidated)
+	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -313,33 +321,19 @@ func (cfg config) classic(ctx context.Context, what string, features [][]float64
 	return est, truth, nil
 }
 
-// validator names who remembers that a program already passed the
-// interpreter's cross-check: nobody, the hash-plan Execute whose first shard
-// just passed it, or the ShardExec whose first build did (shardData.checked).
-type validator uint8
-
-const (
-	unvalidated validator = iota
-	byRun
-	byExecutor
-)
-
-// String is the validated_by attribute of a "predicate.build" span.
-func (v validator) String() string { return [...]string{"", "run", "executor"}[v] }
-
 // buildPredicate is buildEnginePredicate for the prepared program, inside a
-// "predicate.build" span. by is unvalidated for a build that must pay the
+// "predicate.build" span. validated is false for a build that must pay the
 // cross-check: Execute and ExecuteGroups on the classic path, where nothing
-// remembers a passed check across executions yet, and the first build of
-// every hash-plan execution or executor.
+// remembers a passed check across executions, and the first build of every
+// resident hash-plan executor; a build on an executor's verdict carries
+// validated_by=executor.
 func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator, objects *engine.ResultSet,
-	vals map[string]engine.Value, cfg config, by validator) (predicate.Predicate, Labeling, error) {
+	vals map[string]engine.Value, cfg config, validated bool) (predicate.Predicate, Labeling, error) {
 
 	_, sp := obs.StartSpan(ctx, "predicate.build")
 	defer sp.End()
-	validated := by != unvalidated
 	if validated {
-		sp.Set("validated_by", by.String())
+		sp.Set("validated_by", "executor")
 	}
 	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, validated)
 	if err != nil {
@@ -368,7 +362,7 @@ func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator
 // succeeds is used as it is and the interpreter's evaluation of object 0 —
 // one full join scan — is not paid again. Who remembers a passed check:
 // refreshState.validated across refreshes of one program, shardData.checked
-// for a hash-plan execution's seed-independent half; nothing else.
+// for a resident hash-plan executor; nothing else.
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
 	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
 	validated bool) (predicate.Predicate, Labeling, error) {

@@ -28,10 +28,11 @@ import (
 // and every merge is an exact set union or integer sum.
 //
 // An execution is two halves: shardData, everything no seed can change, and
-// shardRun, one seed's execution over it. Execute builds both and drops
-// both; PrepareShard keeps the first half of one shard (ShardExec) for an
-// out-of-process serving layer, where every op of every seed is a shardRun
-// over the one executor.
+// shardRun, one seed's execution over it. The prepared query keeps the
+// first half resident (residents, at most maxResident per query), so a
+// repeated count over the same parameters and layout enumerates, partitions
+// and cross-checks nothing again; every Execute, and every Op of a
+// ShardExec handle, is a shardRun over it.
 
 // predPool lends out one worker's predicates. A predicate is a pure
 // function of (snapshot, parameters, program) but not safe for concurrent
@@ -72,10 +73,10 @@ func (p *predPool) put(pred predicate.Predicate) {
 // ascending object order through the predicate's batch path, byte-identical
 // at any parallelism. The memo is a catalog entry's label space, which
 // every execution on that worker shares and the store locks only to read
-// and to write back, a LiveQuery's label memo, or without a catalog the
-// worker's own memo (shardWorker.memo).
+// and to write back, a LiveQuery's label memo, or without a catalog one
+// run's own map: labels outlive a count only in a catalog.
 type labelStore struct {
-	lock     sync.Locker // guards labels and the counters: the catalog entry or the worker's memo the labels live in
+	lock     sync.Locker // guards labels and the counters: the catalog entry or the run's map the labels live in
 	labels   map[int64]bool
 	keys     []int64 // global keys by object position
 	posByKey map[int64]int
@@ -136,11 +137,11 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 // shardData is the seed-independent half of a hash-plan execution: the
 // enumerated population, partitioned into per-shard workers, and the
 // predicate's cross-check verdict. Everything here is a pure function of
-// (snapshot, query, parameters, shard layout, method, classifier), so it
-// may serve any number of executions, of any seed and budget, at once.
+// its residentKey, so it may serve any number of executions, of any seed
+// and budget, at once.
 type shardData struct {
 	*population // indexed: label stores address objects by global key
-	fp          string
+	key         residentKey
 	canon       []string // grouped: canonical key by group index
 
 	shards []*shardWorker // the shards this process holds, in index order
@@ -150,27 +151,20 @@ type shardData struct {
 	// labeling call to miss pays the check, the others wait on checked and
 	// build on its verdict — a first build that fell back sends every later
 	// one through the same check to the same fallback. It lives as long as
-	// this half does: one Execute (byRun), every count a ShardExec serves
-	// (byExecutor).
-	build     func(ctx context.Context, by validator) (predicate.Predicate, Labeling, error)
-	owner     validator // byRun or byExecutor: what validated_by reads on later builds
+	// this half stays resident.
+	build     func(ctx context.Context, validated bool) (predicate.Predicate, Labeling, error)
 	checked   sync.Once
 	validated bool
 	lab       Labeling // what the checked build reported
 }
 
 // shardWorker is one shard of a shardData: its slice of the population as
-// a seedless shard.Local, the predicates it lends to labeling calls, the
-// seed-free identity of its catalog entry, and the label memo its
-// executions share when no catalog holds their labels.
+// a seedless shard.Local, the predicates it lends to labeling calls, and
+// the seed-free identity of its catalog entry.
 type shardWorker struct {
 	local *shard.Local
 	preds predPool
 	key   catalog.Key
-	memo  struct {
-		sync.Mutex
-		labels map[int64]bool
-	}
 }
 
 // buildPredicate builds one more predicate for a worker of this half,
@@ -179,15 +173,11 @@ func (d *shardData) buildPredicate(ctx context.Context) (p predicate.Predicate, 
 	first := false
 	d.checked.Do(func() {
 		first = true
-		p, d.lab, err = d.build(ctx, unvalidated)
+		p, d.lab, err = d.build(ctx, false)
 		d.validated = err == nil && d.lab.Compiled
 	})
 	if !first {
-		by := unvalidated
-		if d.validated {
-			by = d.owner
-		}
-		p, _, err = d.build(ctx, by)
+		p, _, err = d.build(ctx, d.validated)
 	}
 	return p, err
 }
@@ -272,33 +262,85 @@ func outOfContract(format string, args ...any) error {
 	return contractError{badf(format, args...)}
 }
 
-// buildShardData validates the hash-plan contract, takes the query's
-// population, partitions it into count hash-aligned shards, and constructs
-// the per-shard workers. count 0 is one worker over the whole population,
-// its catalog key's Shard empty. only (when >= 0) restricts construction to
-// that single shard — the out-of-process worker path, which still
-// enumerates the full population (cheap Q2) but materializes just its own
-// slice. Of cfg it reads the method, the classifier and the labeling knobs —
-// never the seed, the budget or the catalog.
-func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map[string]engine.Value,
-	strs map[string]string, count, only int) (*shardData, error) {
+// residentKey is everything buildShardData reads: the parameter-bound
+// fingerprint, the layout, whether the method reads features, and the two
+// knobs a predicate is built with. Seed, budget, catalog and classifier
+// belong to the run.
+type residentKey struct {
+	fp          string
+	count, only int
+	features    bool
+	parallelism int
+	noCompile   bool
+}
+
+// resident returns the seed-independent half over count shards (only: see
+// buildShardData) and whether it was resident, building it outside the
+// lock on a miss. A failed build is not kept; of two racing misses the
+// first build kept wins. A method outside the contract is rejected first:
+// srs and oracle share entries, no other may.
+func (q *PreparedQuery) resident(ctx context.Context, cfg config, vals map[string]engine.Value,
+	strs map[string]string, count, only int) (*shardData, bool, error) {
 
 	if !slices.Contains(GroupMethods(), cfg.method) {
-		return nil, outOfContract("method %q cannot run the hash plan (want one of %v)", cfg.method, GroupMethods())
+		return nil, false, outOfContract("method %q cannot run the hash plan (want one of %v)", cfg.method, GroupMethods())
 	}
+	key := residentKey{fp: sql.Fingerprint(q.shape, strs), count: count, only: only,
+		features: needsFeatures(cfg.method), parallelism: cfg.parallelism, noCompile: cfg.noCompile}
+	if d := q.findResident(key, nil); d != nil {
+		return d, true, nil
+	}
+	d, err := q.buildShardData(ctx, key, vals, strs)
+	if err != nil {
+		return nil, false, err
+	}
+	return q.findResident(key, d), false, nil
+}
+
+// findResident moves key's entry to the front of the LRU and returns it;
+// absent, it inserts a non-nil add in front, evicting the least recently
+// used over maxResident.
+func (q *PreparedQuery) findResident(key residentKey, add *shardData) *shardData {
+	q.resMu.Lock()
+	defer q.resMu.Unlock()
+	for i, d := range q.residents {
+		if d.key == key {
+			copy(q.residents[1:i+1], q.residents[:i])
+			q.residents[0] = d
+			return d
+		}
+	}
+	if add != nil {
+		if len(q.residents) < maxResident {
+			q.residents = append(q.residents, nil)
+		}
+		copy(q.residents[1:], q.residents)
+		q.residents[0] = add
+	}
+	return add
+}
+
+// buildShardData validates the hash-plan contract, takes the query's
+// population, partitions it into k.count hash-aligned shards, and
+// constructs the per-shard workers. count 0 is one worker over the whole
+// population, its catalog key's Shard empty. only (when >= 0) restricts
+// construction to that single shard — the out-of-process worker path,
+// which still enumerates the full population (cheap Q2) but materializes
+// just its own slice.
+func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals map[string]engine.Value,
+	strs map[string]string) (*shardData, error) {
+
 	if _, err := q.objectKeyColumn(); err != nil {
 		return nil, outOfContract("hash-plan execution needs a unique integer object key: %v", err)
 	}
-	d := &shardData{fp: sql.Fingerprint(q.shape, strs), owner: byRun}
+	d := &shardData{key: k}
+	count, only := k.count, k.only
 	unsharded := count == 0
 	if unsharded {
 		count = 1
 	}
-	if only >= 0 {
-		d.owner = byExecutor // a single shard is a ShardExec's
-	}
 
-	p, err := q.populate(ctx, cfg.method, vals, strs)
+	p, err := q.populate(ctx, k.features, vals, strs)
 	if err != nil {
 		return nil, err
 	}
@@ -311,15 +353,6 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 	}
 	d.population = p
 	n, keys, features := p.n, p.keys, p.features
-
-	var trainer *shard.Trainer
-	if needsFeatures(cfg.method) {
-		newClf, cerr := cfg.buildClassifier()
-		if cerr != nil {
-			return nil, cerr
-		}
-		trainer = shard.NewTrainer(newClf)
-	}
 
 	var canonOf []string // per object position; nil for plain queries
 	partsOf := map[string][]string{}
@@ -370,15 +403,16 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 			shardGroups[s] = append(shardGroups[s], canonOf[i])
 		}
 	}
-	// Partitioned into the workers: an executor that outlives the count
-	// keeps no second, whole-population copy of either.
+	// Partitioned into the workers: resident data keeps no second,
+	// whole-population copy of either.
 	p.features, p.groupOf = nil, nil
 
-	d.build = func(ctx context.Context, by validator) (predicate.Predicate, Labeling, error) {
+	pcfg := config{parallelism: k.parallelism, noCompile: k.noCompile} // all a predicate build reads
+	d.build = func(ctx context.Context, validated bool) (predicate.Predicate, Labeling, error) {
 		// Each predicate gets its own evaluator: the interpreted engine
 		// carries per-evaluation state and must not be shared across the
 		// driver's concurrent scatter.
-		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, cfg, by)
+		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, pcfg, validated)
 	}
 	key := q.catalogKey(strs, d.featCols)
 	for s := 0; s < count; s++ {
@@ -386,60 +420,52 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, cfg config, vals map
 			continue
 		}
 		w := &shardWorker{
-			local: shard.NewLocal(0, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, nil, trainer),
+			local: shard.NewLocal(0, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, nil, nil),
 			preds: predPool{build: d.buildPredicate},
 			key:   key,
 		}
 		if !unsharded {
 			w.key.Shard = shard.Spec{Index: s, Count: count}.String()
 		}
-		w.memo.labels = make(map[int64]bool)
 		d.shards = append(d.shards, w)
 	}
 	return d, nil
 }
 
-// newRun starts one execution over d under cfg's seed and catalog: a label
-// store and a seeded worker per materialized shard, and the catalog entries
-// their labels live in.
-func (d *shardData) newRun(cfg config) *shardRun {
+// newRun starts one execution over d under cfg's seed, classifier and
+// catalog: a label store and a seeded worker per materialized shard, the
+// catalog entries their labels live in (or a map of the run's own), and one
+// Trainer its shards share, so concurrent runs never wait on each other's fit.
+func (d *shardData) newRun(cfg config) (*shardRun, error) {
 	r := &shardRun{shardData: d}
 	if cfg.catalog != nil && d.n > 0 { // an empty population has nothing to reuse
 		r.cat = cfg.catalog.inner
 	}
-	for _, w := range d.shards {
-		l := &labelStore{
-			lock:     &w.memo,
-			labels:   w.memo.labels,
-			keys:     d.keys,
-			posByKey: d.posByKey,
-			preds:    &w.preds,
+	var trainer *shard.Trainer
+	if needsFeatures(cfg.method) {
+		newClf, err := cfg.buildClassifier()
+		if err != nil {
+			return nil, err
 		}
+		trainer = shard.NewTrainer(newClf)
+	}
+	for _, w := range d.shards {
+		l := &labelStore{keys: d.keys, posByKey: d.posByKey, preds: &w.preds}
 		if r.cat != nil {
 			e := r.cat.Acquire(w.key)
 			e.Lock()
 			r.entries = append(r.entries, e)
 			r.prev = append(r.prev, e.Materialized)
-			l.labels = e.Labels(d.fp, r.cat.Clock())
+			l.labels = e.Labels(d.key.fp, r.cat.Clock())
 			e.Unlock()
 			l.lock = e
+		} else {
+			l.lock, l.labels = new(sync.Mutex), make(map[int64]bool)
 		}
-		r.workers = append(r.workers, w.local.WithSeed(cfg.seed, l.label))
+		r.workers = append(r.workers, w.local.WithSeed(cfg.seed, l.label, trainer))
 		r.stores = append(r.stores, l)
 	}
-	return r
-}
-
-// buildShardRun builds both halves of an in-process execution: cfg.shards
-// workers, or one when no WithShards asked.
-func (q *PreparedQuery) buildShardRun(ctx context.Context, cfg config, vals map[string]engine.Value,
-	strs map[string]string) (*shardRun, error) {
-
-	d, err := q.buildShardData(ctx, cfg, vals, strs, cfg.shards, -1)
-	if err != nil {
-		return nil, err
-	}
-	return d.newRun(cfg), nil
+	return r, nil
 }
 
 // shardPlan maps the resolved config onto the driver's plan.
@@ -476,6 +502,21 @@ func (r *shardRun) drive(ctx context.Context, plan shard.Plan) (*shard.Result, e
 	return nil, fmt.Errorf("lsample: estimation failed: %w", err)
 }
 
+// startRun begins an in-process hash-plan execution: the resident data for
+// cfg.shards workers (one when no WithShards asked) and a run of cfg over
+// it. The enclosing hash-plan span learns whether the data was resident; on
+// a miss the enumerate and features spans open under it.
+func (q *PreparedQuery) startRun(ctx context.Context, cfg config, vals map[string]engine.Value,
+	strs map[string]string) (*shardRun, error) {
+
+	d, resident, err := q.resident(ctx, cfg, vals, strs, cfg.shards, -1)
+	if err != nil {
+		return nil, err
+	}
+	obs.FromContext(ctx).Set("resident", resident)
+	return d.newRun(cfg)
+}
+
 // executeHashPlan runs a plain counting query through the one hash-plan
 // executor: cfg.shards in-process workers under shard.Drive, or a single
 // worker over the whole population when only a reuse catalog asked for the
@@ -497,7 +538,7 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	ctx, span := obs.StartSpan(ctx, name)
 	defer span.End()
 	span.Set("shards", cfg.shards)
-	r, err := q.buildShardRun(ctx, cfg, vals, strs)
+	r, err := q.startRun(ctx, cfg, vals, strs)
 	if oc := (contractError{}); cfg.shards == 0 && errors.As(err, &oc) {
 		span.Set("fallthrough", true)
 		return nil, false, nil
@@ -508,7 +549,7 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	}
 	defer r.close()
 
-	out := cfg.header(r.fp, r.n)
+	out := cfg.header(r.key.fp, r.n)
 	out.FeatureColumns, out.Reuse = r.featCols, ReuseNone
 	if r.n == 0 {
 		return out.answerEmpty(cfg), true, nil
@@ -550,13 +591,13 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 	vals map[string]engine.Value, strs map[string]string) (*GroupedEstimate, error) {
 
 	t0 := time.Now()
-	r, err := q.buildShardRun(ctx, cfg, vals, strs)
+	r, err := q.startRun(ctx, cfg, vals, strs)
 	if err != nil {
 		return nil, err
 	}
 	defer r.close()
 
-	out := q.groupedHeader(cfg, r.fp, r.population)
+	out := q.groupedHeader(cfg, r.key.fp, r.population)
 	if r.n == 0 {
 		return out, nil
 	}
@@ -586,30 +627,32 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 // ShardExec is one shard of a query, materialized for an out-of-process
 // coordinator: the shard's identity, and Op — the one entry point through
 // which the coordinator's shard-op protocol reaches the shard's worker. It
-// is the seed-independent half of an execution and nothing else — the
-// shard's slice of the population, its features, and the predicate with its
-// cross-check verdict — so one executor serves every seed and budget of its
-// (snapshot, query, parameters, shard, method, classifier), and a worker
-// process keeps it for as long as that tuple is served. It holds no catalog
-// entry between ops and needs no closing. All methods are safe for
-// concurrent use.
+// is a per-call handle: the executor itself — the shard's slice of the
+// population, its features, and the predicate with its cross-check verdict
+// — stays resident on the prepared query, which hands the same one to
+// every PrepareShard of its (parameters, shard, method, labeling knobs),
+// whatever the seed or budget. The handle carries its call's options (the
+// catalog among them); each Op brings its seed. It holds no catalog entry
+// between ops and needs no closing. All methods are safe for concurrent
+// use.
 type ShardExec struct {
 	data  *shardData
-	cfg   config // the prepared options; each Op supplies the seed
+	cfg   config // the call's options; each Op supplies the seed
 	index int
 	count int
 }
 
-// PrepareShard materializes shard index of count for this query with the
-// given bound parameters: the population slice owned by the shard, its
+// PrepareShard returns a handle on shard index of count for this query with
+// the given bound parameters: the population slice owned by the shard, its
 // feature rows, and its predicate, which the first Op to miss a label
-// cross-checks against the interpreter once for the executor's lifetime.
-// The options follow the Execute contract; the method must be srs, lss, or
-// oracle and the query must have a unique integer object key. With a
-// catalog attached, labels are memoized in an entry scoped to this exact
-// shard layout and keyed by nothing a label does not depend on. An executor
-// has no seed — every Op brings its own — so an option that sets one is
-// rejected rather than ignored.
+// cross-checks against the interpreter once for as long as the executor
+// stays resident. The options follow the Execute contract; the method must
+// be srs, lss, or oracle and the query must have a unique integer object
+// key. With a catalog attached, labels are memoized in an entry scoped to
+// this exact shard layout and keyed by nothing a label does not depend on;
+// without one, each Op labels into a map of its own. A handle has no seed —
+// every Op brings its own — so an option that sets one is rejected rather
+// than ignored.
 func (q *PreparedQuery) PrepareShard(ctx context.Context, index, count int,
 	params map[string]any, opts ...Option) (*ShardExec, error) {
 
@@ -627,7 +670,7 @@ func (q *PreparedQuery) PrepareShard(ctx context.Context, index, count int,
 	if err != nil {
 		return nil, err
 	}
-	d, err := q.buildShardData(ctx, cfg, vals, strs, count, index)
+	d, _, err := q.resident(ctx, cfg, vals, strs, count, index)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +682,7 @@ func (x *ShardExec) Shard() (index, count int) { return x.index, x.count }
 
 // Fingerprint returns the parameter-bound query fingerprint the executor
 // was prepared for.
-func (x *ShardExec) Fingerprint() string { return x.data.fp }
+func (x *ShardExec) Fingerprint() string { return x.data.key.fp }
 
 // FeatureColumns returns the automatically selected feature columns (nil
 // for methods that need no features).
@@ -659,23 +702,14 @@ func (x *ShardExec) Op(ctx context.Context, seed uint64, op string, args json.Ra
 	defer recoverFault(&err)
 	cfg := x.cfg
 	cfg.seed = seed
-	r := x.data.newRun(cfg)
+	r, err := x.data.newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
 	defer r.close()
 	reply, err := shard.Serve(ctx, r.workers[0], op, args)
 	if errors.Is(err, shard.ErrBadOp) {
 		return nil, badf("%v", err)
 	}
 	return reply, err
-}
-
-// EvictShardLayout drops every sharded entry whose layout disagrees with
-// the given shard count, keeping entries over a whole population. A reshard
-// changes every entry key anyway (the Shard component embeds the layout),
-// so old entries could never be wrongly reused — this reclaims their bytes
-// promptly instead of waiting for LFU pressure.
-func (c *Catalog) EvictShardLayout(count int) int {
-	suffix := fmt.Sprintf("/%d", count)
-	return c.inner.Invalidate(func(k catalog.Key) bool {
-		return k.Shard != "" && !strings.HasSuffix(k.Shard, suffix)
-	})
 }
