@@ -36,8 +36,7 @@
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
-#                      lexer, live delta parser, WAL reader, shard routing and
-#                      load-bounded shard placement,
+#                      lexer, live delta parser, WAL reader,
 #                      design sweep vs its per-bound reference, presorted
 #                      forest fit vs its per-node-sort reference, rank-grid
 #                      forest scoring vs the walk, compiled predicate
@@ -123,12 +122,9 @@ bench-ledger-smoke:
 # Brief run of each native fuzzer: the parser/renderer round-trip property,
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a
 # real keyed table, the WAL reader against arbitrary segment bytes, the
-# consistent-hash shard routing invariants (no key lost or double-assigned,
-# minimal movement on join/leave) and the coordinator's load-bounded shard
-# placement over it (balance, ring failover order kept, a function of the
-# live worker set under any join/leave history), the designers' one-sweep dynamic
-# program against the per-bound, per-level reference it replaced (cuts and
-# objective bit for bit, feasibility, V = objective of the cuts), the
+# designers' one-sweep dynamic program against the per-bound, per-level
+# reference it replaced (cuts and objective bit for bit, feasibility, V =
+# objective of the cuts), the
 # presorted, bootstrap-weighted forest fit against the row-copying,
 # per-node-sort reference it replaced (every compiled node bit for bit),
 # the forest's rank-grid scoring against the walk (every score bit for bit,
@@ -142,8 +138,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME) ./internal/sql/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
-	$(GO) test -run '^$$' -fuzz '^FuzzShardRouting$$' -fuzztime $(FUZZTIME) ./internal/shard/
-	$(GO) test -run '^$$' -fuzz '^FuzzShardPlacement$$' -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/

@@ -54,11 +54,11 @@
 //	        -shards 4 -hedge-after 500ms -allow-degraded
 //
 // The coordinator serves POST /v1/count by scattering per-shard sampling
-// over the workers (consistent-hash routing, per-op deadlines, hedged
-// retries on stragglers) and merging the partials; the answer is
-// byte-identical to a single-process run at any worker or shard count. A
-// /v1/count request may also pass "shards": N to any standalone server
-// for in-process sharded execution.
+// over the workers (shard i to the (i mod W)-th worker by name, per-op
+// deadlines, hedged retries on stragglers) and merging the partials; the
+// answer is byte-identical to a single-process run at any worker or shard
+// count. A /v1/count request may also pass "shards": N to any standalone
+// server for in-process sharded execution.
 //
 // A GROUP BY request — "sql" of the form SELECT g, COUNT(*) FROM (...)
 // GROUP BY g — answers with one groups[] row per group (key, objects,
@@ -203,36 +203,10 @@ func main() {
 			"name", d.Name, "rows", d.Rows, "version", d.Version)
 	}
 
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: withPprof(svc.Handler(), *pprofOn, logger),
-		// Bound header reads and idle keep-alives so stalled clients
-		// cannot pin connections forever; body reads stay unbounded
-		// because CSV uploads may legitimately be slow (the service
-		// caps their size instead).
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info(context.Background(), "listening",
-		"addr", *addr, "datasets", len(reg.List()), "role", roleName(*role),
-		"metrics", *metricsOn, "trace_sample", *traceSample)
-
-	select {
-	case err := <-errc:
+	if err := serve(*addr, withPprof(svc.Handler(), *pprofOn, logger), logger,
+		"datasets", len(reg.List()), "role", roleName(*role),
+		"metrics", *metricsOn, "trace_sample", *traceSample); err != nil {
 		logger.Error(context.Background(), "server failed", "error", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	logger.Info(context.Background(), "shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error(context.Background(), "http shutdown failed", "error", err)
 		os.Exit(1)
 	}
 	// Drain in-flight estimations, then flush and checkpoint every durable
@@ -240,6 +214,8 @@ func main() {
 	// whole log. A drain timeout is reported but does not skip persistence.
 	// The service logs the summary line (datasets persisted, drained,
 	// uptime) through the shared structured logger.
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
 	if _, err := svc.Shutdown(shutCtx); err != nil {
 		logger.Error(context.Background(), "shutdown incomplete", "error", err)
 		os.Exit(1)
@@ -275,9 +251,26 @@ func runCoordinator(addr, roster string, pprofOn bool, logger *obs.Logger, opts 
 	if err != nil {
 		return err
 	}
+	return serve(addr, withPprof(coord.Handler(), pprofOn, logger), logger,
+		"workers", len(workers), "role", "coordinator")
+}
+
+// shutdownGrace bounds each shutdown step: the HTTP server's wait for
+// in-flight requests, and the standalone role's drain and checkpoint.
+const shutdownGrace = 10 * time.Second
+
+// serve is every role's server lifecycle: listen on addr until SIGINT or
+// SIGTERM, then stop accepting and give in-flight requests shutdownGrace to
+// finish. attrs go on the "listening" line. It returns a listen error, or a
+// shutdown error other than running out of grace.
+func serve(addr string, handler http.Handler, logger *obs.Logger, attrs ...any) error {
 	srv := &http.Server{
-		Addr:              addr,
-		Handler:           withPprof(coord.Handler(), pprofOn, logger),
+		Addr:    addr,
+		Handler: handler,
+		// Bound header reads and idle keep-alives so stalled clients
+		// cannot pin connections forever; body reads stay unbounded
+		// because CSV uploads may legitimately be slow (the service
+		// caps their size instead).
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -285,17 +278,19 @@ func runCoordinator(addr, roster string, pprofOn bool, logger *obs.Logger, opts 
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info(context.Background(), "listening",
-		"addr", addr, "workers", len(workers), "role", "coordinator")
+	logger.Info(context.Background(), "listening", append([]any{"addr", addr}, attrs...)...)
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
 	logger.Info(context.Background(), "shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
-	return srv.Shutdown(shutCtx)
+	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return nil
 }
 
 // withPprof puts Go's profiling endpoints under /debug/pprof/ in front of

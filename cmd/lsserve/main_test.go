@@ -45,3 +45,11 @@ func TestPprofOnEveryRole(t *testing.T) {
 		}
 	}
 }
+
+// TestServeReturnsListenError: a role whose address cannot be bound gets the
+// error back from serve (and exits non-zero) instead of waiting for a signal.
+func TestServeReturnsListenError(t *testing.T) {
+	if err := serve("127.0.0.1:-1", http.NotFoundHandler(), obs.NewLogger(io.Discard)); err == nil {
+		t.Fatal("serve on an invalid address returned nil")
+	}
+}

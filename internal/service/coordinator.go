@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,11 +43,11 @@ type CoordinatorOptions struct {
 	// WorkerDeadline bounds each shard operation on one worker (default
 	// 15s); a worker that misses it is treated as failed for that attempt.
 	WorkerDeadline time.Duration
-	// HedgeAfter starts a backup request to the next worker on the ring
-	// when the current one has not answered within this duration (default
-	// 500ms); the first successful answer wins. Operations are pure
-	// functions of (snapshot, arguments), so duplicated execution is
-	// harmless.
+	// HedgeAfter starts a backup request to the shard's next worker in
+	// name order when the current one has not answered within this
+	// duration (default 500ms); the first successful answer wins.
+	// Operations are pure functions of (snapshot, arguments), so duplicated
+	// execution is harmless.
 	HedgeAfter time.Duration
 	// AllowDegraded answers with a scaled estimate and a widened interval
 	// when every candidate for some shard fails after the census, instead
@@ -72,16 +73,16 @@ type CoordinatorOptions struct {
 const workerIdleConns = 64
 
 // Coordinator scatters counting queries over worker processes: each query
-// is split into hash-aligned shards, each shard gets a primary worker from
-// a consistent-hash ring under a load bound (shard.Ring.Place: S shards
-// over W workers put at most ceil(S/W) primaries on any one), its
-// operations go there with per-op deadlines and hedged retries down the
-// ring on stragglers, and the per-shard partials merge through the same
+// is split into hash-aligned shards, shard i gets the (i mod W)-th worker of
+// the roster sorted by name as its primary (place: S shards over W workers
+// put at most ceil(S/W) primaries on any one), its operations go there with
+// per-op deadlines and hedged retries to the next workers in name order on
+// stragglers, and the per-shard partials merge through the same
 // driver the in-process sharded path uses — so the answer is byte-identical
 // to a single-process run over the same data, at any worker count.
 type Coordinator struct {
 	workers map[string]WorkerInfo
-	ring    *shard.Ring // built once; read-only afterwards, safe for concurrent use
+	roster  []string // the worker names, sorted; read-only after NewCoordinator
 	opts    CoordinatorOptions
 	client  *http.Client
 
@@ -116,7 +117,6 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 	}
 	c := &Coordinator{
 		workers: make(map[string]WorkerInfo, len(workers)),
-		ring:    shard.NewRing(shard.DefaultReplicas),
 		opts:    opts,
 		client:  opts.Client,
 		logger:  opts.Logger,
@@ -151,11 +151,12 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 			return nil, fmt.Errorf("%w: duplicate worker name %q", ErrBadRequest, w.Name)
 		}
 		c.workers[w.Name] = w
-		c.ring.Add(w.Name)
+		c.roster = append(c.roster, w.Name)
 	}
+	slices.Sort(c.roster)
 	c.shardOps = c.metrics.NewCounterVec("lsample_coordinator_shard_ops_total",
 		"Shard calls launched (primaries, hedges and failovers), by worker: a placement imbalance reads off this family.",
-		"worker", c.ring.Nodes()...)
+		"worker", c.roster...)
 	return c, nil
 }
 
@@ -202,12 +203,7 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 	}
 	// Workers get the request verbatim and resolve it themselves; the
 	// coordinator normalizes nothing.
-	run := &coordRun{c: c, base: ShardRequest{CountRequest: *req}, shards: shards}
-	keys := make([]string, shards)
-	for i := range keys {
-		keys[i] = "shard/" + shard.Spec{Index: i, Count: shards}.String()
-	}
-	run.cands = c.ring.Place(keys)
+	run := &coordRun{c: c, base: ShardRequest{CountRequest: *req}, shards: shards, cands: place(c.roster, shards)}
 
 	// Pre-flight: learn the resolved plan (method, budget, interval, the
 	// query's fingerprint and shape) from shard 0's answer and pin the
@@ -293,17 +289,35 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/traces", handleTraces(c.tracer))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		roster := make([]WorkerInfo, 0, len(c.workers))
-		for _, wi := range c.workers {
-			roster = append(roster, wi)
+		for _, name := range c.roster {
+			roster = append(roster, c.workers[name])
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "coordinator", "workers": roster})
 	})
 	return mux
 }
 
+// place returns every shard's workers in the order to try them: shard i
+// gets the roster sorted by name and rotated to start at position i mod W,
+// its primary first and then every other worker once, the hedge and
+// failover order. So S = kW shards put exactly k primaries on every
+// worker and none gets more than ceil(S/W), and the result depends only on
+// the worker set and S, not on the order the roster lists them in. No
+// answer depends on it: every shard op is a pure function of (snapshot,
+// seed, arguments), and placement only picks which worker runs it.
+func place(roster []string, shards int) [][]string {
+	names := slices.Sorted(slices.Values(roster))
+	out := make([][]string, shards)
+	for i := range out {
+		r := i % len(names)
+		out[i] = append(slices.Clone(names[r:]), names[:r]...)
+	}
+	return out
+}
+
 // coordRun is one query's scatter state: the request every op carries, each
-// shard's workers in the order to try them (its primary, then its ring
-// order), and the dataset versions pinned at the census.
+// shard's workers in the order to try them (place), and the dataset versions
+// pinned at the census.
 type coordRun struct {
 	c        *Coordinator
 	base     ShardRequest
@@ -383,9 +397,6 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.Ra
 	}
 
 	cands := r.cands[shardIdx]
-	if len(cands) == 0 {
-		return nil, &shard.LostShardError{Shard: shardIdx, Err: ErrNoWorkers}
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

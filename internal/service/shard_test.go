@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -793,5 +794,48 @@ func TestCoordinatorUsesWorkerDefaults(t *testing.T) {
 	}
 	if a, b := answer(*got), answer(ref); a != b {
 		t.Fatalf("scattered answer differs from the worker's own:\n%s\n%s", a, b)
+	}
+}
+
+// TestPlaceBalancesPrimaries runs place over every roster of 1 to 16
+// workers and every layout of 1 to 33 shards: each shard's list is the
+// roster once each, no worker is primary for more than ceil(S/W) shards and
+// every worker for exactly k when S = kW, and the same workers listed
+// reversed or shuffled place identically.
+func TestPlaceBalancesPrimaries(t *testing.T) {
+	rng := xrand.New(33)
+	for w := 1; w <= 16; w++ {
+		roster := make([]string, w)
+		for i := range roster {
+			roster[i] = fmt.Sprintf("w%d", i+1)
+		}
+		names := slices.Sorted(slices.Values(roster))
+		for s := 1; s <= 33; s++ {
+			placed := place(roster, s)
+			if len(placed) != s {
+				t.Fatalf("W=%d S=%d: %d lists", w, s, len(placed))
+			}
+			load := map[string]int{}
+			for i, list := range placed {
+				if !slices.Equal(slices.Sorted(slices.Values(list)), names) {
+					t.Fatalf("W=%d S=%d: shard %d's candidates %v are not the roster once each", w, s, i, list)
+				}
+				load[list[0]]++
+			}
+			bound := (s + w - 1) / w
+			for _, name := range names {
+				if load[name] > bound || (s%w == 0 && load[name] != s/w) {
+					t.Errorf("W=%d S=%d: %s is primary for %d shards, bound %d (loads %v)", w, s, name, load[name], bound, load)
+				}
+			}
+			reversed, shuffled := slices.Clone(roster), slices.Clone(roster)
+			slices.Reverse(reversed)
+			rng.Shuffle(w, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, other := range [][]string{reversed, shuffled} {
+				if got := place(other, s); fmt.Sprint(got) != fmt.Sprint(placed) {
+					t.Fatalf("W=%d S=%d: roster %v places as %v, roster %v as %v", w, s, other, got, roster, placed)
+				}
+			}
+		}
 	}
 }

@@ -579,19 +579,19 @@ func (r *run) sampleStrata(ctx context.Context, all []Scored, hOf []int, budget 
 
 // countAll scatters a full labeling pass and merges the shard tallies;
 // groupTally (when non-nil) receives the merged per-group tallies.
-func (r *run) countAll(ctx context.Context, groupTally map[string]*GroupCount) (core.Partial, map[string]*GroupCount, error) {
+func (r *run) countAll(ctx context.Context, groupTally map[string]*GroupCount) (Partial, map[string]*GroupCount, error) {
 	tallies := make([]Tally, len(r.workers))
 	err := r.scatter(ctx, func(slot int, w Worker) (cerr error) {
 		tallies[slot], cerr = w.CountAll(ctx)
 		return cerr
 	})
 	if err != nil {
-		return core.Partial{}, nil, err
+		return Partial{}, nil, err
 	}
-	var merged core.Partial
+	var merged Partial
 	for _, t := range tallies {
 		if verr := t.Validate(); verr != nil {
-			return core.Partial{}, nil, verr
+			return Partial{}, nil, verr
 		}
 		merged.Add(t.Partial)
 		r.fresh += t.Fresh

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/obs"
 )
@@ -208,7 +207,7 @@ func (w *Local) CountAll(ctx context.Context) (Tally, error) {
 	if err != nil {
 		return Tally{}, err
 	}
-	t := Tally{Partial: core.Partial{N: len(w.keys), Sampled: len(w.keys)}, Fresh: fresh}
+	t := Tally{Partial: Partial{N: len(w.keys), Sampled: len(w.keys)}, Fresh: fresh}
 	for _, b := range labels {
 		if b {
 			t.Positives++

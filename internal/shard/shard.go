@@ -82,9 +82,9 @@ func OwnerOf(key int64, shards int) int {
 	return int(live.Mix64(TagShard, uint64(key)) % uint64(shards))
 }
 
-// HashString folds a string into a 64-bit value (FNV-1a) for ring
-// placement and group-tag derivation.
-func HashString(s string) uint64 {
+// hashString folds a string into a 64-bit value (FNV-1a) for group-tag
+// derivation.
+func hashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -101,5 +101,5 @@ func HashString(s string) uint64 {
 // canonical key, domain-separated from the shared-sample tag so a group's
 // top-up draw is independent of the shared selection.
 func GroupTag(canonical string) uint64 {
-	return live.Mix64(TagSample, TagGroup, HashString(canonical))
+	return live.Mix64(TagSample, TagGroup, hashString(canonical))
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/core"
 )
 
 // ErrShardLost marks a shard whose every transport candidate failed: the
@@ -60,9 +58,42 @@ type Scored struct {
 // counts, the per-group tallies (grouped plans), and the fresh predicate
 // evaluations the pass spent.
 type Tally struct {
-	core.Partial
+	Partial
 	Fresh  int          `json:"fresh"`
 	Groups []GroupCount `json:"groups,omitempty"`
+}
+
+// Partial is one cell's integer tally: population size, labeled members,
+// positives. Tallies of disjoint shards merge by addition, and because every
+// downstream estimator consumes only these integers, the merged estimate is
+// byte-identical to the single-shard computation over the union.
+type Partial struct {
+	N         int `json:"n"`         // cell population size
+	Sampled   int `json:"sampled"`   // labeled members
+	Positives int `json:"positives"` // positives among the labeled members
+}
+
+// Add merges another shard's tally of the same cell into p.
+func (p *Partial) Add(q Partial) {
+	p.N += q.N
+	p.Sampled += q.Sampled
+	p.Positives += q.Positives
+}
+
+// Validate checks cell consistency (Sampled <= N, Positives <= Sampled);
+// a violation means shards disagreed about the population and the merge
+// must not be trusted.
+func (p Partial) Validate() error {
+	if p.Sampled > p.N {
+		return fmt.Errorf("shard: partial sampled %d > population %d", p.Sampled, p.N)
+	}
+	if p.Positives > p.Sampled {
+		return fmt.Errorf("shard: partial positives %d > sampled %d", p.Positives, p.Sampled)
+	}
+	if p.N < 0 || p.Sampled < 0 || p.Positives < 0 {
+		return fmt.Errorf("shard: negative partial tally {%d %d %d}", p.N, p.Sampled, p.Positives)
+	}
+	return nil
 }
 
 // Worker is one shard's estimation primitives. Every method is a pure

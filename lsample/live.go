@@ -143,7 +143,7 @@ func (t *LiveTable) Snapshot() *Table {
 	s := t.lt.Snapshot()
 	return &Table{
 		tab:  s.Tab,
-		live: &liveMeta{src: t.lt, version: s.Version, epoch: s.Epoch, rows: s.Rows},
+		live: &liveMeta{src: t.lt, snap: s},
 	}
 }
 

@@ -327,6 +327,58 @@ func TestRefreshOracleDeltaPriced(t *testing.T) {
 	}
 }
 
+// TestRefreshExactCountsTruth: WithExact(true) sets TrueCount on every
+// method Refresh serves, not only on an empty population, and equals the
+// oracle's count both cold and after an append. The exact pass buys every
+// label into the memo and moves no estimate.
+func TestRefreshExactCountsTruth(t *testing.T) {
+	ctx := context.Background()
+	for _, method := range []string{"srs", "lss"} {
+		t.Run(method, func(t *testing.T) {
+			w := newLiveWorkload(t, 300, 3)
+			prepare := func(opts ...Option) *LiveQuery {
+				lq, err := w.session(t, opts...).PrepareLive(liveQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return lq
+			}
+			exact := prepare(WithMethod(method), WithBudget(0.1), WithSeed(4), WithExact(true))
+			plain := prepare(WithMethod(method), WithBudget(0.1), WithSeed(4))
+			oracle := prepare(WithMethod("oracle"))
+			for step := range 2 {
+				if step == 1 {
+					w.appendItems(t, 30)
+				}
+				got, err := exact.Refresh(ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := plain.Refresh(ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				truth, err := oracle.Refresh(ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.TrueCount == nil {
+					t.Fatalf("step %d: WithExact(true) refresh returned no TrueCount", step)
+				}
+				if *got.TrueCount != *truth.TrueCount {
+					t.Errorf("step %d: TrueCount %d, oracle %d", step, *got.TrueCount, *truth.TrueCount)
+				}
+				if got.Count != ref.Count || *got.CI != *ref.CI {
+					t.Errorf("step %d: exact refresh estimates %v %v, plain %v %v", step, got.Count, *got.CI, ref.Count, *ref.CI)
+				}
+				if step == 0 && got.FreshLabels != int64(got.Objects) {
+					t.Errorf("cold exact refresh labeled %d of %d objects", got.FreshLabels, got.Objects)
+				}
+			}
+		})
+	}
+}
+
 // TestRefreshDeterministicAcrossParallelism pins the determinism contract:
 // identical live histories refreshed at p=1, p=4, and p=NumCPU produce
 // byte-identical estimates at every step.

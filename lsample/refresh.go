@@ -246,7 +246,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	}
 	for name, t := range snaps {
 		if t.live != nil {
-			out.Versions[name] = t.live.version
+			out.Versions[name] = t.live.snap.Version
 		}
 	}
 
@@ -266,7 +266,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 			switch snapshotChange(prev, cur) {
 			case snapUnchanged:
 			case snapAppended:
-				out.DeltaRows += cur.live.rows - prev.live.rows
+				out.DeltaRows += cur.live.snap.Rows - prev.live.snap.Rows
 				if q.aliasTabs[name] {
 					cols, ok := q.corrCols[name]
 					if !ok {
@@ -277,7 +277,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 					}
 					for _, c := range cols {
 						ints := cur.tab.IntsAt(c)
-						affected = append(affected, ints[prev.live.rows:cur.live.rows]...)
+						affected = append(affected, ints[prev.live.snap.Rows:cur.live.snap.Rows]...)
 					}
 				}
 			default: // replaced, compacted, or otherwise untraceable
@@ -385,6 +385,16 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		if res, err = q.refreshLSS(cfg, span, st, label, p, budget, out); err != nil {
 			return nil, err
 		}
+	}
+	if cfg.exact && out.TrueCount == nil {
+		// The exact pass labels every object into the memo, like the
+		// catalog path's; the oracle's count already is one.
+		labels, err := label(p.keys)
+		if err != nil {
+			return nil, err
+		}
+		c := shard.Positives(labels)
+		out.TrueCount = &c
 	}
 	out.Count = res.Count
 	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - cfg.alpha}
@@ -609,10 +619,10 @@ func snapshotChange(old, new *Table) snapChange {
 	if old.live == nil || new.live == nil || old.live.src != new.live.src {
 		return snapReplaced
 	}
-	if old.live.version == new.live.version {
+	if old.live.snap.Version == new.live.snap.Version {
 		return snapUnchanged
 	}
-	if old.live.epoch == new.live.epoch && old.live.rows <= new.live.rows {
+	if live.PrefixExtends(old.live.snap, new.live.snap) {
 		return snapAppended
 	}
 	return snapReplaced

@@ -46,12 +46,10 @@ func (t *Table) snapshotID() uint64 {
 
 // liveMeta identifies which live table a snapshot came from and where in
 // its history it was pinned; Session.Refresh uses it to price deltas
-// (same epoch ⇒ the newer snapshot is a literal prefix-extension).
+// (live.PrefixExtends).
 type liveMeta struct {
-	src     *live.Table
-	version uint64
-	epoch   uint64
-	rows    int
+	src  *live.Table
+	snap *live.Snapshot
 }
 
 // NewTable creates an empty table with the given name and schema. The
