@@ -1,6 +1,6 @@
 # Repository verification and benchmarking entry points.
 #
-#   make check         build + vet + api/docs gates + race-enabled tests
+#   make check         build + vet + docs/obs gates + race-enabled tests
 #                      (tier-1 gate and more). The race run covers every
 #                      package but repro/bench: the harness's TestSmoke
 #                      times half-second traced runs that keep no span
@@ -10,7 +10,8 @@
 #                      make bench-ledger-smoke
 #   make test          plain test run
 #   make docs-check    README/ARCHITECTURE exist, examples vet, every
-#                      exported lsample symbol documented, no shard op in
+#                      exported lsample symbol documented and free of
+#                      internal/ types in its signature, no shard op in
 #                      ARCHITECTURE.md's table that the protocol dropped, no
 #                      backticked pkg.Ident / Type.Member in ARCHITECTURE.md,
 #                      README.md or lsample/doc.go that the module no longer
@@ -44,21 +45,17 @@
 
 GO ?= go
 
-.PHONY: check build vet test race api-check docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke
+.PHONY: check build vet test race docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke
 
-check: build vet api-check docs-check obs-check race
-
-# Fail if internal/ packages leak into the public SDK's exported
-# signatures (repro/lsample is the compatibility surface).
-api-check:
-	$(GO) run ./tools/apicheck lsample
+check: build vet docs-check obs-check race
 
 # Documentation gate: the user-facing docs must exist, the runnable
 # examples must vet clean, every exported symbol of the public SDK must
-# carry a doc comment, ARCHITECTURE.md's shard-op table must name only ops
-# internal/shard/protocol.go declares, and the backticked `pkg.Ident` and
-# `Type.Member` names of the three documents must still resolve against the
-# module's source (tools/doccheck).
+# carry a doc comment and no internal/ package may leak into its exported
+# signatures (repro/lsample is the compatibility surface), ARCHITECTURE.md's
+# shard-op table must name only ops internal/shard/protocol.go declares, and
+# the backticked `pkg.Ident` and `Type.Member` names of the three documents
+# must still resolve against the module's source (tools/doccheck).
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing"; exit 1; }
 	@test -f ARCHITECTURE.md || { echo "docs-check: ARCHITECTURE.md is missing"; exit 1; }
@@ -84,12 +81,13 @@ test:
 # Everything but the ledger harness under the detector once (repro/bench's
 # TestSmoke needs real-time half-second runs; bench-ledger-smoke is its
 # gate — ROADMAP item 1(b)), then the tests that put several seeds on one
-# shard executor or one catalog entry at the same time, and the round-budget
+# shard executor or one catalog entry at the same time, the catalog store's
+# acquire/release/EvictStale churn, and the round-budget
 # tests whose scatters merge every shard's reply of a fused round, ten times
 # over: a race only shows in an interleaving the run happens to execute.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^repro/bench$$')
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget' ./lsample/ ./internal/service/ ./internal/shard/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget' ./lsample/ ./internal/service/ ./internal/shard/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at

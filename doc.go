@@ -20,7 +20,7 @@
 // for workload scaffolding — calibrated instances, classifier demos — but
 // never to build methods). examples/embed and examples/quickstart are
 // pure-SDK: lsample plus the standard library only. The implementation
-// stays under internal/; `make api-check` (tools/apicheck) fails the build
+// stays under internal/; `make docs-check` (tools/doccheck) fails the build
 // if an internal type ever leaks into a public signature.
 //
 // Counting over your own objects:

@@ -78,11 +78,12 @@ func groupMembers(groupOf []int, K int) [][]int {
 	return members
 }
 
-// minPerGroupDefault is the fallback threshold: a group whose share of the
-// shared sample is smaller gets a dedicated per-group draw up to this size
-// (capped by the group's population). Re-labeling is free — labels are
-// memoized — so the top-up costs at most the uncovered remainder.
-const minPerGroupDefault = 10
+// MinPerGroup is the per-group sample floor of every grouped estimate: a
+// group whose share of the shared sample is smaller gets a dedicated
+// per-group draw up to this size (capped by the group's population).
+// Re-labeling is free — labels are memoized — so the top-up costs at most
+// the uncovered remainder.
+const MinPerGroup = 10
 
 // groupSRSEstimate turns a per-group SRS tally into a GroupCount.
 func groupSRSEstimate(pos, n, N int, alpha float64, wilson bool) GroupCount {
@@ -117,7 +118,7 @@ func (f frame) topUpGroup(members []int, target int, r *xrand.Rand) (pos int, er
 // budget objects are drawn uniformly from the whole population and labeled
 // once; each group's members within the shared sample form a simple random
 // sample of that group, so the per-group proportion estimator applies
-// directly. Groups whose shared-sample share falls below minPerGroupDefault fall
+// directly. Groups whose shared-sample share falls below MinPerGroup fall
 // back to a dedicated per-group draw (labels stay memoized, so only the
 // group's uncovered members cost new evaluations).
 type GroupedSRS struct {
@@ -164,7 +165,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	groups := make([]GroupCount, K)
 	for g := 0; g < K; g++ {
 		Ng := len(members[g])
-		target := minPerGroupDefault
+		target := MinPerGroup
 		if target > Ng {
 			target = Ng
 		}
@@ -366,7 +367,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	// most the group's not-yet-labeled share of the fresh draw.
 	for g := 0; g < K; g++ {
 		Ng := len(members[g])
-		target := minPerGroupDefault
+		target := MinPerGroup
 		if target > Ng {
 			target = Ng
 		}

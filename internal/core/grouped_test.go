@@ -99,12 +99,12 @@ func TestGroupedSRSSharesEvals(t *testing.T) {
 	}
 	// The shared sample costs exactly budget evaluations; rare-group
 	// top-ups add at most MinPerGroup per group on top.
-	if res.Evals < int64(budget) || res.Evals > int64(budget+K*minPerGroupDefault) {
-		t.Fatalf("evals = %d, want within [%d, %d]", res.Evals, budget, budget+K*minPerGroupDefault)
+	if res.Evals < int64(budget) || res.Evals > int64(budget+K*MinPerGroup) {
+		t.Fatalf("evals = %d, want within [%d, %d]", res.Evals, budget, budget+K*MinPerGroup)
 	}
 	sizes := groupSizes(groupOf, K)
 	for g, gc := range res.Groups {
-		want := minPerGroupDefault
+		want := MinPerGroup
 		if want > sizes[g] {
 			want = sizes[g]
 		}
@@ -150,8 +150,8 @@ func TestGroupedLSSSharesLearnPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evals < int64(budget) || res.Evals > int64(budget+K*minPerGroupDefault) {
-		t.Fatalf("evals = %d, want within [%d, %d]", res.Evals, budget, budget+K*minPerGroupDefault)
+	if res.Evals < int64(budget) || res.Evals > int64(budget+K*MinPerGroup) {
+		t.Fatalf("evals = %d, want within [%d, %d]", res.Evals, budget, budget+K*MinPerGroup)
 	}
 	totalTruth, totalEst := 0.0, 0.0
 	for g, gc := range res.Groups {

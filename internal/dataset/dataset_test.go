@@ -33,12 +33,6 @@ func TestTableAppendAndAccess(t *testing.T) {
 	if v := tb.Value(0, 2); v != "a" {
 		t.Fatalf("Value = %v", v)
 	}
-	if f, err := tb.Numeric(0, 0); err != nil || f != 1 {
-		t.Fatalf("Numeric int = %v, %v", f, err)
-	}
-	if _, err := tb.Numeric(0, 2); err == nil {
-		t.Fatal("Numeric on string should error")
-	}
 }
 
 func TestAppendRowErrors(t *testing.T) {

@@ -162,19 +162,6 @@ func (t *Table) Value(row, col int) any {
 	}
 }
 
-// Numeric returns the value at (row, col) coerced to float64. String columns
-// yield an error.
-func (t *Table) Numeric(row, col int) (float64, error) {
-	switch t.schema[col].Kind {
-	case Float:
-		return t.floats[col][row], nil
-	case Int:
-		return float64(t.ints[col][row]), nil
-	default:
-		return 0, fmt.Errorf("dataset: column %q is not numeric", t.schema[col].Name)
-	}
-}
-
 // FloatColumn returns the backing slice of a Float column (shared, not
 // copied). Panics if the column is not Float.
 func (t *Table) FloatColumn(name string) []float64 {

@@ -68,15 +68,15 @@ func TestRunDist(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := suite.Instances[workload.S]
-	d, err := RunDist(&core.SRS{}, in, 150, 8, 2)
+	d, err := RunDistP(&core.SRS{}, in, 150, 8, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Estimates) != 8 {
 		t.Fatalf("estimates = %d", len(d.Estimates))
 	}
-	if d.MeanEvals() != 150 {
-		t.Fatalf("MeanEvals = %v", d.MeanEvals())
+	if d.TotalEvals != 8*150 {
+		t.Fatalf("TotalEvals = %v, want 150 a trial", d.TotalEvals)
 	}
 	if d.RelIQR() < 0 {
 		t.Fatal("RelIQR negative")
@@ -90,9 +90,6 @@ func TestDistRelMetricsZeroTruth(t *testing.T) {
 	d := &Dist{Truth: 0, Summary: stats.Summarize([]float64{1, 2, 3})}
 	if d.RelIQR() != d.Summary.IQR {
 		t.Fatal("zero-truth RelIQR should fall back to raw IQR")
-	}
-	if d.RelMedianErr() != d.Summary.Median {
-		t.Fatal("zero-truth RelMedianErr should fall back to |median|")
 	}
 }
 

@@ -48,8 +48,8 @@ func TestRunDistDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRunDistDefaultMatchesSequential: the exported RunDist (all cores)
-// must agree with the explicit sequential run.
+// TestRunDistDefaultMatchesSequential: RunDistP at its default parallelism
+// (0, all cores) must agree with the explicit sequential run.
 func TestRunDistDefaultMatchesSequential(t *testing.T) {
 	suite, err := workload.Build("neighbors", 1000, 2)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestRunDistDefaultMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := RunDist(&core.SRS{}, in, 100, 6, 9)
+	def, err := RunDistP(&core.SRS{}, in, 100, 6, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

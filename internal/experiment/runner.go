@@ -77,14 +77,6 @@ type Dist struct {
 	TotalEvals int64 // predicate evaluations summed over all trials
 }
 
-// MeanEvals is the average number of predicate evaluations per trial.
-func (d *Dist) MeanEvals() float64 {
-	if len(d.Estimates) == 0 {
-		return 0
-	}
-	return float64(d.TotalEvals) / float64(len(d.Estimates))
-}
-
 // RelIQR is the interquartile range normalized by the true count (the
 // comparison statistic used throughout §5).
 func (d *Dist) RelIQR() float64 {
@@ -94,23 +86,10 @@ func (d *Dist) RelIQR() float64 {
 	return d.Summary.IQR / float64(d.Truth)
 }
 
-// RelMedianErr is |median − truth| / truth.
-func (d *Dist) RelMedianErr() float64 {
-	if d.Truth == 0 {
-		return math.Abs(d.Summary.Median)
-	}
-	return math.Abs(d.Summary.Median-float64(d.Truth)) / float64(d.Truth)
-}
-
-// RunDist runs trials independent estimations and summarizes the estimate
-// distribution, fanning trials across all cores. Each trial draws a fresh
+// RunDistP runs trials independent estimations and summarizes the estimate
+// distribution, fanning trials across parallelism workers (0 means
+// GOMAXPROCS, 1 forces sequential execution). Each trial draws a fresh
 // sub-stream from the root seed and an independent predicate counter.
-func RunDist(m core.Method, in *workload.Instance, budget, trials int, seed uint64) (*Dist, error) {
-	return RunDistP(m, in, budget, trials, seed, 0)
-}
-
-// RunDistP is RunDist with an explicit parallelism degree (0 means
-// GOMAXPROCS, 1 forces sequential execution).
 //
 // Determinism: every per-trial randomness stream is split from the root
 // seed in trial order before any trial is dispatched, each trial gets its

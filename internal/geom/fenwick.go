@@ -38,14 +38,6 @@ func (f *Fenwick) PrefixSum(i int) int {
 	return s
 }
 
-// RangeSum returns the sum of positions [lo, hi] (inclusive).
-func (f *Fenwick) RangeSum(lo, hi int) int {
-	if hi < lo {
-		return 0
-	}
-	return f.PrefixSum(hi) - f.PrefixSum(lo-1)
-}
-
 // SuffixSum returns the sum of positions [i, n).
 func (f *Fenwick) SuffixSum(i int) int {
 	return f.PrefixSum(f.Len()-1) - f.PrefixSum(i-1)

@@ -50,16 +50,6 @@ func NewLogger(w io.Writer) *Logger {
 	return &Logger{w: w, min: LevelInfo}
 }
 
-// SetLevel sets the minimum severity emitted.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.min = min
-	l.mu.Unlock()
-}
-
 // Info logs at LevelInfo.
 func (l *Logger) Info(ctx context.Context, msg string, kv ...any) { l.log(LevelInfo, ctx, msg, kv...) }
 

@@ -173,19 +173,6 @@ func (w *Weighted) rebuild() {
 	}
 }
 
-// DrawN draws n objects without replacement, in order.
-func (w *Weighted) DrawN(r *xrand.Rand, n int) ([]int, error) {
-	out := make([]int, 0, n)
-	for len(out) < n {
-		i, err := w.Draw(r)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, i)
-	}
-	return out, nil
-}
-
 // WithReplacement draws objects independently with probability proportional
 // to fixed weights (PPS with replacement), feeding the Hansen-Hurwitz
 // estimator. Draw cost is O(log n) via binary search over prefix sums.

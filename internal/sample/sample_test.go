@@ -159,24 +159,6 @@ func TestWeightedInitialProb(t *testing.T) {
 	}
 }
 
-func TestWeightedDrawN(t *testing.T) {
-	r := xrand.New(7)
-	w, err := NewWeighted([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.DrawN(r, 3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("DrawN = %v, %v", got, err)
-	}
-	if _, err := w.DrawN(r, 1); err == nil {
-		t.Fatal("over-drawing should error")
-	}
-	if w.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", w.Remaining())
-	}
-}
-
 func TestWeightedSecondDrawConditional(t *testing.T) {
 	// After removing index 0 (w=5), remaining weights {1, 4}: second draw
 	// must follow the renormalized distribution.

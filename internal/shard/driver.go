@@ -29,7 +29,6 @@ type Plan struct {
 	Seed     uint64
 	Alpha    float64
 	Wilson   bool // Wilson interval for srs (plain and per-group)
-	MinGroup int  // grouped: minimum per-group sample before topping up (<= 0 selects 10)
 	Exact    bool // also compute the true count (full labeling pass)
 
 	// AllowDegraded lets Drive answer after losing shards mid-query:
@@ -72,9 +71,6 @@ type Result struct {
 	TrueCount    int
 	HasTrue      bool
 }
-
-// DefaultMinGroup is the per-group sample floor for grouped estimates.
-const DefaultMinGroup = 10
 
 // Drive runs the plan across the given shard workers and merges their
 // partial results. Workers are indexed by shard and hash-aligned:
@@ -619,10 +615,6 @@ func (r *run) countAll(ctx context.Context, groupTally map[string]*GroupCount) (
 // underserves.
 func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha float64) error {
 	cens := r.mergeCensus()
-	minG := r.plan.MinGroup
-	if minG <= 0 {
-		minG = DefaultMinGroup
-	}
 
 	type cell struct{ sampled, pos int }
 	perGroup := make(map[string]map[int]*cell) // canonical -> stratum -> tally
@@ -743,7 +735,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	// Each top-up is drawn under the group's own tag, and groups are
 	// disjoint, so all of them are labeled in one round.
 	sampledOf := make([]int, len(cens))
-	short := func(i int) bool { return sampledOf[i] < min(minG, cens[i].n) }
+	short := func(i int) bool { return sampledOf[i] < min(core.MinPerGroup, cens[i].n) }
 	topUp := make([][]int64, len(cens))
 	var topUps []int64
 	for i, c := range cens {
@@ -751,7 +743,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 			sampledOf[i] += cl.sampled
 		}
 		if short(i) {
-			topUp[i] = BottomK(members[c.key], min(minG, c.n), r.plan.Seed, GroupTag(c.key))
+			topUp[i] = BottomK(members[c.key], min(core.MinPerGroup, c.n), r.plan.Seed, GroupTag(c.key))
 			topUps = append(topUps, topUp[i]...)
 		}
 	}

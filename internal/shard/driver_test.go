@@ -389,13 +389,13 @@ func TestDriveLossInFusedRound(t *testing.T) {
 func TestDriveRoundBudget(t *testing.T) {
 	const n, shards, census = 300, 2, 1
 	for _, tc := range []struct {
-		name     string
-		method   string
-		grouped  bool
-		minGroup int // 40: the shared sample underserves all three groups
-		exact    bool
-		rounds   int
-		ops      map[string]int
+		name    string
+		method  string
+		grouped bool
+		budget  int // 12 of 300: the shared sample underserves all three groups
+		exact   bool
+		rounds  int
+		ops     map[string]int
 	}{
 		{name: "lss", method: "lss", rounds: census + 4,
 			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 2, OpScoreAll: 1}},
@@ -405,9 +405,9 @@ func TestDriveRoundBudget(t *testing.T) {
 			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 2, OpScoreAll: 1, OpCountAll: 1}},
 		{name: "lss/grouped", method: "lss", grouped: true, rounds: census + 4,
 			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 2, OpScoreAll: 1}},
-		{name: "lss/grouped/top-ups", method: "lss", grouped: true, minGroup: 40, rounds: census + 5,
+		{name: "lss/grouped/top-ups", method: "lss", grouped: true, budget: 12, rounds: census + 5,
 			ops: map[string]int{OpMeta: 1, OpCands: 1, OpLabel: 3, OpScoreAll: 1}},
-		{name: "srs/grouped/top-ups", method: "srs", grouped: true, minGroup: 40, rounds: census + 3,
+		{name: "srs/grouped/top-ups", method: "srs", grouped: true, budget: 12, rounds: census + 3,
 			ops: map[string]int{OpMeta: 1, OpGroupKeys: 1, OpLabel: 2}},
 		{name: "oracle", method: "oracle", rounds: census + 1,
 			ops: map[string]int{OpMeta: 1, OpCountAll: 1}},
@@ -420,18 +420,21 @@ func TestDriveRoundBudget(t *testing.T) {
 				workers[i] = wired(w, tallies[i])
 			}
 			plan := testPlan(tc.method, tc.grouped)
-			plan.MinGroup, plan.Exact = tc.minGroup, tc.exact
+			plan.Exact = tc.exact
+			if tc.budget > 0 {
+				plan.BudgetOf = func(int) int { return tc.budget }
+			}
 			res, err := Drive(context.Background(), plan, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.minGroup > 0 {
+			if tc.budget > 0 {
 				if len(res.Groups) < 3 {
 					t.Fatalf("%d groups, want at least 3 to top up", len(res.Groups))
 				}
 				for _, g := range res.Groups {
-					if g.Sampled != tc.minGroup {
-						t.Fatalf("group %q sampled %d: not topped up to %d", g.Key, g.Sampled, tc.minGroup)
+					if g.Sampled != core.MinPerGroup {
+						t.Fatalf("group %q sampled %d: not topped up to %d", g.Key, g.Sampled, core.MinPerGroup)
 					}
 				}
 			}

@@ -253,19 +253,6 @@ func WalkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// Qualifiers returns the set of table qualifiers referenced by e, excluding
-// subquery bodies (a correlated subquery's outer references are accounted
-// for by the caller that owns the subquery).
-func Qualifiers(e Expr) map[string]bool {
-	qs := make(map[string]bool)
-	WalkExpr(e, func(x Expr) {
-		if c, ok := x.(*ColumnRef); ok && c.Qualifier != "" {
-			qs[c.Qualifier] = true
-		}
-	})
-	return qs
-}
-
 // WalkStmtDeep calls exprFn on every expression of s and every
 // sub-expression in pre-order, descending into subquery bodies (every clause
 // of every nested statement), unlike WalkExpr, which stops at subquery

@@ -266,17 +266,6 @@ func TestSplitConjoin(t *testing.T) {
 	}
 }
 
-func TestQualifiers(t *testing.T) {
-	e, err := ParseExpr("o1.x + o2.y > z")
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := Qualifiers(e)
-	if !qs["o1"] || !qs["o2"] || len(qs) != 2 {
-		t.Fatalf("Qualifiers = %v", qs)
-	}
-}
-
 func TestStringEscaping(t *testing.T) {
 	e, err := ParseExpr("name = 'it''s'")
 	if err != nil {

@@ -38,21 +38,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// PopVariance returns the population (maximum-likelihood) variance.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -67,18 +52,6 @@ func BinaryVariance(pos, n int) float64 {
 	p := float64(pos)
 	fn := float64(n)
 	return p / (fn - 1) * (1 - p/fn)
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics (R type-7, the numpy default).
-// xs need not be sorted. It returns 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
 }
 
 func quantileSorted(s []float64, q float64) float64 {

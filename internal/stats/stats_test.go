@@ -15,16 +15,13 @@ func TestMeanVariance(t *testing.T) {
 	if m := Mean(xs); !almostEqual(m, 5, 1e-12) {
 		t.Fatalf("Mean = %v, want 5", m)
 	}
-	if v := PopVariance(xs); !almostEqual(v, 4, 1e-12) {
-		t.Fatalf("PopVariance = %v, want 4", v)
-	}
 	if v := Variance(xs); !almostEqual(v, 32.0/7.0, 1e-12) {
 		t.Fatalf("Variance = %v, want 32/7", v)
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || IQR(nil) != 0 || Quantile(nil, 0.5) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 || IQR(nil) != 0 {
 		t.Fatal("empty-slice statistics should be 0")
 	}
 	sm := Summarize(nil)
@@ -63,18 +60,6 @@ func TestBinaryVarianceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
 	}
 }
 

@@ -13,10 +13,6 @@ import (
 // affordable. Rank positions (the ı_k themselves) are always retained.
 const maxCandidates = 1500
 
-// candidateBoundaries builds the ordered boundary set B of §4.2.1's DynPgm
-// with the default power-of-two spacing (ε = 1).
-func candidateBoundaries(p *Pilot) []int { return candidateBoundariesEps(p, 1) }
-
 // candidateBoundariesEps builds B with offsets at powers of (1+ε) from each
 // pilot rank — the paper's refinement trading running time for a tighter
 // approximation ratio: for every pilot rank ı_k, positions ı_k + ⌈(1+ε)^t⌉

@@ -135,18 +135,6 @@ type Constraints struct {
 	MinPilotPerStratum int
 }
 
-// DefaultConstraints mirrors the paper's practice: m_⊔ ≈ 5 and N_⊔ larger.
-func DefaultConstraints(n int) Constraints {
-	c := Constraints{MinStratumSize: 20, MinPilotPerStratum: 5}
-	if n < 20*c.MinStratumSize { // small populations: loosen
-		c.MinStratumSize = n / 20
-		if c.MinStratumSize < 2 {
-			c.MinStratumSize = 2
-		}
-	}
-	return c
-}
-
 func (c Constraints) normalized() Constraints {
 	if c.MinPilotPerStratum < 2 {
 		c.MinPilotPerStratum = 2

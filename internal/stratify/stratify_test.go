@@ -394,7 +394,7 @@ func TestCandidateBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	B := candidateBoundaries(p)
+	B := candidateBoundariesEps(p, 1)
 	if B[len(B)-1] != 1000 {
 		t.Fatalf("B must end at N: %v", B[len(B)-1])
 	}
@@ -435,17 +435,6 @@ func TestBruteForceInfeasible(t *testing.T) {
 	p := makePilot(t, boundaryLabels(50, 0.5, 0, xrand.New(18)), 10, 19)
 	if _, err := BruteForce(p, 3, 5, Constraints{MinStratumSize: 30, MinPilotPerStratum: 2}, true); err == nil {
 		t.Fatal("infeasible brute force should error")
-	}
-}
-
-func TestDefaultConstraints(t *testing.T) {
-	c := DefaultConstraints(100000)
-	if c.MinStratumSize != 20 || c.MinPilotPerStratum != 5 {
-		t.Fatalf("large-N defaults = %+v", c)
-	}
-	c = DefaultConstraints(100)
-	if c.MinStratumSize > 5 {
-		t.Fatalf("small-N defaults should loosen: %+v", c)
 	}
 }
 

@@ -146,20 +146,5 @@ func (r *Rand) NormFloat64() float64 {
 	return u * f
 }
 
-// ExpFloat64 returns an exponentially distributed variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// LogNormal returns exp(mu + sigma*Z) for standard normal Z.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }

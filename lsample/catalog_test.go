@@ -182,6 +182,10 @@ func TestCatalogEvictStaleOnSnapshotChange(t *testing.T) {
 	if n := cat.EvictStale(q.snaps); n != 0 {
 		t.Errorf("EvictStale dropped %d entries for the current snapshots, want 0", n)
 	}
+	// A table absent from current entirely: the entry must go.
+	if n := cat.EvictStale(map[string]*Table{"E": q.snaps["D"]}); n != 1 {
+		t.Errorf("EvictStale dropped %d entries with their table absent, want 1", n)
+	}
 }
 
 func TestCatalogConcurrentLookupMaterializeEvict(t *testing.T) {

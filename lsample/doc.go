@@ -200,13 +200,15 @@
 // only its shape and tables). Each count then evaluates the analysis into a
 // population: Q2's rows over the pinned tables with the parameters bound,
 // plus, where the method reads them, each object's feature row. Three back
-// halves take a population from there. Execute and ExecuteGroups without a
-// catalog or shards run the paper's RNG-driven methods (internal/core)
-// through one classic body, plain and grouped alike, which the Estimator's
-// callback counts share. With WithCatalog or WithShards they run the hash
-// plan: every sampling decision is a hash of the object key, so results
-// are pure functions of (snapshots, plan) and can be memoized, extended,
-// partitioned, and refreshed byte-identically; it has one implementation,
+// halves take a population from there. Execute without a catalog or
+// shards, and ExecuteGroups without shards, run the paper's RNG-driven
+// methods (internal/core) through one classic body, plain and grouped
+// alike, which the Estimator's callback counts share — a grouped count with
+// only a catalog attached included. Execute with WithCatalog or WithShards,
+// and ExecuteGroups with WithShards, run the hash plan: every sampling
+// decision is a hash of the object key, so results are pure functions of
+// (snapshots, plan) and can be memoized, extended, partitioned, and
+// refreshed byte-identically; it has one implementation,
 // internal/shard's Drive over N >= 1 in-process workers — one worker when
 // only a catalog asked for it, s under WithShards(s) — and serves methods
 // srs, lss, and oracle over queries with a unique integer object key.

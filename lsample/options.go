@@ -250,9 +250,10 @@ func WithCatalogBudget(bytes int64) Option {
 }
 
 // WithShards partitions the estimation across s hash-aligned shards:
-// objects are split by a hash of their key, each shard runs the
-// deterministic per-trial-stream sampling/labeling/learning independently,
-// and the partial results merge through a stratified estimator. The
+// objects are split by a hash of their key, and one driver runs the hash
+// plan over all of them — one hash bottom-k sample across the shards, one
+// classifier trained on its learn sample, one set of strata — so every
+// merge of the shards' replies is a set union or an integer sum. The
 // contract: for a fixed (data, query, parameters, method, budget, seed)
 // the estimate is byte-identical at every shard count — WithShards(1),
 // WithShards(8), and the unsharded catalog path all agree — and at every

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/predicate"
@@ -142,7 +141,8 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 type shardData struct {
 	*population // indexed: label stores address objects by global key
 	key         residentKey
-	canon       []string // grouped: canonical key by group index
+	canon       []string          // grouped: canonical key by group index
+	snapIDs     map[string]uint64 // the snapshot ids its catalog entries are stamped with
 
 	shards []*shardWorker // the shards this process holds, in index order
 
@@ -164,7 +164,7 @@ type shardData struct {
 type shardWorker struct {
 	local *shard.Local
 	preds predPool
-	key   catalog.Key
+	key   catalogKey
 }
 
 // buildPredicate builds one more predicate for a worker of this half,
@@ -188,22 +188,15 @@ type shardRun struct {
 	*shardData
 	workers []shard.Worker
 	stores  []*labelStore
-	cat     *catalog.Catalog // nil without a catalog (or over an empty population)
-	entries []*catalog.Entry
+	cat     *Catalog // nil without a catalog (or over an empty population)
+	entries []*catalogEntry
 	prev    []bool // whether each entry was materialized at acquire time
 }
 
-// close releases catalog entries with their reuse classification. An entry
-// counts as materialized once an execution asked it for a label.
+// close releases catalog entries with their reuse classification.
 func (r *shardRun) close() {
 	for i, e := range r.entries {
-		reuse := r.shardReuse(i, i+1)
-		if reuse != "" {
-			e.Lock()
-			e.Materialized = true
-			e.Unlock()
-		}
-		r.cat.Release(e, reuse)
+		r.cat.release(e, r.shardReuse(i, i+1))
 	}
 	r.entries = nil
 }
@@ -414,7 +407,8 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 		// driver's concurrent scatter.
 		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, pcfg, validated)
 	}
-	key := q.catalogKey(strs, d.featCols)
+	key, snapIDs := q.catalogKey(strs, d.featCols)
+	d.snapIDs = snapIDs
 	for s := 0; s < count; s++ {
 		if only >= 0 && s != only {
 			continue
@@ -425,7 +419,7 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 			key:   key,
 		}
 		if !unsharded {
-			w.key.Shard = shard.Spec{Index: s, Count: count}.String()
+			w.key.shard = shard.Spec{Index: s, Count: count}.String()
 		}
 		d.shards = append(d.shards, w)
 	}
@@ -439,7 +433,7 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 func (d *shardData) newRun(cfg config) (*shardRun, error) {
 	r := &shardRun{shardData: d}
 	if cfg.catalog != nil && d.n > 0 { // an empty population has nothing to reuse
-		r.cat = cfg.catalog.inner
+		r.cat = cfg.catalog
 	}
 	var trainer *shard.Trainer
 	if needsFeatures(cfg.method) {
@@ -452,13 +446,9 @@ func (d *shardData) newRun(cfg config) (*shardRun, error) {
 	for _, w := range d.shards {
 		l := &labelStore{keys: d.keys, posByKey: d.posByKey, preds: &w.preds}
 		if r.cat != nil {
-			e := r.cat.Acquire(w.key)
-			e.Lock()
-			r.entries = append(r.entries, e)
-			r.prev = append(r.prev, e.Materialized)
-			l.labels = e.Labels(d.key.fp, r.cat.Clock())
-			e.Unlock()
-			l.lock = e
+			e, labels, prev := r.cat.acquire(w.key, d.snapIDs, d.key.fp)
+			r.entries, r.prev = append(r.entries, e), append(r.prev, prev)
+			l.lock, l.labels = e, labels
 		} else {
 			l.lock, l.labels = new(sync.Mutex), make(map[int64]bool)
 		}

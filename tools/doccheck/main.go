@@ -1,13 +1,21 @@
 // Command doccheck fails the build when an exported symbol of a package
-// lacks a doc comment. The public SDK is documentation-first: every
-// exported type, function, method, exported struct field, interface
-// method, and exported var/const must carry a comment, so godoc (and the
-// README's pointers into it) never dead-ends on a bare name.
+// lacks a doc comment or leaks an internal/ type. The public SDK is
+// documentation-first: every exported type, function, method, exported
+// struct field, interface method, and exported var/const must carry a
+// comment, so godoc (and the README's pointers into it) never dead-ends on
+// a bare name. And it must stay consumable without importing internal
+// packages: a *dataset.Table in an exported signature would force callers
+// through internal paths and freeze internals into the compatibility
+// surface.
 //
-// The check is syntactic, like apicheck: for every non-test file it walks
-// exported declarations and reports the ones whose Doc is empty. Grouped
-// var/const specs inherit the group comment; a field list with one comment
-// per line passes via line comments.
+// The check is syntactic: for every non-test file it walks exported
+// declarations and reports the ones whose Doc is empty, and the function
+// and method signatures, exported struct fields and embeds, interface
+// methods, type definitions and exported var/const types that select from
+// one of the file's repro/internal/... imports. Grouped var/const specs
+// inherit the group comment; a field list with one comment per line passes
+// via line comments. Unexported fields and function bodies may use internal
+// packages freely; that is the point of the wrapper types.
 //
 // A package of functional options documents them in one place, the knob
 // table of its package comment (tab-indented rows that open "WithName("). The
@@ -92,10 +100,10 @@ func main() {
 		bad += len(missing)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d documentation gap(s)\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d documentation gap(s) or internal leak(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: every exported symbol is documented, the knob table lists every option and the documents name nothing stale")
+	fmt.Println("doccheck: every exported symbol is documented and free of internal/ types, the knob table lists every option and the documents name nothing stale")
 }
 
 // index is what a module's source declares, as documents name it:
@@ -381,11 +389,36 @@ func checkKnobTable(dir string, files []*ast.File) []string {
 	return out
 }
 
+// checkFile reports the exported declarations of f that carry no doc
+// comment or select from one of its internal/ imports.
 func checkFile(fset *token.FileSet, f *ast.File) []string {
+	internals := map[string]string{} // local name -> import path
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value) // the parser accepted the literal
+		if !strings.Contains(path, "/internal/") && !strings.HasPrefix(path, "internal/") {
+			continue
+		}
+		local := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		internals[local] = path
+	}
 	var out []string
-	report := func(pos token.Pos, what string) {
-		p := fset.Position(pos)
-		out = append(out, fmt.Sprintf("%s: %s has no doc comment", p, what))
+	undocumented := func(pos token.Pos, what string) {
+		out = append(out, fmt.Sprintf("%s: %s has no doc comment", fset.Position(pos), what))
+	}
+	// leaks reports the selectors of a type expression rooted at an
+	// internal import.
+	leaks := func(expr ast.Expr, what string) {
+		ast.Inspect(expr, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && internals[id.Name] != "" {
+					out = append(out, fmt.Sprintf("%s: %s references internal package %q", fset.Position(id.Pos()), what, internals[id.Name]))
+				}
+			}
+			return true
+		})
 	}
 
 	for _, decl := range f.Decls {
@@ -395,8 +428,9 @@ func checkFile(fset *token.FileSet, f *ast.File) []string {
 				continue
 			}
 			if d.Doc == nil {
-				report(d.Pos(), "exported func "+d.Name.Name)
+				undocumented(d.Pos(), "exported func "+d.Name.Name)
 			}
+			leaks(d.Type, "exported func "+d.Name.Name)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch sp := spec.(type) {
@@ -405,15 +439,21 @@ func checkFile(fset *token.FileSet, f *ast.File) []string {
 						continue
 					}
 					if d.Doc == nil && sp.Doc == nil {
-						report(sp.Pos(), "exported type "+sp.Name.Name)
+						undocumented(sp.Pos(), "exported type "+sp.Name.Name)
 					}
-					checkTypeSpec(sp, report)
+					checkTypeSpec(sp, undocumented, leaks)
 				case *ast.ValueSpec:
 					for _, n := range sp.Names {
-						if n.IsExported() && d.Doc == nil && sp.Doc == nil && sp.Comment == nil {
-							report(n.Pos(), "exported value "+n.Name)
-							break
+						if !n.IsExported() {
+							continue
 						}
+						if d.Doc == nil && sp.Doc == nil && sp.Comment == nil {
+							undocumented(n.Pos(), "exported value "+n.Name)
+						}
+						if sp.Type != nil {
+							leaks(sp.Type, "exported value "+n.Name)
+						}
+						break
 					}
 				}
 			}
@@ -422,10 +462,12 @@ func checkFile(fset *token.FileSet, f *ast.File) []string {
 	return out
 }
 
-// checkTypeSpec reports undocumented exported members visible through an
-// exported type: struct fields and interface methods. A same-line trailing
-// comment counts — the compact style several small fields use.
-func checkTypeSpec(sp *ast.TypeSpec, report func(token.Pos, string)) {
+// checkTypeSpec reports what an exported type exposes: its undocumented
+// exported struct fields and interface methods — a same-line trailing
+// comment counts, the compact style several small fields use — and the
+// internal selectors of those members or, for any other definition, of the
+// whole type expression.
+func checkTypeSpec(sp *ast.TypeSpec, undocumented func(token.Pos, string), leaks func(ast.Expr, string)) {
 	switch t := sp.Type.(type) {
 	case *ast.StructType:
 		for _, field := range t.Fields.List {
@@ -435,24 +477,33 @@ func checkTypeSpec(sp *ast.TypeSpec, report func(token.Pos, string)) {
 					exported = true
 				}
 			}
-			if exported && field.Doc == nil && field.Comment == nil {
-				name := sp.Name.Name + " embedded field"
-				if len(field.Names) > 0 {
-					name = sp.Name.Name + "." + field.Names[0].Name
-				}
-				report(field.Pos(), "exported field "+name)
+			if !exported {
+				continue
 			}
+			name := sp.Name.Name + " embedded field"
+			if len(field.Names) > 0 {
+				name = sp.Name.Name + "." + field.Names[0].Name
+			}
+			if field.Doc == nil && field.Comment == nil {
+				undocumented(field.Pos(), "exported field "+name)
+			}
+			leaks(field.Type, "exported field "+name)
 		}
 	case *ast.InterfaceType:
 		for _, m := range t.Methods.List {
-			if m.Doc == nil && m.Comment == nil {
-				name := sp.Name.Name + " embed"
-				if len(m.Names) > 0 {
-					name = sp.Name.Name + "." + m.Names[0].Name
-				}
-				report(m.Pos(), "interface method "+name)
+			name := sp.Name.Name + " embed"
+			if len(m.Names) > 0 {
+				name = sp.Name.Name + "." + m.Names[0].Name
 			}
+			if m.Doc == nil && m.Comment == nil {
+				undocumented(m.Pos(), "interface method "+name)
+			}
+			leaks(m.Type, "interface method "+name)
 		}
+	default:
+		// Aliases, named types over maps/slices/funcs: the whole
+		// definition is the surface.
+		leaks(sp.Type, "exported type "+sp.Name.Name)
 	}
 }
 
