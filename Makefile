@@ -31,7 +31,8 @@
 #   make bench-micro   one pass (BENCHTIME=1x) over the Go micro-benchmarks
 #                      the ledger does not replace — paper figure, forest
 #                      fit and scoring, designers, GROUP BY shared vs naive,
-#                      catalog bytes per entry, shard-op wire bytes —
+#                      catalog bytes per entry, shard-op wire bytes, RPCs
+#                      per repeat coordinator count —
 #                      printed as `go test -bench` prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
@@ -82,12 +83,15 @@ test:
 # TestSmoke needs real-time half-second runs; bench-ledger-smoke is its
 # gate — ROADMAP item 1(b)), then the tests that put several seeds on one
 # shard executor or one catalog entry at the same time, the catalog store's
-# acquire/release/EvictStale churn, and the round-budget
-# tests whose scatters merge every shard's reply of a fused round, ten times
-# over: a race only shows in an interleaving the run happens to execute.
+# acquire/release/EvictStale churn, the round-budget
+# tests whose scatters merge every shard's reply of a fused round, and the
+# coordinator tests whose stored census meets moved data (a version bump,
+# an ingest, a swapped worker, two clients racing live ingestion) and is
+# retried from a fresh pre-flight, ten times over: a race only shows in an
+# interleaving the run happens to execute.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^repro/bench$$')
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget' ./lsample/ ./internal/service/ ./internal/shard/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest' ./lsample/ ./internal/service/ ./internal/shard/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at
@@ -98,11 +102,14 @@ race:
 # per-group loop, and what a reuse-catalog entry costs after two seeds
 # counted through it (BenchmarkCatalogEntry: labels/entry, live-B/entry
 # beside accounted-B/entry, 100 cold counts over 50 tables per iteration),
-# and one shard's five lss ops over loopback HTTP through the coordinator's
+# one shard's five lss ops over loopback HTTP through the coordinator's
 # post (BenchmarkShardOpWire: wire-B/op, request plus reply bytes — the
-# guard on the /v1/shard envelope's size).
+# guard on the /v1/shard envelope's size), and repeat lss counts through a
+# coordinator over two loopback workers and two shards
+# (BenchmarkCoordinatorCount: rpcs/op — 8 once the shape's census is
+# stored — and allocs/op).
 # BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire)$$
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount)$$
 BENCHTIME ?= 1x
 
 bench-micro:

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -72,6 +73,10 @@ type CoordinatorOptions struct {
 // twice the worker count or three concurrent queries already exceed.
 const workerIdleConns = 64
 
+// censusEntries caps the coordinator's census store. An entry is one plan
+// and a population count (plus the group census of a GROUP BY) per shard.
+const censusEntries = 256
+
 // Coordinator scatters counting queries over worker processes: each query
 // is split into hash-aligned shards, shard i gets the (i mod W)-th worker of
 // the roster sorted by name as its primary (place: S shards over W workers
@@ -85,6 +90,10 @@ type Coordinator struct {
 	roster  []string // the worker names, sorted; read-only after NewCoordinator
 	opts    CoordinatorOptions
 	client  *http.Client
+
+	// censuses keeps each request shape's census (census), so a repeat
+	// count skips the pre-flight round; capped at censusEntries.
+	censuses *store[*census]
 
 	// tracer records coordinator traces; a sampled root injects its
 	// traceparent into every worker call, and each worker's completed
@@ -116,10 +125,11 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 		opts.HedgeAfter = 500 * time.Millisecond
 	}
 	c := &Coordinator{
-		workers: make(map[string]WorkerInfo, len(workers)),
-		opts:    opts,
-		client:  opts.Client,
-		logger:  opts.Logger,
+		workers:  make(map[string]WorkerInfo, len(workers)),
+		opts:     opts,
+		client:   opts.Client,
+		logger:   opts.Logger,
+		censuses: newStore[*census](censusEntries, 0),
 	}
 	if c.client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -169,7 +179,7 @@ func (c *Coordinator) Count(ctx context.Context, req *CountRequest) (*CountResul
 	c.queries.Inc()
 	t0 := time.Now()
 	ctx, span := c.tracer.StartRequest(ctx, "coordinator.count", req.Explain)
-	res, err := c.count(ctx, req)
+	res, run, err := c.count(ctx, req)
 	if err != nil {
 		span.Set("error", err.Error())
 	} else {
@@ -185,6 +195,8 @@ func (c *Coordinator) Count(ctx context.Context, req *CountRequest) (*CountResul
 			"objects", res.Objects,
 			"estimate", res.Estimate,
 			"degraded", res.Degraded,
+			"memo", run.memo,
+			"retried", run.retried,
 			"duration_ms", float64(time.Since(t0))/1e6)
 	}
 	span.End()
@@ -196,38 +208,81 @@ func (c *Coordinator) Count(ctx context.Context, req *CountRequest) (*CountResul
 	return res, err
 }
 
-func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResult, error) {
+// count runs one request and returns the run that answered it. A request
+// shape counted before opens from its stored census; when that run finds
+// the data moved (ErrDataChanged: a version pin or a census check failed
+// on some worker), the entry goes and the count runs once more from a
+// fresh pre-flight, whose own ErrDataChanged reaches the caller.
+func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResult, *coordRun, error) {
 	shards := req.Shards
 	if shards <= 0 {
 		shards = c.opts.Shards
 	}
-	// Workers get the request verbatim and resolve it themselves; the
-	// coordinator normalizes nothing.
-	run := &coordRun{c: c, base: ShardRequest{CountRequest: *req}, shards: shards, cands: place(c.roster, shards)}
+	key, err := censusKey(req, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	known, _ := c.censuses.get(key)
+	for retried := false; ; retried = true {
+		// Workers get the request verbatim and resolve it themselves; the
+		// coordinator normalizes nothing.
+		run := &coordRun{c: c, req: *req, shards: shards, cands: place(c.roster, shards), key: key, retried: retried}
+		res, err := run.count(ctx, known)
+		if known == nil || !errors.Is(err, ErrDataChanged) {
+			return res, run, err
+		}
+		known = nil
+	}
+}
 
-	// Pre-flight: learn the resolved plan (method, budget, interval, the
-	// query's fingerprint and shape) from shard 0's answer and pin the
-	// dataset versions every later op must match.
-	metas, err := run.preflight(ctx)
+// census is what a pre-flight learns about a request shape, the same for
+// every seed: the plan shard 0's worker resolved (method, budget, interval,
+// the query's fingerprint and shape), every shard's population and group
+// census, and the dataset versions they were taken at.
+type census struct {
+	plan     PlanInfo
+	metas    []shard.Meta
+	versions string
+}
+
+// censusKey names a request shape: the request as it arrived with its seed
+// and explain flag cleared — the two fields a pre-flight's answer does not
+// depend on — and the effective shard count.
+func censusKey(req *CountRequest, shards int) (string, error) {
+	shape := *req
+	shape.Seed, shape.Explain = 0, false
+	b, err := json.Marshal(&shape)
+	if err != nil {
+		return "", badf("request is not encodable: %v", err)
+	}
+	return strconv.Itoa(shards) + "|" + string(b), nil
+}
+
+// count opens the run at its census and scatters the plan over the shards.
+func (r *coordRun) count(ctx context.Context, known *census) (*CountResult, error) {
+	cs, err := r.census(ctx, known)
 	if err != nil {
 		return nil, err
 	}
 	// From here on every worker is sent the resolved request, so a roster
-	// with mixed defaults still scatters one plan.
-	pl, knobs := metas[0].Plan, metas[0].Plan.Request
-	run.base.CountRequest = knobs
+	// with mixed defaults still scatters one plan; the seed and explain flag
+	// are this request's own, whichever count the census came from.
+	arrived := r.req
+	pl, knobs := cs.plan, cs.plan.Request
+	knobs.Seed, knobs.Explain = arrived.Seed, arrived.Explain
+	r.req = knobs
 
-	workers := make([]shard.Worker, shards)
+	workers := make([]shard.Worker, r.shards)
 	for i := range workers {
-		workers[i] = shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+		workers[i] = shard.NewRemote(func(ctx context.Context, op string, args *shard.Args) (*shard.Reply, error) {
 			if op == shard.OpMeta {
-				return metas[i].Reply, nil // the pre-flight was the census
+				return &shard.Reply{Meta: &cs.metas[i]}, nil // the census is known
 			}
-			resp, err := run.do(ctx, i, op, args)
+			resp, err := r.do(ctx, i, op, args)
 			if err != nil {
 				return nil, err
 			}
-			return resp.Reply, nil
+			return &resp.Reply, nil
 		})
 	}
 	const alpha = 0.05
@@ -236,16 +291,20 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 		Grouped:       len(pl.GroupCols) > 0,
 		BudgetOf:      func(n int) int { return lsample.EvalBudget(knobs.Budget, n) },
 		Strata:        knobs.Strata,
-		Seed:          req.Seed,
+		Seed:          arrived.Seed,
 		Alpha:         alpha,
 		Wilson:        knobs.Interval == lsample.Wilson.String(),
-		Exact:         req.Exact,
-		AllowDegraded: c.opts.AllowDegraded,
+		Exact:         arrived.Exact,
+		AllowDegraded: r.c.opts.AllowDegraded,
 	}
 	t0 := time.Now()
 	res, err := shard.Drive(ctx, plan, workers)
 	if err != nil {
-		if errors.Is(err, ErrDataChanged) || errors.Is(err, ErrBadRequest) {
+		if errors.Is(err, ErrDataChanged) {
+			r.c.censuses.drop(r.key)
+			return nil, err
+		}
+		if errors.Is(err, ErrBadRequest) {
 			return nil, err
 		}
 		if errors.Is(err, shard.ErrShardLost) {
@@ -254,7 +313,7 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 		return nil, err
 	}
 	if res.Degraded {
-		c.degradedN.Inc()
+		r.c.degradedN.Inc()
 	}
 
 	return countReply(CountResult{
@@ -263,10 +322,10 @@ func (c *Coordinator) count(ctx context.Context, req *CountRequest) (*CountResul
 		Interval:    knobs.Interval,
 		FeatureCols: pl.FeatureCols,
 		GroupCols:   pl.GroupCols,
-		Seed:        req.Seed,
+		Seed:        arrived.Seed,
 		DurationMS:  float64(time.Since(t0)) / 1e6,
 		Reuse:       lsample.ReuseNone,
-	}, res, req.Exact), nil
+	}, res, arrived.Exact), nil
 }
 
 // Handler exposes the coordinator over HTTP, on the scaffold the service's
@@ -315,37 +374,65 @@ func place(roster []string, shards int) [][]string {
 	return out
 }
 
-// coordRun is one query's scatter state: the request every op carries, each
-// shard's workers in the order to try them (place), and the dataset versions
-// pinned at the census.
+// coordRun is one count's scatter state: the request every op carries,
+// each shard's workers in the order to try them (place), the dataset
+// versions pinned at the census, and — when the census came from the store
+// — the census each op asks its worker to confirm.
 type coordRun struct {
 	c        *Coordinator
-	base     ShardRequest
+	req      CountRequest
 	shards   int
 	cands    [][]string
+	key      string // the request shape's census key
 	versions string
+	assumed  []shard.Meta // per shard; nil after a fresh pre-flight
+
+	memo    bool // the census came from the store
+	retried bool // a count from the store found the data moved; this run took a fresh census
+}
+
+// census opens the run: known, when the store had the request shape, with
+// its versions pinned and its census carried on every op, so a worker whose
+// own census differs refuses as it does a stale pin (a restarted worker can
+// reuse a versions string); otherwise a fresh pre-flight, stored for the
+// counts after this one. Either way a shard lost later is lost after the
+// census.
+func (r *coordRun) census(ctx context.Context, known *census) (*census, error) {
+	ctx, sp := obs.StartSpan(ctx, "shard.census")
+	defer sp.End()
+	r.memo = known != nil
+	sp.Set("memo", r.memo)
+	sp.Set("retried", r.retried)
+	if r.memo {
+		r.versions, r.assumed = known.versions, known.metas
+		return known, nil
+	}
+	cs, err := r.preflight(ctx)
+	if err != nil {
+		return nil, err
+	}
+	r.c.censuses.put(r.key, nil, cs)
+	return cs, nil
 }
 
 // preflight scatters the meta op to every shard with the request as it
 // arrived and no version pin. One round does two jobs: shard 0's answer
 // names the resolved plan, and the answers together are the census Drive
-// opens with, which the caller serves from here instead of asking again (a
+// opens with, which the run serves from here instead of asking again (a
 // shard's population and group census depend on the snapshot and the query,
 // not on which worker's defaults resolved the sampling knobs). Answers that
 // disagree on the dataset versions are ErrDataChanged; the agreed versions
 // are pinned for every later op. A shard whose every candidate fails here
 // is lost before the census, which no degraded answer can absorb.
-func (r *coordRun) preflight(ctx context.Context) ([]*ShardResponse, error) {
-	ctx, sp := obs.StartSpan(ctx, "shard.census")
-	defer sp.End()
-	metas := make([]*ShardResponse, r.shards)
+func (r *coordRun) preflight(ctx context.Context) (*census, error) {
+	answers := make([]*shardAnswer, r.shards)
 	errs := make([]error, r.shards)
 	var wg sync.WaitGroup
-	for i := range metas {
+	for i := range answers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			metas[i], errs[i] = r.do(ctx, i, shard.OpMeta, nil)
+			answers[i], errs[i] = r.do(ctx, i, shard.OpMeta, nil)
 		}()
 	}
 	wg.Wait()
@@ -362,16 +449,37 @@ func (r *coordRun) preflight(ctx context.Context) ([]*ShardResponse, error) {
 	if lost != nil {
 		return nil, fmt.Errorf("%w: lost before census, population unknown: %w", ErrNoWorkers, lost)
 	}
-	if metas[0].Plan == nil {
+	if answers[0].Plan == nil {
 		return nil, fmt.Errorf("service: worker meta answer carries no plan")
 	}
-	r.versions = metas[0].Versions
-	for _, m := range metas[1:] {
-		if m.Versions != r.versions {
-			return nil, fmt.Errorf("%w: expected %q, worker has %q", ErrDataChanged, r.versions, m.Versions)
+	cs := &census{plan: *answers[0].Plan, metas: make([]shard.Meta, r.shards), versions: answers[0].Versions}
+	for i, a := range answers {
+		if a.Versions != cs.versions {
+			return nil, fmt.Errorf("%w: expected %q, worker has %q", ErrDataChanged, cs.versions, a.Versions)
 		}
+		if a.Reply.Meta == nil {
+			return nil, fmt.Errorf("shard: %s reply empty", shard.OpMeta)
+		}
+		cs.metas[i] = *a.Reply.Meta
 	}
-	return metas, nil
+	r.versions = cs.versions
+	return cs, nil
+}
+
+// shardCall is a ShardRequest as the coordinator writes it: the op's
+// arguments typed, encoded in the one pass that encodes the envelope (the
+// field shadows ShardRequest.Args, which stays empty).
+type shardCall struct {
+	ShardRequest
+	Args *shard.Args `json:"args,omitempty"`
+}
+
+// shardAnswer is a ShardResponse as the coordinator reads it: the op's
+// reply decoded in the one pass that decodes the envelope (the field
+// shadows ShardResponse.Reply, which stays empty).
+type shardAnswer struct {
+	ShardResponse
+	Reply shard.Reply `json:"reply"`
 }
 
 // permanentError marks a worker answer that retrying elsewhere cannot
@@ -386,12 +494,17 @@ func (e *permanentError) Unwrap() error { return e.err }
 // HedgeAfter of quiet time before a backup launches; the first success
 // wins. When every candidate fails the op resolves to a LostShardError,
 // which Drive absorbs (degraded mode) or surfaces.
-func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.RawMessage) (*ShardResponse, error) {
-	b := r.base
-	b.Op, b.Args = op, args
-	b.Shard = shard.Spec{Index: shardIdx, Count: r.shards}
-	b.Versions = r.versions
-	body, err := json.Marshal(&b)
+func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.Args) (*shardAnswer, error) {
+	call := shardCall{ShardRequest: ShardRequest{
+		CountRequest: r.req,
+		Op:           op,
+		Shard:        shard.Spec{Index: shardIdx, Count: r.shards},
+		Versions:     r.versions,
+	}, Args: args}
+	if r.assumed != nil {
+		call.Census = &r.assumed[shardIdx]
+	}
+	body, err := json.Marshal(&call)
 	if err != nil {
 		return nil, badf("encoding shard request: %v", err)
 	}
@@ -401,7 +514,7 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.Ra
 	defer cancel()
 
 	type outcome struct {
-		resp *ShardResponse
+		resp *shardAnswer
 		err  error
 	}
 	ch := make(chan outcome, len(cands))
@@ -477,7 +590,7 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args json.Ra
 // post performs one worker call under the per-op deadline, injecting the
 // attempt span's traceparent (when recording) so the worker joins the
 // coordinator's trace.
-func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, traceparent string) (*ShardResponse, error) {
+func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, traceparent string) (*shardAnswer, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.WorkerDeadline)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/shard", bytes.NewReader(body))
@@ -511,7 +624,7 @@ func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, tra
 		}
 		return nil, fmt.Errorf("service: worker answered %d: %s", resp.StatusCode, msg)
 	}
-	var out ShardResponse
+	var out shardAnswer
 	if err := json.Unmarshal(payload, &out); err != nil {
 		return nil, fmt.Errorf("service: worker answer unreadable: %v", err)
 	}

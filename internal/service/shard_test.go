@@ -14,9 +14,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/xrand"
 	"repro/lsample"
@@ -465,7 +467,8 @@ func hostOf(t *testing.T, rawURL string) string {
 // TestCoordinatorChaosFailover: with a second worker holding the same
 // data, killing, stalling, or corrupting every request to the first
 // worker must not change the answer by a byte — the hedged retries route
-// around it.
+// around it, on the shape's first count and on a warm one that opens from
+// the stored census.
 func TestCoordinatorChaosFailover(t *testing.T) {
 	const n, k = 120, 10
 	_, srvA := newWorkerServer(t, testTable(n, 7))
@@ -508,6 +511,7 @@ func TestCoordinatorChaosFailover(t *testing.T) {
 				t.Fatalf("answer changed under %s: %v [%v,%v] vs %v [%v,%v]",
 					mode, got.Estimate, got.CILo, got.CIHi, ref.Estimate, ref.CILo, ref.CIHi)
 			}
+			warmCount(t, coord, req, got)
 		})
 	}
 }
@@ -561,6 +565,9 @@ func TestCoordinatorDegradedAnswer(t *testing.T) {
 	if res.Estimate <= 0 || res.Estimate > float64(n) {
 		t.Fatalf("degraded estimate %v out of range", res.Estimate)
 	}
+	// Warm, the count opens at cands — the round shard 2 is lost in — so
+	// the shard is lost after the census again, and the answer repeats.
+	warmCount(t, lenient, req, res)
 }
 
 // shardOpsSent is how many shard calls the coordinator has launched.
@@ -572,64 +579,364 @@ func shardOpsSent(c *Coordinator) int64 {
 	return n
 }
 
+// opTally is a RoundTripper that tallies the shard ops it carries, by name.
+type opTally struct {
+	mu  sync.Mutex
+	ops map[string]int
+}
+
+func (o *opTally) RoundTrip(req *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	var sr ShardRequest
+	if json.Unmarshal(body, &sr) == nil {
+		o.mu.Lock()
+		if o.ops == nil {
+			o.ops = make(map[string]int)
+		}
+		o.ops[sr.Op]++
+		o.mu.Unlock()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// take returns the tally since the last take and starts a new one.
+func (o *opTally) take() map[string]int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ops := o.ops
+	o.ops = nil
+	return ops
+}
+
+// answerBytes is an answer's estimate as bytes: everything but wall-clock
+// time, the trace, and the accounting of who paid for which label.
+func answerBytes(t *testing.T, r *CountResult) string {
+	t.Helper()
+	a := *r
+	a.DurationMS, a.PredicateMS, a.Evals, a.Reuse, a.Compiled, a.Cached, a.Trace = 0, 0, 0, "", false, false, nil
+	b, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// censusSpans lists the memo and retried flags of an explained
+// coordinator count's census spans, in the order they opened.
+func censusSpans(res *CountResult) string {
+	var out []string
+	forEachSpan(res.Trace, func(d *obs.SpanData) {
+		if d.Name == "shard.census" && d.Attrs["memo"] != nil {
+			out = append(out, fmt.Sprintf("memo=%v retried=%v", d.Attrs["memo"], d.Attrs["retried"]))
+		}
+	})
+	return strings.Join(out, ", ")
+}
+
+// warmCount counts req once more on a coordinator that has counted its
+// shape: the count opens from the stored census — its census span says so
+// and no meta op crosses the wire — and answers first's bytes.
+func warmCount(t *testing.T, coord *Coordinator, req CountRequest, first *CountResult) {
+	t.Helper()
+	req.Explain = true
+	res, err := coord.Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := 0
+	forEachSpan(res.Trace, func(d *obs.SpanData) {
+		if d.Name == "shard.rpc" && d.Attrs["op"] == shard.OpMeta {
+			metas++
+		}
+	})
+	if got := censusSpans(res); metas != 0 || got != "memo=true retried=false" {
+		t.Errorf("warm count sent %d meta ops, census spans %q: want none, from the store", metas, got)
+	}
+	if a, b := answerBytes(t, res), answerBytes(t, first); a != b {
+		t.Errorf("warm count answered differently:\n%s\n%s", a, b)
+	}
+}
+
 // TestCoordinatorVersionFence: workers serving different dataset versions
 // can never contribute to one merged answer — the query fails with
-// data_changed instead of mixing snapshots. The pre-flight sees it: it asks
-// every shard at once and pins nothing until the answers agree, so no op
-// past that round is sent and nothing reaches a merge.
+// data_changed instead of mixing snapshots. Cold, the pre-flight sees it:
+// it asks every shard at once and pins nothing until the answers agree, so
+// no op past that round is sent and nothing reaches a merge. Warm — B moves
+// after a count whose census the coordinator kept — B's shards refuse the
+// stored pin at cands, the coordinator forgets the census and takes a fresh
+// one, which disagrees: data_changed, and no label op is ever sent.
 func TestCoordinatorVersionFence(t *testing.T) {
 	const n, k, shards = 100, 10, 8
-	_, srvA := newWorkerServer(t, testTable(n, 7))
-	svcB, srvB := newWorkerServer(t, testTable(n, 7))
-	svcB.RegisterTable(testTable(n, 7)) // bump B's version past A's
-	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute}, srvA, srvB)
-	_, err := coord.Count(context.Background(), &CountRequest{
+	req := CountRequest{
 		SQL:    skybandQuery,
 		Params: map[string]any{"k": float64(k)},
 		Method: "srs",
 		Budget: 0.25,
 		Seed:   3,
-	})
-	if !errors.Is(err, ErrDataChanged) {
-		t.Fatalf("mixed versions: err = %v, want ErrDataChanged", err)
 	}
-	if sent := shardOpsSent(coord); sent != shards {
-		t.Errorf("%d shard ops sent, want the %d pre-flight metas and nothing after them", sent, shards)
+	t.Run("cold", func(t *testing.T) {
+		_, srvA := newWorkerServer(t, testTable(n, 7))
+		svcB, srvB := newWorkerServer(t, testTable(n, 7))
+		svcB.RegisterTable(testTable(n, 7)) // bump B's version past A's
+		coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute}, srvA, srvB)
+		if _, err := coord.Count(context.Background(), &req); !errors.Is(err, ErrDataChanged) {
+			t.Fatalf("mixed versions: err = %v, want ErrDataChanged", err)
+		}
+		if sent := shardOpsSent(coord); sent != shards {
+			t.Errorf("%d shard ops sent, want the %d pre-flight metas and nothing after them", sent, shards)
+		}
+	})
+	t.Run("warm store", func(t *testing.T) {
+		_, srvA := newWorkerServer(t, testTable(n, 7))
+		svcB, srvB := newWorkerServer(t, testTable(n, 7))
+		tally := &opTally{}
+		coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute,
+			Client: &http.Client{Transport: tally}}, srvA, srvB)
+		if _, err := coord.Count(context.Background(), &req); err != nil {
+			t.Fatal(err)
+		}
+		tally.take()
+		svcB.RegisterTable(testTable(n, 7))
+		next := req
+		next.Seed = 4
+		if _, err := coord.Count(context.Background(), &next); !errors.Is(err, ErrDataChanged) {
+			t.Fatalf("B moved after the census was kept: err = %v, want ErrDataChanged", err)
+		}
+		if ops := tally.take(); ops[shard.OpMeta] != shards || ops[shard.OpLabel] != 0 {
+			t.Errorf("ops sent %v: want one fresh pre-flight (%d metas) and no label op", ops, shards)
+		}
+		if coord.censuses.len() != 0 {
+			t.Error("the coordinator kept a census the workers disagree with")
+		}
+	})
+}
+
+// liveWorker starts a worker whose D is a live table of 80 points.
+func liveWorker(t *testing.T) (*Service, *httptest.Server) {
+	t.Helper()
+	lt, err := lsample.NewLiveTable("D", "id:int,x:float,y:float", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch lsample.DeltaBatch
+	for i := 0; i < 80; i++ {
+		batch.Append(int64(i), float64((i*37)%100), float64((i*59)%100))
+	}
+	if _, err := lt.Apply(&batch); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(NewRegistry(), Options{MaxInFlight: 16})
+	svc.RegisterLiveTable(lt)
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+	return svc, srv
+}
+
+// TestCoordinatorCensusFollowsIngest: an ingest on every worker between
+// two counts of one request moves the versions the coordinator's stored
+// census is pinned at. The second count's first round is refused, the
+// coordinator takes exactly one more pre-flight — its census span and
+// query log line say retried — and answers what a fresh coordinator
+// answers over the new data, byte for byte.
+func TestCoordinatorCensusFollowsIngest(t *testing.T) {
+	const shards = 2
+	svcA, srvA := liveWorker(t)
+	svcB, srvB := liveWorker(t)
+	tally := &opTally{}
+	var logs bytes.Buffer
+	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute,
+		Client: &http.Client{Transport: tally}, Logger: obs.NewLogger(&logs)}, srvA, srvB)
+	req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3, Seed: 3}
+	if _, err := coord.Count(context.Background(), &req); err != nil {
+		t.Fatal(err)
+	}
+	for _, svc := range []*Service{svcA, svcB} {
+		if _, err := svc.Ingest("D", "csv", strings.NewReader("id,x,y\n500,99,98\n501,1,2\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tally.take()
+	logs.Reset()
+	req.Seed, req.Explain = 4, true
+	got, err := coord.Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := tally.take(); ops[shard.OpMeta] != shards {
+		t.Errorf("ops sent %v: want exactly one extra pre-flight (%d metas)", ops, shards)
+	}
+	if spans := censusSpans(got); spans != "memo=true retried=false, memo=false retried=true" {
+		t.Errorf("census spans %q: want the stored census, then a retried fresh one", spans)
+	}
+	if line := logs.String(); !strings.Contains(line, `"memo":false`) || !strings.Contains(line, `"retried":true`) {
+		t.Errorf("query log line does not say the count retried:\n%s", line)
+	}
+	if got.Objects != 82 {
+		t.Errorf("answered over %d objects, want the 82 after the ingest", got.Objects)
+	}
+	fresh, err := newCoordinator(t, CoordinatorOptions{Shards: shards}, srvA, srvB).Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := answerBytes(t, got), answerBytes(t, fresh); a != b {
+		t.Errorf("retried count differs from a fresh coordinator's:\n%s\n%s", a, b)
+	}
+}
+
+// swapHandler serves whichever handler was stored last.
+type swapHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	(*s.h.Load()).ServeHTTP(w, r)
+}
+
+// TestCoordinatorCatchesSwappedWorker: a worker replaced behind the same
+// URL by one over different data reports the same versions string — both
+// processes registered D once — so the version pin alone would let the
+// coordinator's stored census through. Every op of a count opened from
+// the store carries the census it assumed, the new worker refuses it, and
+// the count runs again from a fresh pre-flight: the answer is a fresh
+// coordinator's over the new data.
+func TestCoordinatorCatchesSwappedWorker(t *testing.T) {
+	const shards = 2
+	oldSvc, _ := newWorkerServer(t, testTable(120, 7))
+	newSvc, _ := newWorkerServer(t, testTable(90, 8))
+	var sw swapHandler
+	h := oldSvc.Handler()
+	sw.h.Store(&h)
+	srv := httptest.NewServer(&sw)
+	t.Cleanup(srv.Close)
+
+	req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "srs", Budget: 0.3, Seed: 3}
+	var versions []string
+	for _, svc := range []*Service{oldSvc, newSvc} {
+		meta := ShardRequest{CountRequest: req, Op: shard.OpMeta, Shard: shard.Spec{Index: 0, Count: shards}}
+		resp, err := svc.ShardOp(context.Background(), &meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, resp.Versions)
+	}
+	if versions[0] != versions[1] {
+		t.Fatalf("versions %q and %q differ: the version pin alone would catch the swap", versions[0], versions[1])
+	}
+
+	tally := &opTally{}
+	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute,
+		Client: &http.Client{Transport: tally}}, srv)
+	if _, err := coord.Count(context.Background(), &req); err != nil {
+		t.Fatal(err)
+	}
+	h = newSvc.Handler()
+	sw.h.Store(&h)
+	tally.take()
+	req.Seed, req.Explain = 4, true
+	got, err := coord.Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := tally.take(); ops[shard.OpMeta] != shards {
+		t.Errorf("ops sent %v: want exactly one extra pre-flight (%d metas)", ops, shards)
+	}
+	if spans := censusSpans(got); spans != "memo=true retried=false, memo=false retried=true" {
+		t.Errorf("census spans %q: want the stored census refused, then a fresh one", spans)
+	}
+	fresh, err := newCoordinator(t, CoordinatorOptions{Shards: shards}, srv).Count(context.Background(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Objects != 90 || answerBytes(t, got) != answerBytes(t, fresh) {
+		t.Errorf("after the swap:\n%s\nwant a fresh coordinator's\n%s", answerBytes(t, got), answerBytes(t, fresh))
 	}
 }
 
 // TestCoordinatorRoundBudget pins what a scattered count costs in RPCs on
-// two shards: one meta per shard that is pre-flight and census at once,
-// then one call per shard per round the plan's data dependencies require —
-// lss cands, label with the learn sample's feature rows, score_all, one
-// label for every stratum (10 in all; it was 19 when the census asked
-// again, features were an op and each stratum a round), srs cands and
-// label (6; it was 7).
+// two shards. A shape's first count sends one meta per shard that is
+// pre-flight and census at once, then one call per shard per round the
+// plan's data dependencies require — lss cands, label with the learn
+// sample's feature rows, score_all, one label for every stratum (10 in all;
+// it was 19 when the census asked again, features were an op and each
+// stratum a round), srs cands and label (6; it was 7). Every later count of
+// the shape, whatever its seed, opens at cands from the coordinator's
+// stored census: 8 and 4. A grouped lss count adds one label round for its
+// under-served groups' top-ups: 12, then 10.
 func TestCoordinatorRoundBudget(t *testing.T) {
 	const n, shards = 120, 2
-	_, srvA := newWorkerServer(t, testTable(n, 7))
-	_, srvB := newWorkerServer(t, testTable(n, 7))
+	_, srvA := newWorkerServer(t, testTable(n, 7), groupedTestTable(n, 7))
+	_, srvB := newWorkerServer(t, testTable(n, 7), groupedTestTable(n, 7))
 	// No hedging: a slow test machine must not add backup calls.
 	coord := newCoordinator(t, CoordinatorOptions{Shards: shards, HedgeAfter: time.Minute}, srvA, srvB)
 	for _, tc := range []struct {
-		method string
-		rpcs   int64
-	}{{"lss", 10}, {"srs", 6}} {
+		what, sql, method string
+		first, repeat     int64
+	}{
+		{"lss", skybandQuery, "lss", 10, 8},
+		{"srs", skybandQuery, "srs", 6, 4},
+		{"grouped lss", groupedSkybandQuery, "lss", 12, 10},
+	} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			before := shardOpsSent(coord)
 			_, err := coord.Count(context.Background(), &CountRequest{
-				SQL: skybandQuery, Params: map[string]any{"k": float64(10)},
+				SQL: tc.sql, Params: map[string]any{"k": float64(10)},
 				Method: tc.method, Budget: 0.3, Seed: seed,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := shardOpsSent(coord) - before; got > tc.rpcs {
-				t.Errorf("%s seed %d: %d shard ops for one count on %d shards, want at most %d",
-					tc.method, seed, got, shards, tc.rpcs)
+			want := tc.repeat
+			if seed == 1 {
+				want = tc.first
+			}
+			if got := shardOpsSent(coord) - before; got != want {
+				t.Errorf("%s seed %d: %d shard ops for one count on %d shards, want %d",
+					tc.what, seed, got, shards, want)
 			}
 		}
 	}
+}
+
+// BenchmarkCoordinatorCount times repeat lss counts of the shard_scatter
+// workload's shape through a coordinator over two loopback workers and two
+// shards, each count under a new seed after a first has stored the shape's
+// census and the workers' catalogs have labeled the population. rpcs/op is
+// the shard calls one count sends (8: it opens at cands); allocs/op counts
+// the coordinator's and both workers' allocations together.
+func BenchmarkCoordinatorCount(b *testing.B) {
+	var urls []*httptest.Server
+	for range 2 {
+		reg := NewRegistry()
+		reg.Register(testTable(wireRows, 7))
+		srv := httptest.NewServer(New(reg, Options{MaxInFlight: 16}).Handler())
+		b.Cleanup(srv.Close)
+		urls = append(urls, srv)
+	}
+	c, err := NewCoordinator([]WorkerInfo{{Name: "w0", BaseURL: urls[0].URL}, {Name: "w1", BaseURL: urls[1].URL}},
+		CoordinatorOptions{Shards: 2, HedgeAfter: time.Minute})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := wireCount
+	for seed := range uint64(20) {
+		req.Seed = seed + 1
+		if _, err := c.Count(context.Background(), &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	before := shardOpsSent(c)
+	counts := 0
+	for b.Loop() {
+		counts++
+		req.Seed = uint64(100 + counts)
+		if _, err := c.Count(context.Background(), &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(shardOpsSent(c)-before)/float64(counts), "rpcs/op")
 }
 
 // TestCoordinatorKeepsWorkerConnections: a round puts ceil(shards/workers)
@@ -684,10 +991,11 @@ func TestCoordinatorKeepsWorkerConnections(t *testing.T) {
 	}
 }
 
-// TestCoordinatorConcurrentIngest races scatter/gather queries against
-// live ingestion on the worker. Every query must either succeed with a
-// well-formed answer or fail cleanly (data_changed when an ingest lands
-// mid-query) — never return a silently partial merge. Run with -race.
+// TestCoordinatorConcurrentIngest races scatter/gather queries from two
+// clients against live ingestion on the worker. Every query must either
+// succeed with a well-formed answer or fail cleanly (data_changed when an
+// ingest lands mid-query) — never return a silently partial merge, whether
+// it took a fresh census or opened from a stored one. Run with -race.
 func TestCoordinatorConcurrentIngest(t *testing.T) {
 	const k = 10
 	lt, err := lsample.NewLiveTable("D", "id:int,x:float,y:float", "id")
@@ -727,24 +1035,36 @@ func TestCoordinatorConcurrentIngest(t *testing.T) {
 		}
 	}()
 
-	for i := 0; i < 8; i++ {
-		res, cerr := coord.Count(context.Background(), &CountRequest{
-			SQL:    skybandQuery,
-			Params: map[string]any{"k": float64(k)},
-			Method: "srs",
-			Budget: 0.3,
-			Seed:   uint64(i + 1),
-		})
-		if cerr != nil {
-			if errors.Is(cerr, ErrDataChanged) {
-				continue // clean refusal: an ingest landed mid-query
+	// Two clients share the coordinator's census store: each count opens
+	// from whichever census the other stored, dropped or replaced last.
+	var clients sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := c; i < 8; i += 2 {
+				res, cerr := coord.Count(context.Background(), &CountRequest{
+					SQL:    skybandQuery,
+					Params: map[string]any{"k": float64(k)},
+					Method: "srs",
+					Budget: 0.3,
+					Seed:   uint64(i + 1),
+				})
+				if cerr != nil {
+					if errors.Is(cerr, ErrDataChanged) {
+						continue // clean refusal: an ingest landed mid-query
+					}
+					t.Errorf("query %d: %v", i, cerr)
+					return
+				}
+				if res.Degraded || res.Objects <= 0 || (res.HasCI && res.CILo > res.CIHi) {
+					t.Errorf("query %d: malformed answer %+v", i, res)
+					return
+				}
 			}
-			t.Fatalf("query %d: %v", i, cerr)
-		}
-		if res.Degraded || res.Objects <= 0 || (res.HasCI && res.CILo > res.CIHi) {
-			t.Fatalf("query %d: malformed answer %+v", i, res)
-		}
+		}()
 	}
+	clients.Wait()
 	close(stop)
 	wg.Wait()
 }
@@ -782,19 +1102,11 @@ func TestCoordinatorUsesWorkerDefaults(t *testing.T) {
 	} else if err := json.Unmarshal(payload, &ref); err != nil {
 		t.Fatal(err)
 	}
-	// The estimate's bytes: everything but wall-clock and accounting of
-	// who paid for which label.
-	answer := func(r CountResult) string {
-		r.DurationMS, r.PredicateMS, r.Evals, r.Reuse, r.Compiled, r.Cached = 0, 0, 0, "", false, false
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if a, b := answer(*got), answer(ref); a != b {
+	if a, b := answerBytes(t, got), answerBytes(t, &ref); a != b {
 		t.Fatalf("scattered answer differs from the worker's own:\n%s\n%s", a, b)
 	}
+	// A warm count sends the plan the stored census resolved.
+	warmCount(t, coord, req, got)
 }
 
 // TestPlaceBalancesPrimaries runs place over every roster of 1 to 16

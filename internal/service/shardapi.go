@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/lsample"
 )
 
 // This file is the worker side of sharded scale-out estimation: POST
@@ -31,7 +33,10 @@ import (
 // versions, and a request carrying an expected "versions" string fails
 // with 409 version_mismatch when the worker's data has moved on — a
 // coordinator that pinned its census against version V can never merge a
-// partial computed against V+1.
+// partial computed against V+1. A request that also carries the census the
+// coordinator assumed for the shard fails the same way when the shard's own
+// census differs: versions strings are per-process counters, so a worker
+// restarted over other data can answer with the versions of the old.
 
 // ShardRequest is one /v1/shard operation: the count request being
 // scattered, exactly as the coordinator received it, plus the shard, the
@@ -40,10 +45,14 @@ import (
 // no_cache, degrade, explain) are the merging process's business.
 type ShardRequest struct {
 	CountRequest
-	Op       string          `json:"op"` // an internal/shard op name
-	Shard    shard.Spec      `json:"shard"`
-	Versions string          `json:"versions,omitempty"` // expected dataset versions ("" skips the fence)
-	Args     json.RawMessage `json:"args,omitempty"`     // the op's shard.Args block
+	Op       string     `json:"op"` // an internal/shard op name
+	Shard    shard.Spec `json:"shard"`
+	Versions string     `json:"versions,omitempty"` // expected dataset versions ("" skips the fence)
+	// Census is the shard's census the coordinator assumed, set when it
+	// kept the census of an earlier count instead of asking again; a worker
+	// whose own differs answers as for stale versions.
+	Census *shard.Meta     `json:"census,omitempty"`
+	Args   json.RawMessage `json:"args,omitempty"` // the op's shard.Args block
 }
 
 // ShardResponse is the result of one /v1/shard operation: the op's reply
@@ -62,12 +71,17 @@ type ShardResponse struct {
 
 // versionMismatchError carries the worker's current versions back to the
 // HTTP layer, which maps it to 409 version_mismatch with the versions in an
-// X-Dataset-Versions header (writeError).
+// X-Dataset-Versions header (writeError). census marks a census that
+// differs under unchanged versions.
 type versionMismatchError struct {
 	want, current string
+	census        bool
 }
 
 func (e *versionMismatchError) Error() string {
+	if e.census {
+		return fmt.Sprintf("service: shard census differs from the coordinator's at versions %q", e.current)
+	}
 	return fmt.Sprintf("service: dataset versions moved from %q to %q", e.want, e.current)
 }
 
@@ -94,6 +108,11 @@ func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardRespons
 	if err != nil {
 		return nil, mapSDKErr(err)
 	}
+	if req.Census != nil {
+		if err := checkCensus(ctx, exec, p, req.Census); err != nil {
+			return nil, err
+		}
+	}
 	if shard.Heavy(req.Op) {
 		// Labeling and training share the MaxInFlight and per-dataset
 		// budgets with whole-query estimations. Shard ops carry no admission
@@ -118,6 +137,23 @@ func (s *Service) ShardOp(ctx context.Context, req *ShardRequest) (*ShardRespons
 		}
 	}
 	return resp, nil
+}
+
+// checkCensus compares the census the coordinator assumed for this shard
+// with the shard's own, as the meta op reports it.
+func checkCensus(ctx context.Context, exec *lsample.ShardExec, p *plan, assumed *shard.Meta) error {
+	raw, err := exec.Op(ctx, p.Seed, shard.OpMeta, nil)
+	if err != nil {
+		return mapSDKErr(err)
+	}
+	var own shard.Reply
+	if err := json.Unmarshal(raw, &own); err != nil {
+		return fmt.Errorf("service: reading the shard's census: %v", err)
+	}
+	if own.Meta == nil || !reflect.DeepEqual(*own.Meta, *assumed) {
+		return &versionMismatchError{want: p.Versions, current: p.Versions, census: true}
+	}
+	return nil
 }
 
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {

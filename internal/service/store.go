@@ -7,7 +7,8 @@ import (
 )
 
 // store is the one container behind every cache the service keeps — counted
-// results, prepared queries, parsed query shapes: a
+// results, prepared queries, parsed query shapes, and the coordinator's
+// censuses: a
 // bounded LRU over string keys with an optional TTL, each entry tagged with
 // the version vector it was built against (nil when no data version can
 // stale it), so "drop what the registry no longer serves" is one walk
@@ -82,6 +83,15 @@ func (s *store[V]) put(key string, versions map[string]uint64, val V) V {
 		s.unlink(s.ll.Back())
 	}
 	return val
+}
+
+// drop evicts the entry under key, if resident.
+func (s *store[V]) drop(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.m[key]; ok {
+		s.unlink(el)
+	}
 }
 
 // dropStale evicts every entry built against a version vector that serves

@@ -171,12 +171,8 @@ func BenchmarkShardOpWire(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var r shard.Reply
-		if err := json.Unmarshal(resp.Reply, &r); err != nil {
-			b.Fatal(err)
-		}
 		versions = resp.Versions
-		return r
+		return resp.Reply
 	}
 	shardOpSequence(b, send)
 	wire.Store(0)

@@ -11,16 +11,19 @@ import (
 // argument and reply blocks, the dispatch of a named op onto a Worker
 // (Serve, the worker end of a wire), and the Worker that performs each op
 // by calling a transport (NewRemote, the coordinator end). A serving layer
-// only moves the opaque args and reply bytes between the two — it declares
-// no op, converts no type, and encodes nothing twice: its envelopes are
-// compact JSON, so a block rides inside one as the bytes this file marshaled.
+// declares no op and converts no type. Its worker end passes the args and
+// reply bytes through opaque; its coordinator end carries the typed blocks
+// inside its own compact JSON envelopes, so each block is encoded once and
+// decoded once.
 //
 // Every op a driver sends is one blocking round, so an lss count costs the
 // five rounds its data dependencies require (driver.go):
 //
 //	round  op               depends on                          bytes ∝
 //	1      meta             nothing: the census (and a          groups
-//	                        coordinator's pre-flight)
+//	                        coordinator's pre-flight; a
+//	                        coordinator that kept the census
+//	                        of the query's shape skips it)
 //	2      cands            the population (it sizes budgets)   learn sample, per shard
 //	3      label + rows_of  the merged learn selection          learn sample × (1 + features)
 //	4      score_all        the learn sample's labels and rows  shards × learn sample × features
@@ -119,10 +122,12 @@ func Serve(ctx context.Context, w Worker, op string, args json.RawMessage) (json
 	return json.Marshal(&r)
 }
 
-// Transport carries one op's encoded arguments to wherever the shard lives
-// and returns the encoded reply — one HTTP POST with routing, deadlines
-// and hedging in the coordinator, a direct Serve call in tests.
-type Transport func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error)
+// Transport carries one op's arguments to wherever the shard lives and
+// returns its reply — one HTTP POST with routing, deadlines and hedging in
+// the coordinator, which encodes the arguments inside its request envelope
+// and decodes the reply with its response envelope; a JSON round trip
+// through Serve in tests. A nil error comes with a non-nil reply.
+type Transport func(ctx context.Context, op string, args *Args) (*Reply, error)
 
 // NewRemote returns the Worker that performs every op through t: the
 // coordinator end of a wire. Replies whose shape cannot belong to the
@@ -132,18 +137,10 @@ func NewRemote(t Transport) Worker { return remote(t) }
 
 type remote Transport
 
-func (t remote) call(ctx context.Context, op string, a Args) (Reply, error) {
-	args, err := json.Marshal(&a)
+func (t remote) call(ctx context.Context, op string, a Args) (*Reply, error) {
+	r, err := t(ctx, op, &a)
 	if err != nil {
-		return Reply{}, fmt.Errorf("shard: encoding %s arguments: %w", op, err)
-	}
-	raw, err := t(ctx, op, args)
-	if err != nil {
-		return Reply{}, err
-	}
-	var r Reply
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return Reply{}, fmt.Errorf("shard: %s reply unreadable: %v", op, err)
+		return &Reply{}, err
 	}
 	return r, nil
 }

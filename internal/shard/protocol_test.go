@@ -10,14 +10,28 @@ import (
 )
 
 // wired returns the protocol's two ends joined without a network: the
-// remote Worker whose transport is a direct Serve call on w. ops records
-// every op name that crossed the wire.
+// remote Worker whose transport encodes each op's arguments to JSON, hands
+// the bytes to Serve on w and decodes the reply bytes — the round trip a
+// coordinator's envelopes make, minus the HTTP hop. ops records every op
+// name that crossed the wire.
 func wired(w Worker, ops map[string]int) Worker {
-	return NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
+	return NewRemote(func(ctx context.Context, op string, a *Args) (*Reply, error) {
 		if ops != nil {
 			ops[op]++
 		}
-		return Serve(ctx, w, op, args)
+		args, err := json.Marshal(a)
+		if err != nil {
+			return nil, err
+		}
+		raw, err := Serve(ctx, w, op, args)
+		if err != nil {
+			return nil, err
+		}
+		var r Reply
+		if err := json.Unmarshal(raw, &r); err != nil {
+			return nil, err
+		}
+		return &r, nil
 	})
 }
 
@@ -131,8 +145,8 @@ func TestProtocolRejectsMalformed(t *testing.T) {
 	if _, err := Serve(ctx, local, "features", json.RawMessage(`{"keys": [1]}`)); !errors.Is(err, ErrBadOp) {
 		t.Errorf("the retired features op: %v", err)
 	}
-	empty := NewRemote(func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
-		return json.RawMessage(`{}`), nil
+	empty := NewRemote(func(context.Context, string, *Args) (*Reply, error) {
+		return &Reply{}, nil
 	})
 	if _, err := empty.Meta(ctx); err == nil {
 		t.Error("empty meta reply accepted")
@@ -145,8 +159,8 @@ func TestProtocolRejectsMalformed(t *testing.T) {
 	}
 	// A feature block of the wrong length: one row short, one too many, and
 	// rows nobody asked for.
-	rows := NewRemote(func(context.Context, string, json.RawMessage) (json.RawMessage, error) {
-		return json.RawMessage(`{"labels": [true, false], "features": [[1, 2]]}`), nil
+	rows := NewRemote(func(context.Context, string, *Args) (*Reply, error) {
+		return &Reply{Labels: []bool{true, false}, Features: [][]float64{{1, 2}}}, nil
 	})
 	for _, rowsOf := range [][]int64{{1, 4}, nil} {
 		if _, _, _, err := rows.Label(ctx, []int64{1, 4}, rowsOf); err == nil {

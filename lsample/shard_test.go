@@ -224,6 +224,27 @@ func TestShardContractErrors(t *testing.T) {
 	}
 }
 
+// overOp is the protocol's transport over the executor's one entry point,
+// as a serving layer wires it minus the HTTP hop: each op's arguments are
+// encoded to JSON, run by x.Op under seed, and the reply bytes decoded.
+func overOp(x *ShardExec, seed uint64) shard.Transport {
+	return func(ctx context.Context, op string, a *shard.Args) (*shard.Reply, error) {
+		args, err := json.Marshal(a)
+		if err != nil {
+			return nil, err
+		}
+		raw, err := x.Op(ctx, seed, op, args)
+		if err != nil {
+			return nil, err
+		}
+		var r shard.Reply
+		if err := json.Unmarshal(raw, &r); err != nil {
+			return nil, err
+		}
+		return &r, nil
+	}
+}
+
 // TestPrepareShardOps drives the public per-shard executor directly and
 // cross-checks its primitives against the in-process run: shard censuses
 // sum to the population and every key is owned by exactly one shard.
@@ -251,9 +272,7 @@ func TestPrepareShardOps(t *testing.T) {
 		}
 		// The protocol's coordinator end over the executor's one entry
 		// point: what a serving layer wires up, minus the HTTP hop.
-		w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
-			return x.Op(ctx, 17, op, args)
-		})
+		w := shard.NewRemote(overOp(x, 17))
 		if _, err := x.Op(ctx, 17, "no_such_op", nil); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("unknown op: err = %v, want ErrInvalid", err)
 		}
@@ -511,9 +530,7 @@ func driveSeed(t *testing.T, q *PreparedQuery, x *ShardExec, seed uint64, opts .
 		t.Fatal(err)
 	}
 	ctx, span := obs.NewTracer(obs.TracerConfig{Sample: 1}).StartRequest(context.Background(), "count", true)
-	w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
-		return x.Op(ctx, seed, op, args)
-	})
+	w := shard.NewRemote(overOp(x, seed))
 	res, err := shard.Drive(ctx, cfg.shardPlan(false), []shard.Worker{w})
 	span.End()
 	if err != nil {
@@ -685,9 +702,7 @@ func TestShardExecConcurrentOps(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				w := shard.NewRemote(func(ctx context.Context, op string, args json.RawMessage) (json.RawMessage, error) {
-					return x.Op(ctx, seed, op, args)
-				})
+				w := shard.NewRemote(overOp(x, seed))
 				res, err := shard.Drive(ctx, cfg.shardPlan(false), []shard.Worker{w})
 				if err != nil {
 					t.Error(err)
