@@ -39,7 +39,8 @@
 #                      but never ended (tools/obscheck)
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
 #                      lexer, live delta parser, WAL reader,
-#                      design sweep vs its per-bound reference, presorted
+#                      design sweep vs its per-bound reference, radix
+#                      score order vs the comparator sort, presorted
 #                      forest fit vs its per-node-sort reference, rank-grid
 #                      forest scoring vs the walk, compiled predicate
 #                      closures vs the interpreter) — the CI crash gate
@@ -98,7 +99,9 @@ race:
 # 20 000 × 3 and, as BenchmarkForestScoreLedger, at the ledger's forests ×
 # 300 and 10 000 rows; scoreRest, RunDist), the three stratification
 # designers (DynPgm at a wide shape and at the ledger's udf_learn shape),
-# one lss estimate end to end, shared-sample GROUP BY against the naive
+# one lss estimate end to end (BenchmarkLSSEstimate: knn at budget 500, and
+# ledger — udf_learn's lss count: 10 000 × 2 objects, the forest on one
+# worker, budget 200), shared-sample GROUP BY against the naive
 # per-group loop, and what a reuse-catalog entry costs after two seeds
 # counted through it (BenchmarkCatalogEntry: labels/entry, live-B/entry
 # beside accounted-B/entry, 100 cold counts over 50 tables per iteration),
@@ -129,7 +132,8 @@ bench-ledger-smoke:
 # real keyed table, the WAL reader against arbitrary segment bytes, the
 # designers' one-sweep dynamic program against the per-bound, per-level
 # reference it replaced (cuts and objective bit for bit, feasibility, V =
-# objective of the cuts), the
+# objective of the cuts), the radix score order against the comparator
+# sort it replaced ((score, index) order and score bits, NaN last), the
 # presorted, bootstrap-weighted forest fit against the row-copying,
 # per-node-sort reference it replaced (every compiled node bit for bit),
 # the forest's rank-grid scoring against the walk (every score bit for bit,
@@ -144,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDelta$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReader$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzDesignSweep$$' -fuzztime $(FUZZTIME) ./internal/stratify/
+	$(GO) test -run '^$$' -fuzz '^FuzzOrderByScore$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledAgrees$$' -fuzztime $(FUZZTIME) ./internal/qcompile/

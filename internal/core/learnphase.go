@@ -1,10 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/active"
@@ -139,31 +139,94 @@ func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []i
 	return restIdx, scores[:len(restIdx)], time.Since(t0)
 }
 
-// orderByScore sorts rest indices (and scores) ascending by score, with
-// index tie-breaking: (score, index) is a strict total order, so the
-// unstable sort is fully deterministic. The two slices are packed into one
-// for the sort — one comparison reads one cache line and one swap moves one
-// element, where sorting the pair in place through sort.Interface paid two
-// of each plus an interface call.
+// orderByScore sorts rest indices (and scores) ascending by score, ties by
+// index; -0 and +0 tie, every NaN sorts after every number, and each score
+// keeps its bits. It is a stable least-significant-digit radix sort over
+// scoreKey, 11 bits a pass, and a digit every key shares costs no pass.
+// When restIdx is not ascending the same passes first order it by index.
+// Both buffers come from sortPool, so a count's sort allocates nothing.
 func orderByScore(restIdx []int, scores []float64) {
-	type scored struct {
-		score float64
-		idx   int
+	if len(restIdx) < 2 {
+		return
 	}
-	packed := make([]scored, len(restIdx))
+	buf := sortPool.Get().(*sortBuffers)
+	defer sortPool.Put(buf)
+	if cap(buf.a) < len(restIdx) {
+		buf.a, buf.b = make([]keyed, len(restIdx)), make([]keyed, len(restIdx))
+	}
+	a, b := buf.a[:len(restIdx)], buf.b[:len(restIdx)]
 	for i, idx := range restIdx {
-		packed[i] = scored{scores[i], idx}
+		a[i] = keyed{uint64(idx) ^ 1<<63, idx, scores[i]} // signed order
 	}
-	slices.SortFunc(packed, func(a, b scored) int {
-		switch {
-		case a.score < b.score:
-			return -1
-		case a.score > b.score:
-			return 1
+	if !slices.IsSorted(restIdx) {
+		a, b = radixSort(a, b)
+	}
+	for i := range a {
+		a[i].key = scoreKey(a[i].score)
+	}
+	a, _ = radixSort(a, b)
+	for i, e := range a {
+		restIdx[i], scores[i] = e.idx, e.score
+	}
+}
+
+// keyed is one object in the score sort: the key of the current pass set,
+// and what the sort moves.
+type keyed struct {
+	key   uint64
+	idx   int
+	score float64
+}
+
+type sortBuffers struct{ a, b []keyed }
+
+var sortPool = sync.Pool{New: func() any { return new(sortBuffers) }}
+
+// scoreKey maps a score to a key whose unsigned order is the scores'
+// order: -0 and +0 share the key of 0, and every NaN has the largest.
+func scoreKey(s float64) uint64 {
+	switch {
+	case s != s:
+		return math.MaxUint64
+	case s == 0:
+		return 1 << 63
+	}
+	b := math.Float64bits(s)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSort stably sorts a by key with b as the other buffer and returns
+// the sorted buffer first.
+func radixSort(a, b []keyed) ([]keyed, []keyed) {
+	const bits, digits = 11, (64 + 10) / 11
+	var count [digits][1 << bits]uint32
+	for _, e := range a {
+		k := e.key
+		count[0][k&(1<<bits-1)]++
+		count[1][k>>bits&(1<<bits-1)]++
+		count[2][k>>(2*bits)&(1<<bits-1)]++
+		count[3][k>>(3*bits)&(1<<bits-1)]++
+		count[4][k>>(4*bits)&(1<<bits-1)]++
+		count[5][k>>(5*bits)]++
+	}
+	for d := range count {
+		c, shift := &count[d], uint(d*bits)
+		if c[a[0].key>>shift&(1<<bits-1)] == uint32(len(a)) {
+			continue
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	for i, p := range packed {
-		restIdx[i], scores[i] = p.idx, p.score
+		sum := uint32(0)
+		for v, n := range c {
+			c[v], sum = sum, sum+n
+		}
+		for _, e := range a {
+			v := e.key >> shift & (1<<bits - 1)
+			b[c[v]] = e
+			c[v]++
+		}
+		a, b = b, a
 	}
+	return a, b
 }

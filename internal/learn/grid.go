@@ -37,6 +37,16 @@ type forestGrid struct {
 	cells  []float64  // every tree's table back to back; empty when the forest has no grid
 	tuples int        // ∏(len(thr[f])+1), the rank tuples a row can have; 0 when past gridMaxTuples
 
+	// The rank index: feature f's span from thr[f][0] up is cut into
+	// len(bucket[f]) equal buckets, scale[f] of them per unit, and
+	// bucket[f][b] counts the thresholds in the buckets below b. scale[f]
+	// is 0 where the span is not a finite positive float (an infinite
+	// threshold, an overflowing span, fewer than two thresholds): such a
+	// feature keeps the binary search.
+	scale  []float64
+	bucket [][]uint32 // slices of index
+	index  []uint32
+
 	ranges []gridRange // per concurrent scoreRange, its scratch
 
 	// Build scratch.
@@ -220,7 +230,84 @@ func (g *forestGrid) build(ff *flatForest) bool {
 		g.fill(ff.roots[t])
 		first += size
 	}
+	g.indexRanks()
 	return true
+}
+
+// rankBuckets is the rank index's buckets per threshold.
+const rankBuckets = 4
+
+// indexRanks builds the rank index, one merge pass over each feature's
+// thresholds and buckets.
+func (g *forestGrid) indexRanks() {
+	total := 0
+	for _, thr := range g.thr {
+		total += rankBuckets * len(thr)
+	}
+	g.index = sized(g.index, total)
+	g.scale, g.bucket = sized(g.scale, len(g.thr)), g.bucket[:0]
+	at := 0
+	for f, thr := range g.thr {
+		g.scale[f] = 0
+		n := len(thr)
+		if n < 2 {
+			g.bucket = append(g.bucket, nil)
+			continue
+		}
+		nb := rankBuckets * n
+		col := g.index[at : at+nb]
+		at += nb
+		g.bucket = append(g.bucket, col)
+		scale := float64(nb) / (thr[n-1] - thr[0])
+		if !(scale > 0 && scale <= math.MaxFloat64) {
+			continue
+		}
+		g.scale[f] = scale
+		r := 0
+		for b := range col {
+			for r < n && bucketOf(thr[r], thr[0], scale, nb) < b {
+				r++
+			}
+			col[b] = uint32(r)
+		}
+	}
+}
+
+// bucketOf is the bucket of x ≥ lo among nb buckets of scale per unit from
+// lo. It never decreases as x grows, and a NaN lands in the last bucket.
+func bucketOf(x, lo, scale float64, nb int) int {
+	if t := (x - lo) * scale; t < float64(nb-1) {
+		return int(t)
+	}
+	return nb - 1
+}
+
+// rankOf is rank(g.thr[f], x) by the rank index: the count of thresholds
+// in the buckets below x's, then a scan to the first threshold ≥ x. Every
+// threshold in a lower bucket is below x, because bucketOf never
+// decreases, so the scan only moves up — and it ends by checking
+// thr[r−1] < x ≤ thr[r], so the answer is rank's whatever the bucket
+// arithmetic rounded to.
+func (g *forestGrid) rankOf(f int, x float64) int {
+	thr := g.thr[f]
+	n := len(thr)
+	switch {
+	case n == 0 || x <= thr[0]:
+		return 0
+	case !(x <= thr[n-1]): // above every threshold, or NaN
+		return n
+	case g.scale[f] == 0:
+		return rank(thr, x)
+	}
+	col := g.bucket[f]
+	r := min(int(col[bucketOf(x, thr[0], g.scale[f], len(col))]), n-1)
+	for thr[r] < x {
+		r++
+	}
+	if thr[r-1] >= x {
+		return rank(thr, x)
+	}
+	return r
 }
 
 // fill writes the leaf under node ni into every cell of the current box:
@@ -290,7 +377,7 @@ func (g *forestGrid) scoreRange(X [][]float64, out []float64, lo, hi int, s *gri
 		}
 		tuple := 0
 		for f, thr := range g.thr {
-			ranks[f] = rank(thr, x[f])
+			ranks[f] = g.rankOf(f, x[f])
 			tuple = tuple*(len(thr)+1) + ranks[f]
 		}
 		if len(memo) > 0 && memo[tuple] >= 0 {

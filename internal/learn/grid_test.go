@@ -2,8 +2,10 @@ package learn
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -238,6 +240,57 @@ func TestForestGridDegenerate(t *testing.T) {
 	}
 }
 
+// TestRankIndexMatchesRank: the rank index answers what the binary search
+// does at every threshold, at each threshold's float neighbours, at ±0,
+// ±Inf, NaN and the extremes, for features with no threshold, one, dense
+// and clustered ones, and spans that overflow or are not finite.
+func TestRankIndexMatchesRank(t *testing.T) {
+	r := xrand.New(37)
+	random := make([]float64, 500)
+	for i := range random {
+		random[i] = r.NormFloat64() * math.Pow(2, float64(r.IntN(20)-10))
+	}
+	clustered := make([]float64, 300)
+	for i := range clustered {
+		clustered[i] = float64(i%3) + float64(i)*0x1p-40
+	}
+	features := map[string][]float64{
+		"none":       nil,
+		"one":        {0.5},
+		"two":        {-1, 1},
+		"negzero":    {math.Copysign(0, -1), 0.25},
+		"random":     random,
+		"clustered":  clustered,
+		"overflow":   {-math.MaxFloat64, 0, math.MaxFloat64},
+		"infinite":   {math.Inf(-1), -2, 3, math.Inf(1)},
+		"subnormal":  {0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64},
+		"neighbours": {1, math.Nextafter(1, 2), math.Nextafter(math.Nextafter(1, 2), 2), 1e300},
+	}
+	for _, name := range slices.Sorted(maps.Keys(features)) {
+		thr := slices.Clone(features[name])
+		slices.Sort(thr)
+		thr = slices.Compact(thr)
+		g := &forestGrid{thr: [][]float64{{}, thr}}
+		g.indexRanks()
+		probes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+			math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+		for _, v := range thr {
+			probes = append(probes, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+		}
+		for i := 0; i < 2000; i++ {
+			probes = append(probes, r.NormFloat64()*math.Pow(2, float64(r.IntN(24)-12)))
+		}
+		for _, x := range probes {
+			if got, want := g.rankOf(1, x), rank(thr, x); got != want {
+				t.Fatalf("%s: rankOf(%v) = %d, rank %d", name, x, got, want)
+			}
+			if got := g.rankOf(0, x); got != 0 {
+				t.Fatalf("%s: rankOf(%v) = %d on a feature without thresholds", name, x, got)
+			}
+		}
+	}
+}
+
 // FuzzForestScore fits a forest on generated rows, labels, seeds and
 // limits (as FuzzForestFit does) and scores generated rows — training
 // values, midpoints between them, their float neighbours, NaN, ±Inf, ±0,
@@ -247,6 +300,11 @@ func FuzzForestScore(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, []byte{0, 1, 2, 3, 250, 251, 252, 253, 254, 255}, uint64(1), uint8(2), uint8(0), uint8(0), 1.0)
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255, 7, 7}, []byte{7, 7, 8, 9, 255, 0}, uint64(9), uint8(1), uint8(1), uint8(3), 0x1p-52)
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint64(3), uint8(5), uint8(4), uint8(1), 1e300)
+	// Probe rows on split thresholds (b%6 == 1 is a midpoint, 3 an ulp
+	// below one) and non-finite values (b >= 240), and a step at which the
+	// training values and the threshold span overflow to +Inf.
+	f.Add([]byte{2, 9, 4, 11, 6, 13, 8, 15, 10, 17, 12, 19}, []byte{1, 7, 13, 19, 25, 31, 3, 9, 240, 241, 242, 243, 244, 1, 7}, uint64(4), uint8(1), uint8(0), uint8(0), 1.0)
+	f.Add([]byte{0, 30, 60, 90, 120, 150, 180, 210, 250, 255, 1, 3}, []byte{1, 241, 7, 242, 13, 240, 19, 243, 25, 244, 0, 235}, uint64(6), uint8(0), uint8(0), uint8(0), 1e307)
 	f.Fuzz(func(t *testing.T, data, probe []byte, seed uint64, d, minLeaf, maxDepth uint8, step float64) {
 		dims := 1 + int(d%6)
 		n := len(data) / dims

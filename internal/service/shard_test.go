@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/url"
 	"slices"
 	"strings"
@@ -942,18 +943,21 @@ func BenchmarkCoordinatorCount(b *testing.B) {
 // TestCoordinatorKeepsWorkerConnections: a round puts ceil(shards/workers)
 // calls on a worker at once, and the coordinator's own client keeps that
 // many connections idle between rounds — http.DefaultClient kept two per
-// worker and dialed the rest again every round.
+// worker and dialed the rest again every round. The client trace tells a
+// call that used a connection it dialed itself from one that found a kept
+// one. The server's count of connections is no bound on the first count:
+// a call that starts a dial and then takes a connection another call just
+// returned leaves the transport a spare (under load the first count of
+// eight shards has opened nine or ten this way, each call but a few
+// reusing).
 func TestCoordinatorKeepsWorkerConnections(t *testing.T) {
 	const n, shards = 120, 8
 	svc := newTestService(t, n, Options{MaxInFlight: 16})
-	var mu sync.Mutex
-	dialed := 0
+	var dialed atomic.Int64
 	srv := httptest.NewUnstartedServer(svc.Handler())
 	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
-			mu.Lock()
-			dialed++
-			mu.Unlock()
+			dialed.Add(1)
 		}
 	}
 	srv.Start()
@@ -962,27 +966,36 @@ func TestCoordinatorKeepsWorkerConnections(t *testing.T) {
 	if coord.client == http.DefaultClient {
 		t.Fatal("coordinator fell back to http.DefaultClient")
 	}
-	count := func(seed uint64) {
+	// count runs one count and returns how many of its calls took a
+	// connection of their own dialing and how many a kept one.
+	count := func(seed uint64) (fresh, reused int64) {
 		t.Helper()
-		_, err := coord.Count(context.Background(), &CountRequest{
+		var f, r atomic.Int64
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) {
+				if info.Reused {
+					r.Add(1)
+				} else {
+					f.Add(1)
+				}
+			},
+		})
+		_, err := coord.Count(ctx, &CountRequest{
 			SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "lss", Budget: 0.3, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return f.Load(), r.Load()
 	}
-	count(1)
-	mu.Lock()
-	warm := dialed
-	mu.Unlock()
-	if warm > shards {
-		t.Errorf("the first count dialed %d connections for %d shards: rounds are re-dialing", warm, shards)
+	if fresh, reused := count(1); fresh > shards || reused == 0 {
+		t.Errorf("the first count's calls took %d new connections and %d kept ones for %d shards: rounds are re-dialing",
+			fresh, reused, shards)
 	}
-	count(2)
-	mu.Lock()
-	defer mu.Unlock()
-	if dialed != warm {
-		t.Errorf("a second count dialed %d more connections, want every call on a kept one", dialed-warm)
+	warm := dialed.Load()
+	if fresh, reused := count(2); fresh != 0 || reused == 0 || dialed.Load() != warm {
+		t.Errorf("the second count took %d new connections (the worker saw %d more) and %d kept ones, want every call on a kept one",
+			fresh, dialed.Load()-warm, reused)
 	}
 
 	own := &http.Client{}

@@ -238,6 +238,16 @@ func (s *leaders) split(k int, tab []cell, par []int32) int {
 // evaluated once; ties resolve to the smallest parent boundary, exactly as a
 // per-bound, per-level pass over ascending parents would.
 //
+// Only cells that can lie on a path to the answer are visited. Every stratum
+// holds at least c.MinStratumSize objects and c.MinPilotPerStratum pilot
+// labels, so at most pre[r] strata fit below candidate r and at most suf[r]
+// above it: a cell above level pre[r] is unreachable (+Inf), and one below
+// level H − suf[r] cannot be completed. A pair relaxes only the source levels
+// between those bounds, and a row's parents start at the first row that can
+// feed it. A cell kept live only ever reads live sources, and the skipped
+// updates read +Inf or write cells no live one reads, so the cuts, values
+// and tie-breaks are the unpruned program's.
+//
 // Scratch is (H−1)·(|B|+1)+2 rows of |T| cells (20 bytes each): 0.6 MB at
 // |B| = 760, |T| = 14, H = 4, and 1.8 MB at the maxCandidates cap with
 // |T| = 20 (3 MB at H = 6, the most strata LSS hands DynPgm).
@@ -263,6 +273,21 @@ func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) 
 	for k := 1; k < nT; k++ {
 		s.slot[k] = -1
 	}
+	// c is normalized: both minimums are positive.
+	nu, mu := c.MinStratumSize, c.MinPilotPerStratum
+	pre, suf := make([]int, rows), make([]int, rows)
+	for r := range rows {
+		pre[r] = min(pos[r]/nu, cnt[r]/mu, H)
+		suf[r] = min((p.N-pos[r])/nu, (p.M()-cnt[r])/mu, H)
+	}
+	// from[h] is the first row with pre ≥ h; pre only grows with the row.
+	from := make([]int, H+1)
+	for h, r := 0, 0; h <= H; h++ {
+		for r < rows && pre[r] < h {
+			r++
+		}
+		from[h] = r
+	}
 
 	lead, jhi, k := s.lead, -1, 0
 	for i := 1; i <= nb; i++ {
@@ -271,18 +296,31 @@ func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) 
 		for jhi+1 < i && pos[i]-pos[jhi+1] >= c.MinStratumSize && cnt[i]-cnt[jhi+1] >= c.MinPilotPerStratum {
 			jhi++
 		}
+		// A stratum ending at i closes from source levels hl to at most
+		// H−2, or from level H−1 into the answer; rows from first on reach
+		// hl. The sentinel opens level 1 when the stratum can be the first
+		// of a path.
+		hl, hh := max(H-1-suf[i], 1), H-2
+		if i == nb {
+			hh = H - 1
+		}
+		first := from[hl]
+		if hl > hh {
+			first = jhi + 1 // no candidate row feeds i
+		}
+		j := first
+		if suf[i] >= H-1 && i < nb {
+			j = 0
+		}
 		lo, s2, sd := -1, 0.0, 0.0
-		for j := 0; j <= jhi; j++ {
-			// The levels stratum (j, i] can close: the first when it starts
-			// at the sentinel, the last when it ends at N, 2..H−1 otherwise.
-			src, dst, n := level(1)+j, level(2)+i, H-2
-			switch {
-			case i == nb && j == 0:
-				continue
-			case i == nb:
-				src, dst, n = level(H-1)+j, level(H), 1
-			case j == 0:
-				src, dst, n = 0, level(1)+i, 1
+		for ; j <= jhi; j = max(j+1, first) {
+			src, dst, n := 0, level(1)+i, 1
+			if j > 0 {
+				n = min(hh, pre[j]) - hl + 1
+				src, dst = level(hl)+j, level(hl+1)+i
+				if i == nb {
+					dst = level(H)
+				}
 			}
 			if cnt[j] != lo { // the variance changes only with the pilot count
 				lo = cnt[j]
@@ -308,12 +346,11 @@ func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) 
 				li = s.split(k, tab, par)
 				lead = s.lead
 			}
-			for _, q := range lead[li:] {
-				at, to := src*nT+q, dst*nT+q
-				for l := 0; l < n; l, at, to = l+1, at+rows*nT, to+rows*nT {
-					f := tab[at]
-					if cand := f.a + add - sub + float64(cross*f.x); cand < tab[to].a {
-						tab[to], par[to] = cell{cand, f.x + load}, int32(j)
+			for at, to := src*nT, dst*nT; n > 0; n, at, to = n-1, at+rows*nT, to+rows*nT {
+				for _, q := range lead[li:] {
+					f := tab[at+q]
+					if cand := f.a + add - sub + float64(cross*f.x); cand < tab[to+q].a {
+						tab[to+q], par[to+q] = cell{cand, f.x + load}, int32(j)
 					}
 				}
 			}

@@ -266,6 +266,52 @@ func TestSweepMatchesReference(t *testing.T) {
 		t.Fatalf("thin table: %d pilots reached the sweep, %d feasible per-bound designs, %d wholly infeasible pilots",
 			ran, designs, infeasible)
 	}
+
+	// Tight shapes, where the sweep's prefix and suffix bounds both bind
+	// at every level: N_⊔ = ⌊N/H⌋ and m_⊔ = ⌊m/H⌋, so only near-equal
+	// layouts are feasible, at ε = ½. Evenly spaced pilots admit some;
+	// random ones mostly do not.
+	tight := 0
+	for H := 2; H <= 6; H++ {
+		for _, sh := range []struct {
+			N, m int
+			even bool
+		}{{200, 20, true}, {1000, 45, true}, {1000, 45, false}, {5000, 90, true}, {5000, 90, false}} {
+			p := tightPilot(t, sh.N, sh.m, sh.even, r)
+			c := Constraints{MinStratumSize: sh.N / H, MinPilotPerStratum: sh.m / H}
+			t.Run(fmt.Sprintf("tight_H%d_N%d_m%d_even%v", H, sh.N, sh.m, sh.even), func(t *testing.T) {
+				if checkSweepAgainstReference(t, p, H, sh.N/10, c, 0.5) > 0 {
+					tight++
+				}
+			})
+		}
+	}
+	if tight < 5 {
+		t.Fatalf("only %d tight shapes have a feasible design", tight)
+	}
+}
+
+// tightPilot draws m pilot positions among N objects, evenly spaced or at
+// random, labeled by a noisy step.
+func tightPilot(tb testing.TB, N, m int, even bool, r *xrand.Rand) *Pilot {
+	tb.Helper()
+	labels := boundaryLabels(N, 0.6, 0.1, r)
+	pos := r.Perm(N)[:m]
+	if even {
+		for k := range pos {
+			pos[k] = k * N / m
+		}
+	}
+	slices.Sort(pos)
+	q := make([]bool, m)
+	for k, at := range pos {
+		q[k] = labels[at]
+	}
+	p, err := NewPilot(N, pos, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 // TestSweepAtLedgerShape pins the differential check at the shape the
@@ -303,6 +349,11 @@ func FuzzDesignSweep(f *testing.F) {
 	f.Add(uint64(1), uint16(200), uint8(20), uint8(3), uint8(10), uint8(2), false)
 	f.Add(uint64(7), uint16(5000), uint8(45), uint8(4), uint8(250), uint8(3), true)
 	f.Add(uint64(9), uint16(64), uint8(8), uint8(2), uint8(1), uint8(2), true)
+	// Tight shapes (N = 1000, m = 48): N_⊔ = ⌊N/H⌋ and m_⊔ = ⌊m/H⌋ for
+	// H = 2…6, so the prefix and suffix bounds bind at every level.
+	for h := 2; h <= 6; h++ {
+		f.Add(uint64(10+h), uint16(950), uint8(40), uint8(h-2), uint8(200), uint8(48/h), true)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, N uint16, m, H uint8, minSize, minPilot uint8, halfEps bool) {
 		r := xrand.New(seed)
 		n, mm, h := 50+int(N)%19951, 8+int(m)%121, 2+int(H)%5
