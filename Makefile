@@ -101,7 +101,10 @@ race:
 # designers (DynPgm at a wide shape and at the ledger's udf_learn shape),
 # one lss estimate end to end (BenchmarkLSSEstimate: knn at budget 500, and
 # ledger — udf_learn's lss count: 10 000 × 2 objects, the forest on one
-# worker, budget 200), shared-sample GROUP BY against the naive
+# worker, budget 200), udf_learn's other two classes on the same objects
+# (BenchmarkLWSEstimate/ledger, the 60 % class that sets its count_p50_ms,
+# beside knn at budget 500; BenchmarkQLCCEstimate/ledger, the 15 % class),
+# shared-sample GROUP BY against the naive
 # per-group loop, and what a reuse-catalog entry costs after two seeds
 # counted through it (BenchmarkCatalogEntry: labels/entry, live-B/entry
 # beside accounted-B/entry, 100 cold counts over 50 tables per iteration),
@@ -112,7 +115,7 @@ race:
 # (BenchmarkCoordinatorCount: rpcs/op — 8 once the shape's census is
 # stored — and allocs/op).
 # BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|BenchmarkLSSEstimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount)$$
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount)$$
 BENCHTIME ?= 1x
 
 bench-micro:

@@ -42,19 +42,21 @@ func benchObjects(b *testing.B, n int) (*ObjectSet, learn.Classifier, []int) {
 }
 
 // BenchmarkScoreRest measures the shared learn-phase scoring pass (batch
-// path for the forest, []bool membership bitmap).
+// path for the forest, []bool membership bitmap) on buffers a count would
+// take back off restScratch.
 func BenchmarkScoreRest(b *testing.B) {
 	obj, clf, SL := benchObjects(b, 20000)
+	buf := new(restBuffers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = scoreRest(obj, clf, SL)
+		_, _, _ = scoreRest(obj, clf, SL, buf)
 	}
 }
 
 // BenchmarkOrderByScore measures the score-order sort on a scored rest set.
 func BenchmarkOrderByScore(b *testing.B) {
 	obj, clf, SL := benchObjects(b, 20000)
-	restIdx, scores, _ := scoreRest(obj, clf, SL)
+	restIdx, scores, _ := scoreRest(obj, clf, SL, new(restBuffers))
 	idxCopy := make([]int, len(restIdx))
 	scoreCopy := make([]float64, len(scores))
 	b.ResetTimer()

@@ -367,50 +367,49 @@ func TestMethodNames(t *testing.T) {
 	}
 }
 
+// benchEstimates runs one count of m per op.
+func benchEstimates(b *testing.B, obj *ObjectSet, m Method, budget int, r *xrand.Rand) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Estimate(context.Background(), obj, budget, r.Split()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLSSEstimate runs one lss count per op: knn is kNN at budget 500
 // over a disc; ledger is the benchmark ledger's udf_learn lss count — the
 // default forest on one worker, budget 200 over 10 000 objects with two
 // uniform features, positive inside a noise-blurred ellipse.
 func BenchmarkLSSEstimate(b *testing.B) {
-	run := func(b *testing.B, obj *ObjectSet, m Method, budget int, r *xrand.Rand) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Estimate(context.Background(), obj, budget, r.Split()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 	b.Run("knn", func(b *testing.B) {
 		obj, _ := syntheticInstance(10000, 1.2, 26)
-		run(b, obj, &LSS{NewClassifier: knnSpec}, 500, xrand.New(27))
+		benchEstimates(b, obj, &LSS{NewClassifier: knnSpec}, 500, xrand.New(27))
 	})
 	b.Run("ledger", func(b *testing.B) {
-		r := xrand.New(33)
-		features := make([][]float64, 10000)
-		labels := make([]bool, len(features))
-		for i := range features {
-			x, y := 2*r.Float64()-1, 2*r.Float64()-1
-			features[i] = []float64{x, y}
-			labels[i] = x*x/0.49+y*y/0.16+0.15*r.NormFloat64() < 1
-		}
-		obj, err := NewObjectSet(features, predicate.NewLabels(labels))
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, obj, &LSS{NewClassifier: ForestClassifier(1)}, 200, xrand.New(34))
+		benchEstimates(b, ledgerInstance(b, 10000), &LSS{NewClassifier: ForestClassifier(1)}, 200, xrand.New(34))
 	})
 }
 
+// BenchmarkLWSEstimate runs one lws count per op: knn is kNN at budget 500
+// over a disc; ledger is udf_learn's lws count (its 60 % class, which sets
+// the workload's count_p50_ms) on BenchmarkLSSEstimate's ledger objects.
 func BenchmarkLWSEstimate(b *testing.B) {
-	obj, _ := syntheticInstance(10000, 1.2, 28)
-	r := xrand.New(29)
-	m := &LWS{NewClassifier: knnSpec}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Estimate(context.Background(), obj, 500, r.Split()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("knn", func(b *testing.B) {
+		obj, _ := syntheticInstance(10000, 1.2, 28)
+		benchEstimates(b, obj, &LWS{NewClassifier: knnSpec}, 500, xrand.New(29))
+	})
+	b.Run("ledger", func(b *testing.B) {
+		benchEstimates(b, ledgerInstance(b, 10000), &LWS{NewClassifier: ForestClassifier(1)}, 200, xrand.New(36))
+	})
+}
+
+// BenchmarkQLCCEstimate is udf_learn's qlcc count (its 15 % class) on
+// BenchmarkLSSEstimate's ledger objects.
+func BenchmarkQLCCEstimate(b *testing.B) {
+	b.Run("ledger", func(b *testing.B) {
+		benchEstimates(b, ledgerInstance(b, 10000), &QLCC{NewClassifier: ForestClassifier(1)}, 200, xrand.New(37))
+	})
 }
 
 func BenchmarkSRSEstimate(b *testing.B) {

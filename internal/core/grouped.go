@@ -239,6 +239,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	if err != nil {
 		return nil, err
 	}
+	defer l.release()
 	l.order()
 	slN := make([]int, K)
 	slPos := make([]int, K)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/active"
 	"repro/internal/learn"
+	"repro/internal/par"
 	"repro/internal/sample"
 	"repro/internal/xrand"
 )
@@ -31,7 +31,8 @@ func (c fitTimed) Fit(X [][]float64, y []bool) error {
 // learned is what the learn step hands a method: the fitted classifier g,
 // the learn sample SL with its labels and positive count, the objects
 // outside SL (in index order until order is called) with their scores, and
-// the phase's report.
+// the phase's report. restIdx and scores live in buf, which the method
+// hands back with release when it returns: nothing it keeps may alias them.
 type learned struct {
 	newClf  NewClassifierFunc // the constructor g came from, resolved
 	SL      []int
@@ -39,8 +40,27 @@ type learned struct {
 	pos     int
 	restIdx []int
 	scores  []float64
+	buf     *restBuffers
 	timing  Timing // Learn, Fit, Score
 	info    LearnInfo
+}
+
+// restBuffers is the scratch of scoreRest: the learn sample's membership
+// bitmap, the rest's indices and every object's score.
+type restBuffers struct {
+	inSL   []bool
+	rest   []int
+	scores []float64
+}
+
+var restScratch = par.NewFreeList((*restBuffers).bytes)
+
+func (b *restBuffers) bytes() int { return cap(b.inSL) + 8*(cap(b.rest)+cap(b.scores)) }
+
+// release hands l's rest and scores back to restScratch.
+func (l *learned) release() {
+	restScratch.Put(l.buf)
+	l.buf, l.restIdx, l.scores = nil, nil, nil
 }
 
 // learn is the shared first phase of the learned methods (§4, and §3.2's
@@ -96,7 +116,8 @@ func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, rounds int, 
 		clf = timed.(fitTimed).Classifier
 	}
 	l.newClf, l.pos = newClf, countPositives(l.labels)
-	l.restIdx, l.scores, l.timing.Score = scoreRest(f.obj, clf, l.SL)
+	l.buf = restScratch.Get()
+	l.restIdx, l.scores, l.timing.Score = scoreRest(f.obj, clf, l.SL, l.buf)
 	l.timing.Learn, l.timing.Fit = time.Since(t0), fit
 	// Sized after scoring: the scoring path is that of the latest batch.
 	trees, nodes := learn.ForestSize(clf)
@@ -113,29 +134,32 @@ func (l *learned) order() {
 }
 
 // scoreRest scores the objects and returns those outside the labeled set,
-// in index order, with their scores. Scoring goes through the
-// classifier's batch path when it has one — for the default random forest
-// one pass over obj.Features as they are, so every object is scored and
-// the labeled ones' scores dropped: compacting in place (restIdx[j] >= j)
-// costs nothing, where gathering the unlabeled rows first copied a slice
-// header per object. dur is the time the pass took: the learn phase's
-// per-object cost (Timing.Score).
-func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []int, scores []float64, dur time.Duration) {
+// in index order, with their scores, both on buf's arrays. Scoring goes
+// through the classifier's batch path when it has one — for the default
+// random forest one pass over obj.Features as they are, so every object is
+// scored and the labeled ones' scores dropped: compacting in place
+// (restIdx[j] >= j) costs nothing, where gathering the unlabeled rows first
+// copied a slice header per object. dur is the time the pass took: the
+// learn phase's per-object cost (Timing.Score).
+func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int, buf *restBuffers) (restIdx []int, scores []float64, dur time.Duration) {
 	t0 := time.Now()
-	inSL := make([]bool, obj.N())
+	N := obj.N()
+	inSL := slices.Grow(buf.inSL[:0], N)[:N]
+	clear(inSL)
 	for _, i := range labeled {
 		inSL[i] = true
 	}
-	restIdx = make([]int, 0, obj.N()-len(labeled))
-	for i := 0; i < obj.N(); i++ {
+	restIdx = slices.Grow(buf.rest[:0], N)
+	for i := 0; i < N; i++ {
 		if !inSL[i] {
 			restIdx = append(restIdx, i)
 		}
 	}
-	scores = learn.ScoreAll(clf, obj.Features)
+	scores = learn.ScoreInto(clf, obj.Features, slices.Grow(buf.scores[:0], N))
 	for j, i := range restIdx {
 		scores[j] = scores[i]
 	}
+	buf.inSL, buf.rest, buf.scores = inSL, restIdx, scores
 	return restIdx, scores[:len(restIdx)], time.Since(t0)
 }
 
@@ -144,13 +168,14 @@ func scoreRest(obj *ObjectSet, clf learn.Classifier, labeled []int) (restIdx []i
 // keeps its bits. It is a stable least-significant-digit radix sort over
 // scoreKey, 11 bits a pass, and a digit every key shares costs no pass.
 // When restIdx is not ascending the same passes first order it by index.
-// Both buffers come from sortPool, so a count's sort allocates nothing.
+// Both buffers come from sortScratch, so a sort that finds a large enough
+// set there allocates nothing.
 func orderByScore(restIdx []int, scores []float64) {
 	if len(restIdx) < 2 {
 		return
 	}
-	buf := sortPool.Get().(*sortBuffers)
-	defer sortPool.Put(buf)
+	buf := sortScratch.Get()
+	defer sortScratch.Put(buf)
 	if cap(buf.a) < len(restIdx) {
 		buf.a, buf.b = make([]keyed, len(restIdx)), make([]keyed, len(restIdx))
 	}
@@ -180,7 +205,9 @@ type keyed struct {
 
 type sortBuffers struct{ a, b []keyed }
 
-var sortPool = sync.Pool{New: func() any { return new(sortBuffers) }}
+var sortScratch = par.NewFreeList((*sortBuffers).bytes)
+
+func (b *sortBuffers) bytes() int { return 24 * (cap(b.a) + cap(b.b)) }
 
 // scoreKey maps a score to a key whose unsigned order is the scores'
 // order: -0 and +0 share the key of 0, and every NaN has the largest.

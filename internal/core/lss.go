@@ -160,9 +160,9 @@ func (m *LSS) design(pilot *stratify.Pilot, scores []float64, nII int) ([]int, D
 			// the separable proportional one updates H−2, and for many
 			// strata the latter finds a near-identical layout (allocation
 			// stays Neyman regardless). Measured at N = 10 000, 45 pilot
-			// labels, H = 8 on a 2-vCPU box: 9.0 ms against 6.6 ms, ≈ 1.4×
-			// (EXPERIMENTS.md) — little, but moving the switch changes
-			// fixed-seed output.
+			// labels, H = 8 on a 2-vCPU box: 5.5 ms against 3.0 ms, ≈ 1.8×
+			// (EXPERIMENTS.md); moving the switch would change fixed-seed
+			// output.
 			algo = DesignDynPgmP
 		default:
 			algo = DesignDynPgm
@@ -212,6 +212,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err != nil {
 		return nil, err
 	}
+	defer l.release()
 	l.order()
 	restIdx, M := l.restIdx, len(l.restIdx)
 

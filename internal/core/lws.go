@@ -58,6 +58,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err != nil {
 		return nil, err
 	}
+	defer l.release()
 	restIdx, tp, alpha := l.restIdx, f.timed, AlphaOrDefault(m.Alpha)
 
 	// Phase 2: PPS sampling. Default: without replacement + Des Raj.

@@ -67,6 +67,7 @@ func quantified(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand, 
 	if err != nil {
 		return nil, err
 	}
+	defer l.release()
 	t0 := time.Now()
 	res, err := count(&l)
 	if err != nil {

@@ -93,9 +93,10 @@ func benchForestScoreBatch(b *testing.B, parallelism int) {
 	if err := f.Fit(trainX, trainY); err != nil {
 		b.Fatal(err)
 	}
+	out := make([]float64, len(scoreX))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.ScoreBatch(scoreX)
+		f.ScoreBatch(scoreX, out)
 	}
 }
 
@@ -116,7 +117,7 @@ func BenchmarkForestScoreBatchPar(b *testing.B) { benchForestScoreBatch(b, 0) }
 // every ScoreBatch on that path does; build is that step alone.
 func BenchmarkForestScoreLedger(b *testing.B) {
 	r := xrand.New(11)
-	scoreX := make([][]float64, 10000)
+	scoreX, out := make([][]float64, 10000), make([]float64, 10000)
 	for i := range scoreX {
 		scoreX[i] = []float64{2*r.Float64() - 1, 2*r.Float64() - 1}
 	}
@@ -131,7 +132,7 @@ func BenchmarkForestScoreLedger(b *testing.B) {
 			b.Run(fmt.Sprintf("n%d_d2/N%d", n, rows), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_ = f.ScoreBatch(scoreX[:rows])
+					f.ScoreBatch(scoreX[:rows], out)
 				}
 			})
 		}

@@ -29,19 +29,26 @@ type Classifier interface {
 
 // BatchScorer is implemented by classifiers that can score many rows at
 // once, amortizing per-call dispatch and enabling cache-friendly layouts
-// and internal parallelism. ScoreBatch must return exactly one score per
-// row, bit-equal to calling Score on that row.
+// and internal parallelism. ScoreBatch writes one score per row into out
+// (len(out) ≥ len(X)), bit-equal to calling Score on that row.
 type BatchScorer interface {
-	ScoreBatch(X [][]float64) []float64
+	ScoreBatch(X [][]float64, out []float64)
 }
 
-// ScoreAll scores every row of X, using the classifier's batch path when it
-// has one and falling back to per-row Score calls otherwise.
+// ScoreAll scores every row of X into a new slice (ScoreInto).
 func ScoreAll(c Classifier, X [][]float64) []float64 {
+	return ScoreInto(c, X, make([]float64, len(X)))
+}
+
+// ScoreInto scores every row of X into out[:len(X)] and returns that
+// slice, using the classifier's batch path when it has one and falling
+// back to per-row Score calls otherwise.
+func ScoreInto(c Classifier, X [][]float64, out []float64) []float64 {
+	out = out[:len(X)]
 	if bs, ok := c.(BatchScorer); ok {
-		return bs.ScoreBatch(X)
+		bs.ScoreBatch(X, out)
+		return out
 	}
-	out := make([]float64, len(X))
 	for i, x := range X {
 		out[i] = c.Score(x)
 	}

@@ -111,24 +111,24 @@ func (f *RandomForest) Score(x []float64) float64 {
 // load-balance across workers, since the cost of a walk follows the row.
 const scoreBatchChunk = 256
 
-// ScoreBatch implements BatchScorer: it scores every row of X, returning
-// exactly Score(row) for each, under the Parallelism bound. The compiled
-// forest has two evaluations that agree bit for bit: the walk
-// (flatForest.score) and, for a batch large enough to pay for building it,
-// the rank grid (forestGrid).
-func (f *RandomForest) ScoreBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+// ScoreBatch implements BatchScorer: it writes exactly Score(X[i]) to
+// out[i] for every row, under the Parallelism bound. The compiled forest
+// has two evaluations that agree bit for bit: the walk (flatForest.score)
+// and, for a batch large enough to pay for building it, the rank grid
+// (forestGrid).
+func (f *RandomForest) ScoreBatch(X [][]float64, out []float64) {
+	out = out[:len(X)]
 	if len(f.flat.roots) == 0 {
 		for i := range out {
 			out[i] = 0.5
 		}
-		return out
+		return
 	}
 	workers, chunk := par.Workers(f.Parallelism), scoreBatchChunk
 	path := ScorePath{Path: "walk"}
 	var g *forestGrid
 	if len(X)*len(f.flat.roots) >= gridMinWork*len(f.flat.nodes) {
-		g = gridPool.Get().(*forestGrid)
+		g = gridScratch.Get()
 		defer g.release()
 		if g.build(&f.flat) {
 			// One range per worker: a grid row costs the same whatever its
@@ -151,7 +151,6 @@ func (f *RandomForest) ScoreBatch(X [][]float64) []float64 {
 	})
 	path.Tuples = int(tuples.Load())
 	f.path.Store(&path)
-	return out
 }
 
 // gridMinWork is the batch size, in tree evaluations per forest node, from

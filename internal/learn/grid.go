@@ -3,7 +3,8 @@ package learn
 import (
 	"math"
 	"slices"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // forestGrid is a fitted flatForest compiled for scoring one large batch:
@@ -19,14 +20,16 @@ import (
 // reaches from there. The forest keeps, per feature, the sorted distinct
 // thresholds of all trees and, for each rank among those, one row of T
 // cell offsets: what that rank contributes to each tree's cell index.
-// Scoring a row is one binary search per feature, one pass per feature
-// adding an offset row into T cell indices, and T loads summed in tree
-// order — so the float sum rounds as flatForest.score rounds it.
+// Scoring a row is one rank lookup per feature, one pass per feature but
+// the last adding an offset row into T cell indices, and T loads — each
+// index plus the last feature's offset — summed in tree order, so the
+// float sum rounds as flatForest.score rounds it.
 //
-// A grid lives for one ScoreBatch and goes back to gridPool: a count fits
-// a forest, scores one batch and drops both, so tables kept on the forest
-// would be built once anyway, and recycled ones are not garbage. Every
-// slice below is reused by the next build, whatever its forest.
+// A grid lives for one ScoreBatch and goes back to gridScratch: a count
+// fits a forest, scores one batch and drops both, so tables kept on the
+// forest would be built once anyway. Every slice below is reused by the
+// next build, whatever its forest, so a count whose grid comes off the
+// list builds it without allocating.
 type forestGrid struct {
 	trees int
 	thr   [][]float64 // thr[f]: sorted distinct non-NaN thresholds on f (slices of vals)
@@ -73,12 +76,24 @@ type gridRange struct {
 	idx   []uint32  // the scored row's cell in each tree
 }
 
-var gridPool = sync.Pool{New: func() any { return new(forestGrid) }}
+var gridScratch = par.NewFreeList((*forestGrid).bytes)
 
-// release returns g to the pool, without the forest it was built from.
+// release returns g to gridScratch, without the forest it was built from.
 func (g *forestGrid) release() {
 	g.ff = nil
-	gridPool.Put(g)
+	gridScratch.Put(g)
+}
+
+// bytes is the heap g holds: what its slices' arrays hold, headers of the
+// slice-of-slice ones included.
+func (g *forestGrid) bytes() int {
+	const word, header = 8, 24
+	n := header*(cap(g.thr)+cap(g.off)+cap(g.bucket)) + word*(cap(g.cells)+cap(g.scale)+cap(g.vals)+cap(g.start)+cap(g.mark)) +
+		4*(cap(g.index)+cap(g.block)+cap(g.slot)+cap(g.radix)+cap(g.stride)+cap(g.lo)+cap(g.hi))
+	for _, r := range g.ranges[:cap(g.ranges)] {
+		n += 3*header + word*(cap(r.memo)+cap(r.ranks)) + 4*cap(r.idx)
+	}
+	return n
 }
 
 const (
@@ -384,16 +399,29 @@ func (g *forestGrid) scoreRange(X [][]float64, out []float64, lo, hi int, s *gri
 			out[i] = memo[tuple]
 			continue
 		}
-		copy(idx, g.off[0][ranks[0]*T:])
-		for f := 1; f < len(ranks); f++ {
-			row := g.off[f][ranks[f]*T:][:len(idx)]
-			for t := range idx {
-				idx[t] += row[t]
+		// A tree's cell is the sum of the row's offsets over the features;
+		// the last feature's is added as its cell is loaded.
+		d := len(ranks) - 1
+		last, sum := g.off[d][ranks[d]*T:][:T], 0.0
+		if d == 0 {
+			for _, c := range last {
+				sum += g.cells[c]
 			}
-		}
-		sum := 0.0
-		for _, c := range idx {
-			sum += g.cells[c]
+		} else {
+			base := g.off[0][ranks[0]*T:][:T]
+			if d > 1 {
+				copy(idx, base)
+				for f := 1; f < d; f++ {
+					row := g.off[f][ranks[f]*T:][:T]
+					for t := range idx {
+						idx[t] += row[t]
+					}
+				}
+				base = idx
+			}
+			for t, c := range base {
+				sum += g.cells[c+last[t]]
+			}
 		}
 		sum /= float64(T)
 		out[i] = sum

@@ -99,7 +99,7 @@ func TestForestScoreBatchMatchesScore(t *testing.T) {
 		// Under the rule: the walk, and the grid not even sized.
 		under := (gridMinWork*len(f.flat.nodes)+f.Trees-1)/f.Trees - 1 // the most rows the rule still walks
 		small := probeRows(r, &f.flat, X, d, under)
-		sameScores(t, label+" small batch", f, small, f.ScoreBatch(small))
+		sameScores(t, label+" small batch", f, small, ScoreAll(f, small))
 		if p := ForestScorePath(f); p != (ScorePath{Path: "walk"}) {
 			t.Fatalf("%s: %d rows scored by %+v, the rule starts at %d", label, under, p, under+1)
 		}
@@ -111,7 +111,7 @@ func TestForestScoreBatchMatchesScore(t *testing.T) {
 			big := probeRows(r, &f.flat, X, d, rows)
 			for _, p := range []int{1, 4, runtime.NumCPU()} {
 				f.Parallelism = p
-				sameScores(t, fmt.Sprintf("%s %d rows p=%d", label, rows, p), f, big, f.ScoreBatch(big))
+				sameScores(t, fmt.Sprintf("%s %d rows p=%d", label, rows, p), f, big, ScoreAll(f, big))
 				switch path := ForestScorePath(f); {
 				case len(f.flat.nodes) == f.Trees: // no split anywhere: nothing to rank
 					if path != (ScorePath{Path: "walk"}) {
@@ -159,7 +159,7 @@ func TestForestScoreBatchConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				got := f.ScoreBatch(rows)
+				got := ScoreAll(f, rows)
 				for i, x := range rows {
 					if want := f.Score(x); math.Float64bits(got[i]) != math.Float64bits(want) {
 						t.Errorf("%d rows: batch[%d] = %v, Score = %v", len(rows), i, got[i], want)
@@ -190,7 +190,7 @@ func TestForestGridOverCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := probeRows(r, &f.flat, X, 3, gridMinWork*len(f.flat.nodes)/f.Trees+1)
-	sameScores(t, "over cap", f, rows, f.ScoreBatch(rows))
+	sameScores(t, "over cap", f, rows, ScoreAll(f, rows))
 	if p := ForestScorePath(f); p.Path != "walk" || p.Thresholds == 0 || p.Cells != 0 || p.Tuples != 0 {
 		t.Fatalf("path %+v, want the walk with thresholds counted and no cells", p)
 	}
@@ -305,6 +305,11 @@ func FuzzForestScore(f *testing.F) {
 	// training values and the threshold span overflow to +Inf.
 	f.Add([]byte{2, 9, 4, 11, 6, 13, 8, 15, 10, 17, 12, 19}, []byte{1, 7, 13, 19, 25, 31, 3, 9, 240, 241, 242, 243, 244, 1, 7}, uint64(4), uint8(1), uint8(0), uint8(0), 1.0)
 	f.Add([]byte{0, 30, 60, 90, 120, 150, 180, 210, 250, 255, 1, 3}, []byte{1, 241, 7, 242, 13, 240, 19, 243, 25, 244, 0, 235}, uint64(6), uint8(0), uint8(0), uint8(0), 1e307)
+	// Grids over one feature (the sum reads the last feature's offsets
+	// alone) and over three (offsets added before the fused last one).
+	f.Add([]byte{3, 8, 1, 14, 5, 22, 9, 2, 13, 30, 7, 18, 11, 4, 21, 16}, []byte{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 240, 241, 0, 44}, uint64(5), uint8(0), uint8(0), uint8(0), 1.0)
+	f.Add([]byte{1, 40, 80, 6, 90, 20, 3, 70, 50, 8, 10, 100, 5, 60, 30, 2, 120, 90, 7, 15, 65, 4, 110, 45, 9, 35, 85, 0, 55, 25},
+		[]byte{1, 241, 7, 13, 60, 100, 30, 90, 3, 240, 55, 19, 25, 85, 121, 8, 9, 10, 37, 73, 109, 0, 44, 242, 61, 97, 133}, uint64(7), uint8(2), uint8(0), uint8(0), 1.0)
 	f.Fuzz(func(t *testing.T, data, probe []byte, seed uint64, d, minLeaf, maxDepth uint8, step float64) {
 		dims := 1 + int(d%6)
 		n := len(data) / dims
@@ -356,7 +361,7 @@ func FuzzForestScore(f *testing.F) {
 		}
 		g := new(forestGrid)
 		if !g.build(&rf.flat) {
-			sameScores(t, "walk", rf, rows, rf.ScoreBatch(rows))
+			sameScores(t, "walk", rf, rows, ScoreAll(rf, rows))
 			return
 		}
 		for _, span := range []int{1, max(len(rows), 1)} {

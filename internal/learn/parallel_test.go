@@ -54,7 +54,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 	X, y := synthRows(scoreBatchChunk+77, 13)
 	for _, p := range []int{1, 3} {
 		f := fitForest(t, X, y, p)
-		batch := f.ScoreBatch(X)
+		batch := ScoreAll(f, X)
 		if len(batch) != len(X) {
 			t.Fatalf("batch length %d, want %d", len(batch), len(X))
 		}
@@ -99,7 +99,7 @@ func TestForestUnfitted(t *testing.T) {
 	if got := f.Score([]float64{1, 2}); got != 0.5 {
 		t.Fatalf("unfitted Score = %v", got)
 	}
-	batch := f.ScoreBatch([][]float64{{1, 2}, {3, 4}})
+	batch := ScoreAll(f, [][]float64{{1, 2}, {3, 4}})
 	for i, s := range batch {
 		if s != 0.5 {
 			t.Fatalf("unfitted batch[%d] = %v", i, s)

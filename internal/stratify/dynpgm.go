@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/par"
 )
 
 // maxCandidates caps the candidate boundary set size. The paper's B has
@@ -202,41 +204,81 @@ func (o objective) terms(size, s2, s float64) (load, add, sub, cross float64) {
 // ending at a boundary under one bound, and x, that design's auxiliary sum.
 type cell struct{ a, x float64 }
 
-// leaders tracks which of the sweep's passes hold a table column of their
-// own. Cell (row, pass) lives at row·|T| + pass, so the passes a pair is
-// admitted to are one contiguous run. Passes that have admitted the same
-// pairs so far are identical; only the first of each such run — its leader —
-// is kept up to date, and a pass gets a column of its own (a copy of its
-// leader's) when the first pair arrives that it admits and its leader does
-// not.
-type leaders struct {
-	lead []int // leader passes, ascending; lead[0] = 0
-	slot []int // slot[k] = index of pass k in lead, −1 while k follows a leader
+// sweepBuffers is the scratch of one sweep, kept between designs on
+// sweepScratch. Each pass's table is one column of R cells, R = level(H)+1
+// in sweep's numbering: cell (level h, row r) of leader q sits at col[q] +
+// level(h) + r in tab, and its parent row at the same place in parent.
+// Passes that have admitted the same pairs so far are identical; only the
+// first of each such run — its leader — has a column and is kept up to
+// date, and a pass gets a column of its own, appended to tab as a copy of
+// its leader's, when the first pair arrives that it admits and its leader
+// does not.
+type sweepBuffers struct {
+	tab    []cell
+	parent []int32
+	lead   []int // leader passes, ascending; lead[0] = 0
+	slot   []int // slot[k] = index of pass k in lead, −1 while k follows a leader
+	col    []int // col[k]: the first cell of leader k's column in tab
+	born   []int // born[k]: the row whose pair made pass k a leader (0 for pass 0); read by the tests
+
+	pos, cnt, pre, suf, from []int
+
+	terms []pairTerms // per parent row j of the row being relaxed
 }
 
-// split makes pass k a leader and returns its index in lead.
-func (s *leaders) split(k int, tab []cell, par []int32) int {
+// pairTerms is the pair (j, i) of the row i being relaxed: its stratum's
+// load and relaxation coefficients (objective.terms), and the first bound
+// that admits it (|T| when none does).
+type pairTerms struct {
+	load, add, sub, cross float64
+	bound                 int32
+}
+
+var sweepScratch = par.NewFreeList((*sweepBuffers).bytes)
+
+// bytes is the heap s holds.
+func (s *sweepBuffers) bytes() int {
+	return 16*cap(s.tab) + 4*cap(s.parent) + 40*cap(s.terms) +
+		8*(cap(s.lead)+cap(s.slot)+cap(s.col)+cap(s.born)+cap(s.pos)+cap(s.cnt)+cap(s.pre)+cap(s.suf)+cap(s.from))
+}
+
+// grow returns x with length n, on its own array when that is large enough.
+// The contents are whatever the array held.
+func grow[E any](x []E, n int) []E { return slices.Grow(x[:0], n)[:n] }
+
+// split makes pass k a leader before row i is relaxed. Its column is a copy
+// of its leader's: rows below i are final and row i is still +Inf, and every
+// pair of an earlier row that the leader admitted k admits too.
+func (s *sweepBuffers) split(k, i, R int) {
 	li := 1
 	for li < len(s.lead) && s.lead[li] < k {
 		li++
 	}
-	from, nT := s.lead[li-1], len(s.slot)
+	from := s.lead[li-1]
 	s.lead = slices.Insert(s.lead, li, k)
 	for x, q := range s.lead[li:] {
 		s.slot[q] = li + x
 	}
-	for c := 0; c < len(tab); c += nT {
-		tab[c+k], par[c+k] = tab[c+from], par[c+from]
-	}
-	return li
+	at := s.col[from]
+	s.col[k], s.born[k] = len(s.tab), i
+	s.tab = append(s.tab, s.tab[at:at+R]...)
+	s.parent = append(s.parent, s.parent[at:at+R]...)
 }
 
-// sweep solves, for every bound T[k] (ascending) at once, the dynamic
-// program min Σ_h cost(stratum h) over H-stratifications with cuts in B,
-// subject to c and to load ≤ T[k] for every stratum, and returns the cuts of
-// each (nil where no feasible design exists). Every candidate pair is
-// evaluated once; ties resolve to the smallest parent boundary, exactly as a
-// per-bound, per-level pass over ascending parents would.
+// sweep runs the design sweep (sweepBuffers.run) on scratch from
+// sweepScratch.
+func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) [][]int {
+	s := sweepScratch.Get()
+	defer sweepScratch.Put(s)
+	return s.run(p, B, H, c, obj, T)
+}
+
+// run solves, for every bound T[k] (ascending) at once, the dynamic program
+// min Σ_h cost(stratum h) over H-stratifications with cuts in B, subject to
+// c and to load ≤ T[k] for every stratum, and returns the cuts of each (nil
+// where no feasible design exists). Every candidate pair is evaluated once;
+// ties resolve to the smallest parent boundary, exactly as a per-bound,
+// per-level pass over ascending parents would.
 //
 // Only cells that can lie on a path to the answer are visited. Every stratum
 // holds at least c.MinStratumSize objects and c.MinPilotPerStratum pilot
@@ -248,14 +290,24 @@ func (s *leaders) split(k int, tab []cell, par []int32) int {
 // updates read +Inf or write cells no live one reads, so the cuts, values
 // and tie-breaks are the unpruned program's.
 //
-// Scratch is (H−1)·(|B|+1)+2 rows of |T| cells (20 bytes each): 0.6 MB at
-// |B| = 760, |T| = 14, H = 4, and 1.8 MB at the maxCandidates cap with
-// |T| = 20 (3 MB at H = 6, the most strata LSS hands DynPgm).
-func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) [][]int {
+// Row i is relaxed in two steps. The first prices each pair (j, i) once and
+// finds the first bound that admits it. The second walks every leader's
+// column, pass-major: for each source level, one scan over the parents j in
+// ascending order, reading the column at consecutive rows, keeps the first
+// strict minimum — the comparisons, in the order, that updating the cell
+// pair by pair makes — and writes the cell once.
+//
+// A column is (H−1)·(|B|+1)+2 cells of 20 bytes (16 in tab, 4 in parent):
+// 46 KB at the benchmark ledger's udf_learn shape (|B| = 758, H = 4), where
+// 5 of the |T| = 14 passes lead, and 150 KB at the maxCandidates cap and
+// H = 6, the most strata LSS hands DynPgm, for at most |T| = 20 columns.
+func (s *sweepBuffers) run(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) [][]int {
 	nb, nT := len(B), len(T)
 	// Row 0 is the sentinel boundary 0; row r ≥ 1 is candidate B[r-1].
 	rows := nb + 1
-	pos, cnt := make([]int, rows), make([]int, rows)
+	s.pos, s.cnt = grow(s.pos, rows), grow(s.cnt, rows)
+	pos, cnt := s.pos, s.cnt
+	pos[0], cnt[0] = 0, 0
 	for r, b := range B {
 		pos[r+1], cnt[r+1] = b, p.CountUpTo(b)
 	}
@@ -263,25 +315,31 @@ func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) 
 	// every row, and level H only the last one: no other level-H cell, and
 	// no lower cell of the last row, lies on a path to the answer.
 	level := func(h int) int { return 1 + (h-1)*rows }
-	tab, par := make([]cell, (level(H)+1)*nT), make([]int32, (level(H)+1)*nT)
-	for i := nT; i < len(tab); i++ {
+	R := level(H) + 1
+	s.tab, s.parent = grow(s.tab, R), grow(s.parent, R)
+	s.tab[0] = cell{}
+	for i := 1; i < R; i++ {
 		// +Inf, not MaxFloat64: relaxing from an unreachable cell then
 		// yields +Inf and loses every comparison without a test.
-		tab[i].a = math.Inf(1)
+		s.tab[i] = cell{a: math.Inf(1)}
 	}
-	s := &leaders{lead: make([]int, 1, nT), slot: make([]int, nT)}
-	for k := 1; k < nT; k++ {
+	s.lead = append(slices.Grow(s.lead[:0], nT), 0)
+	s.slot, s.col, s.born = grow(s.slot, nT), grow(s.col, nT), grow(s.born, nT)
+	for k := range s.slot {
 		s.slot[k] = -1
 	}
+	s.slot[0], s.col[0], s.born[0] = 0, 0, 0
 	// c is normalized: both minimums are positive.
 	nu, mu := c.MinStratumSize, c.MinPilotPerStratum
-	pre, suf := make([]int, rows), make([]int, rows)
+	s.pre, s.suf = grow(s.pre, rows), grow(s.suf, rows)
+	pre, suf := s.pre, s.suf
 	for r := range rows {
 		pre[r] = min(pos[r]/nu, cnt[r]/mu, H)
 		suf[r] = min((p.N-pos[r])/nu, (p.M()-cnt[r])/mu, H)
 	}
 	// from[h] is the first row with pre ≥ h; pre only grows with the row.
-	from := make([]int, H+1)
+	s.from = grow(s.from, H+1)
+	from := s.from
 	for h, r := 0, 0; h <= H; h++ {
 		for r < rows && pre[r] < h {
 			r++
@@ -289,7 +347,9 @@ func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) 
 		from[h] = r
 	}
 
-	lead, jhi, k := s.lead, -1, 0
+	s.terms = grow(s.terms, rows)
+	terms := s.terms
+	jhi, k := -1, 0
 	for i := 1; i <= nb; i++ {
 		// Both constraints are monotone in the parent row, so the feasible
 		// parents of row i are 0..jhi, and jhi only grows with i.
@@ -308,72 +368,103 @@ func sweep(p *Pilot, B []int, H int, c Constraints, obj objective, T []float64) 
 		if hl > hh {
 			first = jhi + 1 // no candidate row feeds i
 		}
+		sentinel := suf[i] >= H-1 && i < nb
+		if !sentinel && first > jhi {
+			continue
+		}
+		// Price every pair (j, i) once and find the first bound that
+		// admits it, making that bound a leader if it is not one yet.
+		// Row i is still +Inf in every column, so a split copies the rows
+		// below it, all final.
 		j := first
-		if suf[i] >= H-1 && i < nb {
+		if sentinel {
 			j = 0
 		}
 		lo, s2, sd := -1, 0.0, 0.0
 		for ; j <= jhi; j = max(j+1, first) {
-			src, dst, n := 0, level(1)+i, 1
-			if j > 0 {
-				n = min(hh, pre[j]) - hl + 1
-				src, dst = level(hl)+j, level(hl+1)+i
-				if i == nb {
-					dst = level(H)
-				}
-			}
 			if cnt[j] != lo { // the variance changes only with the pilot count
 				lo = cnt[j]
 				_, s2 = p.SampleStats(lo, cnt[i])
 				sd = math.Sqrt(s2)
 			}
-			load, add, sub, cross := obj.terms(float64(pos[i]-pos[j]), s2, sd)
+			t := &terms[j]
+			t.load, t.add, t.sub, t.cross = obj.terms(float64(pos[i]-pos[j]), s2, sd)
 			// k is the first bound that admits the pair (all later ones do
 			// too); loads change little between neighbours, so the search
 			// starts where the previous pair's ended.
-			for k > 0 && load <= T[k-1] {
+			for k > 0 && t.load <= T[k-1] {
 				k--
 			}
-			for k < nT && load > T[k] {
+			for k < nT && t.load > T[k] {
 				k++
 			}
+			t.bound = int32(k)
 			if k == nT {
 				k--
 				continue
 			}
-			li := s.slot[k]
-			if li < 0 {
-				li = s.split(k, tab, par)
-				lead = s.lead
+			if s.slot[k] < 0 {
+				s.split(k, i, R)
 			}
-			for at, to := src*nT, dst*nT; n > 0; n, at, to = n-1, at+rows*nT, to+rows*nT {
-				for _, q := range lead[li:] {
-					f := tab[at+q]
-					if cand := f.a + add - sub + float64(cross*f.x); cand < tab[to+q].a {
-						tab[to+q], par[to+q] = cell{cand, f.x + load}, int32(j)
+		}
+		// Relax row i in every leader's column: a pass takes the pairs
+		// its bound admits, and each cell keeps the first minimum over
+		// its parents in ascending order — the sentinel into level 1,
+		// and source level h from the rows with pre ≥ h into level h+1
+		// (the answer's one cell when i is the last row).
+		for _, q := range s.lead {
+			base := s.col[q]
+			tc, pc := s.tab[base:base+R], s.parent[base:base+R]
+			if sentinel && terms[0].bound <= int32(q) {
+				t, to := &terms[0], level(1)+i
+				if cand := tc[0].a + t.add - t.sub + float64(t.cross*tc[0].x); cand < tc[to].a {
+					tc[to], pc[to] = cell{cand, tc[0].x + t.load}, 0
+				}
+			}
+			for h := hl; h <= hh; h++ {
+				to := level(h+1) + i
+				if i == nb {
+					to = level(H)
+				}
+				pairs := terms[:jhi+1]
+				src := tc[level(h):][:len(pairs)]
+				best, bx, bj := tc[to].a, 0.0, -1
+				for j := max(from[h], 1); j < len(pairs); j++ {
+					t := &pairs[j]
+					if t.bound > int32(q) {
+						continue
 					}
+					f := src[j]
+					if cand := f.a + t.add - t.sub + float64(t.cross*f.x); cand < best {
+						best, bx, bj = cand, f.x+t.load, j
+					}
+				}
+				if bj >= 0 {
+					tc[to], pc[to] = cell{best, bx}, int32(bj)
 				}
 			}
 		}
 	}
 
+	tab, parent, lead, col := s.tab, s.parent, s.lead, s.col
 	out := make([][]int, nT)
 	for pass, li := 0, 0; pass < nT; pass++ {
 		if li+1 < len(lead) && lead[li+1] == pass {
 			li++
 		}
-		q, at := lead[li], level(H)
+		q := lead[li]
 		if q < pass { // never split from its leader: the same design
 			out[pass] = out[q]
 			continue
 		}
-		if math.IsInf(tab[at*nT+q].a, 1) {
+		tc, pc, at := tab[col[q]:col[q]+R], parent[col[q]:col[q]+R], level(H)
+		if math.IsInf(tc[at].a, 1) {
 			continue
 		}
 		cuts := make([]int, H+1)
 		cuts[H] = p.N
 		for h := H; h >= 1; h-- {
-			r := int(par[at*nT+q])
+			r := int(pc[at])
 			cuts[h-1], at = pos[r], level(h-1)+r
 		}
 		out[pass] = cuts

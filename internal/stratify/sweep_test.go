@@ -178,22 +178,24 @@ func randomDesignCase(r *xrand.Rand) (p *Pilot, H, n int, c Constraints, eps flo
 // bit — nil-ness, cuts and objective — for every bound of DynPgm and for
 // DynPgmP, and that each design is feasible with V the objective of its
 // cuts. It returns the number of feasible per-bound designs seen, or −1 when
-// the designers reject the input outright.
-func checkSweepAgainstReference(t *testing.T, p *Pilot, H, n int, c Constraints, eps float64) int {
+// the designers reject the input outright, and the DynPgm sweep's late
+// splits (lateSplits).
+func checkSweepAgainstReference(t *testing.T, p *Pilot, H, n int, c Constraints, eps float64) (feasible, late int) {
 	t.Helper()
 	c = c.normalized()
 	if validateDesignInput(p, H, n, c) != nil {
 		if _, err := DynPgmEps(p, H, n, c, eps); err == nil {
 			t.Fatal("DynPgmEps accepted invalid input")
 		}
-		return -1
+		return -1, 0
 	}
 	B, T := candidateBoundariesEps(p, eps), sumBounds(p.N, eps)
-	got := sweep(p, B, H, c, eq5(n), T)
+	s := new(sweepBuffers)
+	got := s.run(p, B, H, c, eq5(n), T)
+	late = lateSplits(s, H, len(B)+1)
 	if len(got) != len(T) {
 		t.Fatalf("sweep returned %d designs for %d bounds", len(got), len(T))
 	}
-	feasible := 0
 	var best *Design
 	for k, bound := range T {
 		want := dynNeymanPass(p, B, H, n, c, bound)
@@ -218,7 +220,26 @@ func checkSweepAgainstReference(t *testing.T, p *Pilot, H, n int, c Constraints,
 		prop = &Design{Cuts: cuts, V: PropObjective(p, cuts, n)}
 	}
 	checkDesign(t, "DynPgmP", prop, PropObjective, p, H, n, c, func() (*Design, error) { return DynPgmPEps(p, H, n, c, eps) })
-	return feasible
+	return feasible, late
+}
+
+// lateSplits counts the passes a sweep split off after cells were live:
+// those whose column holds a reached cell (level 1 … H−1, a candidate row)
+// below the row whose pair split them. Rows below that one were final when
+// the column was copied and are never written again, so such a column's
+// answer rests on a copy of relaxed cells.
+func lateSplits(s *sweepBuffers, H, rows int) int {
+	late := 0
+	for _, k := range s.lead[1:] {
+		col := s.tab[s.col[k]:]
+		for at := 1; at < 1+(H-1)*rows; at++ {
+			if r := (at - 1) % rows; r >= 1 && r < s.born[k] && !math.IsInf(col[at].a, 1) {
+				late++
+				break
+			}
+		}
+	}
+	return late
 }
 
 // checkDesign compares a designer's answer with the reference design (nil =
@@ -246,13 +267,25 @@ func checkDesign(t *testing.T, name string, want *Design, eval func(*Pilot, []in
 }
 
 func TestSweepMatchesReference(t *testing.T) {
+	// A pass split off after cells are live starts from a copy of its
+	// leader's relaxed column; at ε = ½ this shape splits ten such passes,
+	// so each copied column's answer is checked against its bound's own
+	// reference program.
+	t.Run("late_splits", func(t *testing.T) {
+		p, H, n, c, eps := fuzzDesignCase(t, lateSplitCase.seed, lateSplitCase.N, lateSplitCase.m, lateSplitCase.H,
+			lateSplitCase.minSize, lateSplitCase.minPilot, lateSplitCase.halfEps)
+		if f, late := checkSweepAgainstReference(t, p, H, n, c, eps); f <= 0 || late < 4 {
+			t.Fatalf("%d feasible per-bound designs, %d passes split after cells were live; want designs and at least 4 such splits", f, late)
+		}
+	})
+
 	const cases = 340
 	r := xrand.New(1404)
 	ran, designs, infeasible := 0, 0, 0
 	for i := 0; i < cases; i++ {
 		p, H, n, c, eps := randomDesignCase(r)
 		t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
-			switch f := checkSweepAgainstReference(t, p, H, n, c, eps); {
+			switch f, _ := checkSweepAgainstReference(t, p, H, n, c, eps); {
 			case f > 0:
 				ran, designs = ran+1, designs+f
 			case f == 0:
@@ -280,7 +313,7 @@ func TestSweepMatchesReference(t *testing.T) {
 			p := tightPilot(t, sh.N, sh.m, sh.even, r)
 			c := Constraints{MinStratumSize: sh.N / H, MinPilotPerStratum: sh.m / H}
 			t.Run(fmt.Sprintf("tight_H%d_N%d_m%d_even%v", H, sh.N, sh.m, sh.even), func(t *testing.T) {
-				if checkSweepAgainstReference(t, p, H, sh.N/10, c, 0.5) > 0 {
+				if f, _ := checkSweepAgainstReference(t, p, H, sh.N/10, c, 0.5); f > 0 {
 					tight++
 				}
 			})
@@ -290,6 +323,17 @@ func TestSweepMatchesReference(t *testing.T) {
 		t.Fatalf("only %d tight shapes have a feasible design", tight)
 	}
 }
+
+// lateSplitCase is FuzzDesignSweep's arguments for a shape (N = 3000,
+// m = 30, H = 4, ε = ½) whose DynPgm sweep splits ten passes off after
+// cells are live.
+var lateSplitCase = struct {
+	seed              uint64
+	N                 uint16
+	m, H              uint8
+	minSize, minPilot uint8
+	halfEps           bool
+}{1, 3000, 30, 2, 20, 2, true}
 
 // tightPilot draws m pilot positions among N objects, evenly spaced or at
 // random, labeled by a noisy step.
@@ -318,7 +362,7 @@ func tightPilot(tb testing.TB, N, m int, even bool, r *xrand.Rand) *Pilot {
 // benchmark ledger runs (udf_learn: N = 10 000, 45 pilot labels, H = 4).
 func TestSweepAtLedgerShape(t *testing.T) {
 	p, H, n, c := ledgerShape(t)
-	if checkSweepAgainstReference(t, p, H, n, c, 1) == 0 {
+	if f, _ := checkSweepAgainstReference(t, p, H, n, c, 1); f == 0 {
 		t.Fatal("ledger shape has no feasible design")
 	}
 }
@@ -354,28 +398,40 @@ func FuzzDesignSweep(f *testing.F) {
 	for h := 2; h <= 6; h++ {
 		f.Add(uint64(10+h), uint16(950), uint8(40), uint8(h-2), uint8(200), uint8(48/h), true)
 	}
+	lc := lateSplitCase
+	f.Add(lc.seed, lc.N, lc.m, lc.H, lc.minSize, lc.minPilot, lc.halfEps)
 	f.Fuzz(func(t *testing.T, seed uint64, N uint16, m, H uint8, minSize, minPilot uint8, halfEps bool) {
-		r := xrand.New(seed)
-		n, mm, h := 50+int(N)%19951, 8+int(m)%121, 2+int(H)%5
-		if mm > n/2 {
-			mm = n / 2
-		}
-		pos := r.Perm(n)[:mm]
-		slices.Sort(pos)
-		q := make([]bool, mm)
-		frac, noise := r.Float64(), r.Float64()/2
-		for k, at := range pos {
-			q[k] = (float64(at) >= frac*float64(n)) != (r.Float64() < noise)
-		}
-		p, err := NewPilot(n, pos, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps := 1.0
-		if halfEps {
-			eps = 0.5
-		}
-		c := Constraints{MinStratumSize: int(minSize) * n / (h * 200), MinPilotPerStratum: int(minPilot) % (mm/h + 2)}
-		checkSweepAgainstReference(t, p, h, 1+r.IntN(n), c, eps)
+		p, h, n, c, eps := fuzzDesignCase(t, seed, N, m, H, minSize, minPilot, halfEps)
+		checkSweepAgainstReference(t, p, h, n, c, eps)
 	})
+}
+
+// fuzzDesignCase expands FuzzDesignSweep's arguments into a designer input:
+// a pilot of 8–128 labels at random positions among 50–20 000 objects,
+// labeled by a noisy step, H = 2…6, and constraints scaled to the shape.
+func fuzzDesignCase(tb testing.TB, seed uint64, N uint16, m, H uint8, minSize, minPilot uint8, halfEps bool) (p *Pilot, h, n int, c Constraints, eps float64) {
+	tb.Helper()
+	r := xrand.New(seed)
+	objs, mm := 50+int(N)%19951, 8+int(m)%121
+	h = 2 + int(H)%5
+	if mm > objs/2 {
+		mm = objs / 2
+	}
+	pos := r.Perm(objs)[:mm]
+	slices.Sort(pos)
+	q := make([]bool, mm)
+	frac, noise := r.Float64(), r.Float64()/2
+	for k, at := range pos {
+		q[k] = (float64(at) >= frac*float64(objs)) != (r.Float64() < noise)
+	}
+	p, err := NewPilot(objs, pos, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eps = 1.0
+	if halfEps {
+		eps = 0.5
+	}
+	c = Constraints{MinStratumSize: int(minSize) * objs / (h * 200), MinPilotPerStratum: int(minPilot) % (mm/h + 2)}
+	return p, h, 1 + r.IntN(objs), c, eps
 }
