@@ -37,6 +37,8 @@
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
 #                      but never ended (tools/obscheck)
+#   make loc           line counts the ROADMAP quotes: non-test Go outside
+#                      bench/, Go tests outside bench/, and all of bench/
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
 #                      lexer, live delta parser, WAL reader,
 #                      design sweep vs its per-bound reference, radix
@@ -47,7 +49,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke
+.PHONY: check build vet test race docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke loc
 
 check: build vet docs-check obs-check race
 
@@ -129,6 +131,15 @@ bench:
 bench-ledger-smoke:
 	$(GO) run ./bench -smoke
 	$(GO) test ./bench
+
+# Lines of Go in the three parts the ROADMAP tracks: the program (non-test
+# files outside bench/), its tests, and the ledger harness under bench/
+# (its tests included).
+GO_FILES = find . \( -path ./bench -o -path ./.git \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go outside bench/: $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "tests outside bench/:       $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "bench/:                     $$(find bench -name '*.go' | xargs cat | wc -l)"
 
 # Brief run of each native fuzzer: the parser/renderer round-trip property,
 # lexer crash-safety, the live delta-batch parser (CSV + NDJSON) against a

@@ -22,15 +22,6 @@ type SRS struct {
 // Name implements Method.
 func (s *SRS) Name() string { return "srs" }
 
-// proportion is the SRS estimate of pos positives among n draws from N
-// objects, with a Wald or Wilson interval.
-func proportion(pos, n, N int, alpha float64, wilson bool) estimate.Result {
-	if wilson {
-		return estimate.ProportionWilson(pos, n, N, AlphaOrDefault(alpha))
-	}
-	return estimate.Proportion(pos, n, N, AlphaOrDefault(alpha))
-}
-
 // Estimate implements Method.
 func (s *SRS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
 	if err := checkBudget(obj, budget); err != nil {
@@ -42,7 +33,7 @@ func (s *SRS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err != nil {
 		return nil, err
 	}
-	res := proportion(pos, budget, obj.N(), s.Alpha, s.Wilson)
+	res := estimate.SRS(pos, budget, obj.N(), AlphaOrDefault(s.Alpha), s.Wilson)
 	return f.result(s.Name(), Result{Estimate: res.Count, CI: res.CI, HasCI: true, Timing: Timing{Sample: time.Since(t0)}}), nil
 }
 

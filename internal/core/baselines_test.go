@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/stratify"
 	"repro/internal/xrand"
 )
 
@@ -98,20 +97,30 @@ func TestSSNAllocatesMoreToMixedStrata(t *testing.T) {
 	}
 }
 
+// TestLSSConstraintsOverride: when the designer's constraints cannot be met
+// — budget 20 at H = 4 leaves a pilot of 5 labels, fewer than 4 strata × 2
+// — LSS falls back to the equal-count layout instead of erroring, and the
+// fallback still spends no more than the budget.
 func TestLSSConstraintsOverride(t *testing.T) {
 	obj, _ := syntheticInstance(2000, 1.2, 45)
-	m := &LSS{
-		NewClassifier: knnSpec,
-		Constraints:   &stratify.Constraints{MinStratumSize: 50, MinPilotPerStratum: 3},
-	}
-	if _, err := m.Estimate(context.Background(), obj, 300, xrand.New(46)); err != nil {
+	m := &LSS{NewClassifier: knnSpec}
+	res, err := m.Estimate(context.Background(), obj, 300, xrand.New(46))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Impossible constraints: the designer fails, and LSS falls back to the
-	// equal-count layout instead of erroring.
-	m.Constraints = &stratify.Constraints{MinStratumSize: 1900, MinPilotPerStratum: 3}
-	if _, err := m.Estimate(context.Background(), obj, 300, xrand.New(47)); err != nil {
+	if res.Design.Fallback != "" {
+		t.Fatalf("budget 300 design = %+v, want no fallback", res.Design)
+	}
+	before := obj.Pred.Evals()
+	res, err = m.Estimate(context.Background(), obj, 20, xrand.New(47))
+	if err != nil {
 		t.Fatalf("infeasible constraints should fall back, got %v", err)
+	}
+	if res.Design.Algo != "fixed-height" || res.Design.Fallback == "" {
+		t.Fatalf("budget 20 design = %+v, want the fixed-height fallback", res.Design)
+	}
+	if spent := obj.Pred.Evals() - before; spent > 20 {
+		t.Fatalf("fallback spent %d evaluations on budget 20", spent)
 	}
 }
 
@@ -132,11 +141,11 @@ func TestLearnPhaseErrors(t *testing.T) {
 	obj, _ := syntheticInstance(100, 1.0, 48)
 	r := xrand.New(49)
 	f := open(context.Background(), obj, false)
-	if _, err := f.learn(knnSpec, 1, false, 0, r); err == nil || err.Error() != "core: learn budget 1 too small" {
+	if _, err := f.learn(knnSpec, 1, false, r); err == nil || err.Error() != "core: learn budget 1 too small" {
 		t.Fatalf("tiny learn budget: error %v", err)
 	}
 	// A nil constructor means the default forest.
-	if l, err := f.learn(nil, 10, false, 0, r); err != nil || l.info.Trees != 100 {
+	if l, err := f.learn(nil, 10, false, r); err != nil || l.info.Trees != 100 {
 		t.Fatalf("nil classifier constructor: %+v, error %v", l, err)
 	}
 }

@@ -275,7 +275,7 @@ func (f frame) labelCount(idxs []int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return countPositives(labels), nil
+	return estimate.Positives(labels), nil
 }
 
 // spent closes the frame's books: evaluations of q since it opened and the
@@ -328,17 +328,6 @@ func checkBudget(obj *ObjectSet, budget int) error {
 		return fmt.Errorf("core: budget %d exceeds population %d", budget, obj.N())
 	}
 	return nil
-}
-
-// countPositives tallies true labels.
-func countPositives(labels []bool) int {
-	c := 0
-	for _, b := range labels {
-		if b {
-			c++
-		}
-	}
-	return c
 }
 
 // Oracle evaluates q on every object — the exact, expensive path. It

@@ -93,11 +93,9 @@ func TestAllMethodsRespectBudget(t *testing.T) {
 		&LSS{NewClassifier: knnSpec},
 		&LSS{NewClassifier: knnSpec, Layout: LayoutFixedWidth},
 		&LSS{NewClassifier: knnSpec, Layout: LayoutEqualCount},
-		&LSS{NewClassifier: knnSpec, Alloc: AllocProportional},
 		&QLCC{NewClassifier: knnSpec},
 		&QLAC{NewClassifier: knnSpec},
-		&LWS{NewClassifier: knnSpec, Augment: true},
-		&LSS{NewClassifier: knnSpec, Augment: true},
+		&QLCC{NewClassifier: knnSpec, Augment: true},
 	}
 	for _, m := range methods {
 		before := obj.Pred.Evals()
@@ -290,27 +288,23 @@ func TestLSSStrataCounts(t *testing.T) {
 	}
 }
 
+// TestLSSDesignAlgos: six strata are the last the Neyman dynamic program
+// designs, seven the first the proportional one does (TestLSSReportsDesign
+// has H = 3, 4 and 8).
 func TestLSSDesignAlgos(t *testing.T) {
 	obj, _ := syntheticInstance(2500, 1.2, 22)
 	r := xrand.New(23)
 	for _, tc := range []struct {
-		algo DesignAlgo
 		h    int
-	}{
-		{DesignDirSol, 3},
-		{DesignLogBdr, 3},
-		{DesignDynPgm, 4},
-		{DesignDynPgmP, 4},
-	} {
-		m := &LSS{NewClassifier: knnSpec, Strata: tc.h, Algo: tc.algo}
-		if _, err := m.Estimate(context.Background(), obj, 400, r.Split()); err != nil {
-			t.Fatalf("%v: %v", tc.algo, err)
+		algo string
+	}{{6, "dynpgm"}, {7, "dynpgmp"}} {
+		res, err := (&LSS{NewClassifier: knnSpec, Strata: tc.h}).Estimate(context.Background(), obj, 400, r.Split())
+		if err != nil {
+			t.Fatalf("H=%d: %v", tc.h, err)
 		}
-	}
-	// DirSol with wrong H must fail loudly.
-	m := &LSS{NewClassifier: knnSpec, Strata: 4, Algo: DesignDirSol}
-	if _, err := m.Estimate(context.Background(), obj, 400, r.Split()); err == nil {
-		t.Fatal("DirSol with H=4 should error")
+		if res.Design.Algo != tc.algo {
+			t.Fatalf("H=%d: design %+v, want %s", tc.h, res.Design, tc.algo)
+		}
 	}
 }
 
@@ -336,15 +330,7 @@ func TestStringers(t *testing.T) {
 		LayoutEqualCount.String() != "fixed-height" {
 		t.Fatal("Layout strings")
 	}
-	if AllocNeyman.String() != "neyman" || AllocProportional.String() != "proportional" {
-		t.Fatal("Allocation strings")
-	}
-	for _, d := range []DesignAlgo{DesignAuto, DesignDirSol, DesignLogBdr, DesignDynPgm, DesignDynPgmP} {
-		if d.String() == "" {
-			t.Fatal("DesignAlgo string empty")
-		}
-	}
-	if Layout(99).String() == "" || DesignAlgo(99).String() == "" {
+	if Layout(99).String() == "" {
 		t.Fatal("unknown enum strings")
 	}
 }

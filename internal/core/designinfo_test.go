@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/learn"
-	"repro/internal/stratify"
 	"repro/internal/xrand"
 )
 
@@ -71,10 +70,13 @@ func TestLSSReportsDesign(t *testing.T) {
 	if d := run(&LSS{Layout: LayoutFixedWidth}); d.Algo != "fixed-width" || d.Fallback != "" {
 		t.Fatalf("fixed-width design = %+v", d)
 	}
-	// No stratum can hold 3 000 of ~3 900 objects four times over.
-	tight := &stratify.Constraints{MinStratumSize: 3000, MinPilotPerStratum: 2}
-	d := run(&LSS{Constraints: tight})
-	if d.Algo != "fixed-height" || !strings.HasPrefix(d.Fallback, "dynpgm: ") || d.Candidates != 0 {
+	// Budget 20 leaves a pilot of 5 labels, fewer than 4 strata × 2: the
+	// designer finds nothing feasible, and the run still answers.
+	res, err := (&LSS{NewClassifier: smallForest}).Estimate(context.Background(), obj, 20, xrand.New(44))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Design; d.Algo != "fixed-height" || !strings.HasPrefix(d.Fallback, "dynpgm: ") || d.Candidates != 0 {
 		t.Fatalf("infeasible design = %+v, want the fixed-height fallback naming dynpgm", d)
 	}
 	// The same layout chosen outright: no designer ran, so nothing fell back.
@@ -98,9 +100,9 @@ func TestLearnPhaseReportsItsSplit(t *testing.T) {
 		trees  int // smallForest's 20; 0 for a classifier with no ensemble to size
 	}{
 		{&LSS{NewClassifier: smallForest}, true, 20},
-		{&LSS{NewClassifier: smallForest, Augment: true, Rounds: 2}, true, 20},
 		{&LWS{NewClassifier: smallForest}, true, 20},
 		{&QLCC{NewClassifier: smallForest}, false, 20},
+		{&QLCC{NewClassifier: smallForest, Augment: true}, false, 20},
 		{&QLAC{NewClassifier: smallForest}, false, 20},
 		{&LWS{NewClassifier: knnSpec}, true, 0},
 	} {

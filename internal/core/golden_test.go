@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/predicate"
-	"repro/internal/stratify"
 	"repro/internal/xrand"
 )
 
@@ -88,9 +87,10 @@ func TestGoldenFixedSeed(t *testing.T) {
 		build   func(NewClassifierFunc) Method
 		learned bool
 		full    bool // also run at budget = N
+		tiny    bool // also run at budget 20: a 5-label pilot, too few for 4 strata × 2
 	}
 	lss := func(name string, cfg LSS) plainCase {
-		return plainCase{name: "lss/" + name, learned: true, full: name == "default", build: func(c NewClassifierFunc) Method {
+		return plainCase{name: "lss/" + name, learned: true, full: name == "default", tiny: name == "default", build: func(c NewClassifierFunc) Method {
 			m := cfg
 			m.NewClassifier = c
 			return &m
@@ -117,34 +117,18 @@ func TestGoldenFixedSeed(t *testing.T) {
 		lws("epsilon=.001", LWS{Epsilon: .001}),
 		lws("epsilon=.2", LWS{Epsilon: .2}),
 		lws("with-replacement", LWS{WithReplacement: true}),
-		lws("stop=.05", LWS{StopRelWidth: .05}),
 		lws("train=.1", LWS{TrainFrac: .1}),
-		lws("augment", LWS{Augment: true}),
-		lws("augment+rounds=2", LWS{Augment: true, Rounds: 2}),
 		lss("default", LSS{}),
 		lss("layout=fixed-width", LSS{Layout: LayoutFixedWidth}),
 		lss("layout=fixed-height", LSS{Layout: LayoutEqualCount}),
-		lss("alloc=proportional", LSS{Alloc: AllocProportional}),
-		lss("algo=dirsol", LSS{Algo: DesignDirSol, Strata: 3}),
-		lss("algo=logbdr", LSS{Algo: DesignLogBdr}),
-		lss("algo=dynpgm", LSS{Algo: DesignDynPgm}),
-		lss("algo=dynpgmp", LSS{Algo: DesignDynPgmP}),
 		lss("strata=3", LSS{Strata: 3}),
 		lss("strata=4", LSS{Strata: 4}),
 		lss("strata=8", LSS{Strata: 8}),
 		lss("train=.4", LSS{TrainFrac: .4}),
-		lss("augment+rounds=2", LSS{Augment: true, Rounds: 2}),
-		lss("tight-constraints", LSS{Constraints: &stratify.Constraints{MinStratumSize: 60, MinPilotPerStratum: 5}}),
 		{name: "qlcc/default", learned: true, full: true, build: func(c NewClassifierFunc) Method { return &QLCC{NewClassifier: c} }},
 		{name: "qlcc/augment", learned: true, build: func(c NewClassifierFunc) Method { return &QLCC{NewClassifier: c, Augment: true} }},
-		{name: "qlcc/augment+rounds=2", learned: true, build: func(c NewClassifierFunc) Method {
-			return &QLCC{NewClassifier: c, Augment: true, Rounds: 2}
-		}},
 		{name: "qlac/default", learned: true, full: true, build: func(c NewClassifierFunc) Method { return &QLAC{NewClassifier: c} }},
 		{name: "qlac/augment", learned: true, build: func(c NewClassifierFunc) Method { return &QLAC{NewClassifier: c, Augment: true} }},
-		{name: "qlac/augment+rounds=2", learned: true, build: func(c NewClassifierFunc) Method {
-			return &QLAC{NewClassifier: c, Augment: true, Rounds: 2}
-		}},
 	}
 	grouped := []struct {
 		name    string
@@ -178,8 +162,8 @@ func TestGoldenFixedSeed(t *testing.T) {
 				if !c.learned && ci > 0 {
 					continue
 				}
-				for _, budget := range []int{100, N} {
-					if budget == N && !c.full {
+				for _, budget := range []int{20, 100, N} {
+					if budget == N && !c.full || budget == 20 && !c.tiny {
 						continue
 					}
 					key := fmt.Sprintf("%s/seed=%d/b=%d", c.name, seed, budget)
@@ -242,37 +226,17 @@ var goldenRows = map[string]string{
 	"grouped-srs/wilson/seed=11/b=400":                 "evals=400 {209 4046000000000000 4046000000000000 4046000000000000 true 209 44 true} {92 4034000000000000 4034000000000000 4034000000000000 true 92 20 true} {53 4028000000000000 4028000000000000 4028000000000000 true 53 12 true} {21 4014000000000000 4014000000000000 4014000000000000 true 21 5 true} {11 4008000000000000 4008000000000000 4008000000000000 true 11 3 true} {6 3ff0000000000000 3ff0000000000000 3ff0000000000000 true 6 1 true} {8 4014000000000000 4014000000000000 4014000000000000 true 8 5 true}",
 	"grouped-srs/wilson/seed=12/b=100":                 "evals=125 {209 403c227627627627 402be8cc2de541d9 404a691e5d43885c true 52 7 false} {92 40306db6db6db6dc 401cfe2dda580fab 40405f3f05dc9ade true 28 5 false} {53 401345d1745d1746 3feb879eb16eaada 4033ffffcfe1c0b5 true 11 1 false} {21 4010cccccccccccd 3ff30b926aa085d7 402569c5ea46fdac true 10 2 false} {11 400199999999999a 3fe3f3bdf5ccbcfa 40166ecf56f509c0 true 10 2 false} {6 3ff0000000000000 3ff0000000000000 3ff0000000000000 true 6 1 true} {8 4014000000000000 4014000000000000 4014000000000000 true 8 5 true}",
 	"grouped-srs/wilson/seed=12/b=400":                 "evals=400 {209 4046000000000000 4046000000000000 4046000000000000 true 209 44 true} {92 4034000000000000 4034000000000000 4034000000000000 true 92 20 true} {53 4028000000000000 4028000000000000 4028000000000000 true 53 12 true} {21 4014000000000000 4014000000000000 4014000000000000 true 21 5 true} {11 4008000000000000 4008000000000000 4008000000000000 true 11 3 true} {6 3ff0000000000000 3ff0000000000000 3ff0000000000000 true 6 1 true} {8 4014000000000000 4014000000000000 4014000000000000 true 8 5 true}",
-	"lss/algo=dirsol/forest/seed=11/b=100":             "est=4053c3981dae6077 lo=40480650b6b3c8e8 hi=405b8407e002dc7b ci=true evals=100 train=25 scored=375 design=dirsol",
-	"lss/algo=dirsol/forest/seed=12/b=100":             "est=4053bd65aa4224be lo=40438b52ea69d671 hi=405db521df4f5e44 ci=true evals=100 train=25 scored=375 design=dirsol",
-	"lss/algo=dirsol/knn/seed=11/b=100":                "est=40557ff57f57f57f lo=404e949caed0628a hi=405bb59ca747b9b8 ci=true evals=100 train=25 scored=375 design=dirsol",
-	"lss/algo=dirsol/knn/seed=12/b=100":                "est=405e495555555556 lo=4054813ae855ab17 hi=406408b7e12a7fca ci=true evals=100 train=25 scored=375 design=dirsol",
-	"lss/algo=dynpgm/forest/seed=11/b=100":             "est=40544ec4ec4ec4ec lo=404ed88614567e05 hi=40593146ce724ad6 ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/algo=dynpgm/forest/seed=12/b=100":             "est=40508d82d82d82d8 lo=403c3cd9b946c988 hi=405a0bcf4209534f ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/algo=dynpgm/knn/seed=11/b=100":                "est=405391f07c1f07c1 lo=404f1dfe98554396 hi=405794e1ac136db8 ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/algo=dynpgm/knn/seed=12/b=100":                "est=40545bb8d015e75c lo=40499c7771539ad1 hi=405be935e782014f ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/algo=dynpgmp/forest/seed=11/b=100":            "est=4057e4d9364d9366 lo=404f5112e2126f82 hi=406010947dc8f786 ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/algo=dynpgmp/forest/seed=12/b=100":            "est=40500b240795ceb2 lo=40380b84b5118250 hi=405a1366e1e73cd1 ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/algo=dynpgmp/knn/seed=11/b=100":               "est=405a407c1f07c1f0 lo=4051dbca00ae390b hi=406152971eb0a56a ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/algo=dynpgmp/knn/seed=12/b=100":               "est=40575345d1745d18 lo=40502a878891d169 hi=405e7c041a56e8c7 ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/algo=logbdr/forest/seed=11/b=100":             "est=405d525982af70c8 lo=4054959114b88251 hi=40630790f8532f9f ci=true evals=100 train=25 scored=375 design=logbdr",
-	"lss/algo=logbdr/forest/seed=12/b=100":             "est=40508d82d82d82d8 lo=403c3cd9b946c988 hi=405a0bcf4209534f ci=true evals=100 train=25 scored=375 design=logbdr",
-	"lss/algo=logbdr/knn/seed=11/b=100":                "est=405391f07c1f07c1 lo=404f1dfe98554396 hi=405794e1ac136db8 ci=true evals=100 train=25 scored=375 design=logbdr",
-	"lss/algo=logbdr/knn/seed=12/b=100":                "est=40545bb8d015e75c lo=40499c7771539ad1 hi=405be935e782014f ci=true evals=100 train=25 scored=375 design=logbdr",
-	"lss/alloc=proportional/forest/seed=11/b=100":      "est=4057577777777778 lo=405014ae5c51b5b9 hi=405e9a40929d3936 ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/alloc=proportional/forest/seed=12/b=100":      "est=404d0a28a28a28a3 lo=40355b08907cfb3d hi=4057b3667e6ae9d3 ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/alloc=proportional/knn/seed=11/b=100":         "est=405b82f42f42f42e lo=4053f48afe8a4bd8 hi=406188aeaffdce42 ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/alloc=proportional/knn/seed=12/b=100":         "est=405afe43aabb5af1 lo=4051128ded4b9d04 hi=406274fcb4158c6f ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/augment+rounds=2/forest/seed=11/b=100":        "est=4055e2be2be2be2c lo=4049c82a2945a13c hi=405ee1674322abba ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/augment+rounds=2/forest/seed=12/b=100":        "est=4058c00000000001 lo=40505ab9febfaf97 hi=406092a300a02835 ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/augment+rounds=2/knn/seed=11/b=100":           "est=40536db6db6db6dc lo=4048ede5267fd800 hi=405a647b239b81b7 ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/augment+rounds=2/knn/seed=12/b=100":           "est=4054011111111112 lo=404775062f000d75 hi=405c479f0aa21b69 ci=true evals=100 train=25 scored=375 design=dynpgm",
 	"lss/default/forest/seed=11/b=100":                 "est=40544ec4ec4ec4ec lo=404ed88614567e05 hi=40593146ce724ad6 ci=true evals=100 train=25 scored=375 design=dynpgm",
+	"lss/default/forest/seed=11/b=20":                  "est=4049c00000000000 lo=4000000000000000 hi=40656c8edb054784 ci=true evals=20 train=5 scored=395 design=fixed-height fallback=\"dynpgm: stratify: 4 strata of ≥2 pilot samples exceed m=5\"",
 	"lss/default/forest/seed=11/b=400":                 "est=4056ccfc4a33f128 lo=40553e4ed1fa78aa hi=40585ba9c26d69a6 ci=true evals=400 train=100 scored=300 design=dynpgm",
 	"lss/default/forest/seed=12/b=100":                 "est=40508d82d82d82d8 lo=403c3cd9b946c988 hi=405a0bcf4209534f ci=true evals=100 train=25 scored=375 design=dynpgm",
+	"lss/default/forest/seed=12/b=20":                  "est=4060955555555555 lo=3ff0000000000000 hi=4073f982f15c9fb0 ci=true evals=20 train=5 scored=395 design=fixed-height fallback=\"dynpgm: stratify: 4 strata of ≥2 pilot samples exceed m=5\"",
 	"lss/default/forest/seed=12/b=400":                 "est=40561642c8590b22 lo=40545e2dd309a311 hi=4057ce57bda87332 ci=true evals=400 train=100 scored=300 design=dynpgm",
 	"lss/default/knn/seed=11/b=100":                    "est=405391f07c1f07c1 lo=404f1dfe98554396 hi=405794e1ac136db8 ci=true evals=100 train=25 scored=375 design=dynpgm",
+	"lss/default/knn/seed=11/b=20":                     "est=4060c00000000000 lo=4000000000000000 hi=4074145cfb2633db ci=true evals=20 train=5 scored=395 design=fixed-height fallback=\"dynpgm: stratify: 4 strata of ≥2 pilot samples exceed m=5\"",
 	"lss/default/knn/seed=11/b=400":                    "est=4058154b82f0864b lo=4056c9e22622691f hi=405960b4dfbea376 ci=true evals=400 train=100 scored=300 design=dynpgm",
 	"lss/default/knn/seed=12/b=100":                    "est=40545bb8d015e75c lo=40499c7771539ad1 hi=405be935e782014f ci=true evals=100 train=25 scored=375 design=dynpgm",
+	"lss/default/knn/seed=12/b=20":                     "est=4064b55555555555 lo=3ff0000000000000 hi=40770cdc26ed2830 ci=true evals=20 train=5 scored=395 design=fixed-height fallback=\"dynpgm: stratify: 4 strata of ≥2 pilot samples exceed m=5\"",
 	"lss/default/knn/seed=12/b=400":                    "est=405674de9bd37a6f lo=4054bb492414f923 hi=40582e741391fbbb ci=true evals=400 train=100 scored=300 design=dynpgm",
 	"lss/layout=fixed-height/forest/seed=11/b=100":     "est=405592aaaaaaaaaa lo=4048e56cd0451bd4 hi=405eb29eed32c76a ci=true evals=100 train=25 scored=375 design=fixed-height",
 	"lss/layout=fixed-height/forest/seed=12/b=100":     "est=40564742a2b5ce45 lo=404a572ed3cc54ab hi=405f62eddb857235 ci=true evals=100 train=25 scored=375 design=fixed-height",
@@ -294,22 +258,10 @@ var goldenRows = map[string]string{
 	"lss/strata=8/forest/seed=12/b=100":                "est=4048541d41d41d42 lo=4028f6ce2763f52c hi=405535437ce79e9c ci=true evals=100 train=25 scored=375 design=dynpgmp",
 	"lss/strata=8/knn/seed=11/b=100":                   "est=405a0db6db6db6da lo=4051793293c10d24 hi=4061511d918d3048 ci=true evals=100 train=25 scored=375 design=dynpgmp",
 	"lss/strata=8/knn/seed=12/b=100":                   "est=4059a86511f407fa lo=40504206030da417 hi=40618762106d35ee ci=true evals=100 train=25 scored=375 design=dynpgmp",
-	"lss/tight-constraints/forest/seed=11/b=100":       "est=405592aaaaaaaaaa lo=4048e56cd0451bd4 hi=405eb29eed32c76a ci=true evals=100 train=25 scored=375 design=fixed-height fallback=\"dynpgm: stratify: DynPgm found no feasible 4-stratification\"",
-	"lss/tight-constraints/forest/seed=12/b=100":       "est=4053166666666666 lo=404494d84e967fc1 hi=405be260a5818ceb ci=true evals=100 train=25 scored=375 design=dynpgm",
-	"lss/tight-constraints/knn/seed=11/b=100":          "est=4054cc9660abdc32 lo=4048bbe4b2de8ce7 hi=405d3b3a67e871f0 ci=true evals=100 train=25 scored=375 design=fixed-height fallback=\"dynpgm: stratify: DynPgm found no feasible 4-stratification\"",
-	"lss/tight-constraints/knn/seed=12/b=100":          "est=40503b6db6db6db7 lo=403eb7272874e865 hi=4058c911a399a154 ci=true evals=100 train=25 scored=375 design=dynpgm",
 	"lss/train=.4/forest/seed=11/b=100":                "est=4059eb7bb681d65b lo=4051d0d4ba11f0f0 hi=406103115978dde3 ci=true evals=100 train=40 scored=360 design=dynpgm",
 	"lss/train=.4/forest/seed=12/b=100":                "est=40551e4129e4129e lo=4048dadae589122d hi=405dcf14e1039c26 ci=true evals=100 train=40 scored=360 design=dynpgm",
 	"lss/train=.4/knn/seed=11/b=100":                   "est=405522e8ba2e8ba3 lo=404da210d0c3c27d hi=405b74c90bfb3608 ci=true evals=100 train=40 scored=360 design=dynpgm",
 	"lss/train=.4/knn/seed=12/b=100":                   "est=4054336db6db6db7 lo=404635dc884f5459 hi=405d4bed298f3142 ci=true evals=100 train=40 scored=360 design=dynpgm",
-	"lws/augment+rounds=2/forest/seed=11/b=100":        "est=4052289f3e6c0e3f lo=404b469021ad5d73 hi=4056adf66c016dc4 ci=true evals=100 train=25 scored=375",
-	"lws/augment+rounds=2/forest/seed=12/b=100":        "est=40554b129aac3bdf lo=404a7d054f7fca18 hi=405d57a28d9892b2 ci=true evals=100 train=25 scored=375",
-	"lws/augment+rounds=2/knn/seed=11/b=100":           "est=40542e4e8d5b85cd lo=404ecb35165614ac hi=4058f7028f8c0144 ci=true evals=100 train=25 scored=375",
-	"lws/augment+rounds=2/knn/seed=12/b=100":           "est=4058db6d7447e869 lo=40536a22112fc5f9 hi=405e4cb8d7600ada ci=true evals=100 train=25 scored=375",
-	"lws/augment/forest/seed=11/b=100":                 "est=4059331f99166912 lo=4052d2baee0653cd hi=405f938444267e57 ci=true evals=100 train=25 scored=375",
-	"lws/augment/forest/seed=12/b=100":                 "est=405cccf11a2a866f lo=404226d72efd2ecc hi=4068433b4e6b3abb ci=true evals=100 train=25 scored=375",
-	"lws/augment/knn/seed=11/b=100":                    "est=405521c1d4f24d17 lo=4050437fb9178e70 hi=405a0003f0cd0bbe ci=true evals=100 train=25 scored=375",
-	"lws/augment/knn/seed=12/b=100":                    "est=4057931c71c71c84 lo=405277fb01dba331 hi=405cae3de1b295d6 ci=true evals=100 train=25 scored=375",
 	"lws/default/forest/seed=11/b=100":                 "est=40598918cb91d0f0 lo=40543791ec6601a7 hi=405eda9faabda039 ci=true evals=100 train=25 scored=375",
 	"lws/default/forest/seed=11/b=400":                 "est=40565456388bbe58 lo=4055f45a6c764244 hi=4056b45204a13a6c ci=true evals=400 train=100 scored=300",
 	"lws/default/forest/seed=12/b=100":                 "est=404b82a1e9db741c lo=404251cd583694e6 hi=405259bb3dc029aa ci=true evals=100 train=25 scored=375",
@@ -326,10 +278,6 @@ var goldenRows = map[string]string{
 	"lws/epsilon=.2/forest/seed=12/b=100":              "est=4057506507b60cc7 lo=404cea0eb7c4e874 hi=406015e159c4d2aa ci=true evals=100 train=25 scored=375",
 	"lws/epsilon=.2/knn/seed=11/b=100":                 "est=4057a950c83fb745 lo=4050e30f70319148 hi=405e6f92204ddd43 ci=true evals=100 train=25 scored=375",
 	"lws/epsilon=.2/knn/seed=12/b=100":                 "est=405dafac42723bac lo=405481c7624b425f hi=40636ec8914c9a7d ci=true evals=100 train=25 scored=375",
-	"lws/stop=.05/forest/seed=11/b=100":                "est=40598918cb91d0f0 lo=40543791ec6601a7 hi=405eda9faabda039 ci=true evals=100 train=25 scored=375",
-	"lws/stop=.05/forest/seed=12/b=100":                "est=404b82a1e9db741c lo=404251cd583694e6 hi=405259bb3dc029aa ci=true evals=100 train=25 scored=375",
-	"lws/stop=.05/knn/seed=11/b=100":                   "est=405648ae08d443a3 lo=405195f00bc9eea7 hi=405afb6c05de989f ci=true evals=100 train=25 scored=375",
-	"lws/stop=.05/knn/seed=12/b=100":                   "est=40543a91ba010062 lo=405093cf1127154e hi=4057e15462daeb76 ci=true evals=100 train=25 scored=375",
 	"lws/train=.1/forest/seed=11/b=100":                "est=405248623299fff4 lo=404851fde82b773b hi=405867c5711e444a ci=true evals=100 train=10 scored=390",
 	"lws/train=.1/forest/seed=12/b=100":                "est=40560030307111b1 lo=404f7c9d381b1b79 hi=405c4211c4d495a6 ci=true evals=100 train=10 scored=390",
 	"lws/train=.1/knn/seed=11/b=100":                   "est=40559483fb72ea8d lo=404daa5bc894f0fe hi=405c53da129b5c9b ci=true evals=100 train=10 scored=390",
@@ -342,10 +290,6 @@ var goldenRows = map[string]string{
 	"oracle/seed=11/b=400":                             "est=4056800000000000 lo=4056800000000000 hi=4056800000000000 ci=true evals=400 train=0 scored=0",
 	"oracle/seed=12/b=100":                             "est=4056800000000000 lo=4056800000000000 hi=4056800000000000 ci=true evals=400 train=0 scored=0",
 	"oracle/seed=12/b=400":                             "est=4056800000000000 lo=4056800000000000 hi=4056800000000000 ci=true evals=400 train=0 scored=0",
-	"qlac/augment+rounds=2/forest/seed=11/b=100":       "est=405645d1745d1746 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
-	"qlac/augment+rounds=2/forest/seed=12/b=100":       "est=4052beea4e1a08ae lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
-	"qlac/augment+rounds=2/knn/seed=11/b=100":          "est=405697a285d7a286 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
-	"qlac/augment+rounds=2/knn/seed=12/b=100":          "est=40550d79435e50d8 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlac/augment/forest/seed=11/b=100":                "est=405288d3dcb08d3e lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlac/augment/forest/seed=12/b=100":                "est=40580ae4c415c988 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlac/augment/knn/seed=11/b=100":                   "est=405401765d9765d9 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
@@ -358,10 +302,6 @@ var goldenRows = map[string]string{
 	"qlac/default/knn/seed=11/b=400":                   "est=4056800000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=400 train=400 scored=0",
 	"qlac/default/knn/seed=12/b=100":                   "est=405e879c5e18e879 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlac/default/knn/seed=12/b=400":                   "est=4056800000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=400 train=400 scored=0",
-	"qlcc/augment+rounds=2/forest/seed=11/b=100":       "est=4055c00000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
-	"qlcc/augment+rounds=2/forest/seed=12/b=100":       "est=4055800000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
-	"qlcc/augment+rounds=2/knn/seed=11/b=100":          "est=4056400000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
-	"qlcc/augment+rounds=2/knn/seed=12/b=100":          "est=4054800000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlcc/augment/forest/seed=11/b=100":                "est=4056000000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlcc/augment/forest/seed=12/b=100":                "est=4057800000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",
 	"qlcc/augment/knn/seed=11/b=100":                   "est=4055c00000000000 lo=0000000000000000 hi=0000000000000000 ci=false evals=100 train=100 scored=0",

@@ -87,7 +87,7 @@ const MinPerGroup = 10
 
 // groupSRSEstimate turns a per-group SRS tally into a GroupCount.
 func groupSRSEstimate(pos, n, N int, alpha float64, wilson bool) GroupCount {
-	res := proportion(pos, n, N, alpha, wilson)
+	res := estimate.SRS(pos, n, N, AlphaOrDefault(alpha), wilson)
 	gc := GroupCount{
 		N:         N,
 		Estimate:  res.Count,
@@ -235,7 +235,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 	if nLearn < 2 {
 		return nil, fmt.Errorf("core: budget %d too small for grouped LSS", budget)
 	}
-	l, err := f.learn(m.NewClassifier, nLearn, false, 0, r)
+	l, err := f.learn(m.NewClassifier, nLearn, false, r)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/active"
+	"repro/internal/estimate"
 	"repro/internal/learn"
 	"repro/internal/par"
 	"repro/internal/sample"
@@ -65,11 +66,11 @@ func (l *learned) release() {
 
 // learn is the shared first phase of the learned methods (§4, and §3.2's
 // quantifiers): label n objects — all of them drawn at random, or with
-// augment an augmentFrac share chosen by uncertainty sampling over rounds
-// retrainings (§3.2; 0 means 1) — fit a classifier from newClf (nil means
+// augment an augmentFrac share chosen by uncertainty sampling after one
+// retraining (§3.2) — fit a classifier from newClf (nil means
 // DefaultForest) and score every object outside the sample. Cancellation is
 // checked before every label.
-func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, rounds int, r *xrand.Rand) (l learned, err error) {
+func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, r *xrand.Rand) (l learned, err error) {
 	if newClf == nil {
 		newClf = DefaultForest
 	}
@@ -81,21 +82,14 @@ func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, rounds int, 
 	factory := func() learn.Classifier { return fitTimed{newClf(r.Uint64()), &fit} }
 	var clf learn.Classifier
 	if augment {
-		if rounds <= 0 {
-			rounds = 1
-		}
 		nAug := int(math.Round(augmentFrac * float64(n)))
 		if nAug >= n {
 			nAug = n / 2
 		}
-		perRound := nAug / rounds
-		initial := n - perRound*rounds
-		if initial < 2 {
-			initial = 2
-		}
+		initial := max(n-nAug, 2)
 		initIdx := sample.SRS(r, f.obj.N(), initial)
-		clf, l.SL, l.labels, err = active.Train(f.ctx, active.Config{Factory: factory, Rounds: rounds},
-			f.obj.Features, f.pred, initIdx, perRound, r)
+		clf, l.SL, l.labels, err = active.Train(f.ctx, active.Config{Factory: factory, Rounds: 1},
+			f.obj.Features, f.pred, initIdx, nAug, r)
 		if err != nil {
 			return l, err
 		}
@@ -115,7 +109,7 @@ func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, rounds int, 
 		}
 		clf = timed.(fitTimed).Classifier
 	}
-	l.newClf, l.pos = newClf, countPositives(l.labels)
+	l.newClf, l.pos = newClf, estimate.Positives(l.labels)
 	l.buf = restScratch.Get()
 	l.restIdx, l.scores, l.timing.Score = scoreRest(f.obj, clf, l.SL, l.buf)
 	l.timing.Learn, l.timing.Fit = time.Since(t0), fit

@@ -41,87 +41,27 @@ func (l Layout) String() string {
 	return fmt.Sprintf("Layout(%d)", int(l))
 }
 
-// Allocation selects the second-stage allocation rule.
-type Allocation int
-
-// Allocation values.
-const (
-	// AllocNeyman allocates n_h ∝ N_h S_h (variance-minimizing).
-	AllocNeyman Allocation = iota
-	// AllocProportional allocates n_h ∝ N_h.
-	AllocProportional
-)
-
-func (a Allocation) String() string {
-	if a == AllocProportional {
-		return "proportional"
-	}
-	return "neyman"
-}
-
-// DesignAlgo selects the stratification-design algorithm for LayoutOptimal.
-type DesignAlgo int
-
-// DesignAlgo values.
-const (
-	// DesignAuto picks DirSol for H = 3, otherwise DynPgm (Neyman) or
-	// DynPgmP (proportional).
-	DesignAuto DesignAlgo = iota
-	// DesignDirSol forces the H = 3 closed-form designer.
-	DesignDirSol
-	// DesignLogBdr forces the partition-enumeration designer.
-	DesignLogBdr
-	// DesignDynPgm forces the Neyman dynamic program.
-	DesignDynPgm
-	// DesignDynPgmP forces the proportional dynamic program.
-	DesignDynPgmP
-)
-
-func (d DesignAlgo) String() string {
-	switch d {
-	case DesignAuto:
-		return "auto"
-	case DesignDirSol:
-		return "dirsol"
-	case DesignLogBdr:
-		return "logbdr"
-	case DesignDynPgm:
-		return "dynpgm"
-	case DesignDynPgmP:
-		return "dynpgmp"
-	}
-	return fmt.Sprintf("DesignAlgo(%d)", int(d))
-}
-
 // LSS is Learned Stratified Sampling (§4.2): order the unlabeled objects by
 // classifier score, draw a pilot SI (pilotFrac of the sampling budget),
-// jointly design stratification and allocation from the pilot, then draw the
-// second-stage sample SII (at least lssMinAlloc per stratum) and form the
-// stratified estimate. LSS uses only the score ordering — not the score
-// values — so it degrades gracefully with classifier quality (§5.4.4).
+// jointly design stratification and Neyman allocation from the pilot (DirSol
+// at H = 3, otherwise the Neyman dynamic program, or the proportional one
+// past six strata), then draw the second-stage sample SII (at least
+// lssMinAlloc per stratum) and form the stratified estimate. LSS uses only
+// the score ordering — not the score values — so it degrades gracefully
+// with classifier quality (§5.4.4).
 type LSS struct {
 	NewClassifier NewClassifierFunc
 	Alpha         float64 // 0 means 0.05
 	TrainFrac     float64 // budget fraction for phase 1; 0 means 0.25
 	Strata        int     // number of strata H; 0 means 4
 	Layout        Layout
-	Alloc         Allocation
-	Algo          DesignAlgo
-	Augment       bool
-	Rounds        int
-	// Constraints overrides the designer feasibility constraints; nil means
-	// scale-aware defaults.
-	Constraints *stratify.Constraints
 }
 
 // Name implements Method.
 func (m *LSS) Name() string { return "lss" }
 
 // constraintsFor builds feasibility constraints scaled to the instance.
-func (m *LSS) constraintsFor(M, mPilot, H int) stratify.Constraints {
-	if m.Constraints != nil {
-		return *m.Constraints
-	}
+func constraintsFor(M, mPilot, H int) stratify.Constraints {
 	mq := mPilot / (3 * H)
 	if mq > 5 {
 		mq = 5
@@ -138,62 +78,46 @@ func (m *LSS) constraintsFor(M, mPilot, H int) stratify.Constraints {
 
 // design computes the stratification cuts for the ordered object set and
 // reports which algorithm produced them.
-func (m *LSS) design(pilot *stratify.Pilot, scores []float64, nII int) ([]int, DesignInfo, error) {
+func (m *LSS) design(pilot *stratify.Pilot, scores []float64, nII int) ([]int, DesignInfo) {
 	H := StrataCount(m.Strata)
 	switch m.Layout {
 	case LayoutFixedWidth:
-		return stratify.FixedWidth(scores, H), DesignInfo{Algo: m.Layout.String()}, nil
+		return stratify.FixedWidth(scores, H), DesignInfo{Algo: m.Layout.String()}
 	case LayoutEqualCount:
-		return stratify.EqualCount(pilot.N, H), DesignInfo{Algo: m.Layout.String()}, nil
+		return stratify.EqualCount(pilot.N, H), DesignInfo{Algo: m.Layout.String()}
 	}
-	c := m.constraintsFor(pilot.N, pilot.M(), H)
-	algo := m.Algo
-	if algo == DesignAuto {
-		switch {
-		case H == 3:
-			algo = DesignDirSol
-		case m.Alloc == AllocProportional:
-			algo = DesignDynPgmP
-		case H > 6:
-			// Both dynamic programs evaluate each candidate pair once; the
-			// Neyman one then updates up to |T|·(H−2) cells per pair where
-			// the separable proportional one updates H−2, and for many
-			// strata the latter finds a near-identical layout (allocation
-			// stays Neyman regardless). Measured at N = 10 000, 45 pilot
-			// labels, H = 8 on a 2-vCPU box: 5.5 ms against 3.0 ms, ≈ 1.8×
-			// (EXPERIMENTS.md); moving the switch would change fixed-seed
-			// output.
-			algo = DesignDynPgmP
-		default:
-			algo = DesignDynPgm
-		}
-	}
+	c := constraintsFor(pilot.N, pilot.M(), H)
 	var d *stratify.Design
 	var err error
-	switch algo {
-	case DesignDirSol:
-		if H != 3 {
-			return nil, DesignInfo{}, fmt.Errorf("core: DirSol requires H=3, got %d", H)
-		}
+	var algo string
+	switch {
+	case H == 3:
+		algo = "dirsol"
 		d, err = stratify.DirSol(pilot, nII, c)
-	case DesignLogBdr:
-		d, err = stratify.LogBdr(pilot, H, nII, c)
-	case DesignDynPgm:
-		d, err = stratify.DynPgm(pilot, H, nII, c)
-	case DesignDynPgmP:
+	case H > 6:
+		// Both dynamic programs evaluate each candidate pair once; the
+		// Neyman one then updates up to |T|·(H−2) cells per pair where
+		// the separable proportional one updates H−2, and for many
+		// strata the latter finds a near-identical layout (allocation
+		// stays Neyman regardless). Measured at N = 10 000, 45 pilot
+		// labels, H = 8 on a 2-vCPU box: 5.5 ms against 3.0 ms, ≈ 1.8×
+		// (EXPERIMENTS.md); moving the switch would change fixed-seed
+		// output.
+		algo = "dynpgmp"
 		d, err = stratify.DynPgmP(pilot, H, nII, c)
 	default:
-		return nil, DesignInfo{}, fmt.Errorf("core: unknown design algorithm %v", algo)
+		algo = "dynpgm"
+		d, err = stratify.DynPgm(pilot, H, nII, c)
 	}
 	if err != nil {
 		// Infeasible optimal design (tiny pilots, extreme constraints):
 		// fall back to the equal-count layout rather than failing the run.
 		return stratify.EqualCount(pilot.N, H), DesignInfo{
 			Algo:     LayoutEqualCount.String(),
-			Fallback: fmt.Sprintf("%v: %v", algo, err),
-		}, nil
+			Fallback: algo + ": " + err.Error(),
+		}
 	}
-	return d.Cuts, DesignInfo{Algo: algo.String(), Candidates: d.Candidates, Bounds: d.Bounds}, nil
+	return d.Cuts, DesignInfo{Algo: algo, Candidates: d.Candidates, Bounds: d.Bounds}
 }
 
 // Estimate implements Method.
@@ -208,7 +132,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if nLearn < 2 {
 		return nil, fmt.Errorf("core: budget %d too small for LSS", budget)
 	}
-	l, err := f.learn(m.NewClassifier, nLearn, m.Augment, m.Rounds, r)
+	l, err := f.learn(m.NewClassifier, nLearn, false, r)
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +170,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err != nil {
 		return nil, err
 	}
-	cuts, info, err := m.design(pilot, l.scores, max(nII, 1))
-	if err != nil {
-		return nil, err
-	}
+	cuts, info := m.design(pilot, l.scores, max(nII, 1))
 	H := len(cuts) - 1
 
 	// Per-stratum pilot statistics for allocation. Allocation uses the
@@ -277,12 +198,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 			}
 		}
 	}
-	var alloc []int
-	if m.Alloc == AllocProportional {
-		alloc = estimate.ProportionalAllocation(poolSizes(pools), nII, lssMinAlloc)
-	} else {
-		alloc = estimate.NeymanAllocation(poolSizes(pools), Sh, nII, lssMinAlloc)
-	}
+	alloc := estimate.NeymanAllocation(poolSizes(pools), Sh, nII, lssMinAlloc)
 	designDur := time.Since(t1)
 
 	// Phase 2, stage 2: draw SII and estimate.

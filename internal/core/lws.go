@@ -26,14 +26,6 @@ type LWS struct {
 	// Hansen-Hurwitz estimator (ablation; the paper's LWS draws without
 	// replacement and uses Des Raj).
 	WithReplacement bool
-	// StopRelWidth, when positive, stops phase 2 early once the running
-	// Des Raj confidence interval's width falls below StopRelWidth × N —
-	// the "ordered estimates" use the paper highlights in §4.1 (running
-	// mean and variance as samples are drawn). A minimum of 30 draws is
-	// taken before the rule can fire. Ignored with WithReplacement.
-	StopRelWidth float64
-	Augment      bool // apply uncertainty-sampling augmentation in phase 1
-	Rounds       int
 }
 
 // Name implements Method.
@@ -54,7 +46,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	f := open(ctx, obj, false)
 
 	// Phase 1: learn.
-	l, err := f.learn(m.NewClassifier, LearnSize(m.TrainFrac, budget, 1), m.Augment, m.Rounds, r)
+	l, err := f.learn(m.NewClassifier, LearnSize(m.TrainFrac, budget, 1), false, r)
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +85,6 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 			return nil, err
 		}
 		dr := estimate.NewDesRaj(len(restIdx))
-		const minDraws = 30
-		stopWidth := m.StopRelWidth * float64(len(restIdx))
 		for i := 0; i < nSample; i++ {
 			if err := f.canceled(); err != nil {
 				return nil, err
@@ -104,11 +94,6 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 				break
 			}
 			dr.Add(tp.Eval(restIdx[j]), sampler.InitialProb(j))
-			if stopWidth > 0 && dr.Draws() >= minDraws {
-				if cur := dr.Estimate(alpha); cur.CI.Width() <= stopWidth {
-					break
-				}
-			}
 		}
 		res = dr.Estimate(alpha)
 	}

@@ -14,8 +14,7 @@ import (
 // predictions over the unlabeled objects. No confidence interval.
 type QLCC struct {
 	NewClassifier NewClassifierFunc
-	Augment       bool
-	Rounds        int
+	Augment       bool // label augmentFrac of the budget by uncertainty sampling
 }
 
 // Name implements Method.
@@ -23,7 +22,7 @@ func (m *QLCC) Name() string { return "qlcc" }
 
 // Estimate implements Method.
 func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
-	return quantified(ctx, obj, budget, r, m.Name(), m.NewClassifier, m.Augment, m.Rounds,
+	return quantified(ctx, obj, budget, r, m.Name(), m.NewClassifier, m.Augment,
 		func(l *learned) (quantify.Result, error) { return quantify.ClassifyAndCount(l.pos, l.scores), nil })
 }
 
@@ -32,8 +31,7 @@ func (m *QLCC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 // interval; occasionally produces extreme estimates when t̂pr ≈ f̂pr.
 type QLAC struct {
 	NewClassifier NewClassifierFunc
-	Augment       bool
-	Rounds        int
+	Augment       bool // label augmentFrac of the budget by uncertainty sampling
 }
 
 // Name implements Method.
@@ -41,7 +39,7 @@ func (m *QLAC) Name() string { return "qlac" }
 
 // Estimate implements Method.
 func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand) (*Result, error) {
-	return quantified(ctx, obj, budget, r, m.Name(), m.NewClassifier, m.Augment, m.Rounds,
+	return quantified(ctx, obj, budget, r, m.Name(), m.NewClassifier, m.Augment,
 		func(l *learned) (quantify.Result, error) {
 			trainX := make([][]float64, len(l.SL))
 			for j, i := range l.SL {
@@ -57,13 +55,13 @@ func (m *QLAC) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xran
 // That scoring pass is the count itself, so it is booked to the Sample phase
 // rather than the learn phase, whose report says it scored nothing.
 func quantified(ctx context.Context, obj *ObjectSet, budget int, r *xrand.Rand, name string,
-	newClf NewClassifierFunc, augment bool, rounds int, count func(*learned) (quantify.Result, error)) (*Result, error) {
+	newClf NewClassifierFunc, augment bool, count func(*learned) (quantify.Result, error)) (*Result, error) {
 
 	if err := checkBudget(obj, budget); err != nil {
 		return nil, err
 	}
 	f := open(ctx, obj, false)
-	l, err := f.learn(newClf, budget, augment, rounds, r)
+	l, err := f.learn(newClf, budget, augment, r)
 	if err != nil {
 		return nil, err
 	}

@@ -301,27 +301,39 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // ReadCSV reads a table with the given schema from CSV data with a header
 // row. The header must match the schema column names in order.
 func ReadCSV(name string, schema Schema, r io.Reader) (*Table, error) {
+	t := New(name, schema)
+	if err := ReadCSVRows(schema, r, func(vals []any) error { return t.AppendRow(vals...) }); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ReadCSVRows reads CSV data whose header row names schema's columns in
+// order and calls emit with each later row, every value parsed to its
+// column's kind (float64, int64 or string) in a slice of its own. An error
+// from emit stops the read and is returned as is.
+func ReadCSVRows(schema Schema, r io.Reader, emit func(vals []any) error) error {
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
-		return nil, fmt.Errorf("dataset: reading header: %w", err)
+		return fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
 	if len(header) != len(schema) {
-		return nil, fmt.Errorf("dataset: header has %d columns, schema %d", len(header), len(schema))
+		return fmt.Errorf("dataset: CSV header has %d columns, schema %d", len(header), len(schema))
 	}
 	for i, h := range header {
 		if h != schema[i].Name {
-			return nil, fmt.Errorf("dataset: header column %d is %q, want %q", i, h, schema[i].Name)
+			return fmt.Errorf("dataset: CSV header column %d is %q, want %q", i, h, schema[i].Name)
 		}
 	}
-	t := New(name, schema)
-	for {
+	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		vals := make([]any, len(schema))
 		for i, c := range schema {
@@ -329,22 +341,21 @@ func ReadCSV(name string, schema Schema, r io.Reader) (*Table, error) {
 			case Float:
 				v, err := strconv.ParseFloat(rec[i], 64)
 				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", t.n, c.Name, err)
+					return fmt.Errorf("dataset: CSV line %d column %q: %w", line, c.Name, err)
 				}
 				vals[i] = v
 			case Int:
 				v, err := strconv.ParseInt(rec[i], 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("dataset: row %d column %q: %w", t.n, c.Name, err)
+					return fmt.Errorf("dataset: CSV line %d column %q: %w", line, c.Name, err)
 				}
 				vals[i] = v
 			case String:
 				vals[i] = rec[i]
 			}
 		}
-		if err := t.AppendRow(vals...); err != nil {
-			return nil, err
+		if err := emit(vals); err != nil {
+			return err
 		}
 	}
-	return t, nil
 }

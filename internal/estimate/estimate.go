@@ -55,6 +55,26 @@ func ProportionWilson(positives, n, N int, alpha float64) Result {
 	return res
 }
 
+// SRS is the simple-random-sample estimate of a population of N from pos
+// positives among n draws, with a Wald or, with wilson, a Wilson interval.
+func SRS(pos, n, N int, alpha float64, wilson bool) Result {
+	if wilson {
+		return ProportionWilson(pos, n, N, alpha)
+	}
+	return Proportion(pos, n, N, alpha)
+}
+
+// Positives counts the true labels.
+func Positives(labels []bool) int {
+	pos := 0
+	for _, b := range labels {
+		if b {
+			pos++
+		}
+	}
+	return pos
+}
+
 // StratumSample is the observed labels of one stratum's sample.
 type StratumSample struct {
 	N         int // stratum population size N_h

@@ -3,12 +3,10 @@ package live
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 
 	"repro/internal/dataset"
 )
@@ -108,7 +106,7 @@ func ParseDelta(schema dataset.Schema, format Format, r io.Reader, chunk int, ap
 	var err error
 	switch format {
 	case CSV:
-		err = parseCSVDelta(schema, r, emit)
+		err = dataset.ReadCSVRows(schema, r, func(vals []any) error { return emit(Row{Op: OpAppend, Vals: vals}) })
 	case NDJSON:
 		err = parseNDJSONDelta(schema, r, emit)
 	default:
@@ -118,55 +116,6 @@ func ParseDelta(schema dataset.Schema, format Format, r io.Reader, chunk int, ap
 		return total, err
 	}
 	return total, flush()
-}
-
-// parseCSVDelta reads a header row matching the schema, then appends.
-func parseCSVDelta(schema dataset.Schema, r io.Reader, emit func(Row) error) error {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("live: reading CSV header: %w", err)
-	}
-	if len(header) != len(schema) {
-		return fmt.Errorf("live: CSV header has %d columns, schema %d", len(header), len(schema))
-	}
-	for i, h := range header {
-		if h != schema[i].Name {
-			return fmt.Errorf("live: CSV header column %d is %q, want %q", i, h, schema[i].Name)
-		}
-	}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		vals := make([]any, len(schema))
-		for i, c := range schema {
-			switch c.Kind {
-			case dataset.Float:
-				v, err := strconv.ParseFloat(rec[i], 64)
-				if err != nil {
-					return fmt.Errorf("live: CSV line %d column %q: %w", line, c.Name, err)
-				}
-				vals[i] = v
-			case dataset.Int:
-				v, err := strconv.ParseInt(rec[i], 10, 64)
-				if err != nil {
-					return fmt.Errorf("live: CSV line %d column %q: %w", line, c.Name, err)
-				}
-				vals[i] = v
-			case dataset.String:
-				vals[i] = rec[i]
-			}
-		}
-		if err := emit(Row{Op: OpAppend, Vals: vals}); err != nil {
-			return err
-		}
-	}
 }
 
 // ndjsonOp is the wire form of one NDJSON delta line.

@@ -29,8 +29,6 @@ type DurableOptions struct {
 	// AutoCheckpointBytes checkpoints automatically once the log holds this
 	// many bytes since the last checkpoint (default 64 MiB; < 0 disables).
 	AutoCheckpointBytes int64
-	// NoSync skips fsync on commit — benchmark-only, never production.
-	NoSync bool
 }
 
 const (
@@ -90,7 +88,7 @@ func OpenDurable(dir string, spec *Spec, o DurableOptions) (*Table, error) {
 		return nil, err
 	}
 
-	log, rec, err := wal.Open(o.FS, dir, wal.Options{SegmentBytes: o.SegmentBytes, NoSync: o.NoSync})
+	log, rec, err := wal.Open(o.FS, dir, wal.Options{SegmentBytes: o.SegmentBytes})
 	if err != nil {
 		return nil, fmt.Errorf("live: opening WAL for %q: %w", spec.Name, err)
 	}

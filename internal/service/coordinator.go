@@ -343,7 +343,7 @@ func (r *coordRun) count(ctx context.Context, known *census) (*CountResult, erro
 // (503) that every candidate for some shard failed.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/count", handleCount(c.Count, time.Second))
+	mux.HandleFunc("POST /v1/count", handleCount(c.Count))
 	mux.HandleFunc("GET /metrics", handleMetrics(c.metrics))
 	mux.HandleFunc("GET /v1/traces", handleTraces(c.tracer))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {

@@ -153,7 +153,7 @@ func TestServiceDurableUploadReplaces(t *testing.T) {
 // hint — distinct from admission-control "overloaded" — and publishes
 // nothing.
 func TestIngestDurabilityFaultMaps503(t *testing.T) {
-	svc, _, _ := newLiveService(t, 50, Options{RetryAfter: 3 * time.Second})
+	svc, _, _ := newLiveService(t, 50, Options{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	_, v0, _ := svc.Registry.Get("items")
@@ -169,8 +169,8 @@ func TestIngestDurabilityFaultMaps503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", ra)
 	}
 	var env errorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {

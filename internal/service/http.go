@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/lsample"
@@ -50,7 +49,7 @@ import (
 // wait hint in seconds. writeError is the one table.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/count", handleCount(s.CountCtx, s.opts.RetryAfter))
+	mux.HandleFunc("POST /v1/count", handleCount(s.CountCtx))
 	mux.HandleFunc("POST /v1/shard", s.handleShard)
 	mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
 	mux.HandleFunc("POST /v1/datasets", s.handleUploadDataset)
@@ -68,16 +67,16 @@ func (s *Service) Handler() http.Handler {
 
 // handleCount is POST /v1/count on either role: the body decoded strictly,
 // count run under the request's context and any inbound traceparent.
-func handleCount(count func(context.Context, *CountRequest) (*CountResult, error), retryAfter time.Duration) http.HandlerFunc {
+func handleCount(count func(context.Context, *CountRequest) (*CountResult, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req CountRequest
 		if err := decodeBody(w, r, 1<<20, &req); err != nil {
-			writeError(w, err, retryAfter)
+			writeError(w, err)
 			return
 		}
 		res, err := count(traceCtx(r), &req)
 		if err != nil {
-			writeError(w, err, retryAfter)
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, res)
@@ -120,7 +119,7 @@ func handleTraces(tracer *obs.Tracer) http.HandlerFunc {
 		if v := r.URL.Query().Get("limit"); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
-				writeError(w, badf("invalid ?limit=%q", v), 0)
+				writeError(w, badf("invalid ?limit=%q", v))
 				return
 			}
 			limit = n
@@ -139,7 +138,7 @@ func (s *Service) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
 	if name == "" {
-		writeError(w, badf("missing ?name="), s.opts.RetryAfter)
+		writeError(w, badf("missing ?name="))
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
@@ -150,11 +149,11 @@ func (s *Service) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		// is durable: the seed rows are logged and fsynced as they apply.
 		lt, err := s.openLiveUpload(name, qp.Get("schema"), qp.Get("key"))
 		if err != nil {
-			writeError(w, mapSDKErr(err), s.opts.RetryAfter)
+			writeError(w, mapSDKErr(err))
 			return
 		}
 		if _, err := lt.ApplyDelta("csv", body, 0); err != nil {
-			writeError(w, mapSDKErr(err), s.opts.RetryAfter)
+			writeError(w, mapSDKErr(err))
 			return
 		}
 		v := s.RegisterLiveTable(lt)
@@ -165,7 +164,7 @@ func (s *Service) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := lsample.ReadCSV(name, qp.Get("schema"), body)
 	if err != nil {
-		writeError(w, mapSDKErr(err), s.opts.RetryAfter)
+		writeError(w, mapSDKErr(err))
 		return
 	}
 	v := s.RegisterTable(t)
@@ -182,7 +181,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
 	name := qp.Get("name")
 	if name == "" {
-		writeError(w, badf("missing ?name="), s.opts.RetryAfter)
+		writeError(w, badf("missing ?name="))
 		return
 	}
 	format := qp.Get("format")
@@ -196,7 +195,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Ingest(name, format, http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
-		writeError(w, err, s.opts.RetryAfter)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -250,11 +249,15 @@ type errorBody struct {
 // is unlikely to be delivered anyway.
 const statusClientClosedRequest = 499
 
+// retryAfterSeconds is the Retry-After hint of every 503: overload and
+// durability faults clear on the scale of a second.
+const retryAfterSeconds = 1
+
 // writeError is the one error → status table. Two codes are the
 // coordinator's: data_changed (409) when an ingest landed on the workers
 // mid-query, workers_unavailable (503) when every candidate for a shard
-// failed. Every 503 carries a Retry-After hint of retryAfter, at least 1 s.
-func writeError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+// failed. Every 503 carries a Retry-After hint of retryAfterSeconds.
+func writeError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	var moved *versionMismatchError
 	status, code := http.StatusInternalServerError, "internal"
@@ -282,7 +285,7 @@ func writeError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 		status, code = statusClientClosedRequest, "canceled"
 	}
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int(max(1, retryAfter/time.Second))))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}
 	writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: err.Error()}})
 }

@@ -61,7 +61,6 @@ type Options struct {
 	Parallelism    int           // per-request classifier parallelism (0 default 1, <0 all cores)
 	MaxUploadBytes int64         // CSV upload limit (0 default 64 MiB)
 	DataDir        string        // root for durable live datasets ("" = memory-only)
-	RetryAfter     time.Duration // Retry-After hint on 503 responses (default 1s)
 	CatalogBytes   int64         // reuse-catalog budget; 0 default 64 MiB, <0 disables
 
 	// TraceSample is the head-sampling probability for request traces in
@@ -109,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxUploadBytes == 0 {
 		o.MaxUploadBytes = 64 << 20
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = obs.NewLogger(os.Stderr)

@@ -159,7 +159,7 @@ func checkCensus(ctx context.Context, exec *lsample.ShardExec, p *plan, assumed 
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	if err := decodeBody(w, r, 16<<20, &req); err != nil {
-		writeError(w, err, s.opts.RetryAfter)
+		writeError(w, err)
 		return
 	}
 	// Adopt the coordinator's trace: a sampled inbound traceparent makes
@@ -177,7 +177,7 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 		resp.Trace = span.Data()
 	}
 	if err != nil {
-		writeError(w, err, s.opts.RetryAfter)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

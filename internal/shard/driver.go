@@ -465,7 +465,7 @@ func (r *run) attemptPlain(ctx context.Context, res *Result, n int, alpha float6
 		if err != nil {
 			return err
 		}
-		er = Proportion(Positives(labels), len(sel), n, alpha, r.plan.Wilson)
+		er = estimate.SRS(estimate.Positives(labels), len(sel), n, alpha, r.plan.Wilson)
 
 	case "lss":
 		all, hOf, kLearn, err := r.stratify(ctx, res, n)
@@ -719,7 +719,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	// srsGroup fills in a group's simple-random-sample estimate; a sample
 	// covering the whole group is exact.
 	srsGroup := func(grp *Group, pos, sampled int) {
-		er := Proportion(pos, sampled, grp.N, alpha, r.plan.Wilson)
+		er := estimate.SRS(pos, sampled, grp.N, alpha, r.plan.Wilson)
 		grp.Sampled = sampled
 		grp.Count, grp.Proportion = er.Count, er.Proportion
 		grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
@@ -757,7 +757,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 		grp := Group{Key: c.key, Parts: c.parts, N: c.n}
 		if short(i) {
 			gsel := topUp[i]
-			srsGroup(&grp, Positives(topLabels[:len(gsel)]), len(gsel))
+			srsGroup(&grp, estimate.Positives(topLabels[:len(gsel)]), len(gsel))
 			topLabels = topLabels[len(gsel):]
 		} else if r.plan.Method == "lss" {
 			gs := stratumSizes[c.key]

@@ -85,27 +85,7 @@ func SampleStrata(members [][]int64, budget int, seed uint64, tagOf func(h int) 
 				visit(h, k, labels[j])
 			}
 		}
-		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(sel), Positives: Positives(labels)}
+		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(sel), Positives: estimate.Positives(labels)}
 	}
 	return strata, nil
-}
-
-// Positives counts the true labels.
-func Positives(labels []bool) int {
-	pos := 0
-	for _, b := range labels {
-		if b {
-			pos++
-		}
-	}
-	return pos
-}
-
-// Proportion is the simple-random-sample estimate of a population of n
-// from pos positives among sampled, with a Wald or Wilson interval.
-func Proportion(pos, sampled, n int, alpha float64, wilson bool) estimate.Result {
-	if wilson {
-		return estimate.ProportionWilson(pos, sampled, n, alpha)
-	}
-	return estimate.Proportion(pos, sampled, n, alpha)
 }

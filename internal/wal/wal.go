@@ -43,10 +43,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default 4 MiB). Small values force rotation in tests.
 	SegmentBytes int64
-	// NoSync skips fsync on Commit. Recovery then only covers what the OS
-	// flushed on its own — for benchmarks measuring the fsync cost, never
-	// for production data.
-	NoSync bool
 }
 
 func (o Options) withDefaults() Options {
@@ -362,7 +358,7 @@ func (l *Log) startSegmentLocked(firstVersion uint64) error {
 // sealActiveLocked syncs and closes the active segment, moving it to the
 // sealed list.
 func (l *Log) sealActiveLocked() error {
-	if l.pending && !l.o.NoSync {
+	if l.pending {
 		if err := l.active.Sync(); err != nil {
 			return err
 		}
@@ -433,8 +429,7 @@ func (l *Log) Commit() error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	if !l.pending || l.o.NoSync {
-		l.pending = l.pending && l.o.NoSync
+	if !l.pending {
 		return nil
 	}
 	if err := l.active.Sync(); err != nil {
@@ -465,7 +460,7 @@ func (l *Log) Checkpoint(version uint64, payload []byte) error {
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	if l.pending && !l.o.NoSync {
+	if l.pending {
 		if err := l.active.Sync(); err != nil {
 			return l.failLocked("fsync before checkpoint", err)
 		}
@@ -545,7 +540,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if l.pending && !l.o.NoSync && l.failed == nil {
+	if l.pending && l.failed == nil {
 		err = l.active.Sync()
 	}
 	if cerr := l.active.Close(); err == nil {

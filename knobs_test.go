@@ -24,18 +24,25 @@ var knobStructs = []struct {
 	{"internal/shard", "shard", []string{"Plan"}},
 }
 
+// testSeams are the option fields only tests set, each kept for a reason a
+// test cannot get around by other means.
+var testSeams = map[string]string{
+	"CoordinatorOptions.Client": "tests put an in-process transport under the coordinator to script worker faults",
+	"Options.MaxUploadBytes":    "tests lower the upload bound to reach 413 without 64 MiB bodies",
+}
+
 // TestEveryOptionFieldHasASetter keeps unused knobs from growing back: every
 // exported field of a knob struct must be a composite-literal key or an
-// assignment target somewhere in the module outside its own package's
-// non-test files — a caller, a test, an example, a figure or a bench probe.
-// A default filled in by the declaring package is not a setter. (An
-// assignment to x.Field is untyped: it counts for every struct of the row
-// that has a field of that name.)
+// assignment target in some non-test file of the module outside its own
+// package and outside examples/ — a caller, a command, a figure or a bench
+// probe. Tests and examples are not users; a default filled in by the
+// declaring package is not a setter. Only testSeams are exempt, and only
+// while nothing else sets them. (An assignment to x.Field is untyped: it
+// counts for every struct of the row that has a field of that name.)
 func TestEveryOptionFieldHasASetter(t *testing.T) {
 	type file struct {
-		dir  string
-		test bool
-		ast  *ast.File
+		dir string
+		ast *ast.File
 	}
 	var files []file
 	fset := token.NewFileSet()
@@ -44,25 +51,26 @@ func TestEveryOptionFieldHasASetter(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if n := d.Name(); n != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+			if n := d.Name(); n != "." && (strings.HasPrefix(n, ".") || n == "testdata" || path == "examples") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go"), f})
+		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	seamDeclared := map[string]bool{}
 	for _, row := range knobStructs {
 		t.Run(row.pkg, func(t *testing.T) {
 			wanted := map[string]bool{}
@@ -73,7 +81,7 @@ func TestEveryOptionFieldHasASetter(t *testing.T) {
 			set := map[string]bool{}      // "LSS.Strata", or "*.Strata" for an untyped assignment
 			for _, f := range files {
 				inPkg := f.dir == row.dir
-				if inPkg && !f.test {
+				if inPkg {
 					ast.Inspect(f.ast, func(n ast.Node) bool {
 						ts, ok := n.(*ast.TypeSpec)
 						if !ok || !wanted[ts.Name.Name] {
@@ -128,15 +136,27 @@ func TestEveryOptionFieldHasASetter(t *testing.T) {
 			}
 			var unset []string
 			for f := range declared {
-				if !set[f] && !set["*."+f[strings.IndexByte(f, '.')+1:]] {
+				isSet := set[f] || set["*."+f[strings.IndexByte(f, '.')+1:]]
+				_, seam := testSeams[f]
+				switch {
+				case seam && isSet:
+					t.Errorf("%s is exempt as a test seam, yet a non-test file sets it: drop the exemption", f)
+				case seam:
+					seamDeclared[f] = true
+				case !isSet:
 					unset = append(unset, f)
 				}
 			}
 			sort.Strings(unset)
 			if len(unset) > 0 {
-				t.Errorf("%d of %d option fields are set by nothing outside %s's non-test files: %v",
+				t.Errorf("%d of %d option fields are set by no non-test file outside %s and examples/: %v",
 					len(unset), len(declared), row.dir, unset)
 			}
 		})
+	}
+	for f := range testSeams {
+		if !seamDeclared[f] {
+			t.Errorf("test seam %s is no unset option field of a knob struct: drop the exemption", f)
+		}
 	}
 }

@@ -156,8 +156,8 @@
 // every batch bumps the version, Snapshot pins the current state forever,
 // and appends publish in O(columns) by sharing columnar storage. Register
 // live tables in a LiveSource and use Session.PrepareLive/LiveQuery.Refresh
-// (or the Session.Refresh one-shot) to maintain an estimate across data
-// changes at a labeling price proportional to the delta:
+// to maintain an estimate across data changes at a labeling price
+// proportional to the delta:
 //
 //	lq, _ := sess.PrepareLive(`SELECT i.id FROM items i, events e
 //		WHERE e.item = i.id GROUP BY i.id HAVING COUNT(*) > 4`)

@@ -195,7 +195,7 @@ func (s DeltaSummary) Rows() int { return s.Appended + s.Updated + s.Deleted }
 
 // LiveSource is a DataSource over live and static tables: Table returns the
 // current pinned snapshot of a live table (or the static table as-is), so a
-// Session.Refresh against it always sees the newest published state while
+// LiveQuery.Refresh against it always sees the newest published state while
 // every PreparedQuery keeps the snapshot it bound. Safe for concurrent use.
 //
 // Tables are resolved one at a time; replacing several related live tables

@@ -482,29 +482,6 @@ func TestRefreshSpanReportsLearnStep(t *testing.T) {
 	}
 }
 
-// TestSessionRefreshOneShot: the Session.Refresh convenience maintains one
-// LiveQuery per query text across calls.
-func TestSessionRefreshOneShot(t *testing.T) {
-	w := newLiveWorkload(t, 1000, 41)
-	sess := w.session(t, WithMethod("lss"), WithBudget(0.1), WithSeed(6), WithParallelism(1))
-	ctx := context.Background()
-	r1, err := sess.Refresh(ctx, liveQuery, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.appendItems(t, 10)
-	r2, err := sess.Refresh(ctx, liveQuery, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.FreshLabels*10 > r1.FreshLabels {
-		t.Fatalf("second Session.Refresh did not reuse state: %d vs cold %d", r2.FreshLabels, r1.FreshLabels)
-	}
-	if len(r2.Versions) == 0 {
-		t.Fatal("refresh must report pinned live versions")
-	}
-}
-
 // TestPreparedQueryPinnedDuringIngest: a PreparedQuery binds a snapshot;
 // later ingest must not change its results, while a new Prepare sees the
 // new data.

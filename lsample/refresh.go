@@ -67,42 +67,6 @@ func (s *Session) PrepareLive(sqlText string, opts ...Option) (*LiveQuery, error
 	}, nil
 }
 
-// Refresh is the one-shot maintained-estimate API: the session keeps one
-// LiveQuery per query text, created on first use, and each call refreshes
-// it against the newest data. Use PrepareLive directly to control the
-// LiveQuery's lifetime (or to maintain several with different options).
-func (s *Session) Refresh(ctx context.Context, sqlText string, params map[string]any, opts ...Option) (*RefreshEstimate, error) {
-	s.liveMu.Lock()
-	if s.liveQs == nil {
-		s.liveQs = make(map[string]*LiveQuery)
-	}
-	lq, ok := s.liveQs[sqlText]
-	s.liveMu.Unlock()
-	if !ok {
-		fresh, err := s.PrepareLive(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		s.liveMu.Lock()
-		if cur, again := s.liveQs[sqlText]; again {
-			lq = cur // a concurrent caller won the race; share its state
-		} else {
-			// Crude bound, mirroring the service's prepared-query cache: a
-			// caller funneling unbounded distinct query texts through the
-			// one-shot API must not grow O(table)-sized refresh states
-			// forever. Evicted queries just refresh cold next time; use
-			// PrepareLive directly to control LiveQuery lifetimes.
-			if len(s.liveQs) >= 64 {
-				clear(s.liveQs)
-			}
-			s.liveQs[sqlText] = fresh
-			lq = fresh
-		}
-		s.liveMu.Unlock()
-	}
-	return lq.Refresh(ctx, params, opts...)
-}
-
 // LiveQuery is a counting query maintained across data changes: Refresh
 // pins the newest snapshots of every referenced table and re-estimates,
 // reusing everything the delta provably did not touch — memoized labels,
@@ -369,7 +333,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		if err != nil {
 			return nil, err
 		}
-		c := shard.Positives(labels)
+		c := estimate.Positives(labels)
 		res.Count, res.CI.Lo, res.CI.Hi = float64(c), float64(c), float64(c)
 		out.TrueCount = &c
 
@@ -379,7 +343,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		if err != nil {
 			return nil, err
 		}
-		res = shard.Proportion(shard.Positives(labels), len(sel), n, cfg.alpha, cfg.interval == Wilson)
+		res = estimate.SRS(estimate.Positives(labels), len(sel), n, cfg.alpha, cfg.interval == Wilson)
 
 	case "lss":
 		if res, err = q.refreshLSS(cfg, span, st, label, p, budget, out); err != nil {
@@ -393,7 +357,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		if err != nil {
 			return nil, err
 		}
-		c := shard.Positives(labels)
+		c := estimate.Positives(labels)
 		out.TrueCount = &c
 	}
 	out.Count = res.Count

@@ -12,10 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/estimate"
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/qcompile"
-	"repro/internal/shard"
 	"repro/internal/sql"
 	"repro/internal/xrand"
 )
@@ -23,14 +23,10 @@ import (
 // Session is the SDK entry point for SQL counting queries: it binds a
 // DataSource to a default option set and prepares queries against it. A
 // Session is cheap and safe for concurrent use; create as many as
-// convenient. Sessions over changing data additionally maintain one
-// LiveQuery per Refresh-ed query text (see Session.Refresh).
+// convenient.
 type Session struct {
 	src  DataSource
 	base config
-
-	liveMu sync.Mutex
-	liveQs map[string]*LiveQuery // lazily created by Session.Refresh
 }
 
 // NewSession returns a session over src. The options become defaults for
@@ -315,7 +311,7 @@ func (cfg config) classic(ctx context.Context, what string, features [][]float64
 	if err != nil {
 		return nil, nil, err
 	}
-	tc := shard.Positives(truth)
+	tc := estimate.Positives(truth)
 	est.TrueCount = &tc
 	est.SamplesUsed = pred.Evals()
 	return est, truth, nil

@@ -45,7 +45,7 @@ func (t *Table) snapshotID() uint64 {
 }
 
 // liveMeta identifies which live table a snapshot came from and where in
-// its history it was pinned; Session.Refresh uses it to price deltas
+// its history it was pinned; LiveQuery.Refresh uses it to price deltas
 // (live.PrefixExtends).
 type liveMeta struct {
 	src  *live.Table
