@@ -45,12 +45,9 @@
 // lss, and oracle support the grouped path; rare groups fall back to a
 // dedicated per-group draw with memoized labels.
 //
-// Options (accepted everywhere, later layers override earlier ones):
-// WithMethod, WithClassifier, WithStrata, WithBudget, WithAlpha,
-// WithParallelism, WithSeed, WithInterval (Wald or Wilson), WithExact.
-// Data is served through the DataSource interface; MemorySource, CSVSource,
-// and WorkloadSource ship with the SDK. See the lsample package
-// documentation for the full contract.
+// The functional options (accepted everywhere, later layers override
+// earlier ones) and the DataSource contract are listed once, in the lsample
+// package documentation's Options table and DataSource contract.
 //
 // Estimations are context-aware: cancellation is observed cooperatively at
 // labeling-loop granularity in every method, so callers (and the HTTP

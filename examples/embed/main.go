@@ -35,8 +35,8 @@ func main() {
 	}
 
 	// A session binds a DataSource to default options. MemorySource serves
-	// in-memory tables; CSVSource and WorkloadSource are the other shipped
-	// sources.
+	// in-memory tables, whether built row by row as here, read with OpenCSV
+	// or generated with SyntheticTable.
 	sess, err := lsample.NewSession(
 		lsample.NewMemorySource(tb),
 		lsample.WithMethod("lss"),

@@ -15,8 +15,7 @@ import (
 // SRS is simple random sampling (§3.1): draw the whole budget uniformly
 // without replacement and estimate the proportion.
 type SRS struct {
-	Alpha  float64 // confidence level; 0 means 0.05
-	Wilson bool    // use the Wilson interval (recommended at extreme selectivities)
+	Wilson bool // use the Wilson interval (recommended at extreme selectivities)
 }
 
 // Name implements Method.
@@ -33,7 +32,7 @@ func (s *SRS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if err != nil {
 		return nil, err
 	}
-	res := estimate.SRS(pos, budget, obj.N(), AlphaOrDefault(s.Alpha), s.Wilson)
+	res := estimate.SRS(pos, budget, obj.N(), Alpha, s.Wilson)
 	return f.result(s.Name(), Result{Estimate: res.Count, CI: res.CI, HasCI: true, Timing: Timing{Sample: time.Since(t0)}}), nil
 }
 
@@ -88,7 +87,6 @@ func poolSizes(pools [][]int) []int {
 // SSP is stratified sampling with proportional allocation over an
 // attribute-grid stratification (§3.1).
 type SSP struct {
-	Alpha  float64
 	Strata int // total strata (grid of ⌈√Strata⌉ per dimension); 0 means 4
 }
 
@@ -111,7 +109,7 @@ func (s *SSP) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	design := time.Since(t0)
 
 	t1 := time.Now()
-	res, err := f.secondStage(pools, sizes, alloc, s.Alpha, r)
+	res, err := f.secondStage(pools, sizes, alloc, r)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +121,6 @@ func (s *SSP) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 // pilot of pilotFrac of the budget estimates per-stratum deviations, then
 // the remaining budget is allocated n_h ∝ N_h S_h.
 type SSN struct {
-	Alpha  float64
 	Strata int
 }
 
@@ -191,7 +188,7 @@ func (s *SSN) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	design := time.Since(t0)
 
 	t1 := time.Now()
-	res, err := f.secondStage(rest, poolSizes(pools), alloc, s.Alpha, r)
+	res, err := f.secondStage(rest, poolSizes(pools), alloc, r)
 	if err != nil {
 		return nil, err
 	}

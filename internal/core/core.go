@@ -26,14 +26,15 @@
 //     draw, and form the §3.1 stratified estimate — the one call site of
 //     estimate.Stratified in this package.
 //   - one rule each for the learn-sample size (LearnSize), the default
-//     stratum count (StrataCount) and the default α (AlphaOrDefault),
-//     shared with internal/shard's hash-plan recipe.
+//     stratum count (StrataCount) and the confidence level (Alpha, and
+//     AlphaOrDefault for the shard plan's option), shared with
+//     internal/shard's hash-plan recipe.
 //
 // What no caller varies is a constant here, not an option — each beside the
 // section of the paper whose step it parameterizes:
 //
 //	constant          value   step
-//	defaultAlpha      0.05    §5 set-up: 95 % intervals
+//	Alpha             0.05    §5 set-up: 95 % intervals
 //	defaultTrainFrac  0.25    §5 set-up: a quarter of the budget trains g
 //	defaultStrata     4       §5 set-up: H = 4 unless a figure varies it
 //	pilotFrac         0.3     §3.1 (SSN), §4.2 (LSS): the first stage's share
@@ -180,7 +181,6 @@ func DefaultForest(seed uint64) learn.Classifier { return ForestClassifier(0)(se
 
 // The fixed parameters (the package comment's table says where each acts).
 const (
-	defaultAlpha     = 0.05
 	defaultTrainFrac = 0.25
 	defaultStrata    = 4
 	pilotFrac        = 0.3
@@ -195,10 +195,14 @@ const (
 // surrogateAttrs are the two feature columns SSP and SSN lay their grid over.
 var surrogateAttrs = [2]int{0, 1}
 
-// AlphaOrDefault resolves a confidence option: α ≤ 0 means 0.05.
+// Alpha is the confidence level of every interval the methods report: an
+// interval covers 1 − Alpha.
+const Alpha = 0.05
+
+// AlphaOrDefault resolves a confidence option: α ≤ 0 means Alpha.
 func AlphaOrDefault(alpha float64) float64 {
 	if alpha <= 0 {
-		return defaultAlpha
+		return Alpha
 	}
 	return alpha
 }
@@ -303,7 +307,7 @@ func (f frame) groupedResult(method string, res GroupedResult) *GroupedResult {
 // package forms it: draw alloc[h] objects from pools[h], label each
 // stratum's draw, and estimate over strata of sizes[h] objects (a pool is
 // its stratum minus whatever an earlier stage already labeled).
-func (f frame) secondStage(pools [][]int, sizes, alloc []int, alpha float64, r *xrand.Rand) (estimate.Result, error) {
+func (f frame) secondStage(pools [][]int, sizes, alloc []int, r *xrand.Rand) (estimate.Result, error) {
 	draws, err := sample.Stratified(r, pools, alloc)
 	if err != nil {
 		return estimate.Result{}, err
@@ -316,7 +320,7 @@ func (f frame) secondStage(pools [][]int, sizes, alloc []int, alpha float64, r *
 		}
 		strata[h] = estimate.StratumSample{N: sizes[h], Sampled: len(draw), Positives: pos}
 	}
-	return estimate.Stratified(strata, AlphaOrDefault(alpha))
+	return estimate.Stratified(strata, Alpha)
 }
 
 // checkBudget validates common preconditions.

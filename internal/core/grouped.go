@@ -86,8 +86,8 @@ func groupMembers(groupOf []int, K int) [][]int {
 const MinPerGroup = 10
 
 // groupSRSEstimate turns a per-group SRS tally into a GroupCount.
-func groupSRSEstimate(pos, n, N int, alpha float64, wilson bool) GroupCount {
-	res := estimate.SRS(pos, n, N, AlphaOrDefault(alpha), wilson)
+func groupSRSEstimate(pos, n, N int, wilson bool) GroupCount {
+	res := estimate.SRS(pos, n, N, Alpha, wilson)
 	gc := GroupCount{
 		N:         N,
 		Estimate:  res.Count,
@@ -122,8 +122,7 @@ func (f frame) topUpGroup(members []int, target int, r *xrand.Rand) (pos int, er
 // back to a dedicated per-group draw (labels stay memoized, so only the
 // group's uncovered members cost new evaluations).
 type GroupedSRS struct {
-	Alpha  float64 // 0 means 0.05
-	Wilson bool    // Wilson score intervals instead of Wald
+	Wilson bool // Wilson score intervals instead of Wald
 }
 
 // Name implements GroupedMethod.
@@ -186,7 +185,7 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 			}
 			n, pos = target, pos+extraPos
 		}
-		groups[g] = groupSRSEstimate(pos, n, Ng, m.Alpha, m.Wilson)
+		groups[g] = groupSRSEstimate(pos, n, Ng, m.Wilson)
 	}
 	return f.groupedResult(m.Name(), GroupedResult{Groups: groups, Timing: Timing{Sample: time.Since(t0)}}), nil
 }
@@ -208,9 +207,8 @@ func (m *GroupedSRS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 // dedicated per-group SRS, as in GroupedSRS.
 type GroupedLSS struct {
 	NewClassifier NewClassifierFunc
-	Alpha         float64 // 0 means 0.05
-	Strata        int     // number of strata H; 0 means 4
-	Wilson        bool    // Wilson intervals for the per-group SRS fallback
+	Strata        int  // number of strata H; 0 means 4
+	Wilson        bool // Wilson intervals for the per-group SRS fallback
 	// (the shared stratified estimate keeps its t-interval regardless,
 	// matching LSS; Wilson avoids the degenerate [0, 0] Wald interval when
 	// a rare group's fallback sample has zero or all positives)
@@ -342,7 +340,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 			Sampled:   sampled,
 			Positives: pos,
 		}
-		gc.CI = stats.TInterval(est, math.Sqrt(varhat), df, AlphaOrDefault(m.Alpha))
+		gc.CI = stats.TInterval(est, math.Sqrt(varhat), df, Alpha)
 		// The learn-sample positives are certain, and the unlabeled part of
 		// the group bounds what remains; clamping both ends into [lo, hi]
 		// keeps Lo ≤ Hi even when a zero-variance point estimate overshoots
@@ -386,7 +384,7 @@ func (m *GroupedLSS) EstimateGroups(ctx context.Context, obj *ObjectSet, groupOf
 		if err != nil {
 			return nil, err
 		}
-		groups[g] = groupSRSEstimate(fpos, target, Ng, m.Alpha, m.Wilson)
+		groups[g] = groupSRSEstimate(fpos, target, Ng, m.Wilson)
 	}
 	timing := l.timing
 	timing.Design, timing.Sample = designDur, time.Since(t2)

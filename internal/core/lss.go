@@ -51,7 +51,6 @@ func (l Layout) String() string {
 // with classifier quality (§5.4.4).
 type LSS struct {
 	NewClassifier NewClassifierFunc
-	Alpha         float64 // 0 means 0.05
 	TrainFrac     float64 // budget fraction for phase 1; 0 means 0.25
 	Strata        int     // number of strata H; 0 means 4
 	Layout        Layout
@@ -203,7 +202,7 @@ func (m *LSS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 
 	// Phase 2, stage 2: draw SII and estimate.
 	t2 := time.Now()
-	res, err := f.secondStage(pools, sizes, alloc, m.Alpha, r)
+	res, err := f.secondStage(pools, sizes, alloc, r)
 	if err != nil {
 		return nil, err
 	}

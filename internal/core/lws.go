@@ -19,7 +19,6 @@ import (
 // estimate stays unbiased with a valid confidence interval.
 type LWS struct {
 	NewClassifier NewClassifierFunc
-	Alpha         float64 // 0 means 0.05
 	TrainFrac     float64 // fraction of budget used for learning; 0 means 0.25
 	Epsilon       float64 // probability floor ε; 0 means 0.01
 	// WithReplacement switches phase 2 to PPS with replacement and the
@@ -51,7 +50,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		return nil, err
 	}
 	defer l.release()
-	restIdx, tp, alpha := l.restIdx, f.timed, AlphaOrDefault(m.Alpha)
+	restIdx, tp := l.restIdx, f.timed
 
 	// Phase 2: PPS sampling. Default: without replacement + Des Raj.
 	t1 := time.Now()
@@ -78,7 +77,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 			j := sampler.Draw(r)
 			hh.Add(tp.Eval(restIdx[j]), sampler.Prob(j))
 		}
-		res = hh.Estimate(alpha)
+		res = hh.Estimate(Alpha)
 	} else {
 		sampler, err := sample.NewWeighted(weights)
 		if err != nil {
@@ -95,7 +94,7 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 			}
 			dr.Add(tp.Eval(restIdx[j]), sampler.InitialProb(j))
 		}
-		res = dr.Estimate(alpha)
+		res = dr.Estimate(Alpha)
 	}
 
 	timing := l.timing

@@ -285,14 +285,12 @@ func (r *coordRun) count(ctx context.Context, known *census) (*CountResult, erro
 			return &resp.Reply, nil
 		})
 	}
-	const alpha = 0.05
 	plan := shard.Plan{
 		Method:        knobs.Method,
 		Grouped:       len(pl.GroupCols) > 0,
 		BudgetOf:      func(n int) int { return lsample.EvalBudget(knobs.Budget, n) },
 		Strata:        knobs.Strata,
 		Seed:          arrived.Seed,
-		Alpha:         alpha,
 		Wilson:        knobs.Interval == lsample.Wilson.String(),
 		Exact:         arrived.Exact,
 		AllowDegraded: r.c.opts.AllowDegraded,

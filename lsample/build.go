@@ -43,15 +43,15 @@ func (c config) buildMethod() (core.Method, error) {
 	}
 	switch c.method {
 	case "srs":
-		return &core.SRS{Alpha: c.alpha, Wilson: c.interval == Wilson}, nil
+		return &core.SRS{Wilson: c.interval == Wilson}, nil
 	case "ssp":
-		return &core.SSP{Strata: c.strata, Alpha: c.alpha}, nil
+		return &core.SSP{Strata: c.strata}, nil
 	case "ssn":
-		return &core.SSN{Strata: c.strata, Alpha: c.alpha}, nil
+		return &core.SSN{Strata: c.strata}, nil
 	case "lws":
-		return &core.LWS{NewClassifier: newClf, Alpha: c.alpha}, nil
+		return &core.LWS{NewClassifier: newClf}, nil
 	case "lss":
-		return &core.LSS{NewClassifier: newClf, Strata: c.strata, Alpha: c.alpha}, nil
+		return &core.LSS{NewClassifier: newClf, Strata: c.strata}, nil
 	case "qlcc":
 		return &core.QLCC{NewClassifier: newClf}, nil
 	case "qlac":
@@ -73,13 +73,13 @@ func GroupMethods() []string { return []string{"srs", "lss", "oracle"} }
 func (c config) buildGroupedMethod() (core.GroupedMethod, error) {
 	switch c.method {
 	case "srs":
-		return &core.GroupedSRS{Alpha: c.alpha, Wilson: c.interval == Wilson}, nil
+		return &core.GroupedSRS{Wilson: c.interval == Wilson}, nil
 	case "lss":
 		newClf, err := c.buildClassifier()
 		if err != nil {
 			return nil, err
 		}
-		return &core.GroupedLSS{NewClassifier: newClf, Strata: c.strata, Alpha: c.alpha, Wilson: c.interval == Wilson}, nil
+		return &core.GroupedLSS{NewClassifier: newClf, Strata: c.strata, Wilson: c.interval == Wilson}, nil
 	case "oracle":
 		return core.GroupedOracle{}, nil
 	}

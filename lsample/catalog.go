@@ -53,21 +53,10 @@ const defaultCatalogBytes = 64 << 20
 // the entries hold; a process's resident size runs about twice that under
 // Go's default GOGC.
 func NewCatalog(maxBytes int64) *Catalog {
-	c := &Catalog{entries: make(map[catalogKey]*catalogEntry)}
-	c.SetMaxBytes(maxBytes)
-	return c
-}
-
-// SetMaxBytes adjusts the catalog's byte budget, evicting immediately if
-// the resident artifacts exceed the new bound.
-func (c *Catalog) SetMaxBytes(maxBytes int64) {
 	if maxBytes <= 0 {
 		maxBytes = defaultCatalogBytes
 	}
-	c.mu.Lock()
-	c.maxBytes = maxBytes
-	c.evictLocked()
-	c.mu.Unlock()
+	return &Catalog{maxBytes: maxBytes, entries: make(map[catalogKey]*catalogEntry)}
 }
 
 // CatalogStats is a point-in-time snapshot of a reuse catalog's

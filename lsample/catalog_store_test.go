@@ -71,8 +71,13 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 }
 
 func TestEvictionLFUAndPins(t *testing.T) {
-	c := NewCatalog(1 << 20)
 	tabs := storeTables(t, 3)
+	// The budget holds roughly one entry of 100 labels: size one on a
+	// catalog of its own.
+	probe := NewCatalog(0)
+	pe := acquireFilled(probe, tabs, 0, 100)
+	probe.release(pe, ReuseNone)
+	c := NewCatalog(pe.bytes + 1)
 	// Three entries; entry 0 is used many times (high density), entry 1
 	// once, entry 2 stays pinned.
 	e0 := acquireFilled(c, tabs, 0, 100)
@@ -80,14 +85,12 @@ func TestEvictionLFUAndPins(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.release(acquireFilled(c, tabs, 0, 0), ReuseDirect)
 	}
-	e1 := acquireFilled(c, tabs, 1, 100)
-	c.release(e1, ReuseNone)
 	e2 := acquireFilled(c, tabs, 2, 100) // pinned: no release yet
 
-	// Shrink the budget so only roughly one unpinned entry fits. The
-	// low-density entry 1 must go; the pinned entry 2 must survive even
-	// though it has the lowest use count.
-	c.SetMaxBytes(e0.bytes + 1)
+	// Releasing entry 1 passes the budget. The low-density entry 1 must
+	// go; the pinned entry 2 must survive even though it has the lowest
+	// use count.
+	c.release(acquireFilled(c, tabs, 1, 100), ReuseNone)
 	for i, want := range []bool{true, false, true} {
 		k, _ := storeKey(tabs, i)
 		if _, got := c.entries[k]; got != want {

@@ -190,10 +190,11 @@ func TestCatalogEvictStaleOnSnapshotChange(t *testing.T) {
 
 func TestCatalogConcurrentLookupMaterializeEvict(t *testing.T) {
 	// Hammer one shared catalog from many goroutines: mixed budgets and
-	// predicates materialize, extend, and directly reuse entries while
-	// another goroutine churns the byte budget and invalidates snapshots.
-	// Every execution must succeed, and identical plans must agree.
-	cat := NewCatalog(0)
+	// predicates materialize, extend, and directly reuse entries while a
+	// byte budget under one entry's size evicts it whenever its last pin
+	// goes and another goroutine invalidates snapshots. Every execution
+	// must succeed, and identical plans must agree.
+	cat := NewCatalog(1 << 10)
 	sess, err := NewSession(NewMemorySource(testTable(t, 150, 7)),
 		WithCatalog(cat), WithMethod("lss"), WithSeed(11))
 	if err != nil {
@@ -236,10 +237,8 @@ func TestCatalogConcurrentLookupMaterializeEvict(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			cat.SetMaxBytes(int64(1<<14 + i*1<<12))
 			cat.EvictStale(map[string]*Table{})
 		}
-		cat.SetMaxBytes(0)
 	}()
 	wg.Wait()
 	close(errs)

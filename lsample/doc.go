@@ -77,7 +77,6 @@
 //	WithBudget(frac)      labeling budget as a fraction of |O| in (0, 1]
 //	                      (default 0.02; at least 10 evaluations; grouped
 //	                      runs may add a small rare-group top-up)
-//	WithAlpha(a)          intervals cover 1−a (default 0.05)
 //	WithParallelism(p)    classifier and batched-labeling workers: 0 all
 //	                      cores, 1 sequential; estimates are byte-identical
 //	                      at any value
@@ -90,8 +89,6 @@
 //	                      shards (srs, lss, oracle; 0, the default,
 //	                      disables); byte-identical at any n — see
 //	                      "Sharded execution" below
-//	WithChurnThreshold(f) live refresh only: retrain the classifier/strata
-//	                      when the learn sample drifted past f (default 0.1)
 //	WithRelabel(true)     live refresh only: bypass the label memo — the
 //	                      cold baseline refresh savings are measured against
 //	WithCatalog(c)        attach a cross-query reuse catalog to SQL
@@ -105,10 +102,9 @@
 //	                      detaches, and a disabled or unsampled tracer
 //	                      keeps labeling zero-alloc and estimates
 //	                      byte-identical)
-//	WithLogger(l)         structured JSON query log: one line per
-//	                      execution with method, evals, duration, and the
-//	                      trace ids when a span is recording (nil
-//	                      detaches)
+//
+// Every interval is a 95 % interval (ConfidenceInterval.Level is 0.95), the
+// paper's §5 set-up.
 //
 // # Predicate compilation
 //
@@ -144,9 +140,8 @@
 // A *Table returned once must never change — PreparedQuery binds the
 // snapshot at Prepare time and relies on it staying frozen; serve new data
 // by returning a new *Table and let callers re-Prepare. Shipped
-// implementations: NewMemorySource (in-memory tables), NewCSVSource
-// (lazily loaded CSV files), NewWorkloadSource (the paper's synthetic
-// sports/neighbors generators), NewLiveSource (live tables resolved to
+// implementations: NewMemorySource (in-memory tables — built with NewTable,
+// OpenCSV or SyntheticTable) and NewLiveSource (live tables resolved to
 // their current pinned snapshot).
 //
 // # Live data and refresh
@@ -184,12 +179,13 @@
 //   - Changing bound parameter values changes the predicate itself: all
 //     maintained state resets.
 //
-// The classifier and strata are retrained only when the learn sample
-// drifts past WithChurnThreshold (so refreshed estimates between retrains
-// are byte-identical to a WithRelabel(true) cold run over the same state);
-// Refresh reports Retrained, InvalidatedAll, FreshLabels, and ReusedLabels
-// so the delta pricing is always visible. Refresh supports methods srs,
-// lss, and oracle — the oracle variant is a delta-priced exact count.
+// The classifier and strata are retrained only when more than 10 % of the
+// learn sample is new or invalidated since the last training (so refreshed
+// estimates between retrains are byte-identical to a WithRelabel(true) cold
+// run over the same state); Refresh reports Retrained, InvalidatedAll,
+// FreshLabels, and ReusedLabels so the delta pricing is always visible.
+// Refresh supports methods srs, lss, and oracle — the oracle variant is a
+// delta-priced exact count.
 //
 // # How a SQL count runs
 //

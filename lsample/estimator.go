@@ -2,7 +2,6 @@ package lsample
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/predicate"
@@ -60,7 +59,6 @@ func (e *Estimator) Estimate(ctx context.Context, features [][]float64, pred Pre
 		return nil, err
 	}
 	p := predicate.NewFunc(pred)
-	wall := time.Now()
 	ctx, span := obs.EnsureSpan(ctx, cfg.tracer, "execute")
 	defer span.End()
 	span.Set("method", cfg.method)
@@ -73,6 +71,5 @@ func (e *Estimator) Estimate(ctx context.Context, features [][]float64, pred Pre
 	// the SDK makes no thread-safety demands on user functions, and there
 	// is no SQL to compile.
 	est.Labeling = Labeling{Fallback: "callback predicate (nothing to compile)", Workers: 1}
-	cfg.queryLog(ctx, est, time.Since(wall))
 	return est, nil
 }

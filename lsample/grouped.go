@@ -3,7 +3,6 @@ package lsample
 import (
 	"context"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -128,7 +127,6 @@ func (q *PreparedQuery) ExecuteGroups(ctx context.Context, params map[string]any
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Now()
 	ctx, span := obs.EnsureSpan(ctx, cfg.tracer, "execute.groups")
 	defer span.End()
 	span.Set("method", cfg.method)
@@ -140,15 +138,6 @@ func (q *PreparedQuery) ExecuteGroups(ctx context.Context, params map[string]any
 	span.Set("objects", out.Objects)
 	span.Set("groups", len(out.Groups))
 	span.Set("evals", out.SamplesUsed)
-	cfg.queryLog(ctx, &Estimate{
-		Method:      out.Method,
-		Fingerprint: out.Fingerprint,
-		Objects:     out.Objects,
-		Budget:      out.Budget,
-		Count:       out.Total,
-		SamplesUsed: out.SamplesUsed,
-		Labeling:    out.Labeling,
-	}, time.Since(wall), "groups", len(out.Groups))
 	return out, nil
 }
 
@@ -222,7 +211,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		}
 		groups[g] = sg
 	}
-	out.readOut(p.groupKey, 1-cfg.alpha, groups)
+	out.readOut(p.groupKey, groups)
 	return out, nil
 }
 
@@ -242,7 +231,7 @@ func (q *PreparedQuery) groupedHeader(cfg config, fingerprint string, p *populat
 // readOut is the one grouped read-out: groups in shard.LessGroupKey order,
 // each back half's per-group answer (groups holds them by dense group id)
 // made a GroupResult, and the total summed.
-func (out *GroupedEstimate) readOut(keys [][]engine.Value, level float64, groups []shard.Group) {
+func (out *GroupedEstimate) readOut(keys [][]engine.Value, groups []shard.Group) {
 	order := make([]int, len(keys))
 	rendered := make([][]string, len(keys))
 	for g := range order {
@@ -262,7 +251,7 @@ func (out *GroupedEstimate) readOut(keys [][]engine.Value, level float64, groups
 			Exact:      sg.Exact,
 		}
 		if sg.HasCI {
-			gr.CI = &ConfidenceInterval{Lo: sg.CILo, Hi: sg.CIHi, Level: level}
+			gr.CI = &ConfidenceInterval{Lo: sg.CILo, Hi: sg.CIHi, Level: 1 - core.Alpha}
 		}
 		if sg.HasTrue {
 			tc := sg.TrueCount

@@ -167,8 +167,11 @@ func TestGroupedFeatureStateBuildsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q.builds != 1 {
-		t.Fatalf("feature state built %d times, want 1", q.builds)
+	q.featMu.Lock()
+	built := len(q.feats)
+	q.featMu.Unlock()
+	if built != 1 {
+		t.Fatalf("feature state built %d times, want 1", built)
 	}
 }
 

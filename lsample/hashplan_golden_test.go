@@ -144,8 +144,8 @@ func TestHashPlanGoldenRefresh(t *testing.T) {
 			check("cold")
 			w.appendItems(t, 10) // 1% append
 			check("append")
-			w.appendItems(t, 300) // 30% append, retrain forced at threshold 0
-			check("retrain", WithChurnThreshold(0))
+			w.appendItems(t, 300) // 30% append, past the 0.1 churn threshold
+			check("retrain")
 			check("relabel", WithRelabel(true))
 		})
 	}

@@ -416,8 +416,8 @@ func TestRefreshDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRefreshChurnThresholdRetrains: with threshold 0 any learn-sample
-// churn retrains; with threshold 1 nothing does.
+// TestRefreshChurnThresholdRetrains checks the 0.1 churn threshold both
+// ways: a 1% append keeps the classifier, a 30% append retrains it.
 func TestRefreshChurnThresholdRetrains(t *testing.T) {
 	w := newLiveWorkload(t, 1000, 37)
 	sess := w.session(t, WithMethod("lss"), WithBudget(0.1), WithSeed(4), WithParallelism(1))
@@ -429,22 +429,18 @@ func TestRefreshChurnThresholdRetrains(t *testing.T) {
 	if _, err := lq.Refresh(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Large delta: 30% new objects — past the default 0.1 threshold.
-	w.appendItems(t, 300)
-	r, err := lq.Refresh(ctx, nil, WithChurnThreshold(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Retrained {
-		t.Fatal("threshold 0 must retrain on any churn")
-	}
-	w.appendItems(t, 300)
-	r, err = lq.Refresh(ctx, nil, WithChurnThreshold(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Retrained {
-		t.Fatal("threshold 1 must never retrain")
+	for _, step := range []struct {
+		items   int
+		retrain bool
+	}{{10, false}, {300, true}} {
+		w.appendItems(t, step.items)
+		r, err := lq.Refresh(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Retrained != step.retrain {
+			t.Errorf("append of %d items to 1000: retrained = %t, want %t", step.items, r.Retrained, step.retrain)
+		}
 	}
 }
 

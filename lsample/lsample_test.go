@@ -79,8 +79,6 @@ func TestOptionValidation(t *testing.T) {
 		WithBudget(0),
 		WithBudget(1.5),
 		WithStrata(1),
-		WithAlpha(0),
-		WithAlpha(1),
 	}
 	for i, opt := range bad {
 		if _, err := NewEstimator(opt); !errors.Is(err, ErrInvalid) {
@@ -138,7 +136,7 @@ func TestPreparedQueryFeatureSelectOnce(t *testing.T) {
 		}
 	}
 	q.featMu.Lock()
-	builds := q.builds
+	builds := len(q.feats)
 	q.featMu.Unlock()
 	if builds != 1 {
 		t.Errorf("feature-state builds = %d, want 1 across 3 executions", builds)
@@ -300,45 +298,36 @@ func TestEstimatorExact(t *testing.T) {
 	}
 }
 
-func TestCSVAndWorkloadSources(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "d.csv")
-	csv := "id,x,y\n0,1.5,2\n1,3,4\n2,5,6\n"
-	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+// TestOpenCSVAndSyntheticTable covers the two table constructors a
+// MemorySource is filled from besides NewTable.
+func TestOpenCSVAndSyntheticTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.csv")
+	if err := os.WriteFile(path, []byte("id,x,y\n0,1.5,2\n1,3,4\n2,5,6\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src := NewCSVSource()
-	src.AddFile("D", "id:int,x:float,y:float", path)
-	tb, err := src.Table("D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 3 || tb.NumCols() != 3 {
-		t.Errorf("CSV table = %dx%d, want 3x3", tb.NumRows(), tb.NumCols())
-	}
-	again, err := src.Table("D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != tb {
-		t.Error("CSVSource reloaded an already-loaded table")
-	}
-	if _, err := src.Table("E"); !errors.Is(err, ErrInvalid) {
-		t.Errorf("unknown CSV table: err = %v, want ErrInvalid", err)
-	}
-
-	ws := NewWorkloadSource(500, 3)
-	for _, name := range ws.Names() {
-		wt, err := ws.Table(name)
+	for _, tc := range []struct {
+		what       string
+		open       func() (*Table, error)
+		rows, cols int // rows 0: the call must fail with ErrInvalid; cols 0: not checked
+	}{
+		{"csv", func() (*Table, error) { return OpenCSV("D", "id:int,x:float,y:float", path) }, 3, 3},
+		{"neighbors", func() (*Table, error) { return SyntheticTable("neighbors", 500, 3) }, 500, 0},
+		{"sports", func() (*Table, error) { return SyntheticTable("sports", 500, 3) }, 500, 0},
+		{"unknown kind", func() (*Table, error) { return SyntheticTable("nope", 500, 3) }, 0, 0},
+	} {
+		tb, err := tc.open()
+		if tc.rows == 0 {
+			if !errors.Is(err, ErrInvalid) {
+				t.Errorf("%s: err = %v, want ErrInvalid", tc.what, err)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.what, err)
 		}
-		if wt.NumRows() != 500 {
-			t.Errorf("%s rows = %d, want 500", name, wt.NumRows())
+		if tb.NumRows() != tc.rows || (tc.cols > 0 && tb.NumCols() != tc.cols) {
+			t.Errorf("%s: table is %dx%d, want %d rows (and %d columns unless 0)", tc.what, tb.NumRows(), tb.NumCols(), tc.rows, tc.cols)
 		}
-	}
-	if _, err := ws.Table("nope"); !errors.Is(err, ErrInvalid) {
-		t.Error("unknown synthetic dataset should be ErrInvalid")
 	}
 }
 

@@ -2,7 +2,6 @@ package lsample
 
 import (
 	"context"
-	"io"
 	"time"
 
 	"repro/internal/core"
@@ -31,27 +30,11 @@ type TracerOptions struct {
 	// SampleRate is the probability in [0, 1] that an execution records a
 	// trace. 0 records nothing (the zero value is an off switch).
 	SampleRate float64
-	// RingSize is the completed-trace ring capacity; <= 0 selects 256.
-	RingSize int
-	// SlowQuery, when > 0, forces recording and logs the full span tree of
-	// any execution at least this slow through Logger.
-	SlowQuery time.Duration
-	// Logger receives slow-query records; nil disables the slow-query log.
-	Logger *Logger
 }
 
-// NewTracer builds a Tracer.
+// NewTracer builds a Tracer whose ring keeps the 256 most recent traces.
 func NewTracer(o TracerOptions) *Tracer {
-	var lg *obs.Logger
-	if o.Logger != nil {
-		lg = o.Logger.inner
-	}
-	return &Tracer{inner: obs.NewTracer(obs.TracerConfig{
-		Sample:    o.SampleRate,
-		RingSize:  o.RingSize,
-		SlowQuery: o.SlowQuery,
-		Logger:    lg,
-	})}
+	return &Tracer{inner: obs.NewTracer(obs.TracerConfig{Sample: o.SampleRate})}
 }
 
 // Traces returns up to limit completed traces, newest first; limit <= 0
@@ -105,36 +88,6 @@ func spanFromObs(d *obs.SpanData) *TraceSpan {
 	return ts
 }
 
-// Logger writes structured JSON logs: one object per line with ts, level,
-// msg, the ids of the active trace span when one is recording, and the
-// call's key/value fields. Attach one with WithLogger to get a per-
-// execution query log; it also serves as the slow-query sink for
-// TracerOptions.SlowQuery. A nil *Logger discards everything.
-type Logger struct {
-	inner *obs.Logger
-}
-
-// NewLogger returns a Logger writing JSON lines to w.
-func NewLogger(w io.Writer) *Logger {
-	return &Logger{inner: obs.NewLogger(w)}
-}
-
-// Info writes one line at level info.
-func (l *Logger) Info(ctx context.Context, msg string, keyvals ...any) {
-	if l == nil {
-		return
-	}
-	l.inner.Info(ctx, msg, keyvals...)
-}
-
-// Error writes one line at level error.
-func (l *Logger) Error(ctx context.Context, msg string, keyvals ...any) {
-	if l == nil {
-		return
-	}
-	l.inner.Error(ctx, msg, keyvals...)
-}
-
 // WithTracer attaches a span tracer: executions through the configured
 // session/query open per-phase spans and sampled traces land in the
 // tracer's ring (see Tracer). WithTracer(nil) detaches it. Disabled or
@@ -149,46 +102,6 @@ func WithTracer(t *Tracer) Option {
 		c.tracer = t.inner
 		return nil
 	}
-}
-
-// WithLogger attaches a structured query logger: every Execute,
-// ExecuteGroups, Estimator.Estimate and Refresh writes one JSON line with
-// msg "query" summarizing the run — fingerprint, method, objects, budget,
-// count (a grouped run's total), evals, labeling and duration_ms, then
-// reuse and reused_labels where a reuse catalog or WithShards ran the hash
-// plan, and groups for a grouped run. WithLogger(nil) detaches it. Logging
-// never changes estimates.
-func WithLogger(l *Logger) Option {
-	return func(c *config) error {
-		if l == nil {
-			c.logger = nil
-			return nil
-		}
-		c.logger = l.inner
-		return nil
-	}
-}
-
-// queryLog writes the per-execution structured log line when a logger is
-// attached; extra key/value pairs follow the common fields.
-func (c config) queryLog(ctx context.Context, est *Estimate, wall time.Duration, extra ...any) {
-	if c.logger == nil || est == nil {
-		return
-	}
-	kv := []any{
-		"fingerprint", est.Fingerprint,
-		"method", est.Method,
-		"objects", est.Objects,
-		"budget", est.Budget,
-		"count", est.Count,
-		"evals", est.SamplesUsed,
-		"labeling", est.Labeling.String(),
-		"duration_ms", durMS(wall),
-	}
-	if est.Reuse != "" {
-		kv = append(kv, "reuse", est.Reuse, "reused_labels", est.ReusedLabels)
-	}
-	c.logger.Info(ctx, "query", append(kv, extra...)...)
 }
 
 // estimateSpan wraps the core estimation call in an "estimate" span and

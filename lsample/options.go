@@ -56,18 +56,15 @@ type config struct {
 	classifier  string  // default "rf"
 	strata      int     // default 4
 	budget      float64 // fraction of |O|, default 0.02
-	alpha       float64 // default 0.05
 	parallelism int     // 0 = all cores, 1 = sequential, n = n workers
 	seed        uint64
 	interval    Interval
 	exact       bool
 	noCompile   bool        // keep the interpreter; only the in-package differential tests set it
-	churn       float64     // refresh retrain threshold, default 0.1
 	relabel     bool        // refresh only: bypass the label memo (cold baseline)
 	catalog     *Catalog    // cross-query reuse catalog; nil disables reuse
 	shards      int         // sharded execution; 0 disables (the default)
 	tracer      *obs.Tracer // span tracer; nil disables (see WithTracer)
-	logger      *obs.Logger // structured query log; nil disables (see WithLogger)
 }
 
 func defaultConfig() config {
@@ -76,8 +73,6 @@ func defaultConfig() config {
 		classifier: "rf",
 		strata:     4,
 		budget:     0.02,
-		alpha:      0.05,
-		churn:      0.1,
 	}
 }
 
@@ -147,18 +142,6 @@ func WithBudget(frac float64) Option {
 	}
 }
 
-// WithAlpha sets the confidence level: intervals cover 1−alpha. The default
-// is 0.05 (95% intervals).
-func WithAlpha(alpha float64) Option {
-	return func(c *config) error {
-		if !(alpha > 0 && alpha < 1) {
-			return badf("alpha %v outside (0, 1)", alpha)
-		}
-		c.alpha = alpha
-		return nil
-	}
-}
-
 // WithParallelism bounds classifier training/scoring workers and — for
 // compiled SQL predicates — batched labeling workers: 0 means all cores
 // (the default), 1 forces sequential execution. Estimates are
@@ -187,22 +170,6 @@ func WithInterval(iv Interval) Option {
 			return badf("unknown interval %d", int(iv))
 		}
 		c.interval = iv
-		return nil
-	}
-}
-
-// WithChurnThreshold sets the live-refresh retraining policy: the
-// classifier and strata are retrained when the fraction of the learn
-// sample that is new or invalidated since the last training exceeds f.
-// The default is 0.1; 0 retrains on any churn (every refresh whose learn
-// sample moved at all), 1 effectively never retrains. Only Refresh reads
-// this knob.
-func WithChurnThreshold(f float64) Option {
-	return func(c *config) error {
-		if !(f >= 0 && f <= 1) { // NaN fails both comparisons
-			return badf("churn threshold %v outside [0, 1]", f)
-		}
-		c.churn = f
 		return nil
 	}
 }

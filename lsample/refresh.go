@@ -132,15 +132,6 @@ func (q *LiveQuery) SQL() string { return q.text }
 // Tables returns the names of all tables the query references, sorted.
 func (q *LiveQuery) Tables() []string { return q.tables() }
 
-// Invalidate drops all maintained state — label memo, classifier, strata,
-// indexes — so the next Refresh runs cold. Mainly useful in tests and
-// benchmarks comparing refresh against from-scratch estimation.
-func (q *LiveQuery) Invalidate() {
-	q.mu.Lock()
-	q.st = nil
-	q.mu.Unlock()
-}
-
 // RefreshEstimate is the outcome of one Refresh: a regular Estimate plus
 // the delta accounting that makes the incremental price visible.
 // SamplesUsed (and FreshLabels) count only the predicate evaluations this
@@ -343,7 +334,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		if err != nil {
 			return nil, err
 		}
-		res = estimate.SRS(estimate.Positives(labels), len(sel), n, cfg.alpha, cfg.interval == Wilson)
+		res = estimate.SRS(estimate.Positives(labels), len(sel), n, core.Alpha, cfg.interval == Wilson)
 
 	case "lss":
 		if res, err = q.refreshLSS(cfg, span, st, label, p, budget, out); err != nil {
@@ -361,7 +352,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		out.TrueCount = &c
 	}
 	out.Count = res.Count
-	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - cfg.alpha}
+	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - core.Alpha}
 
 	out.Proportion = out.Count / float64(n)
 	out.FreshLabels = basePred.Evals()
@@ -375,9 +366,13 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	span.Set("retrained", out.Retrained)
 	span.Set("fresh_labels", out.FreshLabels)
 	span.Set("memoized_labels", out.ReusedLabels)
-	cfg.queryLog(ctx, &out.Estimate, time.Since(t0))
 	return out, nil
 }
+
+// churnThreshold is the refresh's retraining policy: the classifier and
+// strata are retrained when the share of the learn sample that is new or
+// invalidated since the last training exceeds it.
+const churnThreshold = 0.1
 
 // refreshLSS runs the learned stratified refresh with the recipe steps of
 // internal/shard, keeping only refresh's own policy: the classifier is
@@ -410,7 +405,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 			churn++
 		}
 	}
-	retrain := st.clf == nil || float64(churn) > cfg.churn*float64(len(learnSel))
+	retrain := st.clf == nil || float64(churn) > churnThreshold*float64(len(learnSel))
 	if retrain {
 		newClf, err := cfg.buildClassifier()
 		if err != nil {
@@ -483,7 +478,7 @@ func (q *LiveQuery) refreshLSS(cfg config, span *obs.Span, st *refreshState, lab
 	if err != nil {
 		return estimate.Result{}, err
 	}
-	res, err := estimate.Stratified(strata, cfg.alpha)
+	res, err := estimate.Stratified(strata, core.Alpha)
 	if err != nil {
 		return estimate.Result{}, badf("%v", err)
 	}

@@ -141,7 +141,7 @@ func fromCore(res *core.Result, objects int, budget int, cfg config) *Estimate {
 		out.Proportion = res.Estimate / float64(objects)
 	}
 	if res.HasCI {
-		out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - cfg.alpha}
+		out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - core.Alpha}
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -41,9 +40,6 @@ func NewSession(src DataSource, opts ...Option) (*Session, error) {
 	}
 	return &Session{src: src, base: cfg}, nil
 }
-
-// Source returns the session's data source.
-func (s *Session) Source() DataSource { return s.src }
 
 // Count is the one-shot convenience: Prepare followed by a single Execute.
 // Use Prepare directly when the same query runs repeatedly.
@@ -137,7 +133,6 @@ type PreparedQuery struct {
 
 	featMu sync.Mutex
 	feats  map[string]*featureState // keyed by sorted parameter names
-	builds int                      // feature-state constructions (tests assert == 1)
 
 	resMu     sync.Mutex
 	residents []*shardData // hash-plan executors (shardexec.go), most recently used first
@@ -205,7 +200,6 @@ func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Now()
 	ctx, span := obs.EnsureSpan(ctx, cfg.tracer, "execute")
 	defer span.End()
 	span.Set("method", cfg.method)
@@ -216,7 +210,6 @@ func (q *PreparedQuery) Execute(ctx context.Context, params map[string]any, opts
 	}
 	span.Set("objects", est.Objects)
 	span.Set("evals", est.SamplesUsed)
-	cfg.queryLog(ctx, est, time.Since(wall))
 	return est, nil
 }
 
@@ -265,7 +258,7 @@ func (c config) header(fingerprint string, objects int) *Estimate {
 // answerEmpty completes the answer over an empty population: a count of
 // zero, known exactly.
 func (e *Estimate) answerEmpty(cfg config) *Estimate {
-	e.CI = &ConfidenceInterval{Level: 1 - cfg.alpha}
+	e.CI = &ConfidenceInterval{Level: 1 - core.Alpha}
 	if cfg.exact {
 		zero := 0
 		e.TrueCount = &zero
@@ -473,7 +466,6 @@ func (q *PreparedQuery) featureState(paramStrs map[string]string) (*featureState
 	}
 	fs := &featureState{cols: cols, index: index, feats: feats}
 	q.feats[key] = fs
-	q.builds++
 	return fs, nil
 }
 

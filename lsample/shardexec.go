@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/predicate"
@@ -466,7 +467,6 @@ func (cfg config) shardPlan(grouped bool) shard.Plan {
 		BudgetOf: cfg.budgetFor,
 		Strata:   cfg.strata,
 		Seed:     cfg.seed,
-		Alpha:    cfg.alpha,
 		Wilson:   cfg.interval == Wilson,
 		Exact:    cfg.exact,
 	}
@@ -554,7 +554,7 @@ func (q *PreparedQuery) executeHashPlan(ctx context.Context, cfg config,
 	out.Count = res.Count
 	out.Proportion = res.Proportion
 	if res.HasCI {
-		out.CI = &ConfidenceInterval{Lo: res.CILo, Hi: res.CIHi, Level: 1 - cfg.alpha}
+		out.CI = &ConfidenceInterval{Lo: res.CILo, Hi: res.CIHi, Level: 1 - core.Alpha}
 	}
 	if res.HasTrue {
 		tc := res.TrueCount
@@ -607,7 +607,7 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 		}
 	}
 	out.Budget = res.Budget
-	out.readOut(r.groupKey, 1-cfg.alpha, groups)
+	out.readOut(r.groupKey, groups)
 	out.SamplesUsed, _, out.Timings.Predicate = r.spent()
 	out.Labeling = r.labeling()
 	out.Timings.Sample = time.Since(t0)

@@ -8,10 +8,9 @@ import (
 // DataSource abstracts where objects come from: a Session resolves every
 // table a query references through its source. Implementations must return
 // stable snapshots — a *Table handed out once must never change, so a
-// PreparedQuery bound to it stays consistent for its lifetime. The three
-// shipped implementations are MemorySource (registered in-memory tables),
-// CSVSource (lazily loaded CSV files), and WorkloadSource (the paper's
-// synthetic dataset generators).
+// PreparedQuery bound to it stays consistent for its lifetime. The SDK
+// ships MemorySource, over tables registered in memory — from OpenCSV,
+// SyntheticTable or NewTable — and NewLiveSource, over live tables.
 //
 // Prepare resolves tables one at a time, so replacing several tables in a
 // live source while a multi-table query is being prepared can bind a
@@ -74,98 +73,3 @@ func (s *MemorySource) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// CSVSource serves tables backed by CSV files on disk, loading each file at
-// most once on first use. It is safe for concurrent use.
-type CSVSource struct {
-	mu     sync.Mutex
-	files  map[string]csvFile
-	loaded map[string]*Table
-}
-
-type csvFile struct {
-	schema string
-	path   string
-}
-
-// NewCSVSource returns an empty CSV-backed source; register files with
-// AddFile before querying.
-func NewCSVSource() *CSVSource {
-	return &CSVSource{files: make(map[string]csvFile), loaded: make(map[string]*Table)}
-}
-
-// AddFile registers a CSV file to be served as the named table with the
-// given "name:kind,…" schema. The file is read lazily on the first Table
-// call; a table already loaded under this name is dropped.
-func (s *CSVSource) AddFile(table, schema, path string) {
-	s.mu.Lock()
-	s.files[table] = csvFile{schema: schema, path: path}
-	delete(s.loaded, table)
-	s.mu.Unlock()
-}
-
-// Table implements DataSource, loading and caching the file on first use.
-func (s *CSVSource) Table(name string) (*Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.loaded[name]; ok {
-		return t, nil
-	}
-	f, ok := s.files[name]
-	if !ok {
-		return nil, badf("unknown dataset %q", name)
-	}
-	t, err := OpenCSV(name, f.schema, f.path)
-	if err != nil {
-		return nil, err
-	}
-	s.loaded[name] = t
-	return t, nil
-}
-
-// Names implements DataSource.
-func (s *CSVSource) Names() []string {
-	s.mu.Lock()
-	out := make([]string, 0, len(s.files))
-	for name := range s.files {
-		out = append(out, name)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// WorkloadSource serves the paper's synthetic evaluation datasets —
-// "sports" and "neighbors" — generated on first use at the configured size
-// and seed. It is safe for concurrent use.
-type WorkloadSource struct {
-	rows int
-	seed uint64
-
-	mu     sync.Mutex
-	tables map[string]*Table
-}
-
-// NewWorkloadSource returns a source generating the synthetic datasets with
-// rows rows each (0 means the paper's scale) from the given seed.
-func NewWorkloadSource(rows int, seed uint64) *WorkloadSource {
-	return &WorkloadSource{rows: rows, seed: seed, tables: make(map[string]*Table)}
-}
-
-// Table implements DataSource.
-func (s *WorkloadSource) Table(name string) (*Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tables[name]; ok {
-		return t, nil
-	}
-	t, err := SyntheticTable(name, s.rows, s.seed)
-	if err != nil {
-		return nil, err
-	}
-	s.tables[name] = t
-	return t, nil
-}
-
-// Names implements DataSource.
-func (s *WorkloadSource) Names() []string { return []string{"neighbors", "sports"} }
