@@ -15,7 +15,8 @@
 #                      ARCHITECTURE.md's table that the protocol dropped, no
 #                      backticked pkg.Ident / Type.Member in ARCHITECTURE.md,
 #                      README.md or lsample/doc.go that the module no longer
-#                      declares
+#                      declares, and no backticked Test* / Fuzz* / Benchmark*
+#                      name there that no _test.go file declares
 #   make bench         the end-to-end ledger (bench/README.md): five
 #                      workloads untraced then traced against real lsserve
 #                      children, result.json + per-layer table under
@@ -57,9 +58,11 @@ check: build vet docs-check obs-check race
 # examples must vet clean, every exported symbol of the public SDK must
 # carry a doc comment and no internal/ package may leak into its exported
 # signatures (repro/lsample is the compatibility surface), ARCHITECTURE.md's
-# shard-op table must name only ops internal/shard/protocol.go declares, and
-# the backticked `pkg.Ident` and `Type.Member` names of the three documents
-# must still resolve against the module's source (tools/doccheck).
+# shard-op table must name only ops internal/shard/protocol.go declares, the
+# backticked `pkg.Ident` and `Type.Member` names of the three documents must
+# still resolve against the module's source, and every backticked test,
+# fuzz target or benchmark name they cite must be declared in a _test.go
+# file (tools/doccheck).
 docs-check:
 	@test -f README.md || { echo "docs-check: README.md is missing"; exit 1; }
 	@test -f ARCHITECTURE.md || { echo "docs-check: ARCHITECTURE.md is missing"; exit 1; }

@@ -130,7 +130,7 @@ func runDeltaReplay(ctx context.Context, query, csvPath, schemaStr, keyCol,
 		}
 		fmt.Printf("%4d %7d %6d %8d %10.1f %24s %6d %7d  %s\n",
 			step, r.Versions[lt.Name()], deltaRows, r.Objects, r.Count, ci,
-			r.FreshLabels, r.ReusedLabels, strings.Join(notes, ", "))
+			r.SamplesUsed, r.ReusedLabels, strings.Join(notes, ", "))
 	}
 
 	t0 := time.Now()
@@ -151,7 +151,7 @@ func runDeltaReplay(ctx context.Context, query, csvPath, schemaStr, keyCol,
 			return err
 		}
 		steps++
-		totalFresh += r.FreshLabels
+		totalFresh += r.SamplesUsed
 		printStep(steps, s.Rows(), r)
 		return nil
 	})
@@ -167,11 +167,11 @@ func runDeltaReplay(ctx context.Context, query, csvPath, schemaStr, keyCol,
 		fatalf("%v", err)
 	}
 	fmt.Println()
-	fmt.Printf("refresh evals   %d fresh across %d refreshes (+%d cold start)\n", totalFresh, steps, r0.FreshLabels)
-	fmt.Printf("naive evals     %d per re-register × %d steps = %d\n", cold.FreshLabels, steps, cold.FreshLabels*int64(steps))
+	fmt.Printf("refresh evals   %d fresh across %d refreshes (+%d cold start)\n", totalFresh, steps, r0.SamplesUsed)
+	fmt.Printf("naive evals     %d per re-register × %d steps = %d\n", cold.SamplesUsed, steps, cold.SamplesUsed*int64(steps))
 	if totalFresh > 0 && steps > 0 {
 		fmt.Printf("savings         %.1fx fewer predicate evaluations\n",
-			float64(cold.FreshLabels*int64(steps))/float64(totalFresh))
+			float64(cold.SamplesUsed*int64(steps))/float64(totalFresh))
 	}
 	fmt.Printf("wall time       %.1fms total\n", float64(wall)/1e6)
 }

@@ -266,7 +266,7 @@ func runSQL(ctx context.Context, query, csvPath, schemaStr string, params map[st
 		fatalf("%v", err)
 	}
 	if repeat > 1 {
-		opts = append(append([]lsample.Option(nil), opts...), lsample.WithCatalogBudget(0))
+		opts = append(append([]lsample.Option(nil), opts...), lsample.WithCatalog(lsample.NewCatalog(0)))
 	}
 	sess, err := lsample.NewSession(lsample.NewMemorySource(tb), opts...)
 	if err != nil {

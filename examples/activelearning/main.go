@@ -78,7 +78,7 @@ func main() {
 	report(0)
 
 	for stepNo := 1; stepNo <= 2; stepNo++ {
-		sel := active.SelectUncertain(clf, features, labeled, step, 0, r)
+		sel := active.SelectUncertain(clf, features, labeled, step, r)
 		for _, i := range sel {
 			labeled[i] = true
 			idx = append(idx, i)

@@ -78,11 +78,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		totalFresh += r.FreshLabels
+		totalFresh += r.SamplesUsed
 		if r.Retrained {
 			note += " retrained"
 		}
-		fmt.Printf("%5d %8d %10.1f %7d %7d  %s\n", step, r.Objects, r.Count, r.FreshLabels, r.ReusedLabels, note)
+		fmt.Printf("%5d %8d %10.1f %7d %7d  %s\n", step, r.Objects, r.Count, r.SamplesUsed, r.ReusedLabels, note)
 		return r
 	}
 	refresh(0, "cold start")
@@ -101,7 +101,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("refresh bill   %d fresh evaluations across %d refreshes\n", totalFresh, steps+1)
 	fmt.Printf("naive bill     %d evaluations per re-register × %d steps = %d\n",
-		cold.FreshLabels, steps, cold.FreshLabels*int64(steps))
+		cold.SamplesUsed, steps, cold.SamplesUsed*int64(steps))
 	fmt.Printf("identical?     refresh %.1f vs relabeled-cold %.1f (byte-identical: %v)\n",
 		refreshCount(lq, ctx), cold.Count, refreshCount(lq, ctx) == cold.Count)
 }

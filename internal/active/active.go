@@ -15,30 +15,25 @@ import (
 	"repro/internal/xrand"
 )
 
-// DefaultPoolCap bounds how many unlabeled objects are scored per selection
-// round; the paper draws "a large enough number" instead of scoring all of
-// O \ S0.
-const DefaultPoolCap = 10000
+// PoolCap bounds how many unlabeled objects are scored per selection round;
+// the paper draws "a large enough number" instead of scoring all of O \ S0.
+const PoolCap = 10000
 
 // SelectUncertain returns the addN unlabeled objects with scores closest to
-// the 0.5 toss-up, scoring at most poolCap random candidates (0 means
-// DefaultPoolCap).
+// the 0.5 toss-up, scoring at most PoolCap random candidates.
 func SelectUncertain(clf learn.Classifier, features [][]float64,
-	labeled map[int]bool, addN, poolCap int, r *xrand.Rand) []int {
+	labeled map[int]bool, addN int, r *xrand.Rand) []int {
 
-	if poolCap <= 0 {
-		poolCap = DefaultPoolCap
-	}
 	var pool []int
 	for i := range features {
 		if !labeled[i] {
 			pool = append(pool, i)
 		}
 	}
-	if len(pool) > poolCap {
+	if len(pool) > PoolCap {
 		// Random subset of the unlabeled objects.
-		perm := r.Perm(len(pool))[:poolCap]
-		sub := make([]int, poolCap)
+		perm := r.Perm(len(pool))[:PoolCap]
+		sub := make([]int, PoolCap)
 		for j, p := range perm {
 			sub[j] = pool[p]
 		}
@@ -72,7 +67,6 @@ func SelectUncertain(clf learn.Classifier, features [][]float64,
 type Config struct {
 	Factory learn.Factory
 	Rounds  int // augmentation/retraining rounds; the paper recommends 1
-	PoolCap int // candidate pool cap per round (0 = DefaultPoolCap)
 }
 
 // Train labels initialIdx, fits a classifier, then runs cfg.Rounds
@@ -129,7 +123,7 @@ func Train(ctx context.Context, cfg Config, features [][]float64, pred predicate
 		return nil, nil, nil, err
 	}
 	for round := 0; round < cfg.Rounds && augmentPer > 0; round++ {
-		sel := SelectUncertain(clf, features, labeledSet, augmentPer, cfg.PoolCap, r)
+		sel := SelectUncertain(clf, features, labeledSet, augmentPer, r)
 		if len(sel) == 0 {
 			break
 		}

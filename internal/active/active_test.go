@@ -44,7 +44,7 @@ func TestSelectUncertainPrefersBoundary(t *testing.T) {
 	if err := clf.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	sel := SelectUncertain(clf, features, labeled, 30, 0, r)
+	sel := SelectUncertain(clf, features, labeled, 30, r)
 	if len(sel) != 30 {
 		t.Fatalf("selected %d", len(sel))
 	}
@@ -66,20 +66,27 @@ func TestSelectUncertainPrefersBoundary(t *testing.T) {
 	}
 }
 
+// countingClf scores every object 0.5 and counts how many it scored.
+type countingClf struct{ scored int }
+
+func (c *countingClf) Name() string                  { return "counting" }
+func (c *countingClf) Fit([][]float64, []bool) error { return nil }
+func (c *countingClf) Score([]float64) float64       { c.scored++; return 0.5 }
+
 func TestSelectUncertainPoolCap(t *testing.T) {
-	features, _ := lineWorld(500, 0.5)
+	features, _ := lineWorld(PoolCap+50, 0.5)
 	r := xrand.New(2)
-	clf := learn.NewDummy(1)
-	sel := SelectUncertain(clf, features, map[int]bool{}, 10, 50, r)
-	if len(sel) != 10 {
-		t.Fatalf("selected %d", len(sel))
+	clf := &countingClf{}
+	sel := SelectUncertain(clf, features, map[int]bool{}, 10, r)
+	if len(sel) != 10 || clf.scored != PoolCap {
+		t.Fatalf("selected %d after scoring %d candidates, want 10 of %d", len(sel), clf.scored, PoolCap)
 	}
 	// Requesting more than available returns everything unlabeled.
 	labeled := map[int]bool{}
-	for i := 0; i < 495; i++ {
+	for i := 0; i < len(features)-5; i++ {
 		labeled[i] = true
 	}
-	sel = SelectUncertain(clf, features, labeled, 10, 0, r)
+	sel = SelectUncertain(clf, features, labeled, 10, r)
 	if len(sel) != 5 {
 		t.Fatalf("selected %d, want 5", len(sel))
 	}

@@ -46,7 +46,7 @@
 //	acFolds           5       §3.2: cross-validation folds of the adjusted count
 //	surrogateAttrs    {0, 1}  §3.1: the two attributes SSP / SSN grid over
 //
-// and an augmentation round scores at most active.DefaultPoolCap candidates.
+// and an augmentation round scores at most active.PoolCap candidates.
 // (LSS.MinAlloc used to document "0 means 2"; the code always used 5.)
 package core
 

@@ -86,7 +86,7 @@ func Fig1(o Options) (*Report, error) {
 		labeled[i] = true
 	}
 	for stepNo := 1; stepNo <= 2; stepNo++ {
-		sel := active.SelectUncertain(clf, obj.Features, labeled, step, 0, r)
+		sel := active.SelectUncertain(clf, obj.Features, labeled, step, r)
 		for _, i := range sel {
 			labeled[i] = true
 			idx = append(idx, i)

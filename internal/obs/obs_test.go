@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +41,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanTreeAndRing(t *testing.T) {
-	tr := NewTracer(TracerConfig{Sample: 1, RingSize: 4})
+	tr := NewTracer(TracerConfig{Sample: 1})
 	ctx, root := tr.StartRequest(context.Background(), "count", false)
 	if root == nil {
 		t.Fatal("sample=1 must record")
@@ -82,21 +84,74 @@ func TestSpanTreeAndRing(t *testing.T) {
 }
 
 func TestRingOverwriteNewestFirst(t *testing.T) {
-	tr := NewTracer(TracerConfig{Sample: 1, RingSize: 3})
-	for i := 0; i < 5; i++ {
-		_, sp := tr.StartRequest(context.Background(), "q"+string(rune('0'+i)), false)
+	tr := NewTracer(TracerConfig{Sample: 1})
+	const n = ringSize + 2 // wraps: the two oldest are overwritten
+	for i := 0; i < n; i++ {
+		_, sp := tr.StartRequest(context.Background(), "q"+strconv.Itoa(i), false)
 		sp.End()
 	}
 	got := tr.Traces(0)
-	if len(got) != 3 {
-		t.Fatalf("ring size 3, got %d", len(got))
+	if len(got) != ringSize {
+		t.Fatalf("ring size %d, got %d", ringSize, len(got))
 	}
-	if got[0].Name != "q4" || got[1].Name != "q3" || got[2].Name != "q2" {
-		t.Fatalf("wrong order: %s %s %s", got[0].Name, got[1].Name, got[2].Name)
+	for k, d := range got {
+		if want := "q" + strconv.Itoa(n-1-k); d.Name != want {
+			t.Fatalf("trace %d is %s, want %s (newest first)", k, d.Name, want)
+		}
 	}
-	if lim := tr.Traces(1); len(lim) != 1 || lim[0].Name != "q4" {
+	if lim := tr.Traces(1); len(lim) != 1 || lim[0].Name != "q"+strconv.Itoa(n-1) {
 		t.Fatalf("limit=1 must return the newest, got %+v", lim)
 	}
+}
+
+// TestUnrecordedPhasesAllocateNothing: with a nil tracer or one that samples
+// nothing, opening, annotating and ending a request's phases allocates
+// nothing — the price of instrumenting code unconditionally.
+func TestUnrecordedPhasesAllocateNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates")
+	}
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+	}{{"nil", nil}, {"sample 0", NewTracer(TracerConfig{Sample: 0})}} {
+		ctx := context.Background()
+		evals := int64(1 << 20)
+		phases := map[string]func(){
+			"StartRequest": func() {
+				c, sp := tc.tr.StartRequest(ctx, "count", false)
+				sp.Set("evals", evals)
+				sp.End()
+				ctx = c
+			},
+			"EnsureSpan": func() {
+				_, sp := EnsureSpan(ctx, tc.tr, "execute")
+				sp.Set("evals", evals)
+				sp.End()
+			},
+			"StartSpan": func() {
+				_, sp := StartSpan(ctx, "learn")
+				sp.Set("evals", evals)
+				sp.End()
+			},
+		}
+		for name, phase := range phases {
+			if n := testing.AllocsPerRun(100, phase); n != 0 {
+				t.Errorf("%s tracer: %s → Set → End allocates %v per phase, want 0", tc.name, name, n)
+			}
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func TestSamplingZeroNeverRecords(t *testing.T) {
@@ -324,7 +379,7 @@ func TestRegistryGuards(t *testing.T) {
 }
 
 func TestConcurrentTracerAndRegistry(t *testing.T) {
-	tr := NewTracer(TracerConfig{Sample: 1, RingSize: 8})
+	tr := NewTracer(TracerConfig{Sample: 1})
 	reg := NewRegistry()
 	c := reg.NewCounter("ops_total", "ops")
 	h := reg.NewHistogram("lat", "lat", "lat")

@@ -16,6 +16,7 @@ package obs
 import (
 	"context"
 	"encoding/hex"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +29,6 @@ type TracerConfig struct {
 	// 0 disables sampling (explicit forces and adopted remote decisions
 	// still trace).
 	Sample float64
-	// RingSize is the completed-trace ring capacity (default 256).
-	RingSize int
 	// SlowQuery, when > 0, logs the full span tree of any root span whose
 	// duration reaches the threshold. A slow-query threshold also forces
 	// span recording so the offending tree exists to be logged.
@@ -45,7 +44,7 @@ type Tracer struct {
 	sample float64
 	slow   time.Duration
 	logger *Logger
-	ring   *traceRing
+	ring   traceRing
 
 	rng     atomic.Uint64
 	sampled atomic.Int64 // root spans recorded (ring inserts + forced)
@@ -54,16 +53,7 @@ type Tracer struct {
 
 // NewTracer builds a Tracer from cfg.
 func NewTracer(cfg TracerConfig) *Tracer {
-	size := cfg.RingSize
-	if size <= 0 {
-		size = 256
-	}
-	t := &Tracer{
-		sample: cfg.Sample,
-		slow:   cfg.SlowQuery,
-		logger: cfg.Logger,
-		ring:   newTraceRing(size),
-	}
+	t := &Tracer{sample: cfg.Sample, slow: cfg.SlowQuery, logger: cfg.Logger}
 	t.rng.Store(uint64(time.Now().UnixNano()) | 1)
 	return t
 }
@@ -247,14 +237,35 @@ func (s *Span) SpanID() string {
 	return hex.EncodeToString(s.id[:])
 }
 
-// Set records a key/value attribute on the span.
+// Set records a key/value attribute on the span; on a nil span it
+// allocates nothing, since it stores a copy of val (attrValue).
 func (s *Span) Set(key string, val any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, attr{key, val})
+	s.attrs = append(s.attrs, attr{key, attrValue(val)})
 	s.mu.Unlock()
+}
+
+// attrValue boxes a copy of val, so val itself never escapes: a string,
+// bool, int, int64 or float64 as itself, any other value as its type name.
+func attrValue(val any) any {
+	switch v := val.(type) {
+	case nil:
+		return nil
+	case string:
+		return v
+	case bool:
+		return v
+	case int:
+		return v
+	case int64:
+		return v
+	case float64:
+		return v
+	}
+	return reflect.TypeOf(val).String()
 }
 
 // Child opens a sub-span starting now. The child shares the trace id and
@@ -396,39 +407,30 @@ func (t *Tracer) Traces(limit int) []*SpanData {
 	return t.ring.snapshot(limit)
 }
 
-// traceRing is a lock-free fixed-size ring of completed traces: writers
-// claim a slot with one atomic add and publish with one atomic pointer
-// store; readers snapshot without blocking writers.
+// ringSize is how many completed traces a Tracer keeps.
+const ringSize = 256
+
+// traceRing is a lock-free ring of the last ringSize completed traces:
+// writers claim a slot with one atomic add and publish with one atomic
+// pointer store; readers snapshot without blocking writers.
 type traceRing struct {
-	slots []atomic.Pointer[SpanData]
+	slots [ringSize]atomic.Pointer[SpanData]
 	pos   atomic.Uint64
 }
 
-func newTraceRing(size int) *traceRing {
-	return &traceRing{slots: make([]atomic.Pointer[SpanData], size)}
-}
-
 func (r *traceRing) put(d *SpanData) {
-	if d == nil {
-		return
-	}
 	i := r.pos.Add(1) - 1
-	r.slots[i%uint64(len(r.slots))].Store(d)
+	r.slots[i%ringSize].Store(d)
 }
 
 func (r *traceRing) snapshot(limit int) []*SpanData {
-	n := len(r.slots)
-	if limit <= 0 || limit > n {
-		limit = n
+	if limit <= 0 || limit > ringSize {
+		limit = ringSize
 	}
 	pos := r.pos.Load()
 	out := make([]*SpanData, 0, limit)
-	for k := uint64(1); k <= uint64(n) && len(out) < limit; k++ {
-		if pos < k {
-			break
-		}
-		d := r.slots[(pos-k)%uint64(n)].Load()
-		if d != nil {
+	for k := uint64(1); k <= min(pos, ringSize) && len(out) < limit; k++ {
+		if d := r.slots[(pos-k)%ringSize].Load(); d != nil {
 			out = append(out, d)
 		}
 	}

@@ -139,7 +139,6 @@ func NewCoordinator(workers []WorkerInfo, opts CoordinatorOptions) (*Coordinator
 	}
 	c.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:    opts.TraceSample,
-		RingSize:  traceRing,
 		SlowQuery: opts.SlowQuery,
 		Logger:    opts.Logger,
 	})

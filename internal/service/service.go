@@ -170,12 +170,10 @@ type flight struct {
 }
 
 // Capacities that are not options: prepared queries are per (data version,
-// query shape); a parsed shape is a fingerprint and a few table names; the
-// completed-trace ring keeps traceRing trees.
+// query shape); a parsed shape is a fingerprint and a few table names.
 const (
 	maxPrepared = 64
 	maxShapes   = 256
-	traceRing   = 256
 )
 
 // New returns a Service over reg with the given options.
@@ -199,7 +197,6 @@ func New(reg *Registry, opts Options) *Service {
 	}
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		Sample:    o.TraceSample,
-		RingSize:  traceRing,
 		SlowQuery: o.SlowQuery,
 		Logger:    o.Logger,
 	})

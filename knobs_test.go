@@ -11,8 +11,9 @@ import (
 	"testing"
 )
 
-// knobStructs are the option-carrying structs of the module: internal/core's
-// nine method types (the oracles have no fields), the serving layer's two
+// knobStructs are the option-carrying structs of the module: the
+// uncertainty-sampling loop's config, internal/core's nine method types (the
+// oracles have no fields), the tracer's config, the serving layer's two
 // option sets, the shard driver's plan, and the SDK's tracer options. The
 // SDK's other knobs are its With* constructors, checked as calls.
 var knobStructs = []struct {
@@ -20,7 +21,9 @@ var knobStructs = []struct {
 	pkg     string // the name its importers qualify it by
 	structs []string
 }{
+	{"internal/active", "active", []string{"Config"}},
 	{"internal/core", "core", []string{"SRS", "SSP", "SSN", "LWS", "LSS", "QLCC", "QLAC", "GroupedSRS", "GroupedLSS"}},
+	{"internal/obs", "obs", []string{"TracerConfig"}},
 	{"internal/service", "service", []string{"Options", "CoordinatorOptions"}},
 	{"internal/shard", "shard", []string{"Plan"}},
 	{sdkPkg, sdkPkg, []string{"TracerOptions"}},

@@ -30,10 +30,10 @@ const (
 // of what labeling bought — per-key labels per predicate, and nothing else:
 // no sample, score, classifier or design — keyed by what a label depends
 // on: (table snapshots, shard, Q1 shape, feature-column set). Attach one
-// with WithCatalog (or WithCatalogBudget) and SQL executions of the srs,
-// lss, and oracle methods stop paying twice for a label: every seed,
-// budget and method that counts over the same snapshot finds the labels
-// any earlier count bought, under size-weighted LFU eviction. A Catalog
+// with WithCatalog and SQL executions of the srs, lss, and oracle methods
+// stop paying twice for a label: every seed, budget and method that counts
+// over the same snapshot finds the labels any earlier count bought, under
+// size-weighted LFU eviction. A Catalog
 // may be shared by any number of sessions and queries serving the same
 // snapshots; see the package documentation ("Cross-query reuse catalog")
 // for the determinism contract.

@@ -94,8 +94,6 @@
 //	WithCatalog(c)        attach a cross-query reuse catalog to SQL
 //	                      executions (nil detaches); see "Cross-query reuse
 //	                      catalog" below
-//	WithCatalogBudget(b)  shorthand: attach a fresh catalog bounded to b
-//	                      bytes (<= 0 selects the 64 MiB default)
 //	WithTracer(t)         record a head-sampled span tree per execution
 //	                      (phase granularity — enumerate, predicate build,
 //	                      estimate, ... — never per evaluation; nil
@@ -183,7 +181,8 @@
 // learn sample is new or invalidated since the last training (so refreshed
 // estimates between retrains are byte-identical to a WithRelabel(true) cold
 // run over the same state); Refresh reports Retrained, InvalidatedAll,
-// FreshLabels, and ReusedLabels so the delta pricing is always visible.
+// SamplesUsed (the fresh labels), and ReusedLabels so the delta pricing is
+// always visible.
 // Refresh supports methods srs, lss, and oracle — the oracle variant is a
 // delta-priced exact count.
 //
@@ -220,13 +219,13 @@
 //
 // # Cross-query reuse catalog
 //
-// A Catalog (NewCatalog, attached via WithCatalog or WithCatalogBudget)
-// stores what the hash plan buys — labels, per predicate fingerprint — and
-// hands them to later executions, sessions, and queries that share table
-// snapshots. An entry is a label memo and nothing else: it never holds a
-// sample, scores, a classifier or a stratification design, because all of
-// those are arithmetic over (keys, seed, labels) that an execution redoes
-// in a fraction of a millisecond. Entries are keyed by what a label depends
+// A Catalog (NewCatalog, attached via WithCatalog) stores what the hash
+// plan buys — labels, per predicate fingerprint — and hands them to later
+// executions, sessions, and queries that share table snapshots. An entry
+// is a label memo and nothing else: it never holds a sample, scores, a
+// classifier or a stratification design, because all of those are
+// arithmetic over (keys, seed, labels) that an execution redoes in a
+// fraction of a millisecond. Entries are keyed by what a label depends
 // on besides its predicate — (snapshots, shard, object-enumeration shape,
 // feature columns) — so no seed, budget, method, classifier or stratum
 // count splits them: every count over one snapshot of one query shape
@@ -341,6 +340,6 @@
 // makes result caches lossless and concurrent replicas verifiable.
 //
 // The repository's ARCHITECTURE.md describes how this package sits on the
-// internal layers and the determinism contract in detail; README.md has the
-// quick starts.
+// internal layers and which mechanisms keep the contracts stated here;
+// README.md has the quick starts.
 package lsample

@@ -87,7 +87,7 @@ func TestRecoveredEstimatesByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{r.Count, r.CI.Lo, r.CI.Hi, r.FreshLabels}
+		return result{r.Count, r.CI.Lo, r.CI.Hi, r.SamplesUsed}
 	}
 
 	// Never-crashed baseline over memory-only tables (deterministic across

@@ -51,7 +51,7 @@ func TestLabelingCanceledOnEveryPath(t *testing.T) {
 // path the fault must come back as the request's error, wrapping
 // ErrInvalid — never as a panic the caller has to contain.
 func TestHashPlanContainsPredicatePanic(t *testing.T) {
-	sess, err := NewSession(NewMemorySource(divZeroTable(t, 300)), WithCatalogBudget(0), WithParallelism(1))
+	sess, err := NewSession(NewMemorySource(divZeroTable(t, 300)), WithCatalog(NewCatalog(0)), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,8 +107,8 @@ func TestRefreshDeltaPricedAndMatchesCold(t *testing.T) {
 	if !cold.Retrained {
 		t.Fatalf("first refresh must train fresh: %+v", cold)
 	}
-	if cold.FreshLabels < int64(cold.Budget)/2 {
-		t.Fatalf("cold refresh labels = %d, budget %d", cold.FreshLabels, cold.Budget)
+	if cold.SamplesUsed < int64(cold.Budget)/2 {
+		t.Fatalf("cold refresh labels = %d, budget %d", cold.SamplesUsed, cold.Budget)
 	}
 
 	w.appendItems(t, 30) // 1% append delta
@@ -135,12 +135,12 @@ func TestRefreshDeltaPricedAndMatchesCold(t *testing.T) {
 		t.Fatalf("refresh estimate %v %v diverged from relabeled cold estimate %v %v",
 			inc.Count, *inc.CI, base.Count, *base.CI)
 	}
-	if base.FreshLabels < int64(base.Budget)/2 {
-		t.Fatalf("relabel baseline spent only %d evals", base.FreshLabels)
+	if base.SamplesUsed < int64(base.Budget)/2 {
+		t.Fatalf("relabel baseline spent only %d evals", base.SamplesUsed)
 	}
-	limit := base.FreshLabels / 20 // 5%
-	if inc.FreshLabels > limit {
-		t.Fatalf("refresh spent %d evals, want ≤ %d (5%% of cold %d)", inc.FreshLabels, limit, base.FreshLabels)
+	limit := base.SamplesUsed / 20 // 5%
+	if inc.SamplesUsed > limit {
+		t.Fatalf("refresh spent %d evals, want ≤ %d (5%% of cold %d)", inc.SamplesUsed, limit, base.SamplesUsed)
 	}
 	if inc.ReusedLabels == 0 {
 		t.Fatal("refresh reused no labels")
@@ -185,8 +185,8 @@ func TestRefreshKeyCorrelatedInvalidation(t *testing.T) {
 	if inc.Count != base.Count {
 		t.Fatalf("incremental %v != relabeled %v after label-flipping delta", inc.Count, base.Count)
 	}
-	if inc.FreshLabels > base.FreshLabels/5 {
-		t.Fatalf("affected-key refresh spent %d of %d cold evals", inc.FreshLabels, base.FreshLabels)
+	if inc.SamplesUsed > base.SamplesUsed/5 {
+		t.Fatalf("affected-key refresh spent %d of %d cold evals", inc.SamplesUsed, base.SamplesUsed)
 	}
 }
 
@@ -301,16 +301,16 @@ func TestRefreshOracleDeltaPriced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.FreshLabels != 800 {
-		t.Fatalf("cold oracle labels = %d, want 800", cold.FreshLabels)
+	if cold.SamplesUsed != 800 {
+		t.Fatalf("cold oracle labels = %d, want 800", cold.SamplesUsed)
 	}
 	w.appendItems(t, 25)
 	inc, err := lq.Refresh(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.FreshLabels != 25 {
-		t.Fatalf("oracle refresh labeled %d objects, want exactly the 25 new ones", inc.FreshLabels)
+	if inc.SamplesUsed != 25 {
+		t.Fatalf("oracle refresh labeled %d objects, want exactly the 25 new ones", inc.SamplesUsed)
 	}
 	// Ground truth via a frozen one-shot estimate on the same data.
 	frozen := NewMemorySource(w.items.Snapshot(), w.events.Snapshot())
@@ -371,8 +371,8 @@ func TestRefreshExactCountsTruth(t *testing.T) {
 				if got.Count != ref.Count || *got.CI != *ref.CI {
 					t.Errorf("step %d: exact refresh estimates %v %v, plain %v %v", step, got.Count, *got.CI, ref.Count, *ref.CI)
 				}
-				if step == 0 && got.FreshLabels != int64(got.Objects) {
-					t.Errorf("cold exact refresh labeled %d of %d objects", got.FreshLabels, got.Objects)
+				if step == 0 && got.SamplesUsed != int64(got.Objects) {
+					t.Errorf("cold exact refresh labeled %d of %d objects", got.SamplesUsed, got.Objects)
 				}
 			}
 		})
@@ -400,7 +400,7 @@ func TestRefreshDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, step{r.Count, r.CI.Lo, r.CI.Hi, r.FreshLabels})
+			out = append(out, step{r.Count, r.CI.Lo, r.CI.Hi, r.SamplesUsed})
 			w.appendItems(t, 12)
 		}
 		return out
@@ -585,8 +585,8 @@ func TestRefreshParamChangeResetsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.FreshLabels != 0 || r3.Count != r2.Count {
-		t.Fatalf("stable params must fully reuse: fresh=%d count %v vs %v", r3.FreshLabels, r3.Count, r2.Count)
+	if r3.SamplesUsed != 0 || r3.Count != r2.Count {
+		t.Fatalf("stable params must fully reuse: fresh=%d count %v vs %v", r3.SamplesUsed, r3.Count, r2.Count)
 	}
 	_ = r1
 	_ = fmt.Sprint()

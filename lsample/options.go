@@ -204,18 +204,6 @@ func WithCatalog(c *Catalog) Option {
 	}
 }
 
-// WithCatalogBudget attaches a fresh private reuse catalog bounded to the
-// given number of bytes (<= 0 selects the default 64 MiB). It is the
-// convenience form of WithCatalog for single-session use — typically a
-// NewSession option, so every query prepared through the session shares
-// the one catalog.
-func WithCatalogBudget(bytes int64) Option {
-	return func(cfg *config) error {
-		cfg.catalog = NewCatalog(bytes)
-		return nil
-	}
-}
-
 // WithShards partitions the estimation across s hash-aligned shards:
 // objects are split by a hash of their key, and one driver runs the hash
 // plan over all of them — one hash bottom-k sample across the shards, one

@@ -134,9 +134,9 @@ func (q *LiveQuery) Tables() []string { return q.tables() }
 
 // RefreshEstimate is the outcome of one Refresh: a regular Estimate plus
 // the delta accounting that makes the incremental price visible.
-// SamplesUsed (and FreshLabels) count only the predicate evaluations this
-// refresh actually spent; ReusedLabels counts sample members answered from
-// the label memo.
+// SamplesUsed counts only the predicate evaluations this refresh actually
+// spent (the fresh labels); ReusedLabels counts sample members answered
+// from the label memo.
 type RefreshEstimate struct {
 	// Estimate is the regular estimation result (count, CI, budget,
 	// fingerprint, labeling path, timings).
@@ -147,10 +147,6 @@ type RefreshEstimate struct {
 	// DeltaRows is the number of rows identified as appended since the
 	// previous refresh across all referenced tables.
 	DeltaRows int
-	// FreshLabels is the number of predicate evaluations spent this
-	// refresh (equal to SamplesUsed). ReusedLabels — promoted from
-	// Estimate — counts sample members answered from the label memo.
-	FreshLabels int64
 	// Retrained reports that this refresh retrained the classifier and
 	// redesigned the strata (always true on the first refresh of a
 	// learned method).
@@ -355,8 +351,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	out.CI = &ConfidenceInterval{Lo: res.CI.Lo, Hi: res.CI.Hi, Level: 1 - core.Alpha}
 
 	out.Proportion = out.Count / float64(n)
-	out.FreshLabels = basePred.Evals()
-	out.SamplesUsed = out.FreshLabels
+	out.SamplesUsed = basePred.Evals()
 	out.ReusedLabels = memo.hits
 	out.Timings = PhaseTimings{Sample: time.Since(t0), Predicate: memo.dur}
 	st.snaps = snaps
@@ -364,7 +359,7 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	span.Set("delta_rows", out.DeltaRows)
 	span.Set("invalidated_all", out.InvalidatedAll)
 	span.Set("retrained", out.Retrained)
-	span.Set("fresh_labels", out.FreshLabels)
+	span.Set("fresh_labels", out.SamplesUsed)
 	span.Set("memoized_labels", out.ReusedLabels)
 	return out, nil
 }

@@ -32,7 +32,10 @@
 // modules' packages, all-lower-case or snake_case names after a package
 // (spans and ledger rows are named shard.census, lsample.estimate.learn_ms)
 // and file names (plan.go) are not identifiers of this module and are
-// skipped. With -op-doc and -op-decl, every op named in the document's
+// skipped. The same flag checks test names: every backticked Test*, Fuzz* or
+// Benchmark* name must be a function some _test.go file of the module
+// declares, so a document cannot cite a test that pins nothing. With -op-doc and -op-decl, every op
+// named in the document's
 // shard-op table (the markdown table with an "op" column; the first
 // backticked word of that cell) must be the value of an Op* string constant
 // in the protocol's source file, so the table cannot keep a row for an op the
@@ -108,10 +111,14 @@ func main() {
 
 // index is what a module's source declares, as documents name it:
 // top[pkg][Ident] for package-level names, member[Type][Name] for methods,
-// fields and embedded type names. Packages and types that share a name pool
-// their declarations: a document's `Result.Count` resolves if any Result
-// has a Count.
-type index struct{ top, member map[string]map[string]bool }
+// fields and embedded type names, tests for the Test*, Fuzz* and
+// Benchmark* functions of its _test.go files. Packages and types that share
+// a name pool their declarations: a document's `Result.Count` resolves if
+// any Result has a Count.
+type index struct {
+	top, member map[string]map[string]bool
+	tests       map[string]bool
+}
 
 func add(m map[string]map[string]bool, key, name string) {
 	if m[key] == nil {
@@ -120,11 +127,11 @@ func add(m map[string]map[string]bool, key, name string) {
 	m[key][name] = true
 }
 
-// indexModule parses every non-test Go file under the working directory,
-// the module root make runs the check from.
+// indexModule parses every Go file under the working directory, the module
+// root make runs the check from.
 func indexModule() (*index, error) {
 	const root = "."
-	x := &index{top: map[string]map[string]bool{}, member: map[string]map[string]bool{}}
+	x := &index{top: map[string]map[string]bool{}, member: map[string]map[string]bool{}, tests: map[string]bool{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
 		if err != nil {
@@ -133,12 +140,20 @@ func indexModule() (*index, error) {
 		if name := e.Name(); e.IsDir() && path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testName.MatchString(fn.Name.Name) {
+					x.tests[fn.Name.Name] = true
+				}
+			}
+			return nil
 		}
 		pkg := f.Name.Name
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -220,6 +235,7 @@ var (
 	// identifiers inside one.
 	codeSpan  = regexp.MustCompile("`[^`\n]+`")
 	qualified = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+`)
+	testName  = regexp.MustCompile(`\b(Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	fileExt   = map[string]bool{"go": true, "md": true, "json": true, "csv": true, "txt": true, "sh": true, "mod": true}
 )
 
@@ -231,7 +247,8 @@ func goName(name string) bool {
 }
 
 // checkIdents reports the backticked qualified names in docs that name a
-// package or type of the module but nothing it declares.
+// package or type of the module but nothing it declares, and the backticked
+// test names no _test.go file declares.
 func checkIdents(docs []string) ([]string, error) {
 	x, err := indexModule()
 	if err != nil {
@@ -244,7 +261,13 @@ func checkIdents(docs []string) ([]string, error) {
 			return nil, err
 		}
 		for i, line := range strings.Split(string(text), "\n") {
-			for _, chain := range qualified.FindAllString(strings.Join(codeSpan.FindAllString(line, -1), " "), -1) {
+			code := strings.Join(codeSpan.FindAllString(line, -1), " ")
+			for _, test := range testName.FindAllString(code, -1) {
+				if !x.tests[test] {
+					out = append(out, fmt.Sprintf("%s:%d: `%s` names no test, fuzz target or benchmark of the module", doc, i+1, test))
+				}
+			}
+			for _, chain := range qualified.FindAllString(code, -1) {
 				parts := strings.Split(chain, ".")
 				head, name := parts[0], parts[1]
 				isPkg, isType := x.top[head] != nil, x.member[head] != nil
