@@ -33,7 +33,8 @@
 #                      the ledger does not replace — paper figure, forest
 #                      fit and scoring, designers, GROUP BY shared vs naive,
 #                      catalog bytes per entry, shard-op wire bytes, RPCs
-#                      per repeat coordinator count —
+#                      per repeat coordinator count, the interpreter's
+#                      first-object cross-check per joined row —
 #                      printed as `go test -bench` prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
@@ -118,9 +119,11 @@ race:
 # guard on the /v1/shard envelope's size), and repeat lss counts through a
 # coordinator over two loopback workers and two shards
 # (BenchmarkCoordinatorCount: rpcs/op — 8 once the shape's census is
-# stored — and allocs/op).
+# stored — and allocs/op), and the interpreter's cross-check of a compiled
+# program: the skyband Q3 for object 0 over 300 × 300 joined rows
+# (BenchmarkFirstObjectValidation: ns/row).
 # BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount)$$
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount|BenchmarkFirstObjectValidation)$$
 BENCHTIME ?= 1x
 
 bench-micro:

@@ -96,8 +96,8 @@ func TestColumnAccessors(t *testing.T) {
 	if got := tb.FloatColumn("x"); len(got) != 1 || got[0] != 1.5 {
 		t.Fatalf("FloatColumn = %v", got)
 	}
-	if got := tb.IntColumn("id"); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("IntColumn = %v", got)
+	if got := tb.IntsAt(tb.ColIndex("id")); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("IntsAt = %v", got)
 	}
 	func() {
 		defer func() { recover() }()
@@ -207,7 +207,7 @@ func TestNeighborsGenerator(t *testing.T) {
 	if tb.NumCols() != NeighborsFeatures+2 {
 		t.Fatalf("cols = %d, want %d", tb.NumCols(), NeighborsFeatures+2)
 	}
-	attacks := tb.IntColumn("attack")
+	attacks := tb.IntsAt(tb.ColIndex("attack"))
 	n1 := 0
 	for _, a := range attacks {
 		if a != 0 && a != 1 {

@@ -56,36 +56,26 @@ func (s Schema) Index(name string) int {
 }
 
 // Table is a column-major in-memory relation. The zero value is not useful;
-// construct with New.
+// construct with New. Column i lives in floats[i], ints[i] or strs[i] by its
+// kind; the other two slots of i stay nil.
 type Table struct {
 	Name   string
 	schema Schema
-	floats map[int][]float64
-	ints   map[int][]int64
-	strs   map[int][]string
+	floats [][]float64
+	ints   [][]int64
+	strs   [][]string
 	n      int
 }
 
 // New returns an empty table with the given schema.
 func New(name string, schema Schema) *Table {
-	t := &Table{
+	return &Table{
 		Name:   name,
 		schema: append(Schema(nil), schema...),
-		floats: make(map[int][]float64),
-		ints:   make(map[int][]int64),
-		strs:   make(map[int][]string),
+		floats: make([][]float64, len(schema)),
+		ints:   make([][]int64, len(schema)),
+		strs:   make([][]string, len(schema)),
 	}
-	for i, c := range schema {
-		switch c.Kind {
-		case Float:
-			t.floats[i] = nil
-		case Int:
-			t.ints[i] = nil
-		case String:
-			t.strs[i] = nil
-		}
-	}
-	return t
 }
 
 // Schema returns the table's schema. The caller must not modify it.
@@ -172,15 +162,6 @@ func (t *Table) FloatColumn(name string) []float64 {
 	return t.floats[i]
 }
 
-// IntColumn returns the backing slice of an Int column.
-func (t *Table) IntColumn(name string) []int64 {
-	i := t.ColIndex(name)
-	if i < 0 || t.schema[i].Kind != Int {
-		panic(fmt.Sprintf("dataset: no int column %q", name))
-	}
-	return t.ints[i]
-}
-
 // FloatsAt returns the backing slice of the Float column at position col
 // (shared, not copied). Panics if the column is not a Float column. The
 // positional accessors exist for compiled predicate evaluation, whose hot
@@ -219,24 +200,26 @@ func (t *Table) Prefix(n int) *Table {
 	if n < 0 || n > t.n {
 		panic(fmt.Sprintf("dataset: prefix %d out of range [0, %d]", n, t.n))
 	}
-	nt := &Table{
+	return &Table{
 		Name:   t.Name,
 		schema: t.schema,
-		floats: make(map[int][]float64, len(t.floats)),
-		ints:   make(map[int][]int64, len(t.ints)),
-		strs:   make(map[int][]string, len(t.strs)),
+		floats: prefix(t.floats, n),
+		ints:   prefix(t.ints, n),
+		strs:   prefix(t.strs, n),
 		n:      n,
 	}
-	for i, c := range t.floats {
-		nt.floats[i] = c[:n]
+}
+
+// prefix returns the first n values of every column of cols that holds
+// values of its kind, and nil for the others.
+func prefix[T any](cols [][]T, n int) [][]T {
+	out := make([][]T, len(cols))
+	for i, c := range cols {
+		if c != nil {
+			out[i] = c[:n]
+		}
 	}
-	for i, c := range t.ints {
-		nt.ints[i] = c[:n]
-	}
-	for i, c := range t.strs {
-		nt.strs[i] = c[:n]
-	}
-	return nt
+	return out
 }
 
 // Features extracts the named numeric columns into row-major feature

@@ -132,10 +132,6 @@ func TestGlobalAggregateEmptyInput(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].I != 0 {
 		t.Fatalf("COUNT over empty = %v", res.Rows)
 	}
-	n, err := res.ScalarInt()
-	if err != nil || n != 0 {
-		t.Fatalf("ScalarInt = %v, %v", n, err)
-	}
 }
 
 func TestCountDistinct(t *testing.T) {
@@ -261,10 +257,7 @@ func TestExample2PredicateForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := res.ScalarInt()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := res.Rows[0][0].I
 		if want := geom.SkybandSize(pts, k); int(got) != want {
 			t.Fatalf("k=%d: predicate-form count = %d, want %d", k, got, want)
 		}
@@ -299,11 +292,7 @@ func TestExample1NeighborQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := res.ScalarInt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(got) != want {
+	if got := res.Rows[0][0].I; int(got) != want {
 		t.Fatalf("neighbor count = %d, want %d", got, want)
 	}
 }
@@ -521,16 +510,16 @@ func TestValueHelpers(t *testing.T) {
 	if Null.String() != "NULL" || BoolVal(true).String() != "TRUE" {
 		t.Fatal("String rendering")
 	}
-	if c, _ := compare(IntVal(2), FloatVal(2.0)); c != 0 {
+	if c, _ := compare(ptr(IntVal(2)), ptr(FloatVal(2.0))); c != 0 {
 		t.Fatal("mixed numeric compare")
 	}
-	if _, err := compare(IntVal(1), StringVal("a")); err == nil {
+	if _, err := compare(ptr(IntVal(1)), ptr(StringVal("a"))); err == nil {
 		t.Fatal("int vs string should error")
 	}
-	if c, _ := compare(BoolVal(false), BoolVal(true)); c != -1 {
+	if c, _ := compare(ptr(BoolVal(false)), ptr(BoolVal(true))); c != -1 {
 		t.Fatal("bool compare")
 	}
-	if c, _ := compare(StringVal("a"), StringVal("b")); c != -1 {
+	if c, _ := compare(ptr(StringVal("a")), ptr(StringVal("b"))); c != -1 {
 		t.Fatal("string compare")
 	}
 }
@@ -558,3 +547,5 @@ func BenchmarkExample2FullQuery(b *testing.B) {
 		}
 	}
 }
+
+func ptr(v Value) *Value { return &v }

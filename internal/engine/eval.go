@@ -53,12 +53,12 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 		return StringVal(x.Value), nil
 
 	case *sql.ColumnRef:
-		v, ok, err := sc.resolve(x.Qualifier, x.Name)
+		r, err := sc.column(x)
 		if err != nil {
 			return Null, err
 		}
-		if ok {
-			return v, nil
+		if r != nil {
+			return r.b.rel.Value(r.b.row, r.col), nil
 		}
 		if x.Qualifier == "" {
 			if pv, ok := ev.Params[x.Name]; ok {
@@ -68,18 +68,18 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 		return Null, fmt.Errorf("engine: unresolved column %s", x.String())
 
 	case *sql.UnaryExpr:
+		if x.Op == "NOT" {
+			b, err := ev.evalBool(x, sc, aggs, "")
+			if err != nil {
+				return Null, err
+			}
+			return BoolVal(b), nil
+		}
 		v, err := ev.eval(x.X, sc, aggs)
 		if err != nil {
 			return Null, err
 		}
-		switch x.Op {
-		case "NOT":
-			b, err := v.AsBool()
-			if err != nil {
-				return Null, err
-			}
-			return BoolVal(!b), nil
-		case "-":
+		if x.Op == "-" {
 			switch v.Kind {
 			case KInt:
 				return IntVal(-v.I), nil
@@ -131,33 +131,77 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 	return Null, fmt.Errorf("engine: unsupported expression %T", e)
 }
 
+// evalBool evaluates e where a boolean is wanted. AND and OR short-circuit,
+// NOT negates, and the six comparisons are false when either side is NULL
+// and compare's verdict otherwise; any other expression must evaluate to a
+// boolean. clause, when not empty, names the WHERE or HAVING clause whose
+// top-level expression e is, for the error a non-boolean value raises there.
+func (ev *Evaluator) evalBool(e sql.Expr, sc *Scope, aggs aggEnv, clause string) (bool, error) {
+	switch x := e.(type) {
+	case *sql.UnaryExpr:
+		if x.Op == "NOT" {
+			b, err := ev.evalBool(x.X, sc, aggs, "")
+			return !b && err == nil, err
+		}
+	case *sql.BinaryExpr:
+		switch x.Op {
+		case "AND", "OR":
+			l, err := ev.evalBool(x.L, sc, aggs, "")
+			if err != nil {
+				return false, err
+			}
+			if l == (x.Op == "OR") { // AND stops at false, OR at true
+				return l, nil
+			}
+			return ev.evalBool(x.R, sc, aggs, "")
+		case "=", "<>", "<", "<=", ">", ">=":
+			l, err := ev.eval(x.L, sc, aggs)
+			if err != nil {
+				return false, err
+			}
+			r, err := ev.eval(x.R, sc, aggs)
+			if err != nil || l.Kind == KNull || r.Kind == KNull {
+				return false, err
+			}
+			c, err := compare(&l, &r)
+			if err != nil {
+				return false, err
+			}
+			switch x.Op {
+			case "=":
+				return c == 0, nil
+			case "<>":
+				return c != 0, nil
+			case "<":
+				return c < 0, nil
+			case "<=":
+				return c <= 0, nil
+			case ">":
+				return c > 0, nil
+			default:
+				return c >= 0, nil
+			}
+		}
+	}
+	v, err := ev.eval(e, sc, aggs)
+	if err != nil {
+		return false, err
+	}
+	b, err := v.AsBool()
+	if err != nil && clause != "" {
+		return false, fmt.Errorf("engine: %s is not boolean: %w", clause, err)
+	}
+	return b, err
+}
+
 func (ev *Evaluator) evalBinary(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (Value, error) {
 	switch x.Op {
-	case "AND", "OR":
-		l, err := ev.eval(x.L, sc, aggs)
+	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
+		b, err := ev.evalBool(x, sc, aggs, "")
 		if err != nil {
 			return Null, err
 		}
-		lb, err := l.AsBool()
-		if err != nil {
-			return Null, err
-		}
-		// Short-circuit.
-		if x.Op == "AND" && !lb {
-			return BoolVal(false), nil
-		}
-		if x.Op == "OR" && lb {
-			return BoolVal(true), nil
-		}
-		r, err := ev.eval(x.R, sc, aggs)
-		if err != nil {
-			return Null, err
-		}
-		rb, err := r.AsBool()
-		if err != nil {
-			return Null, err
-		}
-		return BoolVal(rb), nil
+		return BoolVal(b), nil
 	}
 
 	l, err := ev.eval(x.L, sc, aggs)
@@ -169,28 +213,6 @@ func (ev *Evaluator) evalBinary(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (Valu
 		return Null, err
 	}
 	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.Kind == KNull || r.Kind == KNull {
-			return BoolVal(false), nil
-		}
-		c, err := compare(l, r)
-		if err != nil {
-			return Null, err
-		}
-		switch x.Op {
-		case "=":
-			return BoolVal(c == 0), nil
-		case "<>":
-			return BoolVal(c != 0), nil
-		case "<":
-			return BoolVal(c < 0), nil
-		case "<=":
-			return BoolVal(c <= 0), nil
-		case ">":
-			return BoolVal(c > 0), nil
-		case ">=":
-			return BoolVal(c >= 0), nil
-		}
 	case "+", "-", "*", "/":
 		// Integer arithmetic stays integral except division.
 		if l.Kind == KInt && r.Kind == KInt && x.Op != "/" {
@@ -229,7 +251,8 @@ func (ev *Evaluator) evalBinary(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (Valu
 }
 
 func (ev *Evaluator) evalScalarFunc(x *sql.FuncCall, sc *Scope, aggs aggEnv) (Value, error) {
-	args := make([]float64, len(x.Args))
+	var buf [2]float64 // holds the arguments of every function but LEAST / GREATEST
+	args := buf[:0]
 	for i, a := range x.Args {
 		v, err := ev.eval(a, sc, aggs)
 		if err != nil {
@@ -239,7 +262,7 @@ func (ev *Evaluator) evalScalarFunc(x *sql.FuncCall, sc *Scope, aggs aggEnv) (Va
 		if err != nil {
 			return Null, fmt.Errorf("engine: %s argument %d: %w", x.Name, i, err)
 		}
-		args[i] = f
+		args = append(args, f)
 	}
 	need := func(n int) error {
 		if len(args) != n {

@@ -61,16 +61,8 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 			ev.Stats.RowsScanned++
 			if stmt.Where != nil {
 				ev.Stats.PredicateEval++
-				v, err := ev.Eval(stmt.Where, sc)
-				if err != nil {
+				if b, err := ev.evalBool(stmt.Where, sc, nil, "WHERE"); err != nil || !b {
 					return err
-				}
-				b, err := v.AsBool()
-				if err != nil {
-					return fmt.Errorf("engine: WHERE is not boolean: %w", err)
-				}
-				if !b {
-					return nil
 				}
 			}
 			row, err := ev.projectRow(stmt, sc, nil, starExpand, cursors)
@@ -96,24 +88,17 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 	}
 	groups := make(map[string]*group)
 	var order []string
+	keyVals := make([]Value, len(stmt.GroupBy)) // the current row's GROUP BY values
+	var key []byte                              // and their rowKey
 
 	err = ev.enumerate(cursors, 0, func() error {
 		ev.Stats.RowsScanned++
 		if stmt.Where != nil {
 			ev.Stats.PredicateEval++
-			v, err := ev.Eval(stmt.Where, sc)
-			if err != nil {
+			if b, err := ev.evalBool(stmt.Where, sc, nil, "WHERE"); err != nil || !b {
 				return err
 			}
-			b, err := v.AsBool()
-			if err != nil {
-				return fmt.Errorf("engine: WHERE is not boolean: %w", err)
-			}
-			if !b {
-				return nil
-			}
 		}
-		keyVals := make([]Value, len(stmt.GroupBy))
 		for i, g := range stmt.GroupBy {
 			v, err := ev.Eval(g, sc)
 			if err != nil {
@@ -121,9 +106,10 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 			}
 			keyVals[i] = v
 		}
-		k := rowKey(keyVals)
-		grp, ok := groups[k]
+		key = appendRowKey(key[:0], keyVals)
+		grp, ok := groups[string(key)]
 		if !ok {
+			k := string(key)
 			rep := make([]int, len(cursors))
 			for i, c := range cursors {
 				rep[i] = c.row
@@ -163,13 +149,9 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 		}
 		if stmt.Having != nil {
 			ev.Stats.PredicateEval++
-			v, err := ev.eval(stmt.Having, sc, aggs)
+			b, err := ev.evalBool(stmt.Having, sc, aggs, "HAVING")
 			if err != nil {
 				return nil, err
-			}
-			b, err := v.AsBool()
-			if err != nil {
-				return nil, fmt.Errorf("engine: HAVING is not boolean: %w", err)
 			}
 			if !b {
 				continue
@@ -218,7 +200,7 @@ func orderAndLimit(stmt *sql.SelectStmt, res *ResultSet) error {
 		var sortErr error
 		sort.SliceStable(res.Rows, func(a, b int) bool {
 			for _, k := range keys {
-				c, err := compare(res.Rows[a][k.col], res.Rows[b][k.col])
+				c, err := compare(&res.Rows[a][k.col], &res.Rows[b][k.col])
 				if err != nil {
 					if sortErr == nil {
 						sortErr = err
@@ -381,7 +363,7 @@ func (a *accumulator) add(ev *Evaluator, fc *sql.FuncCall, sc *Scope) error {
 	case "MIN":
 		if a.min.Kind == KNull {
 			a.min = v
-		} else if c, err := compare(v, a.min); err != nil {
+		} else if c, err := compare(&v, &a.min); err != nil {
 			return err
 		} else if c < 0 {
 			a.min = v
@@ -389,7 +371,7 @@ func (a *accumulator) add(ev *Evaluator, fc *sql.FuncCall, sc *Scope) error {
 	case "MAX":
 		if a.max.Kind == KNull {
 			a.max = v
-		} else if c, err := compare(v, a.max); err != nil {
+		} else if c, err := compare(&v, &a.max); err != nil {
 			return err
 		} else if c > 0 {
 			a.max = v

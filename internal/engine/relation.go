@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/sql"
 )
 
 // Relation is a read-only rowset: either a base table or a materialized
@@ -17,17 +18,19 @@ type Relation interface {
 
 // tableRel adapts a dataset.Table to Relation.
 type tableRel struct {
-	t    *dataset.Table
-	cols []string
+	t     *dataset.Table
+	cols  []string
+	kinds []dataset.Kind
 }
 
 // NewTableRelation wraps a dataset table as a Relation.
 func NewTableRelation(t *dataset.Table) Relation {
 	cols := make([]string, t.NumCols())
+	kinds := make([]dataset.Kind, t.NumCols())
 	for i, c := range t.Schema() {
-		cols[i] = c.Name
+		cols[i], kinds[i] = c.Name, c.Kind
 	}
-	return &tableRel{t: t, cols: cols}
+	return &tableRel{t: t, cols: cols, kinds: kinds}
 }
 
 func (r *tableRel) NumRows() int      { return r.t.NumRows() }
@@ -36,7 +39,7 @@ func (r *tableRel) ColIndex(name string) int {
 	return r.t.ColIndex(name)
 }
 func (r *tableRel) Value(row, col int) Value {
-	switch r.t.Schema()[col].Kind {
+	switch r.kinds[col] {
 	case dataset.Float:
 		return FloatVal(r.t.Float(row, col))
 	case dataset.Int:
@@ -71,23 +74,6 @@ func (r *ResultSet) ColIndex(name string) int {
 // Value returns the value at (row, col).
 func (r *ResultSet) Value(row, col int) Value { return r.Rows[row][col] }
 
-// ScalarInt returns the single value of a 1×1 result as an int64
-// (useful for COUNT queries).
-func (r *ResultSet) ScalarInt() (int64, error) {
-	if len(r.Rows) != 1 || len(r.Cols) != 1 {
-		return 0, fmt.Errorf("engine: result is %dx%d, not scalar", len(r.Rows), len(r.Cols))
-	}
-	v := r.Rows[0][0]
-	switch v.Kind {
-	case KInt:
-		return v.I, nil
-	case KFloat:
-		return int64(v.F), nil
-	default:
-		return 0, fmt.Errorf("engine: scalar %s is not numeric", v)
-	}
-}
-
 // Catalog maps table names to base tables.
 type Catalog map[string]*dataset.Table
 
@@ -100,16 +86,30 @@ type binding struct {
 
 // Scope is a chain of row bindings; inner scopes shadow outer ones, which is
 // how correlated subqueries see the outer query's current row.
+//
+// Every binding of a scope and of its parents exists before the scope's
+// first evaluation — Run binds FROM before it enumerates, ObjectPredicate
+// binds the object before it evaluates — and afterwards only a binding's
+// row moves. So a column reference resolves to the same binding and column
+// on every row, and refs remembers where each one it resolved lives.
 type Scope struct {
 	parent   *Scope
 	bindings []*binding
+	refs     []resolvedRef
+}
+
+// resolvedRef is where a column reference resolved in a scope.
+type resolvedRef struct {
+	ref *sql.ColumnRef
+	b   *binding
+	col int
 }
 
 // NewScope returns a scope with parent as enclosing scope.
 func NewScope(parent *Scope) *Scope { return &Scope{parent: parent} }
 
 // Bind adds an alias binding and returns the binding handle so the executor
-// can advance its row cursor.
+// can advance its row cursor. Bind before the scope's first evaluation.
 func (s *Scope) Bind(name string, rel Relation) *binding {
 	b := &binding{name: name, rel: rel}
 	s.bindings = append(s.bindings, b)
@@ -122,17 +122,36 @@ func (s *Scope) BindRow(name string, rel Relation, row int) {
 	s.bindings = append(s.bindings, &binding{name: name, rel: rel, row: row})
 }
 
-// resolve finds the value of a (possibly qualified) column reference.
-func (s *Scope) resolve(qualifier, name string) (Value, bool, error) {
+// column returns where a column reference resolves, or nil when no binding
+// of the chain has it (it may name a parameter). A reference that resolves
+// is remembered; an unresolved or ambiguous one takes the full path, and
+// raises its error, on every evaluation.
+func (s *Scope) column(x *sql.ColumnRef) (*resolvedRef, error) {
+	for i := range s.refs {
+		if r := &s.refs[i]; r.ref == x {
+			return r, nil
+		}
+	}
+	b, ci, err := s.resolve(x.Qualifier, x.Name)
+	if b == nil {
+		return nil, err
+	}
+	s.refs = append(s.refs, resolvedRef{ref: x, b: b, col: ci})
+	return &s.refs[len(s.refs)-1], nil
+}
+
+// resolve finds the binding and column of a (possibly qualified) column
+// reference, or a nil binding when the chain has none.
+func (s *Scope) resolve(qualifier, name string) (*binding, int, error) {
 	for sc := s; sc != nil; sc = sc.parent {
 		if qualifier != "" {
 			for _, b := range sc.bindings {
 				if b.name == qualifier {
 					ci := b.rel.ColIndex(name)
 					if ci < 0 {
-						return Null, false, fmt.Errorf("engine: table %q has no column %q", qualifier, name)
+						return nil, -1, fmt.Errorf("engine: table %q has no column %q", qualifier, name)
 					}
-					return b.rel.Value(b.row, ci), true, nil
+					return b, ci, nil
 				}
 			}
 			continue
@@ -143,14 +162,14 @@ func (s *Scope) resolve(qualifier, name string) (Value, bool, error) {
 		for _, b := range sc.bindings {
 			if j := b.rel.ColIndex(name); j >= 0 {
 				if found != nil {
-					return Null, false, fmt.Errorf("engine: ambiguous column %q", name)
+					return nil, -1, fmt.Errorf("engine: ambiguous column %q", name)
 				}
 				found, ci = b, j
 			}
 		}
 		if found != nil {
-			return found.rel.Value(found.row, ci), true, nil
+			return found, ci, nil
 		}
 	}
-	return Null, false, nil
+	return nil, -1, nil
 }

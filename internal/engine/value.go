@@ -94,45 +94,56 @@ func (v Value) String() string {
 }
 
 // key returns a string usable as a hash key for grouping / DISTINCT.
-func (v Value) key() string {
+func (v Value) key() string { return string(v.appendKey(nil)) }
+
+// appendKey appends v's key to dst.
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KNull:
-		return "n"
+		return append(dst, 'n')
 	case KBool:
 		if v.B {
-			return "bt"
+			return append(dst, "bt"...)
 		}
-		return "bf"
+		return append(dst, "bf"...)
 	case KInt:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case KFloat:
 		// Normalize integral floats so 2.0 groups with 2 consistently.
-		return "f" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), v.F, 'g', -1, 64)
 	case KString:
-		return "s" + v.S
+		return append(append(dst, 's'), v.S...)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // rowKey encodes a tuple of values for hashing.
-func rowKey(vals []Value) string {
-	var sb strings.Builder
+func rowKey(vals []Value) string { return string(appendRowKey(nil, vals)) }
+
+// appendRowKey appends rowKey(vals) to dst: each value's key, prefixed by
+// its length and a colon.
+func appendRowKey(dst []byte, vals []Value) []byte {
+	var buf [32]byte
 	for _, v := range vals {
-		k := v.key()
-		sb.WriteString(strconv.Itoa(len(k)))
-		sb.WriteByte(':')
-		sb.WriteString(k)
+		k := v.appendKey(buf[:0])
+		dst = append(strconv.AppendInt(dst, int64(len(k)), 10), ':')
+		dst = append(dst, k...)
 	}
-	return sb.String()
+	return dst
 }
 
 // compare returns -1, 0, +1 for a < b, a == b, a > b. Numerics compare
 // numerically (int/float mixed allowed); strings lexicographically;
 // booleans with false < true. Mixed incomparable kinds yield an error.
-func compare(a, b Value) (int, error) {
+func compare(a, b *Value) (int, error) {
 	if a.IsNumeric() && b.IsNumeric() {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
+		af, bf := a.F, b.F
+		if a.Kind == KInt {
+			af = float64(a.I)
+		}
+		if b.Kind == KInt {
+			bf = float64(b.I)
+		}
 		switch {
 		case af < bf:
 			return -1, nil
@@ -155,5 +166,5 @@ func compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	return 0, fmt.Errorf("engine: cannot compare %s with %s", a, b)
+	return 0, fmt.Errorf("engine: cannot compare %s with %s", *a, *b)
 }

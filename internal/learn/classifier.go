@@ -149,15 +149,6 @@ type Metrics struct {
 	TN, FN   int
 }
 
-// Evaluate computes Metrics of c over a labeled set.
-func Evaluate(c Classifier, X [][]float64, y []bool) Metrics {
-	scores := make([]float64, len(X))
-	for i, x := range X {
-		scores[i] = c.Score(x)
-	}
-	return EvaluateScores(scores, y)
-}
-
 // EvaluateScores computes Metrics from precomputed scores.
 func EvaluateScores(scores []float64, y []bool) Metrics {
 	var m Metrics

@@ -29,7 +29,16 @@ func trainEval(t *testing.T, c Classifier, trainN, testN int) Metrics {
 		t.Fatalf("%s Fit: %v", c.Name(), err)
 	}
 	Xt, yt := circleData(r, testN, 1.2)
-	return Evaluate(c, Xt, yt)
+	return evaluate(c, Xt, yt)
+}
+
+// evaluate computes Metrics of c over a labeled set.
+func evaluate(c Classifier, X [][]float64, y []bool) Metrics {
+	scores := make([]float64, len(X))
+	for i, x := range X {
+		scores[i] = c.Score(x)
+	}
+	return EvaluateScores(scores, y)
 }
 
 func TestKNNLearnsCircle(t *testing.T) {
@@ -71,7 +80,7 @@ func TestDummyIsChance(t *testing.T) {
 	if err := c.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	m := Evaluate(c, X, y)
+	m := evaluate(c, X, y)
 	if m.AUC < 0.4 || m.AUC > 0.6 {
 		t.Fatalf("dummy AUC = %v, want ≈ 0.5", m.AUC)
 	}
@@ -240,7 +249,14 @@ func TestTreeDepthRespected(t *testing.T) {
 	if err := tr.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 3 {
+	var depth func(ni int32) int // the height below node ni
+	depth = func(ni int32) int {
+		if tr.feature[ni] < 0 {
+			return 0
+		}
+		return 1 + max(depth(tr.left[ni]), depth(tr.right[ni]))
+	}
+	if d := depth(0); d > 3 {
 		t.Fatalf("depth %d exceeds cap 3", d)
 	}
 }

@@ -73,18 +73,3 @@ func (t *DecisionTree) Score(x []float64) float64 {
 		}
 	}
 }
-
-// Depth returns the height of the fitted tree (0 for a stump).
-func (t *DecisionTree) Depth() int {
-	if len(t.feature) == 0 {
-		return 0
-	}
-	var depth func(ni int32) int
-	depth = func(ni int32) int {
-		if t.feature[ni] < 0 {
-			return 0
-		}
-		return 1 + max(depth(t.left[ni]), depth(t.right[ni]))
-	}
-	return depth(0)
-}

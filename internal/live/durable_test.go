@@ -64,8 +64,9 @@ type tableState struct {
 
 func captureState(tab *Table) tableState {
 	s := tab.Snapshot()
-	a, u, d := tab.Counters()
-	st := tableState{Version: s.Version, Epoch: s.Epoch, Appended: a, Updated: u, Deleted: d}
+	tab.mu.Lock()
+	st := tableState{Version: s.Version, Epoch: s.Epoch, Appended: tab.appended, Updated: tab.updated, Deleted: tab.deleted}
+	tab.mu.Unlock()
 	for r := 0; r < s.Tab.NumRows(); r++ {
 		row := make([]any, s.Tab.NumCols())
 		for c := range row {

@@ -183,14 +183,6 @@ func (t *Table) NumRows() int {
 	return t.store.NumRows() - t.nTomb
 }
 
-// Counters returns the lifetime mutation counters (appended, updated,
-// deleted rows).
-func (t *Table) Counters() (appended, updated, deleted uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.appended, t.updated, t.deleted
-}
-
 // Append applies a single-row append batch.
 func (t *Table) Append(vals ...any) error {
 	_, err := t.Apply(&Batch{Rows: []Row{{Op: OpAppend, Vals: vals}}})

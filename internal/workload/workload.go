@@ -104,15 +104,9 @@ func (in *Instance) Objects() *core.ObjectSet {
 	return obj
 }
 
-// ExpensiveObjects returns an ObjectSet whose predicate performs the real
-// O(N) per-evaluation scan — the paper's cost model, used by the runtime
-// experiments (Fig 3).
-func (in *Instance) ExpensiveObjects() *core.ObjectSet {
-	return in.ExpensiveObjectsScaled(1)
-}
-
-// ExpensiveObjectsScaled is ExpensiveObjects with the per-evaluation cost
-// multiplied by factor: the scan is repeated factor times. The paper's
+// ExpensiveObjectsScaled returns an ObjectSet whose predicate performs the
+// real O(N) per-evaluation scan — the paper's cost model, used by the
+// runtime experiments (Fig 3) — repeated factor times. The paper's
 // predicates ran as interpreted UDFs / correlated SQL (milliseconds per
 // evaluation); scaling the in-process scan reproduces that cost regime for
 // the overhead experiments.

@@ -95,7 +95,7 @@ func TestLabelsMatchExpensivePredicate(t *testing.T) {
 		}
 		for _, sz := range []Size{XS, L, XXL} {
 			in := suite.Instances[sz]
-			exp := in.ExpensiveObjects()
+			exp := in.ExpensiveObjectsScaled(1)
 			r := xrand.New(uint64(sz))
 			for trial := 0; trial < 200; trial++ {
 				i := r.IntN(in.N())
