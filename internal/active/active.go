@@ -5,13 +5,11 @@
 package active
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/learn"
-	"repro/internal/predicate"
 	"repro/internal/xrand"
 )
 
@@ -72,14 +70,12 @@ type Config struct {
 // Train labels initialIdx, fits a classifier, then runs cfg.Rounds
 // augmentation steps of augmentPer objects each. It returns the final
 // classifier plus all labeled indices and their labels (the training set S
-// = S0 ∪ S1 ∪ …). Cancellation of ctx is checked before every label; a nil
-// ctx means context.Background().
-func Train(ctx context.Context, cfg Config, features [][]float64, pred predicate.Predicate,
+// = S0 ∪ S1 ∪ …). label labels a set of distinct objects; each step's set
+// is chosen before label sees it, and label's error (a cancellation, say)
+// is returned as it is.
+func Train(cfg Config, features [][]float64, label func([]int) ([]bool, error),
 	initialIdx []int, augmentPer int, r *xrand.Rand) (learn.Classifier, []int, []bool, error) {
 
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if cfg.Factory == nil {
 		return nil, nil, nil, fmt.Errorf("active: nil classifier factory")
 	}
@@ -90,17 +86,18 @@ func Train(ctx context.Context, cfg Config, features [][]float64, pred predicate
 	var idx []int
 	var labels []bool
 	addLabeled := func(objs []int) error {
+		var fresh []int
 		for _, i := range objs {
-			if labeledSet[i] {
-				continue
+			if !labeledSet[i] {
+				labeledSet[i] = true
+				fresh = append(fresh, i)
 			}
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("active: training canceled: %w", err)
-			}
-			labeledSet[i] = true
-			idx = append(idx, i)
-			labels = append(labels, pred.Eval(i))
 		}
+		got, err := label(fresh)
+		if err != nil {
+			return err
+		}
+		idx, labels = append(idx, fresh...), append(labels, got...)
 		return nil
 	}
 	if err := addLabeled(initialIdx); err != nil {

@@ -1,7 +1,6 @@
 package active
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/learn"
@@ -19,6 +18,11 @@ func lineWorld(n int, threshold float64) ([][]float64, predicate.Predicate) {
 		labels[i] = v > threshold
 	}
 	return features, predicate.NewLabels(labels)
+}
+
+// labelBy is Train's label function over pred.
+func labelBy(pred predicate.Predicate) func([]int) ([]bool, error) {
+	return func(idxs []int) ([]bool, error) { return predicate.Label(pred, idxs, nil) }
 }
 
 func TestSelectUncertainPrefersBoundary(t *testing.T) {
@@ -102,7 +106,7 @@ func TestTrainImprovesClassifier(t *testing.T) {
 		initial[i] = r.IntN(2000)
 	}
 	cfg := Config{Factory: factory, Rounds: 2}
-	clf, idx, labels, err := Train(context.Background(), cfg, features, pred, initial, 30, r)
+	clf, idx, labels, err := Train(cfg, features, labelBy(pred), initial, 30, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestTrainLabelsAreConsistent(t *testing.T) {
 	features, pred := lineWorld(500, 0.5)
 	r := xrand.New(4)
 	factory := func() learn.Classifier { return learn.NewKNN(3) }
-	clf, idx, labels, err := Train(context.Background(), Config{Factory: factory, Rounds: 1}, features, pred, []int{1, 100, 200, 300, 499}, 5, r)
+	clf, idx, labels, err := Train(Config{Factory: factory, Rounds: 1}, features, labelBy(pred), []int{1, 100, 200, 300, 499}, 5, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +155,11 @@ func TestTrainLabelsAreConsistent(t *testing.T) {
 func TestTrainErrors(t *testing.T) {
 	features, pred := lineWorld(100, 0.5)
 	r := xrand.New(5)
-	if _, _, _, err := Train(context.Background(), Config{}, features, pred, []int{1}, 5, r); err == nil {
+	if _, _, _, err := Train(Config{}, features, labelBy(pred), []int{1}, 5, r); err == nil {
 		t.Fatal("nil factory should error")
 	}
 	factory := func() learn.Classifier { return learn.NewKNN(3) }
-	if _, _, _, err := Train(context.Background(), Config{Factory: factory}, features, pred, nil, 5, r); err == nil {
+	if _, _, _, err := Train(Config{Factory: factory}, features, labelBy(pred), nil, 5, r); err == nil {
 		t.Fatal("empty initial sample should error")
 	}
 }
@@ -164,7 +168,7 @@ func TestTrainCostAccounting(t *testing.T) {
 	features, pred := lineWorld(500, 0.5)
 	r := xrand.New(6)
 	factory := func() learn.Classifier { return learn.NewKNN(3) }
-	_, idx, _, err := Train(context.Background(), Config{Factory: factory, Rounds: 1}, features, pred, []int{0, 100, 200, 300, 400}, 10, r)
+	_, idx, _, err := Train(Config{Factory: factory, Rounds: 1}, features, labelBy(pred), []int{0, 100, 200, 300, 400}, 10, r)
 	if err != nil {
 		t.Fatal(err)
 	}

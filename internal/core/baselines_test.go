@@ -163,4 +163,3 @@ func (l *labelsAdapter) Eval(i int) bool {
 	return l.labels[i]
 }
 func (l *labelsAdapter) Evals() int64 { return l.n }
-func (l *labelsAdapter) ResetCount()  { l.n = 0 }

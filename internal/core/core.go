@@ -11,10 +11,12 @@
 //
 // The methods share one skeleton, and each shared step has one definition:
 //
-//   - the run frame (frame, this file): ctx defaulting, q behind a timer,
-//     the evaluation counter, and the Result / GroupedResult epilogue
-//     (Method, Evals, Timing.Predicate). A body keeps its own checkBudget
-//     (the oracles skip it) and its own phases.
+//   - the run frame (frame, this file): ctx defaulting, the one labeling
+//     loop (frame.label: timed, canceled, and memoized for the grouped
+//     plans) every phase spends q through once its selection is drawn, the
+//     evaluation counter, and the Result / GroupedResult epilogue (Method,
+//     Evals, Timing.Predicate). A body keeps its own checkBudget (the
+//     oracles skip it) and its own phases.
 //   - the learn step (frame.learn, learnphase.go) of LWS, LSS, QLCC, QLAC
 //     and GroupedLSS: default classifier, label and fit the learn sample
 //     (optionally augmented by uncertainty sampling), count its positives,
@@ -233,40 +235,66 @@ func LearnSize(frac float64, budget, reserve int) int {
 }
 
 // frame is what every Estimate / EstimateGroups body runs in: a non-nil
-// ctx, q behind a timer (and, for the grouped plans, a memo), the
-// evaluation counter's starting value, and the result epilogue.
+// ctx, the one labeling loop (label) with the time spent inside q and, for
+// the grouped plans, a label memo, the evaluation counter's starting value,
+// and the result epilogue.
 type frame struct {
 	ctx   context.Context
 	obj   *ObjectSet
-	pred  predicate.Predicate // what the body labels through
-	timed *predicate.Timed
 	start int64
+	dur   time.Duration // inside q, across every label call
+	known []bool        // the label memo (grouped plans only): which objects
+	memo  []bool        // a label call has evaluated, and their labels
 }
 
-// open starts a run over obj; memo puts a label memo in front of q, so an
-// object several estimates read is evaluated once.
-func open(ctx context.Context, obj *ObjectSet, memo bool) frame {
+// open starts a run over obj; memo keeps a label memo, so an object several
+// estimates read is evaluated once.
+func open(ctx context.Context, obj *ObjectSet, memo bool) *frame {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tp := &predicate.Timed{P: obj.Pred}
-	f := frame{ctx: ctx, obj: obj, pred: tp, timed: tp, start: obj.Pred.Evals()}
+	f := &frame{ctx: ctx, obj: obj, start: obj.Pred.Evals()}
 	if memo {
-		f.pred = predicate.NewMemo(tp, obj.N())
+		f.known, f.memo = make([]bool, obj.N()), make([]bool, obj.N())
 	}
 	return f
 }
 
-// label labels a pre-chosen sample set, checking ctx before every
-// evaluation.
-func (f frame) label(idxs []int) ([]bool, error) {
-	return predicate.Label(f.pred, idxs, func() error { return f.canceled() })
+// label labels a pre-chosen sample set, the one way a method spends q: one
+// timed predicate.Label call that checks ctx before every evaluation (or
+// batch chunk). With a memo it evaluates only the objects no earlier call
+// did, each once, in first-occurrence order.
+func (f *frame) label(idxs []int) ([]bool, error) {
+	fresh := idxs
+	if f.known != nil {
+		fresh = nil
+		for _, i := range idxs {
+			if !f.known[i] {
+				f.known[i] = true // an error ends the run, so no later call reads it
+				fresh = append(fresh, i)
+			}
+		}
+	}
+	t0 := time.Now()
+	labels, err := predicate.Label(f.obj.Pred, fresh, f.canceled)
+	f.dur += time.Since(t0)
+	if err != nil || f.known == nil {
+		return labels, err
+	}
+	for j, i := range fresh {
+		f.memo[i] = labels[j]
+	}
+	out := make([]bool, len(idxs))
+	for j, i := range idxs {
+		out[j] = f.memo[i]
+	}
+	return out, nil
 }
 
 // canceled reports a cancellation as a wrapped, method-attributable error.
 // It is the cooperative cancellation point every labeling loop calls before
 // spending the next predicate evaluation.
-func (f frame) canceled() error {
+func (f *frame) canceled() error {
 	if err := f.ctx.Err(); err != nil {
 		return fmt.Errorf("core: estimation canceled: %w", err)
 	}
@@ -274,7 +302,7 @@ func (f frame) canceled() error {
 }
 
 // labelCount labels a pre-chosen sample set and returns its positive count.
-func (f frame) labelCount(idxs []int) (int, error) {
+func (f *frame) labelCount(idxs []int) (int, error) {
 	labels, err := f.label(idxs)
 	if err != nil {
 		return 0, err
@@ -284,20 +312,20 @@ func (f frame) labelCount(idxs []int) (int, error) {
 
 // spent closes the frame's books: evaluations of q since it opened and the
 // time spent inside them.
-func (f frame) spent() (int64, time.Duration) {
-	return f.obj.Pred.Evals() - f.start, f.timed.Dur
+func (f *frame) spent() (int64, time.Duration) {
+	return f.obj.Pred.Evals() - f.start, f.dur
 }
 
 // result finishes a run's Result: the body fills in what it estimated and
 // its phase timings, the frame the method name and what the run cost.
-func (f frame) result(method string, res Result) *Result {
+func (f *frame) result(method string, res Result) *Result {
 	res.Method = method
 	res.Evals, res.Timing.Predicate = f.spent()
 	return &res
 }
 
 // groupedResult is result for a grouped run.
-func (f frame) groupedResult(method string, res GroupedResult) *GroupedResult {
+func (f *frame) groupedResult(method string, res GroupedResult) *GroupedResult {
 	res.Method = method
 	res.Evals, res.Timing.Predicate = f.spent()
 	return &res
@@ -307,7 +335,7 @@ func (f frame) groupedResult(method string, res GroupedResult) *GroupedResult {
 // package forms it: draw alloc[h] objects from pools[h], label each
 // stratum's draw, and estimate over strata of sizes[h] objects (a pool is
 // its stratum minus whatever an earlier stage already labeled).
-func (f frame) secondStage(pools [][]int, sizes, alloc []int, r *xrand.Rand) (estimate.Result, error) {
+func (f *frame) secondStage(pools [][]int, sizes, alloc []int, r *xrand.Rand) (estimate.Result, error) {
 	draws, err := sample.Stratified(r, pools, alloc)
 	if err != nil {
 		return estimate.Result{}, err

@@ -108,7 +108,7 @@ func groupSRSEstimate(pos, n, N int, wilson bool) GroupCount {
 // and labels it through the frame's memo, so already-labeled members cost
 // nothing. The draw is unconditional over the whole group — a plain SRS of
 // the group — which keeps the fallback estimate design-unbiased.
-func (f frame) topUpGroup(members []int, target int, r *xrand.Rand) (pos int, err error) {
+func (f *frame) topUpGroup(members []int, target int, r *xrand.Rand) (pos int, err error) {
 	draw := sample.SRSFrom(r, members, target)
 	sort.Ints(draw)
 	return f.labelCount(draw)

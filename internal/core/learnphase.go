@@ -15,8 +15,8 @@ import (
 )
 
 // fitTimed adds the time spent inside Fit to *dur — the classifier's
-// counterpart of predicate.Timed, for a phase whose fits (one, or one per
-// active-learning round) happen behind a factory.
+// counterpart of the time frame.label books to q — for a phase whose fits
+// (one, or one per active-learning round) happen behind a factory.
 type fitTimed struct {
 	learn.Classifier
 	dur *time.Duration
@@ -70,7 +70,7 @@ func (l *learned) release() {
 // retraining (§3.2) — fit a classifier from newClf (nil means
 // DefaultForest) and score every object outside the sample. Cancellation is
 // checked before every label.
-func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, r *xrand.Rand) (l learned, err error) {
+func (f *frame) learn(newClf NewClassifierFunc, n int, augment bool, r *xrand.Rand) (l learned, err error) {
 	if newClf == nil {
 		newClf = DefaultForest
 	}
@@ -88,8 +88,8 @@ func (f frame) learn(newClf NewClassifierFunc, n int, augment bool, r *xrand.Ran
 		}
 		initial := max(n-nAug, 2)
 		initIdx := sample.SRS(r, f.obj.N(), initial)
-		clf, l.SL, l.labels, err = active.Train(f.ctx, active.Config{Factory: factory, Rounds: 1},
-			f.obj.Features, f.pred, initIdx, nAug, r)
+		clf, l.SL, l.labels, err = active.Train(active.Config{Factory: factory, Rounds: 1},
+			f.obj.Features, f.label, initIdx, nAug, r)
 		if err != nil {
 			return l, err
 		}

@@ -50,9 +50,10 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 		return nil, err
 	}
 	defer l.release()
-	restIdx, tp := l.restIdx, f.timed
+	restIdx := l.restIdx
 
-	// Phase 2: PPS sampling. Default: without replacement + Des Raj.
+	// Phase 2: PPS sampling. Default: without replacement + Des Raj. Every
+	// draw is made before any of its labels, then all are labeled at once.
 	t1 := time.Now()
 	eps := m.epsilon()
 	weights := make([]float64, len(l.scores))
@@ -63,39 +64,44 @@ func (m *LWS) Estimate(ctx context.Context, obj *ObjectSet, budget int, r *xrand
 	if nSample > len(restIdx) {
 		nSample = len(restIdx)
 	}
-	var res estimate.Result
+	draws := make([]int, 0, nSample)
+	probs := make([]float64, 0, nSample)
+	var est interface {
+		Add(positive bool, p float64)
+		Estimate(alpha float64) estimate.Result
+	}
 	if m.WithReplacement {
 		sampler, err := sample.NewWithReplacement(weights)
 		if err != nil {
 			return nil, err
 		}
-		hh := estimate.NewHansenHurwitz(len(restIdx))
-		for i := 0; i < nSample; i++ {
-			if err := f.canceled(); err != nil {
-				return nil, err
-			}
+		for range nSample {
 			j := sampler.Draw(r)
-			hh.Add(tp.Eval(restIdx[j]), sampler.Prob(j))
+			draws, probs = append(draws, restIdx[j]), append(probs, sampler.Prob(j))
 		}
-		res = hh.Estimate(Alpha)
+		est = estimate.NewHansenHurwitz(len(restIdx))
 	} else {
 		sampler, err := sample.NewWeighted(weights)
 		if err != nil {
 			return nil, err
 		}
-		dr := estimate.NewDesRaj(len(restIdx))
-		for i := 0; i < nSample; i++ {
-			if err := f.canceled(); err != nil {
-				return nil, err
-			}
+		for range nSample {
 			j, err := sampler.Draw(r)
 			if err != nil {
 				break
 			}
-			dr.Add(tp.Eval(restIdx[j]), sampler.InitialProb(j))
+			draws, probs = append(draws, restIdx[j]), append(probs, sampler.InitialProb(j))
 		}
-		res = dr.Estimate(Alpha)
+		est = estimate.NewDesRaj(len(restIdx))
 	}
+	labels, err := f.label(draws)
+	if err != nil {
+		return nil, err
+	}
+	for k, y := range labels {
+		est.Add(y, probs[k])
+	}
+	res := est.Estimate(Alpha)
 
 	timing := l.timing
 	timing.Sample = time.Since(t1)

@@ -22,22 +22,23 @@ type Result struct {
 	SamplesUsed int
 }
 
-// Proportion estimates p from a 0/1 SRS sample of size n drawn without
-// replacement from N objects, with a Wald interval (finite population
-// corrected). Use Wilson for extreme selectivities.
-func Proportion(positives, n, N int, alpha float64) Result {
-	phat := 0.0
+// SRS is the simple-random-sample estimate of a population of N from pos
+// positives among n draws without replacement: p̂ with its finite-population
+// corrected standard error and a Wald or, with wilson, a Wilson score
+// interval (the one for extreme selectivities).
+func SRS(pos, n, N int, alpha float64, wilson bool) Result {
+	phat, se := 0.0, 0.0
 	if n > 0 {
-		phat = float64(positives) / float64(n)
-	}
-	se := 0.0
-	if n > 0 {
+		phat = float64(pos) / float64(n)
 		se = math.Sqrt(phat * (1 - phat) / float64(n))
 		if N > 1 {
 			se *= math.Sqrt(float64(N-n) / float64(N-1))
 		}
 	}
 	iv := stats.WaldInterval(phat, n, N, alpha)
+	if wilson {
+		iv = stats.WilsonInterval(phat, n, alpha)
+	}
 	return Result{
 		Proportion:  phat,
 		Count:       phat * float64(N),
@@ -46,22 +47,6 @@ func Proportion(positives, n, N int, alpha float64) Result {
 		Alpha:       alpha,
 		SamplesUsed: n,
 	}
-}
-
-// ProportionWilson is Proportion with the Wilson score interval.
-func ProportionWilson(positives, n, N int, alpha float64) Result {
-	res := Proportion(positives, n, N, alpha)
-	res.CI = stats.WilsonInterval(res.Proportion, n, alpha).Scale(float64(N))
-	return res
-}
-
-// SRS is the simple-random-sample estimate of a population of N from pos
-// positives among n draws, with a Wald or, with wilson, a Wilson interval.
-func SRS(pos, n, N int, alpha float64, wilson bool) Result {
-	if wilson {
-		return ProportionWilson(pos, n, N, alpha)
-	}
-	return Proportion(pos, n, N, alpha)
 }
 
 // Positives counts the true labels.

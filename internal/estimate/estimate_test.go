@@ -10,7 +10,7 @@ import (
 )
 
 func TestProportionBasics(t *testing.T) {
-	res := Proportion(30, 100, 1000, 0.05)
+	res := SRS(30, 100, 1000, 0.05, false)
 	if math.Abs(res.Proportion-0.3) > 1e-12 {
 		t.Fatalf("phat = %v", res.Proportion)
 	}
@@ -24,21 +24,21 @@ func TestProportionBasics(t *testing.T) {
 		t.Fatalf("SamplesUsed = %d", res.SamplesUsed)
 	}
 	// n = 0 degenerates gracefully.
-	res0 := Proportion(0, 0, 1000, 0.05)
+	res0 := SRS(0, 0, 1000, 0.05, false)
 	if res0.CI.Lo != 0 || res0.CI.Hi != 1000 {
 		t.Fatalf("empty-sample CI = %v", res0.CI)
 	}
 }
 
 func TestProportionCensusHasNoError(t *testing.T) {
-	res := Proportion(300, 1000, 1000, 0.05)
+	res := SRS(300, 1000, 1000, 0.05, false)
 	if res.StdErr != 0 || res.CI.Width() > 1e-9 {
 		t.Fatalf("census should be exact: %+v", res)
 	}
 }
 
 func TestProportionWilson(t *testing.T) {
-	res := ProportionWilson(0, 50, 1000, 0.05)
+	res := SRS(0, 50, 1000, 0.05, true)
 	if res.CI.Hi <= 0 {
 		t.Fatal("Wilson upper bound must be positive at p̂=0")
 	}
@@ -69,7 +69,7 @@ func TestProportionUnbiased(t *testing.T) {
 				pos++
 			}
 		}
-		sum += Proportion(pos, 200, N, 0.05).Count
+		sum += SRS(pos, 200, N, 0.05, false).Count
 	}
 	mean := sum / trials
 	se := float64(trueCount) * 0.05 // loose tolerance

@@ -8,6 +8,7 @@ import (
 	"repro/internal/active"
 	"repro/internal/core"
 	"repro/internal/learn"
+	"repro/internal/predicate"
 	"repro/internal/sample"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -74,7 +75,8 @@ func Fig1(o Options) (*Report, error) {
 
 	factory := func() learn.Classifier { return learn.NewKNN(5) }
 	initIdx := sample.SRS(r, in.N(), initial)
-	clf, idx, labels, err := active.Train(context.Background(), active.Config{Factory: factory, Rounds: 0}, obj.Features, obj.Pred, initIdx, 0, r)
+	label := func(idxs []int) ([]bool, error) { return predicate.Label(obj.Pred, idxs, nil) }
+	clf, idx, labels, err := active.Train(active.Config{Factory: factory, Rounds: 0}, obj.Features, label, initIdx, 0, r)
 	if err != nil {
 		return nil, err
 	}

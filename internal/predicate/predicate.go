@@ -10,15 +10,14 @@
 // Eval is itself thread-safe (a pure function of the object index) may be
 // shared across goroutines. Predicates that additionally implement
 // BatchPredicate label a pre-chosen sample set in one call — the batch may
-// run on a worker pool internally — and AsBatch discovers that capability
-// through wrapper chains (Memo and Timed here).
+// run on a worker pool internally — and Label, the one labeling loop, takes
+// that path whenever the predicate offers it.
 package predicate
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/par"
@@ -29,7 +28,6 @@ import (
 type Predicate interface {
 	Eval(i int) bool
 	Evals() int64
-	ResetCount()
 }
 
 // BatchPredicate is a Predicate that can label a pre-chosen set of objects
@@ -43,35 +41,12 @@ type BatchPredicate interface {
 	EvalBatch(idxs []int, out []bool)
 }
 
-// batchSource is the hook wrappers implement so AsBatch can see through
-// them: the wrapper returns a batch view that preserves its own semantics
-// (memoization, timing) while delegating bulk evaluation inward.
-type batchSource interface {
-	AsBatch() (BatchPredicate, bool)
-}
-
-// AsBatch returns a batch view of p when its evaluation chain supports
-// native batched evaluation, unwrapping wrappers along the way. Predicates
-// that merely loop over Eval internally do not count: callers that get
-// ok=false should run their own sequential loop (keeping per-evaluation
-// cancellation checks).
-func AsBatch(p Predicate) (BatchPredicate, bool) {
-	if w, ok := p.(batchSource); ok {
-		return w.AsBatch()
-	}
-	if bp, ok := p.(BatchPredicate); ok {
-		return bp, true
-	}
-	return nil, false
-}
-
 // counter implements the counting half of Predicate for embedding. The
 // count is atomic, so predicates with thread-safe Eval may be hammered from
 // any number of goroutines without losing evaluations.
 type counter struct{ n atomic.Int64 }
 
 func (c *counter) Evals() int64 { return c.n.Load() }
-func (c *counter) ResetCount()  { c.n.Store(0) }
 
 // Func adapts a plain function to a counting Predicate. The function may be
 // called from one goroutine at a time (the SDK makes no thread-safety
@@ -105,9 +80,6 @@ func (p *Labels) Eval(i int) bool {
 	p.n.Add(1)
 	return p.labels[i]
 }
-
-// Len returns the number of labeled objects.
-func (p *Labels) Len() int { return len(p.labels) }
 
 // Skyband is Example 2's predicate: object i is positive iff fewer than k
 // points dominate it. Each evaluation is a deliberate O(N) scan — the
@@ -143,9 +115,6 @@ func (p *Skyband) Eval(i int) bool {
 	}
 	return dom < p.k
 }
-
-// K returns the skyband depth parameter.
-func (p *Skyband) K() int { return p.k }
 
 // Neighbors is Example 1's predicate: object i is positive iff at most k
 // other points lie within Euclidean distance d. Each evaluation is a
@@ -185,84 +154,6 @@ func (p *Neighbors) Eval(i int) bool {
 		}
 	}
 	return cnt <= p.k
-}
-
-// Memo caches the result of an underlying predicate per object, so that
-// ground truth can be computed once and re-read freely. Evals counts only
-// underlying (uncached) evaluations. Memo itself is not safe for concurrent
-// use — the estimation methods own one per run — but its batch view labels
-// the not-yet-known subset of a batch through the underlying predicate's
-// (possibly parallel) batch path.
-type Memo struct {
-	p      Predicate
-	known  []bool
-	result []bool
-}
-
-// NewMemo wraps p with an n-object cache.
-func NewMemo(p Predicate, n int) *Memo {
-	return &Memo{p: p, known: make([]bool, n), result: make([]bool, n)}
-}
-
-// Eval returns the cached result, evaluating the underlying predicate at
-// most once per object.
-func (m *Memo) Eval(i int) bool {
-	if !m.known[i] {
-		m.result[i] = m.p.Eval(i)
-		m.known[i] = true
-	}
-	return m.result[i]
-}
-
-// Evals reports underlying evaluations.
-func (m *Memo) Evals() int64 { return m.p.Evals() }
-
-// ResetCount resets the underlying counter (the cache is retained).
-func (m *Memo) ResetCount() { m.p.ResetCount() }
-
-// AsBatch exposes the memo's batch view when the underlying predicate
-// supports batched evaluation.
-func (m *Memo) AsBatch() (BatchPredicate, bool) {
-	bp, ok := AsBatch(m.p)
-	if !ok {
-		return nil, false
-	}
-	return &memoBatch{m: m, bp: bp}, true
-}
-
-// memoBatch is Memo's batch view: unknown batch members are deduplicated,
-// labeled through the underlying batch predicate in one call, and cached;
-// known members cost nothing.
-type memoBatch struct {
-	m  *Memo
-	bp BatchPredicate
-}
-
-func (b *memoBatch) Eval(i int) bool { return b.m.Eval(i) }
-func (b *memoBatch) Evals() int64    { return b.m.Evals() }
-func (b *memoBatch) ResetCount()     { b.m.ResetCount() }
-
-func (b *memoBatch) EvalBatch(idxs []int, out []bool) {
-	m := b.m
-	var unknown []int
-	queued := make(map[int]bool)
-	for _, i := range idxs {
-		if !m.known[i] && !queued[i] {
-			unknown = append(unknown, i)
-			queued[i] = true
-		}
-	}
-	if len(unknown) > 0 {
-		fresh := make([]bool, len(unknown))
-		b.bp.EvalBatch(unknown, fresh)
-		for j, i := range unknown {
-			m.result[i] = fresh[j]
-			m.known[i] = true
-		}
-	}
-	for j, i := range idxs {
-		out[j] = m.result[i]
-	}
 }
 
 // EngineExists evaluates a decomposed SQL predicate (Q3) through the query
@@ -379,43 +270,22 @@ func AllIndices(n int) []int {
 	return idxs
 }
 
-// chunkedBatchSize bounds one EvalBatch call inside EvalBatchChunked: large
-// enough to amortize parallel fan-out, small enough that a cancellation
-// check between chunks keeps even evaluate-everything passes responsive.
-const chunkedBatchSize = 4096
-
-// EvalBatchChunked labels idxs through bp in bounded chunks, calling stop
-// (which may be nil) between chunks. It is how callers keep cooperative
-// cancellation on batches whose total size is unbounded: labels are pure
-// per-index functions, so chunking changes nothing about the result, and a
-// non-nil stop error aborts the remaining chunks and is returned.
-func EvalBatchChunked(bp BatchPredicate, idxs []int, out []bool, stop func() error) error {
-	for lo := 0; lo < len(idxs); lo += chunkedBatchSize {
-		if stop != nil {
-			if err := stop(); err != nil {
-				return err
-			}
-		}
-		hi := lo + chunkedBatchSize
-		if hi > len(idxs) {
-			hi = len(idxs)
-		}
-		bp.EvalBatch(idxs[lo:hi], out[lo:hi])
-	}
-	return nil
-}
+// labelChunk bounds one EvalBatch call inside Label: large enough to
+// amortize parallel fan-out, small enough that a cancellation check between
+// chunks keeps even evaluate-everything passes responsive.
+const labelChunk = 4096
 
 // Label labels a pre-chosen index set through pred and returns the label
-// vector: the one labeling loop behind every estimation path. When the
-// predicate's chain supports native batched evaluation the set is labeled
-// in bounded (possibly parallel) batch chunks; otherwise sequentially.
-// Index sets are chosen before labeling and labels are pure functions of
-// the object index, so both paths produce byte-identical results — batching
-// (and its internal parallelism) is a pure throughput knob. stop (which may
-// be nil) is the caller's cooperative cancellation check, worded in the
-// caller's own error vocabulary: it runs before the first evaluation, then
-// between batch chunks, or before every evaluation on the sequential path —
-// the one observable difference between the two.
+// vector: the one labeling loop behind every estimation path. A
+// BatchPredicate labels the set in chunks of labelChunk (each possibly
+// parallel); any other predicate one evaluation at a time. Index sets are
+// chosen before labeling and labels are pure functions of the object index,
+// so both paths produce byte-identical results — batching (and its internal
+// parallelism) is a pure throughput knob. stop (which may be nil) is the
+// caller's cooperative cancellation check, worded in the caller's own error
+// vocabulary: it runs before the first evaluation, then between batch
+// chunks, or between evaluations on the sequential path — the one
+// observable difference between the two.
 func Label(pred Predicate, idxs []int, stop func() error) ([]bool, error) {
 	if stop == nil {
 		stop = func() error { return nil }
@@ -423,80 +293,24 @@ func Label(pred Predicate, idxs []int, stop func() error) ([]bool, error) {
 	if err := stop(); err != nil {
 		return nil, err
 	}
-	out := make([]bool, len(idxs))
-	if bp, ok := AsBatch(pred); ok {
-		if err := EvalBatchChunked(bp, idxs, out, stop); err != nil {
-			return nil, err
-		}
-		return out, nil
+	bp, batch := pred.(BatchPredicate)
+	step := 1
+	if batch {
+		step = labelChunk
 	}
-	for j, i := range idxs {
-		if err := stop(); err != nil {
-			return nil, err
+	out := make([]bool, len(idxs))
+	for lo := 0; lo < len(idxs); lo += step {
+		if lo > 0 {
+			if err := stop(); err != nil {
+				return nil, err
+			}
 		}
-		out[j] = pred.Eval(i)
+		if !batch {
+			out[lo] = pred.Eval(idxs[lo])
+			continue
+		}
+		hi := min(lo+step, len(idxs))
+		bp.EvalBatch(idxs[lo:hi], out[lo:hi])
 	}
 	return out, nil
-}
-
-// Timed wraps a predicate, accumulating in Dur the wall time spent inside
-// q so callers can separate labeling cost from overhead. The duration
-// accumulates on the wrapper's single owning goroutine; only a batch's
-// internals may be parallel.
-type Timed struct {
-	P   Predicate
-	Dur time.Duration
-}
-
-// Eval times one evaluation of the wrapped predicate.
-func (t *Timed) Eval(i int) bool {
-	t0 := time.Now()
-	v := t.P.Eval(i)
-	t.Dur += time.Since(t0)
-	return v
-}
-
-// Evals reports the wrapped predicate's evaluation count.
-func (t *Timed) Evals() int64 { return t.P.Evals() }
-
-// ResetCount resets the wrapped predicate's evaluation count.
-func (t *Timed) ResetCount() { t.P.ResetCount() }
-
-// AsBatch exposes the wrapped predicate's batch path, timing each whole
-// batch call (a batch is pure labeling work).
-func (t *Timed) AsBatch() (BatchPredicate, bool) {
-	bp, ok := AsBatch(t.P)
-	if !ok {
-		return nil, false
-	}
-	return timedBatch{t, bp}, true
-}
-
-type timedBatch struct {
-	*Timed
-	bp BatchPredicate
-}
-
-func (tb timedBatch) EvalBatch(idxs []int, out []bool) {
-	t0 := time.Now()
-	tb.bp.EvalBatch(idxs, out)
-	tb.Dur += time.Since(t0)
-}
-
-// Count evaluates q over every object (the exact, expensive path) and
-// returns the positive count.
-func Count(p Predicate, n int) int {
-	c := 0
-	for _, v := range TrueLabels(p, n) {
-		if v {
-			c++
-		}
-	}
-	return c
-}
-
-// TrueLabels evaluates q over every object and returns the label vector.
-func TrueLabels(p Predicate, n int) []bool {
-	out, _ := Label(p, AllIndices(n), nil) // no stop, no error
-	return out
 }

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"errors"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -22,17 +23,10 @@ func TestFuncCounting(t *testing.T) {
 	if p.Evals() != 2 {
 		t.Fatalf("Evals = %d", p.Evals())
 	}
-	p.ResetCount()
-	if p.Evals() != 0 {
-		t.Fatal("ResetCount failed")
-	}
 }
 
 func TestLabels(t *testing.T) {
 	p := NewLabels([]bool{true, false, true})
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d", p.Len())
-	}
 	if !p.Eval(0) || p.Eval(1) || !p.Eval(2) {
 		t.Fatal("wrong labels")
 	}
@@ -55,9 +49,6 @@ func TestSkybandAgainstGeom(t *testing.T) {
 	counts := geom.DominanceCounts(pts)
 	for _, k := range []int{1, 3, 10} {
 		p := NewSkyband(xs, ys, k)
-		if p.K() != k {
-			t.Fatalf("K() = %d", p.K())
-		}
 		for i := 0; i < n; i++ {
 			want := counts[i] < k
 			if got := p.Eval(i); got != want {
@@ -97,37 +88,82 @@ func TestNeighborsAgainstKDTree(t *testing.T) {
 	}
 }
 
-func TestMemo(t *testing.T) {
-	calls := 0
-	inner := NewFunc(func(i int) bool { calls++; return i > 2 })
-	m := NewMemo(inner, 5)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 5; i++ {
-			if got := m.Eval(i); got != (i > 2) {
-				t.Fatalf("Eval(%d) = %v", i, got)
-			}
+// TestCountAndTrueLabels checks that Label over every index returns the
+// true label vector, whose positives are the count.
+func TestCountAndTrueLabels(t *testing.T) {
+	labels, err := Label(NewLabels([]bool{true, false, true, true}), AllIndices(4), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	for _, l := range labels {
+		if l {
+			count++
 		}
 	}
-	if calls != 5 {
-		t.Fatalf("underlying calls = %d, want 5", calls)
+	if count != 3 {
+		t.Fatalf("count = %d", count)
 	}
-	if m.Evals() != 5 {
-		t.Fatalf("Evals = %d", m.Evals())
+	labels, err = Label(NewLabels([]bool{true, false}), AllIndices(2), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.ResetCount()
-	if m.Evals() != 0 {
-		t.Fatal("ResetCount")
+	if !labels[0] || labels[1] {
+		t.Fatalf("true labels = %v", labels)
 	}
 }
 
-func TestCountAndTrueLabels(t *testing.T) {
-	p := NewLabels([]bool{true, false, true, true})
-	if got := Count(p, 4); got != 3 {
-		t.Fatalf("Count = %d", got)
+// TestLabel checks both paths of the one labeling loop: a BatchPredicate
+// is labeled in labelChunk-sized batches with stop between them, any other
+// predicate one evaluation at a time with stop between evaluations, and
+// both give the same labels at one evaluation per index.
+func TestLabel(t *testing.T) {
+	n := 2*labelChunk + 5
+	want := func(i int) bool { return i%3 == 0 }
+	idxs := make([]int, n)
+	for j := range idxs {
+		idxs[j] = (j * 7) % n
 	}
-	labels := TrueLabels(NewLabels([]bool{true, false}), 2)
-	if !labels[0] || labels[1] {
-		t.Fatalf("TrueLabels = %v", labels)
+	for _, tc := range []struct {
+		name  string
+		pred  Predicate
+		stops int   // calls of stop on a full run
+		step  int64 // evaluations between two calls
+	}{
+		{"sequential", NewFunc(want), n, 1},
+		{"batch", NewCompiled(func() func(int) bool { return want }, 1), 3, labelChunk},
+	} {
+		stops := 0
+		labels, err := Label(tc.pred, idxs, func() error { stops++; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range idxs {
+			if labels[j] != want(i) {
+				t.Fatalf("%s: label %d of object %d wrong", tc.name, j, i)
+			}
+		}
+		if tc.pred.Evals() != int64(n) || stops != tc.stops {
+			t.Fatalf("%s: %d evaluations and %d stop checks, want %d and %d", tc.name, tc.pred.Evals(), stops, n, tc.stops)
+		}
+		// A stop error aborts the rest: the sequential path after one
+		// evaluation, the batch path after one chunk.
+		before, calls := tc.pred.Evals(), 0
+		errStop := errors.New("stop")
+		if _, err := Label(tc.pred, idxs, func() error {
+			if calls++; calls > 1 {
+				return errStop
+			}
+			return nil
+		}); !errors.Is(err, errStop) {
+			t.Fatalf("%s: stop error %v", tc.name, err)
+		}
+		if got := tc.pred.Evals() - before; got != tc.step {
+			t.Fatalf("%s: %d evaluations before the stop, want %d", tc.name, got, tc.step)
+		}
+	}
+	if labels, err := Label(NewFunc(want), nil, nil); err != nil || len(labels) != 0 {
+		t.Fatalf("empty set: %v, %v", labels, err)
 	}
 }
 
@@ -262,10 +298,6 @@ func TestConcurrentEvalCounting(t *testing.T) {
 	if got := p.Evals(); got != workers*perWorker {
 		t.Fatalf("Evals = %d, want %d (lost updates)", got, workers*perWorker)
 	}
-	p.ResetCount()
-	if p.Evals() != 0 {
-		t.Fatalf("ResetCount left %d", p.Evals())
-	}
 }
 
 // TestCompiledEvalBatch checks the parallel batch path against sequential
@@ -333,43 +365,20 @@ func raceEnabled() bool {
 	return false
 }
 
-// TestMemoBatch checks that the memo's batch view evaluates each unknown
-// object exactly once and serves repeats from the cache.
-func TestMemoBatch(t *testing.T) {
-	n := 100
-	base := NewCompiled(func() func(int) bool {
-		return func(i int) bool { return i%2 == 0 }
-	}, 1)
-	m := NewMemo(base, n)
-	bp, ok := AsBatch(m)
-	if !ok {
-		t.Fatal("memo over a batch predicate should expose a batch view")
-	}
-	idxs := []int{3, 4, 4, 7, 3, 10}
-	out := make([]bool, len(idxs))
-	bp.EvalBatch(idxs, out)
-	for j, i := range idxs {
-		if out[j] != (i%2 == 0) {
-			t.Fatalf("out[%d] wrong", j)
+// TestAsBatchSequentialOnly checks that predicates without a native batch
+// path (user callbacks, the interpreted engine predicate) are not batchable,
+// so Label evaluates them one object at a time, while Compiled is.
+func TestAsBatchSequentialOnly(t *testing.T) {
+	for name, p := range map[string]Predicate{
+		"Func":         NewFunc(func(int) bool { return true }),
+		"EngineExists": (*EngineExists)(nil),
+	} {
+		if _, ok := p.(BatchPredicate); ok {
+			t.Fatalf("%s must not be batchable", name)
 		}
 	}
-	if base.Evals() != 4 { // 3, 4, 7, 10 — duplicates deduplicated
-		t.Fatalf("underlying evals = %d, want 4", base.Evals())
-	}
-	bp.EvalBatch([]int{3, 4, 99}, make([]bool, 3))
-	if base.Evals() != 5 { // only 99 is new
-		t.Fatalf("underlying evals = %d, want 5", base.Evals())
-	}
-}
-
-// TestAsBatchSequentialOnly checks that predicates without a native batch
-// path (user callbacks, the interpreted engine predicate) are not reported
-// as batchable.
-func TestAsBatchSequentialOnly(t *testing.T) {
-	if _, ok := AsBatch(NewFunc(func(int) bool { return true })); ok {
-		t.Fatal("Func must not be batchable")
-	}
-	if _, ok := AsBatch(NewMemo(NewFunc(func(int) bool { return true }), 4)); ok {
-		t.Fatal("Memo over a sequential predicate must not be batchable")
+	var p Predicate = NewCompiled(func() func(int) bool { return func(int) bool { return true } }, 1)
+	if _, ok := p.(BatchPredicate); !ok {
+		t.Fatal("Compiled must be batchable")
 	}
 }
