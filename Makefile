@@ -47,7 +47,8 @@
 #                      score order vs the comparator sort, presorted
 #                      forest fit vs its per-node-sort reference, rank-grid
 #                      forest scoring vs the walk, compiled predicate
-#                      closures vs the interpreter) — the CI crash gate
+#                      closures vs the interpreter, int columns around
+#                      ±2^53 included) — the CI crash gate
 
 GO ?= go
 

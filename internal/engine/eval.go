@@ -133,9 +133,11 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 
 // evalBool evaluates e where a boolean is wanted. AND and OR short-circuit,
 // NOT negates, and the six comparisons are false when either side is NULL
-// and compare's verdict otherwise; any other expression must evaluate to a
-// boolean. clause, when not empty, names the WHERE or HAVING clause whose
-// top-level expression e is, for the error a non-boolean value raises there.
+// and compare's verdict otherwise, taken on the two numbers directly when
+// both operands are numeric leaves (numLeaf); any other expression must
+// evaluate to a boolean. clause, when not empty, names the WHERE or HAVING
+// clause whose top-level expression e is, for the error a non-boolean value
+// raises there.
 func (ev *Evaluator) evalBool(e sql.Expr, sc *Scope, aggs aggEnv, clause string) (bool, error) {
 	switch x := e.(type) {
 	case *sql.UnaryExpr:
@@ -155,32 +157,12 @@ func (ev *Evaluator) evalBool(e sql.Expr, sc *Scope, aggs aggEnv, clause string)
 			}
 			return ev.evalBool(x.R, sc, aggs, "")
 		case "=", "<>", "<", "<=", ">", ">=":
-			l, err := ev.eval(x.L, sc, aggs)
-			if err != nil {
-				return false, err
+			if l, ok := ev.numLeaf(x.L, sc); ok {
+				if r, ok := ev.numLeaf(x.R, sc); ok {
+					return l.Kind != KNull && r.Kind != KNull && holds(x.Op, l.cmp(r)), nil
+				}
 			}
-			r, err := ev.eval(x.R, sc, aggs)
-			if err != nil || l.Kind == KNull || r.Kind == KNull {
-				return false, err
-			}
-			c, err := compare(&l, &r)
-			if err != nil {
-				return false, err
-			}
-			switch x.Op {
-			case "=":
-				return c == 0, nil
-			case "<>":
-				return c != 0, nil
-			case "<":
-				return c < 0, nil
-			case "<=":
-				return c <= 0, nil
-			case ">":
-				return c > 0, nil
-			default:
-				return c >= 0, nil
-			}
+			return ev.compareBoxed(x, sc, aggs)
 		}
 	}
 	v, err := ev.eval(e, sc, aggs)
@@ -192,6 +174,66 @@ func (ev *Evaluator) evalBool(e sql.Expr, sc *Scope, aggs aggEnv, clause string)
 		return false, fmt.Errorf("engine: %s is not boolean: %w", clause, err)
 	}
 	return b, err
+}
+
+// compareBoxed evaluates comparison x through two Values and compare: the
+// path of every comparison whose operands are not both numeric leaves.
+func (ev *Evaluator) compareBoxed(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (bool, error) {
+	l, err := ev.eval(x.L, sc, aggs)
+	if err != nil {
+		return false, err
+	}
+	r, err := ev.eval(x.R, sc, aggs)
+	if err != nil || l.Kind == KNull || r.Kind == KNull {
+		return false, err
+	}
+	c, err := compare(&l, &r)
+	if err != nil {
+		return false, err
+	}
+	return holds(x.Op, c), nil
+}
+
+// numLeaf reads e as a number without building a Value when e is a numeric
+// leaf: a numeric literal, a parameter, or a column that resolved to a
+// numeric column of a base table or to a numeric or NULL cell of a
+// materialized relation. A leaf cannot fail, so when either operand of a
+// comparison is not one, evaluating both again through compareBoxed
+// changes nothing but the time taken.
+func (ev *Evaluator) numLeaf(e sql.Expr, sc *Scope) (num, bool) {
+	switch x := e.(type) {
+	case *sql.NumberLit:
+		if x.IsInt {
+			return num{Kind: KInt, I: int64(x.Value)}, true
+		}
+		return num{Kind: KFloat, F: x.Value}, true
+	case *sql.ColumnRef:
+		r, err := sc.column(x)
+		switch {
+		case err != nil: // compareBoxed raises it
+		case r == nil:
+			if pv, ok := ev.Params[x.Name]; ok && x.Qualifier == "" {
+				return numOf(&pv)
+			}
+		case r.fs != nil:
+			return num{Kind: KFloat, F: r.fs[r.b.row]}, true
+		case r.is != nil:
+			return num{Kind: KInt, I: r.is[r.b.row]}, true
+		case r.rs != nil:
+			return numOf(&r.rs.Rows[r.b.row][r.col])
+		}
+	}
+	return num{}, false
+}
+
+// numOf is numLeaf's reading of a Value: ints, floats and NULL are
+// numeric leaves, strings and booleans are not.
+func numOf(v *Value) (num, bool) {
+	switch v.Kind {
+	case KInt, KFloat, KNull:
+		return num{v.Kind, v.I, v.F}, true
+	}
+	return num{}, false
 }
 
 func (ev *Evaluator) evalBinary(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (Value, error) {

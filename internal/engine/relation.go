@@ -91,18 +91,26 @@ type binding struct {
 // first evaluation — Run binds FROM before it enumerates, ObjectPredicate
 // binds the object before it evaluates — and afterwards only a binding's
 // row moves. So a column reference resolves to the same binding and column
-// on every row, and refs remembers where each one it resolved lives.
+// on every row, and refs remembers where each one it resolved lives (the
+// reference itself at the same position of keys, which the lookup scans).
 type Scope struct {
 	parent   *Scope
 	bindings []*binding
+	keys     []*sql.ColumnRef
 	refs     []resolvedRef
 }
 
-// resolvedRef is where a column reference resolved in a scope.
+// resolvedRef is where a column reference resolved in a scope. A numeric
+// column of a base table keeps its backing slice in fs or is, and a column
+// of a materialized relation keeps the relation in rs, so a comparison
+// reads the number in place (Evaluator.numLeaf) instead of through
+// Relation.Value.
 type resolvedRef struct {
-	ref *sql.ColumnRef
 	b   *binding
 	col int
+	fs  []float64
+	is  []int64
+	rs  *ResultSet
 }
 
 // NewScope returns a scope with parent as enclosing scope.
@@ -127,16 +135,29 @@ func (s *Scope) BindRow(name string, rel Relation, row int) {
 // is remembered; an unresolved or ambiguous one takes the full path, and
 // raises its error, on every evaluation.
 func (s *Scope) column(x *sql.ColumnRef) (*resolvedRef, error) {
-	for i := range s.refs {
-		if r := &s.refs[i]; r.ref == x {
-			return r, nil
+	for i, k := range s.keys {
+		if k == x {
+			return &s.refs[i], nil
 		}
 	}
 	b, ci, err := s.resolve(x.Qualifier, x.Name)
 	if b == nil {
 		return nil, err
 	}
-	s.refs = append(s.refs, resolvedRef{ref: x, b: b, col: ci})
+	r := resolvedRef{b: b, col: ci}
+	switch rel := b.rel.(type) {
+	case *tableRel:
+		switch rel.kinds[ci] {
+		case dataset.Float:
+			r.fs = rel.t.FloatsAt(ci)
+		case dataset.Int:
+			r.is = rel.t.IntsAt(ci)
+		}
+	case *ResultSet:
+		r.rs = rel
+	}
+	s.keys = append(s.keys, x)
+	s.refs = append(s.refs, r)
 	return &s.refs[len(s.refs)-1], nil
 }
 

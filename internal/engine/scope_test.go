@@ -11,7 +11,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// The skyband and the neighbor count as Q1s over D(id, x, y).
+// The skyband and the neighbor count as Q1s over D(id, x, y), and the
+// EXISTS equi-join over D and R(key, v).
 const (
 	skybandQ1 = `SELECT o1.id FROM D o1, D o2
 		WHERE o2.x >= o1.x AND o2.y >= o1.y AND (o2.x > o1.x OR o2.y > o1.y)
@@ -19,13 +20,17 @@ const (
 	neighborQ1 = `SELECT o1.id FROM D o1, D o2
 		WHERE SQRT(POWER(o2.x - o1.x, 2) + POWER(o2.y - o1.y, 2)) <= d
 		GROUP BY o1.id HAVING COUNT(*) < k`
+	existsQ1 = `SELECT d.id FROM D d, R r WHERE d.id = r.key AND r.v > t
+		GROUP BY d.id HAVING COUNT(*) >= m`
 )
 
 // objectQ3 decomposes q over n random points in the unit square with point
 // 0 at the origin, so every other point dominates object 0 and lies within
 // d = 2 of it: each of the n × n joined rows with o1 = object 0 reaches the
 // GROUP BY. k is above any count, so object 0 satisfies the predicate at
-// every n.
+// every n. R holds n rows of key 0 and v in [0, 1) above t, so in the
+// EXISTS join the n rows of object 0 compare r.v with the parameter t and
+// d.id with the object's _o.id, and m = 1 makes object 0 satisfy it.
 func objectQ3(tb testing.TB, q string, n int) (*Evaluator, *Decomposed, *ResultSet) {
 	tb.Helper()
 	r := xrand.New(uint64(n))
@@ -41,9 +46,15 @@ func objectQ3(tb testing.TB, q string, n int) (*Evaluator, *Decomposed, *ResultS
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ev := NewEvaluator(Catalog{"D": pointsTable(pts)})
+	rt := dataset.New("R", dataset.Schema{{Name: "key", Kind: dataset.Int}, {Name: "v", Kind: dataset.Float}})
+	for i := 0; i < n; i++ {
+		rt.MustAppendRow(int64(0), r.Float64())
+	}
+	ev := NewEvaluator(Catalog{"D": pointsTable(pts), "R": rt})
 	ev.SetParam("k", IntVal(int64(n+1)))
 	ev.SetParam("d", FloatVal(2))
+	ev.SetParam("t", FloatVal(-1))
+	ev.SetParam("m", IntVal(1))
 	objects, err := ev.Run(dec.Objects, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -205,13 +216,14 @@ func TestConditionErrorsUnchanged(t *testing.T) {
 
 // TestInterpretedRowLoopAllocatesNothing checks that evaluating one object
 // allocates the same at 20 × 20 and 60 × 60 joined rows: the interpreter's
-// row loop — WHERE, scalar functions, GROUP BY key, aggregate — allocates
+// row loop — WHERE, scalar functions, GROUP BY key, aggregate, and the
+// direct comparison's column, parameter and _o cell leaves — allocates
 // nothing per row.
 func TestInterpretedRowLoopAllocatesNothing(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	for name, q := range map[string]string{"skyband": skybandQ1, "neighbor": neighborQ1} {
+	for name, q := range map[string]string{"skyband": skybandQ1, "neighbor": neighborQ1, "exists": existsQ1} {
 		allocs := func(n int) float64 {
 			ev, dec, objects := objectQ3(t, q, n)
 			p := ev.ObjectPredicate(dec, objects)

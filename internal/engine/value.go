@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -133,25 +134,17 @@ func appendRowKey(dst []byte, vals []Value) []byte {
 }
 
 // compare returns -1, 0, +1 for a < b, a == b, a > b. Numerics compare
-// numerically (int/float mixed allowed); strings lexicographically;
+// numerically (num.cmp: int with int exactly as int64, any other pair
+// through float64, NaN equal to everything); strings lexicographically;
 // booleans with false < true. Mixed incomparable kinds yield an error.
+//
+// evalBool compares two numeric leaves (columns, literals, parameters)
+// through num.cmp without building either Value; every other comparison
+// comes here. TestDirectComparisonMatchesBoxed holds the two paths together
+// and TestExactIntComparison pins the int rule in both evaluators.
 func compare(a, b *Value) (int, error) {
 	if a.IsNumeric() && b.IsNumeric() {
-		af, bf := a.F, b.F
-		if a.Kind == KInt {
-			af = float64(a.I)
-		}
-		if b.Kind == KInt {
-			bf = float64(b.I)
-		}
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return num{a.Kind, a.I, a.F}.cmp(num{b.Kind, b.I, b.F}), nil
 	}
 	if a.Kind == KString && b.Kind == KString {
 		return strings.Compare(a.S, b.S), nil
@@ -167,4 +160,54 @@ func compare(a, b *Value) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("engine: cannot compare %s with %s", *a, *b)
+}
+
+// num is a numeric operand read without building a Value: Kind is KInt,
+// KFloat or KNull, and I or F holds the number.
+type num struct {
+	Kind ValueKind
+	I    int64
+	F    float64
+}
+
+// cmp is compare's order on two numbers: ints compare with ints exactly,
+// so distinct int64 keys beyond 2^53 stay distinct, and any other pair
+// compares through float64, where NaN is equal to everything.
+func (a num) cmp(b num) int {
+	if a.Kind == KInt && b.Kind == KInt {
+		return cmp.Compare(a.I, b.I)
+	}
+	af, bf := a.F, b.F
+	if a.Kind == KInt {
+		af = float64(a.I)
+	}
+	if b.Kind == KInt {
+		bf = float64(b.I)
+	}
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// holds reports whether comparison op accepts compare's verdict c.
+func holds(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	default:
+		return c >= 0
+	}
 }

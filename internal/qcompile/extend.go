@@ -63,9 +63,9 @@ func (p *Program) Extend(cat engine.Catalog, oldRows map[string]int) error {
 	return nil
 }
 
-// extend appends rows [old, n) of the (re-pinned) table to the hash index,
-// preserving buildIndex's semantics: a NaN in an indexed float column makes
-// the plan unsupported.
+// extend appends rows [old, n) of the (re-pinned) table to the hash index
+// (buildIndex indexes a table as rows [0, n)): a NaN in an indexed float
+// column makes the plan unsupported.
 func (pp *probePlan) extend(tab *dataset.Table, old, n int) error {
 	for r := old; r < n; r++ {
 		pp.all = append(pp.all, int32(r))
@@ -83,7 +83,14 @@ func (pp *probePlan) extend(tab *dataset.Table, old, n int) error {
 	case dataset.Int:
 		vals := tab.IntsAt(pp.col)
 		for r := old; r < n; r++ {
-			pp.numIdx[float64(vals[r])] = append(pp.numIdx[float64(vals[r])], int32(r))
+			v := vals[r]
+			pp.intIdx[v] = append(pp.intIdx[v], int32(r))
+			if f := float64(v); math.Abs(f) >= 1<<53 {
+				if pp.wide == nil {
+					pp.wide = make(map[float64][]int32)
+				}
+				pp.wide[f] = append(pp.wide[f], int32(r))
+			}
 		}
 	case dataset.String:
 		vals := tab.StringsAt(pp.col)

@@ -197,15 +197,21 @@ var (
 	fuzzFloats = []float64{0, 1, 2, 2, -1, 3.5, 7, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -2.5}
 	fuzzInts   = []int64{0, 1, 2, 2, 3, -1, 5}
 	fuzzStrs   = []string{"a", "b", "b", "", "ab"}
+	// fuzzWide holds the ints around ±2^53, where distinct ints share a
+	// float64 (2^53 + 1 rounds to 2^53, -2^53 - 1 to -2^53), beside small
+	// ones: only an exact int64 comparison tells them apart.
+	fuzzWide = []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, -1<<53 + 1, -1 << 53, -1<<53 - 1}
 )
 
 func (g *gen) float() float64 { return fuzzFloats[g.n(len(fuzzFloats))] }
 func (g *gen) int() int64     { return fuzzInts[g.n(len(fuzzInts))] }
+func (g *gen) wide() int64    { return fuzzWide[g.n(len(fuzzWide))] }
 func (g *gen) str() string    { return fuzzStrs[g.n(len(fuzzStrs))] }
 
 // tables builds D(id, x, y, tag, w) and R(key, v, s, w): empty, single-row
-// and small tables over pools that repeat values and hold NaN, ±Inf and ±0.
-// D.id is the row number or, in one case of three, a repeating small int.
+// and small tables over pools that repeat values and hold NaN, ±Inf and ±0,
+// and, in both w columns, ints around ±2^53. D.id is the row number or, in
+// one case of three, a repeating small int.
 func (g *gen) tables() engine.Catalog {
 	d := dataset.New("D", dataset.Schema{
 		{Name: "id", Kind: dataset.Int}, {Name: "x", Kind: dataset.Float}, {Name: "y", Kind: dataset.Float},
@@ -221,10 +227,10 @@ func (g *gen) tables() engine.Catalog {
 		if dupIDs {
 			id = g.int()
 		}
-		d.MustAppendRow(id, g.float(), g.float(), g.str(), g.int())
+		d.MustAppendRow(id, g.float(), g.float(), g.str(), g.wide())
 	}
 	for i := 0; i < nr; i++ {
-		r.MustAppendRow(g.int(), g.float(), g.str(), g.int())
+		r.MustAppendRow(g.int(), g.float(), g.str(), g.wide())
 	}
 	return engine.Catalog{"D": d, "R": r}
 }
@@ -273,8 +279,8 @@ func (g *gen) query() string {
 	inner := from[len(from)-1]
 	if len(from) > 1 && g.n(3) > 0 { // an equality a hash probe can take
 		switch g.n(4) {
-		case 0:
-			where = append(where, fmt.Sprintf("%s.%s = o1.%s", inner.name, inner.ints[0], g.pick("id", "w")))
+		case 0: // an int key: the probe's exact int index
+			where = append(where, fmt.Sprintf("%s.%s = o1.%s", inner.name, inner.ints[g.n(2)], g.pick("id", "w")))
 		case 1:
 			where = append(where, fmt.Sprintf("o1.tag = %s.%s", inner.name, inner.str[0]))
 		case 2:
@@ -357,6 +363,12 @@ func (g *gen) num(scope []fuzzAlias, depth int, agg bool) string {
 	}
 }
 
+// intCol picks an int column of one of the aliases.
+func (g *gen) intCol(scope []fuzzAlias) string {
+	a := scope[g.n(len(scope))]
+	return a.name + "." + a.ints[g.n(len(a.ints))]
+}
+
 func (g *gen) strExpr(scope []fuzzAlias) string {
 	if len(scope) > 0 && g.n(3) > 0 {
 		a := scope[g.n(len(scope))]
@@ -383,6 +395,8 @@ func (g *gen) boolean(scope []fuzzAlias, depth int) string {
 		return g.strExpr(scope) + " " + cmpOps[g.n(6)] + " " + g.num(scope, 0, false)
 	case 1, 2, 3:
 		return g.strExpr(scope) + " " + cmpOps[g.n(6)] + " " + g.strExpr(scope)
+	case 4, 5: // two int columns: compared as int64 by both evaluators
+		return g.intCol(scope) + " " + cmpOps[g.n(6)] + " " + g.intCol(scope)
 	default:
 		return g.num(scope, depth, false) + " " + cmpOps[g.n(6)] + " " + g.num(scope, depth, false)
 	}

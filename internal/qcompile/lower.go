@@ -40,8 +40,8 @@ type env struct {
 
 // agg is one aggregate accumulator. Sums accumulate through float64 even
 // for integer arguments — exactly as the interpreter's accumulator does —
-// and min/max comparisons for numeric kinds go through float64 to match the
-// interpreter's compare.
+// and min/max compare in the argument's own kind, as the interpreter's
+// compare does (ints with ints exactly).
 type agg struct {
 	count int64
 	sum   float64
@@ -504,11 +504,14 @@ func (lc *lowerCtx) lowerBinary(x *sql.BinaryExpr) (cexpr, error) {
 func numeric(k kind) bool { return k == kInt || k == kFloat }
 
 // lowerCompare lowers comparisons with the interpreter's exact semantics:
-// numerics (mixed int/float included) compare through float64, and the
-// derived forms !(l>r) / !(l<r) reproduce compare's treatment of NaN as
-// equal to everything.
+// ints compare with ints as int64, so keys beyond 2^53 stay distinct; any
+// other numeric pair compares through float64, and the derived forms
+// !(l>r) / !(l<r) reproduce compare's treatment of NaN as equal to
+// everything.
 func lowerCompare(op string, l, r cexpr, src *sql.BinaryExpr) (cexpr, error) {
 	switch {
+	case l.k == kInt && r.k == kInt:
+		return cexpr{k: kBool, b: ordered(op, l.i, r.i)}, nil
 	case numeric(l.k) && numeric(r.k):
 		lf, rf := l.toFloat(), r.toFloat()
 		var fn func(*env) bool
@@ -528,23 +531,7 @@ func lowerCompare(op string, l, r cexpr, src *sql.BinaryExpr) (cexpr, error) {
 		}
 		return cexpr{k: kBool, b: fn}, nil
 	case l.k == kStr && r.k == kStr:
-		ls, rs := l.s, r.s
-		var fn func(*env) bool
-		switch op {
-		case "=":
-			fn = func(e *env) bool { return ls(e) == rs(e) }
-		case "<>":
-			fn = func(e *env) bool { return ls(e) != rs(e) }
-		case "<":
-			fn = func(e *env) bool { return ls(e) < rs(e) }
-		case "<=":
-			fn = func(e *env) bool { return ls(e) <= rs(e) }
-		case ">":
-			fn = func(e *env) bool { return ls(e) > rs(e) }
-		case ">=":
-			fn = func(e *env) bool { return ls(e) >= rs(e) }
-		}
-		return cexpr{k: kBool, b: fn}, nil
+		return cexpr{k: kBool, b: ordered(op, l.s, r.s)}, nil
 	case l.k == kBool && r.k == kBool:
 		lb, rb := l.b, r.b
 		var fn func(*env) bool
@@ -565,6 +552,24 @@ func lowerCompare(op string, l, r cexpr, src *sql.BinaryExpr) (cexpr, error) {
 		return cexpr{k: kBool, b: fn}, nil
 	}
 	return cexpr{}, unsupportedf("cannot compare %s", src.String())
+}
+
+// ordered lowers a comparison of two ints, which compare exactly, or of
+// two strings.
+func ordered[T int64 | string](op string, lf, rf func(*env) T) func(*env) bool {
+	switch op {
+	case "=":
+		return func(e *env) bool { return lf(e) == rf(e) }
+	case "<>":
+		return func(e *env) bool { return lf(e) != rf(e) }
+	case "<":
+		return func(e *env) bool { return lf(e) < rf(e) }
+	case "<=":
+		return func(e *env) bool { return lf(e) <= rf(e) }
+	case ">":
+		return func(e *env) bool { return lf(e) > rf(e) }
+	}
+	return func(e *env) bool { return lf(e) >= rf(e) }
 }
 
 // lowerArith lowers arithmetic: integer arithmetic stays in int64 (with Go's
@@ -789,8 +794,7 @@ func (lc *lowerCtx) lowerAccum(slot int, fc *sql.FuncCall) (func(*env), error) {
 			return func(e *env) {
 				v := f(e)
 				a := &e.accs[slot]
-				// The interpreter compares numerics through float64.
-				if !a.seen || (most && float64(v) > float64(a.curI)) || (!most && float64(v) < float64(a.curI)) {
+				if !a.seen || (most && v > a.curI) || (!most && v < a.curI) {
 					a.curI = v
 					a.seen = true
 				}
@@ -842,11 +846,36 @@ func discardFn(ce cexpr) func(*env) {
 // the lookup key. A NaN probe value returns every row — under the
 // interpreter's compare, NaN is equal to everything — and the equality
 // conjunct the probe consumed needs no re-check because bucket membership
-// is exactly compare-equality for non-NaN keys.
+// is exactly compare-equality for non-NaN keys. An int column answers an
+// int key from its exact index; a float key v equals the ints whose
+// float64 is v, which below 2^53 in magnitude is int64(v) alone when v is
+// integral and none otherwise, and beyond it the rows of pp.wide.
 func (lc *lowerCtx) lowerProbe(pp *probePlan) (func(*env) []int32, error) {
 	ce, err := lc.lower(pp.rhs)
 	if err != nil {
 		return nil, err
+	}
+	if pp.intIdx != nil {
+		idx := pp.intIdx
+		switch ce.k {
+		case kInt:
+			key := ce.i
+			return func(e *env) []int32 { return idx[key(e)] }, nil
+		case kFloat:
+			key, wide, all := ce.f, pp.wide, pp.all
+			return func(e *env) []int32 {
+				switch v := key(e); {
+				case math.IsNaN(v):
+					return all
+				case math.Abs(v) >= 1<<53:
+					return wide[v]
+				case v == math.Trunc(v):
+					return idx[int64(v)]
+				}
+				return nil
+			}, nil
+		}
+		return nil, unsupportedf("equality between numeric column and %s", pp.rhs.String())
 	}
 	if pp.numIdx != nil {
 		if !numeric(ce.k) {

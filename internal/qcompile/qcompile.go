@@ -36,7 +36,8 @@
 // Compiled evaluation is byte-identical to the interpreter on the supported
 // subset, including its corner semantics: comparisons treat NaN as equal to
 // everything (the interpreter's compare maps incomparable floats to 0), ±0
-// hash to the same bucket, int/float mixes compare through float64, integer
+// hash to the same bucket, ints compare with ints exactly as int64 (keys
+// beyond 2^53 stay distinct) and int/float mixes through float64, integer
 // SUM accumulates through float64 before truncating (as the interpreter's
 // accumulator does), and float aggregates accumulate in exactly the
 // interpreter's nested-loop enumeration order, so no floating-point
@@ -102,9 +103,11 @@ type refInfo struct {
 // whose indexed column equals the probe expression's value, prebuilt at
 // compile time over the immutable table snapshot.
 type probePlan struct {
-	col    int      // indexed column within the alias's table
-	rhs    sql.Expr // probe value; references earlier aliases, o.*, params
-	numIdx map[float64][]int32
+	col    int                 // indexed column within the alias's table
+	rhs    sql.Expr            // probe value; references earlier aliases, o.*, params
+	numIdx map[float64][]int32 // a float column's rows by value
+	intIdx map[int64][]int32   // an int column's rows by value
+	wide   map[float64][]int32 // an int column's rows of magnitude ≥ 2^53, by float64 value
 	strIdx map[string][]int32
 	all    []int32 // every row id, for NaN probes (NaN compares equal to all)
 }
@@ -615,41 +618,21 @@ func (p *Program) validateHavingExpr(e sql.Expr, aggs []*sql.FuncCall) error {
 // buildIndex hashes every row of the column. It refuses float columns
 // containing NaN: under the interpreter's compare, NaN is equal to
 // everything, which a hash bucket cannot express. ±0 need no special case
-// (Go map keys fold them), and int keys convert through float64 exactly as
-// the interpreter's mixed-kind compare does.
+// (Go map keys fold them).
 func buildIndex(tab *dataset.Table, col int) (*probePlan, bool) {
 	n := tab.NumRows()
-	all := make([]int32, n)
-	for r := range all {
-		all[r] = int32(r)
-	}
-	pp := &probePlan{col: col, all: all}
+	pp := &probePlan{col: col, all: make([]int32, 0, n)}
 	switch tab.Schema()[col].Kind {
 	case dataset.Float:
-		vals := tab.FloatsAt(col)
-		idx := make(map[float64][]int32, n)
-		for r, v := range vals {
-			if math.IsNaN(v) {
-				return nil, false
-			}
-			idx[v] = append(idx[v], int32(r))
-		}
-		pp.numIdx = idx
+		pp.numIdx = make(map[float64][]int32, n)
 	case dataset.Int:
-		vals := tab.IntsAt(col)
-		idx := make(map[float64][]int32, n)
-		for r, v := range vals {
-			idx[float64(v)] = append(idx[float64(v)], int32(r))
-		}
-		pp.numIdx = idx
+		pp.intIdx = make(map[int64][]int32, n)
 	case dataset.String:
-		vals := tab.StringsAt(col)
-		idx := make(map[string][]int32, n)
-		for r, v := range vals {
-			idx[v] = append(idx[v], int32(r))
-		}
-		pp.strIdx = idx
+		pp.strIdx = make(map[string][]int32, n)
 	default:
+		return nil, false
+	}
+	if pp.extend(tab, 0, n) != nil {
 		return nil, false
 	}
 	return pp, true

@@ -3,6 +3,7 @@ package qcompile
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -43,8 +44,8 @@ func buildR(t *testing.T, n, keys int, seed int64) *dataset.Table {
 
 // compileAndCompare decomposes query, compiles Q3, and asserts the compiled
 // labels equal the interpreter's on every object. It returns the program
-// for further assertions.
-func compileAndCompare(t *testing.T, cat engine.Catalog, query string, params map[string]engine.Value) *Program {
+// and the labels for further assertions.
+func compileAndCompare(t *testing.T, cat engine.Catalog, query string, params map[string]engine.Value) (*Program, []bool) {
 	t.Helper()
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -73,21 +74,22 @@ func compileAndCompare(t *testing.T, cat engine.Catalog, query string, params ma
 		t.Fatalf("bind: %v", err)
 	}
 	eval := bound.NewEvalFn()
-	for i := 0; i < objects.NumRows(); i++ {
+	labels := make([]bool, objects.NumRows())
+	for i := range labels {
 		want, err := interp(i)
 		if err != nil {
 			t.Fatalf("interpreter failed on object %d: %v", i, err)
 		}
-		if got := eval(i); got != want {
-			t.Fatalf("object %d: compiled=%v interpreted=%v (query %s)", i, got, want, query)
+		if labels[i] = eval(i); labels[i] != want {
+			t.Fatalf("object %d: compiled=%v interpreted=%v (query %s)", i, labels[i], want, query)
 		}
 	}
-	return prog
+	return prog, labels
 }
 
 func TestCompiledMatchesInterpreterSkyband(t *testing.T) {
 	cat := engine.Catalog{"D": buildD(t, 120, 1)}
-	prog := compileAndCompare(t, cat,
+	prog, _ := compileAndCompare(t, cat,
 		`SELECT o1.id FROM D o1, D o2
 		 WHERE o2.x >= o1.x AND o2.y >= o1.y AND (o2.x > o1.x OR o2.y > o1.y)
 		 GROUP BY o1.id HAVING COUNT(*) < k`,
@@ -102,7 +104,7 @@ func TestCompiledMatchesInterpreterSkyband(t *testing.T) {
 
 func TestCompiledMatchesInterpreterEquiJoin(t *testing.T) {
 	cat := engine.Catalog{"D": buildD(t, 80, 2), "R": buildR(t, 300, 40, 3)}
-	prog := compileAndCompare(t, cat,
+	prog, _ := compileAndCompare(t, cat,
 		`SELECT d.id FROM D d, R r
 		 WHERE d.id = r.key AND r.v > t
 		 GROUP BY d.id HAVING COUNT(*) >= m`,
@@ -114,7 +116,7 @@ func TestCompiledMatchesInterpreterEquiJoin(t *testing.T) {
 
 func TestCompiledMatchesInterpreterNoHaving(t *testing.T) {
 	cat := engine.Catalog{"D": buildD(t, 100, 4), "R": buildR(t, 400, 30, 5)}
-	prog := compileAndCompare(t, cat,
+	prog, _ := compileAndCompare(t, cat,
 		`SELECT d.id FROM D d, R r WHERE d.id = r.key AND r.v > t GROUP BY d.id`,
 		map[string]engine.Value{"t": engine.FloatVal(8)})
 	if prog.short != shortNoHaving {
@@ -142,6 +144,49 @@ func TestCompiledMatchesInterpreterStringsAndFuncs(t *testing.T) {
 		 WHERE o2.tag = o1.tag AND SQRT(POWER(o2.x - o1.x, 2) + POWER(o2.y - o1.y, 2)) <= d
 		 GROUP BY o1.id HAVING COUNT(*) <= m`,
 		map[string]engine.Value{"d": engine.FloatVal(18), "m": engine.IntVal(9)})
+}
+
+// TestCompiledExactIntComparison pins the int rule in both evaluators over
+// keys beyond 2^53, where distinct ints share a float64: an int probe
+// returns exactly the equal rows, an int filter and MIN/MAX order ints
+// exactly, and a float probe on an int column keeps the mixed-kind rule
+// (equal when the int's float64 is). Each row of want is both evaluators'
+// labels for objects 0–4.
+func TestCompiledExactIntComparison(t *testing.T) {
+	const big = 1 << 53
+	d := dataset.New("D", dataset.Schema{{Name: "id", Kind: dataset.Int}, {Name: "w", Kind: dataset.Int}})
+	for i, w := range []int64{big, big + 1, big, -big - 1, -big} {
+		d.MustAppendRow(int64(i), w)
+	}
+	cat := engine.Catalog{"D": d}
+	for _, c := range []struct {
+		q    string
+		p    engine.Value
+		want []bool
+	}{
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w = o1.w GROUP BY o1.id HAVING COUNT(*) >= 2`,
+			engine.Null, []bool{true, false, true, false, false}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w > o1.w GROUP BY o1.id`,
+			engine.Null, []bool{true, false, true, true, true}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w >= o1.w GROUP BY o1.id HAVING MAX(o2.w) > MIN(o2.w)`,
+			engine.Null, []bool{true, false, true, true, true}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w = p AND o2.id = o1.id GROUP BY o1.id`,
+			engine.IntVal(big + 1), []bool{false, true, false, false, false}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w = p AND o2.id = o1.id GROUP BY o1.id`,
+			engine.FloatVal(big), []bool{true, true, true, false, false}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w = p AND o2.id = o1.id GROUP BY o1.id`,
+			engine.FloatVal(-big), []bool{false, false, false, true, true}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w = p AND o2.id = o1.id GROUP BY o1.id`,
+			engine.FloatVal(2.5), []bool{false, false, false, false, false}},
+	} {
+		var params map[string]engine.Value
+		if c.p.Kind != engine.KNull {
+			params = map[string]engine.Value{"p": c.p}
+		}
+		if _, got := compileAndCompare(t, cat, c.q, params); !slices.Equal(got, c.want) {
+			t.Errorf("%s (p = %v): labels %v, want %v", c.q, c.p, got, c.want)
+		}
+	}
 }
 
 func TestCompileFallsBackOnUnsupported(t *testing.T) {

@@ -123,6 +123,52 @@ func TestCompiledParallelMatchesInterpretedSequential(t *testing.T) {
 	}
 }
 
+// TestOracleCountsExactIntKeys counts over 64-bit keys that share a
+// float64 (2^53 and 2^53 + 1): both evaluators join an int key to an int
+// key exactly, so the oracle's count is the true one. Comparing the keys
+// through float64 would count both items.
+func TestOracleCountsExactIntKeys(t *testing.T) {
+	const big = 1 << 53
+	items, err := NewTable("items", "id:int,f:float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := NewTable("events", "item:int")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []int64{big, big + 1, big + 2, 7} {
+		if err := items.AppendRow(id, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int64{big, big, big + 1, 7, 7} {
+		if err := events.AppendRow(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess, err := NewSession(NewMemorySource(items, events), WithMethod("oracle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sess.Prepare(`SELECT i.id FROM items i, events e WHERE e.item = i.id GROUP BY i.id HAVING COUNT(*) > 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{nil, {interpreted()}} {
+		est, err := q.Execute(context.Background(), nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Labeling.Compiled != (opts == nil) {
+			t.Fatalf("compiled=%v with options %v (fallback: %s)", est.Labeling.Compiled, opts, est.Labeling.Fallback)
+		}
+		if est.Count != 2 || est.Objects != 4 {
+			t.Errorf("compiled=%v: %v of %d objects, want 2 of 4", est.Labeling.Compiled, est.Count, est.Objects)
+		}
+	}
+}
+
 // TestCompiledGroupedMatchesInterpreted pins the same property for the
 // GROUP BY path: the shared-sample grouped estimate is identical whether
 // labels come from the compiled parallel batch or the interpreter.
