@@ -48,7 +48,9 @@
 #                      forest fit vs its per-node-sort reference, rank-grid
 #                      forest scoring vs the walk, compiled predicate
 #                      closures vs the interpreter, int columns around
-#                      ±2^53 included) — the CI crash gate
+#                      ±2^53 included, count-reporting evaluation's bounds
+#                      and settled labels vs the interpreter) — the CI
+#                      crash gate
 
 GO ?= go
 
@@ -160,7 +162,9 @@ loc:
 # the forest's rank-grid scoring against the walk (every score bit for bit,
 # with and without the tuple table), and qcompile's closures against the
 # interpreter over generated tables × Q1 shapes × parameters (every object's
-# label; an interpreter error is a typed fault; a refusal is a fallback).
+# label; an interpreter error is a typed fault; a refusal is a fallback), and
+# the count-reporting closures of HAVING COUNT(*) <op> p against the
+# interpreter's COUNT(*) and its label at a second threshold.
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -173,3 +177,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzForestFit$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledAgrees$$' -fuzztime $(FUZZTIME) ./internal/qcompile/
+	$(GO) test -run '^$$' -fuzz '^FuzzCountBound$$' -fuzztime $(FUZZTIME) ./internal/qcompile/

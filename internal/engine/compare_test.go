@@ -31,10 +31,21 @@ func TestExactIntComparison(t *testing.T) {
 		{"SELECT a.id, b.id FROM D a, D b WHERE a.id + 0 = b.id", 2},
 		{"SELECT a.id, b.id FROM D a, D b WHERE b.id > a.id * 1", 1},
 		{"SELECT a.id FROM D a WHERE a.id = 9007199254740992.0", 2},
+		{"SELECT a.id FROM D a WHERE a.id < 9007199254740993", 1},
 		{"SELECT COUNT(*) FROM D a HAVING MAX(a.id) > MIN(a.id)", 1},
 	} {
 		if got := len(run(t, cat, c.q, nil).Rows); got != c.want {
 			t.Errorf("%s: %d rows, want %d", c.q, got, c.want)
+		}
+	}
+	// An integer literal is exact past 2^53, on the direct and the boxed
+	// path: read through float64 it would select the row 2^53.
+	for _, q := range []string{
+		"SELECT a.id FROM D a WHERE a.id = 9007199254740993",
+		"SELECT a.id FROM D a WHERE a.id + 0 = 9007199254740993",
+	} {
+		if res := run(t, cat, q, nil); len(res.Rows) != 1 || res.Rows[0][0].I != big+1 {
+			t.Errorf("%s: rows %v, want the one row %d", q, res.Rows, int64(big+1))
 		}
 	}
 	res := run(t, cat, "SELECT a.id FROM D a ORDER BY id DESC", nil)
@@ -112,7 +123,7 @@ func comparisonScope(t *testing.T, p [2]Value) (*Scope, *Evaluator, [2][]sql.Exp
 		switch v.Kind {
 		case KInt:
 			schema, row = append(schema, dataset.Column{Name: name, Kind: dataset.Int}), append(row, v.I)
-			leaves[i] = append(leaves[i], &sql.NumberLit{Value: float64(v.I), IsInt: true})
+			leaves[i] = append(leaves[i], &sql.NumberLit{Value: float64(v.I), IsInt: true, Int: v.I})
 		case KFloat:
 			schema, row = append(schema, dataset.Column{Name: name, Kind: dataset.Float}), append(row, v.F)
 			leaves[i] = append(leaves[i], &sql.NumberLit{Value: v.F})

@@ -45,7 +45,7 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 	switch x := e.(type) {
 	case *sql.NumberLit:
 		if x.IsInt {
-			return IntVal(int64(x.Value)), nil
+			return IntVal(x.Int), nil
 		}
 		return FloatVal(x.Value), nil
 
@@ -204,7 +204,7 @@ func (ev *Evaluator) numLeaf(e sql.Expr, sc *Scope) (num, bool) {
 	switch x := e.(type) {
 	case *sql.NumberLit:
 		if x.IsInt {
-			return num{Kind: KInt, I: int64(x.Value)}, true
+			return num{Kind: KInt, I: x.Int}, true
 		}
 		return num{Kind: KFloat, F: x.Value}, true
 	case *sql.ColumnRef:

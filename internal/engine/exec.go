@@ -189,10 +189,10 @@ func orderAndLimit(stmt *sql.SelectStmt, res *ResultSet) error {
 				}
 				keys[i] = key{ci, o.Desc}
 			case *sql.NumberLit:
-				if !x.IsInt || int(x.Value) < 1 || int(x.Value) > len(res.Cols) {
+				if !x.IsInt || x.Int < 1 || x.Int > int64(len(res.Cols)) {
 					return fmt.Errorf("engine: ORDER BY position %v out of range", x.Value)
 				}
-				keys[i] = key{int(x.Value) - 1, o.Desc}
+				keys[i] = key{int(x.Int) - 1, o.Desc}
 			default:
 				return fmt.Errorf("engine: ORDER BY supports output columns or positions, got %s", o.Expr.String())
 			}

@@ -202,17 +202,35 @@ func (p *EngineExists) Eval(i int) bool {
 	return ok
 }
 
+// Count is what one count-reporting evaluation learned of an object's
+// group: N joined rows, all of them when Exact, at least N when the
+// evaluation stopped once N settled its comparison with the threshold.
+type Count struct {
+	N     int64
+	Exact bool
+}
+
+// Counter is a predicate over a count threshold (HAVING COUNT(*) <op> t)
+// that can report, instead of a label, how far each evaluation counted.
+// CountBatch evaluates idxs[j] into out[j] (len(out) ≥ len(idxs)); each
+// element is one evaluation, exactly as in EvalBatch.
+type Counter interface {
+	Predicate
+	CountBatch(idxs []int, out []Count)
+}
+
 // Compiled is the batch-capable predicate over a compiled Q3 evaluator
-// (internal/qcompile). The factory hands out evaluation closures with
-// private scratch, so EvalBatch can fan a batch out over a worker pool:
-// each chunk borrows one closure from the pool for as long as it runs, each
-// batch element writes only its own output slot, and labels are pure
-// functions of the object index — the result is byte-identical to a
-// sequential loop at any parallelism.
+// (internal/qcompile). The factories hand out evaluation closures with
+// private scratch, so EvalBatch and CountBatch can fan a batch out over a
+// worker pool: each chunk borrows one closure from a pool for as long as it
+// runs, each batch element writes only its own output slot, and labels and
+// counts are pure functions of the object index — the result is
+// byte-identical to a sequential loop at any parallelism.
 type Compiled struct {
 	counter
 	f       func(int) bool
 	pool    sync.Pool // evaluation closures for parallel chunk workers
+	counts  sync.Pool // count-reporting closures, for CountBatch
 	workers int
 }
 
@@ -221,11 +239,16 @@ type Compiled struct {
 // cost (short-circuiting makes negatives much cheaper than positives).
 const batchChunk = 64
 
-// NewCompiled wraps an evaluation-closure factory as a Compiled predicate.
-// workers bounds batch parallelism: 0 means all cores, 1 sequential.
-func NewCompiled(newFn func() func(int) bool, workers int) *Compiled {
+// NewCompiled wraps an evaluation-closure factory as a Compiled predicate,
+// and a count-reporting one as its CountBatch (nil for a predicate nobody
+// asks for counts: CountBatch then panics). workers bounds batch
+// parallelism: 0 means all cores, 1 sequential.
+func NewCompiled(newFn func() func(int) bool, newCount func() func(int) (int64, bool), workers int) *Compiled {
 	p := &Compiled{f: newFn(), workers: workers}
 	p.pool.New = func() any { return newFn() }
+	if newCount != nil {
+		p.counts.New = func() any { return newCount() }
+	}
 	return p
 }
 
@@ -260,6 +283,20 @@ func (p *Compiled) EvalBatch(idxs []int, out []bool) {
 	})
 }
 
+// CountBatch reports what an evaluation of each object counted, in
+// parallel as EvalBatch labels. Every batch element counts as one
+// evaluation; a closure whose evaluation panics is not returned to the pool.
+func (p *Compiled) CountBatch(idxs []int, out []Count) {
+	p.n.Add(int64(len(idxs)))
+	par.ForEachChunk(par.Workers(p.workers), len(idxs), batchChunk, func(lo, hi int) {
+		f := p.counts.Get().(func(int) (int64, bool))
+		for j := lo; j < hi; j++ {
+			out[j].N, out[j].Exact = f(idxs[j])
+		}
+		p.counts.Put(f)
+	})
+}
+
 // AllIndices returns the identity index slice [0, n) — the sample set of
 // an evaluate-everything pass (the oracle, exact counts, ground truth).
 func AllIndices(n int) []int {
@@ -287,30 +324,41 @@ const labelChunk = 4096
 // chunks, or between evaluations on the sequential path — the one
 // observable difference between the two.
 func Label(pred Predicate, idxs []int, stop func() error) ([]bool, error) {
-	if stop == nil {
-		stop = func() error { return nil }
+	out := make([]bool, len(idxs))
+	eval := func(lo, _ int) { out[lo] = pred.Eval(idxs[lo]) }
+	step := 1
+	if bp, batch := pred.(BatchPredicate); batch {
+		eval, step = func(lo, hi int) { bp.EvalBatch(idxs[lo:hi], out[lo:hi]) }, labelChunk
 	}
-	if err := stop(); err != nil {
+	if err := chunked(len(idxs), step, stop, eval); err != nil {
 		return nil, err
 	}
-	bp, batch := pred.(BatchPredicate)
-	step := 1
-	if batch {
-		step = labelChunk
-	}
-	out := make([]bool, len(idxs))
-	for lo := 0; lo < len(idxs); lo += step {
-		if lo > 0 {
-			if err := stop(); err != nil {
-				return nil, err
-			}
-		}
-		if !batch {
-			out[lo] = pred.Eval(idxs[lo])
-			continue
-		}
-		hi := min(lo+step, len(idxs))
-		bp.EvalBatch(idxs[lo:hi], out[lo:hi])
+	return out, nil
+}
+
+// CountAll is Label for what each evaluation counted: the counter's batch
+// path over the index set in chunks of labelChunk, with stop polled before
+// the first and between chunks.
+func CountAll(pred Counter, idxs []int, stop func() error) ([]Count, error) {
+	out := make([]Count, len(idxs))
+	if err := chunked(len(idxs), labelChunk, stop, func(lo, hi int) { pred.CountBatch(idxs[lo:hi], out[lo:hi]) }); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// chunked calls fn on [0, n) in chunks of step, polling stop (which may be
+// nil) before the first and between chunks; the error is stop's.
+func chunked(n, step int, stop func() error, fn func(lo, hi int)) error {
+	for lo := 0; lo == 0 || lo < n; lo += step {
+		if stop != nil {
+			if err := stop(); err != nil {
+				return err
+			}
+		}
+		if lo < n {
+			fn(lo, min(lo+step, n))
+		}
+	}
+	return nil
 }

@@ -131,7 +131,7 @@ func TestLabel(t *testing.T) {
 		step  int64 // evaluations between two calls
 	}{
 		{"sequential", NewFunc(want), n, 1},
-		{"batch", NewCompiled(func() func(int) bool { return want }, 1), 3, labelChunk},
+		{"batch", NewCompiled(func() func(int) bool { return want }, nil, 1), 3, labelChunk},
 	} {
 		stops := 0
 		labels, err := Label(tc.pred, idxs, func() error { stops++; return nil })
@@ -324,7 +324,7 @@ func TestCompiledEvalBatch(t *testing.T) {
 		want[j] = newFn()(i)
 	}
 	for _, workers := range []int{1, 2, 4, runtime.NumCPU(), 0} {
-		p := NewCompiled(newFn, workers)
+		p := NewCompiled(newFn, nil, workers)
 		out := make([]bool, n)
 		p.EvalBatch(idxs, out)
 		for j := range want {
@@ -342,7 +342,7 @@ func TestCompiledEvalBatch(t *testing.T) {
 	}
 	const workers = 4
 	chunks := n / batchChunk
-	p := NewCompiled(newFn, workers)
+	p := NewCompiled(newFn, nil, workers)
 	out := make([]bool, n)
 	made.Store(0)
 	allocs := testing.AllocsPerRun(10, func() { p.EvalBatch(idxs, out) })
@@ -377,7 +377,7 @@ func TestAsBatchSequentialOnly(t *testing.T) {
 			t.Fatalf("%s must not be batchable", name)
 		}
 	}
-	var p Predicate = NewCompiled(func() func(int) bool { return func(int) bool { return true } }, 1)
+	var p Predicate = NewCompiled(func() func(int) bool { return func(int) bool { return true } }, nil, 1)
 	if _, ok := p.(BatchPredicate); !ok {
 		t.Fatal("Compiled must be batchable")
 	}

@@ -54,6 +54,141 @@ func FuzzCompiledAgrees(f *testing.F) {
 	})
 }
 
+// FuzzCountBound holds the count-reporting evaluation to the interpreter:
+// over generated tables and query bodies with HAVING COUNT(*) <op> p, what
+// NewCountFn reports for each object at a drawn threshold must bound the
+// interpreter's COUNT(*) of the object's group (equal it when exact), must
+// settle that threshold with the interpreter's label, and must settle a
+// second drawn threshold, when CountSettles says it does, with the
+// interpreter's label there. A case the interpreter fails on is
+// FuzzCompiledAgrees' to judge and is skipped here.
+func FuzzCountBound(f *testing.F) {
+	for s := uint64(0); s < 16; s++ {
+		f.Add(seedBytes(200+s, 160))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &gen{data: data}
+		cat := g.tables()
+		params := g.params()
+		body, _ := g.body()
+		having := g.countHaving("p")
+		thr := [2]engine.Value{g.threshold(), g.threshold()}
+		checkCountBound(t, cat, body, having, params, thr)
+	})
+}
+
+// fuzzThresholds are the count thresholds FuzzCountBound draws: integer,
+// fractional and negative, around the small counts its tables produce.
+var fuzzThresholds = []engine.Value{
+	engine.IntVal(-1), engine.IntVal(0), engine.IntVal(1), engine.IntVal(2), engine.IntVal(3), engine.IntVal(5),
+	engine.FloatVal(-0.5), engine.FloatVal(0.5), engine.FloatVal(1.5), engine.FloatVal(2.5),
+}
+
+func (g *gen) threshold() engine.Value { return fuzzThresholds[g.n(len(fuzzThresholds))] }
+
+// checkCountBound runs one FuzzCountBound case: body + having over p bound
+// to thr[0], then thr[1].
+func checkCountBound(t *testing.T, cat engine.Catalog, body, having string, params map[string]engine.Value, thr [2]engine.Value) {
+	t.Helper()
+	decompose := func(q string) *engine.Decomposed {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatalf("generator produced unparseable SQL: %v\n%s", err, q)
+		}
+		dec, err := engine.Decompose(engine.ExtractInner(stmt))
+		if err != nil {
+			t.Fatalf("generator produced a non-Q1 shape: %v\n%s", err, q)
+		}
+		return dec
+	}
+	query := body + having
+	dec, atLeast := decompose(query), decompose(body+" HAVING COUNT(*) >= pc")
+	ev := engine.NewEvaluator(cat)
+	for k, v := range params {
+		ev.SetParam(k, v)
+	}
+	ev.SetParam("p", thr[0])
+	objects, err := ev.Run(dec.Objects, nil)
+	if err != nil {
+		return
+	}
+	prog, err := Compile(dec, cat)
+	if err != nil {
+		return
+	}
+	name, op, ok := prog.CountParam()
+	if !ok || name != "p" {
+		t.Fatalf("CountParam = %q %q %t, want p\n%s", name, op, ok, query)
+	}
+	bound, err := prog.Bind(ev.Params, objects)
+	if err != nil {
+		return
+	}
+	count := bound.NewCountFn()
+	label, geq := ev.ObjectPredicate(dec, objects), ev.ObjectPredicate(atLeast, objects)
+	rows := 1 // past the joined rows of any FROM list over D, R and D again
+	for _, tab := range cat {
+		rows *= (tab.NumRows() + 1) * (tab.NumRows() + 1)
+	}
+	for i := 0; i < objects.NumRows(); i++ {
+		// The interpreter's COUNT(*): the largest c with COUNT(*) >= c, 0
+		// when the object has no group.
+		c, hi := 0, rows
+		for c < hi {
+			mid := (c + hi + 1) / 2
+			ev.SetParam("pc", engine.IntVal(int64(mid)))
+			ok, err := geq(i)
+			if err != nil {
+				return
+			}
+			if ok {
+				c = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		n, exact, fault := countOrFault(count, i)
+		if fault != nil {
+			return
+		}
+		if n > int64(c) || (exact && n != int64(c)) {
+			t.Fatalf("object %d: reported %d (exact %t), the interpreter counts %d\n%s\n%s", i, n, exact, c, query, describe(cat, ev.Params))
+		}
+		for j, u := range thr {
+			ev.SetParam("p", u)
+			want, err := label(i)
+			if err != nil {
+				return
+			}
+			got, settled := CountSettles(op, toFloat(u), n, exact)
+			if j == 0 && !settled {
+				t.Fatalf("object %d: %d (exact %t) does not settle its own threshold %v\n%s", i, n, exact, u, query)
+			}
+			if settled && got != want {
+				t.Fatalf("object %d: %d (exact %t) settles p = %v as %t, the interpreter says %t\n%s\n%s",
+					i, n, exact, u, got, want, query, describe(cat, ev.Params))
+			}
+		}
+		ev.SetParam("p", thr[0])
+	}
+}
+
+// countOrFault is evalOrFault for a count-reporting closure.
+func countOrFault(count func(int) (int64, bool), i int) (n int64, exact bool, fault *engine.Fault) {
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case *engine.Fault:
+			fault = p
+		default:
+			panic(p)
+		}
+	}()
+	n, exact = count(i)
+	return n, exact, nil
+}
+
 // seedShapes are qcompile_test.go's query shapes, run against generated
 // tables and parameters.
 var seedShapes = []string{
@@ -262,6 +397,27 @@ var cmpOps = []string{"<", "<=", ">", ">=", "=", "<>"}
 
 // query generates one Q1-shaped counting query.
 func (g *gen) query() string {
+	q, from := g.body()
+	switch g.n(4) {
+	case 0: // EXISTS: no HAVING
+	case 1: // the monotone COUNT(*) threshold, either way round
+		q += g.countHaving(g.num(nil, 1, false))
+	default:
+		q += " HAVING " + g.having(from, 2)
+	}
+	return q
+}
+
+// countHaving is HAVING COUNT(*) <op> thr, either way round.
+func (g *gen) countHaving(thr string) string {
+	if g.n(2) == 0 {
+		return fmt.Sprintf(" HAVING COUNT(*) %s %s", cmpOps[g.n(6)], thr)
+	}
+	return fmt.Sprintf(" HAVING %s %s COUNT(*)", thr, cmpOps[g.n(6)])
+}
+
+// body generates a counting query up to its GROUP BY, and its FROM entries.
+func (g *gen) body() (string, []fuzzAlias) {
 	var from []fuzzAlias
 	switch g.n(4) {
 	case 0:
@@ -303,20 +459,7 @@ func (g *gen) query() string {
 	if len(where) > 0 {
 		q += " WHERE " + strings.Join(where, " AND ")
 	}
-	q += " GROUP BY " + group
-	switch g.n(4) {
-	case 0: // EXISTS: no HAVING
-	case 1: // the monotone COUNT(*) threshold, either way round
-		thr := g.num(nil, 1, false)
-		if g.n(2) == 0 {
-			q += fmt.Sprintf(" HAVING COUNT(*) %s %s", cmpOps[g.n(6)], thr)
-		} else {
-			q += fmt.Sprintf(" HAVING %s %s COUNT(*)", thr, cmpOps[g.n(6)])
-		}
-	default:
-		q += " HAVING " + g.having(from, 2)
-	}
-	return q
+	return q + " GROUP BY " + group, from
 }
 
 // num generates a numeric expression over the given aliases (none: literals

@@ -28,14 +28,15 @@ const (
 // function owns its env, so a batch of goroutines can evaluate disjoint
 // objects without sharing state.
 type env struct {
-	rows   []int
-	reps   []int
-	obj    int
-	accs   []agg
-	count  int64
-	rep    bool
-	thr    float64
-	useThr bool
+	rows    []int
+	reps    []int
+	obj     int
+	accs    []agg
+	count   int64
+	stopped bool // the walk stopped early: count settled the comparison with thr
+	rep     bool
+	thr     float64
+	useThr  bool
 }
 
 // agg is one aggregate accumulator. Sums accumulate through float64 even
@@ -179,12 +180,80 @@ func (p *Program) Bind(params map[string]engine.Value, objects *engine.ResultSet
 // closure is not safe for concurrent use with itself; create one per
 // goroutine.
 func (b *Bound) NewEvalFn() func(i int) bool {
-	e := &env{
+	e := b.newEnv()
+	return func(i int) bool { return b.eval(i, e) }
+}
+
+// NewCountFn returns a fresh count-reporting evaluation closure, for a
+// program whose HAVING is COUNT(*) <op> threshold (Program.CountParam): for
+// object i, n is how many joined rows of its group the evaluation counted,
+// and exact whether that is all of them — false when the n-th row settled
+// the comparison with the threshold and the walk stopped there, so the group
+// has at least n rows. An object with no joined row (an empty relation, a
+// false per-object conjunct) counts 0, exactly. CountSettles turns what a
+// closure reports into the label at any threshold it settles. Like
+// NewEvalFn's, the closure is not safe for concurrent use with itself.
+func (b *Bound) NewCountFn() func(i int) (n int64, exact bool) {
+	e := b.newEnv()
+	return func(i int) (int64, bool) {
+		b.eval(i, e)
+		return e.count, !e.stopped
+	}
+}
+
+func (b *Bound) newEnv() *env {
+	return &env{
 		rows: make([]int, b.nAliases),
 		reps: make([]int, b.nAliases),
 		accs: make([]agg, b.nSlots),
 	}
-	return func(i int) bool { return b.eval(i, e) }
+}
+
+// CountSettles decides HAVING COUNT(*) <op> t (op with the count on the
+// left, t not NaN) for an object of which a count-reporting evaluation
+// learned n: its group's row count when exact, a lower bound when that
+// evaluation stopped early. It settles t when the evaluation at t would walk
+// no further than that one did. An exact n settles every t: t's walk is a
+// prefix of the complete one, and its label is n ≥ 1 ∧ n <op> t, because
+// EXISTS over no group is false. An early stop at n settles t when t's own
+// walk stops by the n-th row — for < and >= once n ≥ t, for the other four
+// once n > t — and every count from there on gives the one label: false for
+// <, <= and =, true for >, >= and <>. So a settled label is the label, and
+// any fault, of the evaluation at t itself; settled is false otherwise, and
+// label is then meaningless.
+func CountSettles(op string, t float64, n int64, exact bool) (label, settled bool) {
+	c := float64(n)
+	if exact {
+		return n >= 1 && compareCount(op, c, t), true
+	}
+	switch op {
+	case "<", ">=":
+		return op == ">=", c >= t
+	case "<=", "=":
+		return false, c > t
+	case ">", "<>":
+		return true, c > t
+	}
+	return false, false
+}
+
+// compareCount is c <op> t for a non-NaN t.
+func compareCount(op string, c, t float64) bool {
+	switch op {
+	case "<":
+		return c < t
+	case "<=":
+		return c <= t
+	case ">":
+		return c > t
+	case ">=":
+		return c >= t
+	case "=":
+		return c == t
+	case "<>":
+		return c != t
+	}
+	return false
 }
 
 // VecEval and NewVecEval are a shim nothing in the program calls: the
@@ -205,6 +274,7 @@ func (v VecEval) EvalBatch(idxs []int, out []bool) {
 
 func (b *Bound) eval(i int, e *env) bool {
 	e.obj = i
+	e.count, e.stopped = 0, false
 	// Any empty relation means no complete rows: EXISTS is false before any
 	// WHERE conjunct is evaluated (matching the interpreter, which never
 	// reaches WHERE without a complete row).
@@ -218,7 +288,6 @@ func (b *Bound) eval(i int, e *env) bool {
 			return false
 		}
 	}
-	e.count = 0
 	e.rep = false
 	for k := range e.accs {
 		e.accs[k] = agg{}
@@ -228,11 +297,9 @@ func (b *Bound) eval(i int, e *env) bool {
 		e.thr = b.thrFn(e)
 		e.useThr = !math.IsNaN(e.thr) // NaN compares equal to everything; no abort
 	}
-	switch b.walk(0, e) {
-	case sigTrue:
-		return true
-	case sigFalse:
-		return false
+	if s := b.walk(0, e); s != sigNone {
+		e.stopped = true
+		return s == sigTrue
 	}
 	if b.havingFn == nil {
 		return false // no witnessing row was found
@@ -361,7 +428,7 @@ func (lc *lowerCtx) lower(e sql.Expr) (cexpr, error) {
 	switch x := e.(type) {
 	case *sql.NumberLit:
 		if x.IsInt {
-			v := int64(x.Value)
+			v := x.Int
 			return cexpr{k: kInt, i: func(*env) int64 { return v }}, nil
 		}
 		v := x.Value

@@ -442,6 +442,23 @@ func (p *Program) detectMonotoneCount() {
 	}
 }
 
+// CountParam reports the parameter a HAVING of the exact shape
+// COUNT(*) <op> name (or mirrored) compares the group's row count with, and
+// op written with the count on the left. ok is false for every other HAVING,
+// a literal or computed threshold among them. A Bound of such a program
+// reports counts (NewCountFn), so one evaluation can answer the predicate at
+// every threshold CountSettles allows.
+func (p *Program) CountParam() (name, op string, ok bool) {
+	cr, isRef := p.threshold.(*sql.ColumnRef)
+	if p.short != shortCount || !isRef {
+		return "", "", false
+	}
+	if ref, err := p.resolve(cr); err != nil || ref.kind != refParam {
+		return "", "", false
+	}
+	return cr.Name, p.countOp, true
+}
+
 // resolve mirrors the engine's scope resolution for Q3: FROM aliases bind
 // innermost, the object alias binds in the enclosing scope, and remaining
 // unqualified names are parameters.

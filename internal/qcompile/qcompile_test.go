@@ -87,6 +87,22 @@ func compileAndCompare(t *testing.T, cat engine.Catalog, query string, params ma
 	return prog, labels
 }
 
+// TestCompiledExactIntLiteral: an integer literal past 2^53 keeps its
+// exact value in the closures as in the interpreter, so of the objects
+// 2^53 and 2^53 + 1 (enumerated in table order) only the second joins the
+// row equal to 9007199254740993.
+func TestCompiledExactIntLiteral(t *testing.T) {
+	const big = 1 << 53
+	d := dataset.New("D", dataset.Schema{{Name: "id", Kind: dataset.Int}})
+	d.MustAppendRow(int64(big))
+	d.MustAppendRow(int64(big + 1))
+	_, labels := compileAndCompare(t, engine.Catalog{"D": d},
+		`SELECT a.id FROM D a, D b WHERE b.id = 9007199254740993 AND b.id = a.id GROUP BY a.id`, nil)
+	if !slices.Equal(labels, []bool{false, true}) {
+		t.Fatalf("labels %v, want only object 2^53 + 1", labels)
+	}
+}
+
 func TestCompiledMatchesInterpreterSkyband(t *testing.T) {
 	cat := engine.Catalog{"D": buildD(t, 120, 1)}
 	prog, _ := compileAndCompare(t, cat,

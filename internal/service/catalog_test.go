@@ -166,8 +166,10 @@ func TestHTTPCatalogBlock(t *testing.T) {
 
 // TestCountReplyIgnoresWhichParameterCameFirst: a reuse-class request — a
 // plan the catalog has seen under another Q3 parameter — gets the reply an
-// empty catalog gives it: same estimate, interval and evaluations,
-// whichever k touched the plan's entry first.
+// empty catalog gives it: same estimate and interval, whichever k touched
+// the plan's entry first. Only the evaluations differ: k=8's walks settle
+// k=12's label for every object with fewer than 8 dominators, so the count
+// after it buys fewer.
 func TestCountReplyIgnoresWhichParameterCameFirst(t *testing.T) {
 	req := func(k int, seed uint64) *CountRequest {
 		return &CountRequest{SQL: skybandQuery, Params: map[string]any{"k": k}, Method: "lss", Budget: 0.25, Seed: seed}
@@ -185,8 +187,8 @@ func TestCountReplyIgnoresWhichParameterCameFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after.Estimate != alone.Estimate || after.CILo != alone.CILo || after.CIHi != alone.CIHi || after.Evals != alone.Evals {
-			t.Errorf("seed %d: k=12 after k=8 answered %v [%v, %v] at %d evals, on an empty catalog %v [%v, %v] at %d",
+		if after.Estimate != alone.Estimate || after.CILo != alone.CILo || after.CIHi != alone.CIHi || after.Evals >= alone.Evals {
+			t.Errorf("seed %d: k=12 after k=8 answered %v [%v, %v] at %d evals, on an empty catalog %v [%v, %v] at %d (want fewer)",
 				seed, after.Estimate, after.CILo, after.CIHi, after.Evals, alone.Estimate, alone.CILo, alone.CIHi, alone.Evals)
 		}
 		if after.Reuse != lsample.ReuseExtension || svc.CatalogStats().Entries != 1 {

@@ -83,11 +83,14 @@ func handleCount(count func(context.Context, *CountRequest) (*CountResult, error
 	}
 }
 
-// decodeBody reads a JSON request body of at most limit bytes into v,
-// rejecting fields v does not declare.
+// decodeBody reads a count request's JSON body (a CountRequest, or the
+// ShardRequest that carries one) of at most limit bytes into v, rejecting
+// fields v does not declare. Parameter numbers decode as json.Number, so an
+// integer past 2^53 reaches the SDK exactly.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
+	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		return clientErr("invalid JSON body", err)
 	}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/lsample"
 )
 
 func newTestServer(t *testing.T, n int, opts Options) (*Service, *httptest.Server) {
@@ -355,5 +357,44 @@ func TestHTTPIntervalField(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/count", &bad)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown interval: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestCountParamsExactPast2to53: a JSON parameter past 2^53 binds exactly
+// on the service and through a coordinator, so of the ids 2^53 and 2^53 + 1
+// only one equals 9007199254740993 (read through float64, both would).
+func TestCountParamsExactPast2to53(t *testing.T) {
+	items := func() *lsample.Table {
+		tab, err := lsample.NewTable("items", "id:int")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int64{1 << 53, 1<<53 + 1} {
+			if err := tab.AppendRow(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	_, standalone := newWorkerServer(t, items())
+	_, w1 := newWorkerServer(t, items())
+	_, w2 := newWorkerServer(t, items())
+	coord := httptest.NewServer(newCoordinator(t, CoordinatorOptions{Shards: 2}, w1, w2).Handler())
+	t.Cleanup(coord.Close)
+	body := `{"sql": "SELECT i.id FROM items i WHERE i.id = p GROUP BY i.id", "params": {"p": 9007199254740993}, "method": "oracle"}`
+	for name, url := range map[string]string{"service": standalone.URL, "coordinator": coord.URL} {
+		resp, err := http.Post(url+"/v1/count", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res CountResult
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", name, resp.StatusCode, err)
+		}
+		if res.Estimate != 1 {
+			t.Errorf("%s: counted %v, want 1", name, res.Estimate)
+		}
 	}
 }

@@ -237,8 +237,10 @@ func predicateBuilds(t *testing.T, trace *obs.SpanData) (checked, vouched int) {
 // TestShardExecChecksPerProgramAndSnapshot: the interpreter cross-check is
 // paid once for every distinct (program, parameters, snapshot) and never
 // again — a second seed rides on the executor's verdict and labels, while a
-// changed Q3 parameter or a new dataset version gets its own executor, its
-// own check and its own label space.
+// changed Q3 parameter or a new dataset version gets its own executor and
+// its own check. A new version also gets its own labels; a changed count
+// threshold k shares the predicate's count space, so it buys only the
+// labels the first count's walks do not settle.
 func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 	const n = 150
 	worker, srv := newWorkerServer(t, testTable(n, 7))
@@ -274,8 +276,8 @@ func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 	if checked, _ := predicateBuilds(t, other.Trace); checked != 1 {
 		t.Errorf("a changed parameter paid %d cross-checks, want its own 1", checked)
 	}
-	if other.Evals != first.Evals {
-		t.Errorf("a changed parameter spent %d evaluations, want the full %d: labels of another predicate leaked", other.Evals, first.Evals)
+	if other.Evals >= first.Evals {
+		t.Errorf("a changed threshold spent %d evaluations, the first count %d: k=10's settled labels were not reused", other.Evals, first.Evals)
 	}
 	if built := executorBuilds(other.Trace); built != 1 {
 		t.Errorf("a changed parameter built %d executors, want its own 1", built)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -19,10 +20,12 @@ type ColumnRef struct {
 }
 
 // NumberLit is a numeric literal. IsInt records whether it was written
-// without a fractional part.
+// without a fractional part or exponent and fits an int64; Int is then its
+// exact value (Value rounds it past 2^53).
 type NumberLit struct {
 	Value float64
 	IsInt bool
+	Int   int64
 }
 
 // StringLit is a single-quoted string literal.
@@ -116,8 +119,8 @@ func (c *ColumnRef) String() string {
 }
 
 func (n *NumberLit) String() string {
-	if n.IsInt && float64(int64(n.Value)) == n.Value {
-		return fmt.Sprintf("%d", int64(n.Value))
+	if n.IsInt {
+		return strconv.FormatInt(n.Int, 10)
 	}
 	// Render non-integer literals so they reparse as non-integer: a float
 	// whose shortest form looks like a digit string (e.g. 1e3 → "1000")

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Parse parses a single SELECT statement (an optional trailing semicolon is
@@ -183,11 +184,11 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, fmt.Errorf("sql: expected number after LIMIT, found %s", t)
 		}
 		p.next()
-		v, isInt, err := parseNumber(t.Text)
-		if err != nil || !isInt || v < 0 {
+		lit, err := parseNumber(t.Text)
+		if err != nil || !lit.IsInt || lit.Int < 0 {
 			return nil, fmt.Errorf("sql: LIMIT wants a nonnegative integer, got %q", t.Text)
 		}
-		stmt.Limit = int(v)
+		stmt.Limit = int(lit.Int)
 		stmt.HasLimit = true
 	}
 	return stmt, nil
@@ -380,11 +381,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TokNumber:
 		p.next()
-		v, isInt, err := parseNumber(t.Text)
+		lit, err := parseNumber(t.Text)
 		if err != nil {
 			return nil, fmt.Errorf("sql: bad number %q at offset %d", t.Text, t.Pos)
 		}
-		return &NumberLit{Value: v, IsInt: isInt}, nil
+		return lit, nil
 	case t.Kind == TokString:
 		p.next()
 		return &StringLit{Value: t.Text}, nil
@@ -483,31 +484,24 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 // Name returns the token text; a helper so parsePrimary reads naturally.
 func (t Token) Name() string { return t.Text }
 
-func parseNumber(s string) (float64, bool, error) {
-	isInt := true
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' || s[i] == 'e' || s[i] == 'E' {
-			isInt = false
-			break
-		}
+func parseNumber(s string) (*NumberLit, error) {
+	// A digit string is an integer literal, read exactly; one too large for
+	// int64 is only representable as a float, which also keeps
+	// parse→String→reparse the identity on ASTs.
+	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return &NumberLit{Value: float64(i), IsInt: true, Int: i}, nil
 	}
 	var v float64
 	_, err := fmt.Sscanf(s, "%g", &v)
 	if err != nil {
-		return 0, false, err
+		return nil, err
 	}
 	// Values outside the finite range cannot round-trip through the
 	// renderer (and make no sense as literals); reject them outright.
 	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return 0, false, fmt.Errorf("sql: number %q overflows", s)
+		return nil, fmt.Errorf("sql: number %q overflows", s)
 	}
-	// A digit string too large for int64 is only representable as a float;
-	// treating it as an integer literal would overflow evaluation and the
-	// renderer. This also keeps parse→String→reparse the identity on ASTs.
-	if isInt && float64(int64(v)) != v {
-		isInt = false
-	}
-	return v, isInt, nil
+	return &NumberLit{Value: v}, nil
 }
 
 func upper(s string) string {

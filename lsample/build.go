@@ -1,6 +1,7 @@
 package lsample
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 
@@ -119,13 +120,22 @@ func EvalBudget(frac float64, n int) int {
 }
 
 // convertParams turns caller parameter values into engine values plus their
-// canonical string form for fingerprinting. JSON numbers arrive as float64;
-// whole floats bind as integers so "k": 25 from JSON and int 25 from Go
-// agree.
+// canonical string form for fingerprinting. JSON numbers arrive as float64,
+// or as a json.Number from a decoder that kept them exact; a json.Number
+// that parses as an int64 binds as that integer, exactly, and anything else
+// as its float64. Whole floats below 1e15 bind as integers, so "k": 25 from
+// JSON and int 25 from Go agree.
 func convertParams(in map[string]any) (map[string]engine.Value, map[string]string, error) {
 	vals := make(map[string]engine.Value, len(in))
 	strs := make(map[string]string, len(in))
 	for name, raw := range in {
+		if n, ok := raw.(json.Number); ok {
+			if i, err := n.Int64(); err == nil {
+				raw = i
+			} else if raw, err = n.Float64(); err != nil {
+				return nil, nil, badf("parameter %q: %v", name, err)
+			}
+		}
 		switch v := raw.(type) {
 		case float64:
 			if v == math.Trunc(v) && math.Abs(v) < 1e15 {

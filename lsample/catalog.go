@@ -2,11 +2,16 @@ package lsample
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 	"unsafe"
 
+	"repro/internal/engine"
+	"repro/internal/predicate"
+	"repro/internal/qcompile"
 	"repro/internal/sql"
 )
 
@@ -125,7 +130,8 @@ type catalogKey struct {
 	shard string
 	// query is the Q1 shape: the object-enumeration query (Q2)
 	// fingerprinted with only the parameters Q2 itself reads, so predicate
-	// variants of one shape share an entry, a label space each.
+	// variants of one shape share an entry, one space per predicate without
+	// its count threshold.
 	query string
 	// features is the sorted feature-column set ("-" for feature-free
 	// plans). No label depends on it; it keeps an oracle or srs pass from
@@ -137,7 +143,8 @@ type catalogKey struct {
 // query, less the shard component its worker adds, and the name → snapshot
 // id map the entry is stamped with for EvictStale: pinned snapshot ids, the
 // Q2 fingerprint under only the parameters Q2 reads (so Q3-only parameter
-// changes share the entry, a label space each), and the feature-column set.
+// changes share the entry, one space per predicate without its count
+// threshold), and the feature-column set.
 // An entry holds only labels, and a label is a pure function of (snapshot,
 // key, predicate), so every seed and budget of every plan over that feature
 // set shares the one entry.
@@ -166,6 +173,57 @@ func (q *PreparedQuery) catalogKey(strs map[string]string, featCols []string) (c
 	}, ids
 }
 
+// countThreshold names the parameter a compiled HAVING COUNT(*) <op> p
+// compares the group's row count with, and op, when p appears nowhere else
+// in the query: a label space keyed without p then serves every value of
+// it. Anything else — the interpreter, a literal or computed threshold, a p
+// read by Q2 or elsewhere in Q3 — returns "".
+func countThreshold(shape *sql.SelectStmt, prog *qcompile.Program) (param, op string) {
+	if prog == nil {
+		return "", ""
+	}
+	name, op, ok := prog.CountParam()
+	if !ok {
+		return "", ""
+	}
+	uses := 0
+	sql.WalkStmtDeep(shape, func(e sql.Expr) {
+		if cr, ok := e.(*sql.ColumnRef); ok && cr.Name == name {
+			uses++
+		}
+	}, nil)
+	if uses != 1 {
+		return "", ""
+	}
+	return name, op
+}
+
+// countSpace returns the comparison this binding's threshold makes and the
+// fingerprint, less the threshold, of the count space that answers it — ""
+// unless the query has a count parameter (countThreshold) bound to a finite
+// number. Each execution still evaluates at its own threshold; only which
+// labels a stored bound settles depends on it.
+func (q *PreparedQuery) countSpace(vals map[string]engine.Value, strs map[string]string) (countRule, string) {
+	if q.countParam == "" {
+		return countRule{}, ""
+	}
+	var t float64
+	switch v := vals[q.countParam]; v.Kind {
+	case engine.KInt:
+		t = float64(v.I)
+	case engine.KFloat:
+		t = v.F
+	default:
+		return countRule{}, ""
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return countRule{}, ""
+	}
+	rest := maps.Clone(strs)
+	delete(rest, q.countParam)
+	return countRule{op: q.countOp, t: t}, "count " + sql.Fingerprint(q.shape, rest)
+}
+
 // catalogEntry is one label memo. The embedded mutex guards materialized
 // and spaces; an execution takes it only to read labels and to write fresh
 // ones back — never while a predicate runs, so executions of any seed and
@@ -179,19 +237,58 @@ type catalogEntry struct {
 	// materialized reports that some execution has asked the entry for a
 	// label: the ones after it reuse, the one that set it did not.
 	materialized bool
-	// spaces holds a label memo per predicate fingerprint: labels are pure
-	// functions of (snapshot, key, predicate), so a memo hit is
-	// byte-identical to a fresh evaluation.
+	// spaces holds one label space per predicate without its count
+	// threshold: a count space per threshold-free fingerprint for a compiled
+	// HAVING COUNT(*) <op> p, a one-bit space per predicate fingerprint for
+	// every other predicate. Labels are pure functions of (snapshot, key,
+	// predicate), so a memo hit is byte-identical to a fresh evaluation.
 	spaces map[string]*labelSpace
 
 	bytes, uses, last int64
 	pins              int
 }
 
-// labelSpace is the label memo for one predicate fingerprint.
+// labelSpace is the label memo for one predicate fingerprint: one bit per
+// key, or, for a count space, what count-reporting evaluations learned of
+// each key's group size, which answers the predicate at every threshold it
+// settles (countBound).
 type labelSpace struct {
 	labels map[int64]bool
+	counts map[int64]countBound // a count space's memo; nil in a one-bit space
 	last   int64
+}
+
+// countBound bounds one object's group row count c: lo = hi = c once a walk
+// completed, hi = unbounded while walks only stopped early at lo rows. Both
+// saturate at unbounded, a weaker fact, never a false one, and the pair fits
+// the 16-byte slot a map[int64]bool pads to. Writers only intersect, so a
+// racing writer can only tighten a bound.
+type countBound struct{ lo, hi int32 }
+
+const unbounded = math.MaxInt32
+
+func boundOf(c predicate.Count) countBound {
+	lo := int32(min(c.N, unbounded))
+	if c.Exact {
+		return countBound{lo, lo}
+	}
+	return countBound{lo, unbounded}
+}
+
+func (b countBound) meet(o countBound) countBound {
+	return countBound{max(b.lo, o.lo), min(b.hi, o.hi)}
+}
+
+// countRule is the comparison a count space answers at for one execution:
+// HAVING COUNT(*) op t.
+type countRule struct {
+	op string
+	t  float64
+}
+
+// label is the predicate at r's threshold, when b settles it.
+func (b countBound) label(r countRule) (label, settled bool) {
+	return qcompile.CountSettles(r.op, r.t, int64(b.lo), b.hi != unbounded)
 }
 
 // maxLabelSpaces bounds per-entry predicate variants; the least recently
@@ -199,11 +296,12 @@ type labelSpace struct {
 const maxLabelSpaces = 16
 
 // acquire pins the entry for k — creating an empty one stamped with
-// snapIDs on a miss — and returns it with its label memo for predicate
-// fingerprint fp and whether an earlier execution had asked it for a label.
-// The pin exempts the entry from eviction until the matching release; the
-// caller takes the entry's lock around each read and write of the labels.
-func (c *Catalog) acquire(k catalogKey, snapIDs map[string]uint64, fp string) (e *catalogEntry, labels map[int64]bool, materialized bool) {
+// snapIDs on a miss — and returns it with its label space under fp (a count
+// space when counted) and whether an earlier execution had asked it for a
+// label. The pin exempts the entry from eviction until the matching
+// release; the caller takes the entry's lock around each read and write of
+// the space.
+func (c *Catalog) acquire(k catalogKey, snapIDs map[string]uint64, fp string, counted bool) (e *catalogEntry, sp *labelSpace, materialized bool) {
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	if !ok {
@@ -219,13 +317,13 @@ func (c *Catalog) acquire(k catalogKey, snapIDs map[string]uint64, fp string) (e
 	c.mu.Unlock()
 	e.Lock()
 	defer e.Unlock()
-	return e, e.labels(fp, stamp), e.materialized
+	return e, e.space(fp, counted, stamp), e.materialized
 }
 
-// labels returns the label memo for predicate fingerprint fp, creating
-// it (and dropping the least recently used space past the cap) on first
-// use. Callers must hold the entry lock.
-func (e *catalogEntry) labels(fp string, clock int64) map[int64]bool {
+// space returns the label space under fp, creating it — a count space when
+// counted — and dropping the least recently used space past the cap on
+// first use. Callers must hold the entry lock.
+func (e *catalogEntry) space(fp string, counted bool, clock int64) *labelSpace {
 	if e.spaces == nil {
 		e.spaces = make(map[string]*labelSpace)
 	}
@@ -241,10 +339,13 @@ func (e *catalogEntry) labels(fp string, clock int64) map[int64]bool {
 			delete(e.spaces, oldFP)
 		}
 		sp = &labelSpace{labels: make(map[int64]bool)}
+		if counted {
+			sp.labels, sp.counts = nil, make(map[int64]countBound)
+		}
 		e.spaces[fp] = sp
 	}
 	sp.last = clock
-	return sp.labels
+	return sp
 }
 
 // release unpins the entry, records the execution's reuse classification
@@ -314,7 +415,8 @@ func (c *Catalog) dropLocked(e *catalogEntry) {
 // holds it to ± 25 % of the measured heap): the struct with its key
 // strings, the catalog's map slot (its key shares those strings), the
 // snapshot-id map (shared by a layout's shard entries, charged to each),
-// and per predicate fingerprint the label memo at what a Go map costs.
+// and per label space its memo at what a Go map costs (a count bound fills
+// the 16-byte slot a label pads to).
 // Callers must hold the entry lock.
 func (e *catalogEntry) sizeLocked() int64 {
 	k := e.key
@@ -324,7 +426,12 @@ func (e *catalogEntry) sizeLocked() int64 {
 	if e.spaces != nil {
 		b += mapBytes(len(e.spaces), 16+8)
 		for fp, sp := range e.spaces {
-			b += int64(len(fp)) + int64(unsafe.Sizeof(*sp)) + mapBytes(len(sp.labels), 8+8)
+			b += int64(len(fp)) + int64(unsafe.Sizeof(*sp))
+			if sp.counts != nil {
+				b += mapBytes(len(sp.counts), 8+8)
+			} else {
+				b += mapBytes(len(sp.labels), 8+8)
+			}
 		}
 	}
 	return b

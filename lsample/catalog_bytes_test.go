@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 )
 
@@ -18,25 +19,36 @@ const (
 
 // entryFootprint fills a fresh catalog with entries: one per table
 // snapshot, each bought by seeds counts of the method over its own 300-row
-// table (a seed apiece). It returns, per entry, the labels bought, the live
+// table (a seed apiece). The skyband count's threshold is the parameter k,
+// 8 for the first seed and 4 more for each next, so an entry keeps one count
+// space that every k shares; literal counts at COUNT(*) < 8 instead, which
+// keeps a one-bit space. It returns, per entry, the labels bought, the live
 // heap left behind — tables, sessions and queries are garbage by then — and
 // the bytes the catalog accounts. A first entry warms what the process
 // builds once and is kept out of all three.
-func entryFootprint(tb testing.TB, method string, entries, seeds int) (labels, live, accounted float64) {
+func entryFootprint(tb testing.TB, method string, literal bool, entries, seeds int) (labels, live, accounted float64) {
 	tb.Helper()
 	cat := NewCatalog(0)
+	query := skybandQuery
+	if literal {
+		query = strings.Replace(skybandQuery, "< k", "< 8", 1)
+	}
 	fill := func(tseed uint64) (bought int64) {
 		sess, err := NewSession(NewMemorySource(testTable(tb, ledgerObjects, tseed)),
 			WithCatalog(cat), WithMethod(method), WithBudget(ledgerBudget), WithParallelism(1))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		q, err := sess.Prepare(skybandQuery)
+		q, err := sess.Prepare(query)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		for seed := 1; seed <= seeds; seed++ {
-			est, err := q.Execute(context.Background(), map[string]any{"k": 8}, WithSeed(uint64(seed)))
+			var params map[string]any
+			if !literal {
+				params = map[string]any{"k": 4 + 4*seed}
+			}
+			est, err := q.Execute(context.Background(), params, WithSeed(uint64(seed)))
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -83,17 +95,26 @@ func raceEnabled() bool {
 
 // TestCatalogAccountsResidentBytes: the number -catalog-mb bounds is the
 // number that is resident. There is one entry per (snapshot, query, feature
-// set), whatever the seeds, budgets and methods that counted through it,
-// and it costs what its labels cost: 150 lss and 150 srs entries, each
-// bought by two seeds at the ledger shape, must leave a live heap within
-// 25 % of Stats().Bytes and under a Go map's worst case per label bought.
+// set), whatever the seeds, budgets, methods and thresholds that counted
+// through it, and it costs what its labels cost: 150 lss and 150 srs
+// entries holding a count space (k = 8 and 12) and 150 srs entries holding
+// a one-bit space (a literal 8), each bought by two seeds at the ledger
+// shape, must leave a live heap within 25 % of Stats().Bytes and under a Go
+// map's worst case per label bought.
 func TestCatalogAccountsResidentBytes(t *testing.T) {
 	entries := 150
 	if raceEnabled() || testing.Short() {
 		entries = 6
 	}
-	for _, method := range []string{"lss", "srs"} {
-		labels, live, accounted := entryFootprint(t, method, entries, 2)
+	for _, arm := range []struct {
+		method  string
+		literal bool
+	}{{"lss", false}, {"srs", false}, {"srs", true}} {
+		method := arm.method
+		if arm.literal {
+			method += " literal"
+		}
+		labels, live, accounted := entryFootprint(t, arm.method, arm.literal, entries, 2)
 		t.Logf("%s: %.0f labels, %.0f B live, %.0f B accounted per entry over %d entries", method, labels, live, accounted, entries)
 		if accounted <= 0 {
 			t.Errorf("%s: catalog accounts %.0f B per entry", method, accounted)
@@ -167,7 +188,7 @@ func BenchmarkCatalogEntry(b *testing.B) {
 		b.Run(method, func(b *testing.B) {
 			var labels, live, accounted float64
 			for i := 0; i < b.N; i++ {
-				labels, live, accounted = entryFootprint(b, method, 50, 2)
+				labels, live, accounted = entryFootprint(b, method, false, 50, 2)
 			}
 			b.ReportMetric(labels, "labels/entry")
 			b.ReportMetric(live, "live-B/entry")

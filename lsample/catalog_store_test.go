@@ -30,11 +30,17 @@ func storeKey(tabs map[string]*Table, i int) (catalogKey, map[string]uint64) {
 		map[string]uint64{name: id}
 }
 
+// acquireBits is acquire for a one-bit label space, returning its labels.
+func acquireBits(c *Catalog, k catalogKey, ids map[string]uint64, fp string) (*catalogEntry, map[int64]bool, bool) {
+	e, sp, materialized := c.acquire(k, ids, fp, false)
+	return e, sp.labels, materialized
+}
+
 // acquireFilled acquires entry i and writes n labels into its "fp" space so
 // eviction has bytes to account.
 func acquireFilled(c *Catalog, tabs map[string]*Table, i, n int) *catalogEntry {
 	k, ids := storeKey(tabs, i)
-	e, labels, _ := c.acquire(k, ids, "fp")
+	e, labels, _ := acquireBits(c, k, ids, "fp")
 	e.Lock()
 	for j := 0; j < n; j++ {
 		labels[int64(j)] = j%2 == 0
@@ -50,15 +56,15 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 	c.release(e, ReuseNone)
 
 	k, ids := storeKey(tabs, 0)
-	e2, labels, materialized := c.acquire(k, ids, "fp")
+	e2, labels, materialized := acquireBits(c, k, ids, "fp")
 	if e2 != e || len(labels) != 10 || !materialized {
 		t.Fatalf("second acquire: same entry %t, %d labels, materialized %t; want the first entry, its 10 labels, materialized",
 			e2 == e, len(labels), materialized)
 	}
 	c.release(e2, ReuseDirect)
-	e3, _, _ := c.acquire(k, ids, "fp")
+	e3, _, _ := acquireBits(c, k, ids, "fp")
 	c.release(e3, ReuseExtension)
-	e4, _, _ := c.acquire(k, ids, "fp")
+	e4, _, _ := acquireBits(c, k, ids, "fp")
 	c.release(e4, "") // an errored execution records nothing
 
 	s := c.Stats()
@@ -122,7 +128,7 @@ func TestInvalidateDetachesPinnedEntries(t *testing.T) {
 	}
 	// A later acquire under the same key starts from an empty entry.
 	k, ids := storeKey(tabs, 0)
-	e2, labels, materialized := c.acquire(k, ids, "fp")
+	e2, labels, materialized := acquireBits(c, k, ids, "fp")
 	if e2 == e || materialized || len(labels) != 0 {
 		t.Error("acquire after eviction did not return a fresh empty entry")
 	}
@@ -132,13 +138,13 @@ func TestInvalidateDetachesPinnedEntries(t *testing.T) {
 func TestLabelSpaceLRUCap(t *testing.T) {
 	c := NewCatalog(1 << 20)
 	k, ids := storeKey(storeTables(t, 1), 0)
-	e, first, _ := c.acquire(k, ids, "fp-0")
+	e, first, _ := acquireBits(c, k, ids, "fp-0")
 	e.Lock()
 	first[7] = true
 	e.Unlock()
 	c.release(e, "")
 	for i := 1; i <= maxLabelSpaces; i++ { // one past the cap
-		e, _, _ := c.acquire(k, ids, fmt.Sprintf("fp-%d", i))
+		e, _, _ := acquireBits(c, k, ids, fmt.Sprintf("fp-%d", i))
 		c.release(e, "")
 	}
 	if len(e.spaces) != maxLabelSpaces {
@@ -148,7 +154,7 @@ func TestLabelSpaceLRUCap(t *testing.T) {
 		t.Error("least recently used space fp-0 survived the cap")
 	}
 	// Re-requesting the dropped fingerprint yields a fresh empty memo.
-	e, again, _ := c.acquire(k, ids, "fp-0")
+	e, again, _ := acquireBits(c, k, ids, "fp-0")
 	if len(again) != 0 {
 		t.Error("re-created label space kept stale labels")
 	}
@@ -165,7 +171,7 @@ func TestConcurrentAcquireReleaseInvalidate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k, ids := storeKey(tabs, i%5)
-				e, labels, _ := c.acquire(k, ids, fmt.Sprintf("fp-%d", g))
+				e, labels, _ := acquireBits(c, k, ids, fmt.Sprintf("fp-%d", g))
 				e.Lock()
 				labels[int64(i)] = true
 				e.Unlock()

@@ -357,11 +357,14 @@ func TestCatalogFreshSeedsShareOneEntry(t *testing.T) {
 }
 
 // TestCatalogAnswerIgnoresCatalogContents: whatever an entry already holds
-// — the same count under another Q3 parameter, at a larger budget or at a
+// — the same count under another threshold k, at a larger budget or at a
 // smaller one — a count answers exactly as it does on an empty catalog, and
 // predicate variants still share the one entry. (At seed 12 the lss learn
 // sample's labels differ between k=8 and k=12, so a classifier kept from
-// the other predicate would show.)
+// the other predicate would show.) The entry's one space is a count space:
+// a count after another k buys fewer labels than the cold run, and none at
+// all after an oracle pass at k=16, whose walks settle every object for
+// k=12.
 func TestCatalogAnswerIgnoresCatalogContents(t *testing.T) {
 	ctx := context.Background()
 	for _, method := range GroupMethods() {
@@ -370,7 +373,7 @@ func TestCatalogAnswerIgnoresCatalogContents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, before := range []goldenStep{{k: 8, budget: 0.25}, {k: 8, budget: 0.5}, {k: 12, budget: 0.5}, {k: 12, budget: 0.1}} {
+		for _, before := range []goldenStep{{k: 8, budget: 0.25}, {k: 8, budget: 0.5}, {k: 16, budget: 0.25}, {k: 12, budget: 0.5}, {k: 12, budget: 0.1}} {
 			q, cat := catalogSession(t, 160, 7, WithMethod(method), WithSeed(12))
 			first, err := q.Execute(ctx, map[string]any{"k": before.k}, WithBudget(before.budget), WithExact(true))
 			if err != nil {
@@ -384,12 +387,15 @@ func TestCatalogAnswerIgnoresCatalogContents(t *testing.T) {
 				t.Errorf("%s, k=12 after k=%d at %.2f: %v %v, on an empty catalog %v %v",
 					method, before.k, before.budget, got.Count, got.CI, want.Count, want.CI)
 			}
-			if before.k != 12 && (got.SamplesUsed != want.SamplesUsed || *first.TrueCount >= *got.TrueCount) {
-				t.Errorf("%s, k=12 after k=%d: %d evaluations and true count %d after %d, want the cold run's %d under its own predicate",
+			if before.k != 12 && (got.SamplesUsed >= want.SamplesUsed || *first.TrueCount == *got.TrueCount) {
+				t.Errorf("%s, k=12 after k=%d: %d evaluations and true count %d after %d, want fewer than the cold run's %d under its own predicate",
 					method, before.k, got.SamplesUsed, *got.TrueCount, *first.TrueCount, want.SamplesUsed)
 			}
+			if before.k == 16 && method == "oracle" && got.SamplesUsed != 0 {
+				t.Errorf("oracle, k=12 after k=16: %d evaluations, want every label settled by k=16's walks", got.SamplesUsed)
+			}
 			if s := cat.Stats(); s.Entries != 1 {
-				t.Errorf("%s: %d entries, want 1 (predicate variants share the entry, a label space each)", method, s.Entries)
+				t.Errorf("%s: %d entries, want 1 (predicate variants share the entry and its count space)", method, s.Entries)
 			}
 		}
 	}
@@ -506,5 +512,124 @@ func TestCatalogConcurrentSeedsShareOneEntry(t *testing.T) {
 	}
 	if s := cat.Stats(); s.Entries != 1 {
 		t.Errorf("%d seeds left %d entries, want 1", seeds, s.Entries)
+	}
+}
+
+// TestCatalogThresholdSweep (ROADMAP item 19): one snapshot and one
+// catalog counted at k = 5, 10, …, 50 give every answer a fresh catalog
+// gives, and buy fewer labels than per-threshold spaces would — each of
+// which buys what a fresh catalog buys at its k. The order matters for
+// HAVING COUNT(*) < k: a walk that stops at the k-th dominator records only
+// "at least k", which settles every smaller threshold and no larger one, so
+// a descending sweep answers nearly everything from the first k's walks
+// while an ascending one reuses only the exact counts below each k.
+func TestCatalogThresholdSweep(t *testing.T) {
+	ctx := context.Background()
+	plan := []Option{WithMethod("lss"), WithBudget(ledgerBudget), WithSeed(3)}
+	perThreshold := map[int]*Estimate{}
+	for k := 5; k <= 50; k += 5 {
+		fresh, _ := catalogSession(t, ledgerObjects, 7, plan...)
+		est, err := fresh.Execute(ctx, map[string]any{"k": k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perThreshold[k] = est
+	}
+	for _, c := range []struct {
+		order   string
+		from    int
+		step    int
+		minSave float64
+	}{{"ascending", 5, 5, 0.15}, {"descending", 50, -5, 0.80}} {
+		q, cat := catalogSession(t, ledgerObjects, 7, plan...)
+		var bought, per int64
+		for k := c.from; k >= 5 && k <= 50; k += c.step {
+			got, err := q.Execute(ctx, map[string]any{"k": k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := perThreshold[k]
+			if !sameEstimate(got, want) || got.Budget != want.Budget {
+				t.Errorf("%s k=%d: %v %v, a fresh catalog %v %v", c.order, k, got.Count, got.CI, want.Count, want.CI)
+			}
+			bought += got.SamplesUsed
+			per += want.SamplesUsed
+		}
+		saved := 1 - float64(bought)/float64(per)
+		t.Logf("%s sweep: %d evaluations, per-threshold spaces %d: %.1f %% saved", c.order, bought, per, 100*saved)
+		if saved < c.minSave {
+			t.Errorf("%s sweep saved %.1f %% of %d evaluations, want at least %.0f %%", c.order, 100*saved, per, 100*c.minSave)
+		}
+		if s := cat.Stats(); s.Entries != 1 {
+			t.Errorf("%s sweep left %d entries, want the one", c.order, s.Entries)
+		}
+	}
+}
+
+// TestCatalogConcurrentThresholdsShareOneSpace: counts at four thresholds
+// and four seeds race on one entry's count space (run under -race). Each
+// answers as a catalog-free run does, the entry ends with that one space,
+// and every count again is answered by the memo alone — a bound a racing
+// writer tightened still settles what it settled.
+func TestCatalogConcurrentThresholdsShareOneSpace(t *testing.T) {
+	q, cat := catalogSession(t, 200, 7, WithMethod("lss"), WithBudget(0.2))
+	ctx := context.Background()
+	type run struct {
+		k    int
+		seed uint64
+		ref  *Estimate
+	}
+	var runs []*run
+	for _, k := range []int{6, 8, 10, 12} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			ref, err := q.Execute(ctx, map[string]any{"k": k}, WithSeed(seed), WithCatalog(nil), WithShards(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, &run{k, seed, ref})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			est, err := q.Execute(ctx, map[string]any{"k": r.k}, WithSeed(r.seed))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !sameEstimate(est, r.ref) || est.SamplesUsed > r.ref.SamplesUsed {
+				t.Errorf("k=%d seed %d: %v %v at %d evaluations, a catalog-free run %v %v at %d",
+					r.k, r.seed, est.Count, est.CI, est.SamplesUsed, r.ref.Count, r.ref.CI, r.ref.SamplesUsed)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, r := range runs {
+		est, err := q.Execute(ctx, map[string]any{"k": r.k}, WithSeed(r.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEstimate(est, r.ref) || est.SamplesUsed != 0 || est.Reuse != ReuseDirect {
+			t.Errorf("k=%d seed %d again: %v at %d evaluations, reuse %q; want %v from the memo alone",
+				r.k, r.seed, est.Count, est.SamplesUsed, est.Reuse, r.ref.Count)
+		}
+	}
+	if s := cat.Stats(); s.Entries != 1 {
+		t.Fatalf("%d entries, want 1", s.Entries)
+	}
+	for _, e := range cat.entries {
+		e.Lock()
+		n, counted := len(e.spaces), 0
+		for _, sp := range e.spaces {
+			if sp.counts != nil {
+				counted++
+			}
+		}
+		e.Unlock()
+		if n != 1 || counted != 1 {
+			t.Errorf("the entry holds %d spaces, %d of them count spaces; want one count space for every k", n, counted)
+		}
 	}
 }

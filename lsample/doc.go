@@ -220,7 +220,8 @@
 // # Cross-query reuse catalog
 //
 // A Catalog (NewCatalog, attached via WithCatalog) stores what the hash
-// plan buys — labels, per predicate fingerprint — and hands them to later
+// plan buys — labels, one space per predicate without its count threshold
+// — and hands them to later
 // executions, sessions, and queries that share table snapshots. An entry
 // is a label memo and nothing else: it never holds a sample, scores, a
 // classifier or a stratification design, because all of those are
@@ -230,9 +231,22 @@
 // feature columns) — so no seed, budget, method, classifier or stratum
 // count splits them: every count over one snapshot of one query shape
 // shares one entry (one per shard under WithShards), which grows with the
-// labels bought and stops at one per object and predicate — about 10 KB for
-// a fully labeled 300-object population, at most 16 predicate variants
-// kept. The catalog's byte budget bounds live bytes (Stats().Bytes is
+// labels bought and stops at one per object and label space — about 10 KB
+// for a fully labeled 300-object population, at most 16 spaces kept.
+//
+// A compiled predicate whose HAVING is COUNT(*) <op> p, with p a parameter
+// the query reads nowhere else and bound to a finite number, keeps a count
+// space keyed by the predicate without p: per object, what its evaluations
+// learned of the group's row count — exactly, when a walk completed
+// (0 when the object joins no row), or at least n, when a walk stopped at
+// the n-th row because n settled its comparison. A count at threshold t is
+// answered from the space for every object whose walks went as far as the
+// evaluation at t would, and evaluates only the rest: after k = 30, a
+// HAVING COUNT(*) < k count at k = 25 evaluates nothing the k = 30 count
+// labeled, and a count at k = 35 only the objects k = 30 found at least 30
+// rows for. Every other predicate — the interpreter fallback, a literal,
+// computed, NaN or non-numeric threshold, any other HAVING — keeps a one-bit
+// space per predicate fingerprint. The catalog's byte budget bounds live bytes (Stats().Bytes is
 // within 25 % of the heap the entries hold); under Go's default GOGC the
 // process's resident share is about twice that. On Execute, a method or
 // query shape outside the hash plan's contract transparently takes the
@@ -248,8 +262,10 @@
 //     bought — a larger budget under the same seed (bottom-k at a larger k
 //     is a strict superset, so only new keys pay), a seed or method nobody
 //     ran before, or a predicate that differs in Q3-bound parameters
-//     (which shares the entry but has a label space of its own, so it
-//     buys all of its labels).
+//     (which shares the entry; another count threshold shares its count
+//     space too and buys only the labels the stored counts do not settle,
+//     any other parameter has a label space of its own and buys all of its
+//     labels).
 //   - ReuseNone: nobody had asked the entry for a label before.
 //
 // Eviction is size-weighted LFU over whole entries under the catalog's
@@ -260,10 +276,11 @@
 // (snapshots, query, params, method, budget, seed) the estimate is
 // byte-identical to a catalog-free run (WithShards(1)) no matter what the
 // catalog holds, because reused state is only labels — pure functions of
-// snapshot, key, and predicate. The execution selects its samples, fits
-// its classifier and cuts its strata exactly as the cold run does; only
-// what it pays for labels differs, which Estimate reports in SamplesUsed
-// and ReusedLabels.
+// snapshot, key, and predicate; a label a count space settles is the one
+// an evaluation at that threshold returns. The execution selects its
+// samples, fits its classifier and cuts its strata exactly as the cold run
+// does; only what it pays for labels differs, which Estimate reports in
+// SamplesUsed and ReusedLabels.
 //
 // # Sharded execution
 //

@@ -2,6 +2,7 @@ package lsample
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -109,6 +110,25 @@ func TestConvertParamsCanonicalForms(t *testing.T) {
 	}
 	if _, _, err := convertParams(map[string]any{"b": []any{}}); err == nil {
 		t.Error("want error for unsupported param type")
+	}
+	// A json.Number binds as a float64 of its text would, except that an
+	// int64 binds exactly past 2^53.
+	for text, want := range map[string]string{
+		"25": "25", "25.0": "25", "1e2": "100", "-0": "0", "2.5": "2.5", "1e15": "1e+15",
+		"9007199254740993": "9007199254740993", "1e400": "",
+	} {
+		vals, strs, err := convertParams(map[string]any{"p": json.Number(text)})
+		switch {
+		case want == "":
+			if err == nil {
+				t.Errorf("json %s: bound %v, want an error", text, vals["p"])
+			}
+		case err != nil || strs["p"] != want:
+			t.Errorf("json %s: bound %v as %q (%v), want %q", text, vals["p"], strs["p"], err, want)
+		}
+	}
+	if vals, _, _ := convertParams(map[string]any{"p": json.Number("9007199254740993")}); vals["p"] != engine.IntVal(1<<53+1) {
+		t.Errorf("json 9007199254740993 bound %v, want the int 2^53 + 1", vals["p"])
 	}
 }
 

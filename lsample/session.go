@@ -86,6 +86,7 @@ func (s *Session) Prepare(sqlText string, opts ...Option) (*PreparedQuery, error
 	}
 	// Once per prepared query: the tables are an immutable snapshot.
 	prog, progErr := compileQ3(a.dec, cat)
+	countParam, countOp := countThreshold(a.shape, prog)
 	return &PreparedQuery{
 		analysis: *a,
 		text:     sqlText,
@@ -97,6 +98,9 @@ func (s *Session) Prepare(sqlText string, opts ...Option) (*PreparedQuery, error
 		feats:    make(map[string]*featureState),
 		prog:     prog,
 		progErr:  progErr,
+
+		countParam: countParam,
+		countOp:    countOp,
 	}, nil
 }
 
@@ -130,6 +134,11 @@ type PreparedQuery struct {
 	ltab     *dataset.Table
 	prog     *qcompile.Program // compiled Q3, nil when outside the subset
 	progErr  string            // fallback reason when prog is nil
+
+	// countParam is the parameter p of a compiled HAVING COUNT(*) <countOp> p
+	// that nothing else in the query reads ("" otherwise): the catalog keys
+	// the predicate's label space without it (countSpace).
+	countParam, countOp string
 
 	featMu sync.Mutex
 	feats  map[string]*featureState // keyed by sorted parameter names
@@ -381,7 +390,7 @@ func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects 
 			return ep, lab, nil
 		}
 	}
-	cp := predicate.NewCompiled(bound.NewEvalFn, cfg.parallelism)
+	cp := predicate.NewCompiled(bound.NewEvalFn, bound.NewCountFn, cfg.parallelism)
 	return cp, Labeling{Compiled: true, Workers: cp.Workers()}, nil
 }
 

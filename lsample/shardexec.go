@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -75,9 +76,19 @@ func (p *predPool) put(pred predicate.Predicate) {
 // every execution on that worker shares and the store locks only to read
 // and to write back, a LiveQuery's label memo, or without a catalog one
 // run's own map: labels outlive a count only in a catalog.
+//
+// A count space (counts non-nil) memoizes group-size bounds instead of
+// labels: a key is answered when its bound settles rule's threshold, and
+// only the rest are evaluated, through the compiled predicate's
+// count-reporting batch path. A predicate that cannot count (the
+// interpreter a failed cross-check fell back to) labels into the
+// predicate's one-bit space, which bits fetches under the lock.
 type labelStore struct {
-	lock     sync.Locker // guards labels and the counters: the catalog entry or the run's map the labels live in
+	lock     sync.Locker // guards the memo and the counters: the catalog entry or the run's map the labels live in
 	labels   map[int64]bool
+	counts   map[int64]countBound
+	rule     countRule
+	bits     func() map[int64]bool
 	keys     []int64 // global keys by object position
 	posByKey map[int64]int
 	relabel  bool // refresh's cold baseline: evaluate memoized keys too
@@ -96,12 +107,13 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 	var missing []int
 	l.lock.Lock()
 	for _, k := range sel {
-		if _, ok := l.labels[k]; !ok || l.relabel {
+		if _, ok := l.memo(k); !ok || l.relabel {
 			missing = append(missing, l.posByKey[k])
 		}
 	}
 	l.lock.Unlock()
 	var fresh []bool
+	var counts []predicate.Count
 	if len(missing) > 0 {
 		pred, err := l.preds.get(ctx)
 		if err != nil {
@@ -112,7 +124,11 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 		t0 := time.Now()
 		// A predicate whose evaluation panics (an engine.Fault) is not
 		// returned to the pool.
-		fresh, err = predicate.Label(pred, missing, canceled(ctx, "labeling"))
+		if cp, ok := pred.(predicate.Counter); ok && l.counts != nil {
+			counts, err = predicate.CountAll(cp, missing, canceled(ctx, "labeling"))
+		} else {
+			fresh, err = predicate.Label(pred, missing, canceled(ctx, "labeling"))
+		}
 		dur := time.Since(t0)
 		l.preds.put(pred)
 		if err != nil {
@@ -122,16 +138,40 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 	}
 	l.lock.Lock()
 	defer l.lock.Unlock()
+	if fresh != nil && l.labels == nil {
+		l.labels = l.bits()
+	}
 	for j, p := range missing {
-		l.labels[l.keys[p]] = fresh[j]
+		k := l.keys[p]
+		if fresh != nil {
+			l.labels[k] = fresh[j]
+			continue
+		}
+		b := boundOf(counts[j])
+		if old, ok := l.counts[k]; ok {
+			b = b.meet(old)
+		}
+		l.counts[k] = b
 	}
 	l.fresh += len(missing)
 	l.hits += len(sel) - len(missing)
 	out := make([]bool, len(sel))
 	for j, k := range sel {
-		out[j] = l.labels[k]
+		out[j], _ = l.memo(k)
 	}
 	return out, len(missing), nil
+}
+
+// memo is the memoized label of key k, if any: its count bound's, when that
+// settles the rule, else its one-bit label. Callers hold the lock.
+func (l *labelStore) memo(k int64) (label, ok bool) {
+	if b, found := l.counts[k]; found {
+		if label, ok = b.label(l.rule); ok {
+			return label, true
+		}
+	}
+	label, ok = l.labels[k]
+	return label, ok
 }
 
 // shardData is the seed-independent half of a hash-plan execution: the
@@ -156,7 +196,14 @@ type shardData struct {
 	build     func(ctx context.Context, validated bool) (predicate.Predicate, Labeling, error)
 	checked   sync.Once
 	validated bool
-	lab       Labeling // what the checked build reported
+	lab       Labeling    // what the checked build reported
+	fellBack  atomic.Bool // the checked build fell back to the interpreter
+
+	// count is the threshold a compiled HAVING COUNT(*) <op> p compares with
+	// (see countSpace), and countFP the fingerprint without it that keys the
+	// catalog's count space; countFP is "" for every other predicate.
+	count   countRule
+	countFP string
 }
 
 // shardWorker is one shard of a shardData: its slice of the population as
@@ -176,6 +223,7 @@ func (d *shardData) buildPredicate(ctx context.Context) (p predicate.Predicate, 
 		first = true
 		p, d.lab, err = d.build(ctx, false)
 		d.validated = err == nil && d.lab.Compiled
+		d.fellBack.Store(err == nil && !d.lab.Compiled)
 	})
 	if !first {
 		p, _, err = d.build(ctx, d.validated)
@@ -408,6 +456,9 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 		// driver's concurrent scatter.
 		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, pcfg, validated)
 	}
+	if !k.noCompile {
+		d.count, d.countFP = q.countSpace(vals, strs)
+	}
 	key, snapIDs := q.catalogKey(strs, d.featCols)
 	d.snapIDs = snapIDs
 	for s := 0; s < count; s++ {
@@ -444,12 +495,20 @@ func (d *shardData) newRun(cfg config) (*shardRun, error) {
 		}
 		trainer = shard.NewTrainer(newClf)
 	}
+	// A predicate whose checked build fell back to the interpreter cannot
+	// count, so its runs label into the one-bit space from the start.
+	counted := d.countFP != "" && !d.fellBack.Load()
 	for _, w := range d.shards {
 		l := &labelStore{keys: d.keys, posByKey: d.posByKey, preds: &w.preds}
 		if r.cat != nil {
-			e, labels, prev := r.cat.acquire(w.key, d.snapIDs, d.key.fp)
+			fp := d.key.fp
+			if counted {
+				fp = d.countFP
+			}
+			e, sp, prev := r.cat.acquire(w.key, d.snapIDs, fp, counted)
 			r.entries, r.prev = append(r.entries, e), append(r.prev, prev)
-			l.lock, l.labels = e, labels
+			l.lock, l.labels, l.counts, l.rule = e, sp.labels, sp.counts, d.count
+			l.bits = func() map[int64]bool { return e.space(d.key.fp, false, sp.last).labels }
 		} else {
 			l.lock, l.labels = new(sync.Mutex), make(map[int64]bool)
 		}
