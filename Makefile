@@ -34,7 +34,9 @@
 #                      fit and scoring, designers, GROUP BY shared vs naive,
 #                      catalog bytes per entry, shard-op wire bytes, RPCs
 #                      per repeat coordinator count, the interpreter's
-#                      first-object cross-check per joined row —
+#                      first-object cross-check per joined row, a served
+#                      no_cache (cold) and cached (warm) count, the
+#                      bottom-k candidate sort —
 #                      printed as `go test -bench` prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
@@ -124,9 +126,13 @@ race:
 # (BenchmarkCoordinatorCount: rpcs/op — 8 once the shape's census is
 # stored — and allocs/op), and the interpreter's cross-check of a compiled
 # program: the skyband Q3 for object 0 over 300 × 300 joined rows
-# (BenchmarkFirstObjectValidation: ns/row).
+# (BenchmarkFirstObjectValidation: ns/row), a served lss count through
+# Service.Count (BenchmarkServeCount: cold is a no_cache count at a fresh
+# seed, the hash plan on the resident executor over an empty private label
+# memo; warm a result-cache hit; evals/op), and the (hash, key) sort of 300
+# bottom-k candidates under every hash-plan sample (BenchmarkSortCands).
 # BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount|BenchmarkFirstObjectValidation)$$
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount|BenchmarkFirstObjectValidation|BenchmarkServeCount|BenchmarkSortCands)$$
 BENCHTIME ?= 1x
 
 bench-micro:

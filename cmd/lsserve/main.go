@@ -68,8 +68,10 @@
 // the sum of the rows and carries "has_ci": false (the sum of the per-group
 // bounds is not a 1−α interval for the sum); under exact its true_count is
 // the sum of the rows' true counts. Request knobs: method, budget, classifier, strata,
-// interval (wald|wilson), seed, exact, no_cache, degrade (answer with a
-// small-budget wider-interval estimate instead of 503 under overload).
+// interval (wald|wilson), seed, exact, no_cache (recompute on a private
+// label memo, reading and keeping nothing cached: the same answer at a cold
+// run's evaluation bill), degrade (answer with a small-budget
+// wider-interval estimate instead of 503 under overload).
 //
 // Admission control runs at most -max-inflight estimations at once, first
 // come first served, and a dataset whose queue is hopelessly deep sheds new

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/lsample"
 )
 
@@ -75,6 +78,79 @@ func TestCountNoCacheBypassesCatalog(t *testing.T) {
 	}
 	if s := svc.CatalogStats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
 		t.Errorf("no_cache touched the catalog: %+v", s)
+	}
+}
+
+// TestNoCacheAnswersLikeCached: no_cache changes what a count reads and
+// keeps, never the answer. It runs on a label memo of its own, so it takes
+// the branch the cached request takes — the hash plan for plain srs, lss
+// and oracle counts, sharded or not; the classic body for an unsharded
+// GROUP BY — and replies bit for bit what the cached request replies, at
+// the evaluation bill of a cold cached run, with the shared catalog
+// untouched. A repeat no_cache count runs on the resident executor, whose
+// pooled predicates and checked verdict spare it the interpreted
+// cross-check: any predicate it builds carries validated_by=executor.
+func TestNoCacheAnswersLikeCached(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register(testTable(100, 7))
+	reg.Register(groupedTestTable(100, 7))
+	type tc struct {
+		name     string
+		req      CountRequest
+		hashPlan bool
+	}
+	var cases []tc
+	for _, method := range []string{"lss", "srs", "oracle"} {
+		for _, shards := range []int{0, 2} {
+			cases = append(cases, tc{fmt.Sprintf("%s/shards=%d", method, shards), CountRequest{
+				SQL: skybandQuery, Params: map[string]any{"k": 8},
+				Method: method, Budget: 0.25, Seed: 3, Shards: shards,
+			}, true})
+		}
+	}
+	cases = append(cases, tc{"lss/group-by", CountRequest{
+		SQL: groupedSkybandQuery, Params: map[string]any{"k": 8},
+		Method: "lss", Budget: 0.25, Seed: 3,
+	}, false})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			svc := New(reg, Options{})
+			cold, err := svc.Count(&c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats := svc.CatalogStats()
+			nc := c.req
+			nc.NoCache = true
+			for i := 0; i < 2; i++ {
+				nc.Explain = i == 1
+				res, err := svc.Count(&nc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("no_cache run %d", i)
+				sameAnswer(t, what, res, cold)
+				if res.Evals != cold.Evals || res.Cached {
+					t.Errorf("%s: evals %d (cached %v), want a cold run's %d", what, res.Evals, res.Cached, cold.Evals)
+				}
+				if !c.hashPlan || !nc.Explain {
+					continue
+				}
+				span := cmp.Or(findSpan(res.Trace, "catalog"), findSpan(res.Trace, "shard.drive"))
+				if span == nil || span.Attrs["resident"] != true {
+					t.Errorf("%s: no hash-plan span on a resident executor in the trace", what)
+				}
+				forEachSpan(res.Trace, func(s *obs.SpanData) {
+					if s.Name == "predicate.build" && s.Attrs["validated_by"] != "executor" {
+						t.Errorf("%s: predicate.build %v paid the cross-check again", what, s.Attrs)
+					}
+				})
+			}
+			if s := svc.CatalogStats(); s != stats {
+				t.Errorf("no_cache touched the shared catalog: %+v, was %+v", s, stats)
+			}
+		})
 	}
 }
 

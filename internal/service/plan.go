@@ -143,12 +143,6 @@ func (p *plan) options() []lsample.Option {
 	if p.Shards > 0 {
 		opts = append(opts, lsample.WithShards(p.Shards))
 	}
-	// NoCache promises a full recomputation, so it bypasses the reuse
-	// catalog too — concurrent no-cache clients verifying bit-identical
-	// answers must all pay (and report) the same full evaluation bill.
-	if p.NoCache {
-		opts = append(opts, lsample.WithCatalog(nil))
-	}
 	return opts
 }
 

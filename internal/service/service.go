@@ -228,9 +228,13 @@ type CountRequest struct {
 	Strata     int            `json:"strata,omitempty"`     // strata for stratified methods (default 4)
 	Interval   string         `json:"interval,omitempty"`   // wald (default) or wilson
 	Seed       uint64         `json:"seed,omitempty"`
-	Shards     int            `json:"shards,omitempty"`   // >0: sharded in-process execution (srs/lss/oracle)
-	Exact      bool           `json:"exact,omitempty"`    // also compute the true count (slow)
-	NoCache    bool           `json:"no_cache,omitempty"` // bypass the result cache
+	Shards     int            `json:"shards,omitempty"` // >0: sharded in-process execution (srs/lss/oracle)
+	Exact      bool           `json:"exact,omitempty"`  // also compute the true count (slow)
+	// NoCache bypasses the result cache and the shared reuse catalog: the
+	// count runs on an empty label memo of its own, so it pays a cold run's
+	// evaluations and keeps nothing, and answers what the cached request
+	// answers.
+	NoCache bool `json:"no_cache,omitempty"`
 	// Degrade opts into a budget-degraded answer when admission control
 	// would otherwise 503: a tiny simple-random-sample estimate (wider
 	// confidence interval, no exact pass, never cached) computed under a
@@ -551,6 +555,15 @@ func (s *Service) execute(ctx context.Context, p *plan) (*CountResult, error) {
 		return nil, err
 	}
 	opts := p.options()
+	if p.NoCache && s.catalog != nil {
+		// NoCache promises a full recomputation, so the run reads and keeps
+		// none of the shared catalog's labels: it gets an empty memo of its
+		// own. An answer is the same whatever the memo holds, so the run
+		// still takes the cached request's branch and replies the cached
+		// answer, at a cold run's evaluation bill. (Without a shared catalog
+		// the cached request runs the classic body, and so does this one.)
+		opts = append(opts, lsample.WithCatalog(lsample.NewCatalog(0)))
+	}
 	if prep.IsGrouped() {
 		ge, err := prep.ExecuteGroups(ctx, p.Params, opts...)
 		if err != nil {

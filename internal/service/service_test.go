@@ -632,11 +632,12 @@ func BenchmarkServeCount(b *testing.B) {
 
 // TestCountContainsLabelingPoolPanic: a predicate fault — a division by
 // zero on an object the first-object checks never see — raised on a
-// labeling-pool worker goroutine at Parallelism > 1 (classic path) or on a
-// driver scatter goroutine (hash plan) is the request's error: 400
-// bad_request on either path, no logged stack, nothing left in flight. It
-// used to be a panic the request-level recover turned into a 500, and
-// before that it killed the process.
+// labeling-pool worker goroutine at Parallelism > 1 (classic path, which a
+// service without a reuse catalog takes) or on a driver scatter goroutine
+// (hash plan, cached or no_cache) is the request's error: 400 bad_request
+// on either path, no logged stack, nothing left in flight. It used to be a
+// panic the request-level recover turned into a 500, and before that it
+// killed the process.
 func TestCountContainsLabelingPoolPanic(t *testing.T) {
 	tb, err := lsample.NewTable("D", "id:int,x:float,y:float")
 	if err != nil {
@@ -657,6 +658,9 @@ func TestCountContainsLabelingPoolPanic(t *testing.T) {
 	svc := New(reg, Options{Parallelism: 4, Logger: obs.NewLogger(&logs)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
+	classic := New(reg, Options{Parallelism: 4, CatalogBytes: -1, Logger: obs.NewLogger(&logs)})
+	cts := httptest.NewServer(classic.Handler())
+	defer cts.Close()
 
 	req := &CountRequest{
 		// HAVING runs per object group, so construction-time validation of
@@ -666,22 +670,35 @@ func TestCountContainsLabelingPoolPanic(t *testing.T) {
 		Params: map[string]any{"k": 8},
 		Method: "oracle",
 	}
-	for _, noCache := range []bool{true, false} { // the classic path, then the hash plan
-		req.NoCache = noCache
-		_, err := svc.CountCtx(context.Background(), req)
+	for _, tc := range []struct {
+		path    string
+		svc     *Service
+		url     string
+		noCache bool
+	}{
+		{"classic path", classic, cts.URL, false},
+		{"hash plan", svc, ts.URL, false},
+		{"hash plan, no_cache", svc, ts.URL, true},
+	} {
+		req.NoCache = tc.noCache
+		_, err := tc.svc.CountCtx(context.Background(), req)
 		if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "division by zero") {
-			t.Fatalf("no_cache %v: CountCtx err = %v, want the division by zero as a bad request", noCache, err)
+			t.Fatalf("%s: CountCtx err = %v, want the division by zero as a bad request", tc.path, err)
 		}
-		resp, payload := postJSON(t, ts.URL+"/v1/count", req)
+		resp, payload := postJSON(t, tc.url+"/v1/count", req)
 		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(payload, []byte(`"bad_request"`)) {
-			t.Fatalf("no_cache %v: status %d body %s, want 400 bad_request", noCache, resp.StatusCode, payload)
+			t.Fatalf("%s: status %d body %s, want 400 bad_request", tc.path, resp.StatusCode, payload)
 		}
 	}
+	req.NoCache = false
 	if strings.Contains(logs.String(), "panic serving count request") {
 		t.Errorf("a predicate fault was logged as a panic:\n%s", logs.String())
 	}
 	if svc.m.errors.Value() != 4 || svc.admit.inflight() != 0 {
-		t.Errorf("errors = %d, inflight = %d after four faulting requests; want 4, 0", svc.m.errors.Value(), svc.admit.inflight())
+		t.Errorf("hash plan: errors = %d, inflight = %d after four faulting requests; want 4, 0", svc.m.errors.Value(), svc.admit.inflight())
+	}
+	if classic.m.errors.Value() != 2 || classic.admit.inflight() != 0 {
+		t.Errorf("classic path: errors = %d, inflight = %d after two faulting requests; want 2, 0", classic.m.errors.Value(), classic.admit.inflight())
 	}
 
 	// A coordinator's workers meet the fault inside a shard op; the worker

@@ -348,6 +348,7 @@ func groupedRowOrder(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(table())
 	local := New(reg, Options{})
+	classic := New(reg, Options{CatalogBytes: -1}) // no reuse catalog: the classic body
 	coord := newCoordinator(t, CoordinatorOptions{Shards: 2}, srvA, srvB)
 
 	req := CountRequest{
@@ -369,15 +370,15 @@ func groupedRowOrder(t *testing.T) {
 		return strings.Join(keys, ",")
 	}
 	const want = "2,9,10,west"
-	classicReq, shardedReq := req, req
-	classicReq.NoCache = true
+	shardedReq := req
 	shardedReq.Shards = 2
 	var sharded *CountResult
 	for _, tc := range []struct {
 		what string
+		svc  *Service
 		req  *CountRequest
-	}{{"standalone", &req}, {"standalone, classic path", &classicReq}, {"WithShards(2)", &shardedReq}} {
-		res, err := local.Count(tc.req)
+	}{{"standalone", local, &req}, {"standalone, classic path", classic, &req}, {"WithShards(2)", local, &shardedReq}} {
+		res, err := tc.svc.Count(tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}

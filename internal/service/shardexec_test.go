@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -34,13 +35,14 @@ func executorBuilds(traces ...*obs.SpanData) int {
 	return n
 }
 
-// sameAnswer compares everything of two answers but the evaluation bill. (A
-// grouped answer's intervals are its rows': on every serving path the total
-// carries none.)
+// sameAnswer compares everything of two answers but the evaluation bill,
+// numbers by their bits. (A grouped answer's intervals are its rows': on
+// every serving path the total carries none.)
 func sameAnswer(t *testing.T, what string, got, ref *CountResult) {
 	t.Helper()
-	if got.Estimate != ref.Estimate || got.Objects != ref.Objects || got.Budget != ref.Budget || got.Fingerprint != ref.Fingerprint ||
-		got.CILo != ref.CILo || got.CIHi != ref.CIHi || got.HasCI != ref.HasCI {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.Estimate, ref.Estimate) || got.Objects != ref.Objects || got.Budget != ref.Budget || got.Fingerprint != ref.Fingerprint ||
+		!same(got.CILo, ref.CILo) || !same(got.CIHi, ref.CIHi) || got.HasCI != ref.HasCI {
 		t.Fatalf("%s diverged: %v [%v,%v] budget %d vs %v [%v,%v] budget %d", what,
 			got.Estimate, got.CILo, got.CIHi, got.Budget, ref.Estimate, ref.CILo, ref.CIHi, ref.Budget)
 	}
@@ -49,8 +51,8 @@ func sameAnswer(t *testing.T, what string, got, ref *CountResult) {
 	}
 	for i, rg := range ref.Groups {
 		gg := got.Groups[i]
-		if strings.Join(gg.Key, "|") != strings.Join(rg.Key, "|") || gg.Estimate != rg.Estimate || gg.HasCI != rg.HasCI ||
-			gg.CILo != rg.CILo || gg.CIHi != rg.CIHi || gg.Objects != rg.Objects || gg.Sampled != rg.Sampled {
+		if strings.Join(gg.Key, "|") != strings.Join(rg.Key, "|") || !same(gg.Estimate, rg.Estimate) || gg.HasCI != rg.HasCI ||
+			!same(gg.CILo, rg.CILo) || !same(gg.CIHi, rg.CIHi) || gg.Objects != rg.Objects || gg.Sampled != rg.Sampled {
 			t.Fatalf("%s: group %d diverged: %+v vs %+v", what, i, gg, rg)
 		}
 	}

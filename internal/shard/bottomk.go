@@ -1,7 +1,8 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/live"
 )
@@ -27,7 +28,7 @@ type Cand struct {
 func BottomK(keys []int64, k int, seed, tag uint64) []int64 {
 	if k >= len(keys) {
 		out := append([]int64(nil), keys...)
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+		slices.Sort(out)
 		return out
 	}
 	if k <= 0 {
@@ -77,7 +78,7 @@ func MergeBottomK(parts [][]Cand, k, total int) []int64 {
 		for _, c := range all {
 			out = append(out, c.Key)
 		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+		slices.Sort(out)
 		return out
 	}
 	sortCands(all)
@@ -99,11 +100,11 @@ func candsOf(keys []int64, seed, tag uint64) []Cand {
 	return hs
 }
 
+// sortCands orders candidates by (Hash, Key), a total order over distinct
+// keys, so the order — and every selection taken from it — does not
+// depend on the sort algorithm.
 func sortCands(hs []Cand) {
-	sort.Slice(hs, func(a, b int) bool {
-		if hs[a].Hash != hs[b].Hash {
-			return hs[a].Hash < hs[b].Hash
-		}
-		return hs[a].Key < hs[b].Key
+	slices.SortFunc(hs, func(a, b Cand) int {
+		return cmp.Or(cmp.Compare(a.Hash, b.Hash), cmp.Compare(a.Key, b.Key))
 	})
 }

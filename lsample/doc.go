@@ -214,8 +214,9 @@
 // outlive a count only in a catalog: without one, every count buys its own.
 // LiveQuery.Refresh runs the hash plan's recipe steps over the labels,
 // classifier and strata it maintains. The classic body and the hash plan
-// give different (each deterministic) estimates for the same seed —
-// compare like with like.
+// give different (each deterministic) estimates for the same seed, so an
+// Execute with neither a catalog nor shards answers differently from one
+// with either — compare like with like.
 //
 // # Cross-query reuse catalog
 //
