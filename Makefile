@@ -125,8 +125,9 @@ race:
 # coordinator over two loopback workers and two shards
 # (BenchmarkCoordinatorCount: rpcs/op — 8 once the shape's census is
 # stored — and allocs/op), and the interpreter's cross-check of a compiled
-# program: the skyband Q3 for object 0 over 300 × 300 joined rows
-# (BenchmarkFirstObjectValidation: ns/row), a served lss count through
+# program: the skyband Q3 and the neighbor Q3 (arithmetic and scalar
+# functions in WHERE) for object 0 over 300 × 300 joined rows
+# (BenchmarkFirstObjectValidation, one arm each: ns/row), a served lss count through
 # Service.Count (BenchmarkServeCount: cold is a no_cache count at a fresh
 # seed, the hash plan on the resident executor over an empty private label
 # memo; warm a result-cache hit; evals/op), and the (hash, key) sort of 300

@@ -13,9 +13,8 @@ import (
 // ints as int64, so two keys beyond 2^53 that share a float64 stay
 // distinct, on the direct path (two columns), on the boxed path
 // (arithmetic), in MIN/MAX and in ORDER BY; an int against a float still
-// compares through float64.
+// compares through float64. SUM of ints adds in int64.
 func TestExactIntComparison(t *testing.T) {
-	const big = 1 << 53 // float64(big + 1) == float64(big)
 	d := dataset.New("D", dataset.Schema{{Name: "id", Kind: dataset.Int}})
 	d.MustAppendRow(int64(big))
 	d.MustAppendRow(int64(big + 1))
@@ -33,6 +32,9 @@ func TestExactIntComparison(t *testing.T) {
 		{"SELECT a.id FROM D a WHERE a.id = 9007199254740992.0", 2},
 		{"SELECT a.id FROM D a WHERE a.id < 9007199254740993", 1},
 		{"SELECT COUNT(*) FROM D a HAVING MAX(a.id) > MIN(a.id)", 1},
+		// SUM of ints is exact: through float64, 2^53 + 2^53 + 1 is 2^54.
+		{"SELECT COUNT(*) FROM D a HAVING SUM(a.id) = 18014398509481985", 1},
+		{"SELECT COUNT(*) FROM D a HAVING SUM(a.id) = 18014398509481984", 0},
 	} {
 		if got := len(run(t, cat, c.q, nil).Rows); got != c.want {
 			t.Errorf("%s: %d rows, want %d", c.q, got, c.want)
@@ -61,7 +63,6 @@ func TestExactIntComparison(t *testing.T) {
 // both Values and calls compare. The direct path must be the one taken
 // exactly when both operands are numbers or NULL.
 func TestDirectComparisonMatchesBoxed(t *testing.T) {
-	const big = 1 << 53
 	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
 	pairs := [][2]Value{
 		{IntVal(big), IntVal(big + 1)}, {IntVal(big + 1), IntVal(big)}, {IntVal(big + 1), IntVal(big + 1)},
@@ -139,4 +140,27 @@ func comparisonScope(t *testing.T, p [2]Value) (*Scope, *Evaluator, [2][]sql.Exp
 	tab.MustAppendRow(row...)
 	sc.Bind("t", NewTableRelation(tab))
 	return sc, ev, leaves
+}
+
+// TestNegativeZeroIsOneKey: -0 = 0 holds, so DISTINCT, GROUP BY and a
+// DISTINCT aggregate take the two zeros as one key, whichever comes first.
+func TestNegativeZeroIsOneKey(t *testing.T) {
+	d := dataset.New("D", dataset.Schema{{Name: "id", Kind: dataset.Int}, {Name: "x", Kind: dataset.Float}})
+	d.MustAppendRow(int64(0), math.Copysign(0, -1))
+	d.MustAppendRow(int64(1), 1.0)
+	d.MustAppendRow(int64(2), 0.0)
+	cat := Catalog{"D": d}
+	for _, c := range []struct {
+		q    string
+		want [][]Value
+	}{
+		{"SELECT DISTINCT a.x FROM D a WHERE a.x = 0", [][]Value{{FloatVal(math.Copysign(0, -1))}}},
+		{"SELECT a.x, COUNT(*) FROM D a GROUP BY a.x", [][]Value{{FloatVal(math.Copysign(0, -1)), IntVal(2)}, {FloatVal(1), IntVal(1)}}},
+		{"SELECT COUNT(DISTINCT a.x) FROM D a", [][]Value{{IntVal(2)}}},
+	} {
+		got := run(t, cat, c.q, nil).Rows
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: rows %v, want %v", c.q, got, c.want)
+		}
+	}
 }

@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/sql"
 )
@@ -95,7 +95,7 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 		return ev.evalBinary(x, sc, aggs)
 
 	case *sql.FuncCall:
-		if isAggregate(x.Name) {
+		if _, agg := Aggregate(x.Name); agg {
 			if aggs == nil {
 				return Null, fmt.Errorf("engine: aggregate %s outside grouped query", x.Name)
 			}
@@ -159,7 +159,7 @@ func (ev *Evaluator) evalBool(e sql.Expr, sc *Scope, aggs aggEnv, clause string)
 		case "=", "<>", "<", "<=", ">", ">=":
 			if l, ok := ev.numLeaf(x.L, sc); ok {
 				if r, ok := ev.numLeaf(x.R, sc); ok {
-					return l.Kind != KNull && r.Kind != KNull && holds(x.Op, l.cmp(r)), nil
+					return l.Kind != KNull && r.Kind != KNull && Holds(x.Op, l.cmp(r)), nil
 				}
 			}
 			return ev.compareBoxed(x, sc, aggs)
@@ -191,7 +191,7 @@ func (ev *Evaluator) compareBoxed(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (bo
 	if err != nil {
 		return false, err
 	}
-	return holds(x.Op, c), nil
+	return Holds(x.Op, c), nil
 }
 
 // numLeaf reads e as a number without building a Value when e is a numeric
@@ -254,47 +254,39 @@ func (ev *Evaluator) evalBinary(x *sql.BinaryExpr, sc *Scope, aggs aggEnv) (Valu
 	if err != nil {
 		return Null, err
 	}
-	switch x.Op {
-	case "+", "-", "*", "/":
-		// Integer arithmetic stays integral except division.
-		if l.Kind == KInt && r.Kind == KInt && x.Op != "/" {
-			switch x.Op {
-			case "+":
-				return IntVal(l.I + r.I), nil
-			case "-":
-				return IntVal(l.I - r.I), nil
-			case "*":
-				return IntVal(l.I * r.I), nil
-			}
-		}
-		lf, err := l.AsFloat()
-		if err != nil {
-			return Null, err
-		}
-		rf, err := r.AsFloat()
-		if err != nil {
-			return Null, err
-		}
-		switch x.Op {
-		case "+":
-			return FloatVal(lf + rf), nil
-		case "-":
-			return FloatVal(lf - rf), nil
-		case "*":
-			return FloatVal(lf * rf), nil
-		case "/":
-			if rf == 0 {
-				return Null, fmt.Errorf("engine: division by zero")
-			}
-			return FloatVal(lf / rf), nil
-		}
+	op := ArithOp(x.Op)
+	if op == nil {
+		return Null, fmt.Errorf("engine: unknown operator %q", x.Op)
 	}
-	return Null, fmt.Errorf("engine: unknown operator %q", x.Op)
+	if op.Kind(l.Kind, r.Kind) == KInt {
+		return IntVal(op.Int(l.I, r.I)), nil
+	}
+	lf, err := l.AsFloat()
+	if err != nil {
+		return Null, err
+	}
+	rf, err := r.AsFloat()
+	if err != nil {
+		return Null, err
+	}
+	return floatOrFault(op.Float(lf, rf))
 }
 
+// floatOrFault is a float kernel's result as the interpreter returns it.
+func floatOrFault(f float64, fault string) (Value, error) {
+	if fault != "" {
+		return Null, errors.New("engine: " + fault)
+	}
+	return FloatVal(f), nil
+}
+
+// evalScalarFunc reads every argument as a float64, in order, and applies
+// the function's kernel: a fixed-arity function's to its arguments, a
+// variadic one's folded over them.
 func (ev *Evaluator) evalScalarFunc(x *sql.FuncCall, sc *Scope, aggs aggEnv) (Value, error) {
-	var buf [2]float64 // holds the arguments of every function but LEAST / GREATEST
-	args := buf[:0]
+	fn := ScalarFunc(x.Name)
+	var args [2]float64 // a fixed-arity function's arguments; a variadic one's fold in args[0]
+	fault := ""
 	for i, a := range x.Args {
 		v, err := ev.eval(a, sc, aggs)
 		if err != nil {
@@ -304,89 +296,38 @@ func (ev *Evaluator) evalScalarFunc(x *sql.FuncCall, sc *Scope, aggs aggEnv) (Va
 		if err != nil {
 			return Null, fmt.Errorf("engine: %s argument %d: %w", x.Name, i, err)
 		}
-		args = append(args, f)
+		switch {
+		case i == 0 || fn != nil && i < fn.Arity:
+			args[i] = f
+		case fn != nil && fn.Arity == 0 && fault == "":
+			args[0], fault = fn.Binary(args[0], f)
+		}
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("engine: %s expects %d arguments, got %d", x.Name, n, len(args))
-		}
-		return nil
+	if fn == nil {
+		return Null, fmt.Errorf("engine: unknown function %s", x.Name)
 	}
-	switch x.Name {
-	case "SQRT":
-		if err := need(1); err != nil {
-			return Null, err
-		}
-		if args[0] < 0 {
-			return Null, fmt.Errorf("engine: SQRT of negative %v", args[0])
-		}
-		return FloatVal(math.Sqrt(args[0])), nil
-	case "POWER", "POW":
-		if err := need(2); err != nil {
-			return Null, err
-		}
-		return FloatVal(math.Pow(args[0], args[1])), nil
-	case "ABS":
-		if err := need(1); err != nil {
-			return Null, err
-		}
-		return FloatVal(math.Abs(args[0])), nil
-	case "FLOOR":
-		if err := need(1); err != nil {
-			return Null, err
-		}
-		return FloatVal(math.Floor(args[0])), nil
-	case "CEIL", "CEILING":
-		if err := need(1); err != nil {
-			return Null, err
-		}
-		return FloatVal(math.Ceil(args[0])), nil
-	case "LN":
-		if err := need(1); err != nil {
-			return Null, err
-		}
-		return FloatVal(math.Log(args[0])), nil
-	case "EXP":
-		if err := need(1); err != nil {
-			return Null, err
-		}
-		return FloatVal(math.Exp(args[0])), nil
-	case "LEAST":
-		if len(args) == 0 {
-			return Null, fmt.Errorf("engine: LEAST needs arguments")
-		}
-		m := args[0]
-		for _, a := range args[1:] {
-			m = math.Min(m, a)
-		}
-		return FloatVal(m), nil
-	case "GREATEST":
-		if len(args) == 0 {
-			return Null, fmt.Errorf("engine: GREATEST needs arguments")
-		}
-		m := args[0]
-		for _, a := range args[1:] {
-			m = math.Max(m, a)
-		}
-		return FloatVal(m), nil
+	if msg := fn.ArityFault(x.Name, len(x.Args)); msg != "" {
+		return Null, errors.New("engine: " + msg)
 	}
-	return Null, fmt.Errorf("engine: unknown function %s", x.Name)
+	switch fn.Arity {
+	case 1:
+		return floatOrFault(fn.Unary(args[0]))
+	case 2:
+		return floatOrFault(fn.Binary(args[0], args[1]))
+	}
+	return floatOrFault(args[0], fault)
 }
 
-func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-// collectAggregates gathers aggregate calls in e (not descending into
+// AppendAggregates appends the aggregate calls in e to out, in the order
+// both evaluators number their accumulators (not descending into
 // subqueries, whose aggregates belong to their own group context).
-func collectAggregates(e sql.Expr, out *[]*sql.FuncCall) {
+func AppendAggregates(out []*sql.FuncCall, e sql.Expr) []*sql.FuncCall {
 	sql.WalkExpr(e, func(x sql.Expr) {
-		if fc, ok := x.(*sql.FuncCall); ok && isAggregate(fc.Name) {
-			*out = append(*out, fc)
+		if fc, ok := x.(*sql.FuncCall); ok {
+			if _, agg := Aggregate(fc.Name); agg {
+				out = append(out, fc)
+			}
 		}
 	})
+	return out
 }

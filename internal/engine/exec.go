@@ -35,10 +35,10 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 	var aggCalls []*sql.FuncCall
 	for _, it := range stmt.Select {
 		if !it.Star {
-			collectAggregates(it.Expr, &aggCalls)
+			aggCalls = AppendAggregates(aggCalls, it.Expr)
 		}
 	}
-	collectAggregates(stmt.Having, &aggCalls)
+	aggCalls = AppendAggregates(aggCalls, stmt.Having)
 	grouped := len(stmt.GroupBy) > 0 || len(aggCalls) > 0
 	if stmt.Having != nil && !grouped {
 		return nil, fmt.Errorf("engine: HAVING without grouping")
@@ -84,7 +84,7 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 	// Grouped execution: hash aggregation with representative rows.
 	type group struct {
 		repRows []int // row index per cursor at first group member
-		accs    []accumulator
+		accs    []Accumulator
 	}
 	groups := make(map[string]*group)
 	var order []string
@@ -119,7 +119,7 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 			order = append(order, k)
 		}
 		for i, fc := range aggCalls {
-			if err := grp.accs[i].add(ev, fc, sc); err != nil {
+			if err := ev.accumulate(&grp.accs[i], fc, sc); err != nil {
 				return err
 			}
 		}
@@ -145,7 +145,7 @@ func (ev *Evaluator) Run(stmt *sql.SelectStmt, outer *Scope) (*ResultSet, error)
 		}
 		aggs := make(aggEnv, len(aggCalls))
 		for i, fc := range aggCalls {
-			aggs[fc] = grp.accs[i].resultFor(fc)
+			aggs[fc] = grp.accs[i].Result()
 		}
 		if stmt.Having != nil {
 			ev.Stats.PredicateEval++
@@ -301,32 +301,11 @@ func (ev *Evaluator) projectRow(stmt *sql.SelectStmt, sc *Scope, aggs aggEnv, st
 	return row, nil
 }
 
-// --- aggregate accumulators ---
-
-type accumulator struct {
-	count    int64
-	sum      float64
-	sumIsInt bool
-	min, max Value
-	distinct map[string]bool
-	sawRow   bool
-}
-
-func newAccumulators(calls []*sql.FuncCall) []accumulator {
-	accs := make([]accumulator, len(calls))
-	for i, fc := range calls {
-		accs[i].sumIsInt = true
-		if fc.Distinct {
-			accs[i].distinct = make(map[string]bool)
-		}
-	}
-	return accs
-}
-
-func (a *accumulator) add(ev *Evaluator, fc *sql.FuncCall, sc *Scope) error {
+// accumulate adds the current row to a, the accumulator of the aggregate
+// call fc.
+func (ev *Evaluator) accumulate(a *Accumulator, fc *sql.FuncCall, sc *Scope) error {
 	if fc.Star {
-		a.count++
-		a.sawRow = true
+		a.Row()
 		return nil
 	}
 	if len(fc.Args) != 1 {
@@ -336,72 +315,13 @@ func (a *accumulator) add(ev *Evaluator, fc *sql.FuncCall, sc *Scope) error {
 	if err != nil {
 		return err
 	}
-	if v.Kind == KNull {
-		return nil
-	}
-	if a.distinct != nil {
-		k := v.key()
-		if a.distinct[k] {
-			return nil
-		}
-		a.distinct[k] = true
-	}
-	a.sawRow = true
-	a.count++
-	switch fc.Name {
-	case "COUNT":
-		// count already incremented
-	case "SUM", "AVG":
-		f, err := v.AsFloat()
-		if err != nil {
-			return err
-		}
-		if v.Kind != KInt {
-			a.sumIsInt = false
-		}
-		a.sum += f
-	case "MIN":
-		if a.min.Kind == KNull {
-			a.min = v
-		} else if c, err := compare(&v, &a.min); err != nil {
-			return err
-		} else if c < 0 {
-			a.min = v
-		}
-	case "MAX":
-		if a.max.Kind == KNull {
-			a.max = v
-		} else if c, err := compare(&v, &a.max); err != nil {
-			return err
-		} else if c > 0 {
-			a.max = v
-		}
-	}
-	return nil
+	return a.Add(v)
 }
 
-// resultFor finalizes an accumulator for a specific aggregate call.
-func (a *accumulator) resultFor(fc *sql.FuncCall) Value {
-	switch fc.Name {
-	case "COUNT":
-		return IntVal(a.count)
-	case "SUM":
-		if !a.sawRow {
-			return Null
-		}
-		if a.sumIsInt {
-			return IntVal(int64(a.sum))
-		}
-		return FloatVal(a.sum)
-	case "AVG":
-		if a.count == 0 {
-			return Null
-		}
-		return FloatVal(a.sum / float64(a.count))
-	case "MIN":
-		return a.min
-	case "MAX":
-		return a.max
+func newAccumulators(calls []*sql.FuncCall) []Accumulator {
+	accs := make([]Accumulator, len(calls))
+	for i, fc := range calls {
+		accs[i] = NewAccumulator(fc)
 	}
-	return Null
+	return accs
 }

@@ -239,18 +239,24 @@ func TestInterpretedRowLoopAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkFirstObjectValidation times what predicate.NewEngineExists pays
-// to cross-check a compiled program: the skyband Q3 interpreted for object
-// 0 over a 300-row table, 300 × 300 joined rows, reported per row.
+// to cross-check a compiled program: a Q3 interpreted for object 0 over a
+// 300-row table, 300 × 300 joined rows, reported per row. The skyband arm
+// compares numeric leaves only; the neighbor arm's WHERE adds arithmetic and
+// scalar functions, which still build a Value per node.
 func BenchmarkFirstObjectValidation(b *testing.B) {
 	const n = 300
-	ev, dec, objects := objectQ3(b, skybandQ1, n)
-	p := ev.ObjectPredicate(dec, objects)
-	for b.Loop() {
-		if _, err := p(0); err != nil {
-			b.Fatal(err)
-		}
+	for _, arm := range []struct{ name, q string }{{"skyband", skybandQ1}, {"neighbor", neighborQ1}} {
+		b.Run(arm.name, func(b *testing.B) {
+			ev, dec, objects := objectQ3(b, arm.q, n)
+			p := ev.ObjectPredicate(dec, objects)
+			for b.Loop() {
+				if _, err := p(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n), "ns/row")
 }
 
 // raceEnabled reports whether the test binary was built with -race.

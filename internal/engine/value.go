@@ -110,8 +110,11 @@ func (v Value) appendKey(dst []byte) []byte {
 	case KInt:
 		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case KFloat:
-		// Normalize integral floats so 2.0 groups with 2 consistently.
-		return strconv.AppendFloat(append(dst, 'f'), v.F, 'g', -1, 64)
+		f := v.F
+		if f == 0 {
+			f = 0 // -0 keys as 0: the two zeros are one value under = and one key
+		}
+		return strconv.AppendFloat(append(dst, 'f'), f, 'g', -1, 64)
 	case KString:
 		return append(append(dst, 's'), v.S...)
 	}
@@ -194,8 +197,9 @@ func (a num) cmp(b num) int {
 	}
 }
 
-// holds reports whether comparison op accepts compare's verdict c.
-func holds(op string, c int) bool {
+// Holds reports whether comparison op (=, <>, <, <=, > or >=) accepts the
+// verdict c of a three-way comparison.
+func Holds(op string, c int) bool {
 	switch op {
 	case "=":
 		return c == 0

@@ -14,7 +14,7 @@ import (
 // positions with the same values (the contract live snapshots with an
 // unchanged epoch provide), and oldRows gives the previously-indexed row
 // count per table name. Hash indexes absorb only the delta rows — O(delta)
-// instead of the O(table) rebuild Compile performs — and the NaN/-0
+// instead of the O(table) rebuild Compile performs — and the NaN
 // validation scans delta rows only.
 //
 // Extend returns an *Unsupported error when a delta row breaks a
@@ -55,8 +55,8 @@ func (p *Program) Extend(cat engine.Catalog, oldRows map[string]int) error {
 		ap := p.aliases[ref.depth]
 		vals := ap.tab.FloatsAt(ref.col)
 		for _, v := range vals[oldRows[ap.tabName]:] {
-			if math.IsNaN(v) || (v == 0 && math.Signbit(v)) {
-				return unsupportedf("GROUP BY column contains NaN or -0 in delta rows")
+			if math.IsNaN(v) {
+				return unsupportedf("GROUP BY column contains NaN in delta rows")
 			}
 		}
 	}

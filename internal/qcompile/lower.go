@@ -1,7 +1,7 @@
 package qcompile
 
 import (
-	"fmt"
+	"cmp"
 	"math"
 
 	"repro/internal/dataset"
@@ -9,17 +9,18 @@ import (
 	"repro/internal/sql"
 )
 
-// kind is the static type of a lowered expression. The compilable subset is
-// null-free (base columns, literals, and parameters cannot be NULL, and the
-// single group HAVING sees is never empty), which is what makes static
-// typing sound.
-type kind int
+// kind is the static type of a lowered expression: one of the four kinds
+// below, named as the engine names them so the kernel table's result kinds
+// read directly. The compilable subset is null-free (base columns, literals,
+// and parameters cannot be NULL, and the single group HAVING sees is never
+// empty), which is what makes static typing sound.
+type kind = engine.ValueKind
 
 const (
-	kBool kind = iota
-	kInt
-	kFloat
-	kStr
+	kBool  = engine.KBool
+	kInt   = engine.KInt
+	kFloat = engine.KFloat
+	kStr   = engine.KString
 )
 
 // env is the per-evaluation scratch: one current row per FROM alias, the
@@ -31,25 +32,12 @@ type env struct {
 	rows    []int
 	reps    []int
 	obj     int
-	accs    []agg
+	accs    []engine.Accumulator
 	count   int64
 	stopped bool // the walk stopped early: count settled the comparison with thr
 	rep     bool
 	thr     float64
 	useThr  bool
-}
-
-// agg is one aggregate accumulator. Sums accumulate through float64 even
-// for integer arguments — exactly as the interpreter's accumulator does —
-// and min/max compare in the argument's own kind, as the interpreter's
-// compare does (ints with ints exactly).
-type agg struct {
-	count int64
-	sum   float64
-	curI  int64
-	curF  float64
-	curS  string
-	seen  bool
 }
 
 type signal int
@@ -82,13 +70,13 @@ type aliasRT struct {
 type Bound struct {
 	aliases  []aliasRT
 	pre      []func(*env) bool
+	accs     []engine.Accumulator // every aggregate slot empty
 	accums   []func(*env)
 	havingFn func(*env) bool
 	short    shortKind
 	countOp  string
 	thrFn    func(*env) float64
 	nAliases int
-	nSlots   int
 }
 
 // lowerCtx carries what expression lowering needs: the program (for
@@ -98,7 +86,13 @@ type lowerCtx struct {
 	prog   *Program
 	params map[string]engine.Value
 	obj    map[string]*objColumn
-	slots  map[*sql.FuncCall]int
+	slots  map[*sql.FuncCall]aggSlot
+}
+
+// aggSlot is a HAVING aggregate call's accumulator and result kind.
+type aggSlot struct {
+	i int
+	k kind
 }
 
 // Bind specializes the program: parameters are bound, the referenced object
@@ -117,7 +111,7 @@ func (p *Program) Bind(params map[string]engine.Value, objects *engine.ResultSet
 		lc.obj[name] = oc
 	}
 
-	b := &Bound{short: p.short, countOp: p.countOp, nAliases: len(p.aliases), nSlots: len(p.aggs)}
+	b := &Bound{short: p.short, countOp: p.countOp, nAliases: len(p.aliases)}
 	for _, c := range p.pre {
 		fn, err := lc.lowerBool(c)
 		if err != nil {
@@ -146,13 +140,14 @@ func (p *Program) Bind(params map[string]engine.Value, objects *engine.ResultSet
 	}
 
 	if p.having != nil {
-		lc.slots = make(map[*sql.FuncCall]int, len(p.aggs))
+		lc.slots = make(map[*sql.FuncCall]aggSlot, len(p.aggs))
 		for si, fc := range p.aggs {
-			lc.slots[fc] = si
-			fn, err := lc.lowerAccum(si, fc)
+			fn, k, err := lc.lowerAccum(si, fc)
 			if err != nil {
 				return nil, err
 			}
+			lc.slots[fc] = aggSlot{si, k}
+			b.accs = append(b.accs, engine.NewAccumulator(fc))
 			b.accums = append(b.accums, fn)
 		}
 		fn, err := lc.lowerBool(p.having)
@@ -205,7 +200,7 @@ func (b *Bound) newEnv() *env {
 	return &env{
 		rows: make([]int, b.nAliases),
 		reps: make([]int, b.nAliases),
-		accs: make([]agg, b.nSlots),
+		accs: make([]engine.Accumulator, len(b.accs)),
 	}
 }
 
@@ -224,7 +219,7 @@ func (b *Bound) newEnv() *env {
 func CountSettles(op string, t float64, n int64, exact bool) (label, settled bool) {
 	c := float64(n)
 	if exact {
-		return n >= 1 && compareCount(op, c, t), true
+		return n >= 1 && engine.Holds(op, cmp.Compare(c, t)), true
 	}
 	switch op {
 	case "<", ">=":
@@ -235,25 +230,6 @@ func CountSettles(op string, t float64, n int64, exact bool) (label, settled boo
 		return true, c > t
 	}
 	return false, false
-}
-
-// compareCount is c <op> t for a non-NaN t.
-func compareCount(op string, c, t float64) bool {
-	switch op {
-	case "<":
-		return c < t
-	case "<=":
-		return c <= t
-	case ">":
-		return c > t
-	case ">=":
-		return c >= t
-	case "=":
-		return c == t
-	case "<>":
-		return c != t
-	}
-	return false
 }
 
 // VecEval and NewVecEval are a shim nothing in the program calls: the
@@ -289,9 +265,7 @@ func (b *Bound) eval(i int, e *env) bool {
 		}
 	}
 	e.rep = false
-	for k := range e.accs {
-		e.accs[k] = agg{}
-	}
+	copy(e.accs, b.accs)
 	e.useThr = false
 	if b.short == shortCount && b.thrFn != nil {
 		e.thr = b.thrFn(e)
@@ -359,35 +333,14 @@ func (b *Bound) onRow(e *env) signal {
 		fn(e)
 	}
 	if e.useThr {
-		c := float64(e.count)
-		// The count only grows, so each comparison settles permanently in
-		// one direction. Comparisons use the interpreter's compare order
-		// (NaN thresholds were excluded above).
-		switch b.countOp {
-		case "<":
-			if !(c < e.thr) {
-				return sigFalse
-			}
-		case "<=":
-			if c > e.thr {
-				return sigFalse
-			}
-		case ">":
-			if c > e.thr {
+		// The count only grows, so once it settles the comparison with the
+		// threshold no later row can unsettle it: CountSettles' early-stop
+		// rule (NaN thresholds were excluded above).
+		if label, settled := CountSettles(b.countOp, e.thr, e.count, false); settled {
+			if label {
 				return sigTrue
 			}
-		case ">=":
-			if !(c < e.thr) {
-				return sigTrue
-			}
-		case "=":
-			if c > e.thr {
-				return sigFalse
-			}
-		case "<>":
-			if c > e.thr {
-				return sigTrue
-			}
+			return sigFalse
 		}
 	}
 	return sigNone
@@ -470,7 +423,7 @@ func (lc *lowerCtx) lower(e sql.Expr) (cexpr, error) {
 		return lc.lowerBinary(x)
 
 	case *sql.FuncCall:
-		if isAggregate(x.Name) {
+		if _, agg := engine.Aggregate(x.Name); agg {
 			return lc.lowerAggRef(x)
 		}
 		return lc.lowerScalarFunc(x)
@@ -599,26 +552,20 @@ func lowerCompare(op string, l, r cexpr, src *sql.BinaryExpr) (cexpr, error) {
 		return cexpr{k: kBool, b: fn}, nil
 	case l.k == kStr && r.k == kStr:
 		return cexpr{k: kBool, b: ordered(op, l.s, r.s)}, nil
-	case l.k == kBool && r.k == kBool:
-		lb, rb := l.b, r.b
-		var fn func(*env) bool
-		switch op { // false < true
-		case "=":
-			fn = func(e *env) bool { return lb(e) == rb(e) }
-		case "<>":
-			fn = func(e *env) bool { return lb(e) != rb(e) }
-		case "<":
-			fn = func(e *env) bool { return !lb(e) && rb(e) }
-		case "<=":
-			fn = func(e *env) bool { a := lb(e); return !a || rb(e) }
-		case ">":
-			fn = func(e *env) bool { return lb(e) && !rb(e) }
-		case ">=":
-			fn = func(e *env) bool { a := lb(e); return a || !rb(e) }
-		}
-		return cexpr{k: kBool, b: fn}, nil
+	case l.k == kBool && r.k == kBool: // false < true, as 0 < 1
+		return cexpr{k: kBool, b: ordered(op, asInt(l.b), asInt(r.b))}, nil
 	}
 	return cexpr{}, unsupportedf("cannot compare %s", src.String())
+}
+
+// asInt reads a boolean as 0 or 1.
+func asInt(f func(*env) bool) func(*env) int64 {
+	return func(e *env) int64 {
+		if f(e) {
+			return 1
+		}
+		return 0
+	}
 }
 
 // ordered lowers a comparison of two ints, which compare exactly, or of
@@ -639,50 +586,33 @@ func ordered[T int64 | string](op string, lf, rf func(*env) T) func(*env) bool {
 	return func(e *env) bool { return lf(e) >= rf(e) }
 }
 
-// lowerArith lowers arithmetic: integer arithmetic stays in int64 (with Go's
-// two's-complement wrap, same as the interpreter's IntVal arithmetic) except
-// division, which always goes through float64 and raises an engine.Fault on
-// a zero divisor exactly where the interpreter would have returned its error.
+// lowerArith lowers arithmetic through the operator's kernel: int64 on two
+// ints (wrapping like the interpreter's), float64 otherwise, where a
+// kernel's fault (a zero divisor) panics as an engine.Fault exactly where
+// the interpreter returns its error.
 func lowerArith(op string, l, r cexpr, src *sql.BinaryExpr) (cexpr, error) {
 	if !numeric(l.k) || !numeric(r.k) {
 		return cexpr{}, unsupportedf("non-numeric arithmetic %s", src.String())
 	}
-	if l.k == kInt && r.k == kInt && op != "/" {
-		li, ri := l.i, r.i
-		var fn func(*env) int64
-		switch op {
-		case "+":
-			fn = func(e *env) int64 { return li(e) + ri(e) }
-		case "-":
-			fn = func(e *env) int64 { return li(e) - ri(e) }
-		case "*":
-			fn = func(e *env) int64 { return li(e) * ri(e) }
-		}
-		return cexpr{k: kInt, i: fn}, nil
+	a := engine.ArithOp(op)
+	if a.Kind(l.k, r.k) == kInt {
+		k, li, ri := a.Int, l.i, r.i
+		return cexpr{k: kInt, i: func(e *env) int64 { return k(li(e), ri(e)) }}, nil
 	}
-	lf, rf := l.toFloat(), r.toFloat()
-	var fn func(*env) float64
-	switch op {
-	case "+":
-		fn = func(e *env) float64 { return lf(e) + rf(e) }
-	case "-":
-		fn = func(e *env) float64 { return lf(e) - rf(e) }
-	case "*":
-		fn = func(e *env) float64 { return lf(e) * rf(e) }
-	case "/":
-		fn = func(e *env) float64 {
-			d := rf(e)
-			if d == 0 {
-				panic(&engine.Fault{Msg: "qcompile: division by zero"})
-			}
-			return lf(e) / d
-		}
-	}
-	return cexpr{k: kFloat, f: fn}, nil
+	k, lf, rf := a.Float, l.toFloat(), r.toFloat()
+	return cexpr{k: kFloat, f: func(e *env) float64 { return check(k(lf(e), rf(e))) }}, nil
 }
 
-// lowerScalarFunc lowers the engine's scalar functions; like the
-// interpreter, every argument coerces to float64 and the result is float.
+// check is a float kernel's result, its fault raised as an engine.Fault.
+func check(f float64, fault string) float64 {
+	if fault != "" {
+		panic(&engine.Fault{Msg: "qcompile: " + fault})
+	}
+	return f
+}
+
+// lowerScalarFunc lowers a scalar function through its kernel; like the
+// interpreter, every argument reads as a float64 and the result is a float.
 func (lc *lowerCtx) lowerScalarFunc(x *sql.FuncCall) (cexpr, error) {
 	if x.Star || x.Distinct {
 		return cexpr{}, unsupportedf("malformed call %s", x.String())
@@ -698,215 +628,104 @@ func (lc *lowerCtx) lowerScalarFunc(x *sql.FuncCall) (cexpr, error) {
 		}
 		args[i] = ce.toFloat()
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return unsupportedf("%s expects %d arguments, got %d", x.Name, n, len(args))
-		}
-		return nil
+	fn := engine.ScalarFunc(x.Name)
+	if fn == nil {
+		return cexpr{}, unsupportedf("unknown function %s", x.Name)
 	}
-	var fn func(*env) float64
-	switch x.Name {
-	case "SQRT":
-		if err := need(1); err != nil {
-			return cexpr{}, err
-		}
-		a := args[0]
-		fn = func(e *env) float64 {
-			v := a(e)
-			if v < 0 {
-				panic(&engine.Fault{Msg: fmt.Sprintf("qcompile: SQRT of negative %v", v)})
-			}
-			return math.Sqrt(v)
-		}
-	case "POWER", "POW":
-		if err := need(2); err != nil {
-			return cexpr{}, err
-		}
-		a, b := args[0], args[1]
-		fn = func(e *env) float64 { return math.Pow(a(e), b(e)) }
-	case "ABS":
-		if err := need(1); err != nil {
-			return cexpr{}, err
-		}
-		a := args[0]
-		fn = func(e *env) float64 { return math.Abs(a(e)) }
-	case "FLOOR":
-		if err := need(1); err != nil {
-			return cexpr{}, err
-		}
-		a := args[0]
-		fn = func(e *env) float64 { return math.Floor(a(e)) }
-	case "CEIL", "CEILING":
-		if err := need(1); err != nil {
-			return cexpr{}, err
-		}
-		a := args[0]
-		fn = func(e *env) float64 { return math.Ceil(a(e)) }
-	case "LN":
-		if err := need(1); err != nil {
-			return cexpr{}, err
-		}
-		a := args[0]
-		fn = func(e *env) float64 { return math.Log(a(e)) }
-	case "EXP":
-		if err := need(1); err != nil {
-			return cexpr{}, err
-		}
-		a := args[0]
-		fn = func(e *env) float64 { return math.Exp(a(e)) }
-	case "LEAST", "GREATEST":
-		if len(args) == 0 {
-			return cexpr{}, unsupportedf("%s needs arguments", x.Name)
-		}
-		fns := args
-		most := x.Name == "GREATEST"
-		fn = func(e *env) float64 {
-			m := fns[0](e)
-			for _, a := range fns[1:] {
-				if most {
-					m = math.Max(m, a(e))
-				} else {
-					m = math.Min(m, a(e))
-				}
+	if msg := fn.ArityFault(x.Name, len(args)); msg != "" {
+		return cexpr{}, unsupportedf("%s", msg)
+	}
+	var f func(*env) float64
+	switch a := args[0]; fn.Arity {
+	case 1:
+		k := fn.Unary
+		f = func(e *env) float64 { return check(k(a(e))) }
+	case 2:
+		k, b := fn.Binary, args[1]
+		f = func(e *env) float64 { return check(k(a(e), b(e))) }
+	default:
+		k, rest := fn.Binary, args[1:]
+		f = func(e *env) float64 {
+			m := a(e)
+			for _, b := range rest {
+				m = check(k(m, b(e)))
 			}
 			return m
 		}
-	default:
-		return cexpr{}, unsupportedf("unknown function %s", x.Name)
 	}
-	return cexpr{k: kFloat, f: fn}, nil
+	return cexpr{k: kFloat, f: f}, nil
 }
 
-// lowerAggRef lowers a reference to an aggregate slot inside HAVING. The
-// result kind follows the interpreter: COUNT is int, SUM is int iff its
-// argument is statically int (sumIsInt), AVG is float, MIN/MAX keep the
-// argument's kind.
+// lowerAggRef lowers a reference to an aggregate slot inside HAVING: the
+// slot accumulator's result, in the kind lowerAccum found.
 func (lc *lowerCtx) lowerAggRef(fc *sql.FuncCall) (cexpr, error) {
-	slot, ok := lc.slots[fc]
+	s, ok := lc.slots[fc]
 	if !ok {
 		return cexpr{}, unsupportedf("aggregate %s outside HAVING", fc.String())
 	}
-	argKind := kInt // COUNT(*) default
-	if !fc.Star {
-		ce, err := lc.lower(fc.Args[0])
-		if err != nil {
-			return cexpr{}, err
-		}
-		argKind = ce.k
-	}
-	switch fc.Name {
-	case "COUNT":
-		return cexpr{k: kInt, i: func(e *env) int64 { return e.accs[slot].count }}, nil
-	case "SUM":
-		if argKind == kInt {
-			return cexpr{k: kInt, i: func(e *env) int64 { return int64(e.accs[slot].sum) }}, nil
-		}
-		if argKind == kFloat {
-			return cexpr{k: kFloat, f: func(e *env) float64 { return e.accs[slot].sum }}, nil
-		}
-		return cexpr{}, unsupportedf("SUM of non-numeric argument")
-	case "AVG":
-		if !numeric(argKind) {
-			return cexpr{}, unsupportedf("AVG of non-numeric argument")
-		}
-		return cexpr{k: kFloat, f: func(e *env) float64 {
-			a := &e.accs[slot]
-			return a.sum / float64(a.count)
-		}}, nil
-	case "MIN", "MAX":
-		switch argKind {
-		case kInt:
-			return cexpr{k: kInt, i: func(e *env) int64 { return e.accs[slot].curI }}, nil
-		case kFloat:
-			return cexpr{k: kFloat, f: func(e *env) float64 { return e.accs[slot].curF }}, nil
-		case kStr:
-			return cexpr{k: kStr, s: func(e *env) string { return e.accs[slot].curS }}, nil
-		}
-		return cexpr{}, unsupportedf("%s of boolean argument", fc.Name)
-	}
-	return cexpr{}, unsupportedf("aggregate %s", fc.Name)
+	return unbox(s.k, func(e *env) engine.Value { return e.accs[s.i].Result() }), nil
 }
 
-// lowerAccum builds the per-row accumulation step for one aggregate slot.
-func (lc *lowerCtx) lowerAccum(slot int, fc *sql.FuncCall) (func(*env), error) {
+// lowerAccum builds the per-row accumulation step for one aggregate slot
+// and finds the aggregate's result kind, refusing an argument kind the
+// interpreter's accumulator would fail on.
+func (lc *lowerCtx) lowerAccum(slot int, fc *sql.FuncCall) (func(*env), kind, error) {
+	fn, _ := engine.Aggregate(fc.Name)
 	if fc.Star { // COUNT(*)
-		return func(e *env) { e.accs[slot].count++ }, nil
+		return func(e *env) { e.accs[slot].Row() }, kInt, nil
 	}
 	ce, err := lc.lower(fc.Args[0])
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	switch fc.Name {
-	case "COUNT":
-		// The argument is evaluated for its (possible) side effects — a
-		// division by zero must still surface — and every value counts,
-		// since the compilable subset is null-free.
-		arg := discardFn(ce)
-		return func(e *env) { arg(e); e.accs[slot].count++ }, nil
-	case "SUM", "AVG":
-		if !numeric(ce.k) {
-			return nil, unsupportedf("%s of non-numeric argument", fc.Name)
-		}
-		f := ce.toFloat()
-		return func(e *env) {
-			a := &e.accs[slot]
-			a.sum += f(e)
-			a.count++
-		}, nil
-	case "MIN", "MAX":
-		most := fc.Name == "MAX"
-		switch ce.k {
-		case kInt:
-			f := ce.i
-			return func(e *env) {
-				v := f(e)
-				a := &e.accs[slot]
-				if !a.seen || (most && v > a.curI) || (!most && v < a.curI) {
-					a.curI = v
-					a.seen = true
-				}
-			}, nil
-		case kFloat:
-			f := ce.f
-			return func(e *env) {
-				v := f(e)
-				a := &e.accs[slot]
-				if !a.seen || (most && v > a.curF) || (!most && v < a.curF) {
-					a.curF = v
-					a.seen = true
-				}
-			}, nil
-		case kStr:
-			f := ce.s
-			return func(e *env) {
-				v := f(e)
-				a := &e.accs[slot]
-				if !a.seen || (most && v > a.curS) || (!most && v < a.curS) {
-					a.curS = v
-					a.seen = true
-				}
-			}, nil
-		}
-		return nil, unsupportedf("%s of boolean argument", fc.Name)
+	k, ok := fn.Kind(ce.k)
+	if !ok {
+		return nil, 0, unsupportedf("%s of non-numeric argument", fc.Name)
 	}
-	return nil, unsupportedf("aggregate %s", fc.Name)
+	// Every value is added, since the compilable subset is null-free, and
+	// Add cannot fail on arguments of one kind that fn.Kind accepts. A
+	// COUNT's argument is evaluated too: a division by zero must surface.
+	switch {
+	case fn == engine.AggMin || fn == engine.AggMax:
+	case ce.k == kInt:
+		f := ce.i
+		return func(e *env) { e.accs[slot].AddInt(f(e)) }, k, nil
+	case ce.k == kFloat:
+		f := ce.f
+		return func(e *env) { e.accs[slot].AddFloat(f(e)) }, k, nil
+	}
+	v := ce.value()
+	return func(e *env) { _ = e.accs[slot].Add(v(e)) }, k, nil
 }
 
-func discardFn(ce cexpr) func(*env) {
-	switch ce.k {
+// value boxes c's result as an engine.Value.
+func (c cexpr) value() func(*env) engine.Value {
+	switch c.k {
 	case kBool:
-		f := ce.b
-		return func(e *env) { f(e) }
+		f := c.b
+		return func(e *env) engine.Value { return engine.BoolVal(f(e)) }
 	case kInt:
-		f := ce.i
-		return func(e *env) { f(e) }
+		f := c.i
+		return func(e *env) engine.Value { return engine.IntVal(f(e)) }
 	case kFloat:
-		f := ce.f
-		return func(e *env) { f(e) }
-	default:
-		f := ce.s
-		return func(e *env) { f(e) }
+		f := c.f
+		return func(e *env) engine.Value { return engine.FloatVal(f(e)) }
 	}
+	f := c.s
+	return func(e *env) engine.Value { return engine.StringVal(f(e)) }
+}
+
+// unbox reads v, whose results are all of kind k, as a lowered expression.
+func unbox(k kind, v func(*env) engine.Value) cexpr {
+	switch k {
+	case kBool:
+		return cexpr{k: k, b: func(e *env) bool { return v(e).B }}
+	case kInt:
+		return cexpr{k: k, i: func(e *env) int64 { return v(e).I }}
+	case kFloat:
+		return cexpr{k: k, f: func(e *env) float64 { return v(e).F }}
+	}
+	return cexpr{k: k, s: func(e *env) string { return v(e).S }}
 }
 
 // lowerProbe lowers a hash-index probe: the probe expression evaluates to
@@ -979,39 +798,27 @@ func prefetchObjCol(objects *engine.ResultSet, name string) (*objColumn, error) 
 	if n == 0 {
 		return oc, nil
 	}
-	switch objects.Value(0, ci).Kind {
-	case engine.KFloat:
-		oc.k = kFloat
-		oc.fs = make([]float64, n)
-		for r := 0; r < n; r++ {
-			v := objects.Value(r, ci)
-			if v.Kind != engine.KFloat {
-				return nil, unsupportedf("object column %q has mixed kinds", name)
-			}
-			oc.fs[r] = v.F
-		}
-	case engine.KInt:
-		oc.k = kInt
-		oc.is = make([]int64, n)
-		for r := 0; r < n; r++ {
-			v := objects.Value(r, ci)
-			if v.Kind != engine.KInt {
-				return nil, unsupportedf("object column %q has mixed kinds", name)
-			}
-			oc.is[r] = v.I
-		}
-	case engine.KString:
-		oc.k = kStr
-		oc.ss = make([]string, n)
-		for r := 0; r < n; r++ {
-			v := objects.Value(r, ci)
-			if v.Kind != engine.KString {
-				return nil, unsupportedf("object column %q has mixed kinds", name)
-			}
-			oc.ss[r] = v.S
-		}
+	switch oc.k = objects.Value(0, ci).Kind; oc.k {
+	case kFloat:
+		oc.fs = make([]float64, 0, n)
+	case kInt:
+		oc.is = make([]int64, 0, n)
+	case kStr:
+		oc.ss = make([]string, 0, n)
 	default:
 		return nil, unsupportedf("object column %q has unsupported kind", name)
+	}
+	for _, row := range objects.Rows {
+		switch v := row[ci]; {
+		case v.Kind != oc.k:
+			return nil, unsupportedf("object column %q has mixed kinds", name)
+		case v.Kind == kFloat:
+			oc.fs = append(oc.fs, v.F)
+		case v.Kind == kInt:
+			oc.is = append(oc.is, v.I)
+		default:
+			oc.ss = append(oc.ss, v.S)
+		}
 	}
 	return oc, nil
 }

@@ -37,11 +37,12 @@
 // subset, including its corner semantics: comparisons treat NaN as equal to
 // everything (the interpreter's compare maps incomparable floats to 0), ±0
 // hash to the same bucket, ints compare with ints exactly as int64 (keys
-// beyond 2^53 stay distinct) and int/float mixes through float64, integer
-// SUM accumulates through float64 before truncating (as the interpreter's
-// accumulator does), and float aggregates accumulate in exactly the
-// interpreter's nested-loop enumeration order, so no floating-point
-// reassociation can flip a HAVING on a boundary. Labels are pure functions
+// beyond 2^53 stay distinct) and int/float mixes through float64, and float
+// aggregates accumulate in exactly the interpreter's nested-loop enumeration
+// order, so no floating-point reassociation can flip a HAVING on a boundary.
+// Leaf semantics are not restated here: arithmetic, the scalar functions and
+// the aggregate accumulator are internal/engine's kernel table (ops.go),
+// which the closures call as the interpreter does. Labels are pure functions
 // of the object index, which is what makes batched and parallel labeling a
 // pure throughput knob for the estimators built on top.
 //
@@ -149,7 +150,7 @@ type Program struct {
 	objCols []string // o.* columns the predicate reads
 
 	// floatGroupChecks are the float GROUP BY columns whose values Compile
-	// scanned for NaN/-0 (which would break the single-group plan); Extend
+	// scanned for NaN (which would break the single-group plan); Extend
 	// re-runs the scan over delta rows only.
 	floatGroupChecks []refInfo
 
@@ -240,7 +241,7 @@ func Compile(dec *engine.Decomposed, cat engine.Catalog) (*Program, error) {
 	conjuncts := sql.SplitConjuncts(q3.Where)
 	depths := make([]int, len(conjuncts))
 	for ci, c := range conjuncts {
-		if err := p.validateRowExpr(c); err != nil {
+		if err := p.validate(c, false); err != nil {
 			return nil, err
 		}
 		d, err := p.maxDepth(c)
@@ -322,14 +323,14 @@ func Compile(dec *engine.Decomposed, cat engine.Catalog) (*Program, error) {
 		if !p.pinned(conjuncts, ref) {
 			return nil, unsupportedf("GROUP BY column %s is not pinned to a per-object constant", cr.String())
 		}
-		// The interpreter's group keys distinguish -0 from +0 and give every
-		// NaN-keyed row a shared NaN group, both of which would split the
-		// single group this plan relies on.
+		// The interpreter's group keys give every NaN-keyed row a shared NaN
+		// group, which would split the single group this plan relies on.
+		// -0 needs no check: it keys as 0, the value it equals.
 		tab := p.aliases[ref.depth].tab
 		if tab.Schema()[ref.col].Kind == dataset.Float {
 			for _, v := range tab.FloatsAt(ref.col) {
-				if math.IsNaN(v) || (v == 0 && math.Signbit(v)) {
-					return nil, unsupportedf("GROUP BY column %s contains NaN or -0", cr.String())
+				if math.IsNaN(v) {
+					return nil, unsupportedf("GROUP BY column %s contains NaN", cr.String())
 				}
 			}
 			p.floatGroupChecks = append(p.floatGroupChecks, ref)
@@ -342,12 +343,7 @@ func Compile(dec *engine.Decomposed, cat engine.Catalog) (*Program, error) {
 	if p.having == nil {
 		p.short = shortNoHaving
 	} else {
-		var aggs []*sql.FuncCall
-		sql.WalkExpr(p.having, func(x sql.Expr) {
-			if fc, ok := x.(*sql.FuncCall); ok && isAggregate(fc.Name) {
-				aggs = append(aggs, fc)
-			}
-		})
+		aggs := engine.AppendAggregates(nil, p.having)
 		for _, fc := range aggs {
 			if fc.Distinct {
 				return nil, unsupportedf("DISTINCT aggregate %s", fc.String())
@@ -361,12 +357,12 @@ func Compile(dec *engine.Decomposed, cat engine.Catalog) (*Program, error) {
 			if len(fc.Args) != 1 {
 				return nil, unsupportedf("aggregate %s with %d arguments", fc.Name, len(fc.Args))
 			}
-			if err := p.validateRowExpr(fc.Args[0]); err != nil {
+			if err := p.validate(fc.Args[0], false); err != nil {
 				return nil, err
 			}
 		}
 		p.aggs = aggs
-		if err := p.validateHavingExpr(p.having, aggs); err != nil {
+		if err := p.validate(p.having, true); err != nil {
 			return nil, err
 		}
 		p.detectMonotoneCount()
@@ -430,13 +426,13 @@ func (p *Program) detectMonotoneCount() {
 		return
 	}
 	if slot, ok := isCountStar(be.L); ok {
-		if d, err := p.maxDepth(be.R); err == nil && d < 0 && !containsAggregate(be.R) {
+		if d, err := p.maxDepth(be.R); err == nil && d < 0 && engine.AppendAggregates(nil, be.R) == nil {
 			p.countSlot, p.countOp, p.threshold = slot, be.Op, be.R
 		}
 		return
 	}
 	if slot, ok := isCountStar(be.R); ok {
-		if d, err := p.maxDepth(be.L); err == nil && d < 0 && !containsAggregate(be.L) {
+		if d, err := p.maxDepth(be.L); err == nil && d < 0 && engine.AppendAggregates(nil, be.L) == nil {
 			p.countSlot, p.countOp, p.threshold = slot, op, be.L
 		}
 	}
@@ -538,9 +534,11 @@ func (p *Program) recordObjCol(name string) {
 	p.objCols = append(p.objCols, name)
 }
 
-// validateRowExpr rejects constructs the compiler does not lower in
-// row-level position: subqueries, aggregates, unknown operators/functions.
-func (p *Program) validateRowExpr(e sql.Expr) error {
+// validate rejects constructs the compiler does not lower: subqueries,
+// unknown operators and functions, unresolvable columns, and, outside
+// HAVING, aggregates. Every aggregate call in HAVING is one of the program's
+// slots, whose arguments Compile has validated as row-level expressions.
+func (p *Program) validate(e sql.Expr, having bool) error {
 	var werr error
 	sql.WalkExpr(e, func(x sql.Expr) {
 		if werr != nil {
@@ -549,16 +547,19 @@ func (p *Program) validateRowExpr(e sql.Expr) error {
 		switch n := x.(type) {
 		case *sql.SubqueryExpr:
 			werr = unsupportedf("nested subquery")
+			if having {
+				werr = unsupportedf("subquery in HAVING")
+			}
 		case *sql.FuncCall:
-			if isAggregate(n.Name) {
-				werr = unsupportedf("aggregate %s outside HAVING", n.Name)
-			} else if !knownScalarFunc(n.Name) {
+			if _, agg := engine.Aggregate(n.Name); agg {
+				if !having {
+					werr = unsupportedf("aggregate %s outside HAVING", n.Name)
+				}
+			} else if engine.ScalarFunc(n.Name) == nil {
 				werr = unsupportedf("unknown function %s", n.Name)
 			}
 		case *sql.ColumnRef:
-			if _, err := p.resolve(n); err != nil {
-				werr = err
-			}
+			_, werr = p.resolve(n)
 		case *sql.BinaryExpr:
 			if !knownBinaryOp(n.Op) {
 				werr = unsupportedf("operator %q", n.Op)
@@ -570,66 +571,6 @@ func (p *Program) validateRowExpr(e sql.Expr) error {
 		}
 	})
 	return werr
-}
-
-// validateHavingExpr validates the HAVING tree, where the collected
-// aggregate calls are legal leaves (their arguments were validated as
-// row-level expressions already).
-func (p *Program) validateHavingExpr(e sql.Expr, aggs []*sql.FuncCall) error {
-	isSlot := make(map[sql.Expr]bool, len(aggs))
-	for _, fc := range aggs {
-		isSlot[fc] = true
-	}
-	var walk func(sql.Expr) error
-	walk = func(x sql.Expr) error {
-		if x == nil {
-			return nil
-		}
-		if isSlot[x] {
-			return nil // aggregate slot; args validated separately
-		}
-		switch n := x.(type) {
-		case *sql.SubqueryExpr:
-			return unsupportedf("subquery in HAVING")
-		case *sql.ColumnRef:
-			// Non-aggregate HAVING references read the group's
-			// representative row, which the compiled plan snapshots.
-			_, err := p.resolve(n)
-			return err
-		case *sql.NumberLit, *sql.StringLit:
-			return nil
-		case *sql.BinaryExpr:
-			if !knownBinaryOp(n.Op) {
-				return unsupportedf("operator %q", n.Op)
-			}
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case *sql.UnaryExpr:
-			if n.Op != "NOT" && n.Op != "-" {
-				return unsupportedf("unary operator %q", n.Op)
-			}
-			return walk(n.X)
-		case *sql.FuncCall:
-			if isAggregate(n.Name) {
-				// An aggregate node that is not one of the collected slots
-				// would be nested inside another aggregate's argument.
-				return unsupportedf("nested aggregate %s", n.Name)
-			}
-			if !knownScalarFunc(n.Name) {
-				return unsupportedf("unknown function %s", n.Name)
-			}
-			for _, a := range n.Args {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return unsupportedf("unsupported expression %T", x)
-	}
-	return walk(e)
 }
 
 // buildIndex hashes every row of the column. It refuses float columns
@@ -655,36 +596,10 @@ func buildIndex(tab *dataset.Table, col int) (*probePlan, bool) {
 	return pp, true
 }
 
-func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-func containsAggregate(e sql.Expr) bool {
-	found := false
-	sql.WalkExpr(e, func(x sql.Expr) {
-		if fc, ok := x.(*sql.FuncCall); ok && isAggregate(fc.Name) {
-			found = true
-		}
-	})
-	return found
-}
-
 func knownBinaryOp(op string) bool {
 	switch op {
-	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/":
+	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
 		return true
 	}
-	return false
-}
-
-func knownScalarFunc(name string) bool {
-	switch name {
-	case "SQRT", "POWER", "POW", "ABS", "FLOOR", "CEIL", "CEILING", "LN", "EXP", "LEAST", "GREATEST":
-		return true
-	}
-	return false
+	return engine.ArithOp(op) != nil
 }

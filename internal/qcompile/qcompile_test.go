@@ -148,6 +148,7 @@ func TestCompiledMatchesInterpreterAggregates(t *testing.T) {
 		`SELECT d.id FROM D d, R r WHERE d.id = r.key GROUP BY d.id HAVING MAX(r.v) - MIN(r.v) > 6`,
 		`SELECT d.id FROM D d, R r WHERE d.id = r.key GROUP BY d.id HAVING COUNT(*) > 2 AND MIN(r.v) < 2`,
 		`SELECT d.id FROM D d, R r WHERE d.id = r.key GROUP BY d.id HAVING SUM(r.key) >= 3 * COUNT(*)`,
+		`SELECT d.id FROM D d, R r WHERE d.id = r.key GROUP BY d.id HAVING MAX(r.v > 5) > MIN(r.v > 5)`,
 	} {
 		compileAndCompare(t, cat, q, nil)
 	}
@@ -166,8 +167,8 @@ func TestCompiledMatchesInterpreterStringsAndFuncs(t *testing.T) {
 // keys beyond 2^53, where distinct ints share a float64: an int probe
 // returns exactly the equal rows, an int filter and MIN/MAX order ints
 // exactly, and a float probe on an int column keeps the mixed-kind rule
-// (equal when the int's float64 is). Each row of want is both evaluators'
-// labels for objects 0–4.
+// (equal when the int's float64 is), and SUM of ints is exact. Each row of
+// want is both evaluators' labels for objects 0–4.
 func TestCompiledExactIntComparison(t *testing.T) {
 	const big = 1 << 53
 	d := dataset.New("D", dataset.Schema{{Name: "id", Kind: dataset.Int}, {Name: "w", Kind: dataset.Int}})
@@ -194,6 +195,11 @@ func TestCompiledExactIntComparison(t *testing.T) {
 			engine.FloatVal(-big), []bool{false, false, false, true, true}},
 		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w = p AND o2.id = o1.id GROUP BY o1.id`,
 			engine.FloatVal(2.5), []bool{false, false, false, false, false}},
+		// SUM of ints adds in int64: through float64, 2^53 + 1 is 2^53.
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.id = o1.id GROUP BY o1.id HAVING SUM(o2.w) = 9007199254740993`,
+			engine.Null, []bool{false, true, false, false, false}},
+		{`SELECT o1.id FROM D o1, D o2 WHERE o2.w <= o1.w GROUP BY o1.id HAVING SUM(o2.w) = -18014398509481985`,
+			engine.Null, []bool{false, false, false, false, true}},
 	} {
 		var params map[string]engine.Value
 		if c.p.Kind != engine.KNull {

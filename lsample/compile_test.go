@@ -2,6 +2,7 @@ package lsample
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -165,6 +166,49 @@ func TestOracleCountsExactIntKeys(t *testing.T) {
 		}
 		if est.Count != 2 || est.Objects != 4 {
 			t.Errorf("compiled=%v: %v of %d objects, want 2 of 4", est.Labeling.Compiled, est.Count, est.Objects)
+		}
+	}
+}
+
+// TestOracleCountsNegativeZeroAsZero: over D = {(0, -0), (1, 1), (2, 0)}
+// and R = {0}, SELECT o1.x … GROUP BY o1.x has one group, x = 0, whose row
+// (0, -0) joins. -0 = 0, so -0 and 0 are one object of the decomposition and
+// the oracle counts 1 on both evaluators; keyed apart they counted 2.
+func TestOracleCountsNegativeZeroAsZero(t *testing.T) {
+	d, err := NewTable("D", "id:int,x:float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range []float64{math.Copysign(0, -1), 1, 0} {
+		if err := d.AppendRow(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewTable("R", "key:int")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AppendRow(int64(0)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession(NewMemorySource(d, r), WithMethod("oracle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sess.Prepare(`SELECT o1.x FROM D o1, R r WHERE r.key = o1.id GROUP BY o1.x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{{interpreted()}, nil} {
+		est, err := q.Execute(context.Background(), nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Labeling.Compiled != (opts == nil) {
+			t.Fatalf("compiled=%v with options %v (fallback: %s)", est.Labeling.Compiled, opts, est.Labeling.Fallback)
+		}
+		if est.Count != 1 || est.Objects != 2 {
+			t.Errorf("compiled=%v: %v of %d objects, want 1 of 2", est.Labeling.Compiled, est.Count, est.Objects)
 		}
 	}
 }
