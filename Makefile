@@ -99,11 +99,12 @@ test:
 # tests whose scatters merge every shard's reply of a fused round, and the
 # coordinator tests whose stored census meets moved data (a version bump,
 # an ingest, a swapped worker, two clients racing live ingestion) and is
-# retried from a fresh pre-flight, ten times over: a race only shows in an
-# interleaving the run happens to execute.
+# retried from a fresh pre-flight, and the compiled and interpreted
+# predicates several goroutines share, ten times over: a race only shows in
+# an interleaving the run happens to execute.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^repro/bench$$')
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest' ./lsample/ ./internal/service/ ./internal/shard/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest|TestPredicatesSafeForConcurrentUse' ./lsample/ ./internal/service/ ./internal/shard/ ./internal/predicate/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at

@@ -57,7 +57,7 @@ func (ev *Evaluator) eval(e sql.Expr, sc *Scope, aggs aggEnv) (Value, error) {
 		if err != nil {
 			return Null, err
 		}
-		if r != nil {
+		if r.b != nil {
 			return r.b.rel.Value(r.b.row, r.col), nil
 		}
 		if x.Qualifier == "" {
@@ -211,7 +211,7 @@ func (ev *Evaluator) numLeaf(e sql.Expr, sc *Scope) (num, bool) {
 		r, err := sc.column(x)
 		switch {
 		case err != nil: // compareBoxed raises it
-		case r == nil:
+		case r.b == nil:
 			if pv, ok := ev.Params[x.Name]; ok && x.Qualifier == "" {
 				return numOf(&pv)
 			}

@@ -91,7 +91,7 @@ type binding struct {
 // first evaluation — Run binds FROM before it enumerates, ObjectPredicate
 // binds the object before it evaluates — and afterwards only a binding's
 // row moves. So a column reference resolves to the same binding and column
-// on every row, and refs remembers where each one it resolved lives (the
+// — or to none — on every row, and refs remembers that answer for each (the
 // reference itself at the same position of keys, which the lookup scans).
 type Scope struct {
 	parent   *Scope
@@ -130,10 +130,11 @@ func (s *Scope) BindRow(name string, rel Relation, row int) {
 	s.bindings = append(s.bindings, &binding{name: name, rel: rel, row: row})
 }
 
-// column returns where a column reference resolves, or nil when no binding
-// of the chain has it (it may name a parameter). A reference that resolves
-// is remembered; an unresolved or ambiguous one takes the full path, and
-// raises its error, on every evaluation.
+// column returns where a column reference resolves, with a nil binding
+// when no binding of the chain has it (it may name a parameter). Either
+// answer is remembered, since the bindings never change, so a parameter
+// stops walking the chain after its first row; an ambiguous or misqualified
+// reference takes the full path, and raises its error, on every evaluation.
 func (s *Scope) column(x *sql.ColumnRef) (*resolvedRef, error) {
 	for i, k := range s.keys {
 		if k == x {
@@ -141,20 +142,22 @@ func (s *Scope) column(x *sql.ColumnRef) (*resolvedRef, error) {
 		}
 	}
 	b, ci, err := s.resolve(x.Qualifier, x.Name)
-	if b == nil {
+	if err != nil {
 		return nil, err
 	}
 	r := resolvedRef{b: b, col: ci}
-	switch rel := b.rel.(type) {
-	case *tableRel:
-		switch rel.kinds[ci] {
-		case dataset.Float:
-			r.fs = rel.t.FloatsAt(ci)
-		case dataset.Int:
-			r.is = rel.t.IntsAt(ci)
+	if b != nil {
+		switch rel := b.rel.(type) {
+		case *tableRel:
+			switch rel.kinds[ci] {
+			case dataset.Float:
+				r.fs = rel.t.FloatsAt(ci)
+			case dataset.Int:
+				r.is = rel.t.IntsAt(ci)
+			}
+		case *ResultSet:
+			r.rs = rel
 		}
-	case *ResultSet:
-		r.rs = rel
 	}
 	s.keys = append(s.keys, x)
 	s.refs = append(s.refs, r)

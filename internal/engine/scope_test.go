@@ -63,8 +63,9 @@ func objectQ3(tb testing.TB, q string, n int) (*Evaluator, *Decomposed, *ResultS
 }
 
 // TestScopeCacheResolvesLikeTheFullPath checks that remembering where a
-// column reference resolved keeps name resolution exact: shadowing,
-// resolution one scope up, parameters, and one node read under many scopes.
+// column reference resolved — or that no binding has it — keeps name
+// resolution exact: shadowing, resolution one scope up, parameters,
+// references that resolve nowhere, and one node read under many scopes.
 func TestScopeCacheResolvesLikeTheFullPath(t *testing.T) {
 	d := pointsTable([]geom.Point2{{X: 1, Y: 5}, {X: 2, Y: 4}, {X: 3, Y: 3}, {X: 4, Y: 2}})
 	e := dataset.New("E", dataset.Schema{{Name: "k", Kind: dataset.Int}})
@@ -113,6 +114,54 @@ func TestScopeCacheResolvesLikeTheFullPath(t *testing.T) {
 			res := run(t, cat, "SELECT id FROM D WHERE x > t", map[string]Value{"t": IntVal(th)})
 			if got := int64(len(res.Rows)); got != 4-th {
 				t.Fatalf("t=%d: %d rows, want %d", th, got, 4-th)
+			}
+		}
+	})
+
+	// where parses q and returns its WHERE with a scope binding D as d, and
+	// the binding's row cursor.
+	where := func(t *testing.T, q string) (sql.Expr, *Scope, *binding) {
+		t.Helper()
+		sc := NewScope(nil)
+		return mustParse(t, q).Where, sc, sc.Bind("d", NewTableRelation(d))
+	}
+
+	t.Run("parameter in WHERE", func(t *testing.T) {
+		// The scope remembers that no binding has t; its value is still
+		// read from the parameters on every row.
+		cond, sc, b := where(t, "SELECT d.id FROM D d WHERE d.x > t")
+		ev := NewEvaluator(cat)
+		for _, th := range []int64{2, 0, 3} {
+			ev.SetParam("t", IntVal(th))
+			for row := 0; row < d.NumRows(); row++ {
+				b.row = row
+				v, err := ev.Eval(cond, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := d.Float(row, 1) > float64(th); v.B != want {
+					t.Fatalf("t=%d, row %d: %v, want %v", th, row, v.B, want)
+				}
+				if len(sc.keys) != 2 || sc.refs[1].b != nil {
+					t.Fatalf("t=%d, row %d: scope remembers %d references, want d.x and the unresolved t", th, row, len(sc.keys))
+				}
+			}
+		}
+	})
+
+	t.Run("unresolved name errors on every evaluation", func(t *testing.T) {
+		for _, q := range []string{
+			"SELECT d.id FROM D d WHERE d.x > zz", // neither a column nor a parameter
+			"SELECT d.id FROM D d WHERE d.zz > 1", // misqualified: d has no zz
+			"SELECT d.id FROM D d WHERE e.x > 1",  // no binding named e
+		} {
+			cond, sc, b := where(t, q)
+			ev := NewEvaluator(cat)
+			for row := 0; row < d.NumRows(); row++ {
+				b.row = row
+				if _, err := ev.Eval(cond, sc); err == nil {
+					t.Fatalf("%s, row %d: no error", q, row)
+				}
 			}
 		}
 	})

@@ -6,12 +6,12 @@
 // since "number of q evaluations" is the cost unit all of the paper's
 // methods budget.
 //
-// Evaluation counters use sync/atomic throughout, so any predicate whose
-// Eval is itself thread-safe (a pure function of the object index) may be
-// shared across goroutines. Predicates that additionally implement
-// BatchPredicate label a pre-chosen sample set in one call — the batch may
-// run on a worker pool internally — and Label, the one labeling loop, takes
-// that path whenever the predicate offers it.
+// Evaluation counters use sync/atomic throughout, and every predicate here
+// but Func is safe for concurrent use: the engine-backed ones keep their
+// per-evaluation state in pooled closures. Predicates that additionally
+// implement BatchPredicate label a pre-chosen sample set in one call — the
+// batch may run on a worker pool internally — and Label, the one labeling
+// loop, takes that path whenever the predicate offers it.
 package predicate
 
 import (
@@ -160,22 +160,26 @@ func (p *Neighbors) Eval(i int) bool {
 // engine. Construction validates the predicate on the first object so that
 // later evaluations cannot fail for structural reasons; a failure after
 // that is data-dependent (a later object's zero divisor) and is raised as
-// an engine.Fault, which the SDK returns as the request's error. The
-// interpreted evaluator shares mutable state (work counters, cursors), so
-// EngineExists is the one expensive predicate that must stay on a single
-// goroutine — the compiled path (Compiled) is the parallel alternative.
+// an engine.Fault, which the SDK returns as the request's error. Each
+// pooled evaluation closure runs over a shallow copy of the evaluator that
+// shares the catalog and the read-only parameters and counts into Stats of
+// its own, so concurrent Evals share no mutable state.
 type EngineExists struct {
 	counter
-	eval    func(i int) (bool, error)
-	objects *engine.ResultSet
-	first   bool // validation result for object 0
-	has0    bool
+	evals sync.Pool // func(int) (bool, error) closures
+	first bool      // validation result for object 0
+	has0  bool
 }
 
 // NewEngineExists builds an engine-backed predicate for the decomposed
 // query over the materialized object set.
 func NewEngineExists(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet) (*EngineExists, error) {
-	p := &EngineExists{eval: ev.ObjectPredicate(dec, objects), objects: objects}
+	p := &EngineExists{}
+	p.evals.New = func() any {
+		cp := *ev
+		cp.Stats = engine.Stats{}
+		return cp.ObjectPredicate(dec, objects)
+	}
 	if objects.NumRows() > 0 {
 		v, err := p.eval(0)
 		if err != nil {
@@ -191,6 +195,14 @@ func NewEngineExists(ev *engine.Evaluator, dec *engine.Decomposed, objects *engi
 // (one Q3 interpretation scans the whole join — the very cost compilation
 // exists to avoid).
 func (p *EngineExists) First() (v, ok bool) { return p.first, p.has0 }
+
+// eval runs the EXISTS subquery for object i on a pooled closure.
+func (p *EngineExists) eval(i int) (bool, error) {
+	f := p.evals.Get().(func(int) (bool, error))
+	v, err := f(i)
+	p.evals.Put(f)
+	return v, err
+}
 
 // Eval runs the EXISTS subquery for object i.
 func (p *EngineExists) Eval(i int) bool {
@@ -225,11 +237,11 @@ type Counter interface {
 // worker pool: each chunk borrows one closure from a pool for as long as it
 // runs, each batch element writes only its own output slot, and labels and
 // counts are pure functions of the object index — the result is
-// byte-identical to a sequential loop at any parallelism.
+// byte-identical to a sequential loop at any parallelism. Eval borrows
+// from the same pool.
 type Compiled struct {
 	counter
-	f       func(int) bool
-	pool    sync.Pool // evaluation closures for parallel chunk workers
+	pool    sync.Pool // evaluation closures
 	counts  sync.Pool // count-reporting closures, for CountBatch
 	workers int
 }
@@ -244,7 +256,7 @@ const batchChunk = 64
 // asks for counts: CountBatch then panics). workers bounds batch
 // parallelism: 0 means all cores, 1 sequential.
 func NewCompiled(newFn func() func(int) bool, newCount func() func(int) (int64, bool), workers int) *Compiled {
-	p := &Compiled{f: newFn(), workers: workers}
+	p := &Compiled{workers: workers}
 	p.pool.New = func() any { return newFn() }
 	if newCount != nil {
 		p.counts.New = func() any { return newCount() }
@@ -255,26 +267,22 @@ func NewCompiled(newFn func() func(int) bool, newCount func() func(int) (int64, 
 // Workers reports the resolved batch parallelism.
 func (p *Compiled) Workers() int { return par.Workers(p.workers) }
 
-// Eval evaluates q on object i.
+// Eval evaluates q on object i on a pooled closure.
 func (p *Compiled) Eval(i int) bool {
 	p.n.Add(1)
-	return p.f(i)
+	f := p.pool.Get().(func(int) bool)
+	v := f(i)
+	p.pool.Put(f)
+	return v
 }
 
 // EvalBatch labels a pre-chosen sample set, in parallel when the predicate
-// was built with more than one worker. Every batch element counts as one
-// evaluation. A closure whose evaluation panics (an engine.Fault) is not
-// returned to the pool.
+// was built with more than one worker and the set spans more than one
+// chunk. Every batch element counts as one evaluation. A closure whose
+// evaluation panics (an engine.Fault) is not returned to the pool.
 func (p *Compiled) EvalBatch(idxs []int, out []bool) {
 	p.n.Add(int64(len(idxs)))
-	w := par.Workers(p.workers)
-	if w <= 1 || len(idxs) <= batchChunk {
-		for j, i := range idxs {
-			out[j] = p.f(i)
-		}
-		return
-	}
-	par.ForEachChunk(w, len(idxs), batchChunk, func(lo, hi int) {
+	par.ForEachChunk(par.Workers(p.workers), len(idxs), batchChunk, func(lo, hi int) {
 		f := p.pool.Get().(func(int) bool)
 		for j := lo; j < hi; j++ {
 			out[j] = f(idxs[j])

@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/qcompile"
 	"repro/internal/sql"
 	"repro/internal/xrand"
 )
@@ -380,5 +382,130 @@ func TestAsBatchSequentialOnly(t *testing.T) {
 	var p Predicate = NewCompiled(func() func(int) bool { return func(int) bool { return true } }, nil, 1)
 	if _, ok := p.(BatchPredicate); !ok {
 		t.Fatal("Compiled must be batchable")
+	}
+}
+
+// skybandQ3 builds the k-skyband Q3 over n random points: the decomposed
+// query, its object set, and an evaluator with k bound.
+func skybandQ3(t *testing.T, n int, k int64) (*engine.Evaluator, *engine.Decomposed, *engine.ResultSet) {
+	t.Helper()
+	r := xrand.New(17)
+	tb := dataset.New("D", dataset.Schema{
+		{Name: "id", Kind: dataset.Int},
+		{Name: "x", Kind: dataset.Float},
+		{Name: "y", Kind: dataset.Float},
+	})
+	for i := 0; i < n; i++ {
+		tb.MustAppendRow(int64(i), float64(r.IntN(16)), float64(r.IntN(16)))
+	}
+	stmt, err := sql.Parse(`
+		SELECT o1.id FROM D o1, D o2
+		WHERE o2.x >= o1.x AND o2.y >= o1.y AND (o2.x > o1.x OR o2.y > o1.y)
+		GROUP BY o1.id HAVING COUNT(*) < k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := engine.Decompose(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := engine.NewEvaluator(engine.Catalog{"D": tb})
+	ev.SetParam("k", engine.IntVal(k))
+	objects, err := ev.Run(dec.Objects, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev, dec, objects
+}
+
+// TestPredicatesSafeForConcurrentUse (run under -race): goroutines share one
+// Compiled — sequential and over four batch workers — and one EngineExists,
+// mixing Eval, EvalBatch on inline (≤ 64) and chunked (> 64) index sets and
+// CountBatch; every label and count equals a sequential reference, and the
+// evaluation counter loses nothing.
+func TestPredicatesSafeForConcurrentUse(t *testing.T) {
+	const goroutines, reps = 6, 3
+	run := func(name string, p Predicate, want []bool, rep func(g int)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < reps; r++ {
+					for j := range want {
+						i := (j + g) % len(want)
+						if got := p.Eval(i); got != want[i] {
+							t.Errorf("%s: Eval(%d) = %v, want %v", name, i, got, want[i])
+						}
+					}
+					if rep != nil {
+						rep(g)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	ev, dec, objects := skybandQ3(t, 200, 5)
+	prog, err := qcompile.Compile(dec, ev.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := prog.Bind(ev.Params, objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := objects.NumRows()
+	want, wantCount := make([]bool, n), make([]Count, n)
+	eval, count := bound.NewEvalFn(), bound.NewCountFn()
+	for i := range want {
+		want[i] = eval(i)
+		wantCount[i].N, wantCount[i].Exact = count(i)
+	}
+	for _, workers := range []int{1, 4} {
+		p := NewCompiled(bound.NewEvalFn, bound.NewCountFn, workers)
+		name := fmt.Sprintf("compiled, %d workers", workers)
+		run(name, p, want, func(g int) {
+			for _, size := range []int{batchChunk / 2, n} { // inline, then chunked when workers > 1
+				idxs := make([]int, size)
+				for j := range idxs {
+					idxs[j] = (j*7 + g) % n
+				}
+				labels := make([]bool, size)
+				p.EvalBatch(idxs, labels)
+				counts := make([]Count, size)
+				p.CountBatch(idxs, counts)
+				for j, i := range idxs {
+					if labels[j] != want[i] || counts[j] != wantCount[i] {
+						t.Errorf("%s, batch of %d: object %d labeled %v counted %+v, want %v %+v",
+							name, size, i, labels[j], counts[j], want[i], wantCount[i])
+					}
+				}
+			}
+		})
+		if got, per := p.Evals(), int64(n+2*(batchChunk/2+n)); got != goroutines*reps*per {
+			t.Errorf("%s: Evals = %d, want %d", name, got, goroutines*reps*per)
+		}
+	}
+
+	// The interpreter scans the whole join per object: keep its arm small.
+	ev, dec, objects = skybandQ3(t, 40, 5)
+	ep, err := NewEngineExists(ev, dec, objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewEngineExists(ev, dec, objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = make([]bool, objects.NumRows())
+	for i := range want {
+		want[i] = ref.Eval(i)
+	}
+	run("interpreted", ep, want, nil)
+	if got := ep.Evals(); got != int64(goroutines*reps*len(want)) {
+		t.Errorf("interpreted: Evals = %d, want %d", got, goroutines*reps*len(want))
 	}
 }

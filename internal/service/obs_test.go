@@ -576,9 +576,9 @@ func findSpan(d *obs.SpanData, name string) *obs.SpanData {
 // executor was resident. The first count builds it — enumerate and features
 // directly under the span, predicate.build (paying the cross-check) lazily
 // where the label store first misses; later counts over the same parameters
-// find it resident and open neither, an extension labeling through the
-// executor's pooled predicate or one built on its verdict; a request
-// answered entirely from memoized labels builds no predicate.
+// find it resident and open neither, nor a predicate.build: an extension
+// labels through the executor's one predicate, and a request answered
+// entirely from memoized labels labels through none.
 func TestExplainHashPlanSpanTree(t *testing.T) {
 	svc := newTestService(t, 80, Options{})
 	count := func(budget float64) (*obs.SpanData, map[string]int) {
@@ -618,8 +618,8 @@ func TestExplainHashPlanSpanTree(t *testing.T) {
 		t.Errorf("first count: resident = %v, want false", cold.Attrs["resident"])
 	}
 	wantChildren("first count", children, map[string]int{"enumerate": 1, "features": 1, "shard.census": 1, "shard.attempt": 1})
-	if b := findSpan(findSpan(cold, "shard.attempt"), "predicate.build"); b == nil || b.Attrs["validated_by"] != nil {
-		t.Errorf("first count: predicate.build %v, want one under the labeling round paying the cross-check", b)
+	if findSpan(findSpan(cold, "shard.attempt"), "predicate.build") == nil {
+		t.Error("first count: no predicate.build under the labeling round")
 	}
 
 	ext, children := count(0.5) // reuse class: budget extension, fresh labels needed
@@ -627,11 +627,9 @@ func TestExplainHashPlanSpanTree(t *testing.T) {
 		t.Errorf("extension: resident = %v, want true", ext.Attrs["resident"])
 	}
 	wantChildren("extension", children, map[string]int{"enumerate": 0, "features": 0, "shard.census": 1, "shard.attempt": 1})
-	forEachSpan(ext, func(b *obs.SpanData) {
-		if b.Name == "predicate.build" && b.Attrs["validated_by"] != "executor" {
-			t.Errorf("extension: predicate.build %v paid the cross-check again", b.Attrs)
-		}
-	})
+	if findSpan(ext, "predicate.build") != nil {
+		t.Error("extension: a resident executor built its predicate again")
+	}
 
 	direct, _ := count(0.5 + 1e-9) // distinct cache key, same evaluation budget: every label memoized
 	if findSpan(direct, "predicate.build") != nil || findSpan(direct, "enumerate") != nil || direct.Attrs["resident"] != true {

@@ -215,30 +215,20 @@ func TestShardExecBoundsWorkerState(t *testing.T) {
 	}
 }
 
-// predicateBuilds counts a stitched trace's predicate.build spans: those
-// that paid the interpreter's cross-check, and those an executor vouched
-// for. Any other validated_by is an error.
-func predicateBuilds(t *testing.T, trace *obs.SpanData) (checked, vouched int) {
-	t.Helper()
+// predicateBuilds counts a stitched trace's predicate.build spans, each of
+// which paid the interpreter's cross-check.
+func predicateBuilds(trace *obs.SpanData) (n int) {
 	forEachSpan(trace, func(d *obs.SpanData) {
-		if d.Name != "predicate.build" {
-			return
-		}
-		switch d.Attrs["validated_by"] {
-		case nil:
-			checked++
-		case "executor":
-			vouched++
-		default:
-			t.Errorf("predicate.build validated_by = %v", d.Attrs["validated_by"])
+		if d.Name == "predicate.build" {
+			n++
 		}
 	})
-	return checked, vouched
+	return n
 }
 
 // TestShardExecChecksPerProgramAndSnapshot: the interpreter cross-check is
 // paid once for every distinct (program, parameters, snapshot) and never
-// again — a second seed rides on the executor's verdict and labels, while a
+// again — a second seed rides on the executor's predicate and labels, while a
 // changed Q3 parameter or a new dataset version gets its own executor and
 // its own check. A new version also gets its own labels; a changed count
 // threshold k shares the predicate's count space, so it buys only the
@@ -261,13 +251,13 @@ func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 	}
 
 	first := count(10, 1)
-	if checked, _ := predicateBuilds(t, first.Trace); checked != 1 {
+	if checked := predicateBuilds(first.Trace); checked != 1 {
 		t.Fatalf("first count paid %d cross-checks, want 1", checked)
 	}
 	for seed := uint64(2); seed <= 4; seed++ {
 		res := count(10, seed)
-		if checked, _ := predicateBuilds(t, res.Trace); checked != 0 {
-			t.Errorf("seed %d paid the cross-check again (%d unvalidated builds)", seed, checked)
+		if checked := predicateBuilds(res.Trace); checked != 0 {
+			t.Errorf("seed %d paid the cross-check again (%d builds)", seed, checked)
 		}
 		if res.Evals >= first.Evals {
 			t.Errorf("seed %d spent %d evaluations, the first count %d: no label was shared", seed, res.Evals, first.Evals)
@@ -275,7 +265,7 @@ func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 	}
 
 	other := count(12, 1) // same seed, another Q3 parameter: another predicate
-	if checked, _ := predicateBuilds(t, other.Trace); checked != 1 {
+	if checked := predicateBuilds(other.Trace); checked != 1 {
 		t.Errorf("a changed parameter paid %d cross-checks, want its own 1", checked)
 	}
 	if other.Evals >= first.Evals {
@@ -290,7 +280,7 @@ func TestShardExecChecksPerProgramAndSnapshot(t *testing.T) {
 		t.Errorf("%d prepared queries, and the executors they keep, survived their snapshot", got)
 	}
 	moved := count(10, 1)
-	if checked, _ := predicateBuilds(t, moved.Trace); checked != 1 {
+	if checked := predicateBuilds(moved.Trace); checked != 1 {
 		t.Errorf("a new dataset version paid %d cross-checks, want its own 1", checked)
 	}
 	if moved.Evals != first.Evals {

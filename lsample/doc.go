@@ -89,8 +89,6 @@
 //	                      shards (srs, lss, oracle; 0, the default,
 //	                      disables); byte-identical at any n — see
 //	                      "Sharded execution" below
-//	WithRelabel(true)     live refresh only: bypass the label memo — the
-//	                      cold baseline refresh savings are measured against
 //	WithCatalog(c)        attach a cross-query reuse catalog to SQL
 //	                      executions (nil detaches); see "Cross-query reuse
 //	                      catalog" below
@@ -179,8 +177,9 @@
 //
 // The classifier and strata are retrained only when more than 10 % of the
 // learn sample is new or invalidated since the last training (so refreshed
-// estimates between retrains are byte-identical to a WithRelabel(true) cold
-// run over the same state); Refresh reports Retrained, InvalidatedAll,
+// estimates between retrains are byte-identical to a cold run over the same
+// state, whose bill is the refresh's SamplesUsed + ReusedLabels: every label
+// it read, fresh or memoized); Refresh reports Retrained, InvalidatedAll,
 // SamplesUsed (the fresh labels), and ReusedLabels so the delta pricing is
 // always visible.
 // Refresh supports methods srs, lss, and oracle — the oracle variant is a
@@ -208,10 +207,11 @@
 // only a catalog asked for it, s under WithShards(s) — and serves methods
 // srs, lss, and oracle over queries with a unique integer object key.
 // Everything of a hash-plan count that no seed or budget can change — the
-// population, its partition, the feature rows and the predicate's one
-// cross-check — stays resident on the PreparedQuery (up to 8 parameter
-// bindings × layouts), so repeating a count re-derives none of it. Labels
-// outlive a count only in a catalog: without one, every count buys its own.
+// population, its partition, the feature rows and the one predicate every
+// count shares, cross-checked once — stays resident on the PreparedQuery
+// (up to 8 parameter bindings × layouts), so repeating a count re-derives
+// none of it. Labels outlive a count only in a catalog: without one, every
+// count buys its own.
 // LiveQuery.Refresh runs the hash plan's recipe steps over the labels,
 // classifier and strata it maintains. The classic body and the hash plan
 // give different (each deterministic) estimates for the same seed, so an

@@ -168,7 +168,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 	if p.n == 0 {
 		return out, nil
 	}
-	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, false)
+	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg)
 	if err != nil {
 		return nil, err
 	}

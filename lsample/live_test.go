@@ -3,6 +3,8 @@ package lsample
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -87,10 +89,33 @@ func (w *liveWorkload) session(t testing.TB, opts ...Option) *Session {
 	return sess
 }
 
+// coldRefresh is the cold baseline of a refresh: it refreshes lq again over
+// an empty label memo, fails unless that answers inc's count and interval
+// bit for bit, merges the memo back, and returns the cold bill — every
+// label the refresh read, SamplesUsed + ReusedLabels, since a label read
+// twice in one refresh is a memo hit the second time.
+func coldRefresh(t *testing.T, lq *LiveQuery, inc *RefreshEstimate) int64 {
+	t.Helper()
+	kept := lq.st.labels
+	lq.st.labels = make(map[int64]bool)
+	cold, err := lq.Refresh(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps.Copy(lq.st.labels, kept)
+	bits := func(r *RefreshEstimate) [3]uint64 {
+		return [3]uint64{math.Float64bits(r.Count), math.Float64bits(r.CI.Lo), math.Float64bits(r.CI.Hi)}
+	}
+	if bits(cold) != bits(inc) {
+		t.Fatalf("refresh estimate %v %v diverged from the cold estimate %v %v", inc.Count, *inc.CI, cold.Count, *cold.CI)
+	}
+	return cold.SamplesUsed + int64(cold.ReusedLabels)
+}
+
 // TestRefreshDeltaPricedAndMatchesCold is the PR's acceptance criterion: on
 // a 1% append delta a refresh spends ≤ 5% of the predicate evaluations of a
-// cold re-estimate over the same state (WithRelabel) while returning the
-// byte-identical estimate.
+// cold re-estimate over the same state while returning the byte-identical
+// estimate.
 func TestRefreshDeltaPricedAndMatchesCold(t *testing.T) {
 	w := newLiveWorkload(t, 3000, 11)
 	sess := w.session(t, WithMethod("lss"), WithBudget(0.1), WithSeed(7), WithParallelism(1))
@@ -127,20 +152,13 @@ func TestRefreshDeltaPricedAndMatchesCold(t *testing.T) {
 		t.Fatal("delta rows not detected")
 	}
 
-	base, err := lq.Refresh(ctx, nil, WithRelabel(true))
-	if err != nil {
-		t.Fatal(err)
+	bill := coldRefresh(t, lq, inc)
+	if bill < int64(inc.Budget)/2 {
+		t.Fatalf("cold baseline spent only %d evals", bill)
 	}
-	if base.Count != inc.Count || base.CI.Lo != inc.CI.Lo || base.CI.Hi != inc.CI.Hi {
-		t.Fatalf("refresh estimate %v %v diverged from relabeled cold estimate %v %v",
-			inc.Count, *inc.CI, base.Count, *base.CI)
-	}
-	if base.SamplesUsed < int64(base.Budget)/2 {
-		t.Fatalf("relabel baseline spent only %d evals", base.SamplesUsed)
-	}
-	limit := base.SamplesUsed / 20 // 5%
+	limit := bill / 20 // 5%
 	if inc.SamplesUsed > limit {
-		t.Fatalf("refresh spent %d evals, want ≤ %d (5%% of cold %d)", inc.SamplesUsed, limit, base.SamplesUsed)
+		t.Fatalf("refresh spent %d evals, want ≤ %d (5%% of cold %d)", inc.SamplesUsed, limit, bill)
 	}
 	if inc.ReusedLabels == 0 {
 		t.Fatal("refresh reused no labels")
@@ -149,8 +167,8 @@ func TestRefreshDeltaPricedAndMatchesCold(t *testing.T) {
 
 // TestRefreshKeyCorrelatedInvalidation pins the join-index insight: events
 // appended for existing items invalidate exactly those items' labels, so
-// the refreshed estimate still matches the relabeled baseline byte for
-// byte while spending only delta-proportional evaluations.
+// the refreshed estimate still matches the cold baseline byte for byte
+// while spending only delta-proportional evaluations.
 func TestRefreshKeyCorrelatedInvalidation(t *testing.T) {
 	w := newLiveWorkload(t, 2000, 13)
 	sess := w.session(t, WithMethod("lss"), WithBudget(0.1), WithSeed(3), WithParallelism(1))
@@ -178,22 +196,15 @@ func TestRefreshKeyCorrelatedInvalidation(t *testing.T) {
 	if inc.InvalidatedAll {
 		t.Fatal("key-correlated event appends must not invalidate everything")
 	}
-	base, err := lq.Refresh(ctx, nil, WithRelabel(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Count != base.Count {
-		t.Fatalf("incremental %v != relabeled %v after label-flipping delta", inc.Count, base.Count)
-	}
-	if inc.SamplesUsed > base.SamplesUsed/5 {
-		t.Fatalf("affected-key refresh spent %d of %d cold evals", inc.SamplesUsed, base.SamplesUsed)
+	if bill := coldRefresh(t, lq, inc); inc.SamplesUsed > bill/5 {
+		t.Fatalf("affected-key refresh spent %d of %d cold evals", inc.SamplesUsed, bill)
 	}
 }
 
 // TestRefreshUncorrelatedInvalidatesAll uses a self-join (skyband) query:
 // one alias of D is not pinned to the object key, so any append may flip
 // any label and the refresh must discard the memo — and still match the
-// relabeled baseline.
+// cold baseline.
 func TestRefreshUncorrelatedInvalidatesAll(t *testing.T) {
 	d, err := NewLiveTable("D", "id:int,x:float,y:float", "id")
 	if err != nil {
@@ -238,13 +249,7 @@ func TestRefreshUncorrelatedInvalidatesAll(t *testing.T) {
 	if !inc.InvalidatedAll {
 		t.Fatal("self-join append must invalidate all labels")
 	}
-	base, err := lq.Refresh(ctx, nil, WithRelabel(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Count != base.Count {
-		t.Fatalf("estimate %v != relabeled %v", inc.Count, base.Count)
-	}
+	coldRefresh(t, lq, inc)
 }
 
 // TestRefreshUpdateDeleteCoarsePath: updates/deletes compact storage (a new
@@ -277,13 +282,7 @@ func TestRefreshUpdateDeleteCoarsePath(t *testing.T) {
 	if inc.Objects != 999 {
 		t.Fatalf("objects = %d, want 999 after one delete", inc.Objects)
 	}
-	base, err := lq.Refresh(ctx, nil, WithRelabel(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Count != base.Count {
-		t.Fatalf("estimate %v != relabeled %v", inc.Count, base.Count)
-	}
+	coldRefresh(t, lq, inc)
 }
 
 // TestRefreshOracleDeltaPriced: the oracle refresh is a delta-priced exact

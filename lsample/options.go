@@ -61,7 +61,6 @@ type config struct {
 	interval    Interval
 	exact       bool
 	noCompile   bool        // keep the interpreter; only the in-package differential tests set it
-	relabel     bool        // refresh only: bypass the label memo (cold baseline)
 	catalog     *Catalog    // cross-query reuse catalog; nil disables reuse
 	shards      int         // sharded execution; 0 disables (the default)
 	tracer      *obs.Tracer // span tracer; nil disables (see WithTracer)
@@ -170,19 +169,6 @@ func WithInterval(iv Interval) Option {
 			return badf("unknown interval %d", int(iv))
 		}
 		c.interval = iv
-		return nil
-	}
-}
-
-// WithRelabel makes a Refresh call bypass the label memo: every sampled
-// object is labeled by a fresh predicate evaluation (memo entries are
-// overwritten with the — identical — results). The estimate is
-// byte-identical to the memoized refresh over the same state; the cost is
-// the full cold labeling bill, which makes WithRelabel(true) the baseline
-// refresh savings are measured against. Only Refresh reads this knob.
-func WithRelabel(relabel bool) Option {
-	return func(c *config) error {
-		c.relabel = relabel
 		return nil
 	}
 }

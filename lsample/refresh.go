@@ -162,9 +162,9 @@ type RefreshEstimate struct {
 // apply to this call only; changing parameter values (which change the
 // predicate) resets the label memo and learned state. The estimate is a
 // deterministic function of (pinned snapshots, seed, options, classifier
-// epoch): a WithRelabel(true) call on the same state returns the
-// byte-identical estimate while paying full labeling price, which is the
-// cold baseline refresh is measured against.
+// epoch); labels are pure, so the same refresh over an empty memo returns
+// the byte-identical estimate at a bill of SamplesUsed + ReusedLabels,
+// which is the cold baseline refresh is measured against.
 func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...Option) (_ *RefreshEstimate, err error) {
 	defer recoverFault(&err)
 	cfg, err := newConfig(q.cfg, opts)
@@ -302,9 +302,8 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 	}
 	out.Labeling = labeling
 
-	// A refresh labels from one goroutine, so its one predicate is always free.
-	memo := &labelStore{lock: new(sync.Mutex), labels: st.labels, keys: p.keys, posByKey: p.posByKey, relabel: cfg.relabel,
-		preds: &predPool{free: []predicate.Predicate{basePred}}}
+	memo := &labelStore{lock: new(sync.Mutex), labels: st.labels, keys: p.keys, posByKey: p.posByKey,
+		pred: func(context.Context) (predicate.Predicate, error) { return basePred, nil }}
 	label := func(sel []int64) ([]bool, error) {
 		labels, _, err := memo.label(ctx, sel)
 		return labels, err

@@ -245,7 +245,7 @@ func (q *PreparedQuery) execute(ctx context.Context, cfg config, m core.Method,
 	if p.n == 0 {
 		return cfg.header(fp, 0).answerEmpty(cfg), nil
 	}
-	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg, false)
+	pred, labeling, err := q.buildPredicate(ctx, p.ev, p.objects, vals, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -320,20 +320,15 @@ func (cfg config) classic(ctx context.Context, what string, features [][]float64
 }
 
 // buildPredicate is buildEnginePredicate for the prepared program, inside a
-// "predicate.build" span. validated is false for a build that must pay the
-// cross-check: Execute and ExecuteGroups on the classic path, where nothing
-// remembers a passed check across executions, and the first build of every
-// resident hash-plan executor; a build on an executor's verdict carries
-// validated_by=executor.
+// "predicate.build" span, paying the cross-check: Execute and ExecuteGroups
+// on the classic path build one predicate per execution, a resident
+// hash-plan executor one for as long as it stays resident.
 func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator, objects *engine.ResultSet,
-	vals map[string]engine.Value, cfg config, validated bool) (predicate.Predicate, Labeling, error) {
+	vals map[string]engine.Value, cfg config) (predicate.Predicate, Labeling, error) {
 
 	_, sp := obs.StartSpan(ctx, "predicate.build")
 	defer sp.End()
-	if validated {
-		sp.Set("validated_by", "executor")
-	}
-	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, validated)
+	pred, lab, err := buildEnginePredicate(ev, q.dec, objects, q.prog, q.progErr, vals, cfg, false)
 	if err != nil {
 		return nil, Labeling{}, err
 	}
@@ -358,9 +353,8 @@ func (q *PreparedQuery) buildPredicate(ctx context.Context, ev *engine.Evaluator
 //
 // validated says prog already passed that cross-check, so a bind that
 // succeeds is used as it is and the interpreter's evaluation of object 0 —
-// one full join scan — is not paid again. Who remembers a passed check:
-// refreshState.validated across refreshes of one program, shardData.checked
-// for a resident hash-plan executor; nothing else.
+// one full join scan — is not paid again. Only refreshState.validated
+// remembers a passed check, across refreshes of one program.
 func buildEnginePredicate(ev *engine.Evaluator, dec *engine.Decomposed, objects *engine.ResultSet,
 	prog *qcompile.Program, progErr string, vals map[string]engine.Value, cfg config,
 	validated bool) (predicate.Predicate, Labeling, error) {

@@ -453,15 +453,14 @@ func spansNamed(t *TraceSpan, name string) []*TraceSpan {
 	return out
 }
 
-// TestShardsValidateProgramOncePerRun: the interpreter's cross-check of the
-// compiled program — one full join scan for object 0 — depends on nothing a
-// shard owns, so a WithShards run pays it once: the first label store to
-// miss checks, the others build with its verdict (validated_by=executor on
-// their predicate.build span). A first build that fell back to the interpreter
-// validates nothing, and every shard reaches the same fallback by itself.
+// TestShardsValidateProgramOncePerRun: the predicate — and with it the
+// interpreter's cross-check of the compiled program, one full join scan for
+// object 0 — depends on nothing a shard owns, so a WithShards run builds it
+// once, on the first label store to miss, and every shard labels through
+// it. A build that falls back to the interpreter is that one build too.
 func TestShardsValidateProgramOncePerRun(t *testing.T) {
 	params := map[string]any{"k": 8}
-	run := func(opts ...Option) (*Estimate, []*TraceSpan) {
+	run := func(opts ...Option) (*Estimate, *TraceSpan) {
 		t.Helper()
 		tracer := NewTracer(TracerOptions{SampleRate: 1})
 		all := append([]Option{WithMethod("lss"), WithBudget(0.25), WithSeed(11), WithShards(4), WithTracer(tracer)}, opts...)
@@ -478,38 +477,23 @@ func TestShardsValidateProgramOncePerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		builds := spansNamed(tracer.Traces(1)[0], "predicate.build")
-		if len(builds) < 2 {
-			t.Fatalf("%d predicate.build spans, want one per labeling shard of 4", len(builds))
+		if len(builds) != 1 {
+			t.Fatalf("%d predicate.build spans over 4 shards, want exactly 1", len(builds))
 		}
-		return est, builds
+		return est, builds[0]
 	}
 
-	est, builds := run()
-	checked := 0
-	for _, b := range builds {
-		if b.Attrs["compiled"] != true {
-			t.Errorf("predicate.build attrs %v, want a compiled predicate on every shard", b.Attrs)
-		}
-		switch b.Attrs["validated_by"] {
-		case nil:
-			checked++
-		case "executor":
-		default:
-			t.Errorf("predicate.build validated_by = %v", b.Attrs["validated_by"])
-		}
-	}
-	if checked != 1 {
-		t.Errorf("%d of %d shard builds ran the interpreter's first-object check, want exactly 1", checked, len(builds))
+	est, build := run()
+	if build.Attrs["compiled"] != true {
+		t.Errorf("predicate.build attrs %v, want a compiled predicate", build.Attrs)
 	}
 	if !est.Labeling.Compiled || est.Labeling.Fallback != "" {
 		t.Errorf("labeling = %+v, want compiled", est.Labeling)
 	}
 
-	slow, builds := run(interpreted())
-	for _, b := range builds {
-		if b.Attrs["validated_by"] != nil || b.Attrs["compiled"] != false || b.Attrs["fallback"] != "compilation disabled" {
-			t.Errorf("predicate.build attrs %v after a first build that fell back, want the same unvalidated fallback on every shard", b.Attrs)
-		}
+	slow, build := run(interpreted())
+	if build.Attrs["compiled"] != false || build.Attrs["fallback"] != "compilation disabled" {
+		t.Errorf("predicate.build attrs %v, want the interpreter fallback", build.Attrs)
 	}
 	if slow.Labeling.Compiled || slow.Labeling.Fallback != "compilation disabled" {
 		t.Errorf("labeling = %+v, want the interpreter fallback", slow.Labeling)
@@ -541,13 +525,12 @@ func driveSeed(t *testing.T, q *PreparedQuery, x *ShardExec, seed uint64, opts .
 
 // TestShardExecChecksProgramOnce: a ShardExec is the shard, not one seed's
 // run of it. Every seed driven through it answers exactly as a fresh
-// in-process WithShards(1) run of that seed does; the interpreter's
-// cross-check of the compiled program runs once for the executor, and a
-// predicate built later — by an op that finds the first one borrowed —
-// carries validated_by=executor. A planted disagreement — a program that
-// labels object 0 the other way — validates nothing:
-// every build of every seed pays the check, fails it, and labels through
-// the interpreter with the reason recorded, and the answers do not move.
+// in-process WithShards(1) run of that seed does, and the executor builds
+// its predicate — the interpreter's cross-check of the compiled program
+// included — once for all of them. A planted disagreement — a program that
+// labels object 0 the other way — fails that one check, and every seed
+// labels through the interpreter with the reason recorded; the answers do
+// not move.
 func TestShardExecChecksProgramOnce(t *testing.T) {
 	params := map[string]any{"k": 8}
 	plan := []Option{WithMethod("lss"), WithBudget(0.15)}
@@ -586,33 +569,19 @@ func TestShardExecChecksProgramOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	built := 0
 	for seed := uint64(1); seed <= 4; seed++ {
 		res, builds := driveSeed(t, q, x, seed, plan...)
 		same("one executor", seed, res)
 		for _, b := range builds {
-			if b.Attrs["validated_by"] == nil {
-				checked++
-			}
+			built++
 			if b.Attrs["compiled"] != true {
 				t.Errorf("seed %d: predicate.build attrs %v, want compiled", seed, b.Attrs)
 			}
 		}
 	}
-	if checked != 1 {
-		t.Errorf("4 seeds on one executor ran the interpreter's first-object check %d times, want exactly 1", checked)
-	}
-	// Another op holds the executor's predicate: this one builds its own on
-	// the executor's verdict.
-	held, err := x.data.shards[0].preds.get(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, builds := driveSeed(t, q, x, 5, plan...)
-	x.data.shards[0].preds.put(held)
-	same("second predicate", 5, res)
-	if len(builds) != 1 || builds[0].Attrs["validated_by"] != "executor" || builds[0].Attrs["compiled"] != true {
-		t.Errorf("a build beside a borrowed predicate: %d spans, attrs %v, want one compiled build with validated_by=executor", len(builds), builds)
+	if built != 1 {
+		t.Errorf("4 seeds on one executor built %d predicates, want exactly 1", built)
 	}
 
 	bad, err := plantDisagreement(t, sess).PrepareShard(ctx, 0, 1, params, WithMethod("lss"))
@@ -621,18 +590,17 @@ func TestShardExecChecksProgramOnce(t *testing.T) {
 	}
 	fellBack := 0
 	for seed := uint64(1); seed <= 4; seed++ {
-		bad.data.shards[0].preds.free = nil // every seed builds its own predicate
 		res, builds := driveSeed(t, q, bad, seed, plan...)
 		same("planted disagreement", seed, res)
 		for _, b := range builds {
 			fellBack++
-			if b.Attrs["validated_by"] != nil || b.Attrs["compiled"] != false || b.Attrs["fallback"] != "first-object cross-check failed" {
-				t.Errorf("seed %d: predicate.build attrs %v after a failed cross-check, want the unvalidated interpreter fallback with its reason", seed, b.Attrs)
+			if b.Attrs["compiled"] != false || b.Attrs["fallback"] != "first-object cross-check failed" {
+				t.Errorf("seed %d: predicate.build attrs %v after a failed cross-check, want the interpreter fallback with its reason", seed, b.Attrs)
 			}
 		}
 	}
-	if fellBack < 2 {
-		t.Errorf("%d builds over 4 seeds on the disagreeing executor, want one per seed that missed a label", fellBack)
+	if fellBack != 1 {
+		t.Errorf("4 seeds on the disagreeing executor built %d predicates, want exactly 1", fellBack)
 	}
 }
 

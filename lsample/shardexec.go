@@ -35,44 +35,13 @@ import (
 // and cross-checks nothing again; every Execute, and every Op of a
 // ShardExec handle, is a shardRun over it.
 
-// predPool lends out one worker's predicates. A predicate is a pure
-// function of (snapshot, parameters, program) but not safe for concurrent
-// use — the interpreter carries per-evaluation state, a compiled
-// predicate's sequential path one closure's scratch — so a labeling call
-// borrows one for as long as it evaluates, and a call that finds none free
-// (another seed labeling on the same executor) builds its own. Nothing is
-// built until a label is actually missing.
-type predPool struct {
-	build func(ctx context.Context) (predicate.Predicate, error)
-	mu    sync.Mutex
-	free  []predicate.Predicate
-}
-
-func (p *predPool) get(ctx context.Context) (predicate.Predicate, error) {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		pred := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return pred, nil
-	}
-	p.mu.Unlock()
-	return p.build(ctx)
-}
-
-func (p *predPool) put(pred predicate.Predicate) {
-	p.mu.Lock()
-	p.free = append(p.free, pred)
-	p.mu.Unlock()
-}
-
 // labelStore answers one execution's label queries on one worker: a
-// per-key memo in front of the worker's predicates — an execution whose
-// every sampled label is already memoized never constructs a predicate at
-// all. Labels are pure functions of (snapshot, key, predicate), so a memo
-// hit is byte-identical to a fresh evaluation; misses are evaluated in
-// ascending object order through the predicate's batch path, byte-identical
-// at any parallelism. The memo is a catalog entry's label space, which
+// per-key memo in front of the predicate every worker and run of the
+// executor shares — an execution whose every sampled label is already
+// memoized never constructs it at all. Labels are pure functions of
+// (snapshot, key, predicate), so a memo hit is byte-identical to a fresh
+// evaluation; misses are evaluated in ascending object order through the
+// predicate's batch path, byte-identical at any parallelism. The memo is a catalog entry's label space, which
 // every execution on that worker shares and the store locks only to read
 // and to write back, a LiveQuery's label memo, or without a catalog one
 // run's own map: labels outlive a count only in a catalog.
@@ -91,8 +60,7 @@ type labelStore struct {
 	bits     func() map[int64]bool
 	keys     []int64 // global keys by object position
 	posByKey map[int64]int
-	relabel  bool // refresh's cold baseline: evaluate memoized keys too
-	preds    *predPool
+	pred     func(context.Context) (predicate.Predicate, error)
 	fresh    int           // predicate evaluations spent
 	hits     int           // label requests the memo answered
 	dur      time.Duration // wall time spent labeling through the predicate
@@ -107,7 +75,7 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 	var missing []int
 	l.lock.Lock()
 	for _, k := range sel {
-		if _, ok := l.memo(k); !ok || l.relabel {
+		if _, ok := l.memo(k); !ok {
 			missing = append(missing, l.posByKey[k])
 		}
 	}
@@ -115,22 +83,19 @@ func (l *labelStore) label(ctx context.Context, sel []int64) ([]bool, int, error
 	var fresh []bool
 	var counts []predicate.Count
 	if len(missing) > 0 {
-		pred, err := l.preds.get(ctx)
+		pred, err := l.pred(ctx)
 		if err != nil {
 			return nil, 0, err
 		}
 		slices.Sort(missing)
 		missing = slices.Compact(missing)
 		t0 := time.Now()
-		// A predicate whose evaluation panics (an engine.Fault) is not
-		// returned to the pool.
 		if cp, ok := pred.(predicate.Counter); ok && l.counts != nil {
 			counts, err = predicate.CountAll(cp, missing, canceled(ctx, "labeling"))
 		} else {
 			fresh, err = predicate.Label(pred, missing, canceled(ctx, "labeling"))
 		}
 		dur := time.Since(t0)
-		l.preds.put(pred)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -176,9 +141,9 @@ func (l *labelStore) memo(k int64) (label, ok bool) {
 
 // shardData is the seed-independent half of a hash-plan execution: the
 // enumerated population, partitioned into per-shard workers, and the
-// predicate's cross-check verdict. Everything here is a pure function of
-// its residentKey, so it may serve any number of executions, of any seed
-// and budget, at once.
+// predicate they share. Everything here is a pure function of its
+// residentKey, so it may serve any number of executions, of any seed and
+// budget, at once.
 type shardData struct {
 	*population // indexed: label stores address objects by global key
 	key         residentKey
@@ -187,17 +152,16 @@ type shardData struct {
 
 	shards []*shardWorker // the shards this process holds, in index order
 
-	// The cross-check verdict (buildEnginePredicate's validated argument) is
-	// a function of exactly what this half is a function of: the first
-	// labeling call to miss pays the check, the others wait on checked and
-	// build on its verdict — a first build that fell back sends every later
-	// one through the same check to the same fallback. It lives as long as
-	// this half stays resident.
-	build     func(ctx context.Context, validated bool) (predicate.Predicate, Labeling, error)
-	checked   sync.Once
-	validated bool
-	lab       Labeling    // what the checked build reported
-	fellBack  atomic.Bool // the checked build fell back to the interpreter
+	// The predicate is a function of exactly what this half is a function
+	// of: the first labeling call to miss builds it, paying the
+	// interpreter's cross-check, while the others wait on predMu; every
+	// run, worker and Op over the half then shares it. A failed build is
+	// not kept.
+	build    func(ctx context.Context) (predicate.Predicate, Labeling, error)
+	predMu   sync.Mutex
+	pred     predicate.Predicate
+	lab      Labeling    // what the build reported
+	fellBack atomic.Bool // the build fell back to the interpreter
 
 	// count is the threshold a compiled HAVING COUNT(*) <op> p compares with
 	// (see countSpace), and countFP the fingerprint without it that keys the
@@ -207,28 +171,25 @@ type shardData struct {
 }
 
 // shardWorker is one shard of a shardData: its slice of the population as
-// a seedless shard.Local, the predicates it lends to labeling calls, and
-// the seed-free identity of its catalog entry.
+// a seedless shard.Local and the seed-free identity of its catalog entry.
 type shardWorker struct {
 	local *shard.Local
-	preds predPool
 	key   catalogKey
 }
 
-// buildPredicate builds one more predicate for a worker of this half,
-// paying the interpreter's cross-check only if no build has yet.
-func (d *shardData) buildPredicate(ctx context.Context) (p predicate.Predicate, err error) {
-	first := false
-	d.checked.Do(func() {
-		first = true
-		p, d.lab, err = d.build(ctx, false)
-		d.validated = err == nil && d.lab.Compiled
-		d.fellBack.Store(err == nil && !d.lab.Compiled)
-	})
-	if !first {
-		p, _, err = d.build(ctx, d.validated)
+// loadPredicate returns the half's predicate, building it on first use.
+func (d *shardData) loadPredicate(ctx context.Context) (predicate.Predicate, error) {
+	d.predMu.Lock()
+	defer d.predMu.Unlock()
+	if d.pred == nil {
+		pred, lab, err := d.build(ctx)
+		if err != nil {
+			return nil, err
+		}
+		d.pred, d.lab = pred, lab
+		d.fellBack.Store(!lab.Compiled)
 	}
-	return p, err
+	return d.pred, nil
 }
 
 // shardRun is one hash-plan execution over a shardData: the seed (inside
@@ -271,9 +232,9 @@ func (r *shardRun) shardReuse(from, to int) string {
 	return reuse
 }
 
-// labeling reports which predicate path the run took: every worker builds
-// the same predicate, so the checked build speaks for all. A run the memo
-// answered in full built none.
+// labeling reports which predicate path the run took: every worker labels
+// through the half's one predicate. A run the memo answered in full
+// labeled through none.
 func (r *shardRun) labeling() Labeling {
 	if fresh, _, _ := r.spent(); fresh > 0 {
 		return r.lab
@@ -450,11 +411,8 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 	p.features, p.groupOf = nil, nil
 
 	pcfg := config{parallelism: k.parallelism, noCompile: k.noCompile} // all a predicate build reads
-	d.build = func(ctx context.Context, validated bool) (predicate.Predicate, Labeling, error) {
-		// Each predicate gets its own evaluator: the interpreted engine
-		// carries per-evaluation state and must not be shared across the
-		// driver's concurrent scatter.
-		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, pcfg, validated)
+	d.build = func(ctx context.Context) (predicate.Predicate, Labeling, error) {
+		return q.buildPredicate(ctx, newEvaluator(q.cat, vals), p.objects, vals, pcfg)
 	}
 	if !k.noCompile {
 		d.count, d.countFP = q.countSpace(vals, strs)
@@ -467,7 +425,6 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 		}
 		w := &shardWorker{
 			local: shard.NewLocal(0, shardKeys[s], shardFeats[s], shardGroups[s], partsOf, nil, nil),
-			preds: predPool{build: d.buildPredicate},
 			key:   key,
 		}
 		if !unsharded {
@@ -495,11 +452,11 @@ func (d *shardData) newRun(cfg config) (*shardRun, error) {
 		}
 		trainer = shard.NewTrainer(newClf)
 	}
-	// A predicate whose checked build fell back to the interpreter cannot
-	// count, so its runs label into the one-bit space from the start.
+	// A predicate whose build fell back to the interpreter cannot count, so
+	// its runs label into the one-bit space from the start.
 	counted := d.countFP != "" && !d.fellBack.Load()
 	for _, w := range d.shards {
-		l := &labelStore{keys: d.keys, posByKey: d.posByKey, preds: &w.preds}
+		l := &labelStore{keys: d.keys, posByKey: d.posByKey, pred: d.loadPredicate}
 		if r.cat != nil {
 			fp := d.key.fp
 			if counted {
@@ -677,8 +634,8 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 // coordinator: the shard's identity, and Op — the one entry point through
 // which the coordinator's shard-op protocol reaches the shard's worker. It
 // is a per-call handle: the executor itself — the shard's slice of the
-// population, its features, and the predicate with its cross-check verdict
-// — stays resident on the prepared query, which hands the same one to
+// population, its features, and the predicate every Op labels through —
+// stays resident on the prepared query, which hands the same one to
 // every PrepareShard of its (parameters, shard, method, labeling knobs),
 // whatever the seed or budget. The handle carries its call's options (the
 // catalog among them); each Op brings its seed. It holds no catalog entry
