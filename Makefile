@@ -36,7 +36,8 @@
 #                      per repeat coordinator count, the interpreter's
 #                      first-object cross-check per joined row, a served
 #                      no_cache (cold) and cached (warm) count, the
-#                      bottom-k candidate sort —
+#                      bottom-k candidate sort, a grouped lss Drive over
+#                      three in-process shards —
 #                      printed as `go test -bench` prints them
 #   make obs-check     observability lint: metrics without help strings
 #                      or registered from two call sites, spans opened
@@ -132,9 +133,12 @@ race:
 # Service.Count (BenchmarkServeCount: cold is a no_cache count at a fresh
 # seed, the hash plan on the resident executor over an empty private label
 # memo; warm a result-cache hit; evals/op), and the (hash, key) sort of 300
-# bottom-k candidates under every hash-plan sample (BenchmarkSortCands).
+# bottom-k candidates under every hash-plan sample (BenchmarkSortCands), and
+# one grouped lss Drive over 3 in-process shards of 300 objects
+# (BenchmarkDriveGrouped: census, learn, per-group tallies, top-ups and
+# read-out; ns/op and allocs/op).
 # BENCHTIME=2s gives numbers worth recording.
-BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount|BenchmarkFirstObjectValidation|BenchmarkServeCount|BenchmarkSortCands)$$
+BENCH_PATTERN = ^(BenchmarkFig2|BenchmarkForestFit(Seq|Par|Ledger)|BenchmarkForestScore.*|BenchmarkScoreRest|BenchmarkOrderByScore|BenchmarkRunDist(Seq|Par)|BenchmarkDirSol|BenchmarkDynPgmP?|Benchmark(LSS|LWS|QLCC)Estimate|BenchmarkGroupBy(Shared|Naive)|BenchmarkCatalogEntry|BenchmarkShardOpWire|BenchmarkCoordinatorCount|BenchmarkFirstObjectValidation|BenchmarkServeCount|BenchmarkSortCands|BenchmarkDriveGrouped)$$
 BENCHTIME ?= 1x
 
 bench-micro:

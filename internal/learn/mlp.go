@@ -11,12 +11,8 @@ import (
 // mini-batch SGD with momentum on the logistic loss, over standardized
 // features.
 type MLP struct {
-	Hidden    []int   // hidden layer widths; nil means the paper's [5, 2]
-	Epochs    int     // 0 means the default 300
-	LR        float64 // 0 means the default 0.1
-	Momentum  float64 // 0 means the default 0.9
-	BatchSize int     // 0 means the default 16
-	Seed      uint64
+	Epochs int // 0 means the default 300
+	Seed   uint64
 
 	scaler  Scaler
 	weights [][][]float64 // [layer][out][in]
@@ -29,39 +25,20 @@ func NewMLP(seed uint64) *MLP { return &MLP{Seed: seed} }
 // Name implements Classifier.
 func (m *MLP) Name() string { return "mlp" }
 
-func (m *MLP) hidden() []int {
-	if len(m.Hidden) == 0 {
-		return []int{5, 2}
-	}
-	return m.Hidden
-}
+// The network's hidden layer widths and its training schedule: learning
+// rate, momentum and mini-batch size.
+const (
+	mlpHidden1, mlpHidden2 = 5, 2
+	mlpLR                  = 0.1
+	mlpMomentum            = 0.9
+	mlpBatch               = 16
+)
 
 func (m *MLP) epochs() int {
 	if m.Epochs <= 0 {
 		return 300
 	}
 	return m.Epochs
-}
-
-func (m *MLP) lr() float64 {
-	if m.LR <= 0 {
-		return 0.1
-	}
-	return m.LR
-}
-
-func (m *MLP) momentum() float64 {
-	if m.Momentum <= 0 {
-		return 0.9
-	}
-	return m.Momentum
-}
-
-func (m *MLP) batch() int {
-	if m.BatchSize <= 0 {
-		return 16
-	}
-	return m.BatchSize
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
@@ -76,8 +53,7 @@ func (m *MLP) Fit(X [][]float64, y []bool) error {
 	Xs := m.scaler.TransformAll(X)
 
 	r := xrand.New(m.Seed)
-	sizes := append([]int{len(X[0])}, m.hidden()...)
-	sizes = append(sizes, 1)
+	sizes := []int{len(X[0]), mlpHidden1, mlpHidden2, 1}
 	L := len(sizes) - 1
 	m.weights = make([][][]float64, L)
 	m.biases = make([][]float64, L)
@@ -105,9 +81,6 @@ func (m *MLP) Fit(X [][]float64, y []bool) error {
 	for l := 0; l < L; l++ {
 		deltas[l] = make([]float64, sizes[l+1])
 	}
-	lr := m.lr()
-	mom := m.momentum()
-	batch := m.batch()
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -115,8 +88,8 @@ func (m *MLP) Fit(X [][]float64, y []bool) error {
 
 	for epoch := 0; epoch < m.epochs(); epoch++ {
 		r.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
-		for start := 0; start < n; start += batch {
-			end := start + batch
+		for start := 0; start < n; start += mlpBatch {
+			end := start + mlpBatch
 			if end > n {
 				end = n
 			}
@@ -156,16 +129,16 @@ func (m *MLP) Fit(X [][]float64, y []bool) error {
 					}
 				}
 				// SGD with momentum.
-				g := lr / float64(end-start)
+				g := mlpLR / float64(end-start)
 				for l := 0; l < L; l++ {
 					for o := 0; o < sizes[l+1]; o++ {
 						d := deltas[l][o]
-						velB[l][o] = mom*velB[l][o] - g*d
+						velB[l][o] = mlpMomentum*velB[l][o] - g*d
 						m.biases[l][o] += velB[l][o]
 						w := m.weights[l][o]
 						v := vel[l][o]
 						for i, a := range acts[l] {
-							v[i] = mom*v[i] - g*d*a
+							v[i] = mlpMomentum*v[i] - g*d*a
 							w[i] += v[i]
 						}
 					}

@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -37,16 +38,7 @@ func encodeBatch(schema dataset.Schema, b *Batch) []byte {
 		}
 		if r.Op == OpAppend || r.Op == OpUpdate {
 			for i, c := range schema {
-				switch c.Kind {
-				case dataset.Float:
-					out = binary.LittleEndian.AppendUint64(out, math.Float64bits(r.Vals[i].(float64)))
-				case dataset.Int:
-					out = binary.AppendVarint(out, r.Vals[i].(int64))
-				case dataset.String:
-					s := r.Vals[i].(string)
-					out = binary.AppendUvarint(out, uint64(len(s)))
-					out = append(out, s...)
-				}
+				out = appendValue(out, c.Kind, r.Vals[i])
 			}
 		}
 	}
@@ -84,28 +76,8 @@ func decodeBatch(schema dataset.Schema, data []byte) (*Batch, error) {
 		if op == OpAppend || op == OpUpdate {
 			row.Vals = make([]any, len(schema))
 			for i, c := range schema {
-				switch c.Kind {
-				case dataset.Float:
-					if off+8 > len(data) {
-						return nil, fmt.Errorf("live: batch record: row %d column %q truncated", ri, c.Name)
-					}
-					row.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-					off += 8
-				case dataset.Int:
-					var v int64
-					v, off, err = readVarint(data, off)
-					if err != nil {
-						return nil, fmt.Errorf("live: batch record: row %d column %q: %w", ri, c.Name, err)
-					}
-					row.Vals[i] = v
-				case dataset.String:
-					var l uint64
-					l, off, err = readUvarint(data, off)
-					if err != nil || l > uint64(len(data)-off) {
-						return nil, fmt.Errorf("live: batch record: row %d column %q truncated", ri, c.Name)
-					}
-					row.Vals[i] = string(data[off : off+int(l)])
-					off += int(l)
+				if row.Vals[i], off, err = readValue(data, off, c.Kind); err != nil {
+					return nil, valueError(fmt.Sprintf("live: batch record: row %d column %q", ri, c.Name), err)
 				}
 			}
 		}
@@ -189,33 +161,9 @@ func (t *Table) restoreCheckpointLocked(data []byte) error {
 	cols := make([][]any, len(t.schema))
 	for ci, c := range t.schema {
 		col := make([]any, n)
-		switch c.Kind {
-		case dataset.Float:
-			for r := 0; r < n; r++ {
-				if off+8 > len(data) {
-					return fmt.Errorf("live: checkpoint column %q truncated", c.Name)
-				}
-				col[r] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-				off += 8
-			}
-		case dataset.Int:
-			for r := 0; r < n; r++ {
-				var v int64
-				v, off, err = readVarint(data, off)
-				if err != nil {
-					return fmt.Errorf("live: checkpoint column %q: %w", c.Name, err)
-				}
-				col[r] = v
-			}
-		case dataset.String:
-			for r := 0; r < n; r++ {
-				var l uint64
-				l, off, err = readUvarint(data, off)
-				if err != nil || l > uint64(len(data)-off) {
-					return fmt.Errorf("live: checkpoint column %q truncated", c.Name)
-				}
-				col[r] = string(data[off : off+int(l)])
-				off += int(l)
+		for r := range col {
+			if col[r], off, err = readValue(data, off, c.Kind); err != nil {
+				return valueError(fmt.Sprintf("live: checkpoint column %q", c.Name), err)
 			}
 		}
 		cols[ci] = col
@@ -297,6 +245,51 @@ func decodeMeta(data []byte) (name string, schema dataset.Schema, keyCol string,
 		schema = append(schema, dataset.Column{Name: c.Name, Kind: k})
 	}
 	return m.Name, schema, m.Key, nil
+}
+
+// appendValue encodes one value of a column of the given kind.
+func appendValue(out []byte, kind dataset.Kind, v any) []byte {
+	switch kind {
+	case dataset.Float:
+		return binary.LittleEndian.AppendUint64(out, math.Float64bits(v.(float64)))
+	case dataset.Int:
+		return binary.AppendVarint(out, v.(int64))
+	default:
+		s := v.(string)
+		return append(binary.AppendUvarint(out, uint64(len(s))), s...)
+	}
+}
+
+// errTruncated is readValue's error for a value that runs past the payload.
+var errTruncated = errors.New("truncated")
+
+// readValue decodes one value of a column of the given kind at off — the
+// inverse of appendValue — returning it and the new offset.
+func readValue(data []byte, off int, kind dataset.Kind) (any, int, error) {
+	switch kind {
+	case dataset.Float:
+		if off+8 > len(data) {
+			return nil, off, errTruncated
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(data[off:])), off + 8, nil
+	case dataset.Int:
+		return readVarint(data, off)
+	default:
+		l, end, err := readUvarint(data, off)
+		if err != nil || l > uint64(len(data)-end) {
+			return nil, off, errTruncated
+		}
+		return string(data[end : end+int(l)]), end + int(l), nil
+	}
+}
+
+// valueError names where a value failed to decode: a record, or a record's
+// row, and the column.
+func valueError(where string, err error) error {
+	if errors.Is(err, errTruncated) {
+		return fmt.Errorf("%s truncated", where)
+	}
+	return fmt.Errorf("%s: %w", where, err)
 }
 
 // readUvarint decodes a uvarint at off, returning the value and the new

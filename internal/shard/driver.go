@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,34 +207,26 @@ func (r *run) aliveN() int {
 	return n
 }
 
-// census is the merged per-group population table.
-type census struct {
-	key   string
-	parts []string
-	n     int
-}
-
-// mergeCensus merges the survivors' group censuses.
-func (r *run) mergeCensus() []census {
+// mergeCensus merges the survivors' group censuses into the answer's
+// groups — key, parts and population — in LessGroupKey order.
+func (r *run) mergeCensus() []Group {
 	if !r.plan.Grouped {
 		return nil
 	}
-	byKey := make(map[string]*census)
+	at := make(map[string]int)
+	var out []Group
 	for _, m := range r.metas {
 		for _, g := range m.Groups {
-			c, ok := byKey[g.Key]
+			i, ok := at[g.Key]
 			if !ok {
-				c = &census{key: g.Key, parts: g.Parts}
-				byKey[g.Key] = c
+				i = len(out)
+				at[g.Key] = i
+				out = append(out, Group{Key: g.Key, Parts: g.Parts})
 			}
-			c.n += g.N
+			out[i].N += g.N
 		}
 	}
-	out := make([]census, 0, len(byKey))
-	for _, c := range byKey {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(a, b int) bool { return LessGroupKey(out[a].parts, out[b].parts) })
+	sort.Slice(out, func(a, b int) bool { return LessGroupKey(out[a].Parts, out[b].Parts) })
 	return out
 }
 
@@ -573,9 +566,10 @@ func (r *run) sampleStrata(ctx context.Context, all []Scored, hOf []int, budget 
 		func(sel []int64) ([]bool, error) { return r.label(ctx, sel) }, visit)
 }
 
-// countAll scatters a full labeling pass and merges the shard tallies;
-// groupTally (when non-nil) receives the merged per-group tallies.
-func (r *run) countAll(ctx context.Context, groupTally map[string]*GroupCount) (Partial, map[string]*GroupCount, error) {
+// countAll scatters a full labeling pass and merges the shard tallies. On a
+// grouped plan (at maps each census group's key to its position) it also
+// returns every group's positives by position.
+func (r *run) countAll(ctx context.Context, at map[string]int) (Partial, []int, error) {
 	tallies := make([]Tally, len(r.workers))
 	err := r.scatter(ctx, func(slot int, w Worker) (cerr error) {
 		tallies[slot], cerr = w.CountAll(ctx)
@@ -585,101 +579,90 @@ func (r *run) countAll(ctx context.Context, groupTally map[string]*GroupCount) (
 		return Partial{}, nil, err
 	}
 	var merged Partial
+	var pos []int
+	if at != nil {
+		pos = make([]int, len(at))
+	}
 	for _, t := range tallies {
 		if verr := t.Validate(); verr != nil {
 			return Partial{}, nil, verr
 		}
 		merged.Add(t.Partial)
 		r.fresh += t.Fresh
-	}
-	if groupTally == nil {
-		groupTally = make(map[string]*GroupCount)
-	}
-	for _, t := range tallies {
 		for _, g := range t.Groups {
-			t, ok := groupTally[g.Key]
+			i, ok := at[g.Key]
 			if !ok {
-				t = &GroupCount{Key: g.Key, Parts: g.Parts}
-				groupTally[g.Key] = t
+				return Partial{}, nil, fmt.Errorf("shard: full pass tallied group %q, which no census reported", g.Key)
 			}
-			t.N += g.N
-			t.Pos += g.Pos
+			pos[i] += g.Pos
 		}
 	}
-	return merged, groupTally, nil
+	return merged, pos, nil
 }
 
-// attemptGrouped runs the grouped protocol: one shared sample keyed by
-// the global tags, per-group tallies, and a deterministic per-group
-// top-up (under the group's own tag) for groups the shared sample
-// underserves.
+// attemptGrouped runs the grouped protocol over the census's groups, each
+// addressed by its position in res.Groups: one shared sample keyed by the
+// global tags, each group's draws tallied into its row of stratum cells,
+// and a deterministic per-group top-up (under the group's own tag) for
+// groups the shared sample underserves.
 func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha float64) error {
-	cens := r.mergeCensus()
-
-	type cell struct{ sampled, pos int }
-	perGroup := make(map[string]map[int]*cell) // canonical -> stratum -> tally
-	members := make(map[string][]int64)        // canonical -> member keys
-	tally := func(g string, h int, positive bool) {
-		cells, ok := perGroup[g]
-		if !ok {
-			cells = make(map[int]*cell)
-			perGroup[g] = cells
-		}
-		c, ok := cells[h]
-		if !ok {
-			c = &cell{}
-			cells[h] = c
-		}
-		c.sampled++
-		if positive {
-			c.pos++
-		}
+	res.Groups = r.mergeCensus()
+	at := make(map[string]int, len(res.Groups))
+	for i, g := range res.Groups {
+		at[g.Key] = i
 	}
-
-	H := 1 // plain srs/oracle tallies live in stratum 0
-	var stratumSizes map[string][]int
-	switch r.plan.Method {
-	case "oracle":
-		_, groupTally, err := r.countAll(ctx, nil)
+	if r.plan.Method == "oracle" {
+		_, pos, err := r.countAll(ctx, at)
 		if err != nil {
 			return err
 		}
-		total := 0
-		for _, c := range cens {
-			g := groupTally[c.key]
-			pos := 0
-			if g != nil {
-				pos = g.Pos
-			}
-			total += pos
-			grp := Group{
-				Key: c.key, Parts: c.parts, N: c.n, Sampled: c.n,
-				Count: float64(pos), Proportion: safeDiv(float64(pos), c.n),
-				CILo: float64(pos), CIHi: float64(pos), HasCI: true, Exact: true,
-			}
-			if r.plan.Exact {
-				grp.TrueCount, grp.HasTrue = pos, true
-			}
-			res.Groups = append(res.Groups, grp)
+		for i := range res.Groups {
+			g := &res.Groups[i]
+			c := float64(pos[i])
+			g.Sampled, g.Count, g.Proportion = g.N, c, safeDiv(c, g.N)
+			g.CILo, g.CIHi, g.HasCI, g.Exact = c, c, true, true
 		}
-		res.Count, res.CILo, res.CIHi, res.HasCI = float64(total), float64(total), float64(total), true
 		res.Exact = true
-		if r.plan.Exact {
-			res.TrueCount, res.HasTrue = total, true
-		}
+		r.total(res, pos)
 		return nil
+	}
 
+	// A group's cells are its strata (one for srs): lss fills in each
+	// stratum's population, the shared sample its draws and positives.
+	cells := make([][]estimate.StratumSample, len(res.Groups))
+	members := make([][]int64, len(res.Groups))
+	groupOf := make(map[int64]int, n) // object key -> group position
+	place := func(s Scored) (int, error) {
+		g, ok := at[s.Group]
+		if !ok {
+			return 0, fmt.Errorf("shard: key %d is in group %q, which no census reported", s.Key, s.Group)
+		}
+		members[g] = append(members[g], s.Key)
+		groupOf[s.Key] = g
+		return g, nil
+	}
+	tally := func(h int, k int64, positive bool) {
+		c := &cells[groupOf[k]][h]
+		c.Sampled++
+		if positive {
+			c.Positives++
+		}
+	}
+	switch r.plan.Method {
 	case "srs":
 		listed, err := r.listGroupKeys(ctx)
 		if err != nil {
 			return err
 		}
 		keys := make([]int64, len(listed))
-		groupOf := make(map[int64]string, len(listed))
 		for i, s := range listed {
+			if _, err := place(s); err != nil {
+				return err
+			}
 			keys[i] = s.Key
-			groupOf[s.Key] = s.Group
-			members[s.Group] = append(members[s.Group], s.Key)
+		}
+		for g := range cells {
+			cells[g] = make([]estimate.StratumSample, 1)
 		}
 		sel := BottomK(keys, res.Budget, r.plan.Seed, TagSample)
 		labels, err := r.label(ctx, sel)
@@ -687,7 +670,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 			return err
 		}
 		for j, k := range sel {
-			tally(groupOf[k], 0, labels[j])
+			tally(0, k, labels[j])
 		}
 
 	case "lss":
@@ -695,37 +678,18 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 		if err != nil {
 			return err
 		}
-		H = core.StrataCount(r.plan.Strata)
-		stratumSizes = make(map[string][]int)
-		at := make(map[int64]int, len(all)) // key -> index into all
+		for g := range cells {
+			cells[g] = make([]estimate.StratumSample, core.StrataCount(r.plan.Strata))
+		}
 		for i, s := range all {
-			at[s.Key] = i
-			members[s.Group] = append(members[s.Group], s.Key)
-			gs, ok := stratumSizes[s.Group]
-			if !ok {
-				gs = make([]int, H)
-				stratumSizes[s.Group] = gs
+			g, err := place(s)
+			if err != nil {
+				return err
 			}
-			gs[hOf[i]]++
+			cells[g][hOf[i]].N++
 		}
-		_, err = r.sampleStrata(ctx, all, hOf, res.Budget-kLearn, func(h int, k int64, positive bool) {
-			tally(all[at[k]].Group, h, positive)
-		})
-		if err != nil {
+		if _, err = r.sampleStrata(ctx, all, hOf, res.Budget-kLearn, tally); err != nil {
 			return err
-		}
-	}
-
-	// srsGroup fills in a group's simple-random-sample estimate; a sample
-	// covering the whole group is exact.
-	srsGroup := func(grp *Group, pos, sampled int) {
-		er := estimate.SRS(pos, sampled, grp.N, alpha, r.plan.Wilson)
-		grp.Sampled = sampled
-		grp.Count, grp.Proportion = er.Count, er.Proportion
-		grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
-		if grp.Exact = sampled == grp.N; grp.Exact {
-			grp.Count = float64(pos)
-			grp.CILo, grp.CIHi = grp.Count, grp.Count
 		}
 	}
 
@@ -734,16 +698,16 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	// so the answer never depends on which path a group took historically.
 	// Each top-up is drawn under the group's own tag, and groups are
 	// disjoint, so all of them are labeled in one round.
-	sampledOf := make([]int, len(cens))
-	short := func(i int) bool { return sampledOf[i] < min(core.MinPerGroup, cens[i].n) }
-	topUp := make([][]int64, len(cens))
+	short := func(g *Group) bool { return g.Sampled < min(core.MinPerGroup, g.N) }
+	topUp := make([][]int64, len(res.Groups))
 	var topUps []int64
-	for i, c := range cens {
-		for _, cl := range perGroup[c.key] {
-			sampledOf[i] += cl.sampled
+	for i := range res.Groups {
+		g := &res.Groups[i]
+		for _, c := range cells[i] {
+			g.Sampled += c.Sampled
 		}
-		if short(i) {
-			topUp[i] = BottomK(members[c.key], min(core.MinPerGroup, c.n), r.plan.Seed, GroupTag(c.key))
+		if short(g) {
+			topUp[i] = BottomK(members[i], min(core.MinPerGroup, g.N), r.plan.Seed, GroupTag(g.Key))
 			topUps = append(topUps, topUp[i]...)
 		}
 	}
@@ -751,67 +715,66 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	if err != nil {
 		return err
 	}
-	total, lo, hi := 0.0, 0.0, 0.0
-	for i, c := range cens {
-		sampled := sampledOf[i]
-		grp := Group{Key: c.key, Parts: c.parts, N: c.n}
-		if short(i) {
-			gsel := topUp[i]
-			srsGroup(&grp, estimate.Positives(topLabels[:len(gsel)]), len(gsel))
-			topLabels = topLabels[len(gsel):]
-		} else if r.plan.Method == "lss" {
-			gs := stratumSizes[c.key]
-			var cells []estimate.StratumSample
-			for h := 0; h < H; h++ {
-				if gs[h] == 0 {
-					continue
-				}
-				cl := perGroup[c.key][h]
-				s := estimate.StratumSample{N: gs[h]}
-				if cl != nil {
-					s.Sampled, s.Positives = cl.sampled, cl.pos
-				}
-				cells = append(cells, s)
-			}
-			er, serr := estimate.Stratified(cells, alpha)
+	for i := range res.Groups {
+		g := &res.Groups[i]
+		switch {
+		case short(g):
+			sel := topUp[i]
+			g.setSRS(estimate.Positives(topLabels[:len(sel)]), len(sel), alpha, r.plan.Wilson)
+			topLabels = topLabels[len(sel):]
+		case r.plan.Method == "lss":
+			strata := slices.DeleteFunc(cells[i], func(c estimate.StratumSample) bool { return c.N == 0 })
+			er, serr := estimate.Stratified(strata, alpha)
 			if serr != nil {
-				return fmt.Errorf("shard: group %q: %v", c.key, serr)
+				return fmt.Errorf("shard: group %q: %v", g.Key, serr)
 			}
-			grp.Sampled = sampled
-			grp.Count, grp.Proportion = er.Count, er.Proportion
-			grp.CILo, grp.CIHi, grp.HasCI = er.CI.Lo, er.CI.Hi, true
-			grp.Exact = sampled == c.n
-		} else {
-			pos := 0
-			if cl := perGroup[c.key][0]; cl != nil {
-				pos = cl.pos
-			}
-			srsGroup(&grp, pos, sampled)
+			g.Count, g.Proportion = er.Count, er.Proportion
+			g.CILo, g.CIHi, g.HasCI = er.CI.Lo, er.CI.Hi, true
+			g.Exact = g.Sampled == g.N
+		default:
+			g.setSRS(cells[i][0].Positives, g.Sampled, alpha, r.plan.Wilson)
 		}
-		total += grp.Count
-		lo += grp.CILo
-		hi += grp.CIHi
-		res.Groups = append(res.Groups, grp)
 	}
-	res.Count, res.CILo, res.CIHi, res.HasCI = total, lo, hi, true
-
+	var truth []int
 	if r.plan.Exact {
-		_, groupTally, err := r.countAll(ctx, nil)
-		if err != nil {
+		if _, truth, err = r.countAll(ctx, at); err != nil {
 			return err
 		}
-		tc := 0
-		for i := range res.Groups {
-			pos := 0
-			if g := groupTally[res.Groups[i].Key]; g != nil {
-				pos = g.Pos
-			}
-			res.Groups[i].TrueCount, res.Groups[i].HasTrue = pos, true
-			tc += pos
-		}
-		res.TrueCount, res.HasTrue = tc, true
 	}
+	r.total(res, truth)
 	return nil
+}
+
+// total sums the groups' estimates into the answer in census order and,
+// when the plan asks for exact counts, attaches truth — a full pass's
+// positives by group position — as the true counts.
+func (r *run) total(res *Result, truth []int) {
+	res.Count, res.CILo, res.CIHi, res.HasCI = 0, 0, 0, true
+	for i := range res.Groups {
+		g := &res.Groups[i]
+		res.Count += g.Count
+		res.CILo += g.CILo
+		res.CIHi += g.CIHi
+		if r.plan.Exact {
+			g.TrueCount, g.HasTrue = truth[i], true
+			res.TrueCount += truth[i]
+		}
+	}
+	res.HasTrue = r.plan.Exact
+}
+
+// setSRS makes g's estimate the simple random sample that found pos
+// positives among sampled of its members; a sample covering the whole
+// group is exact.
+func (g *Group) setSRS(pos, sampled int, alpha float64, wilson bool) {
+	er := estimate.SRS(pos, sampled, g.N, alpha, wilson)
+	g.Sampled = sampled
+	g.Count, g.Proportion = er.Count, er.Proportion
+	g.CILo, g.CIHi, g.HasCI = er.CI.Lo, er.CI.Hi, true
+	if g.Exact = sampled == g.N; g.Exact {
+		g.Count = float64(pos)
+		g.CILo, g.CIHi = g.Count, g.Count
+	}
 }
 
 // listGroupKeys gathers every key with its group from the survivors.
@@ -842,7 +805,7 @@ func (r *run) listGroupKeys(ctx context.Context) ([]Scored, error) {
 // evidence). Group intervals widen by each group's own lost membership —
 // the census ran before any loss, so the lost mass per group is known
 // exactly. True counts cannot be known degraded, so they are dropped.
-func (r *run) degrade(res *Result, fullN int, fullGroups []census) {
+func (r *run) degrade(res *Result, fullN int, fullGroups []Group) {
 	res.Shards = len(r.workers) + len(r.lost)
 	if r.lostN == 0 && len(r.lost) == 0 {
 		return
@@ -878,24 +841,24 @@ func (r *run) degrade(res *Result, fullN int, fullGroups []census) {
 	}
 	out := make([]Group, 0, len(fullGroups))
 	for _, c := range fullGroups {
-		g, ok := bySurv[c.key]
+		g, ok := bySurv[c.Key]
 		if !ok {
-			g = Group{Key: c.key, Parts: c.parts}
+			g = Group{Key: c.Key, Parts: c.Parts}
 		}
-		lostG := c.n - g.N
-		g.N = c.n
+		lostG := c.N - g.N
+		g.N = c.N
 		if lostG > 0 {
 			if g.Sampled > 0 {
-				g.Count *= float64(c.n) / float64(c.n-lostG)
+				g.Count *= float64(c.N) / float64(c.N-lostG)
 			}
 			g.CIHi += float64(lostG)
-			if g.CIHi > float64(c.n) {
-				g.CIHi = float64(c.n)
+			if g.CIHi > float64(c.N) {
+				g.CIHi = float64(c.N)
 			}
 			g.HasCI = true
 			g.Exact = false
 		}
-		g.Proportion = safeDiv(g.Count, c.n)
+		g.Proportion = safeDiv(g.Count, c.N)
 		g.TrueCount, g.HasTrue = 0, false
 		out = append(out, g)
 	}

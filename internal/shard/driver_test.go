@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -268,6 +271,58 @@ func TestDriveDegradedGrouped(t *testing.T) {
 	}
 }
 
+// censusGap wraps a Worker whose census omits one group that its other ops
+// (GroupKeys, ScoreAll, CountAll) still report.
+type censusGap struct {
+	Worker
+	omit string
+}
+
+func (c censusGap) Meta(ctx context.Context) (Meta, error) {
+	m, err := c.Worker.Meta(ctx)
+	var kept []GroupCount
+	for _, g := range m.Groups {
+		if g.Key != c.omit {
+			kept = append(kept, g)
+		}
+	}
+	m.Groups = kept
+	return m, err
+}
+
+// TestDriveCensusMissesGroup: a key whose group no census reported has no
+// row to land in, so the count fails and names the key and the group,
+// rather than answering without that group's draws.
+func TestDriveCensusMissesGroup(t *testing.T) {
+	keyOf := regexp.MustCompile(`key (\d+)`)
+	for _, method := range []string{"srs", "lss", "oracle"} {
+		t.Run(method, func(t *testing.T) {
+			workers := testWorkers(300, 3, true)
+			for i, w := range workers {
+				workers[i] = censusGap{Worker: w, omit: "g1"}
+			}
+			res, err := Drive(context.Background(), testPlan(method, true), workers)
+			if err == nil {
+				t.Fatalf("answered %d groups without an error", len(res.Groups))
+			}
+			if !strings.Contains(err.Error(), `"g1"`) {
+				t.Fatalf("error %q does not name group g1", err)
+			}
+			if method == "oracle" {
+				return // a full pass tallies groups, not keys
+			}
+			m := keyOf.FindStringSubmatch(err.Error())
+			if m == nil {
+				t.Fatalf("error %q names no key", err)
+			}
+			// testWorkers puts key 3i+1 in group i mod 3.
+			if k, _ := strconv.ParseInt(m[1], 10, 64); (k-1)/3%3 != 1 {
+				t.Fatalf("error %q names key %d, which is not in g1", err, k)
+			}
+		})
+	}
+}
+
 // TestDriveCensusLossFatal: a shard lost before reporting its size can
 // never be absorbed — its population is unknown — so the query fails even
 // with AllowDegraded.
@@ -448,5 +503,21 @@ func TestDriveRoundBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDriveGrouped times one grouped lss count over 3 in-process shards
+// of 300 objects: census merge, learn, score, the shared sample's per-group
+// tallies, top-ups and read-out. The shards' trainer keeps its fit across
+// iterations (every count draws the same learn sample), so after the first
+// count the forest is scored, not refitted.
+func BenchmarkDriveGrouped(b *testing.B) {
+	workers := testWorkers(300, 3, true)
+	plan := testPlan("lss", true)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Drive(context.Background(), plan, workers); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

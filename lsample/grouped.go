@@ -2,6 +2,7 @@ package lsample
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -201,7 +202,7 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 	}
 	groups := make([]shard.Group, len(res.Groups))
 	for g, gc := range res.Groups {
-		sg := shard.Group{N: gc.N, Sampled: gc.Sampled, Count: gc.Estimate,
+		sg := shard.Group{Parts: renderKey(p.groupKey[g]), N: gc.N, Sampled: gc.Sampled, Count: gc.Estimate,
 			CILo: gc.CI.Lo, CIHi: gc.CI.Hi, HasCI: gc.HasCI, Exact: gc.Exact}
 		if gc.N > 0 {
 			sg.Proportion = gc.Estimate / float64(gc.N)
@@ -211,7 +212,8 @@ func (q *PreparedQuery) executeGroups(ctx context.Context, cfg config, gm core.G
 		}
 		groups[g] = sg
 	}
-	out.readOut(p.groupKey, groups)
+	sort.Slice(groups, func(a, b int) bool { return shard.LessGroupKey(groups[a].Parts, groups[b].Parts) })
+	out.readOut(groups)
 	return out, nil
 }
 
@@ -228,22 +230,15 @@ func (q *PreparedQuery) groupedHeader(cfg config, fingerprint string, p *populat
 	}
 }
 
-// readOut is the one grouped read-out: groups in shard.LessGroupKey order,
-// each back half's per-group answer (groups holds them by dense group id)
-// made a GroupResult, and the total summed.
-func (out *GroupedEstimate) readOut(keys [][]engine.Value, groups []shard.Group) {
-	order := make([]int, len(keys))
-	rendered := make([][]string, len(keys))
-	for g := range order {
-		order[g] = g
-		rendered[g] = renderKey(keys[g])
-	}
-	sort.Slice(order, func(a, b int) bool { return shard.LessGroupKey(rendered[order[a]], rendered[order[b]]) })
-	out.Groups = make([]GroupResult, 0, len(order))
-	for _, g := range order {
-		sg := groups[g]
+// readOut is the one grouped read-out: each back half's per-group answers,
+// already in shard.LessGroupKey order, made GroupResults, and the total
+// summed. Keys are copies: a hash plan's parts belong to its resident
+// executor.
+func (out *GroupedEstimate) readOut(groups []shard.Group) {
+	out.Groups = make([]GroupResult, len(groups))
+	for i, sg := range groups {
 		gr := GroupResult{
-			Key:        rendered[g],
+			Key:        slices.Clone(sg.Parts),
 			Objects:    sg.N,
 			Count:      sg.Count,
 			Proportion: sg.Proportion,
@@ -258,7 +253,7 @@ func (out *GroupedEstimate) readOut(keys [][]engine.Value, groups []shard.Group)
 			gr.TrueCount = &tc
 		}
 		out.Total += sg.Count
-		out.Groups = append(out.Groups, gr)
+		out.Groups[i] = gr
 	}
 }
 

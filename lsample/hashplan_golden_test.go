@@ -155,3 +155,72 @@ func TestHashPlanGoldenRefresh(t *testing.T) {
 		})
 	}
 }
+
+// goldenGroups pins the hash plan's GROUP BY answers (groupedSQL over
+// groupedTable, k = 20, seed 5) across commits, as goldenCatalog does for
+// plain counts: the grouped determinism matrices compare layouts with each
+// other at one commit, so a rewrite of the grouped read-out could move every
+// grouped answer and still pass them. Each row is classicGroupRows: the
+// total's bits, the budget and SamplesUsed, then per group its key, objects,
+// count / lo / hi bits, sampled, exact and true count. Budget 0.05 tops up
+// every group; 0.3 at 150 rows reads "east" and "west" out of the shared
+// sample. Rows
+// were recorded on 2026-10-19, at the commit before the grouped read-out
+// addressed groups by census position, and are never regenerated. The one-
+// and three-shard layouts agreed in every field, so each row is asserted on
+// both.
+var goldenGroups = map[string]string{
+	"40/srs/budget=0.05/exact=false":     "total=403d333333333334 budget=10 evals=28; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=-; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=-; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=-",
+	"40/srs/budget=0.05/exact=true":      "total=403d333333333334 budget=10 evals=40; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=19; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=7; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=3",
+	"40/srs/budget=0.3/exact=false":      "total=403d333333333334 budget=12 evals=28; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=-; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=-; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=-",
+	"40/srs/budget=0.3/exact=true":       "total=403d333333333334 budget=12 evals=40; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=19; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=7; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=3",
+	"40/lss/budget=0.05/exact=false":     "total=403d333333333334 budget=10 evals=28; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=-; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=-; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=-",
+	"40/lss/budget=0.05/exact=true":      "total=403d333333333334 budget=10 evals=40; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=19; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=7; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=3",
+	"40/lss/budget=0.3/exact=false":      "total=403d333333333334 budget=12 evals=28; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=-; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=-; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=-",
+	"40/lss/budget=0.3/exact=true":       "total=403d333333333334 budget=12 evals=40; east n=24 count=4033333333333334 lo=402d1d9e28aa12f9 hi=4037d79752115cea sampled=10 exact=false true=19; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=7; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=3",
+	"40/oracle/budget=0.05/exact=false":  "total=403d000000000000 budget=10 evals=40; east n=24 count=4033000000000000 lo=4033000000000000 hi=4033000000000000 sampled=24 exact=true true=-; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=-; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=-",
+	"40/oracle/budget=0.05/exact=true":   "total=403d000000000000 budget=10 evals=40; east n=24 count=4033000000000000 lo=4033000000000000 hi=4033000000000000 sampled=24 exact=true true=19; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=7; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=3",
+	"40/oracle/budget=0.3/exact=false":   "total=403d000000000000 budget=12 evals=40; east n=24 count=4033000000000000 lo=4033000000000000 hi=4033000000000000 sampled=24 exact=true true=-; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=-; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=-",
+	"40/oracle/budget=0.3/exact=true":    "total=403d000000000000 budget=12 evals=40; east n=24 count=4033000000000000 lo=4033000000000000 hi=4033000000000000 sampled=24 exact=true true=19; north n=8 count=401c000000000000 lo=401c000000000000 hi=401c000000000000 sampled=8 exact=true true=7; west n=8 count=4008000000000000 lo=4008000000000000 hi=4008000000000000 sampled=8 exact=true true=3",
+	"150/srs/budget=0.05/exact=false":    "total=4049800000000000 budget=10 evals=40; east n=90 count=4042000000000000 lo=40242eba4434237a hi=404ef4516ef2f722 sampled=10 exact=false true=-; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=-; west n=30 count=4018000000000000 lo=0000000000000000 hi=40285a63987a407c sampled=10 exact=false true=-",
+	"150/srs/budget=0.05/exact=true":     "total=4049800000000000 budget=10 evals=150; east n=90 count=4042000000000000 lo=40242eba4434237a hi=404ef4516ef2f722 sampled=10 exact=false true=33; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=11; west n=30 count=4018000000000000 lo=0000000000000000 hi=40285a63987a407c sampled=10 exact=false true=10",
+	"150/srs/budget=0.3/exact=false":     "total=40496f1ef1ef1ef2 budget=45 evals=54; east n=90 count=403f276276276276 lo=40313290517414c9 hi=40468e1a4d6d5812 sampled=26 exact=false true=-; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=-; west n=30 count=40256db6db6db6dc lo=40147c3342a0e80d hi=40304eaa0ac57cd9 sampled=14 exact=false true=-",
+	"150/srs/budget=0.3/exact=true":      "total=40496f1ef1ef1ef2 budget=45 evals=150; east n=90 count=403f276276276276 lo=40313290517414c9 hi=40468e1a4d6d5812 sampled=26 exact=false true=33; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=11; west n=30 count=40256db6db6db6dc lo=40147c3342a0e80d hi=40304eaa0ac57cd9 sampled=14 exact=false true=10",
+	"150/lss/budget=0.05/exact=false":    "total=4049800000000000 budget=10 evals=39; east n=90 count=4042000000000000 lo=40242eba4434237a hi=404ef4516ef2f722 sampled=10 exact=false true=-; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=-; west n=30 count=4018000000000000 lo=0000000000000000 hi=40285a63987a407c sampled=10 exact=false true=-",
+	"150/lss/budget=0.05/exact=true":     "total=4049800000000000 budget=10 evals=150; east n=90 count=4042000000000000 lo=40242eba4434237a hi=404ef4516ef2f722 sampled=10 exact=false true=33; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=11; west n=30 count=4018000000000000 lo=0000000000000000 hi=40285a63987a407c sampled=10 exact=false true=10",
+	"150/lss/budget=0.3/exact=false":     "total=404c000000000000 budget=45 evals=47; east n=90 count=4042cccccccccccd lo=4037e46c42e9f730 hi=4049a76378249e02 sampled=19 exact=false true=-; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=-; west n=30 count=4022cccccccccccd lo=3fe01027ab063d06 hi=40324c4b8f749ae5 sampled=11 exact=false true=-",
+	"150/lss/budget=0.3/exact=true":      "total=404c000000000000 budget=45 evals=150; east n=90 count=4042cccccccccccd lo=4037e46c42e9f730 hi=4049a76378249e02 sampled=19 exact=false true=33; north n=30 count=4022000000000000 lo=3ffec839c3e4f4fa hi=4030137c63c1b0b0 sampled=10 exact=false true=11; west n=30 count=4022cccccccccccd lo=3fe01027ab063d06 hi=40324c4b8f749ae5 sampled=11 exact=false true=10",
+	"150/oracle/budget=0.05/exact=false": "total=404b000000000000 budget=10 evals=150; east n=90 count=4040800000000000 lo=4040800000000000 hi=4040800000000000 sampled=90 exact=true true=-; north n=30 count=4026000000000000 lo=4026000000000000 hi=4026000000000000 sampled=30 exact=true true=-; west n=30 count=4024000000000000 lo=4024000000000000 hi=4024000000000000 sampled=30 exact=true true=-",
+	"150/oracle/budget=0.05/exact=true":  "total=404b000000000000 budget=10 evals=150; east n=90 count=4040800000000000 lo=4040800000000000 hi=4040800000000000 sampled=90 exact=true true=33; north n=30 count=4026000000000000 lo=4026000000000000 hi=4026000000000000 sampled=30 exact=true true=11; west n=30 count=4024000000000000 lo=4024000000000000 hi=4024000000000000 sampled=30 exact=true true=10",
+	"150/oracle/budget=0.3/exact=false":  "total=404b000000000000 budget=45 evals=150; east n=90 count=4040800000000000 lo=4040800000000000 hi=4040800000000000 sampled=90 exact=true true=-; north n=30 count=4026000000000000 lo=4026000000000000 hi=4026000000000000 sampled=30 exact=true true=-; west n=30 count=4024000000000000 lo=4024000000000000 hi=4024000000000000 sampled=30 exact=true true=-",
+	"150/oracle/budget=0.3/exact=true":   "total=404b000000000000 budget=45 evals=150; east n=90 count=4040800000000000 lo=4040800000000000 hi=4040800000000000 sampled=90 exact=true true=33; north n=30 count=4026000000000000 lo=4026000000000000 hi=4026000000000000 sampled=30 exact=true true=11; west n=30 count=4024000000000000 lo=4024000000000000 hi=4024000000000000 sampled=30 exact=true true=10",
+}
+
+func TestHashPlanGoldenGroups(t *testing.T) {
+	for _, rows := range []int{40, 150} {
+		for _, method := range GroupMethods() {
+			for _, budget := range []float64{0.05, 0.3} {
+				for _, exact := range []bool{false, true} {
+					name := fmt.Sprintf("%d/%s/budget=%v/exact=%t", rows, method, budget, exact)
+					for _, shards := range []int{1, 3} {
+						t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+							sess := groupedSession(t, rows, WithMethod(method), WithBudget(budget), WithSeed(5))
+							q, err := sess.Prepare(groupedSQL)
+							if err != nil {
+								t.Fatal(err)
+							}
+							res, err := q.ExecuteGroups(context.Background(), map[string]any{"k": 20},
+								WithExact(exact), WithShards(shards))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got, want := classicGroupRows(res), goldenGroups[name]; got != want {
+								t.Errorf("fixed-seed output moved:\n got %s\nwant %s", got, want)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}

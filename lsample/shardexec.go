@@ -147,7 +147,6 @@ func (l *labelStore) memo(k int64) (label, ok bool) {
 type shardData struct {
 	*population // indexed: label stores address objects by global key
 	key         residentKey
-	canon       []string          // grouped: canonical key by group index
 	snapIDs     map[string]uint64 // the snapshot ids its catalog entries are stamped with
 
 	shards []*shardWorker // the shards this process holds, in index order
@@ -360,16 +359,15 @@ func (q *PreparedQuery) buildShardData(ctx context.Context, k residentKey, vals 
 	var canonOf []string // per object position; nil for plain queries
 	partsOf := map[string][]string{}
 	if q.grouped != nil {
-		d.canon = make([]string, len(p.groupKey))
+		canon := make([]string, len(p.groupKey))
 		for g, kv := range p.groupKey {
 			parts := renderKey(kv)
-			c := strings.Join(parts, "\x1f")
-			d.canon[g] = c
-			partsOf[c] = parts
+			canon[g] = strings.Join(parts, "\x1f")
+			partsOf[canon[g]] = parts
 		}
 		canonOf = make([]string, n)
 		for i, g := range p.groupOf {
-			canonOf[i] = d.canon[g]
+			canonOf[i] = canon[g]
 		}
 	}
 
@@ -611,19 +609,8 @@ func (q *PreparedQuery) executeShardedGroups(ctx context.Context, cfg config,
 	if err != nil {
 		return nil, err
 	}
-	byCanon := make(map[string]shard.Group, len(res.Groups))
-	for _, g := range res.Groups {
-		byCanon[g.Key] = g
-	}
-	groups := make([]shard.Group, len(r.canon))
-	for g, c := range r.canon {
-		var ok bool
-		if groups[g], ok = byCanon[c]; !ok {
-			return nil, fmt.Errorf("lsample: sharded run lost group %q", c)
-		}
-	}
 	out.Budget = res.Budget
-	out.readOut(r.groupKey, groups)
+	out.readOut(res.Groups)
 	out.SamplesUsed, _, out.Timings.Predicate = r.spent()
 	out.Labeling = r.labeling()
 	out.Timings.Sample = time.Since(t0)
