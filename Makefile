@@ -1,7 +1,7 @@
 # Repository verification and benchmarking entry points.
 #
-#   make check         build + vet + docs/obs gates + race-enabled tests
-#                      (tier-1 gate and more). The race run covers every
+#   make check         build + vet + gofmt/docs/obs gates + race-enabled
+#                      tests (tier-1 gate and more). The race run covers every
 #                      package but repro/bench: the harness's TestSmoke
 #                      times half-second traced runs that keep no span
 #                      under the detector's slowdown — a harness artifact
@@ -9,6 +9,7 @@
 #                      and the harness has its own gate,
 #                      make bench-ledger-smoke
 #   make test          plain test run
+#   make fmt-check     gofmt gate: fails when gofmt -l lists any file
 #   make docs-check    README/ARCHITECTURE exist, examples vet, every
 #                      exported lsample symbol documented and free of
 #                      internal/ types in its signature, no shard op in
@@ -57,9 +58,13 @@
 
 GO ?= go
 
-.PHONY: check build vet test race docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke loc
+.PHONY: check build vet test race fmt-check docs-check obs-check bench-micro bench bench-ledger-smoke fuzz-smoke loc
 
-check: build vet docs-check obs-check race
+check: build vet fmt-check docs-check obs-check race
+
+# Formatting gate: every Go file is as gofmt writes it.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "fmt-check: gofmt -l lists:"; gofmt -l .; exit 1; }
 
 # Documentation gate: the user-facing docs must exist, the runnable
 # examples must vet clean, every exported symbol of the public SDK must

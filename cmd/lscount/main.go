@@ -40,12 +40,13 @@
 // -interval wald|wilson (Wilson score intervals for the srs proportion
 // estimator, per WithInterval), -p parallelism, -shards n (sharded
 // execution: hash-partition the population, estimate per shard, merge
-// byte-identically; srs, lss, and oracle only). Calibrated mode adds
-// -dataset, -rows, -size, -expensive; ad-hoc mode adds -sql, -csv,
-// -schema, -param (repeatable), -exact, -aux, and -repeat N (run the query
-// N times through a shared reuse catalog, printing each run's reuse path —
-// direct, extension, or none — and the cumulative predicate evaluations
-// saved); delta replay adds -delta, -delta-format, -delta-batch, -key.
+// byte-identically; srs, lss, and oracle only; delta replay rejects it).
+// Calibrated mode adds -dataset, -rows, -size, -expensive; ad-hoc mode
+// adds -sql, -csv, -schema, -param (repeatable), -exact, -aux, and
+// -repeat N (run the query N times through a shared reuse catalog,
+// printing each run's reuse path — direct, extension, or none — and the
+// cumulative predicate evaluations saved); delta replay adds -delta,
+// -delta-format, -delta-batch, -key.
 // Run lscount -h for details.
 package main
 
@@ -78,7 +79,7 @@ func main() {
 		strata    = flag.Int("strata", 4, "strata for stratified methods")
 		interval  = flag.String("interval", "wald", "confidence interval: wald or wilson (srs)")
 		expensive = flag.Bool("expensive", false, "use the real O(N)-per-eval predicate instead of cached labels")
-		shards    = flag.Int("shards", 0, "run sharded: partition the population into N hash-aligned shards, estimate per shard, and merge (srs/lss/oracle; the answer is byte-identical at any shard count)")
+		shards    = flag.Int("shards", 0, "run sharded: partition the population into N hash-aligned shards, estimate per shard, and merge (srs/lss/oracle; the answer is byte-identical at any shard count; delta replay rejects it)")
 		para      = flag.Int("p", 0, "parallelism for forest training and batch scoring (0 = all cores, 1 = sequential); the estimate is identical at any value")
 
 		sqlQuery  = flag.String("sql", "", "ad-hoc mode: counting query to estimate (requires -csv and -schema)")

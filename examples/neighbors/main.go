@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/workload"
 	"repro/lsample"
@@ -50,15 +51,8 @@ func main() {
 		if res.CI != nil {
 			ci = fmt.Sprintf("[%9.1f, %9.1f]", res.CI.Lo, res.CI.Hi)
 		}
-		rel := 100 * abs(res.Count-float64(in.TrueCount)) / float64(in.TrueCount)
+		rel := 100 * math.Abs(res.Count-float64(in.TrueCount)) / float64(in.TrueCount)
 		fmt.Printf("%-6s  %9.1f  %24s  %7.2f%%\n", res.Method, res.Count, ci, rel)
 	}
 	fmt.Printf("\nall methods spent the same labeling budget: %d evaluations (2%% of N)\n", in.N()/50)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

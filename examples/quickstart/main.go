@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 
 	"repro/lsample"
@@ -54,16 +55,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		errPct := 100 * abs(res.Count-float64(truth)) / float64(truth)
+		errPct := 100 * math.Abs(res.Count-float64(truth)) / float64(truth)
 		fmt.Printf("%-6s  %10.1f  [%8.1f, %8.1f]  %7.2f%%\n",
 			res.Method, res.Count, res.CI.Lo, res.CI.Hi, errPct)
 	}
 	fmt.Printf("\neach method spent the same labeling budget: %d predicate evaluations (2%% of N)\n", n/50)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/workload"
 	"repro/lsample"
@@ -46,7 +47,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			rel := 100 * abs(res.Count-float64(in.TrueCount)) / float64(in.TrueCount)
+			rel := 100 * math.Abs(res.Count-float64(in.TrueCount)) / float64(in.TrueCount)
 			fmt.Printf("%-6s %-8d %-8d %-12s %-10.0f [%9.1f, %9.1f]  %6.2f%%\n",
 				sz, in.K, in.TrueCount, res.Method, res.Count, res.CI.Lo, res.CI.Hi, rel)
 		}
@@ -54,11 +55,4 @@ func main() {
 	fmt.Println("\nLSS trains a random forest on 25% of the budget, orders players by")
 	fmt.Println("classifier score, optimizes the stratification from a pilot sample,")
 	fmt.Println("and spends the rest of the budget on a Neyman-allocated second stage.")
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"strconv"
 
 	"repro/internal/xrand"
 )
@@ -152,19 +153,5 @@ func Neighbors(n int, seed uint64) *Table {
 }
 
 func featureName(j int) string {
-	return "f" + itoa(j)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "f" + strconv.Itoa(j)
 }

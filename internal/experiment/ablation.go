@@ -81,7 +81,7 @@ func AblateDesigners(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := stratify.Constraints{MinStratumSize: maxI(2, M/20), MinPilotPerStratum: maxI(2, minI(5, nI/12))}
+		c := stratify.Constraints{MinStratumSize: max(2, M/20), MinPilotPerStratum: max(2, min(5, nI/12))}
 
 		type algo struct {
 			label string
@@ -157,18 +157,4 @@ func AblateLWS(o Options) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

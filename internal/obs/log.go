@@ -2,119 +2,65 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
-	"sync"
+	"log/slog"
+	"strings"
 	"time"
 )
 
-// Level is a log severity.
-type Level int
+// Logger writes one JSON object per line through log/slog: ts (UTC RFC
+// 3339), level, msg, the caller's key/value fields in call order, then the
+// trace and span ids of the span carried by ctx (when any). Records below
+// info are dropped. A nil *Logger discards everything, so call sites never
+// guard.
+type Logger struct{ sl *slog.Logger }
 
-// Severities, lowest to highest.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "info"
-	}
-}
-
-// Logger writes one JSON object per line: ts, level, msg, the trace and
-// span ids of the span carried by ctx (when any), then the caller's
-// key/value fields in call order. A nil *Logger discards everything, so
-// call sites never guard.
-type Logger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min Level
-}
-
-// NewLogger returns a Logger writing to w at LevelInfo and above.
+// NewLogger returns a Logger writing to w.
 func NewLogger(w io.Writer) *Logger {
-	return &Logger{w: w, min: LevelInfo}
+	h := slog.NewJSONHandler(w, &slog.HandlerOptions{ReplaceAttr: renameBuiltins})
+	return &Logger{sl: slog.New(spanHandler{h})}
 }
 
-// Info logs at LevelInfo.
-func (l *Logger) Info(ctx context.Context, msg string, kv ...any) { l.log(LevelInfo, ctx, msg, kv...) }
+// Info logs at info level.
+func (l *Logger) Info(ctx context.Context, msg string, kv ...any) { l.at(ctx, slog.LevelInfo, msg, kv) }
 
-// Error logs at LevelError.
+// Warn logs at warn level.
+func (l *Logger) Warn(ctx context.Context, msg string, kv ...any) { l.at(ctx, slog.LevelWarn, msg, kv) }
+
+// Error logs at error level.
 func (l *Logger) Error(ctx context.Context, msg string, kv ...any) {
-	l.log(LevelError, ctx, msg, kv...)
+	l.at(ctx, slog.LevelError, msg, kv)
 }
 
-func (l *Logger) log(level Level, ctx context.Context, msg string, kv ...any) {
-	if l == nil {
-		return
+func (l *Logger) at(ctx context.Context, level slog.Level, msg string, kv []any) {
+	if l != nil {
+		l.sl.Log(ctx, level, msg, kv...)
 	}
-	l.mu.Lock()
-	min := l.min
-	l.mu.Unlock()
-	if level < min {
-		return
-	}
+}
 
-	buf := make([]byte, 0, 256)
-	buf = append(buf, `{"ts":`...)
-	buf = appendJSON(buf, time.Now().UTC().Format(time.RFC3339Nano))
-	buf = append(buf, `,"level":`...)
-	buf = appendJSON(buf, level.String())
-	buf = append(buf, `,"msg":`...)
-	buf = appendJSON(buf, msg)
+// renameBuiltins writes slog's time as "ts" in UTC RFC 3339 and its level
+// in lower case. The caller's fields pass through here too, so the value's
+// type, not only its key, picks out the built-ins.
+func renameBuiltins(_ []string, a slog.Attr) slog.Attr {
+	if a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime {
+		return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	}
+	if a.Key == slog.LevelKey && a.Value.Kind() == slog.KindAny {
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			return slog.String(slog.LevelKey, strings.ToLower(lv.String()))
+		}
+	}
+	return a
+}
+
+// spanHandler adds the trace and span ids of the span ctx carries to each
+// record. Logger derives no handler, so WithAttrs and WithGroup stay the
+// JSON handler's.
+type spanHandler struct{ slog.Handler }
+
+func (h spanHandler) Handle(ctx context.Context, r slog.Record) error {
 	if sp := FromContext(ctx); sp != nil {
-		buf = append(buf, `,"trace_id":`...)
-		buf = appendJSON(buf, sp.TraceID())
-		buf = append(buf, `,"span_id":`...)
-		buf = appendJSON(buf, sp.SpanID())
+		r.AddAttrs(slog.String("trace_id", sp.TraceID()), slog.String("span_id", sp.SpanID()))
 	}
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := "", false
-		if i+1 < len(kv) {
-			key, ok = kv[i].(string)
-		}
-		if !ok {
-			buf = append(buf, `,"!badkey":`...)
-			buf = appendJSON(buf, fmt.Sprint(kv[i:]))
-			break
-		}
-		buf = append(buf, ',')
-		buf = appendJSON(buf, key)
-		buf = append(buf, ':')
-		buf = appendJSON(buf, kv[i+1])
-	}
-	buf = append(buf, '}', '\n')
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w != nil {
-		l.w.Write(buf)
-	}
-}
-
-// appendJSON appends v marshaled as JSON, falling back to the quoted
-// fmt rendering for values encoding/json rejects.
-func appendJSON(buf []byte, v any) []byte {
-	if err, ok := v.(error); ok {
-		v = err.Error()
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return append(buf, b...)
+	return h.Handler.Handle(ctx, r)
 }

@@ -278,6 +278,13 @@ func TestLoggerJSONShape(t *testing.T) {
 	if first["msg"] != "serving" || first["dataset"] != "orders" || first["rows"] != float64(128) {
 		t.Fatalf("bad fields: %v", first)
 	}
+	ts, _ := first["ts"].(string)
+	if at, err := time.Parse(time.RFC3339, ts); err != nil || at.Location() != time.UTC {
+		t.Fatalf("ts %q must be UTC RFC 3339: %v", ts, err)
+	}
+	if first["level"] != "info" {
+		t.Fatalf("level %v, want info", first["level"])
+	}
 	if first["trace_id"] != sp.TraceID() || first["span_id"] != sp.SpanID() {
 		t.Fatalf("trace ids missing: %v", first)
 	}
@@ -288,12 +295,18 @@ func TestLoggerJSONShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
 		t.Fatalf("line 2 not JSON: %v", err)
 	}
-	if _, ok := second["!badkey"]; !ok {
+	if _, ok := second["!BADKEY"]; !ok {
 		t.Fatalf("odd kv list must be flagged: %v", second)
+	}
+	if second["level"] != "error" {
+		t.Fatalf("level %v, want error", second["level"])
+	}
+	if _, ok := second["trace_id"]; ok {
+		t.Fatalf("a span-free context must add no trace id: %v", second)
 	}
 	// Leveling: debug is dropped at the default info level.
 	buf.Reset()
-	lg.log(LevelDebug, nil, "hidden")
+	lg.sl.Debug("hidden")
 	if buf.Len() != 0 {
 		t.Fatal("debug emitted at info level")
 	}

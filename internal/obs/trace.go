@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability layer: a
 // context-propagated span tracer with head-based sampling and a lock-free
 // completed-trace ring, a Prometheus text-format metrics registry, and a
-// structured JSON logger with a slow-query log.
+// structured JSON logger over log/slog with a slow-query log.
 //
 // The tracer is built around a nil-is-disabled contract: every method on
 // *Tracer, *Span, and *Logger is safe on a nil receiver and does nothing,
@@ -15,6 +15,7 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
 	"sync"
@@ -123,10 +124,10 @@ func (t *Tracer) StartRequest(ctx context.Context, name string, force bool) (con
 	} else {
 		id := t.next()
 		id2 := t.next()
-		putU64(sp.traceID[0:8], id)
-		putU64(sp.traceID[8:16], id2)
+		binary.BigEndian.PutUint64(sp.traceID[0:8], id)
+		binary.BigEndian.PutUint64(sp.traceID[8:16], id2)
 	}
-	putU64(sp.id[:], t.next())
+	binary.BigEndian.PutUint64(sp.id[:], t.next())
 	return ContextWithSpan(ctx, sp), sp
 }
 
@@ -275,7 +276,7 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	c := &Span{tracer: s.tracer, root: s.root, traceID: s.traceID, parent: s.id, name: name, start: time.Now()}
-	putU64(c.id[:], s.tracer.next())
+	binary.BigEndian.PutUint64(c.id[:], s.tracer.next())
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -332,7 +333,7 @@ func (s *Span) End() {
 	data := s.Data()
 	t.ring.put(data)
 	if t.slow > 0 && t.logger != nil && now.Sub(s.start) >= t.slow {
-		t.logger.log(LevelWarn, nil, "slow query",
+		t.logger.Warn(context.TODO(), "slow query",
 			"trace_id", data.TraceID,
 			"duration_ms", data.DurationMS,
 			"threshold_ms", float64(t.slow)/float64(time.Millisecond),
@@ -435,10 +436,4 @@ func (r *traceRing) snapshot(limit int) []*SpanData {
 		}
 	}
 	return out
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
 }

@@ -36,6 +36,7 @@ package shard
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/live"
 )
@@ -82,24 +83,12 @@ func OwnerOf(key int64, shards int) int {
 	return int(live.Mix64(TagShard, uint64(key)) % uint64(shards))
 }
 
-// hashString folds a string into a 64-bit value (FNV-1a) for group-tag
-// derivation.
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
 // GroupTag derives the per-group fallback sampling tag from the group's
-// canonical key, domain-separated from the shared-sample tag so a group's
-// top-up draw is independent of the shared selection.
+// canonical key (folded by FNV-1a 64), domain-separated from the
+// shared-sample tag so a group's top-up draw is independent of the shared
+// selection.
 func GroupTag(canonical string) uint64 {
-	return live.Mix64(TagSample, TagGroup, hashString(canonical))
+	h := fnv.New64a()
+	h.Write([]byte(canonical))
+	return live.Mix64(TagSample, TagGroup, h.Sum64())
 }

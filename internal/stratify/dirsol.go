@@ -36,9 +36,9 @@ func DirSol(p *Pilot, n int, c Constraints) (*Design, error) {
 			_, s3sq := p.SampleStats(j-1, m)
 			s1, s2, s3 := math.Sqrt(s1sq), math.Sqrt(s2sq), math.Sqrt(s3sq)
 
-			lo1 := maxInt(Nq, rank(i))
+			lo1 := max(Nq, rank(i))
 			hi1 := rank(i+1) - 1
-			lo3 := maxInt(Nq, N-rank(j)+1)
+			lo3 := max(Nq, N-rank(j)+1)
 			hi3 := N - rank(j-1)
 			diag := N - Nq // N1 + N3 ≤ diag
 			if lo1 > hi1 || lo3 > hi3 || lo1+lo3 > diag {
@@ -167,11 +167,4 @@ func minQuadratic(A, B, lo, hi float64) float64 {
 		}
 	}
 	return bestX
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

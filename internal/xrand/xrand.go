@@ -9,7 +9,10 @@
 // experiment trials share one root seed without sharing state.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic xoshiro256** pseudo-random number generator.
 // The zero value is not valid; use New or Split.
@@ -80,29 +83,14 @@ func (r *Rand) IntN(n int) int {
 		panic("xrand: IntN with non-positive n")
 	}
 	un := uint64(n)
-	hi, lo := mul64(r.Uint64(), un)
+	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), un)
+			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

@@ -183,7 +183,9 @@
 // SamplesUsed (the fresh labels), and ReusedLabels so the delta pricing is
 // always visible.
 // Refresh supports methods srs, lss, and oracle — the oracle variant is a
-// delta-priced exact count.
+// delta-priced exact count. It neither shards nor consults a reuse
+// catalog: PrepareLive and Refresh reject WithShards and WithCatalog with
+// ErrInvalid.
 //
 // # How a SQL count runs
 //

@@ -2,11 +2,13 @@ package lsample
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -513,8 +515,9 @@ func TestPreparedQueryPinnedDuringIngest(t *testing.T) {
 	}
 }
 
-// TestRefreshRejectsUnsupported: grouped queries and non-refreshable
-// methods fail early with ErrInvalid.
+// TestRefreshRejectsUnsupported: grouped queries, non-refreshable methods
+// and the options a refresh cannot honour (WithShards, WithCatalog) fail
+// early with ErrInvalid, at PrepareLive and at Refresh.
 func TestRefreshRejectsUnsupported(t *testing.T) {
 	w := newLiveWorkload(t, 100, 47)
 	sess := w.session(t)
@@ -527,6 +530,18 @@ func TestRefreshRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := lq.Refresh(context.Background(), nil, WithMethod("lws")); err == nil {
 		t.Fatal("lws must be rejected by Refresh")
+	}
+	for name, opt := range map[string]Option{
+		"WithShards":  WithShards(4),
+		"WithCatalog": WithCatalog(NewCatalog(0)),
+	} {
+		if _, err := sess.PrepareLive(liveQuery, opt); !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("PrepareLive with %s: err %v, want ErrInvalid naming it", name, err)
+		}
+		_, err := lq.Refresh(context.Background(), nil, WithSeed(3), WithBudget(0.2), opt)
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Refresh with %s: err %v, want ErrInvalid naming it", name, err)
+		}
 	}
 }
 

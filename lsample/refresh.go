@@ -25,9 +25,10 @@ import (
 // every call and re-estimates at a price proportional to the delta, not the
 // table. Grouped (GROUP BY counting) queries are not supported live; the
 // object key must be a unique integer column (the feature path's
-// restriction, checked here up front).
+// restriction, checked here up front). WithShards and WithCatalog are
+// rejected here and at Refresh: a refresh runs its own incremental plan.
 func (s *Session) PrepareLive(sqlText string, opts ...Option) (*LiveQuery, error) {
-	cfg, err := newConfig(s.base, opts)
+	cfg, err := newLiveConfig(s.base, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -65,6 +66,19 @@ func (s *Session) PrepareLive(sqlText string, opts ...Option) (*LiveQuery, error
 		corrCols:  analyzeCorrelation(a.dec, cat),
 		aliasTabs: q3AliasTables(a.dec),
 	}, nil
+}
+
+// newLiveConfig resolves opts over base and rejects the options a refresh
+// cannot honour rather than ignoring them: it neither shards nor consults
+// a reuse catalog.
+func newLiveConfig(base config, opts []Option) (config, error) {
+	cfg, err := newConfig(base, opts)
+	if err == nil && cfg.shards > 0 {
+		err = badf("WithShards is not supported by live refresh")
+	} else if err == nil && cfg.catalog != nil {
+		err = badf("WithCatalog is not supported by live refresh")
+	}
+	return cfg, err
 }
 
 // LiveQuery is a counting query maintained across data changes: Refresh
@@ -167,7 +181,7 @@ type RefreshEstimate struct {
 // which is the cold baseline refresh is measured against.
 func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...Option) (_ *RefreshEstimate, err error) {
 	defer recoverFault(&err)
-	cfg, err := newConfig(q.cfg, opts)
+	cfg, err := newLiveConfig(q.cfg, opts)
 	if err != nil {
 		return nil, err
 	}
