@@ -102,7 +102,9 @@ test:
 # gate — ROADMAP item 1(b)), then the tests that put several seeds on one
 # shard executor or one catalog entry at the same time, the catalog store's
 # acquire/release/EvictStale churn, the round-budget
-# tests whose scatters merge every shard's reply of a fused round, and the
+# tests whose scatters merge every shard's reply of a fused round, the
+# degraded-shard tests whose restarts scatter over a survivor table with
+# holes (one lost shard, two, all of them), and the
 # coordinator tests whose stored census meets moved data (a version bump,
 # an ingest, a swapped worker, two clients racing live ingestion) and is
 # retried from a fresh pre-flight, and the compiled and interpreted
@@ -110,7 +112,7 @@ test:
 # an interleaving the run happens to execute.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^repro/bench$$')
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest|TestPredicatesSafeForConcurrentUse' ./lsample/ ./internal/service/ ./internal/shard/ ./internal/predicate/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestDriveDegradedPlain|TestDriveDegradedGrouped|TestDriveAllShardsLost|TestDriveLosesTwoShards|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest|TestPredicatesSafeForConcurrentUse' ./lsample/ ./internal/service/ ./internal/shard/ ./internal/predicate/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at

@@ -17,7 +17,7 @@ import (
 // its first op and never again.
 func TestShapeMemoOneEntryPerText(t *testing.T) {
 	svc, srv := newWorkerServer(t, testTable(120, 7))
-	for _, op := range []string{shard.OpMeta, shard.OpGroupKeys, shard.OpCountAll} {
+	for _, op := range []string{shard.OpMeta, shard.OpScoreAll, shard.OpCountAll} {
 		for i := 0; i < 2; i++ {
 			if resp, payload := postShard(t, srv, shardReq(op, i, 2)); resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s on shard %d: %d %s", op, i, resp.StatusCode, payload)

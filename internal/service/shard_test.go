@@ -101,9 +101,9 @@ func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 		t.Fatalf("resolved request = %+v", p)
 	}
 	// Only the meta op pays for the plan block; an unknown op is a 400.
-	if resp, payload := postShard(t, srv, shardReq(shard.OpGroupKeys, 0, 4)); resp.StatusCode != http.StatusOK ||
+	if resp, payload := postShard(t, srv, shardReq(shard.OpScoreAll, 0, 4)); resp.StatusCode != http.StatusOK ||
 		bytes.Contains(payload, []byte(`"plan"`)) {
-		t.Fatalf("group_keys op: %d %s", resp.StatusCode, payload)
+		t.Fatalf("score_all op: %d %s", resp.StatusCode, payload)
 	}
 	if resp, payload := postShard(t, srv, shardReq("explode", 0, 4)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown op: %d %s, want 400", resp.StatusCode, payload)

@@ -100,24 +100,12 @@ func Drive(ctx context.Context, plan Plan, workers []Worker) (*Result, error) {
 		return nil, fmt.Errorf("shard: no workers")
 	}
 
-	r := &run{plan: plan, memo: make(map[int64]bool), shards: len(workers)}
-	for i, w := range workers {
-		r.workers = append(r.workers, w)
-		r.ids = append(r.ids, i)
-	}
+	r := &run{plan: plan, workers: slices.Clone(workers), memo: make(map[int64]bool)}
 
 	// Census round: every shard must report its population before any
 	// loss is survivable.
-	r.metas = make([]Meta, len(r.workers))
 	cctx, csp := obs.StartSpan(ctx, "shard.census")
-	err := r.scatter(cctx, func(slot int, w Worker) error {
-		m, merr := w.Meta(cctx)
-		if merr != nil {
-			return merr
-		}
-		r.metas[slot] = m
-		return nil
-	})
+	metas, err := gather(r, func(_ int, w Worker) (Meta, error) { return w.Meta(cctx) })
 	csp.End()
 	if err != nil {
 		if errors.Is(err, ErrShardLost) {
@@ -125,17 +113,15 @@ func Drive(ctx context.Context, plan Plan, workers []Worker) (*Result, error) {
 		}
 		return nil, err
 	}
-	fullN := 0
-	for _, m := range r.metas {
-		fullN += m.N
-	}
+	r.metas = metas
+	fullN := r.aliveN()
 	csp.Set("shards", len(r.workers))
 	csp.Set("population", fullN)
 	fullGroups := r.mergeCensus()
 
 	for restart := 0; ; restart++ {
 		actx, asp := obs.StartSpan(ctx, "shard.attempt")
-		asp.Set("survivors", len(r.workers))
+		asp.Set("survivors", len(r.workers)-len(r.lost))
 		asp.Set("restart", restart)
 		res, rerr := r.attempt(actx)
 		if rerr == nil {
@@ -152,23 +138,22 @@ func Drive(ctx context.Context, plan Plan, workers []Worker) (*Result, error) {
 		if !r.drop(lost.Shard) {
 			return nil, rerr
 		}
-		if len(r.workers) == 0 {
+		if len(r.lost) == len(r.workers) {
 			return nil, fmt.Errorf("shard: every shard lost: %w", rerr)
 		}
 	}
 }
 
-// run is one Drive invocation's mutable state: the surviving workers (and
-// their original shard ids), the census, and the driver-side label memo.
-// The memo survives a degraded restart — labels are pure in (snapshot, key,
-// predicate), so survivor keys never need relabeling.
+// run is one Drive invocation's mutable state: the workers and the census,
+// both indexed by shard id (a lost shard's worker is nil and its census
+// zero), and the driver-side label memo. The memo survives a degraded
+// restart — labels are pure in (snapshot, key, predicate), so survivor keys
+// never need relabeling.
 type run struct {
 	plan    Plan
-	workers []Worker
-	ids     []int
+	workers []Worker // key k lives on shard OwnerOf(k, len(workers))
 	metas   []Meta
 
-	shards int // original shard count: key k lives on shard OwnerOf(k, shards)
 	memo   map[int64]bool
 	fresh  int
 	reused int
@@ -177,24 +162,16 @@ type run struct {
 	lostN int
 }
 
-// drop removes the lost shard (by original id) from the survivor set,
-// recording its population as lost mass.
+// drop removes the lost shard from the survivor set, recording its
+// population as lost mass.
 func (r *run) drop(id int) bool {
-	slot := -1
-	for i, wid := range r.ids {
-		if wid == id {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
+	if id < 0 || id >= len(r.workers) || r.workers[id] == nil {
 		return false
 	}
+	r.workers[id] = nil
 	r.lost = append(r.lost, id)
-	r.lostN += r.metas[slot].N
-	r.workers = append(r.workers[:slot], r.workers[slot+1:]...)
-	r.ids = append(r.ids[:slot], r.ids[slot+1:]...)
-	r.metas = append(r.metas[:slot], r.metas[slot+1:]...)
+	r.lostN += r.metas[id].N
+	r.metas[id] = Meta{}
 	return true
 }
 
@@ -230,73 +207,69 @@ func (r *run) mergeCensus() []Group {
 	return out
 }
 
-// scatter runs fn once per surviving worker concurrently and joins. A
+// gather runs one round: ask once per surviving shard, concurrently, with
+// the replies indexed by shard id (a lost shard's stays zero). A
 // LostShardError is reported in preference to other errors so the caller
-// can degrade; the error is annotated with the worker's original shard id
-// when the implementation did not set one. A panic inside fn — predicates
-// raise data-dependent faults (a division by zero) as panics, and these
+// can degrade; the error is annotated with the shard id when the
+// implementation did not set one. A panic inside ask — predicates raise
+// data-dependent faults (a division by zero) as panics, and these
 // goroutines sit outside any request-level recover — becomes that shard's
 // error instead of taking the process down; a panic value that is an error
 // is wrapped, so the caller can still tell a predicate fault from a bug.
-func (r *run) scatter(ctx context.Context, fn func(slot int, w Worker) error) error {
+func gather[T any](r *run, ask func(id int, w Worker) (T, error)) ([]T, error) {
+	replies := make([]T, len(r.workers))
 	errs := make([]error, len(r.workers))
-	call := func(slot int, w Worker) {
+	call := func(id int) {
 		defer func() {
 			switch p := recover().(type) {
 			case nil:
 			case error:
-				errs[slot] = fmt.Errorf("shard %d: worker panicked: %w", r.ids[slot], p)
+				errs[id] = fmt.Errorf("shard %d: worker panicked: %w", id, p)
 			default:
-				errs[slot] = fmt.Errorf("shard %d: worker panicked: %v", r.ids[slot], p)
+				errs[id] = fmt.Errorf("shard %d: worker panicked: %v", id, p)
 			}
 		}()
-		errs[slot] = fn(slot, w)
+		replies[id], errs[id] = ask(id, r.workers[id])
 	}
-	if len(r.workers) == 1 {
-		// Nothing to overlap: a lone worker (every unsharded catalog-served
-		// count) skips six goroutine handoffs per estimate.
-		call(0, r.workers[0])
-	} else {
-		var wg sync.WaitGroup
-		for i, w := range r.workers {
+	lone := len(r.workers)-len(r.lost) == 1
+	var wg sync.WaitGroup
+	for id, w := range r.workers {
+		switch {
+		case w == nil:
+		case lone:
+			// Nothing to overlap: a lone worker (every unsharded
+			// catalog-served count) skips six goroutine handoffs per
+			// estimate.
+			call(id)
+		default:
 			wg.Add(1)
-			go func(slot int, w Worker) {
+			go func() {
 				defer wg.Done()
-				call(slot, w)
-			}(i, w)
+				call(id)
+			}()
 		}
-		wg.Wait()
 	}
+	wg.Wait()
 	var first error
-	for slot, err := range errs {
+	for id, err := range errs {
 		if err == nil {
 			continue
 		}
 		var lost *LostShardError
 		if errors.As(err, &lost) {
-			return lost
+			return nil, lost
 		}
 		if errors.Is(err, ErrShardLost) {
-			return &LostShardError{Shard: r.ids[slot], Err: err}
+			return nil, &LostShardError{Shard: id, Err: err}
 		}
 		if first == nil {
 			first = err
 		}
 	}
-	return first
-}
-
-// slotOf routes a key to the surviving worker that owns it. Workers are
-// hash-aligned — workers[i] holds exactly the keys OwnerOf places on shard
-// i — so ownership is computed, never learned from op results.
-func (r *run) slotOf(key int64) (int, error) {
-	id := OwnerOf(key, r.shards)
-	for slot, wid := range r.ids {
-		if wid == id {
-			return slot, nil
-		}
+	if first != nil {
+		return nil, first
 	}
-	return 0, fmt.Errorf("shard: key %d belongs to lost shard %d", key, id)
+	return replies, nil
 }
 
 // label answers labels for the given distinct keys, routing memo misses
@@ -316,6 +289,8 @@ func (r *run) labelRound(ctx context.Context, sel []int64, withRows bool) ([]boo
 		keys   []int64 // memo misses this shard owns
 		rowsOf []int64 // keys whose rows it returns; rowsOf[j] is sel[at[j]]
 		at     []int
+	}
+	type answer struct {
 		labels []bool
 		rows   [][]float64
 		fresh  int
@@ -327,11 +302,11 @@ func (r *run) labelRound(ctx context.Context, sel []int64, withRows bool) ([]boo
 		if known && !withRows {
 			continue
 		}
-		slot, err := r.slotOf(k)
-		if err != nil {
-			return nil, nil, err
+		id := OwnerOf(k, len(r.workers))
+		if r.workers[id] == nil {
+			return nil, nil, fmt.Errorf("shard: key %d belongs to lost shard %d", k, id)
 		}
-		a := &asks[slot]
+		a := &asks[id]
 		if !known {
 			a.keys = append(a.keys, k)
 			queued++
@@ -342,20 +317,20 @@ func (r *run) labelRound(ctx context.Context, sel []int64, withRows bool) ([]boo
 	}
 	var rows [][]float64
 	if queued > 0 || withRows {
-		err := r.scatter(ctx, func(slot int, w Worker) (err error) {
-			a := &asks[slot]
+		answers, err := gather(r, func(id int, w Worker) (ans answer, err error) {
+			a := &asks[id]
 			if len(a.keys) == 0 && len(a.rowsOf) == 0 {
-				return nil
+				return ans, nil
 			}
-			sort.Slice(a.keys, func(i, j int) bool { return a.keys[i] < a.keys[j] })
-			if a.labels, a.rows, a.fresh, err = w.Label(ctx, a.keys, a.rowsOf); err != nil {
-				return err
+			slices.Sort(a.keys)
+			if ans.labels, ans.rows, ans.fresh, err = w.Label(ctx, a.keys, a.rowsOf); err != nil {
+				return ans, err
 			}
-			if len(a.labels) != len(a.keys) || len(a.rows) != len(a.rowsOf) {
-				return fmt.Errorf("shard: worker returned %d labels for %d keys and %d rows for %d",
-					len(a.labels), len(a.keys), len(a.rows), len(a.rowsOf))
+			if len(ans.labels) != len(a.keys) || len(ans.rows) != len(a.rowsOf) {
+				return ans, fmt.Errorf("shard: worker returned %d labels for %d keys and %d rows for %d",
+					len(ans.labels), len(a.keys), len(ans.rows), len(a.rowsOf))
 			}
-			return nil
+			return ans, nil
 		})
 		if err != nil {
 			return nil, nil, err
@@ -363,14 +338,15 @@ func (r *run) labelRound(ctx context.Context, sel []int64, withRows bool) ([]boo
 		if withRows {
 			rows = make([][]float64, len(sel))
 		}
-		for _, a := range asks {
+		for id, a := range asks {
+			ans := answers[id]
 			for j, k := range a.keys {
-				r.memo[k] = a.labels[j]
+				r.memo[k] = ans.labels[j]
 			}
 			for j, i := range a.at {
-				rows[i] = a.rows[j]
+				rows[i] = ans.rows[j]
 			}
-			r.fresh += a.fresh
+			r.fresh += ans.fresh
 		}
 	}
 	r.reused += len(sel) - queued
@@ -379,23 +355,6 @@ func (r *run) labelRound(ctx context.Context, sel []int64, withRows bool) ([]boo
 		labels[j] = r.memo[k]
 	}
 	return labels, rows, nil
-}
-
-// cands gathers per-shard bottom-k candidates under the tag.
-func (r *run) cands(ctx context.Context, k int, tag uint64) ([][]Cand, error) {
-	parts := make([][]Cand, len(r.workers))
-	err := r.scatter(ctx, func(slot int, w Worker) error {
-		cs, cerr := w.Cands(ctx, k, tag)
-		if cerr != nil {
-			return cerr
-		}
-		parts[slot] = cs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return parts, nil
 }
 
 // attempt runs the full protocol over the current survivor set.
@@ -449,7 +408,7 @@ func (r *run) attemptPlain(ctx context.Context, res *Result, n int, alpha float6
 		return nil
 
 	case "srs":
-		parts, err := r.cands(ctx, res.Budget, TagSample)
+		parts, err := gather(r, func(_ int, w Worker) ([]Cand, error) { return w.Cands(ctx, res.Budget, TagSample) })
 		if err != nil {
 			return err
 		}
@@ -493,7 +452,7 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 	if kLearn, err = LearnSize(res.Budget); err != nil {
 		return nil, nil, 0, err
 	}
-	if all, err = r.scoreAll(ctx, n, kLearn); err != nil {
+	if all, err = r.learn(ctx, n, kLearn); err != nil {
 		return nil, nil, 0, err
 	}
 	scores := make([]float64, len(all))
@@ -508,14 +467,13 @@ func (r *run) stratify(ctx context.Context, res *Result, n int) (all []Scored, h
 	return all, hOf, kLearn, nil
 }
 
-// scoreAll yields every survivor object with its classifier score: merge
-// the hash learn sample, take its labels and features in one round,
-// broadcast (x, y, seed) so every shard trains the identical classifier,
-// and gather per-key scores.
-func (r *run) scoreAll(ctx context.Context, n, kLearn int) ([]Scored, error) {
+// learn yields every survivor object with its classifier score: merge the
+// hash learn sample, take its labels and features in one round, and
+// broadcast (x, y, seed) so every shard trains the identical classifier.
+func (r *run) learn(ctx context.Context, n, kLearn int) ([]Scored, error) {
 	ctx, sp := obs.StartSpan(ctx, "learn")
 	defer sp.End()
-	parts, err := r.cands(ctx, kLearn, TagLearn)
+	parts, err := gather(r, func(_ int, w Worker) ([]Cand, error) { return w.Cands(ctx, kLearn, TagLearn) })
 	if err != nil {
 		return nil, err
 	}
@@ -527,23 +485,18 @@ func (r *run) scoreAll(ctx context.Context, n, kLearn int) ([]Scored, error) {
 	clfSeed := live.Mix64(r.plan.Seed, TagTrain, uint64(len(learnSel)))
 	sp.Set("train_rows", len(learnSel))
 	sp.Set("scored", n)
+	return r.scoreAll(ctx, n, x, y, clfSeed)
+}
 
-	scored := make([][]Scored, len(r.workers))
-	err = r.scatter(ctx, func(slot int, w Worker) error {
-		s, serr := w.ScoreAll(ctx, x, y, clfSeed)
-		if serr != nil {
-			return serr
-		}
-		scored[slot] = s
-		return nil
-	})
+// scoreAll gathers the survivors' n objects in shard order, each scored by
+// the classifier trained on (x, y, clfSeed) — or, with an empty learn
+// sample, unscored: the listing a plan that learns nothing needs.
+func (r *run) scoreAll(ctx context.Context, n int, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
+	parts, err := gather(r, func(_ int, w Worker) ([]Scored, error) { return w.ScoreAll(ctx, x, y, clfSeed) })
 	if err != nil {
 		return nil, err
 	}
-	all := make([]Scored, 0, n)
-	for _, part := range scored {
-		all = append(all, part...)
-	}
+	all := slices.Concat(parts...)
 	if len(all) != n {
 		return nil, fmt.Errorf("shard: scored %d of %d objects", len(all), n)
 	}
@@ -570,11 +523,7 @@ func (r *run) sampleStrata(ctx context.Context, all []Scored, hOf []int, budget 
 // grouped plan (at maps each census group's key to its position) it also
 // returns every group's positives by position.
 func (r *run) countAll(ctx context.Context, at map[string]int) (Partial, []int, error) {
-	tallies := make([]Tally, len(r.workers))
-	err := r.scatter(ctx, func(slot int, w Worker) (cerr error) {
-		tallies[slot], cerr = w.CountAll(ctx)
-		return cerr
-	})
+	tallies, err := gather(r, func(_ int, w Worker) (Tally, error) { return w.CountAll(ctx) })
 	if err != nil {
 		return Partial{}, nil, err
 	}
@@ -650,7 +599,7 @@ func (r *run) attemptGrouped(ctx context.Context, res *Result, n int, alpha floa
 	}
 	switch r.plan.Method {
 	case "srs":
-		listed, err := r.listGroupKeys(ctx)
+		listed, err := r.scoreAll(ctx, n, nil, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -777,27 +726,6 @@ func (g *Group) setSRS(pos, sampled int, alpha float64, wilson bool) {
 	}
 }
 
-// listGroupKeys gathers every key with its group from the survivors.
-func (r *run) listGroupKeys(ctx context.Context) ([]Scored, error) {
-	parts := make([][]Scored, len(r.workers))
-	err := r.scatter(ctx, func(slot int, w Worker) error {
-		s, serr := w.GroupKeys(ctx)
-		if serr != nil {
-			return serr
-		}
-		parts[slot] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []Scored
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	return all, nil
-}
-
 // degrade scales a survivor-universe answer to the full population when
 // shards were lost: the point estimate extrapolates by population ratio
 // and the interval's upper bound absorbs the lost mass (every lost object
@@ -806,8 +734,7 @@ func (r *run) listGroupKeys(ctx context.Context) ([]Scored, error) {
 // the census ran before any loss, so the lost mass per group is known
 // exactly. True counts cannot be known degraded, so they are dropped.
 func (r *run) degrade(res *Result, fullN int, fullGroups []Group) {
-	res.Shards = len(r.workers) + len(r.lost)
-	if r.lostN == 0 && len(r.lost) == 0 {
+	if len(r.lost) == 0 {
 		return
 	}
 	survN := res.N

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/estimate"
 	"repro/internal/learn"
 	"repro/internal/obs"
 )
@@ -107,19 +108,29 @@ func (w *Local) WithSeed(seed uint64, labelFn LabelFunc, trainer *Trainer) *Loca
 
 // Meta returns the shard's object count and local group census.
 func (w *Local) Meta(ctx context.Context) (Meta, error) {
-	m := Meta{N: len(w.keys)}
-	if w.groups != nil {
-		tally := make(map[string]int)
-		for _, g := range w.groups {
-			tally[g]++
+	return Meta{N: len(w.keys), Groups: w.tally(nil)}, nil
+}
+
+// tally counts the shard's members of each group, and with labels (aligned
+// with the keys) their positives, in canonical-key order; nil for a plain
+// plan.
+func (w *Local) tally(labels []bool) []GroupCount {
+	at := make(map[string]int)
+	var out []GroupCount
+	for i, g := range w.groups {
+		j, ok := at[g]
+		if !ok {
+			j = len(out)
+			at[g] = j
+			out = append(out, GroupCount{Key: g, Parts: w.parts[g]})
 		}
-		m.Groups = make([]GroupCount, 0, len(tally))
-		for g, n := range tally {
-			m.Groups = append(m.Groups, GroupCount{Key: g, Parts: w.parts[g], N: n})
+		out[j].N++
+		if labels != nil && labels[i] {
+			out[j].Pos++
 		}
-		sort.Slice(m.Groups, func(a, b int) bool { return m.Groups[a].Key < m.Groups[b].Key })
 	}
-	return m, nil
+	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
+	return out
 }
 
 // Cands returns the shard's bottom-k candidates under the given tag.
@@ -154,11 +165,22 @@ func (w *Local) Label(ctx context.Context, keys, rowsOf []int64) ([]bool, [][]fl
 }
 
 // ScoreAll trains (or reuses) the plan classifier and scores every local
-// object. The enclosing span — the driver's learn span in process, the
-// op's own root on a remote worker — learns what that cost: the fit where
-// this shard paid it, and this shard's scoring (in-process shards score
-// side by side, so the span keeps the last one to finish).
+// object; with an empty learn sample it trains nothing and lists the
+// objects unscored. The enclosing span — the driver's learn span in
+// process, the op's own root on a remote worker — learns what scoring cost:
+// the fit where this shard paid it, and this shard's scoring (in-process
+// shards score side by side, so the span keeps the last one to finish).
 func (w *Local) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
+	out := make([]Scored, len(w.keys))
+	for i, k := range w.keys {
+		out[i].Key = k
+		if w.groups != nil {
+			out[i].Group = w.groups[i]
+		}
+	}
+	if len(x) == 0 && len(y) == 0 {
+		return out, nil
+	}
 	if w.feats == nil {
 		return nil, fmt.Errorf("shard: plan carries no features")
 	}
@@ -177,26 +199,8 @@ func (w *Local) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed u
 			sp.Set("score_path", p)
 		}
 	}
-	out := make([]Scored, len(w.keys))
-	for i, k := range w.keys {
-		s := Scored{Key: k, Score: scores[i]}
-		if w.groups != nil {
-			s.Group = w.groups[i]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// GroupKeys lists every local key with its canonical group.
-func (w *Local) GroupKeys(ctx context.Context) ([]Scored, error) {
-	out := make([]Scored, len(w.keys))
-	for i, k := range w.keys {
-		s := Scored{Key: k}
-		if w.groups != nil {
-			s.Group = w.groups[i]
-		}
-		out[i] = s
+	for i := range out {
+		out[i].Score = scores[i]
 	}
 	return out, nil
 }
@@ -207,30 +211,7 @@ func (w *Local) CountAll(ctx context.Context) (Tally, error) {
 	if err != nil {
 		return Tally{}, err
 	}
-	t := Tally{Partial: Partial{N: len(w.keys), Sampled: len(w.keys)}, Fresh: fresh}
-	for _, b := range labels {
-		if b {
-			t.Positives++
-		}
-	}
-	if w.groups != nil {
-		byGroup := make(map[string]*GroupCount)
-		for i, g := range w.groups {
-			gc, ok := byGroup[g]
-			if !ok {
-				gc = &GroupCount{Key: g, Parts: w.parts[g]}
-				byGroup[g] = gc
-			}
-			gc.N++
-			if labels[i] {
-				gc.Pos++
-			}
-		}
-		t.Groups = make([]GroupCount, 0, len(byGroup))
-		for _, gc := range byGroup {
-			t.Groups = append(t.Groups, *gc)
-		}
-		sort.Slice(t.Groups, func(a, b int) bool { return t.Groups[a].Key < t.Groups[b].Key })
-	}
-	return t, nil
+	pos := estimate.Positives(labels)
+	return Tally{Partial: Partial{N: len(w.keys), Sampled: len(w.keys), Positives: pos}, Fresh: fresh,
+		Groups: w.tally(labels)}, nil
 }

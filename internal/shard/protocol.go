@@ -7,7 +7,7 @@ import (
 	"fmt"
 )
 
-// This file is the whole shard-op protocol: the six op names, their
+// This file is the whole shard-op protocol: the five op names, their
 // argument and reply blocks, the dispatch of a named op onto a Worker
 // (Serve, the worker end of a wire), and the Worker that performs each op
 // by calling a transport (NewRemote, the coordinator end). A serving layer
@@ -33,17 +33,17 @@ import (
 //
 // srs is rounds 1, 2 and 5 (its one selection); a grouped plan adds at most
 // one label round, for all its under-served groups' top-ups together, and
-// lists its population with group_keys where it needs no scores; Exact adds
-// one count_all, which is also all an oracle plan sends after the census.
+// lists its population with a score_all that carries no learn sample where
+// it needs no scores; Exact adds one count_all, which is also all an oracle
+// plan sends after the census.
 
-// The six shard ops, one per Worker method.
+// The five shard ops, one per Worker method.
 const (
-	OpMeta      = "meta"
-	OpCands     = "cands"
-	OpLabel     = "label"
-	OpScoreAll  = "score_all"
-	OpGroupKeys = "group_keys"
-	OpCountAll  = "count_all"
+	OpMeta     = "meta"
+	OpCands    = "cands"
+	OpLabel    = "label"
+	OpScoreAll = "score_all"
+	OpCountAll = "count_all"
 )
 
 // ErrBadOp marks an op name outside the protocol or an unreadable argument
@@ -63,7 +63,7 @@ type Args struct {
 	Tag     uint64      `json:"tag,omitempty"`      // cands
 	Keys    []int64     `json:"keys,omitempty"`     // label
 	RowsOf  []int64     `json:"rows_of,omitempty"`  // label: keys whose feature rows to return
-	X       [][]float64 `json:"x,omitempty"`        // score_all: learn-sample features
+	X       [][]float64 `json:"x,omitempty"`        // score_all: learn-sample features (none: list unscored)
 	Y       []bool      `json:"y,omitempty"`        // score_all: learn-sample labels
 	ClfSeed uint64      `json:"clf_seed,omitempty"` // score_all
 }
@@ -76,7 +76,7 @@ type Reply struct {
 	Labels   []bool      `json:"labels,omitempty"`   // label
 	Fresh    int         `json:"fresh,omitempty"`    // label
 	Features [][]float64 `json:"features,omitempty"` // label: the rows of rows_of
-	Scored   []Scored    `json:"scored,omitempty"`   // score_all, group_keys
+	Scored   []Scored    `json:"scored,omitempty"`   // score_all
 	Tally    *Tally      `json:"tally,omitempty"`    // count_all
 }
 
@@ -93,8 +93,6 @@ func dispatch(ctx context.Context, w Worker, op string, a *Args) (r Reply, err e
 		r.Labels, r.Features, r.Fresh, err = w.Label(ctx, a.Keys, a.RowsOf)
 	case OpScoreAll:
 		r.Scored, err = w.ScoreAll(ctx, a.X, a.Y, a.ClfSeed)
-	case OpGroupKeys:
-		r.Scored, err = w.GroupKeys(ctx)
 	case OpCountAll:
 		var t Tally
 		t, err = w.CountAll(ctx)
@@ -175,11 +173,6 @@ func (t remote) Label(ctx context.Context, keys, rowsOf []int64) ([]bool, [][]fl
 
 func (t remote) ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error) {
 	r, err := t.call(ctx, OpScoreAll, Args{X: x, Y: y, ClfSeed: clfSeed})
-	return r.Scored, err
-}
-
-func (t remote) GroupKeys(ctx context.Context) ([]Scored, error) {
-	r, err := t.call(ctx, OpGroupKeys, Args{})
 	return r.Scored, err
 }
 

@@ -35,9 +35,9 @@ func wired(w Worker, ops map[string]int) Worker {
 	})
 }
 
-// TestProtocolRoundTripEveryOp: each of the six ops — label both bare and
+// TestProtocolRoundTripEveryOp: each of the five ops — label both bare and
 // with feature rows asked for, of all its keys and of one it is not asked
-// to label — sent through the
+// to label; score_all with a learn sample and without one — sent through the
 // remote adapter → JSON → Serve → a Local, returns exactly what calling
 // the Local directly returns.
 func TestProtocolRoundTripEveryOp(t *testing.T) {
@@ -102,9 +102,9 @@ func TestProtocolRoundTripEveryOp(t *testing.T) {
 			}
 		}
 
-		wg, werr := local.GroupKeys(ctx)
-		gg, gerr := remote.GroupKeys(ctx)
-		same(OpGroupKeys, gg, wg, gerr, werr)
+		wu, werr := local.ScoreAll(ctx, nil, nil, 0)
+		gu, gerr := remote.ScoreAll(ctx, nil, nil, 0)
+		same(OpScoreAll, gu, wu, gerr, werr)
 
 		wt, werr := local.CountAll(ctx)
 		gt, gerr := remote.CountAll(ctx)
@@ -113,8 +113,8 @@ func TestProtocolRoundTripEveryOp(t *testing.T) {
 			t.Errorf("tally %+v over the wire, %+v direct", gt, wt)
 		}
 
-		if len(ops) != 6 {
-			t.Errorf("%d distinct ops crossed the wire, want all 6: %v", len(ops), ops)
+		if len(ops) != 5 {
+			t.Errorf("%d distinct ops crossed the wire, want all 5: %v", len(ops), ops)
 		}
 		for op := range ops {
 			if want := op == OpLabel || op == OpScoreAll || op == OpCountAll; Heavy(op) != want {
@@ -201,6 +201,41 @@ func TestDriveOverWireByteIdentical(t *testing.T) {
 			if string(gb) != string(wb) {
 				t.Errorf("%s grouped=%t over the wire:\n got %s\nwant %s", method, grouped, gb, wb)
 			}
+		}
+	}
+}
+
+// TestWorkerRepliesGolden pins the bytes a worker answers for every op, on
+// one fixed grouped shard of ten objects: the census, a learn draw, a label
+// round that also asks for feature rows (of keys it does not label too),
+// score_all with a learn sample and without one — the unscored listing a
+// plan that learns nothing asks for — and a full pass. The bytes were
+// recorded before the driver's rounds were rewritten; protocol round trips
+// compare two ends built from the same code, so only this test sees a reply
+// change across commits.
+func TestWorkerRepliesGolden(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkers(45, 3, true)[1]
+	for _, tc := range []struct{ op, args, want string }{
+		{OpMeta, ``,
+			`{"meta":{"n":10,"groups":[{"key":"g0","parts":["g0"],"n":2},{"key":"g1","parts":["g1"],"n":5},{"key":"g2","parts":["g2"],"n":3}]}}`},
+		{OpCands, `{"k":6,"tag":327579423310}`,
+			`{"cands":[{"hash":2429953393465610968,"key":118},{"hash":3135989783225174485,"key":58},{"hash":4194173693560944649,"key":115},{"hash":4259689420543276932,"key":55},{"hash":7020626899679524337,"key":124},{"hash":7619798632428737872,"key":67}]}`},
+		{OpLabel, `{"keys":[118,58,115],"rows_of":[118,58,115,55,124,67]}`,
+			`{"labels":[false,true,true],"fresh":3,"features":[[16,3],[7,3],[13,0],[4,0],[5,4],[16,2]]}`},
+		{OpScoreAll, `{"x":[[16,3],[7,3],[13,0],[4,0],[5,4],[16,2]],"y":[false,true,true,false,false,true],"clf_seed":7}`,
+			`{"scored":[{"key":4,"score":0.21083333333333334,"group":"g1"},{"key":31,"score":0.7875,"group":"g1"},{"key":55,"score":0.3341666666666667,"group":"g0"},{"key":58,"score":0.5658333333333333,"group":"g1"},{"key":67,"score":0.725,"group":"g1"},{"key":88,"score":0.21083333333333334,"group":"g2"},{"key":94,"score":0.5858333333333333,"group":"g1"},{"key":115,"score":0.7875,"group":"g2"},{"key":118,"score":0.5733333333333333,"group":"g0"},{"key":124,"score":0.21083333333333334,"group":"g2"}]}`},
+		{OpScoreAll, `{}`,
+			`{"scored":[{"key":4,"score":0,"group":"g1"},{"key":31,"score":0,"group":"g1"},{"key":55,"score":0,"group":"g0"},{"key":58,"score":0,"group":"g1"},{"key":67,"score":0,"group":"g1"},{"key":88,"score":0,"group":"g2"},{"key":94,"score":0,"group":"g1"},{"key":115,"score":0,"group":"g2"},{"key":118,"score":0,"group":"g0"},{"key":124,"score":0,"group":"g2"}]}`},
+		{OpCountAll, ``,
+			`{"tally":{"n":10,"sampled":10,"positives":3,"fresh":10,"groups":[{"key":"g0","parts":["g0"],"n":2},{"key":"g1","parts":["g1"],"n":5,"pos":2},{"key":"g2","parts":["g2"],"n":3,"pos":1}]}}`},
+	} {
+		got, err := Serve(ctx, w, tc.op, json.RawMessage(tc.args))
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.op, tc.args, err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s %s:\n got %s\nwant %s", tc.op, tc.args, got, tc.want)
 		}
 	}
 }

@@ -126,12 +126,11 @@ type Worker interface {
 	// (x, y in merged selection order; clfSeed from the plan) and scores
 	// every local object, returning one Scored per local key. Training is
 	// deterministic in (x, y, clfSeed), so every shard trains the
-	// identical classifier and per-row scores concatenate exactly.
+	// identical classifier and per-row scores concatenate exactly. With an
+	// empty learn sample it trains nothing and returns every local key
+	// with its canonical group, scores zero — the population listing of a
+	// plan that learns nothing.
 	ScoreAll(ctx context.Context, x [][]float64, y []bool, clfSeed uint64) ([]Scored, error)
-
-	// GroupKeys returns every local key with its canonical group (scores
-	// zero) — the feature-free grouped plans' population listing.
-	GroupKeys(ctx context.Context) ([]Scored, error)
 
 	// CountAll labels every local object and returns the shard's tally.
 	CountAll(ctx context.Context) (Tally, error)

@@ -330,7 +330,8 @@ func TestRefreshOracleDeltaPriced(t *testing.T) {
 
 // TestRefreshExactCountsTruth: WithExact(true) sets TrueCount on every
 // method Refresh serves, not only on an empty population, and equals the
-// oracle's count both cold and after an append. The exact pass buys every
+// oracle's count both cold and after an append; an oracle refresh without
+// it sets none, as Estimate.TrueCount documents. The exact pass buys every
 // label into the memo and moves no estimate.
 func TestRefreshExactCountsTruth(t *testing.T) {
 	ctx := context.Background()
@@ -366,8 +367,11 @@ func TestRefreshExactCountsTruth(t *testing.T) {
 				if got.TrueCount == nil {
 					t.Fatalf("step %d: WithExact(true) refresh returned no TrueCount", step)
 				}
-				if *got.TrueCount != *truth.TrueCount {
-					t.Errorf("step %d: TrueCount %d, oracle %d", step, *got.TrueCount, *truth.TrueCount)
+				if float64(*got.TrueCount) != truth.Count {
+					t.Errorf("step %d: TrueCount %d, oracle %v", step, *got.TrueCount, truth.Count)
+				}
+				if truth.TrueCount != nil {
+					t.Errorf("step %d: an oracle refresh without WithExact set TrueCount %d", step, *truth.TrueCount)
 				}
 				if got.Count != ref.Count || *got.CI != *ref.CI {
 					t.Errorf("step %d: exact refresh estimates %v %v, plain %v %v", step, got.Count, *got.CI, ref.Count, *ref.CI)

@@ -335,7 +335,9 @@ func (q *LiveQuery) Refresh(ctx context.Context, params map[string]any, opts ...
 		}
 		c := estimate.Positives(labels)
 		res.Count, res.CI.Lo, res.CI.Hi = float64(c), float64(c), float64(c)
-		out.TrueCount = &c
+		if cfg.exact {
+			out.TrueCount = &c
+		}
 
 	case "srs":
 		sel := shard.BottomK(p.keys, budget, cfg.seed, shard.TagSample)
