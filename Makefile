@@ -46,7 +46,7 @@
 #   make loc           line counts the ROADMAP quotes: non-test Go outside
 #                      bench/, Go tests outside bench/, and all of bench/
 #   make fuzz-smoke    brief run of every native fuzzer (parser round-trip,
-#                      lexer, live delta parser, WAL reader,
+#                      lexer, live delta parser, WAL reader, shard frame codec,
 #                      design sweep vs its per-bound reference, radix
 #                      score order vs the comparator sort, presorted
 #                      forest fit vs its per-node-sort reference, rank-grid
@@ -107,12 +107,14 @@ test:
 # holes (one lost shard, two, all of them), and the
 # coordinator tests whose stored census meets moved data (a version bump,
 # an ingest, a swapped worker, two clients racing live ingestion) and is
-# retried from a fresh pre-flight, and the compiled and interpreted
+# retried from a fresh pre-flight, the coordinator tests whose frames carry
+# non-finite feature values or meet a worker of another frame version, and
+# the compiled and interpreted
 # predicates several goroutines share, ten times over: a race only shows in
 # an interleaving the run happens to execute.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^repro/bench$$')
-	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestDriveDegradedPlain|TestDriveDegradedGrouped|TestDriveAllShardsLost|TestDriveLosesTwoShards|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest|TestPredicatesSafeForConcurrentUse' ./lsample/ ./internal/service/ ./internal/shard/ ./internal/predicate/
+	$(GO) test -race -count=10 -run 'TestShardExecConcurrent|TestResidentExecutorConcurrentSeeds|TestCatalogConcurrentSeedsShareOneEntry|TestConcurrentAcquireReleaseInvalidate|TestDriveRoundBudget|TestDriveLossInFusedRound|TestDriveDegradedPlain|TestDriveDegradedGrouped|TestDriveAllShardsLost|TestDriveLosesTwoShards|TestCoordinatorRoundBudget|TestCoordinatorVersionFence|TestCoordinatorCensusFollowsIngest|TestCoordinatorCatchesSwappedWorker|TestCoordinatorConcurrentIngest|TestCoordinatorNonFiniteFeatures|TestShardFrameVersionSkew|TestPredicatesSafeForConcurrentUse' ./lsample/ ./internal/service/ ./internal/shard/ ./internal/predicate/
 
 # The figure benchmark, the parallel-engine micro-benchmarks (forest fit at
 # 400 × 3 and at the ledger's 50 × 2 and 200 × 2; batched scoring at
@@ -130,7 +132,7 @@ race:
 # beside accounted-B/entry, 100 cold counts over 50 tables per iteration),
 # one shard's five lss ops over loopback HTTP through the coordinator's
 # post (BenchmarkShardOpWire: wire-B/op, request plus reply bytes — the
-# guard on the /v1/shard envelope's size), and repeat lss counts through a
+# guard on the /v1/shard frames' size), and repeat lss counts through a
 # coordinator over two loopback workers and two shards
 # (BenchmarkCoordinatorCount: rpcs/op — 8 once the shape's census is
 # stored — and allocs/op), and the interpreter's cross-check of a compiled
@@ -183,7 +185,10 @@ loc:
 # interpreter over generated tables × Q1 shapes × parameters (every object's
 # label; an interpreter error is a typed fault; a refusal is a fallback), and
 # the count-reporting closures of HAVING COUNT(*) <op> p against the
-# interpreter's COUNT(*) and its label at a second threshold.
+# interpreter's COUNT(*) and its label at a second threshold, and the shard
+# wire's frame codec (arbitrary bytes never panic a decoder; generated
+# frames and blocks, NaN and empty lists among them, round-trip bit for bit;
+# a spare or missing byte is an error).
 # Failures persist a reproducer under the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -197,3 +202,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzForestScore$$' -fuzztime $(FUZZTIME) ./internal/learn/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledAgrees$$' -fuzztime $(FUZZTIME) ./internal/qcompile/
 	$(GO) test -run '^$$' -fuzz '^FuzzCountBound$$' -fuzztime $(FUZZTIME) ./internal/qcompile/
+	$(GO) test -run '^$$' -fuzz '^FuzzShardFrame$$' -fuzztime $(FUZZTIME) ./internal/shard/

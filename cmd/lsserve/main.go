@@ -33,7 +33,8 @@
 //	                   sharded scale-out; see -role)
 //
 // Every JSON response is one line of compact JSON; pipe it through jq to
-// read it.
+// read it. The exception is a 200 /v1/shard reply, which like the request
+// it answers is one binary frame (internal/shard/frame.go).
 //
 // Observability: -trace-sample records that fraction of requests as span
 // trees readable from /v1/traces (a request with "explain": true is

@@ -270,6 +270,9 @@ func (r *coordRun) count(ctx context.Context, known *census) (*CountResult, erro
 	pl, knobs := cs.plan, cs.plan.Request
 	knobs.Seed, knobs.Explain = arrived.Seed, arrived.Explain
 	r.req = knobs
+	if r.query, err = encodeQuery(knobs); err != nil {
+		return nil, err
+	}
 
 	workers := make([]shard.Worker, r.shards)
 	for i := range workers {
@@ -277,11 +280,11 @@ func (r *coordRun) count(ctx context.Context, known *census) (*CountResult, erro
 			if op == shard.OpMeta {
 				return &shard.Reply{Meta: &cs.metas[i]}, nil // the census is known
 			}
-			resp, err := r.do(ctx, i, op, args)
+			a, err := r.do(ctx, i, op, args)
 			if err != nil {
 				return nil, err
 			}
-			return &resp.Reply, nil
+			return &a.reply, nil
 		})
 	}
 	plan := shard.Plan{
@@ -378,6 +381,7 @@ func place(roster []string, shards int) [][]string {
 type coordRun struct {
 	c        *Coordinator
 	req      CountRequest
+	query    []byte // req as every op's frame carries it (encodeQuery)
 	shards   int
 	cands    [][]string
 	key      string // the request shape's census key
@@ -422,14 +426,18 @@ func (r *coordRun) census(ctx context.Context, known *census) (*census, error) {
 // are pinned for every later op. A shard whose every candidate fails here
 // is lost before the census, which no degraded answer can absorb.
 func (r *coordRun) preflight(ctx context.Context) (*census, error) {
-	answers := make([]*shardAnswer, r.shards)
+	var err error
+	if r.query, err = encodeQuery(r.req); err != nil {
+		return nil, err
+	}
+	answers := make([]*answer, r.shards)
 	errs := make([]error, r.shards)
 	var wg sync.WaitGroup
 	for i := range answers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			answers[i], errs[i] = r.do(ctx, i, shard.OpMeta, nil)
+			answers[i], errs[i] = r.do(ctx, i, shard.OpMeta, &shard.Args{})
 		}()
 	}
 	wg.Wait()
@@ -446,37 +454,69 @@ func (r *coordRun) preflight(ctx context.Context) (*census, error) {
 	if lost != nil {
 		return nil, fmt.Errorf("%w: lost before census, population unknown: %w", ErrNoWorkers, lost)
 	}
-	if answers[0].Plan == nil {
+	if answers[0].plan == nil {
 		return nil, fmt.Errorf("service: worker meta answer carries no plan")
 	}
-	cs := &census{plan: *answers[0].Plan, metas: make([]shard.Meta, r.shards), versions: answers[0].Versions}
+	cs := &census{plan: *answers[0].plan, metas: make([]shard.Meta, r.shards), versions: answers[0].versions}
 	for i, a := range answers {
-		if a.Versions != cs.versions {
-			return nil, fmt.Errorf("%w: expected %q, worker has %q", ErrDataChanged, cs.versions, a.Versions)
+		if a.versions != cs.versions {
+			return nil, fmt.Errorf("%w: expected %q, worker has %q", ErrDataChanged, cs.versions, a.versions)
 		}
-		if a.Reply.Meta == nil {
+		if a.reply.Meta == nil {
 			return nil, fmt.Errorf("shard: %s reply empty", shard.OpMeta)
 		}
-		cs.metas[i] = *a.Reply.Meta
+		cs.metas[i] = *a.reply.Meta
 	}
 	r.versions = cs.versions
 	return cs, nil
 }
 
-// shardCall is a ShardRequest as the coordinator writes it: the op's
-// arguments typed, encoded in the one pass that encodes the envelope (the
-// field shadows ShardRequest.Args, which stays empty).
-type shardCall struct {
-	ShardRequest
-	Args *shard.Args `json:"args,omitempty"`
+// encodeQuery is a count request as a request frame carries it: JSON,
+// without the seed the frame carries beside it. A run encodes the request
+// its ops carry once, and every op and hedge of the run reuses the bytes.
+func encodeQuery(req CountRequest) ([]byte, error) {
+	req.Seed = 0
+	b, err := json.Marshal(&req)
+	if err != nil {
+		return nil, badf("request is not encodable: %v", err)
+	}
+	return b, nil
 }
 
-// shardAnswer is a ShardResponse as the coordinator reads it: the op's
-// reply decoded in the one pass that decodes the envelope (the field
-// shadows ShardResponse.Reply, which stays empty).
-type shardAnswer struct {
-	ShardResponse
-	Reply shard.Reply `json:"reply"`
+// answer is a worker's 200 reply frame, decoded: its dataset versions, the
+// resolved plan (meta only), the op's reply block, and its span tree (a
+// traced op only).
+type answer struct {
+	versions string
+	plan     *PlanInfo
+	reply    shard.Reply
+	trace    *obs.SpanData
+}
+
+// readAnswer decodes a 200 reply frame: the frame's head and reply block
+// through the codec, the plan and span-tree sub-blocks as JSON.
+func readAnswer(payload []byte) (*answer, error) {
+	head, block, err := shard.ReadAnswer(payload)
+	if err != nil {
+		return nil, err
+	}
+	a := &answer{versions: head.Versions}
+	if a.reply, err = shard.DecodeReply(block); err != nil {
+		return nil, err
+	}
+	if len(head.Plan) > 0 {
+		a.plan = new(PlanInfo)
+		if err := json.Unmarshal(head.Plan, a.plan); err != nil {
+			return nil, fmt.Errorf("%w: plan sub-block: %v", shard.ErrFrame, err)
+		}
+	}
+	if len(head.Trace) > 0 {
+		a.trace = new(obs.SpanData)
+		if err := json.Unmarshal(head.Trace, a.trace); err != nil {
+			return nil, fmt.Errorf("%w: trace sub-block: %v", shard.ErrFrame, err)
+		}
+	}
+	return a, nil
 }
 
 // permanentError marks a worker answer that retrying elsewhere cannot
@@ -491,17 +531,18 @@ func (e *permanentError) Unwrap() error { return e.err }
 // HedgeAfter of quiet time before a backup launches; the first success
 // wins. When every candidate fails the op resolves to a LostShardError,
 // which Drive absorbs (degraded mode) or surfaces.
-func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.Args) (*shardAnswer, error) {
-	call := shardCall{ShardRequest: ShardRequest{
-		CountRequest: r.req,
-		Op:           op,
-		Shard:        shard.Spec{Index: shardIdx, Count: r.shards},
-		Versions:     r.versions,
-	}, Args: args}
+func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.Args) (*answer, error) {
+	call := shard.Call{
+		Query:    r.query,
+		Seed:     r.req.Seed,
+		Op:       op,
+		Shard:    shard.Spec{Index: shardIdx, Count: r.shards},
+		Versions: r.versions,
+	}
 	if r.assumed != nil {
 		call.Census = &r.assumed[shardIdx]
 	}
-	body, err := json.Marshal(&call)
+	body, err := shard.AppendArgs(shard.AppendCall(nil, &call), args)
 	if err != nil {
 		return nil, badf("encoding shard request: %v", err)
 	}
@@ -511,7 +552,7 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.
 	defer cancel()
 
 	type outcome struct {
-		resp *shardAnswer
+		resp *answer
 		err  error
 	}
 	ch := make(chan outcome, len(cands))
@@ -537,8 +578,8 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.
 			resp, perr := r.c.post(ctx, r.c.workers[name].BaseURL, body, asp.Traceparent())
 			if perr != nil {
 				asp.Set("error", perr.Error())
-			} else if resp.Trace != nil {
-				asp.Graft(resp.Trace)
+			} else if resp.trace != nil {
+				asp.Graft(resp.trace)
 			}
 			asp.End()
 			ch <- outcome{resp, perr}
@@ -554,12 +595,12 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.
 		case out := <-ch:
 			done++
 			if out.err == nil {
-				if r.versions != "" && out.resp.Versions != r.versions {
+				if r.versions != "" && out.resp.versions != r.versions {
 					// A worker with newer data answered without tripping the
 					// fence (it never saw our pinned versions — e.g. a raced
 					// hedge); refuse to merge it.
 					return nil, fmt.Errorf("%w: expected %q, worker has %q",
-						ErrDataChanged, r.versions, out.resp.Versions)
+						ErrDataChanged, r.versions, out.resp.versions)
 				}
 				return out.resp, nil
 			}
@@ -586,15 +627,19 @@ func (r *coordRun) do(ctx context.Context, shardIdx int, op string, args *shard.
 
 // post performs one worker call under the per-op deadline, injecting the
 // attempt span's traceparent (when recording) so the worker joins the
-// coordinator's trace.
-func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, traceparent string) (*shardAnswer, error) {
+// coordinator's trace. A 200 body that opens as a frame but does not read —
+// another frame version, or bytes this build's codec cannot decode — is
+// what every worker of the roster would answer, so it is permanent; one
+// that is no frame at all (a proxy's page, a corrupted body) is this
+// worker's failure, and the op moves on to the next.
+func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, traceparent string) (*answer, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opts.WorkerDeadline)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/shard", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", shard.FrameContentType)
 	if traceparent != "" {
 		req.Header.Set(obs.TraceparentHeader, traceparent)
 	}
@@ -621,9 +666,12 @@ func (c *Coordinator) post(ctx context.Context, baseURL string, body []byte, tra
 		}
 		return nil, fmt.Errorf("service: worker answered %d: %s", resp.StatusCode, msg)
 	}
-	var out shardAnswer
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, fmt.Errorf("service: worker answer unreadable: %v", err)
+	a, err := readAnswer(payload)
+	switch {
+	case errors.Is(err, shard.ErrNotFrame):
+		return nil, fmt.Errorf("service: worker answer unreadable: %w", err)
+	case err != nil:
+		return nil, &permanentError{err: fmt.Errorf("service: worker answer unreadable: %w", err)}
 	}
-	return &out, nil
+	return a, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,9 +17,10 @@ import (
 //
 //	POST /v1/count     JSON CountRequest -> CountResult
 //	POST /v1/shard     one shard's estimation primitive (worker role);
-//	                   JSON ShardRequest -> ShardResponse, 409
-//	                   version_mismatch when the coordinator's pinned
-//	                   dataset versions no longer match
+//	                   a binary request frame -> a reply frame
+//	                   (internal/shard/frame.go; a body of another frame
+//	                   version is a 400), 409 version_mismatch when the
+//	                   coordinator's pinned dataset versions no longer match
 //	GET  /v1/datasets  list registered datasets
 //	POST /v1/datasets  upload a CSV dataset (?name=D&schema=id:int,x:float);
 //	                   add &live=1 (and optionally &key=id) to register it
@@ -83,18 +85,24 @@ func handleCount(count func(context.Context, *CountRequest) (*CountResult, error
 	}
 }
 
-// decodeBody reads a count request's JSON body (a CountRequest, or the
-// ShardRequest that carries one) of at most limit bytes into v, rejecting
-// fields v does not declare. Parameter numbers decode as json.Number, so an
-// integer past 2^53 reaches the SDK exactly.
+// decodeBody reads a count request's JSON body of at most limit bytes into
+// v (decodeJSON).
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
 		return clientErr("invalid JSON body", err)
 	}
 	return nil
+}
+
+// decodeJSON reads a count request — a /v1/count body, or the sub-block a
+// shard request frame carries — into v, rejecting fields v does not
+// declare. Parameter numbers decode as json.Number, so an integer past 2^53
+// reaches the SDK exactly.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	dec.UseNumber()
+	return dec.Decode(v)
 }
 
 // traceCtx returns the request context carrying any inbound traceparent,
@@ -216,10 +224,8 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// writeJSON answers with v as one line of compact JSON. Not indented: a
-// /v1/shard reply embeds a block shard.Serve already marshaled, and
-// indenting the envelope would encode that block again and double the bytes
-// a coordinator scans.
+// writeJSON answers with v as one line of compact JSON. Every reply but a
+// 200 /v1/shard frame (writeShardResponse) is one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

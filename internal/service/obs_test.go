@@ -509,15 +509,15 @@ func TestCoordinatorStitchedTrace(t *testing.T) {
 func TestWorkerTraceparentRoundTrip(t *testing.T) {
 	const n = 100
 	_, srv := newWorkerServer(t, testTable(n, 7))
-	body, _ := json.Marshal(shardReq(shard.OpMeta, 0, 2))
+	body := shardFrame(t, shardReq(shard.OpMeta, 0, 2))
 
-	post := func(traceparent string) *ShardResponse {
+	post := func(traceparent string) *obs.SpanData {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/shard", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", shard.FrameContentType)
 		if traceparent != "" {
 			req.Header.Set(obs.TraceparentHeader, traceparent)
 		}
@@ -526,36 +526,35 @@ func TestWorkerTraceparentRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("status %d: %s", resp.StatusCode, b)
-		}
-		var out ShardResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		payload, err := io.ReadAll(resp.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return &out
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, payload)
+		}
+		return mustAnswer(t, payload).trace
 	}
 
 	const traceID = "0123456789abcdef0123456789abcdef"
 	sampled := post("00-" + traceID + "-00f067aa0ba902b7-01")
-	if sampled.Trace == nil {
+	if sampled == nil {
 		t.Fatal("sampled traceparent: worker returned no trace")
 	}
-	if sampled.Trace.TraceID != traceID {
-		t.Fatalf("worker trace id %s, want adopted %s", sampled.Trace.TraceID, traceID)
+	if sampled.TraceID != traceID {
+		t.Fatalf("worker trace id %s, want adopted %s", sampled.TraceID, traceID)
 	}
-	if sampled.Trace.ParentID != "00f067aa0ba902b7" {
-		t.Fatalf("worker root parent %s, want the caller's span id", sampled.Trace.ParentID)
+	if sampled.ParentID != "00f067aa0ba902b7" {
+		t.Fatalf("worker root parent %s, want the caller's span id", sampled.ParentID)
 	}
-	if sampled.Trace.Name != "shard.meta" {
-		t.Fatalf("worker root span %q", sampled.Trace.Name)
+	if sampled.Name != "shard.meta" {
+		t.Fatalf("worker root span %q", sampled.Name)
 	}
 
-	if unsampled := post("00-" + traceID + "-00f067aa0ba902b7-00"); unsampled.Trace != nil {
+	if unsampled := post("00-" + traceID + "-00f067aa0ba902b7-00"); unsampled != nil {
 		t.Fatal("unsampled traceparent still recorded a trace")
 	}
-	if plain := post(""); plain.Trace != nil {
+	if plain := post(""); plain != nil {
 		t.Fatal("absent traceparent still recorded a trace")
 	}
 }

@@ -21,7 +21,7 @@ type plan struct {
 	parallelism int
 
 	shape      string // canonical parameter-free query fingerprint
-	paramsJSON []byte // deterministic encoding of the bound parameters
+	paramsJSON []byte // the bound parameters for an answer's key (encodeParams)
 	Pin               // snapshots, version vector, versions string
 }
 
@@ -69,9 +69,6 @@ func (s *Service) resolve(req *CountRequest) (*plan, error) {
 		return nil, mapSDKErr(err)
 	}
 	p.shape = sh.shape
-	if p.paramsJSON, err = json.Marshal(p.Params); err != nil { // encoding/json sorts map keys
-		return nil, badf("parameters are not encodable: %v", err)
-	}
 	if p.Pin, err = s.Registry.Resolve(sh.tables); err != nil {
 		return nil, err
 	}
@@ -99,10 +96,21 @@ func (s *Service) shapeOf(text string) (queryShape, error) {
 	return s.shapes.put(text, nil, queryShape{shape, tables}), nil
 }
 
+// encodeParams encodes the bound parameters deterministically for an
+// answer's key. Only an answer's key reads them, so a shard op, which
+// reads only the prepared query's, never pays for the encoding.
+func (p *plan) encodeParams() error {
+	var err error
+	if p.paramsJSON, err = json.Marshal(p.Params); err != nil { // encoding/json sorts map keys
+		return badf("parameters are not encodable: %v", err)
+	}
+	return nil
+}
+
 // key is the one builder of store keys. Everything the service caches is a
 // function of some prefix of one fingerprint — (versions, shape) names a
-// prepared query; adding the parameters and sampling knobs names an
-// answer — and scope says which store's view of it this is: "" for the
+// prepared query; adding the parameters (encodeParams) and sampling knobs
+// names an answer — and scope says which store's view of it this is: "" for the
 // prepared query, the result scope (exactness and in-process shard count)
 // for an answer.
 func (p *plan) key(scope string) string {

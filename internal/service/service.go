@@ -375,6 +375,9 @@ func (s *Service) count(ctx context.Context, req *CountRequest) (*CountResult, e
 	if err != nil {
 		return nil, err
 	}
+	if err := p.encodeParams(); err != nil {
+		return nil, err
+	}
 	key := p.key(p.resultScope())
 	// Every admission attempt this request makes — as leader now or after
 	// retrying a failed leader — draws from one QueueTimeout budget, so

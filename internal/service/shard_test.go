@@ -25,8 +25,8 @@ import (
 	"repro/lsample"
 )
 
-// shardReq is the skyband test query as one shard op, the way a coordinator
-// would send it.
+// shardReq is the skyband test query as one shard op without arguments,
+// the way a coordinator would send it.
 func shardReq(op string, idx, count int) *ShardRequest {
 	return &ShardRequest{
 		CountRequest: CountRequest{
@@ -38,6 +38,7 @@ func shardReq(op string, idx, count int) *ShardRequest {
 		},
 		Op:    op,
 		Shard: shard.Spec{Index: idx, Count: count},
+		Args:  noArgs,
 	}
 }
 
@@ -55,13 +56,26 @@ func newWorkerServer(t *testing.T, tables ...*lsample.Table) (*Service, *httptes
 	return svc, srv
 }
 
+// shardFrame encodes req as the request frame a coordinator sends.
+func shardFrame(tb testing.TB, req *ShardRequest) []byte {
+	tb.Helper()
+	query, err := encodeQuery(req.CountRequest)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(shard.AppendCall(nil, &shard.Call{Query: query, Seed: req.Seed, Op: req.Op, Shard: req.Shard,
+		Versions: req.Versions, Census: req.Census}), req.Args...)
+}
+
 func postShard(t *testing.T, srv *httptest.Server, req *ShardRequest) (*http.Response, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/v1/shard", "application/json", bytes.NewReader(body))
+	return postFrame(t, srv, shardFrame(t, req))
+}
+
+// postFrame posts one /v1/shard body and returns the response and its body.
+func postFrame(t *testing.T, srv *httptest.Server, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/v1/shard", shard.FrameContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +87,16 @@ func postShard(t *testing.T, srv *httptest.Server, req *ShardRequest) (*http.Res
 	return resp, payload
 }
 
+// mustAnswer decodes a 200 reply frame.
+func mustAnswer(t *testing.T, payload []byte) *answer {
+	t.Helper()
+	a, err := readAnswer(payload)
+	if err != nil {
+		t.Fatalf("reply frame unreadable: %v (%.80q)", err, payload)
+	}
+	return a
+}
+
 func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 	const n = 100
 	_, srv := newWorkerServer(t, testTable(n, 7))
@@ -81,29 +105,22 @@ func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("meta op: %d %s", resp.StatusCode, payload)
 	}
-	var sr ShardResponse
-	if err := json.Unmarshal(payload, &sr); err != nil {
-		t.Fatal(err)
+	sr := mustAnswer(t, payload)
+	if sr.reply.Meta == nil || sr.reply.Meta.N <= 0 || sr.reply.Meta.N >= n {
+		t.Fatalf("shard 0/4 census = %+v, want a proper slice of %d", sr.reply.Meta, n)
 	}
-	var reply shard.Reply
-	if err := json.Unmarshal(sr.Reply, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Meta == nil || reply.Meta.N <= 0 || reply.Meta.N >= n {
-		t.Fatalf("shard 0/4 census = %+v, want a proper slice of %d", reply.Meta, n)
-	}
-	if sr.Versions == "" || sr.Plan == nil || sr.Plan.Fingerprint == "" {
-		t.Fatalf("meta response missing versions/plan: %s", payload)
+	if sr.versions == "" || sr.plan == nil || sr.plan.Fingerprint == "" {
+		t.Fatalf("meta response missing versions/plan: %+v", sr)
 	}
 	// The plan is the worker's resolution of the request: the knobs the
 	// request set, and the service defaults for those it did not.
-	if p := sr.Plan.Request; p.Method != "srs" || p.Budget != 0.25 || p.Classifier != "rf" || p.Strata != 4 || p.Interval != "wald" || p.Seed != 3 {
+	if p := sr.plan.Request; p.Method != "srs" || p.Budget != 0.25 || p.Classifier != "rf" || p.Strata != 4 || p.Interval != "wald" || p.Seed != 3 {
 		t.Fatalf("resolved request = %+v", p)
 	}
 	// Only the meta op pays for the plan block; an unknown op is a 400.
 	if resp, payload := postShard(t, srv, shardReq(shard.OpScoreAll, 0, 4)); resp.StatusCode != http.StatusOK ||
-		bytes.Contains(payload, []byte(`"plan"`)) {
-		t.Fatalf("score_all op: %d %s", resp.StatusCode, payload)
+		mustAnswer(t, payload).plan != nil {
+		t.Fatalf("score_all op: %d %.200q", resp.StatusCode, payload)
 	}
 	if resp, payload := postShard(t, srv, shardReq("explode", 0, 4)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown op: %d %s, want 400", resp.StatusCode, payload)
@@ -121,12 +138,12 @@ func TestShardEndpointMetaAndVersionFence(t *testing.T) {
 	if err := json.Unmarshal(payload, &env); err != nil || env.Error.Code != "version_mismatch" {
 		t.Fatalf("409 body = %s", payload)
 	}
-	if got := resp.Header.Get("X-Dataset-Versions"); got != sr.Versions {
-		t.Fatalf("X-Dataset-Versions = %q, want %q", got, sr.Versions)
+	if got := resp.Header.Get("X-Dataset-Versions"); got != sr.versions {
+		t.Fatalf("X-Dataset-Versions = %q, want %q", got, sr.versions)
 	}
 
 	// Matching versions pass the fence.
-	fenced.Versions = sr.Versions
+	fenced.Versions = sr.versions
 	if resp, payload = postShard(t, srv, &fenced); resp.StatusCode != http.StatusOK {
 		t.Fatalf("current versions rejected: %d %s", resp.StatusCode, payload)
 	}
@@ -425,9 +442,8 @@ func (f *faultRT) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		req.Body = io.NopCloser(bytes.NewReader(body))
-		var sr ShardRequest
-		if json.Unmarshal(body, &sr) == nil {
-			apply = f.match(&sr)
+		if sr, err := decodeShardRequest(body); err == nil {
+			apply = f.match(sr)
 		}
 	}
 	if !apply {
@@ -593,8 +609,7 @@ func (o *opTally) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	req.Body = io.NopCloser(bytes.NewReader(body))
-	var sr ShardRequest
-	if json.Unmarshal(body, &sr) == nil {
+	if sr, err := decodeShardRequest(body); err == nil {
 		o.mu.Lock()
 		if o.ops == nil {
 			o.ops = make(map[string]int)
@@ -816,7 +831,7 @@ func TestCoordinatorCatchesSwappedWorker(t *testing.T) {
 	req := CountRequest{SQL: skybandQuery, Params: map[string]any{"k": float64(10)}, Method: "srs", Budget: 0.3, Seed: 3}
 	var versions []string
 	for _, svc := range []*Service{oldSvc, newSvc} {
-		meta := ShardRequest{CountRequest: req, Op: shard.OpMeta, Shard: shard.Spec{Index: 0, Count: shards}}
+		meta := ShardRequest{CountRequest: req, Op: shard.OpMeta, Shard: shard.Spec{Index: 0, Count: shards}, Args: noArgs}
 		resp, err := svc.ShardOp(context.Background(), &meta)
 		if err != nil {
 			t.Fatal(err)

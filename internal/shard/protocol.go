@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -11,10 +10,11 @@ import (
 // argument and reply blocks, the dispatch of a named op onto a Worker
 // (Serve, the worker end of a wire), and the Worker that performs each op
 // by calling a transport (NewRemote, the coordinator end). A serving layer
-// declares no op and converts no type. Its worker end passes the args and
-// reply bytes through opaque; its coordinator end carries the typed blocks
-// inside its own compact JSON envelopes, so each block is encoded once and
-// decoded once.
+// declares no op and converts no type. Each block is encoded once and
+// decoded once, by frame.go's codec: the coordinator end encodes the Args
+// block straight into its request frame and decodes the Reply block
+// straight out of the reply frame; the worker end hands the Args block to
+// Serve undecoded and writes Serve's Reply block into its frame as it is.
 //
 // Every op a driver sends is one blocking round, so an lss count costs the
 // five rounds its data dependencies require (driver.go):
@@ -36,6 +36,32 @@ import (
 // lists its population with a score_all that carries no learn sample where
 // it needs no scores; Exact adds one count_all, which is also all an oracle
 // plan sends after the census.
+//
+// Each round's request and 200 reply is one binary frame (frame.go); a
+// non-200 answer is the serving layer's JSON error envelope. int is a
+// zigzag varint, uvarint an unsigned one, f64 8 little-endian IEEE bytes,
+// bytes and str a uvarint length and the bytes, list(T) a uvarint count and
+// the elements, bools a uvarint count and the bits packed eight to a byte
+// (element i in bit i%8 of byte i/8, padding bits zero), rows a uvarint row
+// count and, if non-zero, a uvarint width ≥ 1 and row-major f64s:
+//
+//	request frame  "LSq" FrameVersion  query bytes (the count request as
+//	               JSON, seed cleared)  seed uvarint  op str  shard int int
+//	               versions str  census 0 | 1 meta  ·  args block
+//	reply frame    "LSa" FrameVersion  versions str  plan bytes (meta: the
+//	               resolved plan as JSON, else empty)  trace bytes (a
+//	               traced op's span tree as JSON, else empty)  ·  reply block
+//	args block     k int  tag uvarint  keys list(int)  rows_of list(int)
+//	               x rows  y bools  clf_seed uvarint
+//	reply block    flags byte (1 meta, 2 tally)  [meta]  cands list(hash as 8
+//	               little-endian bytes, key int)  labels bools  fresh int
+//	               features rows  scored list(key int, score f64, group str)
+//	               [tally: n sampled positives fresh int, groups]
+//	meta           n int  groups
+//	groups         list(key str, parts list(str), n int, pos int)
+//
+// The args and reply blocks run to the end of their frame, and no decoder
+// leaves a byte unread or reads past the end.
 
 // The five shard ops, one per Worker method.
 const (
@@ -58,6 +84,7 @@ func Heavy(op string) bool {
 }
 
 // Args is the argument block of one op; each op reads only its own fields.
+// The JSON names are a readable rendering; the wire is the frame.
 type Args struct {
 	K       int         `json:"k,omitempty"`        // cands
 	Tag     uint64      `json:"tag,omitempty"`      // cands
@@ -69,7 +96,7 @@ type Args struct {
 }
 
 // Reply is the reply block of one op; exactly the requested op's fields
-// are set.
+// are set. The JSON names are a readable rendering; the wire is the frame.
 type Reply struct {
 	Meta     *Meta       `json:"meta,omitempty"`
 	Cands    []Cand      `json:"cands,omitempty"`
@@ -104,27 +131,25 @@ func dispatch(ctx context.Context, w Worker, op string, a *Args) (r Reply, err e
 }
 
 // Serve is the worker end of a wire: it decodes the op's argument block
-// (empty for ops without arguments), runs the op on w, and encodes the
-// reply block.
-func Serve(ctx context.Context, w Worker, op string, args json.RawMessage) (json.RawMessage, error) {
-	var a Args
-	if len(args) > 0 {
-		if err := json.Unmarshal(args, &a); err != nil {
-			return nil, fmt.Errorf("%w: %s arguments unreadable: %v", ErrBadOp, op, err)
-		}
+// (AppendArgs), runs the op on w, and encodes the reply block
+// (AppendReply). An unreadable block is ErrBadOp.
+func Serve(ctx context.Context, w Worker, op string, args []byte) ([]byte, error) {
+	a, err := DecodeArgs(args)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s arguments unreadable: %w", ErrBadOp, op, err)
 	}
 	r, err := dispatch(ctx, w, op, &a)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(&r)
+	return AppendReply(nil, &r)
 }
 
 // Transport carries one op's arguments to wherever the shard lives and
-// returns its reply — one HTTP POST with routing, deadlines and hedging in
-// the coordinator, which encodes the arguments inside its request envelope
-// and decodes the reply with its response envelope; a JSON round trip
-// through Serve in tests. A nil error comes with a non-nil reply.
+// returns its reply — one HTTP POST of a request frame with routing,
+// deadlines and hedging in the coordinator, which decodes the reply frame
+// it gets back; the codec's round trip through Serve in tests. A nil error
+// comes with a non-nil reply.
 type Transport func(ctx context.Context, op string, args *Args) (*Reply, error)
 
 // NewRemote returns the Worker that performs every op through t: the

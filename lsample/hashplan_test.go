@@ -2,7 +2,6 @@ package lsample
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -96,7 +95,11 @@ func TestHashPlanContainsPredicatePanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = x.Op(context.Background(), 0, shard.OpLabel, json.RawMessage(`{"keys":[4,5,6]}`))
+	args, err := shard.AppendArgs(nil, &shard.Args{Keys: []int64{4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = x.Op(context.Background(), 0, shard.OpLabel, args)
 	isFault("shard op", err)
 
 	gq, err := sess.Prepare(`SELECT g, COUNT(*) FROM (SELECT o1.g, o1.id FROM D o1, D o2 WHERE o2.x >= o1.x

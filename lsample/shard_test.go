@@ -2,7 +2,6 @@ package lsample
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -226,10 +225,11 @@ func TestShardContractErrors(t *testing.T) {
 
 // overOp is the protocol's transport over the executor's one entry point,
 // as a serving layer wires it minus the HTTP hop: each op's arguments are
-// encoded to JSON, run by x.Op under seed, and the reply bytes decoded.
+// encoded with the frame codec, run by x.Op under seed, and the reply block
+// decoded.
 func overOp(x *ShardExec, seed uint64) shard.Transport {
 	return func(ctx context.Context, op string, a *shard.Args) (*shard.Reply, error) {
-		args, err := json.Marshal(a)
+		args, err := shard.AppendArgs(nil, a)
 		if err != nil {
 			return nil, err
 		}
@@ -237,8 +237,8 @@ func overOp(x *ShardExec, seed uint64) shard.Transport {
 		if err != nil {
 			return nil, err
 		}
-		var r shard.Reply
-		if err := json.Unmarshal(raw, &r); err != nil {
+		r, err := shard.DecodeReply(raw)
+		if err != nil {
 			return nil, err
 		}
 		return &r, nil
@@ -273,8 +273,15 @@ func TestPrepareShardOps(t *testing.T) {
 		// The protocol's coordinator end over the executor's one entry
 		// point: what a serving layer wires up, minus the HTTP hop.
 		w := shard.NewRemote(overOp(x, 17))
-		if _, err := x.Op(ctx, 17, "no_such_op", nil); !errors.Is(err, ErrInvalid) {
+		noArgs, err := shard.AppendArgs(nil, &shard.Args{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Op(ctx, 17, "no_such_op", noArgs); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("unknown op: err = %v, want ErrInvalid", err)
+		}
+		if _, err := x.Op(ctx, 17, shard.OpMeta, []byte(`{}`)); !errors.Is(err, ErrInvalid) {
+			t.Fatalf("a JSON argument block: err = %v, want ErrInvalid", err)
 		}
 		m, err := w.Meta(ctx)
 		if err != nil {

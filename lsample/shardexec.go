@@ -3,7 +3,6 @@ package lsample
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -682,16 +681,16 @@ func (x *ShardExec) Fingerprint() string { return x.data.key.fp }
 func (x *ShardExec) FeatureColumns() []string { return x.data.featCols }
 
 // Op runs one operation of the shard-op protocol on this shard under the
-// given plan seed: op names it, args is its JSON argument block (empty for
-// ops that take none), and the result is its JSON reply block. The blocks
-// are opaque here — the protocol's coordinator end produces the one and
-// consumes the other — so a serving layer passes both through without
-// decoding either. The seed only decides which keys the cands op selects;
-// labels, features and scores are facts about the shard, so ops of
+// given plan seed: op names it, args is its encoded argument block
+// (internal/shard's AppendArgs), and the result is its encoded reply block.
+// The blocks are opaque here — the protocol's coordinator end produces the
+// one and consumes the other — so a serving layer passes both through
+// without decoding either. The seed only decides which keys the cands op
+// selects; labels, features and scores are facts about the shard, so ops of
 // different seeds share every label any of them bought. An unknown op or an
 // unreadable argument block is ErrInvalid, and so is a predicate fault met
 // while labeling (see Execute).
-func (x *ShardExec) Op(ctx context.Context, seed uint64, op string, args json.RawMessage) (_ json.RawMessage, err error) {
+func (x *ShardExec) Op(ctx context.Context, seed uint64, op string, args []byte) (_ []byte, err error) {
 	defer recoverFault(&err)
 	cfg := x.cfg
 	cfg.seed = seed
