@@ -5,9 +5,9 @@
 //	lsbench [flags] <experiment>...
 //	lsbench [flags] all
 //
-// Experiments: table1, fig1, fig2, fig3, fig4a, fig4b, fig5, fig6, fig7,
-// fig8. By default runs at reduced scale (8k rows, 30 trials); -full runs
-// at the paper's dataset sizes.
+// lsbench -h lists every experiment id. By default runs at reduced scale
+// (8k rows, 30 trials); -full runs each dataset at its paper size with 100
+// trials.
 package main
 
 import (
@@ -23,13 +23,13 @@ import (
 
 func main() {
 	var (
-		rows    = flag.Int("rows", 0, "dataset rows (0 = harness default 8000)")
+		rows    = flag.Int("rows", 8000, "dataset rows (0 = each dataset's paper size)")
 		trials  = flag.Int("trials", 0, "trials per distribution (0 = default 30)")
 		seed    = flag.Uint64("seed", 1, "root random seed")
 		dataset = flag.String("dataset", "", "restrict to one dataset (sports|neighbors)")
 		fracs   = flag.String("fracs", "", "comma-separated sample fractions (default 0.01,0.02)")
 		csvOut  = flag.String("csv", "", "also write results as CSV to this file (one block per experiment)")
-		full    = flag.Bool("full", false, "paper scale: full dataset sizes and 100 trials")
+		full    = flag.Bool("full", false, "paper scale: each dataset at its paper size (overrides -rows) and 100 trials")
 		para    = flag.Int("p", 0, "concurrent trials per distribution (0 = all cores, 1 = sequential); results are identical at any value")
 	)
 	flag.Usage = func() {
@@ -43,6 +43,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *rows < 0 {
+		fatalf("bad -rows %d", *rows)
+	}
 	opts := experiment.Options{
 		Rows:        *rows,
 		Trials:      *trials,
@@ -51,7 +54,7 @@ func main() {
 		Parallelism: *para,
 	}
 	if *full {
-		opts.Rows = paperRows(*dataset)
+		opts.Rows = 0
 		if opts.Trials == 0 {
 			opts.Trials = 100
 		}
@@ -98,19 +101,6 @@ func main() {
 			}
 			fmt.Fprintln(csvFile)
 		}
-	}
-}
-
-// paperRows returns the paper's dataset size; with both datasets in play the
-// harness builds each at its own paper scale, so 0 suffices there.
-func paperRows(dataset string) int {
-	switch dataset {
-	case "sports":
-		return 47000
-	case "neighbors":
-		return 73000
-	default:
-		return 47000 // mixed runs: a single size keeps runtime bounded
 	}
 }
 

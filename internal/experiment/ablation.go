@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/stratify"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -123,38 +124,19 @@ func AblateLWS(o Options) (*Report, error) {
 	if name == "" {
 		name = "neighbors"
 	}
-	suite, err := o.buildSuite(name)
-	if err != nil {
-		return nil, err
-	}
 	rep := &Report{
 		ID:     "ablate-lws",
 		Title:  "LWS ablation: ε floor and with/without-replacement estimator",
 		Header: append([]string{"variant"}, distHeader...),
 	}
-	variants := []struct {
-		label string
-		m     core.Method
-	}{
-		{"desraj eps=.001", &core.LWS{NewClassifier: forestClf, Epsilon: 0.001}},
-		{"desraj eps=.01", &core.LWS{NewClassifier: forestClf, Epsilon: 0.01}},
-		{"desraj eps=.05", &core.LWS{NewClassifier: forestClf, Epsilon: 0.05}},
-		{"desraj eps=.2", &core.LWS{NewClassifier: forestClf, Epsilon: 0.2}},
-		{"hansen-hurwitz", &core.LWS{NewClassifier: forestClf, WithReplacement: true}},
-	}
-	for _, frac := range o.fracs() {
-		for _, sz := range figureSizes {
-			in := suite.Instances[sz]
-			budget := budgetFor(in, frac)
-			for _, v := range variants {
-				d, err := o.distFor(rep, v.m, in, budget, o.seed()+uint64(sz)*61)
-				if err != nil {
-					return nil, err
-				}
-				rep.AddRow(v.label, name, sz.String(), pct(frac), d.Method,
-					d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-			}
+	return o.sweep(rep, []string{name}, func(sz workload.Size, _ float64, _ int) []arm {
+		seed := o.seed() + uint64(sz)*61
+		return []arm{
+			{"desraj eps=.001", &core.LWS{NewClassifier: forestClf, Epsilon: 0.001}, seed},
+			{"desraj eps=.01", &core.LWS{NewClassifier: forestClf, Epsilon: 0.01}, seed},
+			{"desraj eps=.05", &core.LWS{NewClassifier: forestClf, Epsilon: 0.05}, seed},
+			{"desraj eps=.2", &core.LWS{NewClassifier: forestClf, Epsilon: 0.2}, seed},
+			{"hansen-hurwitz", &core.LWS{NewClassifier: forestClf, WithReplacement: true}, seed},
 		}
-	}
-	return rep, nil
+	})
 }

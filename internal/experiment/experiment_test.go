@@ -166,15 +166,27 @@ func TestFig5Small(t *testing.T) {
 }
 
 func TestRunDispatch(t *testing.T) {
-	if _, err := Run("nope", tiny()); err == nil {
-		t.Fatal("unknown id should error")
-	}
 	ids := IDs()
 	if len(ids) != 12 {
 		t.Fatalf("IDs = %v", ids)
 	}
-	rep, err := Run("table1", Options{Rows: 1000, Seed: 1})
-	if err != nil || rep.ID != "table1" {
-		t.Fatalf("Run(table1) = %v, %v", rep, err)
+	_, err := Run("nope", tiny())
+	if err == nil {
+		t.Fatal("unknown id should error")
+	}
+	for _, id := range ids {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-id error %q does not name %s", err, id)
+		}
+	}
+	o := Options{Rows: 600, Trials: 2, Seed: 1, SampleFracs: []float64{0.05}}
+	for _, id := range ids {
+		rep, err := Run(id, o)
+		if err != nil {
+			t.Fatalf("Run(%s): %v", id, err)
+		}
+		if rep.ID != id || len(rep.Rows) == 0 {
+			t.Errorf("Run(%s) = report %q with %d rows", id, rep.ID, len(rep.Rows))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/active"
@@ -109,13 +110,46 @@ func Fig1(o Options) (*Report, error) {
 	return rep, nil
 }
 
-// distRow appends one distribution row to a report.
-func distRow(rep *Report, dataset string, sz workload.Size, frac float64, d *Dist) {
-	rep.AddRow(dataset, sz.String(), pct(frac), d.Method,
-		d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
+var distHeader = []string{"dataset", "size", "sample", "method", "truth", "median", "iqr", "rel_iqr", "outliers"}
+
+// arm is one estimate distribution of a figure cell: the value of the
+// figure's leading column (nil when it has none), the method and its seed.
+type arm struct {
+	lead any
+	m    core.Method
+	seed uint64
 }
 
-var distHeader = []string{"dataset", "size", "sample", "method", "truth", "median", "iqr", "rel_iqr", "outliers"}
+// sweep fills a distribution figure. For each dataset, then each sample
+// fraction, then each figure size, it runs every arm the cell returns and
+// writes one row per distribution.
+func (o Options) sweep(rep *Report, datasets []string, cell func(sz workload.Size, frac float64, budget int) []arm) (*Report, error) {
+	for _, name := range datasets {
+		suite, err := o.buildSuite(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, frac := range o.fracs() {
+			for _, sz := range figureSizes {
+				in := suite.Instances[sz]
+				budget := budgetFor(in, frac)
+				for _, a := range cell(sz, frac, budget) {
+					d, err := o.distFor(rep, a.m, in, budget, a.seed)
+					if err != nil {
+						return nil, err
+					}
+					row := []any{name, sz.String(), pct(frac), d.Method,
+						d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers}
+					if a.lead != nil {
+						row = append([]any{a.lead}, row...)
+					}
+					rep.AddRow(row...)
+				}
+			}
+		}
+	}
+	return rep, nil
+}
 
 // Fig2 reproduces Figure 2: estimate distributions of SRS, SSP, LWS, and
 // LSS across result sizes and sample fractions. The paper's finding: LWS
@@ -127,32 +161,15 @@ func Fig2(o Options) (*Report, error) {
 		Title:  "Sampling comparison: SRS / SSP vs LWS / LSS (RF-100, 25% split, 4 strata)",
 		Header: distHeader,
 	}
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, frac float64, _ int) []arm {
+		seed := o.seed() + uint64(sz)*31 + uint64(frac*1000)
+		return []arm{
+			{nil, &core.SRS{}, seed},
+			{nil, &core.SSP{Strata: 4}, seed},
+			{nil, defaultLWS(), seed},
+			{nil, defaultLSS(), seed},
 		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				methods := []core.Method{
-					&core.SRS{},
-					&core.SSP{Strata: 4},
-					defaultLWS(),
-					defaultLSS(),
-				}
-				for _, m := range methods {
-					d, err := o.distFor(rep, m, in, budget, o.seed()+uint64(sz)*31+uint64(frac*1000))
-					if err != nil {
-						return nil, err
-					}
-					distRow(rep, name, sz, frac, d)
-				}
-			}
-		}
-	}
-	return rep, nil
+	})
 }
 
 // Fig3 reproduces Figure 3: LSS runtime broken into P1 learning, P1 sample
@@ -227,29 +244,15 @@ func Fig4Layout(o Options) (*Report, error) {
 		Header: append([]string{"layout"}, distHeader...),
 	}
 	layouts := []core.Layout{core.LayoutFixedWidth, core.LayoutEqualCount, core.LayoutOptimal}
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, _ float64, _ int) []arm {
+		var arms []arm
+		for _, lay := range layouts {
+			m := defaultLSS()
+			m.Layout = lay
+			arms = append(arms, arm{lay.String(), m, o.seed() + uint64(sz)*37 + uint64(lay)})
 		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				for _, lay := range layouts {
-					m := defaultLSS()
-					m.Layout = lay
-					d, err := o.distFor(rep, m, in, budget, o.seed()+uint64(sz)*37+uint64(lay))
-					if err != nil {
-						return nil, err
-					}
-					rep.AddRow(lay.String(), name, sz.String(), pct(frac), d.Method,
-						d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-				}
-			}
-		}
-	}
-	return rep, nil
+		return arms
+	})
 }
 
 // Fig4Strata reproduces the §5.4.2 half of Figure 4: LSS vs SSP as the
@@ -261,35 +264,19 @@ func Fig4Strata(o Options) (*Report, error) {
 		Header: append([]string{"strata"}, distHeader...),
 	}
 	counts := []int{4, 9, 25, 49, 100}
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				for _, h := range counts {
-					if h*4 > budget {
-						continue // cannot meaningfully allocate
-					}
-					for _, m := range []core.Method{
-						&core.SSP{Strata: h},
-						&core.LSS{NewClassifier: forestClf, TrainFrac: 0.25, Strata: h},
-					} {
-						d, err := o.distFor(rep, m, in, budget, o.seed()+uint64(sz)*41+uint64(h))
-						if err != nil {
-							return nil, err
-						}
-						rep.AddRow(h, name, sz.String(), pct(frac), d.Method,
-							d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-					}
-				}
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, _ float64, budget int) []arm {
+		var arms []arm
+		for _, h := range counts {
+			if h*4 > budget {
+				continue // cannot meaningfully allocate
 			}
+			seed := o.seed() + uint64(sz)*41 + uint64(h)
+			arms = append(arms,
+				arm{h, &core.SSP{Strata: h}, seed},
+				arm{h, &core.LSS{NewClassifier: forestClf, TrainFrac: 0.25, Strata: h}, seed})
 		}
-	}
-	return rep, nil
+		return arms
+	})
 }
 
 // Fig5 reproduces Figure 5: the learning/sampling budget split
@@ -301,45 +288,26 @@ func Fig5(o Options) (*Report, error) {
 		Header: append([]string{"train_split"}, distHeader...),
 	}
 	splits := []float64{0.10, 0.25, 0.50, 0.75}
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, _ float64, _ int) []arm {
+		var arms []arm
+		for _, split := range splits {
+			m := defaultLSS()
+			m.TrainFrac = split
+			arms = append(arms, arm{pct(split), m, o.seed() + uint64(sz)*43 + uint64(split*100)})
 		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				for _, split := range splits {
-					m := defaultLSS()
-					m.TrainFrac = split
-					d, err := o.distFor(rep, m, in, budget, o.seed()+uint64(sz)*43+uint64(split*100))
-					if err != nil {
-						return nil, err
-					}
-					rep.AddRow(pct(split), name, sz.String(), pct(frac), d.Method,
-						d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-				}
-			}
-		}
-	}
-	return rep, nil
+		return arms
+	})
 }
 
 // classifierLineup is the §5.4.4 classifier set.
-func classifierLineup() []struct {
+var classifierLineup = []struct {
 	label string
 	newC  core.NewClassifierFunc
-} {
-	return []struct {
-		label string
-		newC  core.NewClassifierFunc
-	}{
-		{"knn", knnClf},
-		{"nn", mlpClf},
-		{"rf", forestClf},
-		{"random", dummyClf},
-	}
+}{
+	{"knn", knnClf},
+	{"nn", mlpClf},
+	{"rf", forestClf},
+	{"random", dummyClf},
 }
 
 // Fig6 reproduces Figure 6: LSS quality under kNN, NN, RF, and a random
@@ -351,29 +319,15 @@ func Fig6(o Options) (*Report, error) {
 		Title:  "Effect of classifier quality on LSS",
 		Header: append([]string{"classifier"}, distHeader...),
 	}
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, _ float64, _ int) []arm {
+		var arms []arm
+		for _, clf := range classifierLineup {
+			m := defaultLSS()
+			m.NewClassifier = clf.newC
+			arms = append(arms, arm{clf.label, m, o.seed() + uint64(sz)*47})
 		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				for _, clf := range classifierLineup() {
-					m := defaultLSS()
-					m.NewClassifier = clf.newC
-					d, err := o.distFor(rep, m, in, budget, o.seed()+uint64(sz)*47)
-					if err != nil {
-						return nil, err
-					}
-					rep.AddRow(clf.label, name, sz.String(), pct(frac), d.Method,
-						d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-				}
-			}
-		}
-	}
-	return rep, nil
+		return arms
+	})
 }
 
 // Fig7 reproduces Figure 7: quantification learning (QLCC) under different
@@ -385,33 +339,16 @@ func Fig7(o Options) (*Report, error) {
 		Title:  "Quantification learning vs classifier quality (QLCC vs LSS)",
 		Header: append([]string{"classifier"}, distHeader...),
 	}
-	lineup := classifierLineup()[:3] // knn, nn, rf
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, _ float64, _ int) []arm {
+		seed := o.seed() + uint64(sz)*53
+		var arms []arm
+		for _, clf := range classifierLineup[:3] { // knn, nn, rf
+			arms = append(arms,
+				arm{clf.label, &core.QLCC{NewClassifier: clf.newC}, seed},
+				arm{clf.label, &core.LSS{NewClassifier: clf.newC, TrainFrac: 0.25, Strata: 4}, seed})
 		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				for _, clf := range lineup {
-					for _, m := range []core.Method{
-						&core.QLCC{NewClassifier: clf.newC},
-						&core.LSS{NewClassifier: clf.newC, TrainFrac: 0.25, Strata: 4},
-					} {
-						d, err := o.distFor(rep, m, in, budget, o.seed()+uint64(sz)*53)
-						if err != nil {
-							return nil, err
-						}
-						rep.AddRow(clf.label, name, sz.String(), pct(frac), d.Method,
-							d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-					}
-				}
-			}
-		}
-	}
-	return rep, nil
+		return arms
+	})
 }
 
 // Fig8 reproduces Figure 8: Classify-and-Count vs Adjusted Count, with and
@@ -422,71 +359,51 @@ func Fig8(o Options) (*Report, error) {
 		Title:  "Quantification methods: CC vs AC, with and without augmentation",
 		Header: append([]string{"variant"}, distHeader...),
 	}
-	for _, name := range o.datasets() {
-		suite, err := o.buildSuite(name)
-		if err != nil {
-			return nil, err
+	return o.sweep(rep, o.datasets(), func(sz workload.Size, _ float64, _ int) []arm {
+		seed := o.seed() + uint64(sz)*59
+		return []arm{
+			{"cc", &core.QLCC{NewClassifier: forestClf}, seed},
+			{"cc+aug", &core.QLCC{NewClassifier: forestClf, Augment: true}, seed},
+			{"ac", &core.QLAC{NewClassifier: forestClf}, seed},
+			{"ac+aug", &core.QLAC{NewClassifier: forestClf, Augment: true}, seed},
 		}
-		for _, frac := range o.fracs() {
-			for _, sz := range figureSizes {
-				in := suite.Instances[sz]
-				budget := budgetFor(in, frac)
-				variants := []struct {
-					label string
-					m     core.Method
-				}{
-					{"cc", &core.QLCC{NewClassifier: forestClf}},
-					{"cc+aug", &core.QLCC{NewClassifier: forestClf, Augment: true}},
-					{"ac", &core.QLAC{NewClassifier: forestClf}},
-					{"ac+aug", &core.QLAC{NewClassifier: forestClf, Augment: true}},
-				}
-				for _, v := range variants {
-					d, err := o.distFor(rep, v.m, in, budget, o.seed()+uint64(sz)*59)
-					if err != nil {
-						return nil, err
-					}
-					rep.AddRow(v.label, name, sz.String(), pct(frac), d.Method,
-						d.Truth, d.Summary.Median, d.Summary.IQR, d.RelIQR(), d.Summary.Outliers)
-				}
-			}
-		}
-	}
-	return rep, nil
+	})
+}
+
+// experiments lists every experiment in paper order, then the ablations.
+var experiments = []struct {
+	id  string
+	run func(Options) (*Report, error)
+}{
+	{"table1", Table1},
+	{"fig1", Fig1},
+	{"fig2", Fig2},
+	{"fig3", Fig3},
+	{"fig4a", Fig4Layout},
+	{"fig4b", Fig4Strata},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"ablate-designers", AblateDesigners},
+	{"ablate-lws", AblateLWS},
 }
 
 // Run dispatches an experiment by id.
 func Run(id string, o Options) (*Report, error) {
-	switch id {
-	case "table1":
-		return Table1(o)
-	case "fig1":
-		return Fig1(o)
-	case "fig2":
-		return Fig2(o)
-	case "fig3":
-		return Fig3(o)
-	case "fig4a":
-		return Fig4Layout(o)
-	case "fig4b":
-		return Fig4Strata(o)
-	case "fig5":
-		return Fig5(o)
-	case "fig6":
-		return Fig6(o)
-	case "fig7":
-		return Fig7(o)
-	case "fig8":
-		return Fig8(o)
-	case "ablate-designers":
-		return AblateDesigners(o)
-	case "ablate-lws":
-		return AblateLWS(o)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(o)
+		}
 	}
-	return nil, fmt.Errorf("experiment: unknown experiment %q (want table1, fig1..fig8, fig4a, fig4b, ablate-designers, ablate-lws)", id)
+	return nil, fmt.Errorf("experiment: unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ", "))
 }
 
 // IDs lists every experiment id in paper order, then the ablations.
 func IDs() []string {
-	return []string{"table1", "fig1", "fig2", "fig3", "fig4a", "fig4b", "fig5",
-		"fig6", "fig7", "fig8", "ablate-designers", "ablate-lws"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

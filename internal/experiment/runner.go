@@ -15,9 +15,10 @@ import (
 )
 
 // Options scale an experiment run. Zero values mean reduced defaults
-// suitable for interactive runs; cmd/lsbench -full switches to paper scale.
+// suitable for interactive runs, except Rows, whose 0 builds each dataset at
+// its paper size; cmd/lsbench defaults -rows to 8000 and -full sets it to 0.
 type Options struct {
-	Rows        int       // dataset rows; 0 means 8000 (paper scale: 47000/73000)
+	Rows        int       // dataset rows; 0 builds each dataset at its paper size
 	Trials      int       // trials per distribution; 0 means 30
 	Seed        uint64    // root seed; 0 means 1
 	SampleFracs []float64 // labeling budgets as fraction of N; nil means {0.01, 0.02}
@@ -26,13 +27,6 @@ type Options struct {
 	// GOMAXPROCS, 1 forces sequential execution. Results are bit-identical
 	// at any value (see RunDistP).
 	Parallelism int
-}
-
-func (o Options) rows() int {
-	if o.Rows <= 0 {
-		return 8000
-	}
-	return o.Rows
 }
 
 func (o Options) trials() int {
@@ -65,7 +59,7 @@ func (o Options) datasets() []string {
 
 // buildSuite constructs a workload suite under the options.
 func (o Options) buildSuite(name string) (*workload.Suite, error) {
-	return workload.Build(name, o.rows(), o.seed())
+	return workload.Build(name, o.Rows, o.seed())
 }
 
 // Dist is the estimate distribution of one method on one instance.
